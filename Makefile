@@ -1,6 +1,6 @@
 PY ?= python
 
-.PHONY: test lint bench-smoke bench-recovery bench-cluster bench-serving chaos api-docs stats-demo
+.PHONY: test lint bench bench-smoke bench-recovery bench-cluster bench-serving chaos api-docs stats-demo
 
 # tier-1 suite (the repo's correctness gate)
 test:
@@ -14,6 +14,12 @@ lint:
 		echo "ruff not installed; falling back to compileall syntax check"; \
 		$(PY) -m compileall -q src tests scripts; \
 	fi
+
+# the BENCHMARK.json harness: one fixed cycle of each workload, then its own
+# checks (metric names/units, zero failed ops, determinism); bench/out/latest.json
+bench:
+	python3 bench/run.py --smoke
+	$(PY) -m pytest bench/tests -q
 
 # tier-1 tests + ~5s save/recover micro-benchmark; writes BENCH_pipeline.json
 bench-smoke:

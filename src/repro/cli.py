@@ -504,7 +504,7 @@ def cmd_serve(args) -> int:
 def cmd_env(args) -> int:
     """Print, lock, or check the current environment snapshot."""
     from repro.core import collect_environment
-    from repro.core.environment import check_lockfile, write_lockfile
+    from repro.core.environment import check_lockfile, environment_id, write_lockfile
 
     if args.check:
         from repro.core import EnvironmentMismatchError
@@ -520,8 +520,10 @@ def cmd_env(args) -> int:
         write_lockfile(args.lock)
         print(f"environment lockfile written to {args.lock}")
         return 0
-    info = collect_environment()
-    payload = info.to_dict()
+    payload = collect_environment().to_dict()
+    # the id a save would store this snapshot under: equal ids, equal
+    # environments, without diffing the library lists
+    payload = {"environment_id": environment_id(payload), **payload}
     if not args.full:
         payload["libraries"] = f"<{len(payload['libraries'])} packages>"
     print(json.dumps(payload, indent=2, default=str))

@@ -427,7 +427,14 @@ class _ShardedCollection:
         outage for deletion — that raises the retryable
         :class:`TransientStoreError` instead.  Documents shadowed by a
         tombstone (quorum-deleted, one stale replica left) are filtered
-        out rather than resurrected."""
+        out rather than resurrected.  An unsorted ``limit`` without
+        ``skip`` is pushed down to the members, widened by the number of
+        tombstones so that shadowed copies cannot crowd out live ones."""
+        tombstoned = None
+        member_limit = None
+        if limit is not None and not sort and not skip:
+            tombstoned = self._tombstoned_ids()
+            member_limit = limit + len(tombstoned)
         merged: dict[str, dict] = {}
         unreachable = 0
         for member_name in sorted(self._store.members):
@@ -438,7 +445,7 @@ class _ShardedCollection:
                 unreachable += 1  # breaker open: results may be incomplete
                 continue
             try:
-                results = collection.find(query)
+                results = collection.find(query, limit=member_limit)
             except OSError:
                 self._store._member_down(member_name)
                 self._store._bump("failover_reads")
@@ -454,7 +461,9 @@ class _ShardedCollection:
                 "query results cannot be proven complete"
             )
         if merged:
-            for doc_id in self._tombstoned_ids():
+            if tombstoned is None:
+                tombstoned = self._tombstoned_ids()
+            for doc_id in tombstoned:
                 merged.pop(doc_id, None)
         results = [merged[doc_id] for doc_id in sorted(merged)]
         if sort:

@@ -26,11 +26,22 @@ from pathlib import Path
 
 from .. import obs
 from ..nn import rng, serialization
+from ..docstore.engine import DuplicateKeyError
 from ..retry import RetryingDocumentStore
 from ..nn.modules import Module
 from .dataset_manager import DatasetManager
-from .environment import EnvironmentInfo, check_environment, collect_environment
-from .errors import ModelNotFoundError, RecoveryError, VerificationError
+from .environment import (
+    EnvironmentInfo,
+    check_environment,
+    collect_environment,
+    environment_id,
+)
+from .errors import (
+    ModelNotFoundError,
+    RecoveryError,
+    TransientStoreError,
+    VerificationError,
+)
 from .cache import RecoveryCache
 from .hashing import state_dict_hashes
 from .ids import new_model_id
@@ -186,10 +197,22 @@ class AbstractSaveService:
     # -- shared save helpers ----------------------------------------------
 
     def _save_environment(self) -> str:
-        info = collect_environment()
-        env_id = self.documents.collection(ENVIRONMENTS).insert_one(info.to_dict())
-        self._journal("doc", collection=ENVIRONMENTS, doc_id=env_id)
-        return env_id
+        """Put-if-absent the current environment's document; returns its id.
+
+        The document is content-addressed and shared by every model saved
+        from this environment, so it is *not* journaled: rolling back one
+        save must not delete what another save references.  One nobody
+        references is reclaimed by ``delete_model`` and fsck's orphan sweep.
+        Insert-first rather than get-then-insert: a degraded cluster cannot
+        prove absence, but its insert is idempotent per replica.
+        """
+        document = collect_environment().to_dict()
+        document["_id"] = environment_id(document)
+        try:
+            self.documents.collection(ENVIRONMENTS).insert_one(document)
+        except DuplicateKeyError:
+            pass
+        return document["_id"]
 
     def _save_architecture(self, architecture: ArchitectureRef) -> dict:
         code_file_id = self.files.save_bytes(architecture.source.encode(), suffix=".py")
@@ -239,7 +262,22 @@ class AbstractSaveService:
         # insert rolls back a document that never landed, which is a no-op
         self._journal("doc", collection=MODELS, doc_id=model_id)
         self.documents.collection(MODELS).insert_one(document)
+        if document.get("environment_id"):
+            self._keep_environment(document["environment_id"])
         return model_id
+
+    def _keep_environment(self, env_id: str) -> None:
+        """Re-put the environment document if a concurrent delete took it.
+
+        ``delete_model`` removes an environment document with its last
+        referent; one that ran between this save's put and its model
+        insert saw no referent.  It re-checks after deleting, this
+        re-checks after inserting, so whichever runs last restores it.
+        """
+        try:
+            self.documents.collection(ENVIRONMENTS).get(env_id)
+        except (KeyError, TransientStoreError):  # absent, or absence unproven
+            self._save_environment()
 
     # ------------------------------------------------------------------
     # lookup

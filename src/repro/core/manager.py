@@ -23,8 +23,10 @@ import numpy as np
 
 from .. import obs
 from ..filestore.store import layer_chunk_digests
+from ..docstore.engine import DuplicateKeyError
 from .abstract import AbstractSaveService
-from .errors import MMLibError, ModelNotFoundError
+from .environment import ENVIRONMENT_ID_PREFIX, environment_id
+from .errors import MMLibError, ModelNotFoundError, TransientStoreError
 from .hashing import tensor_hash
 from .recover import RecoveredModelInfo, StorageBreakdown
 from .schema import ENVIRONMENTS, MODELS, TRAIN_INFO, WRAPPERS
@@ -66,8 +68,8 @@ class FsckIssue:
     ``incomplete_compaction``, ``missing_file``, ``missing_chunk``,
     ``corrupt_chunk``, ``corrupt_manifest``, ``refcount_mismatch``,
     ``orphan_file``, ``orphan_chunk``, ``orphan_document``,
-    ``missing_base``, ``missing_document``, ``under_replicated``,
-    ``torn_segment``, ``segment_index``, ``segment_crc``,
+    ``missing_base``, ``missing_document``, ``environment_digest``,
+    ``under_replicated``, ``torn_segment``, ``segment_index``, ``segment_crc``,
     ``segment_compaction``).
     """
 
@@ -324,6 +326,22 @@ class ModelManager:
         prefetcher = getattr(self.service, "prefetcher", None)
         if prefetcher is not None:
             out["prefetcher"] = prefetcher.stats()
+        # models saved from one environment share its document, so the
+        # distinct documents are the distinct environments of the fleet
+        try:
+            models = documents.collection(MODELS)
+            env_ids = sorted(
+                {d["_id"] for d in documents.collection(ENVIRONMENTS).find()}
+            )
+            out["environments"] = {
+                "distinct": len(env_ids),
+                "models": {
+                    env_id: models.count({"environment_id": env_id})
+                    for env_id in env_ids
+                },
+            }
+        except TransientStoreError:
+            pass  # catalog unreachable: the health section says why
         return out
 
     # -- recovery (delegation) ------------------------------------------------------------
@@ -471,15 +489,6 @@ class ModelManager:
             files.add(provenance["dataset_file_id"])
         return files
 
-    def _referenced_documents(self, document: dict) -> dict[str, set[str]]:
-        refs: dict[str, set[str]] = {ENVIRONMENTS: set(), TRAIN_INFO: set(), WRAPPERS: set()}
-        if document.get("environment_id"):
-            refs[ENVIRONMENTS].add(document["environment_id"])
-        train_info_id = document.get("train_info_id")
-        if train_info_id:
-            refs[TRAIN_INFO].add(train_info_id)
-        return refs
-
     def delete_model(self, model_id: str, force: bool = False) -> None:
         """Delete one model and everything only it references.
 
@@ -498,14 +507,38 @@ class ModelManager:
 
         for file_id in self._referenced_files(document):
             self.files.delete(file_id)
-        for collection_name, doc_ids in self._referenced_documents(document).items():
-            collection = self.documents.collection(collection_name)
-            for doc_id in doc_ids:
-                if collection_name == TRAIN_INFO:
-                    train_document = collection.get(doc_id)
-                    self._delete_wrappers(train_document)
-                collection.delete_one(doc_id)
+        train_info_id = document.get("train_info_id")
+        if train_info_id:
+            train_info = self.documents.collection(TRAIN_INFO)
+            self._delete_wrappers(train_info.get(train_info_id))
+            train_info.delete_one(train_info_id)
+        if document.get("environment_id"):
+            self._release_environment(document["environment_id"], model_id)
         self.documents.collection(MODELS).delete_one(model_id)
+
+    def _release_environment(self, env_id: str, model_id: str) -> None:
+        """Delete an environment document with its last referent.
+
+        Models saved from one environment share the document.  A save
+        that put it before this check and inserts its model after sees no
+        document; it re-checks after its insert, this re-checks after its
+        delete, so whichever runs last restores it.
+        """
+        models = self.documents.collection(MODELS)
+        others = {"environment_id": env_id, "_id": {"$ne": model_id}}
+        if models.find(others, limit=1):
+            return
+        environments = self.documents.collection(ENVIRONMENTS)
+        try:
+            environment = environments.get(env_id)
+        except KeyError:
+            return
+        environments.delete_one(env_id)
+        if models.find(others, limit=1):
+            try:
+                environments.insert_one(environment)
+            except DuplicateKeyError:
+                pass  # the racing save restored it first
 
     def _delete_wrappers(self, train_document: dict) -> None:
         wrappers = self.documents.collection(WRAPPERS)
@@ -656,7 +689,8 @@ class ModelManager:
            rolls back (the never-published snapshot artifacts are
            dropped);
         2. every model document's base model, environment/train documents,
-           and referenced files exist;
+           and referenced files exist, and every content-addressed
+           environment document still hashes back to its id (audit only);
         3. every manifest's chunks exist and (with ``verify_chunks``)
            hash back to their content digests;
         4. no blob exists that no document references (orphans from
@@ -800,14 +834,29 @@ class ModelManager:
             ):
                 if not doc_id:
                     continue
+                first_referent = doc_id not in live
                 live.add(doc_id)
                 try:
-                    self.documents.collection(collection_name).get(doc_id)
+                    referenced = self.documents.collection(collection_name).get(doc_id)
                 except KeyError:
                     report.add(
                         "missing_document",
                         f"model {model_id} references missing "
                         f"{collection_name} document {doc_id}",
+                    )
+                    continue
+                # a content-addressed environment vouches for every model
+                # sharing it, and its id says what it must contain
+                if (
+                    first_referent
+                    and collection_name == ENVIRONMENTS
+                    and doc_id.startswith(ENVIRONMENT_ID_PREFIX)
+                    and environment_id(referenced) != doc_id
+                ):
+                    report.add(
+                        "environment_digest",
+                        f"environment document {doc_id} does not hash back "
+                        "to its id",
                     )
             for file_id in self._referenced_files(document):
                 referenced_files.add(file_id)

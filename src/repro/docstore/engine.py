@@ -12,6 +12,7 @@ server and all nodes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 from pathlib import Path
@@ -180,36 +181,36 @@ class Collection:
         gives remote clients stable pagination over sorted results.
         """
         query = query or {}
+        if skip < 0:
+            raise ValueError(f"skip must be >= 0, got {skip}")
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
         with self._lock:
             snapshot = list(self._documents.values())
-        results = [
-            json.loads(json.dumps(document))
-            for document in snapshot
-            if matches(document, query)
-        ]
-        if sort:
-            for field, direction in reversed(list(sort)):
-                if direction not in (1, -1):
-                    raise ValueError(f"sort direction must be 1 or -1, got {direction}")
-                results.sort(
-                    key=lambda document: _sort_key(resolve_path(document, field)),
-                    reverse=direction == -1,
-                )
-        if skip:
-            if skip < 0:
-                raise ValueError(f"skip must be >= 0, got {skip}")
-            results = results[skip:]
-        if limit is not None:
-            if limit < 0:
-                raise ValueError(f"limit must be >= 0, got {limit}")
-            results = results[:limit]
-        return results
+        matching = (document for document in snapshot if matches(document, query))
+        if not sort:
+            # unsorted: matches skip..skip+limit are the answer, so stop
+            # there instead of copying every match and slicing afterwards
+            stop = None if limit is None else skip + limit
+            matching = itertools.islice(matching, skip, stop)
+            return [json.loads(json.dumps(document)) for document in matching]
+        results = [json.loads(json.dumps(document)) for document in matching]
+        for field, direction in reversed(list(sort)):
+            if direction not in (1, -1):
+                raise ValueError(f"sort direction must be 1 or -1, got {direction}")
+            results.sort(
+                key=lambda document: _sort_key(resolve_path(document, field)),
+                reverse=direction == -1,
+            )
+        return results[skip:] if limit is None else results[skip:skip + limit]
 
     def count(self, query: dict | None = None) -> int:
-        if not query:
-            with self._lock:
+        """Number of documents matching ``query`` (no document is copied)."""
+        with self._lock:
+            if not query:
                 return len(self._documents)
-        return len(self.find(query))
+            snapshot = list(self._documents.values())
+        return sum(1 for document in snapshot if matches(document, query))
 
     def storage_bytes(self) -> int:
         """Approximate persisted size: JSON bytes of every document."""

@@ -14,7 +14,9 @@ file store's orphan sweep is only correct against the union of all
 referenced files.  :class:`UnionDocumentStore` provides that read/repair
 view — each logical collection fans out over the per-tenant physical
 collections.  Model ids are globally unique (uuid-hex), so the union is
-well-defined; inserts are deliberately unsupported (an admin view has no
+well-defined (content-addressed environment ids recur across tenants with
+identical content, which reads the same from any of them); inserts are
+deliberately unsupported (an admin view has no
 single right namespace to write new documents into).
 """
 
@@ -139,10 +141,10 @@ class _UnionCollection:
     # -- repairs -----------------------------------------------------------
 
     def delete_one(self, doc_id: str) -> bool:
-        for member in self._members.values():
-            if member.delete_one(doc_id):
-                return True
-        return False
+        # every member, not the first hit: content-addressed environment
+        # ids recur across tenants, and an admin delete means all copies
+        removed = [member.delete_one(doc_id) for member in self._members.values()]
+        return any(removed)
 
     def replace_one(self, doc_id: str, document: dict) -> None:
         for member in self._members.values():

@@ -390,6 +390,65 @@ class TestManagerSelfHeal:
         assert issues["pending_hints"].repaired is True
         assert stores.hints.total_pending() == 0
 
+    def test_shared_environment_returns_after_its_last_referent_was_deleted(
+        self, tmp_path
+    ):
+        """Deleting the last model tombstones the shared environment
+        document; the next save's put must supersede the tombstone."""
+        from repro.cluster.sharded_docs import TOMBSTONES
+        from repro.core.schema import ENVIRONMENTS
+
+        stores, manager = self.make_manager(tmp_path, {})
+        documents = stores.documents
+
+        def env_holders(env_id):
+            return {
+                name
+                for name, member in documents.members.items()
+                if member.collection(ENVIRONMENTS).count({"_id": env_id})
+            }
+
+        first = manager.service.save_model(ModelSaveInfo(make_tiny_cnn(seed=1), tiny_arch()))
+        env_id = documents.collection("models").get(first)["environment_id"]
+        owners = set(documents.ring.owners(f"{ENVIRONMENTS}/{env_id}"))
+        assert env_holders(env_id) == owners and len(owners) == 2
+
+        manager.delete_model(first)
+        assert env_holders(env_id) == set()
+        stone = f"{ENVIRONMENTS}/{env_id}"
+        assert all(
+            documents.members[name].collection(TOMBSTONES).count({"_id": stone})
+            for name in owners
+        )
+
+        model = make_tiny_cnn(seed=2)
+        second = manager.service.save_model(ModelSaveInfo(model, tiny_arch()))
+        assert documents.collection("models").get(second)["environment_id"] == env_id
+        assert env_holders(env_id) == owners
+        assert manager.fsck().clean
+        recovered = manager.recover(second, check_env=True)
+        assert states_equal(model, recovered.model)
+
+    def test_save_acks_with_a_member_down_and_shares_the_environment(self, tmp_path):
+        """Insert-first put: a degraded cluster cannot prove the document
+        absent, but its insert is idempotent per replica."""
+        from repro.core.schema import ENVIRONMENTS
+
+        injector = FaultInjector(seed=9)
+        stores, manager = self.make_manager(tmp_path, {"shard-1": injector})
+        first = manager.service.save_model(ModelSaveInfo(make_tiny_cnn(seed=1), tiny_arch()))
+        injector.set_down(True)
+        model = make_tiny_cnn(seed=2)
+        second = manager.service.save_model(ModelSaveInfo(model, tiny_arch()))
+        models = stores.documents.collection("models")
+        assert (
+            models.get(first)["environment_id"] == models.get(second)["environment_id"]
+        )
+        injector.set_down(False)
+        assert not manager.fsck(repair=True).unrepaired
+        assert stores.documents.collection(ENVIRONMENTS).count() == 1
+        assert states_equal(model, manager.recover(second, check_env=True).model)
+
     def test_stats_surface_health_and_hints(self, tmp_path):
         injector = FaultInjector(seed=9)
         stores, manager = self.make_manager(tmp_path, {"shard-1": injector})

@@ -212,6 +212,38 @@ class TestTombstones:
         assert collection.find() == []
         assert collection.count() == 0
 
+    def test_pushed_down_limit_is_not_used_up_by_shadowed_copies(self):
+        """An unsorted ``limit`` is applied on the members; a stale copy
+        under a tombstone must not take the place of a live match."""
+        store = make_store(n=1, replicas=1)
+        collection = store.collection("models")
+        member = store.members["d0"].collection("models")
+        stale = collection.insert_one({"k": 1})
+        collection.delete_one(stale)
+        member.insert_one({"_id": stale, "k": 1})  # first in the member's order
+        live = collection.insert_one({"k": 1})
+
+        assert [d["_id"] for d in collection.find({"k": 1}, limit=1)] == [live]
+
+    def test_unsorted_limit_reaches_the_members(self, monkeypatch):
+        store = make_store()
+        collection = store.collection("models")
+        for index in range(10):
+            collection.insert_one({"rank": index})
+        returned = []
+
+        def recording(real):
+            def find(*args, **kwargs):
+                returned.append(real(*args, **kwargs))
+                return returned[-1]
+            return find
+
+        for member in store.members.values():
+            inner = member.collection("models")
+            monkeypatch.setattr(inner, "find", recording(inner.find))
+        assert len(collection.find({}, limit=1)) == 1
+        assert [len(results) <= 1 for results in returned] == [True] * 4
+
     def test_delete_with_a_down_replica_stays_deleted_after_healing(self):
         store, members = make_downable(n=5, replicas=3)
         collection = store.collection("models")

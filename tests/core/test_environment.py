@@ -8,6 +8,7 @@ from repro.core import (
     check_environment,
     collect_environment,
 )
+from repro.core.environment import environment_id
 
 
 class TestCollection:
@@ -27,6 +28,59 @@ class TestCollection:
         info = collect_environment()
         restored = EnvironmentInfo.from_dict(info.to_dict())
         assert restored == info
+
+
+class TestSnapshotIsNeverStale:
+    """The distribution enumeration is kept per process and revalidated
+    against ``sys.path`` and its ``*.dist-info`` entries on every call."""
+
+    def test_install_and_uninstall_are_seen_by_the_next_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        site = tmp_path / "site"
+        site.mkdir()
+        monkeypatch.syspath_prepend(str(site))
+        before = collect_environment()  # warms the memo for this sys.path
+        assert "foo" not in before.libraries
+
+        dist_info = site / "foo-1.0.dist-info"
+        dist_info.mkdir()
+        (dist_info / "METADATA").write_text(
+            "Metadata-Version: 2.1\nName: foo\nVersion: 1.0\n"
+        )
+        installed = collect_environment()
+        assert installed.libraries["foo"] == "1.0"
+        assert environment_id(installed.to_dict()) != environment_id(before.to_dict())
+
+        (dist_info / "METADATA").unlink()
+        dist_info.rmdir()
+        removed = collect_environment()
+        assert "foo" not in removed.libraries
+        assert environment_id(removed.to_dict()) == environment_id(before.to_dict())
+
+    def test_upgrade_in_place_is_seen(self, tmp_path, monkeypatch):
+        site = tmp_path / "site"
+        old = site / "foo-1.0.dist-info"
+        old.mkdir(parents=True)
+        (old / "METADATA").write_text("Metadata-Version: 2.1\nName: foo\nVersion: 1.0\n")
+        monkeypatch.syspath_prepend(str(site))
+        assert collect_environment().libraries["foo"] == "1.0"
+        new = site / "foo-1.1.dist-info"
+        old.rename(new)
+        (new / "METADATA").write_text("Metadata-Version: 2.1\nName: foo\nVersion: 1.1\n")
+        assert collect_environment().libraries["foo"] == "1.1"
+
+    def test_id_ignores_collection_time_only(self):
+        first, second = collect_environment(), collect_environment()
+        assert second.collected_at >= first.collected_at
+        assert environment_id(first.to_dict()) == environment_id(second.to_dict())
+        stored = {**first.to_dict(), "_id": environment_id(first.to_dict())}
+        assert environment_id(stored) == stored["_id"]
+        assert environment_id({**stored, "hostname": "elsewhere"}) != stored["_id"]
+
+    def test_callers_cannot_mutate_the_kept_enumeration(self):
+        collect_environment().libraries["intruder"] = "0"
+        assert "intruder" not in collect_environment().libraries
 
 
 class TestComparison:

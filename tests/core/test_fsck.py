@@ -156,6 +156,36 @@ class TestFsckDetectAndRepair:
         assert "missing_document" in kinds(report)
         assert report.unrepaired
 
+    def test_edited_environment_document_fails_its_digest(self, setup):
+        """A content-addressed environment vouches for every model that
+        shares it; a silent edit is visible without ``check_env``."""
+        manager, service, _, model_id, _ = setup
+        environments = service.documents.collection(ENVIRONMENTS)
+        env_id = service.documents.collection("models").get(model_id)["environment_id"]
+        env = environments.get(env_id)
+        env["framework_version"] = "0.0.0-other"
+        environments.replace_one(env_id, env)
+        report = manager.fsck()
+        assert kinds(report) == {"environment_digest"}
+        assert report.unrepaired  # audit only: nothing is rewritten
+        assert environments.get(env_id)["framework_version"] == "0.0.0-other"
+
+    def test_legacy_environment_ids_are_not_digest_checked(self, setup):
+        manager, service, _, model_id, _ = setup
+        models = service.documents.collection("models")
+        environments = service.documents.collection(ENVIRONMENTS)
+        document = models.get(model_id)
+        legacy = environments.get(document["environment_id"])
+        environments.delete_one(legacy["_id"])
+        legacy["_id"] = "65f0c0ffee0123456789abcd"  # a pre-sharing random id
+        legacy["framework_version"] = "0.0.0-other"
+        environments.insert_one(legacy)
+        document["environment_id"] = legacy["_id"]
+        models.replace_one(model_id, document)
+        assert manager.fsck().clean
+        manager.delete_model(model_id)  # legacy documents delete as before
+        assert environments.count() == 0
+
     def test_repair_false_reports_without_touching(self, setup):
         manager, _, files, _, _ = setup
         orphan = files.save_bytes(b"leave me for the report")

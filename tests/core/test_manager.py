@@ -136,10 +136,16 @@ class TestDeletion:
             manager.get(ids["root"])
 
     def test_environment_documents_cleaned(self, setup):
+        """The shared environment document survives while any model
+        references it and goes with the last referent."""
         manager, ids = setup
-        before = manager.documents.collection("environments").count()
-        manager.delete_model(ids["b"])
-        assert manager.documents.collection("environments").count() == before - 1
+        environments = manager.documents.collection("environments")
+        assert environments.count() == 1
+        for name in ("b", "a", "c"):
+            manager.delete_model(ids[name])
+            assert environments.count() == 1
+        manager.delete_model(ids["root"])
+        assert environments.count() == 0
 
 
 class TestGarbageCollection:

@@ -68,6 +68,32 @@ class TestFind:
     def test_count_with_query(self, filled):
         assert filled.count({"i": {"$gte": 7}}) == 3
 
+    def test_count_with_query_copies_no_document(self, filled, monkeypatch):
+        from repro.docstore import engine
+
+        def no_copy(*args, **kwargs):
+            raise AssertionError("count() serialized a document")
+
+        monkeypatch.setattr(engine.json, "dumps", no_copy)
+        assert filled.count({"even": True}) == 5
+
+    def test_unsorted_limit_stops_at_the_matches_it_needs(self, filled, monkeypatch):
+        from repro.docstore import engine
+
+        examined = []
+        real = engine.matches
+
+        def counting(document, query):
+            examined.append(document["i"])
+            return real(document, query)
+
+        monkeypatch.setattr(engine, "matches", counting)
+        assert [d["i"] for d in filled.find({"even": True}, limit=2)] == [0, 2]
+        assert examined == [0, 1, 2]
+        examined.clear()
+        assert [d["i"] for d in filled.find({"even": True}, skip=1, limit=1)] == [2]
+        assert examined == [0, 1, 2]
+
 
 class TestUpdateDelete:
     def test_replace_one(self, mem_doc_store):

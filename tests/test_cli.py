@@ -167,6 +167,14 @@ class TestProbeEnv:
         assert "numpy_version" in payload
         assert "packages" in payload["libraries"]
 
+    def test_env_prints_the_id_a_save_would_store(self, capsys):
+        from repro.core import collect_environment
+        from repro.core.environment import environment_id
+
+        assert run_cli("env") == 0
+        printed = json.loads(capsys.readouterr().out)["environment_id"]
+        assert printed == environment_id(collect_environment().to_dict())
+
     def test_env_full_lists_packages(self, capsys):
         assert run_cli("env", "--full") == 0
         payload = json.loads(capsys.readouterr().out)
