@@ -23,7 +23,7 @@ from typing import Mapping
 from .. import deadline as deadline_mod
 from .. import obs
 from ..docstore.documents import new_object_id, validate_document
-from ..docstore.engine import DuplicateKeyError, NotFoundError, _sort_key
+from ..docstore.engine import DuplicateKeyError, NotFoundError, _sort_key, merge_stats
 from ..docstore.query import resolve_path
 from ..errors import QuorumWriteError, TransientStoreError
 from .ring import DEFAULT_VNODES, HashRing
@@ -89,7 +89,7 @@ class _ShardedCollection:
         for member_name in sorted(self._store.members):
             graves = self._store.members[member_name].collection(TOMBSTONES)
             try:
-                stones = graves.find({})
+                stones = graves.find({}, projection=())
             except OSError:
                 continue
             for stone in stones:
@@ -179,7 +179,7 @@ class _ShardedCollection:
         """Replace on every owner; owners missing the document get it
         inserted (write-time repair).  Raises :class:`NotFoundError` when
         no replica holds ``doc_id`` at all."""
-        self.get(doc_id)  # existence check with failover; raises NotFoundError
+        self.get(doc_id, projection=())  # existence check with failover; raises NotFoundError
         document = validate_document(document)
         document["_id"] = str(doc_id)
         acks = 0
@@ -317,16 +317,17 @@ class _ShardedCollection:
     def delete_many(self, query: dict) -> int:
         """Resolve the query cluster-wide, then delete each match by id on
         its owners; the count is logical documents, not replica files."""
-        matched = self.find(query)
+        matched = self.find(query, projection=())
         for document in matched:
             self.delete_one(document["_id"])
         return len(matched)
 
     # -- reads ---------------------------------------------------------------
 
-    def get(self, doc_id: str) -> dict:
+    def get(self, doc_id: str, projection=None) -> dict:
         """Fetch by id with failover; a hit after misses read-repairs the
-        replicas found without the document.
+        replicas found without the document — always with the whole
+        document, re-read when the caller asked for a projection of it.
 
         A copy shadowed by a tombstone (a replica that missed a
         quorum-acked delete) is *not* returned — the delete is finished
@@ -345,7 +346,7 @@ class _ShardedCollection:
                 unreachable += 1  # breaker open: absence stays unproven
                 continue
             try:
-                document = collection.get(doc_id)
+                document = collection.get(doc_id, projection=projection)
             except NotFoundError:
                 self._store._member_up(member_name)
                 failed.append(collection)
@@ -360,7 +361,15 @@ class _ShardedCollection:
                 raise NotFoundError(f"no document {doc_id!r} in {self.name!r}")
             if failed or unreachable:
                 self._store._bump("failover_reads")
-                self._repair(failed, document)
+                whole = document
+                if failed and projection is not None:
+                    # repairing from a projected copy would write a
+                    # truncated document to the replica
+                    try:
+                        whole = collection.get(doc_id)
+                    except _REPLICA_FAILURES:
+                        failed = []  # gone since: nothing to repair from
+                self._repair(failed, whole)
             return document
         if unreachable:
             raise TransientStoreError(
@@ -384,7 +393,7 @@ class _ShardedCollection:
                 key=document["_id"])
         self._store._clear_degraded(self.name, document["_id"])
 
-    def get_many(self, doc_ids: list[str]) -> list[dict]:
+    def get_many(self, doc_ids: list[str], projection=None) -> list[dict]:
         """Batched fetch grouped by primary owner (one trip per member);
         ids the batch missed fall back to per-id failover reads."""
         groups: dict[str, list[str]] = {}
@@ -396,7 +405,7 @@ class _ShardedCollection:
             group = groups[member_name]
             collection = self._store.members[member_name].collection(self.name)
             try:
-                for document in collection.get_many(group):
+                for document in collection.get_many(group, projection=projection):
                     found[document["_id"]] = document
             except OSError:
                 pass  # member down: the per-id fallback below fails over
@@ -404,7 +413,7 @@ class _ShardedCollection:
                 if doc_id in found:
                     continue
                 try:
-                    found[doc_id] = self.get(doc_id)
+                    found[doc_id] = self.get(doc_id, projection=projection)
                 except NotFoundError:
                     continue  # missing ids are skipped, like the engine
         return [found[str(doc_id)] for doc_id in doc_ids if str(doc_id) in found]
@@ -415,6 +424,7 @@ class _ShardedCollection:
         sort: list | None = None,
         limit: int | None = None,
         skip: int = 0,
+        projection=None,
     ) -> list[dict]:
         """Scatter-gather query: every member is asked (replicas of a
         document may sit anywhere), results are deduplicated by ``_id``,
@@ -429,7 +439,14 @@ class _ShardedCollection:
         tombstone (quorum-deleted, one stale replica left) are filtered
         out rather than resurrected.  An unsorted ``limit`` without
         ``skip`` is pushed down to the members, widened by the number of
-        tombstones so that shadowed copies cannot crowd out live ones."""
+        tombstones so that shadowed copies cannot crowd out live ones.
+        Members are asked for ``projection`` plus the fields the merged
+        sort reads, which are dropped again from what is returned."""
+        member_projection = None
+        if projection is not None:
+            projection = list(projection)
+            sort_fields = {field.split(".")[0] for field, _direction in sort or ()}
+            member_projection = projection + sorted(sort_fields - set(projection))
         tombstoned = None
         member_limit = None
         if limit is not None and not sort and not skip:
@@ -445,7 +462,8 @@ class _ShardedCollection:
                 unreachable += 1  # breaker open: results may be incomplete
                 continue
             try:
-                results = collection.find(query, limit=member_limit)
+                results = collection.find(
+                    query, limit=member_limit, projection=member_projection)
             except OSError:
                 self._store._member_down(member_name)
                 self._store._bump("failover_reads")
@@ -482,6 +500,12 @@ class _ShardedCollection:
             if limit < 0:
                 raise ValueError(f"limit must be >= 0, got {limit}")
             results = results[:limit]
+        if projection is not None and member_projection != projection:
+            keep = {"_id", *projection}
+            results = [
+                {field: value for field, value in document.items() if field in keep}
+                for document in results
+            ]
         return results
 
     def find_one(self, query: dict) -> dict | None:
@@ -489,17 +513,28 @@ class _ShardedCollection:
         return results[0] if results else None
 
     def count(self, query: dict | None = None) -> int:
-        return len(self.find(query))
+        return len(self.find(query, projection=()))
+
+    def _from_members(self, method: str) -> list:
+        """``method()`` of this collection on every reachable member."""
+        results = []
+        for collection in self._all_collections():
+            try:
+                results.append(getattr(collection, method)())
+            except OSError:
+                continue
+        return results
 
     def storage_bytes(self) -> int:
         """Physical bytes across the cluster — replicas counted per copy."""
-        total = 0
-        for collection in self._all_collections():
-            try:
-                total += collection.storage_bytes()
-            except OSError:
-                continue
-        return total
+        return sum(self._from_members("storage_bytes"))
+
+    def stats(self) -> dict:
+        """The members' log counts summed — replicas counted per copy."""
+        return merge_stats(self._from_members("stats"))
+
+    def acknowledge_torn_tail(self) -> int:
+        return sum(self._from_members("acknowledge_torn_tail"))
 
 
 class ShardedDocumentStore:

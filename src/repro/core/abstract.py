@@ -283,9 +283,9 @@ class AbstractSaveService:
     # lookup
     # ------------------------------------------------------------------
 
-    def _get_model_document(self, model_id: str) -> dict:
+    def _get_model_document(self, model_id: str, projection=None) -> dict:
         try:
-            return self.documents.collection(MODELS).get(model_id)
+            return self.documents.collection(MODELS).get(model_id, projection=projection)
         except KeyError as exc:
             raise ModelNotFoundError(f"no saved model with id {model_id!r}") from exc
 
@@ -297,7 +297,8 @@ class AbstractSaveService:
             return False
 
     def saved_model_ids(self) -> list[str]:
-        return sorted(d["_id"] for d in self.documents.collection(MODELS).find())
+        models = self.documents.collection(MODELS)
+        return sorted(d["_id"] for d in models.find(projection=()))
 
     def base_chain(self, model_id: str) -> list[str]:
         """Ids from ``model_id`` up to (and including) its root base model."""
@@ -309,7 +310,8 @@ class AbstractSaveService:
                 raise RecoveryError(f"cycle in base-model chain at {current!r}")
             seen.add(current)
             chain.append(current)
-            current = self._get_model_document(current).get("base_model")
+            current = self._get_model_document(
+                current, projection=("base_model",)).get("base_model")
         return chain
 
     # ------------------------------------------------------------------

@@ -40,6 +40,15 @@ __all__ = [
 ]
 
 
+#: What a :class:`ModelRecord` is built from — all that catalog queries
+#: copy of a model document, which carries a hash per layer.
+_RECORD_FIELDS = ("approach", "base_model", "use_case", "saved_at")
+
+
+#: The fields of a model document that name files (``_referenced_files``).
+_FILE_FIELDS = ("architecture", "parameters_file", "update_file", "provenance")
+
+
 class DependentModelsError(MMLibError):
     """Raised when deleting a model that other models are derived from."""
 
@@ -69,7 +78,7 @@ class FsckIssue:
     ``corrupt_chunk``, ``corrupt_manifest``, ``refcount_mismatch``,
     ``orphan_file``, ``orphan_chunk``, ``orphan_document``,
     ``missing_base``, ``missing_document``, ``environment_digest``,
-    ``under_replicated``, ``torn_segment``, ``segment_index``, ``segment_crc``,
+    ``catalog_torn_tail``, ``under_replicated``, ``torn_segment``, ``segment_index``, ``segment_crc``,
     ``segment_compaction``).
     """
 
@@ -178,40 +187,46 @@ class ModelManager:
 
     # -- catalog -------------------------------------------------------------
 
-    def _record(self, document: dict, derived_index: dict | None = None) -> ModelRecord:
-        model_id = document["_id"]
-        if derived_index is None:
-            derived_index = self._derived_index()
-        return ModelRecord(
-            model_id=model_id,
-            approach=document.get("approach", "unknown"),
-            base_model_id=document.get("base_model"),
-            use_case=document.get("use_case"),
-            saved_at=document.get("saved_at", 0.0),
-            derived_model_ids=sorted(derived_index.get(model_id, [])),
-        )
+    def _children(self, model_ids: list[str]) -> dict[str, list[str]]:
+        """Base id -> ids of the models derived from it, for all of
+        ``model_ids`` in ONE query (a sharded catalog scatters once, not
+        once per model) that copies no more than ``base_model``."""
+        children: dict[str, list[str]] = {}
+        if model_ids:
+            for document in self.documents.collection(MODELS).find(
+                {"base_model": {"$in": list(model_ids)}}, projection=("base_model",)
+            ):
+                children.setdefault(document["base_model"], []).append(document["_id"])
+        return children
 
-    def _derived_index(self) -> dict[str, list[str]]:
-        index: dict[str, list[str]] = {}
-        for document in self.documents.collection(MODELS).find():
-            base = document.get("base_model")
-            if base:
-                index.setdefault(base, []).append(document["_id"])
-        return index
+    def _records(self, documents: list[dict]) -> list[ModelRecord]:
+        """Catalog records of model documents (``_RECORD_FIELDS`` suffice)."""
+        children = self._children([document["_id"] for document in documents])
+        return [
+            ModelRecord(
+                model_id=document["_id"],
+                approach=document.get("approach", "unknown"),
+                base_model_id=document.get("base_model"),
+                use_case=document.get("use_case"),
+                saved_at=document.get("saved_at", 0.0),
+                derived_model_ids=sorted(children.get(document["_id"], [])),
+            )
+            for document in documents
+        ]
 
     def list_models(self, query: dict | None = None) -> list[ModelRecord]:
         """All saved models (optionally filtered by a document query)."""
-        derived_index = self._derived_index()
-        documents = self.documents.collection(MODELS).find(query)
-        records = [self._record(d, derived_index) for d in documents]
-        return sorted(records, key=lambda r: r.saved_at)
+        documents = self.documents.collection(MODELS).find(
+            query, projection=_RECORD_FIELDS)
+        return sorted(self._records(documents), key=lambda r: r.saved_at)
 
     def get(self, model_id: str) -> ModelRecord:
         try:
-            document = self.documents.collection(MODELS).get(model_id)
+            document = self.documents.collection(MODELS).get(
+                model_id, projection=_RECORD_FIELDS)
         except KeyError as exc:
             raise ModelNotFoundError(f"no saved model with id {model_id!r}") from exc
-        return self._record(document)
+        return self._records([document])[0]
 
     def find_by_use_case(self, use_case: str) -> list[ModelRecord]:
         return self.list_models({"use_case": use_case})
@@ -221,37 +236,41 @@ class ModelManager:
     def lineage(self, model_id: str) -> list[ModelRecord]:
         """Records from ``model_id`` up to its chain root (inclusive)."""
         chain = self.service.base_chain(model_id)
-        models = self.documents.collection(MODELS)
-        if hasattr(models, "get_many"):
-            # one round-trip for the whole chain instead of one per level;
-            # base_chain() just confirmed every id exists
-            derived_index = self._derived_index()
-            documents = models.get_many(chain)
-            if len(documents) == len(chain):
-                return [self._record(d, derived_index) for d in documents]
-        return [self.get(mid) for mid in chain]
+        # one round-trip for the whole chain instead of one per level
+        documents = self.documents.collection(MODELS).get_many(
+            chain, projection=_RECORD_FIELDS)
+        if len(documents) != len(chain):  # deleted since base_chain() saw it
+            missing = set(chain) - {document["_id"] for document in documents}
+            raise ModelNotFoundError(f"no saved model with id {sorted(missing)[0]!r}")
+        return self._records(documents)
 
     def descendants(self, model_id: str) -> list[ModelRecord]:
         """Every model transitively derived from ``model_id``."""
-        derived_index = self._derived_index()
         found: list[str] = []
-        frontier = list(derived_index.get(model_id, []))
-        while frontier:
-            current = frontier.pop()
-            found.append(current)
-            frontier.extend(derived_index.get(current, []))
-        return [self.get(mid) for mid in sorted(found)]
+        frontier = [model_id]
+        while frontier:  # one query per level of the tree
+            children = self._children(frontier)
+            frontier = [child for ids in children.values() for child in ids]
+            found.extend(frontier)
+        documents = self.documents.collection(MODELS).get_many(
+            sorted(found), projection=_RECORD_FIELDS)
+        return self._records(documents)
 
     def lineage_tree(self, model_id: str) -> str:
         """Human-readable derivation tree rooted at ``model_id``."""
-        derived_index = self._derived_index()
+        records = {
+            record.model_id: record
+            for record in (self.get(model_id), *self.descendants(model_id))
+        }
         lines: list[str] = []
 
         def walk(current: str, depth: int) -> None:
-            record = self.get(current)
+            record = records.get(current)
+            if record is None:
+                return  # saved after the tree was read
             label = record.use_case or "-"
             lines.append(f"{'  ' * depth}{current}  [{record.approach}] {label}")
-            for child in sorted(derived_index.get(current, [])):
+            for child in record.derived_model_ids:
                 walk(child, depth + 1)
 
         walk(model_id, 0)
@@ -330,15 +349,22 @@ class ModelManager:
         # distinct documents are the distinct environments of the fleet
         try:
             models = documents.collection(MODELS)
-            env_ids = sorted(
-                {d["_id"] for d in documents.collection(ENVIRONMENTS).find()}
-            )
+            env_ids = sorted({
+                d["_id"]
+                for d in documents.collection(ENVIRONMENTS).find(projection=())
+            })
             out["environments"] = {
                 "distinct": len(env_ids),
                 "models": {
                     env_id: models.count({"environment_id": env_id})
                     for env_id in env_ids
                 },
+            }
+            # the collection logs: (live + dead) / live is the space the
+            # append-only files take over what a checkpoint would leave
+            out["catalog"] = {
+                name: documents.collection(name).stats()
+                for name in (MODELS, ENVIRONMENTS, TRAIN_INFO, WRAPPERS)
             }
         except TransientStoreError:
             pass  # catalog unreachable: the health section says why
@@ -526,7 +552,7 @@ class ModelManager:
         """
         models = self.documents.collection(MODELS)
         others = {"environment_id": env_id, "_id": {"$ne": model_id}}
-        if models.find(others, limit=1):
+        if models.find(others, limit=1, projection=()):
             return
         environments = self.documents.collection(ENVIRONMENTS)
         try:
@@ -534,7 +560,7 @@ class ModelManager:
         except KeyError:
             return
         environments.delete_one(env_id)
-        if models.find(others, limit=1):
+        if models.find(others, limit=1, projection=()):
             try:
                 environments.insert_one(environment)
             except DuplicateKeyError:
@@ -564,9 +590,13 @@ class ModelManager:
         deduplication included.
         """
         referenced: set[str] = set()
-        for document in self.documents.collection(MODELS).find():
+        for document in self.documents.collection(MODELS).find(
+            projection=_FILE_FIELDS
+        ):
             referenced |= self._referenced_files(document)
-        for wrapper in self.documents.collection(WRAPPERS).find():
+        for wrapper in self.documents.collection(WRAPPERS).find(
+            projection=("state_file_id",)
+        ):
             if wrapper.get("state_file_id"):
                 referenced.add(wrapper["state_file_id"])
         before = self.files.total_bytes()
@@ -688,7 +718,9 @@ class ModelManager:
            superseded delta payload is dropped), an uncommitted one
            rolls back (the never-published snapshot artifacts are
            dropped);
-        2. every model document's base model, environment/train documents,
+        2. no catalog log was opened with a torn final record (a crash
+           mid-append; the engine already dropped it, reported here once);
+           every model document's base model, environment/train documents,
            and referenced files exist, and every content-addressed
            environment document still hashes back to its id (audit only);
         3. every manifest's chunks exist and (with ``verify_chunks``)
@@ -816,6 +848,16 @@ class ModelManager:
 
         # 2. documents -> documents/files cross-checks
         steps.start("documents")
+        for collection_name in (MODELS, ENVIRONMENTS, TRAIN_INFO, WRAPPERS):
+            collection = self.documents.collection(collection_name)
+            dropped = collection.acknowledge_torn_tail()
+            if dropped:
+                report.add(
+                    "catalog_torn_tail",
+                    f"{collection_name} log ended in {dropped} bytes of a "
+                    "record whose write never returned (dropped on open)",
+                    repaired=True,
+                )
         model_docs = {d["_id"]: d for d in self.documents.collection(MODELS).find()}
         report.checked_models = len(model_docs)
         referenced_files: set[str] = set()

@@ -319,6 +319,11 @@ class DocumentStoreClient:
         raise error_type(response.get("error", "unknown remote error"))
 
 
+def _wire(projection):
+    """A projection as the JSON the request carries (``None`` stays ``None``)."""
+    return None if projection is None else list(projection)
+
+
 class RemoteCollection:
     """Remote counterpart of :class:`repro.docstore.engine.Collection`."""
 
@@ -347,12 +352,13 @@ class RemoteCollection:
     def delete_many(self, query: dict) -> int:
         return self._call("delete_many", query=query)
 
-    def get(self, doc_id: str) -> dict:
-        return self._call("get", doc_id=doc_id)
+    def get(self, doc_id: str, projection=None) -> dict:
+        return self._call("get", doc_id=doc_id, projection=_wire(projection))
 
-    def get_many(self, doc_ids: list[str]) -> list[dict]:
+    def get_many(self, doc_ids: list[str], projection=None) -> list[dict]:
         """Fetch many documents in one round-trip (missing ids skipped)."""
-        return self._call("get_many", doc_ids=list(doc_ids))
+        return self._call(
+            "get_many", doc_ids=list(doc_ids), projection=_wire(projection))
 
     def find_one(self, query: dict) -> dict | None:
         return self._call("find_one", query=query)
@@ -363,8 +369,11 @@ class RemoteCollection:
         sort: list | None = None,
         limit: int | None = None,
         skip: int = 0,
+        projection=None,
     ) -> list[dict]:
-        return self._call("find", query=query, sort=sort, limit=limit, skip=skip)
+        return self._call(
+            "find", query=query, sort=sort, limit=limit, skip=skip,
+            projection=_wire(projection))
 
     def find_pages(
         self,
@@ -393,3 +402,9 @@ class RemoteCollection:
 
     def storage_bytes(self) -> int:
         return self._call("storage_bytes")
+
+    def stats(self) -> dict:
+        return self._call("stats")
+
+    def acknowledge_torn_tail(self) -> int:
+        return self._call("acknowledge_torn_tail")

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import re
 
+from .engine import merge_stats
+
 __all__ = [
     "NamespacedDocumentStore",
     "UnionDocumentStore",
@@ -104,18 +106,18 @@ class _UnionCollection:
 
     # -- reads -------------------------------------------------------------
 
-    def get(self, doc_id: str) -> dict:
+    def get(self, doc_id: str, projection=None) -> dict:
         for member in self._members.values():
             try:
-                return member.get(doc_id)
+                return member.get(doc_id, projection=projection)
             except KeyError:
                 continue
         raise KeyError(f"no document {doc_id!r} in any tenant's {self.name!r}")
 
-    def get_many(self, doc_ids: list[str]) -> list[dict]:
+    def get_many(self, doc_ids: list[str], projection=None) -> list[dict]:
         found: dict[str, dict] = {}
         for member in self._members.values():
-            for document in member.get_many(doc_ids):
+            for document in member.get_many(doc_ids, projection=projection):
                 found.setdefault(document["_id"], document)
         return [found[doc_id] for doc_id in doc_ids if doc_id in found]
 
@@ -137,6 +139,12 @@ class _UnionCollection:
 
     def storage_bytes(self) -> int:
         return sum(member.storage_bytes() for member in self._members.values())
+
+    def stats(self) -> dict:
+        return merge_stats([member.stats() for member in self._members.values()])
+
+    def acknowledge_torn_tail(self) -> int:
+        return sum(member.acknowledge_torn_tail() for member in self._members.values())
 
     # -- repairs -----------------------------------------------------------
 

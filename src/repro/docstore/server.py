@@ -37,6 +37,8 @@ _OPS = {
     "find",
     "count",
     "storage_bytes",
+    "stats",
+    "acknowledge_torn_tail",
 }
 
 

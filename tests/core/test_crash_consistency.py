@@ -180,6 +180,59 @@ class TestPerCrashRepair:
         assert manager.fsck().clean
 
 
+class TestCrashThenRestartFromDisk:
+    @pytest.mark.parametrize("service_cls", SERVICES)
+    def test_a_restarted_process_repairs_every_crash_point(
+        self, service_cls, layout, tmp_path
+    ):
+        """As the matrix above, but the process really dies: after each
+        crash the stores are opened anew from their directories — the
+        catalog is whatever the append-only collection logs replay to —
+        and fsck there must repair to exactly the fault-free catalog."""
+        faults = FaultInjector(seed=0)
+
+        def restart():
+            docs = FaultyDocumentStore(DocumentStore(tmp_path / "docs"), faults)
+            files = FileStore(
+                tmp_path / "files", faults=faults, tmp_grace_s=0.0, layout=layout
+            )
+            service = service_cls(docs, files, scratch_dir=tmp_path / "scratch")
+            return service, ModelManager(service)
+
+        service, manager = restart()
+        base = make_tiny_cnn(seed=1)
+        base_id = service.save_model(ModelSaveInfo(base, tiny_arch(), use_case="U_1"))
+        victim = make_tiny_cnn(seed=2)
+        save_info = ModelSaveInfo(
+            victim, tiny_arch(), base_model_id=base_id, use_case="U_3-1-1"
+        )
+        crashes = 0
+        for at in range(1, 200):
+            faults.arm_crash(at)
+            try:
+                second_id = service.save_model(save_info)
+            except CrashPoint:
+                crashes += 1
+                service, manager = restart()
+                report = manager.fsck()
+                assert not report.unrepaired, f"crash at {at}: {report.summary()}"
+                assert "catalog_torn_tail" not in {i.kind for i in report.issues}
+                assert manager.fsck().clean, f"crash at {at}: second fsck dirty"
+                catalog = {r.model_id for r in manager.list_models()}
+                assert catalog == {base_id}, f"crash at {at}: catalog {catalog}"
+            else:
+                break
+        else:
+            pytest.fail("save never completed")
+        faults.crash_at = None
+        assert crashes >= 5, f"only {crashes} crash points exercised"
+        service, manager = restart()
+        assert manager.fsck().clean
+        assert {r.model_id for r in manager.list_models()} == {base_id, second_id}
+        assert_states_equal(base, service.recover_model(base_id).model)
+        assert_states_equal(victim, service.recover_model(second_id).model)
+
+
 class TestAllServicesRetryThroughChaos:
     @pytest.mark.parametrize("service_cls", SERVICES)
     def test_flaky_stores_still_save_and_recover_bitwise(

@@ -246,3 +246,53 @@ class TestFsckCli:
         )
         assert code == 1
         assert files.exists(orphan)
+
+
+class TestCatalogTornTail:
+    """A crash mid-append is visible: the engine drops the torn record when
+    it opens the log, fsck says so once."""
+
+    def _crashed_catalog(self, tmp_path, file_store):
+        docs = tmp_path / "docs"
+        service = BaselineSaveService(DocumentStore(docs), file_store)
+        model_id = service.save_model(
+            ModelSaveInfo(make_tiny_cnn(seed=1), tiny_arch(), use_case="U_1"))
+        with (docs / "models.jsonl").open("ab") as handle:
+            handle.write(b'{"_id": "model-never-acked", "approach": "base')
+        return docs, model_id
+
+    def test_reported_once_as_repaired_then_clean(self, tmp_path, file_store):
+        docs, model_id = self._crashed_catalog(tmp_path, file_store)
+        reopened = BaselineSaveService(DocumentStore(docs), file_store)
+        manager = ModelManager(reopened)
+        assert manager.stats()["catalog"]["models"]["torn_tail_bytes"] == 46
+
+        report = manager.fsck()
+        assert [(i.kind, i.repaired) for i in report.issues] == [("catalog_torn_tail", True)]
+        assert "46 bytes" in report.issues[0].detail
+        assert manager.fsck().clean
+        assert [r.model_id for r in manager.list_models()] == [model_id]
+        assert reopened.recover_model(model_id).verified is True
+        assert ModelManager(
+            BaselineSaveService(DocumentStore(docs), file_store)).fsck().clean
+
+    def test_cli_json_names_the_kind_and_stats_has_the_catalog_section(
+        self, tmp_path, file_store, capsys
+    ):
+        import json
+
+        docs, _ = self._crashed_catalog(tmp_path, file_store)
+        argv = ["--docs", str(docs), "--files", str(file_store.root)]
+        assert cli.main([*argv, "fsck", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [issue["kind"] for issue in payload["issues"]] == ["catalog_torn_tail"]
+        assert payload["repaired"] == 1 and payload["unrepaired"] == 0
+
+        assert cli.main([*argv, "stats"]) == 0
+        catalog = json.loads(capsys.readouterr().out)["catalog"]
+        assert set(catalog) == {"models", "environments", "train_info", "wrappers"}
+        assert catalog["models"] == {
+            "docs": 1, "live_bytes": (docs / "models.jsonl").stat().st_size,
+            "dead_bytes": 0, "checkpoints": 0, "indexed_fields": ["environment_id"],
+            "torn_tail_bytes": 0,
+        }

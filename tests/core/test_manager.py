@@ -251,3 +251,117 @@ class TestPromoteAndSquash:
         assert manager.squash_chain(chain[-1]) == 5
         assert len(manager.list_models()) == 1
         assert file_store.total_bytes() < before
+
+
+# -- catalog reads against a full scan ---------------------------------------
+
+
+def scan_records(documents) -> dict:
+    """Reference: every ``ModelRecord`` from a scan of whole model documents
+    (how the manager answered before it projected and batched its reads)."""
+    from repro.core import ModelRecord
+
+    everything = documents.collection("models").find()
+    derived: dict[str, list[str]] = {}
+    for document in everything:
+        if document.get("base_model"):
+            derived.setdefault(document["base_model"], []).append(document["_id"])
+    return {
+        document["_id"]: ModelRecord(
+            model_id=document["_id"],
+            approach=document["approach"],
+            base_model_id=document.get("base_model"),
+            use_case=document.get("use_case"),
+            saved_at=document["saved_at"],
+            derived_model_ids=sorted(derived.get(document["_id"], [])),
+        )
+        for document in everything
+    }
+
+
+def save_tree(service, prefix: str) -> dict[str, str]:
+    """root -> a -> b, root -> c, a -> d under ``service``."""
+    ids: dict[str, str] = {}
+    for name, base in (("root", None), ("a", "root"), ("b", "a"), ("c", "root"), ("d", "a")):
+        model = make_tiny_cnn(seed=len(ids) + 1)
+        ids[name] = service.save_model(ModelSaveInfo(
+            model, tiny_arch(), base_model_id=ids.get(base), use_case=f"{prefix}-{name}"))
+    return ids
+
+
+@pytest.fixture(params=["single", "multi-tenant"])
+def catalogs(request, tmp_path, file_store):
+    """(manager, trees): one store, or the admin union over two tenants."""
+    from repro.docstore import DocumentStore, NamespacedDocumentStore, UnionDocumentStore
+
+    shared = DocumentStore(tmp_path / "docs")
+    if request.param == "single":
+        service = ParameterUpdateSaveService(shared, file_store)
+        return ModelManager(service), [save_tree(service, "solo")]
+    trees = [
+        save_tree(
+            ParameterUpdateSaveService(NamespacedDocumentStore(shared, tenant), file_store),
+            tenant,
+        )
+        for tenant in ("acme", "globex")
+    ]
+    union = UnionDocumentStore(shared, ["acme", "globex"])
+    return ModelManager(ParameterUpdateSaveService(union, file_store)), trees
+
+
+class TestCatalogReadsAgreeWithAFullScan:
+    def test_get_list_and_find(self, catalogs):
+        manager, trees = catalogs
+        reference = scan_records(manager.documents)
+        assert len(reference) == 5 * len(trees)
+        for ids in trees:
+            for model_id in ids.values():
+                assert manager.get(model_id) == reference[model_id]
+        assert manager.list_models() == sorted(
+            reference.values(), key=lambda record: record.saved_at)
+        use_case = reference[trees[-1]["a"]].use_case
+        assert manager.find_by_use_case(use_case) == [reference[trees[-1]["a"]]]
+
+    def test_lineage_and_descendants(self, catalogs):
+        manager, trees = catalogs
+        reference = scan_records(manager.documents)
+        for ids in trees:
+            assert manager.lineage(ids["b"]) == [
+                reference[ids[name]] for name in ("b", "a", "root")]
+            below_root = manager.descendants(ids["root"])
+            assert below_root == sorted(
+                (reference[ids[name]] for name in ("a", "b", "c", "d")),
+                key=lambda record: record.model_id)
+            assert {r.model_id for r in manager.descendants(ids["a"])} == {ids["b"], ids["d"]}
+            assert manager.descendants(ids["c"]) == []
+            tree = manager.lineage_tree(ids["root"]).splitlines()
+            assert len(tree) == 5 and tree[0].startswith(ids["root"])
+            assert [line.strip().split()[0] for line in tree if line.startswith("    ")] == sorted(
+                [ids["b"], ids["d"]])
+
+    def test_a_record_costs_one_children_query_and_no_whole_document(self, setup, monkeypatch):
+        from repro.docstore import engine
+
+        manager, ids = setup
+        finds, copies = [], []
+        real_find, real_isolated = engine.Collection.find, engine._isolated
+
+        def counting_find(self, query=None, **kwargs):
+            finds.append(query)
+            return real_find(self, query, **kwargs)
+
+        def counting_isolated(document, projection=None):
+            copies.append(projection)
+            return real_isolated(document, projection)
+
+        monkeypatch.setattr(engine.Collection, "find", counting_find)
+        monkeypatch.setattr(engine, "_isolated", counting_isolated)
+        manager.get(ids["root"])
+        assert finds == [{"base_model": {"$in": [ids["root"]]}}]
+        finds.clear()
+        assert len(manager.list_models()) == 4
+        assert len(finds) == 2  # the models, then all their children at once
+        finds.clear()
+        manager.lineage(ids["b"])
+        assert len(finds) == 1
+        assert copies and None not in copies
