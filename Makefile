@@ -21,8 +21,9 @@ bench:
 	python3 bench/run.py --smoke
 	$(PY) -m pytest bench/tests -q
 
-# alternating parent/change pairs of one workload, judged by the rule every
-# performance claim is held to: make bench-pairs BASE=<rev> WORKLOAD=<name> [PAIRS=10]
+# alternating parent/change pairs of one workload (or WORKLOAD=all: the four in
+# turn, one table each), judged by the rule every performance claim is held
+# to: make bench-pairs BASE=<rev> WORKLOAD=<name>|all [PAIRS=10]
 PAIRS ?= 10
 bench-pairs:
 	$(PY) scripts/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)

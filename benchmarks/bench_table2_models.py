@@ -1,8 +1,10 @@
 """Table 2: the evaluation architectures — parameter counts and sizes.
 
 Regenerates the paper's Table 2 at ``scale=1.0`` (exact parameter counts)
-and benchmarks model construction time, which also exposes GoogLeNet's
-disproportionately slow initialization routine (relevant for Figure 12).
+and benchmarks *initialised* model construction time, which also exposes
+GoogLeNet's disproportionately slow initialization routine — the paper's
+Figure 12 anomaly.  (A recover no longer pays it: the service builds under
+``nn.init.skip_init``; ``bench_fig12_ttr_breakdown`` reports both.)
 """
 
 import pytest
@@ -53,6 +55,6 @@ def _table2_report():
 
 @pytest.mark.parametrize("name", list_models())
 def test_model_construction_time(benchmark, name):
-    """Construction cost per architecture (GoogLeNet's init is the outlier
-    the paper calls out in Figure 12)."""
+    """Initialised construction cost per architecture (GoogLeNet's init is
+    the outlier the paper calls out in Figure 12)."""
     benchmark.pedantic(lambda: create_model(name, seed=0), rounds=3, iterations=1)

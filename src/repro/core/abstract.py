@@ -461,8 +461,8 @@ class AbstractSaveService:
         timings["load"] += self.clock.perf() - started
 
         started = self.clock.perf()
-        model = architecture.build()
-        model.load_state_dict(state)
+        # the state was loaded for this call alone, so the model adopts it
+        model = architecture.build_from(state, assign=True)
         timings["recover"] += self.clock.perf() - started
         return model
 
@@ -499,10 +499,12 @@ class AbstractSaveService:
         timings["load"] += self.clock.perf() - started
 
         started = self.clock.perf()
-        # merge layer-wise, prioritizing the derived model's parameters
+        # merge layer-wise, prioritizing the derived model's parameters;
+        # both halves are this call's own (the base was recovered for it),
+        # so unchanged layers stay where they are and updates are adopted
         merged = model.state_dict()
         merged.update(update_state)
-        model.load_state_dict(merged)
+        model.load_state_dict(merged, assign=True)
         timings["recover"] += self.clock.perf() - started
         return model, depth + 1
 

@@ -80,9 +80,7 @@ class RecoveryCache:
         self.hits += 1
         self._obs_hits.inc()
         state, architecture, depth = entry
-        model = architecture.build()
-        model.load_state_dict(state)
-        return model, depth
+        return architecture.build_from(state), depth
 
     def put(self, model_id: str, model: Module, architecture: ArchitectureRef, depth: int) -> None:
         """Store a recovered model's parameters for later reuse.

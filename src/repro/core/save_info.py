@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ..nn.init import skip_init
 from ..nn.modules import Module
 from .errors import SaveError
 
@@ -45,7 +46,7 @@ class ArchitectureRef:
         return cls(module=module, factory=factory, kwargs=dict(kwargs or {}), source=source)
 
     def build(self) -> Module:
-        """Instantiate the architecture (parameters are loaded separately)."""
+        """Instantiate the architecture with freshly initialised parameters."""
         imported = importlib.import_module(self.module)
         factory = getattr(imported, self.factory)
         model = factory(**self.kwargs)
@@ -54,6 +55,20 @@ class ArchitectureRef:
                 f"{self.module}.{self.factory} returned {type(model).__name__}, "
                 "expected a Module"
             )
+        return model
+
+    def build_from(self, state: dict, *, assign: bool = False) -> Module:
+        """Instantiate the architecture holding exactly ``state``.
+
+        Construction runs under :func:`~repro.nn.init.skip_init` — the
+        initial values would be overwritten a moment later — and the load
+        is strict: a key missing from ``state`` raises, so no array that
+        was never initialised survives in the returned model.  ``assign``
+        is :meth:`Module.load_state_dict`'s.
+        """
+        with skip_init():
+            model = self.build()
+        model.load_state_dict(state, strict=True, assign=assign)
         return model
 
     def to_dict(self) -> dict:

@@ -130,16 +130,19 @@ def encode(codec: str, buffer) -> bytes:
     return _frame(codec_id, body, len(raw))
 
 
-def decode(payload) -> bytes:
+def decode(payload):
     """Return the uncompressed chunk bytes for an at-rest ``payload``.
 
-    Raises :class:`~repro.errors.StoreCorruptionError` on malformed
-    frames, unknown codec ids, or decompressed-length mismatches —
-    callers treat these exactly like a digest mismatch.
+    An unframed payload is returned as the very buffer passed in (so a
+    caller that read it into a buffer of its own keeps that buffer); a
+    framed one decodes to new ``bytes``.  Raises
+    :class:`~repro.errors.StoreCorruptionError` on malformed frames,
+    unknown codec ids, or decompressed-length mismatches — callers treat
+    these exactly like a digest mismatch.
     """
+    if bytes(payload[:4]) != FRAME_MAGIC:
+        return payload
     data = _as_bytes(payload)
-    if data[:4] != FRAME_MAGIC:
-        return data
     if len(data) < FRAME_OVERHEAD:
         raise StoreCorruptionError(
             f"truncated chunk codec frame: {len(data)} bytes"

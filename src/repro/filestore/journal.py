@@ -18,7 +18,9 @@ first) or it has one (crashed between commit and unlink → nothing to
 undo).  ``fsck`` drives that recovery; the file store only provides the
 mechanics.
 
-Appends are flushed per record; a torn final line (the crash hit the
+Appends are flushed per record (a save's chunk intents as one batch after
+its puts: a crash in between leaves refcount-0 orphans for the sweep
+below); a torn final line (the crash hit the
 journal write itself) parses as "skip the tail", which is safe because an
 unrecorded step is at worst an orphan the refcount cross-check repairs.
 """
@@ -77,12 +79,19 @@ class SaveJournal:
 
     def record(self, op: str, **fields) -> None:
         """Append one intent record and flush it to disk."""
-        entry = {"op": op, **fields}
-        self.entries.append(entry)
+        self.record_many([{"op": op, **fields}])
+
+    def record_many(self, entries: list[dict]) -> None:
+        """Append a batch of intent records with one open and one write."""
+        if not entries:
+            return
+        self.entries.extend(entries)
         # flushed, not fsynced: a lost tail means at worst an unrecorded
         # step, which the fsck refcount/orphan cross-checks repair anyway
         with open(self.path, "a") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            handle.write(
+                "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
+            )
             handle.flush()
 
     def commit(self) -> None:

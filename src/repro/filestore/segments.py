@@ -490,7 +490,13 @@ class SegmentChunkStore(ChunkStore):
         with self._mutex:
             return digest in self._index
 
-    def get(self, digest: str) -> bytes:
+    def get(self, digest: str):
+        """One chunk's bytes, CRC-checked, in a buffer the caller owns.
+
+        The record is read into a fresh ``bytearray``; an unframed payload
+        is returned as that buffer (writable, so a recover can adopt it
+        instead of copying), a codec-framed one as the decoded ``bytes``.
+        """
         self._check_digest(digest)
         refreshed = False
         while True:
@@ -516,7 +522,7 @@ class SegmentChunkStore(ChunkStore):
                     f"CRC check")
             return self._decode(data)
 
-    def _read_entry_locked(self, entry) -> bytes | None:
+    def _read_entry_locked(self, entry) -> bytearray | None:
         name, off, length, _crc = entry
         fileobj = self._read_files.get(name)
         if fileobj is None:
@@ -525,11 +531,11 @@ class SegmentChunkStore(ChunkStore):
             except FileNotFoundError:
                 return None
             self._read_files[name] = fileobj
+        data = bytearray(length)
         try:
-            data = os.pread(fileobj.fileno(), length, off)
+            if length and os.preadv(fileobj.fileno(), [data], off) != length:
+                return None
         except OSError:
-            return None
-        if len(data) != length:
             return None
         return data
 

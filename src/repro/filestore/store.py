@@ -348,8 +348,9 @@ class ChunkStore:
         return chunk_codecs.encode(self.codec, buffer)
 
     @staticmethod
-    def _decode(payload: bytes) -> bytes:
-        """Uncompressed chunk bytes for one at-rest payload."""
+    def _decode(payload):
+        """Uncompressed chunk bytes for one at-rest payload (the payload
+        itself when it is unframed)."""
         return chunk_codecs.decode(payload)
 
     def _account_put(self, raw_nbytes: int, stored_nbytes: int | None = None) -> None:
@@ -752,6 +753,14 @@ class FileStore:
       or a byte budget), consulted before every chunk read and shared with
       the recovery-chain prefetcher.  Concurrent fetches of one digest are
       coalesced into a single transfer while the cache is attached.
+
+    Buffer ownership on the read path: the segment layout reads each
+    record into a buffer of its own, and :meth:`recover_state_chunks`
+    returns arrays over those buffers without copying them; whatever else
+    a fetch yields (cached ``bytes``, a decoded codec frame, a buffer a
+    second layer also references) is copied once.  The test is the
+    buffer's own ``writeable`` flag, so no returned array ever aliases the
+    cache, another layer or another call (DESIGN.md "Byte path").
     """
 
     def __init__(
@@ -1289,18 +1298,27 @@ class FileStore:
         """Write the chunk batch, take refs, and publish the manifest."""
         unique = list(buffers)
         n = self._effective_workers(workers, len(unique))
-        if n <= 1:
-            for digest in unique:
-                self.put_chunk(digest, buffers[digest])
-        else:
-            with ThreadPoolExecutor(max_workers=n) as pool:
-                wrote = list(
-                    pool.map(lambda d: self._put_chunk_data(d, buffers[d]), unique)
+        wrote: list[bool] = []
+        try:
+            if n <= 1:
+                for digest in unique:
+                    wrote.append(self._put_chunk_data(digest, buffers[digest]))
+            else:
+                with ThreadPoolExecutor(max_workers=n) as pool:
+                    for written in pool.map(
+                        lambda d: self._put_chunk_data(d, buffers[d]), unique
+                    ):
+                        wrote.append(written)
+        finally:
+            # one journal append for the batch, on the calling thread
+            # (journals are thread-local) and also when a put failed, so a
+            # rollback drops what was written before it; chunks put but not
+            # journaled at a real crash are refcount-0 orphans fsck sweeps
+            journal = self._active_journal()
+            if journal is not None:
+                journal.record_many(
+                    [{"op": "chunk", "digest": d} for d, w in zip(unique, wrote) if w]
                 )
-            # journal intents on the calling thread (journals are thread-local)
-            for digest, written in zip(unique, wrote):
-                if written:
-                    self.journal_record("chunk", digest=digest)
         # group fsync: one durability barrier for the whole batch, before
         # the refs/manifest publish acknowledges the save
         self.chunks.flush()
@@ -1325,8 +1343,12 @@ class FileStore:
         retry policy's attempt limit before surfacing as a typed
         :class:`StoreCorruptionError`.  With ``workers`` (default: the
         store's ``workers`` setting) chunks are fetched concurrently in one
-        batch and digest verification runs off the fetch critical path;
-        layer order in the returned dict always matches the manifest.
+        batch and then verified and rebuilt on the same pool; layer order
+        in the returned dict always matches the manifest.
+
+        No returned array shares memory with another, with the chunk
+        cache, or with a later call's: each is the buffer its chunk was
+        read into or a copy (see :meth:`_recover_layer`).
         """
         verify = self.verify_reads if verify is None else verify
         with self._obs_tracer.span("store.recover_chunks", file_id=file_id) as sp:
@@ -1343,25 +1365,46 @@ class FileStore:
                 [d for _, meta in layers for d in layer_chunk_digests(meta)],
                 workers=n,
             )
+            # one fetched buffer may back several layers (identical tensors
+            # share a digest): its first reference gets the buffer, every
+            # later one a read-only view, which the rebuild copies
+            claimed: set[str] = set()
+            jobs = []
+            for _, meta in layers:
+                fetched = []
+                for digest in layer_chunk_digests(meta):
+                    data = payloads[digest]
+                    if digest in claimed:
+                        data = memoryview(data).toreadonly()
+                    claimed.add(digest)
+                    fetched.append(data)
+                jobs.append((meta, fetched))
             with ThreadPoolExecutor(max_workers=n) as pool:
                 arrays = list(
-                    pool.map(
-                        lambda pair: self._recover_layer(pair[1], verify, payloads),
-                        layers,
-                    )
+                    pool.map(lambda job: self._recover_layer(job[0], verify, job[1]), jobs)
                 )
             for (name, _), array in zip(layers, arrays):
                 state[name] = array
             return state
 
     def _recover_layer(
-        self, meta: dict, verify: bool, payloads: dict | None = None
+        self, meta: dict, verify: bool, fetched: list | None = None
     ) -> np.ndarray:
-        """Rebuild one layer from a v1 or v2 manifest entry."""
+        """Rebuild one layer from a v1 or v2 manifest entry.
+
+        ``fetched`` holds the already-fetched payload of each of the
+        layer's chunks, in manifest order.  The returned array is the
+        caller's alone: it is the fetched buffer itself when that buffer
+        is writable — which only a buffer nobody else holds is (a segment
+        read, the first reference above) — and a copy of anything else
+        (``bytes`` from the chunk cache, a codec frame, the ``files``
+        layout or a fault injector; a read-only view).
+        """
         if "chunks" in meta:
-            return self._recover_cdc_array(meta, verify, payloads)
-        initial = payloads.get(meta["chunk"]) if payloads else None
-        return self._recover_chunk_array(meta, verify, initial=initial)
+            return self._recover_cdc_array(meta, verify, fetched)
+        return self._recover_chunk_array(
+            meta, verify, initial=fetched[0] if fetched else None
+        )
 
     def _fetch_verified_chunk(
         self, digest: str, verify: bool, initial: bytes | None = None
@@ -1386,16 +1429,16 @@ class FileStore:
         )
 
     def _recover_cdc_array(
-        self, meta: dict, verify: bool, payloads: dict | None = None
+        self, meta: dict, verify: bool, fetched: list | None = None
     ) -> np.ndarray:
         """Reassemble one layer from its content-defined chunk run (v2)."""
+        digests = meta["chunks"]
         parts = [
-            self._fetch_verified_chunk(
-                digest, verify, initial=payloads.get(digest) if payloads else None
-            )
-            for digest in meta["chunks"]
+            self._fetch_verified_chunk(digest, verify, initial=initial)
+            for digest, initial in zip(digests, fetched or [None] * len(digests))
         ]
-        data = parts[0] if len(parts) == 1 else b"".join(parts)
+        # a run is joined into one new buffer; a single chunk stays in its own
+        data = parts[0] if len(parts) == 1 else bytearray().join(parts)
         try:
             array = np.frombuffer(data, dtype=np.dtype(meta["dtype"])).reshape(
                 meta["shape"]
@@ -1403,9 +1446,9 @@ class FileStore:
         except ValueError as exc:  # reassembled size disagrees with the manifest
             raise StoreCorruptionError(
                 f"layer reassembly mismatch for chunk run "
-                f"{[d[:12] for d in meta['chunks']]}: {exc}"
+                f"{[d[:12] for d in digests]}: {exc}"
             ) from exc
-        return array.copy()
+        return array if array.flags.writeable else array.copy()
 
     def _recover_chunk_array(
         self, meta: dict, verify: bool, initial: bytes | None = None
@@ -1424,14 +1467,14 @@ class FileStore:
                 )
             except ValueError:  # payload size disagrees with the manifest
                 array = None
-            if array is not None:
-                if not verify:
-                    return array.copy()
+            if array is not None and verify:
                 # lazy import: repro.core imports this module at package init
                 from ..core.hashing import tensor_hash
 
-                if tensor_hash(array) == digest:
-                    return array.copy()
+                if tensor_hash(array) != digest:
+                    array = None
+            if array is not None:
+                return array if array.flags.writeable else array.copy()
             # a poisoned cache entry would make every re-fetch return the
             # same bad payload — drop it so the retry hits the store
             self._cache_discard(digest)

@@ -350,11 +350,13 @@ class GatewayServer:
             )
         kwargs = request.get("factory_kwargs") or {}
         architecture = ArchitectureRef.from_factory(module, factory, kwargs)
-        model = architecture.build()
         state_b64 = request.get("state_b64")
-        if state_b64 is not None:
+        if state_b64 is None:
+            model = architecture.build()
+        else:
+            # decoded for this request alone, so the model adopts it
             state = serialization.loads(base64.b64decode(state_b64))
-            model.load_state_dict(state)
+            model = architecture.build_from(state, assign=True)
         base = request.get("base")
         if base is not None:
             base = tenant.resolve(base)

@@ -3,11 +3,18 @@
 All functions mutate the tensor in place and return it, mirroring
 ``torch.nn.init``.  Because every draw comes from the generator controlled by
 :func:`repro.nn.rng.manual_seed`, model construction is reproducible.
+
+Every initializer bottoms out in :func:`uniform_`, :func:`normal_`,
+:func:`trunc_normal_` or :func:`constant_`; under :func:`skip_init` those
+four return the tensor untouched and draw nothing, so a model whose state
+is about to be loaded is built without computing values nobody reads.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -15,9 +22,11 @@ from . import rng
 from .tensor import Tensor
 
 __all__ = [
+    "skip_init",
     "calculate_fan",
     "uniform_",
     "normal_",
+    "trunc_normal_",
     "constant_",
     "zeros_",
     "ones_",
@@ -26,6 +35,33 @@ __all__ = [
     "xavier_uniform_",
     "xavier_normal_",
 ]
+
+
+_skip = threading.local()
+
+
+@contextmanager
+def skip_init():
+    """Make every initializer on this thread a no-op until the block exits.
+
+    Re-entrant and per-thread.  The tensors keep whatever their allocation
+    left in them and the generator state does not move, so the block must
+    be followed by a strict ``load_state_dict`` — which is why
+    :meth:`repro.core.save_info.ArchitectureRef.build_from` is the only
+    caller.  It relies on the contract of architecture factories: all
+    learned or derived state lives in parameters/buffers, and constructors
+    draw only through this module.
+    """
+    depth = getattr(_skip, "depth", 0)
+    _skip.depth = depth + 1
+    try:
+        yield
+    finally:
+        _skip.depth = depth
+
+
+def _skipping() -> bool:
+    return getattr(_skip, "depth", 0) > 0
 
 
 def calculate_fan(tensor: Tensor) -> tuple[int, int]:
@@ -40,6 +76,8 @@ def calculate_fan(tensor: Tensor) -> tuple[int, int]:
 
 
 def uniform_(tensor: Tensor, low: float = 0.0, high: float = 1.0) -> Tensor:
+    if _skipping():
+        return tensor
     tensor.data[...] = rng.generator().uniform(low, high, size=tensor.shape).astype(
         tensor.dtype
     )
@@ -47,13 +85,39 @@ def uniform_(tensor: Tensor, low: float = 0.0, high: float = 1.0) -> Tensor:
 
 
 def normal_(tensor: Tensor, mean: float = 0.0, std: float = 1.0) -> Tensor:
+    if _skipping():
+        return tensor
     tensor.data[...] = rng.generator().normal(mean, std, size=tensor.shape).astype(
         tensor.dtype
     )
     return tensor
 
 
+def trunc_normal_(tensor: Tensor, std: float = 0.01, bound: float = 2.0) -> Tensor:
+    """Fill with N(0, std) truncated to ``[-bound*std, bound*std]``.
+
+    Rejection sampling mirrors the cost of the reference implementation's
+    scipy-based truncnorm initialization (the source of GoogLeNet's slow
+    initialization highlighted in the paper's Figure 12).
+    """
+    if _skipping():
+        return tensor
+    generator = rng.generator()
+    out = np.empty(tensor.data.size, dtype=np.float64)
+    filled = 0
+    while filled < out.size:
+        draw = generator.standard_normal(max(1024, out.size - filled))
+        draw = draw[np.abs(draw) <= bound]
+        take = min(draw.size, out.size - filled)
+        out[filled : filled + take] = draw[:take]
+        filled += take
+    tensor.data[...] = (out * std).reshape(tensor.shape).astype(tensor.dtype)
+    return tensor
+
+
 def constant_(tensor: Tensor, value: float) -> Tensor:
+    if _skipping():
+        return tensor
     tensor.data[...] = value
     return tensor
 

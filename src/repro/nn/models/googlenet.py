@@ -9,15 +9,13 @@ The paper's Figure 12 notes that GoogLeNet's *initialization* routine is
 disproportionately slow, which shows up as a recover-time peak.  The
 torchvision original draws every weight from a truncated normal via scipy;
 we reproduce the cost profile with an explicit truncated-normal rejection
-sampler, which is similarly far more expensive than the plain initializers
-used by the other architectures.
+sampler (:func:`repro.nn.init.trunc_normal_`), which is similarly far more
+expensive than the plain initializers used by the other architectures.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .. import rng
+from .. import init
 from ..modules import (
     AdaptiveAvgPool2d,
     BatchNorm2d,
@@ -40,25 +38,6 @@ def _scaled(channels: int, scale: float) -> int:
     return max(8, int(round(channels * scale / 8)) * 8)
 
 
-def _truncated_normal_(tensor, std: float = 0.01, bound: float = 2.0) -> None:
-    """Fill with N(0, std) truncated to ``[-bound*std, bound*std]``.
-
-    Rejection sampling mirrors the cost of the reference implementation's
-    scipy-based truncnorm initialization (the source of GoogLeNet's slow
-    initialization highlighted in the paper's Figure 12).
-    """
-    generator = rng.generator()
-    out = np.empty(tensor.data.size, dtype=np.float64)
-    filled = 0
-    while filled < out.size:
-        draw = generator.standard_normal(max(1024, out.size - filled))
-        draw = draw[np.abs(draw) <= bound]
-        take = min(draw.size, out.size - filled)
-        out[filled : filled + take] = draw[:take]
-        filled += take
-    tensor.data[...] = (out * std).reshape(tensor.shape).astype(tensor.dtype)
-
-
 class BasicConv2d(Module):
     """Conv (no bias) + BatchNorm + ReLU, the GoogLeNet building block."""
 
@@ -67,7 +46,7 @@ class BasicConv2d(Module):
         self.conv = Conv2d(in_channels, out_channels, bias=False, **conv_kwargs)
         self.bn = BatchNorm2d(out_channels, eps=0.001)
         self.relu = ReLU()
-        _truncated_normal_(self.conv.weight)
+        init.trunc_normal_(self.conv.weight)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.relu(self.bn(self.conv(x)))
@@ -120,8 +99,8 @@ class InceptionAux(Module):
         self.fc2 = Linear(fc_hidden, num_classes)
         self.relu = ReLU()
         self.dropout = Dropout(0.7)
-        _truncated_normal_(self.fc1.weight, std=0.001)
-        _truncated_normal_(self.fc2.weight, std=0.001)
+        init.trunc_normal_(self.fc1.weight, std=0.001)
+        init.trunc_normal_(self.fc2.weight, std=0.001)
 
     def forward(self, x: Tensor) -> Tensor:
         x = self.conv(self.avgpool(x))
@@ -187,7 +166,7 @@ class GoogLeNet(Module):
         self.avgpool = AdaptiveAvgPool2d((1, 1))
         self.dropout = Dropout(0.2)
         self.fc = Linear(channels, num_classes)
-        _truncated_normal_(self.fc.weight, std=0.001)
+        init.trunc_normal_(self.fc.weight, std=0.001)
 
     def forward(self, x: Tensor):
         x = self.maxpool1(self.conv1(x))

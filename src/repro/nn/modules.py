@@ -47,6 +47,14 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=requires_grad)
 
 
+def _adopt_or_copy(value: np.ndarray, assign: bool) -> np.ndarray:
+    """``value`` itself when ``assign`` and its layout allow, else a copy."""
+    flags = value.flags
+    if assign and flags.writeable and flags.c_contiguous and flags.aligned:
+        return value
+    return value.copy()
+
+
 class HookHandle:
     """Removable registration handle returned by hook installers."""
 
@@ -184,8 +192,17 @@ class Module:
             if module is not None:
                 module._collect_state(state, prefix + name + ".")
 
-    def load_state_dict(self, state: dict, strict: bool = True) -> None:
-        """Copy arrays from ``state`` into parameters and buffers by name."""
+    def load_state_dict(
+        self, state: dict, strict: bool = True, assign: bool = False
+    ) -> None:
+        """Load arrays from ``state`` into parameters and buffers by name.
+
+        Every array is copied unless ``assign`` is set (PyTorch's
+        ``assign=``): then a value that is a writable, C-contiguous,
+        aligned ``ndarray`` of the parameter's dtype and shape becomes the
+        parameter's data (or the buffer) as is, and anything else is still
+        copied.  Pass it only for state nobody else holds.
+        """
         own = self.state_dict()
         missing = [k for k in own if k not in state]
         unexpected = [k for k in state if k not in own]
@@ -193,9 +210,9 @@ class Module:
             raise KeyError(
                 f"state dict mismatch: missing={missing[:5]} unexpected={unexpected[:5]}"
             )
-        self._load_state(state, "")
+        self._load_state(state, "", assign)
 
-    def _load_state(self, state: dict, prefix: str) -> None:
+    def _load_state(self, state: dict, prefix: str, assign: bool) -> None:
         for name, param in self._parameters.items():
             key = prefix + name
             if param is not None and key in state:
@@ -204,14 +221,14 @@ class Module:
                     raise ValueError(
                         f"shape mismatch for {key}: {value.shape} vs {param.data.shape}"
                     )
-                param.data = value.copy()
+                param.data = _adopt_or_copy(value, assign)
         for name in self._buffers:
             key = prefix + name
             if key in state:
-                self._buffers[name] = np.asarray(state[key]).copy()
+                self._buffers[name] = _adopt_or_copy(np.asarray(state[key]), assign)
         for name, module in self._modules.items():
             if module is not None:
-                module._load_state(state, prefix + name + ".")
+                module._load_state(state, prefix + name + ".", assign)
 
     def num_parameters(self, trainable_only: bool = False) -> int:
         """Total number of parameter elements in the subtree."""

@@ -1,0 +1,468 @@
+"""The byte path of a recover: who owns a buffer, what is adopted, what is
+never initialised — and that every integrity check still fires.
+
+Counts and identities, not timings (DESIGN.md "Byte path").
+"""
+
+import itertools
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import repro.nn as nn
+from repro.core import (
+    ArchitectureRef,
+    BaselineSaveService,
+    ModelSaveInfo,
+    ParameterUpdateSaveService,
+    RecoveryCache,
+)
+from repro.core.errors import VerificationError
+from repro.docstore import DocumentStore
+from repro.errors import StoreCorruptionError
+from repro.faults import FaultInjector
+from repro.filestore import FileStore
+from repro.nn import init, rng
+from repro.nn.models import MODEL_REGISTRY, create_model
+from repro.retry import RetryPolicy
+
+CDC_TARGET = 2048
+
+
+def build_twin_mlp(width=48):
+    """Importable factory: two same-shaped hidden layers and a head.
+
+    :func:`twin_model` makes the two hidden layers bitwise identical, so their
+    chunks share a digest, and each is several CDC chunks long.
+    """
+    return nn.Sequential(
+        nn.Linear(width, width), nn.ReLU(), nn.Linear(width, width), nn.ReLU(),
+        nn.Linear(width, 4),
+    )
+
+
+def twin_arch():
+    return ArchitectureRef.from_factory("tests.core.test_byte_path", "build_twin_mlp", {})
+
+
+def twin_model(seed):
+    nn.manual_seed(seed)
+    model = build_twin_mlp()
+    state = model.state_dict()
+    state["2.weight"][...] = state["0.weight"]
+    state["2.bias"][...] = state["0.bias"]
+    return model
+
+
+def copy_state(model):
+    return {key: value.copy() for key, value in model.state_dict().items()}
+
+
+def assert_state_equals(model, expected):
+    state = model.state_dict()
+    assert list(state) == list(expected)
+    for key, value in expected.items():
+        assert state[key].dtype == value.dtype and state[key].shape == value.shape, key
+        assert np.array_equal(state[key], value), key
+
+
+def assert_no_shared_memory(*groups):
+    """No array of any group overlaps any other array, of any group."""
+    arrays = [array for group in groups for array in group]
+    for left, right in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(left, right)
+
+
+def cached_payloads(files):
+    if files.chunk_cache is None:
+        return []
+    return [np.frombuffer(data, dtype=np.uint8)
+            for data in files.chunk_cache._entries.values() if data]
+
+
+def spy_on_recover_state_chunks(files):
+    """Every state dict ``files.recover_state_chunks`` returns from now on."""
+    returned = []
+    recover_state_chunks = files.recover_state_chunks
+
+    def spy(*args, **kwargs):
+        returned.append(recover_state_chunks(*args, **kwargs))
+        return returned[-1]
+
+    files.recover_state_chunks = spy
+    return returned
+
+
+@pytest.fixture(params=[False, True], ids=["v1", "cdc"])
+def cdc(request):
+    return request.param
+
+
+@pytest.fixture(params=[None, 1 << 20], ids=["nocache", "cache"])
+def chunk_cache(request):
+    return request.param
+
+
+@pytest.fixture(params=[0, 4], ids=["serial", "workers4"])
+def workers(request):
+    return request.param
+
+
+@pytest.fixture
+def files(tmp_path, cdc, chunk_cache, workers):
+    return FileStore(tmp_path / "files", cdc=cdc, cdc_target_bytes=CDC_TARGET,
+                     chunk_cache=chunk_cache, workers=workers)
+
+
+class TestOwnership:
+    def test_snapshot_recovers_share_nothing(self, files):
+        service = BaselineSaveService(DocumentStore(), files)
+        model = twin_model(seed=3)
+        saved = copy_state(model)
+        model_id = service.save_model(ModelSaveInfo(model, twin_arch()))
+
+        first = service.recover_model(model_id).model
+        second = service.recover_model(model_id).model
+        assert_no_shared_memory(
+            first.state_dict().values(), second.state_dict().values(),
+            model.state_dict().values(), cached_payloads(files))
+
+        for array in first.state_dict().values():
+            array[...] = 7  # a caller may do what it likes with its model
+        third = service.recover_model(model_id)
+        assert third.verified is True
+        assert_state_equals(third.model, saved)
+        assert_state_equals(second, saved)
+
+    def test_chain_tip_and_ancestor_share_nothing(self, files):
+        service = ParameterUpdateSaveService(DocumentStore(), files)
+        base = twin_model(seed=4)
+        base_saved = copy_state(base)
+        base_id = service.save_model(ModelSaveInfo(base, twin_arch()))
+        tip = twin_model(seed=4)
+        tip.state_dict()["4.weight"][...] += 1
+        tip_saved = copy_state(tip)
+        tip_id = service.save_model(
+            ModelSaveInfo(tip, twin_arch(), base_model_id=base_id))
+
+        recovered_tip = service.recover_model(tip_id).model
+        recovered_base = service.recover_model(base_id).model
+        assert_no_shared_memory(
+            recovered_tip.state_dict().values(), recovered_base.state_dict().values(),
+            cached_payloads(files))
+        for array in recovered_tip.state_dict().values():
+            array[...] = 0
+        assert_state_equals(service.recover_model(base_id).model, base_saved)
+        again = service.recover_model(tip_id)
+        assert again.verified is True and again.recovery_depth == 1
+        assert_state_equals(again.model, tip_saved)
+
+    def test_recovery_cache_keeps_private_copies(self, files):
+        service = ParameterUpdateSaveService(DocumentStore(), files)
+        base = twin_model(seed=5)
+        base_id = service.save_model(ModelSaveInfo(base, twin_arch()))
+        tip = twin_model(seed=5)
+        tip.state_dict()["4.bias"][...] += 1
+        tip_saved = copy_state(tip)
+        tip_id = service.save_model(
+            ModelSaveInfo(tip, twin_arch(), base_model_id=base_id))
+
+        cache = RecoveryCache()
+        first = service.recover_model(tip_id, cache=cache).model
+        held = [array for state, _, _ in cache._states.values() for array in state.values()]
+        assert_no_shared_memory(first.state_dict().values(), held)
+        for array in first.state_dict().values():
+            array[...] = -1
+        second = service.recover_model(tip_id, cache=cache)
+        assert cache.hits >= 1
+        assert_state_equals(second.model, tip_saved)
+        assert_no_shared_memory(second.model.state_dict().values(), held)
+
+
+class TestAdoption:
+    def test_recovered_parameters_are_the_fetched_arrays(self, tmp_path):
+        """On the default store nothing is copied between the segment read
+        and the model: each parameter *is* the array the store returned."""
+        files = FileStore(tmp_path / "files")
+        service = BaselineSaveService(DocumentStore(), files)
+        model_id = service.save_model(ModelSaveInfo(twin_model(seed=6), twin_arch()))
+        returned = spy_on_recover_state_chunks(files)
+        recovered = service.recover_model(model_id)
+        assert recovered.verified is True and len(returned) == 1
+        state = recovered.model.state_dict()
+        assert list(state) == list(returned[0])
+        for key, array in returned[0].items():
+            assert array.flags.writeable and array.flags.owndata is False, key
+            assert state[key] is array, key
+
+    def test_param_update_leaves_unchanged_layers_in_place(self, tmp_path):
+        files = FileStore(tmp_path / "files")
+        service = ParameterUpdateSaveService(DocumentStore(), files)
+        base = twin_model(seed=7)
+        base_id = service.save_model(ModelSaveInfo(base, twin_arch()))
+        tip = twin_model(seed=7)
+        tip.state_dict()["4.bias"][...] += 1
+        tip_id = service.save_model(
+            ModelSaveInfo(tip, twin_arch(), base_model_id=base_id))
+        returned = spy_on_recover_state_chunks(files)
+        state = service.recover_model(tip_id).model.state_dict()
+        snapshot, update = returned
+        assert list(update) == ["4.bias"]
+        assert state["4.bias"] is update["4.bias"]
+        for key in snapshot:
+            if key != "4.bias":
+                assert state[key] is snapshot[key], key
+
+    def test_recover_peak_memory_holds_no_copy_of_the_state(self, tmp_path):
+        """Peak = the adopted state + the skeleton's never-touched
+        ``np.empty`` allocations (tracemalloc counts them, the OS never
+        backs them) + transients: 2.04x here.  One more copy of the bytes
+        anywhere makes it 3x, which is what the copying path measured."""
+        files = FileStore(tmp_path / "files")
+        service = BaselineSaveService(DocumentStore(), files)
+        arch = ArchitectureRef.from_factory(
+            "repro.nn.models", "resnet18", {"num_classes": 10, "scale": 0.35})
+        model = arch.build()
+        state_bytes = sum(array.nbytes for array in model.state_dict().values())
+        assert state_bytes >= 4 << 20
+        model_id = service.save_model(ModelSaveInfo(model, arch))
+        service.recover_model(model_id)  # imports, lazy handles, executor
+        del model
+
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            recovered = service.recover_model(model_id)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert recovered.verified is True
+        assert peak < 2.25 * state_bytes, f"peak {peak} vs state {state_bytes}"
+
+
+class TestSkipInit:
+    @pytest.mark.parametrize("name", list(MODEL_REGISTRY))
+    def test_build_from_equals_build_then_load(self, name):
+        kwargs = {"num_classes": 10, "scale": 0.125}
+        arch = ArchitectureRef.from_factory("repro.nn.models", name, kwargs)
+        source = create_model(name, seed=11, **kwargs)
+        state = copy_state(source)
+
+        rng.manual_seed(5)
+        before = rng.get_rng_state()
+        skeleton = arch.build_from(state)
+        assert rng.get_rng_state() == before  # nothing was drawn
+
+        reference = arch.build()
+        reference.load_state_dict(state)
+        assert rng.get_rng_state() != before  # an initialised build draws
+        assert_state_equals(skeleton, copy_state(reference))
+        assert_state_equals(skeleton, state)
+        assert_no_shared_memory(skeleton.state_dict().values(), state.values())
+
+    @pytest.mark.parametrize("name", list(MODEL_REGISTRY))
+    def test_build_from_is_strict(self, name):
+        kwargs = {"num_classes": 10, "scale": 0.125}
+        arch = ArchitectureRef.from_factory("repro.nn.models", name, kwargs)
+        state = create_model(name, seed=11, **kwargs).state_dict()
+        state.pop(next(reversed(state)))
+        with pytest.raises(KeyError, match="missing"):
+            arch.build_from(state)
+        state["not.a.layer"] = np.zeros(1, dtype=np.float32)
+        with pytest.raises(KeyError):
+            arch.build_from(state)
+
+    def test_build_from_assign_adopts_owned_arrays_only(self):
+        arch = twin_arch()
+        state = copy_state(twin_model(seed=8))
+        frozen = state["0.weight"]
+        frozen.flags.writeable = False
+        strided = np.zeros((4, 96), dtype=np.float32)[:, ::2]
+        strided[...] = state["4.weight"]
+        state["4.weight"] = strided
+        model = arch.build_from(state, assign=True)
+        built = model.state_dict()
+        for key, array in state.items():
+            assert np.array_equal(built[key], array), key
+            if key in ("0.weight", "4.weight"):
+                assert not np.shares_memory(built[key], array), key
+                assert built[key].flags.writeable and built[key].flags.c_contiguous
+            else:
+                assert built[key] is array, key
+
+    @pytest.mark.parametrize("name", list(MODEL_REGISTRY))
+    def test_initialised_construction_did_not_move_a_draw(self, name, monkeypatch):
+        """``create_model(seed=…)`` equals a build through reference
+        initializers that know nothing of ``skip_init``."""
+        kwargs = {"num_classes": 10, "scale": 0.125}
+        actual = create_model(name, seed=7, **kwargs)
+        actual_rng = rng.get_rng_state()
+
+        def uniform_(tensor, low=0.0, high=1.0):
+            tensor.data[...] = rng.generator().uniform(
+                low, high, size=tensor.shape).astype(tensor.dtype)
+            return tensor
+
+        def normal_(tensor, mean=0.0, std=1.0):
+            tensor.data[...] = rng.generator().normal(
+                mean, std, size=tensor.shape).astype(tensor.dtype)
+            return tensor
+
+        def trunc_normal_(tensor, std=0.01, bound=2.0):
+            generator = rng.generator()
+            out = np.empty(tensor.data.size, dtype=np.float64)
+            filled = 0
+            while filled < out.size:
+                draw = generator.standard_normal(max(1024, out.size - filled))
+                draw = draw[np.abs(draw) <= bound]
+                take = min(draw.size, out.size - filled)
+                out[filled : filled + take] = draw[:take]
+                filled += take
+            tensor.data[...] = (out * std).reshape(tensor.shape).astype(tensor.dtype)
+            return tensor
+
+        def constant_(tensor, value):
+            tensor.data[...] = value
+            return tensor
+
+        for reference in (uniform_, normal_, trunc_normal_, constant_):
+            monkeypatch.setattr(init, reference.__name__, reference)
+        expected = create_model(name, seed=7, **kwargs)
+        assert rng.get_rng_state() == actual_rng
+        assert_state_equals(actual, copy_state(expected))
+
+    def test_service_recover_leaves_caller_rng_alone(self, tmp_path):
+        service = BaselineSaveService(DocumentStore(), FileStore(tmp_path / "files"))
+        model_id = service.save_model(ModelSaveInfo(twin_model(seed=9), twin_arch()))
+        rng.manual_seed(21)
+        before = rng.get_rng_state()
+        service.recover_model(model_id)
+        assert rng.get_rng_state() == before
+
+
+def flip_stored_bit(files, digest):
+    path, offset, length = files.chunks.locate(digest)
+    assert length > 0
+    with open(path, "r+b") as handle:
+        handle.seek(offset + length // 2)
+        byte = handle.read(1)
+        handle.seek(offset + length // 2)
+        handle.write(bytes([byte[0] ^ 0x01]))
+
+
+class TestIntegrity:
+    """ROADMAP item 3's gate: a flipped bit is caught on default recover,
+    on the uncached and on the cached read path."""
+
+    @pytest.mark.parametrize("layout", ["segments", "files"])
+    def test_flipped_bit_on_disk_fails_default_recover(self, tmp_path, layout):
+        files = FileStore(tmp_path / "files", layout=layout)
+        service = BaselineSaveService(DocumentStore(), files)
+        model = twin_model(seed=12)
+        model_id = service.save_model(ModelSaveInfo(model, twin_arch()))
+        assert service.recover_model(model_id).verified is True
+
+        manifest = files.read_manifest(
+            service._get_model_document(model_id)["parameters_file"])
+        flip_stored_bit(files, dict(manifest["layers"])["4.weight"]["chunk"])
+        with pytest.raises((StoreCorruptionError, VerificationError)):
+            service.recover_model(model_id)
+
+    def _saved_with_cache(self, tmp_path, **store_options):
+        files = FileStore(tmp_path / "files", chunk_cache=1 << 20, **store_options)
+        service = BaselineSaveService(DocumentStore(), files)
+        model = twin_model(seed=13)
+        saved = copy_state(model)
+        model_id = service.save_model(ModelSaveInfo(model, twin_arch()))
+        assert service.recover_model(model_id).verified is True  # fills the cache
+        manifest = files.read_manifest(
+            service._get_model_document(model_id)["parameters_file"])
+        digest = dict(manifest["layers"])["4.weight"]["chunk"]
+        good = files.chunk_cache.get(digest)
+        assert good is not None
+        poisoned = bytearray(good)
+        poisoned[len(poisoned) // 2] ^= 0x01
+        with files.chunk_cache._lock:
+            files.chunk_cache._entries[digest] = bytes(poisoned)
+        return service, files, model_id, digest, good, saved
+
+    def test_poisoned_cache_entry_fails_check_hash(self, tmp_path):
+        service, files, model_id, digest, _good, _saved = self._saved_with_cache(tmp_path)
+        assert files.verify_reads is False
+        with pytest.raises(VerificationError):
+            service.recover_model(model_id)
+        assert service.recover_model(model_id, verify=False).verified is None
+
+    def test_poisoned_cache_entry_heals_with_verify_reads(self, tmp_path):
+        service, files, model_id, digest, good, saved = self._saved_with_cache(
+            tmp_path, verify_reads=True,
+            retry=RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0))
+        recovered = service.recover_model(model_id)
+        assert recovered.verified is True
+        assert_state_equals(recovered.model, saved)
+        assert files.chunk_cache.get(digest) == good  # re-read from the store
+        assert_no_shared_memory(
+            recovered.model.state_dict().values(), cached_payloads(files))
+
+    def test_in_transit_corruption_is_retried_to_a_bitwise_recover(self, tmp_path):
+        faults = FaultInjector(seed=5, corrupt_rate=0.3)
+        retry = RetryPolicy(max_attempts=8, base_delay_s=0.0, sleep=lambda s: None)
+        files = FileStore(tmp_path / "files", faults=faults, retry=retry)
+        service = BaselineSaveService(DocumentStore(), files, retry=retry)
+        model = twin_model(seed=14)
+        saved = copy_state(model)
+        model_id = service.save_model(ModelSaveInfo(model, twin_arch()))
+        for _ in range(3):
+            recovered = service.recover_model(model_id)
+            assert recovered.verified is True
+            assert_state_equals(recovered.model, saved)
+        assert faults.stats["corruptions"] > 0
+
+
+class TestSkipInitThreads:
+    def test_skip_init_is_per_thread_and_nests(self):
+        inside = threading.Event()
+        release = threading.Event()
+        seen = {}
+
+        def other_thread():
+            assert inside.wait(timeout=5)
+            seen["other"] = init.constant_(nn.Tensor(np.zeros(3)), 2.0).data.copy()
+            release.set()
+
+        thread = threading.Thread(target=other_thread)
+        thread.start()
+        with init.skip_init():
+            with init.skip_init():
+                assert np.all(init.ones_(nn.Tensor(np.zeros(3))).data == 0)
+            # still skipping after the inner block exits
+            assert np.all(init.ones_(nn.Tensor(np.zeros(3))).data == 0)
+            inside.set()
+            assert release.wait(timeout=5)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert np.all(seen["other"] == 2.0)
+        assert np.all(init.ones_(nn.Tensor(np.zeros(3))).data == 1)
+
+    def test_skip_init_is_restored_after_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with init.skip_init():
+                raise RuntimeError("factory failed")
+        assert np.all(init.ones_(nn.Tensor(np.zeros(3))).data == 1)
+
+    def test_every_initializer_is_skipped_and_draws_nothing(self):
+        rng.manual_seed(3)
+        before = rng.get_rng_state()
+        weight = nn.Tensor(np.full((6, 5), 9.0))
+        with init.skip_init():
+            for initializer in (
+                init.uniform_, init.normal_, init.trunc_normal_, init.zeros_,
+                init.ones_, init.kaiming_uniform_, init.kaiming_normal_,
+                init.xavier_uniform_, init.xavier_normal_,
+            ):
+                assert initializer(weight) is weight
+            assert init.constant_(weight, 1.0) is weight
+        assert np.all(weight.data == 9.0)
+        assert rng.get_rng_state() == before

@@ -140,6 +140,95 @@ class TestCrashMatrix:
         assert clean_chunks <= set(files.chunks.chunk_ids())
 
 
+class TestCrashBeforeTheChunkBatchIsJournaled:
+    """A save journals its chunk intents as one batch after the puts.  Dying
+    between the last put and that append leaves chunks no journal names:
+    refcount-0 orphans, which fsck sweeps (the journal module's promise)."""
+
+    @pytest.mark.parametrize("service_cls", SERVICES)
+    def test_unjournaled_chunks_are_swept_as_orphans(
+        self, service_cls, layout, tmp_path, monkeypatch
+    ):
+        from repro.filestore.journal import SaveJournal
+
+        docs = DocumentStore(tmp_path / "docs")
+        files = FileStore(tmp_path / "files", tmp_grace_s=0.0, layout=layout)
+        service = service_cls(docs, files, scratch_dir=tmp_path / "scratch")
+        manager = ModelManager(service)
+        base = make_tiny_cnn(seed=1)
+        base_id = service.save_model(ModelSaveInfo(base, tiny_arch(), use_case="U_1"))
+        chunks_before = set(files.chunks.chunk_ids())
+
+        record_many = SaveJournal.record_many
+
+        def die_on_the_chunk_batch(journal, entries):
+            if entries and entries[0]["op"] == "chunk":
+                raise CrashPoint("died between the last put and the journal append")
+            record_many(journal, entries)
+
+        monkeypatch.setattr(SaveJournal, "record_many", die_on_the_chunk_batch)
+        victim = make_tiny_cnn(seed=2)
+        with pytest.raises(CrashPoint):
+            # a plain snapshot of new parameters: every service writes chunks
+            service.save_model(ModelSaveInfo(victim, tiny_arch(), use_case="U_2"))
+        monkeypatch.setattr(SaveJournal, "record_many", record_many)
+
+        orphans = set(files.chunks.chunk_ids()) - chunks_before
+        assert orphans, "the crashed save wrote no chunk before its journal append"
+        journal, = files.incomplete_journals()
+        assert not any(entry["op"] == "chunk" for entry in journal.entries)
+        assert all(files.chunks.refcount(digest) == 0 for digest in orphans)
+
+        # the process really died: reopen from disk, then repair
+        files = FileStore(tmp_path / "files", tmp_grace_s=0.0, layout=layout)
+        service = service_cls(
+            DocumentStore(tmp_path / "docs"), files, scratch_dir=tmp_path / "scratch")
+        manager = ModelManager(service)
+        report = manager.fsck()
+        assert not report.unrepaired, report.summary()
+        assert manager.fsck().clean
+        assert set(files.chunks.chunk_ids()) == chunks_before
+        assert {r.model_id for r in manager.list_models()} == {base_id}
+        assert_states_equal(base, service.recover_model(base_id).model)
+        second_id = service.save_model(ModelSaveInfo(victim, tiny_arch(), use_case="U_2"))
+        assert_states_equal(victim, service.recover_model(second_id).model)
+        assert manager.fsck().clean
+
+    def test_a_save_journals_its_chunks_with_one_append(self, tmp_path, monkeypatch):
+        from repro.filestore.journal import SaveJournal
+
+        files = FileStore(tmp_path / "files")
+        service = BaselineSaveService(DocumentStore(), files)
+        record_many = SaveJournal.record_many
+        batches = []
+
+        def spy(journal, entries):
+            batches.append([entry["op"] for entry in entries])
+            record_many(journal, entries)
+
+        monkeypatch.setattr(SaveJournal, "record_many", spy)
+        service.save_model(ModelSaveInfo(make_tiny_cnn(seed=3), tiny_arch()))
+        chunk_batches = [ops for ops in batches if "chunk" in ops]
+        assert len(chunk_batches) == 1 and set(chunk_batches[0]) == {"chunk"}
+        assert len(chunk_batches[0]) > 1
+
+    def test_a_batch_is_one_json_object_per_line(self, tmp_path):
+        from repro.filestore.journal import SaveJournal
+
+        journal = SaveJournal.create(tmp_path / "journal")
+        journal.record("blob", file_id="f1")
+        journal.record_many([{"op": "chunk", "digest": d} for d in ("a", "b", "c")])
+        journal.record_many([])
+        lines = journal.path.read_text().splitlines()
+        assert lines[1:] == [
+            '{"digest": "a", "op": "chunk"}',
+            '{"digest": "b", "op": "chunk"}',
+            '{"digest": "c", "op": "chunk"}',
+        ]
+        assert SaveJournal.load(journal.path).entries == journal.entries
+        assert len(journal.entries) == 4
+
+
 class TestPerCrashRepair:
     def test_fsck_repairs_after_every_individual_crash(self, layout, tmp_path):
         """The exhaustive matrix: after *each* crash point, repair + verify."""

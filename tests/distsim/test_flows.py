@@ -114,8 +114,15 @@ class TestProvenanceFlow:
         return run_evaluation_flow("provenance", chain, TINY, stores)
 
     def test_mpa_ttr_dominates_other_approaches(self, metrics):
-        ttr = metrics.median_ttr()
-        assert ttr["U_3-2-2"] > 5 * ttr["U_1"]
+        """§4.4: the MPA's TTR is its training replays.  Asserted on each
+        recover's own Fig. 12 split (three replays against that recover's
+        load + check-hash, the terms the other approaches consist of), not
+        across two wall-clock samples a loaded host can reorder."""
+        deepest = [r for r in metrics.records if r.use_case == "U_3-2-2"]
+        assert deepest and all(r.recovery_depth == 3 for r in deepest)
+        for record in deepest:
+            timings = record.ttr_timings
+            assert timings["recover"] > 5 * (timings["load"] + timings["check_hash"])
 
     def test_mpa_storage_has_dataset_component(self, metrics):
         derived = [r for r in metrics.records if r.use_case == "U_3-1-1"]

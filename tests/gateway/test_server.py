@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
 
 import numpy as np
@@ -319,6 +320,11 @@ class TestIdleMaintenance:
     def test_deep_chain_recovery_triggers_idle_compaction(self, tmp_path):
         registry = make_registry(tmp_path, tenants={"acme": TenantQuota()})
         maintenance = IdleMaintenance(registry, max_depth=3, min_interval_s=0.0)
+        # the idle sweep resets the depth mark the moment the server has
+        # slack; hold it back until the armed mark has been observed
+        sweep_allowed = threading.Event()
+        trigger_due = maintenance.due
+        maintenance.due = lambda: sweep_allowed.is_set() and trigger_due()
         states = [mlp_state(step) for step in range(6)]
         gauge = obs.registry().gauge(RECOVERY_DEPTH_GAUGE)
         server = GatewayServer(
@@ -335,6 +341,8 @@ class TestIdleMaintenance:
             tip_id, before = run(build_and_recover())
             assert before.recovery_depth == 5
             assert gauge.value == 5  # the high-water mark armed the trigger
+            assert maintenance.runs == 0
+            sweep_allowed.set()
 
             deadline_at = time.perf_counter() + 15.0
             while maintenance.runs == 0 and time.perf_counter() < deadline_at:

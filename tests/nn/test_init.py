@@ -77,9 +77,7 @@ class TestSeededness:
 
 class TestTruncatedNormal:
     def test_googlenet_truncnorm_respects_bound(self):
-        from repro.nn.models.googlenet import _truncated_normal_
-
         t = Tensor(np.zeros(20_000))
-        _truncated_normal_(t, std=0.01, bound=2.0)
+        init.trunc_normal_(t, std=0.01, bound=2.0)
         assert np.abs(t.data).max() <= 0.02 + 1e-6
         assert t.data.std() == pytest.approx(0.0088, rel=0.2)  # truncated sigma

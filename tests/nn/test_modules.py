@@ -88,6 +88,35 @@ class TestStateDict:
         external["5.bias"][...] = 123.0
         assert not np.any(model.state_dict()["5.bias"] == 123.0)
 
+    def test_assign_adopts_arrays_whose_layout_allows(self):
+        model = make_tiny_cnn()
+        external = {k: v.copy() for k, v in model.state_dict().items()}
+        model.load_state_dict(external, assign=True)
+        for key, array in external.items():
+            assert model.state_dict()[key] is array, key
+
+    def test_assign_copies_what_it_cannot_adopt(self):
+        model = make_tiny_cnn()
+        state = model.state_dict()
+        external = {k: v.copy() for k, v in state.items()}
+        external["5.bias"].flags.writeable = False  # e.g. a view of ``bytes``
+        external["0.weight"] = external["0.weight"].astype(np.float64)  # other dtype
+        external["5.weight"] = np.asfortranarray(external["5.weight"])
+        external["1.running_mean"] = external["1.running_mean"].tolist()
+        unaligned = np.zeros(4 * 4 + 1, dtype=np.uint8)[1:].view(np.float32)
+        unaligned[...] = external["1.weight"]
+        external["1.weight"] = unaligned
+        assert not unaligned.flags.aligned
+        model.load_state_dict(external, assign=True)
+        loaded = model.state_dict()
+        for key in ("5.bias", "0.weight", "5.weight", "1.running_mean", "1.weight"):
+            assert np.array_equal(loaded[key], np.asarray(external[key])), key
+            assert loaded[key] is not external[key]
+            flags = loaded[key].flags
+            assert flags.writeable and flags.c_contiguous and flags.aligned, key
+        assert loaded["0.weight"].dtype == np.float32
+        assert loaded["1.running_var"] is external["1.running_var"]
+
 
 class TestModesAndFreezing:
     def test_train_eval_propagate(self):
