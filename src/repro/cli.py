@@ -844,7 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
     events_parser.set_defaults(func=cmd_events)
 
     serve_parser = commands.add_parser(
-        "serve", help="run the multi-tenant serving gateway (TCP JSON-lines)"
+        "serve",
+        help="run the multi-tenant serving gateway (TCP: JSON header + raw payload)",
     )
     serve_parser.add_argument(
         "--tenants", required=True,

@@ -2,14 +2,16 @@
 
 The gateway's first line of defense.  Every request passes through
 :meth:`AdmissionController.admit` *before* any storage work happens;
-rejections are cheap (no thread-pool hop, no deserialization of model
-bytes beyond measuring them) so an overloaded gateway stays responsive
-while shedding.
+rejections are cheap (no thread-pool hop; a frame's payload has been read
+off the socket, to keep the connection in step, but is never decoded) so
+an overloaded gateway stays responsive while shedding.
 
 Two independent mechanisms per tenant:
 
 * **Token buckets** (requests/sec and bytes/sec) enforce the tenant's
-  contracted rate.  An empty bucket rejects with ``quota`` and an honest
+  contracted rate.  Bytes are the request frame as it crossed the socket
+  — header line plus raw payload — so a save costs its true size.  An
+  empty bucket rejects with ``quota`` and an honest
   ``retry_after_s`` — the time until enough tokens refill — so a
   well-behaved client backs off exactly as long as needed.
 * **Inflight bound** caps admitted-but-unfinished requests.  When one
@@ -136,7 +138,7 @@ class AdmissionController:
         }
 
     def admit(self, tenant: str, nbytes: int = 0) -> AdmissionTicket:
-        """Admit one request of ``nbytes`` payload or raise a typed shed.
+        """Admit one request of ``nbytes`` on the wire or raise a typed shed.
 
         Checks run cheapest-first and the queue slot is taken *last*, so
         a rejection never leaks a slot.  Byte tokens are only charged

@@ -3,7 +3,10 @@
 One :class:`AsyncGatewayClient` holds one TCP connection and pipelines
 requests over it: each request gets a client-assigned id and an awaiting
 future; a single reader task matches responses back by id, so any number
-of coroutines can share the connection concurrently.
+of coroutines can share the connection concurrently.  Model states cross
+the socket as the raw payload of a frame (:mod:`repro.gateway.protocol`):
+a save hands the arrays' own buffers to the transport, a recover decodes
+the received buffer once.
 
 Error handling mirrors the storage stack's retry contract:
 
@@ -25,13 +28,12 @@ server re-enters that budget (minus queue wait) on its worker thread.
 from __future__ import annotations
 
 import asyncio
-import base64
 import itertools
 from dataclasses import dataclass
 
 from .. import deadline
 from ..errors import MMLibError, TransientStoreError
-from .protocol import MAX_LINE_BYTES, decode_line, encode_line
+from .protocol import MAX_LINE_BYTES, Frame, encode_frame, read_frame
 
 __all__ = [
     "AsyncGatewayClient",
@@ -156,13 +158,12 @@ class AsyncGatewayClient:
         assert self._reader is not None
         try:
             while True:
-                line = await self._reader.readline()
-                if not line:
+                frame = await read_frame(self._reader)
+                if frame is None:
                     break
-                response = decode_line(line)
-                future = self._pending.pop(response.get("id"), None)
+                future = self._pending.pop(frame.header.get("id"), None)
                 if future is not None and not future.done():
-                    future.set_result(response)
+                    future.set_result(frame)
         except asyncio.CancelledError:
             raise
         except Exception as exc:
@@ -182,6 +183,12 @@ class AsyncGatewayClient:
         bounded client-side (budget + a grace period) so even a
         misbehaving server cannot hang the caller.
         """
+        return (await self._exchange(op, deadline_s, fields)).header
+
+    async def _exchange(
+        self, op: str, deadline_s: float | None, fields: dict, payload=()
+    ) -> Frame:
+        """One request frame out, its response frame back."""
         if self._writer is None:
             raise GatewayConnectionError("client is not connected")
         if deadline_s is None and deadline.current() is not None:
@@ -194,14 +201,14 @@ class AsyncGatewayClient:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
         try:
-            data = encode_line(message)
+            buffers = encode_frame(message, payload)
             async with self._write_lock:
-                self._writer.write(data)
+                self._writer.writelines(buffers)
                 await self._writer.drain()
             if deadline_s is not None:
-                response = await asyncio.wait_for(future, deadline_s + self.grace_s)
+                frame = await asyncio.wait_for(future, deadline_s + self.grace_s)
             else:
-                response = await future
+                frame = await future
         except asyncio.TimeoutError:
             # distinct from the server's typed "deadline" rejection: here NO
             # response arrived at all — the hung-socket case the bench gates on
@@ -214,9 +221,9 @@ class AsyncGatewayClient:
             raise GatewayConnectionError(str(exc)) from exc
         finally:
             self._pending.pop(request_id, None)
-        if not response.get("ok", False):
-            _raise_for_error(response.get("error", {}))
-        return response
+        if not frame.header.get("ok", False):
+            _raise_for_error(frame.header.get("error", {}))
+        return frame
 
     # -- convenience ops ---------------------------------------------------
 
@@ -236,7 +243,9 @@ class AsyncGatewayClient:
 
         ``state`` is a state dict (arrays) loaded into the freshly built
         module server-side; omit it to save the factory's initial state.
-        Returns the qualified model id (``<tenant>/<id>``).
+        Its arrays are sent from their own memory, so leave them unchanged
+        until this call returns.  Returns the qualified model id
+        (``<tenant>/<id>``).
         """
         from ..nn import serialization
 
@@ -248,16 +257,14 @@ class AsyncGatewayClient:
             "factory_name": name,
             "factory_kwargs": factory_kwargs or {},
         }
-        if state is not None:
-            fields["state_b64"] = base64.b64encode(
-                serialization.dumps(state)
-            ).decode("ascii")
         if base is not None:
             fields["base"] = base
         if use_case is not None:
             fields["use_case"] = use_case
-        response = await self.request("save", deadline_s=deadline_s, **fields)
-        return response["model_id"]
+        # preamble + the arrays' own memoryviews: no joined copy, no armour
+        payload = list(serialization.iter_serialized(state)) if state is not None else ()
+        frame = await self._exchange("save", deadline_s, fields, payload)
+        return frame.header["model_id"]
 
     async def recover_model(
         self,
@@ -267,10 +274,18 @@ class AsyncGatewayClient:
     ) -> RecoveredState:
         from ..nn import serialization
 
-        response = await self.request(
-            "recover", deadline_s=deadline_s, model_id=model_id, verify=verify
+        frame = await self._exchange(
+            "recover", deadline_s, {"model_id": model_id, "verify": verify}
         )
-        state = serialization.loads(base64.b64decode(response["state_b64"]))
+        response = frame.header
+        try:
+            state = serialization.loads(frame.payload)
+        except ValueError as exc:
+            # acked, but no usable state came with it (e.g. a peer that
+            # predates payload framing): refuse rather than hand back junk
+            raise GatewayRequestError(
+                "internal", f"recover response carried no valid state: {exc}"
+            ) from exc
         return RecoveredState(
             model_id=response["model_id"],
             state=state,

@@ -1,21 +1,43 @@
 """Wire protocol for the serving gateway.
 
-The gateway speaks newline-delimited JSON over TCP — the same framing as
-:mod:`repro.docstore.server`, chosen for debuggability (``nc`` works) and
-because every payload the registry moves is already JSON-friendly
-(model states travel base64-encoded).  Each request carries a client-
-assigned ``id`` so responses can be matched out of order: the server
-pipelines, handling every request on the connection concurrently.
+One framing, both directions.  A **frame** is a JSON header line,
+optionally followed by raw payload bytes::
 
-Request shape::
+    frame   = header payload
+    header  = one JSON object, compact, UTF-8, terminated by "\\n"
+    payload = exactly header["payload_bytes"] bytes (none when absent or 0)
 
-    {"id": 7, "op": "save", "tenant": "acme", "deadline_s": 2.5, ...}
+The header is what :func:`encode_line` produces and :func:`decode_line`
+parses.  The payload is opaque to this module: ``save`` requests and
+``recover`` responses put a :mod:`repro.nn.serialization` byte stream
+there (the arrays' own buffers — nothing is base64-armoured or embedded
+in the JSON), every other op carries none, so those can still be typed
+into ``nc`` by hand.  Each request carries a client-assigned ``id`` so
+responses can be matched out of order: the server pipelines, handling
+every request on the connection concurrently.
 
-Response shape::
+Request header::
+
+    {"id": 7, "op": "save", "tenant": "acme", "deadline_s": 2.5,
+     "payload_bytes": 1092648, ...}
+
+Response header::
 
     {"id": 7, "ok": true, ...}                      # success
     {"id": 7, "ok": false, "error": {"kind": "overloaded",
      "message": "...", "retryable": true, "retry_after_s": 0.05}}
+
+Limits: a header line and a payload are each at most
+:data:`MAX_LINE_BYTES`.  ``payload_bytes`` must be a JSON integer in
+``[0, MAX_LINE_BYTES]`` and is checked *before* a byte of the payload is
+read.
+
+What ends a connection: a header line over the limit, a ``payload_bytes``
+that fails that check (:class:`FrameError` — the receiver cannot know
+where the next frame starts; the server answers ``invalid`` first), and a
+peer that goes away mid-payload.  A header that is not a JSON object is
+answered ``invalid`` and the connection carries on, because a frame that
+declares no payload ends at its newline.
 
 Error *kinds* are the stable contract: clients dispatch on ``kind`` and
 ``retryable``, never on message text.  Retryable kinds mean "the request
@@ -27,7 +49,7 @@ response knows the connection (not the request semantics) failed.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, NamedTuple, Sequence
 
 from ..errors import (
     DeadlineExceededError,
@@ -39,16 +61,20 @@ from ..errors import (
 __all__ = [
     "ERROR_KINDS",
     "MAX_LINE_BYTES",
+    "Frame",
+    "FrameError",
     "GatewayError",
     "decode_line",
+    "encode_frame",
     "encode_line",
+    "read_frame",
     "error_payload",
     "error_from_exception",
 ]
 
-#: Upper bound on one framed message.  Large enough for base64 of a
-#: multi-megabyte model state, small enough to stop a runaway client
-#: from ballooning server memory.
+#: Upper bound on a header line and, separately, on a payload.  Large
+#: enough for a multi-megabyte model state, small enough to stop a runaway
+#: client from ballooning server memory.
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
 #: kind -> retryable.  The client raises retryable kinds as
@@ -141,3 +167,75 @@ def decode_line(line: bytes) -> dict[str, Any]:
     if not isinstance(message, dict):
         raise GatewayError("invalid", "frame must be a JSON object")
     return message
+
+
+class FrameError(GatewayError):
+    """A header whose ``payload_bytes`` cannot be honoured.
+
+    Always kind ``invalid``.  The stream is out of step after it — what
+    follows may be payload or the next header — so the receiver ends the
+    connection; ``request_id`` lets a server answer the sender first.
+    """
+
+    def __init__(self, message: str, request_id: Any = None):
+        super().__init__("invalid", message)
+        self.request_id = request_id
+
+
+class Frame(NamedTuple):
+    """One received frame; ``wire_bytes`` counts header line and payload."""
+
+    header: dict[str, Any]
+    payload: bytes
+    wire_bytes: int
+
+
+def _payload_length(header: dict[str, Any]) -> int:
+    declared = header.get("payload_bytes", 0)
+    # bool is an int subclass: `true` would otherwise read as one byte
+    if type(declared) is not int or not 0 <= declared <= MAX_LINE_BYTES:
+        raise FrameError(
+            f"'payload_bytes' must be an integer in [0, {MAX_LINE_BYTES}], "
+            f"got {declared!r}",
+            request_id=header.get("id"),
+        )
+    return declared
+
+
+def encode_frame(
+    header: dict[str, Any], payload: Sequence[bytes | memoryview] = ()
+) -> list[bytes | memoryview]:
+    """Frame ``header`` and ``payload`` as buffers for ``writer.writelines``.
+
+    ``payload`` is a sequence of bytes-like chunks (flat byte views, e.g.
+    :func:`repro.nn.serialization.iter_serialized`); they are passed
+    through uncopied behind a header line that declares their total
+    length.  ``header`` is not modified.
+    """
+    nbytes = sum(len(chunk) for chunk in payload)
+    if nbytes > MAX_LINE_BYTES:
+        raise GatewayError(
+            "invalid", f"payload of {nbytes} bytes exceeds {MAX_LINE_BYTES}"
+        )
+    if nbytes:
+        header = {**header, "payload_bytes": nbytes}
+    return [encode_line(header), *payload]
+
+
+async def read_frame(reader) -> Frame | None:
+    """Read one frame from an ``asyncio.StreamReader``; ``None`` at EOF.
+
+    Raises :class:`GatewayError` (``invalid``) for a header line that is
+    not a JSON object — the stream is still in step, the caller may read
+    on — and :class:`FrameError` for an unusable ``payload_bytes``, raised
+    before any of the payload is read.  A header line over the reader's
+    limit raises ``ValueError`` and EOF inside a payload raises
+    ``asyncio.IncompleteReadError``, as the stream reader reports them.
+    """
+    line = await reader.readline()
+    if not line:
+        return None
+    header = decode_line(line)
+    nbytes = _payload_length(header)
+    payload = await reader.readexactly(nbytes) if nbytes else b""
+    return Frame(header, payload, len(line) + nbytes)

@@ -2,15 +2,19 @@
 
 One :class:`GatewayServer` runs an asyncio event loop (in a background
 thread, so tests and the CLI can drive it from synchronous code) and
-accepts JSON-lines TCP connections.  The split of work is strict:
+accepts TCP connections speaking the frames of
+:mod:`repro.gateway.protocol` (a JSON header line, then the raw bytes it
+declares).  The split of work is strict:
 
-* **Event loop**: framing, admission control, response writing.  Nothing
-  here blocks — a rejected request never touches the thread pool, which
-  is what keeps the gateway responsive while shedding under overload.
-* **Worker pool**: everything that talks to storage.  The synchronous
-  stack (save transactions, quorum writes, chain recovery, retries) runs
-  unchanged on pool threads; per-thread write-ahead journals make
-  concurrent saves from different workers safe.
+* **Event loop**: reading frames, admission control, response writing.
+  Nothing here blocks — a rejected request never touches the thread pool,
+  which is what keeps the gateway responsive while shedding under
+  overload.
+* **Worker pool**: everything that talks to storage, and encoding the
+  response frame.  The synchronous stack (save transactions, quorum
+  writes, chain recovery, retries) runs unchanged on pool threads;
+  per-thread write-ahead journals make concurrent saves from different
+  workers safe.
 
 Requests pipeline per connection — each incoming frame becomes its own
 task, responses are written under a lock in completion order, and the
@@ -31,17 +35,20 @@ import asyncio
 import contextlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple, Sequence
 
 from .. import deadline, obs
 from ..errors import DeadlineExceededError
 from .admission import AdmissionController
 from .protocol import (
     MAX_LINE_BYTES,
+    Frame,
+    FrameError,
     GatewayError,
-    decode_line,
-    encode_line,
+    encode_frame,
     error_from_exception,
     error_payload,
+    read_frame,
 )
 from .tenancy import TenantRegistry
 
@@ -51,6 +58,23 @@ __all__ = ["GatewayServer"]
 #: imports the named module server-side; an open prefix list would make
 #: ``save`` an arbitrary-import primitive.
 ALLOWED_FACTORY_PREFIXES = ("repro.", "tests.")
+
+#: Every header field a ``save`` reads.  Anything else is refused: a field
+#: the server would ignore may be the model's weights in a framing it no
+#: longer speaks (base64 inside the header, from a pre-payload client), and
+#: acking that save would store the factory's *initial* state under the
+#: client's name.
+SAVE_FIELDS = frozenset({
+    "id", "op", "tenant", "deadline_s", "payload_bytes",
+    "factory_module", "factory_name", "factory_kwargs", "base", "use_case",
+})
+
+
+class Reply(NamedTuple):
+    """What an op handler returns: response fields and payload chunks."""
+
+    body: dict
+    payload: Sequence[bytes | memoryview] = ()
 
 
 class GatewayServer:
@@ -101,6 +125,14 @@ class GatewayServer:
         self._obs_connections = metrics.counter(
             "mmlib_gateway_connections_total", "Accepted gateway connections"
         )
+        self._obs_wire_bytes = {
+            direction: metrics.counter(
+                "mmlib_gateway_wire_bytes_total",
+                "Bytes of gateway frames (header line + payload)",
+                direction=direction,
+            )
+            for direction in ("in", "out")
+        }
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -208,21 +240,35 @@ class GatewayServer:
         self._obs_connections.inc()
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
+
+        def spawn(coro) -> None:
+            task = asyncio.create_task(coro)
+            tasks.add(task)
+            task.add_done_callback(tasks.discard)
+
+        def refuse(request_id, exc: GatewayError) -> None:
+            spawn(self._send(writer, write_lock, _error_frame(request_id, exc)))
+
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (ValueError, ConnectionError, asyncio.LimitOverrunError):
-                    # oversized frame or torn connection — nothing sane to
-                    # answer on this socket anymore
+                    frame = await read_frame(reader)
+                except FrameError as exc:
+                    # where the next frame starts is unknowable: say why,
+                    # then give the socket up
+                    refuse(exc.request_id, exc)
                     break
-                if not line:
+                except GatewayError as exc:  # junk line, stream still in step
+                    refuse(None, exc)
+                    continue
+                except (ValueError, ConnectionError, asyncio.IncompleteReadError):
+                    # oversized header, torn connection or torn payload —
+                    # nothing sane to answer on this socket anymore
                     break
-                task = asyncio.create_task(
-                    self._handle_line(line, writer, write_lock)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
+                if frame is None:
+                    break
+                self._obs_wire_bytes["in"].inc(frame.wire_bytes)
+                spawn(self._handle_frame(frame, writer, write_lock))
         finally:
             # the client closed its write side; finish answering what was
             # already submitted before tearing the socket down
@@ -232,44 +278,39 @@ class GatewayServer:
                 writer.close()
                 await writer.wait_closed()
 
-    async def _send(self, writer, write_lock, message: dict) -> None:
-        try:
-            data = encode_line(message)
-        except GatewayError as exc:
-            data = encode_line(
-                {"id": message.get("id"), "ok": False, "error": error_payload(exc)}
-            )
+    async def _send(self, writer, write_lock, buffers: list) -> None:
+        self._obs_wire_bytes["out"].inc(sum(len(buffer) for buffer in buffers))
         async with write_lock:
-            writer.write(data)
+            writer.writelines(buffers)
             with contextlib.suppress(ConnectionError):
                 await writer.drain()
 
-    async def _handle_line(self, line: bytes, writer, write_lock) -> None:
-        request_id = None
+    async def _handle_frame(self, frame: Frame, writer, write_lock) -> None:
+        request_id = frame.header.get("id")
         try:
-            request = decode_line(line)
-            request_id = request.get("id")
-            response = await self._handle_request(request, len(line))
-        except GatewayError as exc:
-            response = {"ok": False, "error": error_payload(exc)}
+            buffers = await self._handle_request(frame)
         except Exception as exc:  # never let a bug hang the socket
-            response = {"ok": False, "error": error_payload(error_from_exception(exc))}
-        response["id"] = request_id
-        await self._send(writer, write_lock, response)
+            buffers = _error_frame(request_id, error_from_exception(exc))
+        await self._send(writer, write_lock, buffers)
 
-    async def _handle_request(self, request: dict, nbytes: int) -> dict:
+    async def _handle_request(self, frame: Frame) -> list:
+        """Admit and run one request; returns its encoded response frame."""
+        request = frame.header
         op = request.get("op")
         if not isinstance(op, str):
             raise GatewayError("invalid", "request needs a string 'op'")
         if op == "ping":  # health probe: no tenant, no admission
-            return {"ok": True, "pong": True, "draining": self._draining}
+            return encode_frame(
+                {"id": request.get("id"), "ok": True, "pong": True,
+                 "draining": self._draining}
+            )
         if self._draining:
             raise GatewayError("shutting_down", "gateway is draining")
         tenant_name = request.get("tenant")
         if not isinstance(tenant_name, str):
             raise GatewayError("invalid", f"op {op!r} needs a string 'tenant'")
         tenant = self.registry.tenant(tenant_name)
-        ticket = self.admission.admit(tenant_name, nbytes)
+        ticket = self.admission.admit(tenant_name, frame.wire_bytes)
         admitted_at = obs.clock().perf()
         deadline_s = request.get("deadline_s")
         if deadline_s is not None and not isinstance(deadline_s, (int, float)):
@@ -279,16 +320,16 @@ class GatewayServer:
         try:
             assert self._loop is not None
             async with self._exec_slots[tenant_name]:
-                result = await self._loop.run_in_executor(
+                buffers = await self._loop.run_in_executor(
                     self._executor,
                     self._execute,
-                    request,
+                    frame,
                     tenant,
                     admitted_at,
                     deadline_s,
                 )
             status = "ok"
-            return {"ok": True, **result}
+            return buffers
         except GatewayError as exc:
             status = exc.kind
             raise
@@ -310,32 +351,61 @@ class GatewayServer:
 
     # -- request execution (worker threads) --------------------------------
 
-    def _execute(self, request: dict, tenant, admitted_at: float, deadline_s):
-        """Run one admitted request on a pool thread under its deadline."""
-        if deadline_s is None:
-            return self._dispatch(request, tenant)
-        remaining = float(deadline_s) - (obs.clock().perf() - admitted_at)
-        if remaining <= 0:
-            raise DeadlineExceededError(
-                f"deadline budget of {float(deadline_s):.3f}s spent before "
-                "execution started (queue wait)"
-            )
-        with deadline.scope(remaining):
-            return self._dispatch(request, tenant)
+    def _execute(self, frame: Frame, tenant, admitted_at: float, deadline_s) -> list:
+        """Run one admitted request on a pool thread under its deadline.
 
-    def _dispatch(self, request: dict, tenant) -> dict:
-        op = request["op"]
+        Returns the encoded response frame, so the storage spans of the op
+        nest under one ``gateway.request`` span that also knows both frame
+        sizes, and the event loop is left only the socket write.
+        """
+        request = frame.header
+        queue_wait_s = obs.clock().perf() - admitted_at
+        with obs.span(
+            "gateway.request",
+            op=request["op"],
+            tenant=tenant.name,
+            queue_wait_s=queue_wait_s,
+            request_bytes=frame.wire_bytes,
+        ) as span:
+            if deadline_s is None:
+                reply = self._dispatch(frame, tenant)
+            else:
+                remaining = float(deadline_s) - queue_wait_s
+                if remaining <= 0:
+                    raise DeadlineExceededError(
+                        f"deadline budget of {float(deadline_s):.3f}s spent "
+                        "before execution started (queue wait)"
+                    )
+                with deadline.scope(remaining):
+                    reply = self._dispatch(frame, tenant)
+            buffers = encode_frame(
+                {"id": request.get("id"), "ok": True, **reply.body}, reply.payload
+            )
+            span.set(response_bytes=sum(len(buffer) for buffer in buffers))
+            return buffers
+
+    def _dispatch(self, frame: Frame, tenant) -> Reply:
+        op = frame.header["op"]
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
             raise GatewayError("invalid", f"unknown op {op!r}")
-        return handler(request, tenant)
+        if op == "save":
+            return handler(frame.header, frame.payload, tenant)
+        if frame.payload:
+            raise GatewayError("invalid", f"op {op!r} takes no payload")
+        return handler(frame.header, tenant)
 
-    def _op_save(self, request: dict, tenant) -> dict:
-        import base64
-
+    def _op_save(self, request: dict, payload: bytes, tenant) -> Reply:
         from ..core.save_info import ArchitectureRef, ModelSaveInfo
         from ..nn import serialization
 
+        unread = sorted(set(request) - SAVE_FIELDS)
+        if unread:
+            raise GatewayError(
+                "invalid",
+                f"save does not take {unread}; the state to save is the "
+                "frame's payload ('payload_bytes' raw bytes after the header)",
+            )
         module = request.get("factory_module")
         factory = request.get("factory_name")
         if not isinstance(module, str) or not isinstance(factory, str):
@@ -350,12 +420,11 @@ class GatewayServer:
             )
         kwargs = request.get("factory_kwargs") or {}
         architecture = ArchitectureRef.from_factory(module, factory, kwargs)
-        state_b64 = request.get("state_b64")
-        if state_b64 is None:
+        if not payload:
             model = architecture.build()
         else:
             # decoded for this request alone, so the model adopts it
-            state = serialization.loads(base64.b64decode(state_b64))
+            state = serialization.loads(payload)
             model = architecture.build_from(state, assign=True)
         base = request.get("base")
         if base is not None:
@@ -369,11 +438,9 @@ class GatewayServer:
                 use_case=request.get("use_case"),
             )
         )
-        return {"model_id": tenant.qualify(model_id)}
+        return Reply({"model_id": tenant.qualify(model_id)})
 
-    def _op_recover(self, request: dict, tenant) -> dict:
-        import base64
-
+    def _op_recover(self, request: dict, tenant) -> Reply:
         from ..nn import serialization
 
         model_id = request.get("model_id")
@@ -383,10 +450,11 @@ class GatewayServer:
         recovered = tenant.service.recover_model(
             internal, verify=bool(request.get("verify", True))
         )
-        payload = serialization.dumps(recovered.model.state_dict())
-        return {
+        # the recovered model is this request's alone: its arrays go to the
+        # socket from their own memory
+        payload = list(serialization.iter_serialized(recovered.model.state_dict()))
+        body = {
             "model_id": tenant.qualify(recovered.model_id),
-            "state_b64": base64.b64encode(payload).decode("ascii"),
             "verified": recovered.verified,
             "recovery_depth": recovered.recovery_depth,
             "base_model_id": (
@@ -395,14 +463,15 @@ class GatewayServer:
                 else None
             ),
         }
+        return Reply(body, payload)
 
-    def _op_find(self, request: dict, tenant) -> dict:
+    def _op_find(self, request: dict, tenant) -> Reply:
         use_case = request.get("use_case")
         if use_case is not None:
             records = tenant.manager.find_by_use_case(use_case)
         else:
             records = tenant.manager.list_models()
-        return {
+        return Reply({
             "models": [
                 {
                     "model_id": tenant.qualify(record.model_id),
@@ -417,25 +486,25 @@ class GatewayServer:
                 }
                 for record in records
             ]
-        }
+        })
 
-    def _op_delete(self, request: dict, tenant) -> dict:
+    def _op_delete(self, request: dict, tenant) -> Reply:
         model_id = request.get("model_id")
         if not isinstance(model_id, str):
             raise GatewayError("invalid", "delete needs a string 'model_id'")
         tenant.manager.delete_model(
             tenant.resolve(model_id), force=bool(request.get("force", False))
         )
-        return {"deleted": True}
+        return Reply({"deleted": True})
 
-    def _op_stats(self, request: dict, tenant) -> dict:
+    def _op_stats(self, request: dict, tenant) -> Reply:
         stats = self.registry.admin_manager().stats()
         stats["tenant"] = {
             "name": tenant.name,
             "models": tenant.manager.documents.collection("models").count(),
             "inflight": self.admission.inflight(tenant.name),
         }
-        return {"stats": stats}
+        return Reply({"stats": stats})
 
     # -- idle maintenance --------------------------------------------------
 
@@ -453,3 +522,7 @@ class GatewayServer:
             await self._loop.run_in_executor(
                 self._executor, self._maintenance.maybe_run
             )
+
+
+def _error_frame(request_id, exc: GatewayError) -> list:
+    return encode_frame({"id": request_id, "ok": False, "error": error_payload(exc)})

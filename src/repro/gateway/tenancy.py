@@ -39,7 +39,9 @@ class TenantQuota:
 
     ``requests_per_s``/``bytes_per_s`` refill the token buckets;
     ``burst_requests``/``burst_bytes`` cap how much unused budget can
-    accumulate (the bucket size).  ``max_inflight`` bounds the tenant's
+    accumulate (the bucket size).  A request is charged the bytes of its
+    frame — header line plus raw payload, so saving an N-byte state costs
+    N bytes and a few hundred of header.  ``max_inflight`` bounds the tenant's
     queue of admitted-but-unfinished requests — beyond it the gateway
     sheds with ``overloaded`` instead of queueing unboundedly.
     ``max_concurrency`` bounds how many of those may *execute* on the

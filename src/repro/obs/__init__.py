@@ -212,6 +212,10 @@ def preregister_default_families(reg: Registry | None = None) -> None:
     reg.counter("mmlib_antientropy_repairs_total",
                 "Replica sets healed by the anti-entropy scanner")
     reg.counter("mmlib_gateway_connections_total", "Accepted gateway connections")
+    for direction in ("in", "out"):
+        reg.counter("mmlib_gateway_wire_bytes_total",
+                    "Bytes of gateway frames (header line + payload)",
+                    direction=direction)
     reg.counter("mmlib_gateway_requests_total",
                 "Gateway requests by op, tenant, and outcome status",
                 op="all", tenant="all", status="ok")
