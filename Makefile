@@ -44,11 +44,13 @@ bench-cluster:
 bench-serving:
 	$(PY) scripts/bench_serving.py --smoke
 
-# fault-injection tests (fixed seeds) + chaos smoke; writes BENCH_chaos.json
+# fault-injection tests (fixed seeds) + the recovery plan's count gate (one
+# build, one fetch per chain recover) + chaos smoke; writes BENCH_chaos.json
 chaos:
 	PYTHONPATH=src $(PY) -m pytest -q tests/filestore/test_faults.py \
 		tests/filestore/test_segments.py \
-		tests/core/test_crash_consistency.py tests/core/test_fsck.py
+		tests/core/test_crash_consistency.py tests/core/test_fsck.py \
+		tests/core/test_recovery_plan.py::TestCounts
 	$(PY) scripts/chaos_smoke.py
 
 api-docs:

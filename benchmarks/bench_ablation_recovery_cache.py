@@ -5,7 +5,9 @@ O(n²) base recoveries (every model re-recovers its full prefix).  The
 :class:`~repro.core.RecoveryCache` extension memoizes prefixes, reducing a
 sweep to O(n).  This ablation times a full-chain sweep both ways for the
 PUA and the MPA — where base recovery means replaying training, so the
-cache saving is dramatic.
+cache saving is dramatic.  The PUA row is the control: its recover resolves
+the chain and reads every layer once (DESIGN.md §16), so it is flat in depth
+without a cache and the cache's private copies buy it nothing.
 """
 
 import time

@@ -5,23 +5,26 @@ entirely by what a model document contains, so the logic lives here once:
 
 * a document with a ``parameters_file`` is a full snapshot — rebuild the
   architecture and load the parameters (baseline logic);
-* a ``param_update`` document recovers its base model first, then merges
-  the saved parameter update layer-wise, prioritizing the update
-  (Section 3.2);
+* a ``param_update`` document is the tip of a chain of parameter updates
+  over a base model, merged layer-wise with the tip-most update winning
+  (Section 3.2).  The paper recovers the base, then applies the update,
+  level by level; here the chain is *resolved* first — its documents are
+  walked to the nearest recovery base — and then *read* once: one merged
+  layer list, one fetch, one model build (DESIGN.md §16);
 * a ``provenance`` document recovers its base model first, then reproduces
   the recorded training (Section 3.3).
 
-Recovery is therefore recursive for derived models, matching the paper's
-description, while the baseline "explicitly excludes loading documents
-holding base model information" — its documents simply never reference any
-during recovery.
+The baseline "explicitly excludes loading documents holding base model
+information" — its documents simply never reference any during recovery.
 """
 
 from __future__ import annotations
 
 import json
 import tempfile
+from collections import OrderedDict
 from contextlib import contextmanager
+from itertools import groupby
 from pathlib import Path
 
 from .. import obs
@@ -59,6 +62,15 @@ from .schema import (
 from .train_service import load_train_service
 
 __all__ = ["AbstractSaveService"]
+
+#: What a recover reads of a model document.  Never ``layer_hashes`` or
+#: ``updated_layers``: they are most of a document's bytes, and the layers a
+#: level holds are named by its manifest.
+_RECOVER_FIELDS = (
+    "approach", "base_model", "use_case", "environment_id", "merkle_root",
+    "parameters_file", "update_file", "architecture",
+    "train_info_id", "provenance",
+)
 
 
 class AbstractSaveService:
@@ -246,11 +258,25 @@ class AbstractSaveService:
             )
         return self.files.save_bytes(serialization.dumps(state), suffix=f".{kind}")
 
-    def _load_state_file(self, file_id: str):
-        """Inverse of :meth:`_save_state`: rebuild the state dict."""
-        if file_id.endswith(".manifest") and hasattr(self.files, "recover_state_chunks"):
-            return self.files.recover_state_chunks(file_id)
-        return serialization.loads(self.files.recover_bytes(file_id))
+    def _load_state_files(self, file_ids: list[str]) -> OrderedDict:
+        """Inverse of :meth:`_save_state` over a chain's levels, base first.
+
+        A layer is taken from the last level that holds it.  Consecutive
+        chunked levels are one call into the file store, which merges their
+        manifests before it fetches; a monolithic level is loaded whole.
+        """
+        state = OrderedDict()
+        read_ahead = self.prefetcher.prefetch if self.prefetcher is not None else None
+        for chunked, run in groupby(file_ids, key=self._is_chunked_file):
+            if chunked:
+                state.update(self.files.recover_state_chunks(list(run), read_ahead=read_ahead))
+            else:
+                for file_id in run:
+                    state.update(serialization.loads(self.files.recover_bytes(file_id)))
+        return state
+
+    def _is_chunked_file(self, file_id: str) -> bool:
+        return file_id.endswith(".manifest") and hasattr(self.files, "recover_state_chunks")
 
     def _insert_model_document(self, document: dict) -> str:
         model_id = new_model_id()
@@ -342,11 +368,7 @@ class AbstractSaveService:
         ) as sp:
             recover_started = self.clock.perf()
             timings = {"load": 0.0, "recover": 0.0, "check_env": 0.0, "check_hash": 0.0}
-            document = self._get_model_document(model_id)
-            if self.prefetcher is not None and document.get("base_model"):
-                # stream the whole base chain into the hot-chunk cache while
-                # the recursion below applies it level by level
-                self.prefetcher.prefetch_chain(model_id)
+            document = self._get_model_document(model_id, projection=_RECOVER_FIELDS)
             # recovery rebuilds architectures and may replay training; none of
             # that must disturb the caller's RNG stream or determinism setting
             caller_rng = rng.get_rng_state()
@@ -412,34 +434,29 @@ class AbstractSaveService:
             if hit is not None:
                 return hit
 
+        approach = document.get("approach")
         with self._obs_tracer.span(
-            "recover.document", doc_id=doc_id,
-            approach=document.get("approach", "unknown"),
+            "recover.document", doc_id=doc_id, approach=approach or "unknown",
         ):
-            architecture: ArchitectureRef | None = None
-            if document.get("parameters_file"):
-                architecture = self._load_architecture(document, timings)
-                model, depth = self._recover_snapshot(document, timings, architecture), 0
+            if document.get("parameters_file") or approach == APPROACH_PARAM_UPDATE:
+                model, depth, architecture = self._recover_chain(
+                    document, timings, execution_env, cache
+                )
+            elif approach == APPROACH_PROVENANCE:
+                model, depth = self._recover_provenance(
+                    document, timings, execution_env, cache
+                )
+                # derived models share their base's architecture (the
+                # relations the paper covers keep the architecture fixed)
+                architecture = (
+                    cache.architecture_of(document.get("base_model"))
+                    if cache is not None else None
+                )
             else:
-                approach = document.get("approach")
-                if approach == APPROACH_PARAM_UPDATE:
-                    model, depth = self._recover_param_update(
-                        document, timings, execution_env, cache
-                    )
-                elif approach == APPROACH_PROVENANCE:
-                    model, depth = self._recover_provenance(
-                        document, timings, execution_env, cache
-                    )
-                else:
-                    raise RecoveryError(
-                        f"model document {doc_id} has neither parameters nor a "
-                        f"recoverable approach (approach={approach!r})"
-                    )
-                if cache is not None:
-                    # derived models share their base's architecture (the
-                    # relations the paper covers keep the architecture fixed)
-                    architecture = cache.architecture_of(document.get("base_model"))
-
+                raise RecoveryError(
+                    f"model document {doc_id} has neither parameters nor a "
+                    f"recoverable approach (approach={approach!r})"
+                )
             if cache is not None and doc_id is not None and architecture is not None:
                 cache.put(doc_id, model, architecture, depth)
             return model, depth
@@ -451,20 +468,13 @@ class AbstractSaveService:
         timings["load"] += self.clock.perf() - started
         return ArchitectureRef.from_dict(payload, source=source)
 
-    def _recover_snapshot(
-        self, document: dict, timings: dict, architecture: ArchitectureRef | None = None
-    ) -> Module:
-        if architecture is None:
-            architecture = self._load_architecture(document, timings)
-        started = self.clock.perf()
-        state = self._load_state_file(document["parameters_file"])
-        timings["load"] += self.clock.perf() - started
-
-        started = self.clock.perf()
-        # the state was loaded for this call alone, so the model adopts it
-        model = architecture.build_from(state, assign=True)
-        timings["recover"] += self.clock.perf() - started
-        return model
+    def _base_document(self, document: dict) -> dict:
+        base_id = document.get("base_model")
+        if not base_id:
+            raise RecoveryError(
+                f"derived model document {document.get('_id')} lacks a base model ref"
+            )
+        return self._get_model_document(base_id, projection=_RECOVER_FIELDS)
 
     def _recover_base(
         self,
@@ -473,40 +483,72 @@ class AbstractSaveService:
         execution_env: dict,
         cache: RecoveryCache | None = None,
     ) -> tuple[Module, int]:
-        base_id = document.get("base_model")
-        if not base_id:
-            raise RecoveryError(
-                f"derived model document {document.get('_id')} lacks a base model ref"
-            )
-        base_document = self._get_model_document(base_id)
-        return self._recover_from_document(base_document, timings, execution_env, cache)
+        return self._recover_from_document(
+            self._base_document(document), timings, execution_env, cache
+        )
 
-    def _recover_param_update(
+    def _recover_chain(
         self,
         document: dict,
         timings: dict,
         execution_env: dict,
         cache: RecoveryCache | None = None,
-    ) -> tuple[Module, int]:
-        if self.prefetcher is not None:
-            # this layer's diff is needed only after the (recursive) base
-            # recovery below — read it ahead so it overlaps that work
-            self.prefetcher.prefetch_file(document.get("update_file"))
-        model, depth = self._recover_base(document, timings, execution_env, cache)
+    ) -> tuple[Module, int, ArchitectureRef | None]:
+        """Recover a snapshot or the tip of a PUA chain: resolve, then read.
+
+        The walk runs tip → base over projected documents and collects one
+        payload file per level.  It ends at the first recovery base (a
+        ``parameters_file``: a root snapshot or a compacted delta), or, below
+        the tip, at a cached model or a document of another approach, which
+        is recovered as such.  The levels are then read as one merged state
+        — a layer comes from the tip-most level that holds it, so nothing a
+        later level overrides is fetched — and the model is built once.
+        """
+        files: list[str] = []  # tip first
+        seen: set[str] = set()
+        base: tuple[Module, int] | None = None
+        current = document
+        while True:
+            doc_id = current["_id"]
+            if doc_id in seen:
+                raise RecoveryError(f"cycle in base-model chain at {doc_id!r}")
+            seen.add(doc_id)
+            below_tip = current is not document
+            if below_tip and cache is not None and doc_id in cache:
+                base = self._recover_from_document(current, timings, execution_env, cache)
+                break
+            if current.get("parameters_file"):
+                files.append(current["parameters_file"])
+                break
+            if current.get("approach") != APPROACH_PARAM_UPDATE:
+                base = self._recover_from_document(current, timings, execution_env, cache)
+                break
+            files.append(current["update_file"])
+            current = self._base_document(current)
+        files.reverse()
 
         started = self.clock.perf()
-        update_state = self._load_state_file(document["update_file"])
+        state = self._load_state_files(files)
         timings["load"] += self.clock.perf() - started
 
+        if base is None:
+            architecture = self._load_architecture(current, timings)
+            started = self.clock.perf()
+            # the state was loaded for this call alone, so the model adopts it
+            model = architecture.build_from(state, assign=True)
+            timings["recover"] += self.clock.perf() - started
+            return model, len(files) - 1, architecture
+
+        model, depth = base
         started = self.clock.perf()
-        # merge layer-wise, prioritizing the derived model's parameters;
         # both halves are this call's own (the base was recovered for it),
-        # so unchanged layers stay where they are and updates are adopted
+        # so its layers stay where they are and the levels' are adopted
         merged = model.state_dict()
-        merged.update(update_state)
+        merged.update(state)
         model.load_state_dict(merged, assign=True)
         timings["recover"] += self.clock.perf() - started
-        return model, depth + 1
+        architecture = cache.architecture_of(current["_id"]) if cache is not None else None
+        return model, depth + len(files), architecture
 
     def _recover_provenance(
         self,

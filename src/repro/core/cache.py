@@ -1,12 +1,17 @@
-"""Chain recovery cache: reuse shared recovery prefixes.
+"""Chain recovery cache: reuse recovered models across recoveries.
 
-The PUA's and MPA's recursive recovery (paper §3.2/§3.3) makes recovering
-a model at chain depth *d* cost *d* base recoveries, so recovering a whole
-chain — the server's U_4 "monitor every model" role, or an integrity sweep
-— costs O(n²) base recoveries.  A :class:`RecoveryCache` passed to
-``recover_model`` memoizes each recovered model's parameters (and the
-chain's architecture reference), turning a chain sweep into O(n) work:
-every base model is materialized exactly once.
+Recovering every model of a chain — the server's U_4 "monitor every
+model" role, or an integrity sweep — re-resolves the shared prefix for
+every model, and for the MPA re-runs every training along it.  A
+:class:`RecoveryCache` passed to ``recover_model`` turns the sweep into
+O(n) work.  The contract (DESIGN.md §16):
+
+* a cached id **ends the chain walk**: the recover materialises the cached
+  model and lays only the levels above it over it;
+* the **recovered model is inserted** (with the chain's architecture
+  reference), so the next model of the sweep ends on it;
+* levels the walk merely passes through are never materialised, hence
+  never inserted.
 
 The cache stores copied state dicts, so recovered models never alias each
 other; entries are keyed by model id and capped by ``max_entries`` (FIFO

@@ -1,16 +1,17 @@
 """Bounded-TTR delta chains: journaled chain compaction.
 
 Derived-model approaches (PUA diffs, MPA training replays) keep storage
-small by recording only what changed, but recovery cost grows linearly
-with chain depth — recovering the tip of a 16-deep chain replays 16
-levels.  :class:`ChainCompactor` bounds that: every ``max_depth`` levels
-it *materializes* a synthetic full snapshot by replaying the chain once
+small by recording only what changed, but what a recover must resolve
+grows with chain depth — the tip of a 16-deep chain is 17 documents and
+manifests to walk (and, for the MPA, 16 trainings to replay).
+:class:`ChainCompactor` bounds that: every ``max_depth`` levels
+it *materializes* a synthetic full snapshot by recovering the model once
 and publishing the result as the model's new recovery base, in place.
 
 Materializing in place keeps every model id and the ``base_model``
-lineage untouched — recovery simply short-circuits at the new base
-(``_recover_from_document`` dispatches on ``parameters_file`` before the
-approach), so descendants need no rewriting and provenance queries still
+lineage untouched — a recover's chain walk simply ends at the new base
+(a ``parameters_file`` ends it, whatever the approach), so descendants
+need no rewriting and provenance queries still
 see the full derivation tree.  This differs from
 :meth:`~repro.core.manager.ModelManager.promote_to_snapshot`, which
 severs lineage as a prelude to deleting ancestors.
@@ -138,7 +139,11 @@ class ChainCompactor:
         plan will materialize (the counter resets at planned nodes, so
         one pass bounds every chain without cascading rewrites).
         """
-        docs = {d["_id"]: d for d in self.documents.collection(MODELS).find()}
+        docs = {
+            d["_id"]: d
+            for d in self.documents.collection(MODELS).find(
+                projection=("base_model", "parameters_file"))
+        }
         depths: dict[str, int] = {}
         planned: list[dict] = []
         planned_ids: set[str] = set()
@@ -179,20 +184,25 @@ class ChainCompactor:
         materialized document self-contained: retention deleting the
         chain prefix later cannot orphan its architecture.
         """
-        for ancestor in self.service.base_chain(model_id):
-            document = self.documents.collection(MODELS).get(ancestor)
-            if document.get("architecture"):
-                architecture = dict(document["architecture"])
+        seen: set[str] = set()
+        current = model_id
+        while current and current not in seen:  # nearest ancestor that has one
+            seen.add(current)
+            document = self.service._get_model_document(
+                current, projection=("architecture", "base_model"))
+            architecture = document.get("architecture")
+            if architecture:
                 code_bytes = self.files.recover_bytes(architecture["code_file_id"])
                 architecture["code_file_id"] = self.files.save_bytes(
                     code_bytes, suffix=".py")
                 return architecture
+            current = document.get("base_model")
         raise MMLibError(
             f"no architecture found along the chain of {model_id!r}; "
             "cannot materialize a snapshot"
         )
 
-    def compact_model(self, model_id: str, cache=None, depth: int | None = None) -> dict:
+    def compact_model(self, model_id: str, depth: int | None = None) -> dict:
         """Materialize one model as its chain's new recovery base.
 
         Returns ``{"model_id", "released_bytes"}``.  The model's document
@@ -208,7 +218,7 @@ class ChainCompactor:
         with self._obs_tracer_span(model_id):
             # replay the chain once; verify=True proves the replayed state
             # matches the stored Merkle root *before* anything is published
-            recovered = self.service.recover_model(model_id, verify=True, cache=cache)
+            recovered = self.service.recover_model(model_id, verify=True)
 
             self._fault("compact.artifacts")
             architecture = self._chain_architecture(model_id)
@@ -265,11 +275,10 @@ class ChainCompactor:
         """One full pass: finish pending swaps, then bound every chain.
 
         With ``dry_run`` the plan is computed and returned untouched.
-        A shared recovery cache makes a K-spaced plan over one chain
-        O(chain) total replays instead of O(chain · K).
+        The plan is in dependency order, so each recover stops at the
+        base the previous step published: a K-spaced plan over one chain
+        reads O(chain) levels in total.
         """
-        from .cache import RecoveryCache
-
         resumed = self.resume_pending(self.documents, self.files, repair=not dry_run)
         planned = self.plan()
         report = {
@@ -282,10 +291,8 @@ class ChainCompactor:
         }
         if dry_run:
             return report
-        cache = RecoveryCache(max_entries=64, protect_prefix=True)
         for entry in planned:
-            outcome = self.compact_model(
-                entry["model_id"], cache=cache, depth=entry["depth"])
+            outcome = self.compact_model(entry["model_id"], depth=entry["depth"])
             report["materialized"].append(outcome)
             report["released_bytes"] += outcome["released_bytes"]
         return report

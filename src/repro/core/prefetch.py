@@ -1,13 +1,14 @@
-"""Recovery-chain read-ahead: overlap chunk transfers with recovery work.
+"""Recovery read-ahead: overlap chunk transfers with recovery work.
 
-PUA/MPA recovery is recursive — a model at chain depth *d* recovers its
-base first, then applies its own diff (or replays its training).  The
-transfers for the different chain levels are independent, so while one
-level's parameters are being applied the next level's manifest and chunks
-can already be crossing the link.  :class:`ChainPrefetcher` runs that
-read-ahead on a small worker pool, landing payloads in the file store's
-shared hot-chunk cache (:class:`~repro.filestore.store.ChunkCache`) where
-the recovery path — and any other reader — picks them up for free.
+A recover resolves its chain to one list of chunk digests before it reads
+any of them (DESIGN.md §16), and the file store hands that list to
+:meth:`ChainPrefetcher.prefetch` once, just before it reads the first
+chunk.  The prefetcher fetches the list as one pipelined batch on a small
+worker pool, landing payloads in the file store's shared hot-chunk cache
+(:class:`~repro.filestore.store.ChunkCache`), so a serial reader finds the
+next layers' chunks already there while it verifies and rebuilds this one.
+What is read ahead is exactly what is read: the prefetcher resolves
+nothing itself.
 
 Prefetching is strictly an optimization: every fetch error is swallowed
 (and counted), because the synchronous recovery path will re-fetch and
@@ -20,22 +21,17 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
 
 from .. import obs
-from ..filestore.store import layer_chunk_digests
-from .schema import MODELS
 
 __all__ = ["ChainPrefetcher"]
 
-#: Model-document fields that may reference a chunked-state manifest.
-_FILE_KEYS = ("parameters_file", "update_file")
-
 
 class ChainPrefetcher:
-    """Background read-ahead for recovery chains.
+    """Background read-ahead of the chunks a recover is about to read.
 
-    ``workers`` bounds concurrent prefetch tasks; ``max_chain_depth``
-    bounds how far up a base-model chain one request walks.  ``retry``
+    ``workers`` bounds concurrent prefetch tasks.  ``retry``
     (a :class:`~repro.retry.RetryPolicy`, typically the one shared with
     the stores) re-attempts a failed fetch before it lands in ``errors``
     — on a flaky link a transient drop would otherwise waste the whole
@@ -44,34 +40,22 @@ class ChainPrefetcher:
     either way.
     """
 
-    def __init__(
-        self,
-        document_store,
-        file_store,
-        workers: int = 2,
-        max_chain_depth: int = 64,
-        retry=None,
-    ):
+    def __init__(self, file_store, workers: int = 2, retry=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.documents = document_store
         self.files = file_store
         self.retry = retry
-        self.max_chain_depth = int(max_chain_depth)
         self._pool = ThreadPoolExecutor(
             max_workers=int(workers), thread_name_prefix="mmlib-prefetch"
         )
         self._lock = threading.Lock()
-        self._inflight: dict[str, object] = {}
+        self._inflight: set = set()
         self._closed = False
-        self.files_prefetched = 0
         self.chunks_prefetched = 0
         self.errors = 0
         registry = obs.registry()
         self._obs_tracer = obs.tracer()
         self._obs_events = obs.events()
-        self._obs_files = registry.counter(
-            "mmlib_prefetch_files_total", "Manifests read ahead")
         self._obs_chunks = registry.counter(
             "mmlib_prefetch_chunks_total", "Chunks read ahead")
         self._obs_errors = registry.counter(
@@ -91,97 +75,46 @@ class ChainPrefetcher:
 
     # -- scheduling --------------------------------------------------------
 
-    def prefetch_file(self, file_id: str | None) -> None:
-        """Read ahead one chunked-state manifest and its chunks."""
-        if not file_id or not self.usable():
+    def prefetch(self, digests) -> None:
+        """Read ahead one recover's chunks (its plan's digest list)."""
+        digests = list(dict.fromkeys(digests))
+        if not digests or not self.usable():
             return
-        if not file_id.endswith(".manifest"):
-            return  # only manifests fan out into chunk fetches
-        self._submit(file_id, self._fetch_file, file_id)
-
-    def prefetch_chain(self, model_id: str | None) -> None:
-        """Read ahead every manifest along ``model_id``'s base chain.
-
-        Levels are fetched deepest-first — the same order the recursive
-        recovery consumes them — so the root snapshot streams in first
-        and each diff is warm by the time its turn comes.
-        """
-        if not model_id or not self.usable():
-            return
-        self._submit(f"chain:{model_id}", self._fetch_chain, model_id)
-
-    def _submit(self, key: str, fn, *args) -> None:
-        # captured on the submitting thread so worker-thread spans join the
-        # caller's trace tree (the recover_model span, typically)
+        # captured on the submitting thread so the worker-thread span joins
+        # the caller's trace tree (the recover_model span, typically)
         parent = self._obs_tracer.current_id()
         with self._lock:
-            if self._closed or key in self._inflight:
+            if self._closed:
                 return
-            self._inflight[key] = self._pool.submit(self._run, key, parent, fn, *args)
+            future = self._pool.submit(self._run, parent, digests)
+            self._inflight.add(future)
+        future.add_done_callback(self._finished)
 
-    def _run(self, key: str, parent, fn, *args) -> None:
+    def _finished(self, future) -> None:
+        with self._lock:
+            self._inflight.discard(future)
+
+    def _run(self, parent, digests: list[str]) -> None:
         try:
             with self._obs_tracer.attach(parent):
-                with self._obs_tracer.span(
-                    "prefetch.chain" if key.startswith("chain:") else "prefetch.file",
-                    key=key,
-                ):
+                with self._obs_tracer.span("prefetch.chain", n=len(digests)):
+                    fetch = partial(self.files.get_chunks, digests)
                     if self.retry is not None:
                         # retry transient drops under the shared policy; only a
                         # final failure counts as a lost prefetch
-                        self.retry.call(lambda: fn(*args), op="prefetch.fetch")
+                        self.retry.call(fetch, op="prefetch.fetch")
                     else:
-                        fn(*args)
+                        fetch()
         except Exception as exc:
             with self._lock:
                 self.errors += 1
             self._obs_errors.inc()
             self._obs_events.emit(
-                "prefetch_error", key=key, exception=type(exc).__name__)
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-
-    # -- fetch bodies ------------------------------------------------------
-
-    def _fetch_file(self, file_id: str) -> None:
-        manifest = self.files.read_manifest(file_id)
-        digests = [
-            digest
-            for _, meta in manifest["layers"]
-            for digest in layer_chunk_digests(meta)
-        ]
-        self.files.get_chunks(digests)
-        unique = len(set(digests))
+                "prefetch_error", n=len(digests), exception=type(exc).__name__)
+            return
         with self._lock:
-            self.files_prefetched += 1
-            self.chunks_prefetched += unique
-        self._obs_files.inc()
-        self._obs_chunks.inc(unique)
-
-    def _fetch_chain(self, model_id: str) -> None:
-        models = self.documents.collection(MODELS)
-        chain_docs = []
-        seen: set[str] = set()
-        current: str | None = model_id
-        while current and current not in seen and len(chain_docs) < self.max_chain_depth:
-            seen.add(current)
-            try:
-                document = models.get(current)
-            except Exception:  # missing doc: stop walking, keep what we have
-                break
-            chain_docs.append(document)
-            if document.get("parameters_file"):
-                # a recovery base (root snapshot or a compaction-
-                # materialized delta): recursion stops here, so deeper
-                # levels would be fetched for nothing
-                break
-            current = document.get("base_model")
-        for document in reversed(chain_docs):  # deepest (root) level first
-            for key in _FILE_KEYS:
-                file_id = document.get(key)
-                if file_id and file_id.endswith(".manifest"):
-                    self._fetch_file(file_id)
+            self.chunks_prefetched += len(digests)
+        self._obs_chunks.inc(len(digests))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -189,7 +122,7 @@ class ChainPrefetcher:
         """Block until every scheduled prefetch has finished."""
         while True:
             with self._lock:
-                futures = list(self._inflight.values())
+                futures = list(self._inflight)
             if not futures:
                 return
             wait(futures)
@@ -209,7 +142,6 @@ class ChainPrefetcher:
     def stats(self) -> dict:
         with self._lock:
             return {
-                "files_prefetched": self.files_prefetched,
                 "chunks_prefetched": self.chunks_prefetched,
                 "errors": self.errors,
                 "inflight": len(self._inflight),

@@ -286,9 +286,9 @@ def make_service(
     ``chunked=False`` forces the legacy monolithic parameter files (for
     ablations against the content-addressed chunk pipeline).
     ``prefetch_workers > 0`` attaches a
-    :class:`~repro.core.prefetch.ChainPrefetcher` so base-chain chunk
-    transfers overlap recovery work (requires a chunk cache on the file
-    store to be effective).
+    :class:`~repro.core.prefetch.ChainPrefetcher` so a recover's chunk
+    transfers overlap its verify/rebuild work (requires a chunk cache on
+    the file store to be effective).
     """
     if approach not in SERVICE_CLASSES:
         raise KeyError(f"unknown approach {approach!r}; options: {sorted(SERVICE_CLASSES)}")
@@ -297,11 +297,7 @@ def make_service(
         from ..core.prefetch import ChainPrefetcher
 
         prefetcher = ChainPrefetcher(
-            stores.documents,
-            stores.files,
-            workers=prefetch_workers,
-            retry=stores.retry,
-        )
+            stores.files, workers=prefetch_workers, retry=stores.retry)
     return SERVICE_CLASSES[approach](
         stores.documents,
         stores.files,

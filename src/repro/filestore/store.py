@@ -26,7 +26,7 @@ import uuid
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -918,6 +918,11 @@ class FileStore:
             return None
         return self.chunk_cache.get(digest)
 
+    def _cache_landed(self, digest: str) -> bytes | None:
+        """What a flight that ended between the caller's cache miss and its
+        ``begin()`` left behind — reading again would cross the link twice."""
+        return self._cache_get(digest) if digest in self.chunk_cache else None
+
     def _cache_put(self, digest: str, data: bytes) -> None:
         if self.chunk_cache is not None:
             self.chunk_cache.put(digest, data)
@@ -1142,8 +1147,10 @@ class FileStore:
         leader_event = self._singleflight.begin(digest)
         if leader_event is None:
             try:
-                data = self._charged_read(digest)
-                self._cache_put(digest, data)
+                data = self._cache_landed(digest)
+                if data is None:
+                    data = self._charged_read(digest)
+                    self._cache_put(digest, data)
                 return data
             finally:
                 self._singleflight.done(digest)
@@ -1190,8 +1197,15 @@ class FileStore:
                 self._obs_coalesced.inc(len(waits))
                 sp.set(coalesced=len(waits))
             try:
-                if leaders:
-                    fetched = self._charged_read_many(leaders, workers)
+                to_read = []
+                for digest in leaders:
+                    landed = self._cache_landed(digest)
+                    if landed is None:
+                        to_read.append(digest)
+                    else:
+                        results[digest] = landed
+                if to_read:
+                    fetched = self._charged_read_many(to_read, workers)
                     for digest, data in fetched.items():
                         self._cache_put(digest, data)
                     results.update(fetched)
@@ -1331,11 +1345,20 @@ class FileStore:
 
     def recover_state_chunks(
         self,
-        file_id: str,
+        file_ids: str | Sequence[str],
         verify: bool | None = None,
         workers: int | None = None,
+        read_ahead=None,
     ) -> "OrderedDict[str, np.ndarray]":
         """Rebuild the state dict a manifest describes (bitwise identical).
+
+        ``file_ids`` is one manifest id, or the manifests of a delta chain
+        from its recovery base to its tip: the layer list is the base's,
+        each layer read from the last manifest that holds it, so a chunk a
+        later level overrides is never fetched.  ``read_ahead`` (a
+        :meth:`~repro.core.prefetch.ChainPrefetcher.prefetch`-shaped
+        callable) is handed the digests about to be read, once, before the
+        first of them is.
 
         With ``verify`` (default: the store's ``verify_reads`` flag) every
         chunk payload is re-hashed against its content digest; a mismatch
@@ -1351,20 +1374,26 @@ class FileStore:
         read into or a copy (see :meth:`_recover_layer`).
         """
         verify = self.verify_reads if verify is None else verify
-        with self._obs_tracer.span("store.recover_chunks", file_id=file_id) as sp:
-            manifest = self.read_manifest(file_id)
-            layers = manifest["layers"]
+        if isinstance(file_ids, str):
+            file_ids = [file_ids]
+        with self._obs_tracer.span(
+            "store.recover_chunks", file_id=file_ids[-1], manifests=len(file_ids)
+        ) as sp:
+            merged: dict[str, dict] = {}
+            for file_id in file_ids:
+                merged.update(self.read_manifest(file_id)["layers"])
+            layers = list(merged.items())
             sp.set(layers=len(layers))
+            digests = [d for _, meta in layers for d in layer_chunk_digests(meta)]
+            if read_ahead is not None:
+                read_ahead(digests)
             state: "OrderedDict[str, np.ndarray]" = OrderedDict()
             n = self._effective_workers(workers, len(layers))
             if n <= 1:
                 for name, meta in layers:
                     state[name] = self._recover_layer(meta, verify)
                 return state
-            payloads = self.get_chunks(
-                [d for _, meta in layers for d in layer_chunk_digests(meta)],
-                workers=n,
-            )
+            payloads = self.get_chunks(digests, workers=n)
             # one fetched buffer may back several layers (identical tensors
             # share a digest): its first reference gets the buffer, every
             # later one a read-only view, which the rebuild copies

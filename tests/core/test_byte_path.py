@@ -170,13 +170,17 @@ class TestOwnership:
             ModelSaveInfo(tip, twin_arch(), base_model_id=base_id))
 
         cache = RecoveryCache()
+        service.recover_model(base_id, cache=cache)
+        # the tip's walk ends on the cached base: a copy of it, plus the update
         first = service.recover_model(tip_id, cache=cache).model
+        assert cache.hits == 1 and set(cache._states) == {base_id, tip_id}
+        assert_state_equals(first, tip_saved)
         held = [array for state, _, _ in cache._states.values() for array in state.values()]
         assert_no_shared_memory(first.state_dict().values(), held)
         for array in first.state_dict().values():
             array[...] = -1
         second = service.recover_model(tip_id, cache=cache)
-        assert cache.hits >= 1
+        assert cache.hits == 2
         assert_state_equals(second.model, tip_saved)
         assert_no_shared_memory(second.model.state_dict().values(), held)
 
@@ -198,6 +202,8 @@ class TestAdoption:
             assert state[key] is array, key
 
     def test_param_update_leaves_unchanged_layers_in_place(self, tmp_path):
+        """A chain is one read: unchanged layers come from the base's chunks,
+        changed ones from the update's, and each is adopted as fetched."""
         files = FileStore(tmp_path / "files")
         service = ParameterUpdateSaveService(DocumentStore(), files)
         base = twin_model(seed=7)
@@ -206,14 +212,16 @@ class TestAdoption:
         tip.state_dict()["4.bias"][...] += 1
         tip_id = service.save_model(
             ModelSaveInfo(tip, twin_arch(), base_model_id=base_id))
+        tip_saved = copy_state(tip)
         returned = spy_on_recover_state_chunks(files)
-        state = service.recover_model(tip_id).model.state_dict()
-        snapshot, update = returned
-        assert list(update) == ["4.bias"]
-        assert state["4.bias"] is update["4.bias"]
-        for key in snapshot:
-            if key != "4.bias":
-                assert state[key] is snapshot[key], key
+        recovered = service.recover_model(tip_id)
+        assert recovered.verified is True and recovered.recovery_depth == 1
+        [merged] = returned  # both levels' manifests, one call, one state
+        state = recovered.model.state_dict()
+        assert list(state) == list(merged)
+        for key, array in merged.items():
+            assert state[key] is array, key
+        assert_state_equals(recovered.model, tip_saved)
 
     def test_recover_peak_memory_holds_no_copy_of_the_state(self, tmp_path):
         """Peak = the adopted state + the skeleton's never-touched

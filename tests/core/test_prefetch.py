@@ -1,4 +1,5 @@
-"""Recovery-chain prefetch: read-ahead into the shared hot-chunk cache."""
+"""Recovery read-ahead: a recover's digest list, fetched into the shared
+hot-chunk cache."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from repro.core import (
     ModelSaveInfo,
     ParameterUpdateSaveService,
 )
+from repro.core.hashing import state_dict_hashes
 from repro.core.schema import MODELS
 from repro.filestore import FileStore, NetworkModel, SimulatedNetworkFileStore
+from repro.filestore.store import manifest_chunk_digests
 from tests.conftest import make_tiny_cnn
 
 
@@ -50,17 +53,24 @@ def network_store(tmp_path):
     )
 
 
-class TestUsability:
-    def test_requires_a_chunk_cache(self, mem_doc_store, tmp_path):
-        plain = FileStore(tmp_path / "plain")  # no cache: nowhere to land
-        assert not ChainPrefetcher(mem_doc_store, plain).usable()
-        cached = FileStore(tmp_path / "cached", chunk_cache=1 << 20)
-        assert ChainPrefetcher(mem_doc_store, cached).usable()
+def manifest_digests(store, model_id, documents):
+    """The chunk digests of one model's own payload file."""
+    document = documents.collection(MODELS).get(model_id)
+    file_id = document.get("parameters_file") or document["update_file"]
+    return file_id, manifest_chunk_digests(store.read_manifest(file_id))
 
-    def test_invalid_workers(self, mem_doc_store, tmp_path):
+
+class TestUsability:
+    def test_requires_a_chunk_cache(self, tmp_path):
+        plain = FileStore(tmp_path / "plain")  # no cache: nowhere to land
+        assert not ChainPrefetcher(plain).usable()
+        cached = FileStore(tmp_path / "cached", chunk_cache=1 << 20)
+        assert ChainPrefetcher(cached).usable()
+
+    def test_invalid_workers(self, tmp_path):
         store = FileStore(tmp_path / "files", chunk_cache=1 << 20)
         with pytest.raises(ValueError):
-            ChainPrefetcher(mem_doc_store, store, workers=0)
+            ChainPrefetcher(store, workers=0)
 
     def test_noop_without_cache_instead_of_wasted_fetches(
         self, mem_doc_store, tmp_path
@@ -68,23 +78,23 @@ class TestUsability:
         plain = FileStore(tmp_path / "plain")
         service = ParameterUpdateSaveService(mem_doc_store, plain)
         ids, _ = build_pua_chain(service, depth=2)
-        with ChainPrefetcher(mem_doc_store, plain) as prefetcher:
-            prefetcher.prefetch_chain(ids[-1])
+        _, digests = manifest_digests(plain, ids[0], mem_doc_store)
+        with ChainPrefetcher(plain) as prefetcher:
+            prefetcher.prefetch(digests)
             prefetcher.drain()
-            assert prefetcher.stats()["files_prefetched"] == 0
+            assert prefetcher.stats()["chunks_prefetched"] == 0
 
 
 class TestPrefetchFile:
     def test_warms_the_cache_so_recovery_is_free(self, mem_doc_store, network_store):
         service = ParameterUpdateSaveService(mem_doc_store, network_store)
         ids, states = build_pua_chain(service, depth=1)
-        document = mem_doc_store.collection(MODELS).get(ids[0])
-        manifest_id = document["parameters_file"]
+        manifest_id, digests = manifest_digests(network_store, ids[0], mem_doc_store)
 
-        with ChainPrefetcher(mem_doc_store, network_store) as prefetcher:
-            prefetcher.prefetch_file(manifest_id)
+        with ChainPrefetcher(network_store) as prefetcher:
+            prefetcher.prefetch(digests)
             prefetcher.drain()
-            assert prefetcher.stats()["chunks_prefetched"] > 0
+            assert prefetcher.stats()["chunks_prefetched"] == len(set(digests))
 
         network_store.reset_accounting()
         state = network_store.recover_state_chunks(manifest_id, workers=2)
@@ -92,30 +102,33 @@ class TestPrefetchFile:
         # every chunk came from the hot cache; only the manifest re-crossed
         assert network_store.round_trips == 1
 
-    def test_non_manifest_ids_are_ignored(self, mem_doc_store, network_store):
-        with ChainPrefetcher(mem_doc_store, network_store) as prefetcher:
-            prefetcher.prefetch_file("someblob.bin")
-            prefetcher.prefetch_file(None)
+    def test_errors_are_swallowed_and_counted(self, network_store):
+        with ChainPrefetcher(network_store) as prefetcher:
+            prefetcher.prefetch(["0" * 64])  # no such chunk
+            prefetcher.prefetch([])  # nothing to read: nothing scheduled
             prefetcher.drain()
-            assert prefetcher.stats()["files_prefetched"] == 0
-
-    def test_errors_are_swallowed_and_counted(self, mem_doc_store, network_store):
-        with ChainPrefetcher(mem_doc_store, network_store) as prefetcher:
-            prefetcher.prefetch_file("no-such-file.manifest")
-            prefetcher.drain()
-            assert prefetcher.stats()["errors"] == 1
+            assert prefetcher.stats() == {
+                "chunks_prefetched": 0, "errors": 1, "inflight": 0}
 
 
 class TestPrefetchChain:
     def test_whole_chain_lands_in_the_cache(self, mem_doc_store, network_store):
-        service = ParameterUpdateSaveService(mem_doc_store, network_store)
+        """The store hands the prefetcher the merged chain's digests: after
+        one tip recover every chunk of the tip's state is cached, and a
+        second recover moves no chunk."""
+        prefetcher = ChainPrefetcher(network_store)
+        service = ParameterUpdateSaveService(
+            mem_doc_store, network_store, prefetcher=prefetcher)
         ids, states = build_pua_chain(service, depth=4)
+        network_store.chunk_cache.clear()
 
-        with ChainPrefetcher(mem_doc_store, network_store) as prefetcher:
-            prefetcher.prefetch_chain(ids[-1])
+        with prefetcher:
+            service.recover_model(ids[-1])
             prefetcher.drain()
-            # one full snapshot + three diffs
-            assert prefetcher.stats()["files_prefetched"] == 4
+            # identical tensors share a chunk
+            tip_chunks = set(state_dict_hashes(states[-1]).values())
+            assert prefetcher.stats()["chunks_prefetched"] == len(tip_chunks)
+            assert all(digest in network_store.chunk_cache for digest in tip_chunks)
 
         network_store.reset_accounting()
         recovered = service.recover_model(ids[-1]).model.state_dict()
@@ -124,46 +137,29 @@ class TestPrefetchChain:
         # architecture code, and metadata blobs — no pipelined batches
         assert network_store.round_trips_saved == 0
 
-    def test_chain_walk_stops_on_missing_document(self, mem_doc_store, network_store):
-        service = ParameterUpdateSaveService(mem_doc_store, network_store)
-        ids, _ = build_pua_chain(service, depth=3)
-        # break the chain: the root document disappears
-        mem_doc_store.collection(MODELS).delete_one(ids[0])
-        with ChainPrefetcher(mem_doc_store, network_store) as prefetcher:
-            prefetcher.prefetch_chain(ids[-1])
-            prefetcher.drain()
-            # the two surviving levels still prefetched, nothing raised
-            assert prefetcher.stats()["files_prefetched"] == 2
-
-    def test_depth_cap_bounds_the_walk(self, mem_doc_store, network_store):
-        service = ParameterUpdateSaveService(mem_doc_store, network_store)
-        ids, _ = build_pua_chain(service, depth=5)
-        with ChainPrefetcher(
-            mem_doc_store, network_store, max_chain_depth=2
-        ) as prefetcher:
-            prefetcher.prefetch_chain(ids[-1])
-            prefetcher.drain()
-            assert prefetcher.stats()["files_prefetched"] == 2
-
     def test_duplicate_requests_coalesce_while_inflight(
         self, mem_doc_store, network_store
     ):
         service = ParameterUpdateSaveService(mem_doc_store, network_store)
-        ids, _ = build_pua_chain(service, depth=3)
-        with ChainPrefetcher(mem_doc_store, network_store) as prefetcher:
+        ids, _ = build_pua_chain(service, depth=1)
+        _, digests = manifest_digests(network_store, ids[0], mem_doc_store)
+        chunk_bytes = sum(
+            network_store.chunks.size_of(digest) for digest in set(digests))
+        network_store.chunk_cache.clear()
+        network_store.reset_accounting()
+        with ChainPrefetcher(network_store, workers=4) as prefetcher:
             for _ in range(5):
-                prefetcher.prefetch_chain(ids[-1])
+                prefetcher.prefetch(digests)
             prefetcher.drain()
-            # at most one pass over the 3-level chain (scheduling may let a
-            # later request through after the first completes, not before)
-            assert prefetcher.stats()["files_prefetched"] % 3 == 0
+        # five racing batches, one transfer per chunk
+        assert network_store.bytes_received == chunk_bytes
 
 
 class TestServiceIntegration:
     def test_recovery_with_prefetcher_is_bitwise_identical(
         self, mem_doc_store, network_store
     ):
-        prefetcher = ChainPrefetcher(mem_doc_store, network_store)
+        prefetcher = ChainPrefetcher(network_store)
         service = ParameterUpdateSaveService(
             mem_doc_store, network_store, prefetcher=prefetcher
         )
@@ -178,9 +174,10 @@ class TestServiceIntegration:
     def test_closed_prefetcher_schedules_nothing(self, mem_doc_store, network_store):
         service = ParameterUpdateSaveService(mem_doc_store, network_store)
         ids, _ = build_pua_chain(service, depth=2)
-        prefetcher = ChainPrefetcher(mem_doc_store, network_store)
+        _, digests = manifest_digests(network_store, ids[0], mem_doc_store)
+        prefetcher = ChainPrefetcher(network_store)
         prefetcher.close()
-        prefetcher.prefetch_chain(ids[-1])  # must not raise or leak tasks
+        prefetcher.prefetch(digests)  # must not raise or leak tasks
         assert prefetcher.stats()["inflight"] == 0
 
 
@@ -194,6 +191,8 @@ class TestRetryPropagation:
         store = FileStore(tmp_path / "files", chunk_cache=1 << 20)
         service = ParameterUpdateSaveService(mem_doc_store, store)
         ids, _ = build_pua_chain(service, depth=3)
+        _, digests = manifest_digests(store, ids[0], mem_doc_store)
+        store.chunk_cache.clear()
 
         # the link turns flaky only once the chain exists on disk; each
         # retried fetch makes forward progress through the chunk cache,
@@ -201,8 +200,8 @@ class TestRetryPropagation:
         store.faults = FaultInjector(seed=21, error_rate=0.2,
                                      max_consecutive_failures=3)
         retry = RetryPolicy(max_attempts=25, base_delay_s=0.0, sleep=lambda s: None)
-        with ChainPrefetcher(mem_doc_store, store, retry=retry) as prefetcher:
-            prefetcher.prefetch_chain(ids[-1])
+        with ChainPrefetcher(store, retry=retry) as prefetcher:
+            prefetcher.prefetch(digests)
             prefetcher.drain()
             stats = prefetcher.stats()
         assert stats["errors"] == 0
@@ -215,10 +214,12 @@ class TestRetryPropagation:
         store = FileStore(tmp_path / "files", chunk_cache=1 << 20)
         service = ParameterUpdateSaveService(mem_doc_store, store)
         ids, _ = build_pua_chain(service, depth=2)
+        _, digests = manifest_digests(store, ids[0], mem_doc_store)
+        store.chunk_cache.clear()
         store.faults = FaultInjector(seed=5, error_rate=1.0)
 
-        with ChainPrefetcher(mem_doc_store, store) as prefetcher:
-            prefetcher.prefetch_chain(ids[-1])
+        with ChainPrefetcher(store) as prefetcher:
+            prefetcher.prefetch(digests)
             prefetcher.drain()
             assert prefetcher.stats()["errors"] > 0  # swallowed, never raised
 
