@@ -14,7 +14,13 @@ import secrets
 import threading
 import time
 
-__all__ = ["ObjectId", "new_object_id", "validate_document", "DocumentError"]
+__all__ = [
+    "ObjectId",
+    "new_object_id",
+    "check_document",
+    "validate_document",
+    "DocumentError",
+]
 
 
 class DocumentError(ValueError):
@@ -85,14 +91,20 @@ def _check_json_value(value, path: str) -> None:
     )
 
 
+def check_document(document: dict) -> None:
+    """Raise :class:`DocumentError` unless ``document`` is a dict of JSON
+    values under string keys, none starting with ``$``."""
+    if not isinstance(document, dict):
+        raise DocumentError(f"document must be a dict, got {type(document).__name__}")
+    _check_json_value(document, "<root>")
+
+
 def validate_document(document: dict) -> dict:
     """Validate and deep-copy a document prior to insertion.
 
     Ensures JSON compatibility (so persistence cannot fail later) and
     returns an isolated copy so callers cannot mutate stored state.
     """
-    if not isinstance(document, dict):
-        raise DocumentError(f"document must be a dict, got {type(document).__name__}")
-    _check_json_value(document, "<root>")
+    check_document(document)
     # round-trip through JSON to normalise tuples and numpy scalars away
     return json.loads(json.dumps(document))

@@ -36,7 +36,7 @@ import threading
 from pathlib import Path
 
 from ..errors import StoreCorruptionError
-from .documents import DocumentError, new_object_id, validate_document
+from .documents import DocumentError, check_document, new_object_id, validate_document
 from .query import MISSING, matches, resolve_path
 
 __all__ = [
@@ -89,6 +89,15 @@ def _decode(line: bytes) -> dict | None:
     if isinstance(record, dict) and isinstance(record.get("_id"), str):
         return record
     return None
+
+
+def _stored(document: dict, doc_id: str) -> tuple[dict, bytes]:
+    """What a collection keeps of ``document`` under ``doc_id``: an isolated
+    copy and its log line.  One serialisation is both the line and the
+    first half of the copy's JSON round trip."""
+    check_document(document)
+    line = _encode({**document, "_id": doc_id})
+    return json.loads(line), line
 
 
 def _isolated(document: dict, projection=None) -> dict:
@@ -230,23 +239,24 @@ class Collection:
             for key in _index_keys(document, field):
                 index.setdefault(key, set()).add(doc_id)
 
-    def _write(self, changes: list[tuple[str, dict | None]]) -> None:
-        """Log, then apply, puts (a document) and deletes (``None``).
+    def _write(self, changes: list[tuple[str, dict | None, bytes]]) -> None:
+        """Log, then apply, ``(_id, document, log line)`` puts and deletes
+        (document ``None``, see :meth:`_deletion`).
 
         The one write path: a failed append leaves memory as it was.
         Lock held.
         """
-        lines = [
-            _encode(document if document is not None else {"_id": doc_id, _DELETED: True})
-            for doc_id, document in changes
-        ]
         if self._persist_path is not None:
-            self._append(b"".join(lines))
-        for (doc_id, document), line in zip(changes, lines):
+            self._append(b"".join(line for _id, _document, line in changes))
+        for doc_id, document, line in changes:
             self._apply(doc_id, document, len(line))
         dead = self._log_bytes - self._live_bytes
         if dead > CHECKPOINT_DEAD_FLOOR and dead > CHECKPOINT_DEAD_SHARE * self._live_bytes:
             self._checkpoint()
+
+    @staticmethod
+    def _deletion(doc_id: str) -> tuple[str, None, bytes]:
+        return doc_id, None, _encode({"_id": doc_id, _DELETED: True})
 
     def _append(self, data: bytes) -> None:
         # open-append-close: no handle outlives the call, so there is none
@@ -324,28 +334,33 @@ class Collection:
 
     def insert_one(self, document: dict) -> str:
         """Insert a document; returns its (possibly generated) ``_id``."""
-        document = validate_document(document)
-        doc_id = document.get("_id") or new_object_id()
-        document["_id"] = str(doc_id)
+        claimed = document.get("_id") if isinstance(document, dict) else None
+        doc_id = str(claimed or new_object_id())
+        # ruled on before the document is serialised: re-inserting a large
+        # shared document (an environment) costs a lookup ...
+        self._refuse_duplicate(doc_id)
+        document, line = _stored(document, doc_id)
         with self._lock:
-            if document["_id"] in self._documents:
-                raise DuplicateKeyError(
-                    f"duplicate _id {document['_id']!r} in collection {self.name!r}"
-                )
-            self._write([(document["_id"], document)])
-        return document["_id"]
+            self._refuse_duplicate(doc_id)  # ... and again, now that it cannot change
+            self._write([(doc_id, document, line)])
+        return doc_id
+
+    def _refuse_duplicate(self, doc_id: str) -> None:
+        if doc_id in self._documents:
+            raise DuplicateKeyError(
+                f"duplicate _id {doc_id!r} in collection {self.name!r}"
+            )
 
     def insert_many(self, documents: list[dict]) -> list[str]:
         return [self.insert_one(document) for document in documents]
 
     def replace_one(self, doc_id: str, document: dict) -> None:
         """Replace the document with ``doc_id`` (must exist)."""
-        document = validate_document(document)
-        document["_id"] = str(doc_id)
+        document, line = _stored(document, str(doc_id))
         with self._lock:
             if document["_id"] not in self._documents:
                 raise NotFoundError(f"no document {doc_id!r} in {self.name!r}")
-            self._write([(document["_id"], document)])
+            self._write([(document["_id"], document, line)])
 
     def update_one(self, query: dict, changes: dict) -> bool:
         """Set top-level fields on the first match; returns whether one matched."""
@@ -355,7 +370,7 @@ class Collection:
                     updated = dict(document)
                     updated.update(validate_document(changes))
                     updated["_id"] = document["_id"]
-                    self._write([(document["_id"], updated)])
+                    self._write([(document["_id"], updated, _encode(updated))])
                     return True
         return False
 
@@ -364,13 +379,13 @@ class Collection:
         with self._lock:
             if doc_id not in self._documents:
                 return False
-            self._write([(doc_id, None)])
+            self._write([self._deletion(doc_id)])
             return True
 
     def delete_many(self, query: dict) -> int:
         with self._lock:
             to_delete = [
-                (document["_id"], None)
+                self._deletion(document["_id"])
                 for document in self._candidates(query)
                 if matches(document, query)
             ]

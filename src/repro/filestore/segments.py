@@ -12,10 +12,17 @@ append-only *segment* files and locates them through an in-memory index
   fsync instead of a thousand.
 * **Sealed segments carry a footer** — a catalog of their records — so
   reopening a store bulk-loads the index from footers instead of
-  rescanning payloads.  The index is also checkpointed incrementally to
-  ``index.json``; on open, only bytes beyond each segment's checkpointed
-  scan offset are re-examined, which both bounds recovery work and
-  prevents deliberately deleted records from being resurrected.
+  rescanning payloads.
+* **A segment is the log of its own appends** — on open, the bytes past
+  each segment's checkpointed scan offset are rescanned, CRC-checked, so
+  an appended record needs no other bookkeeping to be found again.  The
+  index checkpoint (``index.json``, rewritten whole) is written only
+  where it says what the segments cannot: when a segment is sealed, when
+  a record is deleted (a deliberately deleted record must never be
+  resurrected by a rescan), after a compaction, after an open that had
+  to rescan, and at :meth:`SegmentChunkStore.close`.  A save writes none;
+  a reopen after ``kill -9`` rescans at most the one unsealed tail
+  (DESIGN.md §17 "Bookkeeping").
 * **Compaction** — segments whose live ratio drops below a threshold
   are rewritten into a fresh sealed segment.  The rewrite is journaled
   (``compaction.json``) and resumable: the atomic rename of the
@@ -88,17 +95,18 @@ def _parse_seq(name: str) -> int | None:
 
 
 def _new_meta() -> dict:
-    return {"scanned": 0, "total": 0, "sealed": False, "bad": False}
+    # total/live: payload bytes of every record appended / still indexed
+    return {"scanned": 0, "total": 0, "live": 0, "sealed": False, "bad": False}
 
 
 class SegmentChunkStore(ChunkStore):
     """Chunk store that appends records to large append-only segments.
 
     Drop-in replacement for the file-per-chunk :class:`ChunkStore`: the
-    refcount plane (flock-serialized ``refcounts.json``), GC contract,
-    and the whole public surface are inherited; only the physical
-    payload primitives differ.  See the module docstring for the format
-    and durability model.
+    refcount plane (the flock-serialized ``refcounts.json`` log), GC
+    contract, and the whole public surface are inherited; only the
+    physical payload primitives differ.  See the module docstring for
+    the format, the durability model and when the index is checkpointed.
     """
 
     def __init__(
@@ -130,7 +138,9 @@ class SegmentChunkStore(ChunkStore):
         self._active_file = None
         self._active_end = 0
         self._dirty = False  # unsynced appends in the active segment
-        self._index_dirty = False  # index mutations not yet checkpointed
+        # index differs from index.json; written out by whatever deletes,
+        # seals or closes — never by a save (its appends are rescannable)
+        self._index_dirty = False
         self._read_files: dict[str, object] = {}
         self._seq = 0
         registry = obs.registry()
@@ -155,7 +165,21 @@ class SegmentChunkStore(ChunkStore):
             self._load_checkpoint()
             self._resume_compaction_locked()
             self._refresh_locked()
+            if self._index_dirty:
+                # an unclean shutdown's tail was rescanned: once, not per open
+                self._write_checkpoint_locked()
             self._update_gauges_locked()
+
+    def _set_entry_locked(self, digest: str, entry: tuple[str, int, int, int]) -> None:
+        self._drop_entry_locked(digest)
+        self._index[digest] = entry
+        self._segmeta[entry[0]]["live"] += entry[2]
+
+    def _drop_entry_locked(self, digest: str):
+        entry = self._index.pop(digest, None)
+        if entry is not None and entry[0] in self._segmeta:
+            self._segmeta[entry[0]]["live"] -= entry[2]
+        return entry
 
     def _load_checkpoint(self) -> None:
         try:
@@ -164,17 +188,19 @@ class SegmentChunkStore(ChunkStore):
             return
         if not isinstance(data, dict) or data.get("version") != 1:
             return
-        for digest, entry in data.get("entries", {}).items():
-            if isinstance(entry, list) and len(entry) == 4:
-                self._index[digest] = (
-                    str(entry[0]), int(entry[1]), int(entry[2]), int(entry[3]))
         for name, meta in data.get("segments", {}).items():
-            self._segmeta[name] = {
-                "scanned": int(meta.get("scanned", 0)),
-                "total": int(meta.get("total", 0)),
-                "sealed": bool(meta.get("sealed", False)),
-                "bad": False,
-            }
+            self._segmeta[name] = dict(
+                _new_meta(),
+                scanned=int(meta.get("scanned", 0)),
+                total=int(meta.get("total", 0)),
+                sealed=bool(meta.get("sealed", False)),
+            )
+        for digest, entry in data.get("entries", {}).items():
+            # an entry of a segment the checkpoint does not list is found
+            # again by that segment's scan
+            if isinstance(entry, list) and len(entry) == 4 and entry[0] in self._segmeta:
+                self._set_entry_locked(digest, (
+                    str(entry[0]), int(entry[1]), int(entry[2]), int(entry[3])))
 
     def _write_checkpoint_locked(self) -> None:
         segments = {}
@@ -217,7 +243,7 @@ class SegmentChunkStore(ChunkStore):
                 self._index_dirty = True
         for digest, entry in list(self._index.items()):
             if entry[0] not in self._segmeta:
-                del self._index[digest]
+                self._drop_entry_locked(digest)
                 self._index_dirty = True
         added = 0
         for name in sorted(on_disk):
@@ -258,8 +284,8 @@ class SegmentChunkStore(ChunkStore):
                             continue
                         meta["total"] += int(length)
                         if digest not in self._index:
-                            self._index[digest] = (
-                                name, int(off), int(length), int(crc))
+                            self._set_entry_locked(
+                                digest, (name, int(off), int(length), int(crc)))
                             added += 1
                             self._index_dirty = True
                     meta["scanned"] = size
@@ -292,7 +318,7 @@ class SegmentChunkStore(ChunkStore):
             payload_off = offset + RECORD_HEADER.size + dlen
             meta["total"] += plen
             if digest not in self._index:
-                self._index[digest] = (name, payload_off, plen, crc)
+                self._set_entry_locked(digest, (name, payload_off, plen, crc))
                 added += 1
                 self._index_dirty = True
             offset = payload_off + plen
@@ -336,10 +362,6 @@ class SegmentChunkStore(ChunkStore):
                 pass
 
     # -- append path ---------------------------------------------------------
-
-    def _hook(self, op: str) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook(op)
 
     def _next_segment_name(self) -> str:
         self._seq += 1
@@ -394,7 +416,8 @@ class SegmentChunkStore(ChunkStore):
             self._write_all(fileobj, digest_raw)
             self._write_all(fileobj, eview)
             payload_off = self._active_end + len(head) + len(digest_raw)
-            self._index[digest] = (self._active_name, payload_off, eview.nbytes, crc)
+            self._set_entry_locked(
+                digest, (self._active_name, payload_off, eview.nbytes, crc))
             meta = self._segmeta[self._active_name]
             meta["total"] += eview.nbytes
             self._active_end = payload_off + eview.nbytes
@@ -431,7 +454,11 @@ class SegmentChunkStore(ChunkStore):
             return self.segments_dir / self._active_name
 
     def flush(self) -> int:
-        """One group fsync for every append since the last flush."""
+        """One group fsync for every append since the last flush.
+
+        No checkpoint: the synced records are their own index entries (a
+        reopen rescans them), so a save writes what it appended.
+        """
         with self._mutex:
             synced = 0
             if self._dirty and self._active_file is not None:
@@ -440,8 +467,6 @@ class SegmentChunkStore(ChunkStore):
                 synced = 1
                 self._obs_fsyncs.inc()
                 self._obs_batches.inc()
-            if self._index_dirty:
-                self._write_checkpoint_locked()
             self._update_gauges_locked()
             return synced
 
@@ -556,7 +581,7 @@ class SegmentChunkStore(ChunkStore):
 
     def _delete_payload(self, digest: str) -> int:
         with self._mutex:
-            entry = self._index.pop(digest, None)
+            entry = self._drop_entry_locked(digest)
             if entry is None:
                 return 0
             self._index_dirty = True
@@ -644,14 +669,11 @@ class SegmentChunkStore(ChunkStore):
             return self._compact_locked(victims)
 
     def _compaction_victims_locked(self, threshold: float) -> list[str]:
-        live_by_seg: dict[str, int] = {}
-        for seg, _off, length, _crc in self._index.values():
-            live_by_seg[seg] = live_by_seg.get(seg, 0) + length
         victims = []
         for name, meta in sorted(self._segmeta.items()):
             if name == self._active_name or meta["bad"] or not meta["sealed"]:
                 continue
-            seg_live = live_by_seg.get(name, 0)
+            seg_live = meta["live"]
             seg_total = max(meta["total"], seg_live)
             if seg_total == 0 or seg_live == 0:
                 continue  # fully dead: _drop_dead_segments handles it
@@ -712,9 +734,10 @@ class SegmentChunkStore(ChunkStore):
         tmp_path.replace(self.segments_dir / dest)  # commit point
         self._hook("chunk.compact")
         size = (self.segments_dir / dest).stat().st_size
-        self._segmeta[dest] = {
-            "scanned": size, "total": total_live, "sealed": True, "bad": False}
-        self._index.update(new_entries)
+        self._segmeta[dest] = dict(
+            _new_meta(), scanned=size, total=total_live, sealed=True)
+        for digest, entry in new_entries.items():
+            self._set_entry_locked(digest, entry)
         self._index_dirty = True
         self._write_checkpoint_locked()
         self._hook("chunk.compact")
@@ -768,14 +791,15 @@ class SegmentChunkStore(ChunkStore):
                 total += int(length)
                 current = self._index.get(digest)
                 if current is None or current[0] in victims:
-                    self._index[digest] = (dest, int(off), int(length), int(crc))
+                    self._set_entry_locked(
+                        digest, (dest, int(off), int(length), int(crc)))
             meta["total"] = total
             seq = _parse_seq(dest)
             if seq is not None and seq > self._seq:
                 self._seq = seq
         for digest, entry in list(self._index.items()):
             if entry[0] in victims:
-                del self._index[digest]  # not in the catalog: was dead data
+                self._drop_entry_locked(digest)  # not in the catalog: was dead data
         for name in victims:
             self._close_read_file(name)
             (self.segments_dir / name).unlink(missing_ok=True)
@@ -853,7 +877,7 @@ class SegmentChunkStore(ChunkStore):
                 if out_of_bounds:
                     outcome["entries_dropped"].append(digest)
                     if repair:
-                        del self._index[digest]
+                        self._drop_entry_locked(digest)
                         self._index_dirty = True
                     continue
                 if verify:
@@ -872,17 +896,18 @@ class SegmentChunkStore(ChunkStore):
         return outcome
 
     def segment_stats(self) -> dict:
-        """Gauge-style snapshot: counts, live ratio, compaction debt."""
+        """Gauge-style snapshot: counts, live ratio, compaction debt.
+
+        From the per-segment running totals: O(segments), not O(chunks).
+        """
         with self._mutex:
-            live_by_seg: dict[str, int] = {}
-            for seg, _off, length, _crc in self._index.values():
-                live_by_seg[seg] = live_by_seg.get(seg, 0) + length
-            live = sum(live_by_seg.values())
+            live = 0
             total = 0
             debt = 0
             for name, meta in self._segmeta.items():
-                seg_live = live_by_seg.get(name, 0)
+                seg_live = meta["live"]
                 seg_total = max(meta["total"], seg_live)
+                live += seg_live
                 total += seg_total
                 if name == self._active_name or seg_total == 0:
                     continue
@@ -908,7 +933,8 @@ class SegmentChunkStore(ChunkStore):
         self._obs_dead.set(stats["dead_bytes"])
 
     def close(self) -> None:
-        """Seal nothing, just release file handles (tests/bench hygiene)."""
+        """Seal nothing: release file handles, checkpoint the index."""
+        super().close()
         with self._mutex:
             if self._active_file is not None:
                 if self._dirty and self.durability != "none":

@@ -113,6 +113,30 @@ def _buffer_nbytes(buffer) -> int:
     return len(buffer)
 
 
+def _encode_refs(counts: Mapping[str, int]) -> bytes:
+    """One refcount log record (no line terminator)."""
+    return json.dumps(counts, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _decode_refs(line: bytes) -> dict[str, int] | None:
+    """The record on one refcount log line (none on a blank one); ``None``
+    when the line is not a record."""
+    if not line.strip():
+        return {}
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    if isinstance(record, dict) and all(type(c) is int for c in record.values()):
+        return record
+    return None
+
+
+def _ref_bytes(digest: str, count: int) -> int:
+    """Bytes one entry takes in a folded record: quotes, colon, comma."""
+    return len(digest) + len(str(count)) + 4
+
+
 def layer_chunk_digests(meta: Mapping) -> list[str]:
     """Chunk digests for one manifest layer entry, v1 or v2.
 
@@ -282,8 +306,16 @@ class ChunkStore:
     track how many manifests point at each chunk; :meth:`release_refs`
     deletes chunks whose count drops to zero, and :meth:`gc` sweeps
     orphans (e.g. chunks written by a save that crashed before its
-    manifest).  Refcount updates are serialized through an ``flock``-held
-    lock file, so multiple processes can share one store directory.
+    manifest).
+
+    The counts live in ``refcounts.json``, an append-only log: one JSON
+    object per line mapping digest to its *absolute* count (0: gone),
+    later lines win.  Taking references appends one line, so a save costs
+    what it touches, not what the store holds; the file is folded back
+    into one record when a release rewrites it or once its dead bytes
+    exceed the live ones.  Every access holds an ``flock`` and first
+    replays what was appended since its last one, so several processes
+    can share one store directory (DESIGN.md §17 "Bookkeeping").
     """
 
     def __init__(
@@ -301,6 +333,13 @@ class ChunkStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._refs_path = self.root / "refcounts.json"
         self._lock_path = self.root / ".lock"
+        # the refcount table as of the first ``_refs_end`` bytes of the log;
+        # ``_refs_file`` stays open on the file those bytes were read from
+        self._refs_mutex = threading.Lock()
+        self._refs: dict[str, int] = {}
+        self._refs_file = None
+        self._refs_end = 0
+        self._refs_live = 0  # bytes the table takes as one folded record
         self.tmp_grace_s = float(tmp_grace_s)
         self.durability = durability
         #: At-rest compression codec for new chunk payloads.  Digests are
@@ -308,7 +347,8 @@ class ChunkStore:
         #: payload frame, so stores with different codecs interoperate.
         self.codec = chunk_codecs.resolve_codec(codec)
         #: Optional chaos hook with the ``FaultInjector.fail_point``
-        #: signature, consulted by long-running maintenance (compaction).
+        #: signature, consulted by long-running maintenance (compaction)
+        #: and between the steps of a refcount write.
         self.fault_hook = None
         # dedup/compression accounting (in-process, like the network
         # store's transfer accounting): logical bytes offered by callers,
@@ -404,26 +444,138 @@ class ChunkStore:
 
     @contextlib.contextmanager
     def _locked(self):
-        if fcntl is None:
-            yield
-            return
-        with open(self._lock_path, "a+") as lock_file:
-            fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX)
-            try:
+        with self._refs_mutex:
+            if fcntl is None:
                 yield
-            finally:
-                fcntl.flock(lock_file.fileno(), fcntl.LOCK_UN)
+                return
+            with open(self._lock_path, "a+") as lock_file:
+                fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX)
+                try:
+                    yield
+                finally:
+                    fcntl.flock(lock_file.fileno(), fcntl.LOCK_UN)
 
-    def _load_refs(self) -> dict[str, int]:
+    def _hook(self, op: str) -> None:
+        if self.fault_hook is not None:
+            self.fault_hook(op)
+
+    def _sync_refs(self) -> dict[str, int]:
+        """The refcount table as the log has it now (lock held).
+
+        Replays what this or another process appended since the last
+        call, or the whole file when it was replaced in between.  The
+        handle kept open on the file last read pins its inode, so a file
+        at that path with that inode number *is* that file, only longer.
+        """
         try:
-            return json.loads(self._refs_path.read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
-            return {}
+            on_disk = os.stat(self._refs_path)
+        except FileNotFoundError:
+            on_disk = None
+        if self._refs_file is not None:
+            held = os.fstat(self._refs_file.fileno())
+            if (
+                on_disk is None
+                or (on_disk.st_dev, on_disk.st_ino) != (held.st_dev, held.st_ino)
+                or on_disk.st_size < self._refs_end
+            ):
+                self._reset_refs()  # folded by another process, or gone
+        if on_disk is None:
+            return self._refs
+        if self._refs_file is None:
+            self._refs_file = open(self._refs_path, "rb", buffering=0)
+        if on_disk.st_size > self._refs_end:
+            self._replay_refs(os.pread(
+                self._refs_file.fileno(), on_disk.st_size - self._refs_end,
+                self._refs_end))
+        return self._refs
 
-    def _write_refs(self, refs: dict[str, int]) -> None:
+    def _replay_refs(self, data: bytes) -> None:
+        """Apply the log lines in ``data``, read at ``_refs_end``.
+
+        Only the final line can be a torn append (a write that never
+        returned): it is dropped and the file cut back to the line
+        boundary.  A bad line with anything after it is damage to acked
+        counts; reading it as "nothing is referenced" would let the next
+        :meth:`gc` sweep live chunks, so it raises and fsck rebuilds the
+        table from the manifests (:meth:`reconcile`).
+        """
+        *lines, last = data.split(b"\n")
+        offset = self._refs_end
+        for line in lines:
+            record = _decode_refs(line)
+            if record is None:
+                self._reset_refs()
+                raise StoreCorruptionError(
+                    f"chunk refcounts: unreadable record at byte {offset} of "
+                    f"{self._refs_path} with records after it")
+            self._apply_refs(record)
+            offset += len(line) + 1
+        record = _decode_refs(last)
+        if record is None:
+            os.truncate(self._refs_path, offset)
+        else:
+            self._apply_refs(record)
+            offset += len(last)
+        self._refs_end = offset
+
+    def _apply_refs(self, counts: Mapping[str, int]) -> None:
+        for digest, count in counts.items():
+            old = self._refs.pop(digest, 0)
+            if old:
+                self._refs_live -= _ref_bytes(digest, old)
+            if count > 0:
+                self._refs[digest] = count
+                self._refs_live += _ref_bytes(digest, count)
+
+    def _reset_refs(self) -> None:
+        """Forget the table: the next :meth:`_sync_refs` rereads the file."""
+        if self._refs_file is not None:
+            self._refs_file.close()
+        self._refs_file = None
+        self._refs = {}
+        self._refs_end = self._refs_live = 0
+
+    def _commit_refs(self, changes: Mapping[str, int], fold: bool = False) -> None:
+        """Persist new absolute counts (0: gone), then apply them.
+
+        One appended line — O(batch) — or, with ``fold``, the whole table
+        rewritten as one record.  An append folds too once the dead bytes
+        exceed the live ones, so the file stays within ~2x its folded
+        size at an amortized cost per appended byte that does not depend
+        on the store.  Lock held, table synced.
+        """
+        fold = fold or not self._refs_end  # an empty log starts folded
+        try:
+            if not fold:
+                data = b"\n" + _encode_refs(changes)
+                with open(self._refs_path, "ab") as handle:
+                    handle.write(data)
+                self._refs_end += len(data)
+                self._hook("chunk.refs")
+            self._apply_refs(changes)
+            if fold or self._refs_end > 2 * self._refs_live:
+                self._fold_refs()
+        except BaseException:
+            self._reset_refs()  # memory and file may disagree: reread
+            raise
+
+    def _fold_refs(self) -> None:
+        """Rewrite the log as the table's one record (tmp + rename)."""
+        data = _encode_refs(self._refs)
         tmp = self._refs_path.with_name(f"refcounts-{uuid.uuid4().hex[:8]}.tmp")
-        tmp.write_text(json.dumps(refs, sort_keys=True))
+        tmp.write_bytes(data)
+        self._hook("chunk.refs")
+        folded = open(tmp, "rb", buffering=0)
         tmp.replace(self._refs_path)
+        if self._refs_file is not None:
+            self._refs_file.close()
+        self._refs_file = folded
+        self._refs_end = self._refs_live = len(data)
+
+    def close(self) -> None:
+        """Release the handle on the refcount log (reopened on next use)."""
+        with self._refs_mutex:
+            self._reset_refs()
 
     # -- chunk data ---------------------------------------------------------
 
@@ -562,32 +714,32 @@ class ChunkStore:
     # -- reference counting --------------------------------------------------
 
     def add_refs(self, digests: Iterable[str]) -> None:
-        """Increment refcounts for ``digests`` (one batched update)."""
+        """Increment refcounts for ``digests`` (one appended log line)."""
         digests = list(digests)
         if not digests:
             return
         with self._locked():
-            refs = self._load_refs()
+            refs = self._sync_refs()
+            changes: dict[str, int] = {}
             for digest in digests:
-                refs[digest] = refs.get(digest, 0) + 1
-            self._write_refs(refs)
+                changes[digest] = changes.get(digest, refs.get(digest, 0)) + 1
+            self._commit_refs(changes)
 
     def release_refs(self, digests: Iterable[str]) -> list[str]:
         """Decrement refcounts; delete and return chunks that hit zero."""
         digests = list(digests)
         if not digests:
             return []
-        removed: list[str] = []
         with self._locked():
-            refs = self._load_refs()
+            refs = self._sync_refs()
+            changes: dict[str, int] = {}
             for digest in digests:
-                count = refs.get(digest, 0) - 1
-                if count > 0:
-                    refs[digest] = count
-                else:
-                    refs.pop(digest, None)
-                    removed.append(digest)
-            self._write_refs(refs)
+                changes[digest] = max(
+                    0, changes.get(digest, refs.get(digest, 0)) - 1)
+            removed = [digest for digest, count in changes.items() if not count]
+            # a delete pays an O(store) index checkpoint anyway: fold, so
+            # freed chunks also shrink the log
+            self._commit_refs(changes, fold=True)
             for digest in removed:
                 self._delete_payload(digest)
             if removed:
@@ -595,12 +747,13 @@ class ChunkStore:
         return removed
 
     def refcount(self, digest: str) -> int:
-        return self._load_refs().get(digest, 0)
+        with self._locked():
+            return self._sync_refs().get(digest, 0)
 
     def export_refs(self) -> dict[str, int]:
         """Snapshot of every stored refcount (rebalance/repair plumbing)."""
         with self._locked():
-            return self._load_refs()
+            return dict(self._sync_refs())
 
     def import_refs(self, counts: Mapping[str, int]) -> None:
         """Set refcounts for the given digests (overwriting existing ones).
@@ -613,9 +766,8 @@ class ChunkStore:
         if not counts:
             return
         with self._locked():
-            refs = self._load_refs()
-            refs.update(counts)
-            self._write_refs(refs)
+            self._sync_refs()
+            self._commit_refs(counts)
 
     def forget_refs(self, digests: Iterable[str]) -> None:
         """Drop refcount entries without touching chunk files.
@@ -628,10 +780,10 @@ class ChunkStore:
         if not digests:
             return
         with self._locked():
-            refs = self._load_refs()
-            remaining = {d: c for d, c in refs.items() if d not in digests}
-            if len(remaining) != len(refs):
-                self._write_refs(remaining)
+            refs = self._sync_refs()
+            gone = {digest: 0 for digest in digests if digest in refs}
+            if gone:
+                self._commit_refs(gone)
 
     def gc(self) -> dict[str, int]:
         """Delete unreferenced chunks and *expired* tmp files; stats dict.
@@ -641,11 +793,13 @@ class ChunkStore:
         a live tmp file would tear that save's chunk from under it.
         """
         with self._locked():
-            refs = self._load_refs()
-            live = {d for d, count in refs.items() if count > 0}
-            if live != set(refs):
-                self._write_refs({d: refs[d] for d in live})
-            removed, freed = self._sweep_unreferenced(live)
+            removed, freed = self._sweep_unreferenced(set(self._sync_refs()))
+            # what a crash between a bookkeeping tmp write and its rename left
+            for path in self.root.glob("*.tmp"):
+                if self._tmp_expired(path):
+                    freed += path.stat().st_size
+                    path.unlink(missing_ok=True)
+                    removed += 1
         return {"chunks_removed": removed, "bytes_freed": freed}
 
     def _sweep_unreferenced(self, live: set) -> tuple[int, int]:
@@ -674,7 +828,11 @@ class ChunkStore:
         """
         expected = {d: int(c) for d, c in expected_refs.items() if c > 0}
         with self._locked():
-            refs = self._load_refs()
+            readable = True
+            try:
+                refs = self._sync_refs()
+            except StoreCorruptionError:
+                refs, readable = {}, False  # no count survives: recount all
             ref_fixes = {
                 digest: (refs.get(digest, 0), expected.get(digest, 0))
                 for digest in set(refs) | set(expected)
@@ -684,8 +842,10 @@ class ChunkStore:
             orphans = sorted(d for d in entries if d not in expected)
             orphan_bytes = sum(entries[d] for d in orphans)
             if repair:
-                if ref_fixes:
-                    self._write_refs(expected)
+                if ref_fixes or not readable:
+                    self._commit_refs(
+                        {d: wanted for d, (_, wanted) in ref_fixes.items()},
+                        fold=True)
                 for digest in orphans:
                     self._delete_payload(digest)
                 if orphans:
@@ -1021,11 +1181,18 @@ class FileStore:
                 if self._discard_blob(entry["file_id"]):
                     stats["blobs_removed"] += 1
             elif op == "refs":
-                self.chunks.release_refs(entry["digests"])
+                try:
+                    self.chunks.release_refs(entry["digests"])
+                except StoreCorruptionError:
+                    continue  # unreadable counts: fsck's reconcile recounts them
                 stats["refs_released"] += len(entry["digests"])
             elif op == "chunk":
                 digest = entry["digest"]
-                if self.chunks.refcount(digest) == 0 and self.chunks.has(digest):
+                try:
+                    unreferenced = self.chunks.refcount(digest) == 0
+                except StoreCorruptionError:
+                    continue  # ... and sweeps the chunk if nothing references it
+                if unreferenced and self.chunks.has(digest):
                     self.chunks.drop(digest)
                     stats["chunks_removed"] += 1
         journal.discard()

@@ -1,0 +1,114 @@
+"""Random refcount / payload operation sequences against a plain-dict model.
+
+``add`` / ``release`` / ``import`` / ``forget`` / ``gc`` / reopen (with and
+without ``close``) on both chunk layouts: the refcount log, whatever mix of
+appended lines and folds a sequence produced, always replays to the
+model's table, and the segment gauges always equal a recount.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro.filestore import ChunkStore, SegmentChunkStore
+from tests.filestore.test_bookkeeping import recount
+
+DIGESTS = st.sampled_from([f"{i:02d}" + "ef" * 8 for i in range(8)])
+BATCHES = st.lists(DIGESTS, min_size=1, max_size=5)
+
+
+class RefcountsAgainstDict(RuleBasedStateMachine):
+    store_cls = ChunkStore
+    options: dict = {}
+
+    def __init__(self):
+        super().__init__()
+        self.directory = tempfile.TemporaryDirectory()
+        self.root = Path(self.directory.name) / "c"
+        self.refs: dict[str, int] = {}
+        self.stored: set[str] = set()
+        self.open()
+
+    def open(self):
+        self.store = self.store_cls(self.root, tmp_grace_s=0.0, **self.options)
+
+    def teardown(self):
+        self.store.close()
+        self.directory.cleanup()
+
+    @rule(digest=DIGESTS)
+    def put(self, digest):
+        assert self.store.put(digest, digest.encode() * 3) == (digest not in self.stored)
+        self.store.flush()
+        self.stored.add(digest)
+
+    @rule(digests=BATCHES)
+    def add(self, digests):
+        self.store.add_refs(digests)
+        for digest in digests:
+            self.refs[digest] = self.refs.get(digest, 0) + 1
+
+    @rule(digests=BATCHES)
+    def release(self, digests):
+        expected = set()
+        for digest in digests:
+            count = self.refs.get(digest, 0) - 1
+            if count > 0:
+                self.refs[digest] = count
+            else:
+                self.refs.pop(digest, None)
+                self.stored.discard(digest)
+                expected.add(digest)
+        assert sorted(self.store.release_refs(digests)) == sorted(expected)
+
+    @rule(counts=st.dictionaries(DIGESTS, st.integers(0, 12), max_size=4))
+    def import_(self, counts):
+        self.store.import_refs(counts)
+        self.refs.update({d: c for d, c in counts.items() if c > 0})
+
+    @rule(digests=BATCHES)
+    def forget(self, digests):
+        self.store.forget_refs(digests)
+        for digest in digests:
+            self.refs.pop(digest, None)
+
+    @rule()
+    def gc(self):
+        doomed = self.stored - set(self.refs)
+        assert self.store.gc()["chunks_removed"] >= len(doomed)
+        self.stored -= doomed
+
+    @rule(clean=st.booleans())
+    def reopen(self, clean):
+        if clean:
+            self.store.close()
+        self.open()  # otherwise: killed, the handles just go away
+
+    @invariant()
+    def state_agrees(self):
+        assert self.store.export_refs() == self.refs
+        assert set(self.store.chunk_ids()) == self.stored
+        path = self.store._refs_path
+        if path.exists():
+            folded = len(json.dumps(self.refs, separators=(",", ":")))
+            assert path.stat().st_size <= 2 * folded + 16
+        if isinstance(self.store, SegmentChunkStore):
+            stats = self.store.segment_stats()
+            expected = recount(self.store)
+            assert {key: stats[key] for key in expected} == expected
+
+
+class SegmentRefcountsAgainstDict(RefcountsAgainstDict):
+    store_cls = SegmentChunkStore
+    options = {"segment_bytes": 256}  # rolls, so gc also compacts
+
+
+SETTINGS = settings(max_examples=40, stateful_step_count=40, deadline=None)
+TestRefcountsAgainstDict = RefcountsAgainstDict.TestCase
+TestRefcountsAgainstDict.settings = SETTINGS
+TestSegmentRefcountsAgainstDict = SegmentRefcountsAgainstDict.TestCase
+TestSegmentRefcountsAgainstDict.settings = SETTINGS

@@ -322,8 +322,18 @@ class TestFileStoreIntegration:
         assert set(stats["members"]) == set(members)
 
     def test_checkpoint_is_valid_json(self, tmp_path):
-        store = SegmentChunkStore(tmp_path / "s")
-        fill(store, 4)
-        checkpoint = json.loads((tmp_path / "s" / "index.json").read_text())
+        """Written when a segment is sealed and at close — not by a save."""
+        path = tmp_path / "s" / "index.json"
+        store = SegmentChunkStore(tmp_path / "s", segment_bytes=2048)
+        store.put(digest_for(99), payload(99))
+        store.flush()
+        assert not path.exists()
+        fill(store, 12)  # rolls
+        checkpoint = json.loads(path.read_text())
         assert checkpoint["version"] == 1
-        assert len(checkpoint["entries"]) == 4
+        sealed = [n for n, m in checkpoint["segments"].items() if m["sealed"]]
+        assert sealed and {e[0] for e in checkpoint["entries"].values()} <= set(sealed)
+        store.close()
+        checkpoint = json.loads(path.read_text())
+        assert checkpoint["version"] == 1
+        assert len(checkpoint["entries"]) == 13
