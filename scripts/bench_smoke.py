@@ -10,9 +10,7 @@ Writes ``BENCH_pipeline.json`` into ``benchmarks/results/`` (canonical;
 copied to the repo root).  Exit status is non-zero if the tier-1 suite
 fails or (unless ``--no-check``) the chunked pipeline misses its
 acceptance bars: >= 30% fewer stored bytes and a better median
-time-to-save than the monolithic path on the partial-update chain, and
-the segment chunk layout saving >= 3x faster than file-per-chunk at
-equal durability while recovering within 1.05x.
+time-to-save than the monolithic path on the partial-update chain.
 
 Usage::
 
@@ -156,90 +154,6 @@ def chain_benchmark(workdir: Path, scale: float, snapshots: int) -> dict:
     }
 
 
-def _counter_total(snapshot: dict, family: str) -> float:
-    """Sum every series of one counter family in a registry snapshot."""
-    return sum(s["value"] for s in snapshot.get(family, {}).get("series", []))
-
-
-def segments_vs_files_benchmark(
-    workdir: Path, scale: float, chunks: int = 800, chunk_kb: int = 8
-) -> dict:
-    """Segment layout vs file-per-chunk at equal durability (fsync-before-ack).
-
-    Both variants run with ``durability="group"``: no save is acknowledged
-    before its chunk bytes are fsynced.  File-per-chunk pays one fsync per
-    created file at the batch barrier; the segment layout appends every
-    chunk to one open segment and pays a single fsync for the whole batch.
-    The syscall proxy (files created + fsyncs) comes from the obs counters.
-    """
-    import numpy as np
-
-    from repro.core.hashing import state_dict_hashes
-
-    rng = np.random.default_rng(7)
-    state = {
-        f"layer_{index:04d}": rng.standard_normal(
-            chunk_kb * 1024 // 8
-        )
-        for index in range(chunks)
-    }
-    hashes = state_dict_hashes(state)
-    payload_bytes = sum(a.nbytes for a in state.values())
-
-    variants = {}
-    for layout in ("files", "segments"):
-        store = FileStore(
-            workdir / f"sv-{layout}", layout=layout, durability="group"
-        )
-        before = obs.registry().snapshot()
-        started = time.perf_counter()
-        file_id = store.save_state_chunks(state, hashes)
-        save_seconds = time.perf_counter() - started
-        after = obs.registry().snapshot()
-
-        recover_ms = []
-        for _ in range(5):
-            started = time.perf_counter()
-            restored = store.recover_state_chunks(file_id)
-            recover_ms.append((time.perf_counter() - started) * 1e3)
-        assert len(restored) == chunks
-
-        variants[layout] = {
-            "save_seconds": round(save_seconds, 4),
-            "save_mb_per_s": round(payload_bytes / save_seconds / 1e6, 2),
-            "recover_ms_median": round(statistics.median(recover_ms), 2),
-            "files_created": int(
-                _counter_total(after, "mmlib_chunk_files_created_total")
-                - _counter_total(before, "mmlib_chunk_files_created_total")
-            ),
-            "fsyncs": int(
-                _counter_total(after, "mmlib_chunk_fsyncs_total")
-                - _counter_total(before, "mmlib_chunk_fsyncs_total")
-            ),
-            "fsync_batches": int(
-                _counter_total(after, "mmlib_segment_fsync_batches_total")
-                - _counter_total(before, "mmlib_segment_fsync_batches_total")
-            ),
-        }
-
-    files, segments = variants["files"], variants["segments"]
-    speedup = files["save_seconds"] / segments["save_seconds"]
-    recover_ratio = (
-        segments["recover_ms_median"] / files["recover_ms_median"]
-    )
-    return {
-        "chunks": chunks,
-        "chunk_kb": chunk_kb,
-        "payload_bytes": payload_bytes,
-        "durability": "group",
-        **variants,
-        "save_speedup": round(speedup, 3),
-        "recover_ratio": round(recover_ratio, 3),
-        "meets_3x_save": speedup >= 3.0,
-        "recover_within_1_05": recover_ratio <= 1.05,
-    }
-
-
 def obs_overhead_benchmark(
     workdir: Path, scale: float, iterations: int = 12, warmup: int = 2
 ) -> dict:
@@ -361,22 +275,6 @@ def main() -> int:
               f"monolithic {chain['monolithic']['tts_ms_median']} ms "
               f"(x{chain['tts_speedup']})")
 
-        print("== chunk layout: segments vs file-per-chunk ==")
-        results["segments_vs_files"] = segments_vs_files_benchmark(
-            workdir, args.scale
-        )
-        layouts = results["segments_vs_files"]
-        print(f"save: segments {layouts['segments']['save_mb_per_s']} MB/s vs "
-              f"files {layouts['files']['save_mb_per_s']} MB/s "
-              f"(x{layouts['save_speedup']}); "
-              f"fsyncs {layouts['segments']['fsyncs']} vs "
-              f"{layouts['files']['fsyncs']}, files created "
-              f"{layouts['segments']['files_created']} vs "
-              f"{layouts['files']['files_created']}")
-        print(f"recover: segments {layouts['segments']['recover_ms_median']} ms "
-              f"vs files {layouts['files']['recover_ms_median']} ms "
-              f"(x{layouts['recover_ratio']})")
-
         print("== obs overhead: instrumented vs disabled ==")
         results["obs_overhead"] = obs_overhead_benchmark(workdir, args.scale)
         overhead = results["obs_overhead"]
@@ -398,13 +296,6 @@ def main() -> int:
             failed.append("chunked store saved < 30% bytes on the partial-update chain")
         if not chain["tts_improved"]:
             failed.append("chunked median TTS did not improve")
-        if not layouts["meets_3x_save"]:
-            failed.append(
-                "segment layout saved < 3x faster than file-per-chunk at "
-                "equal durability"
-            )
-        if not layouts["recover_within_1_05"]:
-            failed.append("segment layout recover exceeded 1.05x file-per-chunk")
     for message in failed:
         print(f"FAIL: {message}", file=sys.stderr)
     return 1 if failed else 0

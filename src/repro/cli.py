@@ -76,7 +76,6 @@ def _open_manager(args):
             workdir,
             shards=len(shards),
             replicas=getattr(args, "replicas", 2),
-            layout=getattr(args, "layout", None),
             codec=getattr(args, "codec", None),
             self_heal=True,
         )
@@ -90,7 +89,6 @@ def _open_manager(args):
         DocumentStore(args.docs),
         FileStore(
             args.files,
-            layout=getattr(args, "layout", None),
             codec=getattr(args, "codec", None),
         ),
     )
@@ -115,7 +113,6 @@ def _open_shared_stores(args):
             workdir,
             shards=len(shards),
             replicas=getattr(args, "replicas", 2),
-            layout=getattr(args, "layout", None),
             codec=getattr(args, "codec", None),
             self_heal=True,
         )
@@ -129,7 +126,6 @@ def _open_shared_stores(args):
         documents=DocumentStore(args.docs),
         files=FileStore(
             args.files,
-            layout=getattr(args, "layout", None),
             codec=getattr(args, "codec", None),
         ),
         scratch_dir=scratch,
@@ -158,7 +154,6 @@ def _service_for(args, approach: str):
         DocumentStore(args.docs),
         FileStore(
             args.files,
-            layout=getattr(args, "layout", None),
             codec=getattr(args, "codec", None),
         ),
     )
@@ -577,7 +572,7 @@ def cmd_stats(args) -> int:
     opened = (args.docs and args.files) or getattr(args, "cluster", None)
     if opened and not args.prometheus:
         # opening the stores folds their per-component views (segment
-        # layout, cluster health, pending hints) into the snapshot
+        # occupancy, cluster health, pending hints) into the snapshot
         manager = _open_manager(args)
         print(json.dumps(manager.stats(), indent=2, sort_keys=True))
         return 0
@@ -652,11 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--replicas", type=int, default=2,
         help="replica count when opening a --cluster deployment (default 2)",
-    )
-    parser.add_argument(
-        "--layout", choices=["files", "segments"], default=None,
-        help="chunk layout when opening the file store (default: "
-             "auto-detect on disk, else segments)",
     )
     parser.add_argument(
         "--codec", default=None,

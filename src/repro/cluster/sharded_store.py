@@ -200,10 +200,9 @@ class _ShardedChunkView:
         return stats
 
     def audit(self, repair: bool = True, verify: bool = False) -> dict:
-        """Aggregate segment audits across members that support them.
+        """Aggregate the members' segment audits.
 
-        Listy fields are prefixed ``member:item`` like :meth:`reconcile`;
-        members on the file-per-chunk layout contribute nothing.
+        Listy fields are prefixed ``member:item`` like :meth:`reconcile`.
         """
         merged = {
             "layout": "sharded",
@@ -215,14 +214,9 @@ class _ShardedChunkView:
             "crc_failures": [],
             "compaction": [],
         }
-        audited = False
         store = self._store
         for name in sorted(store.members):
-            audit = getattr(store.members[name].chunks, "audit", None)
-            if not callable(audit):
-                continue
-            audited = True
-            report = audit(repair=repair, verify=verify)
+            report = store.members[name].chunks.audit(repair=repair, verify=verify)
             merged["segments_checked"] += report["segments_checked"]
             merged["tmp_segments_removed"] += report["tmp_segments_removed"]
             merged["entries_added"] += report["entries_added"]
@@ -230,10 +224,10 @@ class _ShardedChunkView:
                 merged[field].extend(f"{name}:{item}" for item in report[field])
             if report["compaction"] is not None:
                 merged["compaction"].append(f"{name}:{report['compaction']}")
-        return merged if audited else None
+        return merged
 
-    def segment_stats(self) -> dict | None:
-        """Cluster-wide segment gauges, or ``None`` without segment members."""
+    def segment_stats(self) -> dict:
+        """Cluster-wide segment gauges (summed over members)."""
         merged = {
             "layout": "sharded",
             "segment_count": 0,
@@ -247,17 +241,12 @@ class _ShardedChunkView:
         }
         store = self._store
         for name in sorted(store.members):
-            stats_fn = getattr(store.members[name].chunks, "segment_stats", None)
-            if not callable(stats_fn):
-                continue
-            stats = stats_fn()
+            stats = store.members[name].chunks.segment_stats()
             merged["members"][name] = stats
             for key in ("segment_count", "sealed_segments", "chunks",
                         "live_bytes", "dead_bytes", "compaction_debt_bytes"):
                 merged[key] += stats[key]
             merged["pending_compaction"] |= stats["pending_compaction"]
-        if not merged["members"]:
-            return None
         total = merged["live_bytes"] + merged["dead_bytes"]
         merged["live_ratio"] = (merged["live_bytes"] / total) if total else 1.0
         return merged
@@ -274,10 +263,7 @@ class _ShardedChunkView:
         codecs_seen: set[str] = set()
         store = self._store
         for name in sorted(store.members):
-            stats_fn = getattr(store.members[name].chunks, "dedup_stats", None)
-            if not callable(stats_fn):
-                continue
-            stats = stats_fn()
+            stats = store.members[name].chunks.dedup_stats()
             merged["members"][name] = stats
             codecs_seen.add(stats["codec"])
             for key in ("logical_bytes", "dedup_bytes", "stored_bytes"):
@@ -504,8 +490,7 @@ class ShardedFileStore(FileStore):
         layer metadata harvested from manifests.  Returns ``None`` when
         neither applies — the caller then skips byte-level verification
         but may still repair (the payload came from a member's
-        content-addressed object file, the same trust level fsck operates
-        at).
+        CRC-checked chunk record, the same trust level fsck operates at).
         """
         if hashlib.sha256(data).hexdigest() == digest:
             return True

@@ -313,15 +313,8 @@ class ModelManager:
                 "bytes_sent": getattr(files, "bytes_sent", 0),
                 "bytes_received": getattr(files, "bytes_received", 0),
             }
-        chunk_store = getattr(files, "chunks", None)
-        segment_stats = getattr(chunk_store, "segment_stats", None)
-        if callable(segment_stats):
-            snapshot = segment_stats()
-            if snapshot is not None:
-                out["segments"] = snapshot
-        dedup_stats = getattr(chunk_store, "dedup_stats", None)
-        if callable(dedup_stats):
-            out["dedup"] = dedup_stats()
+        out["segments"] = files.chunks.segment_stats()
+        out["dedup"] = files.chunks.dedup_stats()
         documents = self.documents
         if hasattr(documents, "cluster_stats"):
             out["cluster_docs"] = dict(documents.cluster_stats)
@@ -709,8 +702,7 @@ class ModelManager:
         1. every intent journal belongs to a finished save — crashed
            saves are rolled back (stores and documents), committed ones
            merely discarded;
-        1b. on a segment-layout chunk store, every segment's footer and
-           record framing is intact — torn tails are truncated, the
+        1b. every segment's footer and record framing is intact — torn tails are truncated, the
            chunk index is rebuilt from disk, and an interrupted
            compaction is rolled forward or back;
         1c. every chain-compaction journal belongs to a finished swap —
@@ -779,55 +771,46 @@ class ModelManager:
                     )
                 report.add("incomplete_save", detail, repaired=repair)
 
-        # 1b. segment-layout stores: audit footers/record framing, rebuild
-        # the chunk index from disk, finish interrupted compactions
+        # 1b. audit segment footers/record framing, rebuild the chunk
+        # index from disk, finish interrupted compactions
         steps.start("segments")
-        chunk_store = getattr(files, "chunks", None)
-        audit = getattr(chunk_store, "audit", None)
-        if callable(audit):
-            outcome = audit(repair=repair, verify=verify_chunks)
-            if outcome is not None:
-                report.segments = outcome
-                for name in outcome.get("torn_segments", ()):
-                    report.add(
-                        "torn_segment",
-                        f"segment {name} had a torn tail"
-                        + (" (truncated)" if repair else ""),
-                        repaired=repair,
-                    )
-                for digest in outcome.get("entries_dropped", ()):
-                    report.add(
-                        "segment_index",
-                        f"index entry {digest[:24]}… pointed at missing "
-                        "segment bytes" + (" (dropped)" if repair else ""),
-                        repaired=repair,
-                    )
-                if outcome.get("entries_added"):
-                    report.add(
-                        "segment_index",
-                        f"rebuilt {outcome['entries_added']} index "
-                        "entr(y/ies) from segment scans",
-                        repaired=True,
-                    )
-                for digest in outcome.get("crc_failures", ()):
-                    report.add(
-                        "segment_crc",
-                        f"segment record for chunk {digest[:24]}… fails "
-                        "its CRC check",
-                    )
-                compaction = outcome.get("compaction")
-                if compaction:
-                    actions = (
-                        compaction
-                        if isinstance(compaction, list)
-                        else [compaction]
-                    )
-                    for action in actions:
-                        report.add(
-                            "segment_compaction",
-                            f"interrupted compaction: {action}",
-                            repaired=repair and "pending" not in str(action),
-                        )
+        outcome = files.chunks.audit(repair=repair, verify=verify_chunks)
+        report.segments = outcome
+        for name in outcome["torn_segments"]:
+            report.add(
+                "torn_segment",
+                f"segment {name} had a torn tail"
+                + (" (truncated)" if repair else ""),
+                repaired=repair,
+            )
+        for digest in outcome["entries_dropped"]:
+            report.add(
+                "segment_index",
+                f"index entry {digest[:24]}… pointed at missing "
+                "segment bytes" + (" (dropped)" if repair else ""),
+                repaired=repair,
+            )
+        if outcome["entries_added"]:
+            report.add(
+                "segment_index",
+                f"rebuilt {outcome['entries_added']} index "
+                "entr(y/ies) from segment scans",
+                repaired=True,
+            )
+        for digest in outcome["crc_failures"]:
+            report.add(
+                "segment_crc",
+                f"segment record for chunk {digest[:24]}… fails "
+                "its CRC check",
+            )
+        compaction = outcome["compaction"]
+        for action in compaction if isinstance(compaction, list) else [compaction]:
+            if action:
+                report.add(
+                    "segment_compaction",
+                    f"interrupted compaction: {action}",
+                    repaired=repair and "pending" not in str(action),
+                )
 
         # 1c. chain compaction: a crash between journal and cleanup leaves
         # a half-swapped model — finish the swap in whichever direction
@@ -964,9 +947,9 @@ class ModelManager:
                         continue
                     verified.add(digest)
                     # read straight from disk: fsck audits what is stored,
-                    # not what a faulty link would deliver; a segment store
-                    # raises on CRC failure where file-per-chunk would hand
-                    # back the rotten bytes — both count as corruption here
+                    # not what a faulty link would deliver; a record that
+                    # fails its CRC and bytes that fail their digest both
+                    # count as corruption here
                     try:
                         raw = files.chunks.get(digest)
                         if "chunk" in meta:

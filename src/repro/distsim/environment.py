@@ -65,7 +65,6 @@ class SharedStores:
         workers: int = 0,
         pipeline_depth: int = 8,
         chunk_cache_bytes: int = 0,
-        layout: str | None = None,
         codec: str | None = None,
         cdc: bool | None = None,
     ) -> "SharedStores":
@@ -99,7 +98,6 @@ class SharedStores:
                 retry=retry,
                 workers=workers,
                 chunk_cache=chunk_cache,
-                layout=layout,
                 codec=codec,
                 cdc=cdc,
             )
@@ -111,7 +109,6 @@ class SharedStores:
                 retry=retry,
                 workers=workers,
                 pipeline_depth=pipeline_depth,
-                layout=layout,
                 chunk_cache=chunk_cache,
                 codec=codec,
                 cdc=cdc,
@@ -133,7 +130,6 @@ class SharedStores:
         workers: int = 0,
         pipeline_depth: int = 8,
         chunk_cache_bytes: int = 0,
-        layout: str | None = None,
         codec: str | None = None,
         cdc: bool | None = None,
         self_heal: bool = False,
@@ -183,7 +179,7 @@ class SharedStores:
             if network is None:
                 file_members[name] = FileStore(
                     workdir / name / "files", faults=shard_faults, retry=retry,
-                    layout=layout, codec=codec,
+                    codec=codec,
                 )
             else:
                 file_members[name] = SimulatedNetworkFileStore(
@@ -192,7 +188,6 @@ class SharedStores:
                     faults=shard_faults,
                     retry=retry,
                     pipeline_depth=pipeline_depth,
-                    layout=layout,
                     codec=codec,
                 )
         detector = hints = None

@@ -52,7 +52,8 @@ class FaultInjector:
         Transient I/O errors on file/chunk operations.
     ``torn_write_rate``
         Write operations that persist a partial payload and then fail
-        (the tear stays on disk as a ``*.tmp`` file).
+        (the tear stays on disk: a ``*.tmp`` file for a blob, half a
+        record past a segment's end for a chunk).
     ``corrupt_rate``
         Read operations whose returned bytes get one byte flipped —
         in-transit corruption, healed by a re-fetch.

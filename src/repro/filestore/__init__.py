@@ -8,18 +8,8 @@ from .network import (
     NetworkModel,
     SimulatedNetworkFileStore,
 )
-from .segments import (
-    DEFAULT_SEGMENT_BYTES,
-    SegmentChunkStore,
-    SegmentCompactor,
-)
-from .store import (
-    ChunkCache,
-    ChunkNotFoundError,
-    ChunkStore,
-    FileNotFoundInStoreError,
-    FileStore,
-)
+from .segments import DEFAULT_SEGMENT_BYTES, ChunkNotFoundError, ChunkStore
+from .store import ChunkCache, FileNotFoundInStoreError, FileStore
 
 __all__ = [
     "CELLULAR_LTE",
@@ -32,8 +22,6 @@ __all__ = [
     "DEFAULT_SEGMENT_BYTES",
     "FileNotFoundInStoreError",
     "FileStore",
-    "SegmentChunkStore",
-    "SegmentCompactor",
     "available_codecs",
     "resolve_codec",
     "gear_table",

@@ -80,9 +80,6 @@ class SimulatedNetworkFileStore(FileStore):
         pipeline_depth: int = 8,
         workers: int = 0,
         chunk_cache=None,
-        layout: str | None = None,
-        durability: str | None = None,
-        segment_bytes: int | None = None,
         codec: str | None = None,
         cdc: bool | None = None,
         cdc_target_bytes: int | None = None,
@@ -93,9 +90,6 @@ class SimulatedNetworkFileStore(FileStore):
             "verify_reads": verify_reads,
             "workers": workers,
             "chunk_cache": chunk_cache,
-            "layout": layout,
-            "durability": durability,
-            "segment_bytes": segment_bytes,
             "codec": codec,
             "cdc": cdc,
             "cdc_target_bytes": cdc_target_bytes,

@@ -1,15 +1,12 @@
-"""Append-only segment backend for the content-addressed chunk store.
+"""The content-addressed chunk store: records in append-only segments.
 
-The file-per-chunk :class:`~repro.filestore.store.ChunkStore` pays one
-``open`` + ``write`` + ``rename`` (and, with durability, one ``fsync``)
-per chunk.  This backend instead appends chunk records to large
-append-only *segment* files and locates them through an in-memory index
-(``digest -> (segment, offset, length, crc)``), LSM-style:
+Chunks are appended as records to large append-only *segment* files and
+located through an in-memory index (``digest -> (segment, offset,
+length, crc)``), LSM-style:
 
 * **Group fsync** — appends are acknowledged immediately and made
-  durable by one batched :meth:`SegmentChunkStore.flush` per save (the
-  store's ``"group"`` durability), so a thousand-chunk save costs one
-  fsync instead of a thousand.
+  durable by one batched :meth:`ChunkStore.flush` per save, so a
+  thousand-chunk save costs one fsync instead of a thousand.
 * **Sealed segments carry a footer** — a catalog of their records — so
   reopening a store bulk-loads the index from footers instead of
   rescanning payloads.
@@ -20,8 +17,8 @@ append-only *segment* files and locates them through an in-memory index
   where it says what the segments cannot: when a segment is sealed, when
   a record is deleted (a deliberately deleted record must never be
   resurrected by a rescan), after a compaction, after an open that had
-  to rescan, and at :meth:`SegmentChunkStore.close`.  A save writes none;
-  a reopen after ``kill -9`` rescans at most the one unsealed tail
+  to rescan, and at :meth:`ChunkStore.close`.  A save writes none; a
+  reopen after ``kill -9`` rescans at most the one unsealed tail
   (DESIGN.md §17 "Bookkeeping").
 * **Compaction** — segments whose live ratio drops below a threshold
   are rewritten into a fresh sealed segment.  The rewrite is journaled
@@ -45,30 +42,37 @@ advances the logical end, so a retry overwrites the tear in place.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
 import threading
+import time
 import uuid
 import zlib
 from pathlib import Path
+from typing import Iterable, Mapping
 
 from .. import obs
 from ..errors import StoreCorruptionError
-from .store import (
-    DEFAULT_TMP_GRACE_S,
-    ChunkNotFoundError,
-    ChunkStore,
-    _buffer_nbytes,
-)
+from . import codecs as chunk_codecs
 
-__all__ = ["SegmentChunkStore", "SegmentCompactor", "DEFAULT_SEGMENT_BYTES"]
+try:
+    import fcntl
+except ImportError:  # non-posix platform: single-process locking only
+    fcntl = None
+
+__all__ = ["ChunkStore", "ChunkNotFoundError", "DEFAULT_SEGMENT_BYTES"]
+
+#: Tmp files younger than this are assumed in-flight and never reaped —
+#: a concurrent saver may still be writing them.
+DEFAULT_TMP_GRACE_S = 600.0
 
 #: Segments roll (seal + start a new one) once records cross this size.
 DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
 
 #: Compaction rewrites sealed segments whose live ratio falls below this.
-DEFAULT_COMPACT_THRESHOLD = 0.5
+COMPACT_THRESHOLD = 0.5
 
 SEGMENT_SUFFIX = ".seg"
 SEGMENT_MAGIC = b"MMSEG1\n\x00"
@@ -82,6 +86,40 @@ FOOTER_MAGIC = b"MMFT"
 FOOTER_END_MAGIC = b"MMSE"
 #: Footer tail: records-end offset, catalog crc32, end magic.
 FOOTER_TAIL = struct.Struct("<QI4s")
+
+
+class ChunkNotFoundError(KeyError):
+    """Raised when fetching a chunk digest the store does not hold."""
+
+
+def _buffer_nbytes(buffer) -> int:
+    if isinstance(buffer, memoryview):
+        return buffer.nbytes
+    return len(buffer)
+
+
+def _encode_refs(counts: Mapping[str, int]) -> bytes:
+    """One refcount log record (no line terminator)."""
+    return json.dumps(counts, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _decode_refs(line: bytes) -> dict[str, int] | None:
+    """The record on one refcount log line (none on a blank one); ``None``
+    when the line is not a record."""
+    if not line.strip():
+        return {}
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    if isinstance(record, dict) and all(type(c) is int for c in record.values()):
+        return record
+    return None
+
+
+def _ref_bytes(digest: str, count: int) -> int:
+    """Bytes one entry takes in a folded record: quotes, colon, comma."""
+    return len(digest) + len(str(count)) + 4
 
 
 def _parse_seq(name: str) -> int | None:
@@ -99,34 +137,65 @@ def _new_meta() -> dict:
     return {"scanned": 0, "total": 0, "live": 0, "sealed": False, "bad": False}
 
 
-class SegmentChunkStore(ChunkStore):
-    """Chunk store that appends records to large append-only segments.
+class ChunkStore:
+    """Content-addressed, ref-counted chunk storage in append-only segments.
 
-    Drop-in replacement for the file-per-chunk :class:`ChunkStore`: the
-    refcount plane (the flock-serialized ``refcounts.json`` log), GC
-    contract, and the whole public surface are inherited; only the
-    physical payload primitives differ.  See the module docstring for
-    the format, the durability model and when the index is checkpointed.
+    Each distinct digest is stored once, as one CRC-framed record (see the
+    module docstring for the format, the durability model and when the
+    index is checkpointed).  Reference counts track how many manifests
+    point at each chunk; :meth:`release_refs` deletes chunks whose count
+    drops to zero, and :meth:`gc` sweeps orphans (e.g. chunks written by a
+    save that crashed before its manifest) and compacts segments.
+
+    The counts live in ``refcounts.json``, an append-only log: one JSON
+    object per line mapping digest to its *absolute* count (0: gone),
+    later lines win.  Taking references appends one line, so a save costs
+    what it touches, not what the store holds; the file is folded back
+    into one record when a release rewrites it or once its dead bytes
+    exceed the live ones.  Every access holds an ``flock`` and first
+    replays what was appended since its last one, so several processes
+    can share one store directory (DESIGN.md §17 "Bookkeeping").
+
+    A chunk root written by the older file-per-chunk layout is imported
+    once, on open (:meth:`_import_legacy_chunks`).
     """
 
     def __init__(
         self,
-        root,
+        root: str | Path,
         tmp_grace_s: float = DEFAULT_TMP_GRACE_S,
-        durability: str = "group",
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
         codec: str | None = None,
     ):
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self._refs_path = self.root / "refcounts.json"
+        self._lock_path = self.root / ".lock"
+        # the refcount table as of the first ``_refs_end`` bytes of the log;
+        # ``_refs_file`` stays open on the file those bytes were read from
+        self._refs_mutex = threading.Lock()
+        self._refs: dict[str, int] = {}
+        self._refs_file = None
+        self._refs_end = 0
+        self._refs_live = 0  # bytes the table takes as one folded record
+        self.tmp_grace_s = float(tmp_grace_s)
         self.segment_bytes = int(segment_bytes)
-        self.compact_threshold = float(compact_threshold)
-        super().__init__(
-            root, tmp_grace_s=tmp_grace_s, durability=durability, codec=codec
-        )
-
-    # -- open / index maintenance -------------------------------------------
-
-    def _init_physical(self) -> None:
+        #: At-rest compression codec for new chunk payloads.  Digests are
+        #: always over the uncompressed bytes, and decode is driven by the
+        #: payload frame, so stores with different codecs interoperate.
+        self.codec = chunk_codecs.resolve_codec(codec)
+        #: Optional chaos hook with the ``FaultInjector.fail_point``
+        #: signature, consulted by long-running maintenance (compaction)
+        #: and between the steps of a refcount write.
+        self.fault_hook = None
+        # dedup/compression accounting (in-process, like the network
+        # store's transfer accounting): logical bytes offered by callers,
+        # bytes skipped because the digest was already stored, and framed
+        # bytes physically written
+        self._acct_lock = threading.Lock()
+        self.logical_bytes = 0
+        self.dedup_bytes = 0
+        self.stored_bytes = 0
         self.segments_dir = self.root / "segments"
         self.segments_dir.mkdir(parents=True, exist_ok=True)
         self._checkpoint_path = self.root / "index.json"
@@ -144,6 +213,17 @@ class SegmentChunkStore(ChunkStore):
         self._read_files: dict[str, object] = {}
         self._seq = 0
         registry = obs.registry()
+        self._obs_fsyncs = registry.counter(
+            "mmlib_chunk_fsyncs_total", "fsync calls issued for chunk durability")
+        self._obs_logical = registry.counter(
+            "mmlib_chunks_logical_bytes_total",
+            "Uncompressed bytes offered to ChunkStore.put")
+        self._obs_dedup = registry.counter(
+            "mmlib_chunks_dedup_bytes_total",
+            "Uncompressed bytes skipped because the chunk already existed")
+        self._obs_stored = registry.counter(
+            "mmlib_chunks_stored_bytes_total",
+            "Framed (possibly compressed) bytes physically written")
         self._obs_appends = registry.counter(
             "mmlib_segment_appends_total", "Chunk records appended to segments")
         self._obs_batches = registry.counter(
@@ -169,6 +249,199 @@ class SegmentChunkStore(ChunkStore):
                 # an unclean shutdown's tail was rescanned: once, not per open
                 self._write_checkpoint_locked()
             self._update_gauges_locked()
+        self._import_legacy_chunks()
+
+    # -- codec framing / dedup accounting ------------------------------------
+
+    def _encode(self, buffer):
+        """At-rest payload for one chunk (see :mod:`repro.filestore.codecs`).
+
+        With the ``none`` codec the raw bytes pass through zero-copy
+        unless they collide with the frame magic, which the codec layer
+        escape-frames so decoding stays unambiguous.
+        """
+        if self.codec == "none":
+            view = buffer if isinstance(buffer, bytes) else memoryview(buffer).cast("B")
+            if bytes(view[:4]) != chunk_codecs.FRAME_MAGIC:
+                return buffer
+        return chunk_codecs.encode(self.codec, buffer)
+
+    @staticmethod
+    def _decode(payload):
+        """Uncompressed chunk bytes for one at-rest payload (the payload
+        itself when it is unframed)."""
+        return chunk_codecs.decode(payload)
+
+    def _account_put(self, raw_nbytes: int, stored_nbytes: int | None = None) -> None:
+        """Record one put: deduped when ``stored_nbytes`` is ``None``."""
+        with self._acct_lock:
+            self.logical_bytes += raw_nbytes
+            if stored_nbytes is None:
+                self.dedup_bytes += raw_nbytes
+            else:
+                self.stored_bytes += stored_nbytes
+        self._obs_logical.inc(raw_nbytes)
+        if stored_nbytes is None:
+            self._obs_dedup.inc(raw_nbytes)
+        else:
+            self._obs_stored.inc(stored_nbytes)
+
+    def dedup_stats(self) -> dict:
+        """Dedup and compression accounting since this store was opened."""
+        with self._acct_lock:
+            logical = self.logical_bytes
+            dedup = self.dedup_bytes
+            stored = self.stored_bytes
+        written = logical - dedup
+        return {
+            "codec": self.codec,
+            "logical_bytes": logical,
+            "dedup_bytes": dedup,
+            "stored_bytes": stored,
+            "dedup_ratio": round(logical / written, 4) if written else None,
+            "compression_ratio": round(written / stored, 4) if stored else None,
+        }
+
+    def _tmp_expired(self, path: Path) -> bool:
+        """In-flight tmp files get a grace age before they count as orphans."""
+        try:
+            return path.stat().st_mtime <= time.time() - self.tmp_grace_s
+        except FileNotFoundError:
+            return False
+
+    # -- locking / refcount persistence ------------------------------------
+
+    @contextlib.contextmanager
+    def _locked(self):
+        with self._refs_mutex:
+            if fcntl is None:
+                yield
+                return
+            with open(self._lock_path, "a+") as lock_file:
+                fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX)
+                try:
+                    yield
+                finally:
+                    fcntl.flock(lock_file.fileno(), fcntl.LOCK_UN)
+
+    def _hook(self, op: str) -> None:
+        if self.fault_hook is not None:
+            self.fault_hook(op)
+
+    def _sync_refs(self) -> dict[str, int]:
+        """The refcount table as the log has it now (lock held).
+
+        Replays what this or another process appended since the last
+        call, or the whole file when it was replaced in between.  The
+        handle kept open on the file last read pins its inode, so a file
+        at that path with that inode number *is* that file, only longer.
+        """
+        try:
+            on_disk = os.stat(self._refs_path)
+        except FileNotFoundError:
+            on_disk = None
+        if self._refs_file is not None:
+            held = os.fstat(self._refs_file.fileno())
+            if (
+                on_disk is None
+                or (on_disk.st_dev, on_disk.st_ino) != (held.st_dev, held.st_ino)
+                or on_disk.st_size < self._refs_end
+            ):
+                self._reset_refs()  # folded by another process, or gone
+        if on_disk is None:
+            return self._refs
+        if self._refs_file is None:
+            self._refs_file = open(self._refs_path, "rb", buffering=0)
+        if on_disk.st_size > self._refs_end:
+            self._replay_refs(os.pread(
+                self._refs_file.fileno(), on_disk.st_size - self._refs_end,
+                self._refs_end))
+        return self._refs
+
+    def _replay_refs(self, data: bytes) -> None:
+        """Apply the log lines in ``data``, read at ``_refs_end``.
+
+        Only the final line can be a torn append (a write that never
+        returned): it is dropped and the file cut back to the line
+        boundary.  A bad line with anything after it is damage to acked
+        counts; reading it as "nothing is referenced" would let the next
+        :meth:`gc` sweep live chunks, so it raises and fsck rebuilds the
+        table from the manifests (:meth:`reconcile`).
+        """
+        *lines, last = data.split(b"\n")
+        offset = self._refs_end
+        for line in lines:
+            record = _decode_refs(line)
+            if record is None:
+                self._reset_refs()
+                raise StoreCorruptionError(
+                    f"chunk refcounts: unreadable record at byte {offset} of "
+                    f"{self._refs_path} with records after it")
+            self._apply_refs(record)
+            offset += len(line) + 1
+        record = _decode_refs(last)
+        if record is None:
+            os.truncate(self._refs_path, offset)
+        else:
+            self._apply_refs(record)
+            offset += len(last)
+        self._refs_end = offset
+
+    def _apply_refs(self, counts: Mapping[str, int]) -> None:
+        for digest, count in counts.items():
+            old = self._refs.pop(digest, 0)
+            if old:
+                self._refs_live -= _ref_bytes(digest, old)
+            if count > 0:
+                self._refs[digest] = count
+                self._refs_live += _ref_bytes(digest, count)
+
+    def _reset_refs(self) -> None:
+        """Forget the table: the next :meth:`_sync_refs` rereads the file."""
+        if self._refs_file is not None:
+            self._refs_file.close()
+        self._refs_file = None
+        self._refs = {}
+        self._refs_end = self._refs_live = 0
+
+    def _commit_refs(self, changes: Mapping[str, int], fold: bool = False) -> None:
+        """Persist new absolute counts (0: gone), then apply them.
+
+        One appended line — O(batch) — or, with ``fold``, the whole table
+        rewritten as one record.  An append folds too once the dead bytes
+        exceed the live ones, so the file stays within ~2x its folded
+        size at an amortized cost per appended byte that does not depend
+        on the store.  Lock held, table synced.
+        """
+        fold = fold or not self._refs_end  # an empty log starts folded
+        try:
+            if not fold:
+                data = b"\n" + _encode_refs(changes)
+                with open(self._refs_path, "ab") as handle:
+                    handle.write(data)
+                self._refs_end += len(data)
+                self._hook("chunk.refs")
+            self._apply_refs(changes)
+            if fold or self._refs_end > 2 * self._refs_live:
+                self._fold_refs()
+        except BaseException:
+            self._reset_refs()  # memory and file may disagree: reread
+            raise
+
+    def _fold_refs(self) -> None:
+        """Rewrite the log as the table's one record (tmp + rename)."""
+        data = _encode_refs(self._refs)
+        tmp = self._refs_path.with_name(f"refcounts-{uuid.uuid4().hex[:8]}.tmp")
+        tmp.write_bytes(data)
+        self._hook("chunk.refs")
+        folded = open(tmp, "rb", buffering=0)
+        tmp.replace(self._refs_path)
+        if self._refs_file is not None:
+            self._refs_file.close()
+        self._refs_file = folded
+        self._refs_end = self._refs_live = len(data)
+
+    # -- open / index maintenance -------------------------------------------
 
     def _set_entry_locked(self, digest: str, entry: tuple[str, int, int, int]) -> None:
         self._drop_entry_locked(digest)
@@ -220,6 +493,14 @@ class SegmentChunkStore(ChunkStore):
         tmp = path.with_name(f"{path.name}-{uuid.uuid4().hex[:8]}.tmp")
         tmp.write_text(json.dumps(payload, sort_keys=True))
         tmp.replace(path)
+
+    def _flush_index(self) -> None:
+        """Checkpoint the index after a delete (deleted records must not be
+        resurrected by a rescan)."""
+        with self._mutex:
+            if self._index_dirty:
+                self._write_checkpoint_locked()
+                self._update_gauges_locked()
 
     def _refresh_locked(self) -> int:
         """Absorb on-disk changes beyond each segment's scan offset.
@@ -361,6 +642,47 @@ class SegmentChunkStore(ChunkStore):
             except OSError:
                 pass
 
+    def _import_legacy_chunks(self) -> None:
+        """Fold a file-per-chunk chunk root into this store, once, on open.
+
+        Older stores kept each chunk in its own file, ``objects/<digest>``
+        (the raw bytes or a codec frame).  Under the store's ``flock``
+        every such file is decoded and :meth:`put` — so it gets this
+        store's codec and a record CRC — then one group :meth:`flush` and
+        an index checkpoint make the records durable and findable, and only
+        then are the files and the directory unlinked.  ``refcounts.json``
+        was shared by both layouts, so counts carry over untouched.
+        Expired ``*.tmp`` tears are reaped; a young one keeps the
+        directory for the next open.  Every step is idempotent (a put of a
+        held digest is a no-op), so a crash anywhere resumes here.
+        """
+        legacy = self.root / "objects"
+        if not legacy.is_dir():
+            return
+        with self._locked():
+            with self._mutex:
+                self._refresh_locked()  # what a process we waited for imported
+            if not legacy.is_dir():
+                return
+            imported = []
+            for path in sorted(legacy.iterdir()):
+                if path.name.endswith(".tmp"):
+                    if self._tmp_expired(path):
+                        path.unlink(missing_ok=True)
+                    continue
+                self.put(path.name, self._decode(path.read_bytes()))
+                imported.append(path)
+                self._hook("chunk.import")
+            self.flush()
+            with self._mutex:
+                self._write_checkpoint_locked()
+            self._hook("chunk.import")
+            for path in imported:
+                path.unlink(missing_ok=True)
+                self._hook("chunk.import")
+            with contextlib.suppress(OSError):
+                legacy.rmdir()
+
     # -- append path ---------------------------------------------------------
 
     def _next_segment_name(self) -> str:
@@ -390,7 +712,20 @@ class SegmentChunkStore(ChunkStore):
                 return
             view = view[written:]
 
+    @staticmethod
+    def _check_digest(digest: str) -> None:
+        if not digest or "/" in digest or digest.startswith("."):
+            raise ValueError(f"invalid chunk digest: {digest!r}")
+
     def put(self, digest: str, buffer) -> bool:
+        """Store ``buffer`` under ``digest`` if absent; True iff written.
+
+        ``buffer`` may be any bytes-like object (``memoryview``s are
+        written without an intermediate copy).  Content-addressing makes
+        the write idempotent: an existing chunk is never rewritten.  The
+        record is acknowledged once it is in the OS; :meth:`flush` makes
+        it durable.
+        """
         self._check_digest(digest)
         with self._mutex:
             if digest in self._index:
@@ -426,10 +761,6 @@ class SegmentChunkStore(ChunkStore):
             self._dirty = True
             self._index_dirty = True
             self._obs_appends.inc()
-            if self.durability == "chunk":
-                os.fsync(fileobj.fileno())
-                self._obs_fsyncs.inc()
-                self._dirty = False
             if self._active_end >= self.segment_bytes:
                 self._roll_locked()
         return True
@@ -456,8 +787,10 @@ class SegmentChunkStore(ChunkStore):
     def flush(self) -> int:
         """One group fsync for every append since the last flush.
 
-        No checkpoint: the synced records are their own index entries (a
-        reopen rescans them), so a save writes what it appended.
+        A save flushes once before publishing its manifest, so no save is
+        acknowledged before its bytes are on disk.  No checkpoint: the
+        synced records are their own index entries (a reopen rescans
+        them), so a save writes what it appended.
         """
         with self._mutex:
             synced = 0
@@ -483,11 +816,10 @@ class SegmentChunkStore(ChunkStore):
         footer = self._pack_footer({"end": self._active_end, "records": records})
         fileobj.seek(self._active_end)
         self._write_all(fileobj, footer)
-        if self.durability != "none":
-            os.fsync(fileobj.fileno())
-            self._obs_fsyncs.inc()
-            if self._dirty:
-                self._obs_batches.inc()
+        os.fsync(fileobj.fileno())
+        self._obs_fsyncs.inc()
+        if self._dirty:
+            self._obs_batches.inc()
         fileobj.close()
         meta["sealed"] = True
         meta["scanned"] = self._active_end + len(footer)
@@ -565,21 +897,25 @@ class SegmentChunkStore(ChunkStore):
         return data
 
     def size_of(self, digest: str) -> int | None:
+        """At-rest size of one chunk, or ``None`` when it is not stored."""
         self._check_digest(digest)
         with self._mutex:
             entry = self._index.get(digest)
         return None if entry is None else entry[2]
 
     def locate(self, digest: str) -> tuple[Path, int, int]:
+        """Physical location of one chunk: ``(segment path, offset, length)``.
+
+        Lets tooling (fsck damage drills, debuggers) find the stored bytes.
+        """
         with self._mutex:
             entry = self._index.get(digest)
             if entry is None:
                 raise ChunkNotFoundError(f"no stored chunk with digest {digest!r}")
             return self.segments_dir / entry[0], entry[1], entry[2]
 
-    # -- physical primitives behind the inherited refcount/GC plane ----------
-
     def _delete_payload(self, digest: str) -> int:
+        """Drop one chunk's index entry; returns the payload bytes freed."""
         with self._mutex:
             entry = self._drop_entry_locked(digest)
             if entry is None:
@@ -587,39 +923,127 @@ class SegmentChunkStore(ChunkStore):
             self._index_dirty = True
             return entry[2]
 
-    def _flush_index(self) -> None:
-        with self._mutex:
-            if self._index_dirty:
-                self._write_checkpoint_locked()
-                self._update_gauges_locked()
+    def drop(self, digest: str) -> bool:
+        """Delete one chunk regardless of refcounts; True iff it was stored.
 
-    def _payload_entries(self) -> dict[str, int]:
-        with self._mutex:
-            return {digest: entry[2] for digest, entry in self._index.items()}
+        Low-level repair/rollback primitive — normal deletion goes through
+        :meth:`release_refs`.
+        """
+        existed = self.has(digest)
+        if existed:
+            self._delete_payload(digest)
+            self._flush_index()
+        return existed
 
-    def _sweep_unreferenced(self, live: set) -> tuple[int, int]:
+    # -- reference counting --------------------------------------------------
+
+    def add_refs(self, digests: Iterable[str]) -> None:
+        """Increment refcounts for ``digests`` (one appended log line)."""
+        digests = list(digests)
+        if not digests:
+            return
+        with self._locked():
+            refs = self._sync_refs()
+            changes: dict[str, int] = {}
+            for digest in digests:
+                changes[digest] = changes.get(digest, refs.get(digest, 0)) + 1
+            self._commit_refs(changes)
+
+    def release_refs(self, digests: Iterable[str]) -> list[str]:
+        """Decrement refcounts; delete and return chunks that hit zero."""
+        digests = list(digests)
+        if not digests:
+            return []
+        with self._locked():
+            refs = self._sync_refs()
+            changes: dict[str, int] = {}
+            for digest in digests:
+                changes[digest] = max(
+                    0, changes.get(digest, refs.get(digest, 0)) - 1)
+            removed = [digest for digest, count in changes.items() if not count]
+            # a delete pays an O(store) index checkpoint anyway: fold, so
+            # freed chunks also shrink the log
+            self._commit_refs(changes, fold=True)
+            for digest in removed:
+                self._delete_payload(digest)
+            if removed:
+                self._flush_index()
+        return removed
+
+    def refcount(self, digest: str) -> int:
+        with self._locked():
+            return self._sync_refs().get(digest, 0)
+
+    def export_refs(self) -> dict[str, int]:
+        """Snapshot of every stored refcount (rebalance/repair plumbing)."""
+        with self._locked():
+            return dict(self._sync_refs())
+
+    def import_refs(self, counts: Mapping[str, int]) -> None:
+        """Set refcounts for the given digests (overwriting existing ones).
+
+        Used when chunk ownership moves between stores: the receiving
+        store inherits the relinquishing store's counts verbatim instead
+        of replaying one :meth:`add_refs` per historical manifest.
+        """
+        counts = {d: int(c) for d, c in counts.items() if c > 0}
+        if not counts:
+            return
+        with self._locked():
+            self._sync_refs()
+            self._commit_refs(counts)
+
+    def forget_refs(self, digests: Iterable[str]) -> None:
+        """Drop refcount entries without touching chunk payloads.
+
+        The relinquishing side of a chunk migration: the bytes were
+        already handed to the new owner, so decrement-and-delete
+        (:meth:`release_refs`) would be wrong.
+        """
+        digests = set(digests)
+        if not digests:
+            return
+        with self._locked():
+            refs = self._sync_refs()
+            gone = {digest: 0 for digest in digests if digest in refs}
+            if gone:
+                self._commit_refs(gone)
+
+    def gc(self) -> dict[str, int]:
+        """Delete unreferenced chunks and *expired* tmp files, then compact.
+
+        Tmp files younger than ``tmp_grace_s`` are left alone: a
+        concurrent in-flight writer may still own them.  Partial segments
+        left by a crash mid-roll or mid-compaction get the same grace-age
+        sweep as the bookkeeping tmps.
+        """
         removed = 0
         freed = 0
-        with self._mutex:
-            for digest in [d for d in self._index if d not in live]:
-                freed += self._delete_payload(digest)
-                removed += 1
-            # orphaned partial segments left by a crash mid-roll or
-            # mid-compaction get the same grace-age sweep as chunk tmps
-            for path in self.segments_dir.glob("*.tmp"):
-                if not self._tmp_expired(path):
-                    continue
-                try:
-                    size = path.stat().st_size
-                except FileNotFoundError:
-                    continue
-                path.unlink(missing_ok=True)
-                removed += 1
-                freed += size
-            self._drop_dead_segments_locked()
-            self._write_checkpoint_locked()
-            self._update_gauges_locked()
-        return removed, freed
+        with self._locked():
+            live = set(self._sync_refs())
+            with self._mutex:
+                for digest in [d for d in self._index if d not in live]:
+                    freed += self._delete_payload(digest)
+                    removed += 1
+                tmps = [*self.segments_dir.glob("*.tmp"), *self.root.glob("*.tmp")]
+                for path in tmps:
+                    if not self._tmp_expired(path):
+                        continue
+                    try:
+                        freed += path.stat().st_size
+                    except FileNotFoundError:
+                        continue
+                    path.unlink(missing_ok=True)
+                    removed += 1
+                self._drop_dead_segments_locked()
+                self._write_checkpoint_locked()
+                self._update_gauges_locked()
+        compacted = self.compact()["segments_compacted"]
+        return {
+            "chunks_removed": removed,
+            "bytes_freed": freed,
+            "segments_compacted": compacted,
+        }
 
     def _drop_dead_segments_locked(self) -> None:
         """Unlink segments no index entry references.
@@ -640,27 +1064,58 @@ class SegmentChunkStore(ChunkStore):
             del self._segmeta[name]
             self._index_dirty = True
 
-    def gc(self) -> dict[str, int]:
-        stats = super().gc()
-        stats["segments_compacted"] = self.compact()["segments_compacted"]
-        return stats
+    def reconcile(self, expected_refs: Mapping[str, int], repair: bool = True) -> dict:
+        """Cross-check stored refcounts against ``expected_refs`` (fsck).
+
+        ``expected_refs`` is the ground truth recomputed from the live
+        manifests.  Reports (and with ``repair`` fixes) leaked or missing
+        refcounts and deletes orphan chunks nothing references.
+        """
+        expected = {d: int(c) for d, c in expected_refs.items() if c > 0}
+        with self._locked():
+            readable = True
+            try:
+                refs = self._sync_refs()
+            except StoreCorruptionError:
+                refs, readable = {}, False  # no count survives: recount all
+            ref_fixes = {
+                digest: (refs.get(digest, 0), expected.get(digest, 0))
+                for digest in set(refs) | set(expected)
+                if refs.get(digest, 0) != expected.get(digest, 0)
+            }
+            with self._mutex:
+                orphans = sorted(d for d in self._index if d not in expected)
+                orphan_bytes = sum(self._index[d][2] for d in orphans)
+            if repair:
+                if ref_fixes or not readable:
+                    self._commit_refs(
+                        {d: wanted for d, (_, wanted) in ref_fixes.items()},
+                        fold=True)
+                for digest in orphans:
+                    self._delete_payload(digest)
+                if orphans:
+                    self._flush_index()
+        return {
+            "ref_fixes": ref_fixes,
+            "orphan_chunks_removed": orphans,
+            "orphan_bytes": orphan_bytes,
+        }
 
     # -- compaction -----------------------------------------------------------
 
-    def compact(self, threshold: float | None = None) -> dict:
+    def compact(self) -> dict:
         """Rewrite low-live-ratio sealed segments into one fresh segment.
 
         Journaled and resumable: ``compaction.json`` names the victims
         and the destination; the destination's atomic rename is the
         commit point.  Returns move/reclaim statistics.
         """
-        threshold = self.compact_threshold if threshold is None else float(threshold)
         stats = {"segments_compacted": 0, "records_moved": 0, "bytes_reclaimed": 0}
         with self._mutex:
             if self._compaction_path.exists():
                 self._resume_compaction_locked()
             self._drop_dead_segments_locked()
-            victims = self._compaction_victims_locked(threshold)
+            victims = self._compaction_victims_locked()
             if not victims:
                 if self._index_dirty:
                     self._write_checkpoint_locked()
@@ -668,7 +1123,7 @@ class SegmentChunkStore(ChunkStore):
                 return stats
             return self._compact_locked(victims)
 
-    def _compaction_victims_locked(self, threshold: float) -> list[str]:
+    def _compaction_victims_locked(self) -> list[str]:
         victims = []
         for name, meta in sorted(self._segmeta.items()):
             if name == self._active_name or meta["bad"] or not meta["sealed"]:
@@ -677,7 +1132,7 @@ class SegmentChunkStore(ChunkStore):
             seg_total = max(meta["total"], seg_live)
             if seg_total == 0 or seg_live == 0:
                 continue  # fully dead: _drop_dead_segments handles it
-            if seg_live / seg_total < threshold:
+            if seg_live / seg_total < COMPACT_THRESHOLD:
                 victims.append(name)
         return victims
 
@@ -699,37 +1154,33 @@ class SegmentChunkStore(ChunkStore):
         new_entries: dict[str, tuple[str, int, int, int]] = {}
         offset = HEADER.size
         total_live = 0
-        try:
-            with open(tmp_path, "wb") as out:
-                out.write(HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, self._seq))
-                for digest, entry in moves:
-                    payload = self._read_entry_locked(entry)
-                    if payload is None or zlib.crc32(payload) != entry[3]:
-                        raise StoreCorruptionError(
-                            f"chunk {digest!r} is corrupt: compaction read "
-                            f"failed its CRC check")
-                    digest_raw = digest.encode("utf-8")
-                    out.write(RECORD_HEADER.pack(
-                        RECORD_MAGIC, len(digest_raw), 0, entry[3], entry[2]))
-                    out.write(digest_raw)
-                    out.write(payload)
-                    payload_off = offset + RECORD_HEADER.size + len(digest_raw)
-                    new_entries[digest] = (dest, payload_off, entry[2], entry[3])
-                    offset = payload_off + entry[2]
-                    total_live += entry[2]
-                    self._obs_moves.inc()
-                    self._hook("chunk.compact")
-                records = sorted(
-                    [d, e[1], e[2], e[3]] for d, e in new_entries.items())
-                out.write(self._pack_footer({"end": offset, "records": records}))
-                out.flush()
-                if self.durability != "none":
-                    os.fsync(out.fileno())
-                    self._obs_fsyncs.inc()
-        except BaseException:
-            # crash/corruption before the commit point: the journal and a
-            # partial tmp remain; resume (or the grace sweep) rolls back
-            raise
+        # a crash or corruption before the commit point leaves the journal
+        # and a partial tmp: resume (or the grace sweep) rolls back
+        with open(tmp_path, "wb") as out:
+            out.write(HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, self._seq))
+            for digest, entry in moves:
+                payload = self._read_entry_locked(entry)
+                if payload is None or zlib.crc32(payload) != entry[3]:
+                    raise StoreCorruptionError(
+                        f"chunk {digest!r} is corrupt: compaction read "
+                        f"failed its CRC check")
+                digest_raw = digest.encode("utf-8")
+                out.write(RECORD_HEADER.pack(
+                    RECORD_MAGIC, len(digest_raw), 0, entry[3], entry[2]))
+                out.write(digest_raw)
+                out.write(payload)
+                payload_off = offset + RECORD_HEADER.size + len(digest_raw)
+                new_entries[digest] = (dest, payload_off, entry[2], entry[3])
+                offset = payload_off + entry[2]
+                total_live += entry[2]
+                self._obs_moves.inc()
+                self._hook("chunk.compact")
+            records = sorted(
+                [d, e[1], e[2], e[3]] for d, e in new_entries.items())
+            out.write(self._pack_footer({"end": offset, "records": records}))
+            out.flush()
+            os.fsync(out.fileno())
+            self._obs_fsyncs.inc()
         self._hook("chunk.compact")
         tmp_path.replace(self.segments_dir / dest)  # commit point
         self._hook("chunk.compact")
@@ -911,7 +1362,7 @@ class SegmentChunkStore(ChunkStore):
                 total += seg_total
                 if name == self._active_name or seg_total == 0:
                     continue
-                if seg_live / seg_total < self.compact_threshold:
+                if seg_live / seg_total < COMPACT_THRESHOLD:
                     debt += seg_total - seg_live
             return {
                 "layout": "segments",
@@ -932,12 +1383,26 @@ class SegmentChunkStore(ChunkStore):
         self._obs_live_ratio.set(stats["live_ratio"])
         self._obs_dead.set(stats["dead_bytes"])
 
+    def chunk_ids(self) -> list[str]:
+        with self._mutex:
+            return sorted(self._index)
+
+    def total_bytes(self) -> int:
+        """At-rest bytes held by live chunk payloads (deduplicated storage)."""
+        with self._mutex:
+            return sum(entry[2] for entry in self._index.values())
+
+    def __len__(self) -> int:
+        with self._mutex:
+            return len(self._index)
+
     def close(self) -> None:
         """Seal nothing: release file handles, checkpoint the index."""
-        super().close()
+        with self._refs_mutex:
+            self._reset_refs()
         with self._mutex:
             if self._active_file is not None:
-                if self._dirty and self.durability != "none":
+                if self._dirty:
                     os.fsync(self._active_file.fileno())
                     self._obs_fsyncs.inc()
                     self._dirty = False
@@ -949,62 +1414,3 @@ class SegmentChunkStore(ChunkStore):
                 self._close_read_file(name)
             if self._index_dirty:
                 self._write_checkpoint_locked()
-
-
-class SegmentCompactor:
-    """Background thread that periodically compacts a segment store.
-
-    Mirrors the cluster rebalancer's lifecycle: ``start``/``stop`` (or a
-    ``with`` block) around a loop of :meth:`run_once` calls, each of
-    which delegates to :meth:`SegmentChunkStore.compact` and records the
-    result.  Compaction errors are reported as obs events, never raised
-    into the host process.
-    """
-
-    def __init__(self, store, interval_s: float = 30.0,
-                 threshold: float | None = None):
-        self.store = store
-        self.interval_s = float(interval_s)
-        self.threshold = threshold
-        self.runs = 0
-        self.errors = 0
-        self.last_result: dict | None = None
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def run_once(self) -> dict:
-        if self.threshold is None:
-            result = self.store.compact()
-        else:
-            result = self.store.compact(self.threshold)
-        self.runs += 1
-        self.last_result = result
-        return result
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.run_once()
-            except Exception as exc:  # keep the host process alive
-                self.errors += 1
-                obs.events().emit("compactor_error", error=str(exc))
-
-    def start(self) -> "SegmentCompactor":
-        if self._thread is None or not self._thread.is_alive():
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._loop, name="segment-compactor", daemon=True)
-            self._thread.start()
-        return self
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            self._thread = None
-
-    def __enter__(self) -> "SegmentCompactor":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

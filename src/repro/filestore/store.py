@@ -6,16 +6,16 @@ under generated identifiers in a shared directory, exactly like the
 evaluation's shared external storage that all machines can access.
 
 On top of the flat blob namespace sits a content-addressed
-:class:`ChunkStore`: model parameters can be saved as a *manifest* of
-per-layer chunks keyed by the Merkle leaf hashes computed at save time.
-Bit-identical layers across models (BA chain snapshots, PUA bases,
-replicated deployments) are stored once; chunks are ref-counted by their
-manifests and garbage-collected when the last manifest goes away.
+:class:`~repro.filestore.segments.ChunkStore`: model parameters can be
+saved as a *manifest* of per-layer chunks keyed by the Merkle leaf hashes
+computed at save time.  Bit-identical layers across models (BA chain
+snapshots, PUA bases, replicated deployments) are stored once; chunks are
+ref-counted by their manifests and garbage-collected when the last
+manifest goes away.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
@@ -36,11 +36,12 @@ from . import codecs as chunk_codecs
 from .cdc import DEFAULT_TARGET_BYTES as DEFAULT_CDC_TARGET_BYTES
 from .cdc import split_buffer
 from .journal import JOURNAL_SUFFIX, SaveJournal
-
-try:
-    import fcntl
-except ImportError:  # non-posix platform: single-process locking only
-    fcntl = None
+from .segments import (
+    DEFAULT_TMP_GRACE_S,
+    ChunkNotFoundError,
+    ChunkStore,
+    _buffer_nbytes,
+)
 
 __all__ = [
     "FileStore",
@@ -75,66 +76,12 @@ CHUNK_DIR_NAME = "chunks"
 #: Directory (under the store root) holding per-save intent journals.
 JOURNAL_DIR_NAME = "journal"
 
-#: Tmp files younger than this are assumed in-flight and never reaped —
-#: a concurrent saver may still be writing them (see PR-2 satellite fix).
-DEFAULT_TMP_GRACE_S = 600.0
-
-#: Durability levels for chunk writes.  ``"none"`` never fsyncs (the
-#: historical file-per-chunk behavior), ``"chunk"`` fsyncs every write
-#: before acknowledging it, and ``"group"`` defers durability to one
-#: batched :meth:`ChunkStore.flush` per save — fsync-before-ack at the
-#: manifest boundary instead of per chunk.
-DURABILITY_MODES = ("none", "group", "chunk")
-
-#: Supported physical chunk layouts behind :class:`FileStore`.
-CHUNK_LAYOUTS = ("files", "segments")
-
-#: Layout used for brand-new stores when none is requested explicitly.
-DEFAULT_LAYOUT = "segments"
-
-#: Environment override for the default layout of brand-new stores.
-LAYOUT_ENV_VAR = "REPRO_CHUNK_LAYOUT"
-
 #: Default byte budget for an in-process hot-chunk LRU (see :class:`ChunkCache`).
 DEFAULT_CHUNK_CACHE_BYTES = 256 * 1024 * 1024
 
 
 class FileNotFoundInStoreError(KeyError):
     """Raised when recovering a file id that was never saved (or deleted)."""
-
-
-class ChunkNotFoundError(KeyError):
-    """Raised when fetching a chunk digest the store does not hold."""
-
-
-def _buffer_nbytes(buffer) -> int:
-    if isinstance(buffer, memoryview):
-        return buffer.nbytes
-    return len(buffer)
-
-
-def _encode_refs(counts: Mapping[str, int]) -> bytes:
-    """One refcount log record (no line terminator)."""
-    return json.dumps(counts, sort_keys=True, separators=(",", ":")).encode()
-
-
-def _decode_refs(line: bytes) -> dict[str, int] | None:
-    """The record on one refcount log line (none on a blank one); ``None``
-    when the line is not a record."""
-    if not line.strip():
-        return {}
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return None
-    if isinstance(record, dict) and all(type(c) is int for c in record.values()):
-        return record
-    return None
-
-
-def _ref_bytes(digest: str, count: int) -> int:
-    """Bytes one entry takes in a folded record: quotes, colon, comma."""
-    return len(digest) + len(str(count)) + 4
 
 
 def layer_chunk_digests(meta: Mapping) -> list[str]:
@@ -297,586 +244,6 @@ class _SingleFlight:
             event.set()
 
 
-class ChunkStore:
-    """Content-addressed, ref-counted chunk storage.
-
-    Chunks live under ``root/objects/<digest>`` and are written exactly
-    once per distinct digest (writes are atomic tmp+rename, so concurrent
-    writers of the same content converge on one file).  Reference counts
-    track how many manifests point at each chunk; :meth:`release_refs`
-    deletes chunks whose count drops to zero, and :meth:`gc` sweeps
-    orphans (e.g. chunks written by a save that crashed before its
-    manifest).
-
-    The counts live in ``refcounts.json``, an append-only log: one JSON
-    object per line mapping digest to its *absolute* count (0: gone),
-    later lines win.  Taking references appends one line, so a save costs
-    what it touches, not what the store holds; the file is folded back
-    into one record when a release rewrites it or once its dead bytes
-    exceed the live ones.  Every access holds an ``flock`` and first
-    replays what was appended since its last one, so several processes
-    can share one store directory (DESIGN.md §17 "Bookkeeping").
-    """
-
-    def __init__(
-        self,
-        root: str | Path,
-        tmp_grace_s: float = DEFAULT_TMP_GRACE_S,
-        durability: str = "none",
-        codec: str | None = None,
-    ):
-        if durability not in DURABILITY_MODES:
-            raise ValueError(
-                f"durability must be one of {DURABILITY_MODES}, got {durability!r}"
-            )
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._refs_path = self.root / "refcounts.json"
-        self._lock_path = self.root / ".lock"
-        # the refcount table as of the first ``_refs_end`` bytes of the log;
-        # ``_refs_file`` stays open on the file those bytes were read from
-        self._refs_mutex = threading.Lock()
-        self._refs: dict[str, int] = {}
-        self._refs_file = None
-        self._refs_end = 0
-        self._refs_live = 0  # bytes the table takes as one folded record
-        self.tmp_grace_s = float(tmp_grace_s)
-        self.durability = durability
-        #: At-rest compression codec for new chunk payloads.  Digests are
-        #: always over the uncompressed bytes, and decode is driven by the
-        #: payload frame, so stores with different codecs interoperate.
-        self.codec = chunk_codecs.resolve_codec(codec)
-        #: Optional chaos hook with the ``FaultInjector.fail_point``
-        #: signature, consulted by long-running maintenance (compaction)
-        #: and between the steps of a refcount write.
-        self.fault_hook = None
-        # dedup/compression accounting (in-process, like the network
-        # store's transfer accounting): logical bytes offered by callers,
-        # bytes skipped because the digest was already stored, and framed
-        # bytes physically written
-        self._acct_lock = threading.Lock()
-        self.logical_bytes = 0
-        self.dedup_bytes = 0
-        self.stored_bytes = 0
-        registry = obs.registry()
-        self._obs_fsyncs = registry.counter(
-            "mmlib_chunk_fsyncs_total", "fsync calls issued for chunk durability")
-        self._obs_logical = registry.counter(
-            "mmlib_chunks_logical_bytes_total",
-            "Uncompressed bytes offered to ChunkStore.put")
-        self._obs_dedup = registry.counter(
-            "mmlib_chunks_dedup_bytes_total",
-            "Uncompressed bytes skipped because the chunk already existed")
-        self._obs_stored = registry.counter(
-            "mmlib_chunks_stored_bytes_total",
-            "Framed (possibly compressed) bytes physically written")
-        self._init_physical()
-
-    # -- codec framing / dedup accounting ------------------------------------
-
-    def _encode(self, buffer):
-        """At-rest payload for one chunk (see :mod:`repro.filestore.codecs`).
-
-        With the ``none`` codec the raw bytes pass through zero-copy
-        unless they collide with the frame magic, which the codec layer
-        escape-frames so decoding stays unambiguous.
-        """
-        if self.codec == "none":
-            view = buffer if isinstance(buffer, bytes) else memoryview(buffer).cast("B")
-            if bytes(view[:4]) != chunk_codecs.FRAME_MAGIC:
-                return buffer
-        return chunk_codecs.encode(self.codec, buffer)
-
-    @staticmethod
-    def _decode(payload):
-        """Uncompressed chunk bytes for one at-rest payload (the payload
-        itself when it is unframed)."""
-        return chunk_codecs.decode(payload)
-
-    def _account_put(self, raw_nbytes: int, stored_nbytes: int | None = None) -> None:
-        """Record one put: deduped when ``stored_nbytes`` is ``None``."""
-        with self._acct_lock:
-            self.logical_bytes += raw_nbytes
-            if stored_nbytes is None:
-                self.dedup_bytes += raw_nbytes
-            else:
-                self.stored_bytes += stored_nbytes
-        self._obs_logical.inc(raw_nbytes)
-        if stored_nbytes is None:
-            self._obs_dedup.inc(raw_nbytes)
-        else:
-            self._obs_stored.inc(stored_nbytes)
-
-    def dedup_stats(self) -> dict:
-        """Dedup and compression accounting since this store was opened."""
-        with self._acct_lock:
-            logical = self.logical_bytes
-            dedup = self.dedup_bytes
-            stored = self.stored_bytes
-        written = logical - dedup
-        return {
-            "codec": self.codec,
-            "logical_bytes": logical,
-            "dedup_bytes": dedup,
-            "stored_bytes": stored,
-            "dedup_ratio": round(logical / written, 4) if written else None,
-            "compression_ratio": round(written / stored, 4) if stored else None,
-        }
-
-    def _init_physical(self) -> None:
-        """Create the physical layout (hook for alternate backends)."""
-        self.objects_dir = self.root / "objects"
-        self.objects_dir.mkdir(parents=True, exist_ok=True)
-        self._pending_sync: list[Path] = []
-        self._pending_lock = threading.Lock()
-        self._obs_files_created = obs.registry().counter(
-            "mmlib_chunk_files_created_total",
-            "Chunk files created (file-per-chunk layout)")
-
-    def _tmp_expired(self, path: Path) -> bool:
-        """In-flight tmp files get a grace age before they count as orphans."""
-        try:
-            return path.stat().st_mtime <= time.time() - self.tmp_grace_s
-        except FileNotFoundError:
-            return False
-
-    # -- locking / refcount persistence ------------------------------------
-
-    @contextlib.contextmanager
-    def _locked(self):
-        with self._refs_mutex:
-            if fcntl is None:
-                yield
-                return
-            with open(self._lock_path, "a+") as lock_file:
-                fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX)
-                try:
-                    yield
-                finally:
-                    fcntl.flock(lock_file.fileno(), fcntl.LOCK_UN)
-
-    def _hook(self, op: str) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook(op)
-
-    def _sync_refs(self) -> dict[str, int]:
-        """The refcount table as the log has it now (lock held).
-
-        Replays what this or another process appended since the last
-        call, or the whole file when it was replaced in between.  The
-        handle kept open on the file last read pins its inode, so a file
-        at that path with that inode number *is* that file, only longer.
-        """
-        try:
-            on_disk = os.stat(self._refs_path)
-        except FileNotFoundError:
-            on_disk = None
-        if self._refs_file is not None:
-            held = os.fstat(self._refs_file.fileno())
-            if (
-                on_disk is None
-                or (on_disk.st_dev, on_disk.st_ino) != (held.st_dev, held.st_ino)
-                or on_disk.st_size < self._refs_end
-            ):
-                self._reset_refs()  # folded by another process, or gone
-        if on_disk is None:
-            return self._refs
-        if self._refs_file is None:
-            self._refs_file = open(self._refs_path, "rb", buffering=0)
-        if on_disk.st_size > self._refs_end:
-            self._replay_refs(os.pread(
-                self._refs_file.fileno(), on_disk.st_size - self._refs_end,
-                self._refs_end))
-        return self._refs
-
-    def _replay_refs(self, data: bytes) -> None:
-        """Apply the log lines in ``data``, read at ``_refs_end``.
-
-        Only the final line can be a torn append (a write that never
-        returned): it is dropped and the file cut back to the line
-        boundary.  A bad line with anything after it is damage to acked
-        counts; reading it as "nothing is referenced" would let the next
-        :meth:`gc` sweep live chunks, so it raises and fsck rebuilds the
-        table from the manifests (:meth:`reconcile`).
-        """
-        *lines, last = data.split(b"\n")
-        offset = self._refs_end
-        for line in lines:
-            record = _decode_refs(line)
-            if record is None:
-                self._reset_refs()
-                raise StoreCorruptionError(
-                    f"chunk refcounts: unreadable record at byte {offset} of "
-                    f"{self._refs_path} with records after it")
-            self._apply_refs(record)
-            offset += len(line) + 1
-        record = _decode_refs(last)
-        if record is None:
-            os.truncate(self._refs_path, offset)
-        else:
-            self._apply_refs(record)
-            offset += len(last)
-        self._refs_end = offset
-
-    def _apply_refs(self, counts: Mapping[str, int]) -> None:
-        for digest, count in counts.items():
-            old = self._refs.pop(digest, 0)
-            if old:
-                self._refs_live -= _ref_bytes(digest, old)
-            if count > 0:
-                self._refs[digest] = count
-                self._refs_live += _ref_bytes(digest, count)
-
-    def _reset_refs(self) -> None:
-        """Forget the table: the next :meth:`_sync_refs` rereads the file."""
-        if self._refs_file is not None:
-            self._refs_file.close()
-        self._refs_file = None
-        self._refs = {}
-        self._refs_end = self._refs_live = 0
-
-    def _commit_refs(self, changes: Mapping[str, int], fold: bool = False) -> None:
-        """Persist new absolute counts (0: gone), then apply them.
-
-        One appended line — O(batch) — or, with ``fold``, the whole table
-        rewritten as one record.  An append folds too once the dead bytes
-        exceed the live ones, so the file stays within ~2x its folded
-        size at an amortized cost per appended byte that does not depend
-        on the store.  Lock held, table synced.
-        """
-        fold = fold or not self._refs_end  # an empty log starts folded
-        try:
-            if not fold:
-                data = b"\n" + _encode_refs(changes)
-                with open(self._refs_path, "ab") as handle:
-                    handle.write(data)
-                self._refs_end += len(data)
-                self._hook("chunk.refs")
-            self._apply_refs(changes)
-            if fold or self._refs_end > 2 * self._refs_live:
-                self._fold_refs()
-        except BaseException:
-            self._reset_refs()  # memory and file may disagree: reread
-            raise
-
-    def _fold_refs(self) -> None:
-        """Rewrite the log as the table's one record (tmp + rename)."""
-        data = _encode_refs(self._refs)
-        tmp = self._refs_path.with_name(f"refcounts-{uuid.uuid4().hex[:8]}.tmp")
-        tmp.write_bytes(data)
-        self._hook("chunk.refs")
-        folded = open(tmp, "rb", buffering=0)
-        tmp.replace(self._refs_path)
-        if self._refs_file is not None:
-            self._refs_file.close()
-        self._refs_file = folded
-        self._refs_end = self._refs_live = len(data)
-
-    def close(self) -> None:
-        """Release the handle on the refcount log (reopened on next use)."""
-        with self._refs_mutex:
-            self._reset_refs()
-
-    # -- chunk data ---------------------------------------------------------
-
-    @staticmethod
-    def _check_digest(digest: str) -> None:
-        if not digest or "/" in digest or digest.startswith("."):
-            raise ValueError(f"invalid chunk digest: {digest!r}")
-
-    def _chunk_path(self, digest: str) -> Path:
-        self._check_digest(digest)
-        return self.objects_dir / digest
-
-    def has(self, digest: str) -> bool:
-        return self._chunk_path(digest).exists()
-
-    def put(self, digest: str, buffer) -> bool:
-        """Store ``buffer`` under ``digest`` if absent; True iff written.
-
-        ``buffer`` may be any bytes-like object (``memoryview``s are
-        written without an intermediate copy).  Content-addressing makes
-        the write idempotent: an existing chunk is never rewritten.
-        """
-        path = self._chunk_path(digest)
-        raw_nbytes = _buffer_nbytes(buffer)
-        if path.exists():
-            self._account_put(raw_nbytes)
-            return False
-        payload = self._encode(buffer)
-        tmp = path.with_name(f"{path.name}-{uuid.uuid4().hex[:8]}.tmp")
-        with open(tmp, "wb") as fileobj:
-            fileobj.write(payload)
-            if self.durability == "chunk":
-                fileobj.flush()
-                os.fsync(fileobj.fileno())
-                self._obs_fsyncs.inc()
-        tmp.replace(path)
-        self._account_put(raw_nbytes, stored_nbytes=_buffer_nbytes(payload))
-        self._obs_files_created.inc()
-        if self.durability == "group":
-            with self._pending_lock:
-                self._pending_sync.append(path)
-        return True
-
-    def flush(self) -> int:
-        """Make every acknowledged-but-unsynced chunk durable; fsync count.
-
-        ``"group"`` durability defers per-chunk fsyncs to this one batched
-        call (a save flushes once before publishing its manifest).  Under
-        the other modes nothing is ever pending and this is a no-op.
-        """
-        if self.durability != "group":
-            return 0
-        with self._pending_lock:
-            pending, self._pending_sync = self._pending_sync, []
-        synced = 0
-        for path in pending:
-            try:
-                fd = os.open(path, os.O_RDONLY)
-            except FileNotFoundError:
-                continue  # raced with a delete: nothing left to sync
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            synced += 1
-        if synced:
-            self._obs_fsyncs.inc(synced)
-        return synced
-
-    def locate(self, digest: str) -> tuple[Path, int, int]:
-        """Physical location of one chunk: ``(path, offset, length)``.
-
-        Lets layout-agnostic tooling (fsck damage drills, debuggers) find
-        the stored bytes without knowing the backend's file geometry.
-        """
-        path = self._chunk_path(digest)
-        try:
-            return path, 0, path.stat().st_size
-        except FileNotFoundError:
-            raise ChunkNotFoundError(f"no stored chunk with digest {digest!r}") from None
-
-    def _delete_payload(self, digest: str) -> int:
-        """Remove one chunk's stored bytes; returns the bytes freed."""
-        path = self._chunk_path(digest)
-        try:
-            size = path.stat().st_size
-        except FileNotFoundError:
-            return 0
-        path.unlink(missing_ok=True)
-        return size
-
-    def _flush_index(self) -> None:
-        """Persist index mutations (no-op here: the filesystem is the index)."""
-
-    def write_torn(self, digest: str, buffer) -> Path:
-        """Simulate a torn write: persist only a partial tmp file.
-
-        Used by fault injection — the final chunk file is never created,
-        matching the atomic tmp+rename protocol, so the tear is exactly
-        the leftover a real mid-write crash leaves behind.
-        """
-        path = self._chunk_path(digest)
-        tmp = path.with_name(f"{path.name}-{uuid.uuid4().hex[:8]}.tmp")
-        data = bytes(buffer)
-        with open(tmp, "wb") as fileobj:
-            fileobj.write(data[: max(1, len(data) // 2)])
-        return tmp
-
-    def get(self, digest: str) -> bytes:
-        path = self._chunk_path(digest)
-        try:
-            payload = path.read_bytes()
-        except FileNotFoundError:
-            raise ChunkNotFoundError(f"no stored chunk with digest {digest!r}") from None
-        return self._decode(payload)
-
-    def drop(self, digest: str) -> bool:
-        """Unlink one chunk file regardless of refcounts; True iff removed.
-
-        Low-level repair/rollback primitive — normal deletion goes through
-        :meth:`release_refs`.
-        """
-        existed = self.has(digest)
-        if existed:
-            self._delete_payload(digest)
-            self._flush_index()
-        return existed
-
-    def size_of(self, digest: str) -> int | None:
-        """On-disk size of one chunk, or ``None`` when it is not stored."""
-        try:
-            return self._chunk_path(digest).stat().st_size
-        except FileNotFoundError:
-            return None
-
-    # -- reference counting --------------------------------------------------
-
-    def add_refs(self, digests: Iterable[str]) -> None:
-        """Increment refcounts for ``digests`` (one appended log line)."""
-        digests = list(digests)
-        if not digests:
-            return
-        with self._locked():
-            refs = self._sync_refs()
-            changes: dict[str, int] = {}
-            for digest in digests:
-                changes[digest] = changes.get(digest, refs.get(digest, 0)) + 1
-            self._commit_refs(changes)
-
-    def release_refs(self, digests: Iterable[str]) -> list[str]:
-        """Decrement refcounts; delete and return chunks that hit zero."""
-        digests = list(digests)
-        if not digests:
-            return []
-        with self._locked():
-            refs = self._sync_refs()
-            changes: dict[str, int] = {}
-            for digest in digests:
-                changes[digest] = max(
-                    0, changes.get(digest, refs.get(digest, 0)) - 1)
-            removed = [digest for digest, count in changes.items() if not count]
-            # a delete pays an O(store) index checkpoint anyway: fold, so
-            # freed chunks also shrink the log
-            self._commit_refs(changes, fold=True)
-            for digest in removed:
-                self._delete_payload(digest)
-            if removed:
-                self._flush_index()
-        return removed
-
-    def refcount(self, digest: str) -> int:
-        with self._locked():
-            return self._sync_refs().get(digest, 0)
-
-    def export_refs(self) -> dict[str, int]:
-        """Snapshot of every stored refcount (rebalance/repair plumbing)."""
-        with self._locked():
-            return dict(self._sync_refs())
-
-    def import_refs(self, counts: Mapping[str, int]) -> None:
-        """Set refcounts for the given digests (overwriting existing ones).
-
-        Used when chunk ownership moves between stores: the receiving
-        store inherits the relinquishing store's counts verbatim instead
-        of replaying one :meth:`add_refs` per historical manifest.
-        """
-        counts = {d: int(c) for d, c in counts.items() if c > 0}
-        if not counts:
-            return
-        with self._locked():
-            self._sync_refs()
-            self._commit_refs(counts)
-
-    def forget_refs(self, digests: Iterable[str]) -> None:
-        """Drop refcount entries without touching chunk files.
-
-        The relinquishing side of a chunk migration: the bytes were
-        already handed to the new owner, so decrement-and-delete
-        (:meth:`release_refs`) would be wrong.
-        """
-        digests = set(digests)
-        if not digests:
-            return
-        with self._locked():
-            refs = self._sync_refs()
-            gone = {digest: 0 for digest in digests if digest in refs}
-            if gone:
-                self._commit_refs(gone)
-
-    def gc(self) -> dict[str, int]:
-        """Delete unreferenced chunks and *expired* tmp files; stats dict.
-
-        Tmp files younger than ``tmp_grace_s`` are left alone: a
-        concurrent in-flight saver may still be writing them, and reaping
-        a live tmp file would tear that save's chunk from under it.
-        """
-        with self._locked():
-            removed, freed = self._sweep_unreferenced(set(self._sync_refs()))
-            # what a crash between a bookkeeping tmp write and its rename left
-            for path in self.root.glob("*.tmp"):
-                if self._tmp_expired(path):
-                    freed += path.stat().st_size
-                    path.unlink(missing_ok=True)
-                    removed += 1
-        return {"chunks_removed": removed, "bytes_freed": freed}
-
-    def _sweep_unreferenced(self, live: set) -> tuple[int, int]:
-        """Delete dead payloads and expired tmp files (runs under the lock)."""
-        removed = 0
-        freed = 0
-        for path in self.objects_dir.iterdir():
-            if not path.is_file():
-                continue
-            if path.name.endswith(".tmp"):
-                if not self._tmp_expired(path):
-                    continue
-            elif path.name in live:
-                continue
-            freed += path.stat().st_size
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed, freed
-
-    def reconcile(self, expected_refs: Mapping[str, int], repair: bool = True) -> dict:
-        """Cross-check stored refcounts against ``expected_refs`` (fsck).
-
-        ``expected_refs`` is the ground truth recomputed from the live
-        manifests.  Reports (and with ``repair`` fixes) leaked or missing
-        refcounts and deletes orphan chunk files nothing references.
-        """
-        expected = {d: int(c) for d, c in expected_refs.items() if c > 0}
-        with self._locked():
-            readable = True
-            try:
-                refs = self._sync_refs()
-            except StoreCorruptionError:
-                refs, readable = {}, False  # no count survives: recount all
-            ref_fixes = {
-                digest: (refs.get(digest, 0), expected.get(digest, 0))
-                for digest in set(refs) | set(expected)
-                if refs.get(digest, 0) != expected.get(digest, 0)
-            }
-            entries = self._payload_entries()
-            orphans = sorted(d for d in entries if d not in expected)
-            orphan_bytes = sum(entries[d] for d in orphans)
-            if repair:
-                if ref_fixes or not readable:
-                    self._commit_refs(
-                        {d: wanted for d, (_, wanted) in ref_fixes.items()},
-                        fold=True)
-                for digest in orphans:
-                    self._delete_payload(digest)
-                if orphans:
-                    self._flush_index()
-        return {
-            "ref_fixes": ref_fixes,
-            "orphan_chunks_removed": orphans,
-            "orphan_bytes": orphan_bytes,
-        }
-
-    # -- accounting -----------------------------------------------------------
-
-    def _payload_entries(self) -> dict[str, int]:
-        """Stored ``digest -> payload size`` map (accounting/fsck hook)."""
-        return {
-            p.name: p.stat().st_size
-            for p in self.objects_dir.iterdir()
-            if p.is_file() and not p.name.endswith(".tmp")
-        }
-
-    def chunk_ids(self) -> list[str]:
-        return sorted(self._payload_entries())
-
-    def total_bytes(self) -> int:
-        """Physical bytes held by chunk payloads (deduplicated storage)."""
-        return sum(self._payload_entries().values())
-
-    def __len__(self) -> int:
-        return len(self.chunk_ids())
-
-
 class FileStore:
     """Directory-backed blob store addressed by generated file ids.
 
@@ -914,7 +281,7 @@ class FileStore:
       the recovery-chain prefetcher.  Concurrent fetches of one digest are
       coalesced into a single transfer while the cache is attached.
 
-    Buffer ownership on the read path: the segment layout reads each
+    Buffer ownership on the read path: the chunk store reads each
     record into a buffer of its own, and :meth:`recover_state_chunks`
     returns arrays over those buffers without copying them; whatever else
     a fetch yields (cached ``bytes``, a decoded codec frame, a buffer a
@@ -932,29 +299,17 @@ class FileStore:
         verify_reads: bool | None = None,
         workers: int = 0,
         chunk_cache: "ChunkCache | int | None" = None,
-        layout: str | None = None,
-        durability: str | None = None,
-        segment_bytes: int | None = None,
         codec: str | None = None,
         cdc: bool | None = None,
         cdc_target_bytes: int | None = None,
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.layout = self._resolve_layout(layout)
         self.codec = chunk_codecs.resolve_codec(codec)
         self.cdc = self._resolve_cdc(cdc)
         self.cdc_target_bytes = (
             int(cdc_target_bytes) if cdc_target_bytes else DEFAULT_CDC_TARGET_BYTES
         )
-        if durability is not None and durability not in DURABILITY_MODES:
-            raise ValueError(
-                f"durability must be one of {DURABILITY_MODES}, got {durability!r}"
-            )
-        self.durability = durability or (
-            "group" if self.layout == "segments" else "none"
-        )
-        self.segment_bytes = segment_bytes
         self.faults = faults
         self.retry = retry
         self.tmp_grace_s = float(tmp_grace_s)
@@ -993,28 +348,6 @@ class FileStore:
             except FileNotFoundError:
                 pass
 
-    def _resolve_layout(self, layout: str | None) -> str:
-        """Pick the chunk layout: explicit > on-disk > env var > default.
-
-        An existing store keeps whatever layout its chunk directory was
-        created with, so reopening never silently migrates data.
-        """
-        if layout is not None:
-            if layout not in CHUNK_LAYOUTS:
-                raise ValueError(
-                    f"layout must be one of {CHUNK_LAYOUTS}, got {layout!r}"
-                )
-            return layout
-        chunk_root = self.root / CHUNK_DIR_NAME
-        if (chunk_root / "segments").is_dir():
-            return "segments"
-        if (chunk_root / "objects").is_dir():
-            return "files"
-        env = os.environ.get(LAYOUT_ENV_VAR, "")
-        if env in CHUNK_LAYOUTS:
-            return env
-        return DEFAULT_LAYOUT
-
     @staticmethod
     def _resolve_cdc(cdc: bool | None) -> bool:
         """Content-defined chunking: explicit flag > env var > off.
@@ -1030,26 +363,11 @@ class FileStore:
     def chunks(self) -> ChunkStore:
         """The store's content-addressed chunk substore (lazily created)."""
         if self._chunks is None:
-            if self.layout == "segments":
-                from .segments import SegmentChunkStore
-
-                kwargs = {}
-                if self.segment_bytes is not None:
-                    kwargs["segment_bytes"] = self.segment_bytes
-                self._chunks = SegmentChunkStore(
-                    self.root / CHUNK_DIR_NAME,
-                    tmp_grace_s=self.tmp_grace_s,
-                    durability=self.durability,
-                    codec=self.codec,
-                    **kwargs,
-                )
-            else:
-                self._chunks = ChunkStore(
-                    self.root / CHUNK_DIR_NAME,
-                    tmp_grace_s=self.tmp_grace_s,
-                    durability=self.durability,
-                    codec=self.codec,
-                )
+            self._chunks = ChunkStore(
+                self.root / CHUNK_DIR_NAME,
+                tmp_grace_s=self.tmp_grace_s,
+                codec=self.codec,
+            )
         return self._chunks
 
     # -- fault/retry plumbing ---------------------------------------------------
@@ -1258,7 +576,7 @@ class FileStore:
             if self.faults is not None and self.faults.torn_write("chunk.write"):
                 self.chunks.write_torn(digest, buffer)
                 raise TransientStoreError(
-                    f"injected torn chunk write for {digest[:12]}… (partial tmp left)"
+                    f"injected torn chunk write for {digest[:12]}… (half a record left)"
                 )
             return self.chunks.put(digest, buffer)
 
@@ -1591,10 +909,10 @@ class FileStore:
         ``fetched`` holds the already-fetched payload of each of the
         layer's chunks, in manifest order.  The returned array is the
         caller's alone: it is the fetched buffer itself when that buffer
-        is writable — which only a buffer nobody else holds is (a segment
-        read, the first reference above) — and a copy of anything else
-        (``bytes`` from the chunk cache, a codec frame, the ``files``
-        layout or a fault injector; a read-only view).
+        is writable — which only a buffer nobody else holds is (a chunk
+        store read, the first reference above) — and a copy of anything
+        else (``bytes`` from the chunk cache, a codec frame, a fault
+        injector's; a read-only view).
         """
         if "chunks" in meta:
             return self._recover_cdc_array(meta, verify, fetched)
@@ -1821,7 +1139,7 @@ class FileStore:
         independent of how much of it is deduplicated or compressed on
         disk (see :meth:`total_bytes` for the physical view).  Layer
         sizes come from the manifest's dtype/shape metadata, so the
-        answer is the same on every layout and codec.
+        answer is the same under every codec.
         """
         size = self._blob_size(file_id)
         if self.is_manifest_id(file_id):

@@ -43,9 +43,9 @@ def assert_states_equal(model, other):
 SERVICES = [BaselineSaveService, ParameterUpdateSaveService, ProvenanceSaveService]
 
 
-@pytest.fixture(params=["files", "segments"])
+@pytest.fixture(params=["segments"])
 def layout(request):
-    """Every crash matrix must hold on both chunk layouts."""
+    """The one chunk layout (the parameter keeps the test ids)."""
     return request.param
 
 
@@ -61,7 +61,7 @@ class TestCrashMatrix:
         faults = FaultInjector(seed=0)
         docs = FaultyDocumentStore(DocumentStore(), faults)
         files = FileStore(
-            tmp_path / "files", faults=faults, tmp_grace_s=0.0, layout=layout
+            tmp_path / "files", faults=faults, tmp_grace_s=0.0
         )
         service = service_cls(docs, files, scratch_dir=tmp_path / "scratch")
         manager = ModelManager(service)
@@ -99,7 +99,7 @@ class TestCrashMatrix:
         faults = FaultInjector(seed=0)
         docs = FaultyDocumentStore(DocumentStore(), faults)
         files = FileStore(
-            tmp_path / "files", faults=faults, tmp_grace_s=0.0, layout=layout
+            tmp_path / "files", faults=faults, tmp_grace_s=0.0
         )
         service = service_cls(docs, files, scratch_dir=tmp_path / "scratch")
         manager = ModelManager(service)
@@ -152,7 +152,7 @@ class TestCrashBeforeTheChunkBatchIsJournaled:
         from repro.filestore.journal import SaveJournal
 
         docs = DocumentStore(tmp_path / "docs")
-        files = FileStore(tmp_path / "files", tmp_grace_s=0.0, layout=layout)
+        files = FileStore(tmp_path / "files", tmp_grace_s=0.0)
         service = service_cls(docs, files, scratch_dir=tmp_path / "scratch")
         manager = ModelManager(service)
         base = make_tiny_cnn(seed=1)
@@ -180,7 +180,7 @@ class TestCrashBeforeTheChunkBatchIsJournaled:
         assert all(files.chunks.refcount(digest) == 0 for digest in orphans)
 
         # the process really died: reopen from disk, then repair
-        files = FileStore(tmp_path / "files", tmp_grace_s=0.0, layout=layout)
+        files = FileStore(tmp_path / "files", tmp_grace_s=0.0)
         service = service_cls(
             DocumentStore(tmp_path / "docs"), files, scratch_dir=tmp_path / "scratch")
         manager = ModelManager(service)
@@ -235,7 +235,7 @@ class TestPerCrashRepair:
         faults = FaultInjector(seed=0)
         docs = FaultyDocumentStore(DocumentStore(), faults)
         files = FileStore(
-            tmp_path / "files", faults=faults, tmp_grace_s=0.0, layout=layout
+            tmp_path / "files", faults=faults, tmp_grace_s=0.0
         )
         service = BaselineSaveService(docs, files, scratch_dir=tmp_path / "scratch")
         manager = ModelManager(service)
@@ -283,7 +283,7 @@ class TestCrashThenRestartFromDisk:
         def restart():
             docs = FaultyDocumentStore(DocumentStore(tmp_path / "docs"), faults)
             files = FileStore(
-                tmp_path / "files", faults=faults, tmp_grace_s=0.0, layout=layout
+                tmp_path / "files", faults=faults, tmp_grace_s=0.0
             )
             service = service_cls(docs, files, scratch_dir=tmp_path / "scratch")
             return service, ModelManager(service)
@@ -335,7 +335,6 @@ class TestAllServicesRetryThroughChaos:
         docs = FaultyDocumentStore(DocumentStore(), faults)
         files = FileStore(
             tmp_path / "files", faults=faults, retry=retry, tmp_grace_s=0.0,
-            layout=layout,
         )
         service = service_cls(
             docs, files, scratch_dir=tmp_path / "scratch", retry=retry

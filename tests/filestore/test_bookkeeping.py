@@ -20,17 +20,15 @@ from repro.core import ModelManager, ModelSaveInfo
 from repro.docstore import DocumentStore
 from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
-from repro.filestore import ChunkStore, FileStore, SegmentChunkStore
+from repro.filestore import ChunkStore, FileStore
 from tests.conftest import make_tiny_cnn
 from tests.core.test_crash_consistency import SERVICES, assert_states_equal, tiny_arch
 
-STORES = [ChunkStore, SegmentChunkStore]
 
-
-def open_stores(tmp_path, service_cls, layout, **options):
+def open_stores(tmp_path, service_cls):
     """``(files, service, manager)`` over the stores under ``tmp_path`` —
     called again, the process that reopens them after a kill."""
-    files = FileStore(tmp_path / "files", tmp_grace_s=0.0, layout=layout, **options)
+    files = FileStore(tmp_path / "files", tmp_grace_s=0.0)
     service = service_cls(
         DocumentStore(tmp_path / "docs"), files, scratch_dir=tmp_path / "scratch")
     return files, service, ModelManager(service)
@@ -49,13 +47,15 @@ def log_lines(store) -> list[dict]:
             for line in store._refs_path.read_bytes().split(b"\n") if line.strip()]
 
 
-@pytest.fixture(params=["files", "segments"])
+@pytest.fixture(params=["segments"])
 def layout(request):
+    """The one chunk layout (the parameter keeps the test ids)."""
     return request.param
 
 
-@pytest.fixture(params=STORES, ids=["files", "segments"])
+@pytest.fixture(params=[ChunkStore], ids=["segments"])
 def store_cls(request):
+    """The one chunk store (the parameter keeps the test ids)."""
     return request.param
 
 
@@ -265,7 +265,7 @@ class TestDamagedRefcountLog:
     def test_fsck_rebuilds_a_damaged_log_from_the_live_manifests(
         self, service_cls, layout, tmp_path
     ):
-        files, service, _manager = open_stores(tmp_path, service_cls, layout)
+        files, service, _manager = open_stores(tmp_path, service_cls)
         models = {}
         for seed in (1, 2, 3):
             model = make_tiny_cnn(seed=seed)
@@ -276,7 +276,7 @@ class TestDamagedRefcountLog:
         assert raw.count(b"\n") >= 2
         path.write_bytes(raw.replace(b"\n{", b"\n\xff", 1))  # one bad byte
 
-        files, service, manager = open_stores(tmp_path, service_cls, layout)
+        files, service, manager = open_stores(tmp_path, service_cls)
         with pytest.raises(StoreCorruptionError):
             service.save_model(ModelSaveInfo(make_tiny_cnn(seed=4), tiny_arch()))
         with pytest.raises(StoreCorruptionError):
@@ -352,8 +352,8 @@ class TestRefcountLogCrashPoints:
 
 WORKER = r"""
 import json, sys
-from repro.filestore import ChunkStore, SegmentChunkStore
-store = {"files": ChunkStore, "segments": SegmentChunkStore}[sys.argv[2]](sys.argv[1])
+from repro.filestore import ChunkStore
+store = ChunkStore(sys.argv[1])
 for line in sys.stdin:
     op, digests = json.loads(line)
     if op == "add":
@@ -369,11 +369,10 @@ class TestTwoProcesses:
         self, store_cls, tmp_path
     ):
         """Test (b): a second *process* on the same directory."""
-        name = "segments" if store_cls is SegmentChunkStore else "files"
         ours = store_cls(tmp_path / "c")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         child = subprocess.Popen(
-            [sys.executable, "-c", WORKER, str(tmp_path / "c"), name],
+            [sys.executable, "-c", WORKER, str(tmp_path / "c")],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
         reference: dict[str, int] = {}
 
@@ -457,7 +456,7 @@ class TestSegmentGauges:
     def test_running_totals_equal_a_recount_after_every_step(self, tmp_path):
         obs.reset()
         try:
-            store = SegmentChunkStore(
+            store = ChunkStore(
                 tmp_path / "s", segment_bytes=2048, tmp_grace_s=0.0)
             for save in range(10):
                 for index in range(4):
@@ -473,7 +472,7 @@ class TestSegmentGauges:
             self.assert_gauges(store)
             store.gc()
             self.assert_gauges(store)
-            reopened = SegmentChunkStore(
+            reopened = ChunkStore(
                 tmp_path / "s", segment_bytes=2048, tmp_grace_s=0.0)
             self.assert_gauges(reopened)
             assert reopened.segment_stats()["live_bytes"] == (
@@ -488,7 +487,7 @@ class TestSegmentGauges:
 
             items = __iter__ = values
 
-        store = SegmentChunkStore(tmp_path / "s")
+        store = ChunkStore(tmp_path / "s")
         store.put(digest_for(0), payload(0))
         store._index = Unwalkable(store._index)
         store.put(digest_for(1), payload(1))
@@ -510,7 +509,7 @@ class TestASaveCostsWhatItTouches:
     chunks (the parent: 27 KB vs 2.6 MB, two files each)."""
 
     def one_save_at(self, store_cls, root, held: int) -> tuple[int, int]:
-        store = store_cls(root, durability="group")
+        store = store_cls(root)
         for index in range(held):
             store.put(digest_for(index), payload(index, 16))
         store.flush()
@@ -545,7 +544,7 @@ class TestASaveCostsWhatItTouches:
         assert 0 < written < 4 * 64  # one line naming four digests
 
     def test_a_kill_after_that_save_rescans_only_the_unsealed_tail(self, tmp_path):
-        store = SegmentChunkStore(tmp_path / "s", segment_bytes=64 * 1024)
+        store = ChunkStore(tmp_path / "s", segment_bytes=64 * 1024)
         for index in range(3000):
             store.put(digest_for(index), payload(index, 100))
         store.flush()
@@ -553,7 +552,7 @@ class TestASaveCostsWhatItTouches:
         assert len(sealed) >= 3
         del store  # kill -9: no close
         scanned = []
-        scan = SegmentChunkStore._scan_records_locked
+        scan = ChunkStore._scan_records_locked
 
         def spy(self, fileobj, name, meta):
             start = meta["scanned"]
@@ -561,31 +560,30 @@ class TestASaveCostsWhatItTouches:
             scanned.append((name, meta["scanned"] - start))
             return added
 
-        SegmentChunkStore._scan_records_locked = spy
+        ChunkStore._scan_records_locked = spy
         try:
-            reopened = SegmentChunkStore(tmp_path / "s", segment_bytes=64 * 1024)
+            reopened = ChunkStore(tmp_path / "s", segment_bytes=64 * 1024)
             assert [name for name, _ in scanned if name in sealed] == []
             assert len(scanned) == 1 and scanned[0][1] <= 64 * 1024
             assert len(reopened) == 3000
             # ... once: the open checkpointed what it found
             del reopened, scanned[:]
-            assert len(SegmentChunkStore(tmp_path / "s", segment_bytes=64 * 1024)) == 3000
+            assert len(ChunkStore(tmp_path / "s", segment_bytes=64 * 1024)) == 3000
             assert scanned == []
         finally:
-            SegmentChunkStore._scan_records_locked = scan
+            ChunkStore._scan_records_locked = scan
 
 
 class TestReopenWithoutClose:
     """Test (a): the process dies after N acked saves, never having closed
     the store.  The index checkpoint on disk predates most of them."""
 
-    @pytest.mark.parametrize("durability", ["group", "none"])
     @pytest.mark.parametrize("service_cls", SERVICES)
     def test_every_acked_save_survives_and_no_delete_is_undone(
-        self, service_cls, layout, durability, tmp_path
+        self, service_cls, layout, tmp_path
     ):
         def reopen():
-            return open_stores(tmp_path, service_cls, layout, durability=durability)
+            return open_stores(tmp_path, service_cls)
 
         files, service, manager = reopen()
         models = {}
@@ -626,10 +624,10 @@ class TestReopenWithoutClose:
         assert chunks.put(torn, b"now for real") is True
         chunks.flush()
         assert bytes(FileStore(
-            tmp_path / "files", layout=layout).chunks.get(torn)) == b"now for real"
+            tmp_path / "files").chunks.get(torn)) == b"now for real"
 
     def test_the_next_put_overwrites_a_torn_record_in_place(self, tmp_path):
-        store = SegmentChunkStore(tmp_path / "s")
+        store = ChunkStore(tmp_path / "s")
         store.put(digest_for(0), payload(0))
         store.flush()
         segment = store.write_torn(digest_for(1), payload(1, 400))
@@ -638,7 +636,7 @@ class TestReopenWithoutClose:
         store.flush()
         assert segment.stat().st_size >= torn_size
         del store
-        reopened = SegmentChunkStore(tmp_path / "s")
+        reopened = ChunkStore(tmp_path / "s")
         assert reopened.chunk_ids() == [digest_for(0), digest_for(2)]
         assert reopened.get(digest_for(2)) == payload(2, 400)
 
@@ -650,7 +648,7 @@ class TestAStoreInTheParentsFormat:
     @pytest.mark.parametrize("service_cls", SERVICES)
     def test_it_opens_and_carries_on(self, service_cls, layout, tmp_path):
         def reopen():
-            return open_stores(tmp_path, service_cls, layout)
+            return open_stores(tmp_path, service_cls)
 
         files, service, manager = reopen()
         models = {}
@@ -658,16 +656,14 @@ class TestAStoreInTheParentsFormat:
             model = make_tiny_cnn(seed=seed)
             models[service.save_model(ModelSaveInfo(model, tiny_arch()))] = model
         counts = files.chunks.export_refs()
-        if layout == "segments":
-            files.chunks.close()  # the parent checkpointed on every flush
+        files.chunks.close()  # the parent checkpointed on every flush
         root = files.chunks.root
         (root / "refcounts.json").write_text(json.dumps(counts, sort_keys=True))
-        if layout == "segments":
-            index = json.loads((root / "index.json").read_text())
-            assert set(index) == {"version", "entries", "segments"}
-            assert set(index["entries"]) == set(counts)
-            assert all(set(meta) == {"scanned", "total", "sealed"}
-                       for meta in index["segments"].values())
+        index = json.loads((root / "index.json").read_text())
+        assert set(index) == {"version", "entries", "segments"}
+        assert set(index["entries"]) == set(counts)
+        assert all(set(meta) == {"scanned", "total", "sealed"}
+                   for meta in index["segments"].values())
         del files, service, manager
 
         files, service, manager = reopen()
@@ -683,9 +679,8 @@ class TestAStoreInTheParentsFormat:
         for model_id, model in models.items():
             assert_states_equal(model, service.recover_model(model_id).model)
         assert manager.fsck(verify_chunks=True).clean
-        assert sorted(p.name for p in root.iterdir() if p.is_file()) == sorted(
-            [".lock", "refcounts.json"]
-            + (["index.json"] if layout == "segments" else []))
+        assert sorted(p.name for p in root.iterdir() if p.is_file()) == [
+            ".lock", "index.json", "refcounts.json"]
 
         files, service, manager = reopen()
         for model_id, model in models.items():

@@ -1,9 +1,9 @@
 """Random refcount / payload operation sequences against a plain-dict model.
 
 ``add`` / ``release`` / ``import`` / ``forget`` / ``gc`` / reopen (with and
-without ``close``) on both chunk layouts: the refcount log, whatever mix of
-appended lines and folds a sequence produced, always replays to the
-model's table, and the segment gauges always equal a recount.
+without ``close``): the refcount log, whatever mix of appended lines and
+folds a sequence produced, always replays to the model's table, and the
+segment gauges always equal a recount.
 """
 
 import json
@@ -14,17 +14,14 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.filestore import ChunkStore, SegmentChunkStore
+from repro.filestore import ChunkStore
 from tests.filestore.test_bookkeeping import recount
 
 DIGESTS = st.sampled_from([f"{i:02d}" + "ef" * 8 for i in range(8)])
 BATCHES = st.lists(DIGESTS, min_size=1, max_size=5)
 
 
-class RefcountsAgainstDict(RuleBasedStateMachine):
-    store_cls = ChunkStore
-    options: dict = {}
-
+class SegmentRefcountsAgainstDict(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.directory = tempfile.TemporaryDirectory()
@@ -34,7 +31,8 @@ class RefcountsAgainstDict(RuleBasedStateMachine):
         self.open()
 
     def open(self):
-        self.store = self.store_cls(self.root, tmp_grace_s=0.0, **self.options)
+        # small segments roll, so gc also compacts
+        self.store = ChunkStore(self.root, tmp_grace_s=0.0, segment_bytes=256)
 
     def teardown(self):
         self.store.close()
@@ -96,19 +94,11 @@ class RefcountsAgainstDict(RuleBasedStateMachine):
         if path.exists():
             folded = len(json.dumps(self.refs, separators=(",", ":")))
             assert path.stat().st_size <= 2 * folded + 16
-        if isinstance(self.store, SegmentChunkStore):
-            stats = self.store.segment_stats()
-            expected = recount(self.store)
-            assert {key: stats[key] for key in expected} == expected
+        stats = self.store.segment_stats()
+        expected = recount(self.store)
+        assert {key: stats[key] for key in expected} == expected
 
 
-class SegmentRefcountsAgainstDict(RefcountsAgainstDict):
-    store_cls = SegmentChunkStore
-    options = {"segment_bytes": 256}  # rolls, so gc also compacts
-
-
-SETTINGS = settings(max_examples=40, stateful_step_count=40, deadline=None)
-TestRefcountsAgainstDict = RefcountsAgainstDict.TestCase
-TestRefcountsAgainstDict.settings = SETTINGS
 TestSegmentRefcountsAgainstDict = SegmentRefcountsAgainstDict.TestCase
-TestSegmentRefcountsAgainstDict.settings = SETTINGS
+TestSegmentRefcountsAgainstDict.settings = settings(
+    max_examples=40, stateful_step_count=40, deadline=None)

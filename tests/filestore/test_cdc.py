@@ -174,17 +174,22 @@ class TestV2Manifests:
         store.delete(file_id)
         assert len(store.chunks) == 0
 
+    @staticmethod
+    def replace_payload(store, digest):
+        """Bytes that are not ``digest``'s content, in an intact record —
+        damage only the content digest can see, not the record CRC."""
+        payload = bytearray(store.chunks.get(digest))
+        payload[len(payload) // 2] ^= 0xFF
+        store.chunks.drop(digest)
+        store.chunks.put(digest, bytes(payload))
+        store.chunks.flush()
+
     def test_corrupt_chunk_detected_on_recovery(self, tmp_path):
-        store = FileStore(
-            tmp_path / "files", cdc=True, layout="files", verify_reads=True
-        )
+        store = FileStore(tmp_path / "files", cdc=True, verify_reads=True)
         file_id = self.save(store, self.state())
         manifest = store.read_manifest(file_id)
         digest = layer_chunk_digests(manifest["layers"][0][1])[0]
-        path = store.chunks.root / "objects" / digest
-        payload = bytearray(path.read_bytes())
-        payload[len(payload) // 2] ^= 0xFF
-        path.write_bytes(bytes(payload))
+        self.replace_payload(store, digest)
         with pytest.raises(StoreCorruptionError):
             store.recover_state_chunks(file_id, verify=True)
 
@@ -194,7 +199,7 @@ class TestV2Manifests:
         from repro.docstore import DocumentStore
         from tests.conftest import make_tiny_cnn
 
-        store = FileStore(tmp_path / "files", cdc=True, layout="files")
+        store = FileStore(tmp_path / "files", cdc=True)
         service = BaselineSaveService(DocumentStore(), store)
         arch = ArchitectureRef.from_factory(
             "tests.conftest", "make_tiny_cnn", {"num_classes": 10}
@@ -204,12 +209,9 @@ class TestV2Manifests:
         assert manager.fsck().clean
 
         digest = sorted(store.chunks.chunk_ids())[0]
-        path = store.chunks.root / "objects" / digest
-        payload = bytearray(path.read_bytes())
-        payload[len(payload) // 2] ^= 0xFF
-        path.write_bytes(bytes(payload))
+        self.replace_payload(store, digest)
         report = manager.fsck(repair=False)
-        assert "corrupt_chunk" in {issue.kind for issue in report.issues}
+        assert {issue.kind for issue in report.issues} == {"corrupt_chunk"}
 
     def test_parallel_recovery_matches_serial(self, tmp_path):
         store = FileStore(tmp_path / "files", cdc=True, workers=4)

@@ -180,12 +180,11 @@ class TestStoreHygiene:
         assert in_flight.exists()
 
     def test_gc_spares_fresh_tmp_but_reaps_expired(self, tmp_path):
-        # pokes objects_dir: this invariant is file-per-chunk specific
-        store = FileStore(tmp_path / "s", layout="files")
-        fresh = store.chunks.objects_dir / "deadbeef-12345678.tmp"
+        store = FileStore(tmp_path / "s")
+        fresh = store.chunks.root / "refcounts-12345678.tmp"
         fresh.write_bytes(b"in flight")
-        expired = store.chunks.objects_dir / "cafebabe-87654321.tmp"
-        expired.write_bytes(b"orphaned tear")
+        expired = store.chunks.root / "refcounts-87654321.tmp"
+        expired.write_bytes(b"orphaned by a crash before its rename")
         stale = time.time() - 3600
         os.utime(expired, (stale, stale))
         stats = store.chunks.gc()

@@ -125,7 +125,7 @@ class TestCorruption:
             chunk_codecs.decode(frame)
 
 
-@pytest.mark.parametrize("layout", ["files", "segments"])
+@pytest.mark.parametrize("layout", ["segments"])
 class TestStoreIntegration:
     def state(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -135,7 +135,7 @@ class TestStoreIntegration:
         }
 
     def test_round_trip_and_accounting(self, tmp_path, layout):
-        store = FileStore(tmp_path / "files", layout=layout, codec="zlib")
+        store = FileStore(tmp_path / "files", codec="zlib")
         state = self.state()
         file_id = store.save_state_chunks(state, state_dict_hashes(state))
         recovered = store.recover_state_chunks(file_id, verify=True)
@@ -150,9 +150,9 @@ class TestStoreIntegration:
         """Decode is frame-driven: a codec=none reader understands what a
         codec=zlib writer stored in the same directory."""
         state = self.state(seed=2)
-        writer = FileStore(tmp_path / "files", layout=layout, codec="zlib")
+        writer = FileStore(tmp_path / "files", codec="zlib")
         file_id = writer.save_state_chunks(state, state_dict_hashes(state))
-        reader = FileStore(tmp_path / "files", layout=layout, codec="none")
+        reader = FileStore(tmp_path / "files", codec="none")
         recovered = reader.recover_state_chunks(file_id, verify=True)
         for key in state:
             assert np.array_equal(recovered[key], state[key])
@@ -165,7 +165,7 @@ class TestStoreIntegration:
 
         service = BaselineSaveService(
             DocumentStore(),
-            FileStore(tmp_path / "files", layout=layout, codec="zlib"),
+            FileStore(tmp_path / "files", codec="zlib"),
         )
         arch = ArchitectureRef.from_factory(
             "tests.conftest", "make_tiny_cnn", {"num_classes": 10}
@@ -176,7 +176,7 @@ class TestStoreIntegration:
 
     def test_cdc_composes_with_compression(self, tmp_path, layout):
         store = FileStore(
-            tmp_path / "files", layout=layout, codec="zlib",
+            tmp_path / "files", codec="zlib",
             cdc=True, cdc_target_bytes=16 * 1024,
         )
         state = self.state(seed=3)

@@ -115,22 +115,40 @@ class TestRetryAbsorbsTransients:
         faults = FaultInjector(seed=1, torn_write_rate=0.5)
         retry = no_sleep_policy()
         store = FileStore(
-            tmp_path / "s", faults=faults, retry=retry, tmp_grace_s=0.0,
-            layout="files",  # the *.tmp tear below is file-per-chunk specific
-        )
+            tmp_path / "s", faults=faults, retry=retry, tmp_grace_s=0.0)
+        chunks = store.chunks
+        tears = []
+        write_torn = chunks.write_torn
+
+        def spy(digest, buffer):
+            segment = write_torn(digest, buffer)
+            tears.append((chunks._active_end, segment.stat().st_size))
+            return segment
+
+        chunks.write_torn = spy
         payload = np.arange(64, dtype=np.float32)
         digest = tensor_hash(payload)
         assert store.put_chunk(digest, payload.data) is True
-        assert faults.stats["torn_writes"] >= 1
-        # the tear persisted as a *.tmp alongside the real chunk...
-        tears = list(store.chunks.objects_dir.glob("*.tmp"))
-        assert tears, "torn write should leave a partial tmp file behind"
-        # ...and the converged chunk is intact despite it
-        assert store.chunks.get(digest) == payload.tobytes()
-        # with the grace window disabled, gc reaps every expired tear
-        store.chunks.add_refs([digest])
-        assert store.chunks.gc()["chunks_removed"] == len(tears)
-        assert store.chunks.has(digest)
+        assert faults.stats["torn_writes"] == len(tears) >= 1
+        # each tear was half a record past the logical end...
+        for logical_end, size in tears:
+            assert logical_end < size
+        # ...which the retry overwrote in place: the segment ends where the
+        # converged record does, and the chunk is intact
+        path, offset, length = chunks.locate(digest)
+        assert path.stat().st_size == offset + length == chunks._active_end
+        assert bytes(chunks.get(digest)) == payload.tobytes()
+
+        # a tear the process dies with is rejected by the scan's CRC check
+        # on reopen, and the audit cuts it off
+        other = np.arange(64, 128, dtype=np.float32)
+        write_torn(tensor_hash(other), other.data)
+        del store, chunks
+        reopened = FileStore(tmp_path / "s", tmp_grace_s=0.0).chunks
+        assert not reopened.has(tensor_hash(other))
+        assert bytes(reopened.get(digest)) == payload.tobytes()
+        assert reopened.audit(repair=True)["torn_segments"] == [path.name]
+        assert path.stat().st_size == offset + length
 
     def test_corrupt_chunk_read_heals_via_refetch(self, tmp_path):
         faults = FaultInjector(seed=5, corrupt_rate=1.0, max_consecutive_failures=None)

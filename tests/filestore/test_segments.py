@@ -11,12 +11,7 @@ from repro import obs
 from repro.core.hashing import state_dict_hashes
 from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
-from repro.filestore import (
-    ChunkNotFoundError,
-    FileStore,
-    SegmentChunkStore,
-    SegmentCompactor,
-)
+from repro.filestore import ChunkNotFoundError, ChunkStore, FileStore
 from repro.filestore import codecs as chunk_codecs
 from repro.filestore.segments import SEGMENT_SUFFIX
 
@@ -39,7 +34,7 @@ def fill(store, count: int, size: int = 512) -> dict[str, bytes]:
 
 class TestSegmentBasics:
     def test_round_trip_and_dedup(self, tmp_path):
-        store = SegmentChunkStore(tmp_path / "s")
+        store = ChunkStore(tmp_path / "s")
         data = fill(store, 8)
         for digest, blob in data.items():
             assert store.has(digest)
@@ -58,7 +53,7 @@ class TestSegmentBasics:
 
     def test_group_fsync_is_one_barrier_per_batch(self, tmp_path):
         obs.reset()
-        store = SegmentChunkStore(tmp_path / "s", durability="group")
+        store = ChunkStore(tmp_path / "s")
         for index in range(20):
             store.put(digest_for(index), payload(index))
         assert store.flush() == 1
@@ -73,13 +68,8 @@ class TestSegmentBasics:
         assert total("mmlib_chunk_fsyncs_total") == 1
         obs.reset()
 
-    def test_chunk_durability_syncs_every_append(self, tmp_path):
-        store = SegmentChunkStore(tmp_path / "s", durability="chunk")
-        fill(store, 3)
-        assert store.flush() == 0  # every put already synced itself
-
     def test_rolls_seal_segments_with_footers(self, tmp_path):
-        store = SegmentChunkStore(tmp_path / "s", segment_bytes=2048)
+        store = ChunkStore(tmp_path / "s", segment_bytes=2048)
         data = fill(store, 12)
         stats = store.segment_stats()
         assert stats["segment_count"] > 1
@@ -88,36 +78,36 @@ class TestSegmentBasics:
             assert store.get(digest) == blob
 
     def test_reopen_loads_index_from_checkpoint(self, tmp_path):
-        store = SegmentChunkStore(tmp_path / "s", segment_bytes=2048)
+        store = ChunkStore(tmp_path / "s", segment_bytes=2048)
         data = fill(store, 12)
         store.close()
-        reopened = SegmentChunkStore(tmp_path / "s", segment_bytes=2048)
+        reopened = ChunkStore(tmp_path / "s", segment_bytes=2048)
         for digest, blob in data.items():
             assert reopened.get(digest) == blob
 
     def test_reopen_rebuilds_index_without_checkpoint(self, tmp_path):
         """A crash between append and checkpoint: the scan recovers it all."""
-        store = SegmentChunkStore(tmp_path / "s", segment_bytes=2048)
+        store = ChunkStore(tmp_path / "s", segment_bytes=2048)
         data = fill(store, 12)
         store.close()
         (tmp_path / "s" / "index.json").unlink()
-        reopened = SegmentChunkStore(tmp_path / "s", segment_bytes=2048)
+        reopened = ChunkStore(tmp_path / "s", segment_bytes=2048)
         for digest, blob in data.items():
             assert reopened.get(digest) == blob
 
     def test_deleted_chunk_stays_deleted_after_reopen(self, tmp_path):
-        store = SegmentChunkStore(tmp_path / "s")
+        store = ChunkStore(tmp_path / "s")
         fill(store, 6)
         assert store.drop(digest_for(2)) is True
         store.close()
-        reopened = SegmentChunkStore(tmp_path / "s")
+        reopened = ChunkStore(tmp_path / "s")
         assert not reopened.has(digest_for(2))
         assert reopened.get(digest_for(3)) == payload(3)
 
 
 class TestTornAppends:
     def test_torn_append_then_retry_converges(self, tmp_path):
-        store = SegmentChunkStore(tmp_path / "s")
+        store = ChunkStore(tmp_path / "s")
         fill(store, 2)
         store.write_torn(digest_for(9), payload(9))
         assert not store.has(digest_for(9))
@@ -127,12 +117,12 @@ class TestTornAppends:
         assert store.get(digest_for(1)) == payload(1)
 
     def test_torn_append_then_crash_is_truncated_by_audit(self, tmp_path):
-        store = SegmentChunkStore(tmp_path / "s", tmp_grace_s=0.0)
+        store = ChunkStore(tmp_path / "s", tmp_grace_s=0.0)
         data = fill(store, 4)
         torn = store.write_torn(digest_for(9), payload(9))
         del store  # crash: no close, the tear stays on disk
         assert torn.exists()
-        reopened = SegmentChunkStore(tmp_path / "s", tmp_grace_s=0.0)
+        reopened = ChunkStore(tmp_path / "s", tmp_grace_s=0.0)
         assert not reopened.has(digest_for(9))
         outcome = reopened.audit(repair=True, verify=True)
         assert torn.name in outcome["torn_segments"]
@@ -144,7 +134,7 @@ class TestTornAppends:
         assert second["entries_dropped"] == []
 
     def test_audit_flags_bit_rot_with_verify(self, tmp_path):
-        store = SegmentChunkStore(tmp_path / "s")
+        store = ChunkStore(tmp_path / "s")
         fill(store, 3)
         path, offset, _length = store.locate(digest_for(1))
         with open(path, "r+b") as fileobj:
@@ -162,7 +152,7 @@ class TestTornAppends:
 class TestCompaction:
     def build_fragmented(self, root, count=40):
         """Interleaved deletes leave every sealed segment ~1/3 live."""
-        store = SegmentChunkStore(root, segment_bytes=4096, tmp_grace_s=0.0)
+        store = ChunkStore(root, segment_bytes=4096, tmp_grace_s=0.0)
         data = fill(store, count)
         for index in range(count):
             if index % 3 != 0:
@@ -208,7 +198,7 @@ class TestCompaction:
             else:
                 break  # compaction outran the armed crash: all points covered
             del store  # crash: no close
-            reopened = SegmentChunkStore(
+            reopened = ChunkStore(
                 root, segment_bytes=4096, tmp_grace_s=0.0
             )
             outcome = reopened.audit(repair=True, verify=True)
@@ -227,7 +217,7 @@ class TestCompaction:
         assert crashes >= 5, f"only {crashes} distinct crash points hit"
 
     def test_orphan_partial_segments_get_grace_swept(self, tmp_path):
-        store = SegmentChunkStore(tmp_path / "s")
+        store = ChunkStore(tmp_path / "s")
         data = fill(store, 3)
         store.add_refs(list(data))
         fresh = store.segments_dir / "seg-rewrite.seg.tmp"
@@ -240,19 +230,6 @@ class TestCompaction:
         assert fresh.exists()
         assert not expired.exists()
 
-    def test_background_compactor_lifecycle(self, tmp_path):
-        store, data = self.build_fragmented(tmp_path / "s")
-        compactor = SegmentCompactor(store, interval_s=0.005)
-        with compactor:
-            deadline = time.time() + 5.0
-            while compactor.runs == 0 and time.time() < deadline:
-                time.sleep(0.005)
-        assert compactor.runs >= 1
-        assert compactor.errors == 0
-        assert compactor.last_result["segments_compacted"] > 0
-        for digest, blob in data.items():
-            assert store.get(digest) == blob
-
 
 class TestFileStoreIntegration:
     def small_state(self, seed=0):
@@ -261,26 +238,6 @@ class TestFileStoreIntegration:
             f"layer{i}": rng.standard_normal(64).astype(np.float32)
             for i in range(4)
         }
-
-    def test_default_layout_is_segments(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CHUNK_LAYOUT", raising=False)
-        store = FileStore(tmp_path / "s")
-        assert store.layout == "segments"
-        assert store.durability == "group"
-        assert isinstance(store.chunks, SegmentChunkStore)
-
-    def test_layout_detected_from_disk_on_reopen(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CHUNK_LAYOUT", raising=False)
-        FileStore(tmp_path / "f", layout="files").chunks.put(
-            digest_for(0), payload(0)
-        )
-        FileStore(tmp_path / "g").chunks.put(digest_for(0), payload(0))
-        assert FileStore(tmp_path / "f").layout == "files"
-        assert FileStore(tmp_path / "g").layout == "segments"
-
-    def test_env_var_selects_layout(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_LAYOUT", "files")
-        assert FileStore(tmp_path / "s").layout == "files"
 
     def test_save_state_chunks_round_trip(self, tmp_path):
         store = FileStore(tmp_path / "s")
@@ -303,7 +260,7 @@ class TestFileStoreIntegration:
         from repro.cluster import ShardedFileStore
 
         members = {
-            f"shard-{i}": FileStore(tmp_path / f"shard-{i}", layout="segments")
+            f"shard-{i}": FileStore(tmp_path / f"shard-{i}")
             for i in range(3)
         }
         store = ShardedFileStore(tmp_path / "meta", members, replicas=2)
@@ -324,7 +281,7 @@ class TestFileStoreIntegration:
     def test_checkpoint_is_valid_json(self, tmp_path):
         """Written when a segment is sealed and at close — not by a save."""
         path = tmp_path / "s" / "index.json"
-        store = SegmentChunkStore(tmp_path / "s", segment_bytes=2048)
+        store = ChunkStore(tmp_path / "s", segment_bytes=2048)
         store.put(digest_for(99), payload(99))
         store.flush()
         assert not path.exists()
