@@ -45,13 +45,17 @@ bench-serving:
 	$(PY) scripts/bench_serving.py --smoke
 
 # fault-injection tests (fixed seeds) + the recovery plan's count gate (one
-# build, one fetch per chain recover) + the bookkeeping kill/crash-point/
-# two-process tests + chaos smoke; writes BENCH_chaos.json
+# build, one fetch per chain recover) + the integrity gate (one check per
+# recovered byte, every corruption still caught) + the bookkeeping
+# kill/crash-point/two-process tests + chaos smoke; writes BENCH_chaos.json
 chaos:
 	PYTHONPATH=src $(PY) -m pytest -q tests/filestore/test_faults.py \
 		tests/filestore/test_segments.py \
 		tests/core/test_crash_consistency.py tests/core/test_fsck.py \
 		tests/core/test_recovery_plan.py::TestCounts \
+		tests/core/test_recovery_plan.py::TestIntegrityOfThePlan \
+		tests/core/test_byte_path.py::TestIntegrity \
+		tests/core/test_byte_path.py::TestOneCheckPerByte \
 		tests/filestore/test_bookkeeping.py::TestReopenWithoutClose \
 		tests/filestore/test_bookkeeping.py::TestTwoProcesses \
 		tests/filestore/test_bookkeeping.py::TestRefcountLogCrashPoints

@@ -33,8 +33,6 @@ import threading
 from pathlib import Path
 from typing import Mapping
 
-import numpy as np
-
 from .. import deadline as deadline_mod
 from .. import obs
 from ..errors import QuorumWriteError, StoreCorruptionError, TransientStoreError
@@ -42,6 +40,7 @@ from ..filestore.store import (
     ChunkNotFoundError,
     FileNotFoundInStoreError,
     FileStore,
+    chunk_intact,
 )
 from .ring import DEFAULT_VNODES, HashRing
 
@@ -76,8 +75,6 @@ def _classify_failure(exc: Exception) -> str:
 
 def _verify_blob(file_id: str, data: bytes) -> bool:
     """Check ``data`` against the content-digest prefix embedded in the id."""
-    import hashlib
-
     expected = file_id.split("-", 1)[0]
     return hashlib.sha256(data).hexdigest()[: len(expected)] == expected
 
@@ -389,7 +386,7 @@ class ShardedFileStore(FileStore):
         if detector is not None:
             for name in self.members:
                 detector.add_member(name)
-        self._chunk_meta: dict[str, tuple[str, tuple[int, ...]]] = {}
+        self._chunk_meta: dict[str, dict] = {}  # v1 chunk id -> its layer entry
         self._meta_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self.cluster_stats = {
@@ -478,33 +475,23 @@ class ShardedFileStore(FileStore):
         with self._meta_lock:
             for _, meta in layers:
                 if "chunk" in meta:  # v2 entries verify by content digest
-                    self._chunk_meta[meta["chunk"]] = (
-                        meta["dtype"], tuple(meta["shape"]))
+                    self._chunk_meta[meta["chunk"]] = meta
 
     def _verify_for_repair(self, digest: str, data: bytes) -> bool | None:
         """Re-hash a chunk payload against its digest before propagating it.
 
-        Content-defined (v2) chunk ids are plain sha256 digests of the
-        payload, so they verify directly.  Whole-layer (v1) chunk ids are
-        *tensor* hashes (dtype + shape + bytes), so verification needs the
-        layer metadata harvested from manifests.  Returns ``None`` when
-        neither applies — the caller then skips byte-level verification
-        but may still repair (the payload came from a member's
-        CRC-checked chunk record, the same trust level fsck operates at).
+        Whole-layer (v1) chunk ids are *tensor* hashes, so verification
+        needs the layer entry harvested from manifests; content-defined (v2)
+        chunk ids verify directly (:func:`~repro.filestore.chunk_intact`).
+        Returns ``None`` for a chunk with no harvested entry that is not a
+        v2 piece either — the caller then skips byte-level verification
+        but may still repair (the payload came from a member's CRC-checked
+        chunk record, the same trust level fsck operates at).
         """
-        if hashlib.sha256(data).hexdigest() == digest:
-            return True
-        meta = self._chunk_meta.get(digest)
-        if meta is None:
-            return None
-        dtype, shape = meta
-        try:
-            array = np.frombuffer(data, dtype=np.dtype(dtype)).reshape(shape)
-        except ValueError:
-            return False
-        from ..core.hashing import tensor_hash
-
-        return tensor_hash(array) == digest
+        layer = self._chunk_meta.get(digest)
+        if layer is None:
+            return True if chunk_intact(digest, data) else None
+        return chunk_intact(digest, data, layer)
 
     # -- quorum writes -------------------------------------------------------
 
@@ -686,12 +673,15 @@ class ShardedFileStore(FileStore):
         if repaired:
             self._clear_degraded("chunk", digest)
 
-    def _fetch_many(self, digests: list[str], workers: int | None) -> dict[str, bytes]:
+    def _fetch_many(self, digests: list[str], crc: bool) -> dict[str, bytes]:
         """Batched fetch, grouped by primary owner for pipelined accounting.
 
         Each group goes through the member's own batched read (one
         pipelined transfer on simulated links); a group whose member
-        fails mid-batch falls back to per-digest failover reads.
+        fails mid-batch falls back to per-digest failover reads.  ``crc``
+        is ignored: a member always checks its record CRC, which is what
+        classifies a bad replica ``corrupt`` so it is failed over and
+        repaired.
         """
         groups: dict[str, list[str]] = {}
         for digest in digests:
@@ -710,7 +700,7 @@ class ShardedFileStore(FileStore):
                         results[digest] = self._read_chunk(digest)
                     continue
                 try:
-                    results.update(self.members[name]._charged_read_many(group, workers))
+                    results.update(self.members[name]._charged_read_many(group, True))
                 except _REPLICA_FAILURES as exc:
                     if _classify_failure(exc) == "unreachable":
                         self._member_down(name)
@@ -801,10 +791,9 @@ class ShardedFileStore(FileStore):
     def save_state_chunks(self, state, layer_hashes, suffix=None, workers=None):
         with self._meta_lock:
             for name, array in state.items():
-                self._chunk_meta[layer_hashes[name]] = (
-                    array.dtype.str,
-                    tuple(array.shape),
-                )
+                digest = layer_hashes[name]
+                self._chunk_meta[digest] = {
+                    "chunk": digest, "dtype": array.dtype.str, "shape": list(array.shape)}
         kwargs = {} if suffix is None else {"suffix": suffix}
         return super().save_state_chunks(state, layer_hashes, workers=workers, **kwargs)
 

@@ -258,18 +258,27 @@ class AbstractSaveService:
             )
         return self.files.save_bytes(serialization.dumps(state), suffix=f".{kind}")
 
-    def _load_state_files(self, file_ids: list[str]) -> OrderedDict:
+    def _load_state_files(self, file_ids: list[str], verified: dict | None = None) -> OrderedDict:
         """Inverse of :meth:`_save_state` over a chain's levels, base first.
 
         A layer is taken from the last level that holds it.  Consecutive
         chunked levels are one call into the file store, which merges their
         manifests before it fetches; a monolithic level is loaded whole.
+        With ``verified``, the store checks every chunked layer against its
+        digest as it fetches it, and each one that passed is recorded there
+        as ``name -> (array, digest)``.
         """
         state = OrderedDict()
         read_ahead = self.prefetcher.prefetch if self.prefetcher is not None else None
         for chunked, run in groupby(file_ids, key=self._is_chunked_file):
             if chunked:
-                state.update(self.files.recover_state_chunks(list(run), read_ahead=read_ahead))
+                digests = None if verified is None else {}
+                loaded = self.files.recover_state_chunks(
+                    list(run), read_ahead=read_ahead, verified=digests)
+                state.update(loaded)
+                if digests:
+                    verified.update(
+                        (name, (loaded[name], digest)) for name, digest in digests.items())
             else:
                 for file_id in run:
                     state.update(serialization.loads(self.files.recover_bytes(file_id)))
@@ -355,8 +364,14 @@ class AbstractSaveService:
         """Recover the exact model saved under ``model_id``.
 
         ``check_env`` compares the stored environment snapshot against the
-        current one and raises on mismatch.  ``verify`` re-hashes the
-        recovered parameters against the stored Merkle root.
+        current one and raises on mismatch.  ``verify`` checks the
+        recovered parameters against the stored Merkle root: the file store
+        verifies each chunked layer against its digest as it fetches it
+        (whatever its ``verify_reads`` says), the root is derived from those
+        verified digests, and only layers the model did not adopt as
+        fetched are hashed again (DESIGN.md §14 "Verify once").  A model
+        saved without a root is read as with ``verify=False``: every record
+        CRC-checked, nothing hashed.
         ``execution_env`` passes extra restore-time refs to train services
         (e.g. an externally managed dataset's location).  Passing a shared
         :class:`RecoveryCache` across calls memoizes chain prefixes, so
@@ -373,9 +388,13 @@ class AbstractSaveService:
             # that must disturb the caller's RNG stream or determinism setting
             caller_rng = rng.get_rng_state()
             caller_det = rng.deterministic_algorithms_enabled()
+            # only a stored root refuses what the fetch-time check could not
+            # heal; without one, the store's reads keep their record CRC
+            has_root = document.get("merkle_root") is not None
+            fetched: dict | None = {} if verify and has_root else None
             try:
                 model, depth = self._recover_from_document(
-                    document, timings, execution_env or {}, cache
+                    document, timings, execution_env or {}, cache, fetched
                 )
             finally:
                 rng.set_rng_state(caller_rng)
@@ -394,7 +413,7 @@ class AbstractSaveService:
                 started = self.clock.perf()
                 stored_root = document.get("merkle_root")
                 if stored_root is not None:
-                    actual_root = MerkleTree.from_state_dict(model.state_dict()).root_hash
+                    actual_root = _merkle_root(model, fetched)
                     if actual_root != stored_root:
                         raise VerificationError(
                             f"recovered model {model_id} fails checksum verification: "
@@ -427,7 +446,12 @@ class AbstractSaveService:
         timings: dict,
         execution_env: dict,
         cache: RecoveryCache | None = None,
+        verified: dict | None = None,
     ) -> tuple[Module, int]:
+        """Recover one document's model.  ``verified`` (the top-level call's
+        only) collects the layers the store verified as it fetched them;
+        a base recovered beneath the document contributes none — an MPA
+        replay rewrites its layers, a cached base is a copy."""
         doc_id = document.get("_id")
         if cache is not None and doc_id is not None:
             hit = cache.get(doc_id)
@@ -440,7 +464,7 @@ class AbstractSaveService:
         ):
             if document.get("parameters_file") or approach == APPROACH_PARAM_UPDATE:
                 model, depth, architecture = self._recover_chain(
-                    document, timings, execution_env, cache
+                    document, timings, execution_env, cache, verified
                 )
             elif approach == APPROACH_PROVENANCE:
                 model, depth = self._recover_provenance(
@@ -493,6 +517,7 @@ class AbstractSaveService:
         timings: dict,
         execution_env: dict,
         cache: RecoveryCache | None = None,
+        verified: dict | None = None,
     ) -> tuple[Module, int, ArchitectureRef | None]:
         """Recover a snapshot or the tip of a PUA chain: resolve, then read.
 
@@ -528,7 +553,7 @@ class AbstractSaveService:
         files.reverse()
 
         started = self.clock.perf()
-        state = self._load_state_files(files)
+        state = self._load_state_files(files, verified)
         timings["load"] += self.clock.perf() - started
 
         if base is None:
@@ -643,6 +668,28 @@ class AbstractSaveService:
             documents=doc_bytes,
             files=files,
         )
+
+
+def _merkle_root(model: Module, verified: dict) -> str:
+    """The model's Merkle root, from the digests verified at fetch.
+
+    A layer the model holds as the very array the store verified
+    contributes that digest.  Every other layer — from a cached or MPA
+    base, a monolithic level, or copied or cast at load — is hashed here,
+    so each parameter byte is hashed once either way.
+    """
+    leaves = OrderedDict()
+    unverified = OrderedDict()
+    for name, array in model.state_dict().items():
+        fetched = verified.get(name)
+        if fetched is not None and fetched[0] is array:
+            leaves[name] = fetched[1]
+        else:
+            leaves[name] = None
+            unverified[name] = array
+    if unverified:
+        leaves.update(state_dict_hashes(unverified))
+    return MerkleTree.from_layer_hashes(leaves).root_hash
 
 
 def _json_size(document: dict) -> int:

@@ -15,19 +15,15 @@ what the live manifests actually reference, repairing what it safely can.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .. import obs
-from ..filestore.store import layer_chunk_digests
+from ..filestore.store import chunk_intact, layer_chunk_digests
 from ..docstore.engine import DuplicateKeyError
 from .abstract import AbstractSaveService
 from .environment import ENVIRONMENT_ID_PREFIX, environment_id
 from .errors import MMLibError, ModelNotFoundError, TransientStoreError
-from .hashing import tensor_hash
 from .recover import RecoveredModelInfo, StorageBreakdown
 from .schema import ENVIRONMENTS, MODELS, TRAIN_INFO, WRAPPERS
 
@@ -951,17 +947,7 @@ class ModelManager:
                     # fails its CRC and bytes that fail their digest both
                     # count as corruption here
                     try:
-                        raw = files.chunks.get(digest)
-                        if "chunk" in meta:
-                            # v1: the digest is the layer's tensor hash
-                            array = np.frombuffer(
-                                raw, dtype=np.dtype(meta["dtype"])
-                            ).reshape(meta["shape"])
-                            intact = tensor_hash(array) == digest
-                        else:
-                            # v2 (content-defined chunks): the digest is the
-                            # sha256 of the raw sub-layer bytes
-                            intact = hashlib.sha256(raw).hexdigest() == digest
+                        intact = chunk_intact(digest, files.chunks.get(digest), meta)
                     except (OSError, KeyError, ValueError, TypeError):
                         intact = False
                     if not intact:

@@ -9,7 +9,7 @@ from .network import (
     SimulatedNetworkFileStore,
 )
 from .segments import DEFAULT_SEGMENT_BYTES, ChunkNotFoundError, ChunkStore
-from .store import ChunkCache, FileNotFoundInStoreError, FileStore
+from .store import ChunkCache, FileNotFoundInStoreError, FileStore, chunk_intact
 
 __all__ = [
     "CELLULAR_LTE",
@@ -23,6 +23,7 @@ __all__ = [
     "FileNotFoundInStoreError",
     "FileStore",
     "available_codecs",
+    "chunk_intact",
     "resolve_codec",
     "gear_table",
     "split_buffer",

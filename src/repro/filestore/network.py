@@ -211,7 +211,7 @@ class SimulatedNetworkFileStore(FileStore):
         self._obs_bytes_received.inc(len(data))
         return data
 
-    def _charged_read_many(self, digests, workers) -> dict:
+    def _charged_read_many(self, digests, crc) -> dict:
         """Download a batch of chunks as one pipelined transfer.
 
         Latency is paid once per window of ``pipeline_depth`` requests in
@@ -219,7 +219,7 @@ class SimulatedNetworkFileStore(FileStore):
         difference between ``len(digests)`` serial round-trips and the
         windows actually paid lands in :attr:`round_trips_saved`.
         """
-        payloads = self._fetch_many(list(digests), workers)
+        payloads = self._fetch_many(list(digests), crc)
         n = len(payloads)
         if n == 0:
             return payloads

@@ -88,6 +88,22 @@ FOOTER_END_MAGIC = b"MMSE"
 FOOTER_TAIL = struct.Struct("<QI4s")
 
 
+def _iov_max() -> int:
+    try:
+        limit = os.sysconf("SC_IOV_MAX")
+    except (AttributeError, ValueError, OSError):
+        limit = -1
+    return limit if limit >= 2 else 1024
+
+
+#: Buffers one scatter read may fill (a batched read splits its runs here).
+IOV_MAX = _iov_max()
+
+#: Payload bytes one scatter read may fill: a batched read holds the store's
+#: lock for one such read at a time.
+MAX_RUN_BYTES = 4 << 20
+
+
 class ChunkNotFoundError(KeyError):
     """Raised when fetching a chunk digest the store does not hold."""
 
@@ -854,33 +870,113 @@ class ChunkStore:
         is returned as that buffer (writable, so a recover can adopt it
         instead of copying), a codec-framed one as the decoded ``bytes``.
         """
-        self._check_digest(digest)
-        refreshed = False
-        while True:
+        return self.get_many([digest])[digest]
+
+    def get_many(self, digests: Iterable[str], crc: bool = True) -> dict:
+        """:meth:`get` for a batch: digest -> bytes, in one pass.
+
+        Every index entry is looked up under one hold of the lock; the
+        records are then read in (segment, offset) order, each run of
+        records that lie back to back in one segment with a single scatter
+        ``os.preadv`` (split at ``IOV_MAX`` buffers and ``MAX_RUN_BYTES``).
+        The lock is held for one run at a time, so a large batch does not
+        stall a concurrent ``put``/``flush``/``gc`` for its whole read.
+        Every payload lands in its own ``bytearray``, as with :meth:`get`;
+        the record header between two payloads lands in a scratch buffer.
+        A digest the index lacks, or a record that cannot be read (its
+        segment was compacted away since the lookup), costs one refresh for
+        the whole batch, then :class:`ChunkNotFoundError`.
+
+        ``crc=False`` skips the record CRC.  Only a caller that checks the
+        content digest of every returned payload itself, before anything
+        else sees it, may pass it (:meth:`FileStore.recover_state_chunks`):
+        the digest check is the stronger of the two, and one check per
+        byte is enough.
+        """
+        digests = list(dict.fromkeys(digests))
+        for digest in digests:
+            self._check_digest(digest)
+        with self._mutex:
+            entries = {digest: self._index.get(digest) for digest in digests}
+        payloads = self._read_entries(entries)
+        unread = [digest for digest in digests if digest not in payloads]
+        if unread:
+            # another process appended, or compaction moved a segment
             with self._mutex:
-                entry = self._index.get(digest)
-                if entry is None and not refreshed:
-                    self._refresh_locked()  # another process may have appended
-                    refreshed = True
-                    entry = self._index.get(digest)
-                if entry is None:
-                    raise ChunkNotFoundError(
-                        f"no stored chunk with digest {digest!r}")
-                data = self._read_entry_locked(entry)
-                if data is None and not refreshed:
-                    self._refresh_locked()  # the segment moved (compaction)
-                    refreshed = True
-                    continue
+                self._refresh_locked()
+                retry = {digest: self._index.get(digest) for digest in unread}
+            entries.update(retry)
+            payloads.update(self._read_entries(retry))
+        for digest in digests:
+            data = payloads.get(digest)
             if data is None:
                 raise ChunkNotFoundError(f"no stored chunk with digest {digest!r}")
-            if zlib.crc32(data) != entry[3]:
+            if crc and zlib.crc32(data) != entries[digest][3]:
                 raise StoreCorruptionError(
                     f"chunk {digest!r} is corrupt: segment record failed its "
                     f"CRC check")
-            return self._decode(data)
+            payloads[digest] = self._decode(data)
+        return payloads
 
-    def _read_entry_locked(self, entry) -> bytearray | None:
-        name, off, length, _crc = entry
+    def _read_entries(self, entries: Mapping) -> dict[str, bytearray]:
+        """Read every located record, one scatter read per back-to-back run,
+        each under its own hold of the lock.
+
+        A record continues the run when its payload starts exactly one
+        record header (plus its digest) past the previous payload's end.
+        Records of a run that cannot be read are left out of the result.
+        """
+        located = sorted(
+            (entry[0], entry[1], digest)
+            for digest, entry in entries.items() if entry is not None)
+        payloads: dict[str, bytearray] = {}
+        max_run = (IOV_MAX + 1) // 2  # k payloads + (k - 1) headers
+        run: list[tuple[str, tuple, int]] = []  # (digest, entry, gap before it)
+        run_bytes = 0
+        for name, off, digest in located:
+            entry = entries[digest]
+            gap = 0
+            if run:
+                last = run[-1][1]
+                gap = off - last[1] - last[2]
+                if (
+                    name != last[0]
+                    or gap != RECORD_HEADER.size + len(digest.encode("utf-8"))
+                    or len(run) == max_run
+                    or run_bytes + entry[2] > MAX_RUN_BYTES
+                ):
+                    with self._mutex:
+                        payloads.update(self._read_run_locked(run))
+                    run, gap, run_bytes = [], 0, 0
+            run.append((digest, entry, gap))
+            run_bytes += entry[2]
+        if run:
+            with self._mutex:
+                payloads.update(self._read_run_locked(run))
+        return payloads
+
+    def _read_run_locked(self, run: list[tuple[str, tuple, int]]) -> dict[str, bytearray]:
+        fileobj = self._read_file_locked(run[0][1][0])
+        if fileobj is None:
+            return {}
+        scratch = memoryview(bytearray(max(gap for _, _, gap in run)))
+        buffers: list = []
+        payloads: dict[str, bytearray] = {}
+        for digest, entry, gap in run:
+            if gap:
+                buffers.append(scratch[:gap])
+            payloads[digest] = bytearray(entry[2])
+            buffers.append(payloads[digest])
+        first, last = run[0][1], run[-1][1]
+        expected = last[1] + last[2] - first[1]
+        try:
+            if expected and os.preadv(fileobj.fileno(), buffers, first[1]) != expected:
+                return {}
+        except OSError:
+            return {}
+        return payloads
+
+    def _read_file_locked(self, name: str):
         fileobj = self._read_files.get(name)
         if fileobj is None:
             try:
@@ -888,13 +984,10 @@ class ChunkStore:
             except FileNotFoundError:
                 return None
             self._read_files[name] = fileobj
-        data = bytearray(length)
-        try:
-            if length and os.preadv(fileobj.fileno(), [data], off) != length:
-                return None
-        except OSError:
-            return None
-        return data
+        return fileobj
+
+    def _read_entry_locked(self, entry) -> bytearray | None:
+        return self._read_run_locked([("", entry, 0)]).get("")
 
     def size_of(self, digest: str) -> int | None:
         """At-rest size of one chunk, or ``None`` when it is not stored."""

@@ -49,6 +49,7 @@ __all__ = [
     "ChunkCache",
     "FileNotFoundInStoreError",
     "ChunkNotFoundError",
+    "chunk_intact",
     "layer_chunk_digests",
     "manifest_chunk_digests",
 ]
@@ -109,6 +110,56 @@ def manifest_chunk_digests(manifest: Mapping) -> list[str]:
     for _name, meta in manifest["layers"]:
         digests.extend(layer_chunk_digests(meta))
     return digests
+
+
+def chunk_intact(digest: str, data, layer: Mapping | None = None) -> bool:
+    """True iff one chunk payload hashes back to its digest.
+
+    ``layer`` is the manifest entry the chunk belongs to.  A whole-layer
+    (v1) chunk id — an entry with a ``"chunk"`` key — is the layer's
+    *tensor* hash (dtype + shape + bytes), so it is checked with
+    ``tensor_hash`` over the entry's dtype and shape; any other chunk id (a
+    content-defined v2 piece, or a chunk whose entry is unknown) is the
+    sha256 of the payload.  Recovery, fsck and cluster repair all verify
+    a chunk through this one function.
+    """
+    if layer is None or "chunk" not in layer:
+        return hashlib.sha256(data).hexdigest() == digest
+    # lazy import: repro.core imports this module at package init
+    from ..core.hashing import tensor_hash
+
+    try:
+        array = np.frombuffer(data, dtype=np.dtype(layer["dtype"])).reshape(
+            layer["shape"])
+    except ValueError:  # payload size disagrees with the manifest
+        return False
+    return tensor_hash(array) == digest
+
+
+def _layer_digest(meta: Mapping) -> str | None:
+    """The tensor hash a rebuilt layer must have: a v1 entry's chunk id, a
+    v2 entry's recorded ``hash``."""
+    return meta.get("hash") if "chunks" in meta else meta["chunk"]
+
+
+def _layer_array(meta: Mapping, parts: list) -> np.ndarray | None:
+    """One layer over its fetched chunk payloads, in manifest order.
+
+    ``None`` when their size disagrees with the entry's dtype and shape.
+    The array is the caller's alone: it is over the fetched ``bytearray``
+    itself — a chunk store read, which nobody else holds once the first
+    reference to a digest has claimed it (later ones get a copy) — and
+    over a ``bytearray`` copy of anything else (cached ``bytes``, a codec
+    frame, a fault injector's).  A content-defined run is joined into one
+    new buffer.
+    """
+    data = parts[0] if len(parts) == 1 else bytearray().join(parts)
+    if not isinstance(data, bytearray):
+        data = bytearray(data)
+    try:
+        return np.frombuffer(data, dtype=np.dtype(meta["dtype"])).reshape(meta["shape"])
+    except ValueError:
+        return None
 
 
 class ChunkCache:
@@ -265,17 +316,22 @@ class FileStore:
       callers only ever see a typed error once the budget is spent;
     * per-save write-ahead intent journals (:meth:`begin_journal`) that
       make multi-step saves all-or-nothing across crashes;
-    * ``verify_reads`` — re-hash chunk payloads on recovery and re-fetch
-      on mismatch; defaults to on exactly when ``faults``/``retry`` are
-      configured (a chaos or production-robust deployment) so benchmark
-      paths keep their cost profile.
+    * ``verify_reads`` — every :meth:`recover_state_chunks` checks each
+      layer against its content digest and re-fetches on mismatch,
+      raising :class:`StoreCorruptionError` once the retry budget is
+      spent; defaults to on exactly when ``faults``/``retry`` are
+      configured (a chaos or production-robust deployment).  The check
+      itself is not what the flag buys: ``recover_model(verify=True)``
+      asks for it on every recover, and it is the one hash pass a
+      verified recover makes (DESIGN.md §14 "Verify once").
 
     Parallel transfer plane (all off by default, so the serial cost
     profile of existing deployments is unchanged):
 
-    * ``workers`` — default concurrency for chunk I/O: with ``workers > 1``
-      :meth:`save_state_chunks`, :meth:`recover_state_chunks`, and
-      :meth:`get_chunks` fan out over a bounded ``ThreadPoolExecutor``;
+    * ``workers`` — default write concurrency: with ``workers > 1``
+      :meth:`save_state_chunks` writes chunks over a bounded
+      ``ThreadPoolExecutor`` (a recover reads in one batched pass over the
+      segments and hashes on the shared hashing pool, whatever it says);
     * ``chunk_cache`` — an in-process hot-chunk LRU (a :class:`ChunkCache`
       or a byte budget), consulted before every chunk read and shared with
       the recovery-chain prefetcher.  Concurrent fetches of one digest are
@@ -324,6 +380,7 @@ class FileStore:
         self.chunk_cache = chunk_cache
         self._singleflight = _SingleFlight()
         self._chunks: ChunkStore | None = None
+        self._chunks_lock = threading.Lock()
         self._journal_local = threading.local()
         self._obs_tracer = obs.tracer()
         self._obs_coalesced = obs.registry().counter(
@@ -361,13 +418,19 @@ class FileStore:
 
     @property
     def chunks(self) -> ChunkStore:
-        """The store's content-addressed chunk substore (lazily created)."""
+        """The store's content-addressed chunk substore (lazily created).
+
+        Created under a lock: parallel savers reach it first together, and
+        a second instance would hold records the first never indexes.
+        """
         if self._chunks is None:
-            self._chunks = ChunkStore(
-                self.root / CHUNK_DIR_NAME,
-                tmp_grace_s=self.tmp_grace_s,
-                codec=self.codec,
-            )
+            with self._chunks_lock:
+                if self._chunks is None:
+                    self._chunks = ChunkStore(
+                        self.root / CHUNK_DIR_NAME,
+                        tmp_grace_s=self.tmp_grace_s,
+                        codec=self.codec,
+                    )
         return self._chunks
 
     # -- fault/retry plumbing ---------------------------------------------------
@@ -593,15 +656,22 @@ class FileStore:
             self.journal_record("chunk", digest=digest)
         return wrote
 
-    def _read_chunk(self, digest: str) -> bytes:
-        """Fault/retry-wrapped chunk read, straight from the chunk store."""
+    def _read_chunk(self, digest: str, data=None) -> bytes:
+        """One chunk through the fault plane: its fault point, its read,
+        its in-transit corruption, its own retry.
+
+        ``data`` is the payload :meth:`_fetch_many` already read for this
+        chunk; the first attempt takes it instead of reading the chunk
+        store, a retry reads the store.
+        """
+        pending = [data] if data is not None else []
 
         def attempt() -> bytes:
             self._fault("chunk.read")
-            data = self.chunks.get(digest)
+            payload = pending.pop() if pending else self.chunks.get(digest)
             if self.faults is not None:
-                data = self.faults.corrupt("chunk.read", data)
-            return data
+                payload = self.faults.corrupt("chunk.read", payload)
+            return payload
 
         return self._call("chunk.read", attempt)
 
@@ -609,18 +679,26 @@ class FileStore:
         """One chunk fetch crossing the link (transfer-accounting hook)."""
         return self._read_chunk(digest)
 
-    def _charged_read_many(self, digests: list[str], workers: int | None) -> dict[str, bytes]:
+    def _charged_read_many(self, digests: list[str], crc: bool) -> dict[str, bytes]:
         """One batched fetch crossing the link (transfer-accounting hook)."""
-        return self._fetch_many(digests, workers)
+        return self._fetch_many(digests, crc)
 
-    def _fetch_many(self, digests: list[str], workers: int | None) -> dict[str, bytes]:
-        """Concurrently read chunks over a bounded worker pool."""
-        n = self._effective_workers(workers, len(digests))
-        if n <= 1:
-            return {digest: self._read_chunk(digest) for digest in digests}
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            payloads = list(pool.map(self._read_chunk, digests))
-        return dict(zip(digests, payloads))
+    def _fetch_many(self, digests: list[str], crc: bool) -> dict[str, bytes]:
+        """Read a batch of chunks in one pass over the segments.
+
+        :meth:`ChunkStore.get_many` reads every record, skipping its CRC
+        when ``crc`` is false; each chunk then goes through
+        :meth:`_read_chunk` in plan order with the payload already read, so
+        the fault plane sees each chunk exactly as a one-by-one read would.
+        A batch the chunk store refuses (a missing or damaged record) is
+        left to those per-chunk reads, so the error surfaces where it
+        always did.
+        """
+        try:
+            batch = self.chunks.get_many(digests, crc=crc)
+        except (ChunkNotFoundError, StoreCorruptionError):
+            batch = {}
+        return {digest: self._read_chunk(digest, batch.get(digest)) for digest in digests}
 
     def get_chunk(self, digest: str) -> bytes:
         """Fetch one chunk's payload by digest (hot-chunk cache first)."""
@@ -646,13 +724,16 @@ class FileStore:
             return cached
         return self._charged_read(digest)  # leader failed or entry evicted
 
-    def get_chunks(self, digests: Iterable[str], workers: int | None = None) -> dict[str, bytes]:
-        """Fetch many chunks concurrently; returns digest -> payload.
+    def get_chunks(self, digests: Iterable[str], crc: bool = True) -> dict[str, bytes]:
+        """Fetch many chunks as one batch; returns digest -> payload.
 
         Duplicates are fetched once, cached chunks are served from the
-        hot-chunk LRU without touching the store, and concurrent callers
-        asking for the same digest share one transfer.  ``workers``
-        overrides the store's default concurrency for this batch.
+        hot-chunk LRU without touching the store, the misses are read in
+        one pass over the segments (:meth:`_fetch_many`), and concurrent
+        callers asking for the same digest share one transfer.
+        ``crc=False`` skips the record CRC of the misses; only a caller
+        that checks every payload against its content digest may pass it
+        (:meth:`recover_state_chunks`).
         """
         unique = list(dict.fromkeys(digests))
         with self._obs_tracer.span("store.get_chunks", n=len(unique)) as sp:
@@ -668,7 +749,7 @@ class FileStore:
             if not misses:
                 return results
             if self.chunk_cache is None:
-                results.update(self._charged_read_many(misses, workers))
+                results.update(self._charged_read_many(misses, crc))
                 return results
             leaders: list[str] = []
             waits: list[tuple[str, threading.Event]] = []
@@ -690,7 +771,7 @@ class FileStore:
                     else:
                         results[digest] = landed
                 if to_read:
-                    fetched = self._charged_read_many(to_read, workers)
+                    fetched = self._charged_read_many(to_read, crc)
                     for digest, data in fetched.items():
                         self._cache_put(digest, data)
                     results.update(fetched)
@@ -832,8 +913,8 @@ class FileStore:
         self,
         file_ids: str | Sequence[str],
         verify: bool | None = None,
-        workers: int | None = None,
         read_ahead=None,
+        verified: dict | None = None,
     ) -> "OrderedDict[str, np.ndarray]":
         """Rebuild the state dict a manifest describes (bitwise identical).
 
@@ -843,22 +924,32 @@ class FileStore:
         later level overrides is never fetched.  ``read_ahead`` (a
         :meth:`~repro.core.prefetch.ChainPrefetcher.prefetch`-shaped
         callable) is handed the digests about to be read, once, before the
-        first of them is.
+        first of them is.  Every chunk of the plan is fetched in one
+        :meth:`get_chunks` batch; layer order in the returned dict always
+        matches the manifest.
 
-        With ``verify`` (default: the store's ``verify_reads`` flag) every
-        chunk payload is re-hashed against its content digest; a mismatch
-        — in-transit corruption on a flaky link — is re-fetched up to the
-        retry policy's attempt limit before surfacing as a typed
-        :class:`StoreCorruptionError`.  With ``workers`` (default: the
-        store's ``workers`` setting) chunks are fetched concurrently in one
-        batch and then verified and rebuilt on the same pool; layer order
-        in the returned dict always matches the manifest.
+        Each rebuilt layer is checked once against its content digest —
+        the chunk id of a whole-layer (v1) entry, the recorded tensor
+        ``hash`` of a content-defined (v2) one — on the shared hashing
+        pool.  The check runs with ``verify`` (default: the store's
+        ``verify_reads`` flag) and whenever the caller passes a
+        ``verified`` dict, which receives ``name -> digest`` for every
+        layer that passed.  A layer that fails is re-fetched up to the
+        retry policy's attempt limit, a poisoned cache entry dropped first.
+        A mismatch that persists raises :class:`StoreCorruptionError` under
+        ``verify``; otherwise the layer is returned as read and left out of
+        ``verified``.  A caller that passes ``verified`` without ``verify``
+        must therefore refuse every layer missing from it (the service's
+        Merkle root does).  A checked fetch skips the record CRC unless a
+        chunk cache will hand the payloads to other readers (DESIGN.md §14
+        "Verify once").
 
         No returned array shares memory with another, with the chunk
         cache, or with a later call's: each is the buffer its chunk was
-        read into or a copy (see :meth:`_recover_layer`).
+        read into or a copy (see :func:`_layer_array`).
         """
-        verify = self.verify_reads if verify is None else verify
+        strict = self.verify_reads if verify is None else bool(verify)
+        check = strict or verified is not None
         if isinstance(file_ids, str):
             file_ids = [file_ids]
         with self._obs_tracer.span(
@@ -867,136 +958,100 @@ class FileStore:
             merged: dict[str, dict] = {}
             for file_id in file_ids:
                 merged.update(self.read_manifest(file_id)["layers"])
-            layers = list(merged.items())
-            sp.set(layers=len(layers))
-            digests = [d for _, meta in layers for d in layer_chunk_digests(meta)]
+            plan = [(name, meta, layer_chunk_digests(meta)) for name, meta in merged.items()]
+            sp.set(layers=len(plan))
+            digests = [digest for _, _, chunk_ids in plan for digest in chunk_ids]
             if read_ahead is not None:
                 read_ahead(digests)
-            state: "OrderedDict[str, np.ndarray]" = OrderedDict()
-            n = self._effective_workers(workers, len(layers))
-            if n <= 1:
-                for name, meta in layers:
-                    state[name] = self._recover_layer(meta, verify)
-                return state
-            payloads = self.get_chunks(digests, workers=n)
+            # the payloads are digest-checked below, so their record CRC
+            # may be skipped — unless the cache hands them to others
+            payloads = self.get_chunks(
+                digests, crc=not check or self.chunk_cache is not None)
             # one fetched buffer may back several layers (identical tensors
             # share a digest): its first reference gets the buffer, every
-            # later one a read-only view, which the rebuild copies
+            # later one a copy of it
             claimed: set[str] = set()
-            jobs = []
-            for _, meta in layers:
-                fetched = []
-                for digest in layer_chunk_digests(meta):
+            state: "OrderedDict[str, np.ndarray]" = OrderedDict()
+            for name, meta, chunk_ids in plan:
+                parts = []
+                for digest in chunk_ids:
                     data = payloads[digest]
                     if digest in claimed:
-                        data = memoryview(data).toreadonly()
+                        data = bytearray(data)
                     claimed.add(digest)
-                    fetched.append(data)
-                jobs.append((meta, fetched))
-            with ThreadPoolExecutor(max_workers=n) as pool:
-                arrays = list(
-                    pool.map(lambda job: self._recover_layer(job[0], verify, job[1]), jobs)
-                )
-            for (name, _), array in zip(layers, arrays):
-                state[name] = array
+                    parts.append(data)
+                state[name] = _layer_array(meta, parts)
+            if check:
+                self._check_layers(plan, state, payloads, strict, verified)
+            for name, meta, chunk_ids in plan:
+                if state[name] is None:
+                    for digest in chunk_ids:
+                        self._cache_discard(digest)
+                    raise StoreCorruptionError(
+                        f"layer {name!r} is corrupt: its chunk payload does not "
+                        f"fit the manifest entry (chunks {[d[:12] for d in chunk_ids]})"
+                    )
             return state
 
-    def _recover_layer(
-        self, meta: dict, verify: bool, fetched: list | None = None
-    ) -> np.ndarray:
-        """Rebuild one layer from a v1 or v2 manifest entry.
+    def _check_layers(self, plan, state, payloads, strict, verified) -> None:
+        """Hash each distinct layer once, in byte-balanced runs on the shared
+        pool; heal the layers that fail, record the ones that pass.
 
-        ``fetched`` holds the already-fetched payload of each of the
-        layer's chunks, in manifest order.  The returned array is the
-        caller's alone: it is the fetched buffer itself when that buffer
-        is writable — which only a buffer nobody else holds is (a chunk
-        store read, the first reference above) — and a copy of anything
-        else (``bytes`` from the chunk cache, a codec frame, a fault
-        injector's; a read-only view).
+        Layers with the same digest and the same chunks were rebuilt from
+        the same fetched payloads — one of them holds the buffer, the rest
+        copies of it — so the first one's hash checks them all.
         """
-        if "chunks" in meta:
-            return self._recover_cdc_array(meta, verify, fetched)
-        return self._recover_chunk_array(
-            meta, verify, initial=fetched[0] if fetched else None
-        )
+        # lazy import: repro.core imports this module at package init
+        from ..core.hashing import state_dict_hashes
 
-    def _fetch_verified_chunk(
-        self, digest: str, verify: bool, initial: bytes | None = None
-    ) -> bytes:
-        """Fetch one content-digest (v2) chunk, re-fetching on mismatch."""
-        attempts = 1
-        if verify and self.retry is not None:
-            attempts = max(1, self.retry.max_attempts)
-        raw = initial
-        for _attempt in range(attempts):
-            if raw is None:
-                raw = self.get_chunk(digest)
-            if not verify or hashlib.sha256(raw).hexdigest() == digest:
-                return raw
-            # a poisoned cache entry would make every re-fetch return the
-            # same bad payload — drop it so the retry hits the store
+        keys = [(_layer_digest(meta), *chunk_ids) for _, meta, chunk_ids in plan]
+        first: dict[tuple, str] = {}
+        for (name, _, _), key in zip(plan, keys):
+            if state[name] is not None:
+                first.setdefault(key, name)
+        hashes = state_dict_hashes({name: state[name] for name in first.values()})
+        for (name, meta, chunk_ids), key in zip(plan, keys):
+            digest = key[0]
+            intact = digest is not None and hashes.get(first.get(key)) == digest
+            if not intact:
+                state[name], intact = self._heal_layer(
+                    name, meta, chunk_ids, state[name], payloads, strict)
+            if intact and verified is not None:
+                verified[name] = digest
+
+    def _heal_layer(self, name, meta, chunk_ids, array, payloads, strict):
+        """Re-fetch what made one layer fail its check.
+
+        Returns the layer and whether it now matches its digest.  A v1
+        layer's one chunk is re-read; of a v2 run only the pieces whose own
+        sha256 fails are — none, when the pieces are intact and the layer
+        still disagrees with its recorded hash.  Each failed attempt drops
+        the cached copy (a poisoned entry would return the same bytes).
+        """
+        from ..core.hashing import tensor_hash
+
+        whole = meta if "chunk" in meta else None
+        parts = {digest: payloads[digest] for digest in chunk_ids}
+        bad = [d for d in parts if not chunk_intact(d, parts[d], whole)]
+        if not bad:
+            return array, False
+        attempts = max(1, self.retry.max_attempts) if self.retry is not None else 1
+        for _ in range(attempts - 1):  # the batch was the first attempt
+            for digest in bad:
+                self._cache_discard(digest)
+                parts[digest] = self.get_chunk(digest)
+            bad = [d for d in bad if not chunk_intact(d, parts[d], whole)]
+            if not bad:
+                array = _layer_array(meta, [parts[d] for d in chunk_ids])
+                return array, array is not None and tensor_hash(array) == _layer_digest(meta)
+        for digest in bad:
             self._cache_discard(digest)
-            raw = None
-        raise StoreCorruptionError(
-            f"chunk {digest!r} is corrupt: content digest mismatch persisted "
-            f"across {attempts} fetch attempt(s)"
-        )
-
-    def _recover_cdc_array(
-        self, meta: dict, verify: bool, fetched: list | None = None
-    ) -> np.ndarray:
-        """Reassemble one layer from its content-defined chunk run (v2)."""
-        digests = meta["chunks"]
-        parts = [
-            self._fetch_verified_chunk(digest, verify, initial=initial)
-            for digest, initial in zip(digests, fetched or [None] * len(digests))
-        ]
-        # a run is joined into one new buffer; a single chunk stays in its own
-        data = parts[0] if len(parts) == 1 else bytearray().join(parts)
-        try:
-            array = np.frombuffer(data, dtype=np.dtype(meta["dtype"])).reshape(
-                meta["shape"]
-            )
-        except ValueError as exc:  # reassembled size disagrees with the manifest
+        if strict:
             raise StoreCorruptionError(
-                f"layer reassembly mismatch for chunk run "
-                f"{[d[:12] for d in digests]}: {exc}"
-            ) from exc
-        return array if array.flags.writeable else array.copy()
-
-    def _recover_chunk_array(
-        self, meta: dict, verify: bool, initial: bytes | None = None
-    ) -> np.ndarray:
-        digest = meta["chunk"]
-        attempts = 1
-        if verify and self.retry is not None:
-            attempts = max(1, self.retry.max_attempts)
-        raw = initial
-        for attempt in range(1, attempts + 1):
-            if raw is None:
-                raw = self.get_chunk(digest)
-            try:
-                array = np.frombuffer(raw, dtype=np.dtype(meta["dtype"])).reshape(
-                    meta["shape"]
-                )
-            except ValueError:  # payload size disagrees with the manifest
-                array = None
-            if array is not None and verify:
-                # lazy import: repro.core imports this module at package init
-                from ..core.hashing import tensor_hash
-
-                if tensor_hash(array) != digest:
-                    array = None
-            if array is not None:
-                return array if array.flags.writeable else array.copy()
-            # a poisoned cache entry would make every re-fetch return the
-            # same bad payload — drop it so the retry hits the store
-            self._cache_discard(digest)
-            raw = None
-        raise StoreCorruptionError(
-            f"chunk {digest!r} is corrupt: payload mismatch persisted "
-            f"across {attempts} fetch attempt(s)"
-        )
+                f"chunk {bad[0]!r} of layer {name!r} is corrupt: content digest "
+                f"mismatch persisted across {attempts} fetch attempt(s)"
+            )
+        return array, False
 
     def read_manifest(self, file_id: str) -> dict:
         """Load and validate a manifest blob."""

@@ -7,6 +7,8 @@ Counts and identities, not timings (DESIGN.md "Byte path").
 import itertools
 import threading
 import tracemalloc
+import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,13 +19,24 @@ from repro.core import (
     BaselineSaveService,
     ModelSaveInfo,
     ParameterUpdateSaveService,
+    ProvenanceSaveInfo,
+    ProvenanceSaveService,
     RecoveryCache,
+    TrainRunSpec,
+    hashing,
 )
 from repro.core.errors import VerificationError
+from repro.distsim import SharedStores
 from repro.docstore import DocumentStore
 from repro.errors import StoreCorruptionError
 from repro.faults import FaultInjector
-from repro.filestore import FileStore
+from repro.filestore import (
+    FileStore,
+    NetworkModel,
+    SimulatedNetworkFileStore,
+    chunk_intact,
+    segments,
+)
 from repro.nn import init, rng
 from repro.nn.models import MODEL_REGISTRY, create_model
 from repro.retry import RetryPolicy
@@ -427,6 +440,281 @@ class TestIntegrity:
             assert recovered.verified is True
             assert_state_equals(recovered.model, saved)
         assert faults.stats["corruptions"] > 0
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """What the integrity checks cover from now on: every array handed to
+    ``tensor_hash`` (``hashed``) and the byte count of every record CRC
+    (``crced``).  ``start()`` forgets what was seen so far."""
+    seen = SimpleNamespace(hashed=[], crced=[])
+    tensor_hash = hashing.tensor_hash
+    crc32 = zlib.crc32
+
+    def hash_spy(array):
+        seen.hashed.append(array)
+        return tensor_hash(array)
+
+    def crc_spy(data, *args):
+        seen.crced.append(memoryview(data).nbytes)
+        return crc32(data, *args)
+
+    def start():
+        seen.hashed.clear()
+        seen.crced.clear()
+
+    seen.start = start
+    monkeypatch.setattr(hashing, "tensor_hash", hash_spy)
+    monkeypatch.setattr(segments, "zlib", SimpleNamespace(crc32=crc_spy))
+    return seen
+
+
+def times_hashed(hashed, array):
+    return sum(1 for seen in hashed if seen is array)
+
+
+#: The layers of :func:`twin_model` rebuilt as copies of another layer's
+#: fetched payload (they share its chunk), so that layer's check covers them.
+TWIN_COPIES = ("2.weight", "2.bias")
+
+
+def assert_each_parameter_hashed_once(hashed, model, copies=()):
+    """Every parameter was hashed exactly once — except a layer the recover
+    made by copying another fetched layer's verified payload, never."""
+    state = model.state_dict()
+    for name, array in state.items():
+        assert times_hashed(hashed, array) == (0 if name in copies else 1), name
+    assert len(hashed) == len(state) - len(copies)
+
+
+def save_pua_tip(service, base_id, seed, layer):
+    tip = twin_model(seed=seed)
+    tip.state_dict()[layer][...] += 1
+    saved = copy_state(tip)
+    tip_id = service.save_model(ModelSaveInfo(tip, twin_arch(), base_model_id=base_id))
+    return tip_id, saved
+
+
+class TestOneCheckPerByte:
+    """Each recovered byte gets one integrity check, the strongest that
+    applies, at fetch (DESIGN.md §14 "Verify once").  Counted, not timed."""
+
+    def test_default_recover_hashes_each_byte_once_and_crcs_none(self, tmp_path, checks):
+        files = FileStore(tmp_path / "files")
+        service = BaselineSaveService(DocumentStore(), files)
+        model = twin_model(seed=21)
+        model_id = service.save_model(ModelSaveInfo(model, twin_arch()))
+        checks.start()
+        recovered = service.recover_model(model_id)
+        assert recovered.verified is True
+        assert_state_equals(recovered.model, copy_state(model))
+        assert_each_parameter_hashed_once(checks.hashed, recovered.model, TWIN_COPIES)
+        assert checks.crced == []
+
+    def test_unverified_recover_hashes_none_and_crcs_every_record(self, tmp_path, checks):
+        files = FileStore(tmp_path / "files")
+        service = BaselineSaveService(DocumentStore(), files)
+        model_id = service.save_model(ModelSaveInfo(twin_model(seed=22), twin_arch()))
+        manifest = files.read_manifest(
+            service._get_model_document(model_id)["parameters_file"])
+        records = {meta["chunk"] for _, meta in manifest["layers"]}
+        checks.start()
+        assert service.recover_model(model_id, verify=False).verified is None
+        assert checks.hashed == []
+        assert sorted(checks.crced) == sorted(files.chunks.size_of(d) for d in records)
+
+    def test_a_model_saved_without_a_root_keeps_its_crc(self, tmp_path, checks):
+        """No stored root, nothing to refuse an unhealed layer: a default
+        recover hashes nothing, CRCs every record, and a flipped bit raises."""
+        files = FileStore(tmp_path / "files")
+        service = BaselineSaveService(DocumentStore(), files)
+        model_id = service.save_model(
+            ModelSaveInfo(twin_model(seed=29), twin_arch(), store_checksums=False))
+        manifest = files.read_manifest(
+            service._get_model_document(model_id)["parameters_file"])
+        records = {meta["chunk"] for _, meta in manifest["layers"]}
+        checks.start()
+        assert service.recover_model(model_id).verified is None
+        assert checks.hashed == []
+        assert sorted(checks.crced) == sorted(files.chunks.size_of(d) for d in records)
+
+        flip_stored_bit(files, dict(manifest["layers"])["4.weight"]["chunk"])
+        with pytest.raises(StoreCorruptionError):
+            service.recover_model(model_id)
+
+    def test_tip_over_a_cached_base_hashes_only_what_it_did_not_fetch(
+        self, tmp_path, checks
+    ):
+        files = FileStore(tmp_path / "files")
+        service = ParameterUpdateSaveService(DocumentStore(), files)
+        base_id = service.save_model(ModelSaveInfo(twin_model(seed=23), twin_arch()))
+        tip_id, tip_saved = save_pua_tip(service, base_id, seed=23, layer="4.bias")
+        cache = RecoveryCache()
+        service.recover_model(base_id, cache=cache)
+        fetched = spy_on_recover_state_chunks(files)
+        checks.start()
+        recovered = service.recover_model(tip_id, cache=cache)
+        assert recovered.verified is True and cache.hits == 1
+        assert_state_equals(recovered.model, tip_saved)
+        [update] = fetched
+        assert list(update) == ["4.bias"]
+        assert recovered.model.state_dict()["4.bias"] is update["4.bias"]
+        assert_each_parameter_hashed_once(checks.hashed, recovered.model)
+
+    def test_tip_over_an_mpa_base_hashes_only_what_it_did_not_fetch(
+        self, tmp_path, checks
+    ):
+        from tests.core.test_recovery_plan import ShiftTrainService
+
+        documents, files = DocumentStore(), FileStore(tmp_path / "files")
+        pua = ParameterUpdateSaveService(documents, files)
+        mpa = ProvenanceSaveService(documents, files, scratch_dir=tmp_path / "scratch")
+        base = twin_model(seed=24)
+        base_id = pua.save_model(ModelSaveInfo(base, twin_arch()))
+        trained = twin_model(seed=24)
+        trained.state_dict()["4.bias"][...] += 2.0
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        (dataset / "sample.bin").write_bytes(b"replay needs a dataset to unpack")
+        mpa_id = mpa.save_model(ProvenanceSaveInfo(
+            base_model_id=base_id,
+            train_service=ShiftTrainService(["4.bias"], 2.0),
+            train_spec=TrainRunSpec(number_epochs=1, number_batches=1, seed=0),
+            rng_state=rng.get_rng_state(),
+            dataset_dir=dataset,
+            expected_model=trained,
+        ))
+        tip = twin_model(seed=24)
+        tip.state_dict()["4.bias"][...] += 2.0
+        tip.state_dict()["0.bias"][...] += 1.0
+        tip_saved = copy_state(tip)
+        tip_id = pua.save_model(ModelSaveInfo(tip, twin_arch(), base_model_id=mpa_id))
+
+        checks.start()
+        recovered = pua.recover_model(tip_id)
+        assert recovered.verified is True and recovered.recovery_depth == 2
+        assert_state_equals(recovered.model, tip_saved)
+        assert_each_parameter_hashed_once(checks.hashed, recovered.model)
+
+    def test_a_layer_copied_at_load_is_hashed_again(self, tmp_path, checks):
+        files = FileStore(tmp_path / "files")
+        service = BaselineSaveService(DocumentStore(), files)
+        model = twin_model(seed=25)
+        model_id = service.save_model(ModelSaveInfo(model, twin_arch()))
+        recover_state_chunks = files.recover_state_chunks
+        fetched = []
+
+        def frozen_head(*args, **kwargs):
+            state = recover_state_chunks(*args, **kwargs)
+            state["4.weight"].flags.writeable = False  # the build must copy it
+            fetched.append(state)
+            return state
+
+        files.recover_state_chunks = frozen_head
+        checks.start()
+        recovered = service.recover_model(model_id)
+        assert recovered.verified is True
+        assert_state_equals(recovered.model, copy_state(model))
+        state = recovered.model.state_dict()
+        [loaded] = fetched
+        assert state["4.weight"] is not loaded["4.weight"]
+        assert times_hashed(checks.hashed, loaded["4.weight"]) == 1  # at fetch
+        assert times_hashed(checks.hashed, state["4.weight"]) == 1  # for the root
+        for name, array in state.items():
+            if name != "4.weight":
+                expected = 0 if name in TWIN_COPIES else 1
+                assert times_hashed(checks.hashed, array) == expected, name
+        assert len(checks.hashed) == len(state) + 1 - len(TWIN_COPIES)
+
+    def test_every_corruption_is_still_caught_on_every_read_path(
+        self, tmp_path, chunk_cache, workers
+    ):
+        """A flipped bit on disk and a poisoned cache entry, cached and
+        uncached, with and without ``workers``: the CRC is skipped under the
+        digest check, so the digest check must be what catches them."""
+        files = FileStore(tmp_path / "files", chunk_cache=chunk_cache, workers=workers)
+        service = BaselineSaveService(DocumentStore(), files)
+        model_id = service.save_model(ModelSaveInfo(twin_model(seed=28), twin_arch()))
+        assert service.recover_model(model_id).verified is True
+        manifest = files.read_manifest(
+            service._get_model_document(model_id)["parameters_file"])
+        digest = dict(manifest["layers"])["0.weight"]["chunk"]  # the twins' chunk
+        if chunk_cache:
+            poisoned = bytearray(files.chunk_cache.get(digest))
+            poisoned[len(poisoned) // 2] ^= 0x01
+            with files.chunk_cache._lock:
+                files.chunk_cache._entries[digest] = bytes(poisoned)
+            with pytest.raises(VerificationError):
+                service.recover_model(model_id)
+            files.chunk_cache.clear()
+        flip_stored_bit(files, digest)
+        with pytest.raises((StoreCorruptionError, VerificationError)):
+            service.recover_model(model_id)
+
+    def test_chain_over_a_link_moves_no_more_than_one_read_per_layer(self, tmp_path):
+        """Per chunk, the pre-batch recover paid one round trip and the
+        layer's bytes (a digest two layers share, twice); the plan's one
+        batch pays at most that, and here one pipelined window per eight."""
+        link = NetworkModel(bandwidth_bytes_per_s=1_000_000, latency_s=0.01)
+        files = SimulatedNetworkFileStore(tmp_path / "files", link)
+        service = ParameterUpdateSaveService(DocumentStore(), files)
+        base_id = service.save_model(ModelSaveInfo(twin_model(seed=26), twin_arch()))
+        ids = [base_id]
+        changes = ("4.bias", "2.bias", "4.weight")
+        for depth in range(1, len(changes) + 1):
+            tip = twin_model(seed=26)
+            for changed in changes[:depth]:
+                tip.state_dict()[changed][...] += depth
+            ids.append(service.save_model(
+                ModelSaveInfo(tip, twin_arch(), base_model_id=ids[-1])))
+        saved = copy_state(tip)
+
+        blobs = []
+        recover_bytes = files.recover_bytes
+        files.recover_bytes = lambda file_id: _tally(blobs, recover_bytes(file_id))
+        files.reset_accounting()
+        recovered = service.recover_model(ids[-1])
+        assert recovered.verified is True and recovered.recovery_depth == 3
+        assert_state_equals(recovered.model, saved)
+
+        layers = list(saved.values())
+        unique = len(set(hashing.state_dict_hashes(saved).values()))
+        assert unique < len(layers)  # the twin layers share their chunks
+        per_layer_round_trips = len(blobs) + len(layers)
+        per_layer_bytes = sum(blobs) + sum(array.nbytes for array in layers)
+        assert files.round_trips <= per_layer_round_trips
+        assert files.bytes_received <= per_layer_bytes
+        assert files.round_trips == len(blobs) + -(-unique // files.pipeline_depth)
+
+    def test_a_corrupt_replica_still_fails_over_and_is_repaired(self, tmp_path):
+        """The member's record CRC is what classifies a bad replica
+        ``corrupt``: it is never skipped under a sharded store."""
+        retry = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
+        stores = SharedStores.cluster_at(tmp_path / "cluster", shards=3, replicas=2, retry=retry)
+        files = stores.files
+        assert files.verify_reads is True
+        service = BaselineSaveService(stores.documents, files, retry=retry)
+        model = twin_model(seed=27)
+        model_id = service.save_model(ModelSaveInfo(model, twin_arch()))
+        manifest = files.read_manifest(
+            service._get_model_document(model_id)["parameters_file"])
+        layer = dict(manifest["layers"])["4.weight"]
+        primary = files.members[files.ring.owners(layer["chunk"])[0]]
+        flip_stored_bit(primary, layer["chunk"])
+        with pytest.raises(StoreCorruptionError):
+            primary.chunks.get(layer["chunk"])
+
+        recovered = service.recover_model(model_id)
+        assert recovered.verified is True
+        assert_state_equals(recovered.model, copy_state(model))
+        assert files.cluster_stats["failover_reads"] >= 1
+        assert files.cluster_stats["read_repairs"] >= 1
+        assert chunk_intact(layer["chunk"], primary.chunks.get(layer["chunk"]), layer)
+
+
+def _tally(sizes, data):
+    sizes.append(len(data))
+    return data
 
 
 class TestSkipInitThreads:

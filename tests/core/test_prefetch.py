@@ -97,7 +97,7 @@ class TestPrefetchFile:
             assert prefetcher.stats()["chunks_prefetched"] == len(set(digests))
 
         network_store.reset_accounting()
-        state = network_store.recover_state_chunks(manifest_id, workers=2)
+        state = network_store.recover_state_chunks(manifest_id)
         assert all(np.array_equal(state[k], states[0][k]) for k in states[0])
         # every chunk came from the hot cache; only the manifest re-crossed
         assert network_store.round_trips == 1

@@ -220,9 +220,9 @@ def spy_on_chunk_reads(files):
     reads = []
     read_chunk = files._read_chunk
 
-    def spy(digest):
+    def spy(digest, *already_read):
         reads.append(digest)
-        return read_chunk(digest)
+        return read_chunk(digest, *already_read)
 
     files._read_chunk = spy
     return reads

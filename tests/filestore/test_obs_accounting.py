@@ -67,7 +67,7 @@ class TestNetworkMirrors:
             tmp_path / "net", link, sleep=False, pipeline_depth=4
         )
         file_id = store.save_state_chunks(state(1), state_dict_hashes(state(1)))
-        store.recover_state_chunks(file_id, workers=4)
+        store.recover_state_chunks(file_id)
         registry = obs.registry()
         assert store.round_trips > 0
         assert registry.value("mmlib_network_round_trips_total") == store.round_trips
@@ -93,7 +93,7 @@ class TestNetworkMirrors:
             state(2, layers=8), state_dict_hashes(state(2, layers=8))
         )
         # 8 distinct chunks in windows of 4: fewer round-trips than chunks
-        store.recover_state_chunks(file_id, workers=4)
+        store.recover_state_chunks(file_id)
         assert store.round_trips_saved > 0
         assert (
             obs.registry().value("mmlib_network_round_trips_saved_total")

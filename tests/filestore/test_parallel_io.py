@@ -95,13 +95,13 @@ class TestParallelSaveRecover:
         state["copy.weight"] = state["layer0.weight"].copy()
         file_id = store.save_state_chunks(state, state_dict_hashes(state))
         assert len(store.chunks) == 2  # 3 layers, 2 distinct payloads
-        assert states_equal(state, store.recover_state_chunks(file_id, workers=4))
+        assert states_equal(state, store.recover_state_chunks(file_id))
 
     def test_manifest_order_is_preserved(self, tmp_path):
         store = FileStore(tmp_path / "files", workers=4)
         state = small_state(seed=4, layers=10)
         file_id = store.save_state_chunks(state, state_dict_hashes(state))
-        recovered = store.recover_state_chunks(file_id, workers=4)
+        recovered = store.recover_state_chunks(file_id)
         assert list(recovered) == list(state)
 
 
@@ -112,7 +112,7 @@ class TestGetChunks:
         hashes = state_dict_hashes(state)
         store.save_state_chunks(state, hashes)
         digests = list(hashes.values())
-        payloads = store.get_chunks(digests + digests[:2], workers=3)
+        payloads = store.get_chunks(digests + digests[:2])
         assert set(payloads) == set(digests)
 
     def test_cache_serves_repeat_batches(self, tmp_path):
@@ -173,7 +173,7 @@ class TestCorruptCacheHealing:
         # poison the cache: a stale/corrupt payload for one digest
         victim = next(iter(hashes.values()))
         store.chunk_cache.put(victim, b"\x00" * 16)
-        recovered = store.recover_state_chunks(file_id, verify=True, workers=2)
+        recovered = store.recover_state_chunks(file_id, verify=True)
         assert states_equal(state, recovered)
         # the bad entry was dropped, so the cache is healed too
         assert store.chunk_cache.get(victim) != b"\x00" * 16
@@ -193,7 +193,7 @@ class TestBatchAccounting:
         total = sum(len(store.chunks.get(d)) for d in digests)
 
         store.reset_accounting()
-        store.get_chunks(digests, workers=4)
+        store.get_chunks(digests)
         # 8 chunks over depth-4 windows: 2 round-trips paid, 6 saved
         assert store.round_trips == 2
         assert store.round_trips_saved == 6
@@ -220,9 +220,9 @@ class TestBatchAccounting:
         state = small_state(seed=11, layers=6)
         hashes = state_dict_hashes(state)
         file_id = store.save_state_chunks(state, hashes)
-        store.recover_state_chunks(file_id, workers=4)  # warms the cache
+        store.recover_state_chunks(file_id)  # warms the cache
         store.reset_accounting()
-        store.recover_state_chunks(file_id, workers=4)
+        store.recover_state_chunks(file_id)
         # only the manifest crosses the link; every chunk is a cache hit
         assert store.round_trips == 1
         assert store.bytes_received < 2048
@@ -232,7 +232,7 @@ class TestBatchAccounting:
         state = small_state(seed=12, layers=4)
         hashes = state_dict_hashes(state)
         store.save_state_chunks(state, hashes)
-        store.get_chunks(list(hashes.values()), workers=2)
+        store.get_chunks(list(hashes.values()))
         store.reset_accounting()
         assert store.round_trips == 0 and store.round_trips_saved == 0
         assert store.simulated_seconds == 0.0
