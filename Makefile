@@ -47,7 +47,9 @@ bench-serving:
 # fault-injection tests (fixed seeds) + the recovery plan's count gate (one
 # build, one fetch per chain recover) + the integrity gate (one check per
 # recovered byte, every corruption still caught) + the bookkeeping
-# kill/crash-point/two-process tests + chaos smoke; writes BENCH_chaos.json
+# kill/crash-point/two-process tests + the retired write formats (still
+# read bitwise, fsck-clean, corruption caught) + chaos smoke; writes
+# BENCH_chaos.json
 chaos:
 	PYTHONPATH=src $(PY) -m pytest -q tests/filestore/test_faults.py \
 		tests/filestore/test_segments.py \
@@ -58,7 +60,8 @@ chaos:
 		tests/core/test_byte_path.py::TestOneCheckPerByte \
 		tests/filestore/test_bookkeeping.py::TestReopenWithoutClose \
 		tests/filestore/test_bookkeeping.py::TestTwoProcesses \
-		tests/filestore/test_bookkeeping.py::TestRefcountLogCrashPoints
+		tests/filestore/test_bookkeeping.py::TestRefcountLogCrashPoints \
+		tests/filestore/test_legacy_import.py::TestRetiredWriteFormats
 	$(PY) scripts/chaos_smoke.py
 
 api-docs:

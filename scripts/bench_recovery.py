@@ -17,19 +17,16 @@ shared-bandwidth byte time), and ``round_trips``/``round_trips_saved``
 report how many latency payments pipelining avoided.  Both an InfiniBand
 (paper §4.1) and an LTE link (the motivating fleet uplink) are measured.
 
-Two storage-efficiency sweeps ride along:
-
-* **chain depth** — PUA tip recovery at depths 1/4/8/16 with and without
-  :class:`ChainCompactor` at K=4, plus a crash injected mid-compaction
-  (fsck must finish the rewrite and recovery must still verify);
-* **dedup** — derived-model saves under content-defined chunking and the
-  zlib codec, reporting the store's dedup and compression ratios.
+A chain-depth sweep rides along: PUA tip recovery at depths 1/4/8/16
+with and without :class:`ChainCompactor` at K=4, plus a crash injected
+mid-compaction (fsck must finish the rewrite and recovery must still
+verify).
 
 Writes ``BENCH_recovery.json`` into ``benchmarks/results/`` (canonical;
 copied to the repo root).  Exit status is non-zero unless pipelined
-recovery is >= 2x faster than serial on the PUA chain over LTE, compacted
-depth-16 recovery is <= 2x depth-1, and the dedup ratio is >= 1.5
-(``--no-check`` records without enforcing).
+recovery is >= 2x faster than serial on the PUA chain over LTE and
+compacted depth-16 recovery is <= 2x depth-1 (``--no-check`` records
+without enforcing).
 
 Usage::
 
@@ -252,34 +249,6 @@ def bench_crash_mid_compaction(workdir: Path, args) -> dict:
     }
 
 
-def bench_dedup(workdir: Path, args) -> dict:
-    """Derived-model family under CDC + zlib: full fine-tuned classifier
-    heads plus a point edit in the largest backbone layer, so whole-layer
-    dedup, sub-layer (CDC) dedup, and at-rest compression all show up."""
-    stores = SharedStores.at(
-        workdir / "dedup", network=CELLULAR_LTE, workers=args.workers,
-        pipeline_depth=args.pipeline_depth,
-        chunk_cache_bytes=args.chunk_cache_mb * 1024 * 1024,
-        codec="zlib", cdc=True,
-    )
-    service = make_service("baseline", stores, prefetch_workers=0)
-    arch = arch_ref("mobilenetv2", args.scale)
-    model = create_model(
-        "mobilenetv2", num_classes=NUM_CLASSES, scale=args.scale, seed=3
-    )
-    service.save_model(ModelSaveInfo(model, arch))
-    derived = 4
-    for level in range(1, derived + 1):
-        perturb_classifier(model, 0.01 * level)
-        state = model.state_dict()
-        big = max(state, key=lambda key: state[key].size)
-        state[big].reshape(-1)[level] += 0.5  # point edit: CDC territory
-        model.load_state_dict(state)
-        service.save_model(ModelSaveInfo(model, arch))
-    stats = stores.files.chunks.dedup_stats()
-    return {"models_saved": derived + 1, "approach": "baseline", **stats}
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--snapshots", type=int, default=6,
@@ -360,14 +329,6 @@ def main() -> int:
                 f"{entry['with_compaction']['simulated_seconds']:.3f}s "
                 f"compacted ({entry['materialized']} materialized)"
             )
-
-        print("== dedup: derived-model family under CDC + zlib ==")
-        dedup = bench_dedup(workdir, args)
-        results["scenarios"]["dedup"] = dedup
-        print(
-            f"  {dedup['models_saved']} models: dedup x{dedup['dedup_ratio']}, "
-            f"compression x{dedup['compression_ratio']}"
-        )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -377,7 +338,6 @@ def main() -> int:
     deep = chain_depth["depths"][str(COMPACTION_DEPTHS[-1])]
     deep_s = deep["with_compaction"]["simulated_seconds"]
     crash = chain_depth["crash_mid_compaction"]
-    dedup_ratio = results["scenarios"]["dedup"]["dedup_ratio"]
     results["acceptance"] = {
         "pua_lte_speedup": pua_lte,
         "meets_2x": bool(pua_lte and pua_lte >= 2.0),
@@ -387,18 +347,13 @@ def main() -> int:
             crash["crashed"] and crash["recovery_verified"]
             and crash["journal_resolved"] and crash["unrepaired_issues"] == 0
         ),
-        "dedup_ratio": dedup_ratio,
-        "dedup_meets_1_5x": bool(dedup_ratio and dedup_ratio >= 1.5),
     }
 
     from _bench_results import write_results
 
     write_results("BENCH_recovery.json", results)
 
-    gates = (
-        "meets_2x", "compaction_bounds_ttr",
-        "crash_recovery_bitwise", "dedup_meets_1_5x",
-    )
+    gates = ("meets_2x", "compaction_bounds_ttr", "crash_recovery_bitwise")
     failed = [gate for gate in gates if not results["acceptance"][gate]]
     if not args.no_check and failed:
         print(

@@ -2,20 +2,16 @@
 """CI smoke benchmark for the chunked save/recover pipeline.
 
 Runs the tier-1 test suite, a ~5 second save/recover micro-benchmark on
-MobileNetV2, and a chunked-vs-monolithic comparison over a ResNet-152
-chain of full snapshots with partial updates (the dedup sweet spot: every
-snapshot shares all but the classifier with its predecessor).
+MobileNetV2, and the observability plane's overhead on the same loop.
 
 Writes ``BENCH_pipeline.json`` into ``benchmarks/results/`` (canonical;
 copied to the repo root).  Exit status is non-zero if the tier-1 suite
-fails or (unless ``--no-check``) the chunked pipeline misses its
-acceptance bars: >= 30% fewer stored bytes and a better median
-time-to-save than the monolithic path on the partial-update chain.
+fails.
 
 Usage::
 
     python scripts/bench_smoke.py [--skip-tests] [--budget-seconds 5]
-                                  [--scale 0.25] [--snapshots 5]
+                                  [--scale 0.25]
 """
 
 from __future__ import annotations
@@ -76,9 +72,7 @@ def run_tier1_tests() -> dict:
 
 def micro_benchmark(workdir: Path, budget_seconds: float, scale: float) -> dict:
     """Repeated chunked save/recover of MobileNetV2 within a time budget."""
-    service = BaselineSaveService(
-        DocumentStore(), FileStore(workdir / "micro"), chunked=True
-    )
+    service = BaselineSaveService(DocumentStore(), FileStore(workdir / "micro"))
     arch = arch_ref("mobilenetv2", scale)
     model = create_model("mobilenetv2", num_classes=NUM_CLASSES, scale=scale, seed=1)
 
@@ -112,48 +106,6 @@ def micro_benchmark(workdir: Path, budget_seconds: float, scale: float) -> dict:
     }
 
 
-def chain_benchmark(workdir: Path, scale: float, snapshots: int) -> dict:
-    """ResNet-152 chain of full BA snapshots with partial updates."""
-    arch = arch_ref("resnet152", scale)
-    variants = {}
-    for label, chunked in (("monolithic", False), ("chunked", True)):
-        service = BaselineSaveService(
-            DocumentStore(), FileStore(workdir / label), chunked=chunked
-        )
-        model = create_model("resnet152", num_classes=NUM_CLASSES, scale=scale, seed=2)
-        tts_ms, ids = [], []
-        for level in range(snapshots):
-            if level:
-                perturb_classifier(model, 0.01 * level)
-            started = time.perf_counter()
-            ids.append(service.save_model(ModelSaveInfo(model, arch)))
-            tts_ms.append((time.perf_counter() - started) * 1e3)
-
-        started = time.perf_counter()
-        recovered = service.recover_model(ids[-1], verify=True)
-        recover_ms = (time.perf_counter() - started) * 1e3
-        assert recovered.verified is True
-
-        variants[label] = {
-            "stored_bytes": service.files.total_bytes(),
-            "tts_ms_median": round(statistics.median(tts_ms), 2),
-            "recover_ms": round(recover_ms, 2),
-        }
-
-    mono, chunk = variants["monolithic"], variants["chunked"]
-    reduction = 1 - chunk["stored_bytes"] / mono["stored_bytes"]
-    return {
-        "model": "resnet152",
-        "snapshots": snapshots,
-        "relation": "partially_updated",
-        **variants,
-        "stored_bytes_reduction": round(reduction, 4),
-        "tts_speedup": round(mono["tts_ms_median"] / chunk["tts_ms_median"], 3),
-        "meets_30pct_reduction": reduction >= 0.30,
-        "tts_improved": chunk["tts_ms_median"] < mono["tts_ms_median"],
-    }
-
-
 def obs_overhead_benchmark(
     workdir: Path, scale: float, iterations: int = 12, warmup: int = 2
 ) -> dict:
@@ -173,8 +125,7 @@ def obs_overhead_benchmark(
         obs.set_enabled(enabled)
         try:
             service = BaselineSaveService(
-                DocumentStore(), FileStore(workdir / f"obs-{label}"), chunked=True
-            )
+                DocumentStore(), FileStore(workdir / f"obs-{label}"))
             service.files.chunks  # the lazy chunk store caches instruments too
             model = create_model(
                 "mobilenetv2", num_classes=NUM_CLASSES, scale=scale, seed=3
@@ -233,10 +184,6 @@ def main() -> int:
                         help="time budget for the micro-benchmark")
     parser.add_argument("--scale", type=float, default=0.25,
                         help="model width scale (1.0 = paper architectures)")
-    parser.add_argument("--snapshots", type=int, default=5,
-                        help="chain length for the resnet152 comparison")
-    parser.add_argument("--no-check", action="store_true",
-                        help="record results without enforcing acceptance bars")
     args = parser.parse_args()
 
     results = {
@@ -245,7 +192,6 @@ def main() -> int:
             "scale": args.scale,
             "num_classes": NUM_CLASSES,
             "budget_seconds": args.budget_seconds,
-            "snapshots": args.snapshots,
         },
     }
 
@@ -265,16 +211,6 @@ def main() -> int:
         print(f"save {micro['save_ms_median']} ms  recover {micro['recover_ms_median']} ms  "
               f"dedup {micro['dedup_ratio']:.1%} over {micro['iterations']} snapshots")
 
-        print("== resnet152 chain: chunked vs monolithic ==")
-        results["resnet152_chain"] = chain_benchmark(workdir, args.scale, args.snapshots)
-        chain = results["resnet152_chain"]
-        print(f"stored bytes: chunked {chain['chunked']['stored_bytes']:,} vs "
-              f"monolithic {chain['monolithic']['stored_bytes']:,} "
-              f"(-{chain['stored_bytes_reduction']:.1%})")
-        print(f"median TTS: chunked {chain['chunked']['tts_ms_median']} ms vs "
-              f"monolithic {chain['monolithic']['tts_ms_median']} ms "
-              f"(x{chain['tts_speedup']})")
-
         print("== obs overhead: instrumented vs disabled ==")
         results["obs_overhead"] = obs_overhead_benchmark(workdir, args.scale)
         overhead = results["obs_overhead"]
@@ -291,11 +227,6 @@ def main() -> int:
     failed = []
     if results["tier1_tests"].get("ran") and not results["tier1_tests"]["passed"]:
         failed.append("tier-1 tests failed")
-    if not args.no_check:
-        if not chain["meets_30pct_reduction"]:
-            failed.append("chunked store saved < 30% bytes on the partial-update chain")
-        if not chain["tts_improved"]:
-            failed.append("chunked median TTS did not improve")
     for message in failed:
         print(f"FAIL: {message}", file=sys.stderr)
     return 1 if failed else 0

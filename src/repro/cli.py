@@ -76,7 +76,6 @@ def _open_manager(args):
             workdir,
             shards=len(shards),
             replicas=getattr(args, "replicas", 2),
-            codec=getattr(args, "codec", None),
             self_heal=True,
         )
         return ModelManager(make_service("baseline", stores))
@@ -85,13 +84,7 @@ def _open_manager(args):
             "this command requires --docs and --files store directories "
             "(or --cluster for a sharded deployment)"
         )
-    service = BaselineSaveService(
-        DocumentStore(args.docs),
-        FileStore(
-            args.files,
-            codec=getattr(args, "codec", None),
-        ),
-    )
+    service = BaselineSaveService(DocumentStore(args.docs), FileStore(args.files))
     return ModelManager(service)
 
 
@@ -113,7 +106,6 @@ def _open_shared_stores(args):
             workdir,
             shards=len(shards),
             replicas=getattr(args, "replicas", 2),
-            codec=getattr(args, "codec", None),
             self_heal=True,
         )
     if not args.docs or not args.files:
@@ -124,10 +116,7 @@ def _open_shared_stores(args):
     scratch = Path(tempfile.mkdtemp(prefix="mmlib-serve-scratch-"))
     return SharedStores(
         documents=DocumentStore(args.docs),
-        files=FileStore(
-            args.files,
-            codec=getattr(args, "codec", None),
-        ),
+        files=FileStore(args.files),
         scratch_dir=scratch,
     )
 
@@ -150,13 +139,7 @@ def _service_for(args, approach: str):
     }
     if approach not in services:
         raise CliError(f"unknown approach {approach!r}; options: {sorted(services)}")
-    return services[approach](
-        DocumentStore(args.docs),
-        FileStore(
-            args.files,
-            codec=getattr(args, "codec", None),
-        ),
-    )
+    return services[approach](DocumentStore(args.docs), FileStore(args.files))
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--replicas", type=int, default=2,
         help="replica count when opening a --cluster deployment (default 2)",
-    )
-    parser.add_argument(
-        "--codec", default=None,
-        help="at-rest chunk compression codec for new writes: none | zlib "
-             "| lz4 (default: $REPRO_CHUNK_CODEC, else none; reads decode "
-             "by the payload frame regardless)",
     )
     parser.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",

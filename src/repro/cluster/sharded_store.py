@@ -249,32 +249,17 @@ class _ShardedChunkView:
         return merged
 
     def dedup_stats(self) -> dict:
-        """Cluster-wide dedup/compression accounting (summed over members)."""
-        merged = {
-            "codec": None,
-            "logical_bytes": 0,
-            "dedup_bytes": 0,
-            "stored_bytes": 0,
-            "members": {},
-        }
-        codecs_seen: set[str] = set()
+        """Cluster-wide dedup accounting (summed over members)."""
+        merged = {"logical_bytes": 0, "dedup_bytes": 0, "stored_bytes": 0, "members": {}}
         store = self._store
         for name in sorted(store.members):
             stats = store.members[name].chunks.dedup_stats()
             merged["members"][name] = stats
-            codecs_seen.add(stats["codec"])
             for key in ("logical_bytes", "dedup_bytes", "stored_bytes"):
                 merged[key] += stats[key]
-        merged["codec"] = (
-            codecs_seen.pop() if len(codecs_seen) == 1 else sorted(codecs_seen)
-        )
         written = merged["logical_bytes"] - merged["dedup_bytes"]
         merged["dedup_ratio"] = (
             round(merged["logical_bytes"] / written, 4) if written else None
-        )
-        merged["compression_ratio"] = (
-            round(written / merged["stored_bytes"], 4)
-            if merged["stored_bytes"] else None
         )
         return merged
 
@@ -366,8 +351,6 @@ class ShardedFileStore(FileStore):
         chunk_cache=None,
         detector=None,
         hint_log=None,
-        cdc: bool | None = None,
-        cdc_target_bytes: int | None = None,
     ):
         if not members:
             raise ValueError("a sharded store needs at least one member")
@@ -422,8 +405,6 @@ class ShardedFileStore(FileStore):
             verify_reads=verify_reads,
             workers=workers,
             chunk_cache=chunk_cache,
-            cdc=cdc,
-            cdc_target_bytes=cdc_target_bytes,
         )
         self._view = _ShardedChunkView(self)
 

@@ -19,14 +19,6 @@ from .environment import (
     read_lockfile,
     write_lockfile,
 )
-from .export import (
-    NEUTRAL_FORMAT,
-    InsufficientProvenanceError,
-    NeutralModel,
-    assert_sufficient_for_training,
-    export_neutral,
-    load_neutral,
-)
 from .errors import (
     EnvironmentMismatchError,
     MMLibError,
@@ -86,12 +78,6 @@ __all__ = [
     "FsckReport",
     "ModelManager",
     "ModelRecord",
-    "NEUTRAL_FORMAT",
-    "InsufficientProvenanceError",
-    "NeutralModel",
-    "assert_sufficient_for_training",
-    "export_neutral",
-    "load_neutral",
     "BaselineSaveService",
     "RecoveryCache",
     "CODEC_DEFLATE",

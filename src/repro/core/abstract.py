@@ -95,7 +95,6 @@ class AbstractSaveService:
         file_store,
         scratch_dir: str | Path | None = None,
         dataset_codec: str | None = None,
-        chunked: bool = True,
         retry=None,
         prefetcher=None,
         clock=None,
@@ -124,11 +123,6 @@ class AbstractSaveService:
         self._obs_recovery_depth = registry.gauge(
             "mmlib_recovery_depth_max",
             "Deepest delta chain replayed by a recover")
-        # chunked saves write parameters as content-addressed per-layer
-        # chunks keyed by the Merkle leaf hashes (dedup across models; no
-        # whole-blob re-hash).  Falls back to the monolithic codec for
-        # file stores without chunk support.
-        self.chunked = bool(chunked) and hasattr(file_store, "save_state_chunks")
         # the MPA archives datasets to a single file; the codec is a policy
         # knob (see bench_ablation_compression: deflate buys <10% on image
         # data while costing CPU, so "stored" suits JPEG-like datasets)
@@ -235,9 +229,9 @@ class AbstractSaveService:
     def _save_parameters(self, model: Module) -> tuple[str, "OrderedDict[str, str]", str]:
         """Persist a full snapshot; returns (file id, layer hashes, root).
 
-        Layers are hashed exactly once (in parallel for large models); on
-        the chunked path those digests double as the chunk ids, so the
-        payload is never hashed again downstream.
+        Layers are hashed exactly once (in parallel for large models); those
+        digests double as the chunk ids, so the payload is never hashed
+        again downstream.
         """
         state = model.state_dict()
         hashes = state_dict_hashes(state)
@@ -246,24 +240,21 @@ class AbstractSaveService:
         return file_id, hashes, root
 
     def _save_state(self, state, layer_hashes, kind: str) -> str:
-        """Persist a flat state dict, chunked when enabled.
+        """Persist a flat state dict as content-addressed per-layer chunks.
 
         ``layer_hashes`` must hold a digest per entry of ``state`` (extra
         entries are fine) — the Merkle leaves already computed by the
-        save path.
+        save path, which double as the chunk ids.
         """
-        if self.chunked:
-            return self.files.save_state_chunks(
-                state, layer_hashes, suffix=f".{kind}.manifest"
-            )
-        return self.files.save_bytes(serialization.dumps(state), suffix=f".{kind}")
+        return self.files.save_state_chunks(state, layer_hashes, suffix=f".{kind}.manifest")
 
     def _load_state_files(self, file_ids: list[str], verified: dict | None = None) -> OrderedDict:
         """Inverse of :meth:`_save_state` over a chain's levels, base first.
 
         A layer is taken from the last level that holds it.  Consecutive
         chunked levels are one call into the file store, which merges their
-        manifests before it fetches; a monolithic level is loaded whole.
+        manifests before it fetches; a monolithic ``.params``/``.update``
+        blob, which older releases wrote, is loaded whole.
         With ``verified``, the store checks every chunked layer against its
         digest as it fetches it, and each one that passed is recorded there
         as ``name -> (array, digest)``.
@@ -284,8 +275,9 @@ class AbstractSaveService:
                     state.update(serialization.loads(self.files.recover_bytes(file_id)))
         return state
 
-    def _is_chunked_file(self, file_id: str) -> bool:
-        return file_id.endswith(".manifest") and hasattr(self.files, "recover_state_chunks")
+    @staticmethod
+    def _is_chunked_file(file_id: str) -> bool:
+        return file_id.endswith(".manifest")
 
     def _insert_model_document(self, document: dict) -> str:
         model_id = new_model_id()

@@ -64,13 +64,12 @@ class AdaptiveSaveService(AbstractSaveService):
         max_recover_seconds: float | None = None,
         train_seconds_estimate: float = 60.0,
         recovers_per_save: float = 0.01,
-        chunked: bool = True,
         retry=None,
         prefetcher=None,
     ):
         super().__init__(
             document_store, file_store, scratch_dir, dataset_codec,
-            chunked=chunked, retry=retry, prefetcher=prefetcher,
+            retry=retry, prefetcher=prefetcher,
         )
         self.cost_model = cost_model or CostModel()
         self.max_storage_bytes = max_storage_bytes
@@ -80,15 +79,15 @@ class AdaptiveSaveService(AbstractSaveService):
         self._services = {
             APPROACH_BASELINE: BaselineSaveService(
                 document_store, file_store, scratch_dir, dataset_codec,
-                chunked=chunked, retry=retry, prefetcher=prefetcher,
+                retry=retry, prefetcher=prefetcher,
             ),
             APPROACH_PARAM_UPDATE: ParameterUpdateSaveService(
                 document_store, file_store, scratch_dir, dataset_codec,
-                chunked=chunked, retry=retry, prefetcher=prefetcher,
+                retry=retry, prefetcher=prefetcher,
             ),
             APPROACH_PROVENANCE: ProvenanceSaveService(
                 document_store, file_store, scratch_dir, dataset_codec,
-                chunked=chunked, retry=retry, prefetcher=prefetcher,
+                retry=retry, prefetcher=prefetcher,
             ),
         }
         #: the estimate behind the most recent save (for inspection/benches)

@@ -55,13 +55,12 @@ class ParameterUpdateSaveService(AbstractSaveService):
         scratch_dir=None,
         dataset_codec=None,
         use_merkle: bool = True,
-        chunked: bool = True,
         retry=None,
         prefetcher=None,
     ):
         super().__init__(
             document_store, file_store, scratch_dir, dataset_codec,
-            chunked=chunked, retry=retry, prefetcher=prefetcher,
+            retry=retry, prefetcher=prefetcher,
         )
         self.use_merkle = use_merkle
         #: hash comparisons performed by the most recent save (ablation metric)

@@ -65,8 +65,6 @@ class SharedStores:
         workers: int = 0,
         pipeline_depth: int = 8,
         chunk_cache_bytes: int = 0,
-        codec: str | None = None,
-        cdc: bool | None = None,
     ) -> "SharedStores":
         """Create fresh stores under ``workdir``.
 
@@ -81,10 +79,6 @@ class SharedStores:
         ``pipeline_depth`` sets how many requests a simulated link keeps
         in flight per latency window, and ``chunk_cache_bytes`` (0 = off)
         sizes the in-process hot-chunk LRU.
-
-        ``codec`` picks the at-rest chunk compression codec and ``cdc``
-        enables content-defined sub-layer chunking; both default to their
-        environment variables (``REPRO_CHUNK_CODEC``, ``REPRO_CDC``).
         """
         workdir = Path(workdir)
         documents = DocumentStore(workdir / "documents")
@@ -98,8 +92,6 @@ class SharedStores:
                 retry=retry,
                 workers=workers,
                 chunk_cache=chunk_cache,
-                codec=codec,
-                cdc=cdc,
             )
         else:
             files = SimulatedNetworkFileStore(
@@ -110,8 +102,6 @@ class SharedStores:
                 workers=workers,
                 pipeline_depth=pipeline_depth,
                 chunk_cache=chunk_cache,
-                codec=codec,
-                cdc=cdc,
             )
         scratch = workdir / "scratch"
         scratch.mkdir(parents=True, exist_ok=True)
@@ -130,8 +120,6 @@ class SharedStores:
         workers: int = 0,
         pipeline_depth: int = 8,
         chunk_cache_bytes: int = 0,
-        codec: str | None = None,
-        cdc: bool | None = None,
         self_heal: bool = False,
         member_faults: dict[str, FaultInjector] | None = None,
     ) -> "SharedStores":
@@ -148,9 +136,7 @@ class SharedStores:
         machine while the rest stay up.  ``retry`` is shared by the
         members, the sharded layers, and every participant's service.
         The hot-chunk cache sits on the sharded store, so a hit never
-        touches a member link.  ``codec`` applies on each member (where
-        chunk payloads rest); ``cdc`` applies on the sharded store
-        itself (where state dicts are split).
+        touches a member link.
 
         ``self_heal=True`` wires a shared
         :class:`~repro.cluster.FailureDetector` and durable
@@ -179,7 +165,6 @@ class SharedStores:
             if network is None:
                 file_members[name] = FileStore(
                     workdir / name / "files", faults=shard_faults, retry=retry,
-                    codec=codec,
                 )
             else:
                 file_members[name] = SimulatedNetworkFileStore(
@@ -188,7 +173,6 @@ class SharedStores:
                     faults=shard_faults,
                     retry=retry,
                     pipeline_depth=pipeline_depth,
-                    codec=codec,
                 )
         detector = hints = None
         if self_heal:
@@ -207,7 +191,6 @@ class SharedStores:
             chunk_cache=chunk_cache,
             detector=detector,
             hint_log=hints,
-            cdc=cdc,
         )
         documents = ShardedDocumentStore(
             doc_members, replicas=replicas, write_quorum=write_quorum,
@@ -273,13 +256,10 @@ def make_service(
     approach: str,
     stores: SharedStores,
     dataset_codec: str | None = None,
-    chunked: bool = True,
     prefetch_workers: int = 0,
 ) -> AbstractSaveService:
     """Instantiate the save service for an approach name.
 
-    ``chunked=False`` forces the legacy monolithic parameter files (for
-    ablations against the content-addressed chunk pipeline).
     ``prefetch_workers > 0`` attaches a
     :class:`~repro.core.prefetch.ChainPrefetcher` so a recover's chunk
     transfers overlap its verify/rebuild work (requires a chunk cache on
@@ -298,7 +278,6 @@ def make_service(
         stores.files,
         scratch_dir=stores.scratch_dir,
         dataset_codec=dataset_codec,
-        chunked=chunked,
         retry=stores.retry,
         prefetcher=prefetcher,
     )
@@ -313,14 +292,11 @@ class Participant:
         approach: str,
         stores: SharedStores,
         dataset_codec: str | None = None,
-        chunked: bool = True,
     ):
         self.name = name
         self.approach = approach
         self.stores = stores
-        self.service = make_service(
-            approach, stores, dataset_codec=dataset_codec, chunked=chunked
-        )
+        self.service = make_service(approach, stores, dataset_codec=dataset_codec)
         #: model ids this participant created, by use-case tag
         self.saved_models: dict[str, str] = {}
 
@@ -341,9 +317,8 @@ class Server(Participant):
         approach: str,
         stores: SharedStores,
         dataset_codec: str | None = None,
-        chunked: bool = True,
     ):
-        super().__init__("server", approach, stores, dataset_codec, chunked=chunked)
+        super().__init__("server", approach, stores, dataset_codec)
 
 
 class Node(Participant):
@@ -355,9 +330,8 @@ class Node(Participant):
         approach: str,
         stores: SharedStores,
         dataset_codec: str | None = None,
-        chunked: bool = True,
     ):
-        super().__init__(f"node-{index}", approach, stores, dataset_codec, chunked=chunked)
+        super().__init__(f"node-{index}", approach, stores, dataset_codec)
         self.index = index
         #: id of the model this node currently runs (set by deployments)
         self.current_model_id: str | None = None

@@ -1,7 +1,5 @@
 """``repro.filestore`` — shared external file storage substrate."""
 
-from .cdc import gear_table, split_buffer
-from .codecs import available_codecs, resolve_codec
 from .network import (
     CELLULAR_LTE,
     INFINIBAND_100G,
@@ -22,9 +20,5 @@ __all__ = [
     "DEFAULT_SEGMENT_BYTES",
     "FileNotFoundInStoreError",
     "FileStore",
-    "available_codecs",
     "chunk_intact",
-    "resolve_codec",
-    "gear_table",
-    "split_buffer",
 ]

@@ -80,9 +80,6 @@ class SimulatedNetworkFileStore(FileStore):
         pipeline_depth: int = 8,
         workers: int = 0,
         chunk_cache=None,
-        codec: str | None = None,
-        cdc: bool | None = None,
-        cdc_target_bytes: int | None = None,
     ):
         kwargs = {
             "faults": faults,
@@ -90,9 +87,6 @@ class SimulatedNetworkFileStore(FileStore):
             "verify_reads": verify_reads,
             "workers": workers,
             "chunk_cache": chunk_cache,
-            "codec": codec,
-            "cdc": cdc,
-            "cdc_target_bytes": cdc_target_bytes,
         }
         if tmp_grace_s is not None:
             kwargs["tmp_grace_s"] = tmp_grace_s

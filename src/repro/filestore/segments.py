@@ -181,7 +181,6 @@ class ChunkStore:
         root: str | Path,
         tmp_grace_s: float = DEFAULT_TMP_GRACE_S,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        codec: str | None = None,
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -196,18 +195,14 @@ class ChunkStore:
         self._refs_live = 0  # bytes the table takes as one folded record
         self.tmp_grace_s = float(tmp_grace_s)
         self.segment_bytes = int(segment_bytes)
-        #: At-rest compression codec for new chunk payloads.  Digests are
-        #: always over the uncompressed bytes, and decode is driven by the
-        #: payload frame, so stores with different codecs interoperate.
-        self.codec = chunk_codecs.resolve_codec(codec)
         #: Optional chaos hook with the ``FaultInjector.fail_point``
         #: signature, consulted by long-running maintenance (compaction)
         #: and between the steps of a refcount write.
         self.fault_hook = None
-        # dedup/compression accounting (in-process, like the network
-        # store's transfer accounting): logical bytes offered by callers,
-        # bytes skipped because the digest was already stored, and framed
-        # bytes physically written
+        # dedup accounting (in-process, like the network store's transfer
+        # accounting): logical bytes offered by callers, bytes skipped
+        # because the digest was already stored, and record payload bytes
+        # physically written
         self._acct_lock = threading.Lock()
         self.logical_bytes = 0
         self.dedup_bytes = 0
@@ -233,13 +228,14 @@ class ChunkStore:
             "mmlib_chunk_fsyncs_total", "fsync calls issued for chunk durability")
         self._obs_logical = registry.counter(
             "mmlib_chunks_logical_bytes_total",
-            "Uncompressed bytes offered to ChunkStore.put")
+            "Chunk bytes offered to ChunkStore.put")
         self._obs_dedup = registry.counter(
             "mmlib_chunks_dedup_bytes_total",
-            "Uncompressed bytes skipped because the chunk already existed")
+            "Chunk bytes skipped because the chunk already existed")
         self._obs_stored = registry.counter(
             "mmlib_chunks_stored_bytes_total",
-            "Framed (possibly compressed) bytes physically written")
+            "Record payload bytes physically written (raw, escape-framed when "
+            "they start with the frame magic)")
         self._obs_appends = registry.counter(
             "mmlib_segment_appends_total", "Chunk records appended to segments")
         self._obs_batches = registry.counter(
@@ -267,25 +263,23 @@ class ChunkStore:
             self._update_gauges_locked()
         self._import_legacy_chunks()
 
-    # -- codec framing / dedup accounting ------------------------------------
+    # -- record framing / dedup accounting -----------------------------------
 
-    def _encode(self, buffer):
-        """At-rest payload for one chunk (see :mod:`repro.filestore.codecs`).
-
-        With the ``none`` codec the raw bytes pass through zero-copy
-        unless they collide with the frame magic, which the codec layer
-        escape-frames so decoding stays unambiguous.
-        """
-        if self.codec == "none":
-            view = buffer if isinstance(buffer, bytes) else memoryview(buffer).cast("B")
-            if bytes(view[:4]) != chunk_codecs.FRAME_MAGIC:
-                return buffer
-        return chunk_codecs.encode(self.codec, buffer)
+    @staticmethod
+    def _encode(view: memoryview):
+        """At-rest payload for one chunk: the raw bytes, zero-copy — unless
+        they start with the frame magic, which is escape-framed so
+        :meth:`_decode` stays unambiguous (see
+        :mod:`repro.filestore.codecs`)."""
+        if bytes(view[:4]) != chunk_codecs.FRAME_MAGIC:
+            return view
+        return chunk_codecs.escape(view)
 
     @staticmethod
     def _decode(payload):
-        """Uncompressed chunk bytes for one at-rest payload (the payload
-        itself when it is unframed)."""
+        """Chunk bytes for one at-rest payload: the payload itself when it
+        is unframed, else its decoded frame (an escape frame, or a zlib /
+        lz4 frame an older release wrote)."""
         return chunk_codecs.decode(payload)
 
     def _account_put(self, raw_nbytes: int, stored_nbytes: int | None = None) -> None:
@@ -303,19 +297,17 @@ class ChunkStore:
             self._obs_stored.inc(stored_nbytes)
 
     def dedup_stats(self) -> dict:
-        """Dedup and compression accounting since this store was opened."""
+        """Dedup accounting since this store was opened."""
         with self._acct_lock:
             logical = self.logical_bytes
             dedup = self.dedup_bytes
             stored = self.stored_bytes
         written = logical - dedup
         return {
-            "codec": self.codec,
             "logical_bytes": logical,
             "dedup_bytes": dedup,
             "stored_bytes": stored,
             "dedup_ratio": round(logical / written, 4) if written else None,
-            "compression_ratio": round(written / stored, 4) if stored else None,
         }
 
     def _tmp_expired(self, path: Path) -> bool:
@@ -663,8 +655,8 @@ class ChunkStore:
 
         Older stores kept each chunk in its own file, ``objects/<digest>``
         (the raw bytes or a codec frame).  Under the store's ``flock``
-        every such file is decoded and :meth:`put` — so it gets this
-        store's codec and a record CRC — then one group :meth:`flush` and
+        every such file is decoded and :meth:`put` — so it is stored raw,
+        with a record CRC — then one group :meth:`flush` and
         an index checkpoint make the records durable and findable, and only
         then are the files and the directory unlinked.  ``refcounts.json``
         was shared by both layouts, so counts carry over untouched.
@@ -755,7 +747,7 @@ class ChunkStore:
                         else memoryview(bytes(view)))
             raw_nbytes = view.nbytes
             # records hold the *at-rest* payload: CRCs, index lengths, and
-            # compaction all see framed bytes; get() decodes after the CRC
+            # compaction all see it as stored; get() decodes after the CRC
             encoded = self._encode(view)
             eview = encoded if isinstance(encoded, memoryview) else memoryview(encoded)
             crc = zlib.crc32(eview)
@@ -868,7 +860,7 @@ class ChunkStore:
 
         The record is read into a fresh ``bytearray``; an unframed payload
         is returned as that buffer (writable, so a recover can adopt it
-        instead of copying), a codec-framed one as the decoded ``bytes``.
+        instead of copying), a framed one as the decoded ``bytes``.
         """
         return self.get_many([digest])[digest]
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import shutil
 import threading
 import time
@@ -32,9 +31,6 @@ import numpy as np
 
 from .. import obs
 from ..errors import StoreCorruptionError, TransientStoreError
-from . import codecs as chunk_codecs
-from .cdc import DEFAULT_TARGET_BYTES as DEFAULT_CDC_TARGET_BYTES
-from .cdc import split_buffer
 from .journal import JOURNAL_SUFFIX, SaveJournal
 from .segments import (
     DEFAULT_TMP_GRACE_S,
@@ -57,19 +53,18 @@ __all__ = [
 #: File-id suffix that marks a blob as a chunked-state manifest.
 MANIFEST_SUFFIX = ".manifest"
 
-#: Format tag inside every whole-layer (v1) manifest payload.
+#: Format tag inside every whole-layer (v1) manifest payload: the one
+#: format a save writes.
 MANIFEST_FORMAT = "mmlib-chunked-state-v1"
 
-#: Format tag for content-defined (v2) manifests: each layer carries a
-#: *list* of chunk digests (sha256 of the uncompressed chunk bytes) plus
-#: its tensor hash, instead of one whole-layer chunk.
+#: Format tag of the content-defined (v2) manifests older releases wrote:
+#: each layer carries a *list* of chunk digests (sha256 of the chunk
+#: bytes) plus its tensor hash, instead of one whole-layer chunk.  Read,
+#: never written.
 MANIFEST_FORMAT_V2 = "mmlib-chunked-state-v2"
 
 #: Every manifest format the read paths accept.
 MANIFEST_FORMATS = (MANIFEST_FORMAT, MANIFEST_FORMAT_V2)
-
-#: Environment override enabling content-defined chunking for new saves.
-CDC_ENV_VAR = "REPRO_CDC"
 
 #: Directory (under the store root) holding the content-addressed chunks.
 CHUNK_DIR_NAME = "chunks"
@@ -88,8 +83,9 @@ class FileNotFoundInStoreError(KeyError):
 def layer_chunk_digests(meta: Mapping) -> list[str]:
     """Chunk digests for one manifest layer entry, v1 or v2.
 
-    v1 entries hold one whole-layer chunk under ``"chunk"``; v2 entries
-    hold an ordered run of content-defined chunks under ``"chunks"``.
+    v1 entries hold one whole-layer chunk under ``"chunk"``; v2 entries,
+    which only older releases wrote, hold an ordered run of chunks under
+    ``"chunks"``.
     Every reader of manifest layers (recovery, deletion, sizing, fsck,
     prefetch, cluster repair) goes through this helper, which is what
     keeps old manifests readable next to new ones.
@@ -149,9 +145,9 @@ def _layer_array(meta: Mapping, parts: list) -> np.ndarray | None:
     The array is the caller's alone: it is over the fetched ``bytearray``
     itself — a chunk store read, which nobody else holds once the first
     reference to a digest has claimed it (later ones get a copy) — and
-    over a ``bytearray`` copy of anything else (cached ``bytes``, a codec
-    frame, a fault injector's).  A content-defined run is joined into one
-    new buffer.
+    over a ``bytearray`` copy of anything else (cached ``bytes``, a decoded
+    frame, a fault injector's).  A v2 run of pieces is joined into one new
+    buffer.
     """
     data = parts[0] if len(parts) == 1 else bytearray().join(parts)
     if not isinstance(data, bytearray):
@@ -301,11 +297,14 @@ class FileStore:
     File ids embed a content digest prefix, which gives cheap corruption
     detection on recovery without a separate checksum channel.
 
-    State dicts can additionally be saved *chunked* through
-    :meth:`save_state_chunks`: each layer becomes a content-addressed
-    chunk (keyed by its precomputed tensor hash) and only a small JSON
+    State dicts are saved through :meth:`save_state_chunks`: each layer
+    becomes one content-addressed chunk (keyed by its precomputed tensor
+    hash), stored raw in the segment store, and only a small JSON (v1)
     manifest enters the flat blob namespace.  Identical layers across
-    saves are stored once.
+    saves are stored once.  That is the only write format; what older
+    releases wrote — v2 manifests of content-defined pieces, zlib/lz4
+    framed records, whole ``.params`` blobs — stays readable (DESIGN.md
+    §11).
 
     Robustness plumbing (all optional, all off by default):
 
@@ -340,7 +339,7 @@ class FileStore:
     Buffer ownership on the read path: the chunk store reads each
     record into a buffer of its own, and :meth:`recover_state_chunks`
     returns arrays over those buffers without copying them; whatever else
-    a fetch yields (cached ``bytes``, a decoded codec frame, a buffer a
+    a fetch yields (cached ``bytes``, a decoded legacy frame, a buffer a
     second layer also references) is copied once.  The test is the
     buffer's own ``writeable`` flag, so no returned array ever aliases the
     cache, another layer or another call (DESIGN.md "Byte path").
@@ -355,17 +354,9 @@ class FileStore:
         verify_reads: bool | None = None,
         workers: int = 0,
         chunk_cache: "ChunkCache | int | None" = None,
-        codec: str | None = None,
-        cdc: bool | None = None,
-        cdc_target_bytes: int | None = None,
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.codec = chunk_codecs.resolve_codec(codec)
-        self.cdc = self._resolve_cdc(cdc)
-        self.cdc_target_bytes = (
-            int(cdc_target_bytes) if cdc_target_bytes else DEFAULT_CDC_TARGET_BYTES
-        )
         self.faults = faults
         self.retry = retry
         self.tmp_grace_s = float(tmp_grace_s)
@@ -405,17 +396,6 @@ class FileStore:
             except FileNotFoundError:
                 pass
 
-    @staticmethod
-    def _resolve_cdc(cdc: bool | None) -> bool:
-        """Content-defined chunking: explicit flag > env var > off.
-
-        Off by default — v1 whole-layer manifests stay the format existing
-        deployments write; both formats are always readable.
-        """
-        if cdc is not None:
-            return bool(cdc)
-        return os.environ.get(CDC_ENV_VAR, "").strip().lower() in ("1", "true", "on")
-
     @property
     def chunks(self) -> ChunkStore:
         """The store's content-addressed chunk substore (lazily created).
@@ -427,10 +407,7 @@ class FileStore:
             with self._chunks_lock:
                 if self._chunks is None:
                     self._chunks = ChunkStore(
-                        self.root / CHUNK_DIR_NAME,
-                        tmp_grace_s=self.tmp_grace_s,
-                        codec=self.codec,
-                    )
+                        self.root / CHUNK_DIR_NAME, tmp_grace_s=self.tmp_grace_s)
         return self._chunks
 
     # -- fault/retry plumbing ---------------------------------------------------
@@ -809,7 +786,48 @@ class FileStore:
         if not suffix.endswith(MANIFEST_SUFFIX):
             raise ValueError(f"manifest suffix must end with {MANIFEST_SUFFIX!r}")
         with self._obs_tracer.span("store.save_chunks", layers=len(state)):
-            return self._save_state_chunks(state, layer_hashes, suffix, workers)
+            entries = []
+            digests = []
+            buffers = {}
+            for name, array in state.items():
+                digest = layer_hashes[name]
+                buffers.setdefault(digest, self._layer_buffer(array))
+                entries.append(
+                    [name, {"chunk": digest, "dtype": array.dtype.str, "shape": list(array.shape)}]
+                )
+                digests.append(digest)
+            unique = list(buffers)
+            n = self._effective_workers(workers, len(unique))
+            wrote: list[bool] = []
+            try:
+                if n <= 1:
+                    for digest in unique:
+                        wrote.append(self._put_chunk_data(digest, buffers[digest]))
+                else:
+                    with ThreadPoolExecutor(max_workers=n) as pool:
+                        for written in pool.map(
+                            lambda d: self._put_chunk_data(d, buffers[d]), unique
+                        ):
+                            wrote.append(written)
+            finally:
+                # one journal append for the batch, on the calling thread
+                # (journals are thread-local) and also when a put failed, so a
+                # rollback drops what was written before it; chunks put but not
+                # journaled at a real crash are refcount-0 orphans fsck sweeps
+                journal = self._active_journal()
+                if journal is not None:
+                    journal.record_many(
+                        [{"op": "chunk", "digest": d} for d, w in zip(unique, wrote) if w]
+                    )
+            # group fsync: one durability barrier for the whole batch, before
+            # the refs/manifest publish acknowledges the save
+            self.chunks.flush()
+            self.chunks.add_refs(digests)
+            self.journal_record("refs", digests=digests)
+            manifest = json.dumps(
+                {"format": MANIFEST_FORMAT, "layers": entries}, sort_keys=True
+            ).encode()
+            return self.save_bytes(manifest, suffix=suffix)
 
     @staticmethod
     def _layer_buffer(array: np.ndarray):
@@ -818,96 +836,6 @@ class FileStore:
             return memoryview(payload).cast("B")
         # 0-d and empty arrays cannot be cast; both are tiny
         return payload.tobytes()
-
-    def _save_state_chunks(self, state, layer_hashes, suffix, workers) -> str:
-        if self.cdc:
-            return self._save_state_chunks_cdc(state, layer_hashes, suffix, workers)
-        entries = []
-        digests = []
-        buffers = {}
-        for name, array in state.items():
-            digest = layer_hashes[name]
-            buffers.setdefault(digest, self._layer_buffer(array))
-            entries.append(
-                [name, {"chunk": digest, "dtype": array.dtype.str, "shape": list(array.shape)}]
-            )
-            digests.append(digest)
-        return self._publish_chunk_manifest(
-            MANIFEST_FORMAT, entries, digests, buffers, suffix, workers
-        )
-
-    def _save_state_chunks_cdc(self, state, layer_hashes, suffix, workers) -> str:
-        """v2 manifest: each layer is a run of content-defined chunks.
-
-        Chunk ids are sha256 digests of the *uncompressed* chunk bytes, so
-        identical byte runs dedup across layers, models, and tenants even
-        when the surrounding layer differs.  The layer's tensor hash is
-        kept in the entry for provenance/diff tooling.
-        """
-        entries = []
-        digests = []
-        buffers = {}
-        for name, array in state.items():
-            buffer = self._layer_buffer(array)
-            view = memoryview(buffer)
-            layer_digests = []
-            for start, end in split_buffer(buffer, target_bytes=self.cdc_target_bytes):
-                piece = view[start:end]
-                digest = hashlib.sha256(piece).hexdigest()
-                buffers.setdefault(digest, piece)
-                layer_digests.append(digest)
-            entries.append(
-                [
-                    name,
-                    {
-                        "chunks": layer_digests,
-                        "dtype": array.dtype.str,
-                        "shape": list(array.shape),
-                        "hash": layer_hashes[name],
-                    },
-                ]
-            )
-            digests.extend(layer_digests)
-        return self._publish_chunk_manifest(
-            MANIFEST_FORMAT_V2, entries, digests, buffers, suffix, workers
-        )
-
-    def _publish_chunk_manifest(
-        self, fmt, entries, digests, buffers, suffix, workers
-    ) -> str:
-        """Write the chunk batch, take refs, and publish the manifest."""
-        unique = list(buffers)
-        n = self._effective_workers(workers, len(unique))
-        wrote: list[bool] = []
-        try:
-            if n <= 1:
-                for digest in unique:
-                    wrote.append(self._put_chunk_data(digest, buffers[digest]))
-            else:
-                with ThreadPoolExecutor(max_workers=n) as pool:
-                    for written in pool.map(
-                        lambda d: self._put_chunk_data(d, buffers[d]), unique
-                    ):
-                        wrote.append(written)
-        finally:
-            # one journal append for the batch, on the calling thread
-            # (journals are thread-local) and also when a put failed, so a
-            # rollback drops what was written before it; chunks put but not
-            # journaled at a real crash are refcount-0 orphans fsck sweeps
-            journal = self._active_journal()
-            if journal is not None:
-                journal.record_many(
-                    [{"op": "chunk", "digest": d} for d, w in zip(unique, wrote) if w]
-                )
-        # group fsync: one durability barrier for the whole batch, before
-        # the refs/manifest publish acknowledges the save
-        self.chunks.flush()
-        self.chunks.add_refs(digests)
-        self.journal_record("refs", digests=digests)
-        manifest = json.dumps(
-            {"format": fmt, "layers": entries}, sort_keys=True
-        ).encode()
-        return self.save_bytes(manifest, suffix=suffix)
 
     def recover_state_chunks(
         self,
@@ -1191,10 +1119,9 @@ class FileStore:
 
         For a manifest this is the manifest blob plus the raw bytes of
         every referenced layer — the bytes a recovery materializes —
-        independent of how much of it is deduplicated or compressed on
-        disk (see :meth:`total_bytes` for the physical view).  Layer
-        sizes come from the manifest's dtype/shape metadata, so the
-        answer is the same under every codec.
+        independent of how much of it is deduplicated on disk (see
+        :meth:`total_bytes` for the physical view).  Layer sizes come from
+        the manifest's dtype/shape metadata, whatever the records hold.
         """
         size = self._blob_size(file_id)
         if self.is_manifest_id(file_id):

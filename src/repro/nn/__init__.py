@@ -6,7 +6,7 @@ dicts, stateful optimizers, data loading, deterministic serialization, and
 seeded/deterministic execution control.
 """
 
-from . import functional, init, models, optim, rng, schedulers, serialization, testing, transforms
+from . import functional, init, models, optim, rng, schedulers, serialization, testing
 from .autograd import enable_grad, is_grad_enabled, no_grad
 from .data import DataLoader, Dataset, Subset, TensorDataset
 from .embedding import Embedding, embedding
@@ -43,7 +43,6 @@ __all__ = [
     "functional",
     "schedulers",
     "testing",
-    "transforms",
     "init",
     "models",
     "optim",

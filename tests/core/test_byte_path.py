@@ -40,15 +40,16 @@ from repro.filestore import (
 from repro.nn import init, rng
 from repro.nn.models import MODEL_REGISTRY, create_model
 from repro.retry import RetryPolicy
+from tests.filestore.retired_formats import RetiredFormatStore
 
-CDC_TARGET = 2048
+PIECE_BYTES = 2048
 
 
 def build_twin_mlp(width=48):
     """Importable factory: two same-shaped hidden layers and a head.
 
     :func:`twin_model` makes the two hidden layers bitwise identical, so their
-    chunks share a digest, and each is several CDC chunks long.
+    chunks share a digest, and each is several v2 pieces long.
     """
     return nn.Sequential(
         nn.Linear(width, width), nn.ReLU(), nn.Linear(width, width), nn.ReLU(),
@@ -108,8 +109,9 @@ def spy_on_recover_state_chunks(files):
     return returned
 
 
-@pytest.fixture(params=[False, True], ids=["v1", "cdc"])
-def cdc(request):
+# "cdc": the v2 manifests of pieces the retired content-defined writer left
+@pytest.fixture(params=["v1", "v2"], ids=["v1", "cdc"])
+def manifest(request):
     return request.param
 
 
@@ -124,9 +126,9 @@ def workers(request):
 
 
 @pytest.fixture
-def files(tmp_path, cdc, chunk_cache, workers):
-    return FileStore(tmp_path / "files", cdc=cdc, cdc_target_bytes=CDC_TARGET,
-                     chunk_cache=chunk_cache, workers=workers)
+def files(tmp_path, manifest, chunk_cache, workers):
+    return RetiredFormatStore(tmp_path / "files", manifest=manifest, piece_bytes=PIECE_BYTES,
+                              chunk_cache=chunk_cache, workers=workers)
 
 
 class TestOwnership:

@@ -1,9 +1,9 @@
 """The content-addressed save/recover pipeline wired through the services.
 
-Covers the PR's acceptance criteria: per-layer hashes computed exactly
-once per save (no whole-blob re-hash on the chunked path), bitwise
-round-trip equality including over ``SimulatedNetworkFileStore``, and
-chunk dedup across a chain of full snapshots.
+Per-layer hashes computed exactly once per save (no whole-blob re-hash),
+bitwise round-trip equality including over ``SimulatedNetworkFileStore``,
+chunk dedup across a chain of full snapshots — and monolithic ``.params``
+blobs, which older releases wrote, still recovering beside manifests.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from repro.core import hashing
 from repro.docstore import DocumentStore
 from repro.filestore import FileStore, NetworkModel, SimulatedNetworkFileStore
 from tests.conftest import make_tiny_cnn
+from tests.filestore.retired_formats import RetiredFormatStore
 
 
 def build_probe_model(num_classes=10):
@@ -46,7 +47,7 @@ class TestHashOncePerSave:
     def test_chunked_save_hashes_each_layer_exactly_once(
         self, mem_doc_store, file_store, monkeypatch
     ):
-        service = BaselineSaveService(mem_doc_store, file_store, chunked=True)
+        service = BaselineSaveService(mem_doc_store, file_store)
         model = make_tiny_cnn(seed=5)
         n_layers = len(model.state_dict())
 
@@ -67,7 +68,7 @@ class TestHashOncePerSave:
         """``save_bytes`` (which SHA-256s its whole payload) must only see
         small metadata blobs on the chunked path — never the serialized
         parameter payload."""
-        service = BaselineSaveService(mem_doc_store, file_store, chunked=True)
+        service = BaselineSaveService(mem_doc_store, file_store)
         model = make_tiny_cnn(seed=6)
         param_bytes = sum(a.nbytes for a in model.state_dict().values())
 
@@ -87,29 +88,13 @@ class TestHashOncePerSave:
         non_code = [size for size, suffix in blobs if suffix != ".py"]
         assert max(non_code) < param_bytes
 
-    def test_monolithic_path_still_serializes_one_blob(
-        self, mem_doc_store, file_store, monkeypatch
-    ):
-        service = BaselineSaveService(mem_doc_store, file_store, chunked=False)
-        model = make_tiny_cnn(seed=6)
-        param_bytes = sum(a.nbytes for a in model.state_dict().values())
-
-        blobs = []
-        real_save_bytes = FileStore.save_bytes
-
-        def recording_save_bytes(self, data, suffix=""):
-            blobs.append((len(data), suffix))
-            return real_save_bytes(self, data, suffix)
-
-        monkeypatch.setattr(FileStore, "save_bytes", recording_save_bytes)
-        service.save_model(ModelSaveInfo(model, tiny_arch()))
-        assert max(size for size, suffix in blobs if suffix == ".params") > param_bytes
-
 
 class TestRoundTrip:
+    # False: the monolithic ``.params`` blob older releases wrote
     @pytest.mark.parametrize("chunked", [True, False])
-    def test_baseline_round_trip_bitwise(self, mem_doc_store, file_store, chunked):
-        service = BaselineSaveService(mem_doc_store, file_store, chunked=chunked)
+    def test_baseline_round_trip_bitwise(self, mem_doc_store, tmp_path, chunked):
+        files = RetiredFormatStore(tmp_path / "files", manifest="v1" if chunked else "params")
+        service = BaselineSaveService(mem_doc_store, files)
         model = make_tiny_cnn(seed=7)
         model_id = service.save_model(
             ModelSaveInfo(model, tiny_arch(), store_checksums=True)
@@ -124,7 +109,7 @@ class TestRoundTrip:
         files = SimulatedNetworkFileStore(
             tmp_path / "net-files", NetworkModel(bandwidth_bytes_per_s=1e9), sleep=False
         )
-        service = ParameterUpdateSaveService(mem_doc_store, files, chunked=True)
+        service = ParameterUpdateSaveService(mem_doc_store, files)
         root_model = make_tiny_cnn(seed=8)
         ids = [service.save_model(ModelSaveInfo(root_model, tiny_arch()))]
         models = [root_model]
@@ -143,13 +128,17 @@ class TestRoundTrip:
             for key in state:
                 assert np.array_equal(state[key], out[key])
 
-    def test_chunked_and_monolithic_documents_coexist(self, mem_doc_store, file_store):
+    def test_chunked_and_monolithic_documents_coexist(self, mem_doc_store, tmp_path):
         """Format compatibility: one catalog can mix both layouts."""
-        chunked = BaselineSaveService(mem_doc_store, file_store, chunked=True)
-        legacy = BaselineSaveService(mem_doc_store, file_store, chunked=False)
+        legacy = BaselineSaveService(
+            mem_doc_store, RetiredFormatStore(tmp_path / "files", manifest="params"))
         model = make_tiny_cnn(seed=9)
-        id_chunked = chunked.save_model(ModelSaveInfo(model, tiny_arch()))
         id_legacy = legacy.save_model(ModelSaveInfo(model, tiny_arch()))
+        chunked = BaselineSaveService(mem_doc_store, FileStore(tmp_path / "files"))
+        id_chunked = chunked.save_model(ModelSaveInfo(model, tiny_arch()))
+        models = mem_doc_store.collection("models")
+        assert models.get(id_legacy)["parameters_file"].endswith(".params")
+        assert models.get(id_chunked)["parameters_file"].endswith(".params.manifest")
         # either service instance recovers either document
         for service in (chunked, legacy):
             for model_id in (id_chunked, id_legacy):
@@ -170,13 +159,9 @@ class TestDedup:
 
     def test_chain_of_snapshots_dedups_unchanged_layers(self, mem_doc_store, tmp_path):
         chunked_files = FileStore(tmp_path / "chunked")
-        mono_files = FileStore(tmp_path / "mono")
-        self.snapshot_chain(
-            BaselineSaveService(DocumentStore(), chunked_files, chunked=True)
-        )
-        self.snapshot_chain(
-            BaselineSaveService(DocumentStore(), mono_files, chunked=False)
-        )
+        mono_files = RetiredFormatStore(tmp_path / "mono", manifest="params")
+        self.snapshot_chain(BaselineSaveService(DocumentStore(), chunked_files))
+        self.snapshot_chain(BaselineSaveService(DocumentStore(), mono_files))
 
         def param_storage(store):
             # exclude the per-save architecture code blobs, which dominate
@@ -189,7 +174,7 @@ class TestDedup:
         assert param_storage(chunked_files) < 0.7 * param_storage(mono_files)
 
     def test_delete_and_gc_reclaim_chunks(self, mem_doc_store, file_store):
-        service = BaselineSaveService(mem_doc_store, file_store, chunked=True)
+        service = BaselineSaveService(mem_doc_store, file_store)
         ids = self.snapshot_chain(service, length=3)
         manager = ModelManager(service)
         for model_id in ids:

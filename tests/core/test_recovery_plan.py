@@ -34,9 +34,11 @@ from repro.docstore import DocumentStore
 from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import FileStore, NetworkModel, SimulatedNetworkFileStore
+from repro.filestore.store import layer_chunk_digests
 from repro.nn import rng
 from repro.nn.modules import Module
 from tests.conftest import make_tiny_cnn
+from tests.filestore.retired_formats import RetiredFormatStore
 
 FLOAT_LAYERS = [
     key for key, value in make_tiny_cnn().state_dict().items()
@@ -140,28 +142,31 @@ LEVELS = st.lists(
 @settings(max_examples=30, deadline=None)
 @given(
     levels=LEVELS,
-    cdc=st.booleans(),
+    manifest=st.sampled_from(["v1", "v2"]),
+    zlib=st.booleans(),
     workers=st.sampled_from([0, 4]),
     chunk_cache=st.sampled_from([None, 1 << 20]),
     monolithic_level=st.integers(min_value=0, max_value=6),
     shared_cache=st.booleans(),
 )
 def test_property_every_lineage_recovers_bitwise(
-    tmp_path_factory, levels, cdc, workers, chunk_cache, monolithic_level, shared_cache
+    tmp_path_factory, levels, manifest, zlib, workers, chunk_cache, monolithic_level,
+    shared_cache,
 ):
     """Lineages mixing BA / PUA / MPA levels, with none, some or all layers
     changed, one monolithic level and compactions in between: every model
-    recovers bitwise and verified, whatever the store is configured as."""
+    recovers bitwise and verified, whatever the store is configured as and
+    whichever format (v1 or the retired v2, raw or zlib-framed records)
+    its chunked levels were written in."""
     root = tmp_path_factory.mktemp("plan")
     documents = DocumentStore()
-    files = FileStore(root / "files", cdc=cdc, cdc_target_bytes=256,
-                      workers=workers, chunk_cache=chunk_cache)
+    files = RetiredFormatStore(root / "files", manifest=manifest, zlib=zlib,
+                               piece_bytes=256, workers=workers, chunk_cache=chunk_cache)
     services = {
         "BA": BaselineSaveService(documents, files),
         "PUA": ParameterUpdateSaveService(documents, files),
         "MPA": ProvenanceSaveService(documents, files, scratch_dir=root / "scratch"),
     }
-    monolithic = ParameterUpdateSaveService(documents, files, chunked=False)
     recover_with = services["PUA"]  # recovery is driven by the document alone
     compactor = ChainCompactor(recover_with)
     dataset_dir = root / "data"
@@ -188,8 +193,10 @@ def test_property_every_lineage_recovers_bitwise(
             )
         else:
             info = ModelSaveInfo(model, tiny_arch(), base_model_id=ids[base])
-        service = monolithic if kind == "PUA" and level == monolithic_level else services[kind]
-        ids.append(service.save_model(info))
+        # one PUA level is the whole-state ``.update`` blob older releases wrote
+        files.manifest = "params" if kind == "PUA" and level == monolithic_level else manifest
+        ids.append(services[kind].save_model(info))
+        files.manifest = manifest
         states.append(state)
         if compact:
             compactor.compact_model(ids[-1])  # a no-op on a snapshot
@@ -397,6 +404,35 @@ class TestIntegrityOfThePlan:
         flip_stored_bit(files, state_dict_hashes(state)[layer])
         with pytest.raises((StoreCorruptionError, VerificationError)):
             service.recover_model(ids[-1])
+
+    @pytest.mark.parametrize("retired", ["v2", "zlib", "params"])
+    def test_flipped_bit_in_a_retired_format_level_fails_recover(self, tmp_path, retired):
+        """The tip's last level was written in a retired format: a flipped
+        bit in what the plan reads from it still fails the recover."""
+        files = RetiredFormatStore(tmp_path / "files", piece_bytes=64)
+        service = ParameterUpdateSaveService(DocumentStore(), files)
+        ids, states = save_pua_chain(service, 1, layers=("5.weight",))
+        files.manifest, files.zlib = {
+            "v2": ("v2", False), "zlib": ("v1", True), "params": ("params", False)}[retired]
+        tip = copy_state(states[-1])
+        tip["5.weight"] += 1.0
+        ids.append(service.save_model(
+            ModelSaveInfo(model_holding(tip), tiny_arch(), base_model_id=ids[-1])))
+        assert_recovers(service, ids[-1], tip)
+
+        update = service.documents.collection(MODELS).get(ids[-1])["update_file"]
+        if retired == "params":
+            path = files.root / update
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] ^= 0x01
+            path.write_bytes(bytes(data))
+        else:
+            [entry] = [meta for name, meta in files.read_manifest(update)["layers"]
+                       if name == "5.weight"]
+            flip_stored_bit(files, layer_chunk_digests(entry)[0])
+        for verify in (True, False):
+            with pytest.raises((StoreCorruptionError, VerificationError)):
+                service.recover_model(ids[-1], verify=verify)
 
     def test_poisoned_cache_entry_of_an_update_fails_check_hash(self, tmp_path):
         files = FileStore(tmp_path / "files", chunk_cache=1 << 20)

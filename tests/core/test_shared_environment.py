@@ -29,6 +29,7 @@ from repro.faults import CrashPoint, FaultInjector, FaultyDocumentStore
 from repro.filestore import FileStore
 from tests.conftest import make_tiny_cnn
 from tests.core.test_provenance import save_chain
+from tests.filestore.retired_formats import RetiredFormatStore
 
 
 def build_probe_model(num_classes=10):
@@ -192,13 +193,13 @@ class TestConcurrentSaveAndDelete:
         removing the environment's last referent.  After every round each
         surviving model's environment document must exist.
 
-        Monolithic parameter files keep the test on the catalog: the tiny
-        models share chunks, and a save that dedups against a chunk whose
-        last reference a concurrent delete releases is the chunk store's
-        own, separate race.
+        Monolithic parameter files (the retired ``.params`` writer) keep the
+        test on the catalog: the tiny models share chunks, and a save that
+        dedups against a chunk whose last reference a concurrent delete
+        releases is the chunk store's own, separate race.
         """
         service = BaselineSaveService(
-            doc_store, FileStore(tmp_path / "files"), chunked=False
+            doc_store, RetiredFormatStore(tmp_path / "files", manifest="params")
         )
         manager = ModelManager(service)
         models = doc_store.collection(MODELS)

@@ -1,4 +1,10 @@
-"""Per-chunk compression codecs: framing, round trips, corruption."""
+"""Chunk payload framing: raw at rest, escape frames, legacy codec frames.
+
+A save stores every chunk raw, escape-framed only when its bytes start
+with the frame magic.  Older releases could also store zlib (or lz4)
+frames; those are built here with the test-side writer and must decode,
+verify and fsck exactly like raw records.
+"""
 
 import struct
 
@@ -6,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro.errors import StoreCorruptionError
-from repro.filestore import FileStore, available_codecs, resolve_codec
+from repro.filestore import ChunkStore, FileStore
 from repro.filestore import codecs as chunk_codecs
 from repro.core.hashing import state_dict_hashes
+from tests.filestore.retired_formats import RetiredFormatStore, zlib_frame
 
 
 def compressible(nbytes=200_000):
@@ -21,78 +28,48 @@ def incompressible(nbytes=200_000, seed=0):
     ).tobytes()
 
 
-class TestCodecRegistry:
-    def test_none_and_zlib_always_available(self):
-        names = available_codecs()
-        assert "none" in names and "zlib" in names
-
-    def test_lz4_gated_on_importability(self):
-        if chunk_codecs._lz4 is None:
-            assert "lz4" not in available_codecs()
-            with pytest.raises(ValueError):
-                resolve_codec("lz4")
-        else:
-            assert "lz4" in available_codecs()
-            assert resolve_codec("lz4") == "lz4"
-
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_codec("snappy")
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv(chunk_codecs.CODEC_ENV_VAR, "zlib")
-        assert resolve_codec(None) == "zlib"
-        monkeypatch.delenv(chunk_codecs.CODEC_ENV_VAR)
-        assert resolve_codec(None) == "none"
-
-
 class TestFraming:
     def test_none_codec_is_passthrough(self):
         data = incompressible(1000)
-        assert chunk_codecs.encode("none", data) is data
-        assert chunk_codecs.decode(data) == data
+        view = memoryview(data)
+        assert ChunkStore._encode(view) is view
+        assert chunk_codecs.decode(data) is data
 
     def test_zlib_round_trip_shrinks(self):
         data = compressible()
-        payload = chunk_codecs.encode("zlib", data)
-        assert len(bytes(payload)) < len(data)
-        assert bytes(payload[:4]) == chunk_codecs.FRAME_MAGIC
+        payload = zlib_frame(data)
+        assert len(payload) < len(data)
+        assert payload[:4] == chunk_codecs.FRAME_MAGIC
         assert chunk_codecs.decode(payload) == data
-
-    def test_incompressible_data_stays_raw(self):
-        data = incompressible()
-        payload = chunk_codecs.encode("zlib", data)
-        assert payload is data  # the sniff skipped compression entirely
 
     def test_magic_collision_is_escape_framed(self):
         """Raw bytes that happen to start with the frame magic must still
         decode unambiguously — the writer wraps them as 'stored'."""
         data = chunk_codecs.FRAME_MAGIC + incompressible(100)
-        payload = chunk_codecs.encode("none", data)
-        assert payload is not data
+        payload = ChunkStore._encode(memoryview(data))
+        assert bytes(payload) != data
+        assert payload[4] == chunk_codecs.CODEC_STORED
         assert chunk_codecs.decode(payload) == data
-        payload = chunk_codecs.encode("zlib", data)
-        assert chunk_codecs.decode(bytes(payload)) == data
 
     def test_digest_semantics_are_uncompressed(self, tmp_path):
-        """Chunk ids never change with the codec: same content, same id,
-        whatever the at-rest framing."""
+        """Chunk ids never depend on the at-rest framing: same content,
+        same id, raw or zlib-framed."""
         state = {"w": np.zeros(50_000, dtype=np.float32)}
         hashes = state_dict_hashes(state)
-        plain = FileStore(tmp_path / "plain", codec="none")
-        packed = FileStore(tmp_path / "packed", codec="zlib")
+        plain = FileStore(tmp_path / "plain")
+        packed = RetiredFormatStore(tmp_path / "packed", zlib=True)
         id_a = plain.save_state_chunks(state, hashes)
         id_b = packed.save_state_chunks(state, hashes)
         assert sorted(plain.chunks.chunk_ids()) == sorted(packed.chunks.chunk_ids())
         assert plain.chunks.total_bytes() > packed.chunks.total_bytes()
-        for store, file_id in ((plain, id_a), (packed, id_b)):
+        for store, file_id in ((plain, id_a), (FileStore(tmp_path / "packed"), id_b)):
             recovered = store.recover_state_chunks(file_id)
             assert np.array_equal(recovered["w"], state["w"])
 
 
 class TestCorruption:
     def test_truncated_frame(self):
-        payload = bytes(chunk_codecs.encode("zlib", compressible()))
+        payload = zlib_frame(compressible())
         with pytest.raises(StoreCorruptionError):
             chunk_codecs.decode(payload[:8])
 
@@ -102,14 +79,14 @@ class TestCorruption:
             chunk_codecs.decode(frame)
 
     def test_corrupt_compressed_body(self):
-        payload = bytearray(chunk_codecs.encode("zlib", compressible()))
+        payload = bytearray(zlib_frame(compressible()))
         payload[20] ^= 0xFF
         with pytest.raises(StoreCorruptionError):
             chunk_codecs.decode(bytes(payload))
 
     def test_length_mismatch(self):
         data = compressible()
-        payload = bytearray(chunk_codecs.encode("zlib", data))
+        payload = bytearray(zlib_frame(data))
         # lie about the uncompressed length in the frame header
         struct.pack_into("<Q", payload, 5, len(data) + 1)
         with pytest.raises(StoreCorruptionError):
@@ -135,24 +112,23 @@ class TestStoreIntegration:
         }
 
     def test_round_trip_and_accounting(self, tmp_path, layout):
-        store = FileStore(tmp_path / "files", codec="zlib")
+        store = RetiredFormatStore(tmp_path / "files", zlib=True)
         state = self.state()
         file_id = store.save_state_chunks(state, state_dict_hashes(state))
         recovered = store.recover_state_chunks(file_id, verify=True)
         for key in state:
             assert np.array_equal(recovered[key], state[key])
         stats = store.chunks.dedup_stats()
-        assert stats["codec"] == "zlib"
+        assert set(stats) == {"logical_bytes", "dedup_bytes", "stored_bytes", "dedup_ratio"}
         assert stats["stored_bytes"] < stats["logical_bytes"]
-        assert stats["compression_ratio"] > 1.0
 
     def test_plain_store_reads_compressed_chunks(self, tmp_path, layout):
-        """Decode is frame-driven: a codec=none reader understands what a
-        codec=zlib writer stored in the same directory."""
+        """Decode is frame-driven: a plain store understands what a zlib
+        writer stored in the same directory."""
         state = self.state(seed=2)
-        writer = FileStore(tmp_path / "files", codec="zlib")
+        writer = RetiredFormatStore(tmp_path / "files", zlib=True)
         file_id = writer.save_state_chunks(state, state_dict_hashes(state))
-        reader = FileStore(tmp_path / "files", codec="none")
+        reader = FileStore(tmp_path / "files")
         recovered = reader.recover_state_chunks(file_id, verify=True)
         for key in state:
             assert np.array_equal(recovered[key], state[key])
@@ -165,24 +141,23 @@ class TestStoreIntegration:
 
         service = BaselineSaveService(
             DocumentStore(),
-            FileStore(tmp_path / "files", codec="zlib"),
+            RetiredFormatStore(tmp_path / "files", zlib=True),
         )
         arch = ArchitectureRef.from_factory(
             "tests.conftest", "make_tiny_cnn", {"num_classes": 10}
         )
         service.save_model(ModelSaveInfo(make_tiny_cnn(), arch))
-        report = ModelManager(service).fsck()
+        report = ModelManager(service).fsck(verify_chunks=True)
         assert report.clean, report.summary()
 
     def test_cdc_composes_with_compression(self, tmp_path, layout):
-        store = FileStore(
-            tmp_path / "files", codec="zlib",
-            cdc=True, cdc_target_bytes=16 * 1024,
-        )
+        """v2 pieces in zlib frames: both retired formats at once."""
+        store = RetiredFormatStore(
+            tmp_path / "files", manifest="v2", zlib=True, piece_bytes=16 * 1024)
         state = self.state(seed=3)
         file_id = store.save_state_chunks(state, state_dict_hashes(state))
-        recovered = store.recover_state_chunks(file_id, verify=True)
+        recovered = FileStore(tmp_path / "files").recover_state_chunks(file_id, verify=True)
         for key in state:
             assert np.array_equal(recovered[key], state[key])
         stats = store.chunks.dedup_stats()
-        assert stats["compression_ratio"] > 1.0
+        assert stats["stored_bytes"] < stats["logical_bytes"] - stats["dedup_bytes"]

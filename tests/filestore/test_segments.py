@@ -39,9 +39,8 @@ class TestSegmentBasics:
         for digest, blob in data.items():
             assert store.has(digest)
             assert store.get(digest) == blob
-            # size_of is the at-rest size: equal to the payload without a
-            # codec, never larger with one (the sniff keeps raw otherwise)
-            assert 0 < store.size_of(digest) <= len(blob)
+            # size_of is the at-rest size: a raw record is the payload
+            assert store.size_of(digest) == len(blob)
         assert store.put(digest_for(0), payload(0)) is False  # dedup
         path, offset, length = store.locate(digest_for(0))
         assert path.suffix == SEGMENT_SUFFIX

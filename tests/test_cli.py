@@ -311,31 +311,6 @@ class TestCompact:
         assert payload["max_depth"] == 4
         assert [m["model_id"] for m in payload["materialized"]] == [deep_chain[4]]
 
-    def test_codec_flag_shapes_new_writes(self, tmp_path, capsys):
-        # zeroed parameters compress well; random conv weights would not
-        model = make_tiny_cnn(seed=2)
-        state = {k: np.zeros_like(np.asarray(v)) for k, v in model.state_dict().items()}
-        state_file = tmp_path / "zeros.state"
-        serialization.save(state, state_file)
-        plain = tmp_path / "plain"
-        packed = tmp_path / "packed"
-        for workdir, codec in ((plain, "none"), (packed, "zlib")):
-            assert run_cli(
-                "--docs", str(workdir / "docs"), "--files", str(workdir / "files"),
-                "--codec", codec,
-                "save", "--factory", FACTORY, "--state", str(state_file),
-                "--use-case", "U_1",
-            ) == 0
-        capsys.readouterr()
-        plain_bytes = FileStore(plain / "files").total_bytes()
-        packed_bytes = FileStore(packed / "files").total_bytes()
-        assert packed_bytes < plain_bytes
-        # the compressed store still verifies end to end
-        assert run_cli(
-            "--docs", str(packed / "docs"), "--files", str(packed / "files"),
-            "verify",
-        ) == 0
-
 
 class TestFsckJson:
     def test_clean_store_emits_json_and_exits_zero(self, stores, saved_model, capsys):
