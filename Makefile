@@ -48,8 +48,9 @@ bench-serving:
 # build, one fetch per chain recover) + the integrity gate (one check per
 # recovered byte, every corruption still caught) + the bookkeeping
 # kill/crash-point/two-process tests + the retired write formats (still
-# read bitwise, fsck-clean, corruption caught) + chaos smoke; writes
-# BENCH_chaos.json
+# read bitwise, fsck-clean, corruption caught) + the file-per-blob import
+# (a crash at every step, single store and 3x2 cluster) + chaos smoke;
+# writes BENCH_chaos.json
 chaos:
 	PYTHONPATH=src $(PY) -m pytest -q tests/filestore/test_faults.py \
 		tests/filestore/test_segments.py \
@@ -61,7 +62,8 @@ chaos:
 		tests/filestore/test_bookkeeping.py::TestReopenWithoutClose \
 		tests/filestore/test_bookkeeping.py::TestTwoProcesses \
 		tests/filestore/test_bookkeeping.py::TestRefcountLogCrashPoints \
-		tests/filestore/test_legacy_import.py::TestRetiredWriteFormats
+		tests/filestore/test_legacy_import.py::TestRetiredWriteFormats \
+		tests/filestore/test_legacy_import.py::TestAStoreOfFilesPerBlob
 	$(PY) scripts/chaos_smoke.py
 
 api-docs:

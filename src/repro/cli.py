@@ -295,7 +295,7 @@ def cmd_squash(args) -> int:
 
 
 def cmd_gc(args) -> int:
-    """Remove files in the blob store that no document references."""
+    """Remove stored files (and chunks) that no document references."""
     manager = _open_manager(args)
     stats = manager.garbage_collect()
     print(f"removed {stats['files_removed']} orphaned file(s), "
@@ -685,7 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
                                help="delete even if derived models depend on it")
     delete_parser.set_defaults(func=cmd_delete)
 
-    gc_parser = commands.add_parser("gc", help="remove orphaned files from the file store")
+    gc_parser = commands.add_parser(
+        "gc", help="release files no document references, sweep unreferenced "
+                   "chunks and compact segments")
     gc_parser.set_defaults(func=cmd_gc)
 
     fsck_parser = commands.add_parser(

@@ -1,6 +1,6 @@
 """Cluster plane: sharded, replicated storage over member stores.
 
-Places content-addressed chunks, blobs, and metadata documents onto
+Places segment records (chunks and files) and metadata documents onto
 R-of-N member stores with a consistent-hash ring; writes need a quorum
 of owners, reads fail over in ring order with digest-verified
 read-repair, and membership changes stream only the keys whose ring
@@ -14,7 +14,7 @@ replayable IOUs, and :class:`AntiEntropyScanner` diffs replica sets in
 the background through the same per-key heal path ``fsck`` uses.
 """
 
-from .antientropy import AntiEntropyScanner, repair_blob, repair_chunk
+from .antientropy import AntiEntropyScanner, repair_chunk
 from .health import FailureDetector, HealthMonitor
 from .hints import HintDeliverer, HintLog
 from .rebalance import ClusterRebalancer, replication_fsck
@@ -34,5 +34,4 @@ __all__ = [
     "HintDeliverer",
     "AntiEntropyScanner",
     "repair_chunk",
-    "repair_blob",
 ]

@@ -9,8 +9,9 @@ a copy rots at rest.  Two consumers walk the same convergence logic —
   from a background thread, skipping members the failure detector says
   are down and re-visiting deferred keys once they return.
 
-Both call :func:`repair_chunk` / :func:`repair_blob` below, so the
-offline and online repair semantics *cannot* diverge: verification rules
+Both call :func:`repair_chunk` below for every record — a chunk, or a
+file stored under its file id — so the offline and online repair
+semantics *cannot* diverge: verification rules
 (never propagate a copy that fails digest verification — scan past it to
 an intact one), refcount transfer, and the strays-only-when-whole guard
 live here once.
@@ -40,30 +41,22 @@ from __future__ import annotations
 import threading
 
 from .. import obs
-from .sharded_store import ShardedFileStore, _verify_blob
+from .sharded_store import ShardedFileStore
 
 __all__ = [
     "chunk_universe",
-    "blob_universe",
     "repair_chunk",
-    "repair_blob",
     "AntiEntropyScanner",
 ]
 
 
 def chunk_universe(store: ShardedFileStore) -> set[str]:
-    """Every chunk digest any member stores or refcounts."""
+    """Every record key (chunk digest or file id) any member stores or
+    refcounts."""
     universe: set[str] = set()
     for member in store.members.values():
         universe.update(member.chunks.chunk_ids())
         universe.update(member.chunks.export_refs())
-    return universe
-
-
-def blob_universe(store: ShardedFileStore) -> set[str]:
-    universe: set[str] = set()
-    for member in store.members.values():
-        universe.update(member.file_ids())
     return universe
 
 
@@ -126,14 +119,15 @@ def repair_chunk(
     deep: bool = False,
     unreachable=(),
 ) -> dict:
-    """Audit (and with ``repair`` heal) one chunk's replica set.
+    """Audit (and with ``repair`` heal) one record's replica set.
 
     ``deep`` reads and digest-verifies *every* reachable copy — replica
     diffing, the anti-entropy mode — where the default only reads when a
-    replica is missing.  Members in ``unreachable`` (or raising
-    ``OSError`` when asked) are never counted as missing the key and
-    never written to; keys they own come back ``deferred``/``partial``
-    for a later pass.
+    replica is missing.  A file record verifies against its id's digest
+    prefix, so a file with no intact copy anywhere is ``unrepairable``.
+    Members in ``unreachable`` (or raising ``OSError`` when asked) are
+    never counted as missing the key and never written to; keys they own
+    come back ``deferred``/``partial`` for a later pass.
     """
     members = store.members
     skip = {name for name in unreachable if name in members}
@@ -207,93 +201,16 @@ def repair_chunk(
     return _finish(result)
 
 
-def repair_blob(
-    store: ShardedFileStore,
-    file_id: str,
-    repair: bool = True,
-    deep: bool = False,
-    unreachable=(),
-) -> dict:
-    """Audit (and with ``repair`` heal) one blob's replica set.
-
-    Blob ids embed a content-digest prefix, so verification needs no
-    side metadata: every candidate copy is checked against its id, and
-    the *intact-copy search runs even in audit mode* — an audit must
-    report a blob with no intact copy anywhere, not exit clean.
-    """
-    members = store.members
-    skip = {name for name in unreachable if name in members}
-    owners = store.ring.owners(file_id)
-    holders: list[str] = []
-    for name in sorted(members):
-        if name in skip:
-            continue
-        try:
-            if members[name].exists(file_id):
-                holders.append(name)
-        except OSError:
-            skip.add(name)
-    missing = [n for n in owners if n not in holders and n not in skip]
-    result = _result(
-        "blob", file_id, owners, holders, missing,
-        sorted(n for n in owners if n in skip),
-    )
-    if not holders:
-        result["status"] = "deferred" if result["unreachable"] else "unrepairable"
-        return result
-
-    data = None
-    if deep or missing:
-        for name in holders:
-            try:
-                candidate = members[name]._read_blob_raw(file_id)
-            except (KeyError, OSError):
-                result["corrupt"].append(name)
-                continue
-            if not _verify_blob(file_id, candidate):
-                result["corrupt"].append(name)
-                continue
-            data = candidate
-            if not deep:
-                break
-        if data is None:
-            result["status"] = "deferred" if result["unreachable"] else "unrepairable"
-            return result
-
-    if repair and data is not None:
-        for name in missing:
-            try:
-                members[name]._restore_blob(file_id, data)
-            except OSError:
-                continue
-            result["repaired_to"].append(name)
-        for name in result["corrupt"]:
-            try:
-                members[name]._discard_blob(file_id)
-                members[name]._restore_blob(file_id, data)
-            except OSError:
-                continue
-            result["corrupt_healed"].append(name)
-
-    if repair:
-        def drop(name: str) -> None:
-            members[name]._discard_blob(file_id)
-
-        _drop_strays(result, drop)
-    return _finish(result)
-
-
 class AntiEntropyScanner:
     """Background replica-diff walker over a sharded file store.
 
-    Walks the chunk/blob universe in sorted batches (``batch_size`` keys
+    Walks the record universe in sorted batches (``batch_size`` keys
     per round, cursor carried across rounds, universe re-snapshotted per
     cycle so new saves join the walk).  Each key goes through the shared
-    :func:`repair_chunk` / :func:`repair_blob` heal path with
-    ``deep=True`` — every reachable copy read and digest-verified — and
-    members the failure detector reports down are treated as
-    unreachable, so a scan during an outage defers rather than
-    mis-repairs.
+    :func:`repair_chunk` heal path with ``deep=True`` — every reachable
+    copy read and digest-verified — and members the failure detector
+    reports down are treated as unreachable, so a scan during an outage
+    defers rather than mis-repairs.
 
     Keys that did not come back ``ok``/``repaired`` form the *backlog*
     (gauge ``mmlib_antientropy_backlog``); convergence for chaos runs is
@@ -318,7 +235,7 @@ class AntiEntropyScanner:
         self.batch_size = int(batch_size)
         self.deep = bool(deep)
         self._lock = threading.RLock()
-        self._walk: list[tuple[str, str]] = []
+        self._walk: list[str] = []
         self._cursor = 0
         self._backlog: set[tuple[str, str]] = set()
         self._stop = threading.Event()
@@ -345,22 +262,9 @@ class AntiEntropyScanner:
         return set(self.detector.down_members())
 
     def _snapshot_walk(self) -> None:
-        self._walk = [
-            ("chunk", digest) for digest in sorted(chunk_universe(self.store))
-        ] + [
-            ("blob", file_id) for file_id in sorted(blob_universe(self.store))
-        ]
+        self._walk = sorted(chunk_universe(self.store))
         self._cursor = 0
         self.stats["cycles"] += 1
-
-    def _repair_key(self, kind: str, key: str, unreachable, repair: bool) -> dict:
-        if kind == "chunk":
-            return repair_chunk(
-                self.store, key, repair=repair, deep=self.deep,
-                unreachable=unreachable)
-        return repair_blob(
-            self.store, key, repair=repair, deep=self.deep,
-            unreachable=unreachable)
 
     def _account(self, result: dict) -> None:
         key = (result["kind"], result["key"])
@@ -395,8 +299,10 @@ class AntiEntropyScanner:
             unreachable = self._unreachable()
             summary = {"scanned": 0, "repaired": 0, "deferred": 0,
                        "unrepairable": 0, "backlog": 0}
-            for kind, key in batch:
-                result = self._repair_key(kind, key, unreachable, repair)
+            for key in batch:
+                result = repair_chunk(
+                    self.store, key, repair=repair, deep=self.deep,
+                    unreachable=unreachable)
                 self._account(result)
                 summary["scanned"] += 1
                 if result["repaired_to"] or result["corrupt_healed"]:

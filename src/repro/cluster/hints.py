@@ -12,7 +12,7 @@ Hints reuse the intent-journal idiom (:mod:`repro.filestore.journal`):
 one JSON object per line, appends flushed, a torn final line parsed as
 "skip the tail".  One file per target member under ``<root>/<member>.jsonl``
 keeps "what does m2 still owe?" a single-file read.  Records carry no
-payload — chunks are content-addressed, blobs embed their digest, and
+payload — chunks are content-addressed, file ids embed their digest, and
 documents live on the other owners — so delivery re-reads verified bytes
 from a surviving replica at replay time.  That makes hints tiny,
 idempotent, and safely replayable: a crash mid-delivery just replays the
@@ -40,8 +40,7 @@ __all__ = ["HintLog", "HintDeliverer", "hint_key"]
 HINT_SUFFIX = ".jsonl"
 
 #: Hint kinds and what ``key`` means for each.
-KIND_CHUNK = "chunk"  # key = chunk digest
-KIND_BLOB = "blob"  # key = blob file id
+KIND_CHUNK = "chunk"  # key = record key: chunk digest or file id
 KIND_DOC = "doc"  # key = document ring key "<collection>/<doc_id>"
 
 

@@ -5,7 +5,8 @@ Two maintenance planes share this module:
 * :class:`ClusterRebalancer` — adds/removes members.  Consistent hashing
   means only keys whose owner set actually changed move; the rebalancer
   diffs the old and new rings over the cluster's key universe, streams
-  exactly those chunks/blobs over a bounded worker pool, and records
+  exactly those records (chunks, and files under their file ids) over a
+  bounded worker pool, and records
   every completed move in an on-disk journal so an interrupted rebalance
   resumes without re-copying.
 * :func:`replication_fsck` — cross-checks every replica set against the
@@ -31,12 +32,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .. import obs
-from .antientropy import (
-    blob_universe as _blob_universe,
-    chunk_universe as _chunk_universe,
-    repair_blob,
-    repair_chunk,
-)
+from .antientropy import chunk_universe as _chunk_universe
+from .antientropy import repair_chunk
 from .sharded_store import ShardedFileStore
 
 __all__ = ["ClusterRebalancer", "replication_fsck"]
@@ -129,11 +126,6 @@ class ClusterRebalancer:
             moves.append(
                 {"kind": "chunk", "key": digest, "old": old_owners, "new": new_owners}
             )
-        blob_moved = old_ring.moved_keys(store.ring, sorted(_blob_universe(store)))
-        for file_id, (old_owners, new_owners) in blob_moved.items():
-            moves.append(
-                {"kind": "blob", "key": file_id, "old": old_owners, "new": new_owners}
-            )
         return moves
 
     def _plan_from_placement(self) -> list[dict]:
@@ -148,16 +140,6 @@ class ClusterRebalancer:
             if set(holders) != set(owners):
                 moves.append(
                     {"kind": "chunk", "key": digest, "old": holders, "new": owners}
-                )
-        for file_id in sorted(_blob_universe(store)):
-            owners = store.ring.owners(file_id)
-            holders = [
-                n for n in sorted(store.members)
-                if store.members[n].exists(file_id)
-            ]
-            if set(holders) != set(owners):
-                moves.append(
-                    {"kind": "blob", "key": file_id, "old": holders, "new": owners}
                 )
         return moves
 
@@ -179,7 +161,6 @@ class ClusterRebalancer:
             "planned": len(moves) + len(done),
             "resumed_skips": len(done),
             "chunks_moved": 0,
-            "blobs_moved": 0,
             "replicas_dropped": 0,
             "bytes_copied": 0,
             "failed": 0,
@@ -197,12 +178,7 @@ class ClusterRebalancer:
 
             def execute(move: dict) -> None:
                 try:
-                    if move["kind"] == "chunk":
-                        copied, dropped = self._move_chunk(move["key"], move["new"])
-                        key_stat = "chunks_moved"
-                    else:
-                        copied, dropped = self._move_blob(move["key"], move["new"])
-                        key_stat = "blobs_moved"
+                    copied, dropped = self._move_chunk(move["key"], move["new"])
                 except (KeyError, OSError):
                     with journal_lock:
                         stats["failed"] += 1
@@ -210,7 +186,7 @@ class ClusterRebalancer:
                     return
                 with journal_lock:
                     if copied:
-                        stats[key_stat] += 1
+                        stats["chunks_moved"] += 1
                         stats["bytes_copied"] += copied
                     stats["replicas_dropped"] += dropped
                 if copied:
@@ -235,7 +211,7 @@ class ClusterRebalancer:
         return stats
 
     def _move_chunk(self, digest: str, new_owners: list[str]) -> tuple[int, int]:
-        """Copy one chunk to its new owners, then retire stale replicas.
+        """Copy one record to its new owners, then retire stale replicas.
 
         Returns ``(bytes_copied, replicas_dropped)``.  The copy uses raw
         chunk I/O: content addressing means a re-run (resume) converges
@@ -266,42 +242,21 @@ class ClusterRebalancer:
             dropped += 1
         return copied, dropped
 
-    def _move_blob(self, file_id: str, new_owners: list[str]) -> tuple[int, int]:
-        members = self.store.members
-        holders = [n for n in sorted(members) if members[n].exists(file_id)]
-        if not holders:
-            return 0, 0
-        source = next((n for n in new_owners if n in holders), holders[0])
-        data = members[source]._read_blob_raw(file_id)
-        copied = 0
-        for name in new_owners:
-            if name not in holders:
-                members[name]._restore_blob(file_id, data)
-                copied += len(data)
-        dropped = 0
-        for name in holders:
-            if name in new_owners:
-                continue
-            members[name]._discard_blob(file_id)
-            dropped += 1
-        return copied, dropped
-
-
 def replication_fsck(store: ShardedFileStore, repair: bool = True) -> dict:
     """Audit (and with ``repair`` restore) every replica set to R copies.
 
-    For each chunk and blob in the cluster's universe, the ring names the
-    members that *should* hold it.  Missing replicas are restored from a
-    surviving copy — chunk payloads tensor-hash-verified when manifest
-    metadata is known, blob payloads always verified against the
-    id-embedded digest, so corruption is never propagated; a copy that
-    fails verification leaves the key ``unrepairable`` instead.  Replicas
+    For each record in the cluster's universe — a chunk, or a file under
+    its file id — the ring names the members that *should* hold it.
+    Missing replicas are restored from a surviving copy — chunk payloads
+    tensor-hash-verified when manifest metadata is known, files always
+    verified against the id-embedded digest, so corruption is never
+    propagated; a copy that fails verification leaves the key
+    ``unrepairable`` instead.  Replicas
     sitting on non-owners (left behind by an interrupted rebalance) are
     dropped once every owner holds the key.
     """
     report = {
         "chunks_checked": 0,
-        "blobs_checked": 0,
         "under_replicated": [],
         "repaired": [],
         "strays_dropped": [],
@@ -334,9 +289,5 @@ def replication_fsck(store: ShardedFileStore, repair: bool = True) -> dict:
     for digest in sorted(_chunk_universe(store)):
         report["chunks_checked"] += 1
         fold(repair_chunk(store, digest, repair=repair))
-
-    for file_id in sorted(_blob_universe(store)):
-        report["blobs_checked"] += 1
-        fold(repair_blob(store, file_id, repair=repair))
 
     return report

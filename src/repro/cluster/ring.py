@@ -1,6 +1,6 @@
 """Consistent-hash placement ring: keys -> R-of-N member stores.
 
-The cluster plane shards content-addressed chunks, blobs, and metadata
+The cluster plane shards segment records (chunks and files) and metadata
 documents across member stores.  Placement must be (a) deterministic —
 every client computes the same owners from the same membership, with no
 coordination service; (b) balanced — each member owns roughly ``1/N`` of

@@ -2,15 +2,16 @@
 
 :class:`ShardedFileStore` presents the exact :class:`~repro.filestore.store.FileStore`
 interface — save services, the recovery pipeline, the chain prefetcher,
-and ``fsck`` all run against it unchanged — while spreading chunks and
-blobs over N member stores placed by a consistent-hash :class:`HashRing`.
+and ``fsck`` all run against it unchanged — while spreading records (chunks
+and the files that are records under their file ids) over N member
+stores placed by a consistent-hash :class:`HashRing`.
 
 Replication semantics:
 
 * **Writes** go to all R ring owners of a key; the write succeeds once
   ``write_quorum`` (default a majority of R) members acknowledge, and a
   short-of-quorum write raises the retryable
-  :class:`~repro.errors.QuorumWriteError`.  Chunk and blob writes are
+  :class:`~repro.errors.QuorumWriteError`.  Chunk and file writes are
   content-addressed or target a fixed id, so the whole quorum write is
   idempotent under the store's shared retry policy.  Writes that reach
   quorum but not all R owners are tracked as *degraded* for the
@@ -28,7 +29,6 @@ consistent intent log.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from pathlib import Path
 from typing import Mapping
@@ -38,9 +38,9 @@ from .. import obs
 from ..errors import QuorumWriteError, StoreCorruptionError, TransientStoreError
 from ..filestore.store import (
     ChunkNotFoundError,
-    FileNotFoundInStoreError,
     FileStore,
     chunk_intact,
+    is_file_id,
 )
 from .ring import DEFAULT_VNODES, HashRing
 
@@ -48,7 +48,7 @@ __all__ = ["ShardedFileStore"]
 
 #: Exceptions that mean "this replica did not deliver" on a read or
 #: write attempt: typed store errors are OSError subclasses, missing
-#: blobs/chunks are KeyError subclasses.
+#: records are KeyError subclasses.
 _REPLICA_FAILURES = (KeyError, OSError)
 
 
@@ -71,12 +71,6 @@ def _classify_failure(exc: Exception) -> str:
     if isinstance(exc, KeyError):
         return "missing"
     return "unreachable"
-
-
-def _verify_blob(file_id: str, data: bytes) -> bool:
-    """Check ``data`` against the content-digest prefix embedded in the id."""
-    expected = file_id.split("-", 1)[0]
-    return hashlib.sha256(data).hexdigest()[: len(expected)] == expected
 
 
 class _ShardedChunkView:
@@ -185,8 +179,23 @@ class _ShardedChunkView:
             member.chunks.forget_refs(digests)
 
     def flush(self) -> int:
-        """Fan the group-fsync durability barrier out to every member."""
-        return sum(member.chunks.flush() for member in self._all_members())
+        """A save's group-fsync barrier, on every member that holds one of
+        its chunks unsynced.
+
+        That is a member the chunk was appended to, or one whose put found
+        the chunk already there but not yet flushed (a read repair, hint,
+        rebalance or concurrent save appended it).  A member that took
+        only file records (a manifest, code) keeps them for its next
+        barrier, so a save costs the fsyncs its chunks cost: a file's
+        owners are placed by its id, not beside its chunks.  One barrier
+        runs at a time, so a save whose members another save took is not
+        acknowledged before that save's fsyncs have finished.
+        """
+        store = self._store
+        with store._barrier_lock:
+            with store._stats_lock:
+                names, store._unsynced = store._unsynced, set()
+            return sum(store.members[name].chunks.flush() for name in sorted(names))
 
     def gc(self) -> dict[str, int]:
         stats = {"chunks_removed": 0, "bytes_freed": 0}
@@ -379,6 +388,8 @@ class ShardedFileStore(FileStore):
             "repair_failures": 0,
         }
         self.degraded_keys: set[tuple[str, str]] = set()
+        self._unsynced: set[str] = set()  # members holding an unsynced chunk
+        self._barrier_lock = threading.Lock()  # one flush barrier at a time
         registry = obs.registry()
         self._obs_events = obs.events()
         self._obs_cluster = {
@@ -398,6 +409,7 @@ class ShardedFileStore(FileStore):
         self._obs_quorum_failures = registry.counter(
             "mmlib_cluster_quorum_write_failures_total",
             "Writes that missed quorum", plane="files")
+        self._view = _ShardedChunkView(self)
         super().__init__(
             root,
             faults=None,
@@ -406,7 +418,6 @@ class ShardedFileStore(FileStore):
             workers=workers,
             chunk_cache=chunk_cache,
         )
-        self._view = _ShardedChunkView(self)
 
     # -- placement / bookkeeping helpers ------------------------------------
 
@@ -459,25 +470,27 @@ class ShardedFileStore(FileStore):
                     self._chunk_meta[meta["chunk"]] = meta
 
     def _verify_for_repair(self, digest: str, data: bytes) -> bool | None:
-        """Re-hash a chunk payload against its digest before propagating it.
+        """Re-hash a record payload against its key before propagating it.
 
         Whole-layer (v1) chunk ids are *tensor* hashes, so verification
-        needs the layer entry harvested from manifests; content-defined (v2)
-        chunk ids verify directly (:func:`~repro.filestore.chunk_intact`).
-        Returns ``None`` for a chunk with no harvested entry that is not a
-        v2 piece either — the caller then skips byte-level verification
-        but may still repair (the payload came from a member's CRC-checked
-        chunk record, the same trust level fsck operates at).
+        needs the layer entry harvested from manifests; file ids and
+        content-defined (v2) chunk ids verify directly
+        (:func:`~repro.filestore.chunk_intact`).  Returns ``None`` for a
+        chunk with no harvested entry that is not a v2 piece either — the
+        caller then skips byte-level verification but may still repair
+        (the payload came from a member's CRC-checked record, the same
+        trust level fsck operates at).
         """
         layer = self._chunk_meta.get(digest)
-        if layer is None:
-            return True if chunk_intact(digest, data) else None
-        return chunk_intact(digest, data, layer)
+        if layer is not None or is_file_id(digest):
+            return chunk_intact(digest, data, layer)
+        return True if chunk_intact(digest, data) else None
 
     # -- quorum writes -------------------------------------------------------
 
     def _put_chunk_data(self, digest: str, buffer) -> bool:
         owners = self._owner_stores(digest)
+        is_chunk = not is_file_id(digest)
 
         def attempt() -> bool:
             acks = 0
@@ -500,6 +513,9 @@ class ShardedFileStore(FileStore):
                 self._member_up(name)
                 acks += 1
                 wrote_any = wrote_any or wrote
+                if is_chunk and (wrote or not member.chunks.synced(digest)):
+                    with self._stats_lock:
+                        self._unsynced.add(name)
             if acks < self.write_quorum:
                 self._obs_quorum_failures.inc()
                 self._obs_events.emit(
@@ -518,46 +534,6 @@ class ShardedFileStore(FileStore):
             return wrote_any
 
         return self._call("cluster.chunk_write", attempt)
-
-    def _write_blob(self, file_id: str, data: bytes) -> None:
-        owners = self._owner_stores(file_id)
-
-        def attempt() -> None:
-            acks = 0
-            missed: list[str] = []
-            last_error: Exception | None = None
-            for name, member in owners:
-                deadline_mod.check("cluster.blob_write")
-                if not self._member_allowed(name):
-                    missed.append(name)
-                    continue
-                try:
-                    member._write_blob(file_id, data)
-                except _REPLICA_FAILURES as exc:
-                    last_error = exc
-                    if _classify_failure(exc) == "unreachable":
-                        self._member_down(name)
-                    missed.append(name)
-                    continue
-                self._member_up(name)
-                acks += 1
-            if acks < self.write_quorum:
-                self._obs_quorum_failures.inc()
-                self._obs_events.emit(
-                    "quorum_write_failed", plane="files", kind="blob",
-                    key=file_id, acks=acks, quorum=self.write_quorum)
-                raise QuorumWriteError(
-                    f"blob {file_id!r} reached {acks}/{len(owners)} replicas "
-                    f"(write quorum {self.write_quorum})"
-                ) from last_error
-            if missed:
-                self._note_degraded("blob", file_id)
-                for name in missed:
-                    self._hint(name, "blob", file_id)
-            else:
-                self._clear_degraded("blob", file_id)
-
-        self._call("cluster.blob_write", attempt)
 
     # -- failover reads + read-repair ---------------------------------------
 
@@ -692,81 +668,6 @@ class ShardedFileStore(FileStore):
                     self._member_up(name)
         return results
 
-    def recover_bytes(self, file_id: str) -> bytes:
-        owners = self._owner_stores(file_id)
-        missing: list[tuple[str, FileStore]] = []
-        corrupt: list[tuple[str, FileStore]] = []
-        skipped = 0
-        last_error: Exception | None = None
-        for name, member in owners:
-            deadline_mod.check("cluster.blob_read")
-            if not self._member_allowed(name):
-                skipped += 1
-                last_error = TransientStoreError(
-                    f"replica {name!r} skipped: circuit breaker open"
-                )
-                continue
-            try:
-                # the member verifies the id-embedded digest, so a payload
-                # that comes back is safe to propagate on repair
-                data = member.recover_bytes(file_id)
-            except _REPLICA_FAILURES as exc:
-                last_error = exc
-                kind = _classify_failure(exc)
-                if kind == "corrupt":
-                    self._member_up(name)
-                    corrupt.append((name, member))
-                elif kind == "missing":
-                    self._member_up(name)
-                    missing.append((name, member))
-                else:
-                    self._member_down(name)
-                continue
-            self._member_up(name)
-            if missing or corrupt or skipped:
-                self._bump("failover_reads")
-                self._repair_blob_replicas(file_id, data, missing, corrupt)
-            return data
-        if last_error is not None:
-            raise last_error
-        raise FileNotFoundInStoreError(f"no stored file with id {file_id!r}")
-
-    def _repair_blob_replicas(
-        self,
-        file_id: str,
-        data: bytes,
-        missing: list[tuple[str, FileStore]],
-        corrupt: list[tuple[str, FileStore]],
-    ) -> None:
-        """Mirror of :meth:`_repair_chunk_replicas` for blob reads: plain
-        copies to owners that lacked the blob, overwrites at owners whose
-        copy failed the id-embedded digest check, nothing at unreachable
-        owners."""
-        repaired = False
-
-        def heal(member: FileStore, overwrite: bool) -> bool:
-            try:
-                if overwrite:
-                    member._discard_blob(file_id)
-                elif member.exists(file_id):
-                    return False  # raced another repair: already healed
-                member._restore_blob(file_id, data)
-            except OSError:
-                self._bump("repair_failures")
-                return False
-            self._bump("read_repairs")
-            self._obs_events.emit(
-                "read_repair", plane="files", kind="blob", key=file_id,
-                overwrote_corrupt=overwrite)
-            return True
-
-        for _, member in missing:
-            repaired = heal(member, overwrite=False) or repaired
-        for _, member in corrupt:
-            repaired = heal(member, overwrite=True) or repaired
-        if repaired:
-            self._clear_degraded("blob", file_id)
-
     # -- manifest hooks (harvest repair metadata) ----------------------------
 
     def save_state_chunks(self, state, layer_hashes, suffix=None, workers=None):
@@ -783,69 +684,25 @@ class ShardedFileStore(FileStore):
         self._harvest_chunk_meta(manifest["layers"])
         return manifest
 
-    # -- raw blob primitives (fan out; rollback/fsck/repair plumbing) --------
-
-    def _all_member_stores(self, key: str | None = None) -> list[FileStore]:
-        if key is None:
-            return [self.members[n] for n in sorted(self.members)]
-        owners = self.ring.owners(key)
-        rest = sorted(set(self.members) - set(owners))
-        return [self.members[n] for n in owners + rest]
-
-    def _discard_blob(self, file_id: str) -> bool:
-        removed = False
-        for member in self._all_member_stores():
-            removed = member._discard_blob(file_id) or removed
-        return removed
-
-    def _blob_size(self, file_id: str) -> int:
-        for member in self._all_member_stores(file_id):
-            try:
-                return member._blob_size(file_id)
-            except FileNotFoundInStoreError:
-                continue
-        raise FileNotFoundInStoreError(f"no stored file with id {file_id!r}")
-
-    def _read_blob_raw(self, file_id: str) -> bytes:
-        for member in self._all_member_stores(file_id):
-            try:
-                return member._read_blob_raw(file_id)
-            except FileNotFoundInStoreError:
-                continue
-        raise FileNotFoundInStoreError(f"no stored file with id {file_id!r}")
-
-    def _restore_blob(self, file_id: str, data: bytes) -> None:
-        for _, member in self._owner_stores(file_id):
-            member._restore_blob(file_id, data)
-
     # -- management ----------------------------------------------------------
-
-    def exists(self, file_id: str) -> bool:
-        return any(m.exists(file_id) for m in self._all_member_stores(file_id))
 
     def has_chunk(self, digest: str) -> bool:
         return self._view.has(digest)
 
-    def file_ids(self) -> list[str]:
-        ids: set[str] = set()
-        for member in self._all_member_stores():
-            ids.update(member.file_ids())
-        return sorted(ids)
-
     def total_bytes(self) -> int:
         """Physical bytes across the cluster — replicas counted per copy."""
-        return sum(member.total_bytes() for member in self._all_member_stores())
+        return sum(member.total_bytes() for member in self.members.values())
 
     def gc_chunks(self) -> dict[str, int]:
         stats = {"chunks_removed": 0, "bytes_freed": 0}
-        for member in self._all_member_stores():
+        for member in self.members.values():
             member_stats = member.gc_chunks()
             stats["chunks_removed"] += member_stats["chunks_removed"]
             stats["bytes_freed"] += member_stats["bytes_freed"]
         return stats
 
     def clear(self) -> None:
-        for member in self._all_member_stores():
+        for member in self.members.values():
             member.clear()
         super().clear()
         with self._meta_lock:
@@ -856,8 +713,12 @@ class ShardedFileStore(FileStore):
     # -- hinted handoff delivery ---------------------------------------------
 
     def hint_appliers(self) -> dict:
-        """Kind → applier callables for a :class:`~repro.cluster.hints.HintDeliverer`."""
-        return {"chunk": self._apply_chunk_hint, "blob": self._apply_blob_hint}
+        """Kind → applier callables for a :class:`~repro.cluster.hints.HintDeliverer`.
+
+        A ``blob`` hint was recorded by an older release for a file, which
+        is a record now: the chunk applier delivers it.
+        """
+        return {"chunk": self._apply_chunk_hint, "blob": self._apply_chunk_hint}
 
     def _hint_source_chunk(self, digest: str, exclude: str):
         """A verified (or unverifiable-but-present) payload from any member
@@ -885,8 +746,9 @@ class ShardedFileStore(FileStore):
         return fallback, fallback_refs
 
     def _apply_chunk_hint(self, member_name: str, hint) -> bool:
-        """Deliver one chunk IOU.  Idempotent and tombstone-free: chunks
-        are content-addressed, so "deliver" is "copy verified bytes".
+        """Deliver one record IOU.  Idempotent and tombstone-free: records
+        are content-addressed or uniquely named, so "deliver" is "copy
+        verified bytes".
 
         Returns ``False`` (stale) when the member or its ownership is
         gone, or no copy survives anywhere (the chunk was GC'd since);
@@ -909,31 +771,6 @@ class ShardedFileStore(FileStore):
         if refcount > 0:
             member.chunks.import_refs({digest: refcount})
         self._clear_degraded("chunk", digest)
-        return True
-
-    def _apply_blob_hint(self, member_name: str, hint) -> bool:
-        file_id = hint["key"]
-        member = self.members.get(member_name)
-        if member is None or member_name not in self.ring.owners(file_id):
-            return False
-        if member.exists(file_id):
-            self._clear_degraded("blob", file_id)
-            return True
-        data = None
-        for name in sorted(self.members):
-            if name == member_name:
-                continue
-            try:
-                candidate = self.members[name]._read_blob_raw(file_id)
-            except (KeyError, OSError):
-                continue
-            if _verify_blob(file_id, candidate):
-                data = candidate
-                break
-        if data is None:
-            return False
-        member._write_blob(file_id, data)  # hooked path: honest while down
-        self._clear_degraded("blob", file_id)
         return True
 
     # -- cluster health / accounting -----------------------------------------

@@ -18,7 +18,7 @@ severs lineage as a prelude to deleting ancestors.
 
 The swap is journaled like the cluster rebalancer and segment
 compaction: artifacts are created first (a crash before the journal
-lands leaves only orphans, which fsck's orphan sweep reclaims), then a
+lands leaves only orphans, which fsck's refcount reconcile reclaims), then a
 one-file intent journal records the planned swap, then the document
 update commits it atomically.  :meth:`ChainCompactor.resume_pending`
 (run by fsck and by every :meth:`run`) rolls a half-done swap forward
@@ -180,7 +180,7 @@ class ChainCompactor:
     def _chain_architecture(self, model_id: str) -> dict:
         """The chain's architecture payload with its code bytes copied.
 
-        Copying the code blob (like ``promote_to_snapshot``) keeps the
+        Copying the code file (like ``promote_to_snapshot``) keeps the
         materialized document self-contained: retention deleting the
         chain prefix later cannot orphan its architecture.
         """
@@ -333,11 +333,9 @@ class ChainCompactor:
                     old = entry.get("old_update_file")
                     if old:
                         files.delete(old)
-                else:
-                    if manifest_file:
-                        files.delete(manifest_file)  # releases its chunk refs
-                    if entry.get("code_file"):
-                        files.delete(entry["code_file"])
+                else:  # one release: the manifest's chunk refs with it
+                    files.delete_many(
+                        [f for f in (manifest_file, entry.get("code_file")) if f])
                 journal.discard(model_id)
                 obs.registry().counter(
                     "mmlib_compaction_resumes_total",

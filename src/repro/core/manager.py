@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .. import obs
-from ..filestore.store import chunk_intact, layer_chunk_digests
+from ..filestore.store import chunk_intact, is_file_id, layer_chunk_digests
 from ..docstore.engine import DuplicateKeyError
 from .abstract import AbstractSaveService
 from .environment import ENVIRONMENT_ID_PREFIX, environment_id
@@ -426,21 +426,20 @@ class ModelManager:
         parameters_file, layer_hashes, root = self.service._save_parameters(
             recovered.model
         )
-        # drop the old derived-representation payloads
-        for key in ("update_file",):
-            if document.get(key):
-                self.files.delete(document[key])
+        # drop the old derived-representation payloads, in one release
+        superseded = [document["update_file"]] if document.get("update_file") else []
         document.pop("update_file", None)
         document.pop("updated_layers", None)
         if document.get("train_info_id"):
             train_document = self.documents.collection(TRAIN_INFO).get(
                 document["train_info_id"]
             )
-            self._delete_wrappers(train_document)
+            superseded += self._delete_wrappers(train_document)
             self.documents.collection(TRAIN_INFO).delete_one(document["train_info_id"])
             provenance = document.get("provenance") or {}
             if provenance.get("dataset_file_id"):
-                self.files.delete(provenance["dataset_file_id"])
+                superseded.append(provenance["dataset_file_id"])
+        self.files.delete_many(superseded)
         document.pop("train_info_id", None)
         document.pop("provenance", None)
 
@@ -520,13 +519,14 @@ class ModelManager:
             )
         document = self.documents.collection(MODELS).get(model_id)
 
-        for file_id in self._referenced_files(document):
-            self.files.delete(file_id)
+        # every file of the model, manifests' chunks included: one release
+        file_ids = list(self._referenced_files(document))
         train_info_id = document.get("train_info_id")
         if train_info_id:
             train_info = self.documents.collection(TRAIN_INFO)
-            self._delete_wrappers(train_info.get(train_info_id))
+            file_ids += self._delete_wrappers(train_info.get(train_info_id))
             train_info.delete_one(train_info_id)
+        self.files.delete_many(file_ids)
         if document.get("environment_id"):
             self._release_environment(document["environment_id"], model_id)
         self.documents.collection(MODELS).delete_one(model_id)
@@ -555,8 +555,11 @@ class ModelManager:
             except DuplicateKeyError:
                 pass  # the racing save restored it first
 
-    def _delete_wrappers(self, train_document: dict) -> None:
+    def _delete_wrappers(self, train_document: dict) -> list[str]:
+        """Delete a train document's wrapper documents; returns their state
+        files, for the caller to release with the model's other files."""
         wrappers = self.documents.collection(WRAPPERS)
+        state_files = []
         for key, value in train_document.items():
             if not (isinstance(value, str) and key.endswith("_wrapper")):
                 continue
@@ -566,8 +569,9 @@ class ModelManager:
                 continue
             state_file = wrapper_document.get("state_file_id")
             if state_file:
-                self.files.delete(state_file)
+                state_files.append(state_file)
             wrappers.delete_one(value)
+        return state_files
 
     def garbage_collect(self) -> dict[str, int]:
         """Remove stored files no document references; returns statistics.
@@ -589,14 +593,11 @@ class ModelManager:
             if wrapper.get("state_file_id"):
                 referenced.add(wrapper["state_file_id"])
         before = self.files.total_bytes()
-        removed = 0
-        for file_id in self.files.file_ids():
-            if file_id not in referenced:
-                self.files.delete(file_id)
-                removed += 1
-        if hasattr(self.files, "gc_chunks"):
-            self.files.gc_chunks()
-        return {"files_removed": removed, "bytes_freed": before - self.files.total_bytes()}
+        removed = self.files.delete_many(
+            [file_id for file_id in self.files.file_ids() if file_id not in referenced])
+        self.files.gc_chunks()
+        return {"files_removed": len(removed),
+                "bytes_freed": before - self.files.total_bytes()}
 
     # -- self-healing (sharded deployments) ---------------------------------
 
@@ -713,13 +714,16 @@ class ModelManager:
            environment document still hashes back to its id (audit only);
         3. every manifest's chunks exist and (with ``verify_chunks``)
            hash back to their content digests;
-        4. no blob exists that no document references (orphans from
-           crashes predating the journal, deleted);
-        5. chunk refcounts equal what the live manifests reference, and
-           no unreferenced chunk file remains;
-        6. on a sharded store, every chunk and blob holds its full R
-           replicas — under-replicated keys are restored from a surviving
-           copy (digest-verified, never propagating corruption);
+        4. (none of its own: a file is a record, so 5 finds orphan files);
+        5. every record's refcount equals what the live documents and
+           manifests reference — a file 1 if any document names it (a
+           set, like the manifests), a chunk once per referencing entry of
+           each distinct live manifest — and no unreferenced record
+           remains: an unreferenced file is an ``orphan_file``, an
+           unreferenced chunk an ``orphan_chunk``, both found in one pass;
+        6. on a sharded store, every record (chunk or file) holds its
+           full R replicas — under-replicated keys are restored from a
+           surviving copy (digest-verified, never propagating corruption);
         6b. no hinted-handoff IOUs remain pending — after the replica
            repair above, leftover hints are drained (delivered or
            resolved as stale); hints still owed to an unreachable member
@@ -755,7 +759,7 @@ class ModelManager:
                             pass  # the document may never have landed
                     detail = (
                         f"rolled back crashed save {journal.save_id}: "
-                        f"{stats['blobs_removed']} blobs, "
+                        f"{stats['blobs_removed']} files, "
                         f"{stats['chunks_removed']} chunks, "
                         f"{stats['refs_released']} refs, "
                         f"{len(stats['docs'])} documents"
@@ -913,16 +917,16 @@ class ModelManager:
                         f"wrapper {wrapper_id} references missing file {state_file}",
                     )
 
-        # 3. manifests -> chunk existence and content digests
+        # 3. manifests -> chunk existence and content digests; a stored file
+        # counts once, however many documents name it
         steps.start("chunks")
         expected_refs: Counter = Counter()
         verified: set[str] = set()
         for file_id in sorted(referenced_files):
-            if not (
-                hasattr(files, "is_manifest_id")
-                and files.is_manifest_id(file_id)
-                and files.exists(file_id)
-            ):
+            if not files.exists(file_id):
+                continue
+            expected_refs[file_id] = 1
+            if not files.is_manifest_id(file_id):
                 continue
             try:
                 manifest = files.read_manifest(file_id)
@@ -956,43 +960,30 @@ class ModelManager:
                             f"chunk {digest[:12]}… (layer {name!r} of {file_id}) "
                             "does not hash back to its digest",
                         )
-        report.checked_chunks = len(set(expected_refs))
+        report.checked_files = len(files.file_ids())
+        report.checked_chunks = sum(1 for key in expected_refs if not is_file_id(key))
 
-        # 4. orphan blobs nothing references
-        steps.start("orphan_files")
-        if hasattr(files, "file_ids"):
-            file_ids = files.file_ids()
-            report.checked_files = len(file_ids)
-            for file_id in file_ids:
-                if file_id in referenced_files:
-                    continue
-                if repair:
-                    files.delete(file_id)
-                report.add(
-                    "orphan_file",
-                    f"unreferenced file {file_id}"
-                    + (" (removed)" if repair else ""),
-                    repaired=repair,
-                )
-
-        # 5. refcounts vs. the live manifests; orphan chunk files
+        # 5. refcounts vs. the live documents and manifests; orphan files
+        # and chunks (keys are ``member:key`` on a sharded store)
         steps.start("refcounts")
-        if hasattr(files, "chunks"):
-            outcome = files.chunks.reconcile(expected_refs, repair=repair)
-            for digest, (actual, wanted) in sorted(outcome["ref_fixes"].items()):
-                report.add(
-                    "refcount_mismatch",
-                    f"chunk {digest[:12]}…: stored refcount {actual}, "
-                    f"manifests reference it {wanted} time(s)",
-                    repaired=repair,
-                )
-            for name in outcome["orphan_chunks_removed"]:
-                report.add(
-                    "orphan_chunk",
-                    f"unreferenced chunk {name[:12]}…"
-                    + (" (removed)" if repair else ""),
-                    repaired=repair,
-                )
+        outcome = files.chunks.reconcile(expected_refs, repair=repair)
+        orphans = set(outcome["orphan_chunks_removed"])
+        for key, (actual, wanted) in sorted(outcome["ref_fixes"].items()):
+            if key in orphans and is_file_id(key.rpartition(":")[2]):
+                continue  # an orphan file's own reference: reported below
+            report.add(
+                "refcount_mismatch",
+                f"record {key[:24]}…: stored refcount {actual}, "
+                f"live documents and manifests reference it {wanted} time(s)",
+                repaired=repair,
+            )
+        for key in outcome["orphan_chunks_removed"]:
+            if is_file_id(key.rpartition(":")[2]):
+                kind, detail = "orphan_file", f"unreferenced file {key}"
+            else:
+                kind, detail = "orphan_chunk", f"unreferenced chunk {key[:12]}…"
+            report.add(kind, detail + (" (removed)" if repair else ""),
+                       repaired=repair)
 
         # 6. replica counts vs. the placement ring (sharded stores only):
         # quorum writes that landed degraded, or members that lost disks,

@@ -1,16 +1,21 @@
 """Per-save write-ahead intent journals for crash-consistent saves.
 
-A save that touches the shared stores is multi-step: chunks, refcounts,
-blobs, documents.  A crash between any two steps would leak half a model.
+A save that touches the shared stores is multi-step: records, refcounts,
+documents.  A crash between any two steps would leak half a model.
 Each save therefore appends its intents to a journal file under
 ``<store root>/journal/<save id>.jsonl`` — one JSON object per line — and
 deletes the journal only after the final commit marker:
 
-    {"op": "chunk", "digest": "..."}        chunk newly written
-    {"op": "refs", "digests": ["...", …]}   refcounts incremented
-    {"op": "blob", "file_id": "..."}        blob (params/manifest/code) written
+    {"op": "chunk", "digest": "..."}        record newly written (a chunk,
+                                            or a manifest under its file id)
+    {"op": "refs", "digests": ["...", …]}   refcounts incremented (a file
+                                            id among them: the file's own)
     {"op": "doc", "collection": "models", "doc_id": "..."}
     {"op": "commit"}
+
+Journals older releases wrote may also hold ``{"op": "blob", "file_id":
+"..."}``: a file written to the store root, which the store imports as a
+record on open; rolling it back releases and drops that record.
 
 A journal still present on disk is a save that did not finish: either it
 lacks the commit marker (crashed mid-save → roll the steps back, newest

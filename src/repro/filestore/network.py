@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .. import obs
-from .store import FileStore
+from .store import FileStore, is_file_id
 
 __all__ = ["NetworkModel", "SimulatedNetworkFileStore", "INFINIBAND_100G", "CELLULAR_LTE"]
 
@@ -138,52 +138,35 @@ class SimulatedNetworkFileStore(FileStore):
             if self.sleep:
                 time.sleep(cost)
 
-    def _write_blob(self, file_id: str, data: bytes) -> None:
-        """Persist a payload, charging its upload against the link.
-
-        The charge lands only once the write has succeeded — a failed
-        upload must not inflate ``bytes_sent``/``simulated_seconds``, or
-        chaos runs would report transfer budgets for data that never
-        crossed the link.  Charging the write primitive (not
-        :meth:`save_bytes`) means replicated writes from a sharded store
-        are charged per member link, like any other client.
-        """
-        super()._write_blob(file_id, data)
-        self._charge(len(data))
+    def _send(self, num_bytes: int) -> None:
+        """Charge one upload of ``num_bytes`` against the link."""
+        self._charge(num_bytes)
         with self._accounting_lock:
-            self.bytes_sent += len(data)
-        self._obs_bytes_sent.inc(len(data))
-
-    def recover_bytes(self, file_id: str) -> bytes:
-        """Load a payload, charging its download against the link."""
-        data = super().recover_bytes(file_id)
-        self._charge(len(data))
-        with self._accounting_lock:
-            self.bytes_received += len(data)
-        self._obs_bytes_received.inc(len(data))
-        return data
+            self.bytes_sent += num_bytes
+        self._obs_bytes_sent.inc(num_bytes)
 
     def _put_chunk_data(self, digest: str, buffer) -> bool:
-        """Upload one chunk, paying only for content the server lacks.
+        """Upload one record, paying only for content the server lacks.
 
-        Every put costs one digest round-trip (the existence query); the
-        payload itself crosses the link only when the server does not
+        Every chunk put costs one digest round-trip (the existence query);
+        the payload itself crosses the link only when the server does not
         already hold the chunk — dedup turns repeat uploads into
         near-free no-ops, exactly the delta-transfer win chunked saves
-        are after.  Overriding the write primitive (not :meth:`put_chunk`)
-        means parallel savers are charged identically to serial ones.
+        are after.  A file record is named by a fresh uuid, so it can never
+        dedup: it is charged its payload and one round trip, with no query,
+        once the write has succeeded (a failed upload must not inflate
+        ``bytes_sent``).  Overriding the write primitive (not
+        :meth:`put_chunk` / :meth:`save_bytes`) means parallel savers are
+        charged identically to serial ones, and replicated writes from a
+        sharded store per member link.
         """
-        self._charge(self.CHUNK_QUERY_BYTES)
-        with self._accounting_lock:
-            self.bytes_sent += self.CHUNK_QUERY_BYTES
-        self._obs_bytes_sent.inc(self.CHUNK_QUERY_BYTES)
         nbytes = buffer.nbytes if isinstance(buffer, memoryview) else len(buffer)
+        is_file = is_file_id(digest)
+        if not is_file:
+            self._send(self.CHUNK_QUERY_BYTES)  # the existence query
         wrote = super()._put_chunk_data(digest, buffer)
-        if wrote:
-            self._charge(nbytes)
-            with self._accounting_lock:
-                self.bytes_sent += nbytes
-            self._obs_bytes_sent.inc(nbytes)
+        if is_file or wrote:
+            self._send(nbytes)
         else:
             with self._accounting_lock:
                 self.chunks_deduplicated += 1
@@ -192,7 +175,7 @@ class SimulatedNetworkFileStore(FileStore):
         return wrote
 
     def _charged_read(self, digest: str) -> bytes:
-        """Download one chunk, charging its payload against the link.
+        """Download one record, charging its payload against the link.
 
         Hot-chunk cache hits never reach this hook, so cached recoveries
         are free — the whole point of sharing the cache with the recovery
@@ -229,10 +212,7 @@ class SimulatedNetworkFileStore(FileStore):
 
     def has_chunk(self, digest: str) -> bool:
         """Existence probe; costs one digest round-trip."""
-        self._charge(self.CHUNK_QUERY_BYTES)
-        with self._accounting_lock:
-            self.bytes_sent += self.CHUNK_QUERY_BYTES
-        self._obs_bytes_sent.inc(self.CHUNK_QUERY_BYTES)
+        self._send(self.CHUNK_QUERY_BYTES)
         return super().has_chunk(digest)
 
     def reset_accounting(self) -> None:

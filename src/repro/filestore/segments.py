@@ -159,9 +159,10 @@ class ChunkStore:
     Each distinct digest is stored once, as one CRC-framed record (see the
     module docstring for the format, the durability model and when the
     index is checkpointed).  Reference counts track how many manifests
-    point at each chunk; :meth:`release_refs` deletes chunks whose count
-    drops to zero, and :meth:`gc` sweeps orphans (e.g. chunks written by a
-    save that crashed before its manifest) and compacts segments.
+    point at each chunk (a file record keyed by its file id holds one, its
+    own); :meth:`release_refs` deletes records whose count drops to zero,
+    and :meth:`gc` sweeps orphans (e.g. chunks written by a save that
+    crashed before its manifest) and compacts segments.
 
     The counts live in ``refcounts.json``, an append-only log: one JSON
     object per line mapping digest to its *absolute* count (0: gone),
@@ -173,7 +174,8 @@ class ChunkStore:
     can share one store directory (DESIGN.md §17 "Bookkeeping").
 
     A chunk root written by the older file-per-chunk layout is imported
-    once, on open (:meth:`_import_legacy_chunks`).
+    once, on open (:meth:`_import_legacy_chunks`); :meth:`import_files`
+    does the same for the files an older file store kept in its root.
     """
 
     def __init__(
@@ -218,6 +220,7 @@ class ChunkStore:
         self._active_file = None
         self._active_end = 0
         self._dirty = False  # unsynced appends in the active segment
+        self._synced_end = 0  # where the active segment's unsynced appends start
         # index differs from index.json; written out by whatever deletes,
         # seals or closes — never by a save (its appends are rescannable)
         self._index_dirty = False
@@ -654,42 +657,62 @@ class ChunkStore:
         """Fold a file-per-chunk chunk root into this store, once, on open.
 
         Older stores kept each chunk in its own file, ``objects/<digest>``
-        (the raw bytes or a codec frame).  Under the store's ``flock``
-        every such file is decoded and :meth:`put` — so it is stored raw,
-        with a record CRC — then one group :meth:`flush` and
-        an index checkpoint make the records durable and findable, and only
-        then are the files and the directory unlinked.  ``refcounts.json``
-        was shared by both layouts, so counts carry over untouched.
-        Expired ``*.tmp`` tears are reaped; a young one keeps the
-        directory for the next open.  Every step is idempotent (a put of a
-        held digest is a no-op), so a crash anywhere resumes here.
+        (the raw bytes or a codec frame).  Every such file is decoded and
+        imported (:meth:`import_files`); ``refcounts.json`` was shared by
+        both layouts, so counts carry over untouched.  A young ``*.tmp``
+        keeps the directory for the next open.
         """
         legacy = self.root / "objects"
-        if not legacy.is_dir():
-            return
+        if legacy.is_dir():
+            self.import_files(legacy, framed=True)
+            with contextlib.suppress(OSError):
+                legacy.rmdir()
+
+    def import_files(self, directory: Path, framed: bool = False,
+                     refcount: int | None = None) -> None:
+        """Fold every regular file of ``directory`` into the store.
+
+        Each file becomes a record keyed by its name: under the store's
+        ``flock`` every file is :meth:`put` (decoded first when ``framed``:
+        an older chunk object may hold a codec frame), then one group
+        :meth:`flush` and an index checkpoint make the records durable and
+        findable, then — with ``refcount`` — each record's count is *set*
+        to it, and only then are the files unlinked.  Expired ``*.tmp``
+        tears are reaped and young ones left alone; dotfiles are not
+        records.  Every step is idempotent (a put of a held key is a
+        no-op, a count is set, not added), so a crash anywhere resumes on
+        the next open, and a second opener waiting on the lock finds the
+        files gone.  Fault hook: ``chunk.import`` after each put, after the
+        flush, after the counts and after each unlink.
+        """
         with self._locked():
             with self._mutex:
                 self._refresh_locked()  # what a process we waited for imported
-            if not legacy.is_dir():
-                return
             imported = []
-            for path in sorted(legacy.iterdir()):
+            for path in sorted(directory.iterdir()) if directory.is_dir() else ():
+                if path.name.startswith(".") or not path.is_file():
+                    continue
                 if path.name.endswith(".tmp"):
                     if self._tmp_expired(path):
                         path.unlink(missing_ok=True)
                     continue
-                self.put(path.name, self._decode(path.read_bytes()))
+                data = path.read_bytes()
+                self.put(path.name, self._decode(data) if framed else data)
                 imported.append(path)
                 self._hook("chunk.import")
+            if not imported:
+                return
             self.flush()
             with self._mutex:
                 self._write_checkpoint_locked()
             self._hook("chunk.import")
+            if refcount is not None:
+                self._sync_refs()
+                self._commit_refs({path.name: refcount for path in imported})
+                self._hook("chunk.import")
             for path in imported:
                 path.unlink(missing_ok=True)
                 self._hook("chunk.import")
-            with contextlib.suppress(OSError):
-                legacy.rmdir()
 
     # -- append path ---------------------------------------------------------
 
@@ -740,6 +763,8 @@ class ChunkStore:
                 self._account_put(_buffer_nbytes(buffer))
                 return False
             self._ensure_active_locked()
+            if not self._dirty:
+                self._synced_end = self._active_end
             digest_raw = digest.encode("utf-8")
             view = memoryview(buffer)
             if view.ndim != 1 or view.format != "B":
@@ -810,6 +835,23 @@ class ChunkStore:
                 self._obs_batches.inc()
             self._update_gauges_locked()
             return synced
+
+    def synced(self, digest: str) -> bool:
+        """True unless the record under ``digest`` waits for :meth:`flush`.
+
+        A cluster's save barrier asks this of a replica whose put found
+        the record already there: a copy that a read repair, hint or
+        concurrent save appended and nobody has flushed yet still needs
+        the barrier.
+        """
+        with self._mutex:
+            entry = self._index.get(digest)
+            return not (
+                self._dirty
+                and entry is not None
+                and entry[0] == self._active_name
+                and entry[1] >= self._synced_end
+            )
 
     def _roll_locked(self) -> None:
         name = self._active_name

@@ -5,22 +5,23 @@ parameters, compressed datasets).  The :class:`FileStore` persists files
 under generated identifiers in a shared directory, exactly like the
 evaluation's shared external storage that all machines can access.
 
-On top of the flat blob namespace sits a content-addressed
-:class:`~repro.filestore.segments.ChunkStore`: model parameters can be
-saved as a *manifest* of per-layer chunks keyed by the Merkle leaf hashes
-computed at save time.  Bit-identical layers across models (BA chain
-snapshots, PUA bases, replicated deployments) are stored once; chunks are
-ref-counted by their manifests and garbage-collected when the last
-manifest goes away.
+Every byte lives in one content-addressed
+:class:`~repro.filestore.segments.ChunkStore`.  Model parameters are saved
+as a *manifest* of per-layer chunks keyed by the Merkle leaf hashes
+computed at save time: bit-identical layers across models (BA chain
+snapshots, PUA bases, replicated deployments) are stored once, ref-counted
+by their manifests and deleted when the last manifest goes away.  A file
+(a manifest, architecture code, a dataset archive) is a record of the same
+store under its generated *file id*, holding one reference of its own.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import shutil
 import threading
-import time
 import uuid
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -46,11 +47,12 @@ __all__ = [
     "FileNotFoundInStoreError",
     "ChunkNotFoundError",
     "chunk_intact",
+    "is_file_id",
     "layer_chunk_digests",
     "manifest_chunk_digests",
 ]
 
-#: File-id suffix that marks a blob as a chunked-state manifest.
+#: File-id suffix that marks a file as a chunked-state manifest.
 MANIFEST_SUFFIX = ".manifest"
 
 #: Format tag inside every whole-layer (v1) manifest payload: the one
@@ -108,17 +110,30 @@ def manifest_chunk_digests(manifest: Mapping) -> list[str]:
     return digests
 
 
-def chunk_intact(digest: str, data, layer: Mapping | None = None) -> bool:
-    """True iff one chunk payload hashes back to its digest.
+def is_file_id(key: str) -> bool:
+    """True iff a record key is a file id, not a chunk digest.
 
-    ``layer`` is the manifest entry the chunk belongs to.  A whole-layer
+    File ids are ``<16-hex sha256 prefix>-<uuid12><suffix>``; chunk
+    digests are bare hex.
+    """
+    return key[16:17] == "-"
+
+
+def chunk_intact(digest: str, data, layer: Mapping | None = None) -> bool:
+    """True iff one record payload hashes back to its key.
+
+    ``layer`` is the manifest entry a chunk belongs to.  A whole-layer
     (v1) chunk id — an entry with a ``"chunk"`` key — is the layer's
     *tensor* hash (dtype + shape + bytes), so it is checked with
-    ``tensor_hash`` over the entry's dtype and shape; any other chunk id (a
-    content-defined v2 piece, or a chunk whose entry is unknown) is the
-    sha256 of the payload.  Recovery, fsck and cluster repair all verify
-    a chunk through this one function.
+    ``tensor_hash`` over the entry's dtype and shape; a file id
+    (:func:`is_file_id`) starts with the sha256 prefix of its payload; any
+    other chunk id (a content-defined v2 piece, or a chunk whose entry is
+    unknown) is the sha256 of the payload.  Recovery, fsck and cluster
+    repair all verify a record through this one function.
     """
+    if is_file_id(digest):
+        prefix = digest.split("-", 1)[0]
+        return hashlib.sha256(data).hexdigest()[: len(prefix)] == prefix
     if layer is None or "chunk" not in layer:
         return hashlib.sha256(data).hexdigest() == digest
     # lazy import: repro.core imports this module at package init
@@ -292,19 +307,23 @@ class _SingleFlight:
 
 
 class FileStore:
-    """Directory-backed blob store addressed by generated file ids.
+    """File store over one segment chunk store, addressed by generated file ids.
 
-    File ids embed a content digest prefix, which gives cheap corruption
-    detection on recovery without a separate checksum channel.
+    A file is a record of :attr:`chunks` keyed by its file id,
+    ``<16-hex sha256 prefix>-<uuid12><suffix>``, holding one reference of
+    its own; the prefix gives cheap corruption detection on recovery
+    without a separate checksum channel.  Nothing is stored as a file
+    under ``root``: a regular file found there on open was left by an
+    older release, and is imported as a record under its name
+    (DESIGN.md §6 "One store for every byte").
 
     State dicts are saved through :meth:`save_state_chunks`: each layer
     becomes one content-addressed chunk (keyed by its precomputed tensor
-    hash), stored raw in the segment store, and only a small JSON (v1)
-    manifest enters the flat blob namespace.  Identical layers across
-    saves are stored once.  That is the only write format; what older
-    releases wrote — v2 manifests of content-defined pieces, zlib/lz4
-    framed records, whole ``.params`` blobs — stays readable (DESIGN.md
-    §11).
+    hash), stored raw in the segment store, described by a small JSON (v1)
+    manifest record.  Identical layers across saves are stored once.
+    That is the only write format; what older releases wrote — v2
+    manifests of content-defined pieces, zlib/lz4 framed records, whole
+    ``.params`` blobs — stays readable (DESIGN.md §11).
 
     Robustness plumbing (all optional, all off by default):
 
@@ -377,24 +396,9 @@ class FileStore:
         self._obs_coalesced = obs.registry().counter(
             "mmlib_chunk_cache_coalesced_total",
             "Chunk fetches coalesced by single-flight")
-        self._clean_orphaned_tmp_files()
-
-    def _clean_orphaned_tmp_files(self) -> None:
-        """Drop *expired* ``*.tmp`` leftovers from interrupted saves.
-
-        Young tmp files are spared: another process may be mid-write (the
-        tmp+rename protocol means they vanish on their own on success).
-        """
-        grace = self.tmp_grace_s
-        now = time.time()
-        for path in self.root.iterdir():
-            if not (path.is_file() and path.name.endswith(".tmp")):
-                continue
-            try:
-                if path.stat().st_mtime <= now - grace:
-                    path.unlink(missing_ok=True)
-            except FileNotFoundError:
-                pass
+        # an older release kept each file as its own file in the root
+        if any(path.is_file() for path in self.root.iterdir()):
+            self.chunks.import_files(self.root, refcount=1)
 
     @property
     def chunks(self) -> ChunkStore:
@@ -523,12 +527,14 @@ class FileStore:
     def rollback_journal(self, journal: SaveJournal) -> dict:
         """Undo a journal's recorded steps, newest first; returns stats.
 
-        Blobs are unlinked raw (not via :meth:`delete`) because ref
-        releases are rolled back through their own ``refs`` records —
-        deleting a manifest the normal way would release them twice.
-        Document intents cannot be undone here (the file store holds no
-        document-store handle); they are returned under ``"docs"`` for
-        the caller (the save transaction or fsck) to delete.
+        A ``refs`` record is undone by releasing exactly the references it
+        took — a file's own one among them, which deletes the file — never
+        through :meth:`delete`, which would also release a manifest's
+        chunks a second time.  A ``blob`` record was written by an older
+        release, whose files are imported as records on open: it releases
+        and drops that record.  Document intents cannot be undone here (the
+        file store holds no document-store handle); they are returned under
+        ``"docs"`` for the caller (the save transaction or fsck) to delete.
         """
         stats = {"blobs_removed": 0, "chunks_removed": 0, "refs_released": 0, "docs": []}
         for entry in reversed(journal.entries):
@@ -536,14 +542,20 @@ class FileStore:
             if op == "doc":
                 stats["docs"].append((entry["collection"], entry["doc_id"]))
             elif op == "blob":
-                if self._discard_blob(entry["file_id"]):
+                file_id = entry["file_id"]
+                if self.chunks.has(file_id):
+                    with contextlib.suppress(StoreCorruptionError):
+                        self.chunks.release_refs([file_id])
+                    self.chunks.drop(file_id)
                     stats["blobs_removed"] += 1
             elif op == "refs":
                 try:
-                    self.chunks.release_refs(entry["digests"])
+                    removed = self.chunks.release_refs(entry["digests"])
                 except StoreCorruptionError:
                     continue  # unreadable counts: fsck's reconcile recounts them
-                stats["refs_released"] += len(entry["digests"])
+                stats["blobs_removed"] += sum(1 for d in removed if is_file_id(d))
+                stats["refs_released"] += sum(
+                    1 for d in entry["digests"] if not is_file_id(d))
             elif op == "chunk":
                 digest = entry["digest"]
                 try:
@@ -560,40 +572,23 @@ class FileStore:
 
     @staticmethod
     def _new_file_id(data: bytes, suffix: str = "") -> str:
-        """Generate a blob id: content-digest prefix + uniquifier + suffix."""
+        """Generate a file id: content-digest prefix + uniquifier + suffix."""
         digest = hashlib.sha256(data).hexdigest()[:16]
         return f"{digest}-{uuid.uuid4().hex[:12]}{suffix}"
-
-    def _write_blob(self, file_id: str, data: bytes) -> None:
-        """Write one blob under an explicit id (fault/retry wrapped).
-
-        The write is atomic (tmp+rename) and idempotent under retries:
-        every attempt targets the same file id.
-        """
-        path = self._path(file_id)
-        tmp = path.with_name(path.name + ".tmp")
-
-        def attempt() -> None:
-            self._fault("file.write", nbytes=len(data))
-            if self.faults is not None and self.faults.torn_write("file.write"):
-                tmp.write_bytes(data[: max(1, len(data) // 2)])
-                raise TransientStoreError(
-                    f"injected torn write for {file_id!r} (partial tmp left behind)"
-                )
-            tmp.write_bytes(data)
-            tmp.replace(path)
-
-        self._call("file.write", attempt)
 
     def save_bytes(self, data: bytes, suffix: str = "") -> str:
         """Persist a byte payload; returns the generated file id.
 
-        The file id embeds a content digest prefix, so reads can detect
-        corruption without a separate checksum channel.
+        The payload becomes a record under the file id, which embeds a
+        content digest prefix, so reads can detect corruption without a
+        separate checksum channel; the record takes its one reference at
+        once.  It is not flushed here: the next save's group fsync covers
+        it (a model's code is written before its parameters).
         """
         file_id = self._new_file_id(data, suffix)
-        self._write_blob(file_id, data)
-        self.journal_record("blob", file_id=file_id)
+        self._put_chunk_data(file_id, data)
+        self.chunks.add_refs([file_id])
+        self.journal_record("refs", digests=[file_id])
         return file_id
 
     def save_file(self, source: str | Path) -> str:
@@ -605,22 +600,24 @@ class FileStore:
     # -- chunked state save/recover ---------------------------------------------
 
     def _put_chunk_data(self, digest: str, buffer) -> bool:
-        """Write one chunk (fault/retry wrapped) without journaling.
+        """Write one record (fault/retry wrapped) without journaling.
 
         The save journal is thread-local, so parallel savers write through
-        this primitive and the calling thread records the intents.
+        this primitive and the calling thread records the intents.  A file
+        record's fault point is ``file.write``, a chunk's ``chunk.write``.
         """
+        op = "file.write" if is_file_id(digest) else "chunk.write"
 
         def attempt() -> bool:
-            self._fault("chunk.write", nbytes=_buffer_nbytes(buffer))
-            if self.faults is not None and self.faults.torn_write("chunk.write"):
+            self._fault(op, nbytes=_buffer_nbytes(buffer))
+            if self.faults is not None and self.faults.torn_write(op):
                 self.chunks.write_torn(digest, buffer)
                 raise TransientStoreError(
-                    f"injected torn chunk write for {digest[:12]}… (half a record left)"
+                    f"injected torn write for {digest[:24]}… (half a record left)"
                 )
             return self.chunks.put(digest, buffer)
 
-        return self._call("chunk.write", attempt)
+        return self._call(op, attempt)
 
     def put_chunk(self, digest: str, buffer) -> bool:
         """Store one content-addressed chunk; True iff bytes were written.
@@ -634,23 +631,34 @@ class FileStore:
         return wrote
 
     def _read_chunk(self, digest: str, data=None) -> bytes:
-        """One chunk through the fault plane: its fault point, its read,
+        """One record through the fault plane: its fault point, its read,
         its in-transit corruption, its own retry.
 
         ``data`` is the payload :meth:`_fetch_many` already read for this
         chunk; the first attempt takes it instead of reading the chunk
-        store, a retry reads the store.
+        store, a retry reads the store.  A file record (fault points
+        ``file.read``) is checked against its id's digest prefix instead of
+        its record CRC — one check per byte, the stronger one — and a
+        mismatch is retried; a chunk is checked by its reader.
         """
         pending = [data] if data is not None else []
+        is_file = is_file_id(digest)
+        op = "file.read" if is_file else "chunk.read"
 
         def attempt() -> bytes:
-            self._fault("chunk.read")
-            payload = pending.pop() if pending else self.chunks.get(digest)
+            self._fault(op)
+            payload = (pending.pop() if pending
+                       else self.chunks.get_many([digest], crc=not is_file)[digest])
             if self.faults is not None:
-                payload = self.faults.corrupt("chunk.read", payload)
+                payload = self.faults.corrupt(op, payload)
+            if is_file and not chunk_intact(digest, payload):
+                raise StoreCorruptionError(
+                    f"stored file {digest!r} is corrupt: digest prefix mismatch")
             return payload
 
-        return self._call("chunk.read", attempt)
+        retry_on = (TransientStoreError, StoreCorruptionError) if is_file else (
+            TransientStoreError,)
+        return self._call(op, attempt, retry_on=retry_on)
 
     def _charged_read(self, digest: str) -> bytes:
         """One chunk fetch crossing the link (transfer-accounting hook)."""
@@ -779,9 +787,12 @@ class FileStore:
         ``memoryview`` without copying.  With ``workers`` (default: the
         store's ``workers`` setting) distinct chunks are written
         concurrently; the crash-consistency journal is still recorded on
-        the calling thread, since journals are thread-local.  Returns the
-        manifest's file id, which carries the ``.manifest`` suffix so
-        recovery, deletion, and sizing recognize it.
+        the calling thread, since journals are thread-local.  The manifest
+        record is put after the chunks and before the one group fsync that
+        covers them all, and takes its own reference in the same
+        refcount append as the layers.  Returns the manifest's file id,
+        which carries the ``.manifest`` suffix so recovery, deletion, and
+        sizing recognize it.
         """
         if not suffix.endswith(MANIFEST_SUFFIX):
             raise ValueError(f"manifest suffix must end with {MANIFEST_SUFFIX!r}")
@@ -796,6 +807,10 @@ class FileStore:
                     [name, {"chunk": digest, "dtype": array.dtype.str, "shape": list(array.shape)}]
                 )
                 digests.append(digest)
+            manifest = json.dumps(
+                {"format": MANIFEST_FORMAT, "layers": entries}, sort_keys=True
+            ).encode()
+            file_id = self._new_file_id(manifest, suffix)
             unique = list(buffers)
             n = self._effective_workers(workers, len(unique))
             wrote: list[bool] = []
@@ -809,6 +824,8 @@ class FileStore:
                             lambda d: self._put_chunk_data(d, buffers[d]), unique
                         ):
                             wrote.append(written)
+                unique.append(file_id)
+                wrote.append(self._put_chunk_data(file_id, manifest))
             finally:
                 # one journal append for the batch, on the calling thread
                 # (journals are thread-local) and also when a put failed, so a
@@ -819,15 +836,13 @@ class FileStore:
                     journal.record_many(
                         [{"op": "chunk", "digest": d} for d, w in zip(unique, wrote) if w]
                     )
-            # group fsync: one durability barrier for the whole batch, before
-            # the refs/manifest publish acknowledges the save
+            # group fsync: one durability barrier for the whole batch, the
+            # manifest included, before the refs acknowledge the save
             self.chunks.flush()
+            digests.append(file_id)
             self.chunks.add_refs(digests)
             self.journal_record("refs", digests=digests)
-            manifest = json.dumps(
-                {"format": MANIFEST_FORMAT, "layers": entries}, sort_keys=True
-            ).encode()
-            return self.save_bytes(manifest, suffix=suffix)
+            return file_id
 
     @staticmethod
     def _layer_buffer(array: np.ndarray):
@@ -982,7 +997,7 @@ class FileStore:
         return array, False
 
     def read_manifest(self, file_id: str) -> dict:
-        """Load and validate a manifest blob."""
+        """Load and validate a manifest file."""
         try:
             payload = json.loads(self.recover_bytes(file_id).decode())
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -1003,48 +1018,6 @@ class FileStore:
 
     # -- recover -----------------------------------------------------------------
 
-    def _path(self, file_id: str) -> Path:
-        if "/" in file_id or file_id.startswith("."):
-            raise ValueError(f"invalid file id: {file_id!r}")
-        return self.root / file_id
-
-    # Raw blob primitives: no fault hooks, no journaling.  Rollback, fsck,
-    # and replica repair operate on what is *stored*, not on what a flaky
-    # link would deliver, and a sharded store overrides these to fan out
-    # over its member stores.
-
-    def _discard_blob(self, file_id: str) -> bool:
-        """Unlink one blob; True iff it existed (rollback/repair path)."""
-        path = self._path(file_id)
-        existed = path.exists()
-        path.unlink(missing_ok=True)
-        return existed
-
-    def _blob_size(self, file_id: str) -> int:
-        """On-disk size of one blob."""
-        try:
-            return self._path(file_id).stat().st_size
-        except FileNotFoundError:
-            raise FileNotFoundInStoreError(
-                f"no stored file with id {file_id!r}"
-            ) from None
-
-    def _read_blob_raw(self, file_id: str) -> bytes:
-        """Read one blob straight from disk (no faults, no digest check)."""
-        try:
-            return self._path(file_id).read_bytes()
-        except FileNotFoundError:
-            raise FileNotFoundInStoreError(
-                f"no stored file with id {file_id!r}"
-            ) from None
-
-    def _restore_blob(self, file_id: str, data: bytes) -> None:
-        """Atomically write one blob outside the fault plane (repair path)."""
-        path = self._path(file_id)
-        tmp = path.with_name(f"{path.name}-{uuid.uuid4().hex[:8]}.tmp")
-        tmp.write_bytes(data)
-        tmp.replace(path)
-
     def recover_bytes(self, file_id: str) -> bytes:
         """Load a payload by file id, verifying the embedded digest.
 
@@ -1053,26 +1026,10 @@ class FileStore:
         apply); with a retry policy the read is re-attempted first, which
         heals in-transit corruption from a chaos injector or flaky link.
         """
-        path = self._path(file_id)
-
-        def attempt() -> bytes:
-            self._fault("file.read")
-            if not path.exists():
-                raise FileNotFoundInStoreError(f"no stored file with id {file_id!r}")
-            data = path.read_bytes()
-            if self.faults is not None:
-                data = self.faults.corrupt("file.read", data)
-            expected = file_id.split("-", 1)[0]
-            actual = hashlib.sha256(data).hexdigest()[: len(expected)]
-            if actual != expected:
-                raise StoreCorruptionError(
-                    f"stored file {file_id!r} is corrupt: digest {actual} != {expected}"
-                )
-            return data
-
-        return self._call(
-            "file.read", attempt, retry_on=(TransientStoreError, StoreCorruptionError)
-        )
+        try:
+            return bytes(self._charged_read(file_id))
+        except ChunkNotFoundError:
+            raise FileNotFoundInStoreError(f"no stored file with id {file_id!r}") from None
 
     def recover_to(self, file_id: str, destination: str | Path) -> Path:
         """Copy a stored file out of the store to ``destination``."""
@@ -1095,35 +1052,46 @@ class FileStore:
         return True
 
     def exists(self, file_id: str) -> bool:
-        return self._path(file_id).exists()
+        return self.chunks.has(file_id)
 
     def delete(self, file_id: str) -> bool:
-        """Remove a stored file; returns whether it existed.
+        """Remove a stored file; returns whether it existed."""
+        return bool(self.delete_many([file_id]))
 
-        Deleting a manifest releases its chunk references; chunks no other
-        manifest still points at are deleted with it.
+    def delete_many(self, file_ids: Iterable[str]) -> list[str]:
+        """Remove stored files in one refcount release; returns those that
+        existed.
+
+        Each file gives up its own reference, which deletes it; a manifest
+        also releases its chunk references, and chunks no other manifest
+        still points at are deleted with it.
         """
-        if not self.exists(file_id):
-            return False
-        if self.is_manifest_id(file_id):
-            try:
-                manifest = self.read_manifest(file_id)
-            except (IOError, ValueError, json.JSONDecodeError):
-                manifest = None  # corrupt manifest: drop the blob, keep chunks
-            if manifest is not None:
-                self.chunks.release_refs(manifest_chunk_digests(manifest))
-        return self._discard_blob(file_id)
+        present = [file_id for file_id in dict.fromkeys(file_ids) if self.exists(file_id)]
+        digests = list(present)
+        for file_id in present:
+            if self.is_manifest_id(file_id):
+                try:
+                    digests.extend(manifest_chunk_digests(self.read_manifest(file_id)))
+                except (IOError, ValueError, KeyError):
+                    pass  # corrupt manifest: drop the file, keep chunks
+        self.chunks.release_refs(digests)
+        return present
 
     def size(self, file_id: str) -> int:
         """Logical size in bytes of one stored file.
 
-        For a manifest this is the manifest blob plus the raw bytes of
+        For a manifest this is the manifest record plus the raw bytes of
         every referenced layer — the bytes a recovery materializes —
         independent of how much of it is deduplicated on disk (see
         :meth:`total_bytes` for the physical view).  Layer sizes come from
         the manifest's dtype/shape metadata, whatever the records hold.
+        The file's own part is its record's size at rest, read from the
+        index (a payload escape-framed because it begins with ``MMCZ``
+        counts its frame header).
         """
-        size = self._blob_size(file_id)
+        size = self.chunks.size_of(file_id)
+        if size is None:
+            raise FileNotFoundInStoreError(f"no stored file with id {file_id!r}")
         if self.is_manifest_id(file_id):
             manifest = self.read_manifest(file_id)
             for _name, meta in manifest["layers"]:
@@ -1133,30 +1101,13 @@ class FileStore:
         return size
 
     def total_bytes(self) -> int:
-        """Total *physical* bytes stored (deduplicated chunks counted once).
-
-        In-flight ``*.tmp`` files are not stored blobs and are excluded.
-        """
-        total = sum(
-            p.stat().st_size
-            for p in self.root.iterdir()
-            if p.is_file() and not p.name.endswith(".tmp")
-        )
-        chunk_dir = self.root / CHUNK_DIR_NAME
-        if chunk_dir.exists():
-            total += self.chunks.total_bytes()
-            refs = self.chunks._refs_path
-            if refs.exists():
-                total += refs.stat().st_size
-        return total
+        """Total *physical* bytes stored: every live record's payload, a
+        deduplicated chunk counted once."""
+        return self.chunks.total_bytes()
 
     def file_ids(self) -> list[str]:
-        """Ids of stored blobs (excluding in-flight ``*.tmp`` files)."""
-        return sorted(
-            p.name
-            for p in self.root.iterdir()
-            if p.is_file() and not p.name.endswith(".tmp")
-        )
+        """Ids of stored files (records keyed by a file id, see :func:`is_file_id`)."""
+        return [key for key in self.chunks.chunk_ids() if is_file_id(key)]
 
     def gc_chunks(self) -> dict[str, int]:
         """Sweep unreferenced chunks (see :meth:`ChunkStore.gc`)."""

@@ -12,7 +12,8 @@ from repro.cluster import (
 from repro.core import ArchitectureRef, BaselineSaveService, ModelSaveInfo
 from repro.docstore import DocumentStore
 from repro.filestore import FileStore
-from tests.conftest import make_tiny_cnn
+from repro.filestore.store import is_file_id
+from tests.conftest import make_tiny_cnn, replace_record
 
 
 def tiny_arch():
@@ -38,6 +39,7 @@ def make_docs(n=4, replicas=2) -> ShardedDocumentStore:
 
 
 def chunk_placement(store: ShardedFileStore) -> dict[str, set[str]]:
+    """Holders of every record: chunks, and files under their file ids."""
     placement: dict[str, set[str]] = {}
     for name, member in store.members.items():
         for digest in member.chunks.chunk_ids():
@@ -45,19 +47,11 @@ def chunk_placement(store: ShardedFileStore) -> dict[str, set[str]]:
     return placement
 
 
-def blob_placement(store: ShardedFileStore) -> dict[str, set[str]]:
-    placement: dict[str, set[str]] = {}
-    for name, member in store.members.items():
-        for file_id in member.file_ids():
-            placement.setdefault(file_id, set()).add(name)
-    return placement
-
-
 def assert_placement_matches_ring(store: ShardedFileStore) -> None:
-    for digest, holders in chunk_placement(store).items():
-        assert holders == set(store.ring.owners(digest)), digest
-    for file_id, holders in blob_placement(store).items():
-        assert holders == set(store.ring.owners(file_id)), file_id
+    placement = chunk_placement(store)
+    assert any(is_file_id(key) for key in placement)
+    for key, holders in placement.items():
+        assert holders == set(store.ring.owners(key)), key
 
 
 @pytest.fixture
@@ -82,7 +76,7 @@ class TestAddMember:
 
         moved = old_ring.moved_keys(store.ring, sorted(before))
         assert stats["failed"] == 0
-        assert stats["chunks_moved"] + stats["blobs_moved"] <= stats["planned"]
+        assert stats["chunks_moved"] <= stats["planned"]
         # untouched keys kept their exact replica placement
         after = chunk_placement(store)
         for digest, placement in before.items():
@@ -241,15 +235,15 @@ class TestReplicationFsck:
         # repair=False must still surface blobs that *cannot* be
         # repaired, or an audit exits clean on an unrecoverable cluster
         store, *_ = populated
-        file_id = sorted(blob_placement(store))[0]
+        file_id = sorted(key for key in chunk_placement(store) if is_file_id(key))[0]
         owners = store.ring.owners(file_id)
-        store.members[owners[0]]._discard_blob(file_id)  # under-replicate
+        store.members[owners[0]].chunks.drop(file_id)  # under-replicate
         for name in owners[1:]:  # corrupt every surviving copy at rest
             if store.members[name].exists(file_id):
-                store.members[name]._restore_blob(file_id, b"garbage")
+                replace_record(store.members[name], file_id, b"garbage")
 
         audit = replication_fsck(store, repair=False)
-        assert {"kind": "blob", "key": file_id} in audit["unrepairable"]
+        assert {"kind": "chunk", "key": file_id} in audit["unrepairable"]
         assert audit["repaired"] == []  # audit-only: nothing written
 
     def test_key_lost_everywhere_is_unrepairable(self, populated):

@@ -17,7 +17,7 @@ from repro.core import ArchitectureRef, BaselineSaveService, ModelManager, Model
 from repro.docstore import DocumentStore, NotFoundError
 from repro.faults import FaultInjector, FaultyDocumentStore
 from repro.filestore import FileStore
-from tests.conftest import make_tiny_cnn
+from tests.conftest import make_tiny_cnn, replace_record
 
 from .test_sharded_store import make_docs, states_equal, tiny_arch
 
@@ -269,7 +269,7 @@ class TestReadClassification:
         service.save_model(ModelSaveInfo(make_tiny_cnn(seed=1), tiny_arch()))
         file_id = sorted(store.file_ids())[0]
         primary = store.ring.owners(file_id)[0]
-        store.members[primary]._restore_blob(file_id, b"garbage")
+        replace_record(store.members[primary], file_id, b"garbage")
         data = store.recover_bytes(file_id)
         assert data != b"garbage"
         assert detector.state(primary) == "healthy"

@@ -1,5 +1,7 @@
 """Sharded file store: quorum writes, failover reads, read-repair."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -147,9 +149,9 @@ class TestQuorumWrites:
         store = make_cluster(tmp_path, replicas=2, write_quorum=2)
         store.members["m0"].faults = FaultInjector(seed=7, error_rate=1.0)
 
-        blob_id = key_owned_by(store, "m0", "blob")
+        file_id = key_owned_by(store, "m0", "0123456789abcdef")  # a file id's shape
         with pytest.raises(QuorumWriteError):
-            store._write_blob(blob_id, b"payload")
+            store._put_chunk_data(file_id, b"payload")
 
         digest = key_owned_by(store, "m0", "digest")
         with pytest.raises(QuorumWriteError):
@@ -162,6 +164,60 @@ class TestQuorumWrites:
         assert store.put_chunk(digest, b"payload") is False  # dedup, no rewrite
         holders = [m for m in store.members.values() if m.chunks.has(digest)]
         assert len(holders) == 2
+
+
+class TestFlushBarrier:
+    def test_a_flush_waits_for_the_barrier_in_progress(self, tmp_path):
+        # two saves' chunks on the same members: the second save's flush
+        # finds the members already taken by the first and must not return
+        # before the first save's fsyncs are done
+        store = make_cluster(tmp_path, n=2, replicas=2)
+        store.put_chunk("ab" * 32, b"save A")
+        store.put_chunk("cd" * 32, b"save B")
+        member = store.members["m0"].chunks
+        inner_flush = member.flush
+        entered, release = threading.Event(), threading.Event()
+        order: list[str] = []
+
+        def slow_flush():
+            entered.set()
+            release.wait(5)
+            synced = inner_flush()
+            order.append("m0 synced")
+            return synced
+
+        member.flush = slow_flush
+        save_a = threading.Thread(target=store.chunks.flush)
+        save_a.start()
+        assert entered.wait(5)
+
+        def flush_b():
+            store.chunks.flush()
+            order.append("save B acknowledged")
+
+        save_b = threading.Thread(target=flush_b)
+        save_b.start()
+        save_b.join(0.5)
+        release.set()
+        save_a.join(5)
+        save_b.join(5)
+        assert order == ["m0 synced", "save B acknowledged"]
+
+    def test_a_deduplicated_put_is_synced(self, tmp_path):
+        # a read repair (or hint, or rebalance) writes a member's record
+        # without a flush; a save that deduplicates against it must sync it
+        store = make_cluster(tmp_path, n=2, replicas=2)
+        digest = "ab" * 32
+        for member in store.members.values():
+            member.chunks.put(digest, b"repaired copy")
+        assert store.put_chunk(digest, b"repaired copy") is False
+        assert store.chunks.flush() == 2
+        assert all(m.chunks.flush() == 0 for m in store.members.values())
+        # once synced, a deduplicated put costs no fsync, even on a member
+        # dirty with something else
+        store.members["m0"].chunks.put("cd" * 32, b"unrelated record")
+        assert store.put_chunk(digest, b"repaired copy") is False
+        assert store.chunks.flush() == 0
 
 
 class TestFailoverReads:
@@ -192,7 +248,7 @@ class TestFailoverReads:
 
         file_id = sorted(store.file_ids())[0]
         primary = store.ring.owners(file_id)[0]
-        store.members[primary]._discard_blob(file_id)
+        store.members[primary].chunks.drop(file_id)
 
         data = store.recover_bytes(file_id)
         assert data

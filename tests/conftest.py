@@ -39,6 +39,14 @@ def file_store(tmp_path):
     return FileStore(tmp_path / "files")
 
 
+def replace_record(files, key: str, data: bytes) -> None:
+    """Store ``data`` as record ``key`` of ``files`` (a file store or one
+    cluster member) under a valid record CRC, its refcount untouched:
+    damage only the content check can see."""
+    files.chunks.drop(key)
+    files.chunks.put(key, data)
+
+
 def make_tiny_cnn(num_classes: int = 10, channels: int = 4, seed: int = 0) -> nn.Module:
     """A small Conv-BN-ReLU-Pool-Linear model for fast structural tests."""
     nn.manual_seed(seed)

@@ -15,6 +15,7 @@ from repro.core import (
     ModelManager,
     ModelSaveInfo,
     ParameterUpdateSaveService,
+    ProvenanceSaveService,
 )
 from repro.core import hashing
 from repro.docstore import DocumentStore
@@ -65,25 +66,25 @@ class TestHashOncePerSave:
     def test_chunked_save_never_rehashes_the_whole_parameter_blob(
         self, mem_doc_store, file_store, monkeypatch
     ):
-        """``save_bytes`` (which SHA-256s its whole payload) must only see
-        small metadata blobs on the chunked path — never the serialized
-        parameter payload."""
+        """A file id (the SHA-256 of its whole payload) is only made for
+        small metadata files on the chunked path — never for the
+        serialized parameter payload."""
         service = BaselineSaveService(mem_doc_store, file_store)
         model = make_tiny_cnn(seed=6)
         param_bytes = sum(a.nbytes for a in model.state_dict().values())
 
         blobs = []
-        real_save_bytes = FileStore.save_bytes
+        real_new_file_id = FileStore._new_file_id
 
-        def recording_save_bytes(self, data, suffix=""):
+        def recording_new_file_id(data, suffix=""):
             blobs.append((len(data), suffix))
-            return real_save_bytes(self, data, suffix)
+            return real_new_file_id(data, suffix)
 
-        monkeypatch.setattr(FileStore, "save_bytes", recording_save_bytes)
+        monkeypatch.setattr(FileStore, "_new_file_id", staticmethod(recording_new_file_id))
         service.save_model(ModelSaveInfo(model, tiny_arch(), store_checksums=True))
         assert blobs, "expected metadata blobs (code, manifest)"
-        # the serialized parameter payload never goes through save_bytes;
-        # only the architecture code and a small manifest do
+        # the serialized parameter payload never gets a file id; only the
+        # architecture code and a small manifest do
         assert all(suffix != ".params" for _, suffix in blobs)
         non_code = [size for size, suffix in blobs if suffix != ".py"]
         assert max(non_code) < param_bytes
@@ -182,3 +183,46 @@ class TestDedup:
         stats = manager.garbage_collect()
         assert len(file_store.chunks) == 0
         assert stats["files_removed"] == 0  # deletes already cleaned up
+
+
+class TestNoFileUnderTheRoot:
+    """Every byte a save stores is a segment record: no save creates a
+    regular file directly under the store root (DESIGN.md §6)."""
+
+    @pytest.mark.parametrize("kind", ["BA", "PUA initial", "PUA derived", "MPA"])
+    def test_a_save_creates_no_file_in_the_root(self, tmp_path, kind):
+        from repro.workloads import generate_dataset
+        from repro.workloads.relations import TrainingRun
+
+        documents, files = DocumentStore(), FileStore(tmp_path / "files")
+        pua = ParameterUpdateSaveService(documents, files)
+        base = make_tiny_cnn(seed=12)
+        base_id = pua.save_model(ModelSaveInfo(base, tiny_arch()))
+        if kind == "MPA":
+            run = TrainingRun(
+                dataset_dir=generate_dataset("co512", tmp_path / "data", scale=1 / 2048),
+                number_epochs=1, number_batches=1, seed=2, image_size=8,
+                num_classes=10,
+            )
+            trained = perturbed(base, level=0)
+            run.execute(trained)
+
+        def root_files():
+            return sorted(p.name for p in files.root.iterdir() if p.is_file())
+
+        assert root_files() == []
+        before = set(files.file_ids())
+        if kind == "BA":
+            BaselineSaveService(documents, files).save_model(
+                ModelSaveInfo(perturbed(base, level=1), tiny_arch()))
+        elif kind == "PUA initial":
+            pua.save_model(ModelSaveInfo(perturbed(base, level=1), tiny_arch()))
+        elif kind == "PUA derived":
+            pua.save_model(ModelSaveInfo(
+                perturbed(base, level=1), tiny_arch(), base_model_id=base_id))
+        else:
+            ProvenanceSaveService(
+                documents, files, scratch_dir=tmp_path / "scratch").save_model(
+                run.to_provenance_info(base_id, trained_model=trained))
+        assert set(files.file_ids()) > before  # the save did store files
+        assert root_files() == []

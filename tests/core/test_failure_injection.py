@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.core.schema import ENVIRONMENTS, MODELS, TRAIN_INFO, WRAPPERS
 from repro.nn import serialization
-from tests.conftest import make_tiny_cnn
+from tests.conftest import make_tiny_cnn, replace_record
 
 
 def build_probe_model(num_classes=10):
@@ -46,10 +46,10 @@ class TestFileCorruption:
         service = BaselineSaveService(mem_doc_store, file_store)
         model_id = service.save_model(ModelSaveInfo(make_tiny_cnn(), tiny_arch()))
         document = mem_doc_store.collection(MODELS).get(model_id)
-        path = file_store.root / document["parameters_file"]
-        data = bytearray(path.read_bytes())
+        file_id = document["parameters_file"]
+        data = bytearray(file_store.chunks.get(file_id))
         data[len(data) // 2] ^= 0xFF
-        path.write_bytes(bytes(data))
+        replace_record(file_store, file_id, bytes(data))
         with pytest.raises(IOError, match="corrupt"):
             service.recover_model(model_id)
 
@@ -74,10 +74,10 @@ class TestFileCorruption:
             ModelSaveInfo(top, tiny_arch(), base_model_id=middle_id)
         )
         middle_doc = mem_doc_store.collection(MODELS).get(middle_id)
-        path = file_store.root / middle_doc["update_file"]
-        data = bytearray(path.read_bytes())
+        file_id = middle_doc["update_file"]
+        data = bytearray(file_store.chunks.get(file_id))
         data[-1] ^= 0x01
-        path.write_bytes(bytes(data))
+        replace_record(file_store, file_id, bytes(data))
         with pytest.raises(IOError, match="corrupt"):
             service.recover_model(top_id)
 
@@ -136,8 +136,8 @@ class TestTornPayloads:
         service = BaselineSaveService(mem_doc_store, file_store)
         model_id = service.save_model(ModelSaveInfo(make_tiny_cnn(), tiny_arch()))
         document = mem_doc_store.collection(MODELS).get(model_id)
-        path = file_store.root / document["parameters_file"]
-        path.write_bytes(path.read_bytes()[:100])
+        file_id = document["parameters_file"]
+        replace_record(file_store, file_id, bytes(file_store.chunks.get(file_id))[:100])
         with pytest.raises(Exception):
             service.recover_model(model_id)
 

@@ -13,6 +13,7 @@ from repro.core import (
 from repro.core.schema import ENVIRONMENTS
 from repro.docstore import DocumentStore
 from repro.filestore import FileStore
+from repro.filestore.store import is_file_id
 from tests.conftest import make_tiny_cnn
 
 
@@ -232,7 +233,7 @@ class TestFsckCli:
 
     def test_data_loss_exits_nonzero(self, disk_setup, capsys):
         docs_dir, files_dir, files, _ = disk_setup
-        digest = files.chunks.chunk_ids()[0]
+        digest = next(d for d in files.chunks.chunk_ids() if not is_file_id(d))
         destroy_chunk(files, digest)
         assert self.run_cli("--docs", docs_dir, "--files", files_dir, "fsck") == 1
         assert "[UNREPAIRED] missing_chunk" in capsys.readouterr().out

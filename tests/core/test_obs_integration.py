@@ -15,7 +15,7 @@ ARCH = ArchitectureRef.from_factory(
 
 FSCK_STEPS = (
     "journals", "segments", "compaction", "documents", "chunks",
-    "orphan_files", "refcounts", "replication", "hints", "orphan_documents",
+    "refcounts", "replication", "hints", "orphan_documents",
 )
 
 

@@ -23,7 +23,7 @@ import zlib
 import numpy as np
 
 from repro.filestore import FileStore, codecs
-from repro.filestore.store import MANIFEST_FORMAT_V2, MANIFEST_SUFFIX
+from repro.filestore.store import MANIFEST_FORMAT_V2, MANIFEST_SUFFIX, is_file_id
 from repro.nn import serialization
 
 
@@ -62,15 +62,20 @@ class RetiredFormatStore(FileStore):
         if self.manifest == "params":
             return self.save_bytes(
                 serialization.dumps(state), suffix=suffix[: -len(MANIFEST_SUFFIX)])
-        chunks = self.chunks
-        if self.zlib:
-            chunks._encode = zlib_frame
+        if self.manifest == "v2":
+            return self._save_v2(state, layer_hashes, suffix)
+        return super().save_state_chunks(state, layer_hashes, suffix, workers)
+
+    def _put_chunk_data(self, digest, buffer):
+        # older releases framed chunk records, never files (files were not
+        # records then)
+        if not self.zlib or is_file_id(digest):
+            return super()._put_chunk_data(digest, buffer)
+        self.chunks._encode = zlib_frame
         try:
-            if self.manifest == "v2":
-                return self._save_v2(state, layer_hashes, suffix)
-            return super().save_state_chunks(state, layer_hashes, suffix, workers)
+            return super()._put_chunk_data(digest, buffer)
         finally:
-            chunks.__dict__.pop("_encode", None)
+            self.chunks.__dict__.pop("_encode", None)
 
     def _save_v2(self, state, layer_hashes, suffix) -> str:
         entries, digests = [], []

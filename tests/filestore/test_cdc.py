@@ -14,6 +14,7 @@ from repro.filestore import FileStore
 from repro.filestore.store import (
     MANIFEST_FORMAT,
     MANIFEST_FORMAT_V2,
+    is_file_id,
     layer_chunk_digests,
     manifest_chunk_digests,
 )
@@ -123,7 +124,7 @@ class TestV2Manifests:
         manager = ModelManager(service)
         assert manager.fsck().clean
 
-        digest = sorted(store.chunks.chunk_ids())[0]
+        digest = next(d for d in store.chunks.chunk_ids() if not is_file_id(d))
         self.replace_payload(store, digest)
         report = manager.fsck(repair=False)
         assert {issue.kind for issue in report.issues} == {"corrupt_chunk"}

@@ -7,6 +7,12 @@ share.  A chunk root that still holds ``objects/`` is folded into the
 segments once, under the store's lock: put, one group flush and an index
 checkpoint, then the files are unlinked (DESIGN.md §9).
 
+Store roots of the older file-per-blob layout are imported the same way:
+every regular file directly under the root becomes a record under its
+name, with a refcount of one (DESIGN.md §6 "One store for every byte").
+The save journals and handoff hints those releases wrote name such a file
+as a ``blob``; both are still honoured.
+
 Saves write one format, whole-layer (v1) manifests over raw records; the
 three retired write formats — v2 manifests of pieces, zlib-framed records,
 monolithic ``.params`` / ``.update`` blobs — are read as they lie
@@ -24,15 +30,28 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import ModelManager, ModelSaveInfo, ParameterUpdateSaveService
+from repro.cluster import HintDeliverer, HintLog, ShardedFileStore
+from repro.core import (
+    BaselineSaveService,
+    ModelManager,
+    ModelSaveInfo,
+    ParameterUpdateSaveService,
+    ProvenanceSaveService,
+)
 from repro.core.errors import VerificationError
 from repro.core.hashing import state_dict_hashes
+from repro.core.schema import MODELS
+from repro.distsim.environment import SharedStores
 from repro.docstore import DocumentStore
 from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import ChunkStore, FileStore
 from repro.filestore import codecs as chunk_codecs
-from repro.filestore.store import MANIFEST_FORMAT, MANIFEST_FORMAT_V2
+from repro.filestore.journal import SaveJournal
+from repro.filestore.store import MANIFEST_FORMAT, MANIFEST_FORMAT_V2, is_file_id
+from repro.nn import serialization
+from repro.workloads import generate_dataset
+from repro.workloads.relations import TrainingRun
 from tests.conftest import make_tiny_cnn
 from tests.core.test_recovery_plan import (
     assert_recovers,
@@ -336,3 +355,219 @@ class TestRetiredWriteFormats:
         escaped = {d for d, k in kinds.items() if k == "escape"}
         assert escaped == {state_dict_hashes(state)["5.bias"]}
         assert set(kinds.values()) == {"raw", "escape"}
+
+
+# -- the older file-per-blob layout ------------------------------------------
+
+#: every suffix an older release stored as a file in the root
+BLOB_SUFFIXES = {".py", ".params.manifest", ".update.manifest", ".state", ".zip", ".params"}
+
+
+def open_deployment(root, cluster: bool) -> SharedStores:
+    if cluster:
+        return SharedStores.cluster_at(root, shards=3, replicas=2)
+    return SharedStores.at(root)
+
+
+def member_stores(stores) -> list:
+    files = stores.files
+    return list(files.members.values()) if isinstance(files, ShardedFileStore) else [files]
+
+
+def save_every_kind(root, cluster: bool) -> dict:
+    """One model per kind of stored file, saved by today's writer:
+    ``{model_id: state}``.  A PUA root and a derived level, an MPA level
+    (dataset archive, optimizer state), and a snapshot whose parameters are
+    rewritten as the whole-state ``.params`` file older releases wrote."""
+    stores = open_deployment(root, cluster)
+    pua = ParameterUpdateSaveService(
+        stores.documents, stores.files, scratch_dir=stores.scratch_dir)
+    mpa = ProvenanceSaveService(
+        stores.documents, stores.files, scratch_dir=stores.scratch_dir)
+    states = {}
+    base = make_tiny_cnn(seed=11)
+    base_id = pua.save_model(ModelSaveInfo(base, tiny_arch()))
+    states[base_id] = copy_state(base.state_dict())
+    derived = copy_state(states[base_id])
+    derived["5.bias"] += 1.0
+    states[pua.save_model(ModelSaveInfo(
+        model_holding(derived), tiny_arch(), base_model_id=base_id))] = derived
+
+    run = TrainingRun(
+        dataset_dir=generate_dataset("co512", root / "data", scale=1 / 2048),
+        number_epochs=1, number_batches=1, seed=2, image_size=8, num_classes=10,
+    )
+    trained = model_holding(states[base_id])
+    run.execute(trained)
+    states[mpa.save_model(run.to_provenance_info(base_id, trained_model=trained))] = (
+        copy_state(trained.state_dict()))
+
+    legacy = copy_state(states[base_id])
+    legacy["0.weight"] *= 2.0
+    legacy_id = pua.save_model(ModelSaveInfo(model_holding(legacy), tiny_arch()))
+    models = stores.documents.collection(MODELS)
+    document = models.get(legacy_id)
+    manifest = document["parameters_file"]
+    document["parameters_file"] = stores.files.save_bytes(
+        serialization.dumps(legacy), suffix=".params")
+    models.replace_one(legacy_id, document)
+    stores.files.delete(manifest)
+    states[legacy_id] = legacy
+    return states
+
+
+def unimport_files(files) -> list[str]:
+    """Turn every file record of ``files`` back into what an older release
+    kept: a regular file in the root under its id, no record, no refcount.
+    Returns the ids."""
+    ids = files.file_ids()
+    for file_id in ids:
+        (files.root / file_id).write_bytes(bytes(files.chunks.get(file_id)))
+        files.chunks.drop(file_id)
+    files.chunks.forget_refs(ids)
+    files.chunks.close()
+    return ids
+
+
+def to_file_per_blob(root, cluster: bool) -> dict:
+    """Rewrite every member the way an older release left it
+    (:func:`unimport_files`), plus an expired and a young ``*.tmp``.
+    Returns ``{member root: [file ids]}``."""
+    stores = open_deployment(root, cluster)
+    placed = {}
+    for files in member_stores(stores):
+        ids = unimport_files(files)
+        expired = files.root / "0123456789abcdef-000000000000.params.tmp"
+        expired.write_bytes(b"half a file")
+        os.utime(expired, (time.time() - 3600,) * 2)
+        (files.root / "fedcba9876543210-000000000000.py.tmp").write_bytes(b"in flight")
+        placed[files.root] = ids
+    return placed
+
+
+def assert_imported(root, cluster: bool, states: dict, placed: dict) -> None:
+    """Opened again: every model bitwise, fsck clean, each imported id a
+    record with refcount one, and nothing left in a root but the young tmp."""
+    stores = open_deployment(root, cluster)
+    service = ParameterUpdateSaveService(
+        stores.documents, stores.files, scratch_dir=stores.scratch_dir)
+    for model_id, state in states.items():
+        assert_recovers(service, model_id, state)
+    report = ModelManager(service).fsck(verify_chunks=True)
+    assert report.clean, report.summary()
+    for files in member_stores(stores):
+        relative = files.root.relative_to(root)
+        for file_id in placed[root / relative]:
+            assert files.chunks.refcount(file_id) == 1, file_id
+        left = sorted(p.name for p in files.root.iterdir() if p.is_file())
+        assert left == ["fedcba9876543210-000000000000.py.tmp"], left
+
+
+@pytest.mark.parametrize("cluster", [False, True], ids=["single", "cluster-3x2"])
+class TestAStoreOfFilesPerBlob:
+    def test_every_blob_is_imported_and_every_model_recovers(self, tmp_path, cluster):
+        states = save_every_kind(tmp_path, cluster)
+        placed = to_file_per_blob(tmp_path, cluster)
+        suffixes = {f[f.index("."):] for ids in placed.values() for f in ids}
+        assert suffixes == BLOB_SUFFIXES
+        assert_imported(tmp_path, cluster, states, placed)
+
+    def test_a_crash_at_every_import_step_loses_no_file(
+        self, tmp_path, cluster, monkeypatch
+    ):
+        """Kill the import after put k, the flush, the counts, unlink k of
+        every member: the next open finishes it."""
+        seed = tmp_path / "seed"
+        states = save_every_kind(seed, cluster)
+        placed = {
+            root.relative_to(seed): ids
+            for root, ids in to_file_per_blob(seed, cluster).items()
+        }
+        steps = sum(2 * len(ids) + 2 for ids in placed.values())
+        faults = FaultInjector(seed=0)
+        monkeypatch.setattr(ChunkStore, "_hook", lambda self, op: faults.fail_point(op))
+        crashes = 0
+        for at in range(1, steps + 2):
+            root = tmp_path / f"crash-{at}"
+            shutil.copytree(seed, root)
+            faults.arm_crash(at, op="chunk.import")
+            try:
+                open_deployment(root, cluster)
+            except CrashPoint:
+                crashes += 1
+            else:
+                break  # the import outran the armed crash: every point hit
+            assert_imported(
+                root, cluster, states,
+                {root / relative: ids for relative, ids in placed.items()})
+        else:
+            pytest.fail("the import never completed")
+        assert crashes == steps
+
+
+def as_older_journal(journal: SaveJournal) -> list[dict]:
+    """A save journal as an older release wrote it: files as ``blob``
+    intents, never chunks, and no reference of their own."""
+    entries = []
+    for entry in journal.entries:
+        if entry["op"] == "chunk" and is_file_id(entry["digest"]):
+            continue
+        if entry["op"] == "refs":
+            files = [d for d in entry["digests"] if is_file_id(d)]
+            chunks = [d for d in entry["digests"] if not is_file_id(d)]
+            if chunks:
+                entries.append({"op": "refs", "digests": chunks})
+            entries.extend({"op": "blob", "file_id": f} for f in files)
+            continue
+        entries.append(entry)
+    return entries
+
+
+class TestOlderArtefacts:
+    def test_a_crashed_save_journal_rolls_back_its_blob_intents(self, tmp_path):
+        files = FileStore(tmp_path / "files")
+        documents = DocumentStore(tmp_path / "docs")
+        service = BaselineSaveService(documents, files)
+        kept = make_tiny_cnn(seed=5)
+        kept_id = service.save_model(ModelSaveInfo(kept, tiny_arch()))
+        # a save that died before its document: code, chunks, manifest
+        crashed = copy_state(kept.state_dict())
+        crashed["5.bias"] += 3.0
+        files.begin_journal()
+        code_id = files.save_bytes(b"def build(): ...", suffix=".py")
+        manifest_id = files.save_state_chunks(crashed, state_dict_hashes(crashed))
+        journal = files._active_journal()
+        files.abandon_journal()
+        entries = as_older_journal(journal)
+        assert {e["file_id"] for e in entries if e["op"] == "blob"} == {
+            code_id, manifest_id}
+        journal.path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        unimport_files(files)
+
+        files = FileStore(tmp_path / "files")
+        assert {code_id, manifest_id} <= set(files.file_ids())
+        [journal] = files.incomplete_journals()
+        stats = files.rollback_journal(journal)
+        assert stats["blobs_removed"] == 2
+        assert not files.exists(code_id) and not files.exists(manifest_id)
+        changed = state_dict_hashes(crashed)["5.bias"]
+        assert not files.chunks.has(changed)
+        service = BaselineSaveService(documents, files)
+        assert_recovers(service, kept_id, copy_state(kept.state_dict()))
+        assert ModelManager(service).fsck(verify_chunks=True).clean
+
+    def test_a_pending_blob_hint_is_delivered(self, tmp_path):
+        members = {f"m{index}": FileStore(tmp_path / f"m{index}") for index in range(3)}
+        hints = HintLog(tmp_path / "hints")
+        store = ShardedFileStore(tmp_path / "meta", members, replicas=2, hint_log=hints)
+        file_id = store.save_bytes(b"architecture source", suffix=".py")
+        owner = store.ring.owners(file_id)[0]
+        members[owner].chunks.drop(file_id)
+        members[owner].chunks.forget_refs([file_id])
+        hints.record(owner, "blob", file_id)  # what an older release recorded
+
+        deliverer = HintDeliverer(hints, None, store.hint_appliers())
+        assert deliverer.drain() is True
+        assert deliverer.stats["delivered"] == 1
+        assert members[owner].recover_bytes(file_id) == b"architecture source"
+        assert members[owner].chunks.refcount(file_id) == 1

@@ -43,7 +43,9 @@ class TestIntegrity:
 
     def test_corruption_detected(self, file_store):
         file_id = file_store.save_bytes(b"original")
-        (file_store.root / file_id).write_bytes(b"tampered")
+        # a record with a valid CRC over bytes its id's digest disowns
+        file_store.chunks.drop(file_id)
+        file_store.chunks.put(file_id, b"tampered")
         with pytest.raises(IOError, match="corrupt"):
             file_store.recover_bytes(file_id)
 

@@ -421,8 +421,7 @@ class TestObservabilityCommands:
         steps = payload["step_seconds"]
         assert set(steps) == {
             "journals", "segments", "compaction", "documents", "chunks",
-            "orphan_files", "refcounts", "replication", "hints",
-            "orphan_documents",
+            "refcounts", "replication", "hints", "orphan_documents",
         }
         assert all(seconds >= 0.0 for seconds in steps.values())
 
