@@ -302,7 +302,7 @@ class AbstractSaveService:
         re-checks after inserting, so whichever runs last restores it.
         """
         try:
-            self.documents.collection(ENVIRONMENTS).get(env_id)
+            self.documents.collection(ENVIRONMENTS).get(env_id, projection=())
         except (KeyError, TransientStoreError):  # absent, or absence unproven
             self._save_environment()
 

@@ -11,8 +11,10 @@ collects the equivalents available on this substrate:
   "third-party libraries".  The paper measures this step at over a second
   per call; here the enumeration (~50 ms for ~100 distributions) runs once
   per process and again only when a cheap fingerprint of what it reads
-  (``sys.path`` and the ``*.dist-info``/``*.egg-info`` entries under it)
-  has changed, so a save pays well under a millisecond for it;
+  has changed: ``sys.path`` and a stat of each entry on it, whose mtime
+  every install, uninstall and upgrade moves (an entry modified in the
+  last two seconds also has its ``*.dist-info``/``*.egg-info`` children
+  listed), so a save pays a few stats for it;
 * interpreter, kernel, and CPU details — interpreter / OS / hardware.
 
 A snapshot is also a *shared* fact: every model saved from one
@@ -31,6 +33,8 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from importlib.metadata import MetadataPathFinder
+from stat import S_ISDIR
 
 import numpy as np
 
@@ -128,6 +132,9 @@ def environment_id(fields: dict) -> str:
 
 
 def _installed_libraries() -> dict[str, str]:
+    # importlib.metadata reuses a directory's listing while its st_mtime is
+    # unchanged, as it stays across a second change in the same mtime tick
+    MetadataPathFinder().invalidate_caches()
     libraries = {}
     for distribution in importlib.metadata.distributions():
         name = distribution.metadata.get("Name")
@@ -143,32 +150,68 @@ def _framework_version() -> str:
         return "unknown"
 
 
-def _distributions_fingerprint() -> tuple:
+#: An entry modified this recently may change again within the same
+#: ``st_mtime_ns`` tick, unseen by a stat ("racily clean", as in git's
+#: index), so its children are fingerprinted too.
+RACY_WINDOW_NS = 2_000_000_000
+
+
+def _metadata_children(entry: str) -> tuple | None:
+    """Names and mtimes of the ``*.dist-info``/``*.egg-info`` children."""
+    try:
+        with os.scandir(entry or ".") as children:
+            return tuple(sorted(
+                (child.name, child.stat().st_mtime_ns)
+                for child in children
+                if child.name.lower().endswith((".dist-info", "egg-info"))
+            ))
+    except OSError:
+        return None
+
+
+def _entry_fingerprint(entry: str, now_ns: int, scan: bool):
+    try:
+        stat = os.stat(entry or ".")
+    except OSError:
+        return None  # missing or unreadable: contributes no distributions
+    if not S_ISDIR(stat.st_mode):
+        return (stat.st_mtime_ns, stat.st_size)  # a zip or egg file
+    if not scan and now_ns - stat.st_mtime_ns >= RACY_WINDOW_NS:
+        return (stat.st_ino, stat.st_mtime_ns)
+    return (stat.st_ino, stat.st_mtime_ns, _metadata_children(entry))
+
+
+def _distributions_fingerprint(previous: tuple = ()) -> tuple:
     """Everything the distribution enumeration reads, cheaply.
 
     ``importlib.metadata`` walks ``sys.path`` and, per entry, the
     ``*.dist-info``/``*.egg-info`` children, matched case-insensitively
     (plus ``EGG-INFO`` inside an unpacked egg; for a zip or egg file, the
     archive itself).  Installing, removing or upgrading a distribution
-    creates, deletes or rewrites one of those, so equal fingerprints mean
-    an equal enumeration.
+    creates, deletes or renames one of those children, which changes the
+    entry's own ``st_mtime_ns``: one stat per entry sees it.  An entry
+    modified within :data:`RACY_WINDOW_NS` of now — or scanned in
+    ``previous``, so that both sides compare alike — also carries its
+    children's names and mtimes.
     """
-    entries = []
-    for entry in sys.path:
-        try:
-            with os.scandir(entry or ".") as children:
-                seen = tuple(sorted(
-                    (child.name, child.stat().st_mtime_ns)
-                    for child in children
-                    if child.name.lower().endswith((".dist-info", "egg-info"))
-                ))
-        except NotADirectoryError:
-            stat = os.stat(entry)
-            seen = (stat.st_mtime_ns, stat.st_size)
-        except OSError:
-            seen = None  # missing or unreadable: contributes no distributions
-        entries.append((entry, seen))
-    return tuple(entries)
+    scanned = {entry for entry, seen in previous if seen is not None and len(seen) == 3}
+    now_ns = time.time_ns()
+    return tuple(
+        (entry, _entry_fingerprint(entry, now_ns, entry in scanned))
+        for entry in sys.path
+    )
+
+
+def _settled(fingerprint: tuple) -> tuple:
+    """``fingerprint`` without the children of entries now out of the
+    racy window: a later change to them moves their own mtime."""
+    now_ns = time.time_ns()
+    return tuple(
+        (entry, seen[:2])
+        if seen is not None and len(seen) == 3 and now_ns - seen[1] >= RACY_WINDOW_NS
+        else (entry, seen)
+        for entry, seen in fingerprint
+    )
 
 
 # One enumeration per process and fingerprint: (fingerprint, framework
@@ -183,9 +226,12 @@ def _installed_distributions() -> tuple[str, dict[str, str]]:
     with _installed_lock:
         # fingerprint first: an install racing the enumeration leaves a
         # stale fingerprint behind, never a stale enumeration
-        fingerprint = _distributions_fingerprint()
-        if _installed is None or _installed[0] != fingerprint:
+        previous = () if _installed is None else _installed[0]
+        fingerprint = _distributions_fingerprint(previous)
+        if _installed is None or previous != fingerprint:
             _installed = (fingerprint, _framework_version(), _installed_libraries())
+        else:  # still valid; an entry that left the racy window is no longer scanned
+            _installed = (_settled(fingerprint), *_installed[1:])
         _, framework_version, libraries = _installed
     return framework_version, dict(libraries)  # callers may edit their copy
 
@@ -196,9 +242,14 @@ def collect_environment() -> EnvironmentInfo:
     As thorough as the paper's (every installed distribution is listed),
     without its constant >1 s per call (Section 4.4): the distribution
     enumeration is kept per process and redone only when ``sys.path`` or
-    the name or mtime of a ``*.dist-info``/``*.egg-info`` entry under it
-    changed — which every install, uninstall and upgrade does — so the
-    snapshot is never stale and a call costs under a millisecond.  The
+    the inode or mtime of an entry on it changed — which every install,
+    uninstall and upgrade does, by creating, removing or renaming a
+    ``*.dist-info``/``*.egg-info`` child — so a call costs one stat per
+    entry.  An entry modified within :data:`RACY_WINDOW_NS` of the call
+    is checked by the names and mtimes of those children as well, so a
+    second change in the same mtime tick is seen too.  Not seen: a file
+    added inside an existing dist-info directory, or an in-place
+    ``METADATA`` edit, neither of which an installer does.  The
     remaining fields are read fresh on every call.
     """
     framework_version, libraries = _installed_distributions()

@@ -23,16 +23,20 @@ first) or it has one (crashed between commit and unlink → nothing to
 undo).  ``fsck`` drives that recovery; the file store only provides the
 mechanics.
 
-Appends are flushed per record (a save's chunk intents as one batch after
-its puts: a crash in between leaves refcount-0 orphans for the sweep
-below); a torn final line (the crash hit the
-journal write itself) parses as "skip the tail", which is safe because an
-unrecorded step is at worst an orphan the refcount cross-check repairs.
+A save opens its journal once (``O_CREAT|O_EXCL|O_APPEND``) and keeps the
+descriptor until it commits or is discarded.  Each append is one
+unbuffered ``os.write`` (a save's chunk intents as one batch after its
+puts: a crash in between leaves refcount-0 orphans for the sweep below),
+so a process crash loses nothing already recorded; a torn final line
+(the crash hit the journal write itself) parses as "skip the tail",
+which is safe because an unrecorded step is at worst an orphan the
+refcount cross-check repairs.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import uuid
 from pathlib import Path
 
@@ -44,17 +48,25 @@ JOURNAL_SUFFIX = ".jsonl"
 class SaveJournal:
     """Append-only intent log for one in-flight save."""
 
+    _FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND
+
     def __init__(self, path: Path, entries: list[dict] | None = None):
         self.path = Path(path)
         self.entries: list[dict] = list(entries or [])
+        self._fd: int | None = None  # open from create() to commit/close
 
     @classmethod
     def create(cls, directory: Path) -> "SaveJournal":
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"save-{uuid.uuid4().hex[:16]}{JOURNAL_SUFFIX}"
-        path.touch()
-        return cls(path)
+        try:
+            fd = os.open(path, cls._FLAGS, 0o666)
+        except FileNotFoundError:  # the first save into this store
+            directory.mkdir(parents=True, exist_ok=True)
+            fd = os.open(path, cls._FLAGS, 0o666)
+        journal = cls(path)
+        journal._fd = fd
+        return journal
 
     @classmethod
     def load(cls, path: Path) -> "SaveJournal":
@@ -83,29 +95,38 @@ class SaveJournal:
         return any(entry.get("op") == "commit" for entry in self.entries)
 
     def record(self, op: str, **fields) -> None:
-        """Append one intent record and flush it to disk."""
+        """Append one intent record to the file."""
         self.record_many([{"op": op, **fields}])
 
     def record_many(self, entries: list[dict]) -> None:
-        """Append a batch of intent records with one open and one write."""
+        """Append a batch of intent records with one write."""
         if not entries:
             return
         self.entries.extend(entries)
-        # flushed, not fsynced: a lost tail means at worst an unrecorded
+        data = memoryview(
+            "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries).encode())
+        # written, not fsynced: a lost tail means at worst an unrecorded
         # step, which the fsck refcount/orphan cross-checks repair anyway
-        with open(self.path, "a") as handle:
-            handle.write(
-                "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
-            )
-            handle.flush()
+        while data:  # one write unless the disk is filling up
+            data = data[os.write(self._fd, data):]
+
+    def close(self) -> None:
+        """Release the descriptor, leaving the file as it is."""
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
 
     def commit(self) -> None:
         """Mark the save complete and drop the journal."""
-        self.record("commit")
+        try:
+            self.record("commit")
+        finally:
+            self.close()
         self.path.unlink(missing_ok=True)
 
     def discard(self) -> None:
         """Remove the journal file without touching any recorded state."""
+        self.close()
         self.path.unlink(missing_ok=True)
 
     def doc_entries(self) -> list[tuple[str, str]]:

@@ -500,9 +500,13 @@ class FileStore:
         """Detach the active journal, leaving its file on disk.
 
         Crash simulation uses this: the "dead" process stops journaling
-        while the incomplete journal stays behind for fsck to find.
+        while the incomplete journal stays behind for fsck to find.  Its
+        descriptor is closed, as a dead process's would be.
         """
+        journal = self._active_journal()
         self._journal_local.active = None
+        if journal is not None:
+            journal.close()
 
     def abort_journal(self) -> dict:
         """Roll back the active journal's recorded steps (failed save)."""
@@ -510,6 +514,7 @@ class FileStore:
         self._journal_local.active = None
         if journal is None:
             return {"blobs_removed": 0, "chunks_removed": 0, "refs_released": 0, "docs": []}
+        journal.close()  # before the rollback, which may raise
         return self.rollback_journal(journal)
 
     def incomplete_journals(self) -> list[SaveJournal]:
