@@ -49,7 +49,8 @@ bench-serving:
 # recovered byte, every corruption still caught) + the bookkeeping
 # kill/crash-point/two-process tests + the retired write formats (still
 # read bitwise, fsck-clean, corruption caught) + the file-per-blob import
-# (a crash at every step, single store and 3x2 cluster) + chaos smoke;
+# (a crash at every step, single store and 3x2 cluster) + one log (the
+# RecordLog property test, stores with parent-format logs) + chaos smoke;
 # writes BENCH_chaos.json
 chaos:
 	PYTHONPATH=src $(PY) -m pytest -q tests/filestore/test_faults.py \
@@ -63,7 +64,8 @@ chaos:
 		tests/filestore/test_bookkeeping.py::TestTwoProcesses \
 		tests/filestore/test_bookkeeping.py::TestRefcountLogCrashPoints \
 		tests/filestore/test_legacy_import.py::TestRetiredWriteFormats \
-		tests/filestore/test_legacy_import.py::TestAStoreOfFilesPerBlob
+		tests/filestore/test_legacy_import.py::TestAStoreOfFilesPerBlob \
+		tests/filestore/test_record_log.py tests/filestore/test_parent_logs.py
 	$(PY) scripts/chaos_smoke.py
 
 api-docs:

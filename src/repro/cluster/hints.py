@@ -8,15 +8,18 @@ online: the coordinator records a durable *hint* for each missed
 hints once the failure detector lets traffic through to that member
 again.
 
-Hints reuse the intent-journal idiom (:mod:`repro.filestore.journal`):
-one JSON object per line, appends flushed, a torn final line parsed as
-"skip the tail".  One file per target member under ``<root>/<member>.jsonl``
-keeps "what does m2 still owe?" a single-file read.  Records carry no
-payload — chunks are content-addressed, file ids embed their digest, and
-documents live on the other owners — so delivery re-reads verified bytes
-from a surviving replica at replay time.  That makes hints tiny,
-idempotent, and safely replayable: a crash mid-delivery just replays the
-hint, and re-applying an already-applied hint is a no-op.
+Each member's hints are one :class:`~repro.filestore.recordlog.RecordLog`,
+``<root>/<member>.jsonl`` (DESIGN.md §18): a hint is a record, resolving
+it appends a ``{"op": "resolved", ...}`` record, and the file is rewritten
+with the pending hints only once it outgrows :data:`HINT_DEAD_FLOOR`
+(:meth:`~repro.filestore.recordlog.RecordLog.outgrown`; deleted when
+nothing is pending), so draining n hints writes O(n) bytes.  Appends are not fsynced — a lost tail
+is re-created by the next degraded write or swept up by anti-entropy.
+Records carry no payload — chunks are content-addressed, file ids embed
+their digest, and documents live on the other owners — so delivery
+re-reads verified bytes from a surviving replica at replay time.  That
+makes hints tiny, idempotent, and safely replayable: a crash mid-delivery
+just replays the hint, and re-applying an already-applied hint is a no-op.
 
 Tombstone safety: document hints never carry the document body.  The
 delivery applier consults the tombstone collection first, so replaying a
@@ -33,11 +36,15 @@ from typing import Callable, Mapping
 
 from .. import obs
 from ..errors import TransientStoreError
-from ..filestore.journal import SaveJournal
+from ..filestore.recordlog import RecordLog
 
 __all__ = ["HintLog", "HintDeliverer", "hint_key"]
 
 HINT_SUFFIX = ".jsonl"
+
+#: A member's hint log is rewritten with its pending hints once it is past
+#: this size and twice what it held after its last rewrite.
+HINT_DEAD_FLOOR = 4096
 
 #: Hint kinds and what ``key`` means for each.
 KIND_CHUNK = "chunk"  # key = record key: chunk digest or file id
@@ -47,6 +54,10 @@ KIND_DOC = "doc"  # key = document ring key "<collection>/<doc_id>"
 def hint_key(hint: Mapping) -> tuple:
     """Identity of a hint for dedup: same miss recorded twice is one IOU."""
     return (hint["kind"], hint["key"], hint.get("collection"))
+
+
+def _encode(entry: Mapping) -> bytes:
+    return json.dumps(entry, sort_keys=True).encode()
 
 
 class HintLog:
@@ -63,8 +74,8 @@ class HintLog:
         self.root.mkdir(parents=True, exist_ok=True)
         self._clock = clock or obs.clock()
         self._lock = threading.RLock()
-        self._hints: dict[str, list[dict]] = {}
-        self._seen: dict[str, set[tuple]] = {}
+        self._hints: dict[str, dict[tuple, dict]] = {}  # member -> key -> hint
+        self._logs: dict[str, RecordLog] = {}
         self._registry = obs.registry()
         self._events = obs.events()
         self.stats = {"recorded": 0, "duplicates": 0, "delivered": 0, "stale": 0}
@@ -72,48 +83,26 @@ class HintLog:
 
     # -- persistence ---------------------------------------------------------
 
-    def _path(self, member: str) -> Path:
-        return self.root / f"{member}{HINT_SUFFIX}"
+    def _log(self, member: str) -> RecordLog:
+        return self._logs.setdefault(member, RecordLog(self.root / f"{member}{HINT_SUFFIX}"))
 
     def _load(self) -> None:
         for path in sorted(self.root.glob(f"*{HINT_SUFFIX}")):
             member = path.stem
-            # SaveJournal.load gives us the torn-tail-tolerant line parse
-            for entry in SaveJournal.load(path).entries:
-                if entry.get("op") != "hint":
-                    continue
-                self._remember(member, entry)
+            hints = self._hints.setdefault(member, {})
+            for entry in self._log(member).replay():
+                if entry.get("op") == "hint":
+                    hints.setdefault(hint_key(entry), entry)
+                elif entry.get("op") == "resolved":
+                    hints.pop(hint_key(entry), None)
         for member, hints in self._hints.items():
             # prime the gauges so a reopened log exports its backlog
             self._gauge(member).set(len(hints))
-
-    def _remember(self, member: str, hint: dict) -> bool:
-        seen = self._seen.setdefault(member, set())
-        key = hint_key(hint)
-        if key in seen:
-            return False
-        seen.add(key)
-        self._hints.setdefault(member, []).append(hint)
-        return True
 
     def _gauge(self, member: str):
         return self._registry.gauge(
             "mmlib_hints_pending",
             "Undelivered handoff hints per member", member=member)
-
-    def _rewrite(self, member: str) -> None:
-        """Persist the in-memory hint list for ``member`` atomically."""
-        path = self._path(member)
-        hints = self._hints.get(member, [])
-        if not hints:
-            path.unlink(missing_ok=True)
-            return
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "w") as handle:
-            for hint in hints:
-                handle.write(json.dumps(hint, sort_keys=True) + "\n")
-            handle.flush()
-        tmp.replace(path)
 
     # -- recording -----------------------------------------------------------
 
@@ -125,18 +114,14 @@ class HintLog:
         if collection is not None:
             hint["collection"] = collection
         with self._lock:
-            if not self._remember(member, hint):
+            hints = self._hints.setdefault(member, {})
+            if hint_key(hint) in hints:
                 self.stats["duplicates"] += 1
                 return False
             self.stats["recorded"] += 1
-            path = self._path(member)
-            # same append discipline as the save journal: flushed, not
-            # fsynced — a lost tail is re-created by the next degraded
-            # write or swept up by anti-entropy
-            with open(path, "a") as handle:
-                handle.write(json.dumps(hint, sort_keys=True) + "\n")
-                handle.flush()
-            self._gauge(member).set(len(self._hints[member]))
+            self._log(member).append([_encode(hint)])
+            hints[hint_key(hint)] = hint
+            self._gauge(member).set(len(hints))
         self._registry.counter(
             "mmlib_hints_recorded_total", "Handoff hints recorded",
             kind=kind).inc()
@@ -144,18 +129,21 @@ class HintLog:
         return True
 
     def resolve(self, member: str, hint: Mapping, stale: bool = False) -> None:
-        """Drop one delivered (or stale) hint and persist the remainder."""
+        """Drop one delivered (or stale) hint: one tombstone appended."""
         with self._lock:
-            hints = self._hints.get(member, [])
-            key = hint_key(hint)
-            kept = [h for h in hints if hint_key(h) != key]
-            if len(kept) == len(hints):
+            hints = self._hints.get(member, {})
+            resolved = hints.pop(hint_key(hint), None)
+            if resolved is None:
                 return
-            self._hints[member] = kept
-            self._seen.get(member, set()).discard(key)
             self.stats["stale" if stale else "delivered"] += 1
-            self._rewrite(member)
-            self._gauge(member).set(len(kept))
+            log = self._log(member)
+            if not hints:
+                log.remove()
+            else:
+                log.append([_encode({**resolved, "op": "resolved"})])
+                if log.outgrown(HINT_DEAD_FLOOR):
+                    log.rewrite([_encode(h) for h in hints.values()])
+            self._gauge(member).set(len(hints))
         self._registry.counter(
             "mmlib_hints_delivered_total", "Handoff hints resolved",
             outcome="stale" if stale else "delivered").inc()
@@ -165,10 +153,10 @@ class HintLog:
     def pending(self, member: str | None = None) -> list[dict]:
         with self._lock:
             if member is not None:
-                return [dict(h) for h in self._hints.get(member, [])]
+                return [dict(h) for h in self._hints.get(member, {}).values()]
             return [
                 dict(h) for name in sorted(self._hints)
-                for h in self._hints[name]
+                for h in self._hints[name].values()
             ]
 
     def pending_counts(self) -> dict[str, int]:
@@ -190,7 +178,7 @@ class HintLog:
             members = [m for m, hints in self._hints.items() if hints]
         for member in members:
             try:
-                total += self._path(member).stat().st_size
+                total += (self.root / f"{member}{HINT_SUFFIX}").stat().st_size
             except OSError:
                 pass
         return total

@@ -32,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .. import obs
+from ..filestore.recordlog import RecordLog
 from .antientropy import chunk_universe as _chunk_universe
 from .antientropy import repair_chunk
 from .sharded_store import ShardedFileStore
@@ -45,11 +46,12 @@ REBALANCE_DIR_NAME = "rebalance"
 class ClusterRebalancer:
     """Streams ring-ownership diffs when cluster membership changes.
 
-    The move journal (``<meta root>/rebalance/<id>.jsonl``) records one
-    line per completed move.  Re-running a rebalance with the same
-    ``journal_id`` — after a crash mid-stream — skips everything already
-    journaled and finishes the remainder; the journal is deleted on
-    completion.
+    The move journal (``<meta root>/rebalance/<id>.jsonl``, a
+    :class:`~repro.filestore.recordlog.RecordLog`) records one record per
+    completed move.  Re-running a rebalance with the same ``journal_id`` —
+    after a crash mid-stream, a torn last record included — skips
+    everything already journaled and finishes the remainder; the journal
+    is deleted on completion.
     """
 
     def __init__(self, store: ShardedFileStore, workers: int = 4):
@@ -147,13 +149,8 @@ class ClusterRebalancer:
 
     def _migrate(self, old_ring, journal_id: str | None = None) -> dict:
         journal_id = journal_id or uuid.uuid4().hex[:12]
-        journal_path = self.journal_dir / f"{journal_id}.jsonl"
-        done: set[tuple[str, str]] = set()
-        if journal_path.exists():
-            for line in journal_path.read_text().splitlines():
-                if line.strip():
-                    entry = json.loads(line)
-                    done.add((entry["kind"], entry["key"]))
+        journal = RecordLog(self.journal_dir / f"{journal_id}.jsonl")
+        done = {(entry["kind"], entry["key"]) for entry in journal.replay()}
         moves = [m for m in self._plan(old_ring) if (m["kind"], m["key"]) not in done]
 
         stats = {
@@ -166,7 +163,6 @@ class ClusterRebalancer:
             "failed": 0,
         }
         if moves:
-            self.journal_dir.mkdir(parents=True, exist_ok=True)
             journal_lock = threading.Lock()
 
             registry = obs.registry()
@@ -194,10 +190,9 @@ class ClusterRebalancer:
                     events.emit(
                         "rebalance_move", kind=move["kind"], key=move["key"],
                         bytes_copied=copied, to=list(move["new"]))
-                    with journal_path.open("a") as handle:
-                        handle.write(
-                            json.dumps({"kind": move["kind"], "key": move["key"]}) + "\n"
-                        )
+                    record = json.dumps({"kind": move["kind"], "key": move["key"]})
+                    with journal_lock:
+                        journal.append([record.encode()])
 
             if self.workers > 1 and len(moves) > 1:
                 with ThreadPoolExecutor(max_workers=self.workers) as pool:
@@ -207,7 +202,9 @@ class ClusterRebalancer:
                     execute(move)
 
         if stats["failed"] == 0:
-            journal_path.unlink(missing_ok=True)
+            journal.remove()
+        else:
+            journal.close()
         return stats
 
     def _move_chunk(self, digest: str, new_owners: list[str]) -> tuple[int, int]:

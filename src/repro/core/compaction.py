@@ -19,8 +19,9 @@ severs lineage as a prelude to deleting ancestors.
 The swap is journaled like the cluster rebalancer and segment
 compaction: artifacts are created first (a crash before the journal
 lands leaves only orphans, which fsck's refcount reconcile reclaims), then a
-one-file intent journal records the planned swap, then the document
-update commits it atomically.  :meth:`ChainCompactor.resume_pending`
+one-record intent journal (a :class:`~repro.filestore.recordlog.RecordLog`)
+records the planned swap and is fsynced, then the document update commits
+it atomically.  :meth:`ChainCompactor.resume_pending`
 (run by fsck and by every :meth:`run`) rolls a half-done swap forward
 when the document shows the new snapshot, back otherwise — recovery of
 every model is bitwise identical before, during, and after a crash at
@@ -30,10 +31,10 @@ any step.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from .. import obs
+from ..filestore.recordlog import RecordLog
 from .errors import MMLibError
 from .schema import MODELS
 
@@ -54,43 +55,36 @@ class CompactionJournal:
     The journal is the single source of truth for crash recovery: it
     exists only between "artifacts are durable" and "swap fully cleaned
     up", and records everything needed to finish either direction —
-    ``{model_id, old_update_file, manifest_file, code_file}``.
+    ``{model_id, old_update_file, manifest_file, code_file}``.  Each file
+    is a one-record :class:`~repro.filestore.recordlog.RecordLog`; one an
+    older release wrote as a plain JSON document reads the same.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
 
-    def _path(self, model_id: str) -> Path:
-        return self.root / f"{model_id}.json"
+    def _log(self, model_id: str) -> RecordLog:
+        return RecordLog(self.root / f"{model_id}.json")
 
     def write(self, model_id: str, payload: dict) -> None:
-        """Durably publish the swap intent (atomic tmp + rename)."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(model_id)
-        tmp = path.with_suffix(".json.tmp")
-        data = json.dumps(dict(payload, model_id=model_id), indent=0)
-        with tmp.open("w") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        """Durably publish the swap intent (tmp + rename, then fsync)."""
+        log = self._log(model_id)
+        log.rewrite([json.dumps(dict(payload, model_id=model_id), indent=0).encode()])
+        log.sync()
+        log.close()
 
     def pending(self) -> list[dict]:
         """Every journaled swap that has not been discarded, oldest first."""
-        if not self.root.is_dir():
-            return []
         entries = []
         for path in sorted(self.root.glob("*.json")):
-            try:
-                entries.append(json.loads(path.read_text()))
-            except (OSError, ValueError):
-                continue  # a torn journal write: no intent was published
+            log = RecordLog(path)
+            records = log.replay()  # empty: a torn write published no intent
+            log.close()
+            entries.extend(records[-1:])
         return entries
 
     def discard(self, model_id: str) -> None:
-        self._path(model_id).unlink(missing_ok=True)
-        tmp = self._path(model_id).with_suffix(".json.tmp")
-        tmp.unlink(missing_ok=True)
+        self._log(model_id).remove()
 
 
 class ChainCompactor:

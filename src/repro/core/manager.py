@@ -70,7 +70,7 @@ class FsckIssue:
     """One consistency violation found by :meth:`ModelManager.fsck`.
 
     ``kind`` is a stable machine-readable tag (``incomplete_save``,
-    ``incomplete_compaction``, ``missing_file``, ``missing_chunk``,
+    ``damaged_journal``, ``incomplete_compaction``, ``missing_file``, ``missing_chunk``,
     ``corrupt_chunk``, ``corrupt_manifest``, ``refcount_mismatch``,
     ``orphan_file``, ``orphan_chunk``, ``orphan_document``,
     ``missing_base``, ``missing_document``, ``environment_digest``,
@@ -696,9 +696,8 @@ class ModelManager:
 
         Invariants checked, in order:
 
-        1. every intent journal belongs to a finished save — crashed
-           saves are rolled back (stores and documents), committed ones
-           merely discarded;
+        1. every save intent belongs to a finished save — crashed saves
+           are rolled back (stores and documents);
         1b. every segment's footer and record framing is intact — torn tails are truncated, the
            chunk index is rebuilt from disk, and an interrupted
            compaction is rolled forward or back;
@@ -741,14 +740,13 @@ class ModelManager:
         steps.start("journals")
         if hasattr(files, "incomplete_journals"):
             for journal in files.incomplete_journals():
-                if journal.committed:
+                if journal.damage:
+                    # no save in it is rolled back (one whose commit the
+                    # damage hid must stay); its steps are at worst orphans
+                    # that step 5's reconcile reclaims
                     if repair:
                         journal.discard()
-                    report.add(
-                        "incomplete_save",
-                        f"committed journal {journal.save_id} was never removed",
-                        repaired=repair,
-                    )
+                    report.add("damaged_journal", journal.damage, repaired=repair)
                     continue
                 if repair:
                     stats = files.rollback_journal(journal)

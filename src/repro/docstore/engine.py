@@ -4,15 +4,17 @@ Stands in for the MongoDB instance the paper runs on a dedicated machine.
 A :class:`DocumentStore` holds named collections; each collection supports
 insert/find/update/delete with the Mongo-subset query language from
 :mod:`repro.docstore.query`.  Stores can be purely in-memory or backed by a
-directory with one JSON-lines file per collection.
+directory with one file per collection, ``<name>.jsonl``.
 
-That file is an **append-only log**, and every operation costs what it
-touches, not what the collection holds:
+That file is an **append-only log**, a
+:class:`~repro.filestore.recordlog.RecordLog` (DESIGN.md §18), and every
+operation costs what it touches, not what the collection holds:
 
-* a write appends one line — a put is the document itself, a delete is
-  ``{"_id": …, "$deleted": true}`` (no stored document can carry a ``$``
-  key) — and replay is "last record per ``_id`` wins".  A file of bare
-  documents, as earlier versions wrote, is a log of puts: one format;
+* a write appends one record per document — a put is the document itself,
+  a delete is ``{"_id": …, "$deleted": true}`` (no stored document can
+  carry a ``$`` key) — and replay is "last record per ``_id`` wins".  The
+  JSON-lines file earlier versions wrote replays as a log of puts, and its
+  first write rewrites it in the framing;
 * the file is rewritten (the *checkpoint*: tmp + rename) only once dead
   bytes exceed :data:`CHECKPOINT_DEAD_SHARE` of the live bytes and
   :data:`CHECKPOINT_DEAD_FLOOR`;
@@ -24,18 +26,21 @@ touches, not what the collection holds:
 * reads return isolated copies; ``projection=`` copies only the named
   top-level fields beside ``_id``.
 
-DESIGN.md §13 has the rules for damaged files and the reasons.
+A torn final record is cut off when the file is opened (and reported by
+:meth:`Collection.stats` until fsck acknowledges it); a damaged record
+with records after it raises :class:`~repro.errors.StoreCorruptionError`
+(DESIGN.md §18 has the rule, §13 the catalog's use of it).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
 import threading
 from pathlib import Path
 
 from ..errors import StoreCorruptionError
+from ..filestore.recordlog import RecordLog, record_size
 from .documents import DocumentError, check_document, new_object_id, validate_document
 from .query import MISSING, matches, resolve_path
 
@@ -74,30 +79,17 @@ def _sort_key(value):
 
 
 def _encode(record: dict) -> bytes:
-    """One log line."""
-    return json.dumps(record, sort_keys=True).encode() + b"\n"
-
-
-def _decode(line: bytes) -> dict | None:
-    """The record on a complete log line; ``None`` when it is not one."""
-    if not line.endswith(b"\n"):
-        return None
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return None
-    if isinstance(record, dict) and isinstance(record.get("_id"), str):
-        return record
-    return None
+    """One log record's payload."""
+    return json.dumps(record, sort_keys=True).encode()
 
 
 def _stored(document: dict, doc_id: str) -> tuple[dict, bytes]:
     """What a collection keeps of ``document`` under ``doc_id``: an isolated
-    copy and its log line.  One serialisation is both the line and the
-    first half of the copy's JSON round trip."""
+    copy and its log payload.  One serialisation is both the payload and
+    the first half of the copy's JSON round trip."""
     check_document(document)
-    line = _encode({**document, "_id": doc_id})
-    return json.loads(line), line
+    payload = _encode({**document, "_id": doc_id})
+    return json.loads(payload), payload
 
 
 def _isolated(document: dict, projection=None) -> dict:
@@ -165,58 +157,46 @@ class Collection:
     def __init__(self, name: str, persist_path: Path | None = None):
         self.name = name
         self._lock = threading.RLock()
-        self._persist_path = persist_path
+        self._log = RecordLog(persist_path) if persist_path is not None else None
         self._reset()
-        if persist_path is not None and persist_path.exists():
+        if self._log is not None:
             self._load()
 
     def _reset(self) -> None:
         # stored documents are never edited in place (a write installs a
         # new dict), so readers may use them outside the lock
         self._documents: dict[str, dict] = {}
-        self._sizes: dict[str, int] = {}  # _id -> bytes of its live log line
+        self._sizes: dict[str, int] = {}  # _id -> bytes of its live log record
         self._order: dict[str, int] = {}  # _id -> insertion sequence number
         self._inserted = 0
         self._indexes: dict[str, dict[str, set[str]]] = {}  # field -> value -> ids
         self._live_bytes = 0
-        self._log_bytes = 0
         self._checkpoints = 0
         self._torn_tail_bytes = 0
 
     # -- the log -------------------------------------------------------------
 
     def _load(self) -> None:
-        """Replay the log: last record per ``_id`` wins.
-
-        Only the final line can be a torn append (a write that never
-        returned): it is dropped and the file cut back to the last line
-        boundary.  A bad line with anything after it is damage to acked
-        records; cutting there would lose every later one, so it raises.
-        """
-        size = self._persist_path.stat().st_size
-        offset = 0
-        with self._persist_path.open("rb") as handle:
-            for line in handle:
-                record = _decode(line)
-                if record is not None:
-                    deleted = record.get(_DELETED) is True
-                    self._apply(record["_id"], None if deleted else record, len(line))
-                elif line.strip():
-                    if offset + len(line) < size:
-                        raise StoreCorruptionError(
-                            f"collection {self.name!r}: unreadable record at byte "
-                            f"{offset} of {self._persist_path} with records after it"
-                        )
-                    self._torn_tail_bytes = size - offset
-                    break
-                offset += len(line)
-        if self._torn_tail_bytes:
-            os.truncate(self._persist_path, offset)
-        self._log_bytes = offset
+        """Replay the log: last record per ``_id`` wins (a torn tail is cut
+        off and counted, damage before it raises: DESIGN.md §18)."""
+        try:
+            records = self._log.replay(sized=True)
+        except StoreCorruptionError as error:
+            raise StoreCorruptionError(f"collection {self.name!r}: {error}") from error
+        finally:
+            self._log.close()
+        for record, size in records:
+            if not isinstance(record, dict) or not isinstance(record.get("_id"), str):
+                raise StoreCorruptionError(
+                    f"collection {self.name!r}: a record of {self._log.path} "
+                    f"is not a document")
+            deleted = record.get(_DELETED) is True
+            self._apply(record["_id"], None if deleted else record, size)
+        self._torn_tail_bytes = self._log.torn_bytes
 
     def _apply(self, doc_id: str, document: dict | None, size: int) -> None:
         """Make ``document`` (``None``: deleted) the state of ``doc_id``;
-        ``size`` is its log line's length.  Lock held (or loading)."""
+        ``size`` is its log record's length.  Lock held (or loading)."""
         old = self._documents.get(doc_id)
         if old is not None:
             self._live_bytes -= self._sizes[doc_id]
@@ -240,17 +220,20 @@ class Collection:
                 index.setdefault(key, set()).add(doc_id)
 
     def _write(self, changes: list[tuple[str, dict | None, bytes]]) -> None:
-        """Log, then apply, ``(_id, document, log line)`` puts and deletes
+        """Log, then apply, ``(_id, document, payload)`` puts and deletes
         (document ``None``, see :meth:`_deletion`).
 
-        The one write path: a failed append leaves memory as it was.
-        Lock held.
+        The one write path: one append (not fsynced), and a failed append
+        leaves memory and file as they were.  Lock held.
         """
-        if self._persist_path is not None:
-            self._append(b"".join(line for _id, _document, line in changes))
-        for doc_id, document, line in changes:
-            self._apply(doc_id, document, len(line))
-        dead = self._log_bytes - self._live_bytes
+        if self._log is not None:
+            # open-append-close: no descriptor outlives the call to go stale
+            # after another holder's checkpoint renamed the file
+            self._log.append([payload for _id, _document, payload in changes])
+            self._log.close()
+        for doc_id, document, payload in changes:
+            self._apply(doc_id, document, record_size(payload))
+        dead = self._log_bytes() - self._live_bytes
         if dead > CHECKPOINT_DEAD_FLOOR and dead > CHECKPOINT_DEAD_SHARE * self._live_bytes:
             self._checkpoint()
 
@@ -258,35 +241,17 @@ class Collection:
     def _deletion(doc_id: str) -> tuple[str, None, bytes]:
         return doc_id, None, _encode({"_id": doc_id, _DELETED: True})
 
-    def _append(self, data: bytes) -> None:
-        # open-append-close: no handle outlives the call, so there is none
-        # to leak, to go stale after a checkpoint's rename, or to write to
-        # an unlinked file.  Not fsynced (see the module docstring).
-        try:
-            with self._persist_path.open("ab") as handle:
-                handle.write(data)
-        except OSError:
-            # part of a line may have landed; left there it would read as
-            # corruption as soon as another record follows it
-            try:
-                os.truncate(self._persist_path, self._log_bytes)
-            except OSError:
-                pass
-            raise
-        self._log_bytes += len(data)
+    def _log_bytes(self) -> int:
+        return self._log.size if self._log is not None else self._live_bytes
 
     def _checkpoint(self) -> None:
         """Rewrite the log as one put per live document (tmp + rename)."""
-        sizes = {}
-        tmp = self._persist_path.with_suffix(".tmp")
-        with tmp.open("wb") as handle:
-            for doc_id, document in self._documents.items():
-                line = _encode(document)
-                handle.write(line)
-                sizes[doc_id] = len(line)
-        tmp.replace(self._persist_path)
-        self._sizes = sizes
-        self._live_bytes = self._log_bytes = sum(sizes.values())
+        payloads = [_encode(document) for document in self._documents.values()]
+        self._log.rewrite(payloads)
+        self._log.close()
+        self._sizes = {
+            doc_id: record_size(payload) for doc_id, payload in zip(self._documents, payloads)}
+        self._live_bytes = self._log.size
         self._checkpoints += 1
 
     def _drop(self) -> None:
@@ -294,8 +259,8 @@ class Collection:
         left with an empty collection, never one that disagrees with disk."""
         with self._lock:
             self._reset()
-            if self._persist_path is not None:
-                self._persist_path.unlink(missing_ok=True)
+            if self._log is not None:
+                self._log.remove()
 
     # -- candidates ----------------------------------------------------------
 
@@ -339,10 +304,10 @@ class Collection:
         # ruled on before the document is serialised: re-inserting a large
         # shared document (an environment) costs a lookup ...
         self._refuse_duplicate(doc_id)
-        document, line = _stored(document, doc_id)
+        document, payload = _stored(document, doc_id)
         with self._lock:
             self._refuse_duplicate(doc_id)  # ... and again, now that it cannot change
-            self._write([(doc_id, document, line)])
+            self._write([(doc_id, document, payload)])
         return doc_id
 
     def _refuse_duplicate(self, doc_id: str) -> None:
@@ -356,11 +321,11 @@ class Collection:
 
     def replace_one(self, doc_id: str, document: dict) -> None:
         """Replace the document with ``doc_id`` (must exist)."""
-        document, line = _stored(document, str(doc_id))
+        document, payload = _stored(document, str(doc_id))
         with self._lock:
             if document["_id"] not in self._documents:
                 raise NotFoundError(f"no document {doc_id!r} in {self.name!r}")
-            self._write([(document["_id"], document, line)])
+            self._write([(document["_id"], document, payload)])
 
     def update_one(self, query: dict, changes: dict) -> bool:
         """Set top-level fields on the first match; returns whether one matched."""
@@ -471,7 +436,7 @@ class Collection:
         return sum(1 for _ in self._select(query))
 
     def storage_bytes(self) -> int:
-        """Persisted size of the live documents: bytes of their log lines."""
+        """Persisted size of the live documents: bytes of their log records."""
         with self._lock:
             return self._live_bytes
 
@@ -485,11 +450,10 @@ class Collection:
         drop (see :meth:`acknowledge_torn_tail`).
         """
         with self._lock:
-            persisted = self._persist_path is not None
             return {
                 "docs": len(self._documents),
                 "live_bytes": self._live_bytes,
-                "dead_bytes": self._log_bytes - self._live_bytes if persisted else 0,
+                "dead_bytes": self._log_bytes() - self._live_bytes,
                 "checkpoints": self._checkpoints,
                 "indexed_fields": sorted(self._indexes),
                 "torn_tail_bytes": self._torn_tail_bytes,

@@ -6,6 +6,7 @@ from .network import (
     NetworkModel,
     SimulatedNetworkFileStore,
 )
+from .recordlog import RecordLog
 from .segments import DEFAULT_SEGMENT_BYTES, ChunkNotFoundError, ChunkStore
 from .store import ChunkCache, FileNotFoundInStoreError, FileStore, chunk_intact
 
@@ -20,5 +21,6 @@ __all__ = [
     "DEFAULT_SEGMENT_BYTES",
     "FileNotFoundInStoreError",
     "FileStore",
+    "RecordLog",
     "chunk_intact",
 ]

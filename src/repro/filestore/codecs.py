@@ -21,7 +21,7 @@ import zlib
 
 from ..errors import StoreCorruptionError
 
-__all__ = ["FRAME_MAGIC", "FRAME_OVERHEAD", "decode", "escape"]
+__all__ = ["FRAME_MAGIC", "FRAME_OVERHEAD", "decode", "escape", "raw_length"]
 
 FRAME_MAGIC = b"MMCZ"
 _FRAME = struct.Struct("<4sBQ")  # magic, codec id, uncompressed length
@@ -48,6 +48,14 @@ def escape(buffer) -> bytes:
     it whole even though it begins with the frame magic."""
     raw = _as_bytes(buffer)
     return _FRAME.pack(FRAME_MAGIC, CODEC_STORED, len(raw)) + raw
+
+
+def raw_length(head: bytes) -> int | None:
+    """The decoded length of a framed payload that starts with ``head``
+    (its first :data:`FRAME_OVERHEAD` bytes); ``None`` if it is unframed."""
+    if len(head) < FRAME_OVERHEAD or head[:4] != FRAME_MAGIC:
+        return None
+    return _FRAME.unpack_from(head)[2]
 
 
 def decode(payload):

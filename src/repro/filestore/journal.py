@@ -1,138 +1,172 @@
-"""Per-save write-ahead intent journals for crash-consistent saves.
+"""Save intents: one record log per open file store.
 
-A save that touches the shared stores is multi-step: records, refcounts,
-documents.  A crash between any two steps would leak half a model.
-Each save therefore appends its intents to a journal file under
-``<store root>/journal/<save id>.jsonl`` — one JSON object per line — and
-deletes the journal only after the final commit marker:
+A save is multi-step — records, refcounts, documents — so it records each
+intent before the step it names, and a last entry when it is done:
 
     {"op": "chunk", "digest": "..."}        record newly written (a chunk,
                                             or a manifest under its file id)
     {"op": "refs", "digests": ["...", …]}   refcounts incremented (a file
                                             id among them: the file's own)
     {"op": "doc", "collection": "models", "doc_id": "..."}
-    {"op": "commit"}
+    {"op": "commit"} / {"op": "discard"}    finished / rolled back
 
-Journals older releases wrote may also hold ``{"op": "blob", "file_id":
-"..."}``: a file written to the store root, which the store imports as a
-record on open; rolling it back releases and drops that record.
-
-A journal still present on disk is a save that did not finish: either it
-lacks the commit marker (crashed mid-save → roll the steps back, newest
-first) or it has one (crashed between commit and unlink → nothing to
-undo).  ``fsck`` drives that recovery; the file store only provides the
-mechanics.
-
-A save opens its journal once (``O_CREAT|O_EXCL|O_APPEND``) and keeps the
-descriptor until it commits or is discarded.  Each append is one
-unbuffered ``os.write`` (a save's chunk intents as one batch after its
-puts: a crash in between leaves refcount-0 orphans for the sweep below),
-so a process crash loses nothing already recorded; a torn final line
-(the crash hit the journal write itself) parses as "skip the tail",
-which is safe because an unrecorded step is at worst an orphan the
-refcount cross-check repairs.
+An open :class:`~repro.filestore.store.FileStore` keeps them in one
+:class:`IntentLog`, ``journal/intents-<id>.log``: a
+:class:`~repro.filestore.recordlog.RecordLog` of ``{"save", "entries"}``
+records, one per batch.  Its first save creates it — a save creates no
+file — it is rewritten with one record per open save once it outgrows
+:data:`INTENT_DEAD_FLOOR`, and :meth:`IntentLog.close` deletes it when no
+save in it is open.  Its instance is its one writer.  A save with no last
+entry crashed: ``fsck`` rolls it back, newest step first, and deletes the
+logs of other instances that hold no open save.  An older release's one
+file per save, ``journal/save-<id>.jsonl`` (its ``{"op": "blob",
+"file_id": ...}``: a file the store imports as a record on open), reads as
+a log of that one save.  Appends are not fsynced: an unrecorded step is at
+worst an orphan the refcount cross-check repairs.  So is every step of a
+damaged log, which fsck reports and deletes without rolling anything back:
+a save whose commit the damage hid must not be undone.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import threading
 import uuid
 from pathlib import Path
 
-__all__ = ["SaveJournal", "JOURNAL_SUFFIX"]
+from ..errors import StoreCorruptionError
+from .recordlog import RecordLog
 
-JOURNAL_SUFFIX = ".jsonl"
+__all__ = ["IntentLog", "SaveJournal", "INTENT_DEAD_FLOOR"]
+
+#: The intent log is rewritten once it is past this size and twice what
+#: it held after its last rewrite.
+INTENT_DEAD_FLOOR = 16 * 1024
 
 
 class SaveJournal:
-    """Append-only intent log for one in-flight save."""
+    """One save's intents: a view over the log that holds them."""
 
-    _FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND
+    #: Set on the stand-in fsck lists for a damaged log.
+    damage: str | None = None
 
-    def __init__(self, path: Path, entries: list[dict] | None = None):
-        self.path = Path(path)
-        self.entries: list[dict] = list(entries or [])
-        self._fd: int | None = None  # open from create() to commit/close
-
-    @classmethod
-    def create(cls, directory: Path) -> "SaveJournal":
-        directory = Path(directory)
-        path = directory / f"save-{uuid.uuid4().hex[:16]}{JOURNAL_SUFFIX}"
-        try:
-            fd = os.open(path, cls._FLAGS, 0o666)
-        except FileNotFoundError:  # the first save into this store
-            directory.mkdir(parents=True, exist_ok=True)
-            fd = os.open(path, cls._FLAGS, 0o666)
-        journal = cls(path)
-        journal._fd = fd
-        return journal
-
-    @classmethod
-    def load(cls, path: Path) -> "SaveJournal":
-        """Parse a journal from disk, tolerating a torn final line."""
-        entries: list[dict] = []
-        try:
-            raw = Path(path).read_text()
-        except FileNotFoundError:
-            raw = ""
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                break  # torn tail from a crash mid-append: ignore the rest
-        return cls(Path(path), entries)
-
-    @property
-    def save_id(self) -> str:
-        return self.path.stem
-
-    @property
-    def committed(self) -> bool:
-        return any(entry.get("op") == "commit" for entry in self.entries)
+    def __init__(self, save_id: str, log: "IntentLog"):
+        self.save_id = save_id
+        self.entries: list[dict] = []
+        self._log = log
 
     def record(self, op: str, **fields) -> None:
-        """Append one intent record to the file."""
+        """Append one intent."""
         self.record_many([{"op": op, **fields}])
 
     def record_many(self, entries: list[dict]) -> None:
-        """Append a batch of intent records with one write."""
-        if not entries:
-            return
-        self.entries.extend(entries)
-        data = memoryview(
-            "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries).encode())
-        # written, not fsynced: a lost tail means at worst an unrecorded
-        # step, which the fsck refcount/orphan cross-checks repair anyway
-        while data:  # one write unless the disk is filling up
-            data = data[os.write(self._fd, data):]
-
-    def close(self) -> None:
-        """Release the descriptor, leaving the file as it is."""
-        fd, self._fd = self._fd, None
-        if fd is not None:
-            os.close(fd)
+        """Append a batch of intents as one record (one write)."""
+        if entries:
+            self._log.append(self, entries)
 
     def commit(self) -> None:
-        """Mark the save complete and drop the journal."""
-        try:
-            self.record("commit")
-        finally:
-            self.close()
-        self.path.unlink(missing_ok=True)
+        """Mark the save complete."""
+        self._log.end(self, "commit")
 
     def discard(self) -> None:
-        """Remove the journal file without touching any recorded state."""
-        self.close()
-        self.path.unlink(missing_ok=True)
+        """End the save without touching any recorded state."""
+        self._log.end(self, "discard")
 
-    def doc_entries(self) -> list[tuple[str, str]]:
-        """(collection, doc_id) pairs recorded by the save, oldest first."""
-        return [
-            (entry["collection"], entry["doc_id"])
-            for entry in self.entries
-            if entry.get("op") == "doc"
-        ]
+
+class IntentLog:
+    """The intents of one file store's saves (see the module docstring).
+
+    Thread-safe: the concurrent saves of one store share it.
+    """
+
+    def __init__(self, path: Path):
+        self.path = Path(path)
+        self._owned = True  # False: another instance's, read by fsck
+        self._log = RecordLog(self.path)
+        self._lock = threading.RLock()
+        self._open: dict[str, SaveJournal] = {}
+
+    @classmethod
+    def create(cls, directory: Path) -> "IntentLog":
+        """An instance's log; its first save writes the file."""
+        return cls(Path(directory) / f"intents-{uuid.uuid4().hex[:16]}.log")
+
+    @classmethod
+    def load(cls, path: Path) -> "IntentLog":
+        """Another instance's log, or an older release's journal file.  A
+        damaged one holds one stand-in save, whose ``damage`` says why."""
+        log = cls(path)
+        log._owned = False
+        try:
+            records = log._log.replay()
+        except StoreCorruptionError as error:
+            records = []
+            log._open[path.name] = stand_in = SaveJournal(path.name, log)
+            stand_in.damage = str(error)
+        log._log.close()
+        for record in records:
+            save_id = record.get("save", log.path.stem)
+            journal = log._open.setdefault(save_id, SaveJournal(save_id, log))
+            journal.entries.extend(record["entries"] if "save" in record else [record])
+            if journal.entries[-1].get("op") in ("commit", "discard"):
+                del log._open[save_id]
+        return log
+
+    def begin(self) -> SaveJournal:
+        """A new save's journal; it writes nothing before its first intent."""
+        with self._lock:
+            if self._log.size and not self.path.exists():
+                # fsck took this log for a dead instance's: write it anew
+                self._rewrite()
+        return SaveJournal(f"save-{uuid.uuid4().hex[:16]}", self)
+
+    def open_saves(self) -> list[SaveJournal]:
+        with self._lock:
+            return list(self._open.values())
+
+    def _rewrite(self) -> None:
+        self._log.rewrite([self._encode(j, j.entries) for j in self._open.values()])
+
+    @staticmethod
+    def _encode(journal: SaveJournal, entries: list[dict]) -> bytes:
+        return json.dumps({"save": journal.save_id, "entries": entries}, sort_keys=True).encode()
+
+    def append(self, journal: SaveJournal, entries: list[dict]) -> None:
+        with self._lock:  # a rewrite re-encodes the open saves' entries
+            journal.entries.extend(entries)
+            self._open[journal.save_id] = journal
+            self._log.append([self._encode(journal, entries)])
+
+    def end(self, journal: SaveJournal, op: str) -> None:
+        """Close ``journal``'s save; one that recorded nothing writes nothing."""
+        with self._lock:
+            journal.entries.append({"op": op})
+            if self._open.pop(journal.save_id, None) is None:
+                return
+            self._log.append([self._encode(journal, [{"op": op}])])
+            if not self._owned:
+                self.close()
+            elif self._log.outgrown(INTENT_DEAD_FLOOR):
+                self._rewrite()
+
+    def close(self) -> None:
+        """Release the file, deleting it when no save in it is open."""
+        with self._lock:
+            if self._open:
+                self._log.close()
+            else:
+                self._log.remove()
+
+
+def incomplete_saves(directory: Path, own: IntentLog, active: str | None) -> list[SaveJournal]:
+    """Every save under ``directory`` that did not finish — ``own``'s but
+    ``active`` (the calling thread's), another log's, an older release's —
+    deleting the other logs that hold none."""
+    journals = [j for j in own.open_saves() if j.save_id != active]
+    for path in sorted([*directory.glob("intents-*.log"), *directory.glob("save-*.jsonl")]):
+        if path != own.path:
+            log = IntentLog.load(path)
+            if not log.open_saves():
+                log.close()  # deletes it
+            journals.extend(log.open_saves())
+    return journals

@@ -13,7 +13,9 @@ length, crc)``), LSM-style:
 * **A segment is the log of its own appends** — on open, the bytes past
   each segment's checkpointed scan offset are rescanned, CRC-checked, so
   an appended record needs no other bookkeeping to be found again.  The
-  index checkpoint (``index.json``, rewritten whole) is written only
+  index checkpoint (``index.json``, a one-record
+  :class:`~repro.filestore.recordlog.RecordLog` rewritten whole; a
+  damaged one is ignored and every segment rescanned) is written only
   where it says what the segments cannot: when a segment is sealed, when
   a record is deleted (a deliberately deleted record must never be
   resurrected by a rescan), after a compaction, after an open that had
@@ -30,8 +32,10 @@ On-disk format (all integers little-endian):
 
 * segment header: ``MMSEG1\\n\\0`` magic, u32 version, u64 sequence,
   zero-padded to 32 bytes;
-* record: ``MMRC`` magic, u16 digest length, u16 flags, u32 payload
-  crc32, u64 payload length, then the digest bytes and the payload;
+* record: ``MMRC`` magic, u16 digest length, u16 flags (0), u32 payload
+  crc32, u64 payload length, then the digest bytes and the payload — the
+  framing every log shares (:mod:`repro.filestore.recordlog`, whose
+  records have an empty key);
 * footer (sealed segments only): ``MMFT`` magic, u32 catalog length,
   the JSON catalog, then a fixed tail of u64 records-end offset, u32
   catalog crc32, and ``MMSE`` end magic — parseable backwards from EOF.
@@ -56,6 +60,7 @@ from typing import Iterable, Mapping
 from .. import obs
 from ..errors import StoreCorruptionError
 from . import codecs as chunk_codecs
+from .recordlog import RECORD_HEADER, RecordLog, read_record, record_header, write_all
 
 try:
     import fcntl
@@ -79,9 +84,6 @@ SEGMENT_MAGIC = b"MMSEG1\n\x00"
 SEGMENT_VERSION = 1
 #: Fixed-size segment header: magic + version + sequence, zero-padded.
 HEADER = struct.Struct("<8sIQ12x")
-RECORD_MAGIC = b"MMRC"
-#: Record header: magic, digest length, flags, payload crc32, payload length.
-RECORD_HEADER = struct.Struct("<4sHHIQ")
 FOOTER_MAGIC = b"MMFT"
 FOOTER_END_MAGIC = b"MMSE"
 #: Footer tail: records-end offset, catalog crc32, end magic.
@@ -115,22 +117,16 @@ def _buffer_nbytes(buffer) -> int:
 
 
 def _encode_refs(counts: Mapping[str, int]) -> bytes:
-    """One refcount log record (no line terminator)."""
+    """One refcount log record."""
     return json.dumps(counts, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _decode_refs(line: bytes) -> dict[str, int] | None:
-    """The record on one refcount log line (none on a blank one); ``None``
-    when the line is not a record."""
-    if not line.strip():
-        return {}
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return None
-    if isinstance(record, dict) and all(type(c) is int for c in record.values()):
-        return record
-    return None
+class _SharedLog(RecordLog):
+    """A chunk-root log several processes rewrite: each writes its own tmp
+    file (one a crash left behind is reaped by :meth:`ChunkStore.gc`)."""
+
+    def _tmp_path(self) -> Path:
+        return self.path.with_name(f"{self.path.stem}-{uuid.uuid4().hex[:8]}.tmp")
 
 
 def _ref_bytes(digest: str, count: int) -> int:
@@ -164,14 +160,15 @@ class ChunkStore:
     and :meth:`gc` sweeps orphans (e.g. chunks written by a save that
     crashed before its manifest) and compacts segments.
 
-    The counts live in ``refcounts.json``, an append-only log: one JSON
-    object per line mapping digest to its *absolute* count (0: gone),
-    later lines win.  Taking references appends one line, so a save costs
+    The counts live in ``refcounts.json``, a
+    :class:`~repro.filestore.recordlog.RecordLog`: one record per batch,
+    a JSON object mapping digest to its *absolute* count (0: gone), later
+    records win.  Taking references appends one record, so a save costs
     what it touches, not what the store holds; the file is folded back
-    into one record when a release rewrites it or once its dead bytes
-    exceed the live ones.  Every access holds an ``flock`` and first
-    replays what was appended since its last one, so several processes
-    can share one store directory (DESIGN.md §17 "Bookkeeping").
+    into one record when a release rewrites it or once it exceeds twice
+    the folded size.  Every access holds an ``flock`` and first replays
+    what was appended since its last one, so several processes can share
+    one store directory (DESIGN.md §17 "Bookkeeping", §18 "One log").
 
     A chunk root written by the older file-per-chunk layout is imported
     once, on open (:meth:`_import_legacy_chunks`); :meth:`import_files`
@@ -188,13 +185,11 @@ class ChunkStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._refs_path = self.root / "refcounts.json"
         self._lock_path = self.root / ".lock"
-        # the refcount table as of the first ``_refs_end`` bytes of the log;
-        # ``_refs_file`` stays open on the file those bytes were read from
+        # the refcount table as of the records ``_refs_log`` has read
         self._refs_mutex = threading.Lock()
+        self._refs_log = _SharedLog(self._refs_path)
         self._refs: dict[str, int] = {}
-        self._refs_file = None
-        self._refs_end = 0
-        self._refs_live = 0  # bytes the table takes as one folded record
+        self._refs_live = 0  # payload bytes the table takes as one folded record
         self.tmp_grace_s = float(tmp_grace_s)
         self.segment_bytes = int(segment_bytes)
         #: Optional chaos hook with the ``FaultInjector.fail_point``
@@ -211,8 +206,9 @@ class ChunkStore:
         self.stored_bytes = 0
         self.segments_dir = self.root / "segments"
         self.segments_dir.mkdir(parents=True, exist_ok=True)
-        self._checkpoint_path = self.root / "index.json"
+        self._checkpoint_log = _SharedLog(self.root / "index.json")
         self._compaction_path = self.root / "compaction.json"
+        self._compaction_log = _SharedLog(self._compaction_path)
         self._mutex = threading.RLock()
         self._index: dict[str, tuple[str, int, int, int]] = {}
         self._segmeta: dict[str, dict] = {}
@@ -343,60 +339,22 @@ class ChunkStore:
         """The refcount table as the log has it now (lock held).
 
         Replays what this or another process appended since the last
-        call, or the whole file when it was replaced in between.  The
-        handle kept open on the file last read pins its inode, so a file
-        at that path with that inode number *is* that file, only longer.
-        """
-        try:
-            on_disk = os.stat(self._refs_path)
-        except FileNotFoundError:
-            on_disk = None
-        if self._refs_file is not None:
-            held = os.fstat(self._refs_file.fileno())
-            if (
-                on_disk is None
-                or (on_disk.st_dev, on_disk.st_ino) != (held.st_dev, held.st_ino)
-                or on_disk.st_size < self._refs_end
-            ):
-                self._reset_refs()  # folded by another process, or gone
-        if on_disk is None:
-            return self._refs
-        if self._refs_file is None:
-            self._refs_file = open(self._refs_path, "rb", buffering=0)
-        if on_disk.st_size > self._refs_end:
-            self._replay_refs(os.pread(
-                self._refs_file.fileno(), on_disk.st_size - self._refs_end,
-                self._refs_end))
-        return self._refs
-
-    def _replay_refs(self, data: bytes) -> None:
-        """Apply the log lines in ``data``, read at ``_refs_end``.
-
-        Only the final line can be a torn append (a write that never
-        returned): it is dropped and the file cut back to the line
-        boundary.  A bad line with anything after it is damage to acked
+        call, or the whole file when it was replaced in between
+        (:meth:`RecordLog.follow`).  A damaged record is damage to acked
         counts; reading it as "nothing is referenced" would let the next
         :meth:`gc` sweep live chunks, so it raises and fsck rebuilds the
         table from the manifests (:meth:`reconcile`).
         """
-        *lines, last = data.split(b"\n")
-        offset = self._refs_end
-        for line in lines:
-            record = _decode_refs(line)
-            if record is None:
-                self._reset_refs()
-                raise StoreCorruptionError(
-                    f"chunk refcounts: unreadable record at byte {offset} of "
-                    f"{self._refs_path} with records after it")
-            self._apply_refs(record)
-            offset += len(line) + 1
-        record = _decode_refs(last)
-        if record is None:
-            os.truncate(self._refs_path, offset)
-        else:
-            self._apply_refs(record)
-            offset += len(last)
-        self._refs_end = offset
+        try:
+            restarted, records = self._refs_log.follow()
+            if restarted:
+                self._refs, self._refs_live = {}, 0  # folded by another process
+            for counts in records:
+                self._apply_refs(counts)
+        except StoreCorruptionError:
+            self._reset_refs()
+            raise
+        return self._refs
 
     def _apply_refs(self, counts: Mapping[str, int]) -> None:
         for digest, count in counts.items():
@@ -409,48 +367,34 @@ class ChunkStore:
 
     def _reset_refs(self) -> None:
         """Forget the table: the next :meth:`_sync_refs` rereads the file."""
-        if self._refs_file is not None:
-            self._refs_file.close()
-        self._refs_file = None
+        self._refs_log.close()
+        self._refs_log = _SharedLog(self._refs_path)
         self._refs = {}
-        self._refs_end = self._refs_live = 0
+        self._refs_live = 0
 
     def _commit_refs(self, changes: Mapping[str, int], fold: bool = False) -> None:
         """Persist new absolute counts (0: gone), then apply them.
 
-        One appended line — O(batch) — or, with ``fold``, the whole table
-        rewritten as one record.  An append folds too once the dead bytes
-        exceed the live ones, so the file stays within ~2x its folded
-        size at an amortized cost per appended byte that does not depend
-        on the store.  Lock held, table synced.
+        One appended record — O(batch) — or, with ``fold``, the whole
+        table rewritten as one record.  An append folds too once the log
+        exceeds twice the table's folded size, so the file stays within
+        ~2x its folded size at an amortized cost per appended byte that
+        does not depend on the store.  Lock held, table synced.
         """
-        fold = fold or not self._refs_end  # an empty log starts folded
+        log = self._refs_log
+        fold = fold or not log.size  # an empty log starts folded
         try:
             if not fold:
-                data = b"\n" + _encode_refs(changes)
-                with open(self._refs_path, "ab") as handle:
-                    handle.write(data)
-                self._refs_end += len(data)
+                log.append([_encode_refs(changes)])
                 self._hook("chunk.refs")
             self._apply_refs(changes)
-            if fold or self._refs_end > 2 * self._refs_live:
-                self._fold_refs()
+            if fold or log.size > 2 * (self._refs_live + RECORD_HEADER.size):
+                log.rewrite([_encode_refs(self._refs)],
+                            before_rename=lambda: self._hook("chunk.refs"))
+                self._refs_live = log.size - RECORD_HEADER.size
         except BaseException:
             self._reset_refs()  # memory and file may disagree: reread
             raise
-
-    def _fold_refs(self) -> None:
-        """Rewrite the log as the table's one record (tmp + rename)."""
-        data = _encode_refs(self._refs)
-        tmp = self._refs_path.with_name(f"refcounts-{uuid.uuid4().hex[:8]}.tmp")
-        tmp.write_bytes(data)
-        self._hook("chunk.refs")
-        folded = open(tmp, "rb", buffering=0)
-        tmp.replace(self._refs_path)
-        if self._refs_file is not None:
-            self._refs_file.close()
-        self._refs_file = folded
-        self._refs_end = self._refs_live = len(data)
 
     # -- open / index maintenance -------------------------------------------
 
@@ -467,9 +411,12 @@ class ChunkStore:
 
     def _load_checkpoint(self) -> None:
         try:
-            data = json.loads(self._checkpoint_path.read_text())
-        except (FileNotFoundError, OSError, json.JSONDecodeError):
-            return
+            records = self._checkpoint_log.replay()
+        except StoreCorruptionError:
+            return  # the segments describe themselves: rescan them all
+        finally:
+            self._checkpoint_log.close()  # only ever rewritten whole
+        data = records[-1] if records else None
         if not isinstance(data, dict) or data.get("version") != 1:
             return
         for name, meta in data.get("segments", {}).items():
@@ -497,13 +444,9 @@ class ChunkStore:
             "entries": {d: list(entry) for d, entry in self._index.items()},
             "segments": segments,
         }
-        self._write_json_atomic(self._checkpoint_path, payload)
+        self._checkpoint_log.rewrite([json.dumps(payload, sort_keys=True).encode()])
+        self._checkpoint_log.close()
         self._index_dirty = False
-
-    def _write_json_atomic(self, path: Path, payload: dict) -> None:
-        tmp = path.with_name(f"{path.name}-{uuid.uuid4().hex[:8]}.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        tmp.replace(path)
 
     def _flush_index(self) -> None:
         """Checkpoint the index after a delete (deleted records must not be
@@ -594,26 +537,18 @@ class ChunkStore:
         offset = meta["scanned"]
         fileobj.seek(offset)
         while True:
-            head = fileobj.read(RECORD_HEADER.size)
-            if len(head) < RECORD_HEADER.size:
-                break
-            magic, dlen, _flags, crc, plen = RECORD_HEADER.unpack(head)
-            if magic != RECORD_MAGIC:
-                break  # footer or torn garbage: the valid prefix ends here
-            digest_raw = fileobj.read(dlen)
-            if len(digest_raw) < dlen:
-                break
-            payload = fileobj.read(plen)
-            if len(payload) < plen or zlib.crc32(payload) != crc:
-                break  # torn append: the record never completed
+            record = read_record(fileobj.read)
+            if record is None:
+                break  # footer or a torn append: the valid prefix ends here
+            digest_raw, payload, crc = record
             digest = digest_raw.decode("utf-8", "replace")
-            payload_off = offset + RECORD_HEADER.size + dlen
-            meta["total"] += plen
+            payload_off = offset + RECORD_HEADER.size + len(digest_raw)
+            meta["total"] += len(payload)
             if digest not in self._index:
-                self._set_entry_locked(digest, (name, payload_off, plen, crc))
+                self._set_entry_locked(digest, (name, payload_off, len(payload), crc))
                 added += 1
                 self._index_dirty = True
-            offset = payload_off + plen
+            offset = payload_off + len(payload)
         meta["scanned"] = offset
         return added
 
@@ -735,15 +670,6 @@ class ChunkStore:
         self._segmeta[name] = meta
 
     @staticmethod
-    def _write_all(fileobj, data) -> None:
-        view = memoryview(data)
-        while view.nbytes:
-            written = fileobj.write(view)
-            if written is None or written >= view.nbytes:
-                return
-            view = view[written:]
-
-    @staticmethod
     def _check_digest(digest: str) -> None:
         if not digest or "/" in digest or digest.startswith("."):
             raise ValueError(f"invalid chunk digest: {digest!r}")
@@ -776,13 +702,12 @@ class ChunkStore:
             encoded = self._encode(view)
             eview = encoded if isinstance(encoded, memoryview) else memoryview(encoded)
             crc = zlib.crc32(eview)
-            head = RECORD_HEADER.pack(
-                RECORD_MAGIC, len(digest_raw), 0, crc, eview.nbytes)
+            head = record_header(digest_raw, crc, eview.nbytes)
             fileobj = self._active_file
             fileobj.seek(self._active_end)  # overwrite any earlier torn tail
-            self._write_all(fileobj, head)
-            self._write_all(fileobj, digest_raw)
-            self._write_all(fileobj, eview)
+            write_all(fileobj, head)
+            write_all(fileobj, digest_raw)
+            write_all(fileobj, eview)
             payload_off = self._active_end + len(head) + len(digest_raw)
             self._set_entry_locked(
                 digest, (self._active_name, payload_off, eview.nbytes, crc))
@@ -809,12 +734,11 @@ class ChunkStore:
         with self._mutex:
             self._ensure_active_locked()
             digest_raw = digest.encode("utf-8")
-            head = RECORD_HEADER.pack(
-                RECORD_MAGIC, len(digest_raw), 0, zlib.crc32(data), len(data))
+            head = record_header(digest_raw, zlib.crc32(data), len(data))
             record = head + digest_raw + data
             fileobj = self._active_file
             fileobj.seek(self._active_end)
-            self._write_all(fileobj, record[: max(1, len(record) // 2)])
+            write_all(fileobj, record[: max(1, len(record) // 2)])
             return self.segments_dir / self._active_name
 
     def flush(self) -> int:
@@ -865,7 +789,7 @@ class ChunkStore:
         )
         footer = self._pack_footer({"end": self._active_end, "records": records})
         fileobj.seek(self._active_end)
-        self._write_all(fileobj, footer)
+        write_all(fileobj, footer)
         os.fsync(fileobj.fileno())
         self._obs_fsyncs.inc()
         if self._dirty:
@@ -1024,11 +948,18 @@ class ChunkStore:
         return self._read_run_locked([("", entry, 0)]).get("")
 
     def size_of(self, digest: str) -> int | None:
-        """At-rest size of one chunk, or ``None`` when it is not stored."""
+        """Size of one chunk's bytes, or ``None`` when it is not stored: the
+        index's, or a framed record's frame header's (one small read)."""
         self._check_digest(digest)
         with self._mutex:
             entry = self._index.get(digest)
-        return None if entry is None else entry[2]
+            fileobj = entry and self._read_file_locked(entry[0])
+            head = fileobj and os.pread(
+                fileobj.fileno(), chunk_codecs.FRAME_OVERHEAD, entry[1])
+        if entry is None:
+            return None
+        framed = chunk_codecs.raw_length(head or b"")
+        return entry[2] if framed is None else framed
 
     def locate(self, digest: str) -> tuple[Path, int, int]:
         """Physical location of one chunk: ``(segment path, offset, length)``.
@@ -1239,8 +1170,7 @@ class ChunkStore:
         """
         stats = {"segments_compacted": 0, "records_moved": 0, "bytes_reclaimed": 0}
         with self._mutex:
-            if self._compaction_path.exists():
-                self._resume_compaction_locked()
+            self._resume_compaction_locked()
             self._drop_dead_segments_locked()
             victims = self._compaction_victims_locked()
             if not victims:
@@ -1266,8 +1196,8 @@ class ChunkStore:
     def _compact_locked(self, victims: list[str]) -> dict:
         self._hook("chunk.compact")
         dest = self._next_segment_name()
-        self._write_json_atomic(
-            self._compaction_path, {"victims": victims, "dest": dest})
+        self._compaction_log.rewrite(
+            [json.dumps({"victims": victims, "dest": dest}, sort_keys=True).encode()])
         self._hook("chunk.compact")
         victim_set = set(victims)
         moves = [
@@ -1292,8 +1222,7 @@ class ChunkStore:
                         f"chunk {digest!r} is corrupt: compaction read "
                         f"failed its CRC check")
                 digest_raw = digest.encode("utf-8")
-                out.write(RECORD_HEADER.pack(
-                    RECORD_MAGIC, len(digest_raw), 0, entry[3], entry[2]))
+                out.write(record_header(digest_raw, entry[3], entry[2]))
                 out.write(digest_raw)
                 out.write(payload)
                 payload_off = offset + RECORD_HEADER.size + len(digest_raw)
@@ -1323,7 +1252,7 @@ class ChunkStore:
             self._close_read_file(name)
             (self.segments_dir / name).unlink(missing_ok=True)
             self._segmeta.pop(name, None)
-        self._compaction_path.unlink(missing_ok=True)
+        self._compaction_log.remove()
         self._write_checkpoint_locked()
         self._update_gauges_locked()
         return {
@@ -1334,58 +1263,36 @@ class ChunkStore:
 
     def _resume_compaction_locked(self) -> str | None:
         """Finish or undo an interrupted compaction; returns the action."""
-        try:
-            journal = json.loads(self._compaction_path.read_text())
-        except FileNotFoundError:
+        if not self._compaction_path.exists():
             return None
-        except (OSError, json.JSONDecodeError):
-            self._compaction_path.unlink(missing_ok=True)
-            return "rolled_back"
-        dest = journal.get("dest")
-        victims = set(journal.get("victims", []))
-        if not dest:
-            self._compaction_path.unlink(missing_ok=True)
-            return "rolled_back"
-        dest_path = self.segments_dir / dest
-        tmp_path = self.segments_dir / (dest + ".tmp")
-        if not dest_path.exists():
-            # the rename never committed: forget the attempt entirely
-            tmp_path.unlink(missing_ok=True)
-            self._compaction_path.unlink(missing_ok=True)
-            return "rolled_back"
-        # committed: repoint victim entries at the destination and finish
-        catalog = None
         try:
-            size = dest_path.stat().st_size
-            with open(dest_path, "rb") as fileobj:
-                catalog = self._read_footer(fileobj, size)
-        except OSError:
-            catalog = None
-        if catalog is not None:
-            meta = self._segmeta.setdefault(dest, _new_meta())
-            meta.update(scanned=size, sealed=True, bad=False)
-            total = 0
-            for digest, off, length, crc in catalog.get("records", []):
-                total += int(length)
-                current = self._index.get(digest)
-                if current is None or current[0] in victims:
-                    self._set_entry_locked(
-                        digest, (dest, int(off), int(length), int(crc)))
-            meta["total"] = total
-            seq = _parse_seq(dest)
-            if seq is not None and seq > self._seq:
-                self._seq = seq
-        for digest, entry in list(self._index.items()):
-            if entry[0] in victims:
-                self._drop_entry_locked(digest)  # not in the catalog: was dead data
-        for name in victims:
-            self._close_read_file(name)
-            (self.segments_dir / name).unlink(missing_ok=True)
-            self._segmeta.pop(name, None)
-        self._index_dirty = True
-        self._write_checkpoint_locked()
-        self._compaction_path.unlink(missing_ok=True)
-        return "rolled_forward"
+            journal = (self._compaction_log.replay() or [{}])[-1]
+        except StoreCorruptionError:
+            journal = {}
+        dest = journal.get("dest")
+        committed = bool(dest) and (self.segments_dir / dest).exists()
+        if dest and not committed:
+            # the rename never committed: forget the attempt entirely
+            (self.segments_dir / (dest + ".tmp")).unlink(missing_ok=True)
+        elif committed:
+            # drop the victims and the destination; the refresh indexes the
+            # destination anew from its footer, even if a read miss absorbed
+            # it while the victims still held its records (what a victim
+            # held and the destination lacks was dead)
+            victims = set(journal.get("victims", []))
+            self._segmeta.pop(dest, None)
+            for digest, entry in list(self._index.items()):
+                if entry[0] in victims or entry[0] == dest:
+                    self._drop_entry_locked(digest)
+            for name in victims:
+                self._close_read_file(name)
+                (self.segments_dir / name).unlink(missing_ok=True)
+                self._segmeta.pop(name, None)
+            self._refresh_locked()
+            self._index_dirty = True
+            self._write_checkpoint_locked()
+        self._compaction_log.remove()
+        return "rolled_forward" if committed else "rolled_back"
 
     # -- audit / stats ---------------------------------------------------------
 

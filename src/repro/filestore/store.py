@@ -23,6 +23,7 @@ import json
 import shutil
 import threading
 import uuid
+import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -32,7 +33,7 @@ import numpy as np
 
 from .. import obs
 from ..errors import StoreCorruptionError, TransientStoreError
-from .journal import JOURNAL_SUFFIX, SaveJournal
+from .journal import IntentLog, SaveJournal, incomplete_saves
 from .segments import (
     DEFAULT_TMP_GRACE_S,
     ChunkNotFoundError,
@@ -71,7 +72,7 @@ MANIFEST_FORMATS = (MANIFEST_FORMAT, MANIFEST_FORMAT_V2)
 #: Directory (under the store root) holding the content-addressed chunks.
 CHUNK_DIR_NAME = "chunks"
 
-#: Directory (under the store root) holding per-save intent journals.
+#: Directory (under the store root) holding the save intent logs.
 JOURNAL_DIR_NAME = "journal"
 
 #: Default byte budget for an in-process hot-chunk LRU (see :class:`ChunkCache`).
@@ -332,8 +333,9 @@ class FileStore:
     * ``retry`` — a :class:`~repro.retry.RetryPolicy` applied around each
       primitive operation, so transient failures are absorbed here and
       callers only ever see a typed error once the budget is spent;
-    * per-save write-ahead intent journals (:meth:`begin_journal`) that
-      make multi-step saves all-or-nothing across crashes;
+    * write-ahead save intents (:meth:`begin_journal`), one record log per
+      open store, that make multi-step saves all-or-nothing across
+      crashes (:mod:`repro.filestore.journal`; :meth:`close` releases it);
     * ``verify_reads`` — every :meth:`recover_state_chunks` checks each
       layer against its content digest and re-fetches on mismatch,
       raising :class:`StoreCorruptionError` once the retry budget is
@@ -392,6 +394,7 @@ class FileStore:
         self._chunks: ChunkStore | None = None
         self._chunks_lock = threading.Lock()
         self._journal_local = threading.local()
+        self._new_intents()
         self._obs_tracer = obs.tracer()
         self._obs_coalesced = obs.registry().counter(
             "mmlib_chunk_cache_coalesced_total",
@@ -460,16 +463,23 @@ class FileStore:
         return self.root / JOURNAL_DIR_NAME
 
     def begin_journal(self) -> SaveJournal:
-        """Open a new intent journal and make it this thread's active one.
+        """Open a new save's journal and make it this thread's active one.
 
         Store operations on this thread record their intents into the
         active journal until :meth:`commit_journal` / :meth:`abort_journal`
         closes it.  The journal is per-thread, so concurrent savers
-        sharing one store never interleave intents.
+        sharing one store never interleave intents; they share the store's
+        one intent log.
         """
-        journal = SaveJournal.create(self.journal_dir)
+        journal = self._intents.begin()
         self._journal_local.active = journal
         return journal
+
+    def _new_intents(self) -> None:
+        """A fresh intent log for this instance, released with it: at
+        :meth:`close`, when the store is collected, or at exit."""
+        self._intents = IntentLog.create(self.journal_dir)
+        weakref.finalize(self, self._intents.close)
 
     def _active_journal(self) -> SaveJournal | None:
         return getattr(self._journal_local, "active", None)
@@ -490,23 +500,19 @@ class FileStore:
             journal.record(op, **fields)
 
     def commit_journal(self) -> None:
-        """Mark the active journal committed and drop it."""
+        """Mark the active journal committed."""
         journal = self._active_journal()
         self._journal_local.active = None
         if journal is not None:
             journal.commit()
 
     def abandon_journal(self) -> None:
-        """Detach the active journal, leaving its file on disk.
+        """Detach the active journal, leaving its save open in the log.
 
         Crash simulation uses this: the "dead" process stops journaling
-        while the incomplete journal stays behind for fsck to find.  Its
-        descriptor is closed, as a dead process's would be.
+        while the incomplete save stays behind for fsck to find.
         """
-        journal = self._active_journal()
         self._journal_local.active = None
-        if journal is not None:
-            journal.close()
 
     def abort_journal(self) -> dict:
         """Roll back the active journal's recorded steps (failed save)."""
@@ -514,20 +520,16 @@ class FileStore:
         self._journal_local.active = None
         if journal is None:
             return {"blobs_removed": 0, "chunks_removed": 0, "refs_released": 0, "docs": []}
-        journal.close()  # before the rollback, which may raise
         return self.rollback_journal(journal)
 
     def incomplete_journals(self) -> list[SaveJournal]:
-        """Journals of saves that never finished (crashed mid-save)."""
+        """Journals of saves that never finished (crashed mid-save), this
+        thread's own in-flight save excepted."""
         if not self.journal_dir.exists():
             return []
         active = self._active_journal()
-        journals = []
-        for path in sorted(self.journal_dir.glob(f"*{JOURNAL_SUFFIX}")):
-            if active is not None and path == active.path:
-                continue  # this thread's own in-flight save
-            journals.append(SaveJournal.load(path))
-        return journals
+        return incomplete_saves(
+            self.journal_dir, self._intents, active.save_id if active else None)
 
     def rollback_journal(self, journal: SaveJournal) -> dict:
         """Undo a journal's recorded steps, newest first; returns stats.
@@ -1090,9 +1092,8 @@ class FileStore:
         independent of how much of it is deduplicated on disk (see
         :meth:`total_bytes` for the physical view).  Layer sizes come from
         the manifest's dtype/shape metadata, whatever the records hold.
-        The file's own part is its record's size at rest, read from the
-        index (a payload escape-framed because it begins with ``MMCZ``
-        counts its frame header).
+        The file's own part is its record's size, less the frame header of
+        one escape-framed because it begins with ``MMCZ``.
         """
         size = self.chunks.size_of(file_id)
         if size is None:
@@ -1120,10 +1121,16 @@ class FileStore:
             return self.chunks.gc()
         return {"chunks_removed": 0, "bytes_freed": 0}
 
+    def close(self) -> None:
+        """Release the intent log, deleting it when no save in it is open."""
+        self._intents.close()
+
     def clear(self) -> None:
+        self._intents.close()
         shutil.rmtree(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._chunks = None
         self._journal_local = threading.local()
+        self._new_intents()
         if self.chunk_cache is not None:
             self.chunk_cache.clear()

@@ -175,6 +175,41 @@ class TestResume:
         assert_placement_matches_ring(store)
         assert states_equal(model, service.recover_model(model_id).model)
 
+    @pytest.mark.parametrize("tail", [
+        b'{"kind": "chu',  # a JSON-lines append cut short
+        b"MMRC\x00\x00\x00\x00\x9a\x02",  # a framed record cut short
+    ], ids=["json", "framed"])
+    def test_a_torn_journal_record_does_not_stop_the_resume(
+        self, populated, tmp_path, tail
+    ):
+        """A crash in the middle of a journal append leaves part of a record;
+        the resume cuts it off and finishes the rebalance."""
+        store, service, model, model_id = populated
+        rebalancer = ClusterRebalancer(store, workers=1)
+        original = rebalancer._move_chunk
+        crashed = set()
+
+        def flaky_move(digest, new_owners):
+            if len(crashed) < 2 and digest not in crashed:
+                crashed.add(digest)
+                raise OSError("injected copy failure")
+            return original(digest, new_owners)
+
+        rebalancer._move_chunk = flaky_move
+        stats = rebalancer.add_member("m4", FileStore(tmp_path / "m4"))
+        assert stats["failed"] == len(crashed) > 0
+        journal = rebalancer.journal_dir / f"{stats['journal_id']}.jsonl"
+        with journal.open("ab") as handle:
+            handle.write(tail)
+
+        rebalancer._move_chunk = original
+        resumed = rebalancer.resume(stats["journal_id"])
+        assert resumed["failed"] == 0
+        assert resumed["resumed_skips"] > 0
+        assert not journal.exists()
+        assert_placement_matches_ring(store)
+        assert states_equal(model, service.recover_model(model_id).model)
+
     def test_clean_rebalance_leaves_no_journal(self, populated, tmp_path):
         store, *_ = populated
         rebalancer = ClusterRebalancer(store)

@@ -1,6 +1,7 @@
 """Self-healing: hinted handoff, anti-entropy, heal()/fsck integration."""
 
 import json
+import os
 
 import pytest
 
@@ -20,6 +21,13 @@ from repro.filestore import FileStore
 from tests.conftest import make_tiny_cnn, replace_record
 
 from .test_sharded_store import make_docs, states_equal, tiny_arch
+
+
+def written_bytes() -> int:
+    """Bytes this process has passed to write calls so far."""
+    with open("/proc/self/io") as handle:
+        fields = dict(line.split(": ") for line in handle.read().splitlines())
+    return int(fields["wchar"])
 
 
 def make_selfheal_cluster(tmp_path, n=4, replicas=2, write_quorum=1):
@@ -96,6 +104,24 @@ class TestHintLog:
             handle.write('{"op": "hint", "kind": "chunk", "key": "cc"')  # torn
         reopened = HintLog(root)
         assert [h["key"] for h in reopened.pending("m0")] == ["aa", "bb"]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc")
+    def test_draining_n_hints_writes_o_n_bytes(self, tmp_path):
+        """A resolve appends a tombstone; the file is rewritten only past
+        its dead-bytes threshold, so the drain's writes grow with n, not
+        n squared (every byte written, as the kernel counts it)."""
+        log = HintLog(tmp_path / "hints")
+        n = 400
+        for index in range(n):
+            log.record("m0", "chunk", f"{index:064x}")
+        path = tmp_path / "hints" / "m0.jsonl"
+        record_bytes = path.stat().st_size / n
+        before = written_bytes()
+        for hint in log.pending("m0"):
+            log.resolve("m0", hint)
+        drained = written_bytes() - before
+        assert log.total_pending() == 0 and not path.exists()
+        assert drained < 6 * n * record_bytes
 
     def test_members_with_hints_and_bytes(self, tmp_path):
         log = HintLog(tmp_path / "hints")

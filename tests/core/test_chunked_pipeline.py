@@ -6,6 +6,11 @@ chunk dedup across a chain of full snapshots — and monolithic ``.params``
 blobs, which older releases wrote, still recovering beside manifests.
 """
 
+import builtins
+import io
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -226,3 +231,45 @@ class TestNoFileUnderTheRoot:
                 run.to_provenance_info(base_id, trained_model=trained))
         assert set(files.file_ids()) > before  # the save did store files
         assert root_files() == []
+
+    @pytest.mark.parametrize("kind", ["BA", "PUA derived"])
+    def test_a_warm_save_creates_no_file_anywhere_under_the_root(
+        self, tmp_path, monkeypatch, kind
+    ):
+        """Not in the root, not in ``journal/``, not even one a save unlinks
+        again: every file an open creates during the save is counted."""
+        documents, files = DocumentStore(), FileStore(tmp_path / "files")
+        pua = ParameterUpdateSaveService(documents, files)
+        base = make_tiny_cnn(seed=12)
+        base_id = pua.save_model(ModelSaveInfo(base, tiny_arch()))
+        pua.save_model(ModelSaveInfo(perturbed(base, level=1), tiny_arch()))
+        created = []
+
+        def is_new(path) -> bool:
+            path = Path(os.fsdecode(path)) if not isinstance(path, int) else None
+            return (path is not None and not path.exists()
+                    and files.root in path.absolute().parents)
+
+        real_os_open, real_open = os.open, io.open
+
+        def spy_os_open(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT and is_new(path):
+                created.append(path)
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax") and is_new(file):
+                created.append(file)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy_os_open)
+        monkeypatch.setattr(io, "open", spy_open)
+        monkeypatch.setattr(builtins, "open", spy_open)
+        if kind == "BA":
+            BaselineSaveService(documents, files).save_model(
+                ModelSaveInfo(perturbed(base, level=2), tiny_arch()))
+        else:
+            pua.save_model(ModelSaveInfo(
+                perturbed(base, level=2), tiny_arch(), base_model_id=base_id))
+        monkeypatch.undo()
+        assert created == []

@@ -216,19 +216,24 @@ class TestCrashBeforeTheChunkBatchIsJournaled:
         assert len(chunk_batches[0]) > 1
 
     def test_a_batch_is_one_json_object_per_line(self, tmp_path):
-        from repro.filestore.journal import SaveJournal
+        """A batch is one record of the intent log, its entries in order."""
+        from repro.filestore import FileStore
+        from repro.filestore.recordlog import RecordLog
 
-        journal = SaveJournal.create(tmp_path / "journal")
+        files = FileStore(tmp_path / "files")
+        journal = files.begin_journal()
         journal.record("blob", file_id="f1")
         journal.record_many([{"op": "chunk", "digest": d} for d in ("a", "b", "c")])
         journal.record_many([])
-        lines = journal.path.read_text().splitlines()
-        assert lines[1:] == [
-            '{"digest": "a", "op": "chunk"}',
-            '{"digest": "b", "op": "chunk"}',
-            '{"digest": "c", "op": "chunk"}',
-        ]
-        assert SaveJournal.load(journal.path).entries == journal.entries
+        records = RecordLog(files._intents.path).replay()
+        assert records[1:] == [{"save": journal.save_id, "entries": [
+            {"digest": "a", "op": "chunk"},
+            {"digest": "b", "op": "chunk"},
+            {"digest": "c", "op": "chunk"},
+        ]}]
+        files.abandon_journal()
+        [loaded] = FileStore(tmp_path / "files").incomplete_journals()
+        assert loaded.entries == journal.entries
         assert len(journal.entries) == 4
 
 

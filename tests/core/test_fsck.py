@@ -296,3 +296,48 @@ class TestCatalogTornTail:
             "dead_bytes": 0, "checkpoints": 0, "indexed_fields": ["environment_id"],
             "torn_tail_bytes": 0,
         }
+
+
+class TestDamagedIntentLog:
+    """A flipped byte in a crashed instance's intent log: fsck reports it
+    and deletes the log without rolling back any save in it (the damage may
+    hide a commit); the refcount reconcile reclaims the crashed saves'."""
+
+    def test_reported_and_repaired_then_clean(self, tmp_path, mem_doc_store):
+        from repro.filestore.recordlog import RecordLog
+
+        dead = FileStore(tmp_path / "files")
+        service = BaselineSaveService(mem_doc_store, dead)
+        model = make_tiny_cnn(seed=1)
+        model_id = service.save_model(ModelSaveInfo(model, tiny_arch(), use_case="U_1"))
+        crashed = ["c1" * 32, "c2" * 32]
+        for digest in crashed:
+            journal = dead.begin_journal()
+            dead.chunks.put(digest, digest.encode())
+            dead.chunks.add_refs([digest])
+            journal.record_many([{"op": "chunk", "digest": digest},
+                                 {"op": "refs", "digests": [digest]}])
+            dead.abandon_journal()  # the process dies mid-save
+        path = dead._intents.path
+        records = RecordLog(path).replay(sized=True)
+        commit = next(index for index, (record, _size) in enumerate(records)
+                      if record["entries"] == [{"op": "commit"}])
+        damaged = bytearray(path.read_bytes())
+        damaged[sum(size for _record, size in records[:commit + 1]) - 3] ^= 0x01
+        path.write_bytes(bytes(damaged))  # the saved model's commit, unreadable
+
+        files = FileStore(tmp_path / "files")
+        manager = ModelManager(BaselineSaveService(mem_doc_store, files))
+        report = manager.fsck(repair=False)
+        assert "damaged_journal" in kinds(report)
+        assert "incomplete_save" not in kinds(report)
+        assert path.exists() and all(map(files.chunks.has, crashed))  # untouched
+
+        report = manager.fsck()
+        assert "damaged_journal" in kinds(report) and not report.unrepaired
+        assert not path.exists()
+        assert not any(map(files.chunks.has, crashed))
+        assert manager.fsck().clean
+        recovered = BaselineSaveService(mem_doc_store, files).recover_model(model_id)
+        for key, value in model.state_dict().items():
+            assert np.array_equal(value, recovered.model.state_dict()[key]), key

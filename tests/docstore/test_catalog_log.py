@@ -1,7 +1,9 @@
 """The collection file as an append-only log: cost, replay, damage, indexes."""
 
 import json
+import os
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -13,10 +15,13 @@ from repro.docstore import DocumentStore, NotFoundError, engine
 from repro.docstore.engine import CHECKPOINT_DEAD_FLOOR, Collection
 from repro.docstore.query import matches
 from repro.errors import StoreCorruptionError
+from repro.filestore.recordlog import record_header
 
 
 def line(document: dict) -> bytes:
-    return json.dumps(document, sort_keys=True).encode() + b"\n"
+    """The log record of one put, framing included."""
+    payload = json.dumps(document, sort_keys=True).encode()
+    return record_header(b"", zlib.crc32(payload), len(payload)) + payload
 
 
 def fill(collection, count: int, use_cases: int = 10) -> None:
@@ -128,6 +133,7 @@ class TestParentFormat:
         assert collection.find() == documents  # file order is insertion order
         collection.insert_one({"_id": "c", "base_model": "b"})
         collection.delete_one("a")
+        # the first write rewrote it in the framing, its records first
         assert path.read_bytes().startswith(line(documents[0]) + line(documents[1]))
         reopened = DocumentStore(tmp_path).collection("models")
         assert [d["_id"] for d in reopened.find()] == ["b", "c"]
@@ -165,9 +171,10 @@ class TestDamagedLog:
         collection = DocumentStore(tmp_path).collection("models")
         fill(collection, 5)
         path = tmp_path / "models.jsonl"
-        lines = path.read_bytes().splitlines(keepends=True)
-        lines[2] = b'{"_id": "m2", "use_ca\n'
-        damaged = b"".join(lines)
+        lines = [line(collection.get(f"m{index}")) for index in range(5)]
+        damaged = bytearray(path.read_bytes())
+        damaged[len(lines[0]) + len(lines[1]) + len(lines[2]) - 2] ^= 0x20  # in m2
+        damaged = bytes(damaged)
         path.write_bytes(damaged)
         with pytest.raises(StoreCorruptionError) as caught:
             DocumentStore(tmp_path)
@@ -180,28 +187,13 @@ class TestDamagedLog:
         fill(collection, 3)
         path = tmp_path / "models.jsonl"
         before = path.read_bytes()
-        real_open = type(path).open
+        real_write = os.write
 
-        class HalfWritten:
-            def __init__(self, handle):
-                self.handle = handle
+        def half_written(fd, data):
+            real_write(fd, bytes(data)[: len(data) // 2])
+            raise OSError(28, "No space left on device")
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self.handle.close()
-
-            def write(self, data):
-                self.handle.write(data[: len(data) // 2])
-                self.handle.flush()
-                raise OSError(28, "No space left on device")
-
-        def failing_open(self, mode="r", *args, **kwargs):
-            handle = real_open(self, mode, *args, **kwargs)
-            return HalfWritten(handle) if mode == "ab" else handle
-
-        monkeypatch.setattr(type(path), "open", failing_open)
+        monkeypatch.setattr(os, "write", half_written)
         with pytest.raises(OSError):
             collection.insert_one({"_id": "lost", "use_case": "uc-0"})
         monkeypatch.undo()
@@ -224,6 +216,21 @@ class TestDropCollection:
         held.insert_one({"_id": "stale-holder"})
         assert {d["_id"] for d in DocumentStore(tmp_path)["models"].find()} == {
             "fresh", "stale-holder"}
+
+    def test_a_stale_holder_writes_to_the_file_another_holder_checkpointed(self, tmp_path):
+        store = DocumentStore(tmp_path)
+        held = store.collection("models")
+        held.insert_one({"_id": "early"})
+        store.drop_collection("models")
+        fresh = store.collection("models")
+        big = "z" * (2 * CHECKPOINT_DEAD_FLOOR)
+        fresh.insert_one({"_id": "m0", "blob": big})
+        held.insert_one({"_id": "lost-to-the-checkpoint"})
+        fresh.replace_one("m0", {"blob": big, "v": 2})
+        assert fresh.stats()["checkpoints"] == 1  # renamed a new file in place
+        held.insert_one({"_id": "stale-holder"})
+        assert {d["_id"] for d in DocumentStore(tmp_path)["models"].find()} == {
+            "m0", "stale-holder"}
 
 
 # -- the engine against a plain dict ------------------------------------------

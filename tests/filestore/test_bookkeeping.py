@@ -1,7 +1,7 @@
 """Chunk-store bookkeeping: the refcount log and the segment index checkpoint.
 
 A save's bookkeeping costs what the save touches (DESIGN.md §17): taking
-references appends one line to ``refcounts.json``, appended records are
+references appends one record to ``refcounts.json``, appended records are
 their own index entries until something seals or deletes, and the gauges
 come from running totals.  Everything here is counted or compared against
 a from-scratch recount — nothing is timed.
@@ -21,6 +21,7 @@ from repro.docstore import DocumentStore
 from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import ChunkStore, FileStore
+from repro.filestore.recordlog import RECORD_HEADER, RecordLog
 from tests.conftest import make_tiny_cnn
 from tests.core.test_crash_consistency import SERVICES, assert_states_equal, tiny_arch
 
@@ -43,8 +44,8 @@ def payload(index: int, size: int = 64) -> bytes:
 
 
 def log_lines(store) -> list[dict]:
-    return [json.loads(line)
-            for line in store._refs_path.read_bytes().split(b"\n") if line.strip()]
+    """The refcount log's records, oldest first."""
+    return RecordLog(store._refs_path).replay()
 
 
 @pytest.fixture(params=["segments"])
@@ -71,9 +72,9 @@ class TestRefcountLog:
         store.add_refs(["b", "c", "c"])
         assert log_lines(store) == [{"a": 1, "b": 1}, {"b": 2, "c": 2}]
         assert store.export_refs() == {"a": 1, "b": 2, "c": 2}
-        # replay is idempotent: the same lines twice are the same table
+        # replay is idempotent: the same records twice are the same table
         raw = store._refs_path.read_bytes()
-        store._refs_path.write_bytes(raw + b"\n" + raw)
+        store._refs_path.write_bytes(raw + raw)
         assert store_cls(tmp_path / "c").export_refs() == {"a": 1, "b": 2, "c": 2}
 
     def test_an_add_costs_its_batch_whatever_the_table_holds(self, store_cls, tmp_path):
@@ -90,14 +91,15 @@ class TestRefcountLog:
 
     def test_a_release_folds_the_log_into_one_record(self, store_cls, tmp_path):
         store = store_cls(tmp_path / "c")
-        store.add_refs(["a", "a", "a", "b"])
+        held = {digest_for(index): 1 for index in range(4)}  # appends stay appends
+        store.add_refs(["a", "a", "a", "b", *held])
         store.add_refs(["c"])
         store.add_refs(["b"])
         assert len(log_lines(store)) == 3
         assert store.release_refs(["a"]) == []
-        assert log_lines(store) == [{"a": 2, "b": 2, "c": 1}]
+        assert log_lines(store) == [{"a": 2, "b": 2, "c": 1, **held}]
         assert store.release_refs(["a", "a", "c"]) == ["a", "c"]
-        assert log_lines(store) == [{"b": 2}]  # 0 is gone, not stored
+        assert log_lines(store) == [{"b": 2, **held}]  # 0 is gone, not stored
 
     def test_dead_bytes_are_bounded_by_folding(self, store_cls, tmp_path):
         store = store_cls(tmp_path / "c")
@@ -107,7 +109,7 @@ class TestRefcountLog:
             store.add_refs(digests)
             sizes.append(store._refs_path.stat().st_size)
         folded = len(json.dumps(store.export_refs(), separators=(",", ":")))
-        assert max(sizes) <= 2 * folded + 16
+        assert max(sizes) <= 2 * (folded + RECORD_HEADER.size) + 16
         assert min(sizes[1:]) < max(sizes)  # it did fold on the way
         assert store.export_refs() == {digest: 40 for digest in digests}
         assert store_cls(tmp_path / "c").export_refs() == store.export_refs()
@@ -136,7 +138,8 @@ class TestRefcountLog:
         store = store_cls(root)
         assert store.export_refs() == counts
         store.add_refs([digest_for(0), "c"])
-        assert (root / "refcounts.json").read_text().startswith(legacy + "\n")
+        # its first append rewrites it in the framing, its record first
+        assert log_lines(store) == [{**counts, "gone": 0}, {digest_for(0): 2, "c": 1}]
         counts.update({digest_for(0): 2, "c": 1})
         assert store_cls(root).export_refs() == counts
         assert sorted(path.name for path in root.glob("refcounts*")) == [
@@ -223,9 +226,10 @@ class TestDamagedRefcountLog:
             store.put(digest_for(index), payload(index))
             store.add_refs([digest_for(index)])
         store.flush()
-        lines = store._refs_path.read_bytes().split(b"\n")
-        lines[1] = b"\x00" + lines[1][1:]
-        damaged = b"\n".join(lines)
+        assert len(log_lines(store)) == 3
+        damaged = bytearray(store._refs_path.read_bytes())
+        damaged[RECORD_HEADER.size] ^= 0xFF  # the first record's payload
+        damaged = bytes(damaged)
         store._refs_path.write_bytes(damaged)
         del store  # its table was right; a process that has to read the file:
         victim = store_cls(tmp_path / "c")
@@ -272,9 +276,10 @@ class TestDamagedRefcountLog:
             models[service.save_model(ModelSaveInfo(model, tiny_arch()))] = model
         counts = files.chunks.export_refs()
         path = files.chunks._refs_path
-        raw = path.read_bytes()
-        assert raw.count(b"\n") >= 2
-        path.write_bytes(raw.replace(b"\n{", b"\n\xff", 1))  # one bad byte
+        assert len(RecordLog(path).replay()) >= 2
+        raw = bytearray(path.read_bytes())
+        raw[RECORD_HEADER.size] ^= 0xFF  # one bad byte in the first record
+        path.write_bytes(bytes(raw))
 
         files, service, manager = open_stores(tmp_path, service_cls)
         with pytest.raises(StoreCorruptionError):
@@ -659,7 +664,8 @@ class TestAStoreInTheParentsFormat:
         files.chunks.close()  # the parent checkpointed on every flush
         root = files.chunks.root
         (root / "refcounts.json").write_text(json.dumps(counts, sort_keys=True))
-        index = json.loads((root / "index.json").read_text())
+        [index] = RecordLog(root / "index.json").replay()
+        (root / "index.json").write_text(json.dumps(index, sort_keys=True))
         assert set(index) == {"version", "entries", "segments"}
         assert set(index["entries"]) == set(counts)
         assert all(set(meta) == {"scanned", "total", "sealed"}

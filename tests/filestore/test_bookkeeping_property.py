@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.filestore import ChunkStore
+from repro.filestore.recordlog import RECORD_HEADER
 from tests.filestore.test_bookkeeping import recount
 
 DIGESTS = st.sampled_from([f"{i:02d}" + "ef" * 8 for i in range(8)])
@@ -93,7 +94,7 @@ class SegmentRefcountsAgainstDict(RuleBasedStateMachine):
         path = self.store._refs_path
         if path.exists():
             folded = len(json.dumps(self.refs, separators=(",", ":")))
-            assert path.stat().st_size <= 2 * folded + 16
+            assert path.stat().st_size <= 2 * (folded + RECORD_HEADER.size) + 16
         stats = self.store.segment_stats()
         expected = recount(self.store)
         assert {key: stats[key] for key in expected} == expected

@@ -541,7 +541,11 @@ class TestOlderArtefacts:
         entries = as_older_journal(journal)
         assert {e["file_id"] for e in entries if e["op"] == "blob"} == {
             code_id, manifest_id}
-        journal.path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        # the older release's one file per save, and no intent log
+        older = files.journal_dir / f"{journal.save_id}.jsonl"
+        older.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        for path in files.journal_dir.glob("intents-*.log"):
+            path.unlink()
         unimport_files(files)
 
         files = FileStore(tmp_path / "files")

@@ -1,15 +1,14 @@
-"""A save's intent journal is one open descriptor.
+"""A save's intents are records in its store's one intent log.
 
-``SaveJournal.create`` opens the file once (``O_CREAT|O_EXCL|O_APPEND``),
-every append is one ``os.write`` through that descriptor, and every way a
-save ends — commit, rollback, a simulated crash — closes it.  The bytes on
-disk are the same JSON lines as ever, so ``SaveJournal.load`` (and
-``HintLog``, which borrows its parse: ``tests/cluster/test_selfheal.py``)
-read them unchanged.
+The log is created by the store's first save and kept open: every later
+save appends to it through that one descriptor (one ``os.write`` per
+batch) and creates no file.  Every way a save ends — commit, rollback, a
+simulated crash — leaves the descriptor count where it was.  The log's
+framing and damage rule are ``RecordLog``'s (``test_record_log.py``).
 """
 
-import json
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,8 @@ from repro.core import ArchitectureRef, BaselineSaveService, ModelSaveInfo, Para
 from repro.docstore import DocumentStore
 from repro.faults import CrashPoint, FaultInjector, FaultyDocumentStore
 from repro.filestore import FileStore
-from repro.filestore.journal import SaveJournal
+from repro.filestore import journal as journal_module
+from repro.filestore.journal import INTENT_DEAD_FLOOR, IntentLog
 from tests.conftest import make_tiny_cnn
 
 
@@ -37,53 +37,98 @@ def open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
-class TestFormat:
-    def test_descriptor_writes_round_trip_with_a_torn_tail(self, tmp_path):
-        journal = SaveJournal.create(tmp_path / "journal")
-        journal.record("doc", collection="models", doc_id="m1")
-        journal.record_many([{"op": "chunk", "digest": d} for d in ("a", "b")])
-        journal.record("refs", digests=["a", "b"])
-        expected = "".join(json.dumps(e, sort_keys=True) + "\n" for e in journal.entries)
-        assert journal.path.read_text() == expected
-        with open(journal.path, "a") as handle:
-            handle.write('{"op": "refs", "dige')  # the crash hit the append itself
-        loaded = SaveJournal.load(journal.path)
-        assert loaded.entries == journal.entries
-        assert not loaded.committed
-        journal.discard()
-        assert not journal.path.exists()
+class TestIntentLog:
+    def test_saves_share_one_log_and_an_end_closes_a_save(self, tmp_path):
+        files = FileStore(tmp_path / "files")
+        first, second = files._intents.begin(), files._intents.begin()
+        first.record("doc", collection="models", doc_id="m1")
+        second.record_many([{"op": "chunk", "digest": d} for d in ("a", "b")])
+        first.record("refs", digests=["a"])
+        [path] = files.journal_dir.iterdir()
+        assert path == files._intents.path
+        assert [j.save_id for j in IntentLog.load(path).open_saves()] == [
+            first.save_id, second.save_id]
+        first.commit()
+        [left] = IntentLog.load(path).open_saves()
+        assert (left.save_id, left.entries) == (second.save_id, second.entries)
+        assert [j.save_id for j in files.incomplete_journals()] == [second.save_id]
+        second.discard()
+        assert files.incomplete_journals() == []
+        silent = files._intents.begin()
+        silent.commit()  # recorded nothing: writes nothing
+        assert IntentLog.load(path).open_saves() == []
 
-    def test_commit_writes_the_marker_before_the_unlink(self, tmp_path, monkeypatch):
-        journal = SaveJournal.create(tmp_path / "journal")
+    def test_close_removes_the_log_only_when_no_save_is_open(self, tmp_path):
+        files = FileStore(tmp_path / "files")
+        crashed = files._intents.begin()
+        crashed.record("refs", digests=["a"])
+        files.close()  # the crashed save is still open: the log stays
+        [path] = files.journal_dir.iterdir()
+        reopened = FileStore(tmp_path / "files")
+        [journal] = reopened.incomplete_journals()
+        assert journal.save_id == crashed.save_id
+        journal.discard()  # fsck's rollback ends it in the log it is in ...
+        assert not path.exists()  # ... and a log with no open save goes
+        done = reopened._intents.begin()
+        done.record("refs", digests=["b"])
+        done.commit()
+        reopened.close()
+        assert list(reopened.journal_dir.iterdir()) == []
+
+    def test_finished_logs_of_other_instances_go_and_the_log_stays_small(
+        self, tmp_path
+    ):
+        left = FileStore(tmp_path / "files")
+        journal = left._intents.begin()
         journal.record("refs", digests=["a"])
-        on_disk = []
-        real_unlink = Path.unlink
+        journal.commit()  # the process exited without close()
+        files = FileStore(tmp_path / "files")
+        service = ParameterUpdateSaveService(DocumentStore(), files)
+        service.save_model(save_info(0))
+        assert files.incomplete_journals() == []  # ... and the left log is gone
+        assert list(files.journal_dir.iterdir()) == [files._intents.path]
+        sizes = []
+        for seed in range(1, 60):
+            service.save_model(save_info(seed))
+            sizes.append(files._intents.path.stat().st_size)
+        assert max(sizes) <= 2 * INTENT_DEAD_FLOOR
+        assert min(sizes[sizes.index(max(sizes)):]) < max(sizes)  # rewritten
+        assert files.incomplete_journals() == []
 
-        def unlink(path, missing_ok=False):
-            on_disk.append(SaveJournal.load(path))
-            real_unlink(path, missing_ok=missing_ok)
 
-        monkeypatch.setattr(Path, "unlink", unlink)
-        journal.commit()
-        [seen] = on_disk
-        assert seen.committed and seen.entries == journal.entries
-        assert not journal.path.exists()
+    def test_a_rewrite_racing_a_batch_records_it_once(self, tmp_path, monkeypatch):
+        """Another save's end rewrites the log from the open saves' entries
+        while a batch is on its way in: the batch lands in the log once."""
+        monkeypatch.setattr(journal_module, "INTENT_DEAD_FLOOR", 0)  # every end rewrites
+        files = FileStore(tmp_path / "files")
+        intents = files._intents
+        racing, ending = intents.begin(), intents.begin()
+        racing.record("refs", digests=["x"])
+        ending.record("refs", digests=["y"])
+        append = intents.append
 
-    def test_create_refuses_an_existing_file(self, tmp_path, monkeypatch):
-        (tmp_path / "journal").mkdir()
-        (tmp_path / "journal" / "save-0000000000000000.jsonl").write_text("")
-        monkeypatch.setattr(
-            "repro.filestore.journal.uuid.uuid4",
-            lambda: type("U", (), {"hex": "0" * 32})())
-        with pytest.raises(FileExistsError):
-            SaveJournal.create(tmp_path / "journal")
+        def end_the_other_first(journal, entries):
+            if journal is racing:
+                ender = threading.Thread(target=ending.commit)
+                ender.start()
+                ender.join()
+            append(journal, entries)
+
+        monkeypatch.setattr(intents, "append", end_the_other_first)
+        racing.record("refs", digests=["z"])
+        [loaded] = IntentLog.load(intents.path).open_saves()
+        assert loaded.entries == racing.entries == [
+            {"op": "refs", "digests": ["x"]}, {"op": "refs", "digests": ["z"]}]
+        racing.commit()
+        files.close()  # no descriptor is left for a later test to count
 
 
 class TestOneOpenPerSave:
     def test_a_save_opens_its_journal_once(self, tmp_path, monkeypatch):
+        """The store's first save opens the intent log; a warm save opens
+        nothing under ``journal/`` and creates no directory."""
         files = FileStore(tmp_path / "files")
         service = ParameterUpdateSaveService(DocumentStore(), files)
-        base = service.save_model(save_info(0))
         journal_opens, mkdirs = [], []
         real_open, real_mkdir = os.open, Path.mkdir
 
@@ -99,13 +144,15 @@ class TestOneOpenPerSave:
 
         monkeypatch.setattr(os, "open", spy_open)
         monkeypatch.setattr(Path, "mkdir", spy_mkdir)
-        service.save_model(save_info(1))
-        assert len(journal_opens) == 1
+        base = service.save_model(save_info(0))
+        assert set(journal_opens) == {files._intents.path}  # mkdir, then again
         journal_opens.clear()
+        mkdirs.clear()
+        service.save_model(save_info(1))
         service.save_model(save_info(2, base_model_id=base))
-        assert len(journal_opens) == 1
-        assert mkdirs == []  # journal/ exists after the first save
-        assert list(files.journal_dir.iterdir()) == []
+        assert journal_opens == []
+        assert mkdirs == []
+        assert list(files.journal_dir.iterdir()) == [files._intents.path]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
@@ -129,7 +176,8 @@ class TestNoDescriptorLeak:
             if kind == "rolled_back":
                 service._insert_model_document = refuse
             elif kind == "crashed":
-                faults.arm_crash(1, op="docs.insert_one")
+                # dies at the model document, after the files' intents
+                faults.arm_crash(2, op="docs.insert_one")
             try:
                 service.save_model(save_info(seed))
             except OSError:

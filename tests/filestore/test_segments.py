@@ -1,6 +1,5 @@
 """Segment-based chunk store: append-only segments, group fsync, compaction."""
 
-import json
 import os
 import time
 
@@ -13,6 +12,7 @@ from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import ChunkNotFoundError, ChunkStore, FileStore
 from repro.filestore import codecs as chunk_codecs
+from repro.filestore.recordlog import RecordLog
 from repro.filestore.segments import SEGMENT_SUFFIX
 
 
@@ -215,6 +215,39 @@ class TestCompaction:
             pytest.fail("compaction never completed")
         assert crashes >= 5, f"only {crashes} distinct crash points hit"
 
+    def test_a_destination_absorbed_before_the_resume_keeps_its_records(self, tmp_path):
+        """Another process's read miss absorbs a committed destination while
+        the victims still hold its records; its later resume (fsck) must
+        index it."""
+        crashes = 0
+        for at in range(1, 60):
+            root = tmp_path / f"crash-{at}"
+            store, data = self.build_fragmented(root)
+            store.add_refs(list(data))
+            other = ChunkStore(root, segment_bytes=4096, tmp_grace_s=0.0)
+            faults = FaultInjector(seed=0)
+            store.fault_hook = faults.fail_point
+            faults.arm_crash(at, op="chunk.compact")
+            try:
+                store.compact()
+            except CrashPoint:
+                crashes += 1
+            else:
+                break
+            del store  # crash: no close
+            with other._mutex:
+                other._refresh_locked()  # what a read miss does
+            assert other.audit(repair=True, verify=True)["crc_failures"] == []
+            other.gc()
+            for digest, blob in data.items():
+                assert other.get(digest) == blob, f"crash at {at}: {digest}"
+            reopened = ChunkStore(root, segment_bytes=4096, tmp_grace_s=0.0)
+            for digest, blob in data.items():
+                assert reopened.get(digest) == blob, f"crash at {at}: {digest}"
+        else:
+            pytest.fail("compaction never completed")
+        assert crashes >= 5, f"only {crashes} distinct crash points hit"
+
     def test_orphan_partial_segments_get_grace_swept(self, tmp_path):
         store = ChunkStore(tmp_path / "s")
         data = fill(store, 3)
@@ -285,11 +318,11 @@ class TestFileStoreIntegration:
         store.flush()
         assert not path.exists()
         fill(store, 12)  # rolls
-        checkpoint = json.loads(path.read_text())
+        [checkpoint] = RecordLog(path).replay()
         assert checkpoint["version"] == 1
         sealed = [n for n, m in checkpoint["segments"].items() if m["sealed"]]
         assert sealed and {e[0] for e in checkpoint["entries"].values()} <= set(sealed)
         store.close()
-        checkpoint = json.loads(path.read_text())
+        [checkpoint] = RecordLog(path).replay()
         assert checkpoint["version"] == 1
         assert len(checkpoint["entries"]) == 13

@@ -69,6 +69,13 @@ class TestManagement:
         assert file_store.size(a) == 5
         assert file_store.total_bytes() == 15
 
+    def test_size_of_a_file_that_starts_with_the_frame_magic(self, file_store):
+        """Such a file is stored escape-framed; its size is still its own."""
+        for data in (b"MMCZ", b"MMCZ" + bytes(100)):
+            file_id = file_store.save_bytes(data)
+            assert file_store.recover_bytes(file_id) == data
+            assert file_store.size(file_id) == len(data)
+
     def test_size_of_missing_raises(self, file_store):
         with pytest.raises(FileNotFoundInStoreError):
             file_store.size("deadbeefdeadbeef-000000000000")

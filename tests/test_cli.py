@@ -1,10 +1,15 @@
 """The ``mmlib`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import cli
 from repro.core import ArchitectureRef, BaselineSaveService, ModelSaveInfo
 from repro.docstore import DocumentStore
@@ -101,6 +106,19 @@ class TestSaveRecover:
         recovered = serialization.load(out_path)
         for key, value in model.state_dict().items():
             assert np.array_equal(value, recovered[key])
+
+    def test_a_save_process_leaves_no_journal_file(self, stores):
+        """The store's intent log goes with the process that wrote it."""
+        docs, files = stores
+        repo = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(repro.__file__).parent.parent), str(repo)]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "--docs", docs, "--files", files,
+             "save", "--factory", FACTORY, "--use-case", "U_1"],
+            cwd=repo, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert list((Path(files) / "journal").iterdir()) == []
 
     def test_save_with_unknown_approach_errors(self, stores, capsys):
         docs, files = stores
