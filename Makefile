@@ -50,7 +50,9 @@ bench-serving:
 # kill/crash-point/two-process tests + the retired write formats (still
 # read bitwise, fsck-clean, corruption caught) + the file-per-blob import
 # (a crash at every step, single store and 3x2 cluster) + one log (the
-# RecordLog property test, stores with parent-format logs) + chaos smoke;
+# RecordLog property test, stores with parent-format logs) + one replica
+# core (the quorum policy of every write kind, verified heal sources, the
+# flush barrier, a promote that fails at its commit point) + chaos smoke;
 # writes BENCH_chaos.json
 chaos:
 	PYTHONPATH=src $(PY) -m pytest -q tests/filestore/test_faults.py \
@@ -65,7 +67,11 @@ chaos:
 		tests/filestore/test_bookkeeping.py::TestRefcountLogCrashPoints \
 		tests/filestore/test_legacy_import.py::TestRetiredWriteFormats \
 		tests/filestore/test_legacy_import.py::TestAStoreOfFilesPerBlob \
-		tests/filestore/test_record_log.py tests/filestore/test_parent_logs.py
+		tests/filestore/test_record_log.py tests/filestore/test_parent_logs.py \
+		tests/cluster/test_sharded_store.py::TestQuorumWrites::test_every_write_kind_follows_one_quorum_policy \
+		tests/cluster/test_sharded_store.py::TestFlushBarrier \
+		tests/core/test_manager.py::TestPromoteAndSquash::test_a_failed_promote_releases_nothing \
+		tests/cluster/test_rebalance.py tests/cluster/test_selfheal.py
 	$(PY) scripts/chaos_smoke.py
 
 api-docs:

@@ -11,10 +11,12 @@ a copy rots at rest.  Two consumers walk the same convergence logic —
 
 Both call :func:`repair_chunk` below for every record — a chunk, or a
 file stored under its file id — so the offline and online repair
-semantics *cannot* diverge: verification rules
-(never propagate a copy that fails digest verification — scan past it to
-an intact one), refcount transfer, and the strays-only-when-whole guard
-live here once.
+semantics *cannot* diverge.  Its source copy and refcount come from
+:func:`~repro.cluster.replica.source` and land through
+:func:`~repro.cluster.replica.place`, the heal routines read repair,
+hinted handoff and rebalance moves use too (never propagate a copy that
+fails digest verification — scan past it to an intact one); the
+strays-only-when-whole guard lives here.
 
 Per-key outcome statuses:
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 import threading
 
 from .. import obs
+from .replica import place, source
 from .sharded_store import ShardedFileStore
 
 __all__ = [
@@ -150,47 +153,24 @@ def repair_chunk(
         result["status"] = "deferred" if result["unreachable"] else "unrepairable"
         return result
 
-    data = None
+    heal = None
     if deep or missing:
-        verified = False
-        for name in holders:
-            try:
-                candidate = members[name].chunks.get(digest)
-            except (KeyError, OSError):
-                result["corrupt"].append(name)  # has() said yes, read failed
-                continue
-            verdict = store._verify_for_repair(digest, candidate)
-            if verdict is False:
-                result["corrupt"].append(name)
-                continue
-            if data is None or (verdict is True and not verified):
-                data = candidate
-                verified = verdict is True
-            if not deep:
-                break  # shallow: first acceptable copy wins, like fsck always did
-        if data is None:
+        heal = source(store, digest, holders, deep=deep)
+        result["corrupt"] = heal.corrupt
+        if heal.data is None:
             result["status"] = "deferred" if result["unreachable"] else "unrepairable"
             return result
 
-    if repair and data is not None:
-        refcount = max(
-            (members[n].chunks.refcount(digest) for n in holders), default=0
-        )
-        for name in missing:
+    if repair and heal is not None:
+        for name in missing + heal.corrupt:
+            overwrite = name in heal.corrupt
             try:
-                members[name].chunks.put(digest, data)
-                if refcount > 0:
-                    members[name].chunks.import_refs({digest: refcount})
+                place(members[name], digest, heal.data, heal.refcount, overwrite)
             except OSError:
                 continue
-            result["repaired_to"].append(name)
-        for name in result["corrupt"]:
-            try:
-                members[name].chunks.drop(digest)
-                members[name].chunks.put(digest, data)
-            except OSError:
-                continue
-            result["corrupt_healed"].append(name)
+            result["corrupt_healed" if overwrite else "repaired_to"].append(name)
+        if result["repaired_to"] or result["corrupt_healed"]:
+            store._clear_degraded("chunk", digest)
 
     if repair:
         def drop(name: str) -> None:
@@ -276,7 +256,6 @@ class AntiEntropyScanner:
         if result["repaired_to"] or result["corrupt_healed"]:
             self.stats["repaired"] += 1
             self._obs_repairs.inc()
-            self.store._clear_degraded(result["kind"], result["key"])
             self._events.emit(
                 "antientropy_repair", kind=result["kind"], key=result["key"],
                 restored=list(result["repaired_to"]),

@@ -8,7 +8,10 @@ Two maintenance planes share this module:
   exactly those records (chunks, and files under their file ids) over a
   bounded worker pool, and records
   every completed move in an on-disk journal so an interrupted rebalance
-  resumes without re-copying.
+  resumes without re-copying.  Each move copies from the verified heal
+  source (:func:`~repro.cluster.replica.source`) that read repair, hinted
+  handoff and anti-entropy use, so a corrupt replica is never copied and
+  the only intact one is never dropped.
 * :func:`replication_fsck` — cross-checks every replica set against the
   ring's R: under-replicated keys are repaired from a surviving copy
   (digest-verified first), stray replicas on non-owners are dropped once
@@ -32,9 +35,11 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .. import obs
+from ..errors import StoreCorruptionError
 from ..filestore.recordlog import RecordLog
 from .antientropy import chunk_universe as _chunk_universe
 from .antientropy import repair_chunk
+from .replica import place, source
 from .sharded_store import ShardedFileStore
 
 __all__ = ["ClusterRebalancer", "replication_fsck"]
@@ -210,26 +215,32 @@ class ClusterRebalancer:
     def _move_chunk(self, digest: str, new_owners: list[str]) -> tuple[int, int]:
         """Copy one record to its new owners, then retire stale replicas.
 
-        Returns ``(bytes_copied, replicas_dropped)``.  The copy uses raw
-        chunk I/O: content addressing means a re-run (resume) converges
-        instead of duplicating, and refcounts travel with the data via
-        ``import_refs``/``forget_refs`` rather than being replayed."""
+        Returns ``(bytes_copied, replicas_dropped)``.  The source is the
+        heal source (:func:`~repro.cluster.replica.source`) over every
+        holder, new owners first, each copy read and verified: a copy that
+        fails verification is never copied and is overwritten on a new
+        owner, and when no copy may be healed from the move fails with
+        nothing dropped.  The copy uses raw chunk I/O: content addressing
+        means a re-run (resume) converges instead of duplicating, and
+        refcounts travel with the data via ``import_refs``/``forget_refs``
+        rather than being replayed."""
         members = self.store.members
-        holders = [n for n in sorted(members) if n in members and members[n].chunks.has(digest)]
+        holders = [n for n in sorted(members) if members[n].chunks.has(digest)]
         if not holders:  # refcount entry with no data anywhere: nothing to move
             for name in sorted(members):
                 members[name].chunks.forget_refs([digest])
             return 0, 0
-        source = next((n for n in new_owners if n in holders), holders[0])
-        data = members[source].chunks.get(digest)
-        refcount = max(members[n].chunks.refcount(digest) for n in holders)
+        heal = source(self.store, digest, sorted(holders, key=lambda n: n not in new_owners),
+                      deep=True)
+        if heal.data is None:
+            raise StoreCorruptionError(f"record {digest!r}: no copy verifies, nothing moved")
         copied = 0
         for name in new_owners:
-            if name not in holders:
-                members[name].chunks.put(digest, data)
-                copied += len(data)
-            if refcount > 0:
-                members[name].chunks.import_refs({digest: refcount})
+            if name not in holders or name in heal.corrupt:
+                place(members[name], digest, heal.data, heal.refcount, name in holders)
+                copied += len(heal.data)
+            elif heal.refcount > 0:
+                members[name].chunks.import_refs({digest: heal.refcount})
         dropped = 0
         for name in holders:
             if name in new_owners:
@@ -238,6 +249,7 @@ class ClusterRebalancer:
             members[name].chunks.forget_refs([digest])
             dropped += 1
         return copied, dropped
+
 
 def replication_fsck(store: ShardedFileStore, repair: bool = True) -> dict:
     """Audit (and with ``repair`` restore) every replica set to R copies.
@@ -277,7 +289,6 @@ def replication_fsck(store: ShardedFileStore, repair: bool = True) -> dict:
             report["unrepairable"].append({"kind": kind, "key": key})
         if result["repaired_to"] or result["corrupt_healed"]:
             report["repaired"].append({"kind": kind, "key": key})
-            store._clear_degraded(kind, key)
         for member in result["strays_dropped"]:
             report["strays_dropped"].append(
                 {"kind": kind, "key": key, "member": member}

@@ -8,6 +8,11 @@ key, so :meth:`_ShardedCollection.find` scatter-gathers every member,
 deduplicates replicas by ``_id``, and applies sort/skip/limit globally —
 per-member sorts cannot simply concatenate.
 
+Every write — insert, replace, update, delete — is the cluster's one
+quorum write (:meth:`~repro.cluster.replica.ReplicaLedger._quorum_write`,
+shared with the file store) around that write's own per-owner step: the
+duplicate rule, replace-or-insert, update-or-repair, tombstone-then-delete.
+
 Members are anything with the engine's ``collection(name)`` API: plain
 :class:`~repro.docstore.engine.DocumentStore`s, chaos-wrapped
 :class:`~repro.faults.FaultyDocumentStore`s, or TCP clients.  MMlib
@@ -21,18 +26,15 @@ import threading
 from typing import Mapping
 
 from .. import deadline as deadline_mod
-from .. import obs
 from ..docstore.documents import new_object_id, validate_document
 from ..docstore.engine import DuplicateKeyError, NotFoundError, _sort_key, merge_stats
 from ..docstore.query import resolve_path
-from ..errors import QuorumWriteError, TransientStoreError
-from .ring import DEFAULT_VNODES, HashRing
+from ..errors import TransientStoreError
+from .hints import KIND_DOC
+from .replica import REPLICA_FAILURES, ReplicaLedger
+from .ring import DEFAULT_VNODES
 
 __all__ = ["ShardedDocumentStore", "TOMBSTONES"]
-
-#: A replica that raises one of these did not deliver; the client fails
-#: over (reads) or counts the replica un-acked (writes).
-_REPLICA_FAILURES = (NotFoundError, OSError)
 
 #: Per-member collection recording quorum-acked deletes.  A tombstone's
 #: ``_id`` is ``"<collection>/<doc_id>"`` — exactly the deleted
@@ -54,10 +56,11 @@ class _ShardedCollection:
         self._store = store
         self.name = name
 
-    def _owners(self, doc_id: str):
-        ring = self._store.ring
-        for member_name in ring.owners(f"{self.name}/{doc_id}"):
-            yield member_name, self._store.members[member_name].collection(self.name)
+    def _owners(self, doc_id: str) -> list[str]:
+        return self._store.ring.owners(f"{self.name}/{doc_id}")
+
+    def _member(self, member_name: str):
+        return self._store.members[member_name].collection(self.name)
 
     def _all_collections(self):
         for member_name in sorted(self._store.members):
@@ -131,45 +134,22 @@ class _ShardedCollection:
         doc_id = str(document.get("_id") or new_object_id())
         document["_id"] = doc_id
         self._clear_tombstone(doc_id)
-        acks = 0
-        fresh = 0
-        duplicates = 0
-        owner_count = 0
-        missed: list[str] = []
-        last_error: Exception | None = None
-        for member_name, collection in self._owners(doc_id):
-            owner_count += 1
-            deadline_mod.check("docs.insert_one")
-            if not self._store._member_allowed(member_name):
-                missed.append(member_name)
-                continue
+        fresh: list[bool] = []
+
+        def insert(member_name: str) -> None:
             try:
-                collection.insert_one(_copy(document))
-                fresh += 1
+                self._member(member_name).insert_one(_copy(document))
             except DuplicateKeyError:
-                duplicates += 1
-            except _REPLICA_FAILURES as exc:
-                last_error = exc
-                if isinstance(exc, OSError):
-                    self._store._member_down(member_name)
-                missed.append(member_name)
-                continue
-            self._store._member_up(member_name)
-            acks += 1
-        if acks < self._store.write_quorum:
-            self._store._note_quorum_failure(self.name, doc_id, acks)
-            raise QuorumWriteError(
-                f"document {self.name}/{doc_id} reached {acks}/{owner_count} "
-                f"replicas (write quorum {self._store.write_quorum})"
-            ) from last_error
-        if duplicates and not fresh:
+                fresh.append(False)
+            else:
+                fresh.append(True)
+
+        self._store._quorum_write(
+            self.name, doc_id, self._owners(doc_id), insert, "docs.insert_one")
+        if not any(fresh):
             raise DuplicateKeyError(
                 f"duplicate _id {doc_id!r} in collection {self.name!r}"
             )
-        if missed:
-            self._store._note_degraded(self.name, doc_id)
-            for member_name in missed:
-                self._store._hint(member_name, self.name, doc_id)
         return doc_id
 
     def insert_many(self, documents: list[dict]) -> list[str]:
@@ -182,39 +162,16 @@ class _ShardedCollection:
         self.get(doc_id, projection=())  # existence check with failover; raises NotFoundError
         document = validate_document(document)
         document["_id"] = str(doc_id)
-        acks = 0
-        owner_count = 0
-        missed: list[str] = []
-        last_error: Exception | None = None
-        for member_name, collection in self._owners(doc_id):
-            owner_count += 1
-            deadline_mod.check("docs.replace_one")
-            if not self._store._member_allowed(member_name):
-                missed.append(member_name)
-                continue
+
+        def replace(member_name: str) -> None:
+            collection = self._member(member_name)
             try:
-                try:
-                    collection.replace_one(doc_id, _copy(document))
-                except NotFoundError:
-                    collection.insert_one(_copy(document))
-            except _REPLICA_FAILURES as exc:
-                last_error = exc
-                if isinstance(exc, OSError):
-                    self._store._member_down(member_name)
-                missed.append(member_name)
-                continue
-            self._store._member_up(member_name)
-            acks += 1
-        if acks < self._store.write_quorum:
-            self._store._note_quorum_failure(self.name, doc_id, acks)
-            raise QuorumWriteError(
-                f"document {self.name}/{doc_id} replace reached {acks}/"
-                f"{owner_count} replicas (write quorum {self._store.write_quorum})"
-            ) from last_error
-        if missed:
-            self._store._note_degraded(self.name, doc_id)
-            for member_name in missed:
-                self._store._hint(member_name, self.name, doc_id)
+                collection.replace_one(doc_id, _copy(document))
+            except NotFoundError:
+                collection.insert_one(_copy(document))
+
+        self._store._quorum_write(
+            self.name, doc_id, self._owners(doc_id), replace, "docs.replace_one")
 
     def update_one(self, query: dict, changes: dict) -> bool:
         """Find the first match cluster-wide, then update it by ``_id`` on
@@ -224,95 +181,45 @@ class _ShardedCollection:
         if target is None:
             return False
         doc_id = target["_id"]
-        acks = 0
-        owner_count = 0
-        missed: list[str] = []
-        last_error: Exception | None = None
-        for member_name, collection in self._owners(doc_id):
-            owner_count += 1
-            deadline_mod.check("docs.update_one")
-            if not self._store._member_allowed(member_name):
-                missed.append(member_name)
-                continue
+
+        def update(member_name: str) -> None:
+            collection = self._member(member_name)
+            if collection.update_one({"_id": doc_id}, dict(changes)):
+                return
+            # replica is missing the doc: repair it, with changes applied
+            repaired = dict(target)
+            repaired.update(validate_document(dict(changes)))
+            repaired["_id"] = doc_id
             try:
-                if not collection.update_one({"_id": doc_id}, dict(changes)):
-                    # replica is missing the doc: repair it, with changes applied
-                    repaired = dict(target)
-                    repaired.update(validate_document(dict(changes)))
-                    repaired["_id"] = doc_id
-                    try:
-                        collection.insert_one(_copy(repaired))
-                    except DuplicateKeyError:
-                        pass
-            except _REPLICA_FAILURES as exc:
-                last_error = exc
-                if isinstance(exc, OSError):
-                    self._store._member_down(member_name)
-                missed.append(member_name)
-                continue
-            self._store._member_up(member_name)
-            acks += 1
-        if acks < self._store.write_quorum:
-            self._store._note_quorum_failure(self.name, doc_id, acks)
-            raise QuorumWriteError(
-                f"document {self.name}/{doc_id} update reached {acks}/"
-                f"{owner_count} replicas (write quorum {self._store.write_quorum})"
-            ) from last_error
-        if missed:
-            self._store._note_degraded(self.name, doc_id)
-            for member_name in missed:
-                self._store._hint(member_name, self.name, doc_id)
+                collection.insert_one(_copy(repaired))
+            except DuplicateKeyError:
+                pass
+
+        self._store._quorum_write(
+            self.name, doc_id, self._owners(doc_id), update, "docs.update_one")
         return True
 
     def delete_one(self, doc_id: str) -> bool:
         """Quorum-delete: each acking owner records a tombstone *and*
         drops its copy.  A replica that missed the delete keeps the
         document, but the tombstone stops read-repair and rebalancing
-        from resurrecting it — they finish the delete instead.  Partial
-        acks leave the key in the degraded set so maintenance retries."""
+        from resurrecting it — they finish the delete instead, and so does
+        the missed owner's hint, whose delivery consults the tombstone."""
         doc_id = str(doc_id)
-        tombstone_id = self._tombstone_key(doc_id)
-        removed = False
-        acks = 0
-        owner_count = 0
-        missed: list[str] = []
-        last_error: Exception | None = None
-        for member_name, collection in self._owners(doc_id):
-            owner_count += 1
-            deadline_mod.check("docs.delete_one")
-            if not self._store._member_allowed(member_name):
-                missed.append(member_name)
-                continue
-            graves = self._store.members[member_name].collection(TOMBSTONES)
-            try:
-                try:
-                    graves.insert_one({"_id": tombstone_id})
-                except DuplicateKeyError:
-                    pass  # idempotent retry of a partially-acked delete
-                removed = collection.delete_one(doc_id) or removed
-            except _REPLICA_FAILURES as exc:
-                last_error = exc
-                if isinstance(exc, OSError):
-                    self._store._member_down(member_name)
-                missed.append(member_name)
-                continue
-            self._store._member_up(member_name)
-            acks += 1
-        if acks < self._store.write_quorum:
-            self._store._note_quorum_failure(self.name, doc_id, acks)
-            raise QuorumWriteError(
-                f"document {self.name}/{doc_id} delete reached {acks}/"
-                f"{owner_count} replicas (write quorum {self._store.write_quorum})"
-            ) from last_error
-        if missed:
-            self._store._note_degraded(self.name, doc_id)
-            # the hint's delivery consults the tombstone, so replaying it
-            # finishes the delete on the member that missed it
-            for member_name in missed:
-                self._store._hint(member_name, self.name, doc_id)
-        else:
-            self._store._clear_degraded(self.name, doc_id)
-        return removed
+        removed: list[bool] = []
+        self._store._quorum_write(
+            self.name, doc_id, self._owners(doc_id),
+            lambda member_name: removed.append(self._bury(member_name, doc_id)), "docs.delete_one")
+        return any(removed)
+
+    def _bury(self, member_name: str, doc_id: str) -> bool:
+        """One owner's delete: record the tombstone, then drop the copy."""
+        graves = self._store.members[member_name].collection(TOMBSTONES)
+        try:
+            graves.insert_one({"_id": self._tombstone_key(doc_id)})
+        except DuplicateKeyError:
+            pass  # idempotent retry of a partially-acked delete
+        return self._member(member_name).delete_one(doc_id)
 
     def delete_many(self, query: dict) -> int:
         """Resolve the query cluster-wide, then delete each match by id on
@@ -340,22 +247,23 @@ class _ShardedCollection:
         doc_id = str(doc_id)
         failed = []
         unreachable = 0
-        for member_name, collection in self._owners(doc_id):
+        for member_name in self._owners(doc_id):
+            collection = self._member(member_name)
             deadline_mod.check("docs.get")
-            if not self._store._member_allowed(member_name):
+            if not self._store._allowed(member_name):
                 unreachable += 1  # breaker open: absence stays unproven
                 continue
             try:
                 document = collection.get(doc_id, projection=projection)
             except NotFoundError:
-                self._store._member_up(member_name)
+                self._store._up(member_name)
                 failed.append(collection)
                 continue
             except OSError:
-                self._store._member_down(member_name)
+                self._store._down(member_name)
                 unreachable += 1
                 continue
-            self._store._member_up(member_name)
+            self._store._up(member_name)
             if self._is_tombstoned(doc_id):
                 self._reap(doc_id)
                 raise NotFoundError(f"no document {doc_id!r} in {self.name!r}")
@@ -367,7 +275,7 @@ class _ShardedCollection:
                     # truncated document to the replica
                     try:
                         whole = collection.get(doc_id)
-                    except _REPLICA_FAILURES:
+                    except REPLICA_FAILURES:
                         failed = []  # gone since: nothing to repair from
                 self._repair(failed, whole)
             return document
@@ -384,7 +292,7 @@ class _ShardedCollection:
                 collection.insert_one(_copy(document))
             except DuplicateKeyError:
                 continue
-            except _REPLICA_FAILURES:
+            except REPLICA_FAILURES:
                 self._store._bump("repair_failures")
                 continue
             self._store._bump("read_repairs")
@@ -457,7 +365,7 @@ class _ShardedCollection:
         for member_name in sorted(self._store.members):
             collection = self._store.members[member_name].collection(self.name)
             deadline_mod.check("docs.find")
-            if not self._store._member_allowed(member_name):
+            if not self._store._allowed(member_name):
                 self._store._bump("failover_reads")
                 unreachable += 1  # breaker open: results may be incomplete
                 continue
@@ -465,11 +373,11 @@ class _ShardedCollection:
                 results = collection.find(
                     query, limit=member_limit, projection=member_projection)
             except OSError:
-                self._store._member_down(member_name)
+                self._store._down(member_name)
                 self._store._bump("failover_reads")
                 unreachable += 1
                 continue
-            self._store._member_up(member_name)
+            self._store._up(member_name)
             for document in results:
                 merged.setdefault(document["_id"], document)
         if unreachable >= self._store._effective_replicas():
@@ -537,14 +445,20 @@ class _ShardedCollection:
         return sum(self._from_members("acknowledge_torn_tail"))
 
 
-class ShardedDocumentStore:
+class ShardedDocumentStore(ReplicaLedger):
     """R-of-N replicated document store over named member stores.
 
     Drop-in for the engine's :class:`~repro.docstore.engine.DocumentStore`
     wherever MMlib takes one (services, save transactions, fsck): it has
     the same ``collection``/``collection_names``/``drop_collection``/
-    ``storage_bytes`` surface, with replication underneath.
+    ``storage_bytes`` surface, with replication underneath.  The ring,
+    quorum, detector, hints and stats are the
+    :class:`~repro.cluster.replica.ReplicaLedger` it shares with the file
+    store.
     """
+
+    _plane = "docs"
+    _kind_field = "collection"
 
     def __init__(
         self,
@@ -555,104 +469,19 @@ class ShardedDocumentStore:
         detector=None,
         hint_log=None,
     ):
-        if not members:
-            raise ValueError("a sharded document store needs at least one member")
-        self.members = dict(members)
-        self.detector = detector
-        self.hints = hint_log
-        if detector is not None:
-            for name in self.members:
-                detector.add_member(name)
-        self.ring = HashRing(sorted(self.members), replicas=replicas, vnodes=vnodes)
-        effective = min(replicas, len(self.members))
-        if write_quorum is None:
-            write_quorum = effective // 2 + 1
-        if not 1 <= write_quorum <= effective:
-            raise ValueError(
-                f"write_quorum must be in [1, {effective}], got {write_quorum}"
-            )
-        self.write_quorum = int(write_quorum)
-        self._stats_lock = threading.Lock()
-        self.cluster_stats = {
-            "failover_reads": 0,
-            "read_repairs": 0,
-            "degraded_writes": 0,
-            "repair_failures": 0,
-        }
-        self.degraded_keys: set[tuple[str, str]] = set()
+        self._init_ledger(members, replicas, write_quorum, vnodes, detector, hint_log)
         self._collections: dict[str, _ShardedCollection] = {}
         self._collections_lock = threading.Lock()
-        registry = obs.registry()
-        self._obs_events = obs.events()
-        self._obs_cluster = {
-            "failover_reads": registry.counter(
-                "mmlib_cluster_failover_reads_total",
-                "Reads served by a non-primary replica", plane="docs"),
-            "read_repairs": registry.counter(
-                "mmlib_cluster_read_repairs_total",
-                "Replica copies healed during reads", plane="docs"),
-            "degraded_writes": registry.counter(
-                "mmlib_cluster_degraded_writes_total",
-                "Writes acked below full replication", plane="docs"),
-            "repair_failures": registry.counter(
-                "mmlib_cluster_repair_failures_total",
-                "Read-repair attempts that failed", plane="docs"),
-        }
-        self._obs_quorum_failures = registry.counter(
-            "mmlib_cluster_quorum_write_failures_total",
-            "Writes that missed quorum", plane="docs")
-
-    # -- stats bookkeeping (shared with _ShardedCollection) ------------------
-
-    def _bump(self, stat: str, by: int = 1) -> None:
-        with self._stats_lock:
-            self.cluster_stats[stat] += by
-        self._obs_cluster[stat].inc(by)
-
-    def _note_degraded(self, collection: str, doc_id: str) -> None:
-        with self._stats_lock:
-            self.cluster_stats["degraded_writes"] += 1
-            self.degraded_keys.add((collection, doc_id))
-        self._obs_cluster["degraded_writes"].inc()
-        self._obs_events.emit(
-            "degraded_write", plane="docs", collection=collection, key=doc_id)
-
-    def _clear_degraded(self, collection: str, doc_id: str) -> None:
-        with self._stats_lock:
-            self.degraded_keys.discard((collection, doc_id))
-
-    def _note_quorum_failure(self, collection: str, doc_id: str, acks: int) -> None:
-        self._obs_quorum_failures.inc()
-        self._obs_events.emit(
-            "quorum_write_failed", plane="docs", collection=collection,
-            key=doc_id, acks=acks, quorum=self.write_quorum)
-
-    def _effective_replicas(self) -> int:
-        """The replica count actually achievable with current membership."""
-        return min(self.ring.replicas, len(self.members))
-
-    # -- failure-detector / hint feeds (all no-ops when not wired) -----------
-
-    def _member_allowed(self, name: str) -> bool:
-        return self.detector is None or self.detector.allow(name)
-
-    def _member_up(self, name: str) -> None:
-        if self.detector is not None:
-            self.detector.record_success(name)
-
-    def _member_down(self, name: str) -> None:
-        if self.detector is not None:
-            self.detector.record_failure(name)
-
-    def _hint(self, name: str, collection: str, doc_id: str) -> None:
-        if self.hints is not None:
-            self.hints.record(name, "doc", str(doc_id), collection=collection)
 
     # -- hinted handoff delivery ---------------------------------------------
 
+    def _hint(self, name: str, collection: str, doc_id: str) -> None:
+        if self.hints is not None:
+            self.hints.record(name, KIND_DOC, doc_id, collection=collection)
+
     def hint_appliers(self) -> dict:
         """Kind → applier callables for a :class:`~repro.cluster.hints.HintDeliverer`."""
-        return {"doc": self._apply_doc_hint}
+        return {KIND_DOC: self._apply_doc_hint}
 
     def _apply_doc_hint(self, member_name: str, hint) -> bool:
         """Deliver one document IOU, tombstone-safely.
@@ -676,12 +505,7 @@ class ShardedDocumentStore:
             return False  # ownership moved on (rebalance since the write)
         sharded = self.collection(collection_name)
         if sharded._is_tombstoned(doc_id):
-            graves = member.collection(TOMBSTONES)
-            try:
-                graves.insert_one({"_id": ring_key})
-            except DuplicateKeyError:
-                pass
-            member.collection(collection_name).delete_one(doc_id)
+            sharded._bury(member_name, doc_id)
             self._clear_degraded(collection_name, doc_id)
             return True
         document = None
@@ -764,73 +588,20 @@ class ShardedDocumentStore:
         # tombstones first: re-place each by its own id (which *is* the
         # deleted document's ring key) and learn what is deleted before
         # copying documents around
-        tombstoned: set[str] = set()
-        stone_holders: dict[str, set[str]] = {}
-        for member_name in sorted(self.members):
-            graves = self.members[member_name].collection(TOMBSTONES)
-            try:
-                stones = graves.find({})
-            except OSError:
-                continue
-            for stone in stones:
-                tombstoned.add(stone["_id"])
-                stone_holders.setdefault(stone["_id"], set()).add(member_name)
-        for tombstone_id, holding in stone_holders.items():
-            owners = set(self.ring.owners(tombstone_id))
-            for member_name in owners - holding:
-                try:
-                    self.members[member_name].collection(TOMBSTONES).insert_one(
-                        {"_id": tombstone_id}
-                    )
-                except (DuplicateKeyError, OSError):
-                    continue
-            for member_name in holding - owners:
-                try:
-                    self.members[member_name].collection(TOMBSTONES).delete_one(
-                        tombstone_id
-                    )
-                except OSError:
-                    continue
+        stones, stone_holders = self._held(TOMBSTONES)
+        tombstoned = set(stones)
+        for tombstone_id, stone in stones.items():
+            self._converge(TOMBSTONES, stone, set(self.ring.owners(tombstone_id)),
+                           stone_holders[tombstone_id])
         for name in self.collection_names():
-            merged: dict[str, dict] = {}
-            holders: dict[str, set[str]] = {}
-            for member_name in sorted(self.members):
-                collection = self.members[member_name].collection(name)
-                try:
-                    documents = collection.find({})
-                except OSError:
-                    continue
-                for document in documents:
-                    merged.setdefault(document["_id"], document)
-                    holders.setdefault(document["_id"], set()).add(member_name)
-            for doc_id, document in merged.items():
-                if f"{name}/{doc_id}" in tombstoned:
-                    # quorum-deleted: finish the delete, don't re-copy
-                    for member_name in holders[doc_id]:
-                        try:
-                            if self.members[member_name].collection(name).delete_one(
-                                doc_id
-                            ):
-                                dropped += 1
-                        except OSError:
-                            continue
-                    self._clear_degraded(name, doc_id)
-                    continue
-                owners = set(self.ring.owners(f"{name}/{doc_id}"))
-                for member_name in owners - holders[doc_id]:
-                    try:
-                        self.members[member_name].collection(name).insert_one(
-                            _copy(document)
-                        )
-                        copied += 1
-                    except (DuplicateKeyError, OSError):
-                        continue
-                for member_name in holders[doc_id] - owners:
-                    try:
-                        if self.members[member_name].collection(name).delete_one(doc_id):
-                            dropped += 1
-                    except OSError:
-                        continue
+            documents, holders = self._held(name)
+            for doc_id, document in documents.items():
+                ring_key = f"{name}/{doc_id}"
+                # a quorum-deleted document is dropped everywhere, not re-copied
+                owners = set() if ring_key in tombstoned else set(self.ring.owners(ring_key))
+                moved = self._converge(name, document, owners, holders[doc_id])
+                copied += moved[0]
+                dropped += moved[1]
                 self._clear_degraded(name, doc_id)
         purged = self._purge_dead_tombstones(tombstoned)
         return {
@@ -838,6 +609,41 @@ class ShardedDocumentStore:
             "replicas_dropped": dropped,
             "tombstones_purged": purged,
         }
+
+    def _held(self, collection: str) -> tuple[dict[str, dict], dict[str, set[str]]]:
+        """Every document of ``collection`` on a reachable member, and
+        the members holding each."""
+        documents: dict[str, dict] = {}
+        holders: dict[str, set[str]] = {}
+        for member_name in sorted(self.members):
+            try:
+                found = self.members[member_name].collection(collection).find({})
+            except OSError:
+                continue
+            for document in found:
+                documents.setdefault(document["_id"], document)
+                holders.setdefault(document["_id"], set()).add(member_name)
+        return documents, holders
+
+    def _converge(self, collection: str, document: dict, owners: set[str],
+                  holders: set[str]) -> tuple[int, int]:
+        """Copy ``document`` to the ``owners`` missing it and drop it from
+        the other ``holders``; returns ``(copied, dropped)``."""
+        copied = dropped = 0
+        for member_name in owners - holders:
+            try:
+                self.members[member_name].collection(collection).insert_one(_copy(document))
+            except (DuplicateKeyError, OSError):
+                continue
+            copied += 1
+        for member_name in holders - owners:
+            try:
+                gone = self.members[member_name].collection(collection).delete_one(
+                    document["_id"])
+            except OSError:
+                continue
+            dropped += bool(gone)
+        return copied, dropped
 
     def _purge_dead_tombstones(self, tombstoned: set[str]) -> int:
         """Drop tombstones whose document no member holds anymore.

@@ -14,12 +14,16 @@ Replication semantics:
   :class:`~repro.errors.QuorumWriteError`.  Chunk and file writes are
   content-addressed or target a fixed id, so the whole quorum write is
   idempotent under the store's shared retry policy.  Writes that reach
-  quorum but not all R owners are tracked as *degraded* for the
-  replication fsck to finish.
+  quorum but not all R owners are tracked as *degraded* and leave a hint
+  per missed owner.  The loop itself is the cluster's one quorum write,
+  :meth:`~repro.cluster.replica.ReplicaLedger._quorum_write`, shared with
+  the document store; this store supplies only one owner's write.
 * **Reads** try replicas in ring order and fail over past dead or
   corrupt members.  A successful failover read triggers *read-repair*:
-  the payload is written back to owners found missing it — after digest
-  verification, so a corrupt payload is never propagated.
+  the payload is written back to owners found missing it — from the
+  verified heal source (:func:`~repro.cluster.replica.source`) that hinted
+  handoff, anti-entropy and rebalance moves use too, so a corrupt payload
+  is never propagated.
 
 The sharded store itself holds no payload data: its root directory
 carries only the save-intent journals (and rebalance journals), which
@@ -34,44 +38,17 @@ from pathlib import Path
 from typing import Mapping
 
 from .. import deadline as deadline_mod
-from .. import obs
-from ..errors import QuorumWriteError, StoreCorruptionError, TransientStoreError
+from ..errors import TransientStoreError
 from ..filestore.store import (
     ChunkNotFoundError,
     FileStore,
     chunk_intact,
     is_file_id,
 )
-from .ring import DEFAULT_VNODES, HashRing
+from .replica import REPLICA_FAILURES, ReplicaLedger, classify_failure, place, source
+from .ring import DEFAULT_VNODES
 
 __all__ = ["ShardedFileStore"]
-
-#: Exceptions that mean "this replica did not deliver" on a read or
-#: write attempt: typed store errors are OSError subclasses, missing
-#: records are KeyError subclasses.
-_REPLICA_FAILURES = (KeyError, OSError)
-
-
-def _classify_failure(exc: Exception) -> str:
-    """What a per-replica failure says about the replica.
-
-    ``corrupt``
-        The member answered, but its copy failed digest verification —
-        the member is *alive* and its copy needs overwriting, not the
-        failure detector's attention.
-    ``missing``
-        The member answered "I don't have it" — alive, repairable by a
-        plain copy.
-    ``unreachable``
-        The member did not answer (transient I/O, outage): feed the
-        failure detector, never write repairs at it.
-    """
-    if isinstance(exc, StoreCorruptionError):
-        return "corrupt"
-    if isinstance(exc, KeyError):
-        return "missing"
-    return "unreachable"
-
 
 class _ShardedChunkView:
     """Ring-routed facade over the member stores' :class:`ChunkStore`s.
@@ -84,9 +61,6 @@ class _ShardedChunkView:
 
     def __init__(self, store: "ShardedFileStore"):
         self._store = store
-
-    def _owners(self, digest: str):
-        return self._store._owner_stores(digest)
 
     def _all_members(self, digest: str | None = None):
         """Member stores, a key's owners first (mid-rebalance data may
@@ -123,8 +97,8 @@ class _ShardedChunkView:
 
     def put(self, digest: str, buffer) -> bool:
         wrote = False
-        for _, member in self._owners(digest):
-            wrote = member.chunks.put(digest, buffer) or wrote
+        for name in self._store.ring.owners(digest):
+            wrote = self._store.members[name].chunks.put(digest, buffer) or wrote
         return wrote
 
     def drop(self, digest: str) -> bool:
@@ -197,12 +171,20 @@ class _ShardedChunkView:
                 names, store._unsynced = store._unsynced, set()
             return sum(store.members[name].chunks.flush() for name in sorted(names))
 
+    def _summed(self, call, keys) -> dict:
+        """``call(member)`` on every member store, ``keys`` summed; each
+        member's own answer is kept under ``members``."""
+        store = self._store
+        merged = dict.fromkeys(keys, 0)
+        merged["members"] = {name: call(store.members[name]) for name in sorted(store.members)}
+        for stats in merged["members"].values():
+            for key in keys:
+                merged[key] += stats[key]
+        return merged
+
     def gc(self) -> dict[str, int]:
-        stats = {"chunks_removed": 0, "bytes_freed": 0}
-        for member in self._all_members():
-            member_stats = member.chunks.gc()
-            stats["chunks_removed"] += member_stats["chunks_removed"]
-            stats["bytes_freed"] += member_stats["bytes_freed"]
+        stats = self._summed(lambda member: member.gc_chunks(), ("chunks_removed", "bytes_freed"))
+        del stats["members"]
         return stats
 
     def audit(self, repair: bool = True, verify: bool = False) -> dict:
@@ -210,62 +192,36 @@ class _ShardedChunkView:
 
         Listy fields are prefixed ``member:item`` like :meth:`reconcile`.
         """
-        merged = {
-            "layout": "sharded",
-            "segments_checked": 0,
-            "torn_segments": [],
-            "tmp_segments_removed": 0,
-            "entries_added": 0,
-            "entries_dropped": [],
-            "crc_failures": [],
-            "compaction": [],
-        }
-        store = self._store
-        for name in sorted(store.members):
-            report = store.members[name].chunks.audit(repair=repair, verify=verify)
-            merged["segments_checked"] += report["segments_checked"]
-            merged["tmp_segments_removed"] += report["tmp_segments_removed"]
-            merged["entries_added"] += report["entries_added"]
-            for field in ("torn_segments", "entries_dropped", "crc_failures"):
-                merged[field].extend(f"{name}:{item}" for item in report[field])
-            if report["compaction"] is not None:
-                merged["compaction"].append(f"{name}:{report['compaction']}")
+        merged = self._summed(
+            lambda member: member.chunks.audit(repair=repair, verify=verify),
+            ("segments_checked", "tmp_segments_removed", "entries_added"))
+        reports = merged.pop("members")
+        merged["layout"] = "sharded"
+        for field in ("torn_segments", "entries_dropped", "crc_failures"):
+            merged[field] = [
+                f"{name}:{item}" for name, report in reports.items() for item in report[field]]
+        merged["compaction"] = [
+            f"{name}:{report['compaction']}"
+            for name, report in reports.items() if report["compaction"] is not None]
         return merged
 
     def segment_stats(self) -> dict:
         """Cluster-wide segment gauges (summed over members)."""
-        merged = {
-            "layout": "sharded",
-            "segment_count": 0,
-            "sealed_segments": 0,
-            "chunks": 0,
-            "live_bytes": 0,
-            "dead_bytes": 0,
-            "compaction_debt_bytes": 0,
-            "pending_compaction": False,
-            "members": {},
-        }
-        store = self._store
-        for name in sorted(store.members):
-            stats = store.members[name].chunks.segment_stats()
-            merged["members"][name] = stats
-            for key in ("segment_count", "sealed_segments", "chunks",
-                        "live_bytes", "dead_bytes", "compaction_debt_bytes"):
-                merged[key] += stats[key]
-            merged["pending_compaction"] |= stats["pending_compaction"]
+        merged = self._summed(
+            lambda member: member.chunks.segment_stats(),
+            ("segment_count", "sealed_segments", "chunks", "live_bytes", "dead_bytes",
+             "compaction_debt_bytes"))
+        merged["layout"] = "sharded"
+        merged["pending_compaction"] = any(
+            stats["pending_compaction"] for stats in merged["members"].values())
         total = merged["live_bytes"] + merged["dead_bytes"]
         merged["live_ratio"] = (merged["live_bytes"] / total) if total else 1.0
         return merged
 
     def dedup_stats(self) -> dict:
         """Cluster-wide dedup accounting (summed over members)."""
-        merged = {"logical_bytes": 0, "dedup_bytes": 0, "stored_bytes": 0, "members": {}}
-        store = self._store
-        for name in sorted(store.members):
-            stats = store.members[name].chunks.dedup_stats()
-            merged["members"][name] = stats
-            for key in ("logical_bytes", "dedup_bytes", "stored_bytes"):
-                merged[key] += stats[key]
+        merged = self._summed(lambda member: member.chunks.dedup_stats(),
+                              ("logical_bytes", "dedup_bytes", "stored_bytes"))
         written = merged["logical_bytes"] - merged["dedup_bytes"]
         merged["dedup_ratio"] = (
             round(merged["logical_bytes"] / written, 4) if written else None
@@ -331,7 +287,7 @@ class _ShardedChunkView:
         return len(self.chunk_ids())
 
 
-class ShardedFileStore(FileStore):
+class ShardedFileStore(ReplicaLedger, FileStore):
     """R-of-N replicated :class:`FileStore` over named member stores.
 
     ``root`` is the cluster's *metadata* directory (intent journals,
@@ -361,54 +317,11 @@ class ShardedFileStore(FileStore):
         detector=None,
         hint_log=None,
     ):
-        if not members:
-            raise ValueError("a sharded store needs at least one member")
-        self.members: dict[str, FileStore] = dict(members)
-        self.ring = HashRing(sorted(self.members), replicas=replicas, vnodes=vnodes)
-        effective = min(replicas, len(self.members))
-        if write_quorum is None:
-            write_quorum = effective // 2 + 1
-        if not 1 <= write_quorum <= effective:
-            raise ValueError(
-                f"write_quorum must be in [1, {effective}], got {write_quorum}"
-            )
-        self.write_quorum = int(write_quorum)
-        self.detector = detector
-        self.hints = hint_log
-        if detector is not None:
-            for name in self.members:
-                detector.add_member(name)
+        self._init_ledger(members, replicas, write_quorum, vnodes, detector, hint_log)
         self._chunk_meta: dict[str, dict] = {}  # v1 chunk id -> its layer entry
         self._meta_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
-        self.cluster_stats = {
-            "failover_reads": 0,
-            "read_repairs": 0,
-            "degraded_writes": 0,
-            "repair_failures": 0,
-        }
-        self.degraded_keys: set[tuple[str, str]] = set()
         self._unsynced: set[str] = set()  # members holding an unsynced chunk
         self._barrier_lock = threading.Lock()  # one flush barrier at a time
-        registry = obs.registry()
-        self._obs_events = obs.events()
-        self._obs_cluster = {
-            "failover_reads": registry.counter(
-                "mmlib_cluster_failover_reads_total",
-                "Reads served by a non-primary replica", plane="files"),
-            "read_repairs": registry.counter(
-                "mmlib_cluster_read_repairs_total",
-                "Replica copies healed during reads", plane="files"),
-            "degraded_writes": registry.counter(
-                "mmlib_cluster_degraded_writes_total",
-                "Writes acked below full replication", plane="files"),
-            "repair_failures": registry.counter(
-                "mmlib_cluster_repair_failures_total",
-                "Read-repair attempts that failed", plane="files"),
-        }
-        self._obs_quorum_failures = registry.counter(
-            "mmlib_cluster_quorum_write_failures_total",
-            "Writes that missed quorum", plane="files")
         self._view = _ShardedChunkView(self)
         super().__init__(
             root,
@@ -418,44 +331,6 @@ class ShardedFileStore(FileStore):
             workers=workers,
             chunk_cache=chunk_cache,
         )
-
-    # -- placement / bookkeeping helpers ------------------------------------
-
-    def _owner_stores(self, key: str) -> list[tuple[str, FileStore]]:
-        return [(name, self.members[name]) for name in self.ring.owners(key)]
-
-    # -- failure-detector / hint feeds (all no-ops when not wired) -----------
-
-    def _member_allowed(self, name: str) -> bool:
-        return self.detector is None or self.detector.allow(name)
-
-    def _member_up(self, name: str) -> None:
-        if self.detector is not None:
-            self.detector.record_success(name)
-
-    def _member_down(self, name: str) -> None:
-        if self.detector is not None:
-            self.detector.record_failure(name)
-
-    def _hint(self, name: str, kind: str, key: str) -> None:
-        if self.hints is not None:
-            self.hints.record(name, kind, key)
-
-    def _bump(self, stat: str, by: int = 1) -> None:
-        with self._stats_lock:
-            self.cluster_stats[stat] += by
-        self._obs_cluster[stat].inc(by)
-
-    def _note_degraded(self, kind: str, key: str) -> None:
-        with self._stats_lock:
-            self.cluster_stats["degraded_writes"] += 1
-            self.degraded_keys.add((kind, key))
-        self._obs_cluster["degraded_writes"].inc()
-        self._obs_events.emit("degraded_write", plane="files", kind=kind, key=key)
-
-    def _clear_degraded(self, kind: str, key: str) -> None:
-        with self._stats_lock:
-            self.degraded_keys.discard((kind, key))
 
     @property
     def chunks(self) -> _ShardedChunkView:
@@ -489,144 +364,97 @@ class ShardedFileStore(FileStore):
     # -- quorum writes -------------------------------------------------------
 
     def _put_chunk_data(self, digest: str, buffer) -> bool:
-        owners = self._owner_stores(digest)
         is_chunk = not is_file_id(digest)
 
         def attempt() -> bool:
-            acks = 0
-            wrote_any = False
-            missed: list[str] = []
-            last_error: Exception | None = None
-            for name, member in owners:
-                deadline_mod.check("cluster.chunk_write")
-                if not self._member_allowed(name):
-                    missed.append(name)  # breaker open: fast-fail the replica
-                    continue
-                try:
-                    wrote = member._put_chunk_data(digest, buffer)
-                except _REPLICA_FAILURES as exc:
-                    last_error = exc
-                    if _classify_failure(exc) == "unreachable":
-                        self._member_down(name)
-                    missed.append(name)
-                    continue
-                self._member_up(name)
-                acks += 1
-                wrote_any = wrote_any or wrote
-                if is_chunk and (wrote or not member.chunks.synced(digest)):
+            wrote: list[bool] = []
+
+            def put(name: str) -> None:
+                member = self.members[name]
+                fresh = member._put_chunk_data(digest, buffer)
+                if is_chunk and (fresh or not member.chunks.synced(digest)):
                     with self._stats_lock:
                         self._unsynced.add(name)
-            if acks < self.write_quorum:
-                self._obs_quorum_failures.inc()
-                self._obs_events.emit(
-                    "quorum_write_failed", plane="files", kind="chunk",
-                    key=digest, acks=acks, quorum=self.write_quorum)
-                raise QuorumWriteError(
-                    f"chunk {digest[:12]}… reached {acks}/{len(owners)} replicas "
-                    f"(write quorum {self.write_quorum})"
-                ) from last_error
-            if missed:
-                self._note_degraded("chunk", digest)
-                for name in missed:
-                    self._hint(name, "chunk", digest)
-            else:
-                self._clear_degraded("chunk", digest)
-            return wrote_any
+                wrote.append(fresh)
+
+            self._quorum_write(
+                "chunk", digest, self.ring.owners(digest), put, "cluster.chunk_write")
+            return any(wrote)
 
         return self._call("cluster.chunk_write", attempt)
 
     # -- failover reads + read-repair ---------------------------------------
 
     def _read_chunk(self, digest: str) -> bytes:
-        owners = self._owner_stores(digest)
-        missing: list[tuple[str, FileStore]] = []
-        corrupt: list[tuple[str, FileStore]] = []
+        missing: list[str] = []
+        corrupt: list[str] = []
         skipped = 0
         last_error: Exception | None = None
         with self._obs_tracer.span("cluster.chunk_read", digest=digest) as sp:
-            for name, member in owners:
+            for name in self.ring.owners(digest):
                 deadline_mod.check("cluster.chunk_read")
-                if not self._member_allowed(name):
+                if not self._allowed(name):
                     skipped += 1
                     last_error = TransientStoreError(
                         f"replica {name!r} skipped: circuit breaker open"
                     )
                     continue
                 try:
-                    data = member._charged_read(digest)
-                except _REPLICA_FAILURES as exc:
+                    data = self.members[name]._charged_read(digest)
+                except REPLICA_FAILURES as exc:
                     last_error = exc
-                    kind = _classify_failure(exc)
-                    if kind == "corrupt":
-                        # the member answered; its *copy* is bad
-                        self._member_up(name)
-                        corrupt.append((name, member))
-                    elif kind == "missing":
-                        self._member_up(name)
-                        missing.append((name, member))
+                    kind = classify_failure(exc)
+                    if kind == "unreachable":
+                        self._down(name)
                     else:
-                        self._member_down(name)
+                        # the member answered; its copy is gone or bad
+                        self._up(name)
+                        (corrupt if kind == "corrupt" else missing).append(name)
                     continue
-                self._member_up(name)
+                self._up(name)
                 failovers = len(missing) + len(corrupt) + skipped
                 sp.set(member=name, failovers=failovers)
                 if failovers:
                     self._bump("failover_reads")
-                    self._repair_chunk_replicas(
-                        digest, data, missing, corrupt, source=member
-                    )
+                    self._repair_chunk_replicas(digest, missing, corrupt, name)
                 return data
             if last_error is not None:
                 raise last_error
             raise ChunkNotFoundError(f"no stored chunk with digest {digest!r}")
 
     def _repair_chunk_replicas(
-        self,
-        digest: str,
-        data: bytes,
-        missing: list[tuple[str, FileStore]],
-        corrupt: list[tuple[str, FileStore]],
-        source: FileStore,
+        self, digest: str, missing: list[str], corrupt: list[str], served_by: str
     ) -> None:
-        """Write a failover-read payload back to owners that failed it.
+        """Heal the owners a failover read found without a good copy.
 
-        ``missing`` owners (answered "not found") get a plain copy;
-        ``corrupt`` owners (answered with bytes that failed verification)
-        get their copy overwritten — a replica that failed digest
-        verification is never left as-is *and* never used as a source.
+        The heal source is the member that served the read, through
+        :func:`~repro.cluster.replica.source`: a copy that fails
+        verification is never replicated.  ``missing`` owners (answered
+        "not found") get a plain copy; ``corrupt`` owners (answered with
+        bytes that failed verification) get their copy overwritten.
         Owners that were unreachable are in neither list: repair writes
         at a dead member would be wasted (or, under fault simulation,
         dishonest) — hinted handoff and anti-entropy own that path.
-        Skipped outright when the payload itself fails verification —
-        never replicate corruption.
         """
-        if self._verify_for_repair(digest, data) is False:
+        heal = source(self, digest, [served_by])
+        if heal.data is None:
             return
-        refcount = source.chunks.refcount(digest)
         repaired = False
-
-        def heal(member: FileStore, overwrite: bool) -> bool:
+        for name in missing + corrupt:
+            overwrite = name in corrupt
+            member = self.members[name]
             try:
-                if overwrite:
-                    member.chunks.drop(digest)
-                elif member.chunks.has(digest):
-                    return False  # raced another repair: already healed
-                member.chunks.put(digest, data)
-                if refcount > 0:
-                    member.chunks.import_refs({digest: refcount})
+                if not overwrite and member.chunks.has(digest):
+                    continue  # raced another repair: already healed
+                place(member, digest, heal.data, heal.refcount, overwrite)
             except OSError:
                 self._bump("repair_failures")
-                return False
+                continue
             self._bump("read_repairs")
             self._obs_events.emit(
                 "read_repair", plane="files", kind="chunk", key=digest,
                 overwrote_corrupt=overwrite)
-            return True
-
-        for _, member in missing:
-            repaired = heal(member, overwrite=False) or repaired
-        for _, member in corrupt:
-            repaired = heal(member, overwrite=True) or repaired
+            repaired = True
         if repaired:
             self._clear_degraded("chunk", digest)
 
@@ -649,7 +477,7 @@ class ShardedFileStore(FileStore):
             with self._obs_tracer.span(
                 "cluster.member_fetch", member=name, n=len(group)
             ) as sp:
-                if not self._member_allowed(name):
+                if not self._allowed(name):
                     # primary's breaker is open: go straight to failover
                     # reads instead of burning a timeout on the batch
                     sp.set(failover=True, breaker_open=True)
@@ -658,14 +486,14 @@ class ShardedFileStore(FileStore):
                     continue
                 try:
                     results.update(self.members[name]._charged_read_many(group, True))
-                except _REPLICA_FAILURES as exc:
-                    if _classify_failure(exc) == "unreachable":
-                        self._member_down(name)
+                except REPLICA_FAILURES as exc:
+                    if classify_failure(exc) == "unreachable":
+                        self._down(name)
                     sp.set(failover=True)
                     for digest in group:
                         results[digest] = self._read_chunk(digest)
                 else:
-                    self._member_up(name)
+                    self._up(name)
         return results
 
     # -- manifest hooks (harvest repair metadata) ----------------------------
@@ -686,20 +514,8 @@ class ShardedFileStore(FileStore):
 
     # -- management ----------------------------------------------------------
 
-    def has_chunk(self, digest: str) -> bool:
-        return self._view.has(digest)
-
-    def total_bytes(self) -> int:
-        """Physical bytes across the cluster — replicas counted per copy."""
-        return sum(member.total_bytes() for member in self.members.values())
-
     def gc_chunks(self) -> dict[str, int]:
-        stats = {"chunks_removed": 0, "bytes_freed": 0}
-        for member in self.members.values():
-            member_stats = member.gc_chunks()
-            stats["chunks_removed"] += member_stats["chunks_removed"]
-            stats["bytes_freed"] += member_stats["bytes_freed"]
-        return stats
+        return self._view.gc()
 
     def clear(self) -> None:
         for member in self.members.values():
@@ -720,35 +536,10 @@ class ShardedFileStore(FileStore):
         """
         return {"chunk": self._apply_chunk_hint, "blob": self._apply_chunk_hint}
 
-    def _hint_source_chunk(self, digest: str, exclude: str):
-        """A verified (or unverifiable-but-present) payload from any member
-        other than ``exclude``, plus its refcount; ``(None, 0)`` if gone."""
-        fallback = None
-        fallback_refs = 0
-        for name in sorted(self.members):
-            if name == exclude:
-                continue
-            member = self.members[name]
-            try:
-                if not member.chunks.has(digest):
-                    continue
-                candidate = member.chunks.get(digest)
-                refcount = member.chunks.refcount(digest)
-            except (KeyError, OSError):
-                continue
-            verdict = self._verify_for_repair(digest, candidate)
-            if verdict is False:
-                continue  # corrupt copy: never a handoff source
-            if verdict is True:
-                return candidate, refcount
-            if fallback is None:
-                fallback, fallback_refs = candidate, refcount
-        return fallback, fallback_refs
-
     def _apply_chunk_hint(self, member_name: str, hint) -> bool:
         """Deliver one record IOU.  Idempotent and tombstone-free: records
         are content-addressed or uniquely named, so "deliver" is "copy
-        verified bytes".
+        verified bytes" from the heal source among the other holders.
 
         Returns ``False`` (stale) when the member or its ownership is
         gone, or no copy survives anywhere (the chunk was GC'd since);
@@ -759,17 +550,15 @@ class ShardedFileStore(FileStore):
         member = self.members.get(member_name)
         if member is None or member_name not in self.ring.owners(digest):
             return False  # membership or ownership moved on: IOU is moot
-        if member.chunks.has(digest):
-            self._clear_degraded("chunk", digest)
-            return True  # read-repair or anti-entropy got there first
-        data, refcount = self._hint_source_chunk(digest, exclude=member_name)
-        if data is None:
-            return False  # no surviving copy: nothing left to hand off
-        # the *hooked* write path, not raw chunk I/O: delivery must fail
-        # honestly while the member is down (or simulated down)
-        member._put_chunk_data(digest, data)
-        if refcount > 0:
-            member.chunks.import_refs({digest: refcount})
+        if not member.chunks.has(digest):  # else read-repair or anti-entropy got there first
+            heal = source(self, digest, [
+                name for name in sorted(self.members)
+                if name != member_name and self.members[name].chunks.has(digest)])
+            if heal.data is None:
+                return False  # no surviving copy: nothing left to hand off
+            # the *hooked* write path, not raw chunk I/O: delivery must fail
+            # honestly while the member is down (or simulated down)
+            place(member, digest, heal.data, heal.refcount, hooked=True)
         self._clear_degraded("chunk", digest)
         return True
 

@@ -426,22 +426,12 @@ class ModelManager:
         parameters_file, layer_hashes, root = self.service._save_parameters(
             recovered.model
         )
-        # drop the old derived-representation payloads, in one release
-        superseded = [document["update_file"]] if document.get("update_file") else []
-        document.pop("update_file", None)
+        superseded = [document.pop("update_file")] if document.get("update_file") else []
         document.pop("updated_layers", None)
-        if document.get("train_info_id"):
-            train_document = self.documents.collection(TRAIN_INFO).get(
-                document["train_info_id"]
-            )
-            superseded += self._delete_wrappers(train_document)
-            self.documents.collection(TRAIN_INFO).delete_one(document["train_info_id"])
-            provenance = document.get("provenance") or {}
-            if provenance.get("dataset_file_id"):
-                superseded.append(provenance["dataset_file_id"])
-        self.files.delete_many(superseded)
-        document.pop("train_info_id", None)
-        document.pop("provenance", None)
+        train_info_id = document.pop("train_info_id", None)
+        provenance = document.pop("provenance", None) or {}
+        if train_info_id and provenance.get("dataset_file_id"):
+            superseded.append(provenance["dataset_file_id"])
 
         document["parameters_file"] = parameters_file
         document["architecture"] = architecture
@@ -449,7 +439,15 @@ class ModelManager:
         document["merkle_root"] = root
         document["base_model"] = None
         document["promoted_from"] = recovered.base_model_id
-        self.documents.collection(MODELS).replace_one(model_id, document)
+        self.documents.collection(MODELS).replace_one(model_id, document)  # the commit point
+        # only now drop the old derived representation, in one release: a
+        # failure before this point leaves the old document whole, and fsck
+        # reclaims the new manifest and code copy it does not name
+        if train_info_id:
+            train_document = self.documents.collection(TRAIN_INFO).get(train_info_id)
+            superseded += self._delete_wrappers(train_document)
+            self.documents.collection(TRAIN_INFO).delete_one(train_info_id)
+        self.files.delete_many(superseded)
 
     def squash_chain(self, model_id: str) -> int:
         """Promote ``model_id`` to a snapshot and delete its exclusive

@@ -10,6 +10,7 @@ from repro.cluster import (
     replication_fsck,
 )
 from repro.core import ArchitectureRef, BaselineSaveService, ModelSaveInfo
+from repro.core.hashing import tensor_hash
 from repro.docstore import DocumentStore
 from repro.filestore import FileStore
 from repro.filestore.store import is_file_id
@@ -96,6 +97,34 @@ class TestAddMember:
         ClusterRebalancer(store).add_member("m4", FileStore(tmp_path / "m4"))
         outcome = replication_fsck(store, repair=False)
         assert outcome["under_replicated"] == []
+
+    def test_a_corrupt_replica_is_never_the_move_source(self, populated, tmp_path):
+        # a chunk whose new owners keep one old owner: that owner's copy is
+        # rewritten under a valid record CRC, so only the content check sees
+        # it; the other old owner holds the only intact copy and is dropped
+        store, service, model, model_id = populated
+        new_ring = store.ring.copy()
+        new_ring.add_member("m4")
+        moved = kept_owner = None
+        for digest in sorted(tensor_hash(array) for array in model.state_dict().values()):
+            kept = set(store.ring.owners(digest)) & set(new_ring.owners(digest))
+            if len(kept) == 1:
+                moved, (kept_owner,) = digest, kept
+                break
+        assert moved is not None
+        intact = bytes(store.members[kept_owner].chunks.get(moved))
+        corrupt = bytes([intact[0] ^ 0xFF]) + intact[1:]
+        replace_record(store.members[kept_owner], moved, corrupt)
+
+        stats = ClusterRebalancer(store).add_member("m4", FileStore(tmp_path / "m4"))
+
+        assert stats["failed"] == 0
+        assert_placement_matches_ring(store)
+        for name in store.ring.owners(moved):
+            assert bytes(store.members[name].chunks.get(moved)) == intact, name
+        recovered = service.recover_model(model_id, verify=True)
+        assert recovered.verified is True
+        assert states_equal(model, recovered.model)
 
     def test_duplicate_member_rejected(self, populated, tmp_path):
         store, *_ = populated

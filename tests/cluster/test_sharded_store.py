@@ -5,7 +5,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster import ShardedDocumentStore, ShardedFileStore
+from repro import obs
+from repro.cluster import FailureDetector, HintLog, ShardedDocumentStore, ShardedFileStore
+from repro.cluster.sharded_docs import TOMBSTONES
 from repro.core import (
     ArchitectureRef,
     BaselineSaveService,
@@ -15,7 +17,7 @@ from repro.core import (
 )
 from repro.docstore import DocumentStore
 from repro.errors import QuorumWriteError
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, FaultyDocumentStore
 from repro.filestore import FileStore
 from tests.conftest import make_tiny_cnn
 
@@ -60,6 +62,83 @@ def key_owned_by(store: ShardedFileStore, victim: str, prefix: str) -> str:
         if victim in store.ring.owners(key):
             return key
     raise AssertionError("no key landed on the victim")  # pragma: no cover
+
+
+DOC_ID = "model-1"
+DIGEST = "ab" * 32
+
+
+def make_policy_store(tmp_path, kind):
+    """Three members, R=3, W=2, fault injectors, detector and hint log."""
+    faults = {f"m{index}": FaultInjector(seed=index) for index in range(3)}
+    detector = FailureDetector(members=sorted(faults), breaker_cooldown_s=30.0)
+    hints = HintLog(tmp_path / "hints")
+    if kind == "record":
+        members = {name: FileStore(tmp_path / name, faults=injector)
+                   for name, injector in faults.items()}
+        store = ShardedFileStore(tmp_path / "meta", members, replicas=3,
+                                 detector=detector, hint_log=hints)
+    else:
+        members = {name: FaultyDocumentStore(DocumentStore(), injector)
+                   for name, injector in faults.items()}
+        store = ShardedDocumentStore(members, replicas=3, detector=detector, hint_log=hints)
+    return store, faults, detector, hints
+
+
+def doc_holders(store, test) -> set[str]:
+    """Members whose copy of the document passes ``test``."""
+    found = set()
+    for name, member in store.members.items():
+        try:
+            document = member.collection("models").get(DOC_ID)
+        except KeyError:
+            continue
+        if test(document):
+            found.add(name)
+    return found
+
+
+def tombstone_holders(store) -> set[str]:
+    found = set()
+    for name, member in store.members.items():
+        try:
+            member.collection(TOMBSTONES).get(f"models/{DOC_ID}")
+        except KeyError:
+            continue
+        found.add(name)
+    return found
+
+
+def insert(store, value):
+    store.collection("models").insert_one({"_id": DOC_ID, "v": 1})
+
+
+def of_the_document(write):
+    return lambda store, value: write(store.collection("models"), value)
+
+
+def record_holders(store, value) -> set[str]:
+    return {name for name, member in store.members.items() if member.chunks.has(DIGEST)}
+
+
+DOC_HINT = {"kind": "doc", "key": DOC_ID, "collection": "models"}
+
+#: write kind -> (write(store, value), landed(store, value), degraded key, hint)
+WRITE_KINDS = {
+    "insert": (insert, lambda store, value: doc_holders(store, lambda d: True),
+               ("models", DOC_ID), DOC_HINT),
+    "replace": (of_the_document(lambda docs, value: docs.replace_one(DOC_ID, {"v": value})),
+                lambda store, value: doc_holders(store, lambda d: d["v"] == value),
+                ("models", DOC_ID), DOC_HINT),
+    "update": (of_the_document(lambda docs, value: docs.update_one({"_id": DOC_ID}, {"v": value})),
+               lambda store, value: doc_holders(store, lambda d: d["v"] == value),
+               ("models", DOC_ID), DOC_HINT),
+    "delete": (of_the_document(lambda docs, value: docs.delete_one(DOC_ID)),
+               lambda store, value: tombstone_holders(store),
+               ("models", DOC_ID), DOC_HINT),
+    "record": (lambda store, value: store.put_chunk(DIGEST, b"payload"), record_holders,
+               ("chunk", DIGEST), {"kind": "chunk", "key": DIGEST}),
+}
 
 
 class TestRoundTrip:
@@ -164,6 +243,39 @@ class TestQuorumWrites:
         assert store.put_chunk(digest, b"payload") is False  # dedup, no rewrite
         holders = [m for m in store.members.values() if m.chunks.has(digest)]
         assert len(holders) == 2
+
+
+    @pytest.mark.parametrize("kind", sorted(WRITE_KINDS))
+    def test_every_write_kind_follows_one_quorum_policy(self, tmp_path, kind):
+        # R=3, W=2 over three members: every member owns every key
+        store, faults, detector, hints = make_policy_store(tmp_path, kind)
+        write, landed, degraded_key, hint = WRITE_KINDS[kind]
+        if kind in ("replace", "update", "delete"):
+            insert(store, 1)  # the document to write, on every owner
+
+        victim, *others = sorted(store.members)
+        for _ in range(detector.failure_threshold):
+            detector.record_failure(victim)  # breaker open: fast-failed
+        write(store, 2)
+        assert landed(store, 2) == set(others)  # acked at W
+        assert degraded_key in store.degraded_keys
+        assert hints.pending_counts() == {victim: 1}
+        assert hint.items() <= hints.pending(victim)[0].items()
+
+        for _ in range(detector.recovery_threshold):
+            detector.record_success(victim)
+        write(store, 3)  # a full ack clears the mark
+        assert landed(store, 3) == set(store.members)
+        assert degraded_key not in store.degraded_keys
+
+        for name in others:
+            faults[name].set_down(True)  # two owners raise: one ack < W
+        family = "mmlib_cluster_quorum_write_failures_total"
+        plane = "docs" if isinstance(store, ShardedDocumentStore) else "files"
+        failures = obs.registry().value(family, plane=plane)
+        with pytest.raises(QuorumWriteError):
+            write(store, 4)
+        assert obs.registry().value(family, plane=plane) == failures + 1
 
 
 class TestFlushBarrier:

@@ -220,6 +220,37 @@ class TestPromoteAndSquash:
         manager.promote_to_snapshot(ids["b"])
         assert not manager.files.exists(old_update)
 
+    def test_a_failed_promote_releases_nothing(self, setup, mem_doc_store, monkeypatch):
+        """A failure at the commit point (the document replace) leaves the
+        old document whole: its update file is still stored, the model
+        recovers bitwise, and fsck reclaims the new manifest and code copy
+        that no document names."""
+        manager, ids = setup
+        before = manager.recover(ids["b"]).model.state_dict()
+        files_before = set(manager.files.file_ids())
+        old_update = mem_doc_store.collection("models").get(ids["b"])["update_file"]
+
+        def failed_replace(doc_id, document):
+            raise OSError("injected failure at the commit point")
+
+        monkeypatch.setattr(mem_doc_store.collection("models"), "replace_one", failed_replace)
+        with pytest.raises(OSError):
+            manager.promote_to_snapshot(ids["b"])
+        monkeypatch.undo()
+
+        assert manager.files.exists(old_update)
+        recovered = manager.recover(ids["b"])
+        assert recovered.verified is True
+        after = recovered.model.state_dict()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+        orphans = set(manager.files.file_ids()) - files_before
+        assert {file_id.rpartition(".")[2] for file_id in orphans} == {"py", "manifest"}
+        report = manager.fsck(repair=True)
+        assert {issue.kind for issue in report.repaired} >= {"orphan_file"}
+        assert not report.unrepaired, report.summary()
+        assert set(manager.files.file_ids()) == files_before
+        assert manager.fsck().clean
+
     def test_squash_deletes_exclusive_ancestors_only(self, setup, mem_doc_store):
         """root has two children (a-chain and c): squashing b may delete a
         but must keep root (c still needs it)."""
