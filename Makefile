@@ -52,8 +52,9 @@ bench-serving:
 # (a crash at every step, single store and 3x2 cluster) + one log (the
 # RecordLog property test, stores with parent-format logs) + one replica
 # core (the quorum policy of every write kind, verified heal sources, the
-# flush barrier, a promote that fails at its commit point) + chaos smoke;
-# writes BENCH_chaos.json
+# flush barrier, a promote that fails at its commit point) + the gateway
+# save exchange (forged digests, foreign references, collected chunks) +
+# chaos smoke; writes BENCH_chaos.json
 chaos:
 	PYTHONPATH=src $(PY) -m pytest -q tests/filestore/test_faults.py \
 		tests/filestore/test_segments.py \
@@ -71,7 +72,8 @@ chaos:
 		tests/cluster/test_sharded_store.py::TestQuorumWrites::test_every_write_kind_follows_one_quorum_policy \
 		tests/cluster/test_sharded_store.py::TestFlushBarrier \
 		tests/core/test_manager.py::TestPromoteAndSquash::test_a_failed_promote_releases_nothing \
-		tests/cluster/test_rebalance.py tests/cluster/test_selfheal.py
+		tests/cluster/test_rebalance.py tests/cluster/test_selfheal.py \
+		tests/gateway/test_save_exchange.py
 	$(PY) scripts/chaos_smoke.py
 
 api-docs:

@@ -33,7 +33,9 @@ consistent intent log.
 
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Mapping
 
@@ -49,6 +51,32 @@ from .replica import REPLICA_FAILURES, ReplicaLedger, classify_failure, place, s
 from .ring import DEFAULT_VNODES
 
 __all__ = ["ShardedFileStore"]
+
+#: Threads that run a barrier's member fsyncs beside the caller's own;
+#: shared by every sharded store in the process.
+_FSYNC_WORKERS = 8
+_fsync_pool: ThreadPoolExecutor | None = None
+_fsync_pool_lock = threading.Lock()
+
+
+def _fsync_executor() -> ThreadPoolExecutor:
+    global _fsync_pool
+    with _fsync_pool_lock:
+        if _fsync_pool is None:
+            _fsync_pool = ThreadPoolExecutor(
+                max_workers=_FSYNC_WORKERS, thread_name_prefix="cluster-fsync")
+        return _fsync_pool
+
+
+def _reset_fsync_pool() -> None:
+    global _fsync_pool, _fsync_pool_lock
+    _fsync_pool, _fsync_pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits a pool without threads; recreate it lazily there
+    os.register_at_fork(after_in_child=_reset_fsync_pool)
+
 
 class _ShardedChunkView:
     """Ring-routed facade over the member stores' :class:`ChunkStore`s.
@@ -158,18 +186,43 @@ class _ShardedChunkView:
 
         That is a member the chunk was appended to, or one whose put found
         the chunk already there but not yet flushed (a read repair, hint,
-        rebalance or concurrent save appended it).  A member that took
+        rebalance or concurrent save appended it), as is an owner holding
+        a chunk the save references without a put (``held``) unflushed.  A member that took
         only file records (a manifest, code) keeps them for its next
         barrier, so a save costs the fsyncs its chunks cost: a file's
         owners are placed by its id, not beside its chunks.  One barrier
         runs at a time, so a save whose members another save took is not
         acknowledged before that save's fsyncs have finished.
+
+        The members' fsyncs run concurrently, as separate nodes' would:
+        the first on the calling thread, the rest on a shared pool.  The
+        barrier returns — or raises the first failure — only once every
+        one of them has; a member whose fsync failed waits for the next.
         """
         store = self._store
         with store._barrier_lock:
             with store._stats_lock:
                 names, store._unsynced = store._unsynced, set()
-            return sum(store.members[name].chunks.flush() for name in sorted(names))
+            ordered = sorted(names)
+            futures = {
+                name: _fsync_executor().submit(store.members[name].chunks.flush)
+                for name in ordered[1:]
+            }
+            synced, failed, error = 0, [], None
+            for name in ordered:
+                try:
+                    if name in futures:
+                        synced += futures[name].result()
+                    else:
+                        synced += store.members[name].chunks.flush()
+                except Exception as exc:
+                    failed.append(name)
+                    error = error or exc
+            if error is not None:
+                with store._stats_lock:
+                    store._unsynced.update(failed)
+                raise error
+            return synced
 
     def _summed(self, call, keys) -> dict:
         """``call(member)`` on every member store, ``keys`` summed; each
@@ -498,14 +551,27 @@ class ShardedFileStore(ReplicaLedger, FileStore):
 
     # -- manifest hooks (harvest repair metadata) ----------------------------
 
-    def save_state_chunks(self, state, layer_hashes, suffix=None, workers=None):
+    def save_state_chunks(self, state, layer_hashes, suffix=None, workers=None, held=None):
         with self._meta_lock:
             for name, array in state.items():
                 digest = layer_hashes[name]
                 self._chunk_meta[digest] = {
                     "chunk": digest, "dtype": array.dtype.str, "shape": list(array.shape)}
+        if held:
+            self._harvest_chunk_meta(held.items())
+            # a held chunk is the save's like a deduplicated put's: an owner
+            # whose copy waits for a flush joins this save's barrier
+            waiting = {
+                name
+                for meta in held.values()
+                for name in self.ring.owners(meta["chunk"])
+                if not self.members[name].chunks.synced(meta["chunk"])
+            }
+            with self._stats_lock:
+                self._unsynced |= waiting
         kwargs = {} if suffix is None else {"suffix": suffix}
-        return super().save_state_chunks(state, layer_hashes, workers=workers, **kwargs)
+        return super().save_state_chunks(
+            state, layer_hashes, workers=workers, held=held, **kwargs)
 
     def read_manifest(self, file_id: str) -> dict:
         manifest = super().read_manifest(file_id)

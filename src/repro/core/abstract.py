@@ -144,10 +144,14 @@ class AbstractSaveService:
         journals every store mutation.  A failed save rolls its steps
         back; a crashed save leaves its journal for ``fsck`` to undo.
         """
+        return self._run_save(self._save_model, save_info)
+
+    def _run_save(self, save, *args) -> str:
+        """``save(*args)`` in one save transaction, timed and counted."""
         with self._obs_tracer.span("service.save_model", approach=self.approach) as sp:
             started = self.clock.perf()
             with self._save_transaction():
-                model_id = self._save_model(save_info)
+                model_id = save(*args)
             self._obs_save_seconds.observe(self.clock.perf() - started)
             self._obs_saves.inc()
             sp.set(model_id=model_id)
@@ -239,14 +243,18 @@ class AbstractSaveService:
         file_id = self._save_state(state, hashes, kind="params")
         return file_id, hashes, root
 
-    def _save_state(self, state, layer_hashes, kind: str) -> str:
+    def _save_state(self, state, layer_hashes, kind: str, held=None) -> str:
         """Persist a flat state dict as content-addressed per-layer chunks.
 
         ``layer_hashes`` must hold a digest per entry of ``state`` (extra
         entries are fine) — the Merkle leaves already computed by the
-        save path, which double as the chunk ids.
+        save path, which double as the chunk ids.  ``held`` adds manifest
+        entries whose chunks are already stored (see
+        :meth:`~repro.filestore.FileStore.save_state_chunks`).
         """
-        return self.files.save_state_chunks(state, layer_hashes, suffix=f".{kind}.manifest")
+        extra = {"held": held} if held else {}
+        return self.files.save_state_chunks(
+            state, layer_hashes, suffix=f".{kind}.manifest", **extra)
 
     def _load_state_files(self, file_ids: list[str], verified: dict | None = None) -> OrderedDict:
         """Inverse of :meth:`_save_state` over a chain's levels, base first.
@@ -315,6 +323,12 @@ class AbstractSaveService:
             return self.documents.collection(MODELS).get(model_id, projection=projection)
         except KeyError as exc:
             raise ModelNotFoundError(f"no saved model with id {model_id!r}") from exc
+
+    def layer_hashes(self, model_id: str) -> list:
+        """The ``[name, digest]`` layer table stored for ``model_id``, in
+        state-dict order; empty for a model saved without one."""
+        document = self._get_model_document(model_id, projection=("layer_hashes",))
+        return document.get("layer_hashes") or []
 
     def model_exists(self, model_id: str) -> bool:
         try:

@@ -9,6 +9,7 @@ one import site for the whole hierarchy.
 from __future__ import annotations
 
 from ..errors import (
+    LayersNeededError,
     MMLibError,
     QuorumWriteError,
     StoreCorruptionError,
@@ -20,6 +21,7 @@ __all__ = [
     "TransientStoreError",
     "StoreCorruptionError",
     "QuorumWriteError",
+    "LayersNeededError",
     "ModelNotFoundError",
     "EnvironmentMismatchError",
     "VerificationError",

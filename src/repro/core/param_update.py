@@ -6,6 +6,14 @@ update*: the layers whose parameters differ from the base.  Changed layers
 are found by comparing per-layer hash Merkle trees — only the base model's
 *document* (which always carries the layer hashes) is loaded, never its
 parameters, so saving stays cheap regardless of chain depth.
+
+A derived save works on digests: :meth:`ParameterUpdateSaveService.save_layers`
+takes the layer hashes, the arrays of the layers it has, and manifest
+entries for changed layers whose chunks an earlier model of this catalog
+already holds (:meth:`~ParameterUpdateSaveService.held_layers`).  A
+:class:`ModelSaveInfo` save hashes its model and calls the same core with
+every array; the serving gateway calls it with only the layers a client
+shipped (DESIGN.md §15.1).
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from collections import OrderedDict
 from typing import Mapping
 
 from .abstract import AbstractSaveService
-from .errors import SaveError
+from .errors import LayersNeededError, ModelNotFoundError, SaveError
 from .hashing import state_dict_hashes
 from .merkle import DiffResult, MerkleTree
 from .save_info import ModelSaveInfo
@@ -91,30 +99,109 @@ class ParameterUpdateSaveService(AbstractSaveService):
         return self._insert_model_document(document)
 
     def _save_update(self, save_info: ModelSaveInfo) -> str:
-        base_document = self._get_model_document(save_info.base_model_id)
+        state = save_info.model.state_dict()
+        return self._save_layers(
+            save_info.base_model_id, state_dict_hashes(state), state, {}, save_info.use_case)
+
+    def save_layers(
+        self,
+        base_model_id: str,
+        layer_hashes: Mapping[str, str],
+        arrays: Mapping,
+        held: Mapping[str, Mapping] | None = None,
+        use_case: str | None = None,
+    ) -> str:
+        """Save a model derived from ``base_model_id`` from its layer digests.
+
+        ``layer_hashes`` is the model's whole layer table (name → tensor
+        hash, in state-dict order) and must already be checked against the
+        arrays it names: nothing here hashes them again.  ``arrays`` holds
+        the layers whose bytes the caller has; ``held`` the manifest
+        entries :meth:`held_layers` resolved for others.  A layer that
+        differs from the base and is in neither raises
+        :class:`~repro.errors.LayersNeededError`, as does a held chunk
+        that is gone once the save holds its reference; either way nothing
+        is stored.  Runs in one save transaction, like :meth:`save_model`.
+        """
+        return self._run_save(
+            self._save_layers, base_model_id, layer_hashes, arrays, held or {}, use_case)
+
+    def held_layers(self, references: Mapping[str, tuple[str, str]]) -> dict[str, dict]:
+        """Manifest entries for layers a save names by reference.
+
+        ``references`` maps a layer name to ``(digest, source model id)``.
+        A source is looked up in this service's own catalog — a model of
+        another tenant's catalog is not found, whatever the shared file
+        store holds — and must hold ``digest`` under that name in its
+        ``layer_hashes``, else ``ValueError``.  The entry (dtype, shape) is
+        the one in the source's own manifest, so it is the one the digest
+        covers.  A source that is gone, keeps no layer hashes, or holds the
+        layer only through its base cannot vouch for it: those layers are
+        raised together as :class:`~repro.errors.LayersNeededError`.
+        """
+        by_source: dict[str, list[tuple[str, str]]] = {}
+        for name, (digest, source) in references.items():
+            by_source.setdefault(source, []).append((name, digest))
+        held: dict[str, dict] = {}
+        needed: list[str] = []
+        for source, layers in by_source.items():
+            try:
+                document = self._get_model_document(
+                    source, projection=("layer_hashes", "parameters_file", "update_file"))
+            except ModelNotFoundError:
+                needed.extend(name for name, _ in layers)
+                continue
+            hashes = dict(document.get("layer_hashes") or ())
+            if not hashes:
+                needed.extend(name for name, _ in layers)
+                continue
+            for name, digest in layers:
+                if hashes.get(name) != digest:
+                    raise ValueError(
+                        f"model {source!r} holds no layer {name!r} with digest {digest}")
+            own = document.get("update_file") or document.get("parameters_file")
+            entries = (
+                dict(self.files.read_manifest(own)["layers"])
+                if own and self._is_chunked_file(own) else {}
+            )
+            for name, digest in layers:
+                meta = entries.get(name)
+                if meta is None or meta.get("chunk") != digest:
+                    needed.append(name)
+                else:
+                    held[name] = {
+                        "chunk": digest, "dtype": meta["dtype"], "shape": list(meta["shape"])}
+        if needed:
+            raise LayersNeededError(needed)
+        return held
+
+    def _save_layers(self, base_model_id, hashes, arrays, held, use_case) -> str:
+        base_document = self._get_model_document(base_model_id, projection=("layer_hashes",))
         base_hash_list = base_document.get("layer_hashes")
         if not base_hash_list:
             raise SaveError(
-                f"base model {save_info.base_model_id} has no layer hashes; "
+                f"base model {base_model_id} has no layer hashes; "
                 "it was not saved by the parameter update approach"
             )
         base_tree = MerkleTree.from_layer_hashes(OrderedDict(base_hash_list))
-
-        state = save_info.model.state_dict()
-        hashes = state_dict_hashes(state)
         current_tree = MerkleTree.from_layer_hashes(hashes)
         update, diff = extract_parameter_update(
-            state, current_tree, base_tree, use_merkle=self.use_merkle
+            arrays, current_tree, base_tree, use_merkle=self.use_merkle
         )
+        missing = [n for n in diff.changed_layers if n not in update and n not in held]
+        if missing:
+            raise LayersNeededError(missing)
         self.last_diff = diff
 
         environment_id = self._save_environment()
         # the per-layer hashes above are the chunk ids — no re-hashing here
-        update_file = self._save_state(update, hashes, kind="update")
+        update_file = self._save_state(
+            update, hashes, kind="update",
+            held={n: held[n] for n in diff.changed_layers if n not in update})
 
         document = {
-            "base_model": save_info.base_model_id,
-            "use_case": save_info.use_case,
+            "base_model": base_model_id,
+            "use_case": use_case,
             "environment_id": environment_id,
             # no architecture entry: across fully/partially updated versions
             # it is unchanged and defined by the base-model reference

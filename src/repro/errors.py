@@ -22,6 +22,7 @@ __all__ = [
     "StoreCorruptionError",
     "QuorumWriteError",
     "DeadlineExceededError",
+    "LayersNeededError",
 ]
 
 
@@ -66,3 +67,17 @@ class StoreCorruptionError(MMLibError, OSError):
     Corruption *at rest* cannot be retried away; corruption *in transit*
     (a bad read) can, so read paths may re-fetch on this error.
     """
+
+
+class LayersNeededError(MMLibError):
+    """A save named layers by digest that the store cannot prove it holds.
+
+    Raised by a digest-first save (a layer sent as its digest, its bytes
+    left out) when a layer's chunk is gone, its source no longer names it,
+    or the approach keeps no per-layer references.  Nothing was stored;
+    ``layers`` lists the layer names whose bytes the caller must send.
+    """
+
+    def __init__(self, layers):
+        self.layers = list(layers)
+        super().__init__(f"the store needs the bytes of layers {self.layers}")

@@ -18,6 +18,7 @@ import json
 import os
 import re
 import struct
+import sys
 import zlib
 from pathlib import Path
 from typing import Iterable
@@ -49,7 +50,9 @@ def read_record(read) -> tuple[bytes, bytes, int] | None:
     if len(head) < RECORD_HEADER.size:
         return None
     magic, key_length, flags, crc, length = RECORD_HEADER.unpack(head)
-    if magic != RECORD_MAGIC or flags:
+    # a length past sys.maxsize (a flipped high bit) is no record: ``read``
+    # would raise OverflowError on it rather than come back short
+    if magic != RECORD_MAGIC or flags or length > sys.maxsize:
         return None
     key, payload = read(key_length), read(length)
     if len(key) < key_length or len(payload) < length or zlib.crc32(payload) != crc:

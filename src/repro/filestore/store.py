@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .. import obs
-from ..errors import StoreCorruptionError, TransientStoreError
+from ..errors import LayersNeededError, StoreCorruptionError, TransientStoreError
 from .journal import IntentLog, SaveJournal, incomplete_saves
 from .segments import (
     DEFAULT_TMP_GRACE_S,
@@ -785,6 +785,7 @@ class FileStore:
         layer_hashes: Mapping[str, str],
         suffix: str = ".params" + MANIFEST_SUFFIX,
         workers: int | None = None,
+        held: Mapping[str, Mapping] | None = None,
     ) -> str:
         """Save a flat state dict as per-layer chunks plus a manifest.
 
@@ -800,6 +801,13 @@ class FileStore:
         refcount append as the layers.  Returns the manifest's file id,
         which carries the ``.manifest`` suffix so recovery, deletion, and
         sizing recognize it.
+
+        ``held`` maps more layer names to manifest entries (``chunk``,
+        ``dtype``, ``shape``) whose chunks are already stored: they are
+        listed and referenced, not written.  Each must still be present
+        once the save holds its reference — a chunk collected before that
+        raises :class:`~repro.errors.LayersNeededError` naming its layers,
+        and the save transaction rolls the save back.
         """
         if not suffix.endswith(MANIFEST_SUFFIX):
             raise ValueError(f"manifest suffix must end with {MANIFEST_SUFFIX!r}")
@@ -814,6 +822,9 @@ class FileStore:
                     [name, {"chunk": digest, "dtype": array.dtype.str, "shape": list(array.shape)}]
                 )
                 digests.append(digest)
+            for name, meta in (held or {}).items():
+                entries.append([name, dict(meta)])
+                digests.append(meta["chunk"])
             manifest = json.dumps(
                 {"format": MANIFEST_FORMAT, "layers": entries}, sort_keys=True
             ).encode()
@@ -849,6 +860,12 @@ class FileStore:
             digests.append(file_id)
             self.chunks.add_refs(digests)
             self.journal_record("refs", digests=digests)
+            if held:
+                # a gc that ran before the refs above may have taken a held
+                # chunk; none can once they are counted
+                gone = [n for n, meta in held.items() if not self.chunks.has(meta["chunk"])]
+                if gone:
+                    raise LayersNeededError(gone)
             return file_id
 
     @staticmethod

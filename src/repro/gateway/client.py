@@ -23,12 +23,23 @@ Error handling mirrors the storage stack's retry contract:
 Deadlines propagate implicitly: inside a ``repro.deadline.scope`` the
 client stamps the ambient remaining budget onto each request, and the
 server re-enters that budget (minus queue wait) on its worker thread.
+
+A derived save (``base=``) is digest-first: the client hashes the state,
+sends every layer's digest, and ships only the layers that neither equal
+the base's nor were already saved by this client under the same name
+(those it names by the earlier model that holds them).  It remembers the
+layer digests of its last :data:`REMEMBERED_SAVES` saves for this; a base
+it did not save is asked for with the ``layers`` op.  If the server
+cannot vouch for a layer it answers with the names it needs, and the
+client sends the save once more with those layers shipped.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .. import deadline
@@ -42,6 +53,11 @@ __all__ = [
     "GatewayConnectionError",
     "RecoveredState",
 ]
+
+
+#: Saves whose layer digests a client remembers for its derived saves; the
+#: oldest is forgotten first.
+REMEMBERED_SAVES = 64
 
 
 class GatewayRequestError(MMLibError):
@@ -91,6 +107,38 @@ class RecoveredState:
     base_model_id: str | None
 
 
+class _SavedLayers:
+    """The layer tables of a client's recent saves, and for each
+    ``(name, digest)`` the newest of them whose own manifest holds it —
+    one that shipped or referenced the layer rather than inheriting it
+    from its base."""
+
+    def __init__(self):
+        self._tables: OrderedDict[str, dict[str, str]] = OrderedDict()
+        self._sources: dict[tuple[str, str], str] = {}
+
+    def table(self, model_id: str) -> dict[str, str] | None:
+        table = self._tables.get(model_id)
+        if table is not None:
+            self._tables.move_to_end(model_id)
+        return table
+
+    def source(self, name: str, digest: str) -> str | None:
+        return self._sources.get((name, digest))
+
+    def remember(self, model_id: str, table: dict[str, str], own) -> None:
+        self._tables[model_id] = table
+        for name in own:
+            self._sources[(name, table[name])] = model_id
+        while len(self._tables) > REMEMBERED_SAVES:
+            self.forget(next(iter(self._tables)))
+
+    def forget(self, model_id: str) -> None:
+        for key in (self._tables.pop(model_id, None) or {}).items():
+            if self._sources.get(key) == model_id:
+                del self._sources[key]
+
+
 class AsyncGatewayClient:
     """One tenant's pipelined connection to a :class:`GatewayServer`."""
 
@@ -110,6 +158,7 @@ class AsyncGatewayClient:
         self._ids = itertools.count(1)
         self._write_lock = asyncio.Lock()
         self._closed = False
+        self._saved = _SavedLayers()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -244,9 +293,11 @@ class AsyncGatewayClient:
         ``state`` is a state dict (arrays) loaded into the freshly built
         module server-side; omit it to save the factory's initial state.
         Its arrays are sent from their own memory, so leave them unchanged
-        until this call returns.  Returns the qualified model id
-        (``<tenant>/<id>``).
+        until this call returns.  With ``base`` only the layers the store
+        cannot already vouch for are sent (see the module docstring).
+        Returns the qualified model id (``<tenant>/<id>``).
         """
+        from ..core.hashing import state_dict_hashes
         from ..nn import serialization
 
         module, _, name = factory.partition(":")
@@ -257,14 +308,73 @@ class AsyncGatewayClient:
             "factory_name": name,
             "factory_kwargs": factory_kwargs or {},
         }
-        if base is not None:
-            fields["base"] = base
         if use_case is not None:
             fields["use_case"] = use_case
-        # preamble + the arrays' own memoryviews: no joined copy, no armour
-        payload = list(serialization.iter_serialized(state)) if state is not None else ()
-        frame = await self._exchange("save", deadline_s, fields, payload)
-        return frame.header["model_id"]
+        if state is None or base is None:
+            if base is not None:
+                fields["base"] = base
+            # preamble + the arrays' own memoryviews: no joined copy, no armour
+            payload = list(serialization.iter_serialized(state)) if state is not None else ()
+            frame = await self._exchange("save", deadline_s, fields, payload)
+            model_id = frame.header["model_id"]
+            if state is not None:
+                digests = state_dict_hashes(state)
+                self._saved.remember(model_id, digests, own=digests)
+            return model_id
+        fields["base"] = base
+        budget = deadline.scope(deadline_s) if deadline_s is not None else contextlib.nullcontext()
+        with budget:
+            digests = state_dict_hashes(state)
+            base_digests = await self._base_layers(base)
+            changed = [n for n, d in digests.items() if base_digests.get(n) != d]
+            sources = {}
+            for name in changed:
+                source = self._saved.source(name, digests[name])
+                if source is not None:
+                    sources[name] = source
+            shipped = [name for name in changed if name not in sources]
+            response = await self._send_layers(fields, digests, sources, shipped, state)
+            if "needs" in response:
+                needs = set(response["needs"])
+                sources = {n: s for n, s in sources.items() if n not in needs}
+                shipped = [n for n in digests if n in needs or n in shipped]
+                response = await self._send_layers(fields, digests, sources, shipped, state)
+            if "needs" in response:
+                raise GatewayRequestError(
+                    "internal", f"the gateway still needs layers {response['needs']}")
+        model_id = response["model_id"]
+        self._saved.remember(model_id, digests, own=changed)
+        return model_id
+
+    async def _base_layers(self, base: str) -> dict[str, str]:
+        """The base's layer digests: remembered, else the ``layers`` op."""
+        table = self._saved.table(base)
+        if table is None:
+            try:
+                response = await self.request("layers", model_id=base)
+            except GatewayRequestError as exc:
+                if exc.kind != "not_found":
+                    raise
+                return {}  # the save itself reports the base, as it always has
+            table = dict(response["layers"])
+            self._saved.remember(base, table, own=())
+        return table
+
+    async def _send_layers(self, fields, digests, sources, shipped, state) -> dict:
+        """One digest-first save frame: every layer's digest (and source,
+        for a reference), then the bytes of the ``shipped`` ones."""
+        from ..nn import serialization
+
+        table = [
+            [name, digest, sources[name]] if name in sources else [name, digest]
+            for name, digest in digests.items()
+        ]
+        payload = (
+            list(serialization.iter_serialized({n: state[n] for n in shipped}))
+            if shipped else ()
+        )
+        frame = await self._exchange("save", None, {**fields, "layers": table}, payload)
+        return frame.header
 
     async def recover_model(
         self,
@@ -307,6 +417,7 @@ class AsyncGatewayClient:
         await self.request(
             "delete", deadline_s=deadline_s, model_id=model_id, force=force
         )
+        self._saved.forget(model_id)
 
     async def stats(self, deadline_s: float | None = None) -> dict:
         response = await self.request("stats", deadline_s=deadline_s)

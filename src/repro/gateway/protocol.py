@@ -27,6 +27,27 @@ Response header::
     {"id": 7, "ok": false, "error": {"kind": "overloaded",
      "message": "...", "retryable": true, "retry_after_s": 0.05}}
 
+Digest-first saves.  A ``save`` with a ``base`` also carries ``layers``,
+the whole layer table in the header, and its payload holds only the
+layers the table lists bare that the base does not already hold::
+
+    {"op": "save", "base": "acme/3f…", "layers": [
+        ["0.weight", "9c…", "acme/81…"],    # a reference: that model holds it
+        ["0.bias", "4e…", "acme/81…"],
+        ["2.weight", "d0…"],                # bare: shipped, or the base's own
+        ["2.bias", "77…"]], "payload_bytes": 41312, ...}
+
+Each digest is the layer's tensor hash (:func:`repro.core.tensor_hash`).
+A reference's source must be a model of the caller's own tenant (another
+tenant's is ``forbidden``) that records that digest under that name
+(else ``invalid``), as must every shipped layer hash to its digest.  When
+the server cannot vouch for a layer — its source or chunk is gone, or the
+tenant's approach keeps no references — it stores nothing and answers
+``{"ok": true, "needs": [names]}``; the client resends once with those
+layers shipped.  ``{"op": "layers", "model_id": ...}`` answers
+``{"layers": [[name, digest], ...]}``, a model's stored table.  A save
+without ``base`` is a plain frame: no table, the whole state as payload.
+
 Limits: a header line and a payload are each at most
 :data:`MAX_LINE_BYTES`.  ``payload_bytes`` must be a JSON integer in
 ``[0, MAX_LINE_BYTES]`` and is checked *before* a byte of the payload is

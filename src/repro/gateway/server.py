@@ -37,8 +37,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .. import deadline, obs
-from ..errors import DeadlineExceededError
+from ..errors import DeadlineExceededError, LayersNeededError
 from .admission import AdmissionController
 from .protocol import (
     MAX_LINE_BYTES,
@@ -63,10 +65,13 @@ ALLOWED_FACTORY_PREFIXES = ("repro.", "tests.")
 #: the server would ignore may be the model's weights in a framing it no
 #: longer speaks (base64 inside the header, from a pre-payload client), and
 #: acking that save would store the factory's *initial* state under the
-#: client's name.
+#: client's name.  ``layers`` is a derived save's layer table: with it the
+#: payload carries only the layers the table does not vouch for by digest
+#: (:mod:`repro.gateway.protocol`, "Digest-first saves").
 SAVE_FIELDS = frozenset({
     "id", "op", "tenant", "deadline_s", "payload_bytes",
     "factory_module", "factory_name", "factory_kwargs", "base", "use_case",
+    "layers",
 })
 
 
@@ -396,7 +401,7 @@ class GatewayServer:
         return handler(frame.header, tenant)
 
     def _op_save(self, request: dict, payload: bytes, tenant) -> Reply:
-        from ..core.save_info import ArchitectureRef, ModelSaveInfo
+        from ..core.save_info import ArchitectureRef
         from ..nn import serialization
 
         unread = sorted(set(request) - SAVE_FIELDS)
@@ -420,15 +425,23 @@ class GatewayServer:
             )
         kwargs = request.get("factory_kwargs") or {}
         architecture = ArchitectureRef.from_factory(module, factory, kwargs)
-        if not payload:
-            model = architecture.build()
-        else:
-            # decoded for this request alone, so the model adopts it
-            state = serialization.loads(payload)
-            model = architecture.build_from(state, assign=True)
         base = request.get("base")
         if base is not None:
             base = tenant.resolve(base)
+        # decoded for this request alone, so the model adopts it
+        shipped = serialization.loads(payload) if payload else None
+        if "layers" in request:
+            return self._save_layer_table(
+                request, shipped or {}, architecture, base, tenant)
+        if shipped is None:
+            model = architecture.build()
+        else:
+            model = architecture.build_from(shipped, assign=True)
+        return self._save_model(request, architecture, model, base, tenant)
+
+    def _save_model(self, request: dict, architecture, model, base, tenant) -> Reply:
+        from ..core.save_info import ModelSaveInfo
+
         deadline.check("gateway.save")
         model_id = tenant.service.save_model(
             ModelSaveInfo(
@@ -439,6 +452,68 @@ class GatewayServer:
             )
         )
         return Reply({"model_id": tenant.qualify(model_id)})
+
+    def _save_layer_table(self, request: dict, shipped: dict, architecture, base,
+                          tenant) -> Reply:
+        """A digest-first save: ``layers`` names every layer by digest, the
+        payload carries the ones no earlier save vouches for.
+
+        Checked against the factory's skeleton before anything is stored:
+        the table's names, the dtype and shape of every shipped layer and of
+        every referenced one, and each shipped layer's digest (the only
+        layers hashed here).  References resolve in the tenant's own
+        catalog — never through a store-wide lookup, which would let any
+        known digest read another tenant's bytes.  What the store cannot
+        vouch for is answered ``needs``; nothing is stored then.
+        """
+        from ..core import ParameterUpdateSaveService
+        from ..core.hashing import state_dict_hashes
+        from ..nn.init import skip_init
+
+        if base is None:
+            raise GatewayError("invalid", "a save with 'layers' needs a 'base'")
+        if not isinstance(shipped, dict):
+            raise GatewayError("invalid", "the payload of a save is a state dict")
+        with skip_init():
+            skeleton = architecture.build().state_dict()
+        digests, references = _layer_table(request["layers"], skeleton, tenant)
+        for name, array in shipped.items():
+            if name not in digests or name in references:
+                raise GatewayError(
+                    "invalid", f"shipped layer {name!r} is not listed bare in 'layers'")
+            _check_layer(name, getattr(array, "dtype", None),
+                         getattr(array, "shape", None), skeleton)
+        forged = [
+            name for name, digest in state_dict_hashes(shipped).items()
+            if digest != digests[name]
+        ]
+        if forged:
+            raise GatewayError(
+                "invalid", f"shipped layers {forged} do not hash to their digests")
+        service = tenant.service
+        if not isinstance(service, ParameterUpdateSaveService):
+            # a snapshot approach keeps no per-layer references
+            needs = [name for name in digests if name not in shipped]
+            if needs:
+                return Reply({"needs": needs})
+            model = architecture.build_from(shipped, assign=True)
+            return self._save_model(request, architecture, model, base, tenant)
+        try:
+            held = service.held_layers(references)
+            for name, meta in held.items():
+                _check_layer(name, np.dtype(meta["dtype"]), tuple(meta["shape"]), skeleton)
+            deadline.check("gateway.save")
+            model_id = service.save_layers(
+                base, digests, shipped, held, request.get("use_case"))
+        except LayersNeededError as exc:
+            return Reply({"needs": exc.layers})
+        return Reply({"model_id": tenant.qualify(model_id)})
+
+    def _op_layers(self, request: dict, tenant) -> Reply:
+        model_id = request.get("model_id")
+        if not isinstance(model_id, str):
+            raise GatewayError("invalid", "layers needs a string 'model_id'")
+        return Reply({"layers": tenant.service.layer_hashes(tenant.resolve(model_id))})
 
     def _op_recover(self, request: dict, tenant) -> Reply:
         from ..nn import serialization
@@ -522,6 +597,46 @@ class GatewayServer:
             await self._loop.run_in_executor(
                 self._executor, self._maintenance.maybe_run
             )
+
+
+def _layer_table(table, skeleton: dict, tenant) -> tuple[dict, dict]:
+    """A save's ``layers`` as (name → digest in the skeleton's layer order,
+    name → (digest, source id) for the references)."""
+    if not isinstance(table, list):
+        raise GatewayError("invalid", "'layers' must be a list")
+    digests: dict[str, str] = {}
+    references: dict[str, tuple[str, str]] = {}
+    for entry in table:
+        if not (
+            isinstance(entry, list) and len(entry) in (2, 3)
+            and all(isinstance(field, str) for field in entry)
+        ):
+            raise GatewayError(
+                "invalid", "each layer is [name, digest] or [name, digest, source]")
+        name, digest = entry[0], entry[1]
+        if name in digests:
+            raise GatewayError("invalid", f"layer {name!r} is listed twice")
+        digests[name] = digest
+        if len(entry) == 3:
+            references[name] = (digest, tenant.resolve(entry[2]))
+    if digests.keys() != skeleton.keys():
+        raise GatewayError(
+            "invalid",
+            f"'layers' does not fit the factory: missing "
+            f"{sorted(skeleton.keys() - digests.keys())}, unexpected "
+            f"{sorted(digests.keys() - skeleton.keys())}",
+        )
+    return {name: digests[name] for name in skeleton}, references
+
+
+def _check_layer(name: str, dtype, shape, skeleton: dict) -> None:
+    expected = skeleton[name]
+    if dtype != expected.dtype or shape != expected.shape:
+        raise GatewayError(
+            "invalid",
+            f"layer {name!r} is {dtype}{shape}; the factory's is "
+            f"{expected.dtype}{expected.shape}",
+        )
 
 
 def _error_frame(request_id, exc: GatewayError) -> list:

@@ -1,6 +1,8 @@
 """Sharded file store: quorum writes, failover reads, read-repair."""
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repro.core import (
     ModelSaveInfo,
     ParameterUpdateSaveService,
 )
+from repro.core.hashing import state_dict_hashes
 from repro.docstore import DocumentStore
 from repro.errors import QuorumWriteError
 from repro.faults import FaultInjector, FaultyDocumentStore
@@ -330,6 +333,94 @@ class TestFlushBarrier:
         store.members["m0"].chunks.put("cd" * 32, b"unrelated record")
         assert store.put_chunk(digest, b"repaired copy") is False
         assert store.chunks.flush() == 0
+
+    def test_member_fsyncs_run_side_by_side(self, tmp_path):
+        # three members' fsyncs that each wait for the other two: a barrier
+        # that ran them one after another would break the rendezvous
+        store = make_cluster(tmp_path, n=3, replicas=3)
+        store.put_chunk("ab" * 32, b"on every member")
+        rendezvous = threading.Barrier(3, timeout=5)
+        for member in store.members.values():
+            inner = member.chunks.flush
+            member.chunks.flush = lambda inner=inner: (rendezvous.wait(), inner())[1]
+        assert store.chunks.flush() == 3
+
+    def test_a_failed_member_fsync_raises_after_the_others_return(self, tmp_path):
+        store = make_cluster(tmp_path, n=3, replicas=3)
+        service = BaselineSaveService(make_docs(), store)
+        returned: list[str] = []
+
+        def failing():
+            raise OSError("injected fsync failure")
+
+        def slow(name, inner):
+            def flush():
+                time.sleep(0.2)
+                synced = inner()
+                returned.append(name)
+                return synced
+            return flush
+
+        store.members["m0"].chunks.flush = failing
+        for name in ("m1", "m2"):
+            store.members[name].chunks.flush = slow(name, store.members[name].chunks.flush)
+        with pytest.raises(OSError, match="injected fsync failure"):
+            service.save_model(ModelSaveInfo(make_tiny_cnn(seed=3), tiny_arch()))
+        assert sorted(returned) == ["m1", "m2"]
+        # rolled back, not acknowledged: no model, no record, no reference
+        assert service.saved_model_ids() == []
+        assert chunk_universe(store) == set()
+        assert store.chunks.export_refs() == {}
+        # the member that failed is synced by the next barrier
+        assert "m0" in store._unsynced
+
+    def test_concurrent_saves_are_synced_when_acknowledged(self, tmp_path):
+        # more savers than cores and a short switch interval: a member lost
+        # from the unsynced set would leave an acknowledged chunk unsynced
+        store = make_cluster(tmp_path, n=3, replicas=2)
+        service = BaselineSaveService(make_docs(), store)
+        unsynced: list[str] = []
+
+        def saver(worker: int) -> None:
+            for index in range(4):
+                model = make_tiny_cnn(seed=100 * worker + index)
+                service.save_model(ModelSaveInfo(model, tiny_arch()))
+                for digest in state_dict_hashes(model.state_dict()).values():
+                    for owner in store.ring.owners(digest):
+                        if not store.members[owner].chunks.synced(digest):
+                            unsynced.append(digest)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=saver, args=(w,)) for w in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(service.saved_model_ids()) == 24
+        assert unsynced == []
+
+    def test_a_save_fsyncs_each_member_holding_its_chunks_once(self, tmp_path):
+        store = make_cluster(tmp_path, n=4, replicas=2)
+        service = BaselineSaveService(make_docs(), store)
+        flushed: list[str] = []
+        for name, member in store.members.items():
+            inner = member.chunks.flush
+            member.chunks.flush = lambda name=name, inner=inner: (
+                flushed.append(name), inner())[1]
+        model = make_tiny_cnn(seed=3)
+        service.save_model(ModelSaveInfo(model, tiny_arch()))
+        # a file record's owners keep it for their next barrier
+        holders = {
+            owner
+            for digest in state_dict_hashes(model.state_dict()).values()
+            for owner in store.ring.owners(digest)
+        }
+        assert sorted(flushed) == sorted(holders)
 
 
 class TestFailoverReads:

@@ -94,6 +94,19 @@ def test_any_cut_or_flipped_bit_replays_a_prefix_cuts_a_tail_or_raises(
     assert RecordLog(path).replay() == [*records[:kept], "after"]
 
 
+def test_a_flipped_top_bit_of_the_last_length_is_a_torn_tail(tmp_path):
+    # the length field's high bit makes it larger than any read can take
+    path = tmp_path / "records.log"
+    write(path, [("append", [None])])
+    flipped = bytearray(path.read_bytes())
+    flipped[RECORD_HEADER.size - 1] ^= 0x80
+    path.write_bytes(bytes(flipped))
+    log = RecordLog(path)
+    assert log.replay() == []
+    assert log.torn_bytes == len(flipped)
+    assert path.read_bytes() == b""
+
+
 class TestOlderFiles:
     """A file an older release wrote: one JSON document, or JSON lines."""
 

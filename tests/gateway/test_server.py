@@ -517,6 +517,38 @@ class TestWireVisibility:
         assert 1.0 <= save_in / state_bytes <= 1.02
         assert 1.0 <= recover_out / state_bytes <= 1.02
 
+    def test_wire_bytes_of_a_derived_save_that_changes_the_last_layer(self, tmp_path):
+        """A derived save of the bench model ships its changed 40 KB last
+        layer and the digests of the rest: under a tenth of the state."""
+        registry = make_registry(tmp_path)
+        kwargs = {"in_features": 256, "hidden": 1024}
+        state = serving_mlp(**kwargs).state_dict()
+        state_bytes = sum(array.nbytes for array in state.values())
+        last = list(state)[-2:]
+        derived = {
+            key: value + np.float32(1e-3) if key in last else value
+            for key, value in state.items()
+        }
+
+        def wire_in():
+            return counter_value("mmlib_gateway_wire_bytes_total", direction="in")
+
+        with GatewayServer(registry) as server:
+            async def scenario():
+                async with AsyncGatewayClient(*server.address, "acme") as client:
+                    base = await client.save_model(
+                        FACTORY, state=state, factory_kwargs=kwargs
+                    )
+                    before = wire_in()
+                    model_id = await client.save_model(
+                        FACTORY, state=derived, factory_kwargs=kwargs, base=base
+                    )
+                    sent = wire_in() - before
+                    return sent, await client.recover_model(model_id)
+            sent, recovered = run(scenario())
+        assert_states_bitwise_equal(recovered.state, derived)
+        assert sent < 0.1 * state_bytes
+
 
 class TestAdmissionPlane:
     def test_overload_sheds_typed_retryable_and_answers_everything(self, tmp_path):
