@@ -6,10 +6,9 @@ parameter-update chain, MPA provenance chain with training replay) in a
 simulated network deployment, then measures tip-model recovery twice:
 
 * **serial** — the pre-parallel-plane configuration: one chunk per
-  round-trip, no hot-chunk cache, no prefetch;
+  round-trip, no hot-chunk cache;
 * **pipelined** — concurrent chunk fetches with ``pipeline_depth``
-  requests per latency window, a shared hot-chunk cache, and base-chain
-  prefetch.
+  requests per latency window and a shared hot-chunk cache.
 
 Costs come from :class:`SimulatedNetworkFileStore` with ``sleep=False``:
 ``simulated_seconds`` is the modelled link time (latency windows plus
@@ -139,14 +138,9 @@ def measure(service, store, network, tip: str) -> dict:
     store.network = network
     if store.chunk_cache is not None:
         store.chunk_cache.clear()
-    prefetcher = service.prefetcher
-    if prefetcher is not None:
-        prefetcher.drain()
     store.reset_accounting()
     started = time.perf_counter()
     service.recover_model(tip, verify=False)
-    if prefetcher is not None:
-        prefetcher.drain()  # in-flight read-ahead still charges the link
     wall_ms = (time.perf_counter() - started) * 1e3
     return {
         "simulated_seconds": round(store.simulated_seconds, 6),
@@ -161,11 +155,8 @@ def bench_approach(name: str, workdir: Path, args, chain=None) -> dict:
     scenario: dict = {}
     for mode in ("serial", "pipelined"):
         stores = make_stores(workdir / f"{name}-{mode}", mode, args)
-        prefetch_workers = args.prefetch_workers if mode == "pipelined" else 0
         approach = {"BA": "baseline", "PUA": "param_update", "MPA": "provenance"}[name]
-        service = make_service(
-            approach, stores, prefetch_workers=prefetch_workers
-        )
+        service = make_service(approach, stores)
         if name == "BA":
             tip = build_ba_chain(service, args.scale, args.snapshots)
         elif name == "PUA":
@@ -176,8 +167,6 @@ def bench_approach(name: str, workdir: Path, args, chain=None) -> dict:
             link: measure(service, stores.files, network, tip)
             for link, network in LINKS.items()
         }
-        if service.prefetcher is not None:
-            service.prefetcher.close()
     for link in LINKS:
         serial_s = scenario["serial"][link]["simulated_seconds"]
         piped_s = scenario["pipelined"][link]["simulated_seconds"]
@@ -193,9 +182,7 @@ def bench_chain_depth(workdir: Path, args) -> dict:
     scenario: dict = {"max_depth": COMPACTION_K, "depths": {}}
     for depth in COMPACTION_DEPTHS:
         stores = make_stores(workdir / f"compaction-{depth}", "pipelined", args)
-        service = make_service(
-            "param_update", stores, prefetch_workers=args.prefetch_workers
-        )
+        service = make_service("param_update", stores)
         tip = build_pua_chain(service, args.scale, depth + 1)
         entry: dict = {
             "without_compaction": measure(service, stores.files, CELLULAR_LTE, tip)
@@ -205,8 +192,6 @@ def bench_chain_depth(workdir: Path, args) -> dict:
         entry["released_bytes"] = report["released_bytes"]
         entry["with_compaction"] = measure(service, stores.files, CELLULAR_LTE, tip)
         scenario["depths"][str(depth)] = entry
-        if service.prefetcher is not None:
-            service.prefetcher.close()
     base = scenario["depths"]["1"]["without_compaction"]["simulated_seconds"]
     deepest = scenario["depths"][str(COMPACTION_DEPTHS[-1])]
     if base:
@@ -227,7 +212,7 @@ def bench_crash_mid_compaction(workdir: Path, args) -> dict:
     from repro.faults import CrashPoint, FaultInjector
 
     stores = make_stores(workdir / "compaction-crash", "serial", args)
-    service = make_service("param_update", stores, prefetch_workers=0)
+    service = make_service("param_update", stores)
     tip = build_pua_chain(service, args.scale, COMPACTION_K + 1)
     faults = FaultInjector(seed=0)
     compactor = ChainCompactor(service, max_depth=COMPACTION_K)
@@ -261,8 +246,6 @@ def main() -> int:
                         help="in-flight requests per latency window")
     parser.add_argument("--chunk-cache-mb", type=int, default=128,
                         help="hot-chunk cache size in pipelined mode")
-    parser.add_argument("--prefetch-workers", type=int, default=2,
-                        help="base-chain read-ahead workers in pipelined mode")
     parser.add_argument("--no-check", action="store_true",
                         help="record results without enforcing the 2x bar")
     args = parser.parse_args()
@@ -277,7 +260,6 @@ def main() -> int:
             "workers": args.workers,
             "pipeline_depth": args.pipeline_depth,
             "chunk_cache_mb": args.chunk_cache_mb,
-            "prefetch_workers": args.prefetch_workers,
             "links": {
                 name: {
                     "bandwidth_bytes_per_s": model.bandwidth_bytes_per_s,

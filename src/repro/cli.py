@@ -271,7 +271,7 @@ def cmd_delete(args) -> int:
 def cmd_verify(args) -> int:
     """Recover and checksum-verify every model in the catalog."""
     manager = _open_manager(args)
-    results = manager.verify_catalog(use_cache=not args.no_cache)
+    results = manager.verify_catalog()
     failures = [mid for mid, ok in results.items() if ok is False]
     for model_id, ok in results.items():
         status = {True: "verified", None: "no checksums", False: "FAILED"}[ok]
@@ -510,9 +510,9 @@ def cmd_env(args) -> int:
 
 def _run_obs_demo() -> None:
     """Exercise a clustered save/recover so the observability plane has
-    real traffic to show: three shards behind a simulated link, a chunk
-    cache, and a chain prefetcher — one recover produces a trace tree
-    spanning service → prefetcher → sharded store → member → network."""
+    real traffic to show: three shards behind a simulated link and a
+    chunk cache — one recover produces a trace tree spanning service →
+    sharded store → member → network."""
     import tempfile
 
     from repro.core import ModelSaveInfo
@@ -530,7 +530,7 @@ def _run_obs_demo() -> None:
             workers=2,
             chunk_cache_bytes=8 << 20,
         )
-        service = make_service("param_update", stores, prefetch_workers=2)
+        service = make_service("param_update", stores)
         model = create_model("mobilenetv2", num_classes=10, scale=0.25, seed=0)
         arch = ArchitectureRef.from_factory(
             "repro.nn.models", "create_model",
@@ -541,8 +541,6 @@ def _run_obs_demo() -> None:
             ModelSaveInfo(model, arch, base_model_id=base_id, use_case="demo")
         )
         service.recover_model(derived_id)
-        if service.prefetcher is not None:
-            service.prefetcher.close()
 
 
 def cmd_stats(args) -> int:
@@ -710,10 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_parser = commands.add_parser(
         "verify", help="recover + checksum-verify every model in the catalog"
-    )
-    verify_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the chain-prefix recovery cache",
     )
     verify_parser.set_defaults(func=cmd_verify)
 

@@ -1,10 +1,10 @@
 """Sharded, replicated file store: quorum writes, failover reads, repair.
 
 :class:`ShardedFileStore` presents the exact :class:`~repro.filestore.store.FileStore`
-interface — save services, the recovery pipeline, the chain prefetcher,
-and ``fsck`` all run against it unchanged — while spreading records (chunks
-and the files that are records under their file ids) over N member
-stores placed by a consistent-hash :class:`HashRing`.
+interface — save services, the recovery pipeline and ``fsck`` all run
+against it unchanged — while spreading records (chunks and the files that
+are records under their file ids) over N member stores placed by a
+consistent-hash :class:`HashRing`.
 
 Replication semantics:
 

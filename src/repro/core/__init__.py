@@ -47,7 +47,6 @@ from .manager import (
 )
 from .merkle import DiffResult, MerkleNode, MerkleTree
 from .param_update import ParameterUpdateSaveService, extract_parameter_update
-from .prefetch import ChainPrefetcher
 from .probe import (
     LayerRecord,
     ProbeComparison,
@@ -112,7 +111,6 @@ __all__ = [
     "MerkleTree",
     "ParameterUpdateSaveService",
     "extract_parameter_update",
-    "ChainPrefetcher",
     "LayerRecord",
     "ProbeComparison",
     "ProbeSummary",

@@ -82,8 +82,6 @@ class AbstractSaveService:
     ``retry`` (a :class:`~repro.retry.RetryPolicy`) makes document
     operations retry transient store failures; pass the same policy to the
     file store so both halves of a save share one backoff budget.
-    ``prefetcher`` (a :class:`~repro.core.prefetch.ChainPrefetcher`)
-    overlaps base-chain chunk transfers with recovery work.
     """
 
     #: Set by subclasses; stored in every model document they save.
@@ -96,7 +94,6 @@ class AbstractSaveService:
         scratch_dir: str | Path | None = None,
         dataset_codec: str | None = None,
         retry=None,
-        prefetcher=None,
         clock=None,
     ):
         if retry is not None:
@@ -104,7 +101,6 @@ class AbstractSaveService:
         self.documents = document_store
         self.files = file_store
         self.retry = retry
-        self.prefetcher = prefetcher
         # injectable time source: every save/recover timing reads through
         # it, so fake-clock tests assert exact ttr breakdowns
         self.clock = clock if clock is not None else obs.clock()
@@ -268,12 +264,10 @@ class AbstractSaveService:
         as ``name -> (array, digest)``.
         """
         state = OrderedDict()
-        read_ahead = self.prefetcher.prefetch if self.prefetcher is not None else None
         for chunked, run in groupby(file_ids, key=self._is_chunked_file):
             if chunked:
                 digests = None if verified is None else {}
-                loaded = self.files.recover_state_chunks(
-                    list(run), read_ahead=read_ahead, verified=digests)
+                loaded = self.files.recover_state_chunks(list(run), verified=digests)
                 state.update(loaded)
                 if digests:
                     verified.update(
@@ -380,9 +374,9 @@ class AbstractSaveService:
         CRC-checked, nothing hashed.
         ``execution_env`` passes extra restore-time refs to train services
         (e.g. an externally managed dataset's location).  Passing a shared
-        :class:`RecoveryCache` across calls memoizes chain prefixes, so
-        recovering many models of one chain does O(n) instead of O(n²)
-        base recoveries.
+        :class:`RecoveryCache` across calls memoizes MPA levels, so
+        recovering every model of an MPA chain replays each training run
+        once instead of O(n²) times.
         """
         with self._obs_tracer.span(
             "service.recover_model", model_id=model_id, approach=self.approach
@@ -399,7 +393,7 @@ class AbstractSaveService:
             has_root = document.get("merkle_root") is not None
             fetched: dict | None = {} if verify and has_root else None
             try:
-                model, depth = self._recover_from_document(
+                model, depth, _ = self._recover_from_document(
                     document, timings, execution_env or {}, cache, fetched
                 )
             finally:
@@ -453,43 +447,39 @@ class AbstractSaveService:
         execution_env: dict,
         cache: RecoveryCache | None = None,
         verified: dict | None = None,
-    ) -> tuple[Module, int]:
-        """Recover one document's model.  ``verified`` (the top-level call's
-        only) collects the layers the store verified as it fetched them;
-        a base recovered beneath the document contributes none — an MPA
-        replay rewrites its layers, a cached base is a copy."""
-        doc_id = document.get("_id")
-        if cache is not None and doc_id is not None:
-            hit = cache.get(doc_id)
-            if hit is not None:
-                return hit
+    ) -> tuple[Module, int, ArchitectureRef]:
+        """Recover one document's model: ``(model, depth, architecture)``.
 
+        ``verified`` (the top-level call's only) collects the layers the
+        store verified as it fetched them; a base recovered beneath the
+        document contributes none — an MPA replay rewrites its layers.
+        ``cache`` is consulted and filled for MPA levels only: a training
+        replay is the one per-level cost a recover still pays (DESIGN.md
+        §16)."""
+        doc_id = document.get("_id")
         approach = document.get("approach")
         with self._obs_tracer.span(
             "recover.document", doc_id=doc_id, approach=approach or "unknown",
         ):
             if document.get("parameters_file") or approach == APPROACH_PARAM_UPDATE:
-                model, depth, architecture = self._recover_chain(
-                    document, timings, execution_env, cache, verified
-                )
-            elif approach == APPROACH_PROVENANCE:
-                model, depth = self._recover_provenance(
-                    document, timings, execution_env, cache
-                )
-                # derived models share their base's architecture (the
-                # relations the paper covers keep the architecture fixed)
-                architecture = (
-                    cache.architecture_of(document.get("base_model"))
-                    if cache is not None else None
-                )
-            else:
+                files, end = self._walk_chain(document)
+                base = None
+                if not end.get("parameters_file"):  # a base of another approach
+                    base = self._recover_from_document(end, timings, execution_env, cache)
+                return self._recover_chain(files, end, base, timings, verified)
+            if approach != APPROACH_PROVENANCE:
                 raise RecoveryError(
                     f"model document {doc_id} has neither parameters nor a "
                     f"recoverable approach (approach={approach!r})"
                 )
-            if cache is not None and doc_id is not None and architecture is not None:
+            hit = cache.get(doc_id) if cache is not None else None
+            if hit is not None:
+                return hit
+            model, depth, architecture = self._recover_provenance(
+                document, timings, execution_env, cache)
+            if cache is not None:
                 cache.put(doc_id, model, architecture, depth)
-            return model, depth
+            return model, depth, architecture
 
     def _load_architecture(self, document: dict, timings: dict) -> ArchitectureRef:
         started = self.clock.perf()
@@ -506,71 +496,62 @@ class AbstractSaveService:
             )
         return self._get_model_document(base_id, projection=_RECOVER_FIELDS)
 
-    def _recover_base(
-        self,
-        document: dict,
-        timings: dict,
-        execution_env: dict,
-        cache: RecoveryCache | None = None,
-    ) -> tuple[Module, int]:
-        return self._recover_from_document(
-            self._base_document(document), timings, execution_env, cache
-        )
-
-    def _recover_chain(
-        self,
-        document: dict,
-        timings: dict,
-        execution_env: dict,
-        cache: RecoveryCache | None = None,
-        verified: dict | None = None,
-    ) -> tuple[Module, int, ArchitectureRef | None]:
-        """Recover a snapshot or the tip of a PUA chain: resolve, then read.
+    def _walk_chain(self, document: dict) -> tuple[list[str], dict]:
+        """Resolve a snapshot or the tip of a PUA chain: ``(files, end)``.
 
         The walk runs tip → base over projected documents and collects one
-        payload file per level.  It ends at the first recovery base (a
-        ``parameters_file``: a root snapshot or a compacted delta), or, below
-        the tip, at a cached model or a document of another approach, which
-        is recovered as such.  The levels are then read as one merged state
-        — a layer comes from the tip-most level that holds it, so nothing a
-        later level overrides is fetched — and the model is built once.
+        payload file per level, base first.  It ends at the first recovery
+        base (a ``parameters_file``: a root snapshot or a compacted delta,
+        whose file is the first of ``files``) or, below the tip, at a
+        document of another approach, which the caller recovers as such.
         """
         files: list[str] = []  # tip first
         seen: set[str] = set()
-        base: tuple[Module, int] | None = None
         current = document
         while True:
             doc_id = current["_id"]
             if doc_id in seen:
                 raise RecoveryError(f"cycle in base-model chain at {doc_id!r}")
             seen.add(doc_id)
-            below_tip = current is not document
-            if below_tip and cache is not None and doc_id in cache:
-                base = self._recover_from_document(current, timings, execution_env, cache)
-                break
             if current.get("parameters_file"):
                 files.append(current["parameters_file"])
                 break
             if current.get("approach") != APPROACH_PARAM_UPDATE:
-                base = self._recover_from_document(current, timings, execution_env, cache)
                 break
             files.append(current["update_file"])
             current = self._base_document(current)
         files.reverse()
+        return files, current
 
+    def _recover_chain(
+        self,
+        files: list[str],
+        end: dict,
+        base: tuple[Module, int, ArchitectureRef] | None,
+        timings: dict,
+        verified: dict | None = None,
+    ) -> tuple[Module, int, ArchitectureRef]:
+        """Read a walked chain (:meth:`_walk_chain`) and build its model once.
+
+        The levels are read as one merged state — a layer comes from the
+        tip-most level that holds it, so nothing a later level overrides
+        is fetched — over ``base``, the recovered model of a walk that
+        ended at another approach, or else built from ``end``'s
+        architecture.
+        """
         started = self.clock.perf()
         state = self._load_state_files(files, verified)
         timings["load"] += self.clock.perf() - started
 
         if base is None:
-            architecture = self._load_architecture(current, timings)
+            architecture = self._load_architecture(end, timings)
             started = self.clock.perf()
             # the state was loaded for this call alone, so the model adopts it
             model = architecture.build_from(state, assign=True)
             timings["recover"] += self.clock.perf() - started
             return model, len(files) - 1, architecture
 
-        model, depth = base
+        model, depth, architecture = base
         started = self.clock.perf()
         # both halves are this call's own (the base was recovered for it),
         # so its layers stay where they are and the levels' are adopted
@@ -578,7 +559,6 @@ class AbstractSaveService:
         merged.update(state)
         model.load_state_dict(merged, assign=True)
         timings["recover"] += self.clock.perf() - started
-        architecture = cache.architecture_of(current["_id"]) if cache is not None else None
         return model, depth + len(files), architecture
 
     def _recover_provenance(
@@ -587,8 +567,12 @@ class AbstractSaveService:
         timings: dict,
         execution_env: dict,
         cache: RecoveryCache | None = None,
-    ) -> tuple[Module, int]:
-        model, depth = self._recover_base(document, timings, execution_env, cache)
+    ) -> tuple[Module, int, ArchitectureRef]:
+        # derived models share their base's architecture (the relations the
+        # paper covers keep the architecture fixed)
+        model, depth, architecture = self._recover_from_document(
+            self._base_document(document), timings, execution_env, cache
+        )
 
         started = self.clock.perf()
         train_info_id = document["train_info_id"]
@@ -627,7 +611,7 @@ class AbstractSaveService:
             rng.set_rng_state(previous_rng)
             rng.use_deterministic_algorithms(previous_det)
         timings["recover"] += self.clock.perf() - started
-        return model, depth + 1
+        return model, depth + 1, architecture
 
     # ------------------------------------------------------------------
     # storage accounting
@@ -680,9 +664,10 @@ def _merkle_root(model: Module, verified: dict) -> str:
     """The model's Merkle root, from the digests verified at fetch.
 
     A layer the model holds as the very array the store verified
-    contributes that digest.  Every other layer — from a cached or MPA
-    base, a monolithic level, or copied or cast at load — is hashed here,
-    so each parameter byte is hashed once either way.
+    contributes that digest.  Every other layer — from an MPA base
+    (replayed or cached), a monolithic level, or copied or cast at
+    load — is hashed here, so each parameter byte is hashed once either
+    way.
     """
     leaves = OrderedDict()
     unverified = OrderedDict()

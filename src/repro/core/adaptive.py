@@ -65,12 +65,9 @@ class AdaptiveSaveService(AbstractSaveService):
         train_seconds_estimate: float = 60.0,
         recovers_per_save: float = 0.01,
         retry=None,
-        prefetcher=None,
     ):
         super().__init__(
-            document_store, file_store, scratch_dir, dataset_codec,
-            retry=retry, prefetcher=prefetcher,
-        )
+            document_store, file_store, scratch_dir, dataset_codec, retry=retry)
         self.cost_model = cost_model or CostModel()
         self.max_storage_bytes = max_storage_bytes
         self.max_recover_seconds = max_recover_seconds
@@ -78,16 +75,13 @@ class AdaptiveSaveService(AbstractSaveService):
         self.recovers_per_save = recovers_per_save
         self._services = {
             APPROACH_BASELINE: BaselineSaveService(
-                document_store, file_store, scratch_dir, dataset_codec,
-                retry=retry, prefetcher=prefetcher,
+                document_store, file_store, scratch_dir, dataset_codec, retry=retry,
             ),
             APPROACH_PARAM_UPDATE: ParameterUpdateSaveService(
-                document_store, file_store, scratch_dir, dataset_codec,
-                retry=retry, prefetcher=prefetcher,
+                document_store, file_store, scratch_dir, dataset_codec, retry=retry,
             ),
             APPROACH_PROVENANCE: ProvenanceSaveService(
-                document_store, file_store, scratch_dir, dataset_codec,
-                retry=retry, prefetcher=prefetcher,
+                document_store, file_store, scratch_dir, dataset_codec, retry=retry,
             ),
         }
         #: the estimate behind the most recent save (for inspection/benches)
@@ -216,7 +210,7 @@ class AdaptiveSaveService(AbstractSaveService):
             # snapshot route for a recorded run: persist the trained model
             snapshot = ModelSaveInfo(
                 model=save_info.expected_model,
-                architecture=self._architecture_of_chain_root(save_info.base_model_id),
+                architecture=self._chain_root_architecture(save_info.base_model_id),
                 base_model_id=save_info.base_model_id,
                 use_case=save_info.use_case,
                 store_checksums=save_info.store_checksums,
@@ -224,7 +218,7 @@ class AdaptiveSaveService(AbstractSaveService):
             return service.save_model(snapshot)
         return service.save_model(save_info)
 
-    def _architecture_of_chain_root(self, model_id: str):
+    def _chain_root_architecture(self, model_id: str):
         """Reuse the chain root's architecture ref for snapshot fallbacks."""
         from .save_info import ArchitectureRef
 

@@ -331,9 +331,6 @@ class ModelManager:
                 "pending_bytes": hint_log.pending_bytes(),
                 **hint_log.stats,
             }
-        prefetcher = getattr(self.service, "prefetcher", None)
-        if prefetcher is not None:
-            out["prefetcher"] = prefetcher.stats()
         # models saved from one environment share its document, so the
         # distinct documents are the distinct environments of the fleet
         try:
@@ -364,25 +361,20 @@ class ModelManager:
     def recover(self, model_id: str, **kwargs) -> RecoveredModelInfo:
         return self.service.recover_model(model_id, **kwargs)
 
-    def verify_catalog(
-        self, use_cache: bool = True, cache=None
-    ) -> dict[str, bool | None]:
+    def verify_catalog(self, cache=None) -> dict[str, bool | None]:
         """Integrity sweep: recover and checksum-verify every model.
 
-        With ``use_cache`` (default) a shared :class:`RecoveryCache` makes
-        the sweep O(n) base recoveries instead of O(n²) — chain prefixes
-        are recovered once and reused.  Pass ``cache`` to reuse one
-        :class:`RecoveryCache` across sweeps (periodic monitoring then
-        pays the recovery cost only for models that changed) instead of
-        warming a fresh one every call.  Returns model id -> verified flag
-        (``None`` when a model was saved without checksums).
+        A shared :class:`RecoveryCache` replays each MPA level once, so
+        an MPA chain of n levels costs n trainings instead of O(n²).  Pass
+        ``cache`` to reuse one across sweeps (periodic monitoring then
+        replays only models that changed) instead of warming a fresh one
+        every call.  Returns model id -> verified flag (``None`` when a
+        model was saved without checksums).
         """
         from .cache import RecoveryCache
 
-        if cache is None and use_cache:
-            # chain sweeps recover bases first: protect that prefix instead
-            # of evicting it (and skip the deep copy for churn inserts)
-            cache = RecoveryCache(max_entries=256, protect_prefix=True)
+        if cache is None:
+            cache = RecoveryCache(max_entries=256)
         results: dict[str, bool | None] = {}
         for record in self.list_models():
             recovered = self.service.recover_model(record.model_id, cache=cache)

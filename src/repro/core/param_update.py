@@ -64,12 +64,9 @@ class ParameterUpdateSaveService(AbstractSaveService):
         dataset_codec=None,
         use_merkle: bool = True,
         retry=None,
-        prefetcher=None,
     ):
         super().__init__(
-            document_store, file_store, scratch_dir, dataset_codec,
-            retry=retry, prefetcher=prefetcher,
-        )
+            document_store, file_store, scratch_dir, dataset_codec, retry=retry)
         self.use_merkle = use_merkle
         #: hash comparisons performed by the most recent save (ablation metric)
         self.last_diff: DiffResult | None = None

@@ -256,30 +256,16 @@ def make_service(
     approach: str,
     stores: SharedStores,
     dataset_codec: str | None = None,
-    prefetch_workers: int = 0,
 ) -> AbstractSaveService:
-    """Instantiate the save service for an approach name.
-
-    ``prefetch_workers > 0`` attaches a
-    :class:`~repro.core.prefetch.ChainPrefetcher` so a recover's chunk
-    transfers overlap its verify/rebuild work (requires a chunk cache on
-    the file store to be effective).
-    """
+    """Instantiate the save service for an approach name."""
     if approach not in SERVICE_CLASSES:
         raise KeyError(f"unknown approach {approach!r}; options: {sorted(SERVICE_CLASSES)}")
-    prefetcher = None
-    if prefetch_workers > 0:
-        from ..core.prefetch import ChainPrefetcher
-
-        prefetcher = ChainPrefetcher(
-            stores.files, workers=prefetch_workers, retry=stores.retry)
     return SERVICE_CLASSES[approach](
         stores.documents,
         stores.files,
         scratch_dir=stores.scratch_dir,
         dataset_codec=dataset_codec,
         retry=stores.retry,
-        prefetcher=prefetcher,
     )
 
 

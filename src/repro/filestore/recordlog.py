@@ -25,10 +25,11 @@ from typing import Iterable
 
 from ..errors import StoreCorruptionError
 
-__all__ = ["RecordLog", "RECORD_HEADER", "RECORD_MAGIC", "read_record", "record_header",
-           "record_size", "write_all"]
+__all__ = ["RecordLog", "RECORD_HEADER", "RECORD_MAGIC", "next_whole_record", "read_record",
+           "record_header", "record_size", "write_all"]
 
 RECORD_MAGIC = b"MMRC"
+_MAGIC = re.compile(re.escape(RECORD_MAGIC))
 #: Record header: magic, key length, flags (0), payload crc32, payload length.
 RECORD_HEADER = struct.Struct("<4sHHIQ")
 
@@ -60,6 +61,18 @@ def read_record(read) -> tuple[bytes, bytes, int] | None:
     return key, payload, crc
 
 
+def next_whole_record(data: bytes, start: int) -> int | None:
+    """Where in ``data`` the first whole record after ``start`` begins, if
+    any: the resync search past a bad record.  ``data`` bounds every read,
+    so a damaged length field cannot reach beyond it."""
+    stream = io.BytesIO(data)
+    for match in _MAGIC.finditer(data, start + 1):
+        stream.seek(match.start())
+        if read_record(stream.read) is not None:
+            return match.start()
+    return None
+
+
 def write_all(file, data) -> None:
     """Write ``data`` at ``file``'s offset: one ``os.write`` unless the
     disk is filling up."""
@@ -87,10 +100,7 @@ def _scan(data: bytes) -> tuple[list[bytes], int, bool]:
     while end < len(data):
         record = read_record(stream.read)
         if record is None or record[0]:
-            rest = data[end + 1:]
-            return payloads, end, any(
-                read_record(io.BytesIO(rest[match.start():]).read)
-                for match in re.finditer(RECORD_MAGIC, rest))
+            return payloads, end, next_whole_record(data, end) is not None
         payloads.append(record[1])
         end = stream.tell()
     return payloads, end, False

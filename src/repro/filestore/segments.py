@@ -41,7 +41,11 @@ On-disk format (all integers little-endian):
   catalog crc32, and ``MMSE`` end magic — parseable backwards from EOF.
 
 A torn append is detected by the record crc at scan time and never
-advances the logical end, so a retry overwrites the tear in place.
+advances the logical end, so a retry overwrites the tear in place.  A
+scan bounds every read by the bytes left in the file, so a damaged length
+field is a bad record, not an allocation; a bad record with a whole
+record after it is skipped and reported, so one flipped bit costs one
+record, not the rest of its segment.
 """
 
 from __future__ import annotations
@@ -60,7 +64,9 @@ from typing import Iterable, Mapping
 from .. import obs
 from ..errors import StoreCorruptionError
 from . import codecs as chunk_codecs
-from .recordlog import RECORD_HEADER, RecordLog, read_record, record_header, write_all
+from .recordlog import (
+    RECORD_HEADER, RECORD_MAGIC, RecordLog, next_whole_record, read_record, record_header,
+    write_all)
 
 try:
     import fcntl
@@ -145,8 +151,10 @@ def _parse_seq(name: str) -> int | None:
 
 
 def _new_meta() -> dict:
-    # total/live: payload bytes of every record appended / still indexed
-    return {"scanned": 0, "total": 0, "live": 0, "sealed": False, "bad": False}
+    # total/live: payload bytes of every record appended / still indexed;
+    # damaged: keys (or ``segment@offset``) of bad records a scan skipped
+    return {"scanned": 0, "total": 0, "live": 0, "sealed": False, "bad": False,
+            "damaged": []}
 
 
 class ChunkStore:
@@ -425,6 +433,7 @@ class ChunkStore:
                 scanned=int(meta.get("scanned", 0)),
                 total=int(meta.get("total", 0)),
                 sealed=bool(meta.get("sealed", False)),
+                damaged=[str(key) for key in meta.get("damaged", [])],
             )
         for digest, entry in data.get("entries", {}).items():
             # an entry of a segment the checkpoint does not list is found
@@ -439,6 +448,8 @@ class ChunkStore:
             scanned = self._active_end if name == self._active_name else meta["scanned"]
             segments[name] = {
                 "scanned": scanned, "total": meta["total"], "sealed": meta["sealed"]}
+            if meta["damaged"]:  # a healthy store's checkpoint keeps its format
+                segments[name]["damaged"] = meta["damaged"]
         payload = {
             "version": 1,
             "entries": {d: list(entry) for d, entry in self._index.items()},
@@ -532,14 +543,39 @@ class ChunkStore:
         return added
 
     def _scan_records_locked(self, fileobj, name: str, meta: dict) -> int:
-        """Sequentially absorb crc-valid records; stop at the first tear."""
+        """Sequentially absorb crc-valid records; stop at the first tear.
+
+        A bad record with a whole record after it is damage, not a tear:
+        the scan resumes at the next whole record, and the bad one is
+        reported by :meth:`audit` as a CRC failure while its segment lasts.
+        """
+        size = os.fstat(fileobj.fileno()).st_size
+
+        def read(count: int) -> bytes:
+            # never past the size fstat saw: a length field past the file's
+            # end (a flipped high bit) reads short instead of allocating what
+            # it claims, and what another process appends meanwhile waits
+            # for the next scan
+            return fileobj.read(max(0, min(count, size - fileobj.tell())))
+
         added = 0
         offset = meta["scanned"]
         fileobj.seek(offset)
         while True:
-            record = read_record(fileobj.read)
+            record = read_record(read)
             if record is None:
-                break  # footer or a torn append: the valid prefix ends here
+                fileobj.seek(offset)
+                rest = read(size - offset)
+                resume = next_whole_record(rest, 0)
+                if resume is None:
+                    break  # footer or a torn append: the valid prefix ends here
+                key_length = (RECORD_HEADER.unpack_from(rest)[1]
+                              if rest.startswith(RECORD_MAGIC) else 0)
+                key = rest[RECORD_HEADER.size:RECORD_HEADER.size + key_length]
+                meta["damaged"].append(key.decode("utf-8", "replace") or f"{name}@{offset}")
+                offset += resume
+                fileobj.seek(offset)
+                continue
             digest_raw, payload, crc = record
             digest = digest_raw.decode("utf-8", "replace")
             payload_off = offset + RECORD_HEADER.size + len(digest_raw)
@@ -1369,6 +1405,10 @@ class ChunkStore:
                     data = self._read_entry_locked(entry)
                     if data is None or zlib.crc32(data) != entry[3]:
                         outcome["crc_failures"].append(digest)
+            for _name, meta in sorted(self._segmeta.items()):
+                # a key written again since reads back whole from its new record
+                outcome["crc_failures"] += [
+                    key for key in meta["damaged"] if key not in self._index]
             for path in self.segments_dir.glob("*.tmp"):
                 if self._tmp_expired(path):
                     outcome["tmp_segments_removed"] += 1

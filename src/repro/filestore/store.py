@@ -90,7 +90,7 @@ def layer_chunk_digests(meta: Mapping) -> list[str]:
     which only older releases wrote, hold an ordered run of chunks under
     ``"chunks"``.
     Every reader of manifest layers (recovery, deletion, sizing, fsck,
-    prefetch, cluster repair) goes through this helper, which is what
+    cluster repair) goes through this helper, which is what
     keeps old manifests readable next to new ones.
     """
     chunks = meta.get("chunks")
@@ -177,13 +177,12 @@ def _layer_array(meta: Mapping, parts: list) -> np.ndarray | None:
 class ChunkCache:
     """Thread-safe LRU over chunk payloads, bounded by total bytes.
 
-    The recovery plane shares one instance between a :class:`FileStore`
-    (which consults it on every chunk read), the chain prefetcher (which
-    warms it ahead of the recovery cursor), and a
-    :class:`~repro.core.cache.RecoveryCache` (which carries it across
-    ``recover_model`` calls).  Chunks are immutable — content-addressed by
-    digest — so cached payloads never go stale; eviction is purely a
-    memory-budget decision.
+    A :class:`FileStore` consults it on every chunk read, so recovers that
+    run side by side (two gateway workers serving one hot model, or
+    successive recovers of models that share a base) cross the link for
+    a chunk once.  Chunks are immutable — content-addressed by digest —
+    so cached payloads never go stale; eviction is purely a memory-budget
+    decision.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CHUNK_CACHE_BYTES):
@@ -280,10 +279,10 @@ class ChunkCache:
 class _SingleFlight:
     """Collapse concurrent fetches of one key into a single leader fetch.
 
-    The prefetcher and a recovery running in parallel routinely ask for
-    the same chunk at the same moment; without coalescing, both would
-    cross the (possibly simulated) link and the transfer would be charged
-    twice.
+    Two recovers running in parallel (gateway workers serving one hot
+    model) routinely ask for the same chunk at the same moment; without
+    coalescing, both would cross the (possibly simulated) link and the
+    transfer would be charged twice.
     """
 
     def __init__(self):
@@ -353,9 +352,9 @@ class FileStore:
       ``ThreadPoolExecutor`` (a recover reads in one batched pass over the
       segments and hashes on the shared hashing pool, whatever it says);
     * ``chunk_cache`` — an in-process hot-chunk LRU (a :class:`ChunkCache`
-      or a byte budget), consulted before every chunk read and shared with
-      the recovery-chain prefetcher.  Concurrent fetches of one digest are
-      coalesced into a single transfer while the cache is attached.
+      or a byte budget), consulted before every chunk read.  Concurrent
+      fetches of one digest are coalesced into a single transfer while the
+      cache is attached.
 
     Buffer ownership on the read path: the chunk store reads each
     record into a buffer of its own, and :meth:`recover_state_chunks`
@@ -880,7 +879,6 @@ class FileStore:
         self,
         file_ids: str | Sequence[str],
         verify: bool | None = None,
-        read_ahead=None,
         verified: dict | None = None,
     ) -> "OrderedDict[str, np.ndarray]":
         """Rebuild the state dict a manifest describes (bitwise identical).
@@ -888,12 +886,9 @@ class FileStore:
         ``file_ids`` is one manifest id, or the manifests of a delta chain
         from its recovery base to its tip: the layer list is the base's,
         each layer read from the last manifest that holds it, so a chunk a
-        later level overrides is never fetched.  ``read_ahead`` (a
-        :meth:`~repro.core.prefetch.ChainPrefetcher.prefetch`-shaped
-        callable) is handed the digests about to be read, once, before the
-        first of them is.  Every chunk of the plan is fetched in one
-        :meth:`get_chunks` batch; layer order in the returned dict always
-        matches the manifest.
+        later level overrides is never fetched.  Every chunk of the plan
+        is fetched in one :meth:`get_chunks` batch; layer order in the
+        returned dict always matches the manifest.
 
         Each rebuilt layer is checked once against its content digest —
         the chunk id of a whole-layer (v1) entry, the recorded tensor
@@ -928,8 +923,6 @@ class FileStore:
             plan = [(name, meta, layer_chunk_digests(meta)) for name, meta in merged.items()]
             sp.set(layers=len(plan))
             digests = [digest for _, _, chunk_ids in plan for digest in chunk_ids]
-            if read_ahead is not None:
-                read_ahead(digests)
             # the payloads are digest-checked below, so their record CRC
             # may be skipped — unless the cache hands them to others
             payloads = self.get_chunks(

@@ -4,9 +4,7 @@ A :class:`Tracer` records :class:`Span` objects — named, attributed,
 nested intervals with ids/parent-ids and both wall and monotonic
 timestamps read from an injectable :class:`~repro.obs.clock.Clock`.
 Span nesting is tracked per thread via thread-local stacks, so a serial
-recover builds one tree on the calling thread; worker threads (the
-prefetcher pool) join their submitter's tree via :meth:`Tracer.attach`,
-which pushes an explicit parent id for the duration of the work item.
+recover builds one tree on the calling thread.
 
 Completed spans land in a bounded ring buffer (oldest evicted first) and
 export as JSON-lines — one object per span, children reference parents
@@ -119,13 +117,7 @@ class Tracer:
             sp.set(chunks=n)
 
     A span opened while another is active on the same thread becomes its
-    child; a root span mints a fresh ``trace_id``.  Cross-thread work
-    joins a tree explicitly::
-
-        parent = tracer.current_id()          # on the submitting thread
-        with tracer.attach(parent):           # on the worker thread
-            with tracer.span("prefetch.file"):
-                ...
+    child; a root span mints a fresh ``trace_id``.
     """
 
     def __init__(self, clock: Clock | None = None, max_spans: int = 2048):
@@ -147,36 +139,6 @@ class Tracer:
             stack = []
             self._local.stack = stack
         return stack
-
-    def current_id(self):
-        """(span_id, trace_id) of the innermost active span, or None.
-
-        Capture this on a submitting thread and pass it to
-        :meth:`attach` on the worker so the worker's spans join the tree.
-        """
-        stack = self._stack()
-        if not stack:
-            return None
-        top = stack[-1]
-        return (top.span_id, top.trace_id)
-
-    @contextmanager
-    def attach(self, parent):
-        """Adopt ``parent`` (from :meth:`current_id`) as this thread's root."""
-        if parent is None:
-            yield
-            return
-        stack = self._stack()
-        span_id, trace_id = parent
-        anchor = Span("<attached>", span_id, None, trace_id, 0.0, 0.0)
-        stack.append(anchor)
-        try:
-            yield
-        finally:
-            if stack and stack[-1] is anchor:
-                stack.pop()
-            elif anchor in stack:  # pragma: no cover - unbalanced nesting
-                stack.remove(anchor)
 
     # -- span lifecycle -----------------------------------------------------
 
@@ -268,12 +230,6 @@ class NullTracer(Tracer):
         return False
 
     def span(self, name: str, **attrs):
-        return _NULL_CTX
-
-    def current_id(self):
-        return None
-
-    def attach(self, parent):
         return _NULL_CTX
 
     def spans(self, last=None, trace_id=None):

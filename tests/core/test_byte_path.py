@@ -174,21 +174,20 @@ class TestOwnership:
         assert again.verified is True and again.recovery_depth == 1
         assert_state_equals(again.model, tip_saved)
 
-    def test_recovery_cache_keeps_private_copies(self, files):
-        service = ParameterUpdateSaveService(DocumentStore(), files)
-        base = twin_model(seed=5)
-        base_id = service.save_model(ModelSaveInfo(base, twin_arch()))
-        tip = twin_model(seed=5)
-        tip.state_dict()["4.bias"][...] += 1
-        tip_saved = copy_state(tip)
-        tip_id = service.save_model(
-            ModelSaveInfo(tip, twin_arch(), base_model_id=base_id))
+    def test_recovery_cache_keeps_private_copies(self, files, tmp_path):
+        documents = DocumentStore()
+        service = ParameterUpdateSaveService(documents, files)
+        base_id = service.save_model(ModelSaveInfo(twin_model(seed=5), twin_arch()))
+        mpa_id = save_mpa_level(documents, files, tmp_path, base_id, seed=5)
+        tip_id, tip_saved = save_pua_tip(
+            service, mpa_id, seed=5, layer="0.bias", base_shift=2.0)
 
         cache = RecoveryCache()
-        service.recover_model(base_id, cache=cache)
-        # the tip's walk ends on the cached base: a copy of it, plus the update
+        service.recover_model(mpa_id, cache=cache)
+        # the tip's walk ends on the cached MPA base: a copy of it, plus the
+        # update; the tip itself is a read, so it is not cached
         first = service.recover_model(tip_id, cache=cache).model
-        assert cache.hits == 1 and set(cache._states) == {base_id, tip_id}
+        assert cache.hits == 1 and set(cache._states) == {mpa_id}
         assert_state_equals(first, tip_saved)
         held = [array for state, _, _ in cache._states.values() for array in state.values()]
         assert_no_shared_memory(first.state_dict().values(), held)
@@ -489,8 +488,33 @@ def assert_each_parameter_hashed_once(hashed, model, copies=()):
     assert len(hashed) == len(state) - len(copies)
 
 
-def save_pua_tip(service, base_id, seed, layer):
+def save_mpa_level(documents, files, tmp_path, base_id, seed):
+    """An MPA level over ``base_id`` (a :func:`twin_model` of ``seed``)
+    whose replay adds 2 to ``4.bias``; returns its id."""
+    from tests.core.test_recovery_plan import ShiftTrainService
+
+    trained = twin_model(seed=seed)
+    trained.state_dict()["4.bias"][...] += 2.0
+    dataset = tmp_path / "data"
+    dataset.mkdir(exist_ok=True)
+    (dataset / "sample.bin").write_bytes(b"replay needs a dataset to unpack")
+    service = ProvenanceSaveService(documents, files, scratch_dir=tmp_path / "scratch")
+    return service.save_model(ProvenanceSaveInfo(
+        base_model_id=base_id,
+        train_service=ShiftTrainService(["4.bias"], 2.0),
+        train_spec=TrainRunSpec(number_epochs=1, number_batches=1, seed=0),
+        rng_state=rng.get_rng_state(),
+        dataset_dir=dataset,
+        expected_model=trained,
+    ))
+
+
+def save_pua_tip(service, base_id, seed, layer, base_shift=0.0):
+    """A PUA tip over ``base_id`` holding a :func:`twin_model` of ``seed``
+    with ``layer`` + 1 (and ``4.bias`` + ``base_shift``, what an MPA base
+    from :func:`save_mpa_level` added)."""
     tip = twin_model(seed=seed)
+    tip.state_dict()["4.bias"][...] += base_shift
     tip.state_dict()[layer][...] += 1
     saved = copy_state(tip)
     tip_id = service.save_model(ModelSaveInfo(tip, twin_arch(), base_model_id=base_id))
@@ -547,50 +571,33 @@ class TestOneCheckPerByte:
     def test_tip_over_a_cached_base_hashes_only_what_it_did_not_fetch(
         self, tmp_path, checks
     ):
-        files = FileStore(tmp_path / "files")
-        service = ParameterUpdateSaveService(DocumentStore(), files)
+        documents, files = DocumentStore(), FileStore(tmp_path / "files")
+        service = ParameterUpdateSaveService(documents, files)
         base_id = service.save_model(ModelSaveInfo(twin_model(seed=23), twin_arch()))
-        tip_id, tip_saved = save_pua_tip(service, base_id, seed=23, layer="4.bias")
+        mpa_id = save_mpa_level(documents, files, tmp_path, base_id, seed=23)
+        tip_id, tip_saved = save_pua_tip(
+            service, mpa_id, seed=23, layer="0.bias", base_shift=2.0)
         cache = RecoveryCache()
-        service.recover_model(base_id, cache=cache)
+        service.recover_model(mpa_id, cache=cache)
         fetched = spy_on_recover_state_chunks(files)
         checks.start()
         recovered = service.recover_model(tip_id, cache=cache)
         assert recovered.verified is True and cache.hits == 1
         assert_state_equals(recovered.model, tip_saved)
         [update] = fetched
-        assert list(update) == ["4.bias"]
-        assert recovered.model.state_dict()["4.bias"] is update["4.bias"]
+        assert list(update) == ["0.bias"]
+        assert recovered.model.state_dict()["0.bias"] is update["0.bias"]
         assert_each_parameter_hashed_once(checks.hashed, recovered.model)
 
     def test_tip_over_an_mpa_base_hashes_only_what_it_did_not_fetch(
         self, tmp_path, checks
     ):
-        from tests.core.test_recovery_plan import ShiftTrainService
-
         documents, files = DocumentStore(), FileStore(tmp_path / "files")
         pua = ParameterUpdateSaveService(documents, files)
-        mpa = ProvenanceSaveService(documents, files, scratch_dir=tmp_path / "scratch")
-        base = twin_model(seed=24)
-        base_id = pua.save_model(ModelSaveInfo(base, twin_arch()))
-        trained = twin_model(seed=24)
-        trained.state_dict()["4.bias"][...] += 2.0
-        dataset = tmp_path / "data"
-        dataset.mkdir()
-        (dataset / "sample.bin").write_bytes(b"replay needs a dataset to unpack")
-        mpa_id = mpa.save_model(ProvenanceSaveInfo(
-            base_model_id=base_id,
-            train_service=ShiftTrainService(["4.bias"], 2.0),
-            train_spec=TrainRunSpec(number_epochs=1, number_batches=1, seed=0),
-            rng_state=rng.get_rng_state(),
-            dataset_dir=dataset,
-            expected_model=trained,
-        ))
-        tip = twin_model(seed=24)
-        tip.state_dict()["4.bias"][...] += 2.0
-        tip.state_dict()["0.bias"][...] += 1.0
-        tip_saved = copy_state(tip)
-        tip_id = pua.save_model(ModelSaveInfo(tip, twin_arch(), base_model_id=mpa_id))
+        base_id = pua.save_model(ModelSaveInfo(twin_model(seed=24), twin_arch()))
+        mpa_id = save_mpa_level(documents, files, tmp_path, base_id, seed=24)
+        tip_id, tip_saved = save_pua_tip(
+            pua, mpa_id, seed=24, layer="0.bias", base_shift=2.0)
 
         checks.start()
         recovered = pua.recover_model(tip_id)

@@ -1,15 +1,18 @@
-"""Recovery cache: chain-prefix reuse, isolation, eviction."""
+"""Recovery cache: MPA replays reused, isolation, bounded admission."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
     ArchitectureRef,
+    BaselineSaveService,
+    ModelManager,
     ModelSaveInfo,
     ParameterUpdateSaveService,
 )
 from repro.core.cache import RecoveryCache
 from tests.conftest import make_tiny_cnn
+from tests.core.test_recovery_plan import ShiftTrainService, count_calls, save_mpa_chain
 
 
 def build_probe_model(num_classes=10):
@@ -24,36 +27,15 @@ def tiny_arch():
 
 
 @pytest.fixture
-def chain_setup(mem_doc_store, file_store):
-    """A 5-deep PUA chain; returns (service, ids, expected state dicts)."""
-    service = ParameterUpdateSaveService(mem_doc_store, file_store)
-    model = make_tiny_cnn(seed=1)
-    ids = [service.save_model(ModelSaveInfo(model, tiny_arch()))]
-    states = [model.state_dict()]
-    for level in range(4):
-        derived = make_tiny_cnn()
-        state = {k: v.copy() for k, v in states[-1].items()}
-        state["5.bias"] = state["5.bias"] + level + 1.0
-        derived.load_state_dict(state)
-        ids.append(
-            service.save_model(ModelSaveInfo(derived, tiny_arch(), base_model_id=ids[-1]))
-        )
-        states.append(derived.state_dict())
-    return service, ids, states
+def chain_setup(mem_doc_store, file_store, tmp_path):
+    """A root snapshot plus 4 MPA levels; returns (service, ids, states)."""
+    return save_mpa_chain(mem_doc_store, file_store, tmp_path, 4)
 
 
 class TestCacheBasics:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             RecoveryCache(max_entries=0)
-
-    def test_eviction_is_fifo_and_bounded(self):
-        cache = RecoveryCache(max_entries=2)
-        arch = tiny_arch()
-        for index in range(4):
-            cache.put(f"model-{index}", make_tiny_cnn(seed=index), arch, depth=0)
-        assert len(cache) == 2
-        assert "model-0" not in cache and "model-3" in cache
 
     def test_stats_track_hits_and_misses(self):
         cache = RecoveryCache()
@@ -70,8 +52,11 @@ class TestCacheBasics:
 
 
 class TestProtectPrefix:
+    """The one admission policy: a full cache rejects cold ids, so the
+    bases a sweep recovered first stay."""
+
     def test_cold_inserts_rejected_at_capacity(self):
-        cache = RecoveryCache(max_entries=2, protect_prefix=True)
+        cache = RecoveryCache(max_entries=2)
         arch = tiny_arch()
         for index in range(4):
             cache.put(f"model-{index}", make_tiny_cnn(seed=index), arch, depth=0)
@@ -84,7 +69,7 @@ class TestProtectPrefix:
     def test_rejected_insert_does_not_copy(self, monkeypatch):
         from repro.core import cache as cache_module
 
-        cache = RecoveryCache(max_entries=1, protect_prefix=True)
+        cache = RecoveryCache(max_entries=1)
         arch = tiny_arch()
         cache.put("warm", make_tiny_cnn(seed=0), arch, depth=0)
         copies = {"n": 0}
@@ -99,28 +84,20 @@ class TestProtectPrefix:
         assert copies["n"] == 0
 
     def test_warm_ids_still_updatable_at_capacity(self):
-        cache = RecoveryCache(max_entries=1, protect_prefix=True)
+        cache = RecoveryCache(max_entries=1)
         arch = tiny_arch()
         cache.put("warm", make_tiny_cnn(seed=0), arch, depth=0)
         cache.put("warm", make_tiny_cnn(seed=1), arch, depth=3)
-        model_and_depth = cache.get("warm")
-        assert model_and_depth is not None and model_and_depth[1] == 3
+        hit = cache.get("warm")
+        assert hit is not None and hit[1] == 3 and hit[2] is arch
 
     def test_clear_resets_skip_counter(self):
-        cache = RecoveryCache(max_entries=1, protect_prefix=True)
+        cache = RecoveryCache(max_entries=1)
         arch = tiny_arch()
         cache.put("a", make_tiny_cnn(), arch, depth=0)
         cache.put("b", make_tiny_cnn(), arch, depth=0)
         assert cache.skipped_inserts == 1
         cache.clear()
-        assert cache.skipped_inserts == 0
-
-    def test_default_policy_unchanged(self):
-        cache = RecoveryCache(max_entries=2)
-        arch = tiny_arch()
-        for index in range(3):
-            cache.put(f"model-{index}", make_tiny_cnn(seed=index), arch, depth=0)
-        assert "model-2" in cache and "model-0" not in cache
         assert cache.skipped_inserts == 0
 
 
@@ -140,10 +117,10 @@ class TestCachedRecovery:
         cache = RecoveryCache()
         for model_id in ids:
             service.recover_model(model_id, cache=cache)
-        # after the sweep every model is cached, and each recovery past the
-        # first reused its predecessor: 4 derived models -> >= 4 hits
-        assert len(cache) == len(ids)
-        assert cache.hits >= len(ids) - 1
+        # every MPA level is cached (the root snapshot is a read, never
+        # cached), and each level past the first reused its predecessor
+        assert len(cache) == len(ids) - 1
+        assert cache.hits == len(ids) - 2
 
     def test_cached_models_do_not_alias(self, chain_setup):
         """Mutating one recovered model must not leak into later recoveries."""
@@ -159,22 +136,51 @@ class TestCachedRecovery:
         cache = RecoveryCache()
         service.recover_model(ids[2], cache=cache)
         recovered = service.recover_model(ids[2], cache=cache)
+        assert cache.hits == 1
         assert recovered.verified is True
         assert recovered.recovery_depth == 2
 
 
 class TestCatalogSweep:
     def test_verify_catalog_with_cache(self, chain_setup):
-        from repro.core import ModelManager
-
         service, ids, _ = chain_setup
-        manager = ModelManager(service)
-        results = manager.verify_catalog(use_cache=True)
+        results = ModelManager(service).verify_catalog()
         assert set(results) == set(ids)
         assert all(flag is True for flag in results.values())
 
+    def test_a_sweep_replays_each_mpa_level_once(self, chain_setup, monkeypatch):
+        """n MPA levels, n trainings — in whatever order the catalog
+        lists them — where a sweep without the cache would run
+        1 + 2 + … + n."""
+        service, ids, _ = chain_setup
+        trainings = count_calls(monkeypatch, ShiftTrainService, "train")
+        assert all(ModelManager(service).verify_catalog().values())
+        assert len(trainings) == len(ids) - 1
+
+    @pytest.mark.parametrize("approach", ["BA", "PUA"])
+    def test_a_ba_or_pua_sweep_leaves_the_cache_empty(
+        self, mem_doc_store, file_store, approach
+    ):
+        """A snapshot or a PUA chain recovers as one merged read: the cache
+        is neither consulted nor filled."""
+        service_class = {
+            "BA": BaselineSaveService, "PUA": ParameterUpdateSaveService}[approach]
+        service = service_class(mem_doc_store, file_store)
+        model = make_tiny_cnn(seed=1)
+        ids = [service.save_model(ModelSaveInfo(model, tiny_arch()))]
+        for level in range(3):
+            state = {key: value.copy() for key, value in model.state_dict().items()}
+            state["5.bias"] += level + 1.0
+            model.load_state_dict(state)
+            ids.append(service.save_model(ModelSaveInfo(
+                model, tiny_arch(),
+                base_model_id=ids[-1] if approach == "PUA" else None)))
+        cache = RecoveryCache()
+        assert all(ModelManager(service).verify_catalog(cache=cache).values())
+        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0}
+
     def test_verify_catalog_detects_tampering(self, chain_setup, mem_doc_store):
-        from repro.core import ModelManager, VerificationError
+        from repro.core import VerificationError
 
         service, ids, _ = chain_setup
         document = mem_doc_store.collection("models").get(ids[-1])

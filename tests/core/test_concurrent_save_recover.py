@@ -231,41 +231,18 @@ class TestVerifyCatalogCacheReuse:
         self, mem_doc_store, tmp_path
     ):
         from repro.core import RecoveryCache
+        from tests.core.test_recovery_plan import save_mpa_chain
 
-        file_store = FileStore(tmp_path / "files")
-        service = ParameterUpdateSaveService(mem_doc_store, file_store)
-        arch = tiny_arch()
-        base = make_tiny_cnn(seed=3)
-        ids = [service.save_model(ModelSaveInfo(base, arch))]
-        for offset in range(1, 4):
-            derived = make_tiny_cnn()
-            state = {k: v.copy() for k, v in base.state_dict().items()}
-            state["5.bias"] = state["5.bias"] + float(offset)
-            derived.load_state_dict(state)
-            ids.append(
-                service.save_model(ModelSaveInfo(derived, arch, base_model_id=ids[0]))
-            )
-
+        service, ids, _ = save_mpa_chain(
+            mem_doc_store, FileStore(tmp_path / "files"), tmp_path, 3)
         manager = ModelManager(service)
-        cache = RecoveryCache(max_entries=16, protect_prefix=True)
+        cache = RecoveryCache(max_entries=16)
         first = manager.verify_catalog(cache=cache)
         assert all(first.values())
         warm = cache.stats()["hits"]
 
         second = manager.verify_catalog(cache=cache)
         assert all(second.values())
-        # the second sweep recovers every chain through the same cache:
-        # the shared base is served from memory, not re-recovered
-        assert cache.stats()["hits"] > warm
-
-    def test_use_cache_false_ignores_provided_cache(self, mem_doc_store, tmp_path):
-        from repro.core import RecoveryCache
-
-        file_store = FileStore(tmp_path / "files")
-        service = BaselineSaveService(mem_doc_store, file_store)
-        service.save_model(ModelSaveInfo(make_tiny_cnn(), tiny_arch()))
-        manager = ModelManager(service)
-        cache = RecoveryCache(max_entries=4)
-        results = manager.verify_catalog(use_cache=False)
-        assert all(results.values())
-        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0}
+        # the second sweep recovers every MPA level through the same cache:
+        # each is served from memory, not replayed again
+        assert cache.stats()["hits"] == warm + len(ids) - 1

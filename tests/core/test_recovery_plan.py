@@ -17,7 +17,6 @@ from repro.core import (
     ArchitectureRef,
     BaselineSaveService,
     ChainCompactor,
-    ChainPrefetcher,
     ModelManager,
     ModelSaveInfo,
     ParameterUpdateSaveService,
@@ -96,6 +95,33 @@ def save_pua_chain(service, depth, layers=("5.bias",), seed=1):
             ModelSaveInfo(model_holding(state), tiny_arch(), base_model_id=ids[-1])))
         states.append(state)
     return ids, states
+
+
+def save_mpa_chain(documents, files, root, depth, layers=("5.bias",)):
+    """A root snapshot plus ``depth`` MPA levels, each a
+    :class:`ShiftTrainService` replay over the one before; returns
+    (the MPA service, ids, states)."""
+    service = ProvenanceSaveService(documents, files, scratch_dir=root / "scratch")
+    dataset = root / "data"
+    dataset.mkdir(exist_ok=True)
+    (dataset / "sample.bin").write_bytes(b"replay needs a dataset to unpack")
+    model = make_tiny_cnn(seed=1)
+    ids = [service.save_model(ModelSaveInfo(model, tiny_arch()))]
+    states = [copy_state(model.state_dict())]
+    for level in range(1, depth + 1):
+        state = copy_state(states[-1])
+        for key in layers:
+            state[key] += float(level)
+        ids.append(service.save_model(ProvenanceSaveInfo(
+            base_model_id=ids[-1],
+            train_service=ShiftTrainService(layers, level),
+            train_spec=TrainRunSpec(number_epochs=1, number_batches=1, seed=level),
+            rng_state=rng.get_rng_state(),
+            dataset_dir=dataset,
+            expected_model=model_holding(state),
+        )))
+        states.append(state)
+    return service, ids, states
 
 
 class ShiftTrainService(TrainService):
@@ -265,22 +291,20 @@ class TestCounts:
         assert_recovers(service, ids[-1], states[-1])
         assert sorted(reads) == sorted(set(state_dict_hashes(states[-1]).values()))
 
-    @pytest.mark.parametrize("prefetch", [False, True], ids=["plain", "prefetcher"])
-    def test_fully_updated_chain_moves_one_model_over_the_link(self, tmp_path, prefetch):
+    @pytest.mark.parametrize("chunk_cache", [None, 1 << 20], ids=["plain", "chunk-cache"])
+    def test_fully_updated_chain_moves_one_model_over_the_link(self, tmp_path, chunk_cache):
         """Depth 8, every layer changed at every level: the tip's recover
-        receives one model's chunk bytes (the recursion received nine)."""
+        receives one model's chunk bytes (the recursion received nine),
+        with or without a (cold) chunk cache in front of the link."""
         link = NetworkModel(bandwidth_bytes_per_s=1_000_000, latency_s=0.01)
-        files = SimulatedNetworkFileStore(
-            tmp_path / "files", link, chunk_cache=(1 << 20) if prefetch else None)
-        prefetcher = ChainPrefetcher(files) if prefetch else None
-        service = ParameterUpdateSaveService(
-            DocumentStore(), files, prefetcher=prefetcher)
+        files = SimulatedNetworkFileStore(tmp_path / "files", link, chunk_cache=chunk_cache)
+        service = ParameterUpdateSaveService(DocumentStore(), files)
         every_layer = list(make_tiny_cnn().state_dict())
         ids, states = save_pua_chain(service, 8, layers=every_layer)
         model_bytes = sum(array.nbytes for array in states[-1].values())
         assert len(set(state_dict_hashes(states[-1]).values())) == len(every_layer)
 
-        if prefetch:
+        if chunk_cache:
             files.chunk_cache.clear()
         files.reset_accounting()
         chunk_bytes = []
@@ -290,15 +314,7 @@ class TestCounts:
             else _tally(chunk_bytes, charged_read(digest)))
         files._charged_read_many = lambda digests, workers: _tally_many(
             chunk_bytes, charged_read_many(digests, workers))
-        try:
-            recovered = assert_recovers(service, ids[-1], states[-1])
-            if prefetch:
-                prefetcher.drain()
-                assert prefetcher.stats()["errors"] == 0
-                assert prefetcher.stats()["chunks_prefetched"] == len(every_layer)
-        finally:
-            if prefetch:
-                prefetcher.close()
+        recovered = assert_recovers(service, ids[-1], states[-1])
         assert recovered.recovery_depth == 8
         # (bytes_received also counts the nine manifests and the code file)
         assert sum(chunk_bytes) == model_bytes
@@ -361,15 +377,14 @@ class TestRecoveryDepth:
             assert assert_recovers(service, model_id, state).recovery_depth == depth
 
     def test_depth_counts_from_a_cached_base(self, tmp_path):
-        service = ParameterUpdateSaveService(
-            DocumentStore(), FileStore(tmp_path / "files"))
-        ids, states = save_pua_chain(service, 6)
+        service, ids, states = save_mpa_chain(
+            DocumentStore(), FileStore(tmp_path / "files"), tmp_path, 6)
         cache = RecoveryCache()
         assert_recovers(service, ids[2], states[2], cache=cache)
         recovered = assert_recovers(service, ids[6], states[6], cache=cache)
         assert recovered.recovery_depth == 6 and cache.hits == 1
-        # only what was asked for is materialised, so only that is cached
-        assert set(cache._states) == {ids[2], ids[6]}
+        # every replayed level is cached, and only those: the root is a read
+        assert set(cache._states) == set(ids[1:])
 
 
 # -- (d) the checks did not move --------------------------------------------

@@ -1,7 +1,7 @@
 """ChunkCache byte-accounting under concurrent put/evict/replace.
 
-The cache sits between recovery threads, the chain prefetcher, and the
-sharded store's read path — all hammering it at once.  These tests drive
+The cache sits between concurrent recovers (gateway workers serving one
+hot model) and the sharded store's read path — all hammering it at once.  These tests drive
 it from many threads and then audit the invariant the LRU budget relies
 on: ``current_bytes`` equals the sum of the resident payload lengths and
 never exceeds ``max_bytes``.

@@ -148,6 +148,88 @@ class TestTornAppends:
             store.get(digest_for(1))
 
 
+class TestDamagedLengthField:
+    """A flipped high bit in a record's length field: the scan bounds the
+    length by the bytes left in the file, so the record is bad, not a
+    256 GiB (bit 38) or 4 EiB (bit 62) allocation."""
+
+    @staticmethod
+    def damage_first_record(root, bit: int = 38) -> dict[str, bytes]:
+        """Four records; the first's length field gets ``bit`` flipped."""
+        store = ChunkStore(root, tmp_grace_s=0.0)
+        data = fill(store, 4)
+        path, offset, _length = store.locate(digest_for(0))
+        del store  # crash: no checkpoint, so the reopen scans the segment
+        length_field = offset - len(digest_for(0)) - 8
+        with open(path, "r+b") as fileobj:
+            fileobj.seek(length_field + bit // 8)
+            byte = fileobj.read(1)
+            fileobj.seek(length_field + bit // 8)
+            fileobj.write(bytes([byte[0] ^ (1 << bit % 8)]))
+        return data
+
+    @pytest.mark.parametrize("bit", [38, 62])
+    def test_reopen_and_audit_report_it_and_keep_every_other_record(self, tmp_path, bit):
+        data = self.damage_first_record(tmp_path / "s", bit)
+        reopened = ChunkStore(tmp_path / "s", tmp_grace_s=0.0)
+        outcome = reopened.audit(repair=True, verify=True)
+        assert outcome["crc_failures"] == [digest_for(0)]
+        assert outcome["torn_segments"] == []
+        assert not reopened.has(digest_for(0))
+        for digest, blob in list(data.items())[1:]:
+            assert reopened.get(digest) == blob
+
+    def test_the_report_lasts_as_long_as_the_damaged_record(self, tmp_path):
+        data = self.damage_first_record(tmp_path / "s")
+        reopened = ChunkStore(tmp_path / "s", tmp_grace_s=0.0)
+        reopened.close()
+        # the checkpoint the close wrote carries the finding over a reopen
+        reopened = ChunkStore(tmp_path / "s", tmp_grace_s=0.0)
+        assert reopened.audit(repair=False)["crc_failures"] == [digest_for(0)]
+        # the chunk written again reads back whole: nothing left to report
+        reopened.put(digest_for(0), data[digest_for(0)])
+        reopened.flush()
+        assert reopened.audit(repair=False)["crc_failures"] == []
+        reopened.drop(digest_for(0))
+        assert reopened.audit(repair=False)["crc_failures"] == [digest_for(0)]
+        # every record unreferenced: gc unlinks the segment, and its damage
+        reopened.gc()
+        assert reopened.audit(repair=False)["crc_failures"] == []
+
+    def test_a_scan_reads_no_further_than_the_size_it_saw(self, tmp_path, monkeypatch):
+        """Another process appends while a scan runs: the scan ends on a
+        record boundary at the size ``fstat`` gave it, and the records past
+        that boundary wait for the next refresh instead of breaking this one."""
+        writer = ChunkStore(tmp_path / "s")
+        fill(writer, 2)
+        reader = ChunkStore(tmp_path / "s")
+        assert reader.get(digest_for(1)) == payload(1)
+        data = {digest_for(i): payload(i) for i in range(2, 6)}
+        for digest, blob in data.items():
+            writer.put(digest, blob)
+        writer.flush()
+        path, offset, length = writer.locate(digest_for(2))
+        seen = offset + length  # the fstat saw one of the four appends
+        segment = os.stat(path).st_ino
+        real_fstat = os.fstat
+
+        def fstat(fd):
+            result = real_fstat(fd)
+            if result.st_ino != segment:
+                return result
+            fields = list(result)
+            fields[6] = seen  # st_size
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(os, "fstat", fstat)
+        assert reader.get(digest_for(2)) == payload(2)
+        assert not reader.has(digest_for(3))
+        monkeypatch.setattr(os, "fstat", real_fstat)
+        for digest, blob in data.items():
+            assert reader.get(digest) == blob
+        assert reader.audit(repair=False)["crc_failures"] == []
+
+
 class TestCompaction:
     def build_fragmented(self, root, count=40):
         """Interleaved deletes leave every sealed segment ~1/3 live."""
