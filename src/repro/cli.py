@@ -361,11 +361,6 @@ def cmd_compact(args) -> int:
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
-    for action in report["resumed"]:
-        print(
-            f"resumed: {action['model_id']} "
-            f"({action['action'].replace('_', ' ')})"
-        )
     if args.dry_run:
         if not report["planned"]:
             print(f"all chains within depth {report['max_depth']}; nothing to do")
@@ -855,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--no-maintenance", action="store_true",
-        help="disable the idle-loop chain-compaction hook",
+        help="disable the idle-loop chain compaction hook",
     )
     serve_parser.add_argument(
         "--compact-depth", type=int, default=4,

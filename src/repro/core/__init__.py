@@ -9,7 +9,7 @@ from .abstract import AbstractSaveService
 from .adaptive import AdaptiveSaveService
 from .baseline import BaselineSaveService
 from .cache import RecoveryCache
-from .compaction import ChainCompactor, CompactionJournal
+from .compaction import ChainCompactor
 from .dataset_manager import CODEC_DEFLATE, CODEC_STORED, DatasetManager
 from .environment import (
     EnvironmentInfo,
@@ -73,7 +73,6 @@ __all__ = [
     "DependentModelsError",
     "FsckIssue",
     "ChainCompactor",
-    "CompactionJournal",
     "FsckReport",
     "ModelManager",
     "ModelRecord",

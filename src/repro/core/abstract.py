@@ -349,6 +349,20 @@ class AbstractSaveService:
                 current, projection=("base_model",)).get("base_model")
         return chain
 
+    def _chain_architecture(self, model_id: str) -> dict:
+        """The ``architecture`` payload of the nearest model, from
+        ``model_id`` towards its root, whose document stores one."""
+        seen: set[str] = set()
+        current = model_id
+        while current and current not in seen:
+            seen.add(current)
+            document = self._get_model_document(
+                current, projection=("architecture", "base_model"))
+            if document.get("architecture"):
+                return document["architecture"]
+            current = document.get("base_model")
+        raise RecoveryError(f"no architecture found along the chain of {model_id!r}")
+
     # ------------------------------------------------------------------
     # recover
     # ------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .heuristics import CostEstimate, CostModel, ScenarioProfile
 from .merkle import MerkleTree
 from .param_update import ParameterUpdateSaveService
 from .provenance import ProvenanceSaveService
-from .save_info import ModelSaveInfo, ProvenanceSaveInfo
+from .save_info import ArchitectureRef, ModelSaveInfo, ProvenanceSaveInfo
 from .schema import (
     APPROACH_BASELINE,
     APPROACH_PARAM_UPDATE,
@@ -208,24 +208,14 @@ class AdaptiveSaveService(AbstractSaveService):
             return service.save_model(save_info)
         if isinstance(save_info, ProvenanceSaveInfo):
             # snapshot route for a recorded run: persist the trained model
+            payload = self._chain_architecture(save_info.base_model_id)
+            source = self.files.recover_bytes(payload["code_file_id"]).decode()
             snapshot = ModelSaveInfo(
                 model=save_info.expected_model,
-                architecture=self._chain_root_architecture(save_info.base_model_id),
+                architecture=ArchitectureRef.from_dict(payload, source=source),
                 base_model_id=save_info.base_model_id,
                 use_case=save_info.use_case,
                 store_checksums=save_info.store_checksums,
             )
             return service.save_model(snapshot)
         return service.save_model(save_info)
-
-    def _chain_root_architecture(self, model_id: str):
-        """Reuse the chain root's architecture ref for snapshot fallbacks."""
-        from .save_info import ArchitectureRef
-
-        for candidate in reversed(self.base_chain(model_id)):
-            document = self._get_model_document(candidate)
-            if document.get("architecture"):
-                payload = document["architecture"]
-                source = self.files.recover_bytes(payload["code_file_id"]).decode()
-                return ArchitectureRef.from_dict(payload, source=source)
-        raise SaveError(f"no architecture found along the chain of {model_id!r}")

@@ -1,4 +1,4 @@
-"""Bounded-TTR delta chains: journaled chain compaction.
+"""Bounded-TTR delta chains: the one chain rewrite.
 
 Derived-model approaches (PUA diffs, MPA training replays) keep storage
 small by recording only what changed, but what a recover must resolve
@@ -12,79 +12,32 @@ Materializing in place keeps every model id and the ``base_model``
 lineage untouched — a recover's chain walk simply ends at the new base
 (a ``parameters_file`` ends it, whatever the approach), so descendants
 need no rewriting and provenance queries still
-see the full derivation tree.  This differs from
-:meth:`~repro.core.manager.ModelManager.promote_to_snapshot`, which
-severs lineage as a prelude to deleting ancestors.
+see the full derivation tree.
+:meth:`~repro.core.manager.ModelManager.promote_to_snapshot` runs the same
+rewrite, then severs the lineage in a second document replace as a prelude
+to deleting ancestors.
 
-The swap is journaled like the cluster rebalancer and segment
-compaction: artifacts are created first (a crash before the journal
-lands leaves only orphans, which fsck's refcount reconcile reclaims), then a
-one-record intent journal (a :class:`~repro.filestore.recordlog.RecordLog`)
-records the planned swap and is fsynced, then the document update commits
-it atomically.  :meth:`ChainCompactor.resume_pending`
-(run by fsck and by every :meth:`run`) rolls a half-done swap forward
-when the document shows the new snapshot, back otherwise — recovery of
-every model is bitwise identical before, during, and after a crash at
-any step.
+The swap is committed by its document replace alone: artifacts (a copy of
+the code file, then the snapshot manifest, whose group fsync covers both)
+are written first, the document replace publishes them, and only then is
+the superseded delta payload released.  A crash at any point leaves
+nothing but unreferenced records — the new artifacts before the commit,
+the old delta after it — which garbage collection and fsck's refcount
+step reclaim, and every model recovers bitwise throughout.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from .. import obs
-from ..filestore.recordlog import RecordLog
 from .errors import MMLibError
 from .schema import MODELS
 
-__all__ = ["CompactionJournal", "ChainCompactor", "DEFAULT_MAX_DEPTH"]
+__all__ = ["ChainCompactor", "DEFAULT_MAX_DEPTH"]
 
 #: Materialize a snapshot once a model sits this many levels above its
 #: nearest recovery base (the paper's TTR experiments motivate keeping
 #: replay chains short; 4 keeps worst-case recovery at ~4 delta applies).
 DEFAULT_MAX_DEPTH = 4
-
-#: Directory (under the file store's root) holding compaction journals.
-COMPACTION_DIR_NAME = "chain-compaction"
-
-
-class CompactionJournal:
-    """One intent file per in-flight materialization, atomically written.
-
-    The journal is the single source of truth for crash recovery: it
-    exists only between "artifacts are durable" and "swap fully cleaned
-    up", and records everything needed to finish either direction —
-    ``{model_id, old_update_file, manifest_file, code_file}``.  Each file
-    is a one-record :class:`~repro.filestore.recordlog.RecordLog`; one an
-    older release wrote as a plain JSON document reads the same.
-    """
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-
-    def _log(self, model_id: str) -> RecordLog:
-        return RecordLog(self.root / f"{model_id}.json")
-
-    def write(self, model_id: str, payload: dict) -> None:
-        """Durably publish the swap intent (tmp + rename, then fsync)."""
-        log = self._log(model_id)
-        log.rewrite([json.dumps(dict(payload, model_id=model_id), indent=0).encode()])
-        log.sync()
-        log.close()
-
-    def pending(self) -> list[dict]:
-        """Every journaled swap that has not been discarded, oldest first."""
-        entries = []
-        for path in sorted(self.root.glob("*.json")):
-            log = RecordLog(path)
-            records = log.replay()  # empty: a torn write published no intent
-            log.close()
-            entries.extend(records[-1:])
-        return entries
-
-    def discard(self, model_id: str) -> None:
-        self._log(model_id).remove()
 
 
 class ChainCompactor:
@@ -93,9 +46,8 @@ class ChainCompactor:
     ``max_depth`` is K: any model whose distance to its nearest recovery
     base reaches K gets a materialized snapshot.  Set ``fault_hook`` to a
     :meth:`~repro.faults.FaultInjector.fail_point`-shaped callable to
-    crash-test the swap protocol (ops are ``compact.artifacts``,
-    ``compact.journal``, ``compact.commit``, ``compact.cleanup``,
-    ``compact.discard``).
+    crash-test the swap (ops are ``compact.artifacts``,
+    ``compact.commit`` and ``compact.cleanup``).
     """
 
     def __init__(self, service, max_depth: int = DEFAULT_MAX_DEPTH):
@@ -105,16 +57,12 @@ class ChainCompactor:
         self.documents = service.documents
         self.files = service.files
         self.max_depth = int(max_depth)
-        self.journal = CompactionJournal(Path(self.files.root) / COMPACTION_DIR_NAME)
         #: Optional chaos hook (``FaultInjector.fail_point`` signature).
         self.fault_hook = None
         registry = obs.registry()
         self._obs_materialized = registry.counter(
             "mmlib_compaction_materialized_total",
             "Delta-chain models rewritten into recovery bases")
-        self._obs_resumed = registry.counter(
-            "mmlib_compaction_resumes_total",
-            "Half-done compaction swaps finished after a crash")
         self._obs_released = registry.counter(
             "mmlib_compaction_released_bytes_total",
             "Logical bytes of superseded delta payloads released")
@@ -171,31 +119,6 @@ class ChainCompactor:
 
     # -- materialization ---------------------------------------------------
 
-    def _chain_architecture(self, model_id: str) -> dict:
-        """The chain's architecture payload with its code bytes copied.
-
-        Copying the code file (like ``promote_to_snapshot``) keeps the
-        materialized document self-contained: retention deleting the
-        chain prefix later cannot orphan its architecture.
-        """
-        seen: set[str] = set()
-        current = model_id
-        while current and current not in seen:  # nearest ancestor that has one
-            seen.add(current)
-            document = self.service._get_model_document(
-                current, projection=("architecture", "base_model"))
-            architecture = document.get("architecture")
-            if architecture:
-                code_bytes = self.files.recover_bytes(architecture["code_file_id"])
-                architecture["code_file_id"] = self.files.save_bytes(
-                    code_bytes, suffix=".py")
-                return architecture
-            current = document.get("base_model")
-        raise MMLibError(
-            f"no architecture found along the chain of {model_id!r}; "
-            "cannot materialize a snapshot"
-        )
-
     def compact_model(self, model_id: str, depth: int | None = None) -> dict:
         """Materialize one model as its chain's new recovery base.
 
@@ -215,7 +138,11 @@ class ChainCompactor:
             recovered = self.service.recover_model(model_id, verify=True)
 
             self._fault("compact.artifacts")
-            architecture = self._chain_architecture(model_id)
+            # a copy of the code file keeps the document self-contained:
+            # retention deleting the chain prefix cannot orphan it
+            architecture = self.service._chain_architecture(model_id)
+            architecture["code_file_id"] = self.files.save_bytes(
+                self.files.recover_bytes(architecture["code_file_id"]), suffix=".py")
             parameters_file, layer_hashes, root = self.service._save_parameters(
                 recovered.model
             )
@@ -227,13 +154,6 @@ class ChainCompactor:
                 )
 
             old_update_file = document.get("update_file")
-            self._fault("compact.journal")
-            self.journal.write(model_id, {
-                "old_update_file": old_update_file,
-                "manifest_file": parameters_file,
-                "code_file": architecture["code_file_id"],
-            })
-
             released = 0
             if old_update_file and self.files.exists(old_update_file):
                 released = self.files.size(old_update_file)
@@ -252,8 +172,6 @@ class ChainCompactor:
             self._fault("compact.cleanup")
             if old_update_file:
                 self.files.delete(old_update_file)
-            self._fault("compact.discard")
-            self.journal.discard(model_id)
 
         self._obs_materialized.inc()
         self._obs_released.inc(released)
@@ -266,19 +184,17 @@ class ChainCompactor:
         return obs.tracer().span("compaction.materialize", model_id=model_id)
 
     def run(self, dry_run: bool = False) -> dict:
-        """One full pass: finish pending swaps, then bound every chain.
+        """One full pass: bound every chain.
 
         With ``dry_run`` the plan is computed and returned untouched.
         The plan is in dependency order, so each recover stops at the
         base the previous step published: a K-spaced plan over one chain
         reads O(chain) levels in total.
         """
-        resumed = self.resume_pending(self.documents, self.files, repair=not dry_run)
         planned = self.plan()
         report = {
             "max_depth": self.max_depth,
             "planned": planned,
-            "resumed": resumed,
             "materialized": [],
             "released_bytes": 0,
             "dry_run": dry_run,
@@ -290,52 +206,3 @@ class ChainCompactor:
             report["materialized"].append(outcome)
             report["released_bytes"] += outcome["released_bytes"]
         return report
-
-    # -- crash recovery ----------------------------------------------------
-
-    @classmethod
-    def resume_pending(cls, documents, files, repair: bool = True) -> list[dict]:
-        """Finish (or report) every half-done swap the journal records.
-
-        The document is the commit point: if it already references the
-        journaled snapshot manifest the swap rolls *forward* (drop the
-        superseded delta payload); otherwise it rolls *back* (drop the
-        never-published artifacts).  Both directions are idempotent, so
-        crashing during resume and resuming again is safe.
-        """
-        journal = CompactionJournal(Path(files.root) / COMPACTION_DIR_NAME)
-        actions: list[dict] = []
-        models = documents.collection(MODELS)
-        for entry in journal.pending():
-            model_id = entry.get("model_id")
-            manifest_file = entry.get("manifest_file")
-            try:
-                document = models.get(model_id)
-            except KeyError:
-                document = {}
-            committed = (
-                manifest_file is not None
-                and document.get("parameters_file") == manifest_file
-            )
-            action = {
-                "model_id": model_id,
-                "action": "rolled_forward" if committed else "rolled_back",
-                "repaired": repair,
-            }
-            if repair:
-                if committed:
-                    old = entry.get("old_update_file")
-                    if old:
-                        files.delete(old)
-                else:  # one release: the manifest's chunk refs with it
-                    files.delete_many(
-                        [f for f in (manifest_file, entry.get("code_file")) if f])
-                journal.discard(model_id)
-                obs.registry().counter(
-                    "mmlib_compaction_resumes_total",
-                    "Half-done compaction swaps finished after a crash").inc()
-                obs.events().emit(
-                    "compaction_resumed", model_id=model_id,
-                    action=action["action"])
-            actions.append(action)
-        return actions

@@ -15,13 +15,16 @@ what the live manifests actually reference, repairing what it safely can.
 
 from __future__ import annotations
 
+import shutil
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .. import obs
 from ..filestore.store import chunk_intact, is_file_id, layer_chunk_digests
 from ..docstore.engine import DuplicateKeyError
 from .abstract import AbstractSaveService
+from .compaction import DEFAULT_MAX_DEPTH, ChainCompactor
 from .environment import ENVIRONMENT_ID_PREFIX, environment_id
 from .errors import MMLibError, ModelNotFoundError, TransientStoreError
 from .recover import RecoveredModelInfo, StorageBreakdown
@@ -70,7 +73,7 @@ class FsckIssue:
     """One consistency violation found by :meth:`ModelManager.fsck`.
 
     ``kind`` is a stable machine-readable tag (``incomplete_save``,
-    ``damaged_journal``, ``incomplete_compaction``, ``missing_file``, ``missing_chunk``,
+    ``damaged_journal``, ``missing_file``, ``missing_chunk``,
     ``corrupt_chunk``, ``corrupt_manifest``, ``refcount_mismatch``,
     ``orphan_file``, ``orphan_chunk``, ``orphan_document``,
     ``missing_base``, ``missing_document``, ``environment_digest``,
@@ -386,60 +389,34 @@ class ModelManager:
     def promote_to_snapshot(self, model_id: str) -> None:
         """Convert a derived model into a self-contained snapshot in place.
 
-        Recovers the model, persists its full parameters, and rewrites its
-        document to the baseline layout (keeping its id, use case, and
-        derived references intact).  Afterwards the model no longer depends
-        on its ancestors — the standard retention move before deleting old
-        chain prefixes: promote the oldest model you must keep, then delete
-        everything above it.
+        The chain rewrite :meth:`compact` runs materializes the model (a
+        no-op on a recovery base); a second document replace then severs
+        its lineage (keeping its id, use case, and derived references
+        intact) and releases an MPA level's training record.  Afterwards
+        the model no longer depends on its ancestors — the standard
+        retention move before deleting old chain prefixes: promote the
+        oldest model you must keep, then delete everything above it.  A
+        crash between the two commits leaves a compacted, still-linked
+        model, which a second promote finishes.
         """
-        document = self.documents.collection(MODELS).get(model_id)
-        if document.get("parameters_file"):
-            return  # already a snapshot
-        recovered = self.service.recover_model(model_id, verify=True)
-
-        # the architecture lives at the chain root; copy it — including its
-        # code file's bytes, so deleting the ancestors later cannot orphan
-        # the promoted document's architecture
-        architecture = None
-        for ancestor in self.service.base_chain(model_id):
-            ancestor_document = self.documents.collection(MODELS).get(ancestor)
-            if ancestor_document.get("architecture"):
-                architecture = dict(ancestor_document["architecture"])
-                break
-        if architecture is None:
-            raise MMLibError(
-                f"no architecture found along the chain of {model_id!r}; "
-                "cannot promote to a snapshot"
-            )
-        code_bytes = self.files.recover_bytes(architecture["code_file_id"])
-        architecture["code_file_id"] = self.files.save_bytes(code_bytes, suffix=".py")
-
-        parameters_file, layer_hashes, root = self.service._save_parameters(
-            recovered.model
-        )
-        superseded = [document.pop("update_file")] if document.get("update_file") else []
-        document.pop("updated_layers", None)
+        ChainCompactor(self.service).compact_model(model_id)
+        models = self.documents.collection(MODELS)
+        document = models.get(model_id)
+        if not document.get("base_model"):
+            return  # already a root snapshot
+        document["promoted_from"] = document["base_model"]
+        document["base_model"] = None
         train_info_id = document.pop("train_info_id", None)
         provenance = document.pop("provenance", None) or {}
-        if train_info_id and provenance.get("dataset_file_id"):
-            superseded.append(provenance["dataset_file_id"])
-
-        document["parameters_file"] = parameters_file
-        document["architecture"] = architecture
-        document["layer_hashes"] = [[k, v] for k, v in layer_hashes.items()]
-        document["merkle_root"] = root
-        document["base_model"] = None
-        document["promoted_from"] = recovered.base_model_id
-        self.documents.collection(MODELS).replace_one(model_id, document)  # the commit point
-        # only now drop the old derived representation, in one release: a
-        # failure before this point leaves the old document whole, and fsck
-        # reclaims the new manifest and code copy it does not name
+        models.replace_one(model_id, document)  # the commit point
+        # only now drop the training record, in one release
         if train_info_id:
             train_document = self.documents.collection(TRAIN_INFO).get(train_info_id)
-            superseded += self._delete_wrappers(train_document)
+            superseded = self._delete_wrappers(train_document)
+            if provenance.get("dataset_file_id"):
+                superseded.append(provenance["dataset_file_id"])
             self.documents.collection(TRAIN_INFO).delete_one(train_info_id)
-        self.files.delete_many(superseded)
+            self.files.delete_many(superseded)
 
     def squash_chain(self, model_id: str) -> int:
         """Promote ``model_id`` to a snapshot and delete its exclusive
@@ -464,19 +441,15 @@ class ModelManager:
     def compact(self, max_depth: int | None = None, dry_run: bool = False) -> dict:
         """Bound every delta chain's recovery depth at ``max_depth``.
 
-        Finishes any swap a previous run left half-done, then
-        materializes a recovery base for every model ``max_depth`` levels
+        Materializes a recovery base for every model ``max_depth`` levels
         above its nearest one (see
         :class:`~repro.core.compaction.ChainCompactor`).  Model ids and
         lineage are untouched — only recovery cost changes.  ``dry_run``
         returns the plan without rewriting anything.
         """
-        from .compaction import DEFAULT_MAX_DEPTH, ChainCompactor
-
-        compactor = ChainCompactor(
-            self.service, max_depth=max_depth or DEFAULT_MAX_DEPTH
-        )
-        return compactor.run(dry_run=dry_run)
+        if max_depth is None:
+            max_depth = DEFAULT_MAX_DEPTH
+        return ChainCompactor(self.service, max_depth=max_depth).run(dry_run=dry_run)
 
     # -- deletion & garbage collection ------------------------------------------------------
 
@@ -691,11 +664,6 @@ class ModelManager:
         1b. every segment's footer and record framing is intact — torn tails are truncated, the
            chunk index is rebuilt from disk, and an interrupted
            compaction is rolled forward or back;
-        1c. every chain-compaction journal belongs to a finished swap —
-           a swap whose document update committed rolls forward (the
-           superseded delta payload is dropped), an uncommitted one
-           rolls back (the never-published snapshot artifacts are
-           dropped);
         2. no catalog log was opened with a torn final record (a crash
            mid-append; the engine already dropped it, reported here once);
            every model document's base model, environment/train documents,
@@ -709,7 +677,10 @@ class ModelManager:
            set, like the manifests), a chunk once per referencing entry of
            each distinct live manifest — and no unreferenced record
            remains: an unreferenced file is an ``orphan_file``, an
-           unreferenced chunk an ``orphan_chunk``, both found in one pass;
+           unreferenced chunk an ``orphan_chunk``, both found in one pass
+           (what a crashed chain rewrite leaves is exactly this, and the
+           repair also deletes the swap intents a parent release kept
+           beside one — they name only such files);
         6. on a sharded store, every record (chunk or file) holds its
            full R replicas — under-replicated keys are restored from a
            surviving copy (digest-verified, never propagating corruption);
@@ -798,23 +769,6 @@ class ModelManager:
                     "segment_compaction",
                     f"interrupted compaction: {action}",
                     repaired=repair and "pending" not in str(action),
-                )
-
-        # 1c. chain compaction: a crash between journal and cleanup leaves
-        # a half-swapped model — finish the swap in whichever direction
-        # the document (the commit point) already shows
-        steps.start("compaction")
-        if hasattr(files, "root"):
-            from .compaction import ChainCompactor
-
-            for action in ChainCompactor.resume_pending(
-                self.documents, files, repair=repair
-            ):
-                report.add(
-                    "incomplete_compaction",
-                    f"model {action['model_id']}: interrupted chain "
-                    f"compaction {action['action'].replace('_', ' ')}",
-                    repaired=repair,
                 )
 
         # 2. documents -> documents/files cross-checks
@@ -972,6 +926,10 @@ class ModelManager:
                 kind, detail = "orphan_chunk", f"unreferenced chunk {key[:12]}…"
             report.add(kind, detail + (" (removed)" if repair else ""),
                        repaired=repair)
+        # a parent release left its swap intents in a directory of their
+        # own; the files they name are the orphans reclaimed just above
+        if repair and hasattr(files, "root"):
+            shutil.rmtree(Path(files.root) / "chain-compaction", ignore_errors=True)
 
         # 6. replica counts vs. the placement ring (sharded stores only):
         # quorum writes that landed degraded, or members that lost disks,

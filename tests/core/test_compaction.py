@@ -1,17 +1,21 @@
-"""Chain compaction: bounded recovery depth, journaled crash safety."""
+"""Chain compaction: bounded recovery depth, a swap committed by its document,
+and promote / squash running the same swap."""
 
 import numpy as np
 import pytest
 
+from repro.cluster import ShardedFileStore
 from repro.core import (
     ArchitectureRef,
     ChainCompactor,
     ModelManager,
     ModelSaveInfo,
     ParameterUpdateSaveService,
+    ProvenanceSaveService,
 )
-from repro.core.compaction import CompactionJournal
+from repro.docstore import DocumentStore
 from repro.faults import CrashPoint, FaultInjector
+from repro.filestore import FileStore
 from tests.conftest import make_tiny_cnn
 
 
@@ -119,9 +123,11 @@ class TestPlanAndRun:
         assert outcome["released_bytes"] == 0
 
     def test_max_depth_validation(self, setup):
-        service, _ = setup
+        service, manager = setup
         with pytest.raises(ValueError):
             ChainCompactor(service, max_depth=0)
+        with pytest.raises(ValueError):  # 0 is not "the default"
+            manager.compact(max_depth=0)
 
     def test_fsck_stays_clean_after_compaction(self, setup):
         service, manager = setup
@@ -131,82 +137,123 @@ class TestPlanAndRun:
         assert report.clean, report.summary()
 
 
-class TestCrashSafety:
-    def test_crash_at_every_journaled_op_recovers_bitwise(self, setup):
-        """Kill the compactor at each protocol step; fsck must converge.
+#: Where a rewrite can die: each step of the swap, and (``promote``)
+#: between promote's materializing commit and its severing one.
+CRASH_POINTS = ("compact.artifacts", "compact.commit", "compact.cleanup", "promote")
 
-        After every crash, recovery of every model must be bitwise
-        identical both before and after repair, and the journal must be
-        fully resolved (rolled forward or back) by fsck.
-        """
-        service, manager = setup
-        ids, states = save_chain(service, 5)
-        crashes = 0
-        for at in range(1, 30):
-            faults = FaultInjector(seed=0)
-            compactor = ChainCompactor(service, max_depth=4)
-            compactor.fault_hook = faults.fail_point
-            faults.arm_crash(at, op="compact.")
-            try:
-                compactor.run()
-            except CrashPoint:
-                crashes += 1
+
+def open_stores(kind, root):
+    """A service + manager over one file store or a six-member R=2 cluster."""
+    if kind == "single":
+        files = FileStore(root / "files")
+    else:
+        members = {f"m{i}": FileStore(root / f"m{i}") for i in range(6)}
+        files = ShardedFileStore(root / "meta", members, replicas=2)
+    service = ParameterUpdateSaveService(DocumentStore(), files)
+    return service, ModelManager(service)
+
+
+def crash(service, manager, ids, point, monkeypatch):
+    """Run the rewrite of ``ids[4]`` that ``point`` names and kill it there."""
+    if point == "promote":
+        materialize = ChainCompactor.compact_model
+
+        def materialize_then_die(self, *args, **kwargs):
+            materialize(self, *args, **kwargs)
+            raise CrashPoint("between promote's two commits")
+
+        monkeypatch.setattr(ChainCompactor, "compact_model", materialize_then_die)
+        with pytest.raises(CrashPoint):
+            manager.promote_to_snapshot(ids[4])
+        monkeypatch.undo()
+        return
+    faults = FaultInjector(seed=0)
+    compactor = ChainCompactor(service, max_depth=4)
+    compactor.fault_hook = faults.fail_point
+    faults.arm_crash(1, op=point)
+    with pytest.raises(CrashPoint):
+        compactor.run()
+
+
+class TestCrashSafety:
+    @pytest.mark.parametrize("kind", ["single", "sharded"])
+    def test_crash_at_every_swap_step_recovers_bitwise(self, kind, tmp_path, monkeypatch):
+        """Kill the rewrite at each step: every model recovers bitwise before
+        any repair, and what the crash left is unreferenced records only —
+        one fsck pass repairs all of it, and so does a plain GC."""
+        for point in CRASH_POINTS:
+            for remedy in ("fsck", "gc"):
+                service, manager = open_stores(kind, tmp_path / f"{point}-{remedy}")
+                ids, states = save_chain(service, 5)
+                crash(service, manager, ids, point, monkeypatch)
                 assert_bitwise(service, ids, states)  # before repair
-                report = manager.fsck()
-                assert not report.unrepaired, report.summary()
-                assert compactor.journal.pending() == []
-                assert_bitwise(service, ids, states)  # after repair
-            else:
-                break
-        assert crashes >= 4  # artifacts, journal, commit, cleanup, discard
-        assert manager.compact(max_depth=4)["planned"] == []
-        assert_bitwise(service, ids, states)
+                if remedy == "fsck":
+                    report = manager.fsck()
+                    assert not report.unrepaired, (point, report.summary())
+                else:
+                    manager.garbage_collect()
+                assert manager.fsck().clean, (point, remedy)
+                assert_bitwise(service, ids, states)
+                # the next rewrite finishes the job
+                if point == "promote":
+                    manager.promote_to_snapshot(ids[4])
+                    document = service.documents.collection("models").get(ids[4])
+                    assert document["base_model"] is None
+                else:
+                    manager.compact(max_depth=4)
+                assert manager.compact(max_depth=4)["planned"] == []
+                assert service.recover_model(ids[-1]).recovery_depth == 1
+                assert_bitwise(service, ids, states)
+                assert manager.fsck().clean, (point, remedy)
 
     def test_uncommitted_swap_rolls_back(self, setup):
-        """A crash before the document update must leave no trace."""
+        """A crash before the document update publishes nothing: the old
+        delta stays, and fsck reclaims the new manifest and code copy."""
         service, manager = setup
         ids, states = save_chain(service, 4)
+        files_before = set(service.files.file_ids())
         faults = FaultInjector(seed=0)
         compactor = ChainCompactor(service, max_depth=4)
         compactor.fault_hook = faults.fail_point
         faults.arm_crash(1, op="compact.commit")
         with pytest.raises(CrashPoint):
             compactor.run()
-        assert len(compactor.journal.pending()) == 1
-        actions = ChainCompactor.resume_pending(
-            service.documents, service.files)
-        assert [a["action"] for a in actions] == ["rolled_back"]
         document = service.documents.collection("models").get(ids[4])
-        assert "parameters_file" not in document or not document.get(
-            "parameters_file")
+        assert not document.get("parameters_file")
         assert document.get("update_file")
-        report = manager.fsck()  # artifacts fully reclaimed
+        orphans = set(service.files.file_ids()) - files_before
+        assert {file_id.rpartition(".")[2] for file_id in orphans} == {"py", "manifest"}
+        report = manager.fsck()
+        assert {issue.kind for issue in report.repaired} >= {"orphan_file"}
         assert not report.unrepaired, report.summary()
+        assert set(service.files.file_ids()) == files_before
         assert_bitwise(service, ids, states)
+        assert service.recover_model(ids[4]).recovery_depth == 4
 
     def test_committed_swap_rolls_forward(self, setup):
-        """A crash after the document update must finish the cleanup."""
+        """A crash after the document update leaves the old delta behind,
+        unreferenced: fsck drops it and the new base stands."""
         service, manager = setup
         ids, states = save_chain(service, 4)
+        old_update = service.documents.collection("models").get(ids[4])["update_file"]
         faults = FaultInjector(seed=0)
         compactor = ChainCompactor(service, max_depth=4)
         compactor.fault_hook = faults.fail_point
         faults.arm_crash(1, op="compact.cleanup")
         with pytest.raises(CrashPoint):
             compactor.run()
-        old_update = compactor.journal.pending()[0]["old_update_file"]
         assert service.files.exists(old_update)
-        actions = ChainCompactor.resume_pending(
-            service.documents, service.files)
-        assert [a["action"] for a in actions] == ["rolled_forward"]
+        report = manager.fsck()
+        assert not report.unrepaired, report.summary()
         assert not service.files.exists(old_update)
-        assert compactor.journal.pending() == []
+        assert manager.fsck().clean
         assert_bitwise(service, ids, states)
         assert service.recover_model(ids[4]).recovery_depth == 0
 
-    def test_fsck_reports_incomplete_compaction_without_repair(self, setup):
+    def test_fsck_without_repair_reports_the_superseded_delta(self, setup):
         service, manager = setup
-        save_chain(service, 4)
+        ids, _ = save_chain(service, 4)
+        old_update = service.documents.collection("models").get(ids[4])["update_file"]
         faults = FaultInjector(seed=0)
         compactor = ChainCompactor(service, max_depth=4)
         compactor.fault_hook = faults.fail_point
@@ -214,34 +261,66 @@ class TestCrashSafety:
         with pytest.raises(CrashPoint):
             compactor.run()
         report = manager.fsck(repair=False)
-        kinds = {issue.kind for issue in report.issues}
-        assert "incomplete_compaction" in kinds
-        assert len(compactor.journal.pending()) == 1  # untouched
-        report = manager.fsck(repair=True)
-        assert compactor.journal.pending() == []
-
-    def test_resume_is_idempotent(self, setup):
-        service, _ = setup
-        save_chain(service, 4)
-        faults = FaultInjector(seed=0)
-        compactor = ChainCompactor(service, max_depth=4)
-        compactor.fault_hook = faults.fail_point
-        faults.arm_crash(1, op="compact.cleanup")
-        with pytest.raises(CrashPoint):
-            compactor.run()
-        ChainCompactor.resume_pending(service.documents, service.files)
-        # resuming again with nothing pending is a no-op
-        assert ChainCompactor.resume_pending(
-            service.documents, service.files) == []
+        assert any(
+            issue.kind == "orphan_file" and old_update in issue.detail
+            for issue in report.unrepaired), report.summary()
+        assert service.files.exists(old_update)  # untouched
+        manager.fsck(repair=True)
+        assert not service.files.exists(old_update)
+        assert manager.fsck().clean
 
 
-class TestJournal:
-    def test_torn_journal_write_is_ignored(self, tmp_path):
-        journal = CompactionJournal(tmp_path / "chain-compaction")
-        journal.write("model-a", {"manifest_file": "m1"})
-        (tmp_path / "chain-compaction" / "model-b.json").write_text("{trunc")
-        entries = journal.pending()
-        assert [e["model_id"] for e in entries] == ["model-a"]
-        journal.discard("model-a")
-        journal.discard("model-b")
-        assert journal.pending() == []
+class TestPromoteRunsTheSwap:
+    def test_squashing_a_compacted_model_deletes_its_exclusive_ancestors(self, setup):
+        service, manager = setup
+        ids, states = save_chain(service, 5)
+        manager.compact(max_depth=4)
+        assert manager.squash_chain(ids[4]) == 4
+        assert service.saved_model_ids() == sorted(ids[4:])
+        document = service.documents.collection("models").get(ids[4])
+        assert document["base_model"] is None
+        assert document["promoted_from"] == ids[3]
+        assert_bitwise(service, ids[4:], states)
+        assert manager.fsck().clean
+
+    def test_promote_of_an_mpa_level_releases_its_training_record(self, tmp_path):
+        from repro.workloads import generate_dataset
+        from repro.workloads.relations import TrainingRun
+
+        documents = DocumentStore()
+        service = ProvenanceSaveService(
+            documents, FileStore(tmp_path / "files"), scratch_dir=tmp_path / "s")
+        manager = ModelManager(service)
+        base = make_tiny_cnn(seed=1)
+        base_id = service.save_model(ModelSaveInfo(base, tiny_arch()))
+        run = TrainingRun(
+            dataset_dir=generate_dataset("co512", tmp_path / "data", scale=1 / 2048),
+            number_epochs=1, number_batches=1, seed=2, image_size=8, num_classes=10,
+        )
+        model = make_tiny_cnn()
+        model.load_state_dict(base.state_dict())
+        run.execute(model)
+        model_id = service.save_model(run.to_provenance_info(base_id, trained_model=model))
+        states = {model_id: {k: v.copy() for k, v in model.state_dict().items()}}
+
+        document = documents.collection("models").get(model_id)
+        train_id = document["train_info_id"]
+        wrapper_ids = [
+            value for key, value in documents.collection("train_info").get(train_id).items()
+            if key.endswith("_wrapper") and isinstance(value, str)]
+        state_files = [documents.collection("wrappers").get(w).get("state_file_id")
+                       for w in wrapper_ids]
+        released = [document["provenance"]["dataset_file_id"]] + list(filter(None, state_files))
+        assert len(released) > 1 and all(service.files.exists(f) for f in released)
+
+        manager.promote_to_snapshot(model_id)
+        document = documents.collection("models").get(model_id)
+        assert document["base_model"] is None and document["parameters_file"]
+        assert "train_info_id" not in document and "provenance" not in document
+        assert documents.collection("train_info").count() == 0
+        assert documents.collection("wrappers").count() == 0
+        assert not any(service.files.exists(f) for f in released)
+        manager.delete_model(base_id)
+        assert_bitwise(service, [model_id], states)
+        assert service.recover_model(model_id).recovery_depth == 0
+        assert manager.fsck().clean

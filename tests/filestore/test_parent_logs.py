@@ -4,7 +4,9 @@ The parent wrote every log in a format of its own: JSON lines (catalog
 collections, the refcount log, hint files, rebalance journals, one file
 per save under ``journal/``) or one JSON document (``index.json``,
 ``compaction.json``, the indented ``chain-compaction/*.json``).
-:func:`to_parent_format` rewrites every log under a root that way.  Each
+:func:`to_parent_format` rewrites every log under a root that way, and
+writes the chain-compaction intents the parent kept beside a swap (this
+release commits a swap by its document alone and writes none).  Each
 store here is caught mid-crash first — an open save, a pending chain
 compaction, a pending segment compaction, a pending rebalance, undelivered
 hints — so the parent-format files are exactly what a crashed parent left.
@@ -38,10 +40,17 @@ def json_lines(records, **dumps) -> str:
     return "".join(json.dumps(record, **dumps) + "\n" for record in records)
 
 
-def to_parent_format(root) -> set[str]:
-    """Rewrite every framed log under ``root`` as the parent wrote it;
-    returns the kinds of log rewritten."""
+def to_parent_format(root, swaps=()) -> set[str]:
+    """Rewrite every framed log under ``root`` as the parent wrote it, and
+    write each of ``swaps`` (a pending chain compaction: ``model_id``,
+    ``old_update_file``, ``manifest_file``, ``code_file``) as the parent's
+    intent under ``root / "files"``; returns the kinds of log written."""
     kinds = set()
+    for swap in swaps:
+        intents = root / "files" / "chain-compaction"
+        intents.mkdir(exist_ok=True)
+        (intents / f"{swap['model_id']}.json").write_text(json.dumps(swap, indent=0))
+        kinds.add("chain compaction")
     for path in sorted(root.rglob("*")):
         if (not path.is_file() or path.suffix == ".seg"
                 or path.read_bytes()[:4] != RECORD_MAGIC):
@@ -59,9 +68,7 @@ def to_parent_format(root) -> set[str]:
             path.unlink()
             kinds.add(kind)
             continue
-        if path.parent.name == "chain-compaction":
-            kind, text = "chain compaction", json.dumps(records[-1], indent=0)
-        elif path.name in ("index.json", "compaction.json"):
+        if path.name in ("index.json", "compaction.json"):
             kind, text = path.name, json.dumps(records[-1], sort_keys=True)
         elif path.name == "refcounts.json":
             kind, text = path.name, "\n".join(
@@ -100,9 +107,18 @@ class TestASingleStore:
         del expected[ids[-1]]
         compactor, faults = ChainCompactor(service, max_depth=2), FaultInjector(seed=0)
         compactor.fault_hook = faults.fail_point
-        faults.arm_crash(1, op="compact.commit")  # journaled, not committed
+        faults.arm_crash(1, op="compact.commit")  # artifacts written, not committed
+        before = set(files.file_ids())
         with pytest.raises(CrashPoint):
             compactor.run()
+        artifacts = {f.rpartition(".")[2]: f for f in set(files.file_ids()) - before}
+        swap = {
+            "model_id": ids[2],
+            "old_update_file": service.documents.collection("models").get(
+                ids[2])["update_file"],
+            "manifest_file": artifacts["manifest"],
+            "code_file": artifacts["py"],
+        }
         # a save that died after its files, before its document
         files.begin_journal()
         crashed = copy_state(states[0])
@@ -112,7 +128,7 @@ class TestASingleStore:
         files.abandon_journal()
         del files, service, manager
 
-        assert to_parent_format(tmp_path) == {
+        assert to_parent_format(tmp_path, swaps=[swap]) == {
             "catalog", "refcounts.json", "index.json", "chain compaction",
             "save journal"}
         files, service, manager = open_single(tmp_path)
@@ -122,7 +138,11 @@ class TestASingleStore:
         report = manager.fsck(verify_chunks=True)
         assert not report.unrepaired, report.summary()
         kinds = {issue.kind for issue in report.repaired}
-        assert {"incomplete_save", "incomplete_compaction"} <= kinds
+        # the uncommitted swap's manifest and code copy are plain orphans
+        assert {"incomplete_save", "orphan_file", "refcount_mismatch"} <= kinds
+        assert not files.exists(swap["manifest_file"])
+        assert not files.exists(swap["code_file"])
+        assert not (tmp_path / "files" / "chain-compaction").exists()
         assert manager.fsck(verify_chunks=True).clean
         for model_id, state in expected.items():
             assert_recovers(service, model_id, state)

@@ -319,6 +319,18 @@ class TestCompact:
         assert "nothing to do" in capsys.readouterr().out
         assert run_cli("--docs", docs, "--files", files, "verify") == 0
 
+    def test_max_depth_zero_is_refused(self, stores, deep_chain, capsys):
+        docs, files = stores
+        assert run_cli(
+            "--docs", docs, "--files", files, "compact", "--max-depth", "0"
+        ) == 2
+        assert "max_depth must be >= 1" in capsys.readouterr().err
+        assert run_cli(
+            "--docs", docs, "--files", files, "compact",
+            "--max-depth", "4", "--dry-run",
+        ) == 0
+        assert f"would materialize {deep_chain[4]}" in capsys.readouterr().out
+
     def test_json_report(self, stores, deep_chain, capsys):
         docs, files = stores
         assert run_cli(
@@ -438,7 +450,7 @@ class TestObservabilityCommands:
         payload = json.loads(capsys.readouterr().out)
         steps = payload["step_seconds"]
         assert set(steps) == {
-            "journals", "segments", "compaction", "documents", "chunks",
+            "journals", "segments", "documents", "chunks",
             "refcounts", "replication", "hints", "orphan_documents",
         }
         assert all(seconds >= 0.0 for seconds in steps.values())
