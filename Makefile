@@ -54,7 +54,8 @@ bench-serving:
 # core (the quorum policy of every write kind, verified heal sources, the
 # flush barrier, a promote that fails at its commit point) + the gateway
 # save exchange (forged digests, foreign references, collected chunks) +
-# chaos smoke; writes BENCH_chaos.json
+# the gateway recover exchange (warm wire bytes, poisoned and corrupted
+# layers, no model built on recover) + chaos smoke; writes BENCH_chaos.json
 chaos:
 	PYTHONPATH=src $(PY) -m pytest -q tests/filestore/test_faults.py \
 		tests/filestore/test_segments.py \
@@ -73,7 +74,7 @@ chaos:
 		tests/cluster/test_sharded_store.py::TestFlushBarrier \
 		tests/core/test_manager.py::TestPromoteAndSquash::test_a_failed_promote_releases_nothing \
 		tests/cluster/test_rebalance.py tests/cluster/test_selfheal.py \
-		tests/gateway/test_save_exchange.py
+		tests/gateway/test_save_exchange.py tests/gateway/test_recover_exchange.py
 	$(PY) scripts/chaos_smoke.py
 
 api-docs:

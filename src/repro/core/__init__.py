@@ -56,7 +56,7 @@ from .probe import (
     probe_training,
 )
 from .provenance import ProvenanceRecorder, ProvenanceSaveService
-from .recover import RecoveredModelInfo, StorageBreakdown
+from .recover import RecoveredLayers, RecoveredModelInfo, StorageBreakdown
 from .save_info import ArchitectureRef, ModelSaveInfo, ProvenanceSaveInfo, TrainRunSpec
 from .schema import (
     APPROACH_BASELINE,
@@ -118,6 +118,7 @@ __all__ = [
     "probe_training",
     "ProvenanceRecorder",
     "ProvenanceSaveService",
+    "RecoveredLayers",
     "RecoveredModelInfo",
     "StorageBreakdown",
     "ArchitectureRef",

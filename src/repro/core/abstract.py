@@ -24,8 +24,10 @@ import json
 import tempfile
 from collections import OrderedDict
 from contextlib import contextmanager
+from functools import partial
 from itertools import groupby
 from pathlib import Path
+from typing import Callable
 
 from .. import obs
 from ..nn import rng, serialization
@@ -48,8 +50,8 @@ from .errors import (
 from .cache import RecoveryCache
 from .hashing import state_dict_hashes
 from .ids import new_model_id
-from .merkle import MerkleTree
-from .recover import RecoveredModelInfo, StorageBreakdown
+from .merkle import root_of
+from .recover import RecoveredLayers, RecoveredModelInfo, StorageBreakdown
 from .save_info import ArchitectureRef, TrainRunSpec
 from .schema import (
     APPROACH_PARAM_UPDATE,
@@ -235,7 +237,7 @@ class AbstractSaveService:
         """
         state = model.state_dict()
         hashes = state_dict_hashes(state)
-        root = MerkleTree.from_layer_hashes(hashes).root_hash
+        root = root_of(list(hashes.values()))
         file_id = self._save_state(state, hashes, kind="params")
         return file_id, hashes, root
 
@@ -252,7 +254,9 @@ class AbstractSaveService:
         return self.files.save_state_chunks(
             state, layer_hashes, suffix=f".{kind}.manifest", **extra)
 
-    def _load_state_files(self, file_ids: list[str], verified: dict | None = None) -> OrderedDict:
+    def _load_state_files(
+        self, file_ids: list[str], verified: dict | None = None, have: frozenset = frozenset()
+    ) -> OrderedDict:
         """Inverse of :meth:`_save_state` over a chain's levels, base first.
 
         A layer is taken from the last level that holds it.  Consecutive
@@ -261,13 +265,16 @@ class AbstractSaveService:
         blob, which older releases wrote, is loaded whole.
         With ``verified``, the store checks every chunked layer against its
         digest as it fetches it, and each one that passed is recorded there
-        as ``name -> (array, digest)``.
+        as ``name -> (array, digest)``.  A chunked layer whose digest is in
+        ``have`` is not fetched: it maps to ``None`` in the returned state
+        and to ``(None, digest)`` in ``verified``.
         """
         state = OrderedDict()
         for chunked, run in groupby(file_ids, key=self._is_chunked_file):
             if chunked:
                 digests = None if verified is None else {}
-                loaded = self.files.recover_state_chunks(list(run), verified=digests)
+                loaded = self.files.recover_state_chunks(
+                    list(run), verified=digests, skip=have)
                 state.update(loaded)
                 if digests:
                     verified.update(
@@ -391,66 +398,128 @@ class AbstractSaveService:
         :class:`RecoveryCache` across calls memoizes MPA levels, so
         recovering every model of an MPA chain replays each training run
         once instead of O(n²) times.
+
+        This is :meth:`recover_layers` followed by one build of the
+        architecture around the recovered state.
         """
-        with self._obs_tracer.span(
-            "service.recover_model", model_id=model_id, approach=self.approach
-        ) as sp:
-            recover_started = self.clock.perf()
-            timings = {"load": 0.0, "recover": 0.0, "check_env": 0.0, "check_hash": 0.0}
-            document = self._get_model_document(model_id, projection=_RECOVER_FIELDS)
-            # recovery rebuilds architectures and may replay training; none of
-            # that must disturb the caller's RNG stream or determinism setting
-            caller_rng = rng.get_rng_state()
-            caller_det = rng.deterministic_algorithms_enabled()
-            # only a stored root refuses what the fetch-time check could not
-            # heal; without one, the store's reads keep their record CRC
-            has_root = document.get("merkle_root") is not None
-            fetched: dict | None = {} if verify and has_root else None
-            try:
-                model, depth, _ = self._recover_from_document(
-                    document, timings, execution_env or {}, cache, fetched
-                )
-            finally:
-                rng.set_rng_state(caller_rng)
-                rng.use_deterministic_algorithms(caller_det)
-
-            if check_env:
-                started = self.clock.perf()
-                saved_env = EnvironmentInfo.from_dict(
-                    self.documents.collection(ENVIRONMENTS).get(document["environment_id"])
-                )
-                check_environment(saved_env)
-                timings["check_env"] = self.clock.perf() - started
-
-            verified: bool | None = None
-            if verify:
-                started = self.clock.perf()
-                stored_root = document.get("merkle_root")
-                if stored_root is not None:
-                    actual_root = _merkle_root(model, fetched)
-                    if actual_root != stored_root:
-                        raise VerificationError(
-                            f"recovered model {model_id} fails checksum verification: "
-                            f"{actual_root} != stored {stored_root}"
-                        )
-                    verified = True
-                timings["check_hash"] = self.clock.perf() - started
-
-            self._obs_recover_seconds.observe(self.clock.perf() - recover_started)
-            self._obs_recovers.inc()
-            if depth > self._obs_recovery_depth.value:
-                self._obs_recovery_depth.set(depth)
-            sp.set(depth=depth)
+        with self._recover_span(model_id) as sp:
+            recovered = self._recover_layers(
+                model_id, verify, frozenset(), check_env, execution_env, cache)
+            timings = recovered.timings
+            architecture = recovered.architecture()
+            started = self.clock.perf()
+            # the state was loaded for this call alone, so the model adopts it
+            model = architecture.build_from(recovered.state, assign=True)
+            if recovered.layers is not None:
+                _check_adopted(model_id, model, recovered)
+            timings["recover"] += self.clock.perf() - started
+            sp.set(depth=recovered.recovery_depth)
             return RecoveredModelInfo(
                 model_id=model_id,
                 model=model,
-                approach=document.get("approach", "unknown"),
-                base_model_id=document.get("base_model"),
-                use_case=document.get("use_case"),
+                approach=recovered.approach,
+                base_model_id=recovered.base_model_id,
+                use_case=recovered.use_case,
                 timings=timings,
-                verified=verified,
-                recovery_depth=depth,
+                verified=recovered.verified,
+                recovery_depth=recovered.recovery_depth,
             )
+
+    def recover_layers(
+        self, model_id: str, verify: bool = True, have=frozenset()
+    ) -> RecoveredLayers:
+        """Recover ``model_id``'s parameters as a flat state, building no model.
+
+        The verified recover of :meth:`recover_model` up to its Merkle root
+        check.  With a stored root and ``verify``, the result's ``layers``
+        is the whole layer table, every digest the root covers; a chunked
+        layer whose digest is in ``have`` — bytes the caller already holds
+        verified — is not fetched and is left out of ``state``.  Otherwise
+        ``layers`` is ``None``, ``have`` is ignored and ``state`` holds
+        every layer.
+        """
+        with self._recover_span(model_id) as sp:
+            recovered = self._recover_layers(model_id, verify, frozenset(have))
+            sp.set(depth=recovered.recovery_depth)
+            return recovered
+
+    @contextmanager
+    def _recover_span(self, model_id: str):
+        """One recover's span, wall time and counter."""
+        with self._obs_tracer.span(
+            "service.recover_model", model_id=model_id, approach=self.approach
+        ) as sp:
+            started = self.clock.perf()
+            yield sp
+            self._obs_recover_seconds.observe(self.clock.perf() - started)
+            self._obs_recovers.inc()
+
+    def _recover_layers(
+        self,
+        model_id: str,
+        verify: bool,
+        have: frozenset,
+        check_env: bool = False,
+        execution_env: dict | None = None,
+        cache: RecoveryCache | None = None,
+    ) -> RecoveredLayers:
+        """The recover core: resolve, read once, check the root."""
+        timings = {"load": 0.0, "recover": 0.0, "check_env": 0.0, "check_hash": 0.0}
+        document = self._get_model_document(model_id, projection=_RECOVER_FIELDS)
+        # recovery rebuilds architectures and may replay training; none of
+        # that must disturb the caller's RNG stream or determinism setting
+        caller_rng = rng.get_rng_state()
+        caller_det = rng.deterministic_algorithms_enabled()
+        # only a stored root refuses what the fetch-time check could not
+        # heal; without one, the store's reads keep their record CRC
+        stored_root = document.get("merkle_root")
+        fetched: dict | None = {} if verify and stored_root is not None else None
+        try:
+            state, depth, architecture = self._recover_from_document(
+                document, timings, execution_env or {}, cache, fetched,
+                have if fetched is not None else frozenset(),
+            )
+        finally:
+            rng.set_rng_state(caller_rng)
+            rng.use_deterministic_algorithms(caller_det)
+
+        if check_env:
+            started = self.clock.perf()
+            saved_env = EnvironmentInfo.from_dict(
+                self.documents.collection(ENVIRONMENTS).get(document["environment_id"])
+            )
+            check_environment(saved_env)
+            timings["check_env"] = self.clock.perf() - started
+
+        layers = None
+        if fetched is not None:
+            started = self.clock.perf()
+            table = _layer_table(state, fetched)
+            actual_root = root_of(list(table.values()))
+            if actual_root != stored_root:
+                raise VerificationError(
+                    f"recovered model {model_id} fails checksum verification: "
+                    f"{actual_root} != stored {stored_root}"
+                )
+            layers = list(table.items())
+            state = OrderedDict(
+                (name, array) for name, array in state.items() if array is not None)
+            timings["check_hash"] = self.clock.perf() - started
+
+        if depth > self._obs_recovery_depth.value:
+            self._obs_recovery_depth.set(depth)
+        return RecoveredLayers(
+            model_id=model_id,
+            state=state,
+            layers=layers,
+            verified=True if layers is not None else None,
+            recovery_depth=depth,
+            approach=document.get("approach", "unknown"),
+            base_model_id=document.get("base_model"),
+            use_case=document.get("use_case"),
+            timings=timings,
+            architecture=architecture,
+        )
 
     # -- per-document recovery ---------------------------------------------
 
@@ -461,15 +530,18 @@ class AbstractSaveService:
         execution_env: dict,
         cache: RecoveryCache | None = None,
         verified: dict | None = None,
-    ) -> tuple[Module, int, ArchitectureRef]:
-        """Recover one document's model: ``(model, depth, architecture)``.
+        have: frozenset = frozenset(),
+    ) -> tuple["OrderedDict", int, Callable[[], ArchitectureRef]]:
+        """Recover one document's parameters: ``(state, depth, architecture)``.
 
-        ``verified`` (the top-level call's only) collects the layers the
-        store verified as it fetched them; a base recovered beneath the
-        document contributes none — an MPA replay rewrites its layers.
-        ``cache`` is consulted and filled for MPA levels only: a training
-        replay is the one per-level cost a recover still pays (DESIGN.md
-        §16)."""
+        ``architecture`` reads the architecture when called, so only a
+        caller that builds the model reads its code file.  ``verified``
+        (the top-level call's only) collects the layers the store verified
+        as it fetched them, and ``have`` the digests it need not fetch (see
+        :meth:`_load_state_files`); a base recovered beneath the document
+        contributes none — an MPA replay rewrites its layers.  ``cache`` is
+        consulted and filled for MPA levels only: a training replay is the
+        one per-level cost a recover still pays (DESIGN.md §16)."""
         doc_id = document.get("_id")
         approach = document.get("approach")
         with self._obs_tracer.span(
@@ -480,7 +552,7 @@ class AbstractSaveService:
                 base = None
                 if not end.get("parameters_file"):  # a base of another approach
                     base = self._recover_from_document(end, timings, execution_env, cache)
-                return self._recover_chain(files, end, base, timings, verified)
+                return self._recover_chain(files, end, base, timings, verified, have)
             if approach != APPROACH_PROVENANCE:
                 raise RecoveryError(
                     f"model document {doc_id} has neither parameters nor a "
@@ -488,12 +560,13 @@ class AbstractSaveService:
                 )
             hit = cache.get(doc_id) if cache is not None else None
             if hit is not None:
-                return hit
-            model, depth, architecture = self._recover_provenance(
-                document, timings, execution_env, cache)
-            if cache is not None:
-                cache.put(doc_id, model, architecture, depth)
-            return model, depth, architecture
+                model, depth, architecture = hit
+            else:
+                model, depth, architecture = self._recover_provenance(
+                    document, timings, execution_env, cache)
+                if cache is not None:
+                    cache.put(doc_id, model, architecture, depth)
+            return model.state_dict(), depth, lambda: architecture
 
     def _load_architecture(self, document: dict, timings: dict) -> ArchitectureRef:
         started = self.clock.perf()
@@ -541,39 +614,29 @@ class AbstractSaveService:
         self,
         files: list[str],
         end: dict,
-        base: tuple[Module, int, ArchitectureRef] | None,
+        base: tuple | None,
         timings: dict,
         verified: dict | None = None,
-    ) -> tuple[Module, int, ArchitectureRef]:
-        """Read a walked chain (:meth:`_walk_chain`) and build its model once.
+        have: frozenset = frozenset(),
+    ) -> tuple["OrderedDict", int, Callable[[], ArchitectureRef]]:
+        """Read a walked chain (:meth:`_walk_chain`) as one state.
 
         The levels are read as one merged state — a layer comes from the
         tip-most level that holds it, so nothing a later level overrides
-        is fetched — over ``base``, the recovered model of a walk that
-        ended at another approach, or else built from ``end``'s
-        architecture.
+        is fetched — over ``base``, the recovered state of a walk that
+        ended at another approach, whose architecture it keeps; else the
+        architecture is ``end``'s.
         """
         started = self.clock.perf()
-        state = self._load_state_files(files, verified)
+        state = self._load_state_files(files, verified, have)
         timings["load"] += self.clock.perf() - started
-
         if base is None:
-            architecture = self._load_architecture(end, timings)
-            started = self.clock.perf()
-            # the state was loaded for this call alone, so the model adopts it
-            model = architecture.build_from(state, assign=True)
-            timings["recover"] += self.clock.perf() - started
-            return model, len(files) - 1, architecture
-
-        model, depth, architecture = base
-        started = self.clock.perf()
+            return state, len(files) - 1, partial(self._load_architecture, end, timings)
+        merged, depth, architecture = base
         # both halves are this call's own (the base was recovered for it),
-        # so its layers stay where they are and the levels' are adopted
-        merged = model.state_dict()
+        # so its layers stay where they are and the levels' override them
         merged.update(state)
-        model.load_state_dict(merged, assign=True)
-        timings["recover"] += self.clock.perf() - started
-        return model, depth + len(files), architecture
+        return merged, depth + len(files), architecture
 
     def _recover_provenance(
         self,
@@ -584,9 +647,15 @@ class AbstractSaveService:
     ) -> tuple[Module, int, ArchitectureRef]:
         # derived models share their base's architecture (the relations the
         # paper covers keep the architecture fixed)
-        model, depth, architecture = self._recover_from_document(
+        state, depth, architecture = self._recover_from_document(
             self._base_document(document), timings, execution_env, cache
         )
+        architecture = architecture()
+
+        started = self.clock.perf()
+        # the base's state was recovered for this replay alone
+        model = architecture.build_from(state, assign=True)
+        timings["recover"] += self.clock.perf() - started
 
         started = self.clock.perf()
         train_info_id = document["train_info_id"]
@@ -674,27 +743,52 @@ class AbstractSaveService:
         )
 
 
-def _merkle_root(model: Module, verified: dict) -> str:
-    """The model's Merkle root, from the digests verified at fetch.
+def _layer_table(state: OrderedDict, verified: dict) -> "OrderedDict[str, str]":
+    """Every layer's digest, in state order, from the digests verified at
+    fetch.
 
-    A layer the model holds as the very array the store verified
-    contributes that digest.  Every other layer — from an MPA base
-    (replayed or cached), a monolithic level, or copied or cast at
-    load — is hashed here, so each parameter byte is hashed once either
-    way.
+    A layer the state holds as the very array the store verified — or, as
+    ``None``, a layer the caller holds that was not fetched — contributes
+    that digest.  Every other layer — from an MPA base (replayed or
+    cached) or a monolithic level — is hashed here, so each parameter byte
+    is hashed once either way.
     """
-    leaves = OrderedDict()
+    table = OrderedDict()
     unverified = OrderedDict()
-    for name, array in model.state_dict().items():
+    for name, array in state.items():
         fetched = verified.get(name)
         if fetched is not None and fetched[0] is array:
-            leaves[name] = fetched[1]
+            table[name] = fetched[1]
         else:
-            leaves[name] = None
+            table[name] = None
             unverified[name] = array
     if unverified:
-        leaves.update(state_dict_hashes(unverified))
-    return MerkleTree.from_layer_hashes(leaves).root_hash
+        table.update(state_dict_hashes(unverified))
+    return table
+
+
+def _check_adopted(model_id: str, model: Module, recovered: RecoveredLayers) -> None:
+    """Hash each layer the build copied or cast instead of adopting.
+
+    The root covered the arrays as recovered; a layer the model does not
+    hold as that very array must still hash to its digest.
+    """
+    copies = OrderedDict(
+        (name, array) for name, array in model.state_dict().items()
+        if array is not recovered.state.get(name)
+    )
+    if not copies:
+        return
+    digests = dict(recovered.layers)
+    changed = [
+        name for name, digest in state_dict_hashes(copies).items()
+        if digest != digests.get(name)
+    ]
+    if changed:
+        raise VerificationError(
+            f"recovered model {model_id} fails checksum verification: layers "
+            f"{changed} changed when the model was built"
+        )
 
 
 def _json_size(document: dict) -> int:

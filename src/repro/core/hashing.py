@@ -131,6 +131,6 @@ def state_dict_root_hash(state_dict: Mapping[str, np.ndarray]) -> str:
     Computed through the same Merkle construction the PUA uses, so a root
     stored at save time can later be compared against a recovered model.
     """
-    from .merkle import MerkleTree
+    from .merkle import root_of
 
-    return MerkleTree.from_state_dict(state_dict).root_hash
+    return root_of(list(state_dict_hashes(state_dict).values()))

@@ -20,7 +20,23 @@ from typing import Mapping, Sequence
 
 from .hashing import combine_hashes, state_dict_hashes
 
-__all__ = ["MerkleNode", "MerkleTree", "DiffResult"]
+__all__ = ["MerkleNode", "MerkleTree", "DiffResult", "root_of"]
+
+
+def root_of(leaves: Sequence[str]) -> str:
+    """The root hash of a :class:`MerkleTree` over ``leaves``, folded
+    without building its nodes: the same split as :meth:`MerkleTree._build`,
+    for callers that need only the root."""
+    if not leaves:
+        raise ValueError("cannot build a Merkle tree over zero layers")
+
+    def fold(start: int, stop: int) -> str:
+        if stop - start == 1:
+            return leaves[start]
+        mid = (start + stop + 1) // 2
+        return combine_hashes(fold(start, mid), fold(mid, stop))
+
+    return fold(0, len(leaves))
 
 
 @dataclass

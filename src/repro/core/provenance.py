@@ -22,7 +22,7 @@ from ..nn.modules import Module
 from .abstract import AbstractSaveService
 from .errors import SaveError
 from .hashing import state_dict_hashes
-from .merkle import MerkleTree
+from .merkle import root_of
 from .save_info import ModelSaveInfo, ProvenanceSaveInfo, TrainRunSpec
 from .schema import APPROACH_PROVENANCE, TRAIN_INFO
 from .train_service import TrainService
@@ -100,7 +100,7 @@ class ProvenanceSaveService(AbstractSaveService):
         if save_info.store_checksums and save_info.expected_model is not None:
             hashes = state_dict_hashes(save_info.expected_model.state_dict())
             document["layer_hashes"] = [[k, v] for k, v in hashes.items()]
-            document["merkle_root"] = MerkleTree.from_layer_hashes(hashes).root_hash
+            document["merkle_root"] = root_of(list(hashes.values()))
         return self._insert_model_document(document)
 
 

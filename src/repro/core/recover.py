@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
 
 from ..nn.modules import Module
+from .save_info import ArchitectureRef
 
-__all__ = ["RecoveredModelInfo", "StorageBreakdown"]
+__all__ = ["RecoveredLayers", "RecoveredModelInfo", "StorageBreakdown"]
 
 
 @dataclass
@@ -31,6 +36,31 @@ class RecoveredModelInfo:
     @property
     def total_seconds(self) -> float:
         return sum(self.timings.values())
+
+
+@dataclass
+class RecoveredLayers:
+    """Result of :meth:`AbstractSaveService.recover_layers`: a model's
+    parameters as a flat state, no model built.
+
+    ``layers`` is the verified layer table — every layer's
+    ``(name, digest)`` in state-dict order, the leaves of the stored
+    Merkle root — or ``None`` when the recover was not verified.
+    ``state`` holds every layer but those the caller said it holds.
+    ``architecture()`` reads the architecture (its code file), for a caller
+    that builds the model.
+    """
+
+    model_id: str
+    state: "OrderedDict[str, np.ndarray]"
+    layers: list[tuple[str, str]] | None
+    verified: bool | None
+    recovery_depth: int
+    approach: str
+    base_model_id: str | None
+    use_case: str | None
+    timings: dict[str, float]
+    architecture: Callable[[], ArchitectureRef] = field(repr=False)
 
 
 @dataclass

@@ -880,7 +880,8 @@ class FileStore:
         file_ids: str | Sequence[str],
         verify: bool | None = None,
         verified: dict | None = None,
-    ) -> "OrderedDict[str, np.ndarray]":
+        skip: frozenset = frozenset(),
+    ) -> "OrderedDict[str, np.ndarray | None]":
         """Rebuild the state dict a manifest describes (bitwise identical).
 
         ``file_ids`` is one manifest id, or the manifests of a delta chain
@@ -906,6 +907,11 @@ class FileStore:
         chunk cache will hand the payloads to other readers (DESIGN.md §14
         "Verify once").
 
+        A layer whose content digest is in ``skip`` — bytes the caller
+        already holds — is not fetched: it maps to ``None`` in the returned
+        state and to that digest in ``verified``, for the caller's Merkle
+        root to vouch for (DESIGN.md §15.2).
+
         No returned array shares memory with another, with the chunk
         cache, or with a later call's: each is the buffer its chunk was
         read into or a copy (see :func:`_layer_array`).
@@ -920,8 +926,17 @@ class FileStore:
             merged: dict[str, dict] = {}
             for file_id in file_ids:
                 merged.update(self.read_manifest(file_id)["layers"])
-            plan = [(name, meta, layer_chunk_digests(meta)) for name, meta in merged.items()]
-            sp.set(layers=len(plan))
+            held = {}
+            if skip:
+                held = {
+                    name: digest for name, meta in merged.items()
+                    if (digest := _layer_digest(meta)) in skip
+                }
+            plan = [
+                (name, meta, layer_chunk_digests(meta))
+                for name, meta in merged.items() if name not in held
+            ]
+            sp.set(layers=len(plan), held=len(held))
             digests = [digest for _, _, chunk_ids in plan for digest in chunk_ids]
             # the payloads are digest-checked below, so their record CRC
             # may be skipped — unless the cache hands them to others
@@ -931,7 +946,7 @@ class FileStore:
             # share a digest): its first reference gets the buffer, every
             # later one a copy of it
             claimed: set[str] = set()
-            state: "OrderedDict[str, np.ndarray]" = OrderedDict()
+            state: "OrderedDict[str, np.ndarray | None]" = OrderedDict.fromkeys(merged)
             for name, meta, chunk_ids in plan:
                 parts = []
                 for digest in chunk_ids:
@@ -943,6 +958,8 @@ class FileStore:
                 state[name] = _layer_array(meta, parts)
             if check:
                 self._check_layers(plan, state, payloads, strict, verified)
+            if verified is not None:
+                verified.update(held)
             for name, meta, chunk_ids in plan:
                 if state[name] is None:
                     for digest in chunk_ids:

@@ -32,6 +32,13 @@ layer digests of its last :data:`REMEMBERED_SAVES` saves for this; a base
 it did not save is asked for with the ``layers`` op.  If the server
 cannot vouch for a layer it answers with the names it needs, and the
 client sends the save once more with those layers shipped.
+
+A verified recover is digest-first too.  The client keeps the layers of
+its verified recovers by digest, up to :data:`CACHED_LAYER_BYTES`, and
+sends as ``have`` those of the model's table it holds — the table it
+remembers from saving or recovering that model.  The server answers with
+the whole table and ships only the other layers; the client fills the rest
+with copies of its cached ones and remembers the table for later saves.
 """
 
 from __future__ import annotations
@@ -58,6 +65,10 @@ __all__ = [
 #: Saves whose layer digests a client remembers for its derived saves; the
 #: oldest is forgotten first.
 REMEMBERED_SAVES = 64
+
+#: Bytes of verified layers a client keeps for its recovers; the least
+#: recently used is dropped first.
+CACHED_LAYER_BYTES = 32 << 20
 
 
 class GatewayRequestError(MMLibError):
@@ -128,6 +139,7 @@ class _SavedLayers:
 
     def remember(self, model_id: str, table: dict[str, str], own) -> None:
         self._tables[model_id] = table
+        self._tables.move_to_end(model_id)
         for name in own:
             self._sources[(name, table[name])] = model_id
         while len(self._tables) > REMEMBERED_SAVES:
@@ -137,6 +149,38 @@ class _SavedLayers:
         for key in (self._tables.pop(model_id, None) or {}).items():
             if self._sources.get(key) == model_id:
                 del self._sources[key]
+
+
+class _LayerCache:
+    """Layers of verified recovers by digest, at most
+    :data:`CACHED_LAYER_BYTES`.  Each entry is a private read-only copy; a
+    caller only ever gets copies of it."""
+
+    def __init__(self):
+        self._layers: OrderedDict[str, object] = OrderedDict()
+        self._bytes = 0
+
+    def held(self, digests) -> dict:
+        """The cached arrays among ``digests``, as references the caller
+        keeps: a later eviction does not take them from it."""
+        held = {}
+        for digest in digests:
+            array = self._layers.get(digest)
+            if array is not None:
+                self._layers.move_to_end(digest)
+                held[digest] = array
+        return held
+
+    def put(self, digest: str, array) -> None:
+        if digest in self._layers or array.nbytes > CACHED_LAYER_BYTES:
+            return
+        entry = array.copy()
+        entry.flags.writeable = False
+        self._layers[digest] = entry
+        self._bytes += entry.nbytes
+        while self._bytes > CACHED_LAYER_BYTES:
+            _, evicted = self._layers.popitem(last=False)
+            self._bytes -= evicted.nbytes
 
 
 class AsyncGatewayClient:
@@ -159,6 +203,7 @@ class AsyncGatewayClient:
         self._write_lock = asyncio.Lock()
         self._closed = False
         self._saved = _SavedLayers()
+        self._layers = _LayerCache()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -384,18 +429,28 @@ class AsyncGatewayClient:
     ) -> RecoveredState:
         from ..nn import serialization
 
-        frame = await self._exchange(
-            "recover", deadline_s, {"model_id": model_id, "verify": verify}
-        )
+        fields: dict = {"model_id": model_id, "verify": verify}
+        table = self._saved.table(model_id) if verify else None
+        # taken now: a pipelined recover may evict them before this answer
+        held = self._layers.held(table.values()) if table else {}
+        if held:
+            fields["have"] = list(held)
+        frame = await self._exchange("recover", deadline_s, fields)
         response = frame.header
         try:
-            state = serialization.loads(frame.payload)
+            shipped = serialization.loads(frame.payload)
         except ValueError as exc:
             # acked, but no usable state came with it (e.g. a peer that
             # predates payload framing): refuse rather than hand back junk
             raise GatewayRequestError(
                 "internal", f"recover response carried no valid state: {exc}"
             ) from exc
+        state = shipped
+        layers = response.get("layers")
+        if layers is not None:  # the answer of a digest-first server
+            verified = verify and response.get("verified") is True
+            state = self._assemble(layers, shipped, held, verified)
+            self._saved.remember(response["model_id"], dict(layers), own=())
         return RecoveredState(
             model_id=response["model_id"],
             state=state,
@@ -403,6 +458,22 @@ class AsyncGatewayClient:
             recovery_depth=response.get("recovery_depth", 0),
             base_model_id=response.get("base_model_id"),
         )
+
+    def _assemble(self, layers, shipped: dict, held: dict, verified: bool) -> dict:
+        """The state a recover's table names: the shipped layers (cached,
+        when ``verified``) and copies of the held ones."""
+        state = {}
+        for name, digest in layers:
+            if name in shipped:
+                state[name] = shipped[name]
+                if verified:
+                    self._layers.put(digest, shipped[name])
+            elif digest in held:
+                state[name] = held[digest].copy()
+            else:
+                raise GatewayRequestError(
+                    "internal", f"recover response lacks layer {name!r}")
+        return state
 
     async def find(
         self, use_case: str | None = None, deadline_s: float | None = None

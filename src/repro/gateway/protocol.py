@@ -48,6 +48,25 @@ layers shipped.  ``{"op": "layers", "model_id": ...}`` answers
 ``{"layers": [[name, digest], ...]}``, a model's stored table.  A save
 without ``base`` is a plain frame: no table, the whole state as payload.
 
+Digest-first recovers.  A verified ``recover`` may carry ``have``, the
+digests of the model's layers the client already holds; a verified answer
+carries ``layers``, the model's whole table in state-dict order, and its
+payload holds only the layers whose digest is not in ``have``::
+
+    {"op": "recover", "model_id": "acme/81…", "verify": true,
+     "have": ["9c…", "4e…"]}
+    {"ok": true, "model_id": "acme/81…", "verified": true, "layers": [
+        ["0.weight", "9c…"], ["0.bias", "4e…"],   # held: not in the payload
+        ["2.weight", "d0…"], ["2.bias", "77…"]],  # shipped
+     "payload_bytes": 41312, ...}
+
+The header holds only ``model_id``, ``verify`` (a JSON bool, default
+true) and ``have`` (a list of 64-hex digests no longer than the table);
+anything else is ``invalid``.  ``have`` is read against the asked model's
+own table only: a digest not in it changes nothing.  An unverified recover
+ignores ``have`` and its answer has no ``layers``: the whole state, as
+from a server that predates the exchange.
+
 Limits: a header line and a payload are each at most
 :data:`MAX_LINE_BYTES`.  ``payload_bytes`` must be a JSON integer in
 ``[0, MAX_LINE_BYTES]`` and is checked *before* a byte of the payload is
@@ -150,13 +169,13 @@ def error_from_exception(exc: BaseException) -> GatewayError:
         return exc
     # Local import: repro.core pulls in the whole storage stack and the
     # protocol module must stay importable from the lightweight client.
-    from ..core.errors import ModelNotFoundError
+    from ..core.errors import ModelNotFoundError, VerificationError
 
     if isinstance(exc, DeadlineExceededError):
         return GatewayError("deadline", str(exc) or "deadline exceeded")
     if isinstance(exc, ModelNotFoundError):
         return GatewayError("not_found", str(exc))
-    if isinstance(exc, StoreCorruptionError):
+    if isinstance(exc, (StoreCorruptionError, VerificationError)):
         return GatewayError("corrupt", str(exc))
     if isinstance(exc, TransientStoreError):
         return GatewayError("unavailable", str(exc))

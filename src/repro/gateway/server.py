@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Sequence
@@ -73,6 +74,16 @@ SAVE_FIELDS = frozenset({
     "factory_module", "factory_name", "factory_kwargs", "base", "use_case",
     "layers",
 })
+
+#: Every header field a ``recover`` reads; anything else is ``invalid``.
+#: ``have`` lists the digests of layers the client already holds
+#: (:mod:`repro.gateway.protocol`, "Digest-first recovers").
+RECOVER_FIELDS = frozenset({
+    "id", "op", "tenant", "deadline_s", "payload_bytes", "model_id", "verify", "have",
+})
+
+#: A layer digest: a tensor hash (:func:`repro.core.tensor_hash`).
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 class Reply(NamedTuple):
@@ -516,18 +527,28 @@ class GatewayServer:
         return Reply({"layers": tenant.service.layer_hashes(tenant.resolve(model_id))})
 
     def _op_recover(self, request: dict, tenant) -> Reply:
+        """Answer from the verified plan: the whole layer table, and the
+        bytes of the layers whose digest is not in ``have``.  No model is
+        built; the payload is the fetched arrays' own memory."""
         from ..nn import serialization
 
+        unread = sorted(set(request) - RECOVER_FIELDS)
+        if unread:
+            raise GatewayError("invalid", f"recover does not take {unread}")
         model_id = request.get("model_id")
         if not isinstance(model_id, str):
             raise GatewayError("invalid", "recover needs a string 'model_id'")
-        internal = tenant.resolve(model_id)
-        recovered = tenant.service.recover_model(
-            internal, verify=bool(request.get("verify", True))
-        )
-        # the recovered model is this request's alone: its arrays go to the
-        # socket from their own memory
-        payload = list(serialization.iter_serialized(recovered.model.state_dict()))
+        verify = request.get("verify", True)
+        if type(verify) is not bool:
+            raise GatewayError("invalid", "'verify' must be a JSON bool")
+        have = request.get("have", [])
+        if not (isinstance(have, list) and all(map(_is_digest, have))):
+            raise GatewayError("invalid", "'have' must be a list of 64-hex digests")
+        recovered = tenant.service.recover_layers(
+            tenant.resolve(model_id), verify=verify, have=have)
+        table = recovered.layers
+        if len(have) > len(table if table is not None else recovered.state):
+            raise GatewayError("invalid", "'have' is longer than the model's layer table")
         body = {
             "model_id": tenant.qualify(recovered.model_id),
             "verified": recovered.verified,
@@ -538,7 +559,15 @@ class GatewayServer:
                 else None
             ),
         }
-        return Reply(body, payload)
+        state = recovered.state
+        if table is not None:
+            body["layers"] = table
+            # a layer the store did not fetch by digest (a monolithic level,
+            # an MPA replay) was read whole: the client still need not get it
+            held = set(have)
+            state = {name: state[name] for name, digest in table
+                     if name in state and digest not in held}
+        return Reply(body, list(serialization.iter_serialized(state)))
 
     def _op_find(self, request: dict, tenant) -> Reply:
         use_case = request.get("use_case")
@@ -627,6 +656,10 @@ def _layer_table(table, skeleton: dict, tenant) -> tuple[dict, dict]:
             f"{sorted(digests.keys() - skeleton.keys())}",
         )
     return {name: digests[name] for name in skeleton}, references
+
+
+def _is_digest(value) -> bool:
+    return isinstance(value, str) and _DIGEST.fullmatch(value) is not None
 
 
 def _check_layer(name: str, dtype, shape, skeleton: dict) -> None:

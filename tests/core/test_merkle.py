@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MerkleTree
+from repro.core.merkle import root_of
 from tests.conftest import make_tiny_cnn
 
 
@@ -153,3 +154,16 @@ def test_property_root_equality_iff_leaves_equal(n):
     assert tree_with(n) == tree_with(n)
     if n >= 1:
         assert tree_with(n) != tree_with(n, {n - 1})
+
+
+class TestRootOf:
+    def test_every_length_folds_to_the_trees_root(self):
+        # every length from 1 to 300: each split of _build, unbalanced ones too
+        leaves = [leaf(i) for i in range(300)]
+        for n in range(1, 301):
+            names = [f"layer{i}" for i in range(n)]
+            assert root_of(leaves[:n]) == MerkleTree(names, leaves[:n]).root_hash, n
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            root_of([])
