@@ -45,7 +45,8 @@ bench-serving:
 	$(PY) scripts/bench_serving.py --smoke
 
 # fault-injection tests (fixed seeds) + the recovery plan's count gate (one
-# build, one fetch per chain recover) + the integrity gate (one check per
+# build, one fetch per chain recover) + skeleton assembly (no constructor,
+# no shared state, strict load) + the integrity gate (one check per
 # recovered byte, every corruption still caught) + the bookkeeping
 # kill/crash-point/two-process tests + the retired write formats (still
 # read bitwise, fsck-clean, corruption caught) + the file-per-blob import
@@ -61,6 +62,7 @@ chaos:
 		tests/filestore/test_segments.py \
 		tests/core/test_crash_consistency.py tests/core/test_fsck.py \
 		tests/core/test_recovery_plan.py::TestCounts \
+		tests/core/test_assembly.py \
 		tests/core/test_recovery_plan.py::TestIntegrityOfThePlan \
 		tests/core/test_byte_path.py::TestIntegrity \
 		tests/core/test_byte_path.py::TestOneCheckPerByte \

@@ -8,8 +8,9 @@ ResNet-18's.
 
 The paper's *recover* term is "instantiate the architecture, then load the
 parameters", and the instantiation initialises every weight.  The service
-no longer does that (``ArchitectureRef.build_from`` builds under
-``nn.init.skip_init`` and adopts the loaded arrays), so the anomaly is
+no longer does that (``ArchitectureRef.build_from`` assembles a cached
+skeleton, built once under ``nn.init.skip_init``, around the loaded
+arrays), so the anomaly is
 reproduced bench-locally: ``recover (paper)`` times ``architecture.build()``
 + ``load_state_dict`` on the recovered state, the ratio assertion stays on
 it, and the service's actual term is reported beside it.

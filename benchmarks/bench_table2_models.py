@@ -3,8 +3,9 @@
 Regenerates the paper's Table 2 at ``scale=1.0`` (exact parameter counts)
 and benchmarks *initialised* model construction time, which also exposes
 GoogLeNet's disproportionately slow initialization routine — the paper's
-Figure 12 anomaly.  (A recover no longer pays it: the service builds under
-``nn.init.skip_init``; ``bench_fig12_ttr_breakdown`` reports both.)
+Figure 12 anomaly.  (A recover no longer pays it: the service assembles a
+skeleton built once under ``nn.init.skip_init``; ``bench_fig12_ttr_breakdown``
+reports both.)
 """
 
 import pytest

@@ -399,8 +399,8 @@ class AbstractSaveService:
         recovering every model of an MPA chain replays each training run
         once instead of O(n²) times.
 
-        This is :meth:`recover_layers` followed by one build of the
-        architecture around the recovered state.
+        This is :meth:`recover_layers` followed by one assembly of the
+        architecture's cached skeleton around the recovered state.
         """
         with self._recover_span(model_id) as sp:
             recovered = self._recover_layers(
@@ -409,9 +409,9 @@ class AbstractSaveService:
             architecture = recovered.architecture()
             started = self.clock.perf()
             # the state was loaded for this call alone, so the model adopts it
-            model = architecture.build_from(recovered.state, assign=True)
+            model, copies = architecture.skeleton().assemble(recovered.state, assign=True)
             if recovered.layers is not None:
-                _check_adopted(model_id, model, recovered)
+                _check_adopted(model_id, copies, recovered)
             timings["recover"] += self.clock.perf() - started
             sp.set(depth=recovered.recovery_depth)
             return RecoveredModelInfo(
@@ -767,16 +767,14 @@ def _layer_table(state: OrderedDict, verified: dict) -> "OrderedDict[str, str]":
     return table
 
 
-def _check_adopted(model_id: str, model: Module, recovered: RecoveredLayers) -> None:
-    """Hash each layer the build copied or cast instead of adopting.
+def _check_adopted(model_id: str, copies: OrderedDict, recovered: RecoveredLayers) -> None:
+    """Hash each layer the assembly copied or cast instead of adopting.
 
     The root covered the arrays as recovered; a layer the model does not
-    hold as that very array must still hash to its digest.
+    hold as that very array — ``copies``, as
+    :meth:`~repro.nn.modules.Skeleton.assemble` reports them — must still
+    hash to its digest.
     """
-    copies = OrderedDict(
-        (name, array) for name, array in model.state_dict().items()
-        if array is not recovered.state.get(name)
-    )
     if not copies:
         return
     digests = dict(recovered.layers)

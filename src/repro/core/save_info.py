@@ -4,18 +4,36 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ..nn import rng
 from ..nn.init import skip_init
-from ..nn.modules import Module
+from ..nn.modules import Module, Skeleton
 from .errors import SaveError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .train_service import TrainService
 
-__all__ = ["ArchitectureRef", "ModelSaveInfo", "ProvenanceSaveInfo", "TrainRunSpec"]
+__all__ = [
+    "ArchitectureRef",
+    "ModelSaveInfo",
+    "ProvenanceSaveInfo",
+    "SKELETON_CACHE_ENTRIES",
+    "TrainRunSpec",
+]
+
+#: Most architectures whose skeleton one process keeps; the least recently
+#: used goes first.  A skeleton holds no parameter bytes.
+SKELETON_CACHE_ENTRIES = 32
+
+# (module, factory, kwargs as JSON) -> (the factory that built it, skeleton)
+_skeletons: "OrderedDict[tuple[str, str, str], tuple[object, Skeleton]]" = OrderedDict()
+_skeletons_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -57,19 +75,42 @@ class ArchitectureRef:
             )
         return model
 
+    def skeleton(self) -> Skeleton:
+        """This architecture's :class:`~repro.nn.modules.Skeleton`, built
+        on the first call in the process and kept in an LRU of
+        :data:`SKELETON_CACHE_ENTRIES`.
+
+        Keyed by ``(module, factory, kwargs)`` — the factory contract
+        (DESIGN.md §14) makes structure a function of these — and valid
+        only while the factory is the object that built it, so a reloaded
+        module builds afresh.  A miss builds under
+        :func:`~repro.nn.init.skip_init` and leaves the generator as it
+        found it; gateway workers recover concurrently, so the lookup holds
+        a lock.
+        """
+        factory = getattr(importlib.import_module(self.module), self.factory, None)
+        key = (self.module, self.factory, json.dumps(self.kwargs, sort_keys=True, default=repr))
+        with _skeletons_lock:
+            entry = _skeletons.get(key)
+            if entry is None or entry[0] is not factory:
+                with skip_init(), rng.fork_rng():
+                    model = self.build()
+                entry = _skeletons[key] = (factory, Skeleton(model))
+                if len(_skeletons) > SKELETON_CACHE_ENTRIES:
+                    _skeletons.popitem(last=False)
+            _skeletons.move_to_end(key)
+            return entry[1]
+
     def build_from(self, state: dict, *, assign: bool = False) -> Module:
         """Instantiate the architecture holding exactly ``state``.
 
-        Construction runs under :func:`~repro.nn.init.skip_init` — the
-        initial values would be overwritten a moment later — and the load
-        is strict: a key missing from ``state`` raises, so no array that
-        was never initialised survives in the returned model.  ``assign``
-        is :meth:`Module.load_state_dict`'s.
+        The model is assembled from the cached :meth:`skeleton`: no
+        constructor runs, no initial value is computed, and the load is
+        strict — a key missing from ``state`` raises, so no array that was
+        never initialised survives in the returned model.  ``assign`` is
+        :meth:`Module.load_state_dict`'s (:meth:`Skeleton.assemble`).
         """
-        with skip_init():
-            model = self.build()
-        model.load_state_dict(state, strict=True, assign=assign)
-        return model
+        return self.skeleton().assemble(state, assign)[0]
 
     def to_dict(self) -> dict:
         return {"module": self.module, "factory": self.factory, "kwargs": dict(self.kwargs)}

@@ -469,7 +469,8 @@ class GatewayServer:
         """A digest-first save: ``layers`` names every layer by digest, the
         payload carries the ones no earlier save vouches for.
 
-        Checked against the factory's skeleton before anything is stored:
+        Checked against the factory's cached skeleton
+        (``ArchitectureRef.skeleton().spec``) before anything is stored:
         the table's names, the dtype and shape of every shipped layer and of
         every referenced one, and each shipped layer's digest (the only
         layers hashed here).  References resolve in the tenant's own
@@ -479,14 +480,12 @@ class GatewayServer:
         """
         from ..core import ParameterUpdateSaveService
         from ..core.hashing import state_dict_hashes
-        from ..nn.init import skip_init
 
         if base is None:
             raise GatewayError("invalid", "a save with 'layers' needs a 'base'")
         if not isinstance(shipped, dict):
             raise GatewayError("invalid", "the payload of a save is a state dict")
-        with skip_init():
-            skeleton = architecture.build().state_dict()
+        skeleton = architecture.skeleton().spec
         digests, references = _layer_table(request["layers"], skeleton, tenant)
         for name, array in shipped.items():
             if name not in digests or name in references:

@@ -28,6 +28,7 @@ from .modules import (
     ReLU,
     ReLU6,
     Sequential,
+    Skeleton,
 )
 from .optim import SGD, Adam, Optimizer
 from .rng import (
@@ -74,6 +75,7 @@ __all__ = [
     "ReLU",
     "ReLU6",
     "Sequential",
+    "Skeleton",
     "SGD",
     "Adam",
     "Optimizer",

@@ -6,8 +6,8 @@ All functions mutate the tensor in place and return it, mirroring
 
 Every initializer bottoms out in :func:`uniform_`, :func:`normal_`,
 :func:`trunc_normal_` or :func:`constant_`; under :func:`skip_init` those
-four return the tensor untouched and draw nothing, so a model whose state
-is about to be loaded is built without computing values nobody reads.
+four return the tensor untouched and draw nothing, so an architecture's
+skeleton is built without computing values nobody reads.
 """
 
 from __future__ import annotations
@@ -45,12 +45,14 @@ def skip_init():
     """Make every initializer on this thread a no-op until the block exits.
 
     Re-entrant and per-thread.  The tensors keep whatever their allocation
-    left in them and the generator state does not move, so the block must
-    be followed by a strict ``load_state_dict`` — which is why
-    :meth:`repro.core.save_info.ArchitectureRef.build_from` is the only
-    caller.  It relies on the contract of architecture factories: all
-    learned or derived state lives in parameters/buffers, and constructors
-    draw only through this module.
+    left in them and the generator state does not move, so nothing built
+    under it may reach a caller with those values.  Its one caller is the
+    skeleton cache's miss, :meth:`repro.core.save_info.ArchitectureRef.skeleton`,
+    which replaces every array of the model it builds with a placeholder
+    and assembles models from it around a strictly checked state.  It
+    relies on the contract of architecture factories: all learned or
+    derived state lives in parameters/buffers, and constructors draw only
+    through this module.
     """
     depth = getattr(_skip, "depth", 0)
     _skip.depth = depth + 1

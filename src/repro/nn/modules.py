@@ -9,7 +9,10 @@ all consume state dicts.
 
 from __future__ import annotations
 
+import copy
 import math
+import numbers
+import types
 from collections import OrderedDict
 from typing import Iterator
 
@@ -37,6 +40,7 @@ __all__ = [
     "Dropout",
     "LegacyDropout",
     "Flatten",
+    "Skeleton",
 ]
 
 
@@ -53,6 +57,15 @@ def _adopt_or_copy(value: np.ndarray, assign: bool) -> np.ndarray:
     if assign and flags.writeable and flags.c_contiguous and flags.aligned:
         return value
     return value.copy()
+
+
+def _loaded(key: str, value, like: np.ndarray, assign: bool) -> np.ndarray:
+    """``value`` as the array a layer shaped and typed like ``like`` holds:
+    cast to its dtype, its shape checked, adopted or copied."""
+    array = np.asarray(value, dtype=like.dtype)
+    if array.shape != like.shape:
+        raise ValueError(f"shape mismatch for {key}: {array.shape} vs {like.shape}")
+    return _adopt_or_copy(array, assign)
 
 
 class HookHandle:
@@ -216,16 +229,11 @@ class Module:
         for name, param in self._parameters.items():
             key = prefix + name
             if param is not None and key in state:
-                value = np.asarray(state[key], dtype=param.data.dtype)
-                if value.shape != param.data.shape:
-                    raise ValueError(
-                        f"shape mismatch for {key}: {value.shape} vs {param.data.shape}"
-                    )
-                param.data = _adopt_or_copy(value, assign)
-        for name in self._buffers:
+                param.data = _loaded(key, state[key], param.data, assign)
+        for name, buffer in self._buffers.items():
             key = prefix + name
             if key in state:
-                self._buffers[name] = _adopt_or_copy(np.asarray(state[key]), assign)
+                self._buffers[name] = _loaded(key, state[key], buffer, assign)
         for name, module in self._modules.items():
             if module is not None:
                 module._load_state(state, prefix + name + ".", assign)
@@ -564,3 +572,190 @@ class Flatten(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.flatten(self.start_dim)
+
+
+# -- skeleton assembly ---------------------------------------------------------------
+
+#: Attribute values an assembled module shares with its skeleton, since none
+#: can be changed in place; every other plain attribute is deep-copied.
+_IMMUTABLE = (
+    type(None), numbers.Number, str, bytes, type,
+    types.FunctionType, types.BuiltinFunctionType,
+)
+_REGISTRIES = ("_parameters", "_buffers", "_modules", "_forward_hooks")
+
+
+def _immutable(value) -> bool:
+    if isinstance(value, (tuple, frozenset)):
+        return all(_immutable(item) for item in value)
+    return isinstance(value, _IMMUTABLE)
+
+
+def _names_if_none(registry: OrderedDict) -> tuple[str, ...]:
+    """Every name of ``registry`` if one of them holds None, else none."""
+    return tuple(registry) if any(value is None for value in registry.values()) else ()
+
+
+_ZEROS: dict[np.dtype, np.ndarray] = {}
+
+
+def _placeholder(array: np.ndarray) -> np.ndarray:
+    """A read-only array of ``array``'s dtype and shape whose strides are
+    all zero: one element of memory, whatever the shape, shared by every
+    placeholder of that dtype."""
+    zero = _ZEROS.get(array.dtype)
+    if zero is None:
+        zero = _ZEROS[array.dtype] = np.zeros((), dtype=array.dtype)
+    return np.broadcast_to(zero, array.shape)
+
+
+class Skeleton:
+    """An architecture built once, holding no parameter bytes, from which
+    models are assembled around a state (DESIGN.md §14).
+
+    Made from a model whose values nobody reads — built under
+    :func:`~repro.nn.init.skip_init` — it keeps a plan of that model: each
+    distinct module once, parents first, with its type and instance dict,
+    and each parameter and buffer as a zero-stride placeholder of its
+    dtype and shape.  ``spec`` maps each state-dict name to its
+    placeholder, in state-dict order.  The model itself is let go unless
+    an attribute to deep-copy may refer to one of its modules.
+    """
+
+    def __init__(self, model: Module):
+        self.spec: OrderedDict[str, np.ndarray] = OrderedDict()
+        # per module: (type, instance-dict template, parameter names, buffer names)
+        self._nodes: list[tuple] = []
+        # per module with attributes to deep-copy: (module, their names)
+        self._mutable: list[tuple[int, tuple[str, ...]]] = []
+        # per registered child: (parent, name, child or None)
+        self._links: list[tuple[int, str, int | None]] = []
+        # per distinct parameter: (type, requires_grad)
+        self._params: list[tuple[type, bool]] = []
+        # per state-dict entry: (module, key, name, placeholder, parameter
+        # slot or None for a buffer)
+        self._tensors: list[tuple] = []
+        modules: list[Module] = []
+        params: list[Parameter] = []
+        self._visit(model, "", {}, {}, modules, params)
+        # a deep copy maps the skeleton's modules and parameters to the
+        # model's own by identity, so they must outlive the skeleton
+        self._originals = (modules, params) if self._mutable else None
+
+    def _visit(self, module: Module, prefix: str, seen: dict, slots: dict,
+               modules: list, params: list) -> int:
+        index = seen.get(id(module))
+        first = index is None
+        if first:
+            index = seen[id(module)] = len(modules)
+            modules.append(module)
+            template = {
+                name: None if name in _REGISTRIES else value
+                for name, value in module.__dict__.items()
+            }
+            mutable = tuple(
+                name for name, value in template.items()
+                if name not in _REGISTRIES and not _immutable(value)
+            )
+            if mutable:
+                self._mutable.append((index, mutable))
+            # a registry is built up in order by the tensors, unless it
+            # holds a None entry for them to fill in around
+            self._nodes.append((
+                type(module), template,
+                _names_if_none(module._parameters), _names_if_none(module._buffers),
+            ))
+        for name, param in module._parameters.items():
+            if param is None:
+                continue
+            slot = slots.get(id(param))
+            if slot is None:
+                slot = slots[id(param)] = len(params)
+                params.append(param)
+                self._params.append((type(param), param.requires_grad))
+                param.data = _placeholder(param.data)
+            self._add(index, prefix + name, name, param.data, slot)
+        for name, buffer in module._buffers.items():
+            if buffer is None:
+                continue
+            if first:
+                buffer = module._buffers[name] = _placeholder(buffer)
+            self._add(index, prefix + name, name, buffer, None)
+        for name, child in module._modules.items():
+            child_index = None
+            if child is not None:
+                child_index = self._visit(
+                    child, prefix + name + ".", seen, slots, modules, params)
+            if first:
+                self._links.append((index, name, child_index))
+        return index
+
+    def _add(self, index: int, key: str, name: str, placeholder, slot) -> None:
+        self.spec[key] = placeholder
+        self._tensors.append((index, key, name, placeholder, slot))
+
+    def assemble(
+        self, state: dict, assign: bool = False
+    ) -> tuple[Module, "OrderedDict[str, np.ndarray]"]:
+        """A new model holding exactly ``state``, and the layers it copied.
+
+        One pass over the plan.  Each module is a new instance of its
+        skeleton module's type with a copy of its instance dict, new
+        registries and no forward hooks; immutable attributes are shared,
+        every other one is deep-copied.  The load is
+        :meth:`Module.load_state_dict`'s, strict: a key set other than
+        ``spec``'s raises ``KeyError`` before anything is built, a shape
+        other than the layer's ``ValueError``; each value is cast to the
+        layer's dtype and adopted under ``assign`` if its layout allows,
+        else copied.  ``requires_grad`` is the skeleton's.  The second
+        value maps every layer the model does not hold as ``state``'s own
+        array to the array it holds instead.
+        """
+        if state.keys() != self.spec.keys():
+            missing = [key for key in self.spec if key not in state]
+            unexpected = [key for key in state if key not in self.spec]
+            raise KeyError(
+                f"state dict mismatch: missing={missing[:5]} unexpected={unexpected[:5]}"
+            )
+        modules = []
+        for cls, template, parameters, buffers in self._nodes:
+            module = cls.__new__(cls)
+            attributes = module.__dict__
+            attributes.update(template)
+            attributes["_parameters"] = (
+                OrderedDict.fromkeys(parameters) if parameters else OrderedDict())
+            attributes["_buffers"] = OrderedDict.fromkeys(buffers) if buffers else OrderedDict()
+            attributes["_modules"] = OrderedDict()
+            attributes["_forward_hooks"] = OrderedDict()
+            modules.append(module)
+        for parent, name, child in self._links:
+            modules[parent]._modules[name] = None if child is None else modules[child]
+        params: list[Parameter | None] = [None] * len(self._params)
+        copies: OrderedDict[str, np.ndarray] = OrderedDict()
+        for index, key, name, placeholder, slot in self._tensors:
+            value = state[key]
+            array = _loaded(key, value, placeholder, assign)
+            if array is not value:
+                copies[key] = array
+            if slot is None:
+                modules[index]._buffers[name] = array
+                continue
+            param = params[slot]
+            if param is None:
+                cls, requires_grad = self._params[slot]
+                param = params[slot] = cls.__new__(cls)
+                param.grad = None
+                param.requires_grad = requires_grad
+                param._node = None
+            param.data = array  # a tied parameter holds its last key's array
+            modules[index]._parameters[name] = param
+        if self._mutable:
+            originals, parameters = self._originals
+            memo = {id(old): new for old, new in zip(originals, modules)}
+            memo.update((id(old), new) for old, new in zip(parameters, params))
+            for index, names in self._mutable:
+                template = self._nodes[index][1]
+                target = modules[index].__dict__
+                for name in names:
+                    target[name] = copy.deepcopy(template[name], memo)
+        return modules[0], copies

@@ -238,10 +238,10 @@ class TestAdoption:
         assert_state_equals(recovered.model, tip_saved)
 
     def test_recover_peak_memory_holds_no_copy_of_the_state(self, tmp_path):
-        """Peak = the adopted state + the skeleton's never-touched
-        ``np.empty`` allocations (tracemalloc counts them, the OS never
-        backs them) + transients: 2.04x here.  One more copy of the bytes
-        anywhere makes it 3x, which is what the copying path measured."""
+        """Peak = the adopted state + transients: 1.04x here.  The model is
+        assembled from a cached skeleton that allocates no array; one more
+        copy of the bytes anywhere makes it 2x, and the ``np.empty`` arrays
+        a construction per recover allocated made it 2.04x."""
         files = FileStore(tmp_path / "files")
         service = BaselineSaveService(DocumentStore(), files)
         arch = ArchitectureRef.from_factory(
@@ -261,7 +261,7 @@ class TestAdoption:
         finally:
             tracemalloc.stop()
         assert recovered.verified is True
-        assert peak < 2.25 * state_bytes, f"peak {peak} vs state {state_bytes}"
+        assert peak < 1.25 * state_bytes, f"peak {peak} vs state {state_bytes}"
 
 
 class TestSkipInit:

@@ -35,7 +35,7 @@ from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import FileStore, NetworkModel, SimulatedNetworkFileStore
 from repro.filestore.store import is_file_id, layer_chunk_digests
 from repro.nn import rng
-from repro.nn.modules import Module
+from repro.nn.modules import Module, Skeleton
 from tests.conftest import make_tiny_cnn
 from tests.filestore.retired_formats import RetiredFormatStore
 
@@ -270,12 +270,14 @@ class TestCounts:
         service = ParameterUpdateSaveService(DocumentStore(), files)
         ids, states = save_pua_chain(service, 16, layers=FLOAT_LAYERS)
 
-        builds = count_calls(monkeypatch, ArchitectureRef, "build_from")
+        # every build looks its skeleton up once and assembles it once
+        builds = count_calls(monkeypatch, ArchitectureRef, "skeleton")
+        walks = count_calls(monkeypatch, Skeleton, "assemble")
         loads = count_calls(monkeypatch, Module, "load_state_dict")
         reads = spy_on_chunk_reads(files)
         recovered = assert_recovers(service, ids[-1], states[-1])
         assert recovered.recovery_depth == 16
-        assert len(builds) == 1 and len(loads) == 1
+        assert len(builds) == 1 and len(walks) == 1 and loads == []
         # one read per layer of the tip, of the tip's own chunks: nothing a
         # later level overrides is fetched, nothing is fetched twice
         assert Counter(reads) == Counter(state_dict_hashes(states[-1]).values())

@@ -80,6 +80,25 @@ class TestStateDict:
         with pytest.raises(ValueError, match="shape mismatch"):
             model.load_state_dict(state)
 
+    def test_buffer_shape_mismatch_raises(self):
+        bn = nn.BatchNorm2d(4)
+        state = bn.state_dict()
+        state["running_mean"] = np.zeros(7, dtype=np.float64)
+        with pytest.raises(ValueError, match="shape mismatch for running_mean"):
+            bn.load_state_dict(state)
+
+    def test_buffer_is_cast_to_its_dtype(self):
+        bn = nn.BatchNorm2d(4)
+        state = bn.state_dict()
+        state["running_mean"] = np.arange(4, dtype=np.float64)
+        state["num_batches_tracked"] = np.float32(3)
+        bn.load_state_dict(state, assign=True)
+        loaded = bn.state_dict()
+        assert loaded["running_mean"].dtype == np.float32
+        assert np.array_equal(loaded["running_mean"], np.arange(4))
+        assert loaded["num_batches_tracked"].dtype == np.int64
+        assert int(loaded["num_batches_tracked"]) == 3
+
     def test_load_copies_rather_than_aliases(self):
         model = make_tiny_cnn()
         state = model.state_dict()
