@@ -47,7 +47,9 @@ bench-serving:
 # fault-injection tests (fixed seeds) + the recovery plan's count gate (one
 # build, one fetch per chain recover) + skeleton assembly (no constructor,
 # no shared state, strict load) + the integrity gate (one check per
-# recovered byte, every corruption still caught) + the bookkeeping
+# recovered byte, every corruption still caught; a PUA save's derived
+# Merkle tree equals a fresh one, a stale or planted cached tree is
+# ignored) + the bookkeeping
 # kill/crash-point/two-process tests + the retired write formats (still
 # read bitwise, fsck-clean, corruption caught) + the file-per-blob import
 # (a crash at every step, single store and 3x2 cluster) + one log (the
@@ -66,6 +68,8 @@ chaos:
 		tests/core/test_recovery_plan.py::TestIntegrityOfThePlan \
 		tests/core/test_byte_path.py::TestIntegrity \
 		tests/core/test_byte_path.py::TestOneCheckPerByte \
+		tests/core/test_merkle.py::TestDerive \
+		tests/core/test_param_update.py::TestTreeCache \
 		tests/filestore/test_bookkeeping.py::TestReopenWithoutClose \
 		tests/filestore/test_bookkeeping.py::TestTwoProcesses \
 		tests/filestore/test_bookkeeping.py::TestRefcountLogCrashPoints \

@@ -24,7 +24,6 @@ from .baseline import BaselineSaveService
 from .errors import SaveError
 from .hashing import state_dict_hashes
 from .heuristics import CostEstimate, CostModel, ScenarioProfile
-from .merkle import MerkleTree
 from .param_update import ParameterUpdateSaveService
 from .provenance import ProvenanceSaveService
 from .save_info import ArchitectureRef, ModelSaveInfo, ProvenanceSaveInfo
@@ -93,15 +92,14 @@ class AdaptiveSaveService(AbstractSaveService):
         """Fraction of parameter bytes changed vs. the base (1.0 if unknown)."""
         if save_info.base_model_id is None:
             return 1.0
-        base_document = self._get_model_document(save_info.base_model_id)
-        base_hashes = base_document.get("layer_hashes")
-        if not base_hashes:
-            return 1.0
         try:
-            base_tree = MerkleTree.from_layer_hashes(OrderedDict(base_hashes))
-            current_tree = MerkleTree.from_layer_hashes(state_dict_hashes(state))
+            # through the PUA service's tree cache: a hit reads the base's root only
+            base_tree, current_tree = self._services[APPROACH_PARAM_UPDATE]._trees_for(
+                save_info.base_model_id, state_dict_hashes(state))
             changed = set(current_tree.diff(base_tree).changed_layers)
-        except ValueError:  # architecture changed: treat as fully updated
+        except (SaveError, ValueError):
+            # no layer hashes on the base, or another architecture:
+            # treat as fully updated
             return 1.0
         total = sum(array.nbytes for array in state.values())
         if total == 0:
@@ -160,7 +158,8 @@ class AdaptiveSaveService(AbstractSaveService):
         # plain snapshots cannot be saved as provenance (no training record)
         approaches = {APPROACH_BASELINE}
         if save_info.base_model_id is not None:
-            base_document = self._get_model_document(save_info.base_model_id)
+            base_document = self._get_model_document(
+                save_info.base_model_id, projection=("layer_hashes",))
             if base_document.get("layer_hashes"):
                 approaches.add(APPROACH_PARAM_UPDATE)
         return approaches

@@ -9,12 +9,17 @@ nodes combine their children's hashes.  Two uses:
   8 comparisons for an 8-layer model with two trailing changed layers; 13
   instead of 64 for a 64-layer model — the paper's example numbers).
 
+A derived model's tree need not be built from scratch: :meth:`MerkleTree.derive`
+shares every subtree of its base's tree whose leaves did not change and
+hashes only the ancestors of the changed ones.
+
 ``diff`` counts the comparisons it performs so the Merkle-vs-flat ablation
 bench can report them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -39,7 +44,7 @@ def root_of(leaves: Sequence[str]) -> str:
     return fold(0, len(leaves))
 
 
-@dataclass
+@dataclass(slots=True)
 class MerkleNode:
     """A node covering leaves ``[start, stop)`` of the layer list."""
 
@@ -82,6 +87,44 @@ class MerkleTree:
     @classmethod
     def from_layer_hashes(cls, layer_hashes: Mapping[str, str]) -> "MerkleTree":
         return cls(list(layer_hashes.keys()), list(layer_hashes.values()))
+
+    def derive(self, layer_names: Sequence[str], leaf_hashes: Sequence[str]) -> "MerkleTree":
+        """``MerkleTree(layer_names, leaf_hashes)``, built from this tree.
+
+        Equal to the fresh tree node for node, but every subtree whose
+        leaves are unchanged is this tree's own node, so only the ancestors
+        of changed leaves are hashed: at most ``k * ceil(log2 n)`` combines
+        for ``k`` changed leaves, instead of ``n - 1``.  The new tree keeps
+        this tree's layer-name list and, for unchanged layers, its leaf
+        strings.  Nothing of this tree is mutated, so both stay valid.
+        Over another layer list nothing can be shared: the tree is built
+        from scratch.
+        """
+        if len(layer_names) != len(leaf_hashes):
+            raise ValueError("layer_names and leaf_hashes must align")
+        if layer_names != self.layer_names:
+            return MerkleTree(layer_names, leaf_hashes)
+        ours = self.leaf_hashes
+        leaves = [old if old == new else new for old, new in zip(ours, leaf_hashes)]
+        changed = [index for index, (old, new) in enumerate(zip(ours, leaves)) if old is not new]
+        tree = MerkleTree.__new__(MerkleTree)
+        tree.layer_names = self.layer_names
+        tree.leaf_hashes = leaves
+        tree.root = self._rehash(self.root, leaves, changed, 0, len(changed))
+        return tree
+
+    @classmethod
+    def _rehash(cls, node: MerkleNode, leaves, changed, lo: int, hi: int) -> MerkleNode:
+        """``node``'s counterpart over ``leaves``; ``changed[lo:hi]`` are the
+        changed leaf indices it covers."""
+        if lo == hi:
+            return node
+        if node.left is None:
+            return MerkleNode(leaves[node.start], node.start, node.stop)
+        mid = bisect_left(changed, node.left.stop, lo, hi)
+        left = cls._rehash(node.left, leaves, changed, lo, mid)
+        right = cls._rehash(node.right, leaves, changed, mid, hi)
+        return MerkleNode(combine_hashes(left.hash, right.hash), node.start, node.stop, left, right)
 
     def _build(self, start: int, stop: int) -> MerkleNode:
         if stop - start == 1:

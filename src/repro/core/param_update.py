@@ -14,13 +14,20 @@ already holds (:meth:`~ParameterUpdateSaveService.held_layers`).  A
 :class:`ModelSaveInfo` save hashes its model and calls the same core with
 every array; the serving gateway calls it with only the layers a client
 shipped (DESIGN.md §15.1).
+
+Each service keeps the Merkle trees of the models it saved, by model id, in
+a small LRU.  A derived save whose base tree is there derives its own tree
+from it (:meth:`~repro.core.merkle.MerkleTree.derive`), hashing only the
+paths of the changed layers, and reads only the base's ``merkle_root``.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Mapping
 
+from .. import obs
 from .abstract import AbstractSaveService
 from .errors import LayersNeededError, ModelNotFoundError, SaveError
 from .hashing import state_dict_hashes
@@ -29,6 +36,12 @@ from .save_info import ModelSaveInfo
 from .schema import APPROACH_PARAM_UPDATE
 
 __all__ = ["ParameterUpdateSaveService", "extract_parameter_update"]
+
+#: Merkle trees a service keeps: those of the models its latest saves wrote
+#: or derived from.  A derived tree shares all but ~k log2(n) nodes with its
+#: base's, so a chain of cached trees costs little more than its first
+#: (DESIGN.md §14).
+TREE_CACHE_ENTRIES = 32
 
 
 def extract_parameter_update(
@@ -70,6 +83,73 @@ class ParameterUpdateSaveService(AbstractSaveService):
         self.use_merkle = use_merkle
         #: hash comparisons performed by the most recent save (ablation metric)
         self.last_diff: DiffResult | None = None
+        # model id -> MerkleTree, least recently used first; the gateway's
+        # workers share one service, so lookups and inserts hold the lock
+        self._trees: OrderedDict[str, MerkleTree] = OrderedDict()
+        self._trees_lock = threading.Lock()
+        # the trees a running save will cache once it commits, per thread
+        self._saving = threading.local()
+        registry = obs.registry()
+        self._obs_tree_hits = registry.counter(
+            "mmlib_merkle_tree_cache_total", "Base trees of derived saves", result="hit")
+        self._obs_tree_misses = registry.counter(
+            "mmlib_merkle_tree_cache_total", "Base trees of derived saves", result="miss")
+
+    def _run_save(self, save, *args) -> str:
+        """Run the save, then cache the trees it built: a save that rolls
+        back caches nothing."""
+        self._saving.trees = trees = []
+        try:
+            model_id = super()._run_save(save, *args)
+        finally:
+            self._saving.trees = None
+        with self._trees_lock:
+            for tree_id, tree in trees:
+                self._trees[tree_id] = tree
+                self._trees.move_to_end(tree_id)
+            while len(self._trees) > TREE_CACHE_ENTRIES:
+                self._trees.popitem(last=False)
+        return model_id
+
+    def _trees_for(self, base_model_id: str, hashes: Mapping[str, str]):
+        """``(base tree, tree over hashes)`` for a save derived from
+        ``base_model_id``.
+
+        The base's cached tree serves if it covers the same layer names and
+        its root is the base document's ``merkle_root``; then only that
+        field is read.  Otherwise the tree is built from the document's
+        ``layer_hashes`` (:class:`SaveError` if it has none).  Either way
+        the new tree is derived from the base's, sharing its unchanged
+        subtrees.  A missing base raises
+        :class:`~repro.errors.ModelNotFoundError`.
+        """
+        names = list(hashes)
+        with self._trees_lock:
+            cached = self._trees.get(base_model_id)
+            if cached is not None:
+                self._trees.move_to_end(base_model_id)
+        if cached is not None and cached.layer_names == names and self._get_model_document(
+                base_model_id, projection=("merkle_root",)).get("merkle_root") == cached.root_hash:
+            self._obs_tree_hits.inc()
+            base_tree = cached
+        else:
+            self._obs_tree_misses.inc()
+            base_hash_list = self._get_model_document(
+                base_model_id, projection=("layer_hashes",)).get("layer_hashes")
+            if not base_hash_list:
+                raise SaveError(
+                    f"base model {base_model_id} has no layer hashes; "
+                    "it was not saved by the parameter update approach"
+                )
+            base_tree = MerkleTree.from_layer_hashes(OrderedDict(base_hash_list))
+            self._keep_tree(base_model_id, base_tree)
+        return base_tree, base_tree.derive(names, list(hashes.values()))
+
+    def _keep_tree(self, model_id: str, tree: MerkleTree) -> None:
+        """Cache ``tree`` for ``model_id`` once the running save commits."""
+        trees = getattr(self._saving, "trees", None)
+        if trees is not None:
+            trees.append((model_id, tree))
 
     def _save_model(self, save_info: ModelSaveInfo) -> str:
         """Save a model; full snapshot for initial models, update otherwise."""
@@ -173,15 +253,7 @@ class ParameterUpdateSaveService(AbstractSaveService):
         return held
 
     def _save_layers(self, base_model_id, hashes, arrays, held, use_case) -> str:
-        base_document = self._get_model_document(base_model_id, projection=("layer_hashes",))
-        base_hash_list = base_document.get("layer_hashes")
-        if not base_hash_list:
-            raise SaveError(
-                f"base model {base_model_id} has no layer hashes; "
-                "it was not saved by the parameter update approach"
-            )
-        base_tree = MerkleTree.from_layer_hashes(OrderedDict(base_hash_list))
-        current_tree = MerkleTree.from_layer_hashes(hashes)
+        base_tree, current_tree = self._trees_for(base_model_id, hashes)
         update, diff = extract_parameter_update(
             arrays, current_tree, base_tree, use_merkle=self.use_merkle
         )
@@ -207,4 +279,6 @@ class ParameterUpdateSaveService(AbstractSaveService):
             "layer_hashes": [[k, v] for k, v in hashes.items()],
             "merkle_root": current_tree.root_hash,
         }
-        return self._insert_model_document(document)
+        model_id = self._insert_model_document(document)
+        self._keep_tree(model_id, current_tree)
+        return model_id

@@ -71,24 +71,49 @@ def new_object_id() -> str:
     return str(ObjectId())
 
 
-def _check_json_value(value, path: str) -> None:
-    if value is None or isinstance(value, (bool, int, float, str)):
+_SCALARS = (bool, int, float, str)
+
+
+class _InvalidValue(Exception):
+    """A non-JSON part of a document.  ``steps`` is its path below the
+    root, innermost first, filled in as the check unwinds: the path is
+    formatted only for a document that fails."""
+
+    def __init__(self, message):
+        self.message = message  # path -> the DocumentError's text
+        self.steps: list[str] = []
+
+
+def _check_json_value(value) -> None:
+    if value is None or isinstance(value, _SCALARS):
         return
     if isinstance(value, (list, tuple)):
         for index, item in enumerate(value):
-            _check_json_value(item, f"{path}[{index}]")
+            if item is None or isinstance(item, _SCALARS):
+                continue
+            try:
+                _check_json_value(item)
+            except _InvalidValue as invalid:
+                invalid.steps.append(f"[{index}]")
+                raise
         return
     if isinstance(value, dict):
         for key, item in value.items():
             if not isinstance(key, str):
-                raise DocumentError(f"non-string key at {path}: {key!r}")
+                raise _InvalidValue(lambda path: f"non-string key at {path}: {key!r}")
             if key.startswith("$"):
-                raise DocumentError(f"field name may not start with '$': {path}.{key}")
-            _check_json_value(item, f"{path}.{key}")
+                raise _InvalidValue(
+                    lambda path: f"field name may not start with '$': {path}.{key}")
+            if item is None or isinstance(item, _SCALARS):
+                continue
+            try:
+                _check_json_value(item)
+            except _InvalidValue as invalid:
+                invalid.steps.append(f".{key}")
+                raise
         return
-    raise DocumentError(
-        f"value at {path} has non-JSON type {type(value).__name__}"
-    )
+    raise _InvalidValue(
+        lambda path: f"value at {path} has non-JSON type {type(value).__name__}")
 
 
 def check_document(document: dict) -> None:
@@ -96,7 +121,11 @@ def check_document(document: dict) -> None:
     values under string keys, none starting with ``$``."""
     if not isinstance(document, dict):
         raise DocumentError(f"document must be a dict, got {type(document).__name__}")
-    _check_json_value(document, "<root>")
+    try:
+        _check_json_value(document)
+    except _InvalidValue as invalid:
+        path = "<root>" + "".join(reversed(invalid.steps))
+        raise DocumentError(invalid.message(path)) from None
 
 
 def validate_document(document: dict) -> dict:

@@ -60,6 +60,27 @@ class TestSnapshotRouting:
         document = mem_doc_store.collection(MODELS).get(derived_id)
         assert document["update_file"]
 
+    def test_profiling_reads_only_the_fields_it_needs(self, service, mem_doc_store, monkeypatch):
+        """The base document is never copied whole; once the PUA service
+        caches the base's tree, the profile reads the base's root only."""
+        base = make_tiny_cnn()
+        base_id = service.save_model(ModelSaveInfo(base, tiny_arch()))
+        first = perturb_classifier(base)
+        first_id = service.save_model(ModelSaveInfo(first, tiny_arch(), base_model_id=base_id))
+        assert service.last_choice.approach == APPROACH_PARAM_UPDATE
+        models = mem_doc_store.collection(MODELS)
+        reads = []
+        real_get = models.get
+        monkeypatch.setattr(
+            models, "get", lambda doc_id, projection=None: reads.append(
+                (doc_id, projection)) or real_get(doc_id, projection=projection))
+        service.save_model(
+            ModelSaveInfo(perturb_classifier(first), tiny_arch(), base_model_id=first_id))
+        assert service.last_choice.approach == APPROACH_PARAM_UPDATE
+        projections = [projection for doc_id, projection in reads if doc_id == first_id]
+        assert None not in projections
+        assert ("merkle_root",) in projections
+
     def test_fully_changed_derived_model_not_forced_to_pua(self, service):
         base = make_tiny_cnn(seed=1)
         base_id = service.save_model(ModelSaveInfo(base, tiny_arch()))

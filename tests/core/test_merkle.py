@@ -167,3 +167,92 @@ class TestRootOf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             root_of([])
+
+
+def nodes(tree: MerkleTree) -> list[tuple]:
+    """Every node of ``tree`` in pre-order, as (hash, start, stop, is_leaf)."""
+    out, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        out.append((node.hash, node.start, node.stop, node.is_leaf))
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    return out
+
+
+@st.composite
+def change_sets(draw):
+    """A layer count and the leaves that change: none, all, the first, the
+    last, an adjacent pair, or any subset."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["none", "all", "first", "last", "adjacent", "any"]))
+    if kind == "none":
+        return n, set()
+    if kind == "all":
+        return n, set(range(n))
+    if kind == "first":
+        return n, {0}
+    if kind == "last":
+        return n, {n - 1}
+    if kind == "adjacent":
+        start = draw(st.integers(0, n - 1))
+        return n, {start, min(start + 1, n - 1)}
+    return n, draw(st.sets(st.integers(0, n - 1), max_size=min(n, 12)))
+
+
+class TestDerive:
+    @settings(max_examples=80, deadline=None)
+    @given(case=change_sets())
+    def test_derived_tree_is_the_fresh_tree(self, case):
+        n, changed = case
+        base = tree_with(n)
+        fresh = tree_with(n, changed)
+        derived = base.derive(fresh.layer_names, fresh.leaf_hashes)
+        assert derived.root_hash == fresh.root_hash
+        assert nodes(derived) == nodes(fresh)
+        assert derived.leaf_hashes == fresh.leaf_hashes
+        assert derived.layer_names == fresh.layer_names
+        for walk in (MerkleTree.diff, MerkleTree.flat_diff):
+            assert walk(derived, base) == walk(fresh, tree_with(n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=change_sets())
+    def test_the_base_is_never_mutated(self, case):
+        n, changed = case
+        base = tree_with(n)
+        names, leaves = base.layer_names, list(base.leaf_hashes)
+        before = nodes(base)
+        base.derive(list(names), tree_with(n, changed).leaf_hashes)
+        assert nodes(base) == before == nodes(tree_with(n))
+        assert base.layer_names is names and base.leaf_hashes == leaves
+
+    def test_unchanged_leaves_and_names_are_the_bases_objects(self):
+        base = tree_with(64)
+        fresh = tree_with(64, {5, 63})
+        # equal strings that are other objects, as a save's digests are
+        new_leaves = [str(h.encode().decode()) for h in fresh.leaf_hashes]
+        assert all(a is not b for a, b in zip(new_leaves, fresh.leaf_hashes))
+        derived = base.derive([f"layer{i}" for i in range(64)], new_leaves)
+        assert derived.layer_names is base.layer_names
+        for index, (ours, theirs) in enumerate(zip(derived.leaf_hashes, base.leaf_hashes)):
+            assert (ours is theirs) == (index not in {5, 63}), index
+
+    def test_only_the_changed_paths_are_hashed(self, monkeypatch):
+        import math
+
+        from repro.core import merkle
+
+        base, new = tree_with(300), tree_with(300, {7, 298})
+        calls = []
+        real = merkle.combine_hashes
+        monkeypatch.setattr(merkle, "combine_hashes", lambda a, b: calls.append(1) or real(a, b))
+        base.derive(base.layer_names, new.leaf_hashes)
+        assert 0 < len(calls) <= 2 * math.ceil(math.log2(300))
+
+    def test_another_layer_list_is_built_from_scratch(self):
+        base = tree_with(8)
+        other = tree_with(9, {2})
+        derived = base.derive(other.layer_names, other.leaf_hashes)
+        assert nodes(derived) == nodes(other)
+        with pytest.raises(ValueError):
+            base.derive(base.layer_names, base.leaf_hashes[:-1])

@@ -236,3 +236,242 @@ class TestChainScenario:
         assert recovered.recovery_depth == 3
         got = recovered.model.state_dict()
         assert all(np.array_equal(expected[k], got[k]) for k in expected)
+
+
+def mobilenet_arch():
+    return ArchitectureRef.from_factory(
+        "repro.nn.models", "mobilenetv2", {"num_classes": 10, "scale": 0.125})
+
+
+def changed_copy(model, layer_keys, factory, delta=1.0):
+    """A fresh ``factory()`` model holding ``model``'s state with
+    ``layer_keys`` shifted by ``delta``."""
+    clone = factory()
+    state = {k: v.copy() for k, v in model.state_dict().items()}
+    for key in layer_keys:
+        state[key] = state[key] + delta
+    clone.load_state_dict(state)
+    return clone
+
+
+def expected_save(base_model, model):
+    """What a derived save must store and count, from trees built fresh."""
+    base_tree = MerkleTree.from_state_dict(base_model.state_dict())
+    tree = MerkleTree.from_state_dict(model.state_dict())
+    diff = tree.diff(base_tree)
+    return tree.root_hash, diff.changed_layers, diff.comparisons
+
+
+class TestTreeCache:
+    """A derived save derives its tree from its base's cached tree."""
+
+    def save_chain(self, service, models, arch):
+        ids = [service.save_model(ModelSaveInfo(models[0], arch))]
+        for model in models[1:]:
+            ids.append(service.save_model(ModelSaveInfo(model, arch, base_model_id=ids[-1])))
+        return ids
+
+    def test_a_cached_save_hashes_only_the_changed_paths(self, service, monkeypatch):
+        import math
+
+        from repro.core import merkle
+        from repro.nn.models import mobilenetv2
+
+        def factory():
+            return mobilenetv2(num_classes=10, scale=0.125)
+
+        base = factory()
+        keys = list(base.state_dict())[-2:]
+        first = changed_copy(base, keys, factory)
+        second = changed_copy(first, keys, factory)
+        base_id, first_id = self.save_chain(service, [base, first], mobilenet_arch())
+        assert first_id in service._trees
+        calls = []
+        real = merkle.combine_hashes
+        monkeypatch.setattr(merkle, "combine_hashes", lambda a, b: calls.append(1) or real(a, b))
+        second_id = service.save_model(
+            ModelSaveInfo(second, mobilenet_arch(), base_model_id=first_id))
+        monkeypatch.undo()
+        n, k = len(base.state_dict()), len(keys)
+        assert (n, k) == (314, 2)
+        assert len(calls) <= 2 * k * math.ceil(math.log2(n)) + 1
+        assert len(calls) <= 20  # from scratch: ~626
+        document = service.documents.collection(MODELS).get(second_id)
+        root, changed, comparisons = expected_save(first, second)
+        assert document["merkle_root"] == root
+        assert document["updated_layers"] == changed == keys
+        assert service.last_diff.comparisons == comparisons
+
+    def test_a_hit_reads_only_the_base_root(self, service, mem_doc_store, monkeypatch):
+        from repro import obs
+
+        base = make_tiny_cnn(seed=1)
+        first = perturb(base, ["5.bias"])
+        _, first_id = self.save_chain(service, [base, first], tiny_arch())
+        models = mem_doc_store.collection(MODELS)
+        reads = []
+        real_get = models.get
+        monkeypatch.setattr(
+            models, "get", lambda doc_id, projection=None: reads.append(
+                (doc_id, projection)) or real_get(doc_id, projection=projection))
+        hits = obs.registry().value("mmlib_merkle_tree_cache_total", result="hit")
+        service.save_model(
+            ModelSaveInfo(perturb(first, ["5.weight"]), tiny_arch(), base_model_id=first_id))
+        assert [r for r in reads if r[0] == first_id] == [(first_id, ("merkle_root",))]
+        assert obs.registry().value("mmlib_merkle_tree_cache_total", result="hit") == hits + 1
+
+    def test_a_tree_whose_root_disagrees_is_rebuilt_from_the_document(self, service):
+        base = make_tiny_cnn(seed=1)
+        base_id = service.save_model(ModelSaveInfo(base, tiny_arch()))
+        names = list(base.state_dict())
+        planted = MerkleTree(names, [f"{i:064x}" for i in range(len(names))])
+        service._trees[base_id] = planted
+        derived = perturb(base, ["5.weight"])
+        derived_id = service.save_model(
+            ModelSaveInfo(derived, tiny_arch(), base_model_id=base_id))
+        document = service.documents.collection(MODELS).get(derived_id)
+        root, changed, comparisons = expected_save(base, derived)
+        assert (document["merkle_root"], document["updated_layers"]) == (root, changed)
+        assert service.last_diff.comparisons == comparisons
+        assert service._trees[base_id] is not planted
+        assert service._trees[base_id].root_hash == MerkleTree.from_state_dict(
+            base.state_dict()).root_hash
+
+    def test_a_deleted_base_is_not_found(self, service, mem_doc_store):
+        from repro.core import ModelNotFoundError
+
+        base = make_tiny_cnn(seed=1)
+        first = perturb(base, ["5.bias"])
+        _, first_id = self.save_chain(service, [base, first], tiny_arch())
+        assert first_id in service._trees
+        mem_doc_store.collection(MODELS).delete_one(first_id)
+        with pytest.raises(ModelNotFoundError):
+            service.save_model(
+                ModelSaveInfo(perturb(first, ["5.bias"]), tiny_arch(), base_model_id=first_id))
+
+    def test_a_planted_tree_cannot_pass_a_corrupted_model(self, service, mem_doc_store):
+        from repro.core.errors import VerificationError
+
+        base = make_tiny_cnn(seed=1)
+        first = perturb(base, ["5.bias"])
+        _, first_id = self.save_chain(service, [base, first], tiny_arch())
+        names = list(first.state_dict())
+        planted = MerkleTree(names, [f"{i:064x}" for i in range(len(names))])
+        service._trees[first_id] = planted
+        # the document is corrupted to agree with the planted tree
+        models = mem_doc_store.collection(MODELS)
+        document = models.get(first_id)
+        document["merkle_root"] = planted.root_hash
+        models.replace_one(first_id, document)
+        with pytest.raises(VerificationError):
+            service.recover_model(first_id, verify=True)
+
+    def test_threads_save_from_one_base(self, service):
+        """More savers than cores derive from one cached base tree at once:
+        every save stores its own root and layers, and each cached tree is
+        its model's."""
+        import sys
+        import threading
+
+        base = make_tiny_cnn(seed=1)
+        first = perturb(base, ["5.bias"])
+        _, first_id = self.save_chain(service, [base, first], tiny_arch())
+        changes = [["5.weight"], ["1.running_mean", "5.bias"], ["0.weight"], []]
+        derived = [perturb(first, keys) for keys in changes]
+        barrier = threading.Barrier(len(derived))
+        saved, errors = {}, []
+
+        def save(index):
+            try:
+                barrier.wait(timeout=30)
+                saved[index] = service.save_model(
+                    ModelSaveInfo(derived[index], tiny_arch(), base_model_id=first_id))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=save, args=(i,)) for i in range(len(derived))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(saved) == len(derived)
+        for index, model_id in saved.items():
+            document = service.documents.collection(MODELS).get(model_id)
+            root, changed, _ = expected_save(first, derived[index])
+            assert (document["merkle_root"], document["updated_layers"]) == (root, changed)
+            recovered = service.recover_model(model_id, verify=True)
+            for name, value in derived[index].state_dict().items():
+                assert np.array_equal(value, recovered.model.state_dict()[name]), name
+        for model_id, tree in service._trees.items():
+            stored = service.documents.collection(MODELS).get(model_id)["merkle_root"]
+            assert tree.root_hash == stored
+
+    def test_the_cache_is_bounded(self, service, monkeypatch):
+        from repro.core import param_update
+
+        monkeypatch.setattr(param_update, "TREE_CACHE_ENTRIES", 3)
+        models = [make_tiny_cnn(seed=1)]
+        for _ in range(6):
+            models.append(perturb(models[-1], ["5.bias"]))
+        ids = self.save_chain(service, models, tiny_arch())
+        assert list(service._trees) == ids[-3:]
+
+    @pytest.mark.parametrize("step", ["_save_state", "_keep_environment"])
+    def test_a_rolled_back_save_caches_nothing(self, service, mem_doc_store, monkeypatch, step):
+        """Neither the base tree a miss built (the save fails writing its
+        chunks) nor the new tree (it fails after its document insert)."""
+        base = make_tiny_cnn(seed=1)
+        first = perturb(base, ["5.bias"])
+        base_id, first_id = self.save_chain(service, [base, first], tiny_arch())
+        service._trees.clear()
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(service, step, fail)
+        for model_id in (base_id, first_id):
+            with pytest.raises(RuntimeError, match="injected"):
+                service.save_model(ModelSaveInfo(
+                    perturb(first, ["5.weight"]), tiny_arch(), base_model_id=model_id))
+        assert mem_doc_store.collection(MODELS).count() == 2
+        assert service._trees == {}
+
+    def test_cached_and_uncached_saves_store_the_same(
+            self, mem_doc_store, file_store, monkeypatch):
+        """One chain saved twice: through cached trees, and with the cache
+        off so every tree is built from the base document, as before it
+        existed.  Roots, updated layers and comparison counts are equal."""
+        from repro.core import param_update
+        from repro.docstore import DocumentStore
+
+        def change(model, keys, delta):
+            return changed_copy(model, keys, make_tiny_cnn, delta)
+
+        models = [make_tiny_cnn(seed=1)]
+        names = list(models[0].state_dict())
+        for step, keys in enumerate(
+                [["5.bias"], [], names, names[:1], names[-1:], names[2:4], ["5.bias"]]):
+            models.append(change(models[-1], keys, 0.5 + step))
+        runs = []
+        for entries in (param_update.TREE_CACHE_ENTRIES, 0):
+            monkeypatch.setattr(param_update, "TREE_CACHE_ENTRIES", entries)
+            svc = ParameterUpdateSaveService(DocumentStore(), file_store)
+            ids = [svc.save_model(ModelSaveInfo(models[0], tiny_arch()))]
+            stored = []
+            for model in models[1:]:
+                ids.append(svc.save_model(
+                    ModelSaveInfo(model, tiny_arch(), base_model_id=ids[-1])))
+                document = svc.documents.collection(MODELS).get(ids[-1])
+                stored.append((document["merkle_root"], document["updated_layers"],
+                               svc.last_diff.comparisons))
+            assert len(svc._trees) == (entries and len(models))
+            runs.append(stored)
+        assert runs[0] == runs[1]
+        assert runs[0] == [expected_save(a, b) for a, b in zip(models, models[1:])]
