@@ -74,6 +74,8 @@ chaos:
 		tests/filestore/test_bookkeeping.py::TestTwoProcesses \
 		tests/filestore/test_bookkeeping.py::TestRefcountLogCrashPoints \
 		tests/filestore/test_legacy_import.py::TestRetiredWriteFormats \
+		tests/filestore/test_legacy_import.py::TestUpgradeCrashes \
+		tests/filestore/test_legacy_import.py::TestUpgradeWithAMemberDown \
 		tests/filestore/test_legacy_import.py::TestAStoreOfFilesPerBlob \
 		tests/filestore/test_record_log.py tests/filestore/test_parent_logs.py \
 		tests/cluster/test_sharded_store.py::TestQuorumWrites::test_every_write_kind_follows_one_quorum_policy \

@@ -371,7 +371,7 @@ class ShardedFileStore(ReplicaLedger, FileStore):
         hint_log=None,
     ):
         self._init_ledger(members, replicas, write_quorum, vnodes, detector, hint_log)
-        self._chunk_meta: dict[str, dict] = {}  # v1 chunk id -> its layer entry
+        self._chunk_meta: dict[str, dict] = {}  # chunk id -> its layer entry
         self._meta_lock = threading.Lock()
         self._unsynced: set[str] = set()  # members holding an unsynced chunk
         self._barrier_lock = threading.Lock()  # one flush barrier at a time
@@ -384,6 +384,9 @@ class ShardedFileStore(ReplicaLedger, FileStore):
             workers=workers,
             chunk_cache=chunk_cache,
         )
+        # an older release left its records on the members, not in ``root``
+        self.one_format = self.one_format and all(
+            getattr(member, "one_format", True) for member in self.members.values())
 
     @property
     def chunks(self) -> _ShardedChunkView:
@@ -394,25 +397,23 @@ class ShardedFileStore(ReplicaLedger, FileStore):
     def _harvest_chunk_meta(self, layers) -> None:
         with self._meta_lock:
             for _, meta in layers:
-                if "chunk" in meta:  # v2 entries verify by content digest
-                    self._chunk_meta[meta["chunk"]] = meta
+                self._chunk_meta[meta["chunk"]] = meta
 
     def _verify_for_repair(self, digest: str, data: bytes) -> bool | None:
         """Re-hash a record payload against its key before propagating it.
 
-        Whole-layer (v1) chunk ids are *tensor* hashes, so verification
-        needs the layer entry harvested from manifests; file ids and
-        content-defined (v2) chunk ids verify directly
+        Chunk ids are *tensor* hashes, so verification needs the layer
+        entry harvested from manifests; file ids verify directly
         (:func:`~repro.filestore.chunk_intact`).  Returns ``None`` for a
-        chunk with no harvested entry that is not a v2 piece either — the
-        caller then skips byte-level verification but may still repair
-        (the payload came from a member's CRC-checked record, the same
-        trust level fsck operates at).
+        chunk with no harvested entry — the caller then skips byte-level
+        verification but may still repair (the payload came from a
+        member's CRC-checked record, the same trust level fsck operates
+        at).
         """
         layer = self._chunk_meta.get(digest)
-        if layer is not None or is_file_id(digest):
-            return chunk_intact(digest, data, layer)
-        return True if chunk_intact(digest, data) else None
+        if layer is None and not is_file_id(digest):
+            return None
+        return chunk_intact(digest, data, layer)
 
     # -- quorum writes -------------------------------------------------------
 

@@ -25,12 +25,12 @@ import tempfile
 from collections import OrderedDict
 from contextlib import contextmanager
 from functools import partial
-from itertools import groupby
 from pathlib import Path
 from typing import Callable
 
 from .. import obs
-from ..nn import rng, serialization
+from ..filestore import upgrade
+from ..nn import rng
 from ..docstore.engine import DuplicateKeyError
 from ..retry import RetryingDocumentStore
 from ..nn.modules import Module
@@ -84,6 +84,10 @@ class AbstractSaveService:
     ``retry`` (a :class:`~repro.retry.RetryPolicy`) makes document
     operations retry transient store failures; pass the same policy to the
     file store so both halves of a save share one backoff budget.
+
+    Opening a service over a file store an older release wrote upgrades
+    it (:func:`~repro.filestore.upgrade.upgrade`); over any other it costs
+    nothing.
     """
 
     #: Set by subclasses; stored in every model document they save.
@@ -129,6 +133,8 @@ class AbstractSaveService:
         else:
             self.dataset_manager = DatasetManager(file_store, codec=dataset_codec)
         self._scratch_dir = Path(scratch_dir) if scratch_dir else None
+        if not getattr(file_store, "one_format", True):
+            upgrade.upgrade(self)
 
     # ------------------------------------------------------------------
     # save
@@ -259,34 +265,20 @@ class AbstractSaveService:
     ) -> OrderedDict:
         """Inverse of :meth:`_save_state` over a chain's levels, base first.
 
-        A layer is taken from the last level that holds it.  Consecutive
-        chunked levels are one call into the file store, which merges their
-        manifests before it fetches; a monolithic ``.params``/``.update``
-        blob, which older releases wrote, is loaded whole.
-        With ``verified``, the store checks every chunked layer against its
-        digest as it fetches it, and each one that passed is recorded there
-        as ``name -> (array, digest)``.  A chunked layer whose digest is in
+        One call into the file store, which merges the levels' manifests —
+        a layer is taken from the last level that holds it — before it
+        fetches.  With ``verified``, the store checks every layer against
+        its digest as it fetches it, and each one that passed is recorded
+        there as ``name -> (array, digest)``.  A layer whose digest is in
         ``have`` is not fetched: it maps to ``None`` in the returned state
         and to ``(None, digest)`` in ``verified``.
         """
-        state = OrderedDict()
-        for chunked, run in groupby(file_ids, key=self._is_chunked_file):
-            if chunked:
-                digests = None if verified is None else {}
-                loaded = self.files.recover_state_chunks(
-                    list(run), verified=digests, skip=have)
-                state.update(loaded)
-                if digests:
-                    verified.update(
-                        (name, (loaded[name], digest)) for name, digest in digests.items())
-            else:
-                for file_id in run:
-                    state.update(serialization.loads(self.files.recover_bytes(file_id)))
+        digests = None if verified is None else {}
+        state = self.files.recover_state_chunks(file_ids, verified=digests, skip=have)
+        if digests:
+            verified.update(
+                (name, (state[name], digest)) for name, digest in digests.items())
         return state
-
-    @staticmethod
-    def _is_chunked_file(file_id: str) -> bool:
-        return file_id.endswith(".manifest")
 
     def _insert_model_document(self, document: dict) -> str:
         model_id = new_model_id()
@@ -750,8 +742,8 @@ def _layer_table(state: OrderedDict, verified: dict) -> "OrderedDict[str, str]":
     A layer the state holds as the very array the store verified — or, as
     ``None``, a layer the caller holds that was not fetched — contributes
     that digest.  Every other layer — from an MPA base (replayed or
-    cached) or a monolithic level — is hashed here, so each parameter byte
-    is hashed once either way.
+    cached) — is hashed here, so each parameter byte is hashed once either
+    way.
     """
     table = OrderedDict()
     unverified = OrderedDict()

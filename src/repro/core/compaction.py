@@ -166,12 +166,8 @@ class ChainCompactor:
             document["compacted"] = {"from_depth": depth or recovered.recovery_depth}
             document.pop("update_file", None)
             document.pop("updated_layers", None)
-            self._fault("compact.commit")
-            models.replace_one(model_id, document)  # <-- the commit point
-
-            self._fault("compact.cleanup")
-            if old_update_file:
-                self.files.delete(old_update_file)
+            self.swap(model_id, document, release=(
+                (lambda: self.files.delete(old_update_file)) if old_update_file else None))
 
         self._obs_materialized.inc()
         self._obs_released.inc(released)
@@ -179,6 +175,18 @@ class ChainCompactor:
             "chain_compacted", model_id=model_id,
             depth=depth or recovered.recovery_depth, released_bytes=released)
         return {"model_id": model_id, "released_bytes": released}
+
+    def swap(self, model_id: str, document: dict, release=None) -> None:
+        """The one chain rewrite's commit (see the module docstring), shared
+        with the upgrader: ``document``'s artifacts are written and flushed,
+        its replace commits, then ``release`` gives up what it superseded.
+        Fault points ``compact.commit`` and ``compact.cleanup`` precede the
+        replace and the release."""
+        self._fault("compact.commit")
+        self.documents.collection(MODELS).replace_one(model_id, document)  # the commit point
+        self._fault("compact.cleanup")
+        if release is not None:
+            release()
 
     def _obs_tracer_span(self, model_id: str):
         return obs.tracer().span("compaction.materialize", model_id=model_id)

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import obs
-from ..filestore.store import chunk_intact, is_file_id, layer_chunk_digests
+from ..filestore import upgrade
+from ..filestore.store import chunk_intact, is_file_id
 from ..docstore.engine import DuplicateKeyError
 from .abstract import AbstractSaveService
 from .compaction import DEFAULT_MAX_DEPTH, ChainCompactor
@@ -670,7 +671,9 @@ class ModelManager:
            and referenced files exist, and every content-addressed
            environment document still hashes back to its id (audit only);
         3. every manifest's chunks exist and (with ``verify_chunks``)
-           hash back to their content digests;
+           hash back to their content digests; a level an older release
+           wrote and no open has upgraded is a ``retired_level`` (a v2
+           manifest's pieces stay referenced);
         4. (none of its own: a file is a record, so 5 finds orphan files);
         5. every record's refcount equals what the live documents and
            manifests reference — a file 1 if any document names it (a
@@ -869,39 +872,48 @@ class ModelManager:
                 continue
             expected_refs[file_id] = 1
             if not files.is_manifest_id(file_id):
+                # only an unmarked store can hold a blob level (§11)
+                if not getattr(files, "one_format", True) and file_id.endswith(
+                        upgrade.BLOB_SUFFIXES):
+                    report.add("retired_level", f"{file_id} is a blob an open upgrades")
                 continue
             try:
                 manifest = files.read_manifest(file_id)
             except (IOError, ValueError) as exc:
-                report.add("corrupt_manifest", f"manifest {file_id}: {exc}")
+                pieces = upgrade.v2_pieces(files, file_id)
+                if pieces is None:
+                    report.add("corrupt_manifest", f"manifest {file_id}: {exc}")
+                else:  # its pieces stay referenced until an open upgrades it
+                    report.add("retired_level", f"{file_id} is a v2 manifest")
+                    expected_refs.update(pieces)
                 continue
             for name, meta in manifest["layers"]:
-                for digest in layer_chunk_digests(meta):
-                    expected_refs[digest] += 1
-                    if not files.has_chunk(digest):
-                        report.add(
-                            "missing_chunk",
-                            f"manifest {file_id} layer {name!r} references "
-                            f"missing chunk {digest[:12]}…",
-                        )
-                        continue
-                    if not verify_chunks or digest in verified:
-                        continue
-                    verified.add(digest)
-                    # read straight from disk: fsck audits what is stored,
-                    # not what a faulty link would deliver; a record that
-                    # fails its CRC and bytes that fail their digest both
-                    # count as corruption here
-                    try:
-                        intact = chunk_intact(digest, files.chunks.get(digest), meta)
-                    except (OSError, KeyError, ValueError, TypeError):
-                        intact = False
-                    if not intact:
-                        report.add(
-                            "corrupt_chunk",
-                            f"chunk {digest[:12]}… (layer {name!r} of {file_id}) "
-                            "does not hash back to its digest",
-                        )
+                digest = meta["chunk"]
+                expected_refs[digest] += 1
+                if not files.has_chunk(digest):
+                    report.add(
+                        "missing_chunk",
+                        f"manifest {file_id} layer {name!r} references "
+                        f"missing chunk {digest[:12]}…",
+                    )
+                    continue
+                if not verify_chunks or digest in verified:
+                    continue
+                verified.add(digest)
+                # read straight from disk: fsck audits what is stored, not
+                # what a faulty link would deliver; a record that fails its
+                # CRC and bytes that fail their digest both count as
+                # corruption here
+                try:
+                    intact = chunk_intact(digest, files.chunks.get(digest), meta)
+                except (OSError, KeyError, ValueError, TypeError):
+                    intact = False
+                if not intact:
+                    report.add(
+                        "corrupt_chunk",
+                        f"chunk {digest[:12]}… (layer {name!r} of {file_id}) "
+                        "does not hash back to its digest",
+                    )
         report.checked_files = len(files.file_ids())
         report.checked_chunks = sum(1 for key in expected_refs if not is_file_id(key))
 

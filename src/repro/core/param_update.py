@@ -237,10 +237,7 @@ class ParameterUpdateSaveService(AbstractSaveService):
                     raise ValueError(
                         f"model {source!r} holds no layer {name!r} with digest {digest}")
             own = document.get("update_file") or document.get("parameters_file")
-            entries = (
-                dict(self.files.read_manifest(own)["layers"])
-                if own and self._is_chunked_file(own) else {}
-            )
+            entries = dict(self.files.read_manifest(own)["layers"]) if own else {}
             for name, digest in layers:
                 meta = entries.get(name)
                 if meta is None or meta.get("chunk") != digest:

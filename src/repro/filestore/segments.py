@@ -63,7 +63,7 @@ from typing import Iterable, Mapping
 
 from .. import obs
 from ..errors import StoreCorruptionError
-from . import codecs as chunk_codecs
+from . import upgrade
 from .recordlog import (
     RECORD_HEADER, RECORD_MAGIC, RecordLog, next_whole_record, read_record, record_header,
     write_all)
@@ -241,8 +241,7 @@ class ChunkStore:
             "Chunk bytes skipped because the chunk already existed")
         self._obs_stored = registry.counter(
             "mmlib_chunks_stored_bytes_total",
-            "Record payload bytes physically written (raw, escape-framed when "
-            "they start with the frame magic)")
+            "Record payload bytes physically written")
         self._obs_appends = registry.counter(
             "mmlib_segment_appends_total", "Chunk records appended to segments")
         self._obs_batches = registry.counter(
@@ -270,24 +269,13 @@ class ChunkStore:
             self._update_gauges_locked()
         self._import_legacy_chunks()
 
-    # -- record framing / dedup accounting -----------------------------------
+    # -- record payloads / dedup accounting -----------------------------------
 
     @staticmethod
     def _encode(view: memoryview):
-        """At-rest payload for one chunk: the raw bytes, zero-copy — unless
-        they start with the frame magic, which is escape-framed so
-        :meth:`_decode` stays unambiguous (see
-        :mod:`repro.filestore.codecs`)."""
-        if bytes(view[:4]) != chunk_codecs.FRAME_MAGIC:
-            return view
-        return chunk_codecs.escape(view)
-
-    @staticmethod
-    def _decode(payload):
-        """Chunk bytes for one at-rest payload: the payload itself when it
-        is unframed, else its decoded frame (an escape frame, or a zlib /
-        lz4 frame an older release wrote)."""
-        return chunk_codecs.decode(payload)
+        """At-rest payload for one chunk: its bytes as they are, zero-copy
+        (a writer of an older release's format substitutes its own)."""
+        return view
 
     def _account_put(self, raw_nbytes: int, stored_nbytes: int | None = None) -> None:
         """Record one put: deduped when ``stored_nbytes`` is ``None``."""
@@ -644,8 +632,8 @@ class ChunkStore:
         """Fold every regular file of ``directory`` into the store.
 
         Each file becomes a record keyed by its name: under the store's
-        ``flock`` every file is :meth:`put` (decoded first when ``framed``:
-        an older chunk object may hold a codec frame), then one group
+        ``flock`` every file is :meth:`put` (decoded first by the upgrader
+        when ``framed``: an older chunk object may hold a codec frame), then one group
         :meth:`flush` and an index checkpoint make the records durable and
         findable, then — with ``refcount`` — each record's count is *set*
         to it, and only then are the files unlinked.  Expired ``*.tmp``
@@ -668,7 +656,7 @@ class ChunkStore:
                         path.unlink(missing_ok=True)
                     continue
                 data = path.read_bytes()
-                self.put(path.name, self._decode(data) if framed else data)
+                self.put(path.name, upgrade.decode(data) if framed else data)
                 imported.append(path)
                 self._hook("chunk.import")
             if not imported:
@@ -733,8 +721,6 @@ class ChunkStore:
                 view = (view.cast("B") if view.contiguous
                         else memoryview(bytes(view)))
             raw_nbytes = view.nbytes
-            # records hold the *at-rest* payload: CRCs, index lengths, and
-            # compaction all see it as stored; get() decodes after the CRC
             encoded = self._encode(view)
             eview = encoded if isinstance(encoded, memoryview) else memoryview(encoded)
             crc = zlib.crc32(eview)
@@ -860,9 +846,8 @@ class ChunkStore:
     def get(self, digest: str):
         """One chunk's bytes, CRC-checked, in a buffer the caller owns.
 
-        The record is read into a fresh ``bytearray``; an unframed payload
-        is returned as that buffer (writable, so a recover can adopt it
-        instead of copying), a framed one as the decoded ``bytes``.
+        The record is read into a fresh ``bytearray`` and returned as that
+        buffer (writable, so a recover can adopt it instead of copying).
         """
         return self.get_many([digest])[digest]
 
@@ -909,7 +894,6 @@ class ChunkStore:
                 raise StoreCorruptionError(
                     f"chunk {digest!r} is corrupt: segment record failed its "
                     f"CRC check")
-            payloads[digest] = self._decode(data)
         return payloads
 
     def _read_entries(self, entries: Mapping) -> dict[str, bytearray]:
@@ -980,22 +964,19 @@ class ChunkStore:
             self._read_files[name] = fileobj
         return fileobj
 
-    def _read_entry_locked(self, entry) -> bytearray | None:
-        return self._read_run_locked([("", entry, 0)]).get("")
+    def _read_intact_locked(self, entry) -> bytearray | None:
+        """One record's payload, or ``None`` when it cannot be read or fails
+        its CRC — a record nothing may rewrite (compaction, the upgrader)
+        or vouch for (the audit)."""
+        data = self._read_run_locked([("", entry, 0)]).get("")
+        return data if data is not None and zlib.crc32(data) == entry[3] else None
 
     def size_of(self, digest: str) -> int | None:
-        """Size of one chunk's bytes, or ``None`` when it is not stored: the
-        index's, or a framed record's frame header's (one small read)."""
+        """Size of one chunk's bytes, or ``None`` when it is not stored."""
         self._check_digest(digest)
         with self._mutex:
             entry = self._index.get(digest)
-            fileobj = entry and self._read_file_locked(entry[0])
-            head = fileobj and os.pread(
-                fileobj.fileno(), chunk_codecs.FRAME_OVERHEAD, entry[1])
-        if entry is None:
-            return None
-        framed = chunk_codecs.raw_length(head or b"")
-        return entry[2] if framed is None else framed
+        return None if entry is None else entry[2]
 
     def locate(self, digest: str) -> tuple[Path, int, int]:
         """Physical location of one chunk: ``(segment path, offset, length)``.
@@ -1132,11 +1113,12 @@ class ChunkStore:
                 self._drop_dead_segments_locked()
                 self._write_checkpoint_locked()
                 self._update_gauges_locked()
-        compacted = self.compact()["segments_compacted"]
+        compacted = self.compact()
         return {
             "chunks_removed": removed,
             "bytes_freed": freed,
-            "segments_compacted": compacted,
+            "segments_compacted": compacted["segments_compacted"],
+            "segments_skipped": compacted["segments_skipped"],
         }
 
     def _drop_dead_segments_locked(self) -> None:
@@ -1202,19 +1184,25 @@ class ChunkStore:
 
         Journaled and resumable: ``compaction.json`` names the victims
         and the destination; the destination's atomic rename is the
-        commit point.  Returns move/reclaim statistics.
+        commit point.  A segment holding a record that fails its CRC is
+        left out, whole, for fsck to report and read repair to heal.
+        Returns move/reclaim statistics, the segments left out under
+        ``segments_skipped``.
         """
         stats = {"segments_compacted": 0, "records_moved": 0, "bytes_reclaimed": 0}
         with self._mutex:
             self._resume_compaction_locked()
             self._drop_dead_segments_locked()
-            victims = self._compaction_victims_locked()
-            if not victims:
+            victims = set(self._compaction_victims_locked())
+            skipped = {entry[0] for entry in self._index.values()
+                       if entry[0] in victims and self._read_intact_locked(entry) is None}
+            stats["segments_skipped"] = len(skipped)
+            if victims <= skipped:
                 if self._index_dirty:
                     self._write_checkpoint_locked()
                 self._update_gauges_locked()
                 return stats
-            return self._compact_locked(victims)
+            return dict(stats, **self._compact_locked(sorted(victims - skipped)))
 
     def _compaction_victims_locked(self) -> list[str]:
         victims = []
@@ -1252,8 +1240,8 @@ class ChunkStore:
         with open(tmp_path, "wb") as out:
             out.write(HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, self._seq))
             for digest, entry in moves:
-                payload = self._read_entry_locked(entry)
-                if payload is None or zlib.crc32(payload) != entry[3]:
+                payload = self._read_intact_locked(entry)
+                if payload is None:
                     raise StoreCorruptionError(
                         f"chunk {digest!r} is corrupt: compaction read "
                         f"failed its CRC check")
@@ -1401,10 +1389,8 @@ class ChunkStore:
                         self._drop_entry_locked(digest)
                         self._index_dirty = True
                     continue
-                if verify:
-                    data = self._read_entry_locked(entry)
-                    if data is None or zlib.crc32(data) != entry[3]:
-                        outcome["crc_failures"].append(digest)
+                if verify and self._read_intact_locked(entry) is None:
+                    outcome["crc_failures"].append(digest)
             for _name, meta in sorted(self._segmeta.items()):
                 # a key written again since reads back whole from its new record
                 outcome["crc_failures"] += [

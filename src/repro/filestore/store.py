@@ -33,6 +33,7 @@ import numpy as np
 
 from .. import obs
 from ..errors import LayersNeededError, StoreCorruptionError, TransientStoreError
+from . import upgrade
 from .journal import IntentLog, SaveJournal, incomplete_saves
 from .segments import (
     DEFAULT_TMP_GRACE_S,
@@ -49,7 +50,6 @@ __all__ = [
     "ChunkNotFoundError",
     "chunk_intact",
     "is_file_id",
-    "layer_chunk_digests",
     "manifest_chunk_digests",
 ]
 
@@ -57,17 +57,9 @@ __all__ = [
 MANIFEST_SUFFIX = ".manifest"
 
 #: Format tag inside every whole-layer (v1) manifest payload: the one
-#: format a save writes.
+#: manifest format there is (what older releases wrote is upgraded on
+#: open, :mod:`repro.filestore.upgrade`).
 MANIFEST_FORMAT = "mmlib-chunked-state-v1"
-
-#: Format tag of the content-defined (v2) manifests older releases wrote:
-#: each layer carries a *list* of chunk digests (sha256 of the chunk
-#: bytes) plus its tensor hash, instead of one whole-layer chunk.  Read,
-#: never written.
-MANIFEST_FORMAT_V2 = "mmlib-chunked-state-v2"
-
-#: Every manifest format the read paths accept.
-MANIFEST_FORMATS = (MANIFEST_FORMAT, MANIFEST_FORMAT_V2)
 
 #: Directory (under the store root) holding the content-addressed chunks.
 CHUNK_DIR_NAME = "chunks"
@@ -83,32 +75,13 @@ class FileNotFoundInStoreError(KeyError):
     """Raised when recovering a file id that was never saved (or deleted)."""
 
 
-def layer_chunk_digests(meta: Mapping) -> list[str]:
-    """Chunk digests for one manifest layer entry, v1 or v2.
-
-    v1 entries hold one whole-layer chunk under ``"chunk"``; v2 entries,
-    which only older releases wrote, hold an ordered run of chunks under
-    ``"chunks"``.
-    Every reader of manifest layers (recovery, deletion, sizing, fsck,
-    cluster repair) goes through this helper, which is what
-    keeps old manifests readable next to new ones.
-    """
-    chunks = meta.get("chunks")
-    if chunks is not None:
-        return list(chunks)
-    return [meta["chunk"]]
-
-
 def manifest_chunk_digests(manifest: Mapping) -> list[str]:
     """Every chunk digest a manifest references, with multiplicity.
 
     Multiplicity matters: refcounts are incremented once per reference,
     so releases must mirror the same counting.
     """
-    digests: list[str] = []
-    for _name, meta in manifest["layers"]:
-        digests.extend(layer_chunk_digests(meta))
-    return digests
+    return [meta["chunk"] for _name, meta in manifest["layers"]]
 
 
 def is_file_id(key: str) -> bool:
@@ -123,20 +96,15 @@ def is_file_id(key: str) -> bool:
 def chunk_intact(digest: str, data, layer: Mapping | None = None) -> bool:
     """True iff one record payload hashes back to its key.
 
-    ``layer`` is the manifest entry a chunk belongs to.  A whole-layer
-    (v1) chunk id — an entry with a ``"chunk"`` key — is the layer's
-    *tensor* hash (dtype + shape + bytes), so it is checked with
-    ``tensor_hash`` over the entry's dtype and shape; a file id
-    (:func:`is_file_id`) starts with the sha256 prefix of its payload; any
-    other chunk id (a content-defined v2 piece, or a chunk whose entry is
-    unknown) is the sha256 of the payload.  Recovery, fsck and cluster
-    repair all verify a record through this one function.
+    A file id (:func:`is_file_id`) starts with the sha256 prefix of its
+    payload.  A chunk id is its layer's *tensor* hash (dtype + shape +
+    bytes), so a chunk is checked with ``tensor_hash`` over ``layer``, the
+    manifest entry it belongs to.  Recovery, fsck and cluster repair all
+    verify a record through this one function.
     """
     if is_file_id(digest):
         prefix = digest.split("-", 1)[0]
         return hashlib.sha256(data).hexdigest()[: len(prefix)] == prefix
-    if layer is None or "chunk" not in layer:
-        return hashlib.sha256(data).hexdigest() == digest
     # lazy import: repro.core imports this module at package init
     from ..core.hashing import tensor_hash
 
@@ -148,24 +116,16 @@ def chunk_intact(digest: str, data, layer: Mapping | None = None) -> bool:
     return tensor_hash(array) == digest
 
 
-def _layer_digest(meta: Mapping) -> str | None:
-    """The tensor hash a rebuilt layer must have: a v1 entry's chunk id, a
-    v2 entry's recorded ``hash``."""
-    return meta.get("hash") if "chunks" in meta else meta["chunk"]
+def _layer_array(meta: Mapping, data) -> np.ndarray | None:
+    """One layer over its fetched chunk payload.
 
-
-def _layer_array(meta: Mapping, parts: list) -> np.ndarray | None:
-    """One layer over its fetched chunk payloads, in manifest order.
-
-    ``None`` when their size disagrees with the entry's dtype and shape.
+    ``None`` when its size disagrees with the entry's dtype and shape.
     The array is the caller's alone: it is over the fetched ``bytearray``
     itself — a chunk store read, which nobody else holds once the first
     reference to a digest has claimed it (later ones get a copy) — and
-    over a ``bytearray`` copy of anything else (cached ``bytes``, a decoded
-    frame, a fault injector's).  A v2 run of pieces is joined into one new
-    buffer.
+    over a ``bytearray`` copy of anything else (cached ``bytes``, a fault
+    injector's).
     """
-    data = parts[0] if len(parts) == 1 else bytearray().join(parts)
     if not isinstance(data, bytearray):
         data = bytearray(data)
     try:
@@ -313,17 +273,18 @@ class FileStore:
     ``<16-hex sha256 prefix>-<uuid12><suffix>``, holding one reference of
     its own; the prefix gives cheap corruption detection on recovery
     without a separate checksum channel.  Nothing is stored as a file
-    under ``root``: a regular file found there on open was left by an
-    older release, and is imported as a record under its name
-    (DESIGN.md §6 "One store for every byte").
+    under ``root``: a regular file found there on open (a dotfile aside)
+    was left by an older release, and is imported as a record under its
+    name (DESIGN.md §6 "One store for every byte").
 
     State dicts are saved through :meth:`save_state_chunks`: each layer
     becomes one content-addressed chunk (keyed by its precomputed tensor
     hash), stored raw in the segment store, described by a small JSON (v1)
     manifest record.  Identical layers across saves are stored once.
-    That is the only write format; what older releases wrote — v2
-    manifests of content-defined pieces, zlib/lz4 framed records, whole
-    ``.params`` blobs — stays readable (DESIGN.md §11).
+    That is the only format there is: a root an older release wrote —
+    v2 manifests of content-defined pieces, framed records, whole
+    ``.params`` blobs — is upgraded once, on open, and :attr:`one_format`
+    says whether it has been (DESIGN.md §11 "One upgrader").
 
     Robustness plumbing (all optional, all off by default):
 
@@ -359,8 +320,8 @@ class FileStore:
     Buffer ownership on the read path: the chunk store reads each
     record into a buffer of its own, and :meth:`recover_state_chunks`
     returns arrays over those buffers without copying them; whatever else
-    a fetch yields (cached ``bytes``, a decoded legacy frame, a buffer a
-    second layer also references) is copied once.  The test is the
+    a fetch yields (cached ``bytes``, a buffer a second layer also
+    references) is copied once.  The test is the
     buffer's own ``writeable`` flag, so no returned array ever aliases the
     cache, another layer or another call (DESIGN.md "Byte path").
     """
@@ -376,7 +337,10 @@ class FileStore:
         chunk_cache: "ChunkCache | int | None" = None,
     ):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        #: True once the root holds only the one format; until then every
+        #: save service opened over this store runs
+        #: :func:`~repro.filestore.upgrade.upgrade`.
+        self.one_format = upgrade.open_root(self.root)
         self.faults = faults
         self.retry = retry
         self.tmp_grace_s = float(tmp_grace_s)
@@ -399,7 +363,7 @@ class FileStore:
             "mmlib_chunk_cache_coalesced_total",
             "Chunk fetches coalesced by single-flight")
         # an older release kept each file as its own file in the root
-        if any(path.is_file() for path in self.root.iterdir()):
+        if any(path.is_file() and not path.name.startswith(".") for path in self.root.iterdir()):
             self.chunks.import_files(self.root, refcount=1)
 
     @property
@@ -892,8 +856,7 @@ class FileStore:
         returned dict always matches the manifest.
 
         Each rebuilt layer is checked once against its content digest —
-        the chunk id of a whole-layer (v1) entry, the recorded tensor
-        ``hash`` of a content-defined (v2) one — on the shared hashing
+        its chunk id, the layer's tensor hash — on the shared hashing
         pool.  The check runs with ``verify`` (default: the store's
         ``verify_reads`` flag) and whenever the caller passes a
         ``verified`` dict, which receives ``name -> digest`` for every
@@ -929,103 +892,83 @@ class FileStore:
             held = {}
             if skip:
                 held = {
-                    name: digest for name, meta in merged.items()
-                    if (digest := _layer_digest(meta)) in skip
+                    name: meta["chunk"] for name, meta in merged.items()
+                    if meta["chunk"] in skip
                 }
-            plan = [
-                (name, meta, layer_chunk_digests(meta))
-                for name, meta in merged.items() if name not in held
-            ]
+            plan = [(name, meta) for name, meta in merged.items() if name not in held]
             sp.set(layers=len(plan), held=len(held))
-            digests = [digest for _, _, chunk_ids in plan for digest in chunk_ids]
             # the payloads are digest-checked below, so their record CRC
             # may be skipped — unless the cache hands them to others
             payloads = self.get_chunks(
-                digests, crc=not check or self.chunk_cache is not None)
+                [meta["chunk"] for _, meta in plan],
+                crc=not check or self.chunk_cache is not None)
             # one fetched buffer may back several layers (identical tensors
             # share a digest): its first reference gets the buffer, every
             # later one a copy of it
             claimed: set[str] = set()
             state: "OrderedDict[str, np.ndarray | None]" = OrderedDict.fromkeys(merged)
-            for name, meta, chunk_ids in plan:
-                parts = []
-                for digest in chunk_ids:
-                    data = payloads[digest]
-                    if digest in claimed:
-                        data = bytearray(data)
-                    claimed.add(digest)
-                    parts.append(data)
-                state[name] = _layer_array(meta, parts)
+            for name, meta in plan:
+                digest = meta["chunk"]
+                data = payloads[digest]
+                if digest in claimed:
+                    data = bytearray(data)
+                claimed.add(digest)
+                state[name] = _layer_array(meta, data)
             if check:
-                self._check_layers(plan, state, payloads, strict, verified)
+                self._check_layers(plan, state, strict, verified)
             if verified is not None:
                 verified.update(held)
-            for name, meta, chunk_ids in plan:
+            for name, meta in plan:
                 if state[name] is None:
-                    for digest in chunk_ids:
-                        self._cache_discard(digest)
+                    self._cache_discard(meta["chunk"])
                     raise StoreCorruptionError(
                         f"layer {name!r} is corrupt: its chunk payload does not "
-                        f"fit the manifest entry (chunks {[d[:12] for d in chunk_ids]})"
+                        f"fit the manifest entry (chunk {meta['chunk'][:12]})"
                     )
             return state
 
-    def _check_layers(self, plan, state, payloads, strict, verified) -> None:
+    def _check_layers(self, plan, state, strict, verified) -> None:
         """Hash each distinct layer once, in byte-balanced runs on the shared
         pool; heal the layers that fail, record the ones that pass.
 
-        Layers with the same digest and the same chunks were rebuilt from
-        the same fetched payloads — one of them holds the buffer, the rest
-        copies of it — so the first one's hash checks them all.
+        Layers with the same digest were rebuilt from the same fetched
+        payload — one of them holds the buffer, the rest copies of it — so
+        the first one's hash checks them all.
         """
         # lazy import: repro.core imports this module at package init
         from ..core.hashing import state_dict_hashes
 
-        keys = [(_layer_digest(meta), *chunk_ids) for _, meta, chunk_ids in plan]
-        first: dict[tuple, str] = {}
-        for (name, _, _), key in zip(plan, keys):
+        first: dict[str, str] = {}
+        for name, meta in plan:
             if state[name] is not None:
-                first.setdefault(key, name)
+                first.setdefault(meta["chunk"], name)
         hashes = state_dict_hashes({name: state[name] for name in first.values()})
-        for (name, meta, chunk_ids), key in zip(plan, keys):
-            digest = key[0]
-            intact = digest is not None and hashes.get(first.get(key)) == digest
+        for name, meta in plan:
+            digest = meta["chunk"]
+            intact = hashes.get(first.get(digest)) == digest
             if not intact:
-                state[name], intact = self._heal_layer(
-                    name, meta, chunk_ids, state[name], payloads, strict)
+                state[name], intact = self._heal_layer(name, meta, state[name], strict)
             if intact and verified is not None:
                 verified[name] = digest
 
-    def _heal_layer(self, name, meta, chunk_ids, array, payloads, strict):
-        """Re-fetch what made one layer fail its check.
+    def _heal_layer(self, name, meta, array, strict):
+        """Re-fetch the chunk of one layer that failed its check.
 
-        Returns the layer and whether it now matches its digest.  A v1
-        layer's one chunk is re-read; of a v2 run only the pieces whose own
-        sha256 fails are — none, when the pieces are intact and the layer
-        still disagrees with its recorded hash.  Each failed attempt drops
-        the cached copy (a poisoned entry would return the same bytes).
+        Returns the layer and whether it now matches its digest.  Each
+        failed attempt drops the cached copy (a poisoned entry would return
+        the same bytes).
         """
-        from ..core.hashing import tensor_hash
-
-        whole = meta if "chunk" in meta else None
-        parts = {digest: payloads[digest] for digest in chunk_ids}
-        bad = [d for d in parts if not chunk_intact(d, parts[d], whole)]
-        if not bad:
-            return array, False
+        digest = meta["chunk"]
         attempts = max(1, self.retry.max_attempts) if self.retry is not None else 1
         for _ in range(attempts - 1):  # the batch was the first attempt
-            for digest in bad:
-                self._cache_discard(digest)
-                parts[digest] = self.get_chunk(digest)
-            bad = [d for d in bad if not chunk_intact(d, parts[d], whole)]
-            if not bad:
-                array = _layer_array(meta, [parts[d] for d in chunk_ids])
-                return array, array is not None and tensor_hash(array) == _layer_digest(meta)
-        for digest in bad:
             self._cache_discard(digest)
+            data = self.get_chunk(digest)
+            if chunk_intact(digest, data, meta):
+                return _layer_array(meta, data), True
+        self._cache_discard(digest)
         if strict:
             raise StoreCorruptionError(
-                f"chunk {bad[0]!r} of layer {name!r} is corrupt: content digest "
+                f"chunk {digest!r} of layer {name!r} is corrupt: content digest "
                 f"mismatch persisted across {attempts} fetch attempt(s)"
             )
         return array, False
@@ -1039,10 +982,10 @@ class FileStore:
                 f"file {file_id!r} is corrupt: not a parsable manifest ({exc})"
             ) from exc
         fmt = payload.get("format") if isinstance(payload, dict) else None
-        if fmt not in MANIFEST_FORMATS:
+        if fmt != MANIFEST_FORMAT:
             raise StoreCorruptionError(
                 f"file {file_id!r} is not a chunked-state manifest "
-                f"(format {fmt!r}; accepted: {MANIFEST_FORMATS})"
+                f"(format {fmt!r}; accepted: {MANIFEST_FORMAT!r})"
             )
         return payload
 
@@ -1119,8 +1062,7 @@ class FileStore:
         independent of how much of it is deduplicated on disk (see
         :meth:`total_bytes` for the physical view).  Layer sizes come from
         the manifest's dtype/shape metadata, whatever the records hold.
-        The file's own part is its record's size, less the frame header of
-        one escape-framed because it begins with ``MMCZ``.
+        The file's own part is its record's size.
         """
         size = self.chunks.size_of(file_id)
         if size is None:
@@ -1155,7 +1097,7 @@ class FileStore:
     def clear(self) -> None:
         self._intents.close()
         shutil.rmtree(self.root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.one_format = upgrade.open_root(self.root)
         self._chunks = None
         self._journal_local = threading.local()
         self._new_intents()

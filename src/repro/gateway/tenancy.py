@@ -141,9 +141,23 @@ class TenantRegistry:
             )
         self.stores = stores
         self.approach = approach
+        for name in tenants:
+            validate_tenant_name(name)
+        # Admin view: one manager whose document collections span every
+        # tenant — the only correct scope for fsck/GC on shared files.  It
+        # opens first: over a store an older release wrote, its upgrade
+        # covers every tenant's levels in one pass
+        union = UnionDocumentStore(stores.documents, sorted(tenants))
+        admin_service = SERVICE_CLASSES[approach](
+            union,
+            stores.files,
+            scratch_dir=stores.scratch_dir,
+            dataset_codec=dataset_codec,
+            retry=stores.retry,
+        )
+        self.admin = ModelManager(admin_service)
         self._tenants: dict[str, Tenant] = {}
         for name, quota in tenants.items():
-            validate_tenant_name(name)
             documents = NamespacedDocumentStore(stores.documents, name)
             service = SERVICE_CLASSES[approach](
                 documents,
@@ -153,17 +167,6 @@ class TenantRegistry:
                 retry=stores.retry,
             )
             self._tenants[name] = Tenant(name, service, quota)
-        # Admin view: one manager whose document collections span every
-        # tenant — the only correct scope for fsck/GC on shared files.
-        union = UnionDocumentStore(stores.documents, sorted(self._tenants))
-        admin_service = SERVICE_CLASSES[approach](
-            union,
-            stores.files,
-            scratch_dir=stores.scratch_dir,
-            dataset_codec=dataset_codec,
-            retry=stores.retry,
-        )
-        self.admin = ModelManager(admin_service)
 
     @property
     def tenant_names(self) -> list[str]:

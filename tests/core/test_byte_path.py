@@ -40,6 +40,7 @@ from repro.filestore import (
 from repro.nn import init, rng
 from repro.nn.models import MODEL_REGISTRY, create_model
 from repro.retry import RetryPolicy
+from tests.filestore.older_release import reopened
 from tests.filestore.retired_formats import RetiredFormatStore
 
 PIECE_BYTES = 2048
@@ -109,10 +110,20 @@ def spy_on_recover_state_chunks(files):
     return returned
 
 
-# "cdc": the v2 manifests of pieces the retired content-defined writer left
+# "cdc": the v2 manifests of pieces the retired content-defined writer left,
+# upgraded when the store is next opened (:func:`opened_again`)
 @pytest.fixture(params=["v1", "v2"], ids=["v1", "cdc"])
 def manifest(request):
     return request.param
+
+
+def opened_again(service):
+    """``service`` as the next process opens it: over a store of retired
+    v2 pieces, one the upgrade rewrote, with the same cache and workers."""
+    files = service.files
+    if files.manifest == "v1":
+        return service
+    return reopened(service, chunk_cache=files.chunk_cache, workers=files.workers)
 
 
 @pytest.fixture(params=[None, 1 << 20], ids=["nocache", "cache"])
@@ -137,6 +148,8 @@ class TestOwnership:
         model = twin_model(seed=3)
         saved = copy_state(model)
         model_id = service.save_model(ModelSaveInfo(model, twin_arch()))
+        service = opened_again(service)
+        files = service.files
 
         first = service.recover_model(model_id).model
         second = service.recover_model(model_id).model
@@ -161,12 +174,13 @@ class TestOwnership:
         tip_saved = copy_state(tip)
         tip_id = service.save_model(
             ModelSaveInfo(tip, twin_arch(), base_model_id=base_id))
+        service = opened_again(service)
 
         recovered_tip = service.recover_model(tip_id).model
         recovered_base = service.recover_model(base_id).model
         assert_no_shared_memory(
             recovered_tip.state_dict().values(), recovered_base.state_dict().values(),
-            cached_payloads(files))
+            cached_payloads(service.files))
         for array in recovered_tip.state_dict().values():
             array[...] = 0
         assert_state_equals(service.recover_model(base_id).model, base_saved)
@@ -181,6 +195,7 @@ class TestOwnership:
         mpa_id = save_mpa_level(documents, files, tmp_path, base_id, seed=5)
         tip_id, tip_saved = save_pua_tip(
             service, mpa_id, seed=5, layer="0.bias", base_shift=2.0)
+        service = opened_again(service)
 
         cache = RecoveryCache()
         service.recover_model(mpa_id, cache=cache)

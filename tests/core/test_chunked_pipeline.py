@@ -25,7 +25,9 @@ from repro.core import (
 from repro.core import hashing
 from repro.docstore import DocumentStore
 from repro.filestore import FileStore, NetworkModel, SimulatedNetworkFileStore
+from repro.filestore.upgrade import FORMAT_MARKER
 from tests.conftest import make_tiny_cnn
+from tests.filestore.older_release import reopened
 from tests.filestore.retired_formats import RetiredFormatStore
 
 
@@ -105,6 +107,8 @@ class TestRoundTrip:
         model_id = service.save_model(
             ModelSaveInfo(model, tiny_arch(), store_checksums=True)
         )
+        if not chunked:  # upgraded when the store is next opened
+            service = reopened(service)
         recovered = service.recover_model(model_id, verify=True)
         assert recovered.verified is True
         state, out = model.state_dict(), recovered.model.state_dict()
@@ -135,7 +139,8 @@ class TestRoundTrip:
                 assert np.array_equal(state[key], out[key])
 
     def test_chunked_and_monolithic_documents_coexist(self, mem_doc_store, tmp_path):
-        """Format compatibility: one catalog can mix both layouts."""
+        """Format compatibility: a catalog an older release left mixing both
+        layouts is upgraded to one on open."""
         legacy = BaselineSaveService(
             mem_doc_store, RetiredFormatStore(tmp_path / "files", manifest="params"))
         model = make_tiny_cnn(seed=9)
@@ -145,8 +150,11 @@ class TestRoundTrip:
         models = mem_doc_store.collection("models")
         assert models.get(id_legacy)["parameters_file"].endswith(".params")
         assert models.get(id_chunked)["parameters_file"].endswith(".params.manifest")
-        # either service instance recovers either document
-        for service in (chunked, legacy):
+        # the next service to open the store upgrades the monolithic level
+        upgraded = reopened(chunked)
+        assert models.get(id_legacy)["parameters_file"].endswith(".params.manifest")
+        # any service instance recovers either document
+        for service in (upgraded, chunked, legacy):
             for model_id in (id_chunked, id_legacy):
                 out = service.recover_model(model_id).model.state_dict()
                 for key, value in model.state_dict().items():
@@ -215,7 +223,7 @@ class TestNoFileUnderTheRoot:
         def root_files():
             return sorted(p.name for p in files.root.iterdir() if p.is_file())
 
-        assert root_files() == []
+        assert root_files() == [FORMAT_MARKER]  # marked when it was created
         before = set(files.file_ids())
         if kind == "BA":
             BaselineSaveService(documents, files).save_model(
@@ -230,7 +238,7 @@ class TestNoFileUnderTheRoot:
                 documents, files, scratch_dir=tmp_path / "scratch").save_model(
                 run.to_provenance_info(base_id, trained_model=trained))
         assert set(files.file_ids()) > before  # the save did store files
-        assert root_files() == []
+        assert root_files() == [FORMAT_MARKER]
 
     @pytest.mark.parametrize("kind", ["BA", "PUA derived"])
     def test_a_warm_save_creates_no_file_anywhere_under_the_root(

@@ -5,6 +5,7 @@ store for, what crosses the link — and that every lineage still recovers
 bitwise under every store configuration.
 """
 
+import json
 import threading
 from collections import Counter, OrderedDict
 
@@ -33,10 +34,11 @@ from repro.docstore import DocumentStore
 from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import FileStore, NetworkModel, SimulatedNetworkFileStore
-from repro.filestore.store import is_file_id, layer_chunk_digests
+from repro.filestore.store import is_file_id
 from repro.nn import rng
 from repro.nn.modules import Module, Skeleton
 from tests.conftest import make_tiny_cnn
+from tests.filestore.older_release import reopened
 from tests.filestore.retired_formats import RetiredFormatStore
 
 FLOAT_LAYERS = [
@@ -177,10 +179,11 @@ def test_property_every_lineage_recovers_bitwise(
     shared_cache,
 ):
     """Lineages mixing BA / PUA / MPA levels, with none, some or all layers
-    changed, one monolithic level and compactions in between: every model
-    recovers bitwise and verified, whatever the store is configured as and
-    whichever format (v1 or the retired v2, raw or zlib-framed records)
-    its chunked levels were written in."""
+    changed, one monolithic level and compactions: every model recovers
+    bitwise and verified, whatever the store is configured as and whichever
+    format (v1 or the retired v2, raw or zlib-framed records) its chunked
+    levels were written in — a retired one upgraded when the store is next
+    opened, the compactions run after that."""
     root = tmp_path_factory.mktemp("plan")
     documents = DocumentStore()
     files = RetiredFormatStore(root / "files", manifest=manifest, zlib=zlib,
@@ -190,8 +193,6 @@ def test_property_every_lineage_recovers_bitwise(
         "PUA": ParameterUpdateSaveService(documents, files),
         "MPA": ProvenanceSaveService(documents, files, scratch_dir=root / "scratch"),
     }
-    recover_with = services["PUA"]  # recovery is driven by the document alone
-    compactor = ChainCompactor(recover_with)
     dataset_dir = root / "data"
     dataset_dir.mkdir()
     (dataset_dir / "sample.bin").write_bytes(b"replay needs a dataset to unpack")
@@ -221,9 +222,13 @@ def test_property_every_lineage_recovers_bitwise(
         ids.append(services[kind].save_model(info))
         files.manifest = manifest
         states.append(state)
-        if compact:
-            compactor.compact_model(ids[-1])  # a no-op on a snapshot
 
+    # recovery is driven by the document alone
+    recover_with = reopened(services["PUA"], workers=workers, chunk_cache=chunk_cache)
+    compactor = ChainCompactor(recover_with)
+    for model_id, (_, _, _, compact) in zip(ids[1:], levels):
+        if compact:
+            compactor.compact_model(model_id)  # a no-op on a snapshot
     cache = RecoveryCache() if shared_cache else None
     for order in (range(len(ids)), reversed(range(len(ids)))):
         for index in order:
@@ -425,7 +430,8 @@ class TestIntegrityOfThePlan:
     @pytest.mark.parametrize("retired", ["v2", "zlib", "params"])
     def test_flipped_bit_in_a_retired_format_level_fails_recover(self, tmp_path, retired):
         """The tip's last level was written in a retired format: a flipped
-        bit in what the plan reads from it still fails the recover."""
+        bit in what the plan reads from it, there before the upgrade, still
+        fails the recover after it; the levels below still recover."""
         files = RetiredFormatStore(tmp_path / "files", piece_bytes=64)
         service = ParameterUpdateSaveService(DocumentStore(), files)
         ids, states = save_pua_chain(service, 1, layers=("5.weight",))
@@ -435,15 +441,17 @@ class TestIntegrityOfThePlan:
         tip["5.weight"] += 1.0
         ids.append(service.save_model(
             ModelSaveInfo(model_holding(tip), tiny_arch(), base_model_id=ids[-1])))
-        assert_recovers(service, ids[-1], tip)
 
         update = service.documents.collection(MODELS).get(ids[-1])["update_file"]
         if retired == "params":
             flip_stored_bit(files, update)
         else:
-            [entry] = [meta for name, meta in files.read_manifest(update)["layers"]
+            [entry] = [meta for name, meta in json.loads(files.recover_bytes(update))["layers"]
                        if name == "5.weight"]
-            flip_stored_bit(files, layer_chunk_digests(entry)[0])
+            flip_stored_bit(files, entry.get("chunk") or entry["chunks"][0])
+        service = reopened(service)
+        for model_id, state in zip(ids, states):
+            assert_recovers(service, model_id, state)
         for verify in (True, False):
             with pytest.raises((StoreCorruptionError, VerificationError)):
                 service.recover_model(ids[-1], verify=verify)

@@ -22,8 +22,9 @@ import zlib
 
 import numpy as np
 
-from repro.filestore import FileStore, codecs
-from repro.filestore.store import MANIFEST_FORMAT_V2, MANIFEST_SUFFIX, is_file_id
+from repro.filestore import FileStore, upgrade as codecs
+from repro.filestore.store import MANIFEST_SUFFIX, is_file_id
+from repro.filestore.upgrade import MANIFEST_FORMAT_V2
 from repro.nn import serialization
 
 

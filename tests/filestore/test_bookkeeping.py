@@ -24,6 +24,7 @@ from repro.filestore import ChunkStore, FileStore
 from repro.filestore.recordlog import RECORD_HEADER, RecordLog
 from tests.conftest import make_tiny_cnn
 from tests.core.test_crash_consistency import SERVICES, assert_states_equal, tiny_arch
+from tests.filestore.older_release import as_older_release
 
 
 def open_stores(tmp_path, service_cls):
@@ -670,6 +671,7 @@ class TestAStoreInTheParentsFormat:
         assert set(index["entries"]) == set(counts)
         assert all(set(meta) == {"scanned", "total", "sealed"}
                    for meta in index["segments"].values())
+        as_older_release(tmp_path)  # the parent wrote no format marker
         del files, service, manager
 
         files, service, manager = reopen()

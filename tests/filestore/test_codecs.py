@@ -1,9 +1,10 @@
-"""Chunk payload framing: raw at rest, escape frames, legacy codec frames.
+"""Chunk payload frames: what older releases stored, decoded once.
 
-A save stores every chunk raw, escape-framed only when its bytes start
-with the frame magic.  Older releases could also store zlib (or lz4)
-frames; those are built here with the test-side writer and must decode,
-verify and fsck exactly like raw records.
+A save stores every chunk raw.  Older releases could store zlib (or lz4)
+frames, and escape-framed a chunk whose bytes start with the frame magic;
+those are built here with the test-side writer, and the store they are in
+is upgraded when it is next opened: its records decode, verify and fsck
+exactly like raw ones (DESIGN.md §11).
 """
 
 import struct
@@ -11,12 +12,25 @@ import struct
 import numpy as np
 import pytest
 
+from repro.core import BaselineSaveService
+from repro.docstore import DocumentStore
 from repro.errors import StoreCorruptionError
 from repro.filestore import ChunkStore, FileStore
-from repro.filestore import codecs as chunk_codecs
+from repro.filestore import upgrade as chunk_codecs
 from repro.filestore.store import is_file_id
 from repro.core.hashing import state_dict_hashes
+from tests.filestore.older_release import as_older_release
 from tests.filestore.retired_formats import RetiredFormatStore, zlib_frame
+
+
+def reopened_store(writer, **kwargs) -> FileStore:
+    """The writer's root as an older release left it, opened again: the
+    save service opened over it (with a catalog of its own) upgrades it."""
+    writer.chunks.close()
+    as_older_release(writer.root)
+    store = FileStore(writer.root, **kwargs)
+    BaselineSaveService(DocumentStore(), store)
+    return store
 
 
 def compressible(nbytes=200_000):
@@ -43,15 +57,6 @@ class TestFraming:
         assert payload[:4] == chunk_codecs.FRAME_MAGIC
         assert chunk_codecs.decode(payload) == data
 
-    def test_magic_collision_is_escape_framed(self):
-        """Raw bytes that happen to start with the frame magic must still
-        decode unambiguously — the writer wraps them as 'stored'."""
-        data = chunk_codecs.FRAME_MAGIC + incompressible(100)
-        payload = ChunkStore._encode(memoryview(data))
-        assert bytes(payload) != data
-        assert payload[4] == chunk_codecs.CODEC_STORED
-        assert chunk_codecs.decode(payload) == data
-
     def test_digest_semantics_are_uncompressed(self, tmp_path):
         """Chunk ids never depend on the at-rest framing: same content,
         same id, raw or zlib-framed."""
@@ -64,7 +69,7 @@ class TestFraming:
         assert [d for d in plain.chunks.chunk_ids() if not is_file_id(d)] == [
             d for d in packed.chunks.chunk_ids() if not is_file_id(d)]
         assert plain.chunks.total_bytes() > packed.chunks.total_bytes()
-        for store, file_id in ((plain, id_a), (FileStore(tmp_path / "packed"), id_b)):
+        for store, file_id in ((plain, id_a), (reopened_store(packed), id_b)):
             recovered = store.recover_state_chunks(file_id)
             assert np.array_equal(recovered["w"], state["w"])
 
@@ -117,7 +122,7 @@ class TestStoreIntegration:
         store = RetiredFormatStore(tmp_path / "files", zlib=True)
         state = self.state()
         file_id = store.save_state_chunks(state, state_dict_hashes(state))
-        recovered = store.recover_state_chunks(file_id, verify=True)
+        recovered = reopened_store(store).recover_state_chunks(file_id, verify=True)
         for key in state:
             assert np.array_equal(recovered[key], state[key])
         stats = store.chunks.dedup_stats()
@@ -126,11 +131,11 @@ class TestStoreIntegration:
 
     def test_plain_store_reads_compressed_chunks(self, tmp_path, layout):
         """Decode is frame-driven: a plain store understands what a zlib
-        writer stored in the same directory."""
+        writer stored in the same directory, once it is upgraded."""
         state = self.state(seed=2)
         writer = RetiredFormatStore(tmp_path / "files", zlib=True)
         file_id = writer.save_state_chunks(state, state_dict_hashes(state))
-        reader = FileStore(tmp_path / "files")
+        reader = reopened_store(writer)
         recovered = reader.recover_state_chunks(file_id, verify=True)
         for key in state:
             assert np.array_equal(recovered[key], state[key])
@@ -141,24 +146,32 @@ class TestStoreIntegration:
         from repro.docstore import DocumentStore
         from tests.conftest import make_tiny_cnn
 
-        service = BaselineSaveService(
-            DocumentStore(),
-            RetiredFormatStore(tmp_path / "files", zlib=True),
-        )
+        writer = RetiredFormatStore(tmp_path / "files", zlib=True)
+        documents = DocumentStore()
         arch = ArchitectureRef.from_factory(
             "tests.conftest", "make_tiny_cnn", {"num_classes": 10}
         )
-        service.save_model(ModelSaveInfo(make_tiny_cnn(), arch))
+        BaselineSaveService(documents, writer).save_model(ModelSaveInfo(make_tiny_cnn(), arch))
+        service = BaselineSaveService(documents, reopened_store(writer))
         report = ModelManager(service).fsck(verify_chunks=True)
         assert report.clean, report.summary()
 
     def test_cdc_composes_with_compression(self, tmp_path, layout):
-        """v2 pieces in zlib frames: both retired formats at once."""
+        """v2 pieces in zlib frames: both retired formats at once, both
+        upgraded by the first service that opens the store."""
+        from repro.core.baseline import BaselineSaveService
+        from repro.docstore import DocumentStore
+
         store = RetiredFormatStore(
             tmp_path / "files", manifest="v2", zlib=True, piece_bytes=16 * 1024)
         state = self.state(seed=3)
-        file_id = store.save_state_chunks(state, state_dict_hashes(state))
-        recovered = FileStore(tmp_path / "files").recover_state_chunks(file_id, verify=True)
+        documents = DocumentStore()
+        models = documents.collection("models")
+        models.insert_one({"_id": "m", "parameters_file": store.save_state_chunks(
+            state, state_dict_hashes(state))})
+        files = reopened_store(store)
+        BaselineSaveService(documents, files)
+        recovered = files.recover_state_chunks(models.get("m")["parameters_file"], verify=True)
         for key in state:
             assert np.array_equal(recovered[key], state[key])
         stats = store.chunks.dedup_stats()

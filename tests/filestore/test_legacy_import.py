@@ -13,10 +13,11 @@ name, with a refcount of one (DESIGN.md §6 "One store for every byte").
 The save journals and handoff hints those releases wrote name such a file
 as a ``blob``; both are still honoured.
 
-Saves write one format, whole-layer (v1) manifests over raw records; the
-three retired write formats — v2 manifests of pieces, zlib-framed records,
-monolithic ``.params`` / ``.update`` blobs — are read as they lie
-(DESIGN.md §11, :class:`TestRetiredWriteFormats`).
+Saves write one format, whole-layer (v1) manifests over raw records; a
+store holding one of the three retired write formats — v2 manifests of
+pieces, zlib- or escape-framed records, monolithic ``.params`` /
+``.update`` blobs — is upgraded the first time it is opened, resumably
+(DESIGN.md §11, :class:`TestRetiredWriteFormats`, :class:`TestUpgradeCrashes`).
 """
 
 import hashlib
@@ -45,10 +46,10 @@ from repro.distsim.environment import SharedStores
 from repro.docstore import DocumentStore
 from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
-from repro.filestore import ChunkStore, FileStore
-from repro.filestore import codecs as chunk_codecs
+from repro.filestore import ChunkStore, FileStore, upgrade
 from repro.filestore.journal import SaveJournal
-from repro.filestore.store import MANIFEST_FORMAT, MANIFEST_FORMAT_V2, is_file_id
+from repro.filestore.store import MANIFEST_FORMAT, chunk_intact, is_file_id
+from repro.filestore.upgrade import FORMAT_MARKER, MANIFEST_FORMAT_V2
 from repro.nn import serialization
 from repro.workloads import generate_dataset
 from repro.workloads.relations import TrainingRun
@@ -56,11 +57,13 @@ from tests.conftest import make_tiny_cnn
 from tests.core.test_recovery_plan import (
     assert_recovers,
     copy_state,
+    count_calls,
     flip_stored_bit,
     model_holding,
     save_pua_chain,
     tiny_arch,
 )
+from tests.filestore.older_release import as_older_release, older_encode
 from tests.filestore.retired_formats import RetiredFormatStore, stored_record, zlib_frame
 
 
@@ -144,7 +147,7 @@ class TestAStoreInTheOlderLayout:
         payloads = to_file_per_chunk(tmp_path)
         objects = tmp_path / "files" / "chunks" / "objects"
         framed = [p for p in objects.iterdir()
-                  if p.read_bytes()[:4] == chunk_codecs.FRAME_MAGIC]
+                  if p.read_bytes()[:4] == upgrade.FRAME_MAGIC]
         assert 0 < len(framed) < len(payloads)
 
         assert_whole(tmp_path, states, counts)
@@ -232,9 +235,9 @@ class TestTwoProcesses:
 
 # -- the retired write formats ----------------------------------------------
 
-#: a float32 whose bytes are the frame magic: a record that starts with it
-#: is escape-framed
-MAGIC_FLOAT = np.frombuffer(chunk_codecs.FRAME_MAGIC, dtype=np.float32)[0]
+#: a float32 whose bytes are the frame magic: an older release escape-framed
+#: a record that starts with it, this one stores it raw
+MAGIC_FLOAT = np.frombuffer(upgrade.FRAME_MAGIC, dtype=np.float32)[0]
 
 #: one PUA chain, level by level: (parameter file format, zlib-framed
 #: records, layers the level changes)
@@ -243,14 +246,15 @@ RETIRED_CHAIN = (
     ("v2", False, ("5.weight",)),           # sha256 pieces
     ("v1", True, ("0.weight", "5.bias")),   # zlib-framed records
     ("params", False, ("5.bias",)),         # a whole-state ``.update`` blob
-    ("v1", False, ("5.bias",)),             # a record that starts with MMCZ
+    ("v1", False, ("5.bias",)),             # an escape-framed record (MMCZ)
 )
 
 
-def build_retired_store(root) -> dict:
-    """A store in every retired format, written without today's writer
-    (but for the last level's escape frame, which it still writes):
-    ``{model_id: state}``."""
+def build_retired_store(root) -> tuple[dict, dict]:
+    """A store in every retired format, as an older release left it (no
+    format marker): ``({model_id: state}, before)``, ``before`` what it
+    holds — ``kinds`` and ``locations`` of its records, the ``formats`` of
+    its manifests and the ``suffixes`` of its files."""
     files = RetiredFormatStore(root / "files", piece_bytes=256)
     service = ParameterUpdateSaveService(
         DocumentStore(root / "docs"), files, scratch_dir=root / "scratch")
@@ -258,6 +262,7 @@ def build_retired_store(root) -> dict:
     states = {}
     for level, (manifest, framed, layers) in enumerate(RETIRED_CHAIN):
         files.manifest, files.zlib = manifest, framed
+        files.chunks._encode = older_encode  # each level: the zlib writer drops it
         state = copy_state(state)
         for key in layers:
             state[key] += level
@@ -266,21 +271,62 @@ def build_retired_store(root) -> dict:
         base = list(states)[-1] if states else None
         states[service.save_model(ModelSaveInfo(
             model_holding(state), tiny_arch(), base_model_id=base))] = state
+    stored = files.file_ids()
+    before = {
+        "kinds": record_kinds(files),
+        "locations": {d: files.chunks.locate(d) for d in files.chunks.chunk_ids()},
+        "formats": {json.loads(files.recover_bytes(f))["format"]
+                    for f in stored if files.is_manifest_id(f)},
+        "suffixes": {f[f.index("."):] for f in stored},
+    }
     files.chunks.close()
-    return states
+    as_older_release(root)
+    return states, before
 
 
-def record_kinds(files, digests=None) -> dict:
-    """``digest -> "raw" | "escape" | "zlib"``, from the stored bytes."""
+def record_kinds(files) -> dict:
+    """``digest -> "raw" | "escape" | "zlib"``, from the stored bytes of a
+    store an older release wrote."""
     kinds = {}
-    for digest in files.chunks.chunk_ids() if digests is None else digests:
+    for digest in files.chunks.chunk_ids():
         head = stored_record(files, digest)[:5]
-        if head[:4] != chunk_codecs.FRAME_MAGIC:
+        if head[:4] != upgrade.FRAME_MAGIC:
             kinds[digest] = "raw"
         else:
-            kinds[digest] = {chunk_codecs.CODEC_STORED: "escape",
-                             chunk_codecs.CODEC_ZLIB: "zlib"}[head[4]]
+            kinds[digest] = {upgrade.CODEC_STORED: "escape",
+                             upgrade.CODEC_ZLIB: "zlib"}[head[4]]
     return kinds
+
+
+def layer_bytes(states) -> dict:
+    """``digest -> raw bytes`` of every layer of ``states``."""
+    raw = {}
+    for state in states:
+        for name, digest in state_dict_hashes(state).items():
+            raw[digest] = np.ascontiguousarray(state[name]).tobytes()
+    return raw
+
+
+def assert_one_format(files, states) -> None:
+    """Only v1 manifests and raw records: every chunk rests as its layer's
+    bytes, every file as bytes its id vouches for, no blob is left, and
+    the root is marked."""
+    raw = layer_bytes(states)
+    for key in files.chunks.chunk_ids():
+        stored = stored_record(files, key)
+        if not is_file_id(key):
+            assert stored == raw[key], key
+            continue
+        assert chunk_intact(key, stored), key
+        assert not key.endswith((".params", ".update")), key
+        if files.is_manifest_id(key):
+            assert json.loads(stored)["format"] == MANIFEST_FORMAT, key
+    assert (files.root / FORMAT_MARKER).exists()
+
+
+def merkle_roots(documents) -> dict:
+    return {d["_id"]: d["merkle_root"]
+            for d in documents.collection(MODELS).find(projection=("merkle_root",))}
 
 
 def assert_state(model, expected) -> None:
@@ -290,32 +336,52 @@ def assert_state(model, expected) -> None:
         assert state[key].dtype == value.dtype and np.array_equal(state[key], value), key
 
 
+def flip_bit_at(location) -> bytes:
+    """Flip one bit mid-payload of the record at ``(path, offset, length)``;
+    returns the payload as it is now."""
+    path, offset, length = location
+    with open(path, "r+b") as handle:
+        handle.seek(offset + length // 2)
+        byte = handle.read(1)
+        handle.seek(offset + length // 2)
+        handle.write(bytes([byte[0] ^ 0x01]))
+        handle.seek(offset)
+        return handle.read(length)
+
+
 class TestRetiredWriteFormats:
     def test_it_recovers_bitwise_verified_or_not_and_is_fsck_clean(self, tmp_path):
-        states = build_retired_store(tmp_path)
-        files, service, manager = open_stores(tmp_path)
-        assert set(record_kinds(files).values()) == {"raw", "escape", "zlib"}
-        stored = files.file_ids()
-        assert {files.read_manifest(f)["format"] for f in stored
-                if files.is_manifest_id(f)} == {MANIFEST_FORMAT, MANIFEST_FORMAT_V2}
-        assert any(f.endswith(".params") for f in stored)
-        assert any(f.endswith(".update") for f in stored)
+        """One open upgrades the store: only raw records and v1 manifests
+        are left, and every model recovers bitwise under its unchanged
+        Merkle root."""
+        states, before = build_retired_store(tmp_path)
+        assert set(before["kinds"].values()) == {"raw", "escape", "zlib"}
+        assert before["formats"] == {MANIFEST_FORMAT, MANIFEST_FORMAT_V2}
+        assert {".params", ".update"} <= before["suffixes"]
+        roots = merkle_roots(DocumentStore(tmp_path / "docs"))
 
+        files, service, manager = open_stores(tmp_path)
+        assert_one_format(files, states.values())
+        assert (files.root / FORMAT_MARKER).exists()
         for verify, verified in ((True, True), (False, None)):
             for model_id, state in states.items():
                 recovered = service.recover_model(model_id, verify=verify)
                 assert recovered.verified is verified
                 assert_state(recovered.model, state)
+        assert merkle_roots(service.documents) == roots
         report = manager.fsck(verify_chunks=True)
         assert report.clean, report.summary()
 
     @pytest.mark.parametrize("kind", ["zlib", "escape"])
     def test_a_flipped_bit_in_a_framed_record_is_caught(self, tmp_path, kind):
-        states = build_retired_store(tmp_path)
-        files, service, manager = open_stores(tmp_path)
-        digest = next(d for d, k in record_kinds(files).items() if k == kind)
-        flip_stored_bit(files, digest)
+        """The upgrade leaves a framed record that fails its CRC as it was;
+        every model that reads it fails, verified or not, and fsck sees it."""
+        states, before = build_retired_store(tmp_path)
+        digest = next(d for d, k in sorted(before["kinds"].items()) if k == kind)
+        damaged = flip_bit_at(before["locations"][digest])
 
+        files, service, manager = open_stores(tmp_path)
+        assert stored_record(files, digest) == damaged
         failed = 0
         for verify in (True, False):
             for model_id, state in states.items():
@@ -330,7 +396,7 @@ class TestRetiredWriteFormats:
         assert "corrupt_chunk" in {issue.kind for issue in report.issues}
 
     def test_the_next_save_writes_only_v1_raw_records(self, tmp_path):
-        states = build_retired_store(tmp_path)
+        states, _ = build_retired_store(tmp_path)
         files, service, _manager = open_stores(tmp_path)
         chunks_before, files_before = set(files.chunks.chunk_ids()), set(files.file_ids())
 
@@ -351,10 +417,64 @@ class TestRetiredWriteFormats:
         manifests = [f for f in written if files.is_manifest_id(f)]
         assert len(manifests) == 2
         assert all(files.read_manifest(f)["format"] == MANIFEST_FORMAT for f in manifests)
-        kinds = record_kinds(files, set(files.chunks.chunk_ids()) - chunks_before)
-        escaped = {d for d, k in kinds.items() if k == "escape"}
-        assert escaped == {state_dict_hashes(state)["5.bias"]}
-        assert set(kinds.values()) == {"raw", "escape"}
+        fresh = set(files.chunks.chunk_ids()) - chunks_before - written
+        raw = layer_bytes([state])
+        assert fresh and all(stored_record(files, d) == raw[d] for d in fresh)
+        bias = state_dict_hashes(state)["5.bias"]
+        assert bias in fresh and stored_record(files, bias)[:4] == upgrade.FRAME_MAGIC
+
+
+class TestAFrameMagicLayer:
+    """A layer whose bytes begin with the frame magic rests raw, where an
+    older release escape-framed it."""
+
+    def test_it_rests_raw_and_survives_segment_compaction(self, tmp_path):
+        files, service, manager = open_stores(tmp_path)
+        files.chunks.segment_bytes = 1 << 30
+        fillers = [service.save_model(ModelSaveInfo(make_tiny_cnn(seed=s), tiny_arch()))
+                   for s in (7, 8)]
+        state = copy_state(make_tiny_cnn(seed=6).state_dict())
+        state["5.bias"][0] = MAGIC_FLOAT
+        model_id = service.save_model(ModelSaveInfo(model_holding(state), tiny_arch()))
+        digest = state_dict_hashes(state)["5.bias"]
+        assert stored_record(files, digest) == state["5.bias"].tobytes()
+        # seal the segment, then leave a third of it live
+        files.chunks.segment_bytes = 1
+        files.chunks.put("ff" * 32, b"seals the segment")
+        for filler in fillers:
+            manager.delete_model(filler)
+        located = files.chunks.locate(digest)
+        assert manager.files.gc_chunks()["segments_compacted"] >= 1
+        assert files.chunks.locate(digest) != located
+
+        assert stored_record(files, digest) == state["5.bias"].tobytes()
+        for verify, verified in ((True, True), (False, None)):
+            recovered = service.recover_model(model_id, verify=verify)
+            assert recovered.verified is verified
+            assert_state(recovered.model, state)
+        report = manager.fsck(verify_chunks=True)
+        assert report.clean, report.summary()
+
+    def test_it_rests_raw_and_survives_a_read_repair(self, tmp_path):
+        stores = open_deployment(tmp_path, cluster=True)
+        service = ParameterUpdateSaveService(
+            stores.documents, stores.files, scratch_dir=stores.scratch_dir)
+        state = copy_state(make_tiny_cnn(seed=6).state_dict())
+        state["5.bias"][0] = MAGIC_FLOAT
+        model_id = service.save_model(ModelSaveInfo(model_holding(state), tiny_arch()))
+        digest = state_dict_hashes(state)["5.bias"]
+        owners = [stores.files.members[name] for name in stores.files.ring.owners(digest)]
+        assert all(stored_record(m, digest) == state["5.bias"].tobytes() for m in owners)
+
+        flip_stored_bit(owners[0], digest)
+        recovered = service.recover_model(model_id)
+        assert recovered.verified is True
+        assert_state(recovered.model, state)
+        assert stores.files.cluster_stats["read_repairs"] >= 1
+        assert all(stored_record(m, digest) == state["5.bias"].tobytes() for m in owners)
+        assert_state(service.recover_model(model_id, verify=False).model, state)
+        report = ModelManager(service).fsck(verify_chunks=True)
+        assert report.clean, report.summary()
 
 
 # -- the older file-per-blob layout ------------------------------------------
@@ -418,21 +538,22 @@ def save_every_kind(root, cluster: bool) -> dict:
 
 def unimport_files(files) -> list[str]:
     """Turn every file record of ``files`` back into what an older release
-    kept: a regular file in the root under its id, no record, no refcount.
-    Returns the ids."""
+    kept: a regular file in the root under its id, no record, no refcount,
+    no format marker.  Returns the ids."""
     ids = files.file_ids()
     for file_id in ids:
         (files.root / file_id).write_bytes(bytes(files.chunks.get(file_id)))
         files.chunks.drop(file_id)
     files.chunks.forget_refs(ids)
     files.chunks.close()
+    as_older_release(files.root)
     return ids
 
 
 def to_file_per_blob(root, cluster: bool) -> dict:
     """Rewrite every member the way an older release left it
-    (:func:`unimport_files`), plus an expired and a young ``*.tmp``.
-    Returns ``{member root: [file ids]}``."""
+    (:func:`unimport_files`, no format marker), plus an expired and a young
+    ``*.tmp``.  Returns ``{member root: [file ids]}``."""
     stores = open_deployment(root, cluster)
     placed = {}
     for files in member_stores(stores):
@@ -442,12 +563,15 @@ def to_file_per_blob(root, cluster: bool) -> dict:
         os.utime(expired, (time.time() - 3600,) * 2)
         (files.root / "fedcba9876543210-000000000000.py.tmp").write_bytes(b"in flight")
         placed[files.root] = ids
+    as_older_release(root)
     return placed
 
 
 def assert_imported(root, cluster: bool, states: dict, placed: dict) -> None:
     """Opened again: every model bitwise, fsck clean, each imported id a
-    record with refcount one, and nothing left in a root but the young tmp."""
+    record with refcount one — but the ``.params`` file, which the upgrade
+    replaced by a manifest — and nothing left in a root but the young tmp
+    and the format marker."""
     stores = open_deployment(root, cluster)
     service = ParameterUpdateSaveService(
         stores.documents, stores.files, scratch_dir=stores.scratch_dir)
@@ -455,11 +579,17 @@ def assert_imported(root, cluster: bool, states: dict, placed: dict) -> None:
         assert_recovers(service, model_id, state)
     report = ModelManager(service).fsck(verify_chunks=True)
     assert report.clean, report.summary()
+    assert (stores.files.root / FORMAT_MARKER).exists()
+    levels = {document["parameters_file"] for document in stores.documents.collection(
+        MODELS).find(projection=("parameters_file",)) if document.get("parameters_file")}
+    assert all(stores.files.is_manifest_id(level) for level in levels)
     for files in member_stores(stores):
         relative = files.root.relative_to(root)
         for file_id in placed[root / relative]:
-            assert files.chunks.refcount(file_id) == 1, file_id
-        left = sorted(p.name for p in files.root.iterdir() if p.is_file())
+            wanted = 0 if file_id.endswith(".params") else 1
+            assert files.chunks.refcount(file_id) == wanted, file_id
+        left = sorted(p.name for p in files.root.iterdir()
+                      if p.is_file() and p.name != FORMAT_MARKER)
         assert left == ["fedcba9876543210-000000000000.py.tmp"], left
 
 
@@ -575,3 +705,239 @@ class TestOlderArtefacts:
         assert deliverer.stats["delivered"] == 1
         assert members[owner].recover_bytes(file_id) == b"architecture source"
         assert members[owner].chunks.refcount(file_id) == 1
+
+
+# -- the upgrade, crashed at every step ---------------------------------------
+
+
+def build_retired_cluster(root) -> dict:
+    """A 3x2 cluster as an older release left it: a ``.params`` root
+    snapshot, a v2 level, a level whose bias starts with the frame magic,
+    every other chunk record zlib-framed and the magic one escape-framed,
+    no format marker.  Returns ``{model_id: state}``."""
+    stores = open_deployment(root, cluster=True)
+    service = ParameterUpdateSaveService(
+        stores.documents, stores.files, scratch_dir=stores.scratch_dir)
+    ids, states = save_pua_chain(service, depth=2, layers=("5.bias", "5.weight"))
+    tip = copy_state(states[-1])
+    tip["5.bias"][0] = MAGIC_FLOAT
+    ids.append(service.save_model(
+        ModelSaveInfo(model_holding(tip), tiny_arch(), base_model_id=ids[-1])))
+    states.append(tip)
+    files, models = stores.files, stores.documents.collection(MODELS)
+
+    document = models.get(ids[0])
+    old = document["parameters_file"]
+    document["parameters_file"] = files.save_bytes(
+        serialization.dumps(states[0]), suffix=".params")
+    models.replace_one(ids[0], document)
+    files.delete(old)
+
+    document = models.get(ids[1])
+    old = document["update_file"]
+    entries, pieces = [], []
+    for name, meta in files.read_manifest(old)["layers"]:
+        raw = np.ascontiguousarray(states[1][name]).tobytes()
+        run = []
+        for start in range(0, max(len(raw), 1), 256):
+            piece = raw[start:start + 256]
+            run.append(hashlib.sha256(piece).hexdigest())
+            files.put_chunk(run[-1], piece)
+        entries.append([name, {"chunks": run, "dtype": meta["dtype"],
+                               "shape": meta["shape"], "hash": meta["chunk"]}])
+        pieces.extend(run)
+    files.chunks.flush()
+    files.chunks.add_refs(pieces)
+    document["update_file"] = files.save_bytes(json.dumps(
+        {"format": MANIFEST_FORMAT_V2, "layers": entries}, sort_keys=True).encode(),
+        suffix=".update.manifest")
+    models.replace_one(ids[1], document)
+    files.delete(old)
+
+    for member in member_stores(stores):
+        chunks = member.chunks
+        for index, digest in enumerate(chunks.chunk_ids()):
+            if is_file_id(digest):
+                continue
+            raw = bytes(chunks.get(digest))
+            chunks.drop(digest)
+            chunks._encode = zlib_frame if index % 2 else older_encode
+            chunks.put(digest, raw)
+            del chunks._encode
+        chunks.flush()
+        chunks.close()
+    as_older_release(root)
+    return dict(zip(ids, states))
+
+
+def retired_deployment(root, cluster: bool) -> dict:
+    if cluster:
+        return build_retired_cluster(root)
+    return build_retired_store(root)[0]
+
+
+def catalog(root, cluster: bool):
+    """The deployment's documents, opened without a save service."""
+    if cluster:
+        return open_deployment(root, cluster=True).documents
+    return DocumentStore(root / "docs")
+
+
+def open_service(root, cluster: bool):
+    """A save service over the deployment: opening it upgrades it."""
+    if cluster:
+        stores = open_deployment(root, cluster=True)
+        return ParameterUpdateSaveService(
+            stores.documents, stores.files, scratch_dir=stores.scratch_dir)
+    return open_stores(root)[1]
+
+
+def assert_upgraded(root, cluster: bool, states: dict, roots: dict) -> None:
+    """Opened again, the upgrade finishes: every model bitwise, verified or
+    not, under its Merkle root; one fsck repairs what a crash left (a
+    level it orphaned keeps the root unmarked), a second is clean; the
+    next open marks the root, and only raw records and v1 manifests
+    remain."""
+    service = open_service(root, cluster)
+    for verify, verified in ((True, True), (False, None)):
+        for model_id, state in states.items():
+            recovered = service.recover_model(model_id, verify=verify)
+            assert recovered.verified is verified
+            assert_state(recovered.model, state)
+    assert merkle_roots(service.documents) == roots
+    manager = ModelManager(service)
+    report = manager.fsck(verify_chunks=True)
+    assert not report.unrepaired, report.summary()
+    report = manager.fsck(verify_chunks=True)
+    assert report.clean, report.summary()
+    service = open_service(root, cluster)
+    assert (service.files.root / FORMAT_MARKER).exists()
+    for files in member_stores(service):
+        assert_one_format(files, states.values())
+
+
+@pytest.mark.parametrize("cluster", [False, True], ids=["single", "cluster-3x2"])
+class TestUpgradeCrashes:
+    def test_a_crash_at_every_upgrade_step_resumes_on_the_next_open(
+        self, tmp_path, cluster, monkeypatch
+    ):
+        """Kill the upgrade after each re-append, the flush, each level's
+        manifest, replace and release, and before each marker: the next
+        open finishes it and nothing is lost."""
+        seed = tmp_path / "seed"
+        states = retired_deployment(seed, cluster)
+        roots = merkle_roots(catalog(seed, cluster))
+        faults = FaultInjector(seed=0)
+        monkeypatch.setattr(upgrade, "fault_hook", faults.fail_point)
+        crashes = 0
+        for at in range(1, 200):
+            root = tmp_path / f"crash-{at}"
+            shutil.copytree(seed, root)
+            faults.arm_crash(at, op="upgrade.")
+            try:
+                open_service(root, cluster)
+            except CrashPoint:
+                crashes += 1
+            else:
+                break  # the upgrade outran the armed crash: every point hit
+            assert_upgraded(root, cluster, states, roots)
+        else:
+            pytest.fail("the upgrade never completed")
+        assert crashes > len(states)
+        assert_upgraded(root, cluster, states, roots)
+
+
+class TestUpgradeWithAMemberDown:
+    @pytest.mark.parametrize("down", ["shard-0", "shard-1", "shard-2"])
+    def test_the_roots_stay_unmarked_until_every_level_is_upgraded(self, tmp_path, down):
+        """A 3x2 file member down during the first open: the rewrites that
+        need it fail, their levels stay as they were and no root is marked;
+        once the member is back an open finishes the upgrade and nothing is
+        lost.  (The catalog stays up: a document write short of its quorum
+        may land on one replica, a divergence of the catalog's own.)"""
+        states = build_retired_cluster(tmp_path)
+        roots = merkle_roots(catalog(tmp_path, cluster=True))
+        stores = open_deployment(tmp_path, cluster=True)
+        injector = stores.files.members[down].faults = FaultInjector(seed=0)
+        injector.set_down(True)
+        service = ParameterUpdateSaveService(
+            stores.documents, stores.files, scratch_dir=stores.scratch_dir)
+        assert not service.files.one_format
+        assert not list(tmp_path.rglob(FORMAT_MARKER))
+        injector.set_down(False)
+        assert_upgraded(tmp_path, True, states, roots)
+
+
+WORKER_OPEN = r"""
+import hashlib, json, sys, time
+from repro.core import ParameterUpdateSaveService
+from repro.docstore import DocumentStoreClient
+from repro.filestore import FileStore
+host, port, files, start_at = sys.argv[1], int(sys.argv[2]), sys.argv[3], float(sys.argv[4])
+time.sleep(max(0.0, start_at - time.time()))
+with DocumentStoreClient(host, port) as documents:
+    service = ParameterUpdateSaveService(documents, FileStore(files))
+    print(json.dumps({
+        model_id: {name: hashlib.sha256(array.tobytes()).hexdigest()
+                   for name, array in service.recover_model(model_id).model.state_dict().items()}
+        for model_id in service.saved_model_ids()}))
+"""
+
+
+class TestTwoProcessesUpgrade:
+    def test_both_openers_of_one_legacy_root_see_every_model(self, tmp_path):
+        from repro.docstore import DocumentStoreClient, DocumentStoreServer
+
+        states, _ = build_retired_store(tmp_path)
+        expected = {
+            model_id: {name: hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+                       for name, array in state.items()}
+            for model_id, state in states.items()}
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        with DocumentStoreServer(DocumentStore(tmp_path / "docs"), port=0) as server:
+            start_at = str(time.time() + 1.0)
+            children = [
+                subprocess.Popen(
+                    [sys.executable, "-c", WORKER_OPEN, server.host, str(server.port),
+                     str(tmp_path / "files"), start_at],
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+                for _ in range(2)
+            ]
+            for child in children:
+                out, err = child.communicate(timeout=120)
+                assert child.returncode == 0, err
+                assert json.loads(out) == expected
+            with DocumentStoreClient(server.host, server.port) as documents:
+                service = ParameterUpdateSaveService(documents, FileStore(tmp_path / "files"))
+                assert_one_format(service.files, states.values())
+                report = ModelManager(service).fsck(verify_chunks=True)
+                assert report.clean, report.summary()
+
+
+class TestAStoreThisReleaseWrote:
+    @staticmethod
+    def count_open(monkeypatch, root) -> dict:
+        """What opening the stores, a service and a manager over ``root``,
+        and its chunk store, costs: calls per upgrade step and per read."""
+        calls = {
+            "upgrades": count_calls(monkeypatch, upgrade, "upgrade"),
+            "records read": count_calls(monkeypatch, ChunkStore, "_read_run_locked"),
+            "files read": count_calls(monkeypatch, FileStore, "recover_bytes"),
+        }
+        files, _service, _manager = open_stores(root)
+        files.chunks  # opened too
+        monkeypatch.undo()
+        return {name: len(made) for name, made in calls.items()}
+
+    def test_opening_it_scans_no_record_and_reads_no_manifest(self, tmp_path, monkeypatch):
+        files, service, _manager = open_stores(tmp_path)
+        save_pua_chain(service, depth=3)
+        files.chunks.close()
+        assert set(self.count_open(monkeypatch, tmp_path).values()) == {0}
+
+    def test_an_upgraded_store_pays_once(self, tmp_path, monkeypatch):
+        build_retired_store(tmp_path)
+        first = self.count_open(monkeypatch, tmp_path)
+        assert first["upgrades"] == 1
+        assert first["records read"] and first["files read"]
+        assert set(self.count_open(monkeypatch, tmp_path).values()) == {0}

@@ -11,7 +11,7 @@ from repro.core.hashing import state_dict_hashes
 from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import ChunkNotFoundError, ChunkStore, FileStore
-from repro.filestore import codecs as chunk_codecs
+from repro.filestore import upgrade as chunk_codecs
 from repro.filestore.recordlog import RecordLog
 from repro.filestore.segments import SEGMENT_SUFFIX
 
@@ -262,6 +262,37 @@ class TestCompaction:
         assert stats["segments_compacted"] > 0
         for digest, blob in data.items():
             assert store.get(digest) == blob
+
+    def test_a_corrupt_live_record_keeps_only_its_segment_out_of_the_pass(self, tmp_path):
+        """A flipped bit in a live record of one victim: every gc still
+        compacts the other victim and leaves that one whole, where fsck's
+        audit reports the record; every other record reads back."""
+        store = ChunkStore(tmp_path / "s", segment_bytes=64 * 1024, tmp_grace_s=0.0)
+        data = fill(store, 40, size=4096)
+        store.add_refs(list(data))
+        released = [digest_for(i) for i in (*range(13), *range(16, 25))]
+        store.release_refs(released)
+        for digest in released:
+            del data[digest]
+        bad = digest_for(14)
+        path, offset, length = store.locate(bad)
+        with open(path, "r+b") as fileobj:
+            fileobj.seek(offset + length // 2)
+            byte = fileobj.read(1)
+            fileobj.seek(offset + length // 2)
+            fileobj.write(bytes([byte[0] ^ 0x01]))
+
+        stats = store.gc()
+        assert stats["segments_skipped"] == 1
+        assert stats["segments_compacted"] == 1
+        assert path.exists() and store.locate(bad) == (path, offset, length)
+        with pytest.raises(StoreCorruptionError):
+            store.get(bad)
+        for digest, blob in data.items():
+            if digest != bad:
+                assert store.get(digest) == blob
+        assert store.audit(repair=True, verify=True)["crc_failures"] == [bad]
+        assert store.gc()["segments_skipped"] == 1
 
     def test_crash_at_every_compaction_point_recovers_bitwise(self, tmp_path):
         """Kill compaction at op 1, 2, 3, ...; a reopen + audit always heals."""

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core import ArchitectureRef, ModelSaveInfo
+from repro.core import ArchitectureRef, BaselineSaveService, ModelSaveInfo
 from repro.distsim.environment import SharedStores
 from repro.docstore import (
     DocumentStore,
@@ -13,9 +14,12 @@ from repro.docstore import (
     tenant_collection_name,
     validate_tenant_name,
 )
+from repro.filestore.upgrade import FORMAT_MARKER
 from repro.gateway import GatewayError, TenantQuota, TenantRegistry
 from repro.gateway.tenancy import qualify_id, split_qualified_id
+from repro.nn import serialization
 from tests.conftest import make_tiny_cnn
+from tests.filestore.older_release import as_older_release
 
 FACTORY_REF = ("tests.conftest", "make_tiny_cnn", {"num_classes": 10})
 
@@ -188,3 +192,47 @@ class TestTenantRegistry:
         assert report.checked_models == 2
         stats = admin.stats()
         assert stats["tenants"] == {"acme": 1, "globex": 1}
+
+    def test_a_store_an_older_release_left_is_upgraded_for_every_tenant(self, tmp_path):
+        """Each tenant's snapshot a monolithic ``.params`` blob: an open
+        through a catalog that names none of them marks nothing, and the
+        registry's, whose admin catalog spans every tenant, upgrades them
+        all and marks the store."""
+        stores = SharedStores.at(tmp_path / "store")
+        registry = TenantRegistry(stores, ["acme", "globex"])
+        module, factory, kwargs = FACTORY_REF
+        arch = ArchitectureRef.from_factory(module, factory, kwargs)
+        saved = {}
+        for seed, name in enumerate(("acme", "globex")):
+            service = registry.tenant(name).service
+            model = make_tiny_cnn(seed=seed)
+            model_id = service.save_model(ModelSaveInfo(model=model, architecture=arch))
+            models = service.documents.collection("models")
+            document = models.get(model_id)
+            old = document["parameters_file"]
+            document["parameters_file"] = stores.files.save_bytes(
+                serialization.dumps(model.state_dict()), suffix=".params")
+            models.replace_one(model_id, document)
+            stores.files.delete(old)
+            saved[name] = (model_id, model.state_dict())
+        stores.files.chunks.close()
+        as_older_release(tmp_path / "store")
+
+        # the CLI's plain catalog names none of the tenants' levels: its
+        # open upgrades none of them and leaves the store unmarked
+        stores = SharedStores.at(tmp_path / "store")
+        plain = BaselineSaveService(stores.documents, stores.files)
+        assert not plain.files.one_format
+        assert not (stores.files.root / FORMAT_MARKER).exists()
+        stores.files.chunks.close()
+
+        stores = SharedStores.at(tmp_path / "store")
+        registry = TenantRegistry(stores, ["acme", "globex"])
+        assert (stores.files.root / FORMAT_MARKER).exists()
+        for name, (model_id, state) in saved.items():
+            service = registry.tenant(name).service
+            document = service.documents.collection("models").get(model_id)
+            assert document["parameters_file"].endswith(".params.manifest")
+            recovered = service.recover_model(model_id).model.state_dict()
+            assert all(np.array_equal(recovered[key], state[key]) for key in state)
+        assert registry.admin_manager().fsck(verify_chunks=True).clean
