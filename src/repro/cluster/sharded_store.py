@@ -574,7 +574,7 @@ class ShardedFileStore(ReplicaLedger, FileStore):
         return super().save_state_chunks(
             state, layer_hashes, workers=workers, held=held, **kwargs)
 
-    def read_manifest(self, file_id: str) -> dict:
+    def read_manifest(self, file_id: str) -> Mapping:
         manifest = super().read_manifest(file_id)
         self._harvest_chunk_meta(manifest["layers"])
         return manifest

@@ -65,14 +65,17 @@ from .train_service import load_train_service
 
 __all__ = ["AbstractSaveService"]
 
-#: What a recover reads of a model document.  Never ``layer_hashes`` or
-#: ``updated_layers``: they are most of a document's bytes, and the layers a
-#: level holds are named by its manifest.
+#: What a recover reads of a model document.  Never ``layer_hashes``: only
+#: an MPA document or one an older release wrote carries it, and the layers
+#: a level holds are named by its manifest.
 _RECOVER_FIELDS = (
     "approach", "base_model", "use_case", "environment_id", "merkle_root",
     "parameters_file", "update_file", "architecture",
     "train_info_id", "provenance",
 )
+
+#: What :meth:`AbstractSaveService.layer_table` reads of a model document.
+_TABLE_FIELDS = _RECOVER_FIELDS + ("layer_hashes",)
 
 
 class AbstractSaveService:
@@ -234,8 +237,29 @@ class AbstractSaveService:
         payload["code_file_id"] = code_file_id
         return payload
 
-    def _save_parameters(self, model: Module) -> tuple[str, "OrderedDict[str, str]", str]:
-        """Persist a full snapshot; returns (file id, layer hashes, root).
+    def _save_snapshot(self, save_info, checksums: bool) -> str:
+        """Save ``save_info``'s model as a full snapshot; returns its id.
+
+        The document names the architecture and the parameters' manifest,
+        and with ``checksums`` stores the Merkle root.  It never repeats
+        the layer table: the manifest holds it (:meth:`layer_table`).
+        """
+        environment_id = self._save_environment()
+        architecture = self._save_architecture(save_info.architecture)
+        parameters_file, root = self._save_parameters(save_info.model)
+        document = {
+            "base_model": save_info.base_model_id,
+            "use_case": save_info.use_case,
+            "environment_id": environment_id,
+            "architecture": architecture,
+            "parameters_file": parameters_file,
+        }
+        if checksums:
+            document["merkle_root"] = root
+        return self._insert_model_document(document)
+
+    def _save_parameters(self, model: Module) -> tuple[str, str]:
+        """Persist a full snapshot; returns (file id, Merkle root).
 
         Layers are hashed exactly once (in parallel for large models); those
         digests double as the chunk ids, so the payload is never hashed
@@ -245,7 +269,7 @@ class AbstractSaveService:
         hashes = state_dict_hashes(state)
         root = root_of(list(hashes.values()))
         file_id = self._save_state(state, hashes, kind="params")
-        return file_id, hashes, root
+        return file_id, root
 
     def _save_state(self, state, layer_hashes, kind: str, held=None) -> str:
         """Persist a flat state dict as content-addressed per-layer chunks.
@@ -318,10 +342,50 @@ class AbstractSaveService:
             raise ModelNotFoundError(f"no saved model with id {model_id!r}") from exc
 
     def layer_hashes(self, model_id: str) -> list:
-        """The ``[name, digest]`` layer table stored for ``model_id``, in
-        state-dict order; empty for a model saved without one."""
-        document = self._get_model_document(model_id, projection=("layer_hashes",))
-        return document.get("layer_hashes") or []
+        """:meth:`layer_table` as ``[name, digest]`` pairs."""
+        return [[name, digest] for name, digest in self.layer_table(model_id).items()]
+
+    def layer_table(self, model_id: str) -> "OrderedDict[str, str]":
+        """``model_id``'s layer table, name → tensor hash in state-dict
+        order; empty for a model saved without a Merkle root.
+
+        The table is stored once.  A model's manifest chain holds it: its
+        recovery base's manifest, overridden by each PUA delta — the
+        recover plan's own walk (:meth:`_walk_chain`) and merge
+        (:meth:`~repro.filestore.FileStore.merge_manifests`).  A walk that
+        ends at a document of another approach starts from that
+        document's table.  Only an MPA document, which has no manifest,
+        stores its table as ``layer_hashes``; so did every document an
+        older release wrote, and those are read as they are.
+        """
+        return self._table_of(self._get_model_document(model_id, projection=_TABLE_FIELDS))
+
+    @staticmethod
+    def _has_table(document: dict) -> bool:
+        """Whether :meth:`layer_table` of ``document`` is non-empty, decided
+        from the document alone (read with ``_TABLE_FIELDS``): it stores a
+        table, or it is a snapshot or PUA level storing a Merkle root."""
+        return bool(document.get("layer_hashes")) or (
+            document.get("merkle_root") is not None
+            and bool(document.get("parameters_file")
+                     or document.get("approach") == APPROACH_PARAM_UPDATE))
+
+    def _table_of(self, document: dict) -> "OrderedDict[str, str]":
+        """:meth:`layer_table` of a document read with ``_TABLE_FIELDS``."""
+        stored = document.get("layer_hashes")
+        if stored:
+            return OrderedDict(stored)
+        if not self._has_table(document):
+            return OrderedDict()
+        files, end = self._walk_chain(document)
+        table = OrderedDict()
+        if not end.get("parameters_file"):  # a base of another approach
+            table = self.layer_table(end["_id"])
+            if not table:
+                return table
+        for name, meta in self.files.merge_manifests(files).items():
+            table[name] = meta["chunk"]
+        return table
 
     def model_exists(self, model_id: str) -> bool:
         try:
@@ -494,8 +558,9 @@ class AbstractSaveService:
                     f"{actual_root} != stored {stored_root}"
                 )
             layers = list(table.items())
-            state = OrderedDict(
-                (name, array) for name, array in state.items() if array is not None)
+            if have:  # the layers the caller holds were not fetched
+                state = OrderedDict(
+                    (name, array) for name, array in state.items() if array is not None)
             timings["check_hash"] = self.clock.perf() - started
 
         if depth > self._obs_recovery_depth.value:

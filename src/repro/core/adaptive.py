@@ -157,11 +157,10 @@ class AdaptiveSaveService(AbstractSaveService):
             return {APPROACH_BASELINE, APPROACH_PARAM_UPDATE, APPROACH_PROVENANCE}
         # plain snapshots cannot be saved as provenance (no training record)
         approaches = {APPROACH_BASELINE}
-        if save_info.base_model_id is not None:
-            base_document = self._get_model_document(
-                save_info.base_model_id, projection=("layer_hashes",))
-            if base_document.get("layer_hashes"):
-                approaches.add(APPROACH_PARAM_UPDATE)
+        if save_info.base_model_id is not None and self._has_table(self._get_model_document(
+                save_info.base_model_id,
+                projection=("layer_hashes", "merkle_root", "parameters_file", "approach"))):
+            approaches.add(APPROACH_PARAM_UPDATE)
         return approaches
 
     # -- saving -----------------------------------------------------------------

@@ -23,18 +23,4 @@ class BaselineSaveService(AbstractSaveService):
     def _save_model(self, save_info: ModelSaveInfo) -> str:
         """Save a complete snapshot; returns the new model id."""
         save_info.validate()
-        environment_id = self._save_environment()
-        architecture = self._save_architecture(save_info.architecture)
-        parameters_file, layer_hashes, root = self._save_parameters(save_info.model)
-
-        document = {
-            "base_model": save_info.base_model_id,
-            "use_case": save_info.use_case,
-            "environment_id": environment_id,
-            "architecture": architecture,
-            "parameters_file": parameters_file,
-        }
-        if save_info.store_checksums:
-            document["layer_hashes"] = [[k, v] for k, v in layer_hashes.items()]
-            document["merkle_root"] = root
-        return self._insert_model_document(document)
+        return self._save_snapshot(save_info, checksums=save_info.store_checksums)

@@ -123,9 +123,10 @@ class ChainCompactor:
         """Materialize one model as its chain's new recovery base.
 
         Returns ``{"model_id", "released_bytes"}``.  The model's document
-        keeps its id, approach, lineage, layer hashes, and Merkle root;
-        it gains ``parameters_file`` + ``architecture`` and loses its
-        delta payload.  No-op if the model is already a recovery base.
+        keeps its id, approach, lineage, and Merkle root; it gains
+        ``parameters_file`` + ``architecture`` and loses its delta payload
+        (and any layer table an older release stored: the new manifest
+        holds it).  No-op if the model is already a recovery base.
         """
         models = self.documents.collection(MODELS)
         document = models.get(model_id)
@@ -143,7 +144,7 @@ class ChainCompactor:
             architecture = self.service._chain_architecture(model_id)
             architecture["code_file_id"] = self.files.save_bytes(
                 self.files.recover_bytes(architecture["code_file_id"]), suffix=".py")
-            parameters_file, layer_hashes, root = self.service._save_parameters(
+            parameters_file, root = self.service._save_parameters(
                 recovered.model
             )
             stored_root = document.get("merkle_root")
@@ -160,12 +161,11 @@ class ChainCompactor:
 
             document["parameters_file"] = parameters_file
             document["architecture"] = architecture
-            document["layer_hashes"] = [[k, v] for k, v in layer_hashes.items()]
             if stored_root is None:
                 document["merkle_root"] = root
             document["compacted"] = {"from_depth": depth or recovered.recovery_depth}
-            document.pop("update_file", None)
-            document.pop("updated_layers", None)
+            for field in ("update_file", "updated_layers", "layer_hashes"):
+                document.pop(field, None)
             self.swap(model_id, document, release=(
                 (lambda: self.files.delete(old_update_file)) if old_update_file else None))
 

@@ -4,8 +4,10 @@ The first model in a chain is saved exactly like the baseline.  A derived
 model is represented by a reference to its base plus the *parameter
 update*: the layers whose parameters differ from the base.  Changed layers
 are found by comparing per-layer hash Merkle trees — only the base model's
-*document* (which always carries the layer hashes) is loaded, never its
-parameters, so saving stays cheap regardless of chain depth.
+layer table (its manifests, :meth:`~AbstractSaveService.layer_table`) is
+loaded, never its parameters, so saving stays cheap regardless of chain
+depth.  A derived model's document stores no table of its own: its delta
+manifest names the layers it changed.
 
 A derived save works on digests: :meth:`ParameterUpdateSaveService.save_layers`
 takes the layer hashes, the arrays of the layers it has, and manifest
@@ -28,7 +30,7 @@ from collections import OrderedDict
 from typing import Mapping
 
 from .. import obs
-from .abstract import AbstractSaveService
+from .abstract import _TABLE_FIELDS, AbstractSaveService
 from .errors import LayersNeededError, ModelNotFoundError, SaveError
 from .hashing import state_dict_hashes
 from .merkle import DiffResult, MerkleTree
@@ -117,10 +119,10 @@ class ParameterUpdateSaveService(AbstractSaveService):
 
         The base's cached tree serves if it covers the same layer names and
         its root is the base document's ``merkle_root``; then only that
-        field is read.  Otherwise the tree is built from the document's
-        ``layer_hashes`` (:class:`SaveError` if it has none).  Either way
-        the new tree is derived from the base's, sharing its unchanged
-        subtrees.  A missing base raises
+        field is read.  Otherwise the tree is built from the base's
+        :meth:`layer_table` (:class:`SaveError` if it has none: it stores
+        no Merkle root).  Either way the new tree is derived from the
+        base's, sharing its unchanged subtrees.  A missing base raises
         :class:`~repro.errors.ModelNotFoundError`.
         """
         names = list(hashes)
@@ -134,14 +136,13 @@ class ParameterUpdateSaveService(AbstractSaveService):
             base_tree = cached
         else:
             self._obs_tree_misses.inc()
-            base_hash_list = self._get_model_document(
-                base_model_id, projection=("layer_hashes",)).get("layer_hashes")
-            if not base_hash_list:
+            base_table = self.layer_table(base_model_id)
+            if not base_table:
                 raise SaveError(
-                    f"base model {base_model_id} has no layer hashes; "
-                    "it was not saved by the parameter update approach"
+                    f"base model {base_model_id} has no layer hashes: "
+                    "it was saved without a Merkle root"
                 )
-            base_tree = MerkleTree.from_layer_hashes(OrderedDict(base_hash_list))
+            base_tree = MerkleTree.from_layer_hashes(base_table)
             self._keep_tree(base_model_id, base_tree)
         return base_tree, base_tree.derive(names, list(hashes.values()))
 
@@ -159,21 +160,9 @@ class ParameterUpdateSaveService(AbstractSaveService):
         return self._save_update(save_info)
 
     def _save_initial(self, save_info: ModelSaveInfo) -> str:
-        environment_id = self._save_environment()
-        architecture = self._save_architecture(save_info.architecture)
-        parameters_file, layer_hashes, root = self._save_parameters(save_info.model)
-        document = {
-            "base_model": None,
-            "use_case": save_info.use_case,
-            "environment_id": environment_id,
-            "architecture": architecture,
-            "parameters_file": parameters_file,
-            # the PUA *always* stores per-layer hashes so derived saves can
-            # diff against this model without recovering it (Section 3.2)
-            "layer_hashes": [[k, v] for k, v in layer_hashes.items()],
-            "merkle_root": root,
-        }
-        return self._insert_model_document(document)
+        # the PUA *always* stores the root, so derived saves can diff
+        # against this model's layer table without recovering it (§3.2)
+        return self._save_snapshot(save_info, checksums=True)
 
     def _save_update(self, save_info: ModelSaveInfo) -> str:
         state = save_info.model.state_dict()
@@ -210,11 +199,11 @@ class ParameterUpdateSaveService(AbstractSaveService):
         A source is looked up in this service's own catalog — a model of
         another tenant's catalog is not found, whatever the shared file
         store holds — and must hold ``digest`` under that name in its
-        ``layer_hashes``, else ``ValueError``.  The entry (dtype, shape) is
-        the one in the source's own manifest, so it is the one the digest
-        covers.  A source that is gone, keeps no layer hashes, or holds the
-        layer only through its base cannot vouch for it: those layers are
-        raised together as :class:`~repro.errors.LayersNeededError`.
+        :meth:`layer_table`, else ``ValueError``.  The entry (dtype, shape)
+        is the one in the source's own manifest, so it is the one the
+        digest covers.  A source that is gone, has no layer table, or holds
+        the layer only through its base cannot vouch for it: those layers
+        are raised together as :class:`~repro.errors.LayersNeededError`.
         """
         by_source: dict[str, list[tuple[str, str]]] = {}
         for name, (digest, source) in references.items():
@@ -223,12 +212,11 @@ class ParameterUpdateSaveService(AbstractSaveService):
         needed: list[str] = []
         for source, layers in by_source.items():
             try:
-                document = self._get_model_document(
-                    source, projection=("layer_hashes", "parameters_file", "update_file"))
-            except ModelNotFoundError:
+                document = self._get_model_document(source, projection=_TABLE_FIELDS)
+                hashes = self._table_of(document)
+            except ModelNotFoundError:  # the source, or a base of its chain
                 needed.extend(name for name, _ in layers)
                 continue
-            hashes = dict(document.get("layer_hashes") or ())
             if not hashes:
                 needed.extend(name for name, _ in layers)
                 continue
@@ -272,8 +260,6 @@ class ParameterUpdateSaveService(AbstractSaveService):
             # no architecture entry: across fully/partially updated versions
             # it is unchanged and defined by the base-model reference
             "update_file": update_file,
-            "updated_layers": diff.changed_layers,
-            "layer_hashes": [[k, v] for k, v in hashes.items()],
             "merkle_root": current_tree.root_hash,
         }
         model_id = self._insert_model_document(document)

@@ -48,20 +48,7 @@ class ProvenanceSaveService(AbstractSaveService):
 
     def _save_initial(self, save_info: ModelSaveInfo) -> str:
         save_info.validate()
-        environment_id = self._save_environment()
-        architecture = self._save_architecture(save_info.architecture)
-        parameters_file, layer_hashes, root = self._save_parameters(save_info.model)
-        document = {
-            "base_model": save_info.base_model_id,
-            "use_case": save_info.use_case,
-            "environment_id": environment_id,
-            "architecture": architecture,
-            "parameters_file": parameters_file,
-        }
-        if save_info.store_checksums:
-            document["layer_hashes"] = [[k, v] for k, v in layer_hashes.items()]
-            document["merkle_root"] = root
-        return self._insert_model_document(document)
+        return self._save_snapshot(save_info, checksums=save_info.store_checksums)
 
     def save_provenance(self, save_info: ProvenanceSaveInfo) -> str:
         """Persist a derived model as provenance data; returns the model id."""
@@ -98,6 +85,8 @@ class ProvenanceSaveService(AbstractSaveService):
             "provenance": provenance,
         }
         if save_info.store_checksums and save_info.expected_model is not None:
+            # a provenance record has no manifest: its document is the one
+            # place its layer table can be stored (see ``layer_table``)
             hashes = state_dict_hashes(save_info.expected_model.state_dict())
             document["layer_hashes"] = [[k, v] for k, v in hashes.items()]
             document["merkle_root"] = root_of(list(hashes.values()))

@@ -129,7 +129,16 @@ def _encode_refs(counts: Mapping[str, int]) -> bytes:
 
 class _SharedLog(RecordLog):
     """A chunk-root log several processes rewrite: each writes its own tmp
-    file (one a crash left behind is reaped by :meth:`ChunkStore.gc`)."""
+    file (one a crash left behind is reaped by :meth:`ChunkStore.gc`).
+    ``created`` counts the files its rewrites create."""
+
+    def __init__(self, path: Path, created):
+        super().__init__(path)
+        self._created = created
+
+    def rewrite(self, payloads, before_rename=None) -> None:
+        self._created.inc()
+        super().rewrite(payloads, before_rename)
 
     def _tmp_path(self) -> Path:
         return self.path.with_name(f"{self.path.stem}-{uuid.uuid4().hex[:8]}.tmp")
@@ -193,9 +202,14 @@ class ChunkStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._refs_path = self.root / "refcounts.json"
         self._lock_path = self.root / ".lock"
+        # every file this store creates: a segment, a compaction output, a
+        # log rewrite (an index checkpoint, a refcount fold, a compaction
+        # journal)
+        self._obs_files_created = obs.registry().counter(
+            "mmlib_chunk_files_created_total", "Files the chunk store created")
         # the refcount table as of the records ``_refs_log`` has read
         self._refs_mutex = threading.Lock()
-        self._refs_log = _SharedLog(self._refs_path)
+        self._refs_log = _SharedLog(self._refs_path, self._obs_files_created)
         self._refs: dict[str, int] = {}
         self._refs_live = 0  # payload bytes the table takes as one folded record
         self.tmp_grace_s = float(tmp_grace_s)
@@ -214,9 +228,9 @@ class ChunkStore:
         self.stored_bytes = 0
         self.segments_dir = self.root / "segments"
         self.segments_dir.mkdir(parents=True, exist_ok=True)
-        self._checkpoint_log = _SharedLog(self.root / "index.json")
+        self._checkpoint_log = _SharedLog(self.root / "index.json", self._obs_files_created)
         self._compaction_path = self.root / "compaction.json"
-        self._compaction_log = _SharedLog(self._compaction_path)
+        self._compaction_log = _SharedLog(self._compaction_path, self._obs_files_created)
         self._mutex = threading.RLock()
         self._index: dict[str, tuple[str, int, int, int]] = {}
         self._segmeta: dict[str, dict] = {}
@@ -364,7 +378,7 @@ class ChunkStore:
     def _reset_refs(self) -> None:
         """Forget the table: the next :meth:`_sync_refs` rereads the file."""
         self._refs_log.close()
-        self._refs_log = _SharedLog(self._refs_path)
+        self._refs_log = _SharedLog(self._refs_path, self._obs_files_created)
         self._refs = {}
         self._refs_live = 0
 
@@ -685,6 +699,7 @@ class ChunkStore:
         name = self._next_segment_name()
         path = self.segments_dir / name
         fileobj = open(path, "wb", buffering=0)  # every append lands in the OS
+        self._obs_files_created.inc()
         fileobj.write(HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, self._seq))
         self._active_name = name
         self._active_file = fileobj
@@ -1238,6 +1253,7 @@ class ChunkStore:
         # a crash or corruption before the commit point leaves the journal
         # and a partial tmp: resume (or the grace sweep) rolls back
         with open(tmp_path, "wb") as out:
+            self._obs_files_created.inc()
             out.write(HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, self._seq))
             for digest, entry in moves:
                 payload = self._read_intact_locked(entry)

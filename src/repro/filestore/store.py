@@ -27,6 +27,7 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,6 +49,8 @@ __all__ = [
     "ChunkCache",
     "FileNotFoundInStoreError",
     "ChunkNotFoundError",
+    "ManifestEntry",
+    "ManifestMemo",
     "chunk_intact",
     "is_file_id",
     "manifest_chunk_digests",
@@ -70,6 +73,12 @@ JOURNAL_DIR_NAME = "journal"
 #: Default byte budget for an in-process hot-chunk LRU (see :class:`ChunkCache`).
 DEFAULT_CHUNK_CACHE_BYTES = 256 * 1024 * 1024
 
+#: Layer entries of the parsed manifests a :class:`FileStore` keeps (see
+#: :meth:`FileStore.read_manifest`), each manifest weighing two more for its
+#: own objects: ~500 B a unit, so ~2 MB (a 932-layer ResNet-152 manifest
+#: is ~450 KB parsed).
+MANIFEST_MEMO_ENTRIES = 4096
+
 
 class FileNotFoundInStoreError(KeyError):
     """Raised when recovering a file id that was never saved (or deleted)."""
@@ -82,6 +91,82 @@ def manifest_chunk_digests(manifest: Mapping) -> list[str]:
     so releases must mirror the same counting.
     """
     return [meta["chunk"] for _name, meta in manifest["layers"]]
+
+
+class ManifestEntry(dict):
+    """One layer's manifest entry (``chunk``, ``dtype``, ``shape``),
+    read-only: a parsed manifest is shared by every reader of its bytes."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a manifest entry is read-only; copy it with dict()")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+def _parse_manifest(file_id: str, data: bytes) -> Mapping:
+    """A manifest record's bytes as a read-only mapping: ``format``, and
+    ``layers`` as a tuple of ``(name, ManifestEntry)`` pairs, each shape a
+    tuple shared by the entries that have it."""
+    try:
+        payload = json.loads(data.decode())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise StoreCorruptionError(
+            f"file {file_id!r} is corrupt: not a parsable manifest ({exc})"
+        ) from exc
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != MANIFEST_FORMAT:
+        raise StoreCorruptionError(
+            f"file {file_id!r} is not a chunked-state manifest "
+            f"(format {fmt!r}; accepted: {MANIFEST_FORMAT!r})"
+        )
+    shapes: dict = {}  # one tuple per distinct shape
+    layers = []
+    for name, meta in payload["layers"]:
+        shape = tuple(meta["shape"])
+        meta["shape"] = shapes.setdefault(shape, shape)
+        layers.append((name, ManifestEntry(meta)))
+    return MappingProxyType({**payload, "layers": tuple(layers)})
+
+
+class ManifestMemo:
+    """Parsed manifests by file id, least recently used first out, holding
+    at most ``capacity`` units: a manifest weighs its layers plus two for
+    its own objects, and one that alone outweighs the capacity is not kept.
+    Shared across threads, so every access holds its lock."""
+
+    def __init__(self, capacity: int = MANIFEST_MEMO_ENTRIES):
+        self.capacity = int(capacity)
+        self._entries: OrderedDict[str, tuple[Mapping, int]] = OrderedDict()
+        self._load = 0
+        self._lock = threading.Lock()
+
+    def get(self, file_id: str) -> Mapping | None:
+        with self._lock:
+            hit = self._entries.get(file_id)
+            if hit is None:
+                return None
+            self._entries.move_to_end(file_id)
+            return hit[0]
+
+    def put(self, file_id: str, manifest: Mapping) -> Mapping:
+        """Keep ``manifest``, evicting the least recently used; returns it."""
+        weight = len(manifest["layers"]) + 2
+        if weight > self.capacity:
+            return manifest
+        with self._lock:
+            if file_id not in self._entries:
+                self._entries[file_id] = (manifest, weight)
+                self._load += weight
+                while self._load > self.capacity:
+                    _file_id, (_manifest, evicted) = self._entries.popitem(last=False)
+                    self._load -= evicted
+        return manifest
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 def is_file_id(key: str) -> bool:
@@ -354,6 +439,7 @@ class FileStore:
             chunk_cache = ChunkCache(max_bytes=chunk_cache) if chunk_cache > 0 else None
         self.chunk_cache = chunk_cache
         self._singleflight = _SingleFlight()
+        self._manifests = ManifestMemo()  # parsed manifests by file id
         self._chunks: ChunkStore | None = None
         self._chunks_lock = threading.Lock()
         self._journal_local = threading.local()
@@ -886,9 +972,7 @@ class FileStore:
         with self._obs_tracer.span(
             "store.recover_chunks", file_id=file_ids[-1], manifests=len(file_ids)
         ) as sp:
-            merged: dict[str, dict] = {}
-            for file_id in file_ids:
-                merged.update(self.read_manifest(file_id)["layers"])
+            merged = self.merge_manifests(file_ids)
             held = {}
             if skip:
                 held = {
@@ -973,21 +1057,32 @@ class FileStore:
             )
         return array, False
 
-    def read_manifest(self, file_id: str) -> dict:
-        """Load and validate a manifest file."""
-        try:
-            payload = json.loads(self.recover_bytes(file_id).decode())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise StoreCorruptionError(
-                f"file {file_id!r} is corrupt: not a parsable manifest ({exc})"
-            ) from exc
-        fmt = payload.get("format") if isinstance(payload, dict) else None
-        if fmt != MANIFEST_FORMAT:
-            raise StoreCorruptionError(
-                f"file {file_id!r} is not a chunked-state manifest "
-                f"(format {fmt!r}; accepted: {MANIFEST_FORMAT!r})"
-            )
-        return payload
+    def read_manifest(self, file_id: str) -> Mapping:
+        """Load and validate a manifest file, as a read-only mapping.
+
+        The record is read and checked against its id's digest prefix on
+        every call; only the parse is memoized, by file id once that check
+        has passed: a file id is content-prefixed and never rewritten, so
+        bytes that pass it are the bytes that were parsed (DESIGN.md §14
+        "Verify once").  So the value is shared: ``layers`` is a tuple of
+        ``(name, entry)`` pairs, each entry a read-only
+        :class:`ManifestEntry`.
+        """
+        data = self.recover_bytes(file_id)
+        manifest = self._manifests.get(file_id)
+        if manifest is None:
+            manifest = self._manifests.put(file_id, _parse_manifest(file_id, data))
+        return manifest
+
+    def merge_manifests(self, file_ids: Sequence[str]) -> dict[str, Mapping]:
+        """The layer plan of a chain's manifests, base first: name → entry
+        in the base's layer order, each entry from the last manifest that
+        holds the layer.  A recover fetches this plan, and a model's layer
+        table is its digests."""
+        merged: dict[str, Mapping] = {}
+        for file_id in file_ids:
+            merged.update(self.read_manifest(file_id)["layers"])
+        return merged
 
     @staticmethod
     def is_manifest_id(file_id: str) -> bool:

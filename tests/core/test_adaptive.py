@@ -96,12 +96,29 @@ class TestSnapshotRouting:
         base = make_tiny_cnn()
         base_id = service.save_model(ModelSaveInfo(base, tiny_arch()))
         document = mem_doc_store.collection(MODELS).get(base_id)
-        del document["layer_hashes"]
+        del document["merkle_root"]  # a base has a layer table iff it stores a root
         mem_doc_store.collection(MODELS).replace_one(base_id, document)
         service.save_model(
             ModelSaveInfo(perturb_classifier(base), tiny_arch(), base_model_id=base_id)
         )
         assert service.last_choice.approach == APPROACH_BASELINE
+
+    def test_pua_feasibility_reads_no_manifest(self, service, file_store, monkeypatch):
+        """Whether a base has a layer table is decided from its document: a
+        PUA chain's tip is a feasible base without its chain being walked."""
+        pua = service._services[APPROACH_PARAM_UPDATE]
+        model = make_tiny_cnn()
+        tip_id = pua.save_model(ModelSaveInfo(model, tiny_arch()))
+        for _ in range(3):
+            model = perturb_classifier(model)
+            tip_id = pua.save_model(ModelSaveInfo(model, tiny_arch(), base_model_id=tip_id))
+        reads = []
+        read_manifest = file_store.read_manifest
+        monkeypatch.setattr(
+            file_store, "read_manifest", lambda file_id: reads.append(file_id) or read_manifest(file_id))
+        info = ModelSaveInfo(perturb_classifier(model), tiny_arch(), base_model_id=tip_id)
+        assert APPROACH_PARAM_UPDATE in service._feasible_approaches(info)
+        assert reads == []
 
 
 class TestProvenanceRouting:

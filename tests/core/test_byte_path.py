@@ -41,7 +41,7 @@ from repro.nn import init, rng
 from repro.nn.models import MODEL_REGISTRY, create_model
 from repro.retry import RetryPolicy
 from tests.filestore.older_release import reopened
-from tests.filestore.retired_formats import RetiredFormatStore
+from tests.filestore.retired_formats import RetiredFormatStore, older_release
 
 PIECE_BYTES = 2048
 
@@ -165,7 +165,7 @@ class TestOwnership:
         assert_state_equals(second, saved)
 
     def test_chain_tip_and_ancestor_share_nothing(self, files):
-        service = ParameterUpdateSaveService(DocumentStore(), files)
+        service = older_release(ParameterUpdateSaveService(DocumentStore(), files))
         base = twin_model(seed=4)
         base_saved = copy_state(base)
         base_id = service.save_model(ModelSaveInfo(base, twin_arch()))

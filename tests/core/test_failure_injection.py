@@ -97,7 +97,6 @@ class TestDocumentTampering:
         doc_a = mem_doc_store.collection(MODELS).get(a_id)
         doc_b = mem_doc_store.collection(MODELS).get(b_id)
         doc_a["update_file"] = doc_b["update_file"]
-        doc_a["updated_layers"] = doc_b["updated_layers"]
         mem_doc_store.collection(MODELS).replace_one(a_id, doc_a)
         with pytest.raises(VerificationError):
             service.recover_model(a_id)

@@ -11,6 +11,7 @@ from repro.core import (
     extract_parameter_update,
 )
 from repro.core.errors import RecoveryError, SaveError
+from repro.core.hashing import state_dict_hashes
 from repro.core.schema import APPROACH_PARAM_UPDATE, MODELS
 from tests.conftest import make_tiny_cnn
 
@@ -29,6 +30,11 @@ def tiny_arch():
 @pytest.fixture
 def service(mem_doc_store, file_store):
     return ParameterUpdateSaveService(mem_doc_store, file_store)
+
+
+def updated_layers(service, document):
+    """The layers a derived model's delta manifest stores, in state order."""
+    return [name for name, _ in service.files.read_manifest(document["update_file"])["layers"]]
 
 
 def perturb(model, layer_keys):
@@ -70,10 +76,14 @@ class TestExtractParameterUpdate:
 
 class TestSave:
     def test_initial_save_is_full_snapshot_with_hashes(self, service, mem_doc_store):
-        model_id = service.save_model(ModelSaveInfo(make_tiny_cnn(), tiny_arch()))
+        model = make_tiny_cnn()
+        model_id = service.save_model(ModelSaveInfo(model, tiny_arch()))
         document = mem_doc_store.collection(MODELS).get(model_id)
         assert document["parameters_file"]
-        assert document["layer_hashes"]  # always stored by the PUA
+        # the PUA always stores the root; the table is its manifest's
+        assert document["merkle_root"] == MerkleTree.from_state_dict(model.state_dict()).root_hash
+        assert "layer_hashes" not in document
+        assert service.layer_table(model_id) == state_dict_hashes(model.state_dict())
 
     def test_derived_save_stores_update_only(self, service, mem_doc_store, file_store):
         base = make_tiny_cnn(seed=1)
@@ -85,23 +95,27 @@ class TestSave:
         document = mem_doc_store.collection(MODELS).get(derived_id)
         assert "parameters_file" not in document
         assert document["update_file"]
-        assert document["updated_layers"] == ["5.weight"]
+        assert "updated_layers" not in document and "layer_hashes" not in document
+        assert updated_layers(service, document) == ["5.weight"]
         assert document["approach"] == APPROACH_PARAM_UPDATE
 
     def test_derived_save_reads_only_base_document(self, service, mem_doc_store, file_store):
-        """§3.2: saving must not recover the base model's parameters."""
+        """§3.2: saving must not recover the base model's parameters.  It
+        reads the base's layer table — its document and manifest — only."""
         base = make_tiny_cnn(seed=1)
         base_id = service.save_model(ModelSaveInfo(base, tiny_arch()))
         base_doc = mem_doc_store.collection(MODELS).get(base_id)
-        # delete the base parameters file: the save must still succeed
-        file_store.delete(base_doc["parameters_file"])
+        # drop every parameter chunk of the base: the save must still succeed
+        manifest = file_store.read_manifest(base_doc["parameters_file"])
+        for _name, meta in manifest["layers"]:
+            file_store.chunks.drop(meta["chunk"])
         derived = perturb(base, ["5.bias"])
         service.save_model(ModelSaveInfo(derived, tiny_arch(), base_model_id=base_id))
 
     def test_save_against_hashless_base_rejected(self, service, mem_doc_store):
         base_id = service.save_model(ModelSaveInfo(make_tiny_cnn(), tiny_arch()))
         document = mem_doc_store.collection(MODELS).get(base_id)
-        del document["layer_hashes"]
+        del document["merkle_root"]  # a base has a layer table iff it stores a root
         mem_doc_store.collection(MODELS).replace_one(base_id, document)
         with pytest.raises(SaveError, match="layer hashes"):
             service.save_model(
@@ -299,7 +313,7 @@ class TestTreeCache:
         document = service.documents.collection(MODELS).get(second_id)
         root, changed, comparisons = expected_save(first, second)
         assert document["merkle_root"] == root
-        assert document["updated_layers"] == changed == keys
+        assert updated_layers(service, document) == changed == keys
         assert service.last_diff.comparisons == comparisons
 
     def test_a_hit_reads_only_the_base_root(self, service, mem_doc_store, monkeypatch):
@@ -331,7 +345,7 @@ class TestTreeCache:
             ModelSaveInfo(derived, tiny_arch(), base_model_id=base_id))
         document = service.documents.collection(MODELS).get(derived_id)
         root, changed, comparisons = expected_save(base, derived)
-        assert (document["merkle_root"], document["updated_layers"]) == (root, changed)
+        assert (document["merkle_root"], updated_layers(service, document)) == (root, changed)
         assert service.last_diff.comparisons == comparisons
         assert service._trees[base_id] is not planted
         assert service._trees[base_id].root_hash == MerkleTree.from_state_dict(
@@ -405,7 +419,7 @@ class TestTreeCache:
         for index, model_id in saved.items():
             document = service.documents.collection(MODELS).get(model_id)
             root, changed, _ = expected_save(first, derived[index])
-            assert (document["merkle_root"], document["updated_layers"]) == (root, changed)
+            assert (document["merkle_root"], updated_layers(service, document)) == (root, changed)
             recovered = service.recover_model(model_id, verify=True)
             for name, value in derived[index].state_dict().items():
                 assert np.array_equal(value, recovered.model.state_dict()[name]), name
@@ -469,7 +483,7 @@ class TestTreeCache:
                 ids.append(svc.save_model(
                     ModelSaveInfo(model, tiny_arch(), base_model_id=ids[-1])))
                 document = svc.documents.collection(MODELS).get(ids[-1])
-                stored.append((document["merkle_root"], document["updated_layers"],
+                stored.append((document["merkle_root"], updated_layers(svc, document),
                                svc.last_diff.comparisons))
             assert len(svc._trees) == (entries and len(models))
             runs.append(stored)

@@ -28,6 +28,31 @@ from repro.filestore.upgrade import MANIFEST_FORMAT_V2
 from repro.nn import serialization
 
 
+def older_release(service):
+    """``service``, saving its documents as the releases that wrote the
+    retired formats did: each one with a Merkle root also stores its
+    model's whole layer table as ``layer_hashes``.  A derived save over a
+    retired level reads that table, since no manifest of a retired format
+    is read before an upgrade.  Returns ``service``."""
+    tables = []
+    save_state, insert = service._save_state, service._insert_model_document
+
+    def recording(state, layer_hashes, kind, held=None):
+        # every save hands its whole table here, its chunk ids
+        tables[:] = [[[name, digest] for name, digest in layer_hashes.items()]]
+        return save_state(state, layer_hashes, kind, held=held)
+
+    def inserting(document):
+        table = tables.pop() if tables else None
+        if table and document.get("merkle_root") and "layer_hashes" not in document:
+            document = {**document, "layer_hashes": table}
+        return insert(document)
+
+    service._save_state = recording
+    service._insert_model_document = inserting
+    return service
+
+
 def zlib_frame(buffer) -> bytes:
     """A zlib codec frame: magic, codec id, uncompressed length, body."""
     raw = bytes(buffer)

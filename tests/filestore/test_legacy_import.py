@@ -64,7 +64,12 @@ from tests.core.test_recovery_plan import (
     tiny_arch,
 )
 from tests.filestore.older_release import as_older_release, older_encode
-from tests.filestore.retired_formats import RetiredFormatStore, stored_record, zlib_frame
+from tests.filestore.retired_formats import (
+    RetiredFormatStore,
+    older_release,
+    stored_record,
+    zlib_frame,
+)
 
 
 def open_stores(root):
@@ -256,8 +261,8 @@ def build_retired_store(root) -> tuple[dict, dict]:
     holds — ``kinds`` and ``locations`` of its records, the ``formats`` of
     its manifests and the ``suffixes`` of its files."""
     files = RetiredFormatStore(root / "files", piece_bytes=256)
-    service = ParameterUpdateSaveService(
-        DocumentStore(root / "docs"), files, scratch_dir=root / "scratch")
+    service = older_release(ParameterUpdateSaveService(
+        DocumentStore(root / "docs"), files, scratch_dir=root / "scratch"))
     state = copy_state(make_tiny_cnn(seed=4).state_dict())
     states = {}
     for level, (manifest, framed, layers) in enumerate(RETIRED_CHAIN):
