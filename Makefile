@@ -44,7 +44,9 @@ bench-cluster:
 bench-serving:
 	$(PY) scripts/bench_serving.py --smoke
 
-# fault-injection tests (fixed seeds) + the recovery plan's count gate (one
+# fault-injection tests (fixed seeds; a save killed at every step and
+# repaired by fsck alone, single store and 3x2 cluster restarted from disk,
+# in test_crash_consistency.py) + the recovery plan's count gate (one
 # build, one fetch per chain recover) + skeleton assembly (no constructor,
 # no shared state, strict load) + the integrity gate (one check per
 # recovered byte, every corruption still caught; a PUA save's derived

@@ -26,9 +26,7 @@ Replication semantics:
   is never propagated.
 
 The sharded store itself holds no payload data: its root directory
-carries only the save-intent journals (and rebalance journals), which
-stay cluster-wide rather than per-member so crash recovery sees one
-consistent intent log.
+carries only cluster-wide metadata (rebalance journals, the hint log).
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from typing import Mapping
 
 from .. import deadline as deadline_mod
 from ..errors import TransientStoreError
+from ..filestore import upgrade
 from ..filestore.store import (
     ChunkNotFoundError,
     FileStore,
@@ -82,7 +81,7 @@ class _ShardedChunkView:
     """Ring-routed facade over the member stores' :class:`ChunkStore`s.
 
     Quacks like a single ``ChunkStore`` so the inherited ``FileStore``
-    machinery (manifest save/delete, journal rollback, fsck reconcile)
+    machinery (manifest save/delete, a failed save's undo, fsck reconcile)
     works untouched: lookups fail over across a key's owners, mutations
     fan out to them, and aggregate views union every member.
     """
@@ -343,8 +342,8 @@ class _ShardedChunkView:
 class ShardedFileStore(ReplicaLedger, FileStore):
     """R-of-N replicated :class:`FileStore` over named member stores.
 
-    ``root`` is the cluster's *metadata* directory (intent journals,
-    rebalance journals) — payload bytes live only on the members, which
+    ``root`` is the cluster's *metadata* directory (rebalance journals,
+    hints) — payload bytes live only on the members, which
     are plain :class:`FileStore`s or
     :class:`~repro.filestore.network.SimulatedNetworkFileStore`s (each
     charging its own link).  Fault injection and per-replica retry belong
@@ -384,9 +383,14 @@ class ShardedFileStore(ReplicaLedger, FileStore):
             workers=workers,
             chunk_cache=chunk_cache,
         )
-        # an older release left its records on the members, not in ``root``
-        self.one_format = self.one_format and all(
-            getattr(member, "one_format", True) for member in self.members.values())
+
+    def _open_root(self) -> bool:
+        """An older release left its records on the members, not in
+        ``root``: the metadata root is marked with them, never before."""
+        if all(getattr(member, "one_format", True) for member in self.members.values()):
+            return upgrade.open_root(self.root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        return False
 
     @property
     def chunks(self) -> _ShardedChunkView:

@@ -44,7 +44,6 @@ from .environment import (
 from .errors import (
     ModelNotFoundError,
     RecoveryError,
-    TransientStoreError,
     VerificationError,
 )
 from .cache import RecoveryCache
@@ -148,8 +147,8 @@ class AbstractSaveService:
 
         Template method: the approach-specific work happens in the
         subclass's ``_save_model``, wrapped in a save transaction that
-        journals every store mutation.  A failed save rolls its steps
-        back; a crashed save leaves its journal for ``fsck`` to undo.
+        commits by the model document's insert.  A failed save rolls its
+        steps back; what a crashed one leaves is reclaimed by ``fsck``.
         """
         return self._run_save(self._save_model, save_info)
 
@@ -169,14 +168,16 @@ class AbstractSaveService:
 
     @contextmanager
     def _save_transaction(self):
-        """Journal the enclosed save steps; roll back on failure.
+        """Note the enclosed save steps; undo them on failure.
 
         Reentrant: nested saves (the provenance service saving its base
         snapshot, the adaptive service delegating) join the outermost
-        transaction, so one save is one journal — exactly the unit a
-        crash must not tear.  :class:`BaseException` escapes (simulated
-        process death, interrupts) skip the rollback and leave the
-        journal on disk, which is what makes post-crash ``fsck`` honest.
+        transaction, so one save is one unit — exactly the unit a crash
+        must not tear.  The model document's insert is the commit point.
+        :class:`BaseException` escapes (simulated process death,
+        interrupts) undo nothing, as a dead process would: before the
+        insert, fsck's reconcile and orphan-document sweep reclaim what
+        the save left; after it, the model is saved (DESIGN.md §7).
         """
         journaled = hasattr(self.files, "begin_journal") and not getattr(
             self.files, "journal_active", lambda: False
@@ -187,15 +188,9 @@ class AbstractSaveService:
             yield
         except Exception:
             if journaled:
-                rollback = self.files.abort_journal()
-                self._delete_journaled_docs(rollback["docs"])
+                self._delete_journaled_docs(self.files.abort_journal())
             raise
-        except BaseException:
-            if journaled:
-                # a "dead" process runs no cleanup: detach, keep the file
-                self.files.abandon_journal()
-            raise
-        else:
+        finally:
             if journaled:
                 self.files.commit_journal()
 
@@ -217,9 +212,9 @@ class AbstractSaveService:
         """Put-if-absent the current environment's document; returns its id.
 
         The document is content-addressed and shared by every model saved
-        from this environment, so it is *not* journaled: rolling back one
-        save must not delete what another save references.  One nobody
-        references is reclaimed by ``delete_model`` and fsck's orphan sweep.
+        from this environment, so it is *not* a step of the save: rolling
+        back one save must not delete what another save references.  One
+        nobody references is reclaimed by fsck's orphan-document sweep.
         Insert-first rather than get-then-insert: a degraded cluster cannot
         prove absence, but its insert is idempotent per replica.
         """
@@ -310,26 +305,11 @@ class AbstractSaveService:
         document["_id"] = model_id
         document["approach"] = document.get("approach", self.approach)
         document["saved_at"] = self.clock.now()
-        # journal the intent first: a crash between journal append and
-        # insert rolls back a document that never landed, which is a no-op
+        # noted first: an undo of an insert that never landed is a no-op
         self._journal("doc", collection=MODELS, doc_id=model_id)
+        # the commit point: the save is whole once this document is in
         self.documents.collection(MODELS).insert_one(document)
-        if document.get("environment_id"):
-            self._keep_environment(document["environment_id"])
         return model_id
-
-    def _keep_environment(self, env_id: str) -> None:
-        """Re-put the environment document if a concurrent delete took it.
-
-        ``delete_model`` removes an environment document with its last
-        referent; one that ran between this save's put and its model
-        insert saw no referent.  It re-checks after deleting, this
-        re-checks after inserting, so whichever runs last restores it.
-        """
-        try:
-            self.documents.collection(ENVIRONMENTS).get(env_id, projection=())
-        except (KeyError, TransientStoreError):  # absent, or absence unproven
-            self._save_environment()
 
     # ------------------------------------------------------------------
     # lookup

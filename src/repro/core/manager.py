@@ -7,10 +7,11 @@ it lists and queries the model catalog, walks lineage in both directions,
 reports storage, and deletes models safely (refusing to orphan derived
 models, cleaning up every referenced document and file).
 
-:meth:`ModelManager.fsck` is the post-crash consistency check: it rolls
-back saves that died mid-flight (via their intent journals), cross-checks
-documents against files, manifests against chunks, and refcounts against
-what the live manifests actually reference, repairing what it safely can.
+:meth:`ModelManager.fsck` is the post-crash consistency check: it
+cross-checks documents against files, manifests against chunks, and
+refcounts against what the live manifests actually reference, repairing
+what it safely can — what a save that died before its model document left
+is exactly such an unreferenced record or document.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from pathlib import Path
 from .. import obs
 from ..filestore import upgrade
 from ..filestore.store import chunk_intact, is_file_id
-from ..docstore.engine import DuplicateKeyError
 from .abstract import AbstractSaveService
 from .compaction import DEFAULT_MAX_DEPTH, ChainCompactor
 from .environment import ENVIRONMENT_ID_PREFIX, environment_id
@@ -47,6 +47,12 @@ _RECORD_FIELDS = ("approach", "base_model", "use_case", "saved_at")
 
 #: The fields of a model document that name files (``_referenced_files``).
 _FILE_FIELDS = ("architecture", "parameters_file", "update_file", "provenance")
+
+#: Directories a parent release kept under a file store's root (a sharded
+#: store's metadata root) beside its records: the chain compactor's swap
+#: intents and the save intent logs.  fsck's reconcile takes back every
+#: record they name that no document does, so a repair deletes them unread.
+PARENT_LOG_DIRS = ("chain-compaction", "journal")
 
 
 class DependentModelsError(MMLibError):
@@ -73,13 +79,13 @@ class ModelRecord:
 class FsckIssue:
     """One consistency violation found by :meth:`ModelManager.fsck`.
 
-    ``kind`` is a stable machine-readable tag (``incomplete_save``,
-    ``damaged_journal``, ``missing_file``, ``missing_chunk``,
-    ``corrupt_chunk``, ``corrupt_manifest``, ``refcount_mismatch``,
-    ``orphan_file``, ``orphan_chunk``, ``orphan_document``,
-    ``missing_base``, ``missing_document``, ``environment_digest``,
-    ``catalog_torn_tail``, ``under_replicated``, ``torn_segment``, ``segment_index``, ``segment_crc``,
-    ``segment_compaction``).
+    ``kind`` is a stable machine-readable tag (``torn_segment``,
+    ``segment_index``, ``segment_crc``, ``segment_compaction``,
+    ``catalog_torn_tail``, ``missing_base``, ``missing_document``,
+    ``environment_digest``, ``missing_file``, ``missing_chunk``,
+    ``corrupt_chunk``, ``corrupt_manifest``, ``retired_level``,
+    ``refcount_mismatch``, ``orphan_file``, ``orphan_chunk``,
+    ``under_replicated``, ``pending_hints``, ``orphan_document``).
     """
 
     kind: str
@@ -472,7 +478,9 @@ class ModelManager:
 
         Refuses to delete a model that derived models still depend on
         unless ``force`` is given — deleting such a model would make its
-        descendants unrecoverable.
+        descendants unrecoverable.  The shared environment document stays:
+        a save may be about to name it, and fsck's orphan-document sweep
+        reclaims it once no model does.
         """
         record = self.get(model_id)
         if record.derived_model_ids and not force:
@@ -491,33 +499,7 @@ class ModelManager:
             file_ids += self._delete_wrappers(train_info.get(train_info_id))
             train_info.delete_one(train_info_id)
         self.files.delete_many(file_ids)
-        if document.get("environment_id"):
-            self._release_environment(document["environment_id"], model_id)
         self.documents.collection(MODELS).delete_one(model_id)
-
-    def _release_environment(self, env_id: str, model_id: str) -> None:
-        """Delete an environment document with its last referent.
-
-        Models saved from one environment share the document.  A save
-        that put it before this check and inserts its model after sees no
-        document; it re-checks after its insert, this re-checks after its
-        delete, so whichever runs last restores it.
-        """
-        models = self.documents.collection(MODELS)
-        others = {"environment_id": env_id, "_id": {"$ne": model_id}}
-        if models.find(others, limit=1, projection=()):
-            return
-        environments = self.documents.collection(ENVIRONMENTS)
-        try:
-            environment = environments.get(env_id)
-        except KeyError:
-            return
-        environments.delete_one(env_id)
-        if models.find(others, limit=1, projection=()):
-            try:
-                environments.insert_one(environment)
-            except DuplicateKeyError:
-                pass  # the racing save restored it first
 
     def _delete_wrappers(self, train_document: dict) -> list[str]:
         """Delete a train document's wrapper documents; returns their state
@@ -658,39 +640,44 @@ class ModelManager:
     def fsck(self, repair: bool = True, verify_chunks: bool = True) -> FsckReport:
         """Cross-check documents ↔ files ↔ chunks ↔ refcounts; repair.
 
-        Invariants checked, in order:
+        Invariants checked, in order, each step timed under its name:
 
-        1. every save intent belongs to a finished save — crashed saves
-           are rolled back (stores and documents);
-        1b. every segment's footer and record framing is intact — torn tails are truncated, the
-           chunk index is rebuilt from disk, and an interrupted
-           compaction is rolled forward or back;
-        2. no catalog log was opened with a torn final record (a crash
-           mid-append; the engine already dropped it, reported here once);
-           every model document's base model, environment/train documents,
-           and referenced files exist, and every content-addressed
-           environment document still hashes back to its id (audit only);
-        3. every manifest's chunks exist and (with ``verify_chunks``)
-           hash back to their content digests; a level an older release
-           wrote and no open has upgraded is a ``retired_level`` (a v2
-           manifest's pieces stay referenced);
-        4. (none of its own: a file is a record, so 5 finds orphan files);
-        5. every record's refcount equals what the live documents and
-           manifests reference — a file 1 if any document names it (a
-           set, like the manifests), a chunk once per referencing entry of
-           each distinct live manifest — and no unreferenced record
-           remains: an unreferenced file is an ``orphan_file``, an
-           unreferenced chunk an ``orphan_chunk``, both found in one pass
-           (what a crashed chain rewrite leaves is exactly this, and the
-           repair also deletes the swap intents a parent release kept
-           beside one — they name only such files);
-        6. on a sharded store, every record (chunk or file) holds its
-           full R replicas — under-replicated keys are restored from a
-           surviving copy (digest-verified, never propagating corruption);
-        6b. no hinted-handoff IOUs remain pending — after the replica
-           repair above, leftover hints are drained (delivered or
+        1. ``segments`` — every segment's footer and record framing is
+           intact: torn tails are truncated, the chunk index is rebuilt
+           from disk, and an interrupted compaction is rolled forward or
+           back;
+        2. ``documents`` — no catalog log was opened with a torn final
+           record (a crash mid-append; the engine already dropped it,
+           reported here once); every model document's base model,
+           environment/train documents, and referenced files exist, and
+           every content-addressed environment document still hashes back
+           to its id (audit only);
+        3. ``chunks`` — every manifest's chunks exist and (with
+           ``verify_chunks``) hash back to their content digests; a level
+           an older release wrote and no open has upgraded is a
+           ``retired_level`` (a v2 manifest's pieces stay referenced);
+        4. ``refcounts`` — every record's refcount equals what the live
+           documents and manifests reference — a file 1 if any document
+           names it (a set, like the manifests), a chunk once per
+           referencing entry of each distinct live manifest — and no
+           unreferenced record remains: an unreferenced file is an
+           ``orphan_file``, an unreferenced chunk an ``orphan_chunk``,
+           both found in one pass.  What a save that died before its
+           model document left is exactly this, as is what a crashed chain
+           rewrite leaves; the repair also deletes the logs a parent
+           release kept beside them (:data:`PARENT_LOG_DIRS`), which name
+           only such records;
+        5. ``replication`` — on a sharded store, every record (chunk or
+           file) holds its full R replicas: under-replicated keys are
+           restored from a surviving copy (digest-verified, never
+           propagating corruption);
+        6. ``hints`` — no hinted-handoff IOUs remain pending: after the
+           replica repair above, leftover hints are drained (delivered or
            resolved as stale); hints still owed to an unreachable member
-           are reported unrepaired.
+           are reported unrepaired (``pending_hints``);
+        7. ``orphan_documents`` — every environment, train and wrapper
+           document is referenced: one a crashed save put, or an
+           environment whose last model was deleted, is removed.
 
         With ``repair=False`` everything is reported but nothing is
         touched.  Losses fsck cannot undo (a missing or corrupt chunk of
@@ -700,40 +687,7 @@ class ModelManager:
         files = self.files
         steps = _FsckSteps(report)
 
-        # 1. crashed saves: roll back their journaled steps, newest first
-        steps.start("journals")
-        if hasattr(files, "incomplete_journals"):
-            for journal in files.incomplete_journals():
-                if journal.damage:
-                    # no save in it is rolled back (one whose commit the
-                    # damage hid must stay); its steps are at worst orphans
-                    # that step 5's reconcile reclaims
-                    if repair:
-                        journal.discard()
-                    report.add("damaged_journal", journal.damage, repaired=repair)
-                    continue
-                if repair:
-                    stats = files.rollback_journal(journal)
-                    for collection, doc_id in stats["docs"]:
-                        try:
-                            self.documents.collection(collection).delete_one(doc_id)
-                        except Exception:
-                            pass  # the document may never have landed
-                    detail = (
-                        f"rolled back crashed save {journal.save_id}: "
-                        f"{stats['blobs_removed']} files, "
-                        f"{stats['chunks_removed']} chunks, "
-                        f"{stats['refs_released']} refs, "
-                        f"{len(stats['docs'])} documents"
-                    )
-                else:
-                    detail = (
-                        f"crashed save {journal.save_id} left "
-                        f"{len(journal.entries)} journaled steps behind"
-                    )
-                report.add("incomplete_save", detail, repaired=repair)
-
-        # 1b. audit segment footers/record framing, rebuild the chunk
+        # 1. audit segment footers/record framing, rebuild the chunk
         # index from disk, finish interrupted compactions
         steps.start("segments")
         outcome = files.chunks.audit(repair=repair, verify=verify_chunks)
@@ -917,7 +871,7 @@ class ModelManager:
         report.checked_files = len(files.file_ids())
         report.checked_chunks = sum(1 for key in expected_refs if not is_file_id(key))
 
-        # 5. refcounts vs. the live documents and manifests; orphan files
+        # 4. refcounts vs. the live documents and manifests; orphan files
         # and chunks (keys are ``member:key`` on a sharded store)
         steps.start("refcounts")
         outcome = files.chunks.reconcile(expected_refs, repair=repair)
@@ -938,12 +892,12 @@ class ModelManager:
                 kind, detail = "orphan_chunk", f"unreferenced chunk {key[:12]}…"
             report.add(kind, detail + (" (removed)" if repair else ""),
                        repaired=repair)
-        # a parent release left its swap intents in a directory of their
-        # own; the files they name are the orphans reclaimed just above
+        # what a parent release's logs name, no document does: reclaimed above
         if repair and hasattr(files, "root"):
-            shutil.rmtree(Path(files.root) / "chain-compaction", ignore_errors=True)
+            for name in PARENT_LOG_DIRS:
+                shutil.rmtree(Path(files.root) / name, ignore_errors=True)
 
-        # 6. replica counts vs. the placement ring (sharded stores only):
+        # 5. replica counts vs. the placement ring (sharded stores only):
         # quorum writes that landed degraded, or members that lost disks,
         # leave keys below R copies — restore them from a surviving replica
         steps.start("replication")
@@ -967,8 +921,8 @@ class ModelManager:
                     repaired=fixed,
                 )
 
-        # 6b. hinted-handoff backlog: a healthy cluster owes nothing.
-        # Step 6 restored the replicas themselves, so pending hints are
+        # 6. hinted-handoff backlog: a healthy cluster owes nothing.
+        # Step 5 restored the replicas themselves, so pending hints are
         # now satisfied (or still undeliverable) — drain resolves them as
         # stale/delivered; whatever stays pending targets a member that
         # is still unreachable.
@@ -990,7 +944,7 @@ class ModelManager:
                 "pending_hints", detail, repaired=repair and remaining == 0
             )
 
-        # 7. orphan documents (saves that crashed outside a journal)
+        # 7. orphan documents (a crashed save's, an environment nobody names)
         steps.start("orphan_documents")
         for collection_name, live in (
             (ENVIRONMENTS, live_envs),

@@ -23,7 +23,6 @@ import json
 import shutil
 import threading
 import uuid
-import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -35,7 +34,6 @@ import numpy as np
 from .. import obs
 from ..errors import LayersNeededError, StoreCorruptionError, TransientStoreError
 from . import upgrade
-from .journal import IntentLog, SaveJournal, incomplete_saves
 from .segments import (
     DEFAULT_TMP_GRACE_S,
     ChunkNotFoundError,
@@ -66,9 +64,6 @@ MANIFEST_FORMAT = "mmlib-chunked-state-v1"
 
 #: Directory (under the store root) holding the content-addressed chunks.
 CHUNK_DIR_NAME = "chunks"
-
-#: Directory (under the store root) holding the save intent logs.
-JOURNAL_DIR_NAME = "journal"
 
 #: Default byte budget for an in-process hot-chunk LRU (see :class:`ChunkCache`).
 DEFAULT_CHUNK_CACHE_BYTES = 256 * 1024 * 1024
@@ -378,9 +373,10 @@ class FileStore:
     * ``retry`` — a :class:`~repro.retry.RetryPolicy` applied around each
       primitive operation, so transient failures are absorbed here and
       callers only ever see a typed error once the budget is spent;
-    * write-ahead save intents (:meth:`begin_journal`), one record log per
-      open store, that make multi-step saves all-or-nothing across
-      crashes (:mod:`repro.filestore.journal`; :meth:`close` releases it);
+    * a save's undo steps (:meth:`begin_journal`), kept in memory per
+      thread, that undo a save failing in process; a save commits by its
+      model document's insert, and fsck's reconcile reclaims what a
+      crashed one leaves;
     * ``verify_reads`` — every :meth:`recover_state_chunks` checks each
       layer against its content digest and re-fetches on mismatch,
       raising :class:`StoreCorruptionError` once the retry budget is
@@ -425,7 +421,7 @@ class FileStore:
         #: True once the root holds only the one format; until then every
         #: save service opened over this store runs
         #: :func:`~repro.filestore.upgrade.upgrade`.
-        self.one_format = upgrade.open_root(self.root)
+        self.one_format = self._open_root()
         self.faults = faults
         self.retry = retry
         self.tmp_grace_s = float(tmp_grace_s)
@@ -443,7 +439,6 @@ class FileStore:
         self._chunks: ChunkStore | None = None
         self._chunks_lock = threading.Lock()
         self._journal_local = threading.local()
-        self._new_intents()
         self._obs_tracer = obs.tracer()
         self._obs_coalesced = obs.registry().counter(
             "mmlib_chunk_cache_coalesced_total",
@@ -451,6 +446,10 @@ class FileStore:
         # an older release kept each file as its own file in the root
         if any(path.is_file() and not path.name.startswith(".") for path in self.root.iterdir()):
             self.chunks.import_files(self.root, refcount=1)
+
+    def _open_root(self) -> bool:
+        """Make the root; True iff it holds only the one format."""
+        return upgrade.open_root(self.root)
 
     @property
     def chunks(self) -> ChunkStore:
@@ -505,113 +504,64 @@ class FileStore:
         if self.chunk_cache is not None:
             self.chunk_cache.discard(digest)
 
-    # -- write-ahead intent journal ---------------------------------------------
+    # -- a save's undo steps ------------------------------------------------------
 
-    @property
-    def journal_dir(self) -> Path:
-        return self.root / JOURNAL_DIR_NAME
+    def begin_journal(self) -> None:
+        """Start this thread's save, whose steps are noted in memory.
 
-    def begin_journal(self) -> SaveJournal:
-        """Open a new save's journal and make it this thread's active one.
-
-        Store operations on this thread record their intents into the
-        active journal until :meth:`commit_journal` / :meth:`abort_journal`
-        closes it.  The journal is per-thread, so concurrent savers
-        sharing one store never interleave intents; they share the store's
-        one intent log.
+        Until :meth:`commit_journal` or :meth:`abort_journal` ends it, each
+        store step the save takes is noted, so a save that fails can be
+        undone.  Nothing is written: a save commits by its model document's
+        insert, and what a crashed save leaves is reclaimed by fsck's
+        reconcile (DESIGN.md §7).  The steps are per-thread, so concurrent
+        savers never interleave them.
         """
-        journal = self._intents.begin()
-        self._journal_local.active = journal
-        return journal
+        self._journal_local.steps = []
 
-    def _new_intents(self) -> None:
-        """A fresh intent log for this instance, released with it: at
-        :meth:`close`, when the store is collected, or at exit."""
-        self._intents = IntentLog.create(self.journal_dir)
-        weakref.finalize(self, self._intents.close)
-
-    def _active_journal(self) -> SaveJournal | None:
-        return getattr(self._journal_local, "active", None)
+    def _steps(self) -> list[dict] | None:
+        return getattr(self._journal_local, "steps", None)
 
     def journal_active(self) -> bool:
-        """True while this thread has an open save journal.
+        """True while this thread has a save open.
 
         Nested save transactions (a service delegating to another over the
-        same store) use this to join the outer journal instead of opening
-        a second one.
+        same store) use this to join the outer save instead of opening a
+        second one.
         """
-        return self._active_journal() is not None
+        return self._steps() is not None
 
     def journal_record(self, op: str, **fields) -> None:
-        """Record one intent into the active journal (no-op without one)."""
-        journal = self._active_journal()
-        if journal is not None:
-            journal.record(op, **fields)
+        """Note one step of this thread's save (no-op outside one)."""
+        steps = self._steps()
+        if steps is not None:
+            steps.append({"op": op, **fields})
 
     def commit_journal(self) -> None:
-        """Mark the active journal committed."""
-        journal = self._active_journal()
-        self._journal_local.active = None
-        if journal is not None:
-            journal.commit()
+        """End this thread's save; its steps stand."""
+        self._journal_local.steps = None
 
-    def abandon_journal(self) -> None:
-        """Detach the active journal, leaving its save open in the log.
+    def abort_journal(self) -> list[tuple[str, str]]:
+        """End this thread's save and undo its steps, newest first.
 
-        Crash simulation uses this: the "dead" process stops journaling
-        while the incomplete save stays behind for fsck to find.
-        """
-        self._journal_local.active = None
-
-    def abort_journal(self) -> dict:
-        """Roll back the active journal's recorded steps (failed save)."""
-        journal = self._active_journal()
-        self._journal_local.active = None
-        if journal is None:
-            return {"blobs_removed": 0, "chunks_removed": 0, "refs_released": 0, "docs": []}
-        return self.rollback_journal(journal)
-
-    def incomplete_journals(self) -> list[SaveJournal]:
-        """Journals of saves that never finished (crashed mid-save), this
-        thread's own in-flight save excepted."""
-        if not self.journal_dir.exists():
-            return []
-        active = self._active_journal()
-        return incomplete_saves(
-            self.journal_dir, self._intents, active.save_id if active else None)
-
-    def rollback_journal(self, journal: SaveJournal) -> dict:
-        """Undo a journal's recorded steps, newest first; returns stats.
-
-        A ``refs`` record is undone by releasing exactly the references it
+        A ``refs`` step is undone by releasing exactly the references it
         took — a file's own one among them, which deletes the file — never
         through :meth:`delete`, which would also release a manifest's
-        chunks a second time.  A ``blob`` record was written by an older
-        release, whose files are imported as records on open: it releases
-        and drops that record.  Document intents cannot be undone here (the
-        file store holds no document-store handle); they are returned under
-        ``"docs"`` for the caller (the save transaction or fsck) to delete.
+        chunks a second time.  Document steps cannot be undone here (the
+        file store holds no document-store handle): their
+        ``(collection, doc_id)`` pairs are returned for the save
+        transaction to delete.
         """
-        stats = {"blobs_removed": 0, "chunks_removed": 0, "refs_released": 0, "docs": []}
-        for entry in reversed(journal.entries):
-            op = entry.get("op")
+        steps = self._steps() or []
+        self._journal_local.steps = None
+        docs = []
+        for entry in reversed(steps):
+            op = entry["op"]
             if op == "doc":
-                stats["docs"].append((entry["collection"], entry["doc_id"]))
-            elif op == "blob":
-                file_id = entry["file_id"]
-                if self.chunks.has(file_id):
-                    with contextlib.suppress(StoreCorruptionError):
-                        self.chunks.release_refs([file_id])
-                    self.chunks.drop(file_id)
-                    stats["blobs_removed"] += 1
+                docs.append((entry["collection"], entry["doc_id"]))
             elif op == "refs":
-                try:
-                    removed = self.chunks.release_refs(entry["digests"])
-                except StoreCorruptionError:
-                    continue  # unreadable counts: fsck's reconcile recounts them
-                stats["blobs_removed"] += sum(1 for d in removed if is_file_id(d))
-                stats["refs_released"] += sum(
-                    1 for d in entry["digests"] if not is_file_id(d))
+                with contextlib.suppress(StoreCorruptionError):
+                    # unreadable counts: fsck's reconcile recounts them
+                    self.chunks.release_refs(entry["digests"])
             elif op == "chunk":
                 digest = entry["digest"]
                 try:
@@ -620,9 +570,7 @@ class FileStore:
                     continue  # ... and sweeps the chunk if nothing references it
                 if unreferenced and self.chunks.has(digest):
                     self.chunks.drop(digest)
-                    stats["chunks_removed"] += 1
-        journal.discard()
-        return stats
+        return docs
 
     # -- save ------------------------------------------------------------------
 
@@ -656,11 +604,11 @@ class FileStore:
     # -- chunked state save/recover ---------------------------------------------
 
     def _put_chunk_data(self, digest: str, buffer) -> bool:
-        """Write one record (fault/retry wrapped) without journaling.
+        """Write one record (fault/retry wrapped) without noting a step.
 
-        The save journal is thread-local, so parallel savers write through
-        this primitive and the calling thread records the intents.  A file
-        record's fault point is ``file.write``, a chunk's ``chunk.write``.
+        A save's steps are thread-local, so parallel savers write through
+        this primitive and the calling thread notes them.  A file record's
+        fault point is ``file.write``, a chunk's ``chunk.write``.
         """
         op = "file.write" if is_file_id(digest) else "chunk.write"
 
@@ -843,8 +791,8 @@ class FileStore:
         re-hashed here, and already-contiguous arrays are written from a
         ``memoryview`` without copying.  With ``workers`` (default: the
         store's ``workers`` setting) distinct chunks are written
-        concurrently; the crash-consistency journal is still recorded on
-        the calling thread, since journals are thread-local.  The manifest
+        concurrently; the save's undo steps are still noted on the calling
+        thread, since they are thread-local.  The manifest
         record is put after the chunks and before the one group fsync that
         covers them all, and takes its own reference in the same
         refcount append as the layers.  Returns the manifest's file id,
@@ -894,15 +842,12 @@ class FileStore:
                 unique.append(file_id)
                 wrote.append(self._put_chunk_data(file_id, manifest))
             finally:
-                # one journal append for the batch, on the calling thread
-                # (journals are thread-local) and also when a put failed, so a
-                # rollback drops what was written before it; chunks put but not
-                # journaled at a real crash are refcount-0 orphans fsck sweeps
-                journal = self._active_journal()
-                if journal is not None:
-                    journal.record_many(
-                        [{"op": "chunk", "digest": d} for d, w in zip(unique, wrote) if w]
-                    )
+                # noted on the calling thread (steps are thread-local), also
+                # when a put failed, so an undo drops what was written before it
+                steps = self._steps()
+                if steps is not None:
+                    steps.extend(
+                        {"op": "chunk", "digest": d} for d, w in zip(unique, wrote) if w)
             # group fsync: one durability barrier for the whole batch, the
             # manifest included, before the refs acknowledge the save
             self.chunks.flush()
@@ -1185,16 +1130,10 @@ class FileStore:
             return self.chunks.gc()
         return {"chunks_removed": 0, "bytes_freed": 0}
 
-    def close(self) -> None:
-        """Release the intent log, deleting it when no save in it is open."""
-        self._intents.close()
-
     def clear(self) -> None:
-        self._intents.close()
         shutil.rmtree(self.root)
-        self.one_format = upgrade.open_root(self.root)
+        self.one_format = self._open_root()
         self._chunks = None
         self._journal_local = threading.local()
-        self._new_intents()
         if self.chunk_cache is not None:
             self.chunk_cache.clear()

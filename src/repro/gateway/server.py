@@ -12,9 +12,10 @@ declares).  The split of work is strict:
   overload.
 * **Worker pool**: everything that talks to storage, and encoding the
   response frame.  The synchronous stack (save transactions, quorum
-  writes, chain recovery, retries) runs unchanged on pool threads;
-  per-thread write-ahead journals make concurrent saves from different
-  workers safe.
+  writes, chain recovery, retries) runs unchanged on pool threads; each
+  save notes its undo steps on its own thread and commits by its model
+  document's insert, so concurrent saves from different workers never
+  share a transaction.
 
 Requests pipeline per connection — each incoming frame becomes its own
 task, responses are written under a lock in completion order, and the

@@ -419,8 +419,9 @@ class TestManagerSelfHeal:
     def test_shared_environment_returns_after_its_last_referent_was_deleted(
         self, tmp_path
     ):
-        """Deleting the last model tombstones the shared environment
-        document; the next save's put must supersede the tombstone."""
+        """Deleting the last model leaves the shared environment document
+        for fsck's orphan sweep, which tombstones it; the next save's put
+        must supersede the tombstone."""
         from repro.cluster.sharded_docs import TOMBSTONES
         from repro.core.schema import ENVIRONMENTS
 
@@ -440,6 +441,9 @@ class TestManagerSelfHeal:
         assert env_holders(env_id) == owners and len(owners) == 2
 
         manager.delete_model(first)
+        assert env_holders(env_id) == owners
+        report = manager.fsck()
+        assert {issue.kind for issue in report.issues} == {"orphan_document"}
         assert env_holders(env_id) == set()
         stone = f"{ENVIRONMENTS}/{env_id}"
         assert all(

@@ -200,7 +200,8 @@ class TestDedup:
 
 class TestNoFileUnderTheRoot:
     """Every byte a save stores is a segment record: no save creates a
-    regular file directly under the store root (DESIGN.md §6)."""
+    regular file directly under the store root, nor a log of its own
+    (DESIGN.md §6)."""
 
     @pytest.mark.parametrize("kind", ["BA", "PUA initial", "PUA derived", "MPA"])
     def test_a_save_creates_no_file_in_the_root(self, tmp_path, kind):
@@ -220,10 +221,11 @@ class TestNoFileUnderTheRoot:
             trained = perturbed(base, level=0)
             run.execute(trained)
 
-        def root_files():
-            return sorted(p.name for p in files.root.iterdir() if p.is_file())
+        def root_entries():
+            return sorted(p.name for p in files.root.iterdir())
 
-        assert root_files() == [FORMAT_MARKER]  # marked when it was created
+        # a fresh store's first save: marked when it was created, no log
+        assert root_entries() == [FORMAT_MARKER, "chunks"]
         before = set(files.file_ids())
         if kind == "BA":
             BaselineSaveService(documents, files).save_model(
@@ -238,14 +240,15 @@ class TestNoFileUnderTheRoot:
                 documents, files, scratch_dir=tmp_path / "scratch").save_model(
                 run.to_provenance_info(base_id, trained_model=trained))
         assert set(files.file_ids()) > before  # the save did store files
-        assert root_files() == [FORMAT_MARKER]
+        assert root_entries() == [FORMAT_MARKER, "chunks"]
 
     @pytest.mark.parametrize("kind", ["BA", "PUA derived"])
     def test_a_warm_save_creates_no_file_anywhere_under_the_root(
         self, tmp_path, monkeypatch, kind
     ):
-        """Not in the root, not in ``journal/``, not even one a save unlinks
-        again: every file an open creates during the save is counted."""
+        """Not in the root, not in a directory of its own, not even one a
+        save unlinks again: every file an open creates during the save is
+        counted."""
         documents, files = DocumentStore(), FileStore(tmp_path / "files")
         pua = ParameterUpdateSaveService(documents, files)
         base = make_tiny_cnn(seed=12)

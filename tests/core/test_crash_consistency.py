@@ -1,9 +1,13 @@
 """Crash-consistent saves: kill a save at every step, fsck repairs all.
 
 The tentpole robustness guarantee: a save is atomic under process death.
+It commits by its model document's insert and writes no log of its own.
 Whatever operation the process dies on, ``ModelManager.fsck`` restores
-every storage invariant, no previously saved model is lost, and a
-subsequent save succeeds.
+every storage invariant: a save that died before the insert leaves the
+stores exactly as it found them (its records and documents are orphans
+fsck's reconcile and orphan-document sweep reclaim), one that died after
+it is saved and recovers bitwise, no previously saved model is lost, and
+a subsequent save succeeds.  Single store and 3x2 cluster alike.
 """
 
 import numpy as np
@@ -17,9 +21,11 @@ from repro.core import (
     ParameterUpdateSaveService,
     ProvenanceSaveService,
 )
+from repro.core.schema import ENVIRONMENTS, TRAIN_INFO, WRAPPERS
+from repro.distsim.environment import SharedStores
 from repro.docstore import DocumentStore
 from repro.faults import CrashPoint, FaultInjector, FaultyDocumentStore
-from repro.filestore import FileStore
+from repro.filestore import ChunkStore, FileStore
 from repro.retry import RetryPolicy
 from tests.conftest import make_tiny_cnn
 
@@ -41,6 +47,46 @@ def assert_states_equal(model, other):
 
 
 SERVICES = [BaselineSaveService, ParameterUpdateSaveService, ProvenanceSaveService]
+
+
+def catalog(manager) -> set[str]:
+    return {record.model_id for record in manager.list_models()}
+
+
+def store_state(manager) -> dict:
+    """What a save that never committed must leave as it found it: the
+    catalog, the file and chunk ids, every record's refcount (a cluster's
+    member by member) and the documents a save puts beside its model's."""
+    files, documents = manager.files, manager.documents
+    stores = getattr(files, "members", {"": files})
+    state = {
+        "catalog": catalog(manager),
+        "files": sorted(files.file_ids()),
+        "chunks": {name: sorted(member.chunks.chunk_ids())
+                   for name, member in stores.items()},
+        "refs": {name: member.chunks.export_refs() for name, member in stores.items()},
+    }
+    for name in (ENVIRONMENTS, TRAIN_INFO, WRAPPERS):
+        state[name] = sorted(documents.collection(name).find(), key=lambda d: d["_id"])
+    return state
+
+
+def assert_repaired(service, manager, before: dict, victim, label: str) -> set[str]:
+    """fsck after a crashed save: nothing left unrepaired and a second pass
+    clean.  A crash before the model document's insert leaves the stores
+    exactly as ``before``; one after it leaves one more model, which
+    recovers bitwise.  Returns the committed model's id, if any."""
+    report = manager.fsck()
+    assert not report.unrepaired, f"{label}: {report.summary()}"
+    assert manager.fsck().clean, f"{label}: second fsck dirty"
+    added = catalog(manager) - before["catalog"]
+    assert catalog(manager) >= before["catalog"], f"{label}: a model was lost"
+    assert len(added) <= 1, f"{label}: catalog grew by {added}"
+    if added:
+        assert_states_equal(victim, service.recover_model(*added).model)
+    else:
+        assert store_state(manager) == before, f"{label}: the stores differ"
+    return added
 
 
 @pytest.fixture(params=["segments"])
@@ -106,8 +152,7 @@ class TestCrashMatrix:
 
         base = make_tiny_cnn(seed=1)
         base_id = service.save_model(ModelSaveInfo(base, tiny_arch(), use_case="U_1"))
-        clean_files = set(files.file_ids())
-        clean_chunks = set(files.chunks.chunk_ids())
+        clean = store_state(manager)
 
         victim = make_tiny_cnn(seed=2)
         save_info = ModelSaveInfo(
@@ -132,109 +177,59 @@ class TestCrashMatrix:
         assert not report.unrepaired, report.summary()
         assert manager.fsck().clean
 
-        catalog = {record.model_id for record in manager.list_models()}
-        assert base_id in catalog
+        assert base_id in catalog(manager)
         recovered = service.recover_model(base_id)
         assert_states_equal(base, recovered.model)
-        assert clean_files <= set(files.file_ids())
-        assert clean_chunks <= set(files.chunks.chunk_ids())
+        # every model the attempts committed (the last one's at least) is
+        # whole; deleted, they leave exactly the store before the first
+        for model_id in catalog(manager) - {base_id}:
+            assert_states_equal(victim, service.recover_model(model_id).model)
+            manager.delete_model(model_id)
+        assert store_state(manager) == clean
 
 
 class TestCrashBeforeTheChunkBatchIsJournaled:
-    """A save journals its chunk intents as one batch after the puts.  Dying
-    between the last put and that append leaves chunks no journal names:
-    refcount-0 orphans, which fsck sweeps (the journal module's promise)."""
+    """A save notes its chunks' undo steps in memory only.  Dying between
+    the last put and the refcounts leaves chunks nothing on disk names:
+    refcount-0 orphans, which fsck sweeps."""
 
     @pytest.mark.parametrize("service_cls", SERVICES)
     def test_unjournaled_chunks_are_swept_as_orphans(
         self, service_cls, layout, tmp_path, monkeypatch
     ):
-        from repro.filestore.journal import SaveJournal
-
         docs = DocumentStore(tmp_path / "docs")
         files = FileStore(tmp_path / "files", tmp_grace_s=0.0)
         service = service_cls(docs, files, scratch_dir=tmp_path / "scratch")
         manager = ModelManager(service)
         base = make_tiny_cnn(seed=1)
         base_id = service.save_model(ModelSaveInfo(base, tiny_arch(), use_case="U_1"))
-        chunks_before = set(files.chunks.chunk_ids())
+        before = store_state(manager)
 
-        record_many = SaveJournal.record_many
+        def die_at_the_group_fsync(store):
+            raise CrashPoint("died between the last put and the refcounts")
 
-        def die_on_the_chunk_batch(journal, entries):
-            if entries and entries[0]["op"] == "chunk":
-                raise CrashPoint("died between the last put and the journal append")
-            record_many(journal, entries)
-
-        monkeypatch.setattr(SaveJournal, "record_many", die_on_the_chunk_batch)
+        monkeypatch.setattr(ChunkStore, "flush", die_at_the_group_fsync)
         victim = make_tiny_cnn(seed=2)
         with pytest.raises(CrashPoint):
             # a plain snapshot of new parameters: every service writes chunks
             service.save_model(ModelSaveInfo(victim, tiny_arch(), use_case="U_2"))
-        monkeypatch.setattr(SaveJournal, "record_many", record_many)
+        monkeypatch.undo()
 
-        written = set(files.chunks.chunk_ids()) - chunks_before
-        journal, = files.incomplete_journals()
-        assert not any(entry["op"] == "chunk" for entry in journal.entries)
-        # the code file took its one reference, journaled, before the chunks
-        journaled = {d for e in journal.entries if e["op"] == "refs" for d in e["digests"]}
-        orphans = written - journaled
-        assert orphans, "the crashed save wrote no chunk before its journal append"
-        assert all(files.chunks.refcount(digest) == 0 for digest in orphans)
+        written = set(files.chunks.chunk_ids()) - set(before["chunks"][""])
+        # the code file took its one reference before the chunks were put
+        orphans = {digest for digest in written if files.chunks.refcount(digest) == 0}
+        assert orphans, "the crashed save wrote no chunk before its refcounts"
 
         # the process really died: reopen from disk, then repair
         files = FileStore(tmp_path / "files", tmp_grace_s=0.0)
         service = service_cls(
             DocumentStore(tmp_path / "docs"), files, scratch_dir=tmp_path / "scratch")
         manager = ModelManager(service)
-        report = manager.fsck()
-        assert not report.unrepaired, report.summary()
-        assert manager.fsck().clean
-        assert set(files.chunks.chunk_ids()) == chunks_before
-        assert {r.model_id for r in manager.list_models()} == {base_id}
+        assert not assert_repaired(service, manager, before, victim, "at the fsync")
         assert_states_equal(base, service.recover_model(base_id).model)
         second_id = service.save_model(ModelSaveInfo(victim, tiny_arch(), use_case="U_2"))
         assert_states_equal(victim, service.recover_model(second_id).model)
         assert manager.fsck().clean
-
-    def test_a_save_journals_its_chunks_with_one_append(self, tmp_path, monkeypatch):
-        from repro.filestore.journal import SaveJournal
-
-        files = FileStore(tmp_path / "files")
-        service = BaselineSaveService(DocumentStore(), files)
-        record_many = SaveJournal.record_many
-        batches = []
-
-        def spy(journal, entries):
-            batches.append([entry["op"] for entry in entries])
-            record_many(journal, entries)
-
-        monkeypatch.setattr(SaveJournal, "record_many", spy)
-        service.save_model(ModelSaveInfo(make_tiny_cnn(seed=3), tiny_arch()))
-        chunk_batches = [ops for ops in batches if "chunk" in ops]
-        assert len(chunk_batches) == 1 and set(chunk_batches[0]) == {"chunk"}
-        assert len(chunk_batches[0]) > 1
-
-    def test_a_batch_is_one_json_object_per_line(self, tmp_path):
-        """A batch is one record of the intent log, its entries in order."""
-        from repro.filestore import FileStore
-        from repro.filestore.recordlog import RecordLog
-
-        files = FileStore(tmp_path / "files")
-        journal = files.begin_journal()
-        journal.record("blob", file_id="f1")
-        journal.record_many([{"op": "chunk", "digest": d} for d in ("a", "b", "c")])
-        journal.record_many([])
-        records = RecordLog(files._intents.path).replay()
-        assert records[1:] == [{"save": journal.save_id, "entries": [
-            {"digest": "a", "op": "chunk"},
-            {"digest": "b", "op": "chunk"},
-            {"digest": "c", "op": "chunk"},
-        ]}]
-        files.abandon_journal()
-        [loaded] = FileStore(tmp_path / "files").incomplete_journals()
-        assert loaded.entries == journal.entries
-        assert len(journal.entries) == 4
 
 
 class TestPerCrashRepair:
@@ -257,16 +252,13 @@ class TestPerCrashRepair:
         )
         crashes = 0
         for at in range(1, 200):
+            before = store_state(manager)
             faults.arm_crash(at)
             try:
                 service.save_model(save_info)
             except CrashPoint:
                 crashes += 1
-                report = manager.fsck()
-                assert not report.unrepaired, f"crash at {at}: {report.summary()}"
-                assert manager.fsck().clean, f"crash at {at}: second fsck dirty"
-                catalog = {r.model_id for r in manager.list_models()}
-                assert catalog == {base_id}, f"crash at {at}: catalog {catalog}"
+                assert_repaired(service, manager, before, victim, f"crash at {at}")
                 assert_states_equal(base, service.recover_model(base_id).model)
             else:
                 break
@@ -285,7 +277,8 @@ class TestCrashThenRestartFromDisk:
         """As the matrix above, but the process really dies: after each
         crash the stores are opened anew from their directories — the
         catalog is whatever the append-only collection logs replay to —
-        and fsck there must repair to exactly the fault-free catalog."""
+        and fsck there must repair to exactly the stores before the save,
+        or, past the model document's insert, to one more model."""
         faults = FaultInjector(seed=0)
 
         def restart():
@@ -303,20 +296,19 @@ class TestCrashThenRestartFromDisk:
         save_info = ModelSaveInfo(
             victim, tiny_arch(), base_model_id=base_id, use_case="U_3-1-1"
         )
-        crashes = 0
+        crashes, committed = 0, set()
         for at in range(1, 200):
+            before = store_state(manager)
             faults.arm_crash(at)
             try:
                 second_id = service.save_model(save_info)
             except CrashPoint:
                 crashes += 1
                 service, manager = restart()
-                report = manager.fsck()
-                assert not report.unrepaired, f"crash at {at}: {report.summary()}"
+                report = manager.fsck(repair=False)
                 assert "catalog_torn_tail" not in {i.kind for i in report.issues}
-                assert manager.fsck().clean, f"crash at {at}: second fsck dirty"
-                catalog = {r.model_id for r in manager.list_models()}
-                assert catalog == {base_id}, f"crash at {at}: catalog {catalog}"
+                committed |= assert_repaired(
+                    service, manager, before, victim, f"crash at {at}")
             else:
                 break
         else:
@@ -325,9 +317,57 @@ class TestCrashThenRestartFromDisk:
         assert crashes >= 5, f"only {crashes} crash points exercised"
         service, manager = restart()
         assert manager.fsck().clean
-        assert {r.model_id for r in manager.list_models()} == {base_id, second_id}
+        assert catalog(manager) == {base_id, second_id} | committed
         assert_states_equal(base, service.recover_model(base_id).model)
         assert_states_equal(victim, service.recover_model(second_id).model)
+
+
+@pytest.mark.parametrize("service_cls", [BaselineSaveService, ParameterUpdateSaveService],
+                         ids=["BA", "PUA"])
+class TestCrashMatrixOnACluster:
+    def test_a_restarted_cluster_repairs_every_crash_point(self, service_cls, tmp_path):
+        """Kill a derived save at every operation of a 3x2 cluster's members
+        and restart every store from disk: each member's reconcile takes
+        back what the save left, as before the save or with the one model
+        it committed, and every model recovers bitwise."""
+        faults = FaultInjector(seed=0)
+
+        def restart():
+            stores = SharedStores.cluster_at(
+                tmp_path / "cluster", shards=3, replicas=2, faults=faults)
+            service = service_cls(
+                stores.documents, stores.files, scratch_dir=stores.scratch_dir)
+            return service, ModelManager(service)
+
+        service, manager = restart()
+        base = make_tiny_cnn(seed=1)
+        base_id = service.save_model(ModelSaveInfo(base, tiny_arch(), use_case="U_1"))
+        victim = make_tiny_cnn(seed=2)
+        save_info = ModelSaveInfo(
+            victim, tiny_arch(), base_model_id=base_id, use_case="U_3-1-1")
+        crashes, committed = 0, set()
+        for at in range(1, 400):
+            before = store_state(manager)
+            faults.arm_crash(at)
+            try:
+                second_id = service.save_model(save_info)
+            except CrashPoint:
+                crashes += 1
+                service, manager = restart()
+                committed |= assert_repaired(
+                    service, manager, before, victim, f"crash at {at}")
+                assert_states_equal(base, service.recover_model(base_id).model)
+            else:
+                break
+        else:
+            pytest.fail("save never completed")
+        faults.crash_at = None
+        assert crashes >= 10, f"only {crashes} crash points exercised"
+        service, manager = restart()
+        assert manager.fsck().clean
+        assert catalog(manager) == {base_id, second_id} | committed
+        for model_id in catalog(manager) - {base_id}:
+            assert_states_equal(victim, service.recover_model(model_id).model)
 
 
 class TestAllServicesRetryThroughChaos:

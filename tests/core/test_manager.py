@@ -136,15 +136,20 @@ class TestDeletion:
             manager.get(ids["root"])
 
     def test_environment_documents_cleaned(self, setup):
-        """The shared environment document survives while any model
-        references it and goes with the last referent."""
+        """The shared environment document survives every delete; once no
+        model references it, fsck's orphan sweep reclaims it."""
         manager, ids = setup
         environments = manager.documents.collection("environments")
         assert environments.count() == 1
         for name in ("b", "a", "c"):
             manager.delete_model(ids[name])
             assert environments.count() == 1
+        assert manager.fsck().clean  # still named by the root
         manager.delete_model(ids["root"])
+        assert environments.count() == 1
+        report = manager.fsck()
+        assert {issue.kind for issue in report.issues} == {"orphan_document"}
+        assert not report.unrepaired
         assert environments.count() == 0
 
 

@@ -14,7 +14,7 @@ ARCH = ArchitectureRef.from_factory(
 )
 
 FSCK_STEPS = (
-    "journals", "segments", "documents", "chunks",
+    "segments", "documents", "chunks",
     "refcounts", "replication", "hints", "orphan_documents",
 )
 

@@ -437,16 +437,19 @@ class TestTreeCache:
         ids = self.save_chain(service, models, tiny_arch())
         assert list(service._trees) == ids[-3:]
 
-    @pytest.mark.parametrize("step", ["_save_state", "_keep_environment"])
+    @pytest.mark.parametrize("step", ["_save_state", "_insert_model_document"])
     def test_a_rolled_back_save_caches_nothing(self, service, mem_doc_store, monkeypatch, step):
         """Neither the base tree a miss built (the save fails writing its
-        chunks) nor the new tree (it fails after its document insert)."""
+        chunks) nor the new tree (it fails once its document is inserted)."""
         base = make_tiny_cnn(seed=1)
         first = perturb(base, ["5.bias"])
         base_id, first_id = self.save_chain(service, [base, first], tiny_arch())
         service._trees.clear()
+        real = getattr(service, step)
 
         def fail(*args, **kwargs):
+            if step == "_insert_model_document":
+                real(*args, **kwargs)  # the document lands, then the save fails
             raise RuntimeError("injected")
 
         monkeypatch.setattr(service, step, fail)

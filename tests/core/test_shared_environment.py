@@ -3,9 +3,10 @@
 Every model saved from one environment references the same
 ``environments`` document.  These tests pin the sharing itself, the one
 enumeration of installed distributions behind it, and the three ownership
-rules that sharing changes: the document is not journaled with a save, it
-goes with its last referent, and neither a crashed save nor a concurrent
-delete can take it from a model that references it.
+rules that sharing changes: the document is not a step a save undoes, a
+delete leaves it for fsck's orphan-document sweep to reclaim once no model
+names it, and neither a crashed save nor a concurrent delete can take it
+from a model that references it.
 """
 
 import importlib.metadata
@@ -148,7 +149,7 @@ class TestCrashedSaveDoesNotOwnTheDocument:
         self, layout, tmp_path
     ):
         """Save A inserts the document and dies; save B reuses it and
-        commits.  Undoing A's journal must not take B's environment."""
+        commits.  Reclaiming what A left must not take B's environment."""
         faults = FaultInjector(seed=0)
         docs = FaultyDocumentStore(DocumentStore(), faults)
         files = FileStore(
@@ -166,7 +167,9 @@ class TestCrashedSaveDoesNotOwnTheDocument:
 
         survivor = service.save_model(save_info(2))
         report = manager.fsck()
-        assert "incomplete_save" in {issue.kind for issue in report.issues}
+        # A's code file and manifest are unreferenced; the document is not
+        assert "orphan_file" in {issue.kind for issue in report.issues}
+        assert "orphan_document" not in {issue.kind for issue in report.issues}
         assert not report.unrepaired, report.summary()
         assert_one_shared_environment(docs, [survivor])
         assert manager.fsck().clean
@@ -185,6 +188,7 @@ class TestCrashedSaveDoesNotOwnTheDocument:
         with pytest.raises(OSError):
             service.save_model(save_info(2))
         assert_one_shared_environment(mem_doc_store, [kept])
+        assert ModelManager(service).fsck().clean  # the undo left nothing
 
 
 class TestConcurrentSaveAndDelete:

@@ -212,22 +212,3 @@ class TestCrashPoints:
             faults.fail_point("chunk.read")  # match #2: dies here
         faults.fail_point("chunk.read")  # disarmed: repair code runs clean
         assert faults.stats["crashes"] == 1
-
-    def test_crash_mid_save_leaves_journal_for_rollback(self, tmp_path):
-        faults = FaultInjector(seed=0)
-        store = FileStore(tmp_path / "s", faults=faults)
-        state = small_state(seed=6)
-        store.begin_journal()
-        faults.arm_crash(3, op="chunk.write")
-        with pytest.raises(CrashPoint):
-            store.save_state_chunks(state, state_dict_hashes(state))
-        store.abandon_journal()  # the "process" died; journal stays on disk
-
-        reopened = FileStore(tmp_path / "s")
-        incomplete = reopened.incomplete_journals()
-        assert len(incomplete) == 1
-        stats = reopened.rollback_journal(incomplete[0])
-        assert stats["chunks_removed"] == 2  # the two chunks written pre-crash
-        assert len(reopened.chunks) == 0
-        assert reopened.file_ids() == []
-        assert reopened.incomplete_journals() == []

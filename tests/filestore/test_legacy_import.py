@@ -10,8 +10,9 @@ checkpoint, then the files are unlinked (DESIGN.md §9).
 Store roots of the older file-per-blob layout are imported the same way:
 every regular file directly under the root becomes a record under its
 name, with a refcount of one (DESIGN.md §6 "One store for every byte").
-The save journals and handoff hints those releases wrote name such a file
-as a ``blob``; both are still honoured.
+The handoff hints those releases wrote name such a file as a ``blob``;
+they are still honoured.  The save journals they wrote beside it are
+deleted by fsck, whose reconcile reclaims every file a crashed save left.
 
 Saves write one format, whole-layer (v1) manifests over raw records; a
 store holding one of the three retired write formats — v2 manifests of
@@ -33,7 +34,6 @@ import pytest
 
 from repro.cluster import HintDeliverer, HintLog, ShardedFileStore
 from repro.core import (
-    BaselineSaveService,
     ModelManager,
     ModelSaveInfo,
     ParameterUpdateSaveService,
@@ -47,7 +47,6 @@ from repro.docstore import DocumentStore
 from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import ChunkStore, FileStore, upgrade
-from repro.filestore.journal import SaveJournal
 from repro.filestore.store import MANIFEST_FORMAT, chunk_intact, is_file_id
 from repro.filestore.upgrade import FORMAT_MARKER, MANIFEST_FORMAT_V2
 from repro.nn import serialization
@@ -640,61 +639,7 @@ class TestAStoreOfFilesPerBlob:
         assert crashes == steps
 
 
-def as_older_journal(journal: SaveJournal) -> list[dict]:
-    """A save journal as an older release wrote it: files as ``blob``
-    intents, never chunks, and no reference of their own."""
-    entries = []
-    for entry in journal.entries:
-        if entry["op"] == "chunk" and is_file_id(entry["digest"]):
-            continue
-        if entry["op"] == "refs":
-            files = [d for d in entry["digests"] if is_file_id(d)]
-            chunks = [d for d in entry["digests"] if not is_file_id(d)]
-            if chunks:
-                entries.append({"op": "refs", "digests": chunks})
-            entries.extend({"op": "blob", "file_id": f} for f in files)
-            continue
-        entries.append(entry)
-    return entries
-
-
 class TestOlderArtefacts:
-    def test_a_crashed_save_journal_rolls_back_its_blob_intents(self, tmp_path):
-        files = FileStore(tmp_path / "files")
-        documents = DocumentStore(tmp_path / "docs")
-        service = BaselineSaveService(documents, files)
-        kept = make_tiny_cnn(seed=5)
-        kept_id = service.save_model(ModelSaveInfo(kept, tiny_arch()))
-        # a save that died before its document: code, chunks, manifest
-        crashed = copy_state(kept.state_dict())
-        crashed["5.bias"] += 3.0
-        files.begin_journal()
-        code_id = files.save_bytes(b"def build(): ...", suffix=".py")
-        manifest_id = files.save_state_chunks(crashed, state_dict_hashes(crashed))
-        journal = files._active_journal()
-        files.abandon_journal()
-        entries = as_older_journal(journal)
-        assert {e["file_id"] for e in entries if e["op"] == "blob"} == {
-            code_id, manifest_id}
-        # the older release's one file per save, and no intent log
-        older = files.journal_dir / f"{journal.save_id}.jsonl"
-        older.write_text("".join(json.dumps(e) + "\n" for e in entries))
-        for path in files.journal_dir.glob("intents-*.log"):
-            path.unlink()
-        unimport_files(files)
-
-        files = FileStore(tmp_path / "files")
-        assert {code_id, manifest_id} <= set(files.file_ids())
-        [journal] = files.incomplete_journals()
-        stats = files.rollback_journal(journal)
-        assert stats["blobs_removed"] == 2
-        assert not files.exists(code_id) and not files.exists(manifest_id)
-        changed = state_dict_hashes(crashed)["5.bias"]
-        assert not files.chunks.has(changed)
-        service = BaselineSaveService(documents, files)
-        assert_recovers(service, kept_id, copy_state(kept.state_dict()))
-        assert ModelManager(service).fsck(verify_chunks=True).clean
-
     def test_a_pending_blob_hint_is_delivered(self, tmp_path):
         members = {f"m{index}": FileStore(tmp_path / f"m{index}") for index in range(3)}
         hints = HintLog(tmp_path / "hints")

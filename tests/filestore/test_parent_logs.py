@@ -5,8 +5,9 @@ collections, the refcount log, hint files, rebalance journals, one file
 per save under ``journal/``) or one JSON document (``index.json``,
 ``compaction.json``, the indented ``chain-compaction/*.json``).
 :func:`to_parent_format` rewrites every log under a root that way, and
-writes the chain-compaction intents the parent kept beside a swap (this
-release commits a swap by its document alone and writes none).  Each
+writes the chain-compaction intents the parent kept beside a swap and the
+save journals it kept beside a save (this release commits both by a
+document alone and writes neither).  Each
 store here is caught mid-crash first — an open save, a pending chain
 compaction, a pending segment compaction, a pending rebalance, undelivered
 hints — so the parent-format files are exactly what a crashed parent left.
@@ -40,34 +41,29 @@ def json_lines(records, **dumps) -> str:
     return "".join(json.dumps(record, **dumps) + "\n" for record in records)
 
 
-def to_parent_format(root, swaps=()) -> set[str]:
+def to_parent_format(root, swaps=(), saves=()) -> set[str]:
     """Rewrite every framed log under ``root`` as the parent wrote it, and
     write each of ``swaps`` (a pending chain compaction: ``model_id``,
-    ``old_update_file``, ``manifest_file``, ``code_file``) as the parent's
-    intent under ``root / "files"``; returns the kinds of log written."""
+    ``old_update_file``, ``manifest_file``, ``code_file``) and of ``saves``
+    (an open save's intents) as the parent's intent under
+    ``root / "files"``; returns the kinds of log written."""
     kinds = set()
     for swap in swaps:
         intents = root / "files" / "chain-compaction"
         intents.mkdir(exist_ok=True)
         (intents / f"{swap['model_id']}.json").write_text(json.dumps(swap, indent=0))
         kinds.add("chain compaction")
+    for index, entries in enumerate(saves):
+        journal = root / "files" / "journal"
+        journal.mkdir(exist_ok=True)
+        (journal / f"save-{index:016x}.jsonl").write_text(
+            json_lines(entries, sort_keys=True))
+        kinds.add("save journal")
     for path in sorted(root.rglob("*")):
         if (not path.is_file() or path.suffix == ".seg"
                 or path.read_bytes()[:4] != RECORD_MAGIC):
             continue
         records = records_of(path)
-        if path.name.startswith("intents-"):
-            kind = "save journal"
-            saves: dict[str, list] = {}
-            for record in records:
-                saves.setdefault(record["save"], []).extend(record["entries"])
-            for save_id, entries in saves.items():
-                if not any(entry["op"] in ("commit", "discard") for entry in entries):
-                    (path.parent / f"{save_id}.jsonl").write_text(
-                        json_lines(entries, sort_keys=True))
-            path.unlink()
-            kinds.add(kind)
-            continue
         if path.name in ("index.json", "compaction.json"):
             kind, text = path.name, json.dumps(records[-1], sort_keys=True)
         elif path.name == "refcounts.json":
@@ -119,34 +115,41 @@ class TestASingleStore:
             "manifest_file": artifacts["manifest"],
             "code_file": artifacts["py"],
         }
-        # a save that died after its files, before its document
-        files.begin_journal()
+        # a save that died after its files, before its document, and the
+        # intents the parent journaled for it
         crashed = copy_state(states[0])
         crashed["5.bias"] += 7.0
-        files.save_bytes(b"def build(): ...", suffix=".py")
-        files.save_state_chunks(crashed, state_dict_hashes(crashed))
-        files.abandon_journal()
+        digests = state_dict_hashes(crashed)
+        code = files.save_bytes(b"def build(): ...", suffix=".py")
+        manifest = files.save_state_chunks(crashed, digests)
+        open_save = [
+            {"op": "refs", "digests": [code]},
+            {"op": "chunk", "digest": digests["5.bias"]},
+            {"op": "chunk", "digest": manifest},
+            {"op": "refs", "digests": [*digests.values(), manifest]},
+        ]
         del files, service, manager
 
-        assert to_parent_format(tmp_path, swaps=[swap]) == {
+        assert to_parent_format(tmp_path, swaps=[swap], saves=[open_save]) == {
             "catalog", "refcounts.json", "index.json", "chain compaction",
             "save journal"}
         files, service, manager = open_single(tmp_path)
-        assert len(files.incomplete_journals()) == 1
         for model_id, state in expected.items():
             assert_recovers(service, model_id, state)
         report = manager.fsck(verify_chunks=True)
         assert not report.unrepaired, report.summary()
         kinds = {issue.kind for issue in report.repaired}
-        # the uncommitted swap's manifest and code copy are plain orphans
-        assert {"incomplete_save", "orphan_file", "refcount_mismatch"} <= kinds
-        assert not files.exists(swap["manifest_file"])
-        assert not files.exists(swap["code_file"])
+        # the open save's files and the uncommitted swap's manifest and
+        # code copy are plain orphans; the chunks they shared are recounted
+        assert {"orphan_file", "refcount_mismatch"} <= kinds
+        for file_id in (code, manifest, swap["manifest_file"], swap["code_file"]):
+            assert not files.exists(file_id)
+        assert not files.chunks.has(digests["5.bias"])
         assert not (tmp_path / "files" / "chain-compaction").exists()
+        assert not (tmp_path / "files" / "journal").exists()
         assert manager.fsck(verify_chunks=True).clean
         for model_id, state in expected.items():
             assert_recovers(service, model_id, state)
-        assert sorted(p.name for p in files.journal_dir.iterdir()) == []
 
     def test_a_pending_segment_compaction_rolls_forward(self, tmp_path):
         store = ChunkStore(tmp_path / "c", segment_bytes=2048, tmp_grace_s=0.0)
