@@ -21,10 +21,10 @@ re-reads verified bytes from a surviving replica at replay time.  That
 makes hints tiny, idempotent, and safely replayable: a crash mid-delivery
 just replays the hint, and re-applying an already-applied hint is a no-op.
 
-Tombstone safety: document hints never carry the document body.  The
-delivery applier consults the tombstone collection first, so replaying a
-hint for a document that was deleted meanwhile propagates the *tombstone*
-rather than resurrecting the document.
+No resurrection: document hints never carry the document body.  The
+delivery applier lands the highest-stamped record of the document's
+owners, so replaying a hint for a document deleted meanwhile lands its
+*tombstone* record rather than resurrecting the document.
 """
 
 from __future__ import annotations

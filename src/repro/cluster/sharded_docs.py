@@ -2,51 +2,83 @@
 
 Metadata documents get the same treatment as payload bytes: each
 document is placed on R member stores by ``collection/doc_id`` ring
-hash, writes need a quorum of owners, reads fail over in ring order and
-read-repair replicas found missing a document.  Queries have no routing
-key, so :meth:`_ShardedCollection.find` scatter-gathers every member,
-deduplicates replicas by ``_id``, and applies sort/skip/limit globally —
-per-member sorts cannot simply concatenate.
+hash, and every write — insert, replace, update, delete — is the
+cluster's one quorum write (:meth:`~repro.cluster.replica.ReplicaLedger._quorum_write`)
+around its own per-owner step.  Queries have no routing key, so
+:meth:`_ShardedCollection.find` scatter-gathers every member and applies
+sort/skip/limit to the merged set.
 
-Every write — insert, replace, update, delete — is the cluster's one
-quorum write (:meth:`~repro.cluster.replica.ReplicaLedger._quorum_write`,
-shared with the file store) around that write's own per-owner step: the
-duplicate rule, replace-or-insert, update-or-repair, tombstone-then-delete.
-
-Members are anything with the engine's ``collection(name)`` API: plain
-:class:`~repro.docstore.engine.DocumentStore`s, chaos-wrapped
-:class:`~repro.faults.FaultyDocumentStore`s, or TCP clients.  MMlib
-services take the sharded store wherever they take a document store.
+One record per document, versioned (Dynamo, DeCandia et al., SOSP 2007,
+§4.4–4.7): every write carries one stamp in the reserved field ``_v``, a
+clock-based counter plus a writer id, so stamps totally order writes,
+also across processes; an unstamped record (an older release's) ranks
+lowest.  A delete replaces each owner's copy with the tombstone ``{_id,
+_v, _deleted: true}`` in the document's own collection.  Reads, read
+repair, hint delivery, fsck and rebalance all keep the highest stamp, so
+a replica that missed a delete can never resurrect the document.  Sharded
+reads strip the reserved fields: callers see what the engine returns.
+Members are anything with the engine's ``collection(name)`` API — plain
+or chaos-wrapped stores, TCP clients — and need no op beyond it.
 """
 
 from __future__ import annotations
 
-import json
 import threading
+import time
+import uuid
 from typing import Mapping
 
 from .. import deadline as deadline_mod
 from ..docstore.documents import new_object_id, validate_document
 from ..docstore.engine import DuplicateKeyError, NotFoundError, _sort_key, merge_stats
-from ..docstore.query import resolve_path
+from ..docstore.query import matches, resolve_path
 from ..errors import TransientStoreError
 from .hints import KIND_DOC
 from .replica import REPLICA_FAILURES, ReplicaLedger
 from .ring import DEFAULT_VNODES
 
-__all__ = ["ShardedDocumentStore", "TOMBSTONES"]
+__all__ = ["ShardedDocumentStore"]
 
-#: Per-member collection recording quorum-acked deletes.  A tombstone's
-#: ``_id`` is ``"<collection>/<doc_id>"`` — exactly the deleted
-#: document's ring key, so tombstones and their documents always share
-#: owners.  Tombstones stop read-repair and rebalancing from
-#: resurrecting a delete that a failed replica missed, and are purged
-#: once no member holds the document anymore.
-TOMBSTONES = "__cluster_tombstones__"
+#: Reserved fields of a stored record: its stamp, and the tombstone mark.
+STAMP = "_v"
+DELETED = "_deleted"
+STAMP_FIELDS = (DELETED, STAMP)
+
+#: An older release's per-member deletes, ``{"_id": "<collection>/<doc_id>"}``.
+PARENT_GRAVES = "__cluster_tombstones__"
+#: Ranks above an unstamped record and below every clock stamp.
+FOLDED = "0"
 
 
-def _copy(document: dict) -> dict:
-    return json.loads(json.dumps(document))
+def _stamp(record: dict | None) -> str:
+    return "" if record is None else record.get(STAMP, "")
+
+
+def _public(record: dict, projection=None) -> dict:
+    """``record`` restricted to ``_id`` + ``projection``, or without its
+    stamp when no projection is given (a live record has no other
+    reserved field)."""
+    if projection is None:
+        record.pop(STAMP, None)
+        return record
+    keep = {"_id", *projection}
+    return {field: value for field, value in record.items() if field in keep}
+
+
+def _land(collection, record: dict) -> bool:
+    """Write ``record`` over the member's copy, or beside none; returns
+    whether the member held a copy.  A copy that appeared between the two
+    calls is left alone: it is a concurrent write."""
+    try:
+        collection.replace_one(record["_id"], record)
+        return True
+    except NotFoundError:
+        pass
+    try:
+        collection.insert_one(record)
+    except DuplicateKeyError:
+        pass
+    return False
 
 
 class _ShardedCollection:
@@ -55,171 +87,106 @@ class _ShardedCollection:
     def __init__(self, store: "ShardedDocumentStore", name: str):
         self._store = store
         self.name = name
+        # placement memo, until membership changes: a scatter-gather
+        # checks the owners of every hit
+        self._owner_memo: dict[str, list[str]] = {}  # id -> owners
+        self._owned: dict[str, set[str]] = {}  # member -> memoized ids it owns
 
     def _owners(self, doc_id: str) -> list[str]:
-        return self._store.ring.owners(f"{self.name}/{doc_id}")
+        owners = self._owner_memo.get(doc_id)
+        if owners is None:
+            owners = self._store.ring.owners(f"{self.name}/{doc_id}")
+            self._owner_memo[doc_id] = owners
+            for member_name in owners:
+                self._owned.setdefault(member_name, set()).add(doc_id)
+        return owners
 
     def _member(self, member_name: str):
         return self._store.members[member_name].collection(self.name)
 
-    def _all_collections(self):
-        for member_name in sorted(self._store.members):
-            yield self._store.members[member_name].collection(self.name)
-
-    # -- tombstones ----------------------------------------------------------
-
-    def _tombstone_key(self, doc_id: str) -> str:
-        return f"{self.name}/{doc_id}"
-
-    def _is_tombstoned(self, doc_id: str) -> bool:
-        """Whether any reachable owner records a quorum-acked delete of
-        ``doc_id``.  The tombstone id *is* the document's ring key, so
-        the owners consulted here are the ones the delete wrote to."""
-        tombstone_id = self._tombstone_key(doc_id)
-        for member_name in self._store.ring.owners(tombstone_id):
-            graves = self._store.members[member_name].collection(TOMBSTONES)
-            try:
-                graves.get(tombstone_id)
-            except (NotFoundError, OSError):
-                continue
-            return True
-        return False
-
-    def _tombstoned_ids(self) -> set[str]:
-        """Every doc id in this collection with a tombstone anywhere."""
-        prefix = f"{self.name}/"
-        ids: set[str] = set()
-        for member_name in sorted(self._store.members):
-            graves = self._store.members[member_name].collection(TOMBSTONES)
-            try:
-                stones = graves.find({}, projection=())
-            except OSError:
-                continue
-            for stone in stones:
-                if stone["_id"].startswith(prefix):
-                    ids.add(stone["_id"][len(prefix):])
-        return ids
-
-    def _clear_tombstone(self, doc_id: str) -> None:
-        """Best-effort removal of a tombstone from the document's owners
-        (a fresh insert under a previously-deleted id supersedes it)."""
-        tombstone_id = self._tombstone_key(doc_id)
-        for member_name in self._store.ring.owners(tombstone_id):
-            graves = self._store.members[member_name].collection(TOMBSTONES)
-            try:
-                graves.delete_one(tombstone_id)
-            except OSError:
-                continue
-
-    def _reap(self, doc_id: str) -> None:
-        """Finish a quorum-acked delete on replicas that missed it."""
-        for collection in self._all_collections():
-            try:
-                collection.delete_one(doc_id)
-            except OSError:
-                continue
-
     # -- writes --------------------------------------------------------------
+
+    def _stamped(self, document: dict, doc_id: str) -> dict:
+        record = validate_document(document)
+        record.pop(DELETED, None)
+        record["_id"] = doc_id
+        record[STAMP] = self._store._next_stamp()
+        return record
 
     def insert_one(self, document: dict) -> str:
         """Quorum-insert one document; returns its (shared) ``_id``.
 
-        The id is generated *here*, once, so every replica stores the
-        same document.  A replica already holding the id acknowledges
-        (idempotent retry of a partially-acked insert); only when no
-        replica inserted anything fresh does the duplicate surface to the
-        caller as the engine's :class:`DuplicateKeyError`.
+        The id and stamp are made *here*, once, so every replica stores
+        the same record.  An owner already holding the id is read: a
+        lower-stamped tombstone is replaced (the id comes back), a live
+        copy acknowledges (idempotent retry of a partially-acked insert).
+        Only when no owner took the document does the duplicate surface
+        to the caller as the engine's :class:`DuplicateKeyError`.
         """
-        document = validate_document(document)
-        doc_id = str(document.get("_id") or new_object_id())
-        document["_id"] = doc_id
-        self._clear_tombstone(doc_id)
+        claimed = document.get("_id") if isinstance(document, dict) else None
+        doc_id = str(claimed or new_object_id())
+        record = self._stamped(document, doc_id)
         fresh: list[bool] = []
 
         def insert(member_name: str) -> None:
+            collection = self._member(member_name)
             try:
-                self._member(member_name).insert_one(_copy(document))
+                collection.insert_one(record)
             except DuplicateKeyError:
-                fresh.append(False)
-            else:
-                fresh.append(True)
+                held = collection.get(doc_id, projection=STAMP_FIELDS)
+                if not held.get(DELETED):
+                    fresh.append(False)
+                    return
+                if _stamp(held) < record[STAMP]:
+                    collection.replace_one(doc_id, record)
+            fresh.append(True)
 
         self._store._quorum_write(
             self.name, doc_id, self._owners(doc_id), insert, "docs.insert_one")
         if not any(fresh):
-            raise DuplicateKeyError(
-                f"duplicate _id {doc_id!r} in collection {self.name!r}"
-            )
+            raise DuplicateKeyError(f"duplicate _id {doc_id!r} in collection {self.name!r}")
         return doc_id
 
     def insert_many(self, documents: list[dict]) -> list[str]:
         return [self.insert_one(document) for document in documents]
 
-    def replace_one(self, doc_id: str, document: dict) -> None:
-        """Replace on every owner; owners missing the document get it
-        inserted (write-time repair).  Raises :class:`NotFoundError` when
-        no replica holds ``doc_id`` at all."""
-        self.get(doc_id, projection=())  # existence check with failover; raises NotFoundError
-        document = validate_document(document)
-        document["_id"] = str(doc_id)
+    def _put(self, record: dict, op: str) -> bool:
+        """Quorum-write ``record`` over each owner's copy (inserting it
+        where an owner has none); returns whether any owner held a copy."""
+        held: list[bool] = []
 
-        def replace(member_name: str) -> None:
-            collection = self._member(member_name)
-            try:
-                collection.replace_one(doc_id, _copy(document))
-            except NotFoundError:
-                collection.insert_one(_copy(document))
+        def put(member_name: str) -> None:
+            held.append(_land(self._member(member_name), record))
 
         self._store._quorum_write(
-            self.name, doc_id, self._owners(doc_id), replace, "docs.replace_one")
+            self.name, record["_id"], self._owners(record["_id"]), put, op)
+        return any(held)
+
+    def replace_one(self, doc_id: str, document: dict) -> None:
+        """Replace on every owner (owners missing it get it inserted).
+        Raises :class:`NotFoundError` when the document is not live."""
+        doc_id = str(doc_id)
+        self.get(doc_id, projection=())
+        self._put(self._stamped(document, doc_id), "docs.replace_one")
 
     def update_one(self, query: dict, changes: dict) -> bool:
-        """Find the first match cluster-wide, then update it by ``_id`` on
-        every owner — replicas must converge on the same document, so the
-        query is resolved once, not once per member."""
+        """Find the first match cluster-wide, then replace it with its
+        changes applied — replicas converge on one record, so the query is
+        resolved once, not once per member."""
         target = self.find_one(query)
         if target is None:
             return False
-        doc_id = target["_id"]
-
-        def update(member_name: str) -> None:
-            collection = self._member(member_name)
-            if collection.update_one({"_id": doc_id}, dict(changes)):
-                return
-            # replica is missing the doc: repair it, with changes applied
-            repaired = dict(target)
-            repaired.update(validate_document(dict(changes)))
-            repaired["_id"] = doc_id
-            try:
-                collection.insert_one(_copy(repaired))
-            except DuplicateKeyError:
-                pass
-
-        self._store._quorum_write(
-            self.name, doc_id, self._owners(doc_id), update, "docs.update_one")
+        target.update(validate_document(dict(changes)))
+        self._put(self._stamped(target, target["_id"]), "docs.update_one")
         return True
 
     def delete_one(self, doc_id: str) -> bool:
-        """Quorum-delete: each acking owner records a tombstone *and*
-        drops its copy.  A replica that missed the delete keeps the
-        document, but the tombstone stops read-repair and rebalancing
-        from resurrecting it — they finish the delete instead, and so does
-        the missed owner's hint, whose delivery consults the tombstone."""
+        """Quorum-delete: each owner's copy is replaced by a tombstone.
+        Returns whether any owner held a record of ``doc_id`` — one left by
+        an earlier delete counts while it stands."""
         doc_id = str(doc_id)
-        removed: list[bool] = []
-        self._store._quorum_write(
-            self.name, doc_id, self._owners(doc_id),
-            lambda member_name: removed.append(self._bury(member_name, doc_id)), "docs.delete_one")
-        return any(removed)
-
-    def _bury(self, member_name: str, doc_id: str) -> bool:
-        """One owner's delete: record the tombstone, then drop the copy."""
-        graves = self._store.members[member_name].collection(TOMBSTONES)
-        try:
-            graves.insert_one({"_id": self._tombstone_key(doc_id)})
-        except DuplicateKeyError:
-            pass  # idempotent retry of a partially-acked delete
-        return self._member(member_name).delete_one(doc_id)
+        tombstone = {"_id": doc_id, STAMP: self._store._next_stamp(), DELETED: True}
+        return self._put(tombstone, "docs.delete_one")
 
     def delete_many(self, query: dict) -> int:
         """Resolve the query cluster-wide, then delete each match by id on
@@ -232,99 +199,82 @@ class _ShardedCollection:
     # -- reads ---------------------------------------------------------------
 
     def get(self, doc_id: str, projection=None) -> dict:
-        """Fetch by id with failover; a hit after misses read-repairs the
-        replicas found without the document — always with the whole
-        document, re-read when the caller asked for a projection of it.
+        """Fetch by id: the highest-stamped record among the reachable
+        owners, :class:`NotFoundError` when that is a tombstone."""
+        record = self._read(str(doc_id))
+        if record.get(DELETED):
+            raise NotFoundError(f"no document {doc_id!r} in {self.name!r}")
+        return _public(record, projection)
 
-        A copy shadowed by a tombstone (a replica that missed a
-        quorum-acked delete) is *not* returned — the delete is finished
-        instead.  When replicas were unreachable and the document was
-        not found, absence is unproven, so the retryable
-        :class:`TransientStoreError` is raised rather than
-        :class:`NotFoundError` — callers like ``fsck`` must not
-        garbage-collect on the strength of a degraded read.
+    def _read(self, doc_id: str) -> dict:
+        """The highest-stamped record of ``doc_id``, live or a tombstone.
+
+        Every reachable owner is read: the first read is whole, the others
+        ask for the stamp fields only (a higher stamp is then read whole),
+        and owners missing the record or holding a lower stamp are
+        repaired with it.  With no record found and owners unreachable,
+        absence is unproven: the retryable :class:`TransientStoreError`
+        is raised, so that ``fsck`` cannot collect on a degraded read.
         """
-        doc_id = str(doc_id)
-        failed = []
+        record = None
+        stamps: dict[str, str | None] = {}  # answered owner -> its stamp
         unreachable = 0
         for member_name in self._owners(doc_id):
-            collection = self._member(member_name)
             deadline_mod.check("docs.get")
             if not self._store._allowed(member_name):
                 unreachable += 1  # breaker open: absence stays unproven
                 continue
+            collection = self._member(member_name)
             try:
-                document = collection.get(doc_id, projection=projection)
+                held = collection.get(
+                    doc_id, projection=None if record is None else STAMP_FIELDS)
+                if (record is not None and _stamp(held) > _stamp(record)
+                        and not held.get(DELETED)):
+                    held = collection.get(doc_id)  # a later version: read it whole
             except NotFoundError:
                 self._store._up(member_name)
-                failed.append(collection)
+                stamps[member_name] = None
                 continue
             except OSError:
                 self._store._down(member_name)
                 unreachable += 1
                 continue
             self._store._up(member_name)
-            if self._is_tombstoned(doc_id):
-                self._reap(doc_id)
-                raise NotFoundError(f"no document {doc_id!r} in {self.name!r}")
-            if failed or unreachable:
-                self._store._bump("failover_reads")
-                whole = document
-                if failed and projection is not None:
-                    # repairing from a projected copy would write a
-                    # truncated document to the replica
-                    try:
-                        whole = collection.get(doc_id)
-                    except REPLICA_FAILURES:
-                        failed = []  # gone since: nothing to repair from
-                self._repair(failed, whole)
-            return document
-        if unreachable:
-            raise TransientStoreError(
-                f"document {self.name}/{doc_id}: {unreachable} replica(s) "
-                "unreachable and the document was not proven absent"
-            )
-        raise NotFoundError(f"no document {doc_id!r} in {self.name!r}")
-
-    def _repair(self, collections, document: dict) -> None:
-        for collection in collections:
+            stamps[member_name] = _stamp(held)
+            if record is None or _stamp(held) > _stamp(record):
+                record = held
+        if record is None:
+            if unreachable:
+                raise TransientStoreError(
+                    f"document {self.name}/{doc_id}: {unreachable} replica(s) "
+                    "unreachable and the document was not proven absent"
+                )
+            raise NotFoundError(f"no document {doc_id!r} in {self.name!r}")
+        behind = [name for name, stamp in stamps.items()
+                  if stamp is None or stamp < _stamp(record)]
+        if behind or unreachable:
+            self._store._bump("failover_reads")
+        for member_name in behind:
             try:
-                collection.insert_one(_copy(document))
-            except DuplicateKeyError:
-                continue
+                _land(self._member(member_name), record)
             except REPLICA_FAILURES:
                 self._store._bump("repair_failures")
                 continue
             self._store._bump("read_repairs")
             self._store._obs_events.emit(
-                "read_repair", plane="docs", collection=self.name,
-                key=document["_id"])
-        self._store._clear_degraded(self.name, document["_id"])
+                "read_repair", plane="docs", collection=self.name, key=doc_id)
+        if behind:
+            self._store._clear_degraded(self.name, doc_id)
+        return record
 
     def get_many(self, doc_ids: list[str], projection=None) -> list[dict]:
-        """Batched fetch grouped by primary owner (one trip per member);
-        ids the batch missed fall back to per-id failover reads."""
-        groups: dict[str, list[str]] = {}
-        for doc_id in doc_ids:
-            primary = self._store.ring.primary(f"{self.name}/{doc_id}")
-            groups.setdefault(primary, []).append(str(doc_id))
-        found: dict[str, dict] = {}
-        for member_name in sorted(groups):
-            group = groups[member_name]
-            collection = self._store.members[member_name].collection(self.name)
-            try:
-                for document in collection.get_many(group, projection=projection):
-                    found[document["_id"]] = document
-            except OSError:
-                pass  # member down: the per-id fallback below fails over
-            for doc_id in group:
-                if doc_id in found:
-                    continue
-                try:
-                    found[doc_id] = self.get(doc_id, projection=projection)
-                except NotFoundError:
-                    continue  # missing ids are skipped, like the engine
-        return [found[str(doc_id)] for doc_id in doc_ids if str(doc_id) in found]
+        """The live documents of ``doc_ids`` in request order, missing ids
+        skipped like the engine skips them: one ``$in`` query, one trip
+        per member."""
+        doc_ids = [str(doc_id) for doc_id in doc_ids]
+        found = {document["_id"]: document for document in self.find(
+            {"_id": {"$in": doc_ids}}, projection=projection)}
+        return [found[doc_id] for doc_id in doc_ids if doc_id in found]
 
     def find(
         self,
@@ -334,64 +284,37 @@ class _ShardedCollection:
         skip: int = 0,
         projection=None,
     ) -> list[dict]:
-        """Scatter-gather query: every member is asked (replicas of a
-        document may sit anywhere), results are deduplicated by ``_id``,
-        and sort/skip/limit apply to the merged set so pagination is
-        cluster-wide, not per-shard.  Up to R-1 unreachable members are
-        tolerated — every document has R owners, so at least one replica
-        of each still answers.  At R or more unreachable members some
-        documents may have *no* reachable replica, and silently treating
-        them as absent would let callers (``fsck`` above all) mistake an
-        outage for deletion — that raises the retryable
-        :class:`TransientStoreError` instead.  Documents shadowed by a
-        tombstone (quorum-deleted, one stale replica left) are filtered
-        out rather than resurrected.  An unsorted ``limit`` without
-        ``skip`` is pushed down to the members, widened by the number of
-        tombstones so that shadowed copies cannot crowd out live ones.
-        Members are asked for ``projection`` plus the fields the merged
-        sort reads, which are dropped again from what is returned."""
-        member_projection = None
+        """Scatter-gather query: every member is asked, results are merged
+        by ``_id``, tombstones are dropped, and sort/skip/limit apply to
+        the merged set, so pagination is cluster-wide.  Up to R-1
+        unreachable members leave every document a reachable replica; at
+        R or more, results cannot be proven complete and the retryable
+        :class:`TransientStoreError` is raised — ``fsck`` must not mistake
+        an outage for deletion.
+
+        A hit whose copies differ, or that some reachable owner did not
+        return (it may hold a tombstone or a later version the query does
+        not match), is taken from the versioned read instead.  An unsorted
+        ``limit`` without ``skip`` is pushed down to the members; when that
+        leaves fewer hits than asked and a member's page was full, the
+        query runs again without it.  Members are asked for ``projection``
+        plus the sort fields and the tombstone mark, dropped again from
+        what is returned."""
+        if skip < 0:
+            raise ValueError(f"skip must be >= 0, got {skip}")
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
+        query = query or {}
+        member_projection = hidden = None
         if projection is not None:
             projection = list(projection)
-            sort_fields = {field.split(".")[0] for field, _direction in sort or ()}
-            member_projection = projection + sorted(sort_fields - set(projection))
-        tombstoned = None
-        member_limit = None
-        if limit is not None and not sort and not skip:
-            tombstoned = self._tombstoned_ids()
-            member_limit = limit + len(tombstoned)
-        merged: dict[str, dict] = {}
-        unreachable = 0
-        for member_name in sorted(self._store.members):
-            collection = self._store.members[member_name].collection(self.name)
-            deadline_mod.check("docs.find")
-            if not self._store._allowed(member_name):
-                self._store._bump("failover_reads")
-                unreachable += 1  # breaker open: results may be incomplete
-                continue
-            try:
-                results = collection.find(
-                    query, limit=member_limit, projection=member_projection)
-            except OSError:
-                self._store._down(member_name)
-                self._store._bump("failover_reads")
-                unreachable += 1
-                continue
-            self._store._up(member_name)
-            for document in results:
-                merged.setdefault(document["_id"], document)
-        if unreachable >= self._store._effective_replicas():
-            raise TransientStoreError(
-                f"collection {self.name!r}: {unreachable} member(s) unreachable "
-                f"(replication factor {self._store._effective_replicas()}) — "
-                "query results cannot be proven complete"
-            )
-        if merged:
-            if tombstoned is None:
-                tombstoned = self._tombstoned_ids()
-            for doc_id in tombstoned:
-                merged.pop(doc_id, None)
-        results = [merged[doc_id] for doc_id in sorted(merged)]
+            hidden = {field.split(".")[0] for field, _direction in sort or ()}
+            hidden.difference_update(projection)
+            member_projection = [*projection, *sorted(hidden), DELETED]
+        pushed = limit if not sort and not skip else None
+        results, full = self._gather(query, pushed, member_projection)
+        if full and len(results) < pushed:
+            results, _ = self._gather(query, None, member_projection)
         if sort:
             for field, direction in reversed(list(sort)):
                 if direction not in (1, -1):
@@ -400,21 +323,68 @@ class _ShardedCollection:
                     key=lambda document: _sort_key(resolve_path(document, field)),
                     reverse=direction == -1,
                 )
-        if skip:
-            if skip < 0:
-                raise ValueError(f"skip must be >= 0, got {skip}")
-            results = results[skip:]
+        results = results[skip:]
         if limit is not None:
-            if limit < 0:
-                raise ValueError(f"limit must be >= 0, got {limit}")
             results = results[:limit]
-        if projection is not None and member_projection != projection:
-            keep = {"_id", *projection}
-            results = [
-                {field: value for field, value in document.items() if field in keep}
-                for document in results
-            ]
+        if projection is None or hidden:
+            return [_public(record, projection) for record in results]
         return results
+
+    def _gather(self, query: dict, member_limit: int | None,
+                member_projection) -> tuple[list[dict], bool]:
+        """Live hits in ``_id`` order (at most ``member_limit`` of them
+        when one is given), and whether some member's page was full."""
+        hits: dict[str, dict] = {}
+        returned = {}  # answered member -> the ids it returned
+        suspect: set[str] = set()  # hits the versioned read must confirm
+        full = False
+        for member_name in sorted(self._store.members):
+            deadline_mod.check("docs.find")
+            if not self._store._allowed(member_name):
+                self._store._bump("failover_reads")
+                continue  # breaker open: results may be incomplete
+            try:
+                page = self._member(member_name).find(
+                    query, limit=member_limit, projection=member_projection)
+            except OSError:
+                self._store._down(member_name)
+                self._store._bump("failover_reads")
+                continue
+            self._store._up(member_name)
+            full = full or (member_limit is not None and len(page) >= member_limit)
+            page = {record["_id"]: record for record in page}
+            suspect.update(doc_id for doc_id in page.keys() & hits.keys()
+                           if page[doc_id] != hits[doc_id])
+            hits.update(page)
+            returned[member_name] = page.keys()
+        unreachable = len(self._store.members) - len(returned)
+        if unreachable >= self._store._effective_replicas():
+            raise TransientStoreError(
+                f"collection {self.name!r}: {unreachable} member(s) unreachable "
+                f"(replication factor {self._store._effective_replicas()}) — "
+                "query results cannot be proven complete"
+            )
+        for doc_id in hits.keys() - self._owner_memo.keys():
+            self._owners(doc_id)
+        for member_name, ids in returned.items():  # hits an owner answered without
+            suspect |= self._owned.get(member_name, set()).intersection(hits) - ids
+        results = []
+        for doc_id in sorted(hits):
+            if member_limit is not None and len(results) >= member_limit:
+                break
+            record = hits[doc_id]
+            if doc_id in suspect:
+                try:
+                    record = self._read(doc_id)
+                except NotFoundError:
+                    continue
+                if not matches(record, query):
+                    continue
+                if member_projection is not None:
+                    record = _public(record, member_projection)
+            if DELETED not in record:
+                results.append(record)
+        return results, full
 
     def find_one(self, query: dict) -> dict | None:
         results = self.find(query, limit=1)
@@ -426,9 +396,9 @@ class _ShardedCollection:
     def _from_members(self, method: str) -> list:
         """``method()`` of this collection on every reachable member."""
         results = []
-        for collection in self._all_collections():
+        for member_name in sorted(self._store.members):
             try:
-                results.append(getattr(collection, method)())
+                results.append(getattr(self._member(member_name), method)())
             except OSError:
                 continue
         return results
@@ -472,6 +442,35 @@ class ShardedDocumentStore(ReplicaLedger):
         self._init_ledger(members, replicas, write_quorum, vnodes, detector, hint_log)
         self._collections: dict[str, _ShardedCollection] = {}
         self._collections_lock = threading.Lock()
+        self._clock_lock = threading.Lock()
+        self._tick = 0
+        self._writer = uuid.uuid4().hex[:8]
+        self._fold_parent_graves()
+
+    def _next_stamp(self) -> str:
+        """A stamp later than every one this store made before."""
+        with self._clock_lock:
+            self._tick = max(self._tick + 1, time.time_ns())
+            return f"{self._tick:016x}.{self._writer}"
+
+    def _fold_parent_graves(self) -> None:
+        """Fold :data:`PARENT_GRAVES` entries into :data:`FOLDED` tombstones
+        on the member holding each, over a missing or unstamped copy; a
+        member's old collection is dropped once all its entries landed."""
+        for member in self.members.values():
+            try:  # a member that cannot list its collections holds none
+                if PARENT_GRAVES not in getattr(member, "collection_names", list)():
+                    continue
+                for entry in member.collection(PARENT_GRAVES).find({}, projection=()):
+                    collection_name, _, doc_id = entry["_id"].partition("/")
+                    target = member.collection(collection_name)
+                    held = target.get_many([doc_id], projection=STAMP_FIELDS)
+                    if not held or not _stamp(held[0]):
+                        tombstone = {"_id": doc_id, STAMP: FOLDED, DELETED: True}
+                        _land(target, tombstone)
+                member.drop_collection(PARENT_GRAVES)
+            except OSError:
+                continue
 
     # -- hinted handoff delivery ---------------------------------------------
 
@@ -484,47 +483,27 @@ class ShardedDocumentStore(ReplicaLedger):
         return {KIND_DOC: self._apply_doc_hint}
 
     def _apply_doc_hint(self, member_name: str, hint) -> bool:
-        """Deliver one document IOU, tombstone-safely.
-
-        Hints carry no document body; delivery decides from *current*
-        cluster state.  A document tombstoned since the hint was recorded
-        gets the tombstone (and the delete finished) — replaying a hint
-        never resurrects a quorum-acked delete.  Otherwise the live copy
-        is read from a surviving owner and replicated to the member.
-        Returns ``False`` (stale) when the member or its ownership is
-        gone, or no owner holds the document anymore; raises the member's
-        transient errors through so the deliverer retries later.
-        """
+        """Deliver one document IOU by the versioned read of its id: it
+        lands the highest-stamped record, live or a tombstone, on every
+        owner behind it, so a replayed hint never resurrects a delete.
+        ``False`` (stale) when the member or its ownership is gone or no
+        owner holds a record; raises while the member lacks the record,
+        so the deliverer retries later."""
         collection_name = hint.get("collection")
         doc_id = str(hint["key"])
         member = self.members.get(member_name)
         if member is None or collection_name is None:
             return False
-        ring_key = f"{collection_name}/{doc_id}"
-        if member_name not in self.ring.owners(ring_key):
-            return False  # ownership moved on (rebalance since the write)
         sharded = self.collection(collection_name)
-        if sharded._is_tombstoned(doc_id):
-            sharded._bury(member_name, doc_id)
-            self._clear_degraded(collection_name, doc_id)
-            return True
-        document = None
-        for name in self.ring.owners(ring_key):
-            if name == member_name:
-                continue
-            try:
-                document = self.members[name].collection(collection_name).get(doc_id)
-                break
-            except (NotFoundError, OSError):
-                continue
-        if document is None:
-            return False  # no surviving replica: delete converged or data lost
-        target = member.collection(collection_name)
+        if member_name not in sharded._owners(doc_id):
+            return False  # ownership moved on (rebalance since the write)
         try:
-            target.insert_one(_copy(document))
-        except DuplicateKeyError:
-            target.replace_one(doc_id, _copy(document))
-        self._clear_degraded(collection_name, doc_id)
+            record = sharded._read(doc_id)
+        except (NotFoundError, TransientStoreError):
+            return False  # no surviving replica: purged or data lost
+        held = member.collection(collection_name).get_many([doc_id], projection=STAMP_FIELDS)
+        if not held or _stamp(held[0]) < _stamp(record):
+            raise TransientStoreError(f"{member_name} still lacks {collection_name}/{doc_id}")
         return True
 
     # -- store surface --------------------------------------------------------
@@ -548,17 +527,11 @@ class ShardedDocumentStore(ReplicaLedger):
                 names.update(member.collection_names())
             except OSError:
                 continue
-        names.discard(TOMBSTONES)  # bookkeeping, not user data
         return sorted(names)
 
     def drop_collection(self, name: str) -> None:
-        prefix = f"{name}/"
         for member in self.members.values():
             member.drop_collection(name)
-            graves = member.collection(TOMBSTONES)
-            for stone in graves.find({}):
-                if stone["_id"].startswith(prefix):
-                    graves.delete_one(stone["_id"])
         with self._collections_lock:
             self._collections.pop(name, None)
 
@@ -572,115 +545,128 @@ class ShardedDocumentStore(ReplicaLedger):
                 continue
         return total
 
-    # -- membership (placement only; data movement is the rebalancer's) ------
+    # -- convergence: rebalance and fsck --------------------------------------
 
     def rebalance_documents(self) -> dict:
-        """Re-place every document according to the *current* ring: copy to
-        new owners missing it, drop replicas from non-owners.  Used after
-        membership changes; also heals under-replicated documents.
+        """Re-place every record according to the *current* ring (the
+        highest stamp to owners lacking it, none left on non-owners);
+        after membership changes, and to heal under-replication.  A
+        tombstone is purged once every member answered: its stale copies
+        first, and a failed drop stops the purge before the tombstone."""
+        report = self._sweep(repair=True, purge=True)
+        self._placement_changed()  # the memo forgets the purged ids
+        return report
 
-        Tombstoned documents are never re-propagated: a replica that
-        missed a quorum-acked delete gets the delete finished here
-        instead, and tombstones whose document is provably gone from
-        every member are purged."""
-        copied = 0
-        dropped = 0
-        # tombstones first: re-place each by its own id (which *is* the
-        # deleted document's ring key) and learn what is deleted before
-        # copying documents around
-        stones, stone_holders = self._held(TOMBSTONES)
-        tombstoned = set(stones)
-        for tombstone_id, stone in stones.items():
-            self._converge(TOMBSTONES, stone, set(self.ring.owners(tombstone_id)),
-                           stone_holders[tombstone_id])
+    def replication_fsck(self, repair: bool = True) -> dict:
+        """Audit (and with ``repair`` restore) every record to its R ring
+        owners, in :func:`repro.cluster.rebalance.replication_fsck`'s
+        shape with the collection as ``kind``; an owner lacking the
+        highest stamp (missing, lower or unreachable) counts as missing."""
+        return self._sweep(repair=repair, purge=False)
+
+    def _sweep(self, repair: bool, purge: bool) -> dict:
+        """The audit both of the above run; ``purge`` drops tombstones."""
+        self._fold_parent_graves()
+        report = {"documents_checked": 0, "under_replicated": [], "repaired": [],
+                  "strays_dropped": [], "unrepairable": [], "documents_copied": 0,
+                  "replicas_dropped": 0, "tombstones_purged": 0}
         for name in self.collection_names():
-            documents, holders = self._held(name)
-            for doc_id, document in documents.items():
-                ring_key = f"{name}/{doc_id}"
-                # a quorum-deleted document is dropped everywhere, not re-copied
-                owners = set() if ring_key in tombstoned else set(self.ring.owners(ring_key))
-                moved = self._converge(name, document, owners, holders[doc_id])
-                copied += moved[0]
-                dropped += moved[1]
-                self._clear_degraded(name, doc_id)
-        purged = self._purge_dead_tombstones(tombstoned)
-        return {
-            "documents_copied": copied,
-            "replicas_dropped": dropped,
-            "tombstones_purged": purged,
-        }
+            placed = self.collection(name)
+            records, holders, complete = self._held(name)
+            for doc_id in sorted(records):
+                report["documents_checked"] += 1
+                record, held = records[doc_id], holders[doc_id]
+                if purge and complete and record.get(DELETED):
+                    report["tombstones_purged"] += self._purge(name, doc_id, held, _stamp(record))
+                    continue
+                owners = placed._owners(doc_id)
+                missing = [owner for owner in owners if held.get(owner) != _stamp(record)]
+                if missing:
+                    report["under_replicated"].append({
+                        "kind": name, "key": doc_id, "have": len(owners) - len(missing),
+                        "want": len(owners), "missing": missing})
+                if not repair:
+                    continue
+                copied, dropped = self._converge(name, record, set(owners), held)
+                report["documents_copied"] += copied
+                report["replicas_dropped"] += dropped
+                if dropped:
+                    report["strays_dropped"] += [
+                        {"kind": name, "key": doc_id, "member": member}
+                        for member in sorted(set(held) - set(owners))]
+                if missing and copied == len(missing):
+                    report["repaired"].append({"kind": name, "key": doc_id})
+                if copied == len(missing):
+                    self._clear_degraded(name, doc_id)
+        return report
 
-    def _held(self, collection: str) -> tuple[dict[str, dict], dict[str, set[str]]]:
-        """Every document of ``collection`` on a reachable member, and
-        the members holding each."""
-        documents: dict[str, dict] = {}
-        holders: dict[str, set[str]] = {}
+    def _held(self, collection: str) -> tuple[dict[str, dict], dict[str, dict[str, str]], bool]:
+        """The highest-stamped record of every id of ``collection`` on a
+        reachable member, each holder's stamp by id, and whether every
+        member answered."""
+        records: dict[str, dict] = {}
+        holders: dict[str, dict[str, str]] = {}
+        complete = True
         for member_name in sorted(self.members):
             try:
                 found = self.members[member_name].collection(collection).find({})
             except OSError:
+                complete = False
                 continue
-            for document in found:
-                documents.setdefault(document["_id"], document)
-                holders.setdefault(document["_id"], set()).add(member_name)
-        return documents, holders
+            for record in found:
+                doc_id = record["_id"]
+                holders.setdefault(doc_id, {})[member_name] = _stamp(record)
+                if doc_id not in records or _stamp(record) > _stamp(records[doc_id]):
+                    records[doc_id] = record
+        return records, holders, complete
 
-    def _converge(self, collection: str, document: dict, owners: set[str],
-                  holders: set[str]) -> tuple[int, int]:
-        """Copy ``document`` to the ``owners`` missing it and drop it from
-        the other ``holders``; returns ``(copied, dropped)``."""
+    def _converge(self, collection: str, record: dict, owners: set[str],
+                  holders: dict[str, str]) -> tuple[int, int]:
+        """Land ``record`` on the ``owners`` that lack its stamp, then —
+        once every owner holds it — drop it from the other ``holders``;
+        returns ``(copied, dropped)``."""
         copied = dropped = 0
-        for member_name in owners - holders:
-            try:
-                self.members[member_name].collection(collection).insert_one(_copy(document))
-            except (DuplicateKeyError, OSError):
+        for member_name in sorted(owners):
+            if holders.get(member_name) == _stamp(record):
                 continue
+            try:
+                _land(self.members[member_name].collection(collection), record)
+            except REPLICA_FAILURES:
+                return copied, dropped
             copied += 1
-        for member_name in holders - owners:
+        for member_name in sorted(set(holders) - owners):
             try:
                 gone = self.members[member_name].collection(collection).delete_one(
-                    document["_id"])
+                    record["_id"])
             except OSError:
                 continue
             dropped += bool(gone)
         return copied, dropped
 
-    def _purge_dead_tombstones(self, tombstoned: set[str]) -> int:
-        """Drop tombstones whose document no member holds anymore.
+    def _purge(self, collection: str, doc_id: str, holders: dict[str, str],
+               stamp: str) -> bool:
+        """Drop every copy of a tombstoned id, the lower-stamped ones
+        before the tombstones; returns whether all are gone."""
+        for member_name in sorted(holders, key=lambda name: holders[name] == stamp):
+            try:
+                self.members[member_name].collection(collection).delete_one(doc_id)
+            except OSError:
+                return False
+        return True
 
-        A tombstone is only purged when *every* member definitively
-        answered "not found" — an unreachable member might still hold a
-        stale copy that the tombstone must keep shadowing."""
-        purged = 0
-        for tombstone_id in sorted(tombstoned):
-            collection_name, _, doc_id = tombstone_id.partition("/")
-            gone = True
-            for member_name in sorted(self.members):
-                try:
-                    self.members[member_name].collection(collection_name).get(doc_id)
-                except NotFoundError:
-                    continue
-                except OSError:
-                    gone = False  # cannot prove the stale copy is gone
-                    break
-                gone = False
-                break
-            if not gone:
-                continue
-            for member_name in sorted(self.members):
-                try:
-                    self.members[member_name].collection(TOMBSTONES).delete_one(
-                        tombstone_id
-                    )
-                except OSError:
-                    continue
-            purged += 1
-        return purged
+    # -- membership (placement only; data movement is the rebalancer's) ------
+
+    def _placement_changed(self) -> None:
+        with self._collections_lock:
+            for collection in self._collections.values():
+                collection._owner_memo.clear()
+                collection._owned.clear()
 
     def add_member(self, name: str, store) -> dict:
         """Add a member and re-place documents whose ownership moved."""
         self.members[name] = store
         self.ring.add_member(name)
+        self._placement_changed()
         return self.rebalance_documents()
 
     def remove_member(self, name: str) -> dict:
@@ -689,6 +675,7 @@ class ShardedDocumentStore(ReplicaLedger):
         if name not in self.members:
             raise KeyError(f"member {name!r} is not in the cluster")
         self.ring.remove_member(name)
+        self._placement_changed()
         stats = self.rebalance_documents()
         self.members.pop(name, None)
         return stats

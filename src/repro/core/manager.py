@@ -899,10 +899,13 @@ class ModelManager:
 
         # 5. replica counts vs. the placement ring (sharded stores only):
         # quorum writes that landed degraded, or members that lost disks,
-        # leave keys below R copies — restore them from a surviving replica
+        # leave records and documents below R copies — restore them from a
+        # surviving replica
         steps.start("replication")
-        if hasattr(files, "replication_fsck"):
-            outcome = files.replication_fsck(repair=repair)
+        for store in (files, self.documents):
+            if not hasattr(store, "replication_fsck"):
+                continue
+            outcome = store.replication_fsck(repair=repair)
             unrepairable = {
                 (entry["kind"], entry["key"]) for entry in outcome["unrepairable"]
             }

@@ -260,8 +260,8 @@ class TestDocHintsAndTombstones:
         recover_member(detector, victim)
         deliverer = HintDeliverer(hints, detector, store.hint_appliers())
         assert deliverer.drain() is True
-        # delivery consulted the tombstone: the stale copy is reaped,
-        # never copied back over the quorum-acked delete
+        # delivery landed the tombstone, which outranks the stale copy:
+        # it is never copied back over the quorum-acked delete
         with pytest.raises(NotFoundError):
             collection.get(doc_id)
         assert collection.find() == []
@@ -422,17 +422,18 @@ class TestManagerSelfHeal:
         """Deleting the last model leaves the shared environment document
         for fsck's orphan sweep, which tombstones it; the next save's put
         must supersede the tombstone."""
-        from repro.cluster.sharded_docs import TOMBSTONES
         from repro.core.schema import ENVIRONMENTS
 
         stores, manager = self.make_manager(tmp_path, {})
         documents = stores.documents
 
-        def env_holders(env_id):
+        def env_holders(env_id, deleted=False):
+            """Members holding a live copy, or with ``deleted`` a tombstone."""
+            mark = {"_deleted": True} if deleted else {"_deleted": {"$exists": False}}
             return {
                 name
                 for name, member in documents.members.items()
-                if member.collection(ENVIRONMENTS).count({"_id": env_id})
+                if member.collection(ENVIRONMENTS).count({"_id": env_id, **mark})
             }
 
         first = manager.service.save_model(ModelSaveInfo(make_tiny_cnn(seed=1), tiny_arch()))
@@ -445,11 +446,7 @@ class TestManagerSelfHeal:
         report = manager.fsck()
         assert {issue.kind for issue in report.issues} == {"orphan_document"}
         assert env_holders(env_id) == set()
-        stone = f"{ENVIRONMENTS}/{env_id}"
-        assert all(
-            documents.members[name].collection(TOMBSTONES).count({"_id": stone})
-            for name in owners
-        )
+        assert env_holders(env_id, deleted=True) == owners
 
         model = make_tiny_cnn(seed=2)
         second = manager.service.save_model(ModelSaveInfo(model, tiny_arch()))

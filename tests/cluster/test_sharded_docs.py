@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster import ShardedDocumentStore
-from repro.cluster.sharded_docs import TOMBSTONES
 from repro.docstore import DocumentStore, DuplicateKeyError, NotFoundError
 from repro.errors import TransientStoreError
 
@@ -59,14 +58,28 @@ def make_downable(n=4, replicas=2):
 
 
 def holders(store: ShardedDocumentStore, collection: str, doc_id: str) -> set[str]:
+    """Members holding a live copy (a tombstone is no copy)."""
     found = set()
     for name, member in store.members.items():
         try:
-            member.collection(collection).get(doc_id)
+            record = member.collection(collection).get(doc_id)
         except (KeyError, NotFoundError):
             continue
-        found.add(name)
+        if not record.get("_deleted"):
+            found.add(name)
     return found
+
+
+def records(store: ShardedDocumentStore, collection: str, doc_id: str) -> set[str]:
+    """Members holding any record of ``doc_id``, tombstones included."""
+    return {name for name, member in store.members.items()
+            if member.collection(collection).count({"_id": doc_id})}
+
+
+def miss_the_delete(store, collection: str, doc_id: str, member_name: str, copy: dict):
+    """Stage an owner that missed a delete: its tombstone becomes the
+    stale copy it held before."""
+    store.members[member_name].collection(collection).replace_one(doc_id, copy)
 
 
 class TestReplicatedWrites:
@@ -87,6 +100,8 @@ class TestReplicatedWrites:
         ]
         assert copies[0] == copies[1]
         assert copies[0]["_id"] == doc_id
+        assert copies[0]["_v"]  # one stamp, shared by the replicas
+        assert collection.get(doc_id) == {"_id": doc_id, "epoch": 3}
 
     def test_duplicate_insert_raises(self):
         store = make_store()
@@ -121,7 +136,11 @@ class TestReplicatedWrites:
         doc_id = collection.insert_one({"k": 1})
         assert collection.delete_one(doc_id) is True
         assert holders(store, "models", doc_id) == set()
-        assert collection.delete_one(doc_id) is False
+        # each owner keeps the delete as a tombstone record
+        assert records(store, "models", doc_id) == set(store.ring.owners(f"models/{doc_id}"))
+        with pytest.raises(NotFoundError):
+            collection.get(doc_id)
+        assert collection.delete_one("never-inserted") is False
 
 
 class TestScatterGatherQueries:
@@ -187,16 +206,14 @@ class TestTombstones:
         collection = store.collection("models")
         doc_id = collection.insert_one({"k": 1})
         owners = store.ring.owners(f"models/{doc_id}")
+        stale = store.members[owners[0]].collection("models").get(doc_id)
         assert collection.delete_one(doc_id) is True
-        # a replica that somehow kept the document (missed delete)
-        store.members[owners[0]].collection("models").insert_one(
-            {"_id": doc_id, "k": 1}
-        )
+        miss_the_delete(store, "models", doc_id, owners[0], stale)
 
         with pytest.raises(NotFoundError):
             collection.get(doc_id)
-        # the failover read finished the delete instead of repairing
-        # the stale copy back onto the other owners
+        # the read repaired the stale copy with the tombstone instead of
+        # repairing it back onto the other owner
         assert holders(store, "models", doc_id) == set()
 
     def test_find_filters_tombstoned_documents(self):
@@ -205,23 +222,21 @@ class TestTombstones:
         doc_id = collection.insert_one({"k": 1})
         owners = store.ring.owners(f"models/{doc_id}")
         collection.delete_one(doc_id)
-        store.members[owners[0]].collection("models").insert_one(
-            {"_id": doc_id, "k": 1}
-        )
+        miss_the_delete(store, "models", doc_id, owners[0], {"k": 1})
 
         assert collection.find() == []
+        assert collection.find({"k": 1}) == []
         assert collection.count() == 0
 
     def test_pushed_down_limit_is_not_used_up_by_shadowed_copies(self):
         """An unsorted ``limit`` is applied on the members; a stale copy
         under a tombstone must not take the place of a live match."""
-        store = make_store(n=1, replicas=1)
+        store = make_store(n=2, replicas=2)
         collection = store.collection("models")
-        member = store.members["d0"].collection("models")
-        stale = collection.insert_one({"k": 1})
+        stale = collection.insert_one({"_id": "a-stale", "k": 1})  # sorts first
         collection.delete_one(stale)
-        member.insert_one({"_id": stale, "k": 1})  # first in the member's order
-        live = collection.insert_one({"k": 1})
+        miss_the_delete(store, "models", stale, "d0", {"k": 1})  # first in d0's order
+        live = collection.insert_one({"_id": "b-live", "k": 1})
 
         assert [d["_id"] for d in collection.find({"k": 1}, limit=1)] == [live]
 
@@ -255,7 +270,7 @@ class TestTombstones:
 
         members[owners[2]].down = False
         # the healed replica still holds the document, but the
-        # tombstone wins: reads finish the delete, never resurrect
+        # tombstone's stamp wins: reads finish the delete, never resurrect
         with pytest.raises(NotFoundError):
             collection.get(doc_id)
         assert holders(store, "models", doc_id) == set()
@@ -266,15 +281,12 @@ class TestTombstones:
         doc_id = collection.insert_one({"k": 1})
         owners = store.ring.owners(f"models/{doc_id}")
         collection.delete_one(doc_id)
-        store.members[owners[0]].collection("models").insert_one(
-            {"_id": doc_id, "k": 1}
-        )
+        miss_the_delete(store, "models", doc_id, owners[0], {"k": 1})
 
         stats = store.rebalance_documents()
         assert holders(store, "models", doc_id) == set()
         assert stats["tombstones_purged"] >= 1
-        for member in store.members.values():
-            assert member.collection(TOMBSTONES).find({}) == []
+        assert records(store, "models", doc_id) == set()
 
     def test_reinsert_under_a_deleted_id_supersedes_the_tombstone(self):
         store = make_store()
@@ -284,13 +296,15 @@ class TestTombstones:
         assert collection.insert_one({"_id": doc_id, "k": 2}) == doc_id
         assert collection.get(doc_id)["k"] == 2
         assert collection.count({"k": 2}) == 1
+        assert holders(store, "models", doc_id) == set(store.ring.owners(f"models/{doc_id}"))
 
     def test_tombstone_collection_is_not_user_visible(self):
         store = make_store()
         collection = store.collection("models")
         doc_id = collection.insert_one({"k": 1})
         collection.delete_one(doc_id)
-        assert TOMBSTONES not in store.collection_names()
+        assert store.collection_names() == ["models"]
+        assert collection.find() == [] and collection.get_many([doc_id]) == []
 
 
 class TestTransientUnavailability:
@@ -360,3 +374,98 @@ class TestMembershipChanges:
             assert "d0" not in owners
             assert holders(store, "models", doc_id) == owners
         assert collection.count() == 20
+
+
+class CountingStore:
+    """Document-store member that counts the collection calls it serves."""
+
+    def __init__(self):
+        self._inner = DocumentStore()
+        self.calls = 0
+
+    def collection(self, name):
+        store, inner = self, self._inner.collection(name)
+
+        class _Proxy:
+            def __getattr__(self, attr):
+                value = getattr(inner, attr)
+                if not callable(value):
+                    return value
+
+                def counted(*args, **kwargs):
+                    store.calls += 1
+                    return value(*args, **kwargs)
+
+                return counted
+
+        return _Proxy()
+
+    def __getattr__(self, attr):
+        return getattr(self._inner, attr)
+
+
+class TestMemberCalls:
+    """Collection calls the members of a 3x2 cluster serve per op."""
+
+    def calls(self, store, op) -> int:
+        before = sum(member.calls for member in store.members.values())
+        op()
+        return sum(member.calls for member in store.members.values()) - before
+
+    def test_calls_per_op(self):
+        store = ShardedDocumentStore(
+            {f"d{index}": CountingStore() for index in range(3)}, replicas=2)
+        collection = store.collection("models")
+        for index in range(5):
+            collection.insert_one({"_id": f"m{index}", "rank": index})
+
+        assert self.calls(store, lambda: collection.insert_one({"_id": "fresh"})) == 2
+        assert self.calls(store, lambda: collection.get("m2")) == 2
+        assert self.calls(store, lambda: collection.delete_one("m3")) == 2
+        assert self.calls(store, lambda: collection.find({"rank": {"$gte": 1}})) == 3
+        assert [d["_id"] for d in collection.find({"rank": {"$gte": 1}})] == [
+            "m1", "m2", "m4"]
+        assert store.cluster_stats["read_repairs"] == 0
+
+
+class TestParentTombstonesFold:
+    """An older release kept deletes in a ``__cluster_tombstones__``
+    collection per member; opening the store folds them into tombstone
+    records."""
+
+    GRAVES = "__cluster_tombstones__"
+
+    @pytest.mark.parametrize("stale_on", [0, 1], ids=["primary", "secondary"])
+    def test_a_missed_parent_delete_stays_deleted(self, stale_on):
+        members = {f"d{index}": DocumentStore() for index in range(3)}
+        owners = ShardedDocumentStore(members, replicas=2).ring.owners("models/m1")
+        for name in ShardedDocumentStore(members, replicas=2).ring.owners("models/m2"):
+            members[name].collection("models").insert_one({"_id": "m2", "k": 1})
+        # the delete reached one owner only: its tombstone there, the
+        # unstamped copy it never removed on the other
+        stale, buried = owners[stale_on], owners[1 - stale_on]
+        members[stale].collection("models").insert_one({"_id": "m1", "k": 1})
+        members[buried].collection(self.GRAVES).insert_one({"_id": "models/m1"})
+
+        store = ShardedDocumentStore(members, replicas=2)
+        collection = store.collection("models")
+        assert all(self.GRAVES not in member.collection_names()
+                   for member in members.values())
+        assert collection.find() == [{"_id": "m2", "k": 1}]
+        assert collection.count({"k": 1}) == 1
+        assert collection.get_many(["m1", "m2"]) == [{"_id": "m2", "k": 1}]
+        with pytest.raises(NotFoundError):
+            collection.get("m1")
+        assert collection.find() == [{"_id": "m2", "k": 1}]
+
+    def test_graves_on_an_unreachable_member_wait_for_the_next_open(self):
+        members = {f"d{index}": DownableStore() for index in range(3)}
+        members["d0"]._inner.collection(self.GRAVES).insert_one({"_id": "models/m1"})
+        members["d0"].down = True
+        ShardedDocumentStore(members, replicas=2)
+        assert self.GRAVES in members["d0"]._inner.collection_names()
+
+        members["d0"].down = False
+        ShardedDocumentStore(members, replicas=2)
+        assert self.GRAVES not in members["d0"]._inner.collection_names()
+        assert members["d0"]._inner.collection("models").get("m1")["_deleted"] is True

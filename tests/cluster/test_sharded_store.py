@@ -9,7 +9,6 @@ import pytest
 
 from repro import obs
 from repro.cluster import FailureDetector, HintLog, ShardedDocumentStore, ShardedFileStore
-from repro.cluster.sharded_docs import TOMBSTONES
 from repro.core import (
     ArchitectureRef,
     BaselineSaveService,
@@ -101,17 +100,6 @@ def doc_holders(store, test) -> set[str]:
     return found
 
 
-def tombstone_holders(store) -> set[str]:
-    found = set()
-    for name, member in store.members.items():
-        try:
-            member.collection(TOMBSTONES).get(f"models/{DOC_ID}")
-        except KeyError:
-            continue
-        found.add(name)
-    return found
-
-
 def insert(store, value):
     store.collection("models").insert_one({"_id": DOC_ID, "v": 1})
 
@@ -137,7 +125,7 @@ WRITE_KINDS = {
                lambda store, value: doc_holders(store, lambda d: d["v"] == value),
                ("models", DOC_ID), DOC_HINT),
     "delete": (of_the_document(lambda docs, value: docs.delete_one(DOC_ID)),
-               lambda store, value: tombstone_holders(store),
+               lambda store, value: doc_holders(store, lambda d: d.get("_deleted")),
                ("models", DOC_ID), DOC_HINT),
     "record": (lambda store, value: store.put_chunk(DIGEST, b"payload"), record_holders,
                ("chunk", DIGEST), {"kind": "chunk", "key": DIGEST}),

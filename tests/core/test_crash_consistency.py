@@ -21,7 +21,7 @@ from repro.core import (
     ParameterUpdateSaveService,
     ProvenanceSaveService,
 )
-from repro.core.schema import ENVIRONMENTS, TRAIN_INFO, WRAPPERS
+from repro.core.schema import ENVIRONMENTS, MODELS, TRAIN_INFO, WRAPPERS
 from repro.distsim.environment import SharedStores
 from repro.docstore import DocumentStore
 from repro.faults import CrashPoint, FaultInjector, FaultyDocumentStore
@@ -80,6 +80,13 @@ def assert_repaired(service, manager, before: dict, victim, label: str) -> set[s
     assert not report.unrepaired, f"{label}: {report.summary()}"
     assert manager.fsck().clean, f"{label}: second fsck dirty"
     added = catalog(manager) - before["catalog"]
+    documents = manager.documents
+    for model_id in added if hasattr(documents, "ring") else ():
+        # a cluster's fsck restored the committing insert to every owner
+        live = {"_id": model_id, "_deleted": {"$exists": False}}
+        holders = {name for name, member in documents.members.items()
+                   if member.collection(MODELS).count(live)}
+        assert holders == set(documents.ring.owners(f"{MODELS}/{model_id}")), label
     assert catalog(manager) >= before["catalog"], f"{label}: a model was lost"
     assert len(added) <= 1, f"{label}: catalog grew by {added}"
     if added:

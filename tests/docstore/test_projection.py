@@ -110,14 +110,14 @@ class TestShardedReadRepairUsesTheWholeDocument:
         models.insert_many(DOCUMENTS)
         first, second = stores.documents.ring.owners("models/m05")
         lagging = stores.documents.members[first].collection("models")
+        stamp = lagging.get("m05")["_v"]
         assert lagging.delete_one("m05")  # the primary lost its copy
 
         assert models.get("m05", projection=("base_model",)) == restrict(
             DOCUMENTS[5], ("base_model",))
         assert stores.documents.cluster_stats["read_repairs"] == 1
-        assert lagging.get("m05") == DOCUMENTS[5]
         holder = stores.documents.members[second].collection("models")
-        assert holder.get("m05") == DOCUMENTS[5]
+        assert lagging.get("m05") == holder.get("m05") == {**DOCUMENTS[5], "_v": stamp}
 
     def test_projected_get_many_repairs_with_the_full_document(self, tmp_path):
         stores = SharedStores.cluster_at(tmp_path, shards=3, replicas=2)
@@ -125,11 +125,12 @@ class TestShardedReadRepairUsesTheWholeDocument:
         models.insert_many(DOCUMENTS)
         primary = stores.documents.ring.primary("models/m09")
         lagging = stores.documents.members[primary].collection("models")
+        stamp = lagging.get("m09")["_v"]
         lagging.delete_one("m09")
 
         assert models.get_many(["m09", "m02"], projection=()) == [
             {"_id": "m09"}, {"_id": "m02"}]
-        assert lagging.get("m09") == DOCUMENTS[9]
+        assert lagging.get("m09") == {**DOCUMENTS[9], "_v": stamp}
 
     def test_count_and_tombstone_scan_copy_ids_only(self, tmp_path, monkeypatch):
         stores = SharedStores.cluster_at(tmp_path, shards=3, replicas=2)
@@ -148,7 +149,8 @@ class TestShardedReadRepairUsesTheWholeDocument:
         monkeypatch.setattr(engine, "_isolated", spy)
         assert models.count({"use_case": "uc-1"}) == 4
         assert copied and all(
-            projection is not None and not list(projection) for projection in copied)
+            projection is not None and set(projection) <= {"_v", "_deleted"}
+            for projection in copied)
 
 
 def test_log_stats_reach_through_every_collection_class(collection):
