@@ -3,7 +3,7 @@
 Places segment records (chunks and files) and metadata documents onto
 R-of-N member stores with a consistent-hash ring; writes need a quorum
 of owners, reads fail over in ring order with digest-verified
-read-repair, and membership changes stream only the keys whose ring
+read-repair, and a membership change heals only the keys whose ring
 ownership moved.  The sharded stores keep the exact single-store
 interfaces, so every MMlib service runs against a cluster unchanged.
 
@@ -14,10 +14,9 @@ replayable IOUs, and :class:`AntiEntropyScanner` diffs replica sets in
 the background through the same per-key heal path ``fsck`` uses.
 """
 
-from .antientropy import AntiEntropyScanner, repair_chunk
+from .antientropy import AntiEntropyScanner, repair_chunk, replication_fsck
 from .health import FailureDetector, HealthMonitor
 from .hints import HintDeliverer, HintLog
-from .rebalance import ClusterRebalancer, replication_fsck
 from .ring import HashRing
 from .sharded_docs import ShardedDocumentStore
 from .sharded_store import ShardedFileStore
@@ -26,7 +25,6 @@ __all__ = [
     "HashRing",
     "ShardedFileStore",
     "ShardedDocumentStore",
-    "ClusterRebalancer",
     "replication_fsck",
     "FailureDetector",
     "HealthMonitor",

@@ -1,21 +1,27 @@
-"""Anti-entropy repair: one per-key heal path for offline fsck and online scan.
+"""Anti-entropy repair: one per-key heal path for fsck, scans and membership.
 
 Replica sets drift: a quorum write misses an owner, a disk loses a chunk,
-a copy rots at rest.  Two consumers walk the same convergence logic —
+a copy rots at rest, a member joins or leaves the ring.  Three consumers
+walk the same convergence logic —
 
-* :func:`repro.cluster.rebalance.replication_fsck` (offline): the full
-  universe in one pass, called from ``ModelManager.fsck``.
+* :func:`replication_fsck` (offline): the full universe in one pass,
+  called from ``ModelManager.fsck``.
 * :class:`AntiEntropyScanner` (online): the universe in bounded batches
   from a background thread, skipping members the failure detector says
   are down and re-visiting deferred keys once they return.
+* :meth:`ShardedFileStore.add_member
+  <repro.cluster.sharded_store.ShardedFileStore.add_member>` /
+  ``remove_member``: the keys whose holders differ from their new ring
+  owners, deep.  A change that stopped half-way leaves nothing to resume:
+  the next sweep — running it again, or fsck — finds what still differs.
 
-Both call :func:`repair_chunk` below for every record — a chunk, or a
-file stored under its file id — so the offline and online repair
-semantics *cannot* diverge.  Its source copy and refcount come from
+All call :func:`repair_chunk` below for every record — a chunk, or a
+file stored under its file id — so their repair semantics *cannot*
+diverge.  Its source copy and refcount come from
 :func:`~repro.cluster.replica.source` and land through
-:func:`~repro.cluster.replica.place`, the heal routines read repair,
-hinted handoff and rebalance moves use too (never propagate a copy that
-fails digest verification — scan past it to an intact one); the
+:func:`~repro.cluster.replica.place`, the heal routines read repair and
+hinted handoff use too (never propagate a copy that fails digest
+verification — scan past it to an intact one); the
 strays-only-when-whole guard lives here.
 
 Per-key outcome statuses:
@@ -41,14 +47,18 @@ Per-key outcome statuses:
 from __future__ import annotations
 
 import threading
+from typing import TYPE_CHECKING
 
 from .. import obs
 from .replica import place, source
-from .sharded_store import ShardedFileStore
+
+if TYPE_CHECKING:
+    from .sharded_store import ShardedFileStore
 
 __all__ = [
     "chunk_universe",
     "repair_chunk",
+    "replication_fsck",
     "AntiEntropyScanner",
 ]
 
@@ -179,6 +189,45 @@ def repair_chunk(
 
         _drop_strays(result, drop)
     return _finish(result)
+
+
+def replication_fsck(store: ShardedFileStore, repair: bool = True) -> dict:
+    """Audit (and with ``repair`` restore) every replica set to R copies.
+
+    For each record in the cluster's universe — a chunk, or a file under
+    its file id — the ring names the members that *should* hold it.
+    Missing replicas are restored from a surviving copy — chunk payloads
+    tensor-hash-verified when manifest metadata is known, files always
+    verified against the id-embedded digest, so corruption is never
+    propagated; a copy that fails verification leaves the key
+    ``unrepairable`` instead.  Replicas sitting on non-owners (left behind
+    by an interrupted membership change) are dropped once every owner
+    holds the key.
+    """
+    report = {
+        "chunks_checked": 0,
+        "under_replicated": [],
+        "repaired": [],
+        "strays_dropped": [],
+        "unrepairable": [],
+    }
+    for digest in sorted(chunk_universe(store)):
+        report["chunks_checked"] += 1
+        result = repair_chunk(store, digest, repair=repair)
+        kind, key = result["kind"], result["key"]
+        gone = result["missing"] + result["unreachable"]
+        if gone:
+            report["under_replicated"].append({
+                "kind": kind, "key": key, "have": len(result["owners"]) - len(gone),
+                "want": len(result["owners"]), "missing": gone})
+        if result["status"] == "unrepairable":
+            report["unrepairable"].append({"kind": kind, "key": key})
+        if result["repaired_to"] or result["corrupt_healed"]:
+            report["repaired"].append({"kind": kind, "key": key})
+        report["strays_dropped"] += [
+            {"kind": kind, "key": key, "member": member}
+            for member in result["strays_dropped"]]
+    return report
 
 
 class AntiEntropyScanner:

@@ -12,7 +12,7 @@ makes live here once:
   replicated write runs; its caller supplies only what one owner does.
 * **Which copy a heal may copy from.**  :func:`source` picks it and
   :func:`place` lands it — read repair, hinted handoff, anti-entropy and
-  rebalance moves all go through these two, so a copy that fails digest
+  membership changes all go through these two, so a copy that fails digest
   verification is never propagated by any of them.
 """
 

@@ -39,8 +39,7 @@ class HashRing:
     ``replicas`` is the replication factor R: :meth:`owners` returns up
     to R distinct members per key, in ring (preference) order.  The ring
     is a pure placement function — it holds member *names*, never store
-    handles, so snapshots are cheap and rebalance plans can diff two
-    rings without touching any data.
+    handles.
     """
 
     def __init__(
@@ -130,26 +129,6 @@ class HashRing:
         """The key's first-preference member (``owners(key)[0]``)."""
         owners = self.owners(key, count=1)
         return owners[0] if owners else None
-
-    # -- snapshots / diffing ----------------------------------------------
-
-    def copy(self) -> "HashRing":
-        """Independent snapshot with identical membership and placement."""
-        return HashRing(self.members(), replicas=self.replicas, vnodes=self.vnodes)
-
-    def moved_keys(self, other: "HashRing", keys: Iterable[str]) -> dict[str, tuple[list[str], list[str]]]:
-        """Keys whose owner set differs between ``self`` (old) and
-        ``other`` (new); maps key -> (old_owners, new_owners).
-
-        The rebalancer streams exactly these keys and nothing else.
-        """
-        moved: dict[str, tuple[list[str], list[str]]] = {}
-        for key in keys:
-            old = self.owners(key)
-            new = other.owners(key)
-            if set(old) != set(new):
-                moved[key] = (old, new)
-        return moved
 
     def __repr__(self) -> str:
         return (

@@ -559,7 +559,7 @@ class ShardedDocumentStore(ReplicaLedger):
 
     def replication_fsck(self, repair: bool = True) -> dict:
         """Audit (and with ``repair`` restore) every record to its R ring
-        owners, in :func:`repro.cluster.rebalance.replication_fsck`'s
+        owners, in :func:`repro.cluster.antientropy.replication_fsck`'s
         shape with the collection as ``kind``; an owner lacking the
         highest stamp (missing, lower or unreachable) counts as missing."""
         return self._sweep(repair=repair, purge=False)
@@ -654,7 +654,7 @@ class ShardedDocumentStore(ReplicaLedger):
                 return False
         return True
 
-    # -- membership (placement only; data movement is the rebalancer's) ------
+    # -- membership: a change is the placement sweep ---------------------------
 
     def _placement_changed(self) -> None:
         with self._collections_lock:

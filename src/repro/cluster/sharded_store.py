@@ -22,11 +22,18 @@ Replication semantics:
   corrupt members.  A successful failover read triggers *read-repair*:
   the payload is written back to owners found missing it — from the
   verified heal source (:func:`~repro.cluster.replica.source`) that hinted
-  handoff, anti-entropy and rebalance moves use too, so a corrupt payload
-  is never propagated.
+  handoff and anti-entropy use too, so a corrupt payload is never
+  propagated.
+* **Membership changes** (:meth:`ShardedFileStore.add_member`,
+  :meth:`~ShardedFileStore.remove_member`) change the ring, then run the
+  anti-entropy heal (:func:`~repro.cluster.antientropy.repair_chunk`) on
+  every key whose holders differ from its new owners: the keys that move
+  and nothing else.  No journal records the change; one that stopped
+  half-way is finished by running it again, or by fsck's replication
+  step, which find the keys still out of place.
 
 The sharded store itself holds no payload data: its root directory
-carries only cluster-wide metadata (rebalance journals, the hint log).
+carries only cluster-wide metadata (the hint log).
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from ..filestore.store import (
     chunk_intact,
     is_file_id,
 )
+from . import antientropy
 from .replica import REPLICA_FAILURES, ReplicaLedger, classify_failure, place, source
 from .ring import DEFAULT_VNODES
 
@@ -90,8 +98,8 @@ class _ShardedChunkView:
         self._store = store
 
     def _all_members(self, digest: str | None = None):
-        """Member stores, a key's owners first (mid-rebalance data may
-        still sit on former owners)."""
+        """Member stores, a key's owners first (during a membership change
+        data may still sit on former owners)."""
         store = self._store
         if digest is None:
             return [store.members[n] for n in sorted(store.members)]
@@ -185,7 +193,7 @@ class _ShardedChunkView:
 
         That is a member the chunk was appended to, or one whose put found
         the chunk already there but not yet flushed (a read repair, hint,
-        rebalance or concurrent save appended it), as is an owner holding
+        membership change or concurrent save appended it), as is an owner holding
         a chunk the save references without a put (``held``) unflushed.  A member that took
         only file records (a manifest, code) keeps them for its next
         barrier, so a save costs the fsyncs its chunks cost: a file's
@@ -252,9 +260,6 @@ class _ShardedChunkView:
         for field in ("torn_segments", "entries_dropped", "crc_failures"):
             merged[field] = [
                 f"{name}:{item}" for name, report in reports.items() for item in report[field]]
-        merged["compaction"] = [
-            f"{name}:{report['compaction']}"
-            for name, report in reports.items() if report["compaction"] is not None]
         return merged
 
     def segment_stats(self) -> dict:
@@ -264,8 +269,6 @@ class _ShardedChunkView:
             ("segment_count", "sealed_segments", "chunks", "live_bytes", "dead_bytes",
              "compaction_debt_bytes"))
         merged["layout"] = "sharded"
-        merged["pending_compaction"] = any(
-            stats["pending_compaction"] for stats in merged["members"].values())
         total = merged["live_bytes"] + merged["dead_bytes"]
         merged["live_ratio"] = (merged["live_bytes"] / total) if total else 1.0
         return merged
@@ -288,12 +291,12 @@ class _ShardedChunkView:
         say *where* a count leaked or an orphan sat.
 
         A referenced digest whose owners are not yet all whole is also
-        kept on any non-owner holding it: mid-rebalance (or after a lost
-        owner disk) that stray may be the only surviving copy, and the
-        replication fsck that runs after reconcile needs it as the
-        repair source.  Only once every owner holds the key does a
+        kept on any non-owner holding it: during a membership change (or
+        after a lost owner disk) that stray may be the only surviving
+        copy, and the replication fsck that runs after reconcile needs it
+        as the repair source.  Only once every owner holds the key does a
         non-owner replica count as an orphan — the same guard
-        :func:`~repro.cluster.rebalance.replication_fsck` applies before
+        :func:`~repro.cluster.antientropy.replication_fsck` applies before
         dropping strays.
         """
         merged: dict = {"ref_fixes": {}, "orphan_chunks_removed": [], "orphan_bytes": 0}
@@ -342,8 +345,8 @@ class _ShardedChunkView:
 class ShardedFileStore(ReplicaLedger, FileStore):
     """R-of-N replicated :class:`FileStore` over named member stores.
 
-    ``root`` is the cluster's *metadata* directory (rebalance journals,
-    hints) — payload bytes live only on the members, which
+    ``root`` is the cluster's *metadata* directory (the hint log) —
+    payload bytes live only on the members, which
     are plain :class:`FileStore`s or
     :class:`~repro.filestore.network.SimulatedNetworkFileStore`s (each
     charging its own link).  Fault injection and per-replica retry belong
@@ -637,10 +640,56 @@ class ShardedFileStore(ReplicaLedger, FileStore):
 
     def replication_fsck(self, repair: bool = True) -> dict:
         """Cross-check every replica set against R; see
-        :func:`repro.cluster.rebalance.replication_fsck`."""
-        from .rebalance import replication_fsck
+        :func:`repro.cluster.antientropy.replication_fsck`."""
+        return antientropy.replication_fsck(self, repair=repair)
 
-        return replication_fsck(self, repair=repair)
+    # -- membership: a change is a placement sweep ----------------------------
+
+    def add_member(self, name: str, member: FileStore) -> dict:
+        """Join ``member`` to the ring and copy its share of records in."""
+        if name in self.members:
+            raise ValueError(f"member {name!r} is already in the cluster")
+        self.members[name] = member
+        self.ring.add_member(name)
+        return self._place_records()
+
+    def remove_member(self, name: str) -> dict:
+        """Take ``name`` off the ring, copy its records to their new
+        owners, and drop it once it holds no record.
+
+        A copy that fails keeps the leaver's copy (a stray is retired only
+        once every owner holds the key), so the leaver stays in
+        ``members`` — off the ring, still a copy source — and the stats
+        say ``drained: False``; calling this again finishes the drain.
+        """
+        if name not in self.members:
+            raise KeyError(f"member {name!r} is not in the cluster")
+        if name in self.ring:
+            self.ring.remove_member(name)
+        stats = self._place_records()
+        stats["drained"] = not self.members[name].chunks.chunk_ids()
+        if stats["drained"]:
+            del self.members[name]
+            with self._stats_lock:
+                self._unsynced.discard(name)
+        return stats
+
+    def _place_records(self) -> dict:
+        """Heal, deep, every key whose holders differ from its ring owners
+        — on a healthy cluster, the keys whose owners changed."""
+        stats = {"planned": 0, "chunks_moved": 0, "replicas_dropped": 0, "failed": 0}
+        for digest in sorted(antientropy.chunk_universe(self)):
+            owners = set(self.ring.owners(digest))
+            if owners == {n for n in self.members if self.members[n].chunks.has(digest)}:
+                continue
+            stats["planned"] += 1
+            result = antientropy.repair_chunk(self, digest, repair=True, deep=True)
+            placed = set(result["holders"]) | set(result["repaired_to"])
+            placed -= set(result["strays_dropped"])
+            stats["chunks_moved"] += bool(result["repaired_to"] or result["corrupt_healed"])
+            stats["replicas_dropped"] += len(result["strays_dropped"])
+            stats["failed"] += placed != owners
+        return stats
 
     def cluster_accounting(self) -> dict:
         """Aggregate the members' simulated-network counters.

@@ -48,11 +48,14 @@ _RECORD_FIELDS = ("approach", "base_model", "use_case", "saved_at")
 #: The fields of a model document that name files (``_referenced_files``).
 _FILE_FIELDS = ("architecture", "parameters_file", "update_file", "provenance")
 
-#: Directories a parent release kept under a file store's root (a sharded
-#: store's metadata root) beside its records: the chain compactor's swap
-#: intents and the save intent logs.  fsck's reconcile takes back every
-#: record they name that no document does, so a repair deletes them unread.
-PARENT_LOG_DIRS = ("chain-compaction", "journal")
+#: Logs a parent release kept under a file store's root (a sharded store's
+#: metadata root and each member's) beside its records: the chain
+#: compactor's swap intents, the save intent logs, the rebalancer's move
+#: journals and the segment compaction journal.  None says what the
+#: records do not — fsck's reconcile takes back what no document names,
+#: its replication step moves what sits off its ring owners, and a segment
+#: no index entry names is dead — so a repair deletes them unread.
+PARENT_LOGS = ("chain-compaction", "journal", "rebalance", "chunks/compaction.json")
 
 
 class DependentModelsError(MMLibError):
@@ -80,7 +83,7 @@ class FsckIssue:
     """One consistency violation found by :meth:`ModelManager.fsck`.
 
     ``kind`` is a stable machine-readable tag (``torn_segment``,
-    ``segment_index``, ``segment_crc``, ``segment_compaction``,
+    ``segment_index``, ``segment_crc``,
     ``catalog_torn_tail``, ``missing_base``, ``missing_document``,
     ``environment_digest``, ``missing_file``, ``missing_chunk``,
     ``corrupt_chunk``, ``corrupt_manifest``, ``retired_level``,
@@ -643,9 +646,10 @@ class ModelManager:
         Invariants checked, in order, each step timed under its name:
 
         1. ``segments`` — every segment's footer and record framing is
-           intact: torn tails are truncated, the chunk index is rebuilt
-           from disk, and an interrupted compaction is rolled forward or
-           back;
+           intact: torn tails are truncated and the chunk index is
+           rebuilt from disk (a compaction that died needs nothing here:
+           its tmp segment is grace-swept, and a committed destination
+           or victim the index no longer names goes at the next ``gc``);
         2. ``documents`` — no catalog log was opened with a torn final
            record (a crash mid-append; the engine already dropped it,
            reported here once); every model document's base model,
@@ -665,8 +669,8 @@ class ModelManager:
            both found in one pass.  What a save that died before its
            model document left is exactly this, as is what a crashed chain
            rewrite leaves; the repair also deletes the logs a parent
-           release kept beside them (:data:`PARENT_LOG_DIRS`), which name
-           only such records;
+           release kept beside its records (:data:`PARENT_LOGS`), which
+           say nothing the records do not;
         5. ``replication`` — on a sharded store, every record (chunk or
            file) holds its full R replicas: under-replicated keys are
            restored from a surviving copy (digest-verified, never
@@ -688,7 +692,7 @@ class ModelManager:
         steps = _FsckSteps(report)
 
         # 1. audit segment footers/record framing, rebuild the chunk
-        # index from disk, finish interrupted compactions
+        # index from disk
         steps.start("segments")
         outcome = files.chunks.audit(repair=repair, verify=verify_chunks)
         report.segments = outcome
@@ -719,14 +723,6 @@ class ModelManager:
                 f"segment record for chunk {digest[:24]}… fails "
                 "its CRC check",
             )
-        compaction = outcome["compaction"]
-        for action in compaction if isinstance(compaction, list) else [compaction]:
-            if action:
-                report.add(
-                    "segment_compaction",
-                    f"interrupted compaction: {action}",
-                    repaired=repair and "pending" not in str(action),
-                )
 
         # 2. documents -> documents/files cross-checks
         steps.start("documents")
@@ -892,10 +888,16 @@ class ModelManager:
                 kind, detail = "orphan_chunk", f"unreferenced chunk {key[:12]}…"
             report.add(kind, detail + (" (removed)" if repair else ""),
                        repaired=repair)
-        # what a parent release's logs name, no document does: reclaimed above
+        # what a parent release's logs name, the records already say
         if repair and hasattr(files, "root"):
-            for name in PARENT_LOG_DIRS:
-                shutil.rmtree(Path(files.root) / name, ignore_errors=True)
+            members = getattr(files, "members", {}).values()
+            for root in (files.root, *(member.root for member in members)):
+                for name in PARENT_LOGS:
+                    path = Path(root) / name
+                    if path.is_dir():
+                        shutil.rmtree(path, ignore_errors=True)
+                    else:
+                        path.unlink(missing_ok=True)
 
         # 5. replica counts vs. the placement ring (sharded stores only):
         # quorum writes that landed degraded, or members that lost disks,

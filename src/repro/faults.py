@@ -75,8 +75,9 @@ class FaultInjector:
     restore cluster members at exact operation counts.
 
     ``max_consecutive_failures`` bounds how many times in a row one
-    operation may fail, guaranteeing bounded retries eventually succeed
-    even at high error rates.
+    operation may fail on one thread, guaranteeing bounded retries
+    eventually succeed even at high error rates: a thread's streak is its
+    own, so another thread's success does not reset it.
     """
 
     def __init__(
@@ -115,7 +116,8 @@ class FaultInjector:
         # paths hit the injector from worker threads, and an unguarded
         # shared PRNG would make "seeded" chaos runs non-reproducible
         self._lock = threading.RLock()
-        self._consecutive: dict[str, int] = {}
+        # (thread id, op) -> failures in a row of that op on that thread
+        self._consecutive: dict[tuple[int, str], int] = {}
         self.stats = {
             "ops": 0,
             "errors": 0,
@@ -182,13 +184,18 @@ class FaultInjector:
 
     # -- fault decisions ---------------------------------------------------
 
+    @staticmethod
+    def _streak(op: str) -> tuple[int, str]:
+        return threading.get_ident(), op
+
     def _allowed_to_fail(self, op: str) -> bool:
         if self.max_consecutive_failures is None:
             return True
-        return self._consecutive.get(op, 0) < self.max_consecutive_failures
+        return self._consecutive.get(self._streak(op), 0) < self.max_consecutive_failures
 
     def _register_failure(self, op: str) -> None:
-        self._consecutive[op] = self._consecutive.get(op, 0) + 1
+        streak = self._streak(op)
+        self._consecutive[streak] = self._consecutive.get(streak, 0) + 1
 
     def fail_point(self, op: str, nbytes: int = 0) -> None:
         """Operation boundary hook: may crash, delay, or raise transiently.
@@ -232,7 +239,7 @@ class FaultInjector:
                 self.stats["errors"] += 1
                 self._record("error", op)
                 raise TransientStoreError(f"injected transient I/O error during {op!r}")
-            self._consecutive[op] = 0
+            self._consecutive.pop(self._streak(op), None)
 
     def torn_write(self, op: str) -> bool:
         """Should this write persist only a partial payload and fail?"""

@@ -23,10 +23,12 @@ length, crc)``), LSM-style:
   reopen after ``kill -9`` rescans at most the one unsealed tail
   (DESIGN.md §17 "Bookkeeping").
 * **Compaction** — segments whose live ratio drops below a threshold
-  are rewritten into a fresh sealed segment.  The rewrite is journaled
-  (``compaction.json``) and resumable: the atomic rename of the
-  destination segment is the commit point, a crash before it rolls
-  back, a crash after it rolls forward.
+  are rewritten into a fresh sealed segment, committed by its atomic
+  rename and written down by no journal: a crash before the rename
+  leaves a ``.tmp`` the grace sweep reaps; a crash after it leaves each
+  moved record twice, both copies identical (records are
+  content-addressed), and whichever one the index does not point at is
+  dead, its segment unlinked by the next sweep.
 
 On-disk format (all integers little-endian):
 
@@ -203,8 +205,7 @@ class ChunkStore:
         self._refs_path = self.root / "refcounts.json"
         self._lock_path = self.root / ".lock"
         # every file this store creates: a segment, a compaction output, a
-        # log rewrite (an index checkpoint, a refcount fold, a compaction
-        # journal)
+        # log rewrite (an index checkpoint, a refcount fold)
         self._obs_files_created = obs.registry().counter(
             "mmlib_chunk_files_created_total", "Files the chunk store created")
         # the refcount table as of the records ``_refs_log`` has read
@@ -229,8 +230,6 @@ class ChunkStore:
         self.segments_dir = self.root / "segments"
         self.segments_dir.mkdir(parents=True, exist_ok=True)
         self._checkpoint_log = _SharedLog(self.root / "index.json", self._obs_files_created)
-        self._compaction_path = self.root / "compaction.json"
-        self._compaction_log = _SharedLog(self._compaction_path, self._obs_files_created)
         self._mutex = threading.RLock()
         self._index: dict[str, tuple[str, int, int, int]] = {}
         self._segmeta: dict[str, dict] = {}
@@ -275,7 +274,6 @@ class ChunkStore:
             "Dead (compactable) payload bytes across segments")
         with self._mutex:
             self._load_checkpoint()
-            self._resume_compaction_locked()
             self._refresh_locked()
             if self._index_dirty:
                 # an unclean shutdown's tail was rescanned: once, not per open
@@ -1197,16 +1195,14 @@ class ChunkStore:
     def compact(self) -> dict:
         """Rewrite low-live-ratio sealed segments into one fresh segment.
 
-        Journaled and resumable: ``compaction.json`` names the victims
-        and the destination; the destination's atomic rename is the
-        commit point.  A segment holding a record that fails its CRC is
-        left out, whole, for fsck to report and read repair to heal.
-        Returns move/reclaim statistics, the segments left out under
-        ``segments_skipped``.
+        The destination's atomic rename is the commit point; a crash
+        before or after it needs no resume (see the module docstring).  A
+        segment holding a record that fails its CRC is left out, whole,
+        for fsck to report and read repair to heal.  Returns move/reclaim
+        statistics, the segments left out under ``segments_skipped``.
         """
         stats = {"segments_compacted": 0, "records_moved": 0, "bytes_reclaimed": 0}
         with self._mutex:
-            self._resume_compaction_locked()
             self._drop_dead_segments_locked()
             victims = set(self._compaction_victims_locked())
             skipped = {entry[0] for entry in self._index.values()
@@ -1235,9 +1231,6 @@ class ChunkStore:
     def _compact_locked(self, victims: list[str]) -> dict:
         self._hook("chunk.compact")
         dest = self._next_segment_name()
-        self._compaction_log.rewrite(
-            [json.dumps({"victims": victims, "dest": dest}, sort_keys=True).encode()])
-        self._hook("chunk.compact")
         victim_set = set(victims)
         moves = [
             (digest, entry)
@@ -1250,8 +1243,8 @@ class ChunkStore:
         new_entries: dict[str, tuple[str, int, int, int]] = {}
         offset = HEADER.size
         total_live = 0
-        # a crash or corruption before the commit point leaves the journal
-        # and a partial tmp: resume (or the grace sweep) rolls back
+        # a crash or corruption before the commit point leaves a partial
+        # tmp for the grace sweep: the victims are untouched
         with open(tmp_path, "wb") as out:
             self._obs_files_created.inc()
             out.write(HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, self._seq))
@@ -1286,13 +1279,15 @@ class ChunkStore:
         for digest, entry in new_entries.items():
             self._set_entry_locked(digest, entry)
         self._index_dirty = True
-        self._write_checkpoint_locked()
-        self._hook("chunk.compact")
+        # past the commit point a reopen reads the old checkpoint: a victim
+        # still on disk keeps its entries, one already unlinked has them
+        # indexed again from the destination's footer, and a destination
+        # no entry points at is dead
         for name in victims:
             self._close_read_file(name)
             (self.segments_dir / name).unlink(missing_ok=True)
             self._segmeta.pop(name, None)
-        self._compaction_log.remove()
+            self._hook("chunk.compact")
         self._write_checkpoint_locked()
         self._update_gauges_locked()
         return {
@@ -1301,47 +1296,14 @@ class ChunkStore:
             "bytes_reclaimed": max(0, dead),
         }
 
-    def _resume_compaction_locked(self) -> str | None:
-        """Finish or undo an interrupted compaction; returns the action."""
-        if not self._compaction_path.exists():
-            return None
-        try:
-            journal = (self._compaction_log.replay() or [{}])[-1]
-        except StoreCorruptionError:
-            journal = {}
-        dest = journal.get("dest")
-        committed = bool(dest) and (self.segments_dir / dest).exists()
-        if dest and not committed:
-            # the rename never committed: forget the attempt entirely
-            (self.segments_dir / (dest + ".tmp")).unlink(missing_ok=True)
-        elif committed:
-            # drop the victims and the destination; the refresh indexes the
-            # destination anew from its footer, even if a read miss absorbed
-            # it while the victims still held its records (what a victim
-            # held and the destination lacks was dead)
-            victims = set(journal.get("victims", []))
-            self._segmeta.pop(dest, None)
-            for digest, entry in list(self._index.items()):
-                if entry[0] in victims or entry[0] == dest:
-                    self._drop_entry_locked(digest)
-            for name in victims:
-                self._close_read_file(name)
-                (self.segments_dir / name).unlink(missing_ok=True)
-                self._segmeta.pop(name, None)
-            self._refresh_locked()
-            self._index_dirty = True
-            self._write_checkpoint_locked()
-        self._compaction_log.remove()
-        return "rolled_forward" if committed else "rolled_back"
-
     # -- audit / stats ---------------------------------------------------------
 
     def audit(self, repair: bool = True, verify: bool = False) -> dict:
         """Segment-layer fsck step: footers, tears, index bounds, crcs.
 
-        Resumes an interrupted compaction (with ``repair``), absorbs any
-        unindexed records, truncates torn tails, drops index entries that
-        point outside their segment, and reaps expired partial segments.
+        Absorbs any unindexed records, truncates torn tails, drops index
+        entries that point outside their segment, and reaps expired
+        partial segments.
         With ``verify`` every live record's payload is crc-checked.
         """
         outcome = {
@@ -1352,14 +1314,8 @@ class ChunkStore:
             "entries_added": 0,
             "entries_dropped": [],
             "crc_failures": [],
-            "compaction": None,
         }
         with self._mutex:
-            if self._compaction_path.exists():
-                if repair:
-                    outcome["compaction"] = self._resume_compaction_locked()
-                else:
-                    outcome["compaction"] = "pending"
             outcome["entries_added"] = self._refresh_locked()
             for name, meta in sorted(self._segmeta.items()):
                 outcome["segments_checked"] += 1
@@ -1450,7 +1406,6 @@ class ChunkStore:
                 "dead_bytes": max(0, total - live),
                 "live_ratio": (live / total) if total else 1.0,
                 "compaction_debt_bytes": debt,
-                "pending_compaction": self._compaction_path.exists(),
             }
 
     def _update_gauges_locked(self) -> None:

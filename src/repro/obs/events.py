@@ -4,7 +4,7 @@ Metrics answer "how many / how long"; the event log answers "what
 happened, in order, with what context".  Components emit flat records —
 a ``kind`` plus keyword fields — for transitions worth replaying later:
 retry attempts with their cause, fault injections, cache evictions,
-degraded writes, quorum failures, fsck repairs, rebalance moves.
+degraded writes, quorum failures, fsck repairs, anti-entropy repairs.
 
 Events are held in a bounded ring buffer (oldest evicted first) and
 export as JSON-lines.  Timestamps come from the injectable clock so

@@ -1,12 +1,13 @@
-"""Cluster rebalancing: minimal movement, resumable journals, fsck heal."""
+"""Cluster membership changes: minimal movement, a placement sweep, fsck heal."""
 
 import numpy as np
 import pytest
 
 from repro.cluster import (
-    ClusterRebalancer,
+    HashRing,
     ShardedDocumentStore,
     ShardedFileStore,
+    antientropy,
     replication_fsck,
 )
 from repro.core import ArchitectureRef, BaselineSaveService, ModelSaveInfo
@@ -66,17 +67,43 @@ def populated(tmp_path):
     return store, service, model, model_id
 
 
+def ring_with(store: ShardedFileStore, add=()) -> HashRing:
+    """A ring like ``store``'s, with ``add`` joined."""
+    return HashRing([*store.ring.members(), *add],
+                    replicas=store.ring.replicas, vnodes=store.ring.vnodes)
+
+
+def owner_diff(old: HashRing, new: HashRing, keys) -> set[str]:
+    """The keys whose owner set differs between ``old`` and ``new``."""
+    return {key for key in keys if set(old.owners(key)) != set(new.owners(key))}
+
+
+def break_copies(monkeypatch, fail=lambda digest: True) -> list[str]:
+    """Make each copy onto a member raise where ``fail(digest)``; returns
+    the digests whose copy failed."""
+    failed, place = [], antientropy.place
+
+    def flaky(member, digest, *args, **kwargs):
+        if fail(digest):
+            failed.append(digest)
+            raise OSError("injected copy failure")
+        return place(member, digest, *args, **kwargs)
+
+    monkeypatch.setattr(antientropy, "place", flaky)
+    return failed
+
+
 class TestAddMember:
     def test_moves_only_keys_whose_ownership_changed(self, populated, tmp_path):
         store, service, model, model_id = populated
-        old_ring = store.ring.copy()
+        old_ring = ring_with(store)
         before = chunk_placement(store)
 
-        rebalancer = ClusterRebalancer(store)
-        stats = rebalancer.add_member("m4", FileStore(tmp_path / "m4"))
+        stats = store.add_member("m4", FileStore(tmp_path / "m4"))
 
-        moved = old_ring.moved_keys(store.ring, sorted(before))
+        moved = owner_diff(old_ring, store.ring, before)
         assert stats["failed"] == 0
+        assert stats["planned"] == len(moved) > 0
         assert stats["chunks_moved"] <= stats["planned"]
         # untouched keys kept their exact replica placement
         after = chunk_placement(store)
@@ -85,16 +112,35 @@ class TestAddMember:
                 assert after[digest] == placement, digest
         assert_placement_matches_ring(store)
 
+    def test_reads_only_the_keys_whose_owner_set_changed(self, populated, tmp_path, monkeypatch):
+        # a healthy cluster's holders are its ring owners, so the sweep reads
+        # (asks the heal source for) what moves and not the whole cluster
+        store, *_ = populated
+        old_ring = ring_with(store)
+        keys = set(chunk_placement(store))
+        read, source = [], antientropy.source
+
+        def spy(cluster, digest, *args, **kwargs):
+            read.append(digest)
+            return source(cluster, digest, *args, **kwargs)
+
+        monkeypatch.setattr(antientropy, "source", spy)
+        store.add_member("m4", FileStore(tmp_path / "m4"))
+
+        moved = owner_diff(old_ring, store.ring, keys)
+        assert moved and len(moved) < len(keys)
+        assert sorted(read) == sorted(moved)
+
     def test_recovery_is_bitwise_after_the_move(self, populated, tmp_path):
         store, service, model, model_id = populated
-        ClusterRebalancer(store).add_member("m4", FileStore(tmp_path / "m4"))
+        store.add_member("m4", FileStore(tmp_path / "m4"))
         recovered = service.recover_model(model_id, verify=True)
         assert recovered.verified is True
         assert states_equal(model, recovered.model)
 
     def test_cluster_is_fully_replicated_after_the_move(self, populated, tmp_path):
         store, *_ = populated
-        ClusterRebalancer(store).add_member("m4", FileStore(tmp_path / "m4"))
+        store.add_member("m4", FileStore(tmp_path / "m4"))
         outcome = replication_fsck(store, repair=False)
         assert outcome["under_replicated"] == []
 
@@ -103,8 +149,7 @@ class TestAddMember:
         # rewritten under a valid record CRC, so only the content check sees
         # it; the other old owner holds the only intact copy and is dropped
         store, service, model, model_id = populated
-        new_ring = store.ring.copy()
-        new_ring.add_member("m4")
+        new_ring = ring_with(store, add=["m4"])
         moved = kept_owner = None
         for digest in sorted(tensor_hash(array) for array in model.state_dict().values()):
             kept = set(store.ring.owners(digest)) & set(new_ring.owners(digest))
@@ -116,7 +161,7 @@ class TestAddMember:
         corrupt = bytes([intact[0] ^ 0xFF]) + intact[1:]
         replace_record(store.members[kept_owner], moved, corrupt)
 
-        stats = ClusterRebalancer(store).add_member("m4", FileStore(tmp_path / "m4"))
+        stats = store.add_member("m4", FileStore(tmp_path / "m4"))
 
         assert stats["failed"] == 0
         assert_placement_matches_ring(store)
@@ -129,14 +174,15 @@ class TestAddMember:
     def test_duplicate_member_rejected(self, populated, tmp_path):
         store, *_ = populated
         with pytest.raises(ValueError):
-            ClusterRebalancer(store).add_member("m0", FileStore(tmp_path / "dup"))
+            store.add_member("m0", FileStore(tmp_path / "dup"))
 
 
 class TestRemoveMember:
     def test_drains_every_key_off_the_leaver(self, populated):
         store, service, model, model_id = populated
-        stats = ClusterRebalancer(store).remove_member("m3")
+        stats = store.remove_member("m3")
         assert stats["failed"] == 0
+        assert stats["drained"] is True
         assert "m3" not in store.members
         assert "m3" not in store.ring
         assert_placement_matches_ring(store)
@@ -145,28 +191,22 @@ class TestRemoveMember:
     def test_unknown_member_rejected(self, populated):
         store, *_ = populated
         with pytest.raises(KeyError):
-            ClusterRebalancer(store).remove_member("m9")
+            store.remove_member("m9")
 
-    def test_failed_drain_keeps_the_leaver_as_a_copy_source(self, populated):
-        # keys whose move failed may exist only on the leaver; dropping
+    def test_failed_drain_keeps_the_leaver_as_a_copy_source(self, populated, monkeypatch):
+        # keys whose copy failed may exist only on the leaver; dropping
         # it anyway would orphan them unrecoverably
         store, service, model, model_id = populated
-        rebalancer = ClusterRebalancer(store, workers=1)
-        original = rebalancer._move_chunk
-
-        def broken(digest, new_owners):
-            raise OSError("injected copy failure")
-
-        rebalancer._move_chunk = broken
-        stats = rebalancer.remove_member("m3")
-        assert stats["failed"] > 0
+        failed = break_copies(monkeypatch)
+        stats = store.remove_member("m3")
+        assert stats["failed"] == len(failed) > 0
         assert stats["drained"] is False
         assert "m3" in store.members  # retained: may hold sole copies
         assert "m3" not in store.ring
 
-        # heal the copy path and retry under the same journal
-        rebalancer._move_chunk = original
-        stats = rebalancer.remove_member("m3", journal_id=stats["journal_id"])
+        # heal the copy path and run the change again
+        monkeypatch.undo()
+        stats = store.remove_member("m3")
         assert stats["failed"] == 0
         assert stats["drained"] is True
         assert "m3" not in store.members
@@ -175,81 +215,39 @@ class TestRemoveMember:
 
 
 class TestResume:
-    def test_interrupted_rebalance_resumes_from_the_journal(self, populated, tmp_path):
+    def test_interrupted_rebalance_resumes_from_the_journal(self, populated, tmp_path, monkeypatch):
+        """Nothing is journaled: the placement itself says what is left,
+        and fsck's replication step finishes a change two copies failed."""
         store, service, model, model_id = populated
-        rebalancer = ClusterRebalancer(store, workers=1)
+        crashed: set[str] = set()
 
-        # interrupt: the first migration fails on a subset of chunk moves
-        original = rebalancer._move_chunk
-        crashed = set()
-
-        def flaky_move(digest, new_owners):
+        def first_two(digest):
             if len(crashed) < 2 and digest not in crashed:
                 crashed.add(digest)
-                raise OSError("injected copy failure")
-            return original(digest, new_owners)
+                return True
+            return False
 
-        rebalancer._move_chunk = flaky_move
-        stats = rebalancer.add_member("m4", FileStore(tmp_path / "m4"))
-        assert stats["failed"] == len(crashed) > 0
-        journal = rebalancer.journal_dir / f"{stats['journal_id']}.jsonl"
-        assert journal.exists()  # kept: the rebalance did not finish
+        failed = break_copies(monkeypatch, first_two)
+        stats = store.add_member("m4", FileStore(tmp_path / "m4"))
+        assert stats["failed"] == len(failed) == 2
+        assert stats["chunks_moved"] > 0
 
-        # heal the copy path and resume under the same journal id
-        rebalancer._move_chunk = original
-        resumed = rebalancer.resume(stats["journal_id"])
-        assert resumed["failed"] == 0
-        assert resumed["resumed_skips"] > 0  # journaled moves not re-copied
-        assert not journal.exists()  # completed: journal retired
-        assert_placement_matches_ring(store)
-        assert states_equal(model, service.recover_model(model_id).model)
-
-    @pytest.mark.parametrize("tail", [
-        b'{"kind": "chu',  # a JSON-lines append cut short
-        b"MMRC\x00\x00\x00\x00\x9a\x02",  # a framed record cut short
-    ], ids=["json", "framed"])
-    def test_a_torn_journal_record_does_not_stop_the_resume(
-        self, populated, tmp_path, tail
-    ):
-        """A crash in the middle of a journal append leaves part of a record;
-        the resume cuts it off and finishes the rebalance."""
-        store, service, model, model_id = populated
-        rebalancer = ClusterRebalancer(store, workers=1)
-        original = rebalancer._move_chunk
-        crashed = set()
-
-        def flaky_move(digest, new_owners):
-            if len(crashed) < 2 and digest not in crashed:
-                crashed.add(digest)
-                raise OSError("injected copy failure")
-            return original(digest, new_owners)
-
-        rebalancer._move_chunk = flaky_move
-        stats = rebalancer.add_member("m4", FileStore(tmp_path / "m4"))
-        assert stats["failed"] == len(crashed) > 0
-        journal = rebalancer.journal_dir / f"{stats['journal_id']}.jsonl"
-        with journal.open("ab") as handle:
-            handle.write(tail)
-
-        rebalancer._move_chunk = original
-        resumed = rebalancer.resume(stats["journal_id"])
-        assert resumed["failed"] == 0
-        assert resumed["resumed_skips"] > 0
-        assert not journal.exists()
+        monkeypatch.undo()
+        finished = replication_fsck(store, repair=True)
+        assert {entry["key"] for entry in finished["repaired"]} == crashed
+        assert finished["unrepairable"] == []
         assert_placement_matches_ring(store)
         assert states_equal(model, service.recover_model(model_id).model)
 
     def test_clean_rebalance_leaves_no_journal(self, populated, tmp_path):
         store, *_ = populated
-        rebalancer = ClusterRebalancer(store)
-        stats = rebalancer.add_member("m4", FileStore(tmp_path / "m4"))
+        meta = tmp_path / "meta"
+        before = sorted(meta.rglob("*"))
+        stats = store.add_member("m4", FileStore(tmp_path / "m4"))
+        store.remove_member("m0")
         assert stats["failed"] == 0
-        assert list(rebalancer.journal_dir.glob("*.jsonl")) == []
-
-    def test_invalid_workers_rejected(self, populated):
-        store, *_ = populated
-        with pytest.raises(ValueError):
-            ClusterRebalancer(store, workers=0)
+        assert sorted(meta.rglob("*")) == before  # a membership change writes no log
+        assert not (meta / "rebalance").exists()
 
 
 class TestReplicationFsck:

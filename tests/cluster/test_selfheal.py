@@ -7,7 +7,6 @@ import pytest
 
 from repro.cluster import (
     AntiEntropyScanner,
-    ClusterRebalancer,
     FailureDetector,
     HintDeliverer,
     HintLog,
@@ -181,7 +180,7 @@ class TestHintedHandoff:
 
     def test_hints_race_rebalancer_resolve_stale(self, tmp_path):
         # The member a hint is owed to gets decommissioned before
-        # delivery: the rebalancer re-replicates its keys, so the IOUs
+        # delivery: its removal re-replicates its keys, so the IOUs
         # must resolve as stale instead of failing forever.
         store, faults, detector, hints = make_selfheal_cluster(tmp_path)
         faults["m1"].set_down(True)
@@ -189,7 +188,7 @@ class TestHintedHandoff:
         assert hints.pending_counts().get("m1", 0) > 0
         faults["m1"].set_down(False)
         recover_member(detector, "m1")
-        ClusterRebalancer(store).remove_member("m1")
+        assert store.remove_member("m1")["drained"] is True
         deliverer = HintDeliverer(hints, detector, store.hint_appliers())
         assert deliverer.drain() is True
         assert hints.total_pending() == 0

@@ -5,6 +5,8 @@ as *typed* errors, and a retry-carrying store must absorb transient
 faults while leaving the on-disk state bitwise identical to a clean run.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,26 @@ class TestInjectorDeterminism:
         # never more than two failures in a row, so attempt 3 of any
         # bounded retry loop is guaranteed to succeed
         assert "".join(o[0] for o in outcomes) == "eeoeeoeeo"
+
+    def test_another_threads_success_does_not_reset_a_streak(self):
+        # A fails twice; B's call in between is B's own streak, so A's
+        # third call is still the one the cap lets through
+        faults = FaultInjector(seed=0, error_rate=1.0, max_consecutive_failures=2)
+
+        def call() -> str:
+            try:
+                faults.fail_point("file.read")
+            except TransientStoreError:
+                return "err"
+            return "ok"
+
+        first, second = call(), call()
+        other: list[str] = []
+        thread = threading.Thread(target=lambda: other.append(call()))
+        thread.start()
+        thread.join()
+        assert (first, second, call()) == ("err", "err", "ok")
+        assert other == ["err"]
 
     def test_rates_validated(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,12 @@ collections, the refcount log, hint files, rebalance journals, one file
 per save under ``journal/``) or one JSON document (``index.json``,
 ``compaction.json``, the indented ``chain-compaction/*.json``).
 :func:`to_parent_format` rewrites every log under a root that way, and
-writes the chain-compaction intents the parent kept beside a swap and the
-save journals it kept beside a save (this release commits both by a
-document alone and writes neither).  Each
+writes the intents the parent kept beside an operation this release
+commits without one: the chain-compaction intents beside a swap and the
+save journals beside a save (both committed by a document alone), the
+segment compaction journal beside a compaction (committed by its rename)
+and the rebalance journals beside a membership change (the placement
+says what is left).  Each
 store here is caught mid-crash first — an open save, a pending chain
 compaction, a pending segment compaction, a pending rebalance, undelivered
 hints — so the parent-format files are exactly what a crashed parent left.
@@ -19,7 +22,7 @@ import json
 
 import pytest
 
-from repro.cluster import ClusterRebalancer, HintDeliverer, HintLog, ShardedFileStore
+from repro.cluster import HintDeliverer, HintLog, ShardedFileStore, antientropy
 from repro.core import ModelManager, ParameterUpdateSaveService
 from repro.core.compaction import ChainCompactor
 from repro.core.hashing import state_dict_hashes
@@ -27,6 +30,7 @@ from repro.docstore import DocumentStore
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import ChunkStore, FileStore
 from repro.filestore.recordlog import RECORD_MAGIC, RecordLog
+from repro.filestore.segments import SEGMENT_SUFFIX
 from tests.core.test_recovery_plan import assert_recovers, copy_state, save_pua_chain
 
 
@@ -41,13 +45,26 @@ def json_lines(records, **dumps) -> str:
     return "".join(json.dumps(record, **dumps) + "\n" for record in records)
 
 
-def to_parent_format(root, swaps=(), saves=()) -> set[str]:
+def to_parent_format(root, swaps=(), saves=(), compaction=None, moves=None) -> set[str]:
     """Rewrite every framed log under ``root`` as the parent wrote it, and
     write each of ``swaps`` (a pending chain compaction: ``model_id``,
     ``old_update_file``, ``manifest_file``, ``code_file``) and of ``saves``
     (an open save's intents) as the parent's intent under
-    ``root / "files"``; returns the kinds of log written."""
+    ``root / "files"``, ``compaction`` (``victims``, ``dest``) as its
+    segment compaction journal there, and ``moves`` (the keys a membership
+    change copied) as its rebalance journal under ``root / "meta"``;
+    returns the kinds of log written."""
     kinds = set()
+    if compaction is not None:
+        path = root / "files" / "chunks" / "compaction.json"
+        path.write_text(json.dumps(compaction, sort_keys=True))
+        kinds.add("compaction.json")
+    if moves is not None:
+        journals = root / "meta" / "rebalance"
+        journals.mkdir()
+        (journals / "5f0c1d2e3a4b.jsonl").write_text(
+            json_lines({"kind": "chunk", "key": key} for key in moves))
+        kinds.add("rebalance")
     for swap in swaps:
         intents = root / "files" / "chain-compaction"
         intents.mkdir(exist_ok=True)
@@ -64,7 +81,7 @@ def to_parent_format(root, swaps=(), saves=()) -> set[str]:
                 or path.read_bytes()[:4] != RECORD_MAGIC):
             continue
         records = records_of(path)
-        if path.name in ("index.json", "compaction.json"):
+        if path.name == "index.json":
             kind, text = path.name, json.dumps(records[-1], sort_keys=True)
         elif path.name == "refcounts.json":
             kind, text = path.name, "\n".join(
@@ -78,8 +95,6 @@ def to_parent_format(root, swaps=(), saves=()) -> set[str]:
                 else:
                     pending.pop(key, None)
             kind, text = "hints", json_lines(pending.values(), sort_keys=True)
-        elif path.parent.name == "rebalance":
-            kind, text = "rebalance", json_lines(records)
         else:
             kind, text = "catalog", json_lines(records, sort_keys=True)
         path.write_text(text)
@@ -87,8 +102,11 @@ def to_parent_format(root, swaps=(), saves=()) -> set[str]:
     return kinds
 
 
-def open_single(root):
+def open_single(root, segment_bytes=None):
     files = FileStore(root / "files", tmp_grace_s=0.0)
+    if segment_bytes is not None:  # a few tiny models then seal several segments
+        files._chunks = ChunkStore(
+            files.root / "chunks", segment_bytes=segment_bytes, tmp_grace_s=0.0)
     service = ParameterUpdateSaveService(
         DocumentStore(root / "docs"), files, scratch_dir=root / "scratch")
     return files, service, ModelManager(service)
@@ -152,44 +170,62 @@ class TestASingleStore:
             assert_recovers(service, model_id, state)
 
     def test_a_pending_segment_compaction_rolls_forward(self, tmp_path):
-        store = ChunkStore(tmp_path / "c", segment_bytes=2048, tmp_grace_s=0.0)
-        payloads = {f"{i:08d}" + "ab" * 12: bytes([i]) * 300 for i in range(24)}
-        for digest, payload in payloads.items():
-            store.put(digest, payload)
-        store.flush()
-        store.add_refs(payloads)
-        gone = [digest for index, digest in enumerate(sorted(payloads)) if index % 3]
-        store.release_refs(gone)
-        for digest in gone:
-            del payloads[digest]
+        """Killed past its rename, the parent's journal says what the
+        segments do: each moved record is on disk twice, the copy the index
+        names is served, and the next ``gc`` leaves no unnamed segment."""
+        files, service, manager = open_single(tmp_path, segment_bytes=2048)
+        expected = {}
+        for seed in range(1, 7):
+            ids, states = save_pua_chain(service, depth=0, seed=seed)
+            expected.update(zip(ids, states))
+        for model_id in list(expected)[1::2]:  # every sealed segment part dead
+            manager.delete_model(model_id)
+            del expected[model_id]
+        chunks = files.chunks
+        records = {digest: bytes(chunks.get(digest)) for digest in chunks.chunk_ids()}
+        refs = chunks.export_refs()
+        with chunks._mutex:
+            victims = chunks._compaction_victims_locked()
+        before = {path.name for path in chunks.segments_dir.iterdir()}
         tmps_seen = []
 
         def die_after_the_rename(op):
-            tmps_seen.append(bool(list(store.segments_dir.glob("*.tmp"))))
+            tmps_seen.append(bool(list(chunks.segments_dir.glob("*.tmp"))))
             if any(tmps_seen) and not tmps_seen[-1]:
                 raise CrashPoint("killed after the destination's rename")
 
-        store.fault_hook = die_after_the_rename
+        chunks.fault_hook = die_after_the_rename
         with pytest.raises(CrashPoint):
-            store.compact()
-        assert store._compaction_path.exists()
-        segments = {path.name for path in store.segments_dir.iterdir()}
-        del store
+            chunks.compact()
+        after = {path.name for path in chunks.segments_dir.iterdir()}
+        [dest] = after - before
+        assert victims and set(victims) <= after  # every moved record twice
+        del files, service, manager, chunks
 
-        assert to_parent_format(tmp_path) == {
-            "refcounts.json", "index.json", "compaction.json"}
-        store = ChunkStore(tmp_path / "c", segment_bytes=2048, tmp_grace_s=0.0)
-        assert not store._compaction_path.exists()
-        left = {path.name for path in store.segments_dir.iterdir()}
-        assert left < segments  # rolled forward: the victims are gone
-        assert {d: bytes(store.get(d)) for d in store.chunk_ids()} == payloads
-        assert store.export_refs() == {digest: 1 for digest in payloads}
-        audit = store.audit(verify=True)
-        assert audit["crc_failures"] == [] and audit["entries_dropped"] == []
+        # the parent journaled the compaction before writing its destination
+        assert to_parent_format(
+            tmp_path, compaction={"victims": victims, "dest": dest}) == {
+            "catalog", "refcounts.json", "index.json", "compaction.json"}
+        files, service, manager = open_single(tmp_path, segment_bytes=2048)
+        chunks = files.chunks
+        assert {d: bytes(chunks.get(d)) for d in chunks.chunk_ids()} == records
+        assert chunks.export_refs() == refs
+        for model_id, state in expected.items():
+            assert_recovers(service, model_id, state)
+        report = manager.fsck(verify_chunks=True)
+        assert not report.unrepaired, report.summary()
+        assert not (tmp_path / "files" / "chunks" / "compaction.json").exists()
+        assert manager.fsck(verify_chunks=True).clean
+        chunks.gc()
+        on_disk = {path.name for path in chunks.segments_dir.glob(f"*{SEGMENT_SUFFIX}")}
+        assert on_disk == {chunks.locate(d)[0].name for d in chunks.chunk_ids()}
+        assert {d: bytes(chunks.get(d)) for d in chunks.chunk_ids()} == records
+        for model_id, state in expected.items():
+            assert_recovers(service, model_id, state)
 
 
 class TestACluster:
-    def test_a_pending_rebalance_and_undelivered_hints_finish(self, tmp_path):
+    def test_a_pending_rebalance_and_undelivered_hints_finish(self, tmp_path, monkeypatch):
         def open_cluster(names):
             faults = {name: FaultInjector(seed=1) for name in names}
             members = {name: FileStore(tmp_path / name, faults=faults[name])
@@ -207,31 +243,33 @@ class TestACluster:
         expected = dict(zip(ids, states))
         faults["m1"].set_down(False)
         assert hints.total_pending() > 0
-        rebalancer = ClusterRebalancer(store, workers=1)
-        original, failed = rebalancer._move_chunk, []
+        place, failed = antientropy.place, []
 
-        def flaky_move(digest, new_owners):
+        def flaky_place(member, digest, *args, **kwargs):
             if not failed:
                 failed.append(digest)
-                raise OSError("the rebalancer died mid-stream")
-            return original(digest, new_owners)
+                raise OSError("the membership change died mid-stream")
+            return place(member, digest, *args, **kwargs)
 
-        rebalancer._move_chunk = flaky_move
-        moved = rebalancer.add_member("m3", FileStore(tmp_path / "m3"))
+        monkeypatch.setattr(antientropy, "place", flaky_place)
+        moved = store.add_member("m3", FileStore(tmp_path / "m3"))
+        monkeypatch.undo()
         assert moved["failed"] == 1 and moved["chunks_moved"] > 0
-        del store, service, rebalancer
+        copied = store.members["m3"].chunks.chunk_ids()
+        del store, service
 
-        assert to_parent_format(tmp_path) >= {
+        assert to_parent_format(tmp_path, moves=copied) >= {
             "catalog", "refcounts.json", "hints", "rebalance"}
         store, service, faults, hints = open_cluster(["m0", "m1", "m2", "m3"])
         assert hints.total_pending() > 0
-        resumed = ClusterRebalancer(store, workers=1).resume(moved["journal_id"])
-        assert resumed["failed"] == 0 and resumed["resumed_skips"] > 0
+        finished = store.replication_fsck(repair=True)
+        assert {entry["key"] for entry in finished["repaired"]} >= set(failed)
+        assert finished["unrepairable"] == []
         assert HintDeliverer(hints, None, store.hint_appliers()).drain() is True
-        assert not (tmp_path / "meta" / "rebalance" / f"{moved['journal_id']}.jsonl").exists()
         for model_id, state in expected.items():
             assert_recovers(service, model_id, state)
         manager = ModelManager(service)
         report = manager.fsck(verify_chunks=True)
         assert not report.unrepaired, report.summary()
+        assert not (tmp_path / "meta" / "rebalance").exists()
         assert manager.fsck(verify_chunks=True).clean

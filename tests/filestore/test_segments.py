@@ -295,7 +295,8 @@ class TestCompaction:
         assert store.gc()["segments_skipped"] == 1
 
     def test_crash_at_every_compaction_point_recovers_bitwise(self, tmp_path):
-        """Kill compaction at op 1, 2, 3, ...; a reopen + audit always heals."""
+        """Kill compaction at op 1, 2, 3, ...; a reopen + audit always heals,
+        and the next compaction leaves no segment the index does not name."""
         crashes = 0
         for at in range(1, 60):
             root = tmp_path / f"crash-{at}"
@@ -318,20 +319,23 @@ class TestCompaction:
             for digest, blob in data.items():
                 assert reopened.get(digest) == blob, f"crash at {at}: {digest}"
             second = reopened.audit(repair=True, verify=True)
-            assert second["compaction"] is None, f"crash at {at}"
             assert second["torn_segments"] == [], f"crash at {at}"
             # the interrupted run never loses ground: compacting again works
             reopened.compact()
             for digest, blob in data.items():
                 assert reopened.get(digest) == blob, f"crash at {at}: {digest}"
+            # of a record left twice, the copy the index skips went with its segment
+            on_disk = {path.name for path in reopened.segments_dir.glob(f"*{SEGMENT_SUFFIX}")}
+            assert on_disk == {entry[0] for entry in reopened._index.values()}, f"crash at {at}"
+            assert not (root / "compaction.json").exists()
         else:
             pytest.fail("compaction never completed")
         assert crashes >= 5, f"only {crashes} distinct crash points hit"
 
     def test_a_destination_absorbed_before_the_resume_keeps_its_records(self, tmp_path):
         """Another process's read miss absorbs a committed destination while
-        the victims still hold its records; its later resume (fsck) must
-        index it."""
+        the victims still hold its records; what it indexes, its gc and a
+        later reopen read back whole."""
         crashes = 0
         for at in range(1, 60):
             root = tmp_path / f"crash-{at}"
