@@ -16,8 +16,9 @@ Exercises the robustness stack end to end, quickly:
 * a scheduled-outage run (``--outage-plan``) drives live traffic into a
   self-healing 4-shard cluster while members are killed and restored at
   fixed op counts: every acked save must recover bitwise afterwards, and
-  the cluster must converge (hints drained, anti-entropy backlog empty)
-  through its *online* machinery alone — no offline ``fsck --repair``.
+  the cluster must converge (hints drained, no key of either plane left
+  divergent) through its *online* self-heal loop alone — no offline
+  ``fsck --repair``.
 
 Writes ``BENCH_chaos.json`` into ``benchmarks/results/`` (canonical;
 copied to the repo root) with the scenarios run, total retries taken,
@@ -202,13 +203,13 @@ def outage_scenario(plan: str, seed: int) -> dict:
     Members die and return at fixed op counts while saves and failover
     reads keep flowing (write quorum 1-of-2, so single-member outages
     still ack — degraded, leaving hints).  Afterwards the run waits for
-    *online* convergence: the background deliverer/scanner/monitor
-    threads must drain every hint and clear the anti-entropy backlog,
-    and every acked save must recover bitwise.  The final fsck is
+    *online* convergence: the self-heal loop (probe, deliver, scan) must
+    drain every hint and leave no key of either plane divergent, and
+    every acked save must recover bitwise.  The final fsck is
     audit-only — offline repair doing the healing would be a failure.
     """
     from repro import deadline
-    from repro.cluster import AntiEntropyScanner
+    from repro.cluster import SelfHealer
     from repro.distsim.environment import SharedStores
 
     schedule = parse_outage_plan(plan)
@@ -241,13 +242,7 @@ def outage_scenario(plan: str, seed: int) -> dict:
             scratch_dir=stores.scratch_dir, retry=retry,
         )
         manager = ModelManager(service)
-        deliverer, scanner, monitor = stores.healers(
-            deliver_interval_s=0.05, scan_interval_s=0.1,
-            probe_interval_s=0.05,
-        )
-        deliverer.start()
-        scanner.start()
-        monitor.start()
+        healer = stores.healers(interval_s=0.05).start()
 
         acked: list[tuple[str, object]] = []
         kills = restores = failed_saves = failed_reads = 0
@@ -284,18 +279,15 @@ def outage_scenario(plan: str, seed: int) -> dict:
             converged = False
             while time.time() - healing_started < 60.0:
                 if stores.hints.total_pending() == 0:
-                    audit = AntiEntropyScanner(
-                        stores.files, detector=stores.detector
-                    ).full_sweep(repair=False)
-                    if audit["backlog"] == 0:
+                    audit = SelfHealer(
+                        (stores.files, stores.documents)).converge(repair=False)
+                    if audit["converged"]:
                         converged = True
                         break
                 time.sleep(0.05)
             convergence_s = time.time() - healing_started
         finally:
-            deliverer.close()
-            scanner.close()
-            monitor.close()
+            healer.close()
 
         lost = non_bitwise = 0
         for model_id, model in acked:
@@ -326,7 +318,7 @@ def outage_scenario(plan: str, seed: int) -> dict:
         },
         "hints_pending_after": stores.hints.total_pending(),
         "anti_entropy": {
-            key: scanner.stats[key]
+            key: healer.stats[key]
             for key in ("keys_scanned", "repaired", "deferred", "unrepairable")
         },
         "breaker_trips": sum(

@@ -7,16 +7,18 @@ read-repair, and a membership change heals only the keys whose ring
 ownership moved.  The sharded stores keep the exact single-store
 interfaces, so every MMlib service runs against a cluster unchanged.
 
-The self-healing layer rides on top: a :class:`FailureDetector` scores
-member health from op outcomes and probes, :class:`HintLog`/
-:class:`HintDeliverer` turn degraded quorum writes into durable,
-replayable IOUs, and :class:`AntiEntropyScanner` diffs replica sets in
-the background through the same per-key heal path ``fsck`` uses.
+Every repair of a replica set is one per-key heal,
+:meth:`~repro.cluster.replica.ReplicaLedger.heal_key`, and every walk over
+the key universe one sweep.  The self-healing layer rides on top: a
+:class:`FailureDetector` scores member health from op outcomes and probes,
+:class:`HintLog` turns degraded quorum writes into durable, replayable
+IOUs, and one :class:`SelfHealer` loop probes, delivers hints and scans
+through that heal.
 """
 
-from .antientropy import AntiEntropyScanner, repair_chunk, replication_fsck
-from .health import FailureDetector, HealthMonitor
-from .hints import HintDeliverer, HintLog
+from .antientropy import SelfHealer, repair_chunk
+from .health import FailureDetector
+from .hints import HintLog
 from .ring import HashRing
 from .sharded_docs import ShardedDocumentStore
 from .sharded_store import ShardedFileStore
@@ -25,11 +27,8 @@ __all__ = [
     "HashRing",
     "ShardedFileStore",
     "ShardedDocumentStore",
-    "replication_fsck",
     "FailureDetector",
-    "HealthMonitor",
     "HintLog",
-    "HintDeliverer",
-    "AntiEntropyScanner",
+    "SelfHealer",
     "repair_chunk",
 ]

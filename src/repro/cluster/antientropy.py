@@ -1,128 +1,38 @@
-"""Anti-entropy repair: one per-key heal path for fsck, scans and membership.
+"""Anti-entropy: the file plane's per-key heal, and the one self-heal loop.
 
 Replica sets drift: a quorum write misses an owner, a disk loses a chunk,
-a copy rots at rest, a member joins or leaves the ring.  Three consumers
-walk the same convergence logic —
-
-* :func:`replication_fsck` (offline): the full universe in one pass,
-  called from ``ModelManager.fsck``.
-* :class:`AntiEntropyScanner` (online): the universe in bounded batches
-  from a background thread, skipping members the failure detector says
-  are down and re-visiting deferred keys once they return.
-* :meth:`ShardedFileStore.add_member
-  <repro.cluster.sharded_store.ShardedFileStore.add_member>` /
-  ``remove_member``: the keys whose holders differ from their new ring
-  owners, deep.  A change that stopped half-way leaves nothing to resume:
-  the next sweep — running it again, or fsck — finds what still differs.
-
-All call :func:`repair_chunk` below for every record — a chunk, or a
-file stored under its file id — so their repair semantics *cannot*
+a copy rots at rest, a member joins or leaves the ring.  Every repair of
+a record — a chunk, or a file stored under its file id — is
+:func:`repair_chunk`, the file plane's
+:meth:`~repro.cluster.replica.ReplicaLedger.heal_key`: read repair, hint
+delivery, :class:`SelfHealer`'s scan, ``ModelManager.heal()``/fsck and
+membership changes all call it, so their repair semantics *cannot*
 diverge.  Its source copy and refcount come from
 :func:`~repro.cluster.replica.source` and land through
-:func:`~repro.cluster.replica.place`, the heal routines read repair and
-hinted handoff use too (never propagate a copy that fails digest
-verification — scan past it to an intact one); the
-strays-only-when-whole guard lives here.
+:func:`~repro.cluster.replica.place` (never propagate a copy that fails
+digest verification — scan past it to an intact one); a stray is retired
+by :func:`~repro.cluster.replica.drop_strays` once every copy is verified
+and every copy placed is flushed.
 
-Per-key outcome statuses:
-
-``ok``
-    Every owner holds the key (and, on a deep scan, every copy verified).
-``repaired``
-    Divergence found and fully healed: missing replicas restored and/or
-    corrupt copies overwritten from a verified source.
-``partial``
-    Some healing happened but owners are still not whole (e.g. one
-    target is unreachable).
-``degraded``
-    Divergence found, nothing healed (audit mode, or heal writes failed).
-``deferred``
-    An owner is unreachable and no reachable copy proves the key's
-    state; decided next scan, once the member is back.
-``unrepairable``
-    No intact copy exists anywhere reachable — data loss unless a down
-    member still holds one.
+:class:`SelfHealer` is the one background loop over both planes: each
+tick it probes the members, delivers the pending hints by healing their
+keys, and heals one batch of the key universe.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import TYPE_CHECKING
 
 from .. import obs
-from .replica import place, source
+from .hints import KIND_DOC
+from .replica import drop_strays, finish, new_result, place, source
 
 if TYPE_CHECKING:
     from .sharded_store import ShardedFileStore
 
-__all__ = [
-    "chunk_universe",
-    "repair_chunk",
-    "replication_fsck",
-    "AntiEntropyScanner",
-]
-
-
-def chunk_universe(store: ShardedFileStore) -> set[str]:
-    """Every record key (chunk digest or file id) any member stores or
-    refcounts."""
-    universe: set[str] = set()
-    for member in store.members.values():
-        universe.update(member.chunks.chunk_ids())
-        universe.update(member.chunks.export_refs())
-    return universe
-
-
-def _result(kind: str, key: str, owners, holders, missing, unreachable) -> dict:
-    return {
-        "kind": kind,
-        "key": key,
-        "owners": list(owners),
-        "holders": list(holders),
-        "missing": list(missing),
-        "unreachable": list(unreachable),
-        "corrupt": [],
-        "repaired_to": [],
-        "corrupt_healed": [],
-        "strays_dropped": [],
-        "status": "ok",
-    }
-
-
-def _finish(result: dict) -> dict:
-    """Derive the outcome status from what the heal pass accomplished."""
-    unhealed = [n for n in result["corrupt"] if n not in result["corrupt_healed"]]
-    whole = not result["unreachable"] and all(
-        name in result["holders"] or name in result["repaired_to"]
-        for name in result["owners"]
-    )
-    if result["repaired_to"] or result["corrupt_healed"]:
-        result["status"] = "repaired" if whole and not unhealed else "partial"
-    elif result["missing"] or unhealed:
-        result["status"] = "degraded"
-    elif result["unreachable"]:
-        result["status"] = "deferred"
-    return result
-
-
-def _drop_strays(result: dict, drop) -> None:
-    """Retire non-owner replicas — only once every owner provably holds
-    the key and no copy is unverified-corrupt (a stray may be the one
-    intact source a later pass needs)."""
-    unhealed = [n for n in result["corrupt"] if n not in result["corrupt_healed"]]
-    if result["unreachable"] or unhealed:
-        return
-    held = set(result["holders"]) | set(result["repaired_to"])
-    if not all(name in held for name in result["owners"]):
-        return
-    for name in result["holders"]:
-        if name in result["owners"]:
-            continue
-        try:
-            drop(name)
-        except OSError:
-            continue
-        result["strays_dropped"].append(name)
+__all__ = ["repair_chunk", "SelfHealer"]
 
 
 def repair_chunk(
@@ -135,12 +45,13 @@ def repair_chunk(
     """Audit (and with ``repair`` heal) one record's replica set.
 
     ``deep`` reads and digest-verifies *every* reachable copy — replica
-    diffing, the anti-entropy mode — where the default only reads when a
-    replica is missing.  A file record verifies against its id's digest
-    prefix, so a file with no intact copy anywhere is ``unrepairable``.
-    Members in ``unreachable`` (or raising ``OSError`` when asked) are
-    never counted as missing the key and never written to; keys they own
-    come back ``deferred``/``partial`` for a later pass.
+    diffing — where the default only reads when a replica is missing or a
+    copy sits on a non-owner (a stray is retired only once every copy is
+    verified).  A file record verifies against its id's digest prefix, so
+    a file with no intact copy anywhere is ``unrepairable``.  Members in
+    ``unreachable`` (or raising ``OSError`` when asked) are never counted
+    as missing the key and never written to; keys they own come back
+    ``deferred``/``partial`` for a later pass.
     """
     members = store.members
     skip = {name for name in unreachable if name in members}
@@ -155,17 +66,16 @@ def repair_chunk(
         except OSError:
             skip.add(name)
     missing = [n for n in owners if n not in holders and n not in skip]
-    result = _result(
-        "chunk", digest, owners, holders, missing,
-        sorted(n for n in owners if n in skip),
-    )
+    result = new_result(
+        "chunk", digest, owners, holders, missing, [n for n in owners if n in skip])
     if not holders:
         result["status"] = "deferred" if result["unreachable"] else "unrepairable"
         return result
 
     heal = None
-    if deep or missing:
-        heal = source(store, digest, holders, deep=deep)
+    strays = any(name not in owners for name in holders)
+    if deep or missing or strays:
+        heal = source(store, digest, holders, deep=deep or strays)
         result["corrupt"] = heal.corrupt
         if heal.data is None:
             result["status"] = "deferred" if result["unreachable"] else "unrepairable"
@@ -179,101 +89,63 @@ def repair_chunk(
             except OSError:
                 continue
             result["corrupt_healed" if overwrite else "repaired_to"].append(name)
-        if result["repaired_to"] or result["corrupt_healed"]:
-            store._clear_degraded("chunk", digest)
 
     if repair:
+        def barrier() -> None:
+            for name in result["repaired_to"] + result["corrupt_healed"]:
+                members[name].chunks.flush()
+
         def drop(name: str) -> None:
             members[name].chunks.drop(digest)
             members[name].chunks.forget_refs([digest])
 
-        _drop_strays(result, drop)
-    return _finish(result)
+        drop_strays(result, drop, barrier)
+    return finish(store, result)
 
 
-def replication_fsck(store: ShardedFileStore, repair: bool = True) -> dict:
-    """Audit (and with ``repair`` restore) every replica set to R copies.
+class SelfHealer:
+    """The one self-heal loop of a clustered deployment.
 
-    For each record in the cluster's universe — a chunk, or a file under
-    its file id — the ring names the members that *should* hold it.
-    Missing replicas are restored from a surviving copy — chunk payloads
-    tensor-hash-verified when manifest metadata is known, files always
-    verified against the id-embedded digest, so corruption is never
-    propagated; a copy that fails verification leaves the key
-    ``unrepairable`` instead.  Replicas sitting on non-owners (left behind
-    by an interrupted membership change) are dropped once every owner
-    holds the key.
-    """
-    report = {
-        "chunks_checked": 0,
-        "under_replicated": [],
-        "repaired": [],
-        "strays_dropped": [],
-        "unrepairable": [],
-    }
-    for digest in sorted(chunk_universe(store)):
-        report["chunks_checked"] += 1
-        result = repair_chunk(store, digest, repair=repair)
-        kind, key = result["kind"], result["key"]
-        gone = result["missing"] + result["unreachable"]
-        if gone:
-            report["under_replicated"].append({
-                "kind": kind, "key": key, "have": len(result["owners"]) - len(gone),
-                "want": len(result["owners"]), "missing": gone})
-        if result["status"] == "unrepairable":
-            report["unrepairable"].append({"kind": kind, "key": key})
-        if result["repaired_to"] or result["corrupt_healed"]:
-            report["repaired"].append({"kind": kind, "key": key})
-        report["strays_dropped"] += [
-            {"kind": kind, "key": key, "member": member}
-            for member in result["strays_dropped"]]
-    return report
+    ``stores`` are the sharded stores (file and document plane) sharing one
+    failure detector and hint log.  Each :meth:`tick` — every
+    ``interval_s`` on the loop's thread once :meth:`start` ed — runs the
+    three rounds, each also callable on its own:
 
+    * :meth:`probe_once` pings every member, feeding the detector, so an
+      idle cluster notices a death and a recovery;
+    * :meth:`deliver_once` replays pending hints by healing their keys;
+    * :meth:`scan_once` heals the next ``batch_size`` keys of the stores'
+      universe, deep, treating members the detector holds down as
+      unreachable, so a scan during an outage defers rather than
+      mis-repairs.  Keys that did not come back ok/repaired form the
+      *backlog* (gauge ``mmlib_antientropy_backlog``).
 
-class AntiEntropyScanner:
-    """Background replica-diff walker over a sharded file store.
-
-    Walks the record universe in sorted batches (``batch_size`` keys
-    per round, cursor carried across rounds, universe re-snapshotted per
-    cycle so new saves join the walk).  Each key goes through the shared
-    :func:`repair_chunk` heal path with ``deep=True`` — every reachable
-    copy read and digest-verified — and members the failure detector
-    reports down are treated as unreachable, so a scan during an outage
-    defers rather than mis-repairs.
-
-    Keys that did not come back ``ok``/``repaired`` form the *backlog*
-    (gauge ``mmlib_antientropy_backlog``); convergence for chaos runs is
-    "hints drained and backlog empty".
+    :meth:`converge` is the foreground pass ``ModelManager.heal()`` runs.
     """
 
-    def __init__(
-        self,
-        store: ShardedFileStore,
-        detector=None,
-        interval_s: float = 1.0,
-        batch_size: int = 64,
-        deep: bool = True,
-    ):
+    def __init__(self, stores, interval_s: float = 0.25, batch_size: int = 64):
+        stores = [store for store in stores if store is not None]
+        if not stores:
+            raise ValueError("a self-heal loop needs at least one sharded store")
         if interval_s <= 0:
             raise ValueError(f"interval_s must be > 0, got {interval_s}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.store = store
-        self.detector = detector
+        self.stores = {store._plane: store for store in stores}
+        self.detector = stores[0].detector
+        self.hints = stores[0].hints
         self.interval_s = float(interval_s)
         self.batch_size = int(batch_size)
-        self.deep = bool(deep)
         self._lock = threading.RLock()
-        self._walk: list[str] = []
+        self._walk: list[tuple[str, str, str]] = []  # (plane, kind, key)
         self._cursor = 0
-        self._backlog: set[tuple[str, str]] = set()
+        self._backlog: set[tuple[str, str, str]] = set()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self.stats = {
-            "rounds": 0, "cycles": 0, "keys_scanned": 0, "repaired": 0,
-            "corrupt_healed": 0, "deferred": 0, "unrepairable": 0,
-            "strays_dropped": 0,
-        }
+        self.stats = dict.fromkeys((
+            "ticks", "probes", "probe_failures", "skipped_open", "delivered", "stale",
+            "failures", "skipped_down", "rounds", "cycles", "keys_scanned", "repaired",
+            "deferred", "unrepairable", "strays_dropped"), 0)
         registry = obs.registry()
         self._obs_backlog = registry.gauge(
             "mmlib_antientropy_backlog",
@@ -283,106 +155,228 @@ class AntiEntropyScanner:
             "Replica sets healed by the anti-entropy scanner")
         self._events = obs.events()
 
-    # -- scanning ------------------------------------------------------------
+    def _down(self) -> set[str]:
+        return set() if self.detector is None else set(self.detector.down_members())
 
-    def _unreachable(self) -> set[str]:
-        if self.detector is None:
-            return set()
-        return set(self.detector.down_members())
+    # -- probing ---------------------------------------------------------------
 
-    def _snapshot_walk(self) -> None:
-        self._walk = sorted(chunk_universe(self.store))
-        self._cursor = 0
-        self.stats["cycles"] += 1
+    def probe_once(self, now: bool = False) -> dict[str, bool | None]:
+        """Ping every member once; ``None`` means breaker-skipped.
 
-    def _account(self, result: dict) -> None:
-        key = (result["kind"], result["key"])
-        status = result["status"]
-        if status in ("ok", "repaired"):
-            self._backlog.discard(key)
-        else:
-            self._backlog.add(key)
-        if result["repaired_to"] or result["corrupt_healed"]:
-            self.stats["repaired"] += 1
-            self._obs_repairs.inc()
-            self._events.emit(
-                "antientropy_repair", kind=result["kind"], key=result["key"],
-                restored=list(result["repaired_to"]),
-                healed=list(result["corrupt_healed"]))
-        self.stats["corrupt_healed"] += len(result["corrupt_healed"])
-        self.stats["strays_dropped"] += len(result["strays_dropped"])
-        if status == "deferred":
-            self.stats["deferred"] += 1
-        elif status == "unrepairable":
-            self.stats["unrepairable"] += 1
-
-    def scan_once(self, limit: int | None = None, repair: bool = True) -> dict:
-        """Scan the next batch of keys; returns a round summary."""
+        A probe that returns is a success, one raising ``OSError`` or
+        ``KeyError`` a failure.  ``now`` pings only the members the
+        detector holds down, past their breakers, up to
+        ``recovery_threshold`` times each: an explicit heal need not wait
+        out a cooldown to re-admit a member that is back.
+        """
+        detector = self.detector
+        results: dict[str, bool | None] = {}
+        if detector is None:
+            return results
+        probes: dict = {}
+        for store in self.stores.values():
+            for name, member in store.members.items():
+                ping = getattr(member, "ping", None)
+                if callable(ping):
+                    probes.setdefault(name, ping)
+        down = self._down() if now else ()
         with self._lock:
-            limit = self.batch_size if limit is None else int(limit)
+            for name, ping in sorted(probes.items()):
+                if now and name not in down:
+                    continue
+                if not now and not detector.allow(name):
+                    self.stats["skipped_open"] += 1
+                    results[name] = None
+                    continue
+                for _ in range(detector.recovery_threshold if now else 1):
+                    self.stats["probes"] += 1
+                    try:
+                        ping()
+                    except (OSError, KeyError):
+                        self.stats["probe_failures"] += 1
+                        detector.record_failure(name)
+                        results[name] = False
+                        break
+                    detector.record_success(name)
+                    results[name] = True
+        return results
+
+    # -- hint delivery ---------------------------------------------------------
+
+    def _target(self, hint):
+        """The store and ``(kind, key)`` whose heal delivers ``hint``; None
+        for a plane this loop does not heal.  A ``blob`` hint was recorded
+        by an older release for a file, which is a record now."""
+        if hint.get("kind") == KIND_DOC:
+            store, kind = self.stores.get("docs"), hint.get("collection")
+        else:
+            store, kind = self.stores.get("files"), "chunk"
+        return None if store is None or kind is None else (store, kind, hint["key"])
+
+    def deliver_once(self) -> dict:
+        """One delivery round over every member with pending hints.
+
+        A hint is delivered by healing its key.  It is resolved once the
+        missed member holds the key (delivered), or no longer owns it, or
+        no copy survives (stale).  Otherwise it stays, and the rest of that
+        member's batch waits for the next round; a failure to write the
+        member feeds the detector.  A member the detector holds down is
+        skipped, one fast skip per round.
+        """
+        round_stats = {"delivered": 0, "stale": 0, "failures": 0, "skipped_down": 0}
+        if self.hints is None:
+            return round_stats
+        down = self._down()
+        with self._lock:
+            for member in self.hints.members_with_hints():
+                if member in down:
+                    round_stats["skipped_down"] += 1
+                    continue
+                for hint in self.hints.pending(member):
+                    target = self._target(hint)
+                    if target is None:
+                        continue
+                    store, kind, key = target
+                    result = store.heal_key(kind, key, down)
+                    if (member not in store.members or member not in result["owners"]
+                            or result["status"] == "unrepairable"):
+                        delivered = False
+                    elif member in result["repaired_to"] or (
+                            member in result["holders"] and member not in result["missing"]):
+                        delivered = True
+                    else:
+                        round_stats["failures"] += 1
+                        if self.detector is not None and (
+                                member in result["unreachable"]
+                                or (member in result["missing"] and result["holders"])):
+                            self.detector.record_failure(member)
+                        break  # member (or source) still sick: stop this batch
+                    self.hints.resolve(member, hint, stale=not delivered)
+                    round_stats["delivered" if delivered else "stale"] += 1
+                    if delivered and self.detector is not None:
+                        self.detector.record_success(member)
+            for field, count in round_stats.items():
+                self.stats[field] += count
+        if round_stats["delivered"] or round_stats["stale"]:
+            self._events.emit("hints_delivered", **round_stats)
+        return round_stats
+
+    def drain(self, max_rounds: int = 100) -> bool:
+        """Deliver until the log is empty or a round makes no progress;
+        ``True`` when every hint is resolved."""
+        if self.hints is None:
+            return True
+        for _ in range(max_rounds):
+            if self.hints.total_pending() == 0:
+                return True
+            result = self.deliver_once()
+            if result["delivered"] == 0 and result["stale"] == 0:
+                break
+        return self.hints.total_pending() == 0
+
+    # -- scanning --------------------------------------------------------------
+
+    def scan_once(self) -> dict:
+        """Heal the next batch of keys (a new cycle re-snapshots the
+        universe, so new saves join the walk); returns a round summary."""
+        with self._lock:
             if self._cursor >= len(self._walk):
-                self._snapshot_walk()
-            batch = self._walk[self._cursor:self._cursor + limit]
+                self._walk = [
+                    (plane, kind, key) for plane, store in sorted(self.stores.items())
+                    for kind, key in sorted(store.universe())]
+                self._cursor = 0
+                self.stats["cycles"] += 1
+            batch = self._walk[self._cursor:self._cursor + self.batch_size]
             self._cursor += len(batch)
-            unreachable = self._unreachable()
-            summary = {"scanned": 0, "repaired": 0, "deferred": 0,
-                       "unrepairable": 0, "backlog": 0}
-            for key in batch:
-                result = repair_chunk(
-                    self.store, key, repair=repair, deep=self.deep,
-                    unreachable=unreachable)
-                self._account(result)
-                summary["scanned"] += 1
-                if result["repaired_to"] or result["corrupt_healed"]:
-                    summary["repaired"] += 1
-                if result["status"] == "deferred":
-                    summary["deferred"] += 1
-                elif result["status"] == "unrepairable":
-                    summary["unrepairable"] += 1
+            unreachable = self._down()
+            summary = {"scanned": 0, "repaired": 0, "deferred": 0, "unrepairable": 0}
+            for plane, keys in itertools.groupby(batch, key=lambda item: item[0]):
+                keys = [(kind, key) for _, kind, key in keys]
+                report = self.stores[plane].sweep(
+                    deep=True, unreachable=unreachable, keys=keys)
+                self._backlog.difference_update((plane, kind, key) for kind, key in keys)
+                self._backlog.update(
+                    (plane, entry["kind"], entry["key"]) for entry in report["backlog"])
+                for entry in report["repaired"]:
+                    self._obs_repairs.inc()
+                    self._events.emit("antientropy_repair", plane=plane, **entry)
+                summary["scanned"] += report["checked"]
+                for field in ("repaired", "deferred", "unrepairable"):
+                    summary[field] += len(report[field])
+                self.stats["strays_dropped"] += len(report["strays_dropped"])
+            for field in ("repaired", "deferred", "unrepairable"):
+                self.stats[field] += summary[field]
             self.stats["rounds"] += 1
             self.stats["keys_scanned"] += summary["scanned"]
             summary["backlog"] = len(self._backlog)
             self._obs_backlog.set(len(self._backlog))
             return summary
 
-    def full_sweep(self, repair: bool = True) -> dict:
-        """One complete pass over the current universe (chaos/fsck path)."""
-        with self._lock:
-            self._snapshot_walk()
-            total = {"scanned": 0, "repaired": 0, "deferred": 0,
-                     "unrepairable": 0, "backlog": 0}
-            while self._cursor < len(self._walk):
-                round_summary = self.scan_once(repair=repair)
-                for field in ("scanned", "repaired", "deferred", "unrepairable"):
-                    total[field] += round_summary[field]
-            total["backlog"] = len(self._backlog)
-            return total
-
-    def backlog(self) -> list[tuple[str, str]]:
-        with self._lock:
-            return sorted(self._backlog)
-
     def backlog_size(self) -> int:
         with self._lock:
             return len(self._backlog)
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- the foreground pass -----------------------------------------------------
 
-    def start(self) -> "AntiEntropyScanner":
+    def converge(self, repair: bool = True, deep: bool = True) -> dict:
+        """Probe the members held down, drain the hints, then sweep every
+        plane: the operator's "converge now and tell me".  ``repair=False``
+        audits without writing."""
+        with self._lock:
+            self.probe_once(now=True)
+            report: dict = {"cluster": True}
+            if self.detector is not None:
+                report["health"] = self.detector.snapshot()
+            if self.hints is not None:
+                pending_before = self.hints.total_pending()
+                drained = self.drain() if repair else False
+                report["hints"] = {
+                    "pending_before": pending_before,
+                    "pending_after": self.hints.total_pending(),
+                    "drained": drained,
+                    **{field: self.stats[field]
+                       for field in ("delivered", "stale", "failures")},
+                }
+            unreachable = self._down()
+            sweeps = report["sweeps"] = {
+                plane: store.sweep(repair=repair, deep=deep, unreachable=unreachable)
+                for plane, store in sorted(self.stores.items())}
+            report["anti_entropy"] = {
+                "scanned": sum(sweep["checked"] for sweep in sweeps.values()),
+                **{field: sum(len(sweep[field]) for sweep in sweeps.values())
+                   for field in ("repaired", "deferred", "unrepairable", "backlog")},
+            }
+        report["converged"] = (
+            report.get("hints", {}).get("pending_after", 0) == 0
+            and report["anti_entropy"]["backlog"] == 0)
+        self._events.emit(
+            "heal_pass", repair=repair, converged=report["converged"],
+            backlog=report["anti_entropy"]["backlog"])
+        return report
+
+    # -- the loop ----------------------------------------------------------------
+
+    def tick(self) -> None:
+        """One turn of the loop: probe, deliver, scan."""
+        self.probe_once()
+        self.deliver_once()
+        self.scan_once()
+        self.stats["ticks"] += 1
+
+    def start(self) -> "SelfHealer":
         if self._thread is not None:
             return self
         self._stop.clear()
         self._thread = threading.Thread(
-            target=self._run, name="mmlib-antientropy", daemon=True
-        )
+            target=self._run, name="mmlib-self-heal", daemon=True)
         self._thread.start()
         return self
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval_s):
             try:
-                self.scan_once()
-            except Exception:  # pragma: no cover - defensive: keep scanning
+                self.tick()
+            except Exception:  # pragma: no cover - defensive: keep healing
                 pass
 
     def close(self) -> None:

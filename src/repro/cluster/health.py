@@ -1,9 +1,10 @@
 """Per-member failure detection: scoreboard, flap damping, circuit breaker.
 
 The sharded stores learn about member health twice over: every quorum
-write and failover read reports its per-replica outcome here, and a
-:class:`HealthMonitor` adds cheap periodic probes so an idle cluster
-still notices a death.  The detector turns that stream into one of three
+write and failover read reports its per-replica outcome here, and the
+self-heal loop (:meth:`SelfHealer.probe_once
+<repro.cluster.antientropy.SelfHealer.probe_once>`) adds cheap periodic
+probes so an idle cluster still notices a death.  The detector turns that stream into one of three
 states per member:
 
 ``healthy``
@@ -34,7 +35,6 @@ fast-fail and trip counters) and as :meth:`FailureDetector.snapshot` for
 from __future__ import annotations
 
 import threading
-from typing import Callable, Mapping
 
 from .. import obs
 
@@ -43,7 +43,6 @@ __all__ = [
     "STATE_SUSPECT",
     "STATE_DOWN",
     "FailureDetector",
-    "HealthMonitor",
 ]
 
 STATE_HEALTHY = "healthy"
@@ -275,85 +274,3 @@ class FailureDetector:
                 }
                 for name, entry in sorted(self._members.items())
             }
-
-
-class HealthMonitor:
-    """Background prober feeding a :class:`FailureDetector`.
-
-    ``probes`` maps member name → zero-argument callable; a probe that
-    returns is a success, one that raises ``OSError``/``KeyError`` is a
-    failure.  Probes respect the breaker (an open breaker skips the
-    member until its half-open window), so a dead member costs one probe
-    per cooldown, not one per interval.
-
-    The monitor is optional — op outcomes alone keep the detector
-    current under traffic; probes matter for idle clusters and for
-    noticing *recovery* (a member coming back gets no organic traffic
-    while its breaker is open).
-    """
-
-    def __init__(
-        self,
-        detector: FailureDetector,
-        probes: Mapping[str, Callable[[], object]],
-        interval_s: float = 0.25,
-        clock=None,
-    ):
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0, got {interval_s}")
-        self.detector = detector
-        self.probes = dict(probes)
-        self.interval_s = float(interval_s)
-        self._clock = clock or obs.clock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self.stats = {"probes": 0, "probe_failures": 0, "skipped_open": 0}
-        self._stats_lock = threading.Lock()
-
-    def probe_once(self) -> dict[str, bool | None]:
-        """Probe every member once; ``None`` means breaker-skipped."""
-        results: dict[str, bool | None] = {}
-        for name, probe in sorted(self.probes.items()):
-            if not self.detector.allow(name):
-                with self._stats_lock:
-                    self.stats["skipped_open"] += 1
-                results[name] = None
-                continue
-            with self._stats_lock:
-                self.stats["probes"] += 1
-            try:
-                probe()
-            except (OSError, KeyError):
-                with self._stats_lock:
-                    self.stats["probe_failures"] += 1
-                self.detector.record_failure(name)
-                results[name] = False
-            else:
-                self.detector.record_success(name)
-                results[name] = True
-        return results
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> "HealthMonitor":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="mmlib-health-monitor", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.probe_once()
-            except Exception:  # pragma: no cover - defensive: keep probing
-                pass
-
-    def close(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None

@@ -4,9 +4,10 @@ A quorum write that reaches W-but-not-all owners used to leave only a
 ``degraded_keys`` breadcrumb — convergence then depended on someone
 eventually running ``fsck --repair``.  Hinted handoff closes the loop
 online: the coordinator records a durable *hint* for each missed
-(member, key) pair, and a background :class:`HintDeliverer` replays the
-hints once the failure detector lets traffic through to that member
-again.
+(member, key) pair, and the self-heal loop
+(:meth:`SelfHealer.deliver_once
+<repro.cluster.antientropy.SelfHealer.deliver_once>`) heals each hinted
+key once the failure detector lets traffic through to that member again.
 
 Each member's hints are one :class:`~repro.filestore.recordlog.RecordLog`,
 ``<root>/<member>.jsonl`` (DESIGN.md §18): a hint is a record, resolving
@@ -21,10 +22,11 @@ re-reads verified bytes from a surviving replica at replay time.  That
 makes hints tiny, idempotent, and safely replayable: a crash mid-delivery
 just replays the hint, and re-applying an already-applied hint is a no-op.
 
-No resurrection: document hints never carry the document body.  The
-delivery applier lands the highest-stamped record of the document's
-owners, so replaying a hint for a document deleted meanwhile lands its
-*tombstone* record rather than resurrecting the document.
+No resurrection: document hints never carry the document body.  Delivery
+is the versioned read of the document, which lands the highest-stamped
+record of its owners, so replaying a hint for a document deleted
+meanwhile lands its *tombstone* record rather than resurrecting the
+document.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .. import obs
-from ..errors import TransientStoreError
 from ..filestore.recordlog import RecordLog
 
-__all__ = ["HintLog", "HintDeliverer", "hint_key"]
+__all__ = ["HintLog", "hint_key"]
 
 HINT_SUFFIX = ".jsonl"
 
@@ -64,7 +65,7 @@ class HintLog:
     """Durable, deduplicated per-member hint files.
 
     Thread-safe; the write paths of both sharded stores append here from
-    request threads while the deliverer drains concurrently.  The log is
+    request threads while the self-heal loop drains concurrently.  The log is
     loaded from disk on construction, so hints survive coordinator
     restarts — delivery needs no memory of the write that created them.
     """
@@ -186,113 +187,3 @@ class HintLog:
     def members_with_hints(self) -> list[str]:
         with self._lock:
             return sorted(m for m, hints in self._hints.items() if hints)
-
-
-class HintDeliverer:
-    """Background replayer draining a :class:`HintLog` into live members.
-
-    ``appliers`` maps hint kind → ``callable(member, hint) -> bool``:
-
-    - return ``True``: applied — the member now has the data (or already
-      had it); the hint is resolved.
-    - return ``False``: stale — the hint no longer makes sense (data
-      garbage-collected, member no longer an owner after a rebalance);
-      resolved without delivery.
-    - raise ``OSError``/``KeyError``: the member (or the source replica)
-      is still unreachable; the hint stays, the failure feeds the
-      detector, and the rest of that member's batch is skipped.
-
-    Delivery is gated on the failure detector's breaker, so a member that
-    is still down costs one fast skip per round, not one timeout per
-    pending hint.
-    """
-
-    def __init__(
-        self,
-        log: HintLog,
-        detector,
-        appliers: Mapping[str, Callable[[str, Mapping], bool]],
-        interval_s: float = 0.25,
-    ):
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0, got {interval_s}")
-        self.log = log
-        self.detector = detector
-        self.appliers = dict(appliers)
-        self.interval_s = float(interval_s)
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._events = obs.events()
-        self.stats = {"rounds": 0, "delivered": 0, "stale": 0,
-                      "failures": 0, "skipped_down": 0, "unknown_kind": 0}
-
-    def deliver_once(self) -> dict:
-        """One delivery round over every member with pending hints."""
-        round_stats = {"delivered": 0, "stale": 0, "failures": 0,
-                       "skipped_down": 0}
-        for member in self.log.members_with_hints():
-            if self.detector is not None and not self.detector.allow(member):
-                round_stats["skipped_down"] += 1
-                continue
-            for hint in self.log.pending(member):
-                applier = self.appliers.get(hint.get("kind"))
-                if applier is None:
-                    self.stats["unknown_kind"] += 1
-                    continue
-                try:
-                    applied = applier(member, hint)
-                except (OSError, KeyError):
-                    round_stats["failures"] += 1
-                    if self.detector is not None:
-                        self.detector.record_failure(member)
-                    break  # member (or source) still sick: stop this batch
-                self.log.resolve(member, hint, stale=not applied)
-                round_stats["delivered" if applied else "stale"] += 1
-                if applied and self.detector is not None:
-                    self.detector.record_success(member)
-        self.stats["rounds"] += 1
-        for key in ("delivered", "stale", "failures", "skipped_down"):
-            self.stats[key] += round_stats[key]
-        if round_stats["delivered"] or round_stats["stale"]:
-            self._events.emit("hints_delivered", **round_stats)
-        return round_stats
-
-    def drain(self, max_rounds: int = 100) -> bool:
-        """Deliver until the log is empty or a round makes no progress.
-
-        Returns ``True`` when every hint is resolved.  Used by ``fsck``'s
-        repair mode and by chaos runs to measure convergence; steady-state
-        operation uses the background thread instead.
-        """
-        for _ in range(max_rounds):
-            if self.log.total_pending() == 0:
-                return True
-            result = self.deliver_once()
-            if result["delivered"] == 0 and result["stale"] == 0:
-                break
-        return self.log.total_pending() == 0
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> "HintDeliverer":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="mmlib-hint-deliverer", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.deliver_once()
-            except TransientStoreError:  # pragma: no cover - defensive
-                pass
-
-    def close(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None

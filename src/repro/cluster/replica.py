@@ -1,8 +1,8 @@
-"""One replica core: the member ledger, the quorum write, the heal source.
+"""One replica core: the member ledger, the quorum write, the per-key heal.
 
 Both sharded stores — :class:`~repro.cluster.sharded_store.ShardedFileStore`
 (records) and :class:`~repro.cluster.sharded_docs.ShardedDocumentStore`
-(documents) — replicate the same way, so the two decisions replication
+(documents) — replicate the same way, so the three decisions replication
 makes live here once:
 
 * **How a write to a key's owners becomes an ack.**  Both stores inherit
@@ -10,10 +10,18 @@ makes live here once:
   and hint log, ``cluster_stats``/``degraded_keys`` and the per-plane obs
   counters.  :meth:`ReplicaLedger._quorum_write` is the one loop every
   replicated write runs; its caller supplies only what one owner does.
-* **Which copy a heal may copy from.**  :func:`source` picks it and
-  :func:`place` lands it — read repair, hinted handoff, anti-entropy and
-  membership changes all go through these two, so a copy that fails digest
-  verification is never propagated by any of them.
+* **How one key's replica set is healed.**  :meth:`ReplicaLedger.heal_key`
+  is the one per-key heal — on the file plane
+  :func:`~repro.cluster.antientropy.repair_chunk`, on the document plane
+  the versioned read — and :meth:`ReplicaLedger.sweep` the one walk over
+  every key.  Read repair, hint delivery, the self-heal loop, fsck and
+  membership changes all reach replicas through it, so they share one
+  outcome (:func:`finish`) and one rule for retiring a stray copy
+  (:func:`drop_strays`).
+* **Which copy a record heal may copy from.**  :func:`source` picks it and
+  :func:`place` lands it through the member's fault-hooked write, so a copy
+  that fails digest verification is never propagated and a member that is
+  down fails the heal honestly.
 """
 
 from __future__ import annotations
@@ -48,6 +56,9 @@ _COUNTERS = {
         "mmlib_cluster_quorum_write_failures_total", "Writes that missed quorum"),
 }
 _STATS = ("failover_reads", "read_repairs", "degraded_writes", "repair_failures")
+
+#: Outcomes of :meth:`ReplicaLedger.heal_key` that leave nothing to do.
+SETTLED = ("ok", "repaired")
 
 
 def classify_failure(exc: Exception) -> str:
@@ -200,6 +211,151 @@ class ReplicaLedger:
             self._clear_degraded(kind, key)
         return acks
 
+    # -- the one heal ----------------------------------------------------------
+
+    def heal_key(self, kind: str, key: str, unreachable=(), *, repair: bool = True,
+                 deep: bool = False) -> dict:
+        """Audit (and with ``repair`` heal) one key's replica set.
+
+        Each plane supplies it: the file plane's is
+        :func:`~repro.cluster.antientropy.repair_chunk`, the document
+        plane's the versioned read of the document.  Members in
+        ``unreachable`` are neither read nor written; keys they own come
+        back ``deferred``/``partial``.  ``deep`` reads every copy there is,
+        not only what finding the missing ones takes.  The result names the
+        ``owners``, the ``holders`` found, the owners ``missing`` the key or
+        ``unreachable``, the copies ``corrupt``, what was ``repaired_to``,
+        ``corrupt_healed`` and ``strays_dropped``, and the ``status``
+        (:func:`finish`).
+        """
+        raise NotImplementedError
+
+    def universe(self) -> set[tuple[str, str]]:
+        """Every ``(kind, key)`` some member holds."""
+        raise NotImplementedError
+
+    def sweep(self, repair: bool = True, deep: bool = False, unreachable=(),
+              keys=None) -> dict:
+        """:meth:`heal_key` over ``keys`` (default: the sorted
+        :meth:`universe`) — the one walk fsck, ``heal()``, the self-heal
+        loop and membership changes run.
+
+        The report counts the keys ``checked`` and ``misplaced`` (held
+        elsewhere than on exactly their owners when visited), and lists, as
+        ``{"kind", "key"}`` entries, those ``under_replicated`` (with
+        ``have``/``want``/``missing``), ``repaired``, ``unrepairable``,
+        ``deferred`` and left in the ``backlog`` (any status but ok or
+        repaired), and every ``strays_dropped`` copy (with ``member``).
+        """
+        report = {"checked": 0, "misplaced": 0, "under_replicated": [], "repaired": [],
+                  "strays_dropped": [], "unrepairable": [], "deferred": [], "backlog": []}
+        for kind, key in sorted(self.universe()) if keys is None else keys:
+            result = self.heal_key(kind, key, unreachable, repair=repair, deep=deep)
+            entry = {"kind": kind, "key": key}
+            owners = result["owners"]
+            report["checked"] += 1
+            report["misplaced"] += set(result["holders"]) != set(owners)
+            gone = result["missing"] + result["unreachable"] + [
+                name for name in result["corrupt"] if name in owners]
+            if gone:
+                report["under_replicated"].append({
+                    **entry, "have": len(owners) - len(gone), "want": len(owners),
+                    "missing": gone})
+            if result["repaired_to"] or result["corrupt_healed"]:
+                report["repaired"].append(entry)
+            report["strays_dropped"] += [
+                {**entry, "member": member} for member in result["strays_dropped"]]
+            if result["status"] in ("unrepairable", "deferred"):
+                report[result["status"]].append(entry)
+            if result["status"] not in SETTLED:
+                report["backlog"].append(entry)
+        return report
+
+
+def new_result(kind: str, key: str, owners, holders, missing, unreachable) -> dict:
+    """A :meth:`ReplicaLedger.heal_key` result before anything was healed."""
+    return {
+        "kind": kind,
+        "key": key,
+        "owners": list(owners),
+        "holders": list(holders),
+        "missing": list(missing),
+        "unreachable": list(unreachable),
+        "corrupt": [],
+        "repaired_to": [],
+        "corrupt_healed": [],
+        "strays_dropped": [],
+        "status": "ok",
+    }
+
+
+def _unsettled(result: dict) -> tuple[list[str], list[str]]:
+    """Corrupt copies not overwritten, and missing owners not filled."""
+    return ([n for n in result["corrupt"] if n not in result["corrupt_healed"]],
+            [n for n in result["missing"] if n not in result["repaired_to"]])
+
+
+def finish(ledger: ReplicaLedger, result: dict) -> dict:
+    """Derive the outcome status from what the heal accomplished.
+
+    ``ok``
+        Every owner holds the key, no other member does (and, on a deep
+        heal, every copy verified).
+    ``repaired``
+        Divergence found and fully healed.
+    ``partial``
+        Some healing happened but the owners are still not whole (a
+        target is unreachable, a write failed).
+    ``degraded``
+        Divergence found, nothing healed (audit mode, or every write
+        failed), or a stray copy is left beside whole owners.
+    ``deferred``
+        An owner is unreachable and nothing else is wrong that a
+        reachable copy shows; decided next pass, once the member is back.
+    ``unrepairable`` (set by the plane before this)
+        No usable copy exists anywhere reachable.
+
+    A key left settled loses its degraded mark.
+    """
+    unhealed, unplaced = _unsettled(result)
+    strays = [n for n in result["holders"]
+              if n not in result["owners"] and n not in result["strays_dropped"]]
+    if result["repaired_to"] or result["corrupt_healed"]:
+        whole = not (unhealed or unplaced or strays or result["unreachable"])
+        result["status"] = "repaired" if whole else "partial"
+    elif unhealed or unplaced:
+        result["status"] = "degraded"
+    elif result["unreachable"]:
+        result["status"] = "deferred"
+    elif strays:
+        result["status"] = "degraded"
+    if result["status"] in SETTLED:
+        ledger._clear_degraded(result["kind"], result["key"])
+    return result
+
+
+def drop_strays(result: dict, drop, barrier=None) -> None:
+    """Retire the copies on non-owners — only once every owner provably
+    holds the key and no copy is unhealed-corrupt (a stray may be the one
+    intact source a later pass needs).  ``barrier()`` runs first and makes
+    the copies this heal placed durable; when it raises ``OSError`` no
+    stray is retired."""
+    unhealed, unplaced = _unsettled(result)
+    strays = [n for n in result["holders"] if n not in result["owners"]]
+    if not strays or result["unreachable"] or unhealed or unplaced:
+        return
+    try:
+        if barrier is not None:
+            barrier()
+    except OSError:
+        return
+    for name in strays:
+        try:
+            drop(name)
+        except OSError:
+            continue
+        result["strays_dropped"].append(name)
+
 
 class HealSource(NamedTuple):
     """What :func:`source` found for one record."""
@@ -241,17 +397,15 @@ def source(store, digest: str, holders, deep: bool = False) -> HealSource:
     return HealSource(found, refcount, corrupt)
 
 
-def place(member, digest: str, data, refcount: int, overwrite: bool = False,
-          hooked: bool = False) -> None:
+def place(member, digest: str, data, refcount: int, overwrite: bool = False) -> None:
     """Land a heal's bytes and refcount on one member store.
 
-    ``overwrite`` replaces a copy that failed verification.  ``hooked``
-    writes through the member's fault-hooked ``_put_chunk_data`` (hinted
-    handoff must fail honestly while the member is down); otherwise the
-    write is raw chunk I/O.
+    ``overwrite`` replaces a copy that failed verification.  The write goes
+    through the member's fault-hooked ``_put_chunk_data``, so a heal fails
+    honestly against a member that is down.
     """
     if overwrite:
         member.chunks.drop(digest)
-    (member._put_chunk_data if hooked else member.chunks.put)(digest, data)
+    member._put_chunk_data(digest, data)
     if refcount > 0:
         member.chunks.import_refs({digest: refcount})

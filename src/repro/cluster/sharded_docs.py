@@ -13,9 +13,11 @@ One record per document, versioned (Dynamo, DeCandia et al., SOSP 2007,
 clock-based counter plus a writer id, so stamps totally order writes,
 also across processes; an unstamped record (an older release's) ranks
 lowest.  A delete replaces each owner's copy with the tombstone ``{_id,
-_v, _deleted: true}`` in the document's own collection.  Reads, read
-repair, hint delivery, fsck and rebalance all keep the highest stamp, so
-a replica that missed a delete can never resurrect the document.  Sharded
+_v, _deleted: true}`` in the document's own collection.  The versioned
+read (:meth:`_ShardedCollection._read`) is this plane's one per-key heal:
+reads, hint delivery, the self-heal loop, fsck and membership changes all
+go through it and keep the highest stamp, so a replica that missed a
+delete can never resurrect the document.  Sharded
 reads strip the reserved fields: callers see what the engine returns.
 Members are anything with the engine's ``collection(name)`` API — plain
 or chaos-wrapped stores, TCP clients — and need no op beyond it.
@@ -34,7 +36,7 @@ from ..docstore.engine import DuplicateKeyError, NotFoundError, _sort_key, merge
 from ..docstore.query import matches, resolve_path
 from ..errors import TransientStoreError
 from .hints import KIND_DOC
-from .replica import REPLICA_FAILURES, ReplicaLedger
+from .replica import REPLICA_FAILURES, ReplicaLedger, drop_strays, finish, new_result
 from .ring import DEFAULT_VNODES
 
 __all__ = ["ShardedDocumentStore"]
@@ -63,6 +65,13 @@ def _public(record: dict, projection=None) -> dict:
         return record
     keep = {"_id", *projection}
     return {field: value for field, value in record.items() if field in keep}
+
+
+def _drop(collection, doc_id: str, stamp: str) -> bool:
+    """Delete the member's copy of ``doc_id`` if it still carries ``stamp``:
+    a write that replaced the copy since is left alone."""
+    held = stamp if stamp else {"$exists": False}
+    return bool(collection.delete_many({"_id": doc_id, STAMP: held}))
 
 
 def _land(collection, record: dict) -> bool:
@@ -201,28 +210,62 @@ class _ShardedCollection:
     def get(self, doc_id: str, projection=None) -> dict:
         """Fetch by id: the highest-stamped record among the reachable
         owners, :class:`NotFoundError` when that is a tombstone."""
-        record = self._read(str(doc_id))
+        record = self._record(str(doc_id))
         if record.get(DELETED):
             raise NotFoundError(f"no document {doc_id!r} in {self.name!r}")
         return _public(record, projection)
 
-    def _read(self, doc_id: str) -> dict:
-        """The highest-stamped record of ``doc_id``, live or a tombstone.
+    def _record(self, doc_id: str) -> dict:
+        """The highest-stamped record of ``doc_id``, live or a tombstone,
+        through the versioned read, counted as a read.  With no record
+        found and owners unreachable, absence is unproven: the retryable
+        :class:`TransientStoreError` is raised, so that ``fsck`` cannot
+        collect on a degraded read."""
+        store = self._store
+        result = self._read(doc_id)
+        record = result["record"]
+        if record is None:
+            if result["unreachable"]:
+                raise TransientStoreError(
+                    f"document {self.name}/{doc_id}: {len(result['unreachable'])} "
+                    "replica(s) unreachable and the document was not proven absent"
+                )
+            raise NotFoundError(f"no document {doc_id!r} in {self.name!r}")
+        if result["missing"] or result["unreachable"]:
+            store._bump("failover_reads")
+        for member_name in result["repaired_to"]:
+            store._bump("read_repairs")
+            store._obs_events.emit(
+                "read_repair", plane="docs", collection=self.name, key=doc_id)
+        if len(result["missing"]) > len(result["repaired_to"]):
+            store._bump("repair_failures", len(result["missing"]) - len(result["repaired_to"]))
+        return record
 
-        Every reachable owner is read: the first read is whole, the others
-        ask for the stamp fields only (a higher stamp is then read whole),
-        and owners missing the record or holding a lower stamp are
-        repaired with it.  With no record found and owners unreachable,
-        absence is unproven: the retryable :class:`TransientStoreError`
-        is raised, so that ``fsck`` cannot collect on a degraded read.
+    def _read(self, doc_id: str, unreachable=(), repair: bool = True,
+              deep: bool = False) -> dict:
+        """The versioned read of ``doc_id``: this plane's
+        :meth:`~repro.cluster.replica.ReplicaLedger.heal_key`.
+
+        Every reachable owner is read — with ``deep``, every member: the
+        first read is whole, the others ask for the stamp fields only (a
+        higher stamp is then read whole).  The highest-stamped record, live
+        or a tombstone, is the result's ``record`` (None when no member
+        answered with one); owners missing it or holding a lower stamp are
+        ``missing`` and, with ``repair``, get it landed.  A deep heal also
+        retires the copies on non-owners once the owners are whole, and
+        purges a tombstone every member answered for: the lower-stamped
+        copies first, each delete conditional on the stamp it read, so a
+        concurrent write survives.
         """
+        store = self._store
+        owners = self._owners(doc_id)
         record = None
-        stamps: dict[str, str | None] = {}  # answered owner -> its stamp
-        unreachable = 0
-        for member_name in self._owners(doc_id):
+        stamps: dict[str, str] = {}  # member holding a copy -> its stamp
+        skipped: list[str] = []
+        for member_name in sorted(store.members) if deep else owners:
             deadline_mod.check("docs.get")
-            if not self._store._allowed(member_name):
-                unreachable += 1  # breaker open: absence stays unproven
+            if member_name in unreachable or not store._allowed(member_name):
+                skipped.append(member_name)  # absence stays unproven
                 continue
             collection = self._member(member_name)
             try:
@@ -232,40 +275,47 @@ class _ShardedCollection:
                         and not held.get(DELETED)):
                     held = collection.get(doc_id)  # a later version: read it whole
             except NotFoundError:
-                self._store._up(member_name)
-                stamps[member_name] = None
+                store._up(member_name)
                 continue
             except OSError:
-                self._store._down(member_name)
-                unreachable += 1
+                store._down(member_name)
+                skipped.append(member_name)
                 continue
-            self._store._up(member_name)
+            store._up(member_name)
             stamps[member_name] = _stamp(held)
             if record is None or _stamp(held) > _stamp(record):
                 record = held
+        top = _stamp(record)
+        missing = [] if record is None else [
+            name for name in owners if name not in skipped and stamps.get(name) != top]
+        result = new_result(self.name, doc_id, owners, stamps, missing,
+                            [name for name in owners if name in skipped])
+        result["record"] = record
         if record is None:
-            if unreachable:
-                raise TransientStoreError(
-                    f"document {self.name}/{doc_id}: {unreachable} replica(s) "
-                    "unreachable and the document was not proven absent"
-                )
-            raise NotFoundError(f"no document {doc_id!r} in {self.name!r}")
-        behind = [name for name, stamp in stamps.items()
-                  if stamp is None or stamp < _stamp(record)]
-        if behind or unreachable:
-            self._store._bump("failover_reads")
-        for member_name in behind:
-            try:
-                _land(self._member(member_name), record)
-            except REPLICA_FAILURES:
-                self._store._bump("repair_failures")
-                continue
-            self._store._bump("read_repairs")
-            self._store._obs_events.emit(
-                "read_repair", plane="docs", collection=self.name, key=doc_id)
-        if behind:
-            self._store._clear_degraded(self.name, doc_id)
-        return record
+            result["status"] = "deferred" if result["unreachable"] else "unrepairable"
+            return result
+        if repair:
+            for member_name in missing:
+                try:
+                    _land(self._member(member_name), record)
+                except REPLICA_FAILURES:
+                    continue
+                result["repaired_to"].append(member_name)
+                stamps[member_name] = top
+        if repair and deep:
+            if record.get(DELETED) and not skipped and set(missing) <= set(result["repaired_to"]):
+                # lower stamps first: a failed drop stops the purge before
+                # the tombstones that shadow what is left
+                for member_name in sorted(stamps, key=lambda name: stamps[name] == top):
+                    try:
+                        _drop(self._member(member_name), doc_id, stamps[member_name])
+                    except OSError:
+                        break
+                    if member_name not in owners:
+                        result["strays_dropped"].append(member_name)
+                return finish(store, result)
+            drop_strays(result, lambda name: _drop(self._member(name), doc_id, stamps[name]))
+        return finish(store, result)
 
     def get_many(self, doc_ids: list[str], projection=None) -> list[dict]:
         """The live documents of ``doc_ids`` in request order, missing ids
@@ -375,7 +425,7 @@ class _ShardedCollection:
             record = hits[doc_id]
             if doc_id in suspect:
                 try:
-                    record = self._read(doc_id)
+                    record = self._record(doc_id)
                 except NotFoundError:
                     continue
                 if not matches(record, query):
@@ -478,34 +528,6 @@ class ShardedDocumentStore(ReplicaLedger):
         if self.hints is not None:
             self.hints.record(name, KIND_DOC, doc_id, collection=collection)
 
-    def hint_appliers(self) -> dict:
-        """Kind → applier callables for a :class:`~repro.cluster.hints.HintDeliverer`."""
-        return {KIND_DOC: self._apply_doc_hint}
-
-    def _apply_doc_hint(self, member_name: str, hint) -> bool:
-        """Deliver one document IOU by the versioned read of its id: it
-        lands the highest-stamped record, live or a tombstone, on every
-        owner behind it, so a replayed hint never resurrects a delete.
-        ``False`` (stale) when the member or its ownership is gone or no
-        owner holds a record; raises while the member lacks the record,
-        so the deliverer retries later."""
-        collection_name = hint.get("collection")
-        doc_id = str(hint["key"])
-        member = self.members.get(member_name)
-        if member is None or collection_name is None:
-            return False
-        sharded = self.collection(collection_name)
-        if member_name not in sharded._owners(doc_id):
-            return False  # ownership moved on (rebalance since the write)
-        try:
-            record = sharded._read(doc_id)
-        except (NotFoundError, TransientStoreError):
-            return False  # no surviving replica: purged or data lost
-        held = member.collection(collection_name).get_many([doc_id], projection=STAMP_FIELDS)
-        if not held or _stamp(held[0]) < _stamp(record):
-            raise TransientStoreError(f"{member_name} still lacks {collection_name}/{doc_id}")
-        return True
-
     # -- store surface --------------------------------------------------------
 
     def collection(self, name: str) -> _ShardedCollection:
@@ -545,114 +567,31 @@ class ShardedDocumentStore(ReplicaLedger):
                 continue
         return total
 
-    # -- convergence: rebalance and fsck --------------------------------------
+    # -- the one heal ------------------------------------------------------------
 
-    def rebalance_documents(self) -> dict:
-        """Re-place every record according to the *current* ring (the
-        highest stamp to owners lacking it, none left on non-owners);
-        after membership changes, and to heal under-replication.  A
-        tombstone is purged once every member answered: its stale copies
-        first, and a failed drop stops the purge before the tombstone."""
-        report = self._sweep(repair=True, purge=True)
-        self._placement_changed()  # the memo forgets the purged ids
-        return report
+    def heal_key(self, kind: str, key: str, unreachable=(), *, repair: bool = True,
+                 deep: bool = False) -> dict:
+        """The versioned read of document ``key`` of collection ``kind``
+        (:meth:`_ShardedCollection._read`); the result carries its
+        ``record``."""
+        return self.collection(kind)._read(
+            str(key), unreachable=unreachable, repair=repair, deep=deep)
 
-    def replication_fsck(self, repair: bool = True) -> dict:
-        """Audit (and with ``repair`` restore) every record to its R ring
-        owners, in :func:`repro.cluster.antientropy.replication_fsck`'s
-        shape with the collection as ``kind``; an owner lacking the
-        highest stamp (missing, lower or unreachable) counts as missing."""
-        return self._sweep(repair=repair, purge=False)
-
-    def _sweep(self, repair: bool, purge: bool) -> dict:
-        """The audit both of the above run; ``purge`` drops tombstones."""
+    def universe(self) -> set[tuple[str, str]]:
+        """Every ``(collection, doc_id)`` a reachable member holds a record
+        of, tombstones included (an older release's deletes folded first)."""
         self._fold_parent_graves()
-        report = {"documents_checked": 0, "under_replicated": [], "repaired": [],
-                  "strays_dropped": [], "unrepairable": [], "documents_copied": 0,
-                  "replicas_dropped": 0, "tombstones_purged": 0}
+        keys: set[tuple[str, str]] = set()
         for name in self.collection_names():
-            placed = self.collection(name)
-            records, holders, complete = self._held(name)
-            for doc_id in sorted(records):
-                report["documents_checked"] += 1
-                record, held = records[doc_id], holders[doc_id]
-                if purge and complete and record.get(DELETED):
-                    report["tombstones_purged"] += self._purge(name, doc_id, held, _stamp(record))
+            if name == PARENT_GRAVES:
+                continue  # a member that could not fold them yet
+            for member in self.members.values():
+                try:
+                    found = member.collection(name).find({}, projection=())
+                except OSError:
                     continue
-                owners = placed._owners(doc_id)
-                missing = [owner for owner in owners if held.get(owner) != _stamp(record)]
-                if missing:
-                    report["under_replicated"].append({
-                        "kind": name, "key": doc_id, "have": len(owners) - len(missing),
-                        "want": len(owners), "missing": missing})
-                if not repair:
-                    continue
-                copied, dropped = self._converge(name, record, set(owners), held)
-                report["documents_copied"] += copied
-                report["replicas_dropped"] += dropped
-                if dropped:
-                    report["strays_dropped"] += [
-                        {"kind": name, "key": doc_id, "member": member}
-                        for member in sorted(set(held) - set(owners))]
-                if missing and copied == len(missing):
-                    report["repaired"].append({"kind": name, "key": doc_id})
-                if copied == len(missing):
-                    self._clear_degraded(name, doc_id)
-        return report
-
-    def _held(self, collection: str) -> tuple[dict[str, dict], dict[str, dict[str, str]], bool]:
-        """The highest-stamped record of every id of ``collection`` on a
-        reachable member, each holder's stamp by id, and whether every
-        member answered."""
-        records: dict[str, dict] = {}
-        holders: dict[str, dict[str, str]] = {}
-        complete = True
-        for member_name in sorted(self.members):
-            try:
-                found = self.members[member_name].collection(collection).find({})
-            except OSError:
-                complete = False
-                continue
-            for record in found:
-                doc_id = record["_id"]
-                holders.setdefault(doc_id, {})[member_name] = _stamp(record)
-                if doc_id not in records or _stamp(record) > _stamp(records[doc_id]):
-                    records[doc_id] = record
-        return records, holders, complete
-
-    def _converge(self, collection: str, record: dict, owners: set[str],
-                  holders: dict[str, str]) -> tuple[int, int]:
-        """Land ``record`` on the ``owners`` that lack its stamp, then —
-        once every owner holds it — drop it from the other ``holders``;
-        returns ``(copied, dropped)``."""
-        copied = dropped = 0
-        for member_name in sorted(owners):
-            if holders.get(member_name) == _stamp(record):
-                continue
-            try:
-                _land(self.members[member_name].collection(collection), record)
-            except REPLICA_FAILURES:
-                return copied, dropped
-            copied += 1
-        for member_name in sorted(set(holders) - owners):
-            try:
-                gone = self.members[member_name].collection(collection).delete_one(
-                    record["_id"])
-            except OSError:
-                continue
-            dropped += bool(gone)
-        return copied, dropped
-
-    def _purge(self, collection: str, doc_id: str, holders: dict[str, str],
-               stamp: str) -> bool:
-        """Drop every copy of a tombstoned id, the lower-stamped ones
-        before the tombstones; returns whether all are gone."""
-        for member_name in sorted(holders, key=lambda name: holders[name] == stamp):
-            try:
-                self.members[member_name].collection(collection).delete_one(doc_id)
-            except OSError:
-                return False
-        return True
+                keys.update((name, record["_id"]) for record in found)
+        return keys
 
     # -- membership: a change is the placement sweep ---------------------------
 
@@ -663,11 +602,13 @@ class ShardedDocumentStore(ReplicaLedger):
                 collection._owned.clear()
 
     def add_member(self, name: str, store) -> dict:
-        """Add a member and re-place documents whose ownership moved."""
+        """Add a member and re-place documents whose ownership moved: a deep
+        :meth:`sweep`, which also purges the tombstones every member
+        answered for."""
         self.members[name] = store
         self.ring.add_member(name)
         self._placement_changed()
-        return self.rebalance_documents()
+        return self.sweep(deep=True)
 
     def remove_member(self, name: str) -> dict:
         """Drain and drop a member: ownership recomputes without it, its
@@ -676,6 +617,6 @@ class ShardedDocumentStore(ReplicaLedger):
             raise KeyError(f"member {name!r} is not in the cluster")
         self.ring.remove_member(name)
         self._placement_changed()
-        stats = self.rebalance_documents()
+        stats = self.sweep(deep=True)
         self.members.pop(name, None)
         return stats

@@ -19,18 +19,18 @@ Replication semantics:
   :meth:`~repro.cluster.replica.ReplicaLedger._quorum_write`, shared with
   the document store; this store supplies only one owner's write.
 * **Reads** try replicas in ring order and fail over past dead or
-  corrupt members.  A successful failover read triggers *read-repair*:
-  the payload is written back to owners found missing it — from the
-  verified heal source (:func:`~repro.cluster.replica.source`) that hinted
-  handoff and anti-entropy use too, so a corrupt payload is never
+  corrupt members.  A failover read that found an owner missing the key
+  or holding a corrupt copy triggers *read-repair*: the cluster's one
+  per-key heal (:meth:`heal_key`, i.e.
+  :func:`~repro.cluster.antientropy.repair_chunk`), which hinted handoff,
+  the self-heal loop and fsck run too, so a corrupt payload is never
   propagated.
 * **Membership changes** (:meth:`ShardedFileStore.add_member`,
   :meth:`~ShardedFileStore.remove_member`) change the ring, then run the
-  anti-entropy heal (:func:`~repro.cluster.antientropy.repair_chunk`) on
-  every key whose holders differ from its new owners: the keys that move
-  and nothing else.  No journal records the change; one that stopped
-  half-way is finished by running it again, or by fsck's replication
-  step, which find the keys still out of place.
+  one sweep: the heal reads only the keys whose holders differ from their
+  new owners, the keys that move.  No journal records the change; one
+  that stopped half-way is finished by running it again, or by fsck's
+  replication step, which find the keys still out of place.
 
 The sharded store itself holds no payload data: its root directory
 carries only cluster-wide metadata (the hint log).
@@ -54,7 +54,7 @@ from ..filestore.store import (
     is_file_id,
 )
 from . import antientropy
-from .replica import REPLICA_FAILURES, ReplicaLedger, classify_failure, place, source
+from .replica import REPLICA_FAILURES, ReplicaLedger, classify_failure
 from .ring import DEFAULT_VNODES
 
 __all__ = ["ShardedFileStore"]
@@ -129,6 +129,16 @@ class _ShardedChunkView:
             except ChunkNotFoundError:
                 continue
         raise ChunkNotFoundError(f"no stored chunk with digest {digest!r}")
+
+    def missing(self, digests) -> list[str]:
+        """The ``digests`` no owner holds, one batched ask per owner (one
+        owner short is a degraded key, healed like any other)."""
+        lacking: dict[str, int] = {}
+        for name, group in self._group(digests).items():
+            for digest in self._store.members[name].chunks.missing(group):
+                lacking[digest] = lacking.get(digest, 0) + 1
+        return [digest for digest, count in lacking.items()
+                if count == len(self._store.ring.owners(digest))]
 
     def put(self, digest: str, buffer) -> bool:
         wrote = False
@@ -295,8 +305,8 @@ class _ShardedChunkView:
         after a lost owner disk) that stray may be the only surviving
         copy, and the replication fsck that runs after reconcile needs it
         as the repair source.  Only once every owner holds the key does a
-        non-owner replica count as an orphan — the same guard
-        :func:`~repro.cluster.antientropy.replication_fsck` applies before
+        non-owner replica count as an orphan — the same guard the one heal
+        (:func:`~repro.cluster.replica.drop_strays`) applies before
         dropping strays.
         """
         merged: dict = {"ref_fixes": {}, "orphan_chunks_removed": [], "orphan_bytes": 0}
@@ -449,13 +459,13 @@ class ShardedFileStore(ReplicaLedger, FileStore):
     def _read_chunk(self, digest: str) -> bytes:
         missing: list[str] = []
         corrupt: list[str] = []
-        skipped = 0
+        down: list[str] = []  # owners skipped or unreachable
         last_error: Exception | None = None
         with self._obs_tracer.span("cluster.chunk_read", digest=digest) as sp:
             for name in self.ring.owners(digest):
                 deadline_mod.check("cluster.chunk_read")
                 if not self._allowed(name):
-                    skipped += 1
+                    down.append(name)
                     last_error = TransientStoreError(
                         f"replica {name!r} skipped: circuit breaker open"
                     )
@@ -467,57 +477,40 @@ class ShardedFileStore(ReplicaLedger, FileStore):
                     kind = classify_failure(exc)
                     if kind == "unreachable":
                         self._down(name)
+                        down.append(name)
                     else:
                         # the member answered; its copy is gone or bad
                         self._up(name)
                         (corrupt if kind == "corrupt" else missing).append(name)
                     continue
                 self._up(name)
-                failovers = len(missing) + len(corrupt) + skipped
+                failovers = len(missing) + len(corrupt) + len(down)
                 sp.set(member=name, failovers=failovers)
                 if failovers:
                     self._bump("failover_reads")
-                    self._repair_chunk_replicas(digest, missing, corrupt, name)
+                if missing or corrupt:
+                    self._read_repair(digest, down)
                 return data
             if last_error is not None:
                 raise last_error
             raise ChunkNotFoundError(f"no stored chunk with digest {digest!r}")
 
-    def _repair_chunk_replicas(
-        self, digest: str, missing: list[str], corrupt: list[str], served_by: str
-    ) -> None:
-        """Heal the owners a failover read found without a good copy.
-
-        The heal source is the member that served the read, through
-        :func:`~repro.cluster.replica.source`: a copy that fails
-        verification is never replicated.  ``missing`` owners (answered
-        "not found") get a plain copy; ``corrupt`` owners (answered with
-        bytes that failed verification) get their copy overwritten.
-        Owners that were unreachable are in neither list: repair writes
-        at a dead member would be wasted (or, under fault simulation,
-        dishonest) — hinted handoff and anti-entropy own that path.
-        """
-        heal = source(self, digest, [served_by])
-        if heal.data is None:
-            return
-        repaired = False
-        for name in missing + corrupt:
-            overwrite = name in corrupt
-            member = self.members[name]
-            try:
-                if not overwrite and member.chunks.has(digest):
-                    continue  # raced another repair: already healed
-                place(member, digest, heal.data, heal.refcount, overwrite)
-            except OSError:
-                self._bump("repair_failures")
-                continue
+    def _read_repair(self, digest: str, down: list[str]) -> None:
+        """Heal the key a failover read found an owner missing or holding
+        corrupt: the one heal, deep, so no copy that fails verification is
+        replicated.  Owners the read found unreachable are left out —
+        repair writes at a dead member would be wasted; hinted handoff and
+        the self-heal loop own that path."""
+        result = self.heal_key("chunk", digest, down, deep=True)
+        for name in result["repaired_to"] + result["corrupt_healed"]:
             self._bump("read_repairs")
             self._obs_events.emit(
                 "read_repair", plane="files", kind="chunk", key=digest,
-                overwrote_corrupt=overwrite)
-            repaired = True
-        if repaired:
-            self._clear_degraded("chunk", digest)
+                overwrote_corrupt=name in result["corrupt_healed"])
+        failed = [name for name in result["missing"] + result["corrupt"]
+                  if name not in result["repaired_to"] + result["corrupt_healed"]]
+        if failed:
+            self._bump("repair_failures", len(failed))
 
     def _fetch_many(self, digests: list[str], crc: bool) -> dict[str, bytes]:
         """Batched fetch, grouped by primary owner for pipelined accounting.
@@ -600,58 +593,32 @@ class ShardedFileStore(ReplicaLedger, FileStore):
         with self._stats_lock:
             self.degraded_keys.clear()
 
-    # -- hinted handoff delivery ---------------------------------------------
+    # -- the one heal, and membership changes as its sweep --------------------
 
-    def hint_appliers(self) -> dict:
-        """Kind → applier callables for a :class:`~repro.cluster.hints.HintDeliverer`.
+    def heal_key(self, kind: str, key: str, unreachable=(), *, repair: bool = True,
+                 deep: bool = False) -> dict:
+        """:func:`~repro.cluster.antientropy.repair_chunk` of record ``key``
+        (``kind`` is ``"chunk"``)."""
+        return antientropy.repair_chunk(
+            self, key, repair=repair, deep=deep, unreachable=unreachable)
 
-        A ``blob`` hint was recorded by an older release for a file, which
-        is a record now: the chunk applier delivers it.
-        """
-        return {"chunk": self._apply_chunk_hint, "blob": self._apply_chunk_hint}
-
-    def _apply_chunk_hint(self, member_name: str, hint) -> bool:
-        """Deliver one record IOU.  Idempotent and tombstone-free: records
-        are content-addressed or uniquely named, so "deliver" is "copy
-        verified bytes" from the heal source among the other holders.
-
-        Returns ``False`` (stale) when the member or its ownership is
-        gone, or no copy survives anywhere (the chunk was GC'd since);
-        returns ``True`` once the member holds the chunk.  Raises the
-        member's transient errors through — the deliverer retries later.
-        """
-        digest = hint["key"]
-        member = self.members.get(member_name)
-        if member is None or member_name not in self.ring.owners(digest):
-            return False  # membership or ownership moved on: IOU is moot
-        if not member.chunks.has(digest):  # else read-repair or anti-entropy got there first
-            heal = source(self, digest, [
-                name for name in sorted(self.members)
-                if name != member_name and self.members[name].chunks.has(digest)])
-            if heal.data is None:
-                return False  # no surviving copy: nothing left to hand off
-            # the *hooked* write path, not raw chunk I/O: delivery must fail
-            # honestly while the member is down (or simulated down)
-            place(member, digest, heal.data, heal.refcount, hooked=True)
-        self._clear_degraded("chunk", digest)
-        return True
-
-    # -- cluster health / accounting -----------------------------------------
-
-    def replication_fsck(self, repair: bool = True) -> dict:
-        """Cross-check every replica set against R; see
-        :func:`repro.cluster.antientropy.replication_fsck`."""
-        return antientropy.replication_fsck(self, repair=repair)
-
-    # -- membership: a change is a placement sweep ----------------------------
+    def universe(self) -> set[tuple[str, str]]:
+        """Every record key (chunk digest or file id) any member stores or
+        refcounts."""
+        keys: set[str] = set()
+        for member in self.members.values():
+            keys.update(member.chunks.chunk_ids())
+            keys.update(member.chunks.export_refs())
+        return {("chunk", key) for key in keys}
 
     def add_member(self, name: str, member: FileStore) -> dict:
-        """Join ``member`` to the ring and copy its share of records in."""
+        """Join ``member`` to the ring and copy its share of records in;
+        returns the :meth:`sweep` report."""
         if name in self.members:
             raise ValueError(f"member {name!r} is already in the cluster")
         self.members[name] = member
         self.ring.add_member(name)
-        return self._place_records()
+        return self.sweep()
 
     def remove_member(self, name: str) -> dict:
         """Take ``name`` off the ring, copy its records to their new
@@ -659,37 +626,20 @@ class ShardedFileStore(ReplicaLedger, FileStore):
 
         A copy that fails keeps the leaver's copy (a stray is retired only
         once every owner holds the key), so the leaver stays in
-        ``members`` — off the ring, still a copy source — and the stats
-        say ``drained: False``; calling this again finishes the drain.
+        ``members`` — off the ring, still a copy source — and the report
+        says ``drained: False``; calling this again finishes the drain.
         """
         if name not in self.members:
             raise KeyError(f"member {name!r} is not in the cluster")
         if name in self.ring:
             self.ring.remove_member(name)
-        stats = self._place_records()
-        stats["drained"] = not self.members[name].chunks.chunk_ids()
-        if stats["drained"]:
+        report = self.sweep()
+        report["drained"] = not self.members[name].chunks.chunk_ids()
+        if report["drained"]:
             del self.members[name]
             with self._stats_lock:
                 self._unsynced.discard(name)
-        return stats
-
-    def _place_records(self) -> dict:
-        """Heal, deep, every key whose holders differ from its ring owners
-        — on a healthy cluster, the keys whose owners changed."""
-        stats = {"planned": 0, "chunks_moved": 0, "replicas_dropped": 0, "failed": 0}
-        for digest in sorted(antientropy.chunk_universe(self)):
-            owners = set(self.ring.owners(digest))
-            if owners == {n for n in self.members if self.members[n].chunks.has(digest)}:
-                continue
-            stats["planned"] += 1
-            result = antientropy.repair_chunk(self, digest, repair=True, deep=True)
-            placed = set(result["holders"]) | set(result["repaired_to"])
-            placed -= set(result["strays_dropped"])
-            stats["chunks_moved"] += bool(result["repaired_to"] or result["corrupt_healed"])
-            stats["replicas_dropped"] += len(result["strays_dropped"])
-            stats["failed"] += placed != owners
-        return stats
+        return report
 
     def cluster_accounting(self) -> dict:
         """Aggregate the members' simulated-network counters.

@@ -550,93 +550,27 @@ class ModelManager:
 
     # -- self-healing (sharded deployments) ---------------------------------
 
-    def _hint_deliverer(self, hint_log):
-        """A foreground deliverer over every hint kind this deployment has."""
-        from ..cluster.hints import HintDeliverer
-
-        appliers: dict = {}
-        for store in (self.files, self.documents):
-            factory = getattr(store, "hint_appliers", None)
-            if callable(factory):
-                appliers.update(factory())
-        return HintDeliverer(
-            hint_log, getattr(self.files, "detector", None), appliers
-        )
-
-    def _probe_down_members(self) -> None:
-        """Give members the detector holds DOWN a chance to recover *now*.
-
-        Explicit repair entry points (``heal``, ``fsck``) should not wait
-        out breaker cooldowns: each down member is pinged directly,
-        enough consecutive successes to clear the recovery threshold, so
-        a member that actually returned is re-admitted before the hint
-        drain is gated on it.
-        """
-        detector = getattr(self.files, "detector", None)
-        if detector is None:
-            return
-        members = getattr(self.files, "members", {})
-        for name in detector.down_members():
-            ping = getattr(members.get(name), "ping", None)
-            if not callable(ping):
-                continue
-            for _ in range(detector.recovery_threshold):
-                try:
-                    ping()
-                except (OSError, KeyError):
-                    detector.record_failure(name)
-                    break
-                else:
-                    detector.record_success(name)
-
     def heal(self, repair: bool = True, deep: bool = True) -> dict:
-        """One foreground self-heal pass over a sharded deployment.
+        """One foreground self-heal pass over a sharded deployment: the
+        replication half of :meth:`fsck` (``mmlib heal``).
 
-        Drains the hinted-handoff log (replaying quorum-write IOUs into
-        members that are back), then runs a full anti-entropy sweep —
-        with ``deep``, every reachable replica is read and
-        digest-verified, not just counted.  ``repair=False`` audits both
-        without writing.  On a non-clustered deployment this is a no-op
-        report (``{"cluster": False}``); steady-state deployments run
-        the same machinery continuously via the background
-        :class:`~repro.cluster.HintDeliverer` and
-        :class:`~repro.cluster.AntiEntropyScanner` threads — this method
-        is the operator's "converge now and tell me" button
-        (``mmlib heal``).
+        Probes the members the failure detector holds down, drains the
+        hinted-handoff log, then sweeps both planes — records and
+        documents — through the one per-key heal; with ``deep``, every
+        reachable copy is read and verified, not just counted.
+        ``repair=False`` audits without writing.  Returns the
+        :meth:`~repro.cluster.SelfHealer.converge` report, or
+        ``{"cluster": False}`` on a single-store deployment.  A running
+        deployment does the same continuously in its
+        :class:`~repro.cluster.SelfHealer` loop.
         """
-        files = self.files
-        if not hasattr(files, "replication_fsck"):
+        stores = [store for store in (self.files, self.documents)
+                  if hasattr(store, "heal_key")]
+        if not stores:
             return {"cluster": False}
-        from ..cluster import AntiEntropyScanner
+        from ..cluster import SelfHealer
 
-        report: dict = {"cluster": True}
-        detector = getattr(files, "detector", None)
-        self._probe_down_members()
-        if detector is not None:
-            report["health"] = detector.snapshot()
-        hint_log = getattr(files, "hints", None)
-        if hint_log is not None:
-            pending_before = hint_log.total_pending()
-            deliverer = self._hint_deliverer(hint_log)
-            drained = deliverer.drain() if repair else False
-            report["hints"] = {
-                "pending_before": pending_before,
-                "pending_after": hint_log.total_pending(),
-                "drained": drained,
-                "delivered": deliverer.stats["delivered"],
-                "stale": deliverer.stats["stale"],
-                "failures": deliverer.stats["failures"],
-            }
-        scanner = AntiEntropyScanner(files, detector=detector, deep=deep)
-        report["anti_entropy"] = scanner.full_sweep(repair=repair)
-        report["converged"] = (
-            report.get("hints", {}).get("pending_after", 0) == 0
-            and report["anti_entropy"]["backlog"] == 0
-        )
-        obs.events().emit(
-            "heal_pass", repair=repair, converged=report["converged"],
-            backlog=report["anti_entropy"]["backlog"])
-        return report
+        return SelfHealer(stores).converge(repair=repair, deep=deep)
 
     # -- fsck: verify and repair --------------------------------------------
 
@@ -650,17 +584,28 @@ class ModelManager:
            rebuilt from disk (a compaction that died needs nothing here:
            its tmp segment is grace-swept, and a committed destination
            or victim the index no longer names goes at the next ``gc``);
-        2. ``documents`` — no catalog log was opened with a torn final
+        2. ``replication`` — on a sharded deployment, :meth:`heal`: the
+           members held down are probed, pending hinted-handoff IOUs
+           drained, and every record (chunk or file) and document swept
+           through the one per-key heal to its full R replicas, from a
+           surviving copy (digest-verified, never propagating corruption;
+           with ``verify_chunks`` every copy is read).  It runs before the
+           steps below read documents, so what their reads would repair
+           unreported is reported here (``under_replicated``);
+        3. ``hints`` — no hinted-handoff IOUs remain pending: hints the
+           heal could not deliver are owed to an unreachable member and
+           reported unrepaired (``pending_hints``);
+        4. ``documents`` — no catalog log was opened with a torn final
            record (a crash mid-append; the engine already dropped it,
            reported here once); every model document's base model,
            environment/train documents, and referenced files exist, and
            every content-addressed environment document still hashes back
            to its id (audit only);
-        3. ``chunks`` — every manifest's chunks exist and (with
+        5. ``chunks`` — every manifest's chunks exist and (with
            ``verify_chunks``) hash back to their content digests; a level
            an older release wrote and no open has upgraded is a
            ``retired_level`` (a v2 manifest's pieces stay referenced);
-        4. ``refcounts`` — every record's refcount equals what the live
+        6. ``refcounts`` — every record's refcount equals what the live
            documents and manifests reference — a file 1 if any document
            names it (a set, like the manifests), a chunk once per
            referencing entry of each distinct live manifest — and no
@@ -671,14 +616,6 @@ class ModelManager:
            rewrite leaves; the repair also deletes the logs a parent
            release kept beside its records (:data:`PARENT_LOGS`), which
            say nothing the records do not;
-        5. ``replication`` — on a sharded store, every record (chunk or
-           file) holds its full R replicas: under-replicated keys are
-           restored from a surviving copy (digest-verified, never
-           propagating corruption);
-        6. ``hints`` — no hinted-handoff IOUs remain pending: after the
-           replica repair above, leftover hints are drained (delivered or
-           resolved as stale); hints still owed to an unreachable member
-           are reported unrepaired (``pending_hints``);
         7. ``orphan_documents`` — every environment, train and wrapper
            document is referenced: one a crashed save put, or an
            environment whose last model was deleted, is removed.
@@ -724,7 +661,46 @@ class ModelManager:
                 "its CRC check",
             )
 
-        # 2. documents -> documents/files cross-checks
+        # 2. replication (sharded stores only): quorum writes that landed
+        # degraded, or members that lost disks, leave records and documents
+        # below R copies.  It runs before any step reads documents, whose
+        # reads would read-repair them unreported.
+        steps.start("replication")
+        healed = self.heal(repair=repair, deep=verify_chunks)
+        for sweep in healed.get("sweeps", {}).values():
+            unrepairable = {
+                (entry["kind"], entry["key"]) for entry in sweep["unrepairable"]}
+            repaired_keys = {(entry["kind"], entry["key"]) for entry in sweep["repaired"]}
+            for entry in sweep["under_replicated"]:
+                key = (entry["kind"], entry["key"])
+                fixed = key in repaired_keys and key not in unrepairable
+                report.add(
+                    "under_replicated",
+                    f"{entry['kind']} {entry['key'][:24]}…: {entry['have']}/"
+                    f"{entry['want']} replicas (missing on "
+                    f"{', '.join(entry['missing'])})"
+                    + (" (restored)" if fixed else ""),
+                    repaired=fixed,
+                )
+
+        # 3. hinted-handoff backlog: a healthy cluster owes nothing; what
+        # the heal above could not deliver targets a member still
+        # unreachable
+        steps.start("hints")
+        hints = healed.get("hints")
+        if hints and hints["pending_before"]:
+            pending_before, remaining = hints["pending_before"], hints["pending_after"]
+            detail = f"{pending_before} handoff hint(s) pending"
+            if repair:
+                detail += (
+                    f" ({pending_before - remaining} drained, "
+                    f"{remaining} still owed)"
+                )
+            report.add(
+                "pending_hints", detail, repaired=repair and remaining == 0
+            )
+
+        # 4. documents -> documents/files cross-checks
         steps.start("documents")
         for collection_name in (MODELS, ENVIRONMENTS, TRAIN_INFO, WRAPPERS):
             collection = self.documents.collection(collection_name)
@@ -812,7 +788,7 @@ class ModelManager:
                         f"wrapper {wrapper_id} references missing file {state_file}",
                     )
 
-        # 3. manifests -> chunk existence and content digests; a stored file
+        # 5. manifests -> chunk existence and content digests; a stored file
         # counts once, however many documents name it
         steps.start("chunks")
         expected_refs: Counter = Counter()
@@ -867,7 +843,7 @@ class ModelManager:
         report.checked_files = len(files.file_ids())
         report.checked_chunks = sum(1 for key in expected_refs if not is_file_id(key))
 
-        # 4. refcounts vs. the live documents and manifests; orphan files
+        # 6. refcounts vs. the live documents and manifests; orphan files
         # and chunks (keys are ``member:key`` on a sharded store)
         steps.start("refcounts")
         outcome = files.chunks.reconcile(expected_refs, repair=repair)
@@ -898,56 +874,6 @@ class ModelManager:
                         shutil.rmtree(path, ignore_errors=True)
                     else:
                         path.unlink(missing_ok=True)
-
-        # 5. replica counts vs. the placement ring (sharded stores only):
-        # quorum writes that landed degraded, or members that lost disks,
-        # leave records and documents below R copies — restore them from a
-        # surviving replica
-        steps.start("replication")
-        for store in (files, self.documents):
-            if not hasattr(store, "replication_fsck"):
-                continue
-            outcome = store.replication_fsck(repair=repair)
-            unrepairable = {
-                (entry["kind"], entry["key"]) for entry in outcome["unrepairable"]
-            }
-            repaired_keys = {
-                (entry["kind"], entry["key"]) for entry in outcome["repaired"]
-            }
-            for entry in outcome["under_replicated"]:
-                key = (entry["kind"], entry["key"])
-                fixed = key in repaired_keys and key not in unrepairable
-                report.add(
-                    "under_replicated",
-                    f"{entry['kind']} {entry['key'][:24]}…: {entry['have']}/"
-                    f"{entry['want']} replicas (missing on "
-                    f"{', '.join(entry['missing'])})"
-                    + (" (restored)" if fixed else ""),
-                    repaired=fixed,
-                )
-
-        # 6. hinted-handoff backlog: a healthy cluster owes nothing.
-        # Step 5 restored the replicas themselves, so pending hints are
-        # now satisfied (or still undeliverable) — drain resolves them as
-        # stale/delivered; whatever stays pending targets a member that
-        # is still unreachable.
-        steps.start("hints")
-        hint_log = getattr(files, "hints", None)
-        if hint_log is not None and hint_log.total_pending():
-            pending_before = hint_log.total_pending()
-            if repair:
-                self._probe_down_members()
-                self._hint_deliverer(hint_log).drain()
-            remaining = hint_log.total_pending()
-            detail = f"{pending_before} handoff hint(s) pending"
-            if repair:
-                detail += (
-                    f" ({pending_before - remaining} drained, "
-                    f"{remaining} still owed)"
-                )
-            report.add(
-                "pending_hints", detail, repaired=repair and remaining == 0
-            )
 
         # 7. orphan documents (a crashed save's, an environment nobody names)
         steps.start("orphan_documents")

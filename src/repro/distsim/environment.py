@@ -45,7 +45,7 @@ class SharedStores:
     Clustered deployments built with ``self_heal=True`` also carry the
     shared :class:`~repro.cluster.FailureDetector` and
     :class:`~repro.cluster.HintLog` wired into both sharded stores;
-    :meth:`healers` constructs the matching background services.
+    :meth:`healers` constructs the matching self-heal loop.
     """
 
     documents: DocumentStore
@@ -143,9 +143,9 @@ class SharedStores:
         :class:`~repro.cluster.HintLog` (under ``cluster-meta/hints``)
         into both sharded stores: quorum writes then breaker-skip members
         the detector holds down and leave hints for missed replicas.
-        Background delivery/scanning is *not* started here — call
-        :meth:`healers` and ``start()`` them, or drain in the foreground
-        via ``ModelManager.heal()``.
+        The self-heal loop is *not* started here — call :meth:`healers`
+        and ``start()`` it, or converge in the foreground via
+        ``ModelManager.heal()``.
         """
         from ..cluster import ShardedDocumentStore, ShardedFileStore
 
@@ -203,50 +203,22 @@ class SharedStores:
             retry=retry, detector=detector, hints=hints,
         )
 
-    def healers(
-        self,
-        deliver_interval_s: float = 0.25,
-        scan_interval_s: float = 1.0,
-        scan_batch: int = 64,
-        probe_interval_s: float = 0.25,
-    ) -> tuple:
-        """Construct the self-heal services for a clustered deployment.
-
-        Returns ``(deliverer, scanner, monitor)`` — the hinted-handoff
-        :class:`~repro.cluster.HintDeliverer`, the
-        :class:`~repro.cluster.AntiEntropyScanner`, and a
-        :class:`~repro.cluster.HealthMonitor` probing each member's
-        ``ping``.  None are started; call ``start()`` on each (and
-        ``close()`` when done).  Requires ``cluster_at(...,
-        self_heal=True)`` stores.
+    def healers(self, interval_s: float = 0.25, batch_size: int = 64):
+        """The self-heal loop of a clustered deployment: one
+        :class:`~repro.cluster.SelfHealer` over both sharded stores that
+        every ``interval_s`` probes each member's ``ping``, delivers the
+        pending hints and heals ``batch_size`` keys.  Not started; call
+        ``start()`` (and ``close()`` when done).  Requires
+        ``cluster_at(..., self_heal=True)`` stores.
         """
         if self.hints is None or self.detector is None:
             raise ValueError(
                 "self-heal services need cluster_at(..., self_heal=True) stores"
             )
-        from ..cluster import AntiEntropyScanner, HealthMonitor, HintDeliverer
+        from ..cluster import SelfHealer
 
-        appliers: dict = {}
-        for store in (self.files, self.documents):
-            factory = getattr(store, "hint_appliers", None)
-            if callable(factory):
-                appliers.update(factory())
-        deliverer = HintDeliverer(
-            self.hints, self.detector, appliers, interval_s=deliver_interval_s
-        )
-        scanner = AntiEntropyScanner(
-            self.files, detector=self.detector,
-            interval_s=scan_interval_s, batch_size=scan_batch,
-        )
-        probes = {
-            name: member.ping
-            for name, member in self.files.members.items()
-            if callable(getattr(member, "ping", None))
-        }
-        monitor = HealthMonitor(
-            self.detector, probes, interval_s=probe_interval_s
-        )
-        return deliverer, scanner, monitor
+        return SelfHealer(
+            (self.files, self.documents), interval_s=interval_s, batch_size=batch_size)
 
     def total_storage_bytes(self) -> int:
         return self.documents.storage_bytes() + self.files.total_bytes()

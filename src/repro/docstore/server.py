@@ -8,7 +8,10 @@ protocol is one JSON object per line:
     <- {"id": 1, "ok": true, "result": "64ad..."}
 
 Errors are returned with ``ok: false`` plus an error ``kind`` that the
-client maps back to the engine's exception types.
+client maps back to the engine's exception types.  A request line longer
+than the gateway's :data:`~repro.gateway.protocol.MAX_LINE_BYTES` is
+answered with a ``protocol`` error and the connection is closed, as the
+gateway does.
 """
 
 from __future__ import annotations
@@ -44,16 +47,25 @@ _OPS = {
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
+        # the gateway's wire bound, read per line (imported here: the
+        # document store does not otherwise depend on the gateway)
+        from ..gateway import protocol
+
         store: DocumentStore = self.server.store  # type: ignore[attr-defined]
         log = logging.getLogger(__name__)
         while True:
+            limit = protocol.MAX_LINE_BYTES
             try:
-                raw = self.rfile.readline()
+                raw = self.rfile.readline(limit + 1)
             except OSError as exc:  # client reset mid-read: drop this connection
                 log.warning("docstore client %s read failed: %s", self.client_address, exc)
                 return
             if not raw:
                 return  # clean EOF: client closed its side
+            if len(raw) > limit:  # the rest of the line is never read: close
+                self._reply({"id": None, "ok": False, "kind": "protocol",
+                             "error": f"request line exceeds {limit} bytes"})
+                return
             raw = raw.strip()
             if not raw:
                 continue
@@ -82,12 +94,19 @@ class _Handler(socketserver.StreamRequestHandler):
                         "kind": "protocol",
                         "error": str(exc),
                     }
-            try:
-                self.wfile.write((json.dumps(response) + "\n").encode())
-                self.wfile.flush()
-            except OSError as exc:  # client vanished mid-response (broken pipe)
-                log.warning("docstore client %s write failed: %s", self.client_address, exc)
+            if not self._reply(response):
                 return
+
+    def _reply(self, response: dict) -> bool:
+        """Send one response line; False when the client vanished."""
+        try:
+            self.wfile.write((json.dumps(response) + "\n").encode())
+            self.wfile.flush()
+        except OSError as exc:  # client vanished mid-response (broken pipe)
+            logging.getLogger(__name__).warning(
+                "docstore client %s write failed: %s", self.client_address, exc)
+            return False
+        return True
 
     @staticmethod
     def _dispatch(store: DocumentStore, request: dict) -> dict:

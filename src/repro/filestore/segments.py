@@ -856,6 +856,11 @@ class ChunkStore:
         with self._mutex:
             return digest in self._index
 
+    def missing(self, digests: Iterable[str]) -> list[str]:
+        """The ``digests`` this store holds no record of, under one lock."""
+        with self._mutex:
+            return [digest for digest in dict.fromkeys(digests) if digest not in self._index]
+
     def get(self, digest: str):
         """One chunk's bytes, CRC-checked, in a buffer the caller owns.
 

@@ -854,12 +854,20 @@ class FileStore:
             digests.append(file_id)
             self.chunks.add_refs(digests)
             self.journal_record("refs", digests=digests)
-            if held:
-                # a gc that ran before the refs above may have taken a held
-                # chunk; none can once they are counted
-                gone = [n for n, meta in held.items() if not self.chunks.has(meta["chunk"])]
-                if gone:
-                    raise LayersNeededError(gone)
+            # a delete or gc that ran before the refs above may have freed a
+            # record this save deduplicated against or wrote; none can once
+            # they are counted.  The save's own are put again, a held
+            # chunk's layers are asked for.
+            gone = self.chunks.missing(digests)
+            if gone:
+                own = {**buffers, file_id: manifest}
+                lost = [name for name, meta in (held or {}).items()
+                        if meta["chunk"] in gone and meta["chunk"] not in own]
+                if lost:
+                    raise LayersNeededError(lost)
+                for digest in gone:
+                    self._put_chunk_data(digest, own[digest])
+                self.chunks.flush()
             return file_id
 
     @staticmethod

@@ -1,8 +1,10 @@
 """Failure detector: streaks, circuit breaker, flap damping, probes."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.cluster import FailureDetector, HealthMonitor
+from repro.cluster import FailureDetector, SelfHealer
 from repro.cluster.health import STATE_DOWN, STATE_HEALTHY, STATE_SUSPECT
 
 
@@ -38,6 +40,13 @@ def make_detector(**kwargs) -> tuple[FailureDetector, ManualClock]:
         **kwargs,
     )
     return detector, clock
+
+
+def probing_loop(detector, probes) -> SelfHealer:
+    """The self-heal loop over a store whose members answer ``probes``."""
+    members = {name: SimpleNamespace(ping=probe) for name, probe in probes.items()}
+    store = SimpleNamespace(_plane="files", detector=detector, hints=None, members=members)
+    return SelfHealer([store])
 
 
 class TestStateMachine:
@@ -161,7 +170,7 @@ class TestHealthMonitor:
             calls["m1"] += 1
             return True
 
-        monitor = HealthMonitor(detector, {"m0": bad_probe, "m1": good_probe})
+        monitor = probing_loop(detector, {"m0": bad_probe, "m1": good_probe})
         for _ in range(3):
             monitor.probe_once()
         assert detector.state("m0") == STATE_DOWN
@@ -172,7 +181,7 @@ class TestHealthMonitor:
     def test_probes_skip_open_breakers(self):
         detector, _ = make_detector()
         probes = {"m0": lambda: (_ for _ in ()).throw(OSError("down"))}
-        monitor = HealthMonitor(detector, probes)
+        monitor = probing_loop(detector, probes)
         for _ in range(6):
             monitor.probe_once()
         # once the breaker opened, probe rounds skip instead of hammering
@@ -187,7 +196,7 @@ class TestHealthMonitor:
                 raise OSError("down")
             return True
 
-        monitor = HealthMonitor(detector, {"m0": probe})
+        monitor = probing_loop(detector, {"m0": probe})
         for _ in range(3):
             monitor.probe_once()
         assert detector.state("m0") == STATE_DOWN

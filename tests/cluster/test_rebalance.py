@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    HashRing,
-    ShardedDocumentStore,
-    ShardedFileStore,
-    antientropy,
-    replication_fsck,
-)
+from repro.cluster import HashRing, ShardedDocumentStore, ShardedFileStore, antientropy
 from repro.core import ArchitectureRef, BaselineSaveService, ModelSaveInfo
 from repro.core.hashing import tensor_hash
 from repro.docstore import DocumentStore
@@ -102,9 +96,9 @@ class TestAddMember:
         stats = store.add_member("m4", FileStore(tmp_path / "m4"))
 
         moved = owner_diff(old_ring, store.ring, before)
-        assert stats["failed"] == 0
-        assert stats["planned"] == len(moved) > 0
-        assert stats["chunks_moved"] <= stats["planned"]
+        assert stats["backlog"] == []
+        assert stats["misplaced"] == len(moved) > 0
+        assert len(stats["repaired"]) <= stats["misplaced"]
         # untouched keys kept their exact replica placement
         after = chunk_placement(store)
         for digest, placement in before.items():
@@ -141,7 +135,7 @@ class TestAddMember:
     def test_cluster_is_fully_replicated_after_the_move(self, populated, tmp_path):
         store, *_ = populated
         store.add_member("m4", FileStore(tmp_path / "m4"))
-        outcome = replication_fsck(store, repair=False)
+        outcome = store.sweep(repair=False)
         assert outcome["under_replicated"] == []
 
     def test_a_corrupt_replica_is_never_the_move_source(self, populated, tmp_path):
@@ -163,13 +157,28 @@ class TestAddMember:
 
         stats = store.add_member("m4", FileStore(tmp_path / "m4"))
 
-        assert stats["failed"] == 0
+        assert stats["backlog"] == []
         assert_placement_matches_ring(store)
         for name in store.ring.owners(moved):
             assert bytes(store.members[name].chunks.get(moved)) == intact, name
         recovered = service.recover_model(model_id, verify=True)
         assert recovered.verified is True
         assert states_equal(model, recovered.model)
+
+    def test_every_record_a_joiner_received_is_synced(self, tmp_path):
+        """The heal flushes the copies it placed before it retires the
+        strays they replace: power loss cannot leave a key one replica
+        short."""
+        store = make_cluster(tmp_path)
+        service = BaselineSaveService(make_docs(), store)
+        service.save_model(ModelSaveInfo(make_tiny_cnn(seed=1), tiny_arch()))
+        joiner = FileStore(tmp_path / "m4")
+
+        report = store.add_member("m4", joiner)
+
+        received = joiner.chunks.chunk_ids()
+        assert received and report["strays_dropped"]
+        assert [digest for digest in received if not joiner.chunks.synced(digest)] == []
 
     def test_duplicate_member_rejected(self, populated, tmp_path):
         store, *_ = populated
@@ -181,7 +190,7 @@ class TestRemoveMember:
     def test_drains_every_key_off_the_leaver(self, populated):
         store, service, model, model_id = populated
         stats = store.remove_member("m3")
-        assert stats["failed"] == 0
+        assert stats["backlog"] == []
         assert stats["drained"] is True
         assert "m3" not in store.members
         assert "m3" not in store.ring
@@ -199,7 +208,7 @@ class TestRemoveMember:
         store, service, model, model_id = populated
         failed = break_copies(monkeypatch)
         stats = store.remove_member("m3")
-        assert stats["failed"] == len(failed) > 0
+        assert len(stats["backlog"]) == len(failed) > 0
         assert stats["drained"] is False
         assert "m3" in store.members  # retained: may hold sole copies
         assert "m3" not in store.ring
@@ -207,7 +216,7 @@ class TestRemoveMember:
         # heal the copy path and run the change again
         monkeypatch.undo()
         stats = store.remove_member("m3")
-        assert stats["failed"] == 0
+        assert stats["backlog"] == []
         assert stats["drained"] is True
         assert "m3" not in store.members
         assert_placement_matches_ring(store)
@@ -229,11 +238,11 @@ class TestResume:
 
         failed = break_copies(monkeypatch, first_two)
         stats = store.add_member("m4", FileStore(tmp_path / "m4"))
-        assert stats["failed"] == len(failed) == 2
-        assert stats["chunks_moved"] > 0
+        assert len(stats["backlog"]) == len(failed) == 2
+        assert stats["repaired"]
 
         monkeypatch.undo()
-        finished = replication_fsck(store, repair=True)
+        finished = store.sweep(repair=True)
         assert {entry["key"] for entry in finished["repaired"]} == crashed
         assert finished["unrepairable"] == []
         assert_placement_matches_ring(store)
@@ -245,7 +254,7 @@ class TestResume:
         before = sorted(meta.rglob("*"))
         stats = store.add_member("m4", FileStore(tmp_path / "m4"))
         store.remove_member("m0")
-        assert stats["failed"] == 0
+        assert stats["backlog"] == []
         assert sorted(meta.rglob("*")) == before  # a membership change writes no log
         assert not (meta / "rebalance").exists()
 
@@ -259,7 +268,7 @@ class TestReplicationFsck:
             victim.chunks.drop(digest)
         assert lost
 
-        outcome = replication_fsck(store, repair=True)
+        outcome = store.sweep(repair=True)
         assert {entry["key"] for entry in outcome["repaired"]} >= set(lost)
         assert outcome["unrepairable"] == []
         assert_placement_matches_ring(store)
@@ -271,7 +280,7 @@ class TestReplicationFsck:
         for digest in lost:
             victim.chunks.drop(digest)
 
-        outcome = replication_fsck(store, repair=False)
+        outcome = store.sweep(repair=False)
         assert outcome["under_replicated"]
         assert outcome["repaired"] == []
         assert not victim.chunks.has(lost[0])
@@ -287,7 +296,7 @@ class TestReplicationFsck:
         data = store.members[owners[0]].chunks.get(digest)
         store.members[stray].chunks.put(digest, data)
 
-        outcome = replication_fsck(store, repair=True)
+        outcome = store.sweep(repair=True)
         assert {"kind": "chunk", "key": digest, "member": stray} in outcome[
             "strays_dropped"
         ]
@@ -304,7 +313,7 @@ class TestReplicationFsck:
             if store.members[name].exists(file_id):
                 replace_record(store.members[name], file_id, b"garbage")
 
-        audit = replication_fsck(store, repair=False)
+        audit = store.sweep(repair=False)
         assert {"kind": "chunk", "key": file_id} in audit["unrepairable"]
         assert audit["repaired"] == []  # audit-only: nothing written
 
@@ -318,5 +327,5 @@ class TestReplicationFsck:
         for member in store.members.values():
             member.chunks.drop(digest)
 
-        outcome = replication_fsck(store, repair=True)
+        outcome = store.sweep(repair=True)
         assert {"kind": "chunk", "key": digest} in outcome["unrepairable"]

@@ -1,19 +1,21 @@
-"""Self-healing: hinted handoff, anti-entropy, heal()/fsck integration."""
+"""Self-healing: hinted handoff, anti-entropy, heal()/fsck integration —
+every repair through the one per-key heal, driven by one loop."""
 
 import json
 import os
+import time
 
 import pytest
 
 from repro.cluster import (
-    AntiEntropyScanner,
     FailureDetector,
-    HintDeliverer,
     HintLog,
+    SelfHealer,
     ShardedDocumentStore,
     ShardedFileStore,
 )
 from repro.core import ArchitectureRef, BaselineSaveService, ModelManager, ModelSaveInfo
+from repro.core.schema import MODELS
 from repro.docstore import DocumentStore, NotFoundError
 from repro.faults import FaultInjector, FaultyDocumentStore
 from repro.filestore import FileStore
@@ -52,8 +54,8 @@ def make_selfheal_cluster(tmp_path, n=4, replicas=2, write_quorum=1):
 
 
 def recover_member(detector: FailureDetector, name: str) -> None:
-    """What ``_probe_down_members`` does after a successful ping: enough
-    consecutive successes to walk DOWN -> SUSPECT -> HEALTHY."""
+    """What ``SelfHealer.probe_once(now=True)`` does after a successful
+    ping: enough consecutive successes to walk DOWN -> SUSPECT -> HEALTHY."""
     for _ in range(detector.recovery_threshold):
         detector.record_success(name)
 
@@ -153,7 +155,7 @@ class TestHintedHandoff:
         assert owed
         faults["m1"].set_down(False)
         recover_member(detector, "m1")
-        deliverer = HintDeliverer(hints, detector, store.hint_appliers())
+        deliverer = SelfHealer([store])
         assert deliverer.drain() is True
         assert hints.total_pending() == 0
         member = store.members["m1"]
@@ -172,7 +174,7 @@ class TestHintedHandoff:
         self.save_one(store)
         for _ in range(detector.failure_threshold):
             detector.record_failure("m1")
-        deliverer = HintDeliverer(hints, detector, store.hint_appliers())
+        deliverer = SelfHealer([store])
         round_stats = deliverer.deliver_once()
         assert round_stats["skipped_down"] == 1
         assert round_stats["delivered"] == 0
@@ -189,7 +191,7 @@ class TestHintedHandoff:
         faults["m1"].set_down(False)
         recover_member(detector, "m1")
         assert store.remove_member("m1")["drained"] is True
-        deliverer = HintDeliverer(hints, detector, store.hint_appliers())
+        deliverer = SelfHealer([store])
         assert deliverer.drain() is True
         assert hints.total_pending() == 0
         assert deliverer.stats["stale"] > 0
@@ -206,13 +208,13 @@ class TestHintedHandoff:
         self.save_one(store)
         faults["m1"].set_down(False)
         recover_member(detector, "m1")
-        appliers = store.hint_appliers()
         victim = hints.pending("m1")[0]
-        assert appliers[victim["kind"]]("m1", victim) is True  # applied...
+        store.heal_key("chunk", victim["key"])
+        assert store.members["m1"].chunks.has(victim["key"])  # applied...
         pending_before = hints.total_pending()
         assert pending_before > 0  # ...but the crash left it unresolved
-        reopened = HintLog(tmp_path / "hints")  # the restarted process
-        deliverer = HintDeliverer(reopened, detector, appliers)
+        reopened = store.hints = HintLog(tmp_path / "hints")  # the restarted process
+        deliverer = SelfHealer([store])
         assert deliverer.drain() is True
         assert reopened.total_pending() == 0
         assert deliverer.stats["failures"] == 0
@@ -257,7 +259,7 @@ class TestDocHintsAndTombstones:
         assert hints.pending_counts().get(victim, 0) > 0
         faults[victim].set_down(False)
         recover_member(detector, victim)
-        deliverer = HintDeliverer(hints, detector, store.hint_appliers())
+        deliverer = SelfHealer([store])
         assert deliverer.drain() is True
         # delivery landed the tombstone, which outranks the stale copy:
         # it is never copied back over the quorum-acked delete
@@ -278,7 +280,7 @@ class TestDocHintsAndTombstones:
         assert hints.pending_counts().get(victim, 0) > 0
         faults[victim].set_down(False)
         recover_member(detector, victim)
-        deliverer = HintDeliverer(hints, detector, store.hint_appliers())
+        deliverer = SelfHealer([store])
         assert deliverer.drain() is True
         raw = members[victim].collection("models").get("model-1")
         assert raw["kind"] == "demo"
@@ -324,14 +326,14 @@ class TestAntiEntropy:
         faults["m1"].set_down(True)
         for _ in range(detector.failure_threshold):
             detector.record_failure("m1")
-        scanner = AntiEntropyScanner(store, detector=detector)
-        summary = scanner.full_sweep(repair=True)
+        scanner = SelfHealer([store], batch_size=10_000)  # the universe in one batch
+        summary = scanner.scan_once()
         assert summary["deferred"] > 0  # m1's keys wait, no writes at a corpse
         assert summary["backlog"] > 0
         assert scanner.backlog_size() == summary["backlog"]
         faults["m1"].set_down(False)
         recover_member(detector, "m1")
-        healed = scanner.full_sweep(repair=True)
+        healed = scanner.scan_once()
         assert healed["backlog"] == 0
         assert scanner.backlog_size() == 0
         recovered = service.recover_model(model_id, verify=True)
@@ -348,7 +350,7 @@ class TestAntiEntropy:
         )[0]
         victim = store.ring.owners(digest)[0]
         store.members[victim].chunks.drop(digest)
-        summary = AntiEntropyScanner(store, detector=detector).full_sweep(repair=True)
+        summary = SelfHealer([store], batch_size=10_000).scan_once()
         assert summary["repaired"] >= 1
         assert store.members[victim].chunks.has(digest)
 
@@ -475,6 +477,43 @@ class TestManagerSelfHeal:
         assert stores.documents.collection(ENVIRONMENTS).count() == 1
         assert states_equal(model, manager.recover(second, check_env=True).model)
 
+    def drop_a_model_replica(self, stores, manager):
+        """Save a model, then delete one owner's copy of its document by
+        hand: no write missed it, so no hint names it."""
+        model_id = manager.service.save_model(ModelSaveInfo(make_tiny_cnn(seed=1), tiny_arch()))
+        owner = stores.documents.ring.owners(f"{MODELS}/{model_id}")[0]
+        stores.documents.members[owner].collection(MODELS).delete_one(model_id)
+        assert stores.hints.total_pending() == 0
+        return model_id, owner
+
+    def test_heal_restores_a_document_replica_no_hint_names(self, tmp_path):
+        stores, manager = self.make_manager(tmp_path, {})
+        model_id, owner = self.drop_a_model_replica(stores, manager)
+
+        audit = manager.heal(repair=False)
+        assert audit["converged"] is False
+        assert audit["sweeps"]["docs"]["under_replicated"] == [{
+            "kind": MODELS, "key": model_id, "have": 1, "want": 2, "missing": [owner]}]
+        assert not stores.documents.members[owner].collection(MODELS).count({"_id": model_id})
+
+        report = manager.heal()
+        assert report["converged"] is True
+        assert report["sweeps"]["docs"]["repaired"] == [{"kind": MODELS, "key": model_id}]
+        assert stores.documents.members[owner].collection(MODELS).get(model_id)
+        assert manager.heal()["anti_entropy"]["repaired"] == 0
+
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_fsck_reports_what_its_own_reads_would_heal(self, tmp_path, repair):
+        """The replication step runs before any step reads the catalog, so
+        a missing document replica is reported, not quietly read-repaired."""
+        stores, manager = self.make_manager(tmp_path, {})
+        model_id, owner = self.drop_a_model_replica(stores, manager)
+        report = manager.fsck(repair=repair)
+        issues = [issue for issue in report.issues if issue.kind == "under_replicated"]
+        assert len(issues) == 1, report.summary()
+        assert model_id[:24] in issues[0].detail and owner in issues[0].detail
+        assert issues[0].repaired is repair
+
     def test_stats_surface_health_and_hints(self, tmp_path):
         injector = FaultInjector(seed=9)
         stores, manager = self.make_manager(tmp_path, {"shard-1": injector})
@@ -485,6 +524,51 @@ class TestManagerSelfHeal:
         assert stats["hints"]["total_pending"] > 0
         assert stats["hints"]["pending"].get("shard-1", 0) > 0
         json.dumps(stats)  # the whole report must stay JSON-serializable
+
+
+class TestSelfHealerLoop:
+    def test_the_started_loop_converges_a_degraded_cluster(self, tmp_path):
+        """No foreground call: the loop's own probes re-admit the member
+        after its breaker cooldown, its delivery drains the hints and its
+        scan leaves no key of either plane divergent."""
+        store, faults, detector, hints = make_selfheal_cluster(tmp_path)
+        docs = ShardedDocumentStore(
+            {f"m{index}": FaultyDocumentStore(DocumentStore(), faults[f"m{index}"])
+             for index in range(4)},
+            replicas=2, write_quorum=1, detector=detector, hint_log=hints)
+        service = BaselineSaveService(docs, store)
+        faults["m1"].set_down(True)
+        model = make_tiny_cnn(seed=1)
+        model_id = service.save_model(ModelSaveInfo(model, tiny_arch()))
+        assert detector.state("m1") == "down" and hints.pending_counts()["m1"] > 0
+        faults["m1"].set_down(False)
+
+        healer = SelfHealer([store, docs], interval_s=0.02, batch_size=16).start()
+        try:
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline:
+                if (hints.total_pending() == 0 and healer.stats["cycles"] >= 2
+                        and healer.backlog_size() == 0):
+                    break
+                time.sleep(0.02)
+        finally:
+            healer.close()
+        assert hints.total_pending() == 0 and healer.backlog_size() == 0
+        assert healer.stats["probes"] > 0 and healer.stats["delivered"] > 0
+        assert detector.state("m1") == "healthy"
+        audit = SelfHealer([store, docs]).converge(repair=False)
+        assert audit["converged"] is True, audit["anti_entropy"]
+        assert states_equal(model, service.recover_model(model_id, verify=True).model)
+
+    def test_a_tick_runs_each_round_once(self, tmp_path, monkeypatch):
+        store, *_ = make_selfheal_cluster(tmp_path)
+        healer = SelfHealer([store])
+        ran = []
+        for round_name in ("probe_once", "deliver_once", "scan_once"):
+            monkeypatch.setattr(healer, round_name, lambda name=round_name: ran.append(name))
+        healer.tick()
+        assert ran == ["probe_once", "deliver_once", "scan_once"]
+        assert healer.stats["ticks"] == 1
 
 
 class TestEnvironmentWiring:
@@ -506,18 +590,16 @@ class TestEnvironmentWiring:
         assert stores.detector is None
         assert stores.hints is None
 
-    def test_healers_wires_the_background_trio(self, tmp_path):
-        from repro.cluster import HealthMonitor
+    def test_healers_is_one_loop_over_both_planes(self, tmp_path):
         from repro.distsim.environment import SharedStores
 
         stores = SharedStores.cluster_at(tmp_path, shards=3, self_heal=True)
-        deliverer, scanner, monitor = stores.healers()
-        assert isinstance(deliverer, HintDeliverer)
-        assert isinstance(scanner, AntiEntropyScanner)
-        assert isinstance(monitor, HealthMonitor)
-        assert set(monitor.probes) == {"shard-0", "shard-1", "shard-2"}
-        # "chunk", "blob" from the file plane, "doc" from the documents
-        assert set(deliverer.appliers) == {"chunk", "blob", "doc"}
+        healer = stores.healers(interval_s=0.5, batch_size=8)
+        assert isinstance(healer, SelfHealer)
+        assert healer.stores == {"files": stores.files, "docs": stores.documents}
+        assert healer.detector is stores.detector and healer.hints is stores.hints
+        assert (healer.interval_s, healer.batch_size) == (0.5, 8)
+        assert set(healer.probe_once()) == {"shard-0", "shard-1", "shard-2"}
 
     def test_healers_require_self_heal_stores(self, tmp_path):
         from repro.distsim.environment import SharedStores

@@ -283,9 +283,8 @@ class TestTombstones:
         collection.delete_one(doc_id)
         miss_the_delete(store, "models", doc_id, owners[0], {"k": 1})
 
-        stats = store.rebalance_documents()
+        store.sweep(deep=True)  # the sweep a membership change runs
         assert holders(store, "models", doc_id) == set()
-        assert stats["tombstones_purged"] >= 1
         assert records(store, "models", doc_id) == set()
 
     def test_reinsert_under_a_deleted_id_supersedes_the_tombstone(self):
@@ -355,7 +354,7 @@ class TestMembershipChanges:
         ids = [collection.insert_one({"rank": index}) for index in range(20)]
 
         stats = store.add_member("d9", DocumentStore())
-        assert stats["documents_copied"] > 0
+        assert stats["repaired"] and not stats["backlog"]
         for doc_id in ids:
             assert holders(store, "models", doc_id) == set(
                 store.ring.owners(f"models/{doc_id}")

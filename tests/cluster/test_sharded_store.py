@@ -206,11 +206,11 @@ class TestQuorumWrites:
         service.save_model(ModelSaveInfo(make_tiny_cnn(seed=2), tiny_arch()))
 
         store.members["m0"].faults = None  # the member comes back
-        outcome = store.replication_fsck(repair=True)
+        outcome = store.sweep(repair=True)
         assert outcome["repaired"]
         assert not outcome["unrepairable"]
         # second pass: the cluster is whole again
-        clean = store.replication_fsck(repair=True)
+        clean = store.sweep(repair=True)
         assert not clean["under_replicated"]
         assert not store.degraded_keys
 

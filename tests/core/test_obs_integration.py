@@ -13,9 +13,11 @@ ARCH = ArchitectureRef.from_factory(
     "tests.conftest", "make_tiny_cnn", {"num_classes": 10}
 )
 
+# replication runs before any step reads a document (its reads would heal
+# a missing replica unreported)
 FSCK_STEPS = (
-    "segments", "documents", "chunks",
-    "refcounts", "replication", "hints", "orphan_documents",
+    "segments", "replication", "hints", "documents", "chunks",
+    "refcounts", "orphan_documents",
 )
 
 

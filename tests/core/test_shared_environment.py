@@ -30,7 +30,6 @@ from repro.faults import CrashPoint, FaultInjector, FaultyDocumentStore
 from repro.filestore import FileStore
 from tests.conftest import make_tiny_cnn
 from tests.core.test_provenance import save_chain
-from tests.filestore.retired_formats import RetiredFormatStore
 
 
 def build_probe_model(num_classes=10):
@@ -195,16 +194,11 @@ class TestConcurrentSaveAndDelete:
     def test_no_model_is_left_naming_a_missing_environment(self, doc_store, tmp_path):
         """Savers and deleters race over one store; the deleters keep
         removing the environment's last referent.  After every round each
-        surviving model's environment document must exist.
-
-        Monolithic parameter files (the retired ``.params`` writer) keep the
-        test on the catalog: the tiny models share chunks, and a save that
-        dedups against a chunk whose last reference a concurrent delete
-        releases is the chunk store's own, separate race.
+        surviving model's environment document must exist.  The tiny models
+        share chunks, so a save also dedups against chunks whose last
+        reference a concurrent delete releases: it puts them again.
         """
-        service = BaselineSaveService(
-            doc_store, RetiredFormatStore(tmp_path / "files", manifest="params")
-        )
+        service = BaselineSaveService(doc_store, FileStore(tmp_path / "files"))
         manager = ModelManager(service)
         models = doc_store.collection(MODELS)
         environments = doc_store.collection(ENVIRONMENTS)

@@ -144,6 +144,32 @@ class TestServerRobustness:
                 doc_id = client["m"].insert_one({"survived": True})
                 assert client["m"].get(doc_id)["survived"] is True
 
+    def test_an_overlong_request_line_is_refused_and_closed(self, monkeypatch):
+        """The request line is bounded by the gateway's wire bound: past it,
+        one ``protocol`` error, then the connection is closed."""
+        import json
+        import socket
+
+        from repro.gateway import protocol
+
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 256)
+        store = DocumentStore()
+        with DocumentStoreServer(store, port=0) as server:
+            raw = socket.create_connection((server.host, server.port), timeout=5)
+            with raw, raw.makefile("rb") as replies:
+                raw.sendall(
+                    b'{"id": 1, "collection": "m", "op": "insert_one", "args": '
+                    b'{"document": {"pad": "' + b"x" * 1024 + b'"}}}\n')
+                answer = json.loads(replies.readline())
+                assert (answer["ok"], answer["kind"]) == (False, "protocol")
+                assert "256" in answer["error"]
+                assert replies.readline() == b""  # the server closed the socket
+            assert store.collection("m").count() == 0
+            # a request under the bound is still served
+            with DocumentStoreClient(server.host, server.port) as client:
+                doc_id = client["m"].insert_one({"pad": "x" * 64})
+                assert client["m"].get(doc_id)["pad"] == "x" * 64
+
     def test_connect_to_dead_port_is_typed_and_retryable(self):
         import socket
 

@@ -32,7 +32,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import HintDeliverer, HintLog, ShardedFileStore
+from repro.cluster import HintLog, SelfHealer, ShardedFileStore
 from repro.core import (
     ModelManager,
     ModelSaveInfo,
@@ -650,7 +650,7 @@ class TestOlderArtefacts:
         members[owner].chunks.forget_refs([file_id])
         hints.record(owner, "blob", file_id)  # what an older release recorded
 
-        deliverer = HintDeliverer(hints, None, store.hint_appliers())
+        deliverer = SelfHealer([store])
         assert deliverer.drain() is True
         assert deliverer.stats["delivered"] == 1
         assert members[owner].recover_bytes(file_id) == b"architecture source"

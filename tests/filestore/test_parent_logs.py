@@ -22,7 +22,7 @@ import json
 
 import pytest
 
-from repro.cluster import HintDeliverer, HintLog, ShardedFileStore, antientropy
+from repro.cluster import HintLog, SelfHealer, ShardedFileStore, antientropy
 from repro.core import ModelManager, ParameterUpdateSaveService
 from repro.core.compaction import ChainCompactor
 from repro.core.hashing import state_dict_hashes
@@ -254,7 +254,7 @@ class TestACluster:
         monkeypatch.setattr(antientropy, "place", flaky_place)
         moved = store.add_member("m3", FileStore(tmp_path / "m3"))
         monkeypatch.undo()
-        assert moved["failed"] == 1 and moved["chunks_moved"] > 0
+        assert len(moved["backlog"]) == 1 and moved["repaired"]
         copied = store.members["m3"].chunks.chunk_ids()
         del store, service
 
@@ -262,10 +262,10 @@ class TestACluster:
             "catalog", "refcounts.json", "hints", "rebalance"}
         store, service, faults, hints = open_cluster(["m0", "m1", "m2", "m3"])
         assert hints.total_pending() > 0
-        finished = store.replication_fsck(repair=True)
+        finished = store.sweep(repair=True)
         assert {entry["key"] for entry in finished["repaired"]} >= set(failed)
         assert finished["unrepairable"] == []
-        assert HintDeliverer(hints, None, store.hint_appliers()).drain() is True
+        assert SelfHealer([store]).drain() is True
         for model_id, state in expected.items():
             assert_recovers(service, model_id, state)
         manager = ModelManager(service)

@@ -1,7 +1,10 @@
 """File store: save/recover, integrity, management."""
 
+import numpy as np
 import pytest
 
+from repro.cluster import ShardedFileStore
+from repro.core.hashing import tensor_hash
 from repro.filestore import FileNotFoundInStoreError, FileStore
 
 
@@ -89,3 +92,61 @@ class TestManagement:
         file_store.clear()
         assert file_store.total_bytes() == 0
         assert file_store.file_ids() == []
+
+
+def _state(seed: int = 0) -> dict:
+    rng = np.random.default_rng(seed)
+    return {"w": rng.standard_normal(64).astype(np.float32),
+            "b": rng.standard_normal(8).astype(np.float32)}
+
+
+def _save(store, state) -> str:
+    return store.save_state_chunks(state, {name: tensor_hash(a) for name, a in state.items()})
+
+
+def _bitwise(store, file_id, state) -> bool:
+    recovered = store.recover_state_chunks(file_id)
+    return all(np.array_equal(recovered[name], array) for name, array in state.items())
+
+
+@pytest.fixture(params=["single", "cluster"])
+def any_store(request, tmp_path):
+    if request.param == "single":
+        return FileStore(tmp_path / "files")
+    members = {f"m{index}": FileStore(tmp_path / f"m{index}") for index in range(3)}
+    return ShardedFileStore(tmp_path / "meta", members, replicas=2)
+
+
+class TestASaveBesideAFree:
+    """A delete or gc that frees a record between a save's put and its
+    refs must not leave the save's manifest naming a missing record."""
+
+    def free_once_at_the_barrier(self, store, monkeypatch, free):
+        flush, freed = store.chunks.flush, []
+
+        def freeing_flush():
+            if not freed:
+                freed.append(None)  # before ``free``, which may flush itself
+                freed[0] = free()
+            return flush()
+
+        monkeypatch.setattr(store.chunks, "flush", freeing_flush)
+        return freed
+
+    def test_a_delete_of_the_only_other_manifest(self, any_store, monkeypatch):
+        state = _state()
+        first = _save(any_store, state)
+        freed = self.free_once_at_the_barrier(
+            any_store, monkeypatch, lambda: any_store.delete_many([first]))
+        second = _save(any_store, state)  # dedups against first's chunks
+        assert freed == [[first]]
+        assert _bitwise(any_store, second, state)
+        assert all(any_store.chunks.refcount(tensor_hash(a)) == 1 for a in state.values())
+
+    def test_a_gc_in_the_same_window(self, any_store, monkeypatch):
+        state = _state(1)
+        freed = self.free_once_at_the_barrier(any_store, monkeypatch, any_store.gc_chunks)
+        file_id = _save(any_store, state)
+        assert freed[0]["chunks_removed"] >= 3  # its chunks and its manifest
+        assert _bitwise(any_store, file_id, state)
+        assert any_store.chunks.refcount(file_id) == 1
