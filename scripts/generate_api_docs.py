@@ -34,6 +34,7 @@ MODULES = [
     "repro.deadline",
     "repro.obs",
     "repro.gateway",
+    "repro.wire",
     "repro.core",
     "repro.distsim",
     "repro.workloads",

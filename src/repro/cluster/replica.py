@@ -26,6 +26,7 @@ makes live here once:
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from typing import NamedTuple
 
@@ -34,7 +35,7 @@ from .. import obs
 from ..errors import QuorumWriteError, StoreCorruptionError
 from .ring import HashRing
 
-__all__ = ["ReplicaLedger", "HealSource", "source", "place"]
+__all__ = ["ReplicaLedger", "HealSource", "audit_reads", "reads_repair", "source", "place"]
 
 #: Exceptions that mean "this replica did not deliver" on a read or write
 #: attempt: typed store errors are OSError subclasses, missing records and
@@ -59,6 +60,25 @@ _STATS = ("failover_reads", "read_repairs", "degraded_writes", "repair_failures"
 
 #: Outcomes of :meth:`ReplicaLedger.heal_key` that leave nothing to do.
 SETTLED = ("ok", "repaired")
+
+_audit = threading.local()
+
+
+@contextlib.contextmanager
+def audit_reads():
+    """Reads on this thread inside the block heal no replica they find
+    short: what an audit (``fsck(repair=False)``) reads, it only reports."""
+    outer = getattr(_audit, "active", False)
+    _audit.active = True
+    try:
+        yield
+    finally:
+        _audit.active = outer
+
+
+def reads_repair() -> bool:
+    """Whether a read on this thread may read-repair (see :func:`audit_reads`)."""
+    return not getattr(_audit, "active", False)
 
 
 def classify_failure(exc: Exception) -> str:

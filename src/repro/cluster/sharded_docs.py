@@ -36,7 +36,14 @@ from ..docstore.engine import DuplicateKeyError, NotFoundError, _sort_key, merge
 from ..docstore.query import matches, resolve_path
 from ..errors import TransientStoreError
 from .hints import KIND_DOC
-from .replica import REPLICA_FAILURES, ReplicaLedger, drop_strays, finish, new_result
+from .replica import (
+    REPLICA_FAILURES,
+    ReplicaLedger,
+    drop_strays,
+    finish,
+    new_result,
+    reads_repair,
+)
 from .ring import DEFAULT_VNODES
 
 __all__ = ["ShardedDocumentStore"]
@@ -220,9 +227,10 @@ class _ShardedCollection:
         through the versioned read, counted as a read.  With no record
         found and owners unreachable, absence is unproven: the retryable
         :class:`TransientStoreError` is raised, so that ``fsck`` cannot
-        collect on a degraded read."""
+        collect on a degraded read.  Inside
+        :func:`~repro.cluster.replica.audit_reads` it repairs nothing."""
         store = self._store
-        result = self._read(doc_id)
+        result = self._read(doc_id, repair=reads_repair())
         record = result["record"]
         if record is None:
             if result["unreachable"]:

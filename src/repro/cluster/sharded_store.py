@@ -54,7 +54,7 @@ from ..filestore.store import (
     is_file_id,
 )
 from . import antientropy
-from .replica import REPLICA_FAILURES, ReplicaLedger, classify_failure
+from .replica import REPLICA_FAILURES, ReplicaLedger, classify_failure, reads_repair
 from .ring import DEFAULT_VNODES
 
 __all__ = ["ShardedFileStore"]
@@ -488,7 +488,7 @@ class ShardedFileStore(ReplicaLedger, FileStore):
                 sp.set(member=name, failovers=failovers)
                 if failovers:
                     self._bump("failover_reads")
-                if missing or corrupt:
+                if (missing or corrupt) and reads_repair():
                     self._read_repair(digest, down)
                 return data
             if last_error is not None:

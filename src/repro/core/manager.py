@@ -16,6 +16,7 @@ is exactly such an unreferenced record or document.
 
 from __future__ import annotations
 
+import contextlib
 import shutil
 from collections import Counter
 from dataclasses import dataclass, field
@@ -621,9 +622,17 @@ class ModelManager:
            environment whose last model was deleted, is removed.
 
         With ``repair=False`` everything is reported but nothing is
-        touched.  Losses fsck cannot undo (a missing or corrupt chunk of
-        a live model) are reported as unrepaired issues.
+        touched: on a sharded deployment its reads run under
+        :func:`~repro.cluster.replica.audit_reads`, so no step's read
+        heals a replica either.  Losses fsck cannot undo (a missing or
+        corrupt chunk of a live model) are reported as unrepaired issues.
         """
+        from ..cluster.replica import audit_reads
+
+        with contextlib.nullcontext() if repair else audit_reads():
+            return self._fsck(repair, verify_chunks)
+
+    def _fsck(self, repair: bool, verify_chunks: bool) -> FsckReport:
         report = FsckReport()
         files = self.files
         steps = _FsckSteps(report)

@@ -22,17 +22,19 @@ silent divergence.
 
 from __future__ import annotations
 
-import json
+import itertools
 import socket
 import threading
 
 from .. import deadline as deadline_mod, obs
 from ..errors import MMLibError, TransientStoreError
+from ..wire import WireError, encode_line, error_payload, read_frame_blocking
 from .documents import DocumentError
 from .engine import DuplicateKeyError, NotFoundError
 
 __all__ = [
     "DocumentStoreClient",
+    "InvalidRequestError",
     "RemoteCollection",
     "RemoteStoreError",
     "TransientRemoteError",
@@ -44,34 +46,32 @@ class RemoteStoreError(MMLibError, RuntimeError):
 
 
 class TransientRemoteError(TransientStoreError, RemoteStoreError):
-    """A retryable connection-level failure (timeout, reset, outage)."""
+    """A retryable failure: a dead link (timeout, reset, outage) or a retryable kind."""
 
 
-_ERROR_KINDS = {
+class InvalidRequestError(RemoteStoreError, DocumentError):
+    """Refused as ``invalid``: a bad document, query, collection name, argument or op."""
+
+
+#: Wire error kind -> the engine's exception, for the non-retryable kinds.
+_RAISED_AS = {
     "duplicate": DuplicateKeyError,
     "not_found": NotFoundError,
-    "invalid": DocumentError,
-    "protocol": RemoteStoreError,
+    "invalid": InvalidRequestError,
 }
 
 
-class _Connection:
-    """One TCP connection with its buffered reader and request-id counter."""
+def _raise(error: dict):
+    message = error.get("message", "unknown remote error")
+    if error.get("retryable"):
+        raise TransientRemoteError(message)
+    raise _RAISED_AS.get(error.get("kind"), RemoteStoreError)(message)
 
-    __slots__ = ("sock", "reader", "next_id")
 
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.reader = sock.makefile("rb")
-        self.next_id = 0
-
-    def close(self) -> None:
+def _close(link) -> None:
+    for part in reversed(link):  # the reader, then its socket
         try:
-            self.reader.close()
-        except OSError:
-            pass
-        try:
-            self.sock.close()
+            part.close()
         except OSError:
             pass
 
@@ -82,20 +82,16 @@ class DocumentStoreClient:
     ``timeout`` bounds reads on an established connection;
     ``connect_timeout`` (default: ``timeout``) bounds connection
     establishment.  Both are further capped by the ambient
-    :mod:`repro.deadline` when one is in scope, so an op-level budget
-    bounds even the first socket wait against a just-died server.
-    ``retry`` retries transient failures, ``faults`` injects simulated
-    outages (chaos testing).
+    :mod:`repro.deadline` when one is in scope, and each request carries
+    what is left of it as ``deadline_s``, so an op-level budget bounds
+    even the first socket wait against a just-died server and the
+    server's work too.  ``retry`` retries transient failures, ``faults``
+    injects simulated outages (chaos testing).
 
-    Requests no longer serialize behind one client-wide lock: up to
-    ``max_connections`` TCP connections are pooled, each used by one
-    thread at a time, so concurrent callers proceed in parallel.
-    :meth:`request_many` pipelines a batch of operations over a single
-    connection — up to ``pipeline_depth`` requests are written before the
-    first response is read, collapsing N round-trips into
-    ``ceil(N / pipeline_depth)``.  Every response's ``id`` is checked
-    against the request it answers; a mismatch poisons (closes) that
-    connection and surfaces as :class:`RemoteStoreError`.
+    Each request is one frame of :mod:`repro.wire` over a pooled
+    connection one thread uses at a time.  An answer whose ``id`` is not
+    the request's poisons (closes) the connection and raises
+    :class:`RemoteStoreError`.
     """
 
     def __init__(
@@ -106,30 +102,19 @@ class DocumentStoreClient:
         connect_timeout: float | None = None,
         retry=None,
         faults=None,
-        max_connections: int = 4,
-        pipeline_depth: int = 32,
     ):
-        if max_connections < 1:
-            raise ValueError("max_connections must be >= 1")
-        if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
         self._host = host
         self._port = port
         self._timeout = timeout
         self._connect_timeout = timeout if connect_timeout is None else connect_timeout
         self._retry = retry
         self._faults = faults
-        self.pipeline_depth = int(pipeline_depth)
         self._pool_lock = threading.Lock()
-        self._idle: list[_Connection] = []
-        self._slots = threading.BoundedSemaphore(int(max_connections))
-        registry = obs.registry()
+        self._idle: list[tuple] = []  # (socket, its reader), not in use
+        self._ids = itertools.count(1)
         self._obs_tracer = obs.tracer()
-        self._obs_requests = registry.counter(
+        self._obs_requests = obs.registry().counter(
             "mmlib_docstore_requests_total", "Document-store requests sent")
-        self._obs_windows = registry.counter(
-            "mmlib_docstore_pipeline_windows_total",
-            "Pipelined request windows (round trips) paid")
         # eager first connection: constructing a client against a dead
         # endpoint must fail fast with a typed, retryable error
         self._idle.append(self._open())
@@ -147,26 +132,25 @@ class DocumentStoreClient:
             return timeout
         return max(min(timeout, budget), 0.001)
 
-    def _open(self) -> _Connection:
+    def _open(self) -> tuple:
         deadline_mod.check("docs.connect")
         try:
             sock = socket.create_connection(
                 (self._host, self._port),
                 timeout=self._capped(self._connect_timeout),
             )
-            sock.settimeout(self._timeout)
-            return _Connection(sock)
         except OSError as exc:
             raise TransientRemoteError(
                 f"cannot connect to document store at "
                 f"{self._host}:{self._port}: {exc}"
             ) from exc
+        return sock, sock.makefile("rb")
 
     def close(self) -> None:
         with self._pool_lock:
             idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        for link in idle:
+            _close(link)
 
     def __enter__(self) -> "DocumentStoreClient":
         return self
@@ -186,137 +170,76 @@ class DocumentStoreClient:
         """Issue one request and return its result (or raise).
 
         Transient failures (injected outages, timeouts, resets, server
-        gone) raise :class:`TransientRemoteError`; with a retry policy the
-        request is retried over a fresh connection.
+        gone, retryable error kinds) raise :class:`TransientRemoteError`;
+        with a retry policy the request is retried over a fresh
+        connection.
         """
-
-        def attempt():
-            responses = self._exchange(collection, [(op, args)], op_label=op)
-            return self._unwrap(responses[0])
-
         if self._retry is not None:
-            return self._retry.call(attempt, op=f"docs.{op}")
-        return attempt()
+            return self._retry.call(
+                lambda: self._exchange(collection, op, args), op=f"docs.{op}")
+        return self._exchange(collection, op, args)
 
-    def request_many(self, collection: str, requests: list[tuple[str, dict]]):
-        """Pipeline a batch of ``(op, args)`` requests over one connection.
+    def _exchange(self, collection: str, op: str, args: dict):
+        """One request frame out over a pooled connection, its answer back.
 
-        All requests in a window of ``pipeline_depth`` are written before
-        the first response is read — one link round-trip per window rather
-        than per request.  Results come back in request order; the first
-        error response raises its mapped exception (the stream itself
-        stays in sync, so the connection survives).  With a retry policy
-        the whole batch retries as a unit on transient failure, so callers
-        should batch idempotent reads, not writes.
+        The connection returns to the pool only when the answer was read
+        cleanly and names this request — after a transport or framing
+        error its stream state is no longer trustworthy, so it is closed.
         """
-        ops = [(op, dict(args)) for op, args in requests]
-        if not ops:
-            return []
-
-        def attempt():
-            responses = self._exchange(collection, ops, op_label=ops[0][0])
-            return [self._unwrap(response) for response in responses]
-
-        if self._retry is not None:
-            return self._retry.call(attempt, op=f"docs.{ops[0][0]}[{len(ops)}]")
-        return attempt()
-
-    def _exchange(
-        self, collection: str, ops: list[tuple[str, dict]], op_label: str
-    ) -> list[dict]:
-        """Run ops over one pooled connection; returns raw responses.
-
-        The connection returns to the pool only when every response was
-        read cleanly — on transport or framing errors it is closed instead,
-        since its stream state is no longer trustworthy.
-        """
-        deadline_mod.check(f"docs.{op_label}")
+        deadline_mod.check(f"docs.{op}")
         if self._faults is not None:
-            self._faults.fail_point(f"docs.{op_label}")
-        self._slots.acquire()
-        conn = None
+            self._faults.fail_point(f"docs.{op}")
+        request_id = next(self._ids)
+        header = {"id": request_id, "op": op, "collection": collection, "args": args}
+        if deadline_mod.current() is not None:
+            header["deadline_s"] = max(deadline_mod.remaining(), 0.001)
+        try:
+            line = encode_line(header)
+        except WireError as exc:
+            _raise(error_payload(exc))
+        with self._pool_lock:
+            link = self._idle.pop() if self._idle else None
+        if link is None:
+            link = self._open()
+        sock, reader = link
         healthy = False
         try:
-            with self._pool_lock:
-                if self._idle:
-                    conn = self._idle.pop()
-            if conn is None:
-                conn = self._open()
             # cap this exchange's socket waits by the op deadline; the pool
             # re-caps on every checkout, so no restore is needed on return
-            conn.sock.settimeout(self._capped(self._timeout))
-            responses: list[dict] = []
-            windows = -(-len(ops) // self.pipeline_depth)
-            with self._obs_tracer.span(
-                "docs.request_many" if len(ops) > 1 else "docs.request",
-                op=op_label, n=len(ops), windows=windows,
-            ):
-                for start in range(0, len(ops), self.pipeline_depth):
-                    window = ops[start : start + self.pipeline_depth]
-                    responses.extend(self._roundtrip(conn, collection, window))
-            self._obs_requests.inc(len(ops))
-            self._obs_windows.inc(windows)
-            healthy = True
-            return responses
+            sock.settimeout(self._capped(self._timeout))
+            with self._obs_tracer.span("docs.request", op=op):
+                try:
+                    sock.sendall(line)
+                    frame = read_frame_blocking(reader)
+                except (OSError, EOFError) as exc:  # timeout, reset, broken pipe
+                    raise TransientRemoteError(
+                        f"document-store connection failed during {op!r}: {exc}"
+                    ) from exc
+                except WireError as exc:
+                    raise RemoteStoreError(
+                        f"malformed response from document-store server: {exc}"
+                    ) from exc
+            if frame is None:
+                raise TransientRemoteError("connection closed by document-store server")
+            answered = frame.header.get("id")
+            # None: the server could not read the request's id, and may be
+            # about to close the connection
+            if answered is not None and answered != request_id:
+                raise RemoteStoreError(
+                    f"response id {answered} does not match request id "
+                    f"{request_id}: stream out of sync"
+                )
+            self._obs_requests.inc()
+            healthy = answered == request_id
         finally:
-            if conn is not None:
-                if healthy:
-                    with self._pool_lock:
-                        self._idle.append(conn)
-                else:
-                    conn.close()
-            self._slots.release()
-
-    def _roundtrip(
-        self, conn: _Connection, collection: str, window: list[tuple[str, dict]]
-    ) -> list[dict]:
-        """Write one window of requests, then read and id-match responses."""
-        ids = []
-        lines = []
-        for op, args in window:
-            conn.next_id += 1
-            ids.append(conn.next_id)
-            lines.append(
-                json.dumps(
-                    {"id": conn.next_id, "collection": collection, "op": op, "args": args}
-                )
-            )
-        try:
-            conn.sock.sendall(("\n".join(lines) + "\n").encode())
-            raws = [conn.reader.readline() for _ in ids]
-        except OSError as exc:  # timeout, reset, broken pipe
-            raise TransientRemoteError(
-                f"document-store connection failed during {window[0][0]!r}: {exc}"
-            ) from exc
-        responses = []
-        for expected_id, raw in zip(ids, raws):
-            if not raw:
-                raise TransientRemoteError(
-                    "connection closed by document-store server"
-                )
-            try:
-                response = json.loads(raw.decode())
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise RemoteStoreError(
-                    f"malformed response from document-store server: {exc}"
-                ) from exc
-            received_id = response.get("id")
-            # id None means the server could not even parse the request
-            # line; responses arrive in order, so FIFO-attribute it
-            if received_id is not None and received_id != expected_id:
-                raise RemoteStoreError(
-                    f"response id {received_id} does not match request id "
-                    f"{expected_id}: pipelined stream out of sync"
-                )
-            responses.append(response)
-        return responses
-
-    @staticmethod
-    def _unwrap(response: dict):
-        if response.get("ok"):
-            return response.get("result")
-        error_type = _ERROR_KINDS.get(response.get("kind"), RemoteStoreError)
-        raise error_type(response.get("error", "unknown remote error"))
+            if healthy:
+                with self._pool_lock:
+                    self._idle.append(link)
+            else:
+                _close(link)
+        if not frame.header.get("ok"):
+            _raise(frame.header.get("error") or {})
+        return frame.header.get("result")
 
 
 def _wire(projection):
@@ -374,28 +297,6 @@ class RemoteCollection:
         return self._call(
             "find", query=query, sort=sort, limit=limit, skip=skip,
             projection=_wire(projection))
-
-    def find_pages(
-        self,
-        query: dict | None = None,
-        sort: list | None = None,
-        page_size: int = 256,
-    ):
-        """Iterate matching documents page by page (bounded responses).
-
-        Each page is one ``find`` with ``skip``/``limit``, so arbitrarily
-        large result sets never arrive as a single unbounded response
-        line.
-        """
-        if page_size < 1:
-            raise ValueError("page_size must be >= 1")
-        skip = 0
-        while True:
-            page = self.find(query=query, sort=sort, limit=page_size, skip=skip)
-            yield from page
-            if len(page) < page_size:
-                return
-            skip += page_size
 
     def count(self, query: dict | None = None) -> int:
         return self._call("count", query=query)

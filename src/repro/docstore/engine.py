@@ -482,11 +482,20 @@ class DocumentStore:
                 self._collections[name] = Collection(name, persist_path=path)
 
     def collection(self, name: str) -> Collection:
-        """Get (or lazily create) a collection."""
+        """Get (or lazily create) a collection.
+
+        A new collection's name is one plain file-name component, since a
+        persisted store keeps it as ``<root>/<name>.jsonl``: a name that is
+        not a non-empty ``str``, holds ``/``, ``\\`` or NUL, or starts
+        with ``.`` raises :class:`DocumentError`.
+        """
         with self._lock:
             existing = self._collections.get(name)
             if existing is not None:
                 return existing
+            if (not isinstance(name, str) or not name or name.startswith(".")
+                    or any(char in name for char in "/\\\0")):
+                raise DocumentError(f"invalid collection name {name!r}")
             persist_path = None
             if self._root is not None:
                 persist_path = self._root / f"{name}.jsonl"

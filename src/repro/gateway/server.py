@@ -1,59 +1,35 @@
 """The asyncio serving gateway: the deployment's multi-tenant front door.
 
-One :class:`GatewayServer` runs an asyncio event loop (in a background
-thread, so tests and the CLI can drive it from synchronous code) and
-accepts TCP connections speaking the frames of
-:mod:`repro.gateway.protocol` (a JSON header line, then the raw bytes it
-declares).  The split of work is strict:
+:class:`GatewayServer` is the one wire's server core
+(:class:`repro.wire.FrameServer`) plus what is the gateway's own.  The
+split of work is strict:
 
-* **Event loop**: reading frames, admission control, response writing.
-  Nothing here blocks — a rejected request never touches the thread pool,
-  which is what keeps the gateway responsive while shedding under
-  overload.
+* **Event loop**: reading frames, tenancy and admission control, response
+  writing.  Nothing here blocks — a rejected request never touches the
+  thread pool, which is what keeps the gateway responsive while shedding
+  under overload.
 * **Worker pool**: everything that talks to storage, and encoding the
-  response frame.  The synchronous stack (save transactions, quorum
-  writes, chain recovery, retries) runs unchanged on pool threads; each
-  save notes its undo steps on its own thread and commits by its model
-  document's insert, so concurrent saves from different workers never
-  share a transaction.
-
-Requests pipeline per connection — each incoming frame becomes its own
-task, responses are written under a lock in completion order, and the
-client matches them back by ``id``.
-
-Deadlines: a client sends its remaining budget as ``deadline_s``.  The
-gateway stamps admission time; when a worker thread finally picks the
-request up it subtracts the queue wait and enters
-:func:`repro.deadline.scope` with what is left, so storage-layer retry
-loops and quorum paths see the *client's* budget.  A request whose
-budget died in the queue fails immediately with the typed ``deadline``
-error — never a hung socket.
+  response frame, under the client's ``deadline_s`` less the time since
+  admission (so a budget spent waiting for an execution slot fails typed
+  ``deadline``).  Each save notes its undo steps on its own thread and
+  commits by its model document's insert, so concurrent saves from
+  different workers never share a transaction.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
+import functools
 import re
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .. import deadline, obs
-from ..errors import DeadlineExceededError, LayersNeededError
+from ..errors import LayersNeededError
+from ..wire import FrameServer
 from .admission import AdmissionController
-from .protocol import (
-    MAX_LINE_BYTES,
-    Frame,
-    FrameError,
-    GatewayError,
-    encode_frame,
-    error_from_exception,
-    error_payload,
-    read_frame,
-)
+from .protocol import Frame, GatewayError, encode_frame, error_from_exception
 from .tenancy import TenantRegistry
 
 __all__ = ["GatewayServer"]
@@ -94,7 +70,7 @@ class Reply(NamedTuple):
     payload: Sequence[bytes | memoryview] = ()
 
 
-class GatewayServer:
+class GatewayServer(FrameServer):
     """Serve save/recover/find/stats for every tenant in ``registry``.
 
     ``port=0`` binds an ephemeral port (read :attr:`port` after
@@ -112,14 +88,10 @@ class GatewayServer:
         maintenance=None,
         idle_poll_s: float = 0.05,
     ):
+        super().__init__(host, port, workers, name="gateway")
         self.registry = registry
-        self.host = host
-        self.port = port
         self.admission = AdmissionController(
             {t.name: t.quota for t in registry.tenants()}
-        )
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="gateway-worker"
         )
         # per-tenant execution slots: admission bounds how much a tenant may
         # *queue*; these bound how much it may *run*, so a saturated tenant
@@ -131,109 +103,18 @@ class GatewayServer:
         }
         self._maintenance = maintenance
         self._idle_poll_s = idle_poll_s
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
         self._draining = False
-        metrics = obs.registry()
-        self._metrics = metrics
-        self._obs_connections = metrics.counter(
-            "mmlib_gateway_connections_total", "Accepted gateway connections"
-        )
-        self._obs_wire_bytes = {
-            direction: metrics.counter(
-                "mmlib_gateway_wire_bytes_total",
-                "Bytes of gateway frames (header line + payload)",
-                direction=direction,
-            )
-            for direction in ("in", "out")
-        }
+        self._metrics = obs.registry()
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> "GatewayServer":
-        if self._thread is not None:
-            raise RuntimeError("gateway already started")
-        self._thread = threading.Thread(
-            target=self._run, name="gateway-loop", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=10):
-            raise RuntimeError("gateway event loop failed to start")
-        if self._startup_error is not None:
-            self._thread.join()
-            self._thread = None
-            raise self._startup_error
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        try:
-            try:
-                server = loop.run_until_complete(
-                    asyncio.start_server(
-                        self._serve_connection,
-                        self.host,
-                        self.port,
-                        limit=MAX_LINE_BYTES,
-                    )
-                )
-            except BaseException as exc:
-                self._startup_error = exc
-                self._started.set()
-                return
-            self._server = server
-            self.port = server.sockets[0].getsockname()[1]
-            idle_task = None
-            if self._maintenance is not None:
-                idle_task = loop.create_task(self._idle_loop())
-            self._started.set()
-            loop.run_forever()
-            loop.run_until_complete(self._shutdown(idle_task))
-        finally:
-            asyncio.set_event_loop(None)
-            loop.close()
-
-    async def _shutdown(self, idle_task) -> None:
-        if idle_task is not None:
-            idle_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await idle_task
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        pending = [
-            task
-            for task in asyncio.all_tasks(self._loop)
-            if task is not asyncio.current_task()
-        ]
-        for task in pending:
-            task.cancel()
-        await asyncio.gather(*pending, return_exceptions=True)
+    def _serving(self) -> None:
+        if self._maintenance is not None:  # held: the loop keeps tasks weakly
+            self._idle_task = self._loop.create_task(self._idle_loop())
 
     def stop(self) -> None:
-        if self._thread is None:
-            return
         self._draining = True
-        assert self._loop is not None
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=30)
-        self._thread = None
-        self._executor.shutdown(wait=True)
-
-    def __enter__(self) -> "GatewayServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
+        super().stop()
 
     def serve_forever(self, duration_s: float | None = None) -> None:
         """Blocking serve (for ``mmlib serve``); Ctrl-C or timeout stops."""
@@ -251,66 +132,9 @@ class GatewayServer:
         finally:
             self.stop()
 
-    # -- connection handling (event loop) ----------------------------------
+    # -- request admission (event loop) ------------------------------------
 
-    async def _serve_connection(self, reader, writer) -> None:
-        self._obs_connections.inc()
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-
-        def spawn(coro) -> None:
-            task = asyncio.create_task(coro)
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-
-        def refuse(request_id, exc: GatewayError) -> None:
-            spawn(self._send(writer, write_lock, _error_frame(request_id, exc)))
-
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except FrameError as exc:
-                    # where the next frame starts is unknowable: say why,
-                    # then give the socket up
-                    refuse(exc.request_id, exc)
-                    break
-                except GatewayError as exc:  # junk line, stream still in step
-                    refuse(None, exc)
-                    continue
-                except (ValueError, ConnectionError, asyncio.IncompleteReadError):
-                    # oversized header, torn connection or torn payload —
-                    # nothing sane to answer on this socket anymore
-                    break
-                if frame is None:
-                    break
-                self._obs_wire_bytes["in"].inc(frame.wire_bytes)
-                spawn(self._handle_frame(frame, writer, write_lock))
-        finally:
-            # the client closed its write side; finish answering what was
-            # already submitted before tearing the socket down
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            with contextlib.suppress(ConnectionError):
-                writer.close()
-                await writer.wait_closed()
-
-    async def _send(self, writer, write_lock, buffers: list) -> None:
-        self._obs_wire_bytes["out"].inc(sum(len(buffer) for buffer in buffers))
-        async with write_lock:
-            writer.writelines(buffers)
-            with contextlib.suppress(ConnectionError):
-                await writer.drain()
-
-    async def _handle_frame(self, frame: Frame, writer, write_lock) -> None:
-        request_id = frame.header.get("id")
-        try:
-            buffers = await self._handle_request(frame)
-        except Exception as exc:  # never let a bug hang the socket
-            buffers = _error_frame(request_id, error_from_exception(exc))
-        await self._send(writer, write_lock, buffers)
-
-    async def _handle_request(self, frame: Frame) -> list:
+    async def _handle(self, frame: Frame) -> list:
         """Admit and run one request; returns its encoded response frame."""
         request = frame.header
         op = request.get("op")
@@ -329,22 +153,11 @@ class GatewayServer:
         tenant = self.registry.tenant(tenant_name)
         ticket = self.admission.admit(tenant_name, frame.wire_bytes)
         admitted_at = obs.clock().perf()
-        deadline_s = request.get("deadline_s")
-        if deadline_s is not None and not isinstance(deadline_s, (int, float)):
-            ticket.release()
-            raise GatewayError("invalid", "'deadline_s' must be a number")
         status = "error"
         try:
-            assert self._loop is not None
             async with self._exec_slots[tenant_name]:
-                buffers = await self._loop.run_in_executor(
-                    self._executor,
-                    self._execute,
-                    frame,
-                    tenant,
-                    admitted_at,
-                    deadline_s,
-                )
+                buffers = await self._in_worker(
+                    functools.partial(self._execute, tenant=tenant), frame, admitted_at)
             status = "ok"
             return buffers
         except GatewayError as exc:
@@ -368,15 +181,14 @@ class GatewayServer:
 
     # -- request execution (worker threads) --------------------------------
 
-    def _execute(self, frame: Frame, tenant, admitted_at: float, deadline_s) -> list:
-        """Run one admitted request on a pool thread under its deadline.
+    def _execute(self, frame: Frame, queue_wait_s: float, tenant) -> list:
+        """Run one admitted request on a pool thread, inside its deadline.
 
         Returns the encoded response frame, so the storage spans of the op
         nest under one ``gateway.request`` span that also knows both frame
         sizes, and the event loop is left only the socket write.
         """
         request = frame.header
-        queue_wait_s = obs.clock().perf() - admitted_at
         with obs.span(
             "gateway.request",
             op=request["op"],
@@ -384,17 +196,7 @@ class GatewayServer:
             queue_wait_s=queue_wait_s,
             request_bytes=frame.wire_bytes,
         ) as span:
-            if deadline_s is None:
-                reply = self._dispatch(frame, tenant)
-            else:
-                remaining = float(deadline_s) - queue_wait_s
-                if remaining <= 0:
-                    raise DeadlineExceededError(
-                        f"deadline budget of {float(deadline_s):.3f}s spent "
-                        "before execution started (queue wait)"
-                    )
-                with deadline.scope(remaining):
-                    reply = self._dispatch(frame, tenant)
+            reply = self._dispatch(frame, tenant)
             buffers = encode_frame(
                 {"id": request.get("id"), "ok": True, **reply.body}, reply.payload
             )
@@ -614,7 +416,6 @@ class GatewayServer:
 
     async def _idle_loop(self) -> None:
         """Run background maintenance whenever the gateway has slack."""
-        assert self._loop is not None
         while True:
             await asyncio.sleep(self._idle_poll_s)
             if self.admission.total_inflight() > 0:
@@ -671,6 +472,3 @@ def _check_layer(name: str, dtype, shape, skeleton: dict) -> None:
             f"{expected.dtype}{expected.shape}",
         )
 
-
-def _error_frame(request_id, exc: GatewayError) -> list:
-    return encode_frame({"id": request_id, "ok": False, "error": error_payload(exc)})

@@ -513,6 +513,11 @@ class TestManagerSelfHeal:
         assert len(issues) == 1, report.summary()
         assert model_id[:24] in issues[0].detail and owner in issues[0].detail
         assert issues[0].repaired is repair
+        if not repair:  # an audit: the later steps' reads healed nothing either
+            assert not stores.documents.members[owner].collection(MODELS).count(
+                {"_id": model_id})
+            assert stores.documents.cluster_stats["read_repairs"] == 0
+            assert stores.files.cluster_stats["read_repairs"] == 0
 
     def test_stats_surface_health_and_hints(self, tmp_path):
         injector = FaultInjector(seed=9)

@@ -432,6 +432,31 @@ class TestFailoverReads:
         assert store.members[primary].chunks.has(digest)
         assert store.members[primary].chunks.refcount(digest) == expected_refs
 
+    def test_a_failover_read_under_audit_reads_repairs_nothing(self, tmp_path):
+        """What fsck(repair=False) reads: both planes serve the surviving
+        copy and leave the short replica set as it found it."""
+        from repro.cluster.replica import audit_reads
+
+        store, docs = make_cluster(tmp_path, replicas=2), make_docs()
+        BaselineSaveService(docs, store).save_model(
+            ModelSaveInfo(make_tiny_cnn(seed=3), tiny_arch()))
+        digest = sorted(chunk_universe(store))[0]
+        primary, secondary = store.ring.owners(digest)
+        store.members[primary].chunks.drop(digest)
+        models = docs.collection("models")
+        doc_id = models.find(projection=())[0]["_id"]
+        owner = docs.ring.owners(f"models/{doc_id}")[0]
+        docs.members[owner].collection("models").delete_one(doc_id)
+
+        with audit_reads():
+            assert store.get_chunk(digest) == store.members[secondary].chunks.get(digest)
+            assert models.get(doc_id)["_id"] == doc_id
+        assert not store.members[primary].chunks.has(digest)
+        assert not docs.members[owner].collection("models").count({"_id": doc_id})
+        assert store.cluster_stats["read_repairs"] == docs.cluster_stats["read_repairs"] == 0
+        assert models.get(doc_id) and store.get_chunk(digest)  # outside it, reads heal
+        assert store.cluster_stats["read_repairs"] == docs.cluster_stats["read_repairs"] == 1
+
     def test_blob_failover_read_repairs_the_missing_replica(self, tmp_path):
         store = make_cluster(tmp_path, replicas=2)
         service = BaselineSaveService(make_docs(), store)

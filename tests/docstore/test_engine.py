@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.docstore import (
+    DocumentError,
     DocumentStore,
     DuplicateKeyError,
     NotFoundError,
@@ -156,6 +157,20 @@ class TestPersistence:
         store.collection("gone").insert_one({"x": 1})
         store.drop_collection("gone")
         assert not (tmp_path / "db" / "gone.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "name", ["../escaped", "sub/dir", "a\\b", "nul\0", ".hidden", "", None, 5])
+    def test_a_collection_name_is_one_plain_file_name(self, tmp_path, name):
+        """The name becomes ``<root>/<name>.jsonl``: anything but one plain
+        file-name component is refused and creates no file anywhere."""
+        store = DocumentStore(tmp_path / "db")
+        with pytest.raises(DocumentError):
+            store.collection(name)
+        assert [path.name for path in tmp_path.rglob("*")] == ["db"]
+        names = ["__cluster_tombstones__", "models", "tenant--acme--models"]
+        for good in names:
+            store.collection(good).insert_one({"x": 1})
+        assert DocumentStore(tmp_path / "db").collection_names() == names
 
     def test_in_memory_store_has_no_files(self, mem_doc_store, tmp_path):
         mem_doc_store.collection("m").insert_one({"x": 1})

@@ -1,19 +1,20 @@
-"""Pipelined docstore protocol: id matching, batched ops, paging."""
+"""The docstore on the wire: response-id matching, batched reads, paging."""
 
-import json
+import contextlib
 import socket
 import threading
 
 import pytest
 
+from repro import deadline
 from repro.docstore import (
     DocumentStore,
     DocumentStoreClient,
     DocumentStoreServer,
-    NotFoundError,
     RemoteStoreError,
 )
 from repro.docstore.client import TransientRemoteError
+from repro.wire import encode_frame, read_frame_blocking
 
 
 @pytest.fixture
@@ -24,30 +25,42 @@ def served_store():
             yield store, client
 
 
-@pytest.fixture
-def rogue_server():
-    """A fake server that answers every request with a wrong response id."""
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    host, port = listener.getsockname()
+@contextlib.contextmanager
+def one_connection_server(answer):
+    """A fake server that answers each request frame of the first
+    connection with the frame ``answer(header)``; yields its host, port
+    and the request headers it read."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    seen = []
 
     def serve():
         conn, _ = listener.accept()
-        reader = conn.makefile("rb")
-        try:
-            while reader.readline():
-                payload = {"id": 999_999, "ok": True, "result": None}
-                conn.sendall((json.dumps(payload) + "\n").encode())
-        except OSError:
-            pass
-        finally:
-            conn.close()
+        with conn, conn.makefile("rb") as reader:
+            try:
+                while (frame := read_frame_blocking(reader)) is not None:
+                    seen.append(frame.header)
+                    conn.sendall(b"".join(encode_frame(answer(frame.header))))
+            except OSError:
+                pass
 
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    yield host, port
-    listener.close()
+    threading.Thread(target=serve, daemon=True).start()
+    try:
+        yield (*listener.getsockname(), seen)
+    finally:
+        listener.close()
+
+
+def echo(header):
+    return {"id": header["id"], "ok": True, "result": None}
+
+
+@pytest.fixture
+def rogue_server():
+    """A fake server that answers every request with a wrong response id."""
+    with one_connection_server(
+        lambda header: {"id": 999_999, "ok": True, "result": None}
+    ) as (host, port, _):
+        yield host, port
 
 
 class TestResponseIdMatching:
@@ -67,90 +80,25 @@ class TestResponseIdMatching:
         # the desynchronized connection must not return to the pool
         assert client._idle == []
 
-    def test_ids_strictly_increase_within_a_connection(self, served_store):
-        _, client = served_store
-        coll = client["m"]
-        for index in range(5):
-            coll.insert_one({"i": index})
-        # all five requests reused the single pooled connection
-        assert len(client._idle) == 1
-        assert client._idle[0].next_id == 5
+    def test_ids_strictly_increase_within_a_connection(self):
+        with one_connection_server(echo) as (host, port, seen):
+            with DocumentStoreClient(host, port, timeout=5) as client:
+                for index in range(5):
+                    client["m"].insert_one({"i": index})
+                # all five requests reused the single pooled connection
+                assert len(client._idle) == 1
+        assert [header["id"] for header in seen] == [1, 2, 3, 4, 5]
 
-
-class TestRequestMany:
-    def test_results_come_back_in_request_order(self, served_store):
-        _, client = served_store
-        ids = client["m"].insert_many([{"i": i} for i in range(10)])
-        results = client.request_many(
-            "m", [("get", {"doc_id": doc_id}) for doc_id in reversed(ids)]
-        )
-        assert [doc["i"] for doc in results] == list(range(9, -1, -1))
-
-    def test_error_mid_batch_keeps_the_stream_in_sync(self, served_store):
-        _, client = served_store
-        coll = client["m"]
-        good = coll.insert_one({"i": 1})
-        with pytest.raises(NotFoundError):
-            client.request_many(
-                "m",
-                [
-                    ("get", {"doc_id": good}),
-                    ("get", {"doc_id": "missing-id"}),
-                    ("get", {"doc_id": good}),
-                ],
-            )
-        # an application-level error is a clean response, not a transport
-        # failure: the connection survives and later requests still work
-        assert coll.get(good)["i"] == 1
-        assert len(client._idle) == 1
-
-    def test_empty_batch(self, served_store):
-        _, client = served_store
-        assert client.request_many("m", []) == []
-
-    def test_concurrent_batches_from_many_threads(self, served_store):
-        _, client = served_store
-        ids = client["m"].insert_many([{"i": i} for i in range(20)])
-        errors = []
-
-        def worker():
-            try:
-                for _ in range(5):
-                    docs = client.request_many(
-                        "m", [("get", {"doc_id": doc_id}) for doc_id in ids]
-                    )
-                    assert [d["i"] for d in docs] == list(range(20))
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-
-
-class TestSmallPipelineWindows:
-    def test_seven_ops_over_depth_two_windows(self):
-        store = DocumentStore()
-        with DocumentStoreServer(store, port=0) as server:
-            with DocumentStoreClient(
-                server.host, server.port, pipeline_depth=2
-            ) as client:
-                ids = client["m"].insert_many([{"i": i} for i in range(7)])
-                docs = client.request_many(
-                    "m", [("get", {"doc_id": doc_id}) for doc_id in ids]
-                )
-                assert [d["i"] for d in docs] == list(range(7))
-
-    def test_invalid_depth_rejected(self):
-        store = DocumentStore()
-        with DocumentStoreServer(store, port=0) as server:
-            with pytest.raises(ValueError):
-                DocumentStoreClient(server.host, server.port, pipeline_depth=0)
-            with pytest.raises(ValueError):
-                DocumentStoreClient(server.host, server.port, max_connections=0)
+    def test_a_request_carries_the_ambient_budget(self):
+        with one_connection_server(echo) as (host, port, seen):
+            with DocumentStoreClient(host, port, timeout=5) as client:
+                client["m"].count()
+                with deadline.scope(2.0):
+                    client["m"].count()
+        assert "deadline_s" not in seen[0]
+        assert 0 < seen[1]["deadline_s"] <= 2.0
+        assert {key: seen[1][key] for key in ("op", "collection", "args")} == {
+            "op": "count", "collection": "m", "args": {"query": None}}
 
 
 class TestGetMany:
@@ -192,18 +140,6 @@ class TestFindPaging:
         coll = DocumentStore().collection("m")
         with pytest.raises(ValueError):
             coll.find({}, skip=-1)
-
-    def test_find_pages_streams_everything_once(self, served_store):
-        _, client = served_store
-        coll = client["m"]
-        coll.insert_many([{"i": i} for i in range(23)])
-        seen = [doc["i"] for doc in coll.find_pages({}, sort=[("i", 1)], page_size=5)]
-        assert seen == list(range(23))
-
-    def test_find_pages_invalid_page_size(self, served_store):
-        _, client = served_store
-        with pytest.raises(ValueError):
-            next(client["m"].find_pages({}, page_size=0))
 
 
 class TestPoolBehaviour:

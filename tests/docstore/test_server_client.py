@@ -145,14 +145,13 @@ class TestServerRobustness:
                 assert client["m"].get(doc_id)["survived"] is True
 
     def test_an_overlong_request_line_is_refused_and_closed(self, monkeypatch):
-        """The request line is bounded by the gateway's wire bound: past it,
-        one ``protocol`` error, then the connection is closed."""
-        import json
+        """The header line is bounded by the wire's bound: past it, one
+        ``invalid`` answer, then the connection is closed."""
         import socket
 
-        from repro.gateway import protocol
+        from repro import wire
 
-        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 256)
+        monkeypatch.setattr(wire, "MAX_LINE_BYTES", 256)
         store = DocumentStore()
         with DocumentStoreServer(store, port=0) as server:
             raw = socket.create_connection((server.host, server.port), timeout=5)
@@ -160,15 +159,32 @@ class TestServerRobustness:
                 raw.sendall(
                     b'{"id": 1, "collection": "m", "op": "insert_one", "args": '
                     b'{"document": {"pad": "' + b"x" * 1024 + b'"}}}\n')
-                answer = json.loads(replies.readline())
-                assert (answer["ok"], answer["kind"]) == (False, "protocol")
-                assert "256" in answer["error"]
+                answer = wire.read_frame_blocking(replies).header
+                assert answer["ok"] is False
+                assert answer["error"]["kind"] == "invalid"
+                assert "256" in answer["error"]["message"]
                 assert replies.readline() == b""  # the server closed the socket
             assert store.collection("m").count() == 0
             # a request under the bound is still served
             with DocumentStoreClient(server.host, server.port) as client:
                 doc_id = client["m"].insert_one({"pad": "x" * 64})
                 assert client["m"].get(doc_id)["pad"] == "x" * 64
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/dir", ".hidden", ""])
+    def test_a_collection_name_from_the_wire_cannot_leave_the_root(self, tmp_path, name):
+        """A client-chosen name is refused, typed, and writes no file anywhere."""
+        from repro.docstore import DocumentError, RemoteStoreError
+
+        root = tmp_path / "root" / "docs"
+        with DocumentStoreServer(DocumentStore(root), port=0) as server:
+            with DocumentStoreClient(server.host, server.port) as client:
+                with pytest.raises(DocumentError) as excinfo:
+                    client[name].insert_one({"x": 1})
+                assert isinstance(excinfo.value, RemoteStoreError)
+                assert client["models"].insert_one({"x": 1})
+        assert sorted(path.relative_to(tmp_path).as_posix()
+                      for path in tmp_path.rglob("*")) == [
+            "root", "root/docs", "root/docs/models.jsonl"]
 
     def test_connect_to_dead_port_is_typed_and_retryable(self):
         import socket

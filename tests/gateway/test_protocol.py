@@ -1,19 +1,25 @@
-"""Wire protocol: framing, typed error kinds, exception mapping."""
+"""Wire protocol: framing, typed error kinds, exception mapping.
+
+The codec is :mod:`repro.wire`'s; :mod:`repro.gateway.protocol` re-exports
+it, so these tests import it from there and patch the bound where it lives.
+"""
 
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 
 import pytest
 
+from repro import wire
 from repro.core.errors import ModelNotFoundError
+from repro.docstore import DuplicateKeyError, NotFoundError
 from repro.errors import (
     DeadlineExceededError,
     StoreCorruptionError,
     TransientStoreError,
 )
-from repro.gateway import protocol
 from repro.gateway.protocol import (
     ERROR_KINDS,
     MAX_LINE_BYTES,
@@ -26,6 +32,7 @@ from repro.gateway.protocol import (
     error_payload,
     read_frame,
 )
+from repro.wire import read_frame_blocking
 
 
 def fed_reader(data: bytes, eof: bool = True) -> asyncio.StreamReader:
@@ -60,7 +67,7 @@ class TestFraming:
         assert excinfo.value.kind == "invalid"
 
     def test_oversized_frames_rejected_both_ways(self, monkeypatch):
-        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 64)
+        monkeypatch.setattr(wire, "MAX_LINE_BYTES", 64)
         big = {"id": 1, "blob": "x" * 128}
         with pytest.raises(GatewayError) as encoded:
             encode_line(big)
@@ -84,7 +91,7 @@ class TestPayloadFrames:
         assert message == {"id": 2, "op": "save"}  # caller's dict untouched
 
     def test_oversized_payload_refused_before_it_is_sent(self, monkeypatch):
-        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 64)
+        monkeypatch.setattr(wire, "MAX_LINE_BYTES", 64)
         with pytest.raises(GatewayError) as excinfo:
             encode_frame({"id": 1}, (b"x" * 40, b"y" * 40))
         assert excinfo.value.kind == "invalid"
@@ -124,7 +131,7 @@ class TestPayloadFrames:
         assert unread == b"PAYLOAD"
 
     def test_largest_payload_length_is_accepted(self, monkeypatch):
-        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 32)
+        monkeypatch.setattr(wire, "MAX_LINE_BYTES", 32)
 
         async def scenario():
             reader = fed_reader(b'{"payload_bytes":32}\n' + b"x" * 32)
@@ -139,6 +146,21 @@ class TestPayloadFrames:
                 await read_frame(fed_reader(data[:-60]))
 
         asyncio.run(scenario())
+
+    def test_the_blocking_reader_reads_the_same_frames(self, monkeypatch):
+        first = encode_frame({"id": 1, "op": "save"}, (b"\x00\n\xff",))
+        data = b"".join(first + encode_frame({"id": 2, "op": "find"}))
+        stream = io.BytesIO(data)
+        one, two = read_frame_blocking(stream), read_frame_blocking(stream)
+        assert one.header == {"id": 1, "op": "save", "payload_bytes": 3}
+        assert (one.payload, one.wire_bytes) == (b"\x00\n\xff", len(b"".join(first)))
+        assert two.header == {"id": 2, "op": "find"} and two.payload == b""
+        assert read_frame_blocking(stream) is None
+        with pytest.raises(EOFError):
+            read_frame_blocking(io.BytesIO(b"".join(first)[:-1]))
+        monkeypatch.setattr(wire, "MAX_LINE_BYTES", 16)
+        with pytest.raises(FrameError):
+            read_frame_blocking(io.BytesIO(b'{"id": 3, "pad": "xxxxxxxx"}\n'))
 
     def test_malformed_header_leaves_the_stream_in_step(self):
         async def scenario():
@@ -159,7 +181,7 @@ class TestErrorKinds:
         }
         permanent = {k for k, v in ERROR_KINDS.items() if not v}
         assert permanent == {
-            "not_found", "invalid", "forbidden", "corrupt", "internal",
+            "not_found", "duplicate", "invalid", "forbidden", "corrupt", "internal",
         }
 
     def test_gateway_error_derives_retryable_from_kind(self):
@@ -195,6 +217,8 @@ class TestExceptionMapping:
             (TypeError("bad type"), "invalid", False),
             (KeyError("missing"), "invalid", False),
             (RuntimeError("bug"), "internal", False),
+            (NotFoundError("doc-x"), "not_found", False),
+            (DuplicateKeyError("doc-x"), "duplicate", False),
         ],
     )
     def test_worker_exceptions_map_to_typed_kinds(self, exc, kind, retryable):
