@@ -74,7 +74,7 @@ chaos:
 		tests/core/test_param_update.py::TestTreeCache \
 		tests/filestore/test_bookkeeping.py::TestReopenWithoutClose \
 		tests/filestore/test_bookkeeping.py::TestTwoProcesses \
-		tests/filestore/test_bookkeeping.py::TestRefcountLogCrashPoints \
+		tests/filestore/test_bookkeeping_property.py \
 		tests/filestore/test_legacy_import.py::TestRetiredWriteFormats \
 		tests/filestore/test_legacy_import.py::TestUpgradeCrashes \
 		tests/filestore/test_legacy_import.py::TestUpgradeWithAMemberDown \

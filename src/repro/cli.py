@@ -261,9 +261,10 @@ def cmd_save(args) -> int:
 
 
 def cmd_delete(args) -> int:
-    """Delete a model and the documents/files only it references."""
+    """Delete a model, then gc: what only it reached is swept."""
     manager = _open_manager(args)
     manager.delete_model(args.model_id, force=args.force)
+    manager.garbage_collect()
     print(f"deleted {args.model_id}")
     return 0
 
@@ -281,13 +282,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_squash(args) -> int:
-    """Promote a model to a snapshot; optionally drop exclusive ancestors."""
+    """Promote a model to a snapshot; optionally drop exclusive ancestors;
+    then gc what the chain no longer reaches."""
     manager = _open_manager(args)
     if args.promote_only:
         manager.promote_to_snapshot(args.model_id)
+        manager.garbage_collect()
         print(f"promoted {args.model_id} to a self-contained snapshot")
         return 0
     deleted = manager.squash_chain(args.model_id)
+    manager.garbage_collect()
     print(
         f"promoted {args.model_id} and deleted {deleted} exclusive ancestor(s)"
     )
@@ -295,7 +299,7 @@ def cmd_squash(args) -> int:
 
 
 def cmd_gc(args) -> int:
-    """Remove stored files (and chunks) that no document references."""
+    """Sweep the documents, files and chunks the catalog does not reach."""
     manager = _open_manager(args)
     stats = manager.garbage_collect()
     print(f"removed {stats['files_removed']} orphaned file(s), "
@@ -304,7 +308,7 @@ def cmd_gc(args) -> int:
 
 
 def cmd_fsck(args) -> int:
-    """Verify documents/files/chunks/refcounts; repair what is safe."""
+    """Verify documents/files/chunks; repair what is safe."""
     manager = _open_manager(args)
     report = manager.fsck(
         repair=not args.no_repair, verify_chunks=not args.no_verify_chunks
@@ -672,19 +676,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     save_parser.set_defaults(func=cmd_save)
 
-    delete_parser = commands.add_parser("delete", help="delete a model and its files")
+    delete_parser = commands.add_parser(
+        "delete", help="delete a model, then gc what only it reached")
     delete_parser.add_argument("model_id")
     delete_parser.add_argument("--force", action="store_true",
                                help="delete even if derived models depend on it")
     delete_parser.set_defaults(func=cmd_delete)
 
     gc_parser = commands.add_parser(
-        "gc", help="release files no document references, sweep unreferenced "
-                   "chunks and compact segments")
+        "gc", help="sweep the documents, files and chunks the catalog does "
+                   "not reach, and compact segments")
     gc_parser.set_defaults(func=cmd_gc)
 
     fsck_parser = commands.add_parser(
-        "fsck", help="verify and repair store consistency after crashes"
+        "fsck", help="verify documents, files and chunks after crashes; "
+                     "sweep what the catalog does not reach"
     )
     fsck_parser.add_argument(
         "--no-repair", action="store_true",

@@ -7,8 +7,8 @@ a record — a chunk, or a file stored under its file id — is
 :meth:`~repro.cluster.replica.ReplicaLedger.heal_key`: read repair, hint
 delivery, :class:`SelfHealer`'s scan, ``ModelManager.heal()``/fsck and
 membership changes all call it, so their repair semantics *cannot*
-diverge.  Its source copy and refcount come from
-:func:`~repro.cluster.replica.source` and land through
+diverge.  Its source copy comes from
+:func:`~repro.cluster.replica.source` and lands through
 :func:`~repro.cluster.replica.place` (never propagate a copy that fails
 digest verification — scan past it to an intact one); a stray is retired
 by :func:`~repro.cluster.replica.drop_strays` once every copy is verified
@@ -85,7 +85,7 @@ def repair_chunk(
         for name in missing + heal.corrupt:
             overwrite = name in heal.corrupt
             try:
-                place(members[name], digest, heal.data, heal.refcount, overwrite)
+                place(members[name], digest, heal.data, overwrite)
             except OSError:
                 continue
             result["corrupt_healed" if overwrite else "repaired_to"].append(name)
@@ -95,11 +95,7 @@ def repair_chunk(
             for name in result["repaired_to"] + result["corrupt_healed"]:
                 members[name].chunks.flush()
 
-        def drop(name: str) -> None:
-            members[name].chunks.drop(digest)
-            members[name].chunks.forget_refs([digest])
-
-        drop_strays(result, drop, barrier)
+        drop_strays(result, lambda name: members[name].chunks.drop(digest), barrier)
     return finish(store, result)
 
 

@@ -381,7 +381,6 @@ class HealSource(NamedTuple):
     """What :func:`source` found for one record."""
 
     data: bytes | None  # the copy to heal from; None: no copy may be used
-    refcount: int  # the largest count any holder records
     corrupt: list[str]  # holders whose copy failed to read or to verify
 
 
@@ -412,13 +411,11 @@ def source(store, digest: str, holders, deep: bool = False) -> HealSource:
             found, verified = candidate, bool(verdict)
             if verified and not deep:
                 break
-    refcount = max(
-        (store.members[name].chunks.refcount(digest) for name in holders), default=0)
-    return HealSource(found, refcount, corrupt)
+    return HealSource(found, corrupt)
 
 
-def place(member, digest: str, data, refcount: int, overwrite: bool = False) -> None:
-    """Land a heal's bytes and refcount on one member store.
+def place(member, digest: str, data, overwrite: bool = False) -> None:
+    """Land a heal's bytes on one member store.
 
     ``overwrite`` replaces a copy that failed verification.  The write goes
     through the member's fault-hooked ``_put_chunk_data``, so a heal fails
@@ -427,5 +424,3 @@ def place(member, digest: str, data, refcount: int, overwrite: bool = False) -> 
     if overwrite:
         member.chunks.drop(digest)
     member._put_chunk_data(digest, data)
-    if refcount > 0:
-        member.chunks.import_refs({digest: refcount})

@@ -33,7 +33,7 @@ Replication semantics:
   replication step, which find the keys still out of place.
 
 The sharded store itself holds no payload data: its root directory
-carries only cluster-wide metadata (the hint log).
+carries only cluster-wide metadata (the hint log, the cluster's lock).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from typing import Mapping
 from .. import deadline as deadline_mod
 from ..errors import TransientStoreError
 from ..filestore import upgrade
+from ..filestore.segments import StoreLock
 from ..filestore.store import (
     ChunkNotFoundError,
     FileStore,
@@ -89,9 +90,10 @@ class _ShardedChunkView:
     """Ring-routed facade over the member stores' :class:`ChunkStore`s.
 
     Quacks like a single ``ChunkStore`` so the inherited ``FileStore``
-    machinery (manifest save/delete, a failed save's undo, fsck reconcile)
-    works untouched: lookups fail over across a key's owners, mutations
-    fan out to them, and aggregate views union every member.
+    machinery (manifest save, delete, gc's sweep, fsck) works untouched:
+    lookups fail over across a key's owners, mutations fan out to them,
+    and aggregate views union every member.  Its :attr:`lock` is the
+    cluster's own, an ``flock`` in the sharded store's root.
     """
 
     def __init__(self, store: "ShardedFileStore"):
@@ -108,9 +110,7 @@ class _ShardedChunkView:
         return [store.members[n] for n in owners + rest]
 
     def _group(self, digests) -> dict[str, list[str]]:
-        """Group digest occurrences by owning member (multiplicity kept:
-        refcounts increment once per occurrence, exactly like the flat
-        store)."""
+        """Group digests by owning member."""
         groups: dict[str, list[str]] = {}
         for digest in digests:
             for name in self._store.ring.owners(digest):
@@ -147,10 +147,14 @@ class _ShardedChunkView:
         return wrote
 
     def drop(self, digest: str) -> bool:
-        removed = False
-        for member in self._all_members(digest):
-            removed = member.chunks.drop(digest) or removed
-        return removed
+        return bool(self.drop_many([digest]))
+
+    def drop_many(self, digests) -> list[str]:
+        """Drop ``digests`` from every member; returns those any held."""
+        dropped: set[str] = set()
+        for name in sorted(self._store.members):
+            dropped.update(self._store.members[name].chunks.drop_many(digests))
+        return [digest for digest in dict.fromkeys(digests) if digest in dropped]
 
     def size_of(self, digest: str) -> int | None:
         for member in self._all_members(digest):
@@ -158,44 +162,6 @@ class _ShardedChunkView:
             if size is not None:
                 return size
         return None
-
-    # -- reference counting -------------------------------------------------
-
-    def refcount(self, digest: str) -> int:
-        return max(
-            (member.chunks.refcount(digest) for member in self._all_members(digest)),
-            default=0,
-        )
-
-    def add_refs(self, digests) -> None:
-        for name, group in self._group(list(digests)).items():
-            self._store.members[name].chunks.add_refs(group)
-
-    def release_refs(self, digests) -> list[str]:
-        removed: set[str] = set()
-        for name, group in self._group(list(digests)).items():
-            removed.update(self._store.members[name].chunks.release_refs(group))
-        return sorted(removed)
-
-    def export_refs(self) -> dict[str, int]:
-        merged: dict[str, int] = {}
-        for member in self._all_members():
-            for digest, count in member.chunks.export_refs().items():
-                merged[digest] = max(merged.get(digest, 0), count)
-        return merged
-
-    def import_refs(self, counts: Mapping[str, int]) -> None:
-        per_member: dict[str, dict[str, int]] = {}
-        for digest, count in counts.items():
-            for name in self._store.ring.owners(digest):
-                per_member.setdefault(name, {})[digest] = count
-        for name, member_counts in per_member.items():
-            self._store.members[name].chunks.import_refs(member_counts)
-
-    def forget_refs(self, digests) -> None:
-        digests = set(digests)
-        for member in self._all_members():
-            member.chunks.forget_refs(digests)
 
     def flush(self) -> int:
         """A save's group-fsync barrier, on every member that holds one of
@@ -252,15 +218,46 @@ class _ShardedChunkView:
                 merged[key] += stats[key]
         return merged
 
-    def gc(self) -> dict[str, int]:
-        stats = self._summed(lambda member: member.gc_chunks(), ("chunks_removed", "bytes_freed"))
-        del stats["members"]
-        return stats
+    def _shares(self, live) -> dict:
+        """Each member's share of the mark ``live`` (``None``: everything):
+        the keys the ring gives it, and a copy it holds off the ring of a
+        key some owner lacks — during a membership change, or after an
+        owner lost its disk, that stray may be the only copy the heal can
+        copy from.  Once every owner holds the key the stray goes, as the
+        heal's :func:`~repro.cluster.replica.drop_strays` retires it."""
+        members = self._store.members
+        if live is None:
+            return dict.fromkeys(members)
+        ring = self._store.ring
+        shares: dict[str, set] = {name: set() for name in members}
+        for key in live:
+            owners = ring.owners(key)
+            whole = all(members[name].chunks.has(key) for name in owners)
+            for name in (owners if whole else members):
+                shares[name].add(key)
+        return shares
+
+    def gc(self, live=None) -> dict[str, int]:
+        """Each member sweeps what its share of ``live`` leaves out, reaps
+        and compacts; the counts summed."""
+        keys = ("chunks_removed", "bytes_freed", "segments_compacted", "segments_skipped")
+        merged = dict.fromkeys(keys, 0)
+        for name, share in sorted(self._shares(live).items()):
+            stats = self._store.members[name].chunks.gc(share)
+            for key in keys:
+                merged[key] += stats[key]
+        return merged
+
+    def sweep(self, live, repair: bool = True) -> list[str]:
+        """:meth:`gc`'s sweep alone, as ``member:key``."""
+        members = self._store.members
+        return [f"{name}:{key}" for name, share in sorted(self._shares(live).items())
+                for key in members[name].chunks.sweep(share, repair)]
 
     def audit(self, repair: bool = True, verify: bool = False) -> dict:
         """Aggregate the members' segment audits.
 
-        Listy fields are prefixed ``member:item`` like :meth:`reconcile`.
+        Listy fields are prefixed ``member:item`` like :meth:`sweep`.
         """
         merged = self._summed(
             lambda member: member.chunks.audit(repair=repair, verify=verify),
@@ -291,49 +288,6 @@ class _ShardedChunkView:
         merged["dedup_ratio"] = (
             round(merged["logical_bytes"] / written, 4) if written else None
         )
-        return merged
-
-    def reconcile(self, expected_refs: Mapping[str, int], repair: bool = True) -> dict:
-        """Per-member reconcile against the ring-owned slice of the truth.
-
-        Each member is held to exactly the digests the ring assigns it;
-        result keys are ``member:digest`` so one cluster-wide report can
-        say *where* a count leaked or an orphan sat.
-
-        A referenced digest whose owners are not yet all whole is also
-        kept on any non-owner holding it: during a membership change (or
-        after a lost owner disk) that stray may be the only surviving
-        copy, and the replication fsck that runs after reconcile needs it
-        as the repair source.  Only once every owner holds the key does a
-        non-owner replica count as an orphan — the same guard the one heal
-        (:func:`~repro.cluster.replica.drop_strays`) applies before
-        dropping strays.
-        """
-        merged: dict = {"ref_fixes": {}, "orphan_chunks_removed": [], "orphan_bytes": 0}
-        ring = self._store.ring
-        members = self._store.members
-        protected: dict[str, set[str]] = {}
-        for digest in expected_refs:
-            owners = ring.owners(digest)
-            if all(members[name].chunks.has(digest) for name in owners):
-                continue
-            for name in members:
-                if name not in owners and members[name].chunks.has(digest):
-                    protected.setdefault(name, set()).add(digest)
-        for name in sorted(members):
-            keep = protected.get(name, set())
-            expected = {
-                digest: count
-                for digest, count in expected_refs.items()
-                if name in ring.owners(digest) or digest in keep
-            }
-            report = members[name].chunks.reconcile(expected, repair=repair)
-            for digest, fix in report["ref_fixes"].items():
-                merged["ref_fixes"][f"{name}:{digest}"] = fix
-            merged["orphan_chunks_removed"].extend(
-                f"{name}:{chunk}" for chunk in report["orphan_chunks_removed"]
-            )
-            merged["orphan_bytes"] += report["orphan_bytes"]
         return merged
 
     # -- accounting ---------------------------------------------------------
@@ -388,6 +342,7 @@ class ShardedFileStore(ReplicaLedger, FileStore):
         self._unsynced: set[str] = set()  # members holding an unsynced chunk
         self._barrier_lock = threading.Lock()  # one flush barrier at a time
         self._view = _ShardedChunkView(self)
+        self._view.lock = StoreLock(Path(root) / ".lock", on_acquire=self._absorb_deletes)
         super().__init__(
             root,
             faults=None,
@@ -408,6 +363,10 @@ class ShardedFileStore(ReplicaLedger, FileStore):
     @property
     def chunks(self) -> _ShardedChunkView:
         return self._view
+
+    def _absorb_deletes(self) -> None:
+        for member in list(self.members.values()):
+            member.chunks.absorb_deletes()
 
     # -- chunk metadata for repair verification -----------------------------
 
@@ -581,9 +540,6 @@ class ShardedFileStore(ReplicaLedger, FileStore):
 
     # -- management ----------------------------------------------------------
 
-    def gc_chunks(self) -> dict[str, int]:
-        return self._view.gc()
-
     def clear(self) -> None:
         for member in self.members.values():
             member.clear()
@@ -603,12 +559,10 @@ class ShardedFileStore(ReplicaLedger, FileStore):
             self, key, repair=repair, deep=deep, unreachable=unreachable)
 
     def universe(self) -> set[tuple[str, str]]:
-        """Every record key (chunk digest or file id) any member stores or
-        refcounts."""
+        """Every record key (chunk digest or file id) any member stores."""
         keys: set[str] = set()
         for member in self.members.values():
             keys.update(member.chunks.chunk_ids())
-            keys.update(member.chunks.export_refs())
         return {("chunk", key) for key in keys}
 
     def add_member(self, name: str, member: FileStore) -> dict:

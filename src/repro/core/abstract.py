@@ -147,8 +147,9 @@ class AbstractSaveService:
 
         Template method: the approach-specific work happens in the
         subclass's ``_save_model``, wrapped in a save transaction that
-        commits by the model document's insert.  A failed save rolls its
-        steps back; what a crashed one leaves is reclaimed by ``fsck``.
+        commits by the model document's insert.  What a save that failed
+        or died before it leaves is unreachable, and the next
+        ``garbage_collect`` (or ``fsck``) reclaims it.
         """
         return self._run_save(self._save_model, save_info)
 
@@ -168,43 +169,14 @@ class AbstractSaveService:
 
     @contextmanager
     def _save_transaction(self):
-        """Note the enclosed save steps; undo them on failure.
-
-        Reentrant: nested saves (the provenance service saving its base
-        snapshot, the adaptive service delegating) join the outermost
-        transaction, so one save is one unit — exactly the unit a crash
-        must not tear.  The model document's insert is the commit point.
-        :class:`BaseException` escapes (simulated process death,
-        interrupts) undo nothing, as a dead process would: before the
-        insert, fsck's reconcile and orphan-document sweep reclaim what
-        the save left; after it, the model is saved (DESIGN.md §7).
+        """Hold the file store's lock shared (:meth:`FileStore.hold`)
+        until the enclosed save's model document commits it: no sweep
+        takes what the save wrote or found stored before then.  Nested
+        saves join the outer hold.  Nothing is undone on failure: what a
+        failed or dead save left is garbage for the next gc (DESIGN.md §7).
         """
-        journaled = hasattr(self.files, "begin_journal") and not getattr(
-            self.files, "journal_active", lambda: False
-        )()
-        if journaled:
-            self.files.begin_journal()
-        try:
+        with self.files.hold():
             yield
-        except Exception:
-            if journaled:
-                self._delete_journaled_docs(self.files.abort_journal())
-            raise
-        finally:
-            if journaled:
-                self.files.commit_journal()
-
-    def _delete_journaled_docs(self, docs) -> None:
-        """Best-effort deletion of documents a rolled-back save inserted."""
-        for collection, doc_id in docs:
-            try:
-                self.documents.collection(collection).delete_one(doc_id)
-            except Exception:  # the store may be the thing that failed
-                pass
-
-    def _journal(self, op: str, **fields) -> None:
-        if hasattr(self.files, "journal_record"):
-            self.files.journal_record(op, **fields)
 
     # -- shared save helpers ----------------------------------------------
 
@@ -305,8 +277,6 @@ class AbstractSaveService:
         document["_id"] = model_id
         document["approach"] = document.get("approach", self.approach)
         document["saved_at"] = self.clock.now()
-        # noted first: an undo of an insert that never landed is a no-op
-        self._journal("doc", collection=MODELS, doc_id=model_id)
         # the commit point: the save is whole once this document is in
         self.documents.collection(MODELS).insert_one(document)
         return model_id

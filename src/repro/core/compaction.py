@@ -22,8 +22,9 @@ the code file, then the snapshot manifest, whose group fsync covers both)
 are written first, the document replace publishes them, and only then is
 the superseded delta payload released.  A crash at any point leaves
 nothing but unreferenced records — the new artifacts before the commit,
-the old delta after it — which garbage collection and fsck's refcount
-step reclaim, and every model recovers bitwise throughout.
+the old delta after it — which garbage collection and fsck reclaim, and
+every model recovers bitwise throughout.  The save transaction's hold
+keeps any sweep out from the first artifact to the replace.
 """
 
 from __future__ import annotations
@@ -138,36 +139,37 @@ class ChainCompactor:
             # matches the stored Merkle root *before* anything is published
             recovered = self.service.recover_model(model_id, verify=True)
 
-            self._fault("compact.artifacts")
-            # a copy of the code file keeps the document self-contained:
-            # retention deleting the chain prefix cannot orphan it
-            architecture = self.service._chain_architecture(model_id)
-            architecture["code_file_id"] = self.files.save_bytes(
-                self.files.recover_bytes(architecture["code_file_id"]), suffix=".py")
-            parameters_file, root = self.service._save_parameters(
-                recovered.model
-            )
-            stored_root = document.get("merkle_root")
-            if stored_root is not None and root != stored_root:
-                raise MMLibError(
-                    f"materialized snapshot of {model_id} hashes to {root}, "
-                    f"document records {stored_root}; refusing to publish"
+            with self.service._save_transaction():  # no sweep before the swap
+                self._fault("compact.artifacts")
+                # a copy of the code file keeps the document self-contained:
+                # retention deleting the chain prefix cannot orphan it
+                architecture = self.service._chain_architecture(model_id)
+                architecture["code_file_id"] = self.files.save_bytes(
+                    self.files.recover_bytes(architecture["code_file_id"]), suffix=".py")
+                parameters_file, root = self.service._save_parameters(
+                    recovered.model
                 )
+                stored_root = document.get("merkle_root")
+                if stored_root is not None and root != stored_root:
+                    raise MMLibError(
+                        f"materialized snapshot of {model_id} hashes to {root}, "
+                        f"document records {stored_root}; refusing to publish"
+                    )
 
-            old_update_file = document.get("update_file")
-            released = 0
-            if old_update_file and self.files.exists(old_update_file):
-                released = self.files.size(old_update_file)
+                old_update_file = document.get("update_file")
+                released = 0
+                if old_update_file and self.files.exists(old_update_file):
+                    released = self.files.size(old_update_file)
 
-            document["parameters_file"] = parameters_file
-            document["architecture"] = architecture
-            if stored_root is None:
-                document["merkle_root"] = root
-            document["compacted"] = {"from_depth": depth or recovered.recovery_depth}
-            for field in ("update_file", "updated_layers", "layer_hashes"):
-                document.pop(field, None)
-            self.swap(model_id, document, release=(
-                (lambda: self.files.delete(old_update_file)) if old_update_file else None))
+                document["parameters_file"] = parameters_file
+                document["architecture"] = architecture
+                if stored_root is None:
+                    document["merkle_root"] = root
+                document["compacted"] = {"from_depth": depth or recovered.recovery_depth}
+                for field in ("update_file", "updated_layers", "layer_hashes"):
+                    document.pop(field, None)
+                self.swap(model_id, document, release=(
+                    (lambda: self.files.delete(old_update_file)) if old_update_file else None))
 
         self._obs_materialized.inc()
         self._obs_released.inc(released)

@@ -8,15 +8,15 @@ reports storage, and deletes models safely (refusing to orphan derived
 models, cleaning up every referenced document and file).
 
 :meth:`ModelManager.fsck` is the post-crash consistency check: it
-cross-checks documents against files, manifests against chunks, and
-refcounts against what the live manifests actually reference, repairing
-what it safely can — what a save that died before its model document left
-is exactly such an unreferenced record or document.
+cross-checks documents against files and manifests against chunks, and
+sweeps what the catalog does not reach, repairing what it safely can —
+what a save that died before its model document left is exactly such an
+unreachable record or document.  It and :meth:`ModelManager.garbage_collect`
+share one definition of live: the catalog walk (:meth:`ModelManager._walk`).
 """
 
 from __future__ import annotations
 
-import contextlib
 import shutil
 from collections import Counter
 from dataclasses import dataclass, field
@@ -49,14 +49,18 @@ _RECORD_FIELDS = ("approach", "base_model", "use_case", "saved_at")
 #: The fields of a model document that name files (``_referenced_files``).
 _FILE_FIELDS = ("architecture", "parameters_file", "update_file", "provenance")
 
+#: The fields of a model document the catalog walk reads.
+_WALK_FIELDS = (*_FILE_FIELDS, "base_model", "environment_id", "train_info_id")
+
 #: Logs a parent release kept under a file store's root (a sharded store's
 #: metadata root and each member's) beside its records: the chain
 #: compactor's swap intents, the save intent logs, the rebalancer's move
-#: journals and the segment compaction journal.  None says what the
-#: records do not — fsck's reconcile takes back what no document names,
-#: its replication step moves what sits off its ring owners, and a segment
-#: no index entry names is dead — so a repair deletes them unread.
-PARENT_LOGS = ("chain-compaction", "journal", "rebalance", "chunks/compaction.json")
+#: journals, the segment compaction journal and the chunk refcounts.  None
+#: says what the records do not — fsck sweeps what the catalog does not
+#: reach, its replication step moves what sits off its ring owners, and a
+#: segment no index entry names is dead — so a repair deletes them unread.
+PARENT_LOGS = ("chain-compaction", "journal", "rebalance", "chunks/compaction.json",
+               "chunks/refcounts.json")
 
 
 class DependentModelsError(MMLibError):
@@ -88,7 +92,7 @@ class FsckIssue:
     ``catalog_torn_tail``, ``missing_base``, ``missing_document``,
     ``environment_digest``, ``missing_file``, ``missing_chunk``,
     ``corrupt_chunk``, ``corrupt_manifest``, ``retired_level``,
-    ``refcount_mismatch``, ``orphan_file``, ``orphan_chunk``,
+    ``orphan_file``, ``orphan_chunk``,
     ``under_replicated``, ``pending_hints``, ``orphan_document``).
     """
 
@@ -185,6 +189,18 @@ class _FsckSteps:
         self._ctx.__exit__(None, None, None)
         self._name = None
         self._ctx = None
+
+
+@dataclass
+class _Reached:
+    """What the catalog walk reaches (:meth:`ModelManager._walk`)."""
+
+    models: dict  # model id -> its document (``_WALK_FIELDS``)
+    environments: set = field(default_factory=set)
+    trains: set = field(default_factory=set)
+    wrappers: set = field(default_factory=set)
+    files: dict = field(default_factory=dict)  # file id -> what names it first
+    missing: list = field(default_factory=list)  # documents named but absent
 
 
 class ModelManager:
@@ -478,13 +494,13 @@ class ModelManager:
         return files
 
     def delete_model(self, model_id: str, force: bool = False) -> None:
-        """Delete one model and everything only it references.
+        """Delete one model: its documents and file records.
 
         Refuses to delete a model that derived models still depend on
         unless ``force`` is given — deleting such a model would make its
-        descendants unrecoverable.  The shared environment document stays:
-        a save may be about to name it, and fsck's orphan-document sweep
-        reclaims it once no model does.
+        descendants unrecoverable.  The chunks its manifests named, and the
+        shared environment document, stay until :meth:`garbage_collect`
+        finds nothing else reaching them.
         """
         record = self.get(model_id)
         if record.derived_model_ids and not force:
@@ -495,7 +511,6 @@ class ModelManager:
             )
         document = self.documents.collection(MODELS).get(model_id)
 
-        # every file of the model, manifests' chunks included: one release
         file_ids = list(self._referenced_files(document))
         train_info_id = document.get("train_info_id")
         if train_info_id:
@@ -507,7 +522,7 @@ class ModelManager:
 
     def _delete_wrappers(self, train_document: dict) -> list[str]:
         """Delete a train document's wrapper documents; returns their state
-        files, for the caller to release with the model's other files."""
+        files, for the caller to drop with the model's other files."""
         wrappers = self.documents.collection(WRAPPERS)
         state_files = []
         for key, value in train_document.items():
@@ -523,31 +538,73 @@ class ModelManager:
             wrappers.delete_one(value)
         return state_files
 
-    def garbage_collect(self) -> dict[str, int]:
-        """Remove stored files no document references; returns statistics.
+    def _walk(self) -> _Reached:
+        """The one definition of live: model documents → their environment
+        and train documents → the train documents' wrappers → the files
+        the models and wrappers name.  :meth:`garbage_collect` sweeps what
+        it does not reach, :meth:`fsck` checks what it does."""
+        models = {document["_id"]: document for document in
+                  self.documents.collection(MODELS).find(projection=_WALK_FIELDS)}
+        reached = _Reached(models)
+        for model_id, document in models.items():
+            if document.get("environment_id"):
+                reached.environments.add(document["environment_id"])
+            if document.get("train_info_id"):
+                reached.trains.add(document["train_info_id"])
+            for file_id in self._referenced_files(document):
+                reached.files.setdefault(file_id, f"model {model_id}")
+        trains = self.documents.collection(TRAIN_INFO)
+        for train_id in sorted(reached.trains):
+            try:
+                train_document = trains.get(train_id)
+            except KeyError:
+                reached.missing.append(f"{TRAIN_INFO} document {train_id}")
+                continue
+            reached.wrappers.update(
+                value for key, value in train_document.items()
+                if isinstance(value, str) and key.endswith("_wrapper"))
+        wrappers = self.documents.collection(WRAPPERS)
+        for wrapper_id in sorted(reached.wrappers):
+            try:
+                state_file = wrappers.get(wrapper_id).get("state_file_id")
+            except KeyError:
+                reached.missing.append(f"wrapper {wrapper_id}")
+                continue
+            if state_file:
+                reached.files.setdefault(state_file, f"wrapper {wrapper_id}")
+        return reached
 
-        Deleting an unreferenced chunk manifest releases its chunk refs;
-        a final sweep then drops any chunks left without references (e.g.
-        from saves that crashed before writing their manifest).
-        ``bytes_freed`` reports the physical bytes reclaimed, chunk
-        deduplication included.
+    def _unreached_documents(self, reached: _Reached):
+        """``(name, collection, id)`` of every environment, train and
+        wrapper document the walk did not reach."""
+        for name, live in ((ENVIRONMENTS, reached.environments),
+                           (TRAIN_INFO, reached.trains), (WRAPPERS, reached.wrappers)):
+            collection = self.documents.collection(name)
+            for document in collection.find(projection=()):
+                if document["_id"] not in live:
+                    yield name, collection, document["_id"]
+
+    def garbage_collect(self) -> dict[str, int]:
+        """Sweep what the catalog does not reach; returns statistics.
+
+        Under the file store's hold, exclusive from the mark to the last
+        sweep (a save in flight holds it shared until its commit): the
+        catalog walk marks, the documents and file records it did not
+        reach are deleted, then :meth:`FileStore.gc_chunks` marks from the
+        manifests left and sweeps every chunk none names.  ``bytes_freed``
+        reports the physical bytes reclaimed, chunk deduplication
+        included.
         """
-        referenced: set[str] = set()
-        for document in self.documents.collection(MODELS).find(
-            projection=_FILE_FIELDS
-        ):
-            referenced |= self._referenced_files(document)
-        for wrapper in self.documents.collection(WRAPPERS).find(
-            projection=("state_file_id",)
-        ):
-            if wrapper.get("state_file_id"):
-                referenced.add(wrapper["state_file_id"])
-        before = self.files.total_bytes()
-        removed = self.files.delete_many(
-            [file_id for file_id in self.files.file_ids() if file_id not in referenced])
-        self.files.gc_chunks()
-        return {"files_removed": len(removed),
-                "bytes_freed": before - self.files.total_bytes()}
+        with self.files.hold(exclusive=True):
+            reached = self._walk()
+            for _name, collection, doc_id in list(self._unreached_documents(reached)):
+                collection.delete_one(doc_id)
+            before = self.files.total_bytes()
+            removed = self.files.delete_many(
+                [file_id for file_id in self.files.file_ids() if file_id not in reached.files])
+            self.files.gc_chunks()
+            return {"files_removed": len(removed),
+                    "bytes_freed": before - self.files.total_bytes()}
 
     # -- self-healing (sharded deployments) ---------------------------------
 
@@ -576,7 +633,7 @@ class ModelManager:
     # -- fsck: verify and repair --------------------------------------------
 
     def fsck(self, repair: bool = True, verify_chunks: bool = True) -> FsckReport:
-        """Cross-check documents ↔ files ↔ chunks ↔ refcounts; repair.
+        """Cross-check documents ↔ files ↔ chunks; sweep the unreached.
 
         Invariants checked, in order, each step timed under its name:
 
@@ -598,38 +655,38 @@ class ModelManager:
            reported unrepaired (``pending_hints``);
         4. ``documents`` — no catalog log was opened with a torn final
            record (a crash mid-append; the engine already dropped it,
-           reported here once); every model document's base model,
-           environment/train documents, and referenced files exist, and
-           every content-addressed environment document still hashes back
-           to its id (audit only);
-        5. ``chunks`` — every manifest's chunks exist and (with
+           reported here once); the catalog walk (:meth:`_walk`, shared
+           with :meth:`garbage_collect`) finds every model document's base
+           model, environment/train/wrapper documents, and referenced files,
+           and every content-addressed environment document still hashes
+           back to its id (audit only);
+        5. ``chunks`` — every reached manifest's chunks exist and (with
            ``verify_chunks``) hash back to their content digests; a level
            an older release wrote and no open has upgraded is a
-           ``retired_level`` (a v2 manifest's pieces stay referenced);
-        6. ``refcounts`` — every record's refcount equals what the live
-           documents and manifests reference — a file 1 if any document
-           names it (a set, like the manifests), a chunk once per
-           referencing entry of each distinct live manifest — and no
-           unreferenced record remains: an unreferenced file is an
-           ``orphan_file``, an unreferenced chunk an ``orphan_chunk``,
-           both found in one pass.  What a save that died before its
-           model document left is exactly this, as is what a crashed chain
-           rewrite leaves; the repair also deletes the logs a parent
-           release kept beside its records (:data:`PARENT_LOGS`), which
-           say nothing the records do not;
+           ``retired_level`` (a v2 manifest's pieces stay live);
+        6. ``orphans`` — no stored record is outside the mark (the
+           reached files and the chunks their manifests name): an
+           unreached file is an ``orphan_file``, an unreached chunk an
+           ``orphan_chunk``.  What a save that failed or died before its
+           model document left is exactly this, as is what a deleted
+           model or a crashed chain rewrite leaves before the next gc; the
+           repair also deletes the logs a parent release kept beside its
+           records (:data:`PARENT_LOGS`), which say nothing the records do
+           not;
         7. ``orphan_documents`` — every environment, train and wrapper
-           document is referenced: one a crashed save put, or an
-           environment whose last model was deleted, is removed.
+           document is reached: one a crashed save put, or an environment
+           whose last model was deleted, is removed.
 
-        With ``repair=False`` everything is reported but nothing is
-        touched: on a sharded deployment its reads run under
+        A repair holds the file store's hold exclusive throughout, as
+        :meth:`garbage_collect` does.  With ``repair=False`` everything is
+        reported but nothing is touched: on a sharded deployment its reads run under
         :func:`~repro.cluster.replica.audit_reads`, so no step's read
         heals a replica either.  Losses fsck cannot undo (a missing or
         corrupt chunk of a live model) are reported as unrepaired issues.
         """
         from ..cluster.replica import audit_reads
 
-        with contextlib.nullcontext() if repair else audit_reads():
+        with self.files.hold(exclusive=True) if repair else audit_reads():
             return self._fsck(repair, verify_chunks)
 
     def _fsck(self, repair: bool, verify_chunks: bool) -> FsckReport:
@@ -721,91 +778,44 @@ class ModelManager:
                     "record whose write never returned (dropped on open)",
                     repaired=True,
                 )
-        model_docs = {d["_id"]: d for d in self.documents.collection(MODELS).find()}
-        report.checked_models = len(model_docs)
-        referenced_files: set[str] = set()
-        live_envs: set[str] = set()
-        live_trains: set[str] = set()
-        for model_id, document in model_docs.items():
+        reached = self._walk()
+        report.checked_models = len(reached.models)
+        for model_id, document in reached.models.items():
             base = document.get("base_model")
-            if base and base not in model_docs:
+            if base and base not in reached.models:
                 report.add(
                     "missing_base",
                     f"model {model_id} derives from missing base model {base}",
                 )
-            for collection_name, doc_id, live in (
-                (ENVIRONMENTS, document.get("environment_id"), live_envs),
-                (TRAIN_INFO, document.get("train_info_id"), live_trains),
-            ):
-                if not doc_id:
-                    continue
-                first_referent = doc_id not in live
-                live.add(doc_id)
-                try:
-                    referenced = self.documents.collection(collection_name).get(doc_id)
-                except KeyError:
-                    report.add(
-                        "missing_document",
-                        f"model {model_id} references missing "
-                        f"{collection_name} document {doc_id}",
-                    )
-                    continue
-                # a content-addressed environment vouches for every model
-                # sharing it, and its id says what it must contain
-                if (
-                    first_referent
-                    and collection_name == ENVIRONMENTS
-                    and doc_id.startswith(ENVIRONMENT_ID_PREFIX)
-                    and environment_id(referenced) != doc_id
-                ):
-                    report.add(
-                        "environment_digest",
-                        f"environment document {doc_id} does not hash back "
-                        "to its id",
-                    )
-            for file_id in self._referenced_files(document):
-                referenced_files.add(file_id)
-                if not files.exists(file_id):
-                    report.add(
-                        "missing_file",
-                        f"model {model_id} references missing file {file_id}",
-                    )
-        live_wrappers: set[str] = set()
-        for train_id in live_trains:
+        # a content-addressed environment vouches for every model sharing
+        # it, and its id says what it must contain
+        environments = self.documents.collection(ENVIRONMENTS)
+        for env_id in sorted(reached.environments):
             try:
-                train_document = self.documents.collection(TRAIN_INFO).get(train_id)
+                environment = environments.get(env_id)
             except KeyError:
-                continue  # already reported above
-            for key, value in train_document.items():
-                if isinstance(value, str) and key.endswith("_wrapper"):
-                    live_wrappers.add(value)
-        for wrapper_id in live_wrappers:
-            try:
-                wrapper_document = self.documents.collection(WRAPPERS).get(wrapper_id)
-            except KeyError:
-                report.add(
-                    "missing_document",
-                    f"train document references missing wrapper {wrapper_id}",
-                )
+                reached.missing.append(f"{ENVIRONMENTS} document {env_id}")
                 continue
-            state_file = wrapper_document.get("state_file_id")
-            if state_file:
-                referenced_files.add(state_file)
-                if not files.exists(state_file):
-                    report.add(
-                        "missing_file",
-                        f"wrapper {wrapper_id} references missing file {state_file}",
-                    )
+            if env_id.startswith(ENVIRONMENT_ID_PREFIX) and environment_id(environment) != env_id:
+                report.add(
+                    "environment_digest",
+                    f"environment document {env_id} does not hash back to its id",
+                )
+        for detail in reached.missing:
+            report.add("missing_document", f"the catalog names missing {detail}")
+        for file_id, referrer in reached.files.items():
+            if not files.exists(file_id):
+                report.add("missing_file", f"{referrer} references missing file {file_id}")
 
-        # 5. manifests -> chunk existence and content digests; a stored file
-        # counts once, however many documents name it
+        # 5. manifests -> chunk existence and content digests; the mark is
+        # the reached files and what their manifests name
         steps.start("chunks")
-        expected_refs: Counter = Counter()
+        marked: set[str] = set()
         verified: set[str] = set()
-        for file_id in sorted(referenced_files):
+        for file_id in sorted(reached.files):
             if not files.exists(file_id):
                 continue
-            expected_refs[file_id] = 1
+            marked.add(file_id)
             if not files.is_manifest_id(file_id):
                 # only an unmarked store can hold a blob level (§11)
                 if not getattr(files, "one_format", True) and file_id.endswith(
@@ -818,13 +828,13 @@ class ModelManager:
                 pieces = upgrade.v2_pieces(files, file_id)
                 if pieces is None:
                     report.add("corrupt_manifest", f"manifest {file_id}: {exc}")
-                else:  # its pieces stay referenced until an open upgrades it
+                else:  # its pieces stay live until an open upgrades it
                     report.add("retired_level", f"{file_id} is a v2 manifest")
-                    expected_refs.update(pieces)
+                    marked.update(pieces)
                 continue
             for name, meta in manifest["layers"]:
                 digest = meta["chunk"]
-                expected_refs[digest] += 1
+                marked.add(digest)
                 if not files.has_chunk(digest):
                     report.add(
                         "missing_chunk",
@@ -850,23 +860,12 @@ class ModelManager:
                         "does not hash back to its digest",
                     )
         report.checked_files = len(files.file_ids())
-        report.checked_chunks = sum(1 for key in expected_refs if not is_file_id(key))
+        report.checked_chunks = sum(1 for key in marked if not is_file_id(key))
 
-        # 6. refcounts vs. the live documents and manifests; orphan files
-        # and chunks (keys are ``member:key`` on a sharded store)
-        steps.start("refcounts")
-        outcome = files.chunks.reconcile(expected_refs, repair=repair)
-        orphans = set(outcome["orphan_chunks_removed"])
-        for key, (actual, wanted) in sorted(outcome["ref_fixes"].items()):
-            if key in orphans and is_file_id(key.rpartition(":")[2]):
-                continue  # an orphan file's own reference: reported below
-            report.add(
-                "refcount_mismatch",
-                f"record {key[:24]}…: stored refcount {actual}, "
-                f"live documents and manifests reference it {wanted} time(s)",
-                repaired=repair,
-            )
-        for key in outcome["orphan_chunks_removed"]:
+        # 6. orphans = stored - marked (keys are ``member:key`` on a
+        # sharded store)
+        steps.start("orphans")
+        for key in files.chunks.sweep(marked, repair=repair):
             if is_file_id(key.rpartition(":")[2]):
                 kind, detail = "orphan_file", f"unreferenced file {key}"
             else:
@@ -886,24 +885,15 @@ class ModelManager:
 
         # 7. orphan documents (a crashed save's, an environment nobody names)
         steps.start("orphan_documents")
-        for collection_name, live in (
-            (ENVIRONMENTS, live_envs),
-            (TRAIN_INFO, live_trains),
-            (WRAPPERS, live_wrappers),
-        ):
-            collection = self.documents.collection(collection_name)
-            for document in collection.find():
-                doc_id = document["_id"]
-                if doc_id in live:
-                    continue
-                if repair:
-                    collection.delete_one(doc_id)
-                report.add(
-                    "orphan_document",
-                    f"unreferenced {collection_name} document {doc_id}"
-                    + (" (removed)" if repair else ""),
-                    repaired=repair,
-                )
+        for name, collection, doc_id in list(self._unreached_documents(reached)):
+            if repair:
+                collection.delete_one(doc_id)
+            report.add(
+                "orphan_document",
+                f"unreferenced {name} document {doc_id}"
+                + (" (removed)" if repair else ""),
+                repaired=repair,
+            )
         steps.finish()
 
         registry = obs.registry()

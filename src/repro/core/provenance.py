@@ -24,7 +24,7 @@ from .errors import SaveError
 from .hashing import state_dict_hashes
 from .merkle import root_of
 from .save_info import ModelSaveInfo, ProvenanceSaveInfo, TrainRunSpec
-from .schema import APPROACH_PROVENANCE, TRAIN_INFO
+from .schema import APPROACH_PROVENANCE
 from .train_service import TrainService
 from .wrappers import StateFileRestorableObjectWrapper
 
@@ -62,7 +62,6 @@ class ProvenanceSaveService(AbstractSaveService):
 
         environment_id = self._save_environment()
         train_info_id = save_info.train_service.save(self.documents, self.files)
-        self._journal("doc", collection=TRAIN_INFO, doc_id=train_info_id)
 
         provenance = {
             "train_spec": save_info.train_spec.to_dict(),

@@ -3,7 +3,7 @@
 Every append-only file the system writes is a :class:`RecordLog`
 (DESIGN.md §18 "One log").  A record is the segment store's ``MMRC``
 header with an empty key, then one JSON payload.  One rule, in
-:meth:`RecordLog.follow`: a torn tail (a last record cut short or failing
+:meth:`RecordLog.replay`: a torn tail (a last record cut short or failing
 its CRC) is cut off and counted in ``torn_bytes``; a bad record with a
 valid record after it raises :class:`~repro.errors.StoreCorruptionError`,
 the file untouched.  A file that starts with ``{`` was written by an older
@@ -137,57 +137,31 @@ class RecordLog:
         """Every record of the file, decoded, oldest first; ``sized``:
         ``(record, bytes it takes)`` pairs."""
         self.close()
-        self.size = 0
-        records = self.follow(sized)[1]
-        self._base = self.size
-        return records
-
-    def follow(self, sized: bool = False) -> tuple[bool, list]:
-        """``(restarted, records)``: the records appended since the last call.
-
-        ``restarted``: the file last read was replaced (another process's
-        rewrite), shrank or vanished, and the records are the new file's
-        from its start.  The descriptor kept on the file last read pins its
-        inode, so a file at the path with that inode number *is* that file.
-        """
-        restarted = self._file is not None and not self._current()
-        if restarted:
-            self.close()
-            self.size = 0
-        if self._file is None:
-            try:
-                self._file = self._open(self.path, os.O_RDWR | os.O_APPEND)
-            except FileNotFoundError:
-                return restarted, []
+        self.size = self._base = 0
+        try:
+            self._file = self._open(self.path, os.O_RDWR | os.O_APPEND)
+        except FileNotFoundError:
+            return []
         fd = self._file.fileno()
-        data = os.pread(fd, max(0, os.fstat(fd).st_size - self.size), self.size)
-        older = self.size == 0 and data[:1] == b"{"
+        data = os.pread(fd, os.fstat(fd).st_size, 0)
+        older = data[:1] == b"{"
         payloads, end, damaged = (_scan_older if older else _scan)(data)
         try:
             if damaged:
-                raise ValueError(f"a bad record at byte {self.size + end} with records after it")
+                raise ValueError(f"a bad record at byte {end} with records after it")
             records = [json.loads(payload) for payload in payloads]
         except ValueError as error:
             self.close()  # the next read tries the same bytes again
             raise StoreCorruptionError(f"{self.path}: {error}") from None
         if end < len(data):
-            os.ftruncate(fd, self.size + end)
+            os.ftruncate(fd, end)
         self.torn_bytes = len(data) - end
-        self.size += end
+        self.size = self._base = end
         if older:
             self._older = payloads
         if sized:
             records = list(zip(records, map(record_size, payloads)))
-        return restarted, records
-
-    def _current(self) -> bool:
-        try:
-            on_disk = os.stat(self.path)
-        except FileNotFoundError:
-            return False
-        held = os.fstat(self._file.fileno())
-        return ((on_disk.st_dev, on_disk.st_ino) == (held.st_dev, held.st_ino)
-                and on_disk.st_size >= self.size)
+        return records
 
     def append(self, payloads: Iterable[bytes]) -> int:
         """Append one record per payload with one ``os.write``; returns the

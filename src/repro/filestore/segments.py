@@ -22,6 +22,11 @@ length, crc)``), LSM-style:
   to rescan, and at :meth:`ChunkStore.close`.  A save writes none; a
   reopen after ``kill -9`` rescans at most the one unsealed tail
   (DESIGN.md §17 "Bookkeeping").
+* **Liveness is reachability** — the store counts no references.  A
+  record lives while its caller's mark says so: :meth:`ChunkStore.gc`
+  sweeps every record outside the mark it is given, under the store's
+  :class:`StoreLock` held exclusive, while a save holds it shared from its
+  first write to its commit (DESIGN.md §7, §17).
 * **Compaction** — segments whose live ratio drops below a threshold
   are rewritten into a fresh sealed segment, committed by its atomic
   rename and written down by no journal: a crash before the rename
@@ -124,15 +129,11 @@ def _buffer_nbytes(buffer) -> int:
     return len(buffer)
 
 
-def _encode_refs(counts: Mapping[str, int]) -> bytes:
-    """One refcount log record."""
-    return json.dumps(counts, sort_keys=True, separators=(",", ":")).encode()
-
-
 class _SharedLog(RecordLog):
-    """A chunk-root log several processes rewrite: each writes its own tmp
-    file (one a crash left behind is reaped by :meth:`ChunkStore.gc`).
-    ``created`` counts the files its rewrites create."""
+    """The index checkpoint, which several processes rewrite: each writes
+    its own tmp file (one a crash left behind is reaped by
+    :meth:`ChunkStore.gc`).  ``created`` counts the files its rewrites
+    create."""
 
     def __init__(self, path: Path, created):
         super().__init__(path)
@@ -144,11 +145,6 @@ class _SharedLog(RecordLog):
 
     def _tmp_path(self) -> Path:
         return self.path.with_name(f"{self.path.stem}-{uuid.uuid4().hex[:8]}.tmp")
-
-
-def _ref_bytes(digest: str, count: int) -> int:
-    """Bytes one entry takes in a folded record: quotes, colon, comma."""
-    return len(digest) + len(str(count)) + 4
 
 
 def _parse_seq(name: str) -> int | None:
@@ -168,26 +164,106 @@ def _new_meta() -> dict:
             "damaged": []}
 
 
+class StoreLock:
+    """A store's lock: held shared by saves, exclusive by a sweep.
+
+    In one process any number of threads hold it shared, or one thread
+    holds it exclusive; a thread that holds it already enters again at
+    once (a nested save joins the outer one, ``gc_chunks`` runs inside
+    ``garbage_collect``'s hold), and a thread waiting to hold it exclusive
+    keeps new shared holders out.  Across processes it is an ``flock`` of
+    ``path``, taken whenever the process goes from holding nothing to
+    holding it; ``on_acquire`` then runs, to absorb what another process
+    changed meanwhile.  A shared hold cannot become exclusive.
+    """
+
+    def __init__(self, path: Path, on_acquire=None):
+        self.path = Path(path)
+        self._on_acquire = on_acquire
+        self._cond = threading.Condition()
+        self._shared = 0  # threads holding it shared
+        self._owner = None  # the thread holding it exclusive
+        self._waiting = 0  # threads waiting to hold it exclusive
+        self._file = None
+        self._local = threading.local()  # this thread's hold depth
+
+    @contextlib.contextmanager
+    def hold(self, exclusive: bool = False):
+        depth = getattr(self._local, "depth", 0)
+        if depth:
+            if exclusive and self._owner != threading.get_ident():
+                raise RuntimeError("a shared store hold cannot become exclusive")
+        else:
+            self._acquire(exclusive)
+        self._local.depth = depth + 1
+        try:
+            yield
+        finally:
+            self._local.depth = depth
+            if not depth:
+                self._release(exclusive)
+
+    def _acquire(self, exclusive: bool) -> None:
+        with self._cond:
+            if exclusive:
+                self._waiting += 1
+                try:
+                    while self._owner is not None or self._shared:
+                        self._cond.wait()
+                finally:
+                    self._waiting -= 1
+                self._owner = threading.get_ident()
+            else:
+                while self._owner is not None or self._waiting:
+                    self._cond.wait()
+                self._shared += 1
+                if self._shared > 1:
+                    return
+            # nobody in this process holds it: take the flock (the threads
+            # that would join wait on the condition meanwhile)
+            try:
+                self._file = open(self.path, "a+")
+                if fcntl is not None:
+                    fcntl.flock(self._file.fileno(), fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+                if self._on_acquire is not None:
+                    self._on_acquire()
+            except BaseException:
+                self._release_locked(exclusive)
+                raise
+
+    def _release(self, exclusive: bool) -> None:
+        with self._cond:
+            self._release_locked(exclusive)
+
+    def _release_locked(self, exclusive: bool) -> None:
+        if exclusive:
+            self._owner = None
+        else:
+            self._shared -= 1
+        if self._owner is None and not self._shared and self._file is not None:
+            self._file.close()  # closing drops the flock
+            self._file = None
+        self._cond.notify_all()
+
+
 class ChunkStore:
-    """Content-addressed, ref-counted chunk storage in append-only segments.
+    """Content-addressed chunk storage in append-only segments.
 
     Each distinct digest is stored once, as one CRC-framed record (see the
     module docstring for the format, the durability model and when the
-    index is checkpointed).  Reference counts track how many manifests
-    point at each chunk (a file record keyed by its file id holds one, its
-    own); :meth:`release_refs` deletes records whose count drops to zero,
-    and :meth:`gc` sweeps orphans (e.g. chunks written by a save that
-    crashed before its manifest) and compacts segments.
+    index is checkpointed).  The store counts no references: which
+    records live is its caller's mark (a :class:`FileStore` marks every
+    file record and the chunks its stored manifests name), and :meth:`gc`
+    sweeps what is outside it, reaps tmp files and compacts segments.
 
-    The counts live in ``refcounts.json``, a
-    :class:`~repro.filestore.recordlog.RecordLog`: one record per batch,
-    a JSON object mapping digest to its *absolute* count (0: gone), later
-    records win.  Taking references appends one record, so a save costs
-    what it touches, not what the store holds; the file is folded back
-    into one record when a release rewrites it or once it exceeds twice
-    the folded size.  Every access holds an ``flock`` and first replays
-    what was appended since its last one, so several processes can share
-    one store directory (DESIGN.md §17 "Bookkeeping", §18 "One log").
+    :attr:`lock` is the store's :class:`StoreLock` on ``.lock``: a save
+    holds it shared from its first write to its commit, a sweep holds it
+    exclusive, so no sweep falls between a save's dedup probe and the
+    manifest that names what it found.  Each process that takes it first
+    absorbs the deletes another process checkpointed meanwhile
+    (:meth:`absorb_deletes`), so a save never deduplicates against a record
+    that is gone; several processes can share one store directory
+    (DESIGN.md §17 "Bookkeeping").
 
     A chunk root written by the older file-per-chunk layout is imported
     once, on open (:meth:`_import_legacy_chunks`); :meth:`import_files`
@@ -202,22 +278,16 @@ class ChunkStore:
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._refs_path = self.root / "refcounts.json"
-        self._lock_path = self.root / ".lock"
-        # every file this store creates: a segment, a compaction output, a
-        # log rewrite (an index checkpoint, a refcount fold)
+        self.lock = StoreLock(self.root / ".lock", on_acquire=self.absorb_deletes)
+        # every file this store creates: a segment, a compaction output, an
+        # index checkpoint
         self._obs_files_created = obs.registry().counter(
             "mmlib_chunk_files_created_total", "Files the chunk store created")
-        # the refcount table as of the records ``_refs_log`` has read
-        self._refs_mutex = threading.Lock()
-        self._refs_log = _SharedLog(self._refs_path, self._obs_files_created)
-        self._refs: dict[str, int] = {}
-        self._refs_live = 0  # payload bytes the table takes as one folded record
         self.tmp_grace_s = float(tmp_grace_s)
         self.segment_bytes = int(segment_bytes)
         #: Optional chaos hook with the ``FaultInjector.fail_point``
-        #: signature, consulted by long-running maintenance (compaction)
-        #: and between the steps of a refcount write.
+        #: signature, consulted by long-running maintenance (compaction,
+        #: an import).
         self.fault_hook = None
         # dedup accounting (in-process, like the network store's transfer
         # accounting): logical bytes offered by callers, bytes skipped
@@ -230,6 +300,7 @@ class ChunkStore:
         self.segments_dir = self.root / "segments"
         self.segments_dir.mkdir(parents=True, exist_ok=True)
         self._checkpoint_log = _SharedLog(self.root / "index.json", self._obs_files_created)
+        self._checkpoint_stamp = None  # index.json as this process last read or wrote it
         self._mutex = threading.RLock()
         self._index: dict[str, tuple[str, int, int, int]] = {}
         self._segmeta: dict[str, dict] = {}
@@ -324,85 +395,44 @@ class ChunkStore:
         except FileNotFoundError:
             return False
 
-    # -- locking / refcount persistence ------------------------------------
-
-    @contextlib.contextmanager
-    def _locked(self):
-        with self._refs_mutex:
-            if fcntl is None:
-                yield
-                return
-            with open(self._lock_path, "a+") as lock_file:
-                fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX)
-                try:
-                    yield
-                finally:
-                    fcntl.flock(lock_file.fileno(), fcntl.LOCK_UN)
+    # -- locking / other processes' deletes ----------------------------------
 
     def _hook(self, op: str) -> None:
         if self.fault_hook is not None:
             self.fault_hook(op)
 
-    def _sync_refs(self) -> dict[str, int]:
-        """The refcount table as the log has it now (lock held).
-
-        Replays what this or another process appended since the last
-        call, or the whole file when it was replaced in between
-        (:meth:`RecordLog.follow`).  A damaged record is damage to acked
-        counts; reading it as "nothing is referenced" would let the next
-        :meth:`gc` sweep live chunks, so it raises and fsck rebuilds the
-        table from the manifests (:meth:`reconcile`).
-        """
+    def _checkpoint_stamp_now(self):
         try:
-            restarted, records = self._refs_log.follow()
-            if restarted:
-                self._refs, self._refs_live = {}, 0  # folded by another process
-            for counts in records:
-                self._apply_refs(counts)
-        except StoreCorruptionError:
-            self._reset_refs()
-            raise
-        return self._refs
+            stat = self._checkpoint_log.path.stat()
+        except FileNotFoundError:
+            return None
+        return stat.st_ino, stat.st_mtime_ns, stat.st_size
 
-    def _apply_refs(self, counts: Mapping[str, int]) -> None:
-        for digest, count in counts.items():
-            old = self._refs.pop(digest, 0)
-            if old:
-                self._refs_live -= _ref_bytes(digest, old)
-            if count > 0:
-                self._refs[digest] = count
-                self._refs_live += _ref_bytes(digest, count)
+    def absorb_deletes(self) -> None:
+        """Drop the index entries another process deleted since this one
+        last read or wrote ``index.json``.
 
-    def _reset_refs(self) -> None:
-        """Forget the table: the next :meth:`_sync_refs` rereads the file."""
-        self._refs_log.close()
-        self._refs_log = _SharedLog(self._refs_path, self._obs_files_created)
-        self._refs = {}
-        self._refs_live = 0
-
-    def _commit_refs(self, changes: Mapping[str, int], fold: bool = False) -> None:
-        """Persist new absolute counts (0: gone), then apply them.
-
-        One appended record — O(batch) — or, with ``fold``, the whole
-        table rewritten as one record.  An append folds too once the log
-        exceeds twice the table's folded size, so the file stays within
-        ~2x its folded size at an amortized cost per appended byte that
-        does not depend on the store.  Lock held, table synced.
+        A delete checkpoints the index, so an entry of a segment the
+        checkpoint lists, below the offset it scanned, that it does not
+        hold was deleted there.  Runs each time this process takes
+        :attr:`lock`: another process's sweep held it exclusive, so a save
+        that starts after it sees its deletes before it deduplicates.
         """
-        log = self._refs_log
-        fold = fold or not log.size  # an empty log starts folded
-        try:
-            if not fold:
-                log.append([_encode_refs(changes)])
-                self._hook("chunk.refs")
-            self._apply_refs(changes)
-            if fold or log.size > 2 * (self._refs_live + RECORD_HEADER.size):
-                log.rewrite([_encode_refs(self._refs)],
-                            before_rename=lambda: self._hook("chunk.refs"))
-                self._refs_live = log.size - RECORD_HEADER.size
-        except BaseException:
-            self._reset_refs()  # memory and file may disagree: reread
-            raise
+        stamp = self._checkpoint_stamp_now()
+        if stamp is None or stamp == self._checkpoint_stamp:
+            return
+        with self._mutex:
+            data = self._read_checkpoint()
+            self._checkpoint_stamp = stamp
+            if data is None:
+                return
+            segments, entries = data.get("segments", {}), data.get("entries", {})
+            for digest, entry in list(self._index.items()):
+                meta = segments.get(entry[0])
+                if (meta is not None and digest not in entries
+                        and entry[1] < int(meta.get("scanned", 0))):
+                    self._drop_entry_locked(digest)
+            self._update_gauges_locked()
 
     # -- open / index maintenance -------------------------------------------
 
@@ -417,15 +447,22 @@ class ChunkStore:
             self._segmeta[entry[0]]["live"] -= entry[2]
         return entry
 
-    def _load_checkpoint(self) -> None:
+    def _read_checkpoint(self) -> dict | None:
+        """``index.json``'s record, or ``None`` when there is none usable
+        (the segments describe themselves: rescan them all)."""
         try:
             records = self._checkpoint_log.replay()
         except StoreCorruptionError:
-            return  # the segments describe themselves: rescan them all
+            return None
         finally:
             self._checkpoint_log.close()  # only ever rewritten whole
         data = records[-1] if records else None
-        if not isinstance(data, dict) or data.get("version") != 1:
+        return data if isinstance(data, dict) and data.get("version") == 1 else None
+
+    def _load_checkpoint(self) -> None:
+        self._checkpoint_stamp = self._checkpoint_stamp_now()
+        data = self._read_checkpoint()
+        if data is None:
             return
         for name, meta in data.get("segments", {}).items():
             self._segmeta[name] = dict(
@@ -457,15 +494,8 @@ class ChunkStore:
         }
         self._checkpoint_log.rewrite([json.dumps(payload, sort_keys=True).encode()])
         self._checkpoint_log.close()
+        self._checkpoint_stamp = self._checkpoint_stamp_now()
         self._index_dirty = False
-
-    def _flush_index(self) -> None:
-        """Checkpoint the index after a delete (deleted records must not be
-        resurrected by a rescan)."""
-        with self._mutex:
-            if self._index_dirty:
-                self._write_checkpoint_locked()
-                self._update_gauges_locked()
 
     def _refresh_locked(self) -> int:
         """Absorb on-disk changes beyond each segment's scan offset.
@@ -629,9 +659,8 @@ class ChunkStore:
 
         Older stores kept each chunk in its own file, ``objects/<digest>``
         (the raw bytes or a codec frame).  Every such file is decoded and
-        imported (:meth:`import_files`); ``refcounts.json`` was shared by
-        both layouts, so counts carry over untouched.  A young ``*.tmp``
-        keeps the directory for the next open.
+        imported (:meth:`import_files`).  A young ``*.tmp`` keeps the
+        directory for the next open.
         """
         legacy = self.root / "objects"
         if legacy.is_dir():
@@ -639,24 +668,22 @@ class ChunkStore:
             with contextlib.suppress(OSError):
                 legacy.rmdir()
 
-    def import_files(self, directory: Path, framed: bool = False,
-                     refcount: int | None = None) -> None:
+    def import_files(self, directory: Path, framed: bool = False) -> None:
         """Fold every regular file of ``directory`` into the store.
 
         Each file becomes a record keyed by its name: under the store's
-        ``flock`` every file is :meth:`put` (decoded first by the upgrader
-        when ``framed``: an older chunk object may hold a codec frame), then one group
-        :meth:`flush` and an index checkpoint make the records durable and
-        findable, then — with ``refcount`` — each record's count is *set*
-        to it, and only then are the files unlinked.  Expired ``*.tmp``
-        tears are reaped and young ones left alone; dotfiles are not
-        records.  Every step is idempotent (a put of a held key is a
-        no-op, a count is set, not added), so a crash anywhere resumes on
-        the next open, and a second opener waiting on the lock finds the
-        files gone.  Fault hook: ``chunk.import`` after each put, after the
-        flush, after the counts and after each unlink.
+        lock held exclusive every file is :meth:`put` (decoded first by the
+        upgrader when ``framed``: an older chunk object may hold a codec
+        frame), then one group :meth:`flush` and an index checkpoint make
+        the records durable and findable, and only then are the files
+        unlinked.  Expired ``*.tmp`` tears are reaped and young ones left
+        alone; dotfiles are not records.  Every step is idempotent (a put
+        of a held key is a no-op), so a crash anywhere resumes on the next
+        open, and a second opener waiting on the lock finds the files gone.
+        Fault hook: ``chunk.import`` after each put, after the flush and
+        after each unlink.
         """
-        with self._locked():
+        with self.lock.hold(exclusive=True):
             with self._mutex:
                 self._refresh_locked()  # what a process we waited for imported
             imported = []
@@ -677,10 +704,6 @@ class ChunkStore:
             with self._mutex:
                 self._write_checkpoint_locked()
             self._hook("chunk.import")
-            if refcount is not None:
-                self._sync_refs()
-                self._commit_refs({path.name: refcount for path in imported})
-                self._hook("chunk.import")
             for path in imported:
                 path.unlink(missing_ok=True)
                 self._hook("chunk.import")
@@ -1007,119 +1030,48 @@ class ChunkStore:
                 raise ChunkNotFoundError(f"no stored chunk with digest {digest!r}")
             return self.segments_dir / entry[0], entry[1], entry[2]
 
-    def _delete_payload(self, digest: str) -> int:
-        """Drop one chunk's index entry; returns the payload bytes freed."""
-        with self._mutex:
-            entry = self._drop_entry_locked(digest)
-            if entry is None:
-                return 0
-            self._index_dirty = True
-            return entry[2]
-
     def drop(self, digest: str) -> bool:
-        """Delete one chunk regardless of refcounts; True iff it was stored.
+        """Delete one record whatever marks it; True iff it was stored
+        (repair and heal primitive: :meth:`drop_many` of one key)."""
+        return bool(self.drop_many([digest]))
 
-        Low-level repair/rollback primitive — normal deletion goes through
-        :meth:`release_refs`.
+    def drop_many(self, digests: Iterable[str]) -> list[str]:
+        """Delete the records under ``digests``; returns those that were
+        stored.  One index checkpoint for the batch, so a rescan never
+        resurrects them."""
+        with self._mutex:
+            dropped = [digest for digest in dict.fromkeys(digests)
+                       if self._drop_entry_locked(digest) is not None]
+            if dropped:
+                self._write_checkpoint_locked()
+                self._update_gauges_locked()
+        return dropped
+
+    def sweep(self, live, repair: bool = True) -> list[str]:
+        """The stored keys outside ``live``, deleted with ``repair``."""
+        with self._mutex:
+            doomed = sorted(digest for digest in self._index if digest not in live)
+        return self.drop_many(doomed) if repair else doomed
+
+    def gc(self, live=None) -> dict:
+        """Sweep every record outside ``live``, reap *expired* tmp files,
+        then compact.
+
+        ``live`` is the caller's mark (``None``: keep every record); the
+        caller takes :attr:`lock` exclusive before it marks, so no save
+        falls between the mark and this sweep.  Tmp files younger than
+        ``tmp_grace_s`` are left alone: a concurrent in-flight writer may
+        still own them.  Partial segments left by a crash mid-roll or
+        mid-compaction get the same grace-age sweep.
         """
-        existed = self.has(digest)
-        if existed:
-            self._delete_payload(digest)
-            self._flush_index()
-        return existed
-
-    # -- reference counting --------------------------------------------------
-
-    def add_refs(self, digests: Iterable[str]) -> None:
-        """Increment refcounts for ``digests`` (one appended log line)."""
-        digests = list(digests)
-        if not digests:
-            return
-        with self._locked():
-            refs = self._sync_refs()
-            changes: dict[str, int] = {}
-            for digest in digests:
-                changes[digest] = changes.get(digest, refs.get(digest, 0)) + 1
-            self._commit_refs(changes)
-
-    def release_refs(self, digests: Iterable[str]) -> list[str]:
-        """Decrement refcounts; delete and return chunks that hit zero."""
-        digests = list(digests)
-        if not digests:
-            return []
-        with self._locked():
-            refs = self._sync_refs()
-            changes: dict[str, int] = {}
-            for digest in digests:
-                changes[digest] = max(
-                    0, changes.get(digest, refs.get(digest, 0)) - 1)
-            removed = [digest for digest, count in changes.items() if not count]
-            # a delete pays an O(store) index checkpoint anyway: fold, so
-            # freed chunks also shrink the log
-            self._commit_refs(changes, fold=True)
-            for digest in removed:
-                self._delete_payload(digest)
-            if removed:
-                self._flush_index()
-        return removed
-
-    def refcount(self, digest: str) -> int:
-        with self._locked():
-            return self._sync_refs().get(digest, 0)
-
-    def export_refs(self) -> dict[str, int]:
-        """Snapshot of every stored refcount (rebalance/repair plumbing)."""
-        with self._locked():
-            return dict(self._sync_refs())
-
-    def import_refs(self, counts: Mapping[str, int]) -> None:
-        """Set refcounts for the given digests (overwriting existing ones).
-
-        Used when chunk ownership moves between stores: the receiving
-        store inherits the relinquishing store's counts verbatim instead
-        of replaying one :meth:`add_refs` per historical manifest.
-        """
-        counts = {d: int(c) for d, c in counts.items() if c > 0}
-        if not counts:
-            return
-        with self._locked():
-            self._sync_refs()
-            self._commit_refs(counts)
-
-    def forget_refs(self, digests: Iterable[str]) -> None:
-        """Drop refcount entries without touching chunk payloads.
-
-        The relinquishing side of a chunk migration: the bytes were
-        already handed to the new owner, so decrement-and-delete
-        (:meth:`release_refs`) would be wrong.
-        """
-        digests = set(digests)
-        if not digests:
-            return
-        with self._locked():
-            refs = self._sync_refs()
-            gone = {digest: 0 for digest in digests if digest in refs}
-            if gone:
-                self._commit_refs(gone)
-
-    def gc(self) -> dict[str, int]:
-        """Delete unreferenced chunks and *expired* tmp files, then compact.
-
-        Tmp files younger than ``tmp_grace_s`` are left alone: a
-        concurrent in-flight writer may still own them.  Partial segments
-        left by a crash mid-roll or mid-compaction get the same grace-age
-        sweep as the bookkeeping tmps.
-        """
-        removed = 0
-        freed = 0
-        with self._locked():
-            live = set(self._sync_refs())
+        with self.lock.hold(exclusive=True):
             with self._mutex:
-                for digest in [d for d in self._index if d not in live]:
-                    freed += self._delete_payload(digest)
-                    removed += 1
-                tmps = [*self.segments_dir.glob("*.tmp"), *self.root.glob("*.tmp")]
-                for path in tmps:
+                doomed = [] if live is None else self.sweep(live, repair=False)
+                freed = sum(self._index[digest][2] for digest in doomed)
+                removed = len(doomed)
+                for digest in doomed:
+                    self._drop_entry_locked(digest)
+                for path in [*self.segments_dir.glob("*.tmp"), *self.root.glob("*.tmp")]:
                     if not self._tmp_expired(path):
                         continue
                     try:
@@ -1131,7 +1083,7 @@ class ChunkStore:
                 self._drop_dead_segments_locked()
                 self._write_checkpoint_locked()
                 self._update_gauges_locked()
-        compacted = self.compact()
+            compacted = self.compact()
         return {
             "chunks_removed": removed,
             "bytes_freed": freed,
@@ -1157,43 +1109,6 @@ class ChunkStore:
             path.unlink(missing_ok=True)
             del self._segmeta[name]
             self._index_dirty = True
-
-    def reconcile(self, expected_refs: Mapping[str, int], repair: bool = True) -> dict:
-        """Cross-check stored refcounts against ``expected_refs`` (fsck).
-
-        ``expected_refs`` is the ground truth recomputed from the live
-        manifests.  Reports (and with ``repair`` fixes) leaked or missing
-        refcounts and deletes orphan chunks nothing references.
-        """
-        expected = {d: int(c) for d, c in expected_refs.items() if c > 0}
-        with self._locked():
-            readable = True
-            try:
-                refs = self._sync_refs()
-            except StoreCorruptionError:
-                refs, readable = {}, False  # no count survives: recount all
-            ref_fixes = {
-                digest: (refs.get(digest, 0), expected.get(digest, 0))
-                for digest in set(refs) | set(expected)
-                if refs.get(digest, 0) != expected.get(digest, 0)
-            }
-            with self._mutex:
-                orphans = sorted(d for d in self._index if d not in expected)
-                orphan_bytes = sum(self._index[d][2] for d in orphans)
-            if repair:
-                if ref_fixes or not readable:
-                    self._commit_refs(
-                        {d: wanted for d, (_, wanted) in ref_fixes.items()},
-                        fold=True)
-                for digest in orphans:
-                    self._delete_payload(digest)
-                if orphans:
-                    self._flush_index()
-        return {
-            "ref_fixes": ref_fixes,
-            "orphan_chunks_removed": orphans,
-            "orphan_bytes": orphan_bytes,
-        }
 
     # -- compaction -----------------------------------------------------------
 
@@ -1434,8 +1349,6 @@ class ChunkStore:
 
     def close(self) -> None:
         """Seal nothing: release file handles, checkpoint the index."""
-        with self._refs_mutex:
-            self._reset_refs()
         with self._mutex:
             if self._active_file is not None:
                 if self._dirty:

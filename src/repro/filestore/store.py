@@ -9,15 +9,15 @@ Every byte lives in one content-addressed
 :class:`~repro.filestore.segments.ChunkStore`.  Model parameters are saved
 as a *manifest* of per-layer chunks keyed by the Merkle leaf hashes
 computed at save time: bit-identical layers across models (BA chain
-snapshots, PUA bases, replicated deployments) are stored once, ref-counted
-by their manifests and deleted when the last manifest goes away.  A file
-(a manifest, architecture code, a dataset archive) is a record of the same
-store under its generated *file id*, holding one reference of its own.
+snapshots, PUA bases, replicated deployments) are stored once, and live
+while a stored manifest names them: :meth:`FileStore.gc_chunks` marks from
+the stored files and sweeps the rest.  A file (a manifest, architecture
+code, a dataset archive) is a record of the same store under its
+generated *file id*.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import shutil
@@ -80,11 +80,8 @@ class FileNotFoundInStoreError(KeyError):
 
 
 def manifest_chunk_digests(manifest: Mapping) -> list[str]:
-    """Every chunk digest a manifest references, with multiplicity.
-
-    Multiplicity matters: refcounts are incremented once per reference,
-    so releases must mirror the same counting.
-    """
+    """Every chunk digest a manifest names, in layer order (a digest that
+    several layers share appears once per layer)."""
     return [meta["chunk"] for _name, meta in manifest["layers"]]
 
 
@@ -350,8 +347,8 @@ class FileStore:
     """File store over one segment chunk store, addressed by generated file ids.
 
     A file is a record of :attr:`chunks` keyed by its file id,
-    ``<16-hex sha256 prefix>-<uuid12><suffix>``, holding one reference of
-    its own; the prefix gives cheap corruption detection on recovery
+    ``<16-hex sha256 prefix>-<uuid12><suffix>``; the prefix gives cheap
+    corruption detection on recovery
     without a separate checksum channel.  Nothing is stored as a file
     under ``root``: a regular file found there on open (a dotfile aside)
     was left by an older release, and is imported as a record under its
@@ -366,6 +363,14 @@ class FileStore:
     ``.params`` blobs — is upgraded once, on open, and :attr:`one_format`
     says whether it has been (DESIGN.md §11 "One upgrader").
 
+    Liveness is reachability: every stored file record is a root, and
+    :meth:`gc_chunks` marks the chunks each stored manifest names and
+    sweeps the rest, holding :meth:`hold` exclusive from mark to sweep; a
+    save holds it shared from its first write through its commit, so what
+    it wrote or deduplicated against stays until something names it.  A
+    save that fails or dies leaves unreachable records for the next gc
+    (DESIGN.md §7).
+
     Robustness plumbing (all optional, all off by default):
 
     * ``faults`` — a :class:`~repro.faults.FaultInjector` consulted at
@@ -373,10 +378,6 @@ class FileStore:
     * ``retry`` — a :class:`~repro.retry.RetryPolicy` applied around each
       primitive operation, so transient failures are absorbed here and
       callers only ever see a typed error once the budget is spent;
-    * a save's undo steps (:meth:`begin_journal`), kept in memory per
-      thread, that undo a save failing in process; a save commits by its
-      model document's insert, and fsck's reconcile reclaims what a
-      crashed one leaves;
     * ``verify_reads`` — every :meth:`recover_state_chunks` checks each
       layer against its content digest and re-fetches on mismatch,
       raising :class:`StoreCorruptionError` once the retry budget is
@@ -438,14 +439,13 @@ class FileStore:
         self._manifests = ManifestMemo()  # parsed manifests by file id
         self._chunks: ChunkStore | None = None
         self._chunks_lock = threading.Lock()
-        self._journal_local = threading.local()
         self._obs_tracer = obs.tracer()
         self._obs_coalesced = obs.registry().counter(
             "mmlib_chunk_cache_coalesced_total",
             "Chunk fetches coalesced by single-flight")
         # an older release kept each file as its own file in the root
         if any(path.is_file() and not path.name.startswith(".") for path in self.root.iterdir()):
-            self.chunks.import_files(self.root, refcount=1)
+            self.chunks.import_files(self.root)
 
     def _open_root(self) -> bool:
         """Make the root; True iff it holds only the one format."""
@@ -504,73 +504,13 @@ class FileStore:
         if self.chunk_cache is not None:
             self.chunk_cache.discard(digest)
 
-    # -- a save's undo steps ------------------------------------------------------
+    # -- the store's lock -------------------------------------------------------
 
-    def begin_journal(self) -> None:
-        """Start this thread's save, whose steps are noted in memory.
-
-        Until :meth:`commit_journal` or :meth:`abort_journal` ends it, each
-        store step the save takes is noted, so a save that fails can be
-        undone.  Nothing is written: a save commits by its model document's
-        insert, and what a crashed save leaves is reclaimed by fsck's
-        reconcile (DESIGN.md §7).  The steps are per-thread, so concurrent
-        savers never interleave them.
-        """
-        self._journal_local.steps = []
-
-    def _steps(self) -> list[dict] | None:
-        return getattr(self._journal_local, "steps", None)
-
-    def journal_active(self) -> bool:
-        """True while this thread has a save open.
-
-        Nested save transactions (a service delegating to another over the
-        same store) use this to join the outer save instead of opening a
-        second one.
-        """
-        return self._steps() is not None
-
-    def journal_record(self, op: str, **fields) -> None:
-        """Note one step of this thread's save (no-op outside one)."""
-        steps = self._steps()
-        if steps is not None:
-            steps.append({"op": op, **fields})
-
-    def commit_journal(self) -> None:
-        """End this thread's save; its steps stand."""
-        self._journal_local.steps = None
-
-    def abort_journal(self) -> list[tuple[str, str]]:
-        """End this thread's save and undo its steps, newest first.
-
-        A ``refs`` step is undone by releasing exactly the references it
-        took — a file's own one among them, which deletes the file — never
-        through :meth:`delete`, which would also release a manifest's
-        chunks a second time.  Document steps cannot be undone here (the
-        file store holds no document-store handle): their
-        ``(collection, doc_id)`` pairs are returned for the save
-        transaction to delete.
-        """
-        steps = self._steps() or []
-        self._journal_local.steps = None
-        docs = []
-        for entry in reversed(steps):
-            op = entry["op"]
-            if op == "doc":
-                docs.append((entry["collection"], entry["doc_id"]))
-            elif op == "refs":
-                with contextlib.suppress(StoreCorruptionError):
-                    # unreadable counts: fsck's reconcile recounts them
-                    self.chunks.release_refs(entry["digests"])
-            elif op == "chunk":
-                digest = entry["digest"]
-                try:
-                    unreferenced = self.chunks.refcount(digest) == 0
-                except StoreCorruptionError:
-                    continue  # ... and sweeps the chunk if nothing references it
-                if unreferenced and self.chunks.has(digest):
-                    self.chunks.drop(digest)
-        return docs
+    def hold(self, exclusive: bool = False):
+        """The store's lock (:class:`~repro.filestore.segments.StoreLock`):
+        shared by a save from its first write through its commit,
+        exclusive by a sweep from its mark to its sweep."""
+        return self.chunks.lock.hold(exclusive)
 
     # -- save ------------------------------------------------------------------
 
@@ -585,14 +525,13 @@ class FileStore:
 
         The payload becomes a record under the file id, which embeds a
         content digest prefix, so reads can detect corruption without a
-        separate checksum channel; the record takes its one reference at
-        once.  It is not flushed here: the next save's group fsync covers
-        it (a model's code is written before its parameters).
+        separate checksum channel.  It is not flushed here: the next
+        save's group fsync covers it (a model's code is written before its
+        parameters).
         """
         file_id = self._new_file_id(data, suffix)
-        self._put_chunk_data(file_id, data)
-        self.chunks.add_refs([file_id])
-        self.journal_record("refs", digests=[file_id])
+        with self.hold():
+            self._put_chunk_data(file_id, data)
         return file_id
 
     def save_file(self, source: str | Path) -> str:
@@ -604,12 +543,8 @@ class FileStore:
     # -- chunked state save/recover ---------------------------------------------
 
     def _put_chunk_data(self, digest: str, buffer) -> bool:
-        """Write one record (fault/retry wrapped) without noting a step.
-
-        A save's steps are thread-local, so parallel savers write through
-        this primitive and the calling thread notes them.  A file record's
-        fault point is ``file.write``, a chunk's ``chunk.write``.
-        """
+        """Write one record (fault/retry wrapped).  A file record's fault
+        point is ``file.write``, a chunk's ``chunk.write``."""
         op = "file.write" if is_file_id(digest) else "chunk.write"
 
         def attempt() -> bool:
@@ -629,10 +564,7 @@ class FileStore:
         Idempotent under retries (content addressing): a repeated attempt
         after a torn write converges on the same chunk file.
         """
-        wrote = self._put_chunk_data(digest, buffer)
-        if wrote:
-            self.journal_record("chunk", digest=digest)
-        return wrote
+        return self._put_chunk_data(digest, buffer)
 
     def _read_chunk(self, digest: str, data=None) -> bytes:
         """One record through the fault plane: its fault point, its read,
@@ -791,26 +723,28 @@ class FileStore:
         re-hashed here, and already-contiguous arrays are written from a
         ``memoryview`` without copying.  With ``workers`` (default: the
         store's ``workers`` setting) distinct chunks are written
-        concurrently; the save's undo steps are still noted on the calling
-        thread, since they are thread-local.  The manifest
-        record is put after the chunks and before the one group fsync that
-        covers them all, and takes its own reference in the same
-        refcount append as the layers.  Returns the manifest's file id,
-        which carries the ``.manifest`` suffix so recovery, deletion, and
-        sizing recognize it.
+        concurrently.  The manifest record is put after the chunks and
+        before the one group fsync that covers them all.  Returns the
+        manifest's file id, which carries the ``.manifest`` suffix so
+        recovery, deletion, and sizing recognize it.  The whole save runs
+        under :meth:`hold` shared, so no sweep falls between a chunk found
+        stored and the manifest that names it.
 
         ``held`` maps more layer names to manifest entries (``chunk``,
         ``dtype``, ``shape``) whose chunks are already stored: they are
-        listed and referenced, not written.  Each must still be present
-        once the save holds its reference — a chunk collected before that
-        raises :class:`~repro.errors.LayersNeededError` naming its layers,
-        and the save transaction rolls the save back.
+        listed, not written.  One no longer stored when the save takes its
+        hold raises :class:`~repro.errors.LayersNeededError` naming its
+        layers.
         """
         if not suffix.endswith(MANIFEST_SUFFIX):
             raise ValueError(f"manifest suffix must end with {MANIFEST_SUFFIX!r}")
-        with self._obs_tracer.span("store.save_chunks", layers=len(state)):
+        with self._obs_tracer.span("store.save_chunks", layers=len(state)), self.hold():
+            held = held or {}
+            gone = set(self.chunks.missing(meta["chunk"] for meta in held.values()))
+            lost = [name for name, meta in held.items() if meta["chunk"] in gone]
+            if lost:
+                raise LayersNeededError(lost)
             entries = []
-            digests = []
             buffers = {}
             for name, array in state.items():
                 digest = layer_hashes[name]
@@ -818,56 +752,23 @@ class FileStore:
                 entries.append(
                     [name, {"chunk": digest, "dtype": array.dtype.str, "shape": list(array.shape)}]
                 )
-                digests.append(digest)
-            for name, meta in (held or {}).items():
-                entries.append([name, dict(meta)])
-                digests.append(meta["chunk"])
+            entries.extend([name, dict(meta)] for name, meta in held.items())
             manifest = json.dumps(
                 {"format": MANIFEST_FORMAT, "layers": entries}, sort_keys=True
             ).encode()
             file_id = self._new_file_id(manifest, suffix)
             unique = list(buffers)
             n = self._effective_workers(workers, len(unique))
-            wrote: list[bool] = []
-            try:
-                if n <= 1:
-                    for digest in unique:
-                        wrote.append(self._put_chunk_data(digest, buffers[digest]))
-                else:
-                    with ThreadPoolExecutor(max_workers=n) as pool:
-                        for written in pool.map(
-                            lambda d: self._put_chunk_data(d, buffers[d]), unique
-                        ):
-                            wrote.append(written)
-                unique.append(file_id)
-                wrote.append(self._put_chunk_data(file_id, manifest))
-            finally:
-                # noted on the calling thread (steps are thread-local), also
-                # when a put failed, so an undo drops what was written before it
-                steps = self._steps()
-                if steps is not None:
-                    steps.extend(
-                        {"op": "chunk", "digest": d} for d, w in zip(unique, wrote) if w)
+            if n <= 1:
+                for digest in unique:
+                    self._put_chunk_data(digest, buffers[digest])
+            else:
+                with ThreadPoolExecutor(max_workers=n) as pool:
+                    list(pool.map(lambda d: self._put_chunk_data(d, buffers[d]), unique))
+            self._put_chunk_data(file_id, manifest)
             # group fsync: one durability barrier for the whole batch, the
-            # manifest included, before the refs acknowledge the save
+            # manifest included
             self.chunks.flush()
-            digests.append(file_id)
-            self.chunks.add_refs(digests)
-            self.journal_record("refs", digests=digests)
-            # a delete or gc that ran before the refs above may have freed a
-            # record this save deduplicated against or wrote; none can once
-            # they are counted.  The save's own are put again, a held
-            # chunk's layers are asked for.
-            gone = self.chunks.missing(digests)
-            if gone:
-                own = {**buffers, file_id: manifest}
-                lost = [name for name, meta in (held or {}).items()
-                        if meta["chunk"] in gone and meta["chunk"] not in own]
-                if lost:
-                    raise LayersNeededError(lost)
-                for digest in gone:
-                    self._put_chunk_data(digest, own[digest])
-                self.chunks.flush()
             return file_id
 
     @staticmethod
@@ -1084,23 +985,13 @@ class FileStore:
         return bool(self.delete_many([file_id]))
 
     def delete_many(self, file_ids: Iterable[str]) -> list[str]:
-        """Remove stored files in one refcount release; returns those that
-        existed.
+        """Drop the stored files ``file_ids``; returns those that existed.
 
-        Each file gives up its own reference, which deletes it; a manifest
-        also releases its chunk references, and chunks no other manifest
-        still points at are deleted with it.
+        Only the file records go: a chunk a dropped manifest named is
+        swept by the next :meth:`gc_chunks` once no stored manifest names
+        it.
         """
-        present = [file_id for file_id in dict.fromkeys(file_ids) if self.exists(file_id)]
-        digests = list(present)
-        for file_id in present:
-            if self.is_manifest_id(file_id):
-                try:
-                    digests.extend(manifest_chunk_digests(self.read_manifest(file_id)))
-                except (IOError, ValueError, KeyError):
-                    pass  # corrupt manifest: drop the file, keep chunks
-        self.chunks.release_refs(digests)
-        return present
+        return self.chunks.drop_many(file_ids)
 
     def size(self, file_id: str) -> int:
         """Logical size in bytes of one stored file.
@@ -1133,15 +1024,44 @@ class FileStore:
         return [key for key in self.chunks.chunk_ids() if is_file_id(key)]
 
     def gc_chunks(self) -> dict[str, int]:
-        """Sweep unreferenced chunks (see :meth:`ChunkStore.gc`)."""
-        if (self.root / CHUNK_DIR_NAME).exists():
-            return self.chunks.gc()
-        return {"chunks_removed": 0, "bytes_freed": 0}
+        """Mark from every stored file, sweep the rest, compact.
+
+        Every stored file record is a root, and every chunk a stored
+        manifest names is marked (a v2 manifest's pieces until the
+        upgrader rewrites it); :meth:`ChunkStore.gc` sweeps the rest,
+        reaps expired tmp files and compacts, all under :meth:`hold`
+        exclusive.  A manifest that cannot be read marks nothing it
+        names, so no chunk is swept this time.
+        """
+        with self.hold(exclusive=True):
+            return self.chunks.gc(self.mark(self.file_ids()))
+
+    def mark(self, file_ids: Iterable[str]) -> set[str] | None:
+        """The record keys ``file_ids`` keep alive: each stored one, and
+        every chunk it names if it is a manifest (a v2 manifest's pieces
+        until the upgrader rewrites it); ``None`` when a stored manifest
+        cannot be read, since what it names is unknown."""
+        live: set[str] = set()
+        for file_id in file_ids:
+            if not self.exists(file_id):
+                continue
+            live.add(file_id)
+            if not self.is_manifest_id(file_id):
+                continue
+            try:
+                live.update(manifest_chunk_digests(self.read_manifest(file_id)))
+            except FileNotFoundInStoreError:
+                continue  # dropped since it was listed
+            except (IOError, ValueError):
+                pieces = upgrade.v2_pieces(self, file_id)
+                if pieces is None:
+                    return None
+                live.update(pieces)
+        return live
 
     def clear(self) -> None:
         shutil.rmtree(self.root)
         self.one_format = self._open_root()
         self._chunks = None
-        self._journal_local = threading.local()
         if self.chunk_cache is not None:
             self.chunk_cache.clear()

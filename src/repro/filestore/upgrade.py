@@ -92,10 +92,12 @@ def upgrade(service) -> None:
     Under an ``flock`` on its root, with each chunk store behind it indexed
     from disk again: (1) a framed record is appended again, raw, under its
     key when it passes its CRC and hashes back to the key decoded, not as
-    stored — layer chunks once (2) the manifests are read; (3) each blob or
-    v2 level ``service``'s catalog names is saved again as a v1 manifest and
-    swapped in; (4) the members' roots, then the store's, are marked — only
-    if every manifest was read and no retired level is left.  What fails a
+    stored — layer chunks once (2) the manifests are read, and a gc sweeps
+    the framed records none names; (3) each blob or v2 level ``service``'s
+    catalog names is saved again as a v1 manifest and swapped in, and a gc
+    sweeps the pieces left unnamed; (4) the members' roots, then the
+    store's, are marked — only if every manifest was read
+    and no retired level is left.  What fails a
     check stays as it was, for fsck; the next open starts over.
     """
     files = service.files
@@ -106,7 +108,7 @@ def upgrade(service) -> None:
             fcntl.flock(fd, fcntl.LOCK_EX)
         stores = [member.chunks for member in members or [files]]
         for store in stores:  # another process may have upgraded it
-            with store._locked(), store._mutex:
+            with store.lock.hold(exclusive=True), store._mutex:
                 store._index.clear()
                 store._segmeta.clear()
                 store._load_checkpoint()
@@ -130,7 +132,12 @@ def upgrade(service) -> None:
                     complete = False
         for store, keys in zip(stores, framed):
             _reappend(store, keys, layers)
+        # a framed record no manifest names goes before a level's rewrite
+        # can deduplicate against it
+        files.gc_chunks()
         _upgrade_levels(service, retired)
+        if retired:
+            files.gc_chunks()  # the pieces no stored manifest names now
         if complete and not retired.keys() & set(files.file_ids()):
             for root in [*(member.root for member in members), files.root]:
                 fault_hook("upgrade.mark")
@@ -151,7 +158,7 @@ def _reappend(store, keys, layers: dict) -> list[str]:
         return hashlib.sha256(data).hexdigest() == key
 
     left = []
-    with store._locked(), store._mutex:
+    with store.lock.hold(exclusive=True), store._mutex:
         for key in keys:
             entry = store._index.get(key)
             fileobj = entry and store._read_file_locked(entry[0])
@@ -192,7 +199,8 @@ def _upgrade_levels(service, retired: dict) -> None:
     """Step 3: a level's layers are checked against the document's
     ``layer_hashes`` (and a v2 layer's ``hash``), saved through
     ``service._save_state`` and swapped in: the manifest, one document
-    replace, then the old level and its pieces released."""
+    replace, then the old level's record dropped (its pieces go at the
+    next gc)."""
     from ..core.compaction import ChainCompactor  # repro.core imports this package
     from ..core.hashing import state_dict_hashes
     from ..core.schema import MODELS
@@ -211,10 +219,10 @@ def _upgrade_levels(service, retired: dict) -> None:
                 document = models.get(found["_id"])
                 recorded = [dict(document.get("layer_hashes") or ())]
                 if entries is None:
-                    state, pieces = serialization.loads(files.recover_bytes(file_id)), []
+                    state = serialization.loads(files.recover_bytes(file_id))
                 else:
-                    pieces = [d for _, meta in entries for d in meta["chunks"]]
-                    fetched = files.get_chunks(pieces)
+                    fetched = files.get_chunks(
+                        [d for _, meta in entries for d in meta["chunks"]])
                     state = OrderedDict(
                         (name, np.frombuffer(
                             bytearray().join(fetched[d] for d in meta["chunks"]),
@@ -225,9 +233,10 @@ def _upgrade_levels(service, retired: dict) -> None:
                 if any(r.get(name, h) != h for r in recorded for name, h in hashes.items()):
                     raise ValueError("layer hash mismatch")
                 kind = "params" if field == "parameters_file" else "update"
-                document[field] = service._save_state(state, hashes, kind=kind)
-                rewriter.swap(document["_id"], document, release=lambda: (
-                    files.chunks.release_refs([file_id, *pieces])))
+                with service._save_transaction():  # no sweep before the swap
+                    document[field] = service._save_state(state, hashes, kind=kind)
+                    rewriter.swap(document["_id"], document,
+                                  release=lambda: files.delete(file_id))
             except _ERRORS as exc:
                 obs.events().emit("upgrade_skipped", file_id=file_id, reason=str(exc))
                 continue

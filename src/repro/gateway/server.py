@@ -11,9 +11,9 @@ split of work is strict:
 * **Worker pool**: everything that talks to storage, and encoding the
   response frame, under the client's ``deadline_s`` less the time since
   admission (so a budget spent waiting for an execution slot fails typed
-  ``deadline``).  Each save notes its undo steps on its own thread and
-  commits by its model document's insert, so concurrent saves from
-  different workers never share a transaction.
+  ``deadline``).  Each save holds the file store's lock shared until its
+  model document's insert commits it; a ``delete`` ends with the admin
+  manager's gc, which holds it exclusive.
 """
 
 from __future__ import annotations
@@ -401,6 +401,8 @@ class GatewayServer(FrameServer):
         tenant.manager.delete_model(
             tenant.resolve(model_id), force=bool(request.get("force", False))
         )
+        # every tenant's catalog marks: the file store is shared
+        self.registry.admin_manager().garbage_collect()
         return Reply({"deleted": True})
 
     def _op_stats(self, request: dict, tenant) -> Reply:

@@ -272,6 +272,7 @@ class FrameServer:
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
+        self._connections: dict = {}  # each open connection's task -> its reader
         metrics = obs.registry()
         self._obs_connections = metrics.counter(
             f"mmlib_{name}_connections_total", f"Accepted {name} connections"
@@ -334,10 +335,17 @@ class FrameServer:
         import asyncio
 
         self._server.close()
-        pending = [task for task in asyncio.all_tasks() if task is not asyncio.current_task()]
+        # a connection's read ends as if its client had closed, so its task
+        # returns: a cancelled one would reach the loop's exception handler
+        # through the stream's done callback
+        connections = list(self._connections)
+        for reader in self._connections.values():
+            reader.feed_eof()
+        pending = [task for task in asyncio.all_tasks()
+                   if task is not asyncio.current_task() and task not in connections]
         for task in pending:
             task.cancel()
-        await asyncio.gather(*pending, return_exceptions=True)
+        await asyncio.gather(*pending, *connections, return_exceptions=True)
         # after the connections' tasks: from Python 3.12 this waits for
         # every connection to close, an idle client's too
         await self._server.wait_closed()
@@ -367,6 +375,7 @@ class FrameServer:
         import asyncio
 
         self._obs_connections.inc()
+        self._connections[asyncio.current_task()] = reader
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
 
@@ -397,6 +406,7 @@ class FrameServer:
                 self._obs_wire_bytes["in"].inc(frame.wire_bytes)
                 spawn(self._answer(frame, writer, write_lock))
         finally:
+            self._connections.pop(asyncio.current_task(), None)
             # the client closed its write side; finish answering what was
             # already submitted before tearing the socket down
             if tasks:

@@ -421,8 +421,8 @@ class TestManagerSelfHeal:
         self, tmp_path
     ):
         """Deleting the last model leaves the shared environment document
-        for fsck's orphan sweep, which tombstones it; the next save's put
-        must supersede the tombstone."""
+        for fsck's orphan sweep (or gc), which tombstones it; the next
+        save's put must supersede the tombstone."""
         from repro.core.schema import ENVIRONMENTS
 
         stores, manager = self.make_manager(tmp_path, {})
@@ -444,8 +444,8 @@ class TestManagerSelfHeal:
 
         manager.delete_model(first)
         assert env_holders(env_id) == owners
-        report = manager.fsck()
-        assert {issue.kind for issue in report.issues} == {"orphan_document"}
+        report = manager.fsck()  # the model's chunks wait for the next gc
+        assert {issue.kind for issue in report.issues} == {"orphan_document", "orphan_chunk"}
         assert env_holders(env_id) == set()
         assert env_holders(env_id, deleted=True) == owners
 

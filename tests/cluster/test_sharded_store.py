@@ -355,10 +355,10 @@ class TestFlushBarrier:
         with pytest.raises(OSError, match="injected fsync failure"):
             service.save_model(ModelSaveInfo(make_tiny_cnn(seed=3), tiny_arch()))
         assert sorted(returned) == ["m1", "m2"]
-        # rolled back, not acknowledged: no model, no record, no reference
+        # not acknowledged: no model, and no record once gc has run
         assert service.saved_model_ids() == []
+        ModelManager(service).garbage_collect()
         assert chunk_universe(store) == set()
-        assert store.chunks.export_refs() == {}
         # the member that failed is synced by the next barrier
         assert "m0" in store._unsynced
 
@@ -420,7 +420,6 @@ class TestFailoverReads:
 
         digest = sorted(chunk_universe(store))[0]
         primary, secondary = store.ring.owners(digest)
-        expected_refs = store.members[secondary].chunks.refcount(digest)
         store.members[primary].chunks.drop(digest)
         assert not store.members[primary].chunks.has(digest)
 
@@ -428,9 +427,8 @@ class TestFailoverReads:
         assert data == store.members[secondary].chunks.get(digest)
         assert store.cluster_stats["failover_reads"] >= 1
         assert store.cluster_stats["read_repairs"] >= 1
-        # the primary holds the chunk again, refcount included
+        # the primary holds the chunk again
         assert store.members[primary].chunks.has(digest)
-        assert store.members[primary].chunks.refcount(digest) == expected_refs
 
     def test_a_failover_read_under_audit_reads_repairs_nothing(self, tmp_path):
         """What fsck(repair=False) reads: both planes serve the surviving
@@ -536,12 +534,9 @@ class TestManagerIntegration:
         owners = store.ring.owners(digest)
         stray = next(n for n in sorted(store.members) if n not in owners)
         data = store.members[owners[0]].chunks.get(digest)
-        refcount = store.members[owners[0]].chunks.refcount(digest)
         store.members[stray].chunks.put(digest, data)
-        store.members[stray].chunks.import_refs({digest: refcount})
         for name in owners:
             store.members[name].chunks.drop(digest)
-            store.members[name].chunks.forget_refs([digest])
 
         report = manager.fsck(repair=True)
         assert not report.unrepaired
@@ -559,4 +554,5 @@ class TestManagerIntegration:
         model_id = service.save_model(ModelSaveInfo(make_tiny_cnn(seed=5), tiny_arch()))
         manager = ModelManager(service)
         manager.delete_model(model_id)
+        manager.garbage_collect()
         assert chunk_universe(store) == set()

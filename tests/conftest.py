@@ -41,7 +41,7 @@ def file_store(tmp_path):
 
 def replace_record(files, key: str, data: bytes) -> None:
     """Store ``data`` as record ``key`` of ``files`` (a file store or one
-    cluster member) under a valid record CRC, its refcount untouched:
+    cluster member) under a valid record CRC:
     damage only the content check can see."""
     files.chunks.drop(key)
     files.chunks.put(key, data)

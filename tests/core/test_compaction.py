@@ -281,6 +281,7 @@ class TestPromoteRunsTheSwap:
         assert document["base_model"] is None
         assert document["promoted_from"] == ids[3]
         assert_bitwise(service, ids[4:], states)
+        manager.garbage_collect()
         assert manager.fsck().clean
 
     def test_promote_of_an_mpa_level_releases_its_training_record(self, tmp_path):
@@ -323,4 +324,5 @@ class TestPromoteRunsTheSwap:
         manager.delete_model(base_id)
         assert_bitwise(service, [model_id], states)
         assert service.recover_model(model_id).recovery_depth == 0
+        manager.garbage_collect()
         assert manager.fsck().clean

@@ -5,7 +5,7 @@ It commits by its model document's insert and writes no log of its own.
 Whatever operation the process dies on, ``ModelManager.fsck`` restores
 every storage invariant: a save that died before the insert leaves the
 stores exactly as it found them (its records and documents are orphans
-fsck's reconcile and orphan-document sweep reclaim), one that died after
+fsck's sweep and orphan-document sweep reclaim), one that died after
 it is saved and recovers bitwise, no previously saved model is lost, and
 a subsequent save succeeds.  Single store and 3x2 cluster alike.
 """
@@ -55,8 +55,8 @@ def catalog(manager) -> set[str]:
 
 def store_state(manager) -> dict:
     """What a save that never committed must leave as it found it: the
-    catalog, the file and chunk ids, every record's refcount (a cluster's
-    member by member) and the documents a save puts beside its model's."""
+    catalog, the file and chunk ids (a cluster's member by member) and the
+    documents a save puts beside its model's."""
     files, documents = manager.files, manager.documents
     stores = getattr(files, "members", {"": files})
     state = {
@@ -64,7 +64,6 @@ def store_state(manager) -> dict:
         "files": sorted(files.file_ids()),
         "chunks": {name: sorted(member.chunks.chunk_ids())
                    for name, member in stores.items()},
-        "refs": {name: member.chunks.export_refs() for name, member in stores.items()},
     }
     for name in (ENVIRONMENTS, TRAIN_INFO, WRAPPERS):
         state[name] = sorted(documents.collection(name).find(), key=lambda d: d["_id"])
@@ -192,13 +191,13 @@ class TestCrashMatrix:
         for model_id in catalog(manager) - {base_id}:
             assert_states_equal(victim, service.recover_model(model_id).model)
             manager.delete_model(model_id)
+        manager.garbage_collect()
         assert store_state(manager) == clean
 
 
 class TestCrashBeforeTheChunkBatchIsJournaled:
-    """A save notes its chunks' undo steps in memory only.  Dying between
-    the last put and the refcounts leaves chunks nothing on disk names:
-    refcount-0 orphans, which fsck sweeps."""
+    """Dying at a save's group fsync, after its last put, leaves chunks no
+    document reaches: orphans, which fsck sweeps."""
 
     @pytest.mark.parametrize("service_cls", SERVICES)
     def test_unjournaled_chunks_are_swept_as_orphans(
@@ -213,7 +212,7 @@ class TestCrashBeforeTheChunkBatchIsJournaled:
         before = store_state(manager)
 
         def die_at_the_group_fsync(store):
-            raise CrashPoint("died between the last put and the refcounts")
+            raise CrashPoint("died at the group fsync, after the last put")
 
         monkeypatch.setattr(ChunkStore, "flush", die_at_the_group_fsync)
         victim = make_tiny_cnn(seed=2)
@@ -223,9 +222,11 @@ class TestCrashBeforeTheChunkBatchIsJournaled:
         monkeypatch.undo()
 
         written = set(files.chunks.chunk_ids()) - set(before["chunks"][""])
-        # the code file took its one reference before the chunks were put
-        orphans = {digest for digest in written if files.chunks.refcount(digest) == 0}
-        assert orphans, "the crashed save wrote no chunk before its refcounts"
+        report = manager.fsck(repair=False)
+        orphans = {issue.detail for issue in report.issues if issue.kind == "orphan_chunk"}
+        assert written and len(orphans) == len(written) - 2, (
+            "every chunk the crashed save wrote is an orphan (its code file and "
+            "manifest are orphan files)")
 
         # the process really died: reopen from disk, then repair
         files = FileStore(tmp_path / "files", tmp_grace_s=0.0)
@@ -334,8 +335,8 @@ class TestCrashThenRestartFromDisk:
 class TestCrashMatrixOnACluster:
     def test_a_restarted_cluster_repairs_every_crash_point(self, service_cls, tmp_path):
         """Kill a derived save at every operation of a 3x2 cluster's members
-        and restart every store from disk: each member's reconcile takes
-        back what the save left, as before the save or with the one model
+        and restart every store from disk: each member's sweep takes back
+        what the save left, as before the save or with the one model
         it committed, and every model recovers bitwise."""
         faults = FaultInjector(seed=0)
 

@@ -1,4 +1,4 @@
-"""fsck: verify-and-repair across documents, files, chunks, refcounts."""
+"""fsck: verify-and-repair across documents, files and chunks."""
 
 import numpy as np
 import pytest
@@ -48,7 +48,7 @@ def kinds(report):
 
 
 def destroy_chunk(files, digest):
-    """Data loss: drop the stored payload out from under the refcounts."""
+    """Data loss: drop the stored payload out from under its manifest."""
     files.chunks.drop(digest)
 
 
@@ -88,30 +88,6 @@ class TestFsckDetectAndRepair:
         assert not report.unrepaired
         assert not files.chunks.has("deadbeef" * 4)
         assert manager.fsck().clean
-
-    def test_leaked_refcount_is_reconciled(self, setup):
-        manager, _, files, _, _ = setup
-        digest = files.chunks.chunk_ids()[0]
-        before = files.chunks.refcount(digest)
-        files.chunks.add_refs([digest])  # leak one reference
-        report = manager.fsck()
-        assert kinds(report) == {"refcount_mismatch"}
-        assert not report.unrepaired
-        assert files.chunks.refcount(digest) == before
-        assert manager.fsck().clean
-
-    def test_deflated_refcount_is_reconciled(self, setup):
-        manager, service, files, _, model = setup
-        # a second identical save dedups every chunk: refcounts go up by one
-        service.save_model(ModelSaveInfo(model, tiny_arch(), use_case="U_2"))
-        digest = files.chunks.chunk_ids()[0]
-        before = files.chunks.refcount(digest)
-        assert before >= 2
-        files.chunks.release_refs([digest])  # would let gc eat a live chunk
-        report = manager.fsck()
-        assert "refcount_mismatch" in kinds(report)
-        assert not report.unrepaired
-        assert files.chunks.refcount(digest) == before
 
     def test_missing_chunk_is_unrepairable(self, setup):
         manager, service, files, model_id, model = setup
@@ -186,7 +162,9 @@ class TestFsckDetectAndRepair:
         manager.delete_model(model_id)  # a delete leaves the document ...
         assert environments.count() == 1
         report = manager.fsck()  # ... for the orphan sweep, legacy or not
-        assert kinds(report) == {"orphan_document"} and not report.unrepaired
+        # (with the model's chunks, which the next gc would take)
+        assert kinds(report) == {"orphan_document", "orphan_chunk"}
+        assert not report.unrepaired
         assert environments.count() == 0
 
     def test_repair_false_reports_without_touching(self, setup):

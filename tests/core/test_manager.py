@@ -137,18 +137,20 @@ class TestDeletion:
 
     def test_environment_documents_cleaned(self, setup):
         """The shared environment document survives every delete; once no
-        model references it, fsck's orphan sweep reclaims it."""
+        model references it, fsck's orphan sweep reclaims it (with the
+        deleted model's chunks, which the next gc would take)."""
         manager, ids = setup
         environments = manager.documents.collection("environments")
         assert environments.count() == 1
         for name in ("b", "a", "c"):
             manager.delete_model(ids[name])
             assert environments.count() == 1
+        manager.garbage_collect()
         assert manager.fsck().clean  # still named by the root
         manager.delete_model(ids["root"])
         assert environments.count() == 1
         report = manager.fsck()
-        assert {issue.kind for issue in report.issues} == {"orphan_document"}
+        assert {issue.kind for issue in report.issues} == {"orphan_document", "orphan_chunk"}
         assert not report.unrepaired
         assert environments.count() == 0
 
@@ -164,6 +166,19 @@ class TestGarbageCollection:
         # every model still recovers after gc
         recovered = manager.recover(ids["b"])
         assert recovered.verified is True
+
+    def test_an_orphan_wrapper_and_its_state_file_are_swept(self, setup):
+        """What a failed MPA save leaves: a wrapper document no train
+        document names, and its state file.  gc and fsck agree it is dead."""
+        manager, ids = setup
+        state_file = manager.files.save_bytes(b"optimizer state", suffix=".state")
+        wrappers = manager.documents.collection("wrappers")
+        wrappers.insert_one({"_id": "wrapper-orphan", "state_file_id": state_file})
+        manager.garbage_collect()
+        assert wrappers.count() == 0
+        assert not manager.files.exists(state_file)
+        assert manager.fsck(repair=False).clean
+        assert manager.recover(ids["b"]).verified is True
 
     def test_gc_on_clean_store_is_noop(self, setup):
         manager, _ = setup

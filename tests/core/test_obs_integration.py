@@ -17,7 +17,7 @@ ARCH = ArchitectureRef.from_factory(
 # a missing replica unreported)
 FSCK_STEPS = (
     "segments", "replication", "hints", "documents", "chunks",
-    "refcounts", "orphan_documents",
+    "orphans", "orphan_documents",
 )
 
 

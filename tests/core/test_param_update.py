@@ -440,7 +440,8 @@ class TestTreeCache:
     @pytest.mark.parametrize("step", ["_save_state", "_insert_model_document"])
     def test_a_rolled_back_save_caches_nothing(self, service, mem_doc_store, monkeypatch, step):
         """Neither the base tree a miss built (the save fails writing its
-        chunks) nor the new tree (it fails once its document is inserted)."""
+        chunks) nor the new tree (it fails once its document is inserted:
+        the save committed, and nothing undoes it)."""
         base = make_tiny_cnn(seed=1)
         first = perturb(base, ["5.bias"])
         base_id, first_id = self.save_chain(service, [base, first], tiny_arch())
@@ -457,7 +458,8 @@ class TestTreeCache:
             with pytest.raises(RuntimeError, match="injected"):
                 service.save_model(ModelSaveInfo(
                     perturb(first, ["5.weight"]), tiny_arch(), base_model_id=model_id))
-        assert mem_doc_store.collection(MODELS).count() == 2
+        committed = 2 if step == "_insert_model_document" else 0
+        assert mem_doc_store.collection(MODELS).count() == 2 + committed
         assert service._trees == {}
 
     def test_cached_and_uncached_saves_store_the_same(

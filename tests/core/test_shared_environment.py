@@ -187,16 +187,18 @@ class TestCrashedSaveDoesNotOwnTheDocument:
         with pytest.raises(OSError):
             service.save_model(save_info(2))
         assert_one_shared_environment(mem_doc_store, [kept])
-        assert ModelManager(service).fsck().clean  # the undo left nothing
+        ModelManager(service).garbage_collect()  # what the failed save left
+        assert ModelManager(service).fsck().clean
 
 
 class TestConcurrentSaveAndDelete:
     def test_no_model_is_left_naming_a_missing_environment(self, doc_store, tmp_path):
         """Savers and deleters race over one store; the deleters keep
-        removing the environment's last referent.  After every round each
-        surviving model's environment document must exist.  The tiny models
-        share chunks, so a save also dedups against chunks whose last
-        reference a concurrent delete releases: it puts them again.
+        removing the environment's last referent, and a collector keeps
+        sweeping what they free, the environment document included.  After
+        every round each surviving model's environment document must exist.
+        The tiny models share chunks, so a save also dedups against chunks
+        a concurrent delete leaves unreached: no sweep falls between.
         """
         service = BaselineSaveService(doc_store, FileStore(tmp_path / "files"))
         manager = ModelManager(service)
@@ -215,11 +217,19 @@ class TestConcurrentSaveAndDelete:
             for model_id in model_ids:
                 manager.delete_model(model_id)
 
+        def collect(done):
+            while not done.is_set():
+                manager.garbage_collect()
+            manager.garbage_collect()  # after the round's last delete
+
         previous_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             survivors = [service.save_model(infos[0])]
             for _ in range(12):
+                done = threading.Event()
+                collector = threading.Thread(target=guard, args=(collect, done))
+                collector.start()
                 threads = [
                     threading.Thread(target=guard, args=(service.save_model, info))
                     for info in infos
@@ -233,7 +243,9 @@ class TestConcurrentSaveAndDelete:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=120)
-                assert not any(thread.is_alive() for thread in threads)
+                done.set()
+                collector.join(timeout=120)
+                assert not any(thread.is_alive() for thread in (*threads, collector))
                 assert errors == []
                 survivors = [document["_id"] for document in models.find()]
                 assert len(survivors) == len(infos)

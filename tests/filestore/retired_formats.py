@@ -104,7 +104,7 @@ class RetiredFormatStore(FileStore):
             self.chunks.__dict__.pop("_encode", None)
 
     def _save_v2(self, state, layer_hashes, suffix) -> str:
-        entries, digests = [], []
+        entries = []
         for name, array in state.items():
             raw = np.ascontiguousarray(array).tobytes()
             pieces = []
@@ -117,9 +117,6 @@ class RetiredFormatStore(FileStore):
                 "chunks": pieces, "dtype": array.dtype.str,
                 "shape": list(array.shape), "hash": layer_hashes[name],
             }])
-            digests.extend(pieces)
         self.chunks.flush()
-        self.chunks.add_refs(digests)
-        self.journal_record("refs", digests=digests)
         manifest = {"format": MANIFEST_FORMAT_V2, "layers": entries}
         return self.save_bytes(json.dumps(manifest, sort_keys=True).encode(), suffix=suffix)

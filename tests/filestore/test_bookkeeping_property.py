@@ -1,105 +1,86 @@
-"""Random refcount / payload operation sequences against a plain-dict model.
+"""Random save / delete / gc / reopen sequences against reachability.
 
-``add`` / ``release`` / ``import`` / ``forget`` / ``gc`` / reopen (with and
-without ``close``): the refcount log, whatever mix of appended lines and
-folds a sequence produced, always replays to the model's table, and the
-segment gauges always equal a recount.
+A :class:`FileStore` counts no references: a chunk lives while a stored
+manifest names it.  Whatever sequence of saves (which deduplicate, the
+layers being drawn from a small pool), deletes, sweeps and reopens (with
+and without ``close``) ran, every stored manifest recovers bitwise, after
+every gc the stored records are exactly the stored files and the chunks
+their manifests name, and the segment gauges equal a recount.
 """
 
-import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.filestore import ChunkStore
-from repro.filestore.recordlog import RECORD_HEADER
+from repro.core.hashing import tensor_hash
+from repro.filestore import FileStore
+from repro.filestore.store import manifest_chunk_digests
 from tests.filestore.test_bookkeeping import recount
 
-DIGESTS = st.sampled_from([f"{i:02d}" + "ef" * 8 for i in range(8)])
-BATCHES = st.lists(DIGESTS, min_size=1, max_size=5)
+#: Three layers, each one of three arrays: saves share chunks.
+POOL = [np.full(16, value, dtype=np.float32) for value in (1.0, 2.0, 3.0)]
+CHOICES = st.tuples(*[st.integers(0, len(POOL) - 1)] * 3)
 
 
-class SegmentRefcountsAgainstDict(RuleBasedStateMachine):
+class ReachabilityAgainstDict(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.directory = tempfile.TemporaryDirectory()
-        self.root = Path(self.directory.name) / "c"
-        self.refs: dict[str, int] = {}
-        self.stored: set[str] = set()
+        self.root = Path(self.directory.name) / "files"
+        self.saved: dict[str, dict] = {}  # file id -> the state it holds
         self.open()
 
     def open(self):
-        # small segments roll, so gc also compacts
-        self.store = ChunkStore(self.root, tmp_grace_s=0.0, segment_bytes=256)
+        self.files = FileStore(self.root, tmp_grace_s=0.0)
 
     def teardown(self):
-        self.store.close()
+        self.files.chunks.close()
         self.directory.cleanup()
 
-    @rule(digest=DIGESTS)
-    def put(self, digest):
-        assert self.store.put(digest, digest.encode() * 3) == (digest not in self.stored)
-        self.store.flush()
-        self.stored.add(digest)
+    @rule(choice=CHOICES)
+    def save(self, choice):
+        state = {name: POOL[index] for name, index in zip("abc", choice)}
+        hashes = {name: tensor_hash(array) for name, array in state.items()}
+        self.saved[self.files.save_state_chunks(state, hashes)] = state
 
-    @rule(digests=BATCHES)
-    def add(self, digests):
-        self.store.add_refs(digests)
-        for digest in digests:
-            self.refs[digest] = self.refs.get(digest, 0) + 1
-
-    @rule(digests=BATCHES)
-    def release(self, digests):
-        expected = set()
-        for digest in digests:
-            count = self.refs.get(digest, 0) - 1
-            if count > 0:
-                self.refs[digest] = count
-            else:
-                self.refs.pop(digest, None)
-                self.stored.discard(digest)
-                expected.add(digest)
-        assert sorted(self.store.release_refs(digests)) == sorted(expected)
-
-    @rule(counts=st.dictionaries(DIGESTS, st.integers(0, 12), max_size=4))
-    def import_(self, counts):
-        self.store.import_refs(counts)
-        self.refs.update({d: c for d, c in counts.items() if c > 0})
-
-    @rule(digests=BATCHES)
-    def forget(self, digests):
-        self.store.forget_refs(digests)
-        for digest in digests:
-            self.refs.pop(digest, None)
+    @rule(data=st.data())
+    def delete(self, data):
+        if not self.saved:
+            return
+        file_id = data.draw(st.sampled_from(sorted(self.saved)))
+        assert self.files.delete_many([file_id]) == [file_id]
+        del self.saved[file_id]
 
     @rule()
     def gc(self):
-        doomed = self.stored - set(self.refs)
-        assert self.store.gc()["chunks_removed"] >= len(doomed)
-        self.stored -= doomed
+        self.files.gc_chunks()
+        named = {digest for file_id in self.saved
+                 for digest in manifest_chunk_digests(self.files.read_manifest(file_id))}
+        assert set(self.files.chunks.chunk_ids()) == named | set(self.saved)
 
     @rule(clean=st.booleans())
     def reopen(self, clean):
         if clean:
-            self.store.close()
+            self.files.chunks.close()
         self.open()  # otherwise: killed, the handles just go away
 
     @invariant()
-    def state_agrees(self):
-        assert self.store.export_refs() == self.refs
-        assert set(self.store.chunk_ids()) == self.stored
-        path = self.store._refs_path
-        if path.exists():
-            folded = len(json.dumps(self.refs, separators=(",", ":")))
-            assert path.stat().st_size <= 2 * (folded + RECORD_HEADER.size) + 16
-        stats = self.store.segment_stats()
-        expected = recount(self.store)
+    def every_stored_manifest_recovers_bitwise(self):
+        assert set(self.files.file_ids()) == set(self.saved)
+        for file_id, state in self.saved.items():
+            recovered = self.files.recover_state_chunks(file_id, verify=True)
+            for name, array in state.items():
+                assert recovered[name].tobytes() == array.tobytes()
+        store = self.files.chunks
+        stats = store.segment_stats()
+        expected = recount(store)
         assert {key: stats[key] for key in expected} == expected
 
 
-TestSegmentRefcountsAgainstDict = SegmentRefcountsAgainstDict.TestCase
-TestSegmentRefcountsAgainstDict.settings = settings(
+TestReachabilityAgainstDict = ReachabilityAgainstDict.TestCase
+TestReachabilityAgainstDict.settings = settings(
     max_examples=40, stateful_step_count=40, deadline=None)

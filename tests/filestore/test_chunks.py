@@ -1,4 +1,4 @@
-"""Content-addressed chunk storage: dedup, refcounts, GC, network cost."""
+"""Content-addressed chunk storage: dedup, mark-and-sweep GC, network cost."""
 
 import json
 import os
@@ -53,23 +53,11 @@ class TestChunkStore:
         with pytest.raises(ValueError):
             store.put(bad, b"x")
 
-    def test_refcounting_deletes_at_zero(self, tmp_path):
-        store = ChunkStore(tmp_path / "c")
-        store.put("d1", b"one")
-        store.add_refs(["d1"])
-        store.add_refs(["d1"])
-        assert store.refcount("d1") == 2
-        assert store.release_refs(["d1"]) == []
-        assert store.has("d1")
-        assert store.release_refs(["d1"]) == ["d1"]
-        assert not store.has("d1")
-
     def test_gc_removes_unreferenced_chunks(self, tmp_path):
         store = ChunkStore(tmp_path / "c")
         store.put("orphan", b"never referenced")
         store.put("kept", b"referenced")
-        store.add_refs(["kept"])
-        stats = store.gc()
+        stats = store.gc({"kept"})
         assert stats["chunks_removed"] == 1
         assert stats["bytes_freed"] == len(b"never referenced")
         assert store.has("kept") and not store.has("orphan")
@@ -114,8 +102,10 @@ class TestChunkedStateSave:
         id_b = store.save_state_chunks(shared, state_dict_hashes(shared))
         assert len(layer_chunks(store)) == len(shared)
         store.delete(id_a)
+        store.gc_chunks()
         assert len(layer_chunks(store)) == len(shared)  # still referenced by id_b
         store.delete(id_b)
+        store.gc_chunks()
         assert len(store.chunks) == 0  # the manifests' own records with them
 
     def test_manifest_logical_size_vs_physical_total(self, tmp_path):

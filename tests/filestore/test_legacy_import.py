@@ -2,17 +2,17 @@
 
 Chunk roots of the older file-per-chunk layout are imported on open.  That
 layout kept each chunk in its own file, ``chunks/objects/<digest>`` (the
-raw bytes or a codec frame), beside the ``refcounts.json`` both layouts
-share.  A chunk root that still holds ``objects/`` is folded into the
+raw bytes or a codec frame), beside a ``refcounts.json`` that nothing
+reads now and fsck deletes.  A chunk root that still holds ``objects/`` is folded into the
 segments once, under the store's lock: put, one group flush and an index
 checkpoint, then the files are unlinked (DESIGN.md §9).
 
 Store roots of the older file-per-blob layout are imported the same way:
 every regular file directly under the root becomes a record under its
-name, with a refcount of one (DESIGN.md §6 "One store for every byte").
-The handoff hints those releases wrote name such a file as a ``blob``;
-they are still honoured.  The save journals they wrote beside it are
-deleted by fsck, whose reconcile reclaims every file a crashed save left.
+name (DESIGN.md §6 "One store for every byte").  The handoff hints those
+releases wrote name such a file as a ``blob``; they are still honoured.
+The save journals they wrote beside it are deleted by fsck, whose sweep
+reclaims every file a crashed save left.
 
 Saves write one format, whole-layer (v1) manifests over raw records; a
 store holding one of the three retired write formats — v2 manifests of
@@ -87,12 +87,12 @@ def write_objects(chunk_root, payloads: dict) -> None:
 
 
 def save_models(root) -> tuple[dict, dict]:
-    """A PUA chain, saved and closed: ``({model_id: state}, refcounts)``."""
+    """A PUA chain, saved and closed: ``({model_id: state}, record keys)``."""
     files, service, _manager = open_stores(root)
     ids, states = save_pua_chain(service, depth=3, layers=("5.bias", "5.weight"))
-    counts = files.chunks.export_refs()
+    keys = files.chunks.chunk_ids()
     files.chunks.close()
-    return dict(zip(ids, states)), counts
+    return dict(zip(ids, states)), keys
 
 
 def stored_payloads(store) -> dict:
@@ -104,7 +104,7 @@ def to_file_per_chunk(root) -> dict:
     folded ``refcounts.json``, no segments, no index."""
     store = FileStore(root / "files").chunks
     payloads = stored_payloads(store)
-    counts = store.export_refs()
+    counts = dict.fromkeys(payloads, 1)
     store.close()
     chunk_root = store.root
     shutil.rmtree(chunk_root / "segments")
@@ -114,24 +114,25 @@ def to_file_per_chunk(root) -> dict:
     return payloads
 
 
-def assert_whole(root, states: dict, counts: dict) -> None:
-    """Opened again: every model bitwise, the same counts, fsck clean, no
-    ``objects/`` left."""
+def assert_whole(root, states: dict, keys: list) -> None:
+    """Opened again: every model bitwise, the same records, fsck clean, no
+    ``objects/`` and no ``refcounts.json`` left."""
     files, service, manager = open_stores(root)
     for model_id, state in states.items():
         assert_recovers(service, model_id, state)
-    assert files.chunks.export_refs() == counts
+    assert files.chunks.chunk_ids() == keys
     report = manager.fsck(verify_chunks=True)
     assert report.clean, report.summary()
     assert not (files.chunks.root / "objects").exists()
+    assert not (files.chunks.root / "refcounts.json").exists()
 
 
 class TestAMixedChunkRoot:
     def test_chunks_written_beside_the_segments_are_all_found(self, tmp_path):
         """A file-per-chunk writer on a segments root stored every chunk it
-        was handed in ``objects/`` and counted it in the shared log; half
-        of them it was the only one to store."""
-        states, counts = save_models(tmp_path)
+        was handed in ``objects/``; half of them it was the only one to
+        store."""
+        states, keys = save_models(tmp_path)
         store = FileStore(tmp_path / "files").chunks
         payloads = stored_payloads(store)
         for digest in sorted(payloads)[::2]:
@@ -139,7 +140,7 @@ class TestAMixedChunkRoot:
         store.close()
         write_objects(store.root, payloads)
 
-        assert_whole(tmp_path, states, counts)
+        assert_whole(tmp_path, states, keys)
         store = ChunkStore(store.root)
         assert store.chunk_ids() == sorted(payloads)
         assert store.segment_stats()["chunks"] == len(payloads)
@@ -147,14 +148,14 @@ class TestAMixedChunkRoot:
 
 class TestAStoreInTheOlderLayout:
     def test_it_opens_recovers_with_the_same_counts_and_is_fsck_clean(self, tmp_path):
-        states, counts = save_models(tmp_path)
+        states, keys = save_models(tmp_path)
         payloads = to_file_per_chunk(tmp_path)
         objects = tmp_path / "files" / "chunks" / "objects"
         framed = [p for p in objects.iterdir()
                   if p.read_bytes()[:4] == upgrade.FRAME_MAGIC]
         assert 0 < len(framed) < len(payloads)
 
-        assert_whole(tmp_path, states, counts)
+        assert_whole(tmp_path, states, keys)
         files, service, manager = open_stores(tmp_path)
         assert sorted(files.chunks.chunk_ids()) == sorted(payloads)
         # and it carries on: a delete, a gc
@@ -172,7 +173,7 @@ class TestACrashMidImport:
         """Kill the import after put k, after the flush, after unlink k:
         the next open finishes it."""
         seed = tmp_path / "seed"
-        states, counts = save_models(seed)
+        states, keys = save_models(seed)
         imported = len(to_file_per_chunk(seed))
         faults = FaultInjector(seed=0)
         monkeypatch.setattr(ChunkStore, "_hook", lambda self, op: faults.fail_point(op))
@@ -188,7 +189,7 @@ class TestACrashMidImport:
             else:
                 break  # the import outran the armed crash: every point hit
             assert (root / "files" / "chunks" / "objects").exists(), f"crash at {at}"
-            assert_whole(root, states, counts)
+            assert_whole(root, states, keys)
         else:
             pytest.fail("the import never completed")
         assert crashes == 2 * imported + 1  # n puts, the flush, n unlinks
@@ -229,7 +230,7 @@ class TestTwoProcesses:
 
         store = ChunkStore(root)
         assert not (root / "objects").exists()
-        assert store.export_refs() == counts
+        assert store.chunk_ids() == sorted(counts)
         stats = store.segment_stats()
         assert stats["chunks"] == len(payloads)
         assert stats["dead_bytes"] == 0  # imported once, not once per opener
@@ -542,13 +543,12 @@ def save_every_kind(root, cluster: bool) -> dict:
 
 def unimport_files(files) -> list[str]:
     """Turn every file record of ``files`` back into what an older release
-    kept: a regular file in the root under its id, no record, no refcount,
-    no format marker.  Returns the ids."""
+    kept: a regular file in the root under its id, no record, no format
+    marker.  Returns the ids."""
     ids = files.file_ids()
     for file_id in ids:
         (files.root / file_id).write_bytes(bytes(files.chunks.get(file_id)))
         files.chunks.drop(file_id)
-    files.chunks.forget_refs(ids)
     files.chunks.close()
     as_older_release(files.root)
     return ids
@@ -573,9 +573,9 @@ def to_file_per_blob(root, cluster: bool) -> dict:
 
 def assert_imported(root, cluster: bool, states: dict, placed: dict) -> None:
     """Opened again: every model bitwise, fsck clean, each imported id a
-    record with refcount one — but the ``.params`` file, which the upgrade
-    replaced by a manifest — and nothing left in a root but the young tmp
-    and the format marker."""
+    stored record — but the ``.params`` file, which the upgrade replaced by
+    a manifest — and nothing left in a root but the young tmp and the
+    format marker."""
     stores = open_deployment(root, cluster)
     service = ParameterUpdateSaveService(
         stores.documents, stores.files, scratch_dir=stores.scratch_dir)
@@ -590,8 +590,8 @@ def assert_imported(root, cluster: bool, states: dict, placed: dict) -> None:
     for files in member_stores(stores):
         relative = files.root.relative_to(root)
         for file_id in placed[root / relative]:
-            wanted = 0 if file_id.endswith(".params") else 1
-            assert files.chunks.refcount(file_id) == wanted, file_id
+            wanted = not file_id.endswith(".params")
+            assert files.chunks.has(file_id) == wanted, file_id
         left = sorted(p.name for p in files.root.iterdir()
                       if p.is_file() and p.name != FORMAT_MARKER)
         assert left == ["fedcba9876543210-000000000000.py.tmp"], left
@@ -609,15 +609,15 @@ class TestAStoreOfFilesPerBlob:
     def test_a_crash_at_every_import_step_loses_no_file(
         self, tmp_path, cluster, monkeypatch
     ):
-        """Kill the import after put k, the flush, the counts, unlink k of
-        every member: the next open finishes it."""
+        """Kill the import after put k, the flush, unlink k of every
+        member: the next open finishes it."""
         seed = tmp_path / "seed"
         states = save_every_kind(seed, cluster)
         placed = {
             root.relative_to(seed): ids
             for root, ids in to_file_per_blob(seed, cluster).items()
         }
-        steps = sum(2 * len(ids) + 2 for ids in placed.values())
+        steps = sum(2 * len(ids) + 1 for ids in placed.values())
         faults = FaultInjector(seed=0)
         monkeypatch.setattr(ChunkStore, "_hook", lambda self, op: faults.fail_point(op))
         crashes = 0
@@ -647,14 +647,13 @@ class TestOlderArtefacts:
         file_id = store.save_bytes(b"architecture source", suffix=".py")
         owner = store.ring.owners(file_id)[0]
         members[owner].chunks.drop(file_id)
-        members[owner].chunks.forget_refs([file_id])
         hints.record(owner, "blob", file_id)  # what an older release recorded
 
         deliverer = SelfHealer([store])
         assert deliverer.drain() is True
         assert deliverer.stats["delivered"] == 1
         assert members[owner].recover_bytes(file_id) == b"architecture source"
-        assert members[owner].chunks.refcount(file_id) == 1
+        assert members[owner].chunks.has(file_id)
 
 
 # -- the upgrade, crashed at every step ---------------------------------------
@@ -685,7 +684,7 @@ def build_retired_cluster(root) -> dict:
 
     document = models.get(ids[1])
     old = document["update_file"]
-    entries, pieces = [], []
+    entries = []
     for name, meta in files.read_manifest(old)["layers"]:
         raw = np.ascontiguousarray(states[1][name]).tobytes()
         run = []
@@ -695,9 +694,7 @@ def build_retired_cluster(root) -> dict:
             files.put_chunk(run[-1], piece)
         entries.append([name, {"chunks": run, "dtype": meta["dtype"],
                                "shape": meta["shape"], "hash": meta["chunk"]}])
-        pieces.extend(run)
     files.chunks.flush()
-    files.chunks.add_refs(pieces)
     document["update_file"] = files.save_bytes(json.dumps(
         {"format": MANIFEST_FORMAT_V2, "layers": entries}, sort_keys=True).encode(),
         suffix=".update.manifest")

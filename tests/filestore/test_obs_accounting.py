@@ -111,8 +111,7 @@ class TestNetworkMirrors:
 
 class TestFilesCreated:
     """``mmlib_chunk_files_created_total`` counts every file the chunk store
-    creates: a segment, a compaction output, a log rewrite (an index
-    checkpoint, a refcount fold, a compaction journal)."""
+    creates: a segment, a compaction output, an index checkpoint."""
 
     @staticmethod
     def created() -> float:
@@ -122,26 +121,25 @@ class TestFilesCreated:
     def save(store, digest: str, nbytes: int = 100) -> None:
         store.put(digest, b"x" * nbytes)
         store.flush()
-        store.add_refs([digest])
 
     def test_segments_checkpoints_and_compaction_outputs_are_counted(self, tmp_path):
         from repro.filestore import ChunkStore
 
         store = ChunkStore(tmp_path / "chunks", segment_bytes=4096)
         assert self.created() == 0
-        self.save(store, "a" * 64)  # the first segment, the first refcount record
-        assert self.created() == 2
-        self.save(store, "b" * 64)  # an append to both
-        assert self.created() == 2
+        self.save(store, "a" * 64)  # the first segment
+        assert self.created() == 1
+        self.save(store, "b" * 64)  # an append to it
+        assert self.created() == 1
         self.save(store, "c" * 64, nbytes=5000)  # fills the segment: the next rolls
         self.save(store, "d" * 64)
         assert len(list((tmp_path / "chunks" / "segments").iterdir())) == 2
-        assert self.created() == 4  # the second segment, the index checkpoint at the roll
+        assert self.created() == 3  # the second segment, the index checkpoint at the roll
         before = self.created()
-        store.release_refs(["c" * 64])  # a refcount fold, an index checkpoint
-        assert self.created() == before + 2
+        store.drop("c" * 64)  # an index checkpoint
+        assert self.created() == before + 1
         before = self.created()
         assert store.gc()["segments_compacted"] == 1
-        # the compaction journal and its output segment, at least
+        # its output segment and an index checkpoint, at least
         assert self.created() >= before + 2
         store.close()

@@ -5,12 +5,13 @@ collections, the refcount log, hint files, rebalance journals, one file
 per save under ``journal/``) or one JSON document (``index.json``,
 ``compaction.json``, the indented ``chain-compaction/*.json``).
 :func:`to_parent_format` rewrites every log under a root that way, and
-writes the intents the parent kept beside an operation this release
-commits without one: the chain-compaction intents beside a swap and the
-save journals beside a save (both committed by a document alone), the
-segment compaction journal beside a compaction (committed by its rename)
-and the rebalance journals beside a membership change (the placement
-says what is left).  Each
+writes the files the parent kept beside what this release keeps without
+one: the chain-compaction intents beside a swap and the save journals
+beside a save (both committed by a document alone), the segment
+compaction journal beside a compaction (committed by its rename), the
+rebalance journals beside a membership change (the placement says what is
+left) and the refcount log beside the records (liveness is what the
+catalog reaches).  Each
 store here is caught mid-crash first — an open save, a pending chain
 compaction, a pending segment compaction, a pending rebalance, undelivered
 hints — so the parent-format files are exactly what a crashed parent left.
@@ -55,6 +56,11 @@ def to_parent_format(root, swaps=(), saves=(), compaction=None, moves=None) -> s
     change copied) as its rebalance journal under ``root / "meta"``;
     returns the kinds of log written."""
     kinds = set()
+    for index in sorted(root.rglob("index.json")):  # a count per indexed record
+        counts = dict.fromkeys(records_of(index)[-1]["entries"], 1)
+        (index.parent / "refcounts.json").write_text(
+            json.dumps(counts, sort_keys=True, separators=(",", ":")))
+        kinds.add("refcounts.json")
     if compaction is not None:
         path = root / "files" / "chunks" / "compaction.json"
         path.write_text(json.dumps(compaction, sort_keys=True))
@@ -83,9 +89,6 @@ def to_parent_format(root, swaps=(), saves=(), compaction=None, moves=None) -> s
         records = records_of(path)
         if path.name == "index.json":
             kind, text = path.name, json.dumps(records[-1], sort_keys=True)
-        elif path.name == "refcounts.json":
-            kind, text = path.name, "\n".join(
-                json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records)
         elif path.parent.name == "hints":
             pending = {}
             for record in records:  # the parent kept pending hints only
@@ -117,7 +120,7 @@ class TestASingleStore:
         files, service, manager = open_single(tmp_path)
         ids, states = save_pua_chain(service, depth=4, layers=("5.bias", "5.weight"))
         expected = dict(zip(ids, states))
-        manager.delete_model(ids[-1])  # a fold and an index checkpoint
+        manager.delete_model(ids[-1])  # an index checkpoint
         del expected[ids[-1]]
         compactor, faults = ChainCompactor(service, max_depth=2), FaultInjector(seed=0)
         compactor.fault_hook = faults.fail_point
@@ -158,13 +161,14 @@ class TestASingleStore:
         assert not report.unrepaired, report.summary()
         kinds = {issue.kind for issue in report.repaired}
         # the open save's files and the uncommitted swap's manifest and
-        # code copy are plain orphans; the chunks they shared are recounted
-        assert {"orphan_file", "refcount_mismatch"} <= kinds
+        # code copy are plain orphans, as is the chunk only the save wrote
+        assert {"orphan_file", "orphan_chunk"} <= kinds
         for file_id in (code, manifest, swap["manifest_file"], swap["code_file"]):
             assert not files.exists(file_id)
         assert not files.chunks.has(digests["5.bias"])
         assert not (tmp_path / "files" / "chain-compaction").exists()
         assert not (tmp_path / "files" / "journal").exists()
+        assert not (tmp_path / "files" / "chunks" / "refcounts.json").exists()
         assert manager.fsck(verify_chunks=True).clean
         for model_id, state in expected.items():
             assert_recovers(service, model_id, state)
@@ -178,12 +182,12 @@ class TestASingleStore:
         for seed in range(1, 7):
             ids, states = save_pua_chain(service, depth=0, seed=seed)
             expected.update(zip(ids, states))
-        for model_id in list(expected)[1::2]:  # every sealed segment part dead
+        for model_id in list(expected)[1::2]:
             manager.delete_model(model_id)
             del expected[model_id]
         chunks = files.chunks
+        chunks.sweep(files.mark(files.file_ids()))  # every sealed segment part dead
         records = {digest: bytes(chunks.get(digest)) for digest in chunks.chunk_ids()}
-        refs = chunks.export_refs()
         with chunks._mutex:
             victims = chunks._compaction_victims_locked()
         before = {path.name for path in chunks.segments_dir.iterdir()}
@@ -209,7 +213,6 @@ class TestASingleStore:
         files, service, manager = open_single(tmp_path, segment_bytes=2048)
         chunks = files.chunks
         assert {d: bytes(chunks.get(d)) for d in chunks.chunk_ids()} == records
-        assert chunks.export_refs() == refs
         for model_id, state in expected.items():
             assert_recovers(service, model_id, state)
         report = manager.fsck(verify_chunks=True)

@@ -141,20 +141,21 @@ class TestOlderFiles:
         assert path.read_bytes() == damaged
 
 
-def test_follow_sees_appends_and_a_replaced_file(tmp_path):
-    """The refcount log's reader: a tail read while the file grows, the
-    whole new file once another writer replaced it."""
-    path = tmp_path / "refcounts.json"
+def test_replay_sees_appends_and_a_replaced_file(tmp_path):
+    """A second reader of one path (the index checkpoint's, in another
+    process): each replay reads the file as it is now, the whole new file
+    once another writer replaced it."""
+    path = tmp_path / "index.json"
     writer, reader = RecordLog(path), RecordLog(path)
-    assert reader.follow() == (False, [])
+    assert reader.replay() == []
     writer.append([b"1", b"2"])
-    assert reader.follow() == (False, [1, 2])
+    assert reader.replay() == [1, 2]
     writer.append([b"3"])
-    assert reader.follow() == (False, [3])
+    assert reader.replay() == [1, 2, 3]
     writer.rewrite([b"6"])
-    assert reader.follow() == (True, [6])
+    assert reader.replay() == [6]
     writer.remove()
-    assert reader.follow() == (True, [])
+    assert reader.replay() == []
 
 
 def test_sizes_and_the_rewrite_rule(tmp_path):

@@ -1,9 +1,9 @@
-"""A save notes its undo steps in memory and writes no log of its own.
+"""A save holds its store's lock and writes no log of its own.
 
-It commits by its model document's insert; a save that fails undoes its
-steps, and what a crashed one leaves is reclaimed by fsck's reconcile
-(``test_crash_consistency.py``).  Every way a save ends — commit,
-rollback, a simulated crash — leaves the descriptor count where it was.
+It commits by its model document's insert; what a failed or crashed save
+leaves is reclaimed by gc and fsck (``test_crash_consistency.py``).  Every
+way a save ends — commit, a refused insert, a simulated crash — leaves the
+descriptor count where it was: the lock's file is closed with its hold.
 """
 
 import os
@@ -35,7 +35,7 @@ def open_fds() -> int:
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 class TestNoDescriptorLeak:
     def test_fifty_mixed_saves_hold_no_descriptor(self, tmp_path):
-        """Committed, rolled-back and crash-killed saves alike leave the
+        """Committed, refused and crash-killed saves alike leave the
         process's descriptor count where it was."""
         faults = FaultInjector(seed=0)
         docs = FaultyDocumentStore(DocumentStore(), faults)

@@ -192,8 +192,8 @@ class TestDamagedLengthField:
         assert reopened.audit(repair=False)["crc_failures"] == []
         reopened.drop(digest_for(0))
         assert reopened.audit(repair=False)["crc_failures"] == [digest_for(0)]
-        # every record unreferenced: gc unlinks the segment, and its damage
-        reopened.gc()
+        # every record unmarked: gc unlinks the segment, and its damage
+        reopened.gc(set())
         assert reopened.audit(repair=False)["crc_failures"] == []
 
     def test_a_scan_reads_no_further_than_the_size_it_saw(self, tmp_path, monkeypatch):
@@ -257,8 +257,7 @@ class TestCompaction:
 
     def test_gc_runs_compaction(self, tmp_path):
         store, data = self.build_fragmented(tmp_path / "s")
-        store.add_refs(list(data))
-        stats = store.gc()
+        stats = store.gc(set(data))
         assert stats["segments_compacted"] > 0
         for digest, blob in data.items():
             assert store.get(digest) == blob
@@ -269,9 +268,8 @@ class TestCompaction:
         audit reports the record; every other record reads back."""
         store = ChunkStore(tmp_path / "s", segment_bytes=64 * 1024, tmp_grace_s=0.0)
         data = fill(store, 40, size=4096)
-        store.add_refs(list(data))
         released = [digest_for(i) for i in (*range(13), *range(16, 25))]
-        store.release_refs(released)
+        store.drop_many(released)
         for digest in released:
             del data[digest]
         bad = digest_for(14)
@@ -340,7 +338,6 @@ class TestCompaction:
         for at in range(1, 60):
             root = tmp_path / f"crash-{at}"
             store, data = self.build_fragmented(root)
-            store.add_refs(list(data))
             other = ChunkStore(root, segment_bytes=4096, tmp_grace_s=0.0)
             faults = FaultInjector(seed=0)
             store.fault_hook = faults.fail_point
@@ -368,7 +365,6 @@ class TestCompaction:
     def test_orphan_partial_segments_get_grace_swept(self, tmp_path):
         store = ChunkStore(tmp_path / "s")
         data = fill(store, 3)
-        store.add_refs(list(data))
         fresh = store.segments_dir / "seg-rewrite.seg.tmp"
         fresh.write_bytes(b"mid-flight compaction copy")
         expired = store.segments_dir / "seg-crashed.seg.tmp"

@@ -1,5 +1,7 @@
 """File store: save/recover, integrity, management."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -118,8 +120,10 @@ def any_store(request, tmp_path):
 
 
 class TestASaveBesideAFree:
-    """A delete or gc that frees a record between a save's put and its
-    refs must not leave the save's manifest naming a missing record."""
+    """A delete or gc that frees records while a save sits between its
+    puts and its barrier must not leave the save's manifest naming a
+    missing record: a delete drops only file records, and a sweep waits for
+    the save's hold."""
 
     def free_once_at_the_barrier(self, store, monkeypatch, free):
         flush, freed = store.chunks.flush, []
@@ -141,12 +145,27 @@ class TestASaveBesideAFree:
         second = _save(any_store, state)  # dedups against first's chunks
         assert freed == [[first]]
         assert _bitwise(any_store, second, state)
-        assert all(any_store.chunks.refcount(tensor_hash(a)) == 1 for a in state.values())
+        assert all(any_store.chunks.has(tensor_hash(a)) for a in state.values())
+        any_store.gc_chunks()
+        assert _bitwise(any_store, second, state)
 
     def test_a_gc_in_the_same_window(self, any_store, monkeypatch):
         state = _state(1)
-        freed = self.free_once_at_the_barrier(any_store, monkeypatch, any_store.gc_chunks)
+        gc_results = []
+
+        def gc_beside():  # another thread's gc, started inside the window
+            sweeper = threading.Thread(
+                target=lambda: gc_results.append(any_store.gc_chunks()))
+            sweeper.start()
+            sweeper.join(timeout=0.3)
+            return sweeper
+
+        freed = self.free_once_at_the_barrier(any_store, monkeypatch, gc_beside)
         file_id = _save(any_store, state)
-        assert freed[0]["chunks_removed"] >= 3  # its chunks and its manifest
+        sweeper = freed[0]
+        assert gc_results == []  # it waited for the save's hold
+        sweeper.join(timeout=30)
+        assert not sweeper.is_alive()
+        assert gc_results[0]["chunks_removed"] == 0  # the save names them all
         assert _bitwise(any_store, file_id, state)
-        assert any_store.chunks.refcount(file_id) == 1
+        assert any_store.chunks.has(file_id)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -108,3 +109,24 @@ def test_stop_does_not_wait_for_an_idle_client(make, tmp_path):
         started = time.perf_counter()
         server.stop()
         assert time.perf_counter() - started < 5
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=IDS)
+def test_stop_ends_an_idle_connection_without_an_error(make, tmp_path):
+    """The idle connection's handler returns at the end of its stream
+    instead of being cancelled: a cancelled one would reach the event
+    loop's exception handler (and stderr) as a ``CancelledError``."""
+    server, good = make(tmp_path)
+    seen, installed = [], threading.Event()
+
+    def install():
+        server._loop.set_exception_handler(lambda loop, context: seen.append(context))
+        installed.set()
+
+    with server, socket.create_connection(server.address, timeout=5) as idle:
+        server._loop.call_soon_threadsafe(install)
+        assert installed.wait(timeout=5)
+        send(idle, *encode_frame({"id": 1, **good}))
+        assert idle.recv(1)  # answered: the connection is open, and idle
+        server.stop()
+    assert seen == []
