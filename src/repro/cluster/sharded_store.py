@@ -55,7 +55,8 @@ from ..filestore.store import (
     is_file_id,
 )
 from . import antientropy
-from .replica import REPLICA_FAILURES, ReplicaLedger, classify_failure, reads_repair
+from .replica import (
+    REPLICA_FAILURES, ReplicaLedger, audit_reads, classify_failure, reads_repair)
 from .ring import DEFAULT_VNODES
 
 __all__ = ["ShardedFileStore"]
@@ -237,19 +238,23 @@ class _ShardedChunkView:
                 shares[name].add(key)
         return shares
 
-    def gc(self, live=None) -> dict[str, int]:
-        """Each member sweeps what its share of ``live`` leaves out, reaps
-        and compacts; the counts summed."""
-        keys = ("chunks_removed", "bytes_freed", "segments_compacted", "segments_skipped")
-        merged = dict.fromkeys(keys, 0)
+    def reap(self, live=None) -> dict[str, int]:
+        """Each member sweeps what its share of ``live`` leaves out and
+        reaps its tmp files; the counts summed."""
+        merged = {"chunks_removed": 0, "bytes_freed": 0}
         for name, share in sorted(self._shares(live).items()):
-            stats = self._store.members[name].chunks.gc(share)
-            for key in keys:
-                merged[key] += stats[key]
+            for key, value in self._store.members[name].chunks.reap(share).items():
+                merged[key] += value
         return merged
 
+    def compact(self) -> dict[str, int]:
+        """Each member compacts its segments; the counts summed."""
+        return self._summed(
+            lambda member: member.chunks.compact(),
+            ("segments_compacted", "records_moved", "bytes_reclaimed", "segments_skipped"))
+
     def sweep(self, live, repair: bool = True) -> list[str]:
-        """:meth:`gc`'s sweep alone, as ``member:key``."""
+        """:meth:`reap`'s sweep alone, as ``member:key``."""
         members = self._store.members
         return [f"{name}:{key}" for name, share in sorted(self._shares(live).items())
                 for key in members[name].chunks.sweep(share, repair)]
@@ -342,7 +347,7 @@ class ShardedFileStore(ReplicaLedger, FileStore):
         self._unsynced: set[str] = set()  # members holding an unsynced chunk
         self._barrier_lock = threading.Lock()  # one flush barrier at a time
         self._view = _ShardedChunkView(self)
-        self._view.lock = StoreLock(Path(root) / ".lock", on_acquire=self._absorb_deletes)
+        self._view.lock = StoreLock(Path(root) / ".lock", on_acquire=self._catch_up)
         super().__init__(
             root,
             faults=None,
@@ -364,9 +369,9 @@ class ShardedFileStore(ReplicaLedger, FileStore):
     def chunks(self) -> _ShardedChunkView:
         return self._view
 
-    def _absorb_deletes(self) -> None:
+    def _catch_up(self, exclusive: bool) -> None:
         for member in list(self.members.values()):
-            member.chunks.absorb_deletes()
+            member.chunks.catch_up(exclusive)
 
     # -- chunk metadata for repair verification -----------------------------
 
@@ -559,10 +564,16 @@ class ShardedFileStore(ReplicaLedger, FileStore):
             self, key, repair=repair, deep=deep, unreachable=unreachable)
 
     def universe(self) -> set[tuple[str, str]]:
-        """Every record key (chunk digest or file id) any member stores."""
+        """Every record key (chunk digest or file id) any member stores,
+        and every chunk a stored manifest names, so a chunk lost on every
+        member is still swept, and reported unrepairable.  The manifests
+        are read under :func:`~repro.cluster.replica.audit_reads`: what
+        they find short, the sweep heals."""
         keys: set[str] = set()
         for member in self.members.values():
             keys.update(member.chunks.chunk_ids())
+        with audit_reads():
+            keys.update(self.mark(self.file_ids())[0])
         return {("chunk", key) for key in keys}
 
     def add_member(self, name: str, member: FileStore) -> dict:

@@ -587,13 +587,13 @@ class ModelManager:
     def garbage_collect(self) -> dict[str, int]:
         """Sweep what the catalog does not reach; returns statistics.
 
-        Under the file store's hold, exclusive from the mark to the last
-        sweep (a save in flight holds it shared until its commit): the
-        catalog walk marks, the documents and file records it did not
-        reach are deleted, then :meth:`FileStore.gc_chunks` marks from the
-        manifests left and sweeps every chunk none names.  ``bytes_freed``
-        reports the physical bytes reclaimed, chunk deduplication
-        included.
+        Under the file store's hold, exclusive from the mark to the sweep
+        (a save in flight holds it shared until its commit), the catalog
+        walk marks and the documents and file records it did not reach are
+        deleted.  Then :meth:`FileStore.gc_chunks` marks from the manifests
+        left, under a hold of its own, and sweeps every chunk none names.
+        ``bytes_freed`` reports the physical bytes reclaimed, chunk
+        deduplication included.
         """
         with self.files.hold(exclusive=True):
             reached = self._walk()
@@ -602,9 +602,9 @@ class ModelManager:
             before = self.files.total_bytes()
             removed = self.files.delete_many(
                 [file_id for file_id in self.files.file_ids() if file_id not in reached.files])
-            self.files.gc_chunks()
-            return {"files_removed": len(removed),
-                    "bytes_freed": before - self.files.total_bytes()}
+            freed = before - self.files.total_bytes()
+        swept = self.files.gc_chunks()
+        return {"files_removed": len(removed), "bytes_freed": freed + swept["bytes_freed"]}
 
     # -- self-healing (sharded deployments) ---------------------------------
 

@@ -23,7 +23,7 @@ length, crc)``), LSM-style:
   reopen after ``kill -9`` rescans at most the one unsealed tail
   (DESIGN.md §17 "Bookkeeping").
 * **Liveness is reachability** — the store counts no references.  A
-  record lives while its caller's mark says so: :meth:`ChunkStore.gc`
+  record lives while its caller's mark says so: :meth:`ChunkStore.reap`
   sweeps every record outside the mark it is given, under the store's
   :class:`StoreLock` held exclusive, while a save holds it shared from its
   first write to its commit (DESIGN.md §7, §17).
@@ -77,7 +77,7 @@ from .recordlog import (
 
 try:
     import fcntl
-except ImportError:  # non-posix platform: single-process locking only
+except ImportError:  # non-posix platform: the store's lock excludes nothing
     fcntl = None
 
 __all__ = ["ChunkStore", "ChunkNotFoundError", "DEFAULT_SEGMENT_BYTES"]
@@ -132,7 +132,7 @@ def _buffer_nbytes(buffer) -> int:
 class _SharedLog(RecordLog):
     """The index checkpoint, which several processes rewrite: each writes
     its own tmp file (one a crash left behind is reaped by
-    :meth:`ChunkStore.gc`).  ``created`` counts the files its rewrites
+    :meth:`ChunkStore.reap`).  ``created`` counts the files its rewrites
     create."""
 
     def __init__(self, path: Path, created):
@@ -167,83 +167,43 @@ def _new_meta() -> dict:
 class StoreLock:
     """A store's lock: held shared by saves, exclusive by a sweep.
 
-    In one process any number of threads hold it shared, or one thread
-    holds it exclusive; a thread that holds it already enters again at
-    once (a nested save joins the outer one, ``gc_chunks`` runs inside
-    ``garbage_collect``'s hold), and a thread waiting to hold it exclusive
-    keeps new shared holders out.  Across processes it is an ``flock`` of
-    ``path``, taken whenever the process goes from holding nothing to
-    holding it; ``on_acquire`` then runs, to absorb what another process
-    changed meanwhile.  A shared hold cannot become exclusive.
+    Each thread's outermost hold opens ``path`` and takes an ``flock`` on
+    it, shared or exclusive.  An ``flock`` belongs to its open file, so two threads of
+    one process exclude each other as two processes do.  A thread that
+    holds it already enters again at once (a nested save joins the outer
+    one, a sweep runs inside fsck's hold); a shared hold cannot become
+    exclusive.  ``on_acquire(exclusive)`` runs after each outermost
+    acquisition, to take in what other holders changed meanwhile.  The
+    ``flock`` prefers no side: a sweep waits until no save holds it.
     """
 
     def __init__(self, path: Path, on_acquire=None):
         self.path = Path(path)
         self._on_acquire = on_acquire
-        self._cond = threading.Condition()
-        self._shared = 0  # threads holding it shared
-        self._owner = None  # the thread holding it exclusive
-        self._waiting = 0  # threads waiting to hold it exclusive
-        self._file = None
-        self._local = threading.local()  # this thread's hold depth
+        self._local = threading.local()  # this thread's (depth, exclusive)
 
     @contextlib.contextmanager
     def hold(self, exclusive: bool = False):
-        depth = getattr(self._local, "depth", 0)
+        depth, held_exclusive = getattr(self._local, "held", (0, False))
         if depth:
-            if exclusive and self._owner != threading.get_ident():
+            if exclusive and not held_exclusive:
                 raise RuntimeError("a shared store hold cannot become exclusive")
-        else:
-            self._acquire(exclusive)
-        self._local.depth = depth + 1
-        try:
-            yield
-        finally:
-            self._local.depth = depth
-            if not depth:
-                self._release(exclusive)
-
-    def _acquire(self, exclusive: bool) -> None:
-        with self._cond:
-            if exclusive:
-                self._waiting += 1
-                try:
-                    while self._owner is not None or self._shared:
-                        self._cond.wait()
-                finally:
-                    self._waiting -= 1
-                self._owner = threading.get_ident()
-            else:
-                while self._owner is not None or self._waiting:
-                    self._cond.wait()
-                self._shared += 1
-                if self._shared > 1:
-                    return
-            # nobody in this process holds it: take the flock (the threads
-            # that would join wait on the condition meanwhile)
+            self._local.held = (depth + 1, held_exclusive)
             try:
-                self._file = open(self.path, "a+")
-                if fcntl is not None:
-                    fcntl.flock(self._file.fileno(), fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+                yield
+            finally:
+                self._local.held = (depth, held_exclusive)
+            return
+        with open(self.path, "a+") as lock_file:  # closing drops the flock
+            if fcntl is not None:
+                fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+            self._local.held = (1, exclusive)
+            try:
                 if self._on_acquire is not None:
-                    self._on_acquire()
-            except BaseException:
-                self._release_locked(exclusive)
-                raise
-
-    def _release(self, exclusive: bool) -> None:
-        with self._cond:
-            self._release_locked(exclusive)
-
-    def _release_locked(self, exclusive: bool) -> None:
-        if exclusive:
-            self._owner = None
-        else:
-            self._shared -= 1
-        if self._owner is None and not self._shared and self._file is not None:
-            self._file.close()  # closing drops the flock
-            self._file = None
-        self._cond.notify_all()
+                    self._on_acquire(exclusive)
+                yield
+            finally:
+                self._local.held = (0, False)
 
 
 class ChunkStore:
@@ -253,17 +213,19 @@ class ChunkStore:
     module docstring for the format, the durability model and when the
     index is checkpointed).  The store counts no references: which
     records live is its caller's mark (a :class:`FileStore` marks every
-    file record and the chunks its stored manifests name), and :meth:`gc`
-    sweeps what is outside it, reaps tmp files and compacts segments.
+    file record and the chunks its stored manifests name), :meth:`reap`
+    sweeps what is outside it and reaps tmp files, and :meth:`compact`
+    rewrites segments that deletes left mostly dead (:meth:`gc` does both).
 
     :attr:`lock` is the store's :class:`StoreLock` on ``.lock``: a save
     holds it shared from its first write to its commit, a sweep holds it
     exclusive, so no sweep falls between a save's dedup probe and the
-    manifest that names what it found.  Each process that takes it first
-    absorbs the deletes another process checkpointed meanwhile
-    (:meth:`absorb_deletes`), so a save never deduplicates against a record
-    that is gone; several processes can share one store directory
-    (DESIGN.md §17 "Bookkeeping").
+    manifest that names what it found.  Each thread that takes it first
+    catches up with what other processes did meanwhile (:meth:`catch_up`):
+    a save never deduplicates against a record another process's sweep
+    deleted, and a sweep marks and sweeps what a fresh open would find.
+    Every index checkpoint is written under it, so several processes can
+    share one store directory (DESIGN.md §17 "Bookkeeping").
 
     A chunk root written by the older file-per-chunk layout is imported
     once, on open (:meth:`_import_legacy_chunks`); :meth:`import_files`
@@ -278,7 +240,7 @@ class ChunkStore:
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.lock = StoreLock(self.root / ".lock", on_acquire=self.absorb_deletes)
+        self.lock = StoreLock(self.root / ".lock", on_acquire=self.catch_up)
         # every file this store creates: a segment, a compaction output, an
         # index checkpoint
         self._obs_files_created = obs.registry().counter(
@@ -346,10 +308,11 @@ class ChunkStore:
         with self._mutex:
             self._load_checkpoint()
             self._refresh_locked()
-            if self._index_dirty:
-                # an unclean shutdown's tail was rescanned: once, not per open
-                self._write_checkpoint_locked()
             self._update_gauges_locked()
+        if self._index_dirty:
+            # an unclean shutdown's tail was rescanned: once, not per open
+            with self.lock.hold(), self._mutex:
+                self._write_checkpoint_locked()
         self._import_legacy_chunks()
 
     # -- record payloads / dedup accounting -----------------------------------
@@ -408,31 +371,29 @@ class ChunkStore:
             return None
         return stat.st_ino, stat.st_mtime_ns, stat.st_size
 
-    def absorb_deletes(self) -> None:
-        """Drop the index entries another process deleted since this one
-        last read or wrote ``index.json``.
+    def catch_up(self, exclusive: bool = False) -> None:
+        """Take in what other processes did since this one last looked.
 
-        A delete checkpoints the index, so an entry of a segment the
-        checkpoint lists, below the offset it scanned, that it does not
-        hold was deleted there.  Runs each time this process takes
-        :attr:`lock`: another process's sweep held it exclusive, so a save
-        that starts after it sees its deletes before it deduplicates.
+        Runs each time a thread takes :attr:`lock`.  When ``index.json``
+        changed, its record is adopted (:meth:`_adopt_checkpoint_locked`):
+        every delete it holds is dropped here too, so a save that starts
+        after another process's sweep never deduplicates against what it
+        swept.  Under an exclusive hold the records other processes appended
+        past it are scanned in as well, so a sweep marks from, and sweeps,
+        what a fresh open would find.
         """
-        stamp = self._checkpoint_stamp_now()
-        if stamp is None or stamp == self._checkpoint_stamp:
-            return
         with self._mutex:
-            data = self._read_checkpoint()
-            self._checkpoint_stamp = stamp
-            if data is None:
-                return
-            segments, entries = data.get("segments", {}), data.get("entries", {})
-            for digest, entry in list(self._index.items()):
-                meta = segments.get(entry[0])
-                if (meta is not None and digest not in entries
-                        and entry[1] < int(meta.get("scanned", 0))):
-                    self._drop_entry_locked(digest)
-            self._update_gauges_locked()
+            stamp = self._checkpoint_stamp_now()
+            changed = stamp is not None and stamp != self._checkpoint_stamp
+            if changed:
+                data = self._read_checkpoint()
+                self._checkpoint_stamp = stamp
+                if data is not None:
+                    self._adopt_checkpoint_locked(data)
+            if exclusive:
+                self._refresh_locked()
+            if changed or exclusive:
+                self._update_gauges_locked()
 
     # -- open / index maintenance -------------------------------------------
 
@@ -462,22 +423,35 @@ class ChunkStore:
     def _load_checkpoint(self) -> None:
         self._checkpoint_stamp = self._checkpoint_stamp_now()
         data = self._read_checkpoint()
-        if data is None:
-            return
+        if data is not None:
+            self._adopt_checkpoint_locked(data)
+
+    def _adopt_checkpoint_locked(self, data: dict) -> None:
+        """Take ``index.json``'s record as the truth below each segment
+        offset it scanned: an entry there that it lacks was deleted, and
+        one it holds is taken where it places it.  Past that offset this
+        index keeps what it found (its own appends, or a further scan);
+        an entry of a segment the record does not list is found again by
+        that segment's scan."""
+        scanned: dict[str, int] = {}
         for name, meta in data.get("segments", {}).items():
-            self._segmeta[name] = dict(
-                _new_meta(),
-                scanned=int(meta.get("scanned", 0)),
-                total=int(meta.get("total", 0)),
-                sealed=bool(meta.get("sealed", False)),
-                damaged=[str(key) for key in meta.get("damaged", [])],
-            )
-        for digest, entry in data.get("entries", {}).items():
-            # an entry of a segment the checkpoint does not list is found
-            # again by that segment's scan
-            if isinstance(entry, list) and len(entry) == 4 and entry[0] in self._segmeta:
-                self._set_entry_locked(digest, (
-                    str(entry[0]), int(entry[1]), int(entry[2]), int(entry[3])))
+            ours = self._segmeta.setdefault(name, _new_meta())
+            scanned[name] = int(meta.get("scanned", 0))
+            if scanned[name] > ours["scanned"] and name != self._active_name:
+                ours.update(scanned=scanned[name], total=int(meta.get("total", 0)),
+                            damaged=[str(key) for key in meta.get("damaged", [])])
+            ours["sealed"] = ours["sealed"] or bool(meta.get("sealed", False))
+        entries = data.get("entries", {})
+        for digest, entry in list(self._index.items()):
+            if entry[1] < scanned.get(entry[0], 0) and digest not in entries:
+                self._drop_entry_locked(digest)
+        for digest, entry in entries.items():
+            if not (isinstance(entry, list) and len(entry) == 4 and entry[0] in scanned):
+                continue
+            entry = (str(entry[0]), int(entry[1]), int(entry[2]), int(entry[3]))
+            ours = self._index.get(digest)
+            if ours is None or (ours != entry and ours[1] < scanned.get(ours[0], 0)):
+                self._set_entry_locked(digest, entry)
 
     def _write_checkpoint_locked(self) -> None:
         segments = {}
@@ -1038,8 +1012,8 @@ class ChunkStore:
     def drop_many(self, digests: Iterable[str]) -> list[str]:
         """Delete the records under ``digests``; returns those that were
         stored.  One index checkpoint for the batch, so a rescan never
-        resurrects them."""
-        with self._mutex:
+        resurrects them, written under :attr:`lock` held shared."""
+        with self.lock.hold(), self._mutex:
             dropped = [digest for digest in dict.fromkeys(digests)
                        if self._drop_entry_locked(digest) is not None]
             if dropped:
@@ -1054,42 +1028,44 @@ class ChunkStore:
         return self.drop_many(doomed) if repair else doomed
 
     def gc(self, live=None) -> dict:
-        """Sweep every record outside ``live``, reap *expired* tmp files,
-        then compact.
+        """:meth:`reap` every record outside ``live``, then :meth:`compact`
+        once the exclusive hold is released."""
+        swept = self.reap(live)
+        compacted = self.compact()
+        return dict(swept, segments_compacted=compacted["segments_compacted"],
+                    segments_skipped=compacted["segments_skipped"])
+
+    def reap(self, live=None) -> dict:
+        """Sweep every record outside ``live`` and reap *expired* tmp files,
+        under :attr:`lock` held exclusive; returns ``chunks_removed`` and
+        ``bytes_freed``.
 
         ``live`` is the caller's mark (``None``: keep every record); the
-        caller takes :attr:`lock` exclusive before it marks, so no save
-        falls between the mark and this sweep.  Tmp files younger than
+        caller takes the lock exclusive before it marks, so no save falls
+        between the mark and this sweep.  Tmp files younger than
         ``tmp_grace_s`` are left alone: a concurrent in-flight writer may
         still own them.  Partial segments left by a crash mid-roll or
         mid-compaction get the same grace-age sweep.
         """
-        with self.lock.hold(exclusive=True):
-            with self._mutex:
-                doomed = [] if live is None else self.sweep(live, repair=False)
-                freed = sum(self._index[digest][2] for digest in doomed)
-                removed = len(doomed)
-                for digest in doomed:
-                    self._drop_entry_locked(digest)
-                for path in [*self.segments_dir.glob("*.tmp"), *self.root.glob("*.tmp")]:
-                    if not self._tmp_expired(path):
-                        continue
-                    try:
-                        freed += path.stat().st_size
-                    except FileNotFoundError:
-                        continue
-                    path.unlink(missing_ok=True)
-                    removed += 1
-                self._drop_dead_segments_locked()
-                self._write_checkpoint_locked()
-                self._update_gauges_locked()
-            compacted = self.compact()
-        return {
-            "chunks_removed": removed,
-            "bytes_freed": freed,
-            "segments_compacted": compacted["segments_compacted"],
-            "segments_skipped": compacted["segments_skipped"],
-        }
+        with self.lock.hold(exclusive=True), self._mutex:
+            doomed = [] if live is None else self.sweep(live, repair=False)
+            freed = sum(self._index[digest][2] for digest in doomed)
+            removed = len(doomed)
+            for digest in doomed:
+                self._drop_entry_locked(digest)
+            for path in [*self.segments_dir.glob("*.tmp"), *self.root.glob("*.tmp")]:
+                if not self._tmp_expired(path):
+                    continue
+                try:
+                    freed += path.stat().st_size
+                except FileNotFoundError:
+                    continue
+                path.unlink(missing_ok=True)
+                removed += 1
+            self._drop_dead_segments_locked()
+            self._write_checkpoint_locked()
+            self._update_gauges_locked()
+        return {"chunks_removed": removed, "bytes_freed": freed}
 
     def _drop_dead_segments_locked(self) -> None:
         """Unlink segments no index entry references.
@@ -1120,9 +1096,10 @@ class ChunkStore:
         segment holding a record that fails its CRC is left out, whole,
         for fsck to report and read repair to heal.  Returns move/reclaim
         statistics, the segments left out under ``segments_skipped``.
+        Runs under :attr:`lock` held shared: saves go on, a sweep waits.
         """
         stats = {"segments_compacted": 0, "records_moved": 0, "bytes_reclaimed": 0}
-        with self._mutex:
+        with self.lock.hold(), self._mutex:
             self._drop_dead_segments_locked()
             victims = set(self._compaction_victims_locked())
             skipped = {entry[0] for entry in self._index.values()
@@ -1348,8 +1325,9 @@ class ChunkStore:
             return len(self._index)
 
     def close(self) -> None:
-        """Seal nothing: release file handles, checkpoint the index."""
-        with self._mutex:
+        """Seal nothing: release file handles, checkpoint the index (under
+        :attr:`lock` held shared, when it changed)."""
+        with self.lock.hold() if self._index_dirty else contextlib.nullcontext(), self._mutex:
             if self._active_file is not None:
                 if self._dirty:
                     os.fsync(self._active_file.fileno())

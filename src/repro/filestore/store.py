@@ -1023,25 +1023,36 @@ class FileStore:
         """Ids of stored files (records keyed by a file id, see :func:`is_file_id`)."""
         return [key for key in self.chunks.chunk_ids() if is_file_id(key)]
 
-    def gc_chunks(self) -> dict[str, int]:
+    def gc_chunks(self) -> dict:
         """Mark from every stored file, sweep the rest, compact.
 
         Every stored file record is a root, and every chunk a stored
         manifest names is marked (a v2 manifest's pieces until the
-        upgrader rewrites it); :meth:`ChunkStore.gc` sweeps the rest,
-        reaps expired tmp files and compacts, all under :meth:`hold`
-        exclusive.  A manifest that cannot be read marks nothing it
-        names, so no chunk is swept this time.
+        upgrader rewrites it).  Under :meth:`hold` exclusive the mark is
+        taken and :meth:`ChunkStore.reap` sweeps the rest and reaps expired
+        tmp files; compaction follows once the hold is released, so saves
+        wait out the mark and the sweep only.  A stored manifest that
+        cannot be read leaves what it names unknown: nothing is swept, and
+        its id is under ``unreadable_manifests`` and in a
+        ``gc.sweep_skipped`` event.
         """
         with self.hold(exclusive=True):
-            return self.chunks.gc(self.mark(self.file_ids()))
+            live, unreadable = self.mark(self.file_ids())
+            if unreadable:
+                obs.event("gc.sweep_skipped", unreadable_manifests=unreadable)
+            swept = self.chunks.reap(None if unreadable else live)
+        compacted = self.chunks.compact()
+        return dict(swept, segments_compacted=compacted["segments_compacted"],
+                    segments_skipped=compacted["segments_skipped"],
+                    unreadable_manifests=unreadable)
 
-    def mark(self, file_ids: Iterable[str]) -> set[str] | None:
-        """The record keys ``file_ids`` keep alive: each stored one, and
+    def mark(self, file_ids: Iterable[str]) -> tuple[set[str], list[str]]:
+        """The record keys ``file_ids`` keep alive — each stored one, and
         every chunk it names if it is a manifest (a v2 manifest's pieces
-        until the upgrader rewrites it); ``None`` when a stored manifest
-        cannot be read, since what it names is unknown."""
+        until the upgrader rewrites it) — and the stored manifests that
+        could not be read, whose chunks are unknown."""
         live: set[str] = set()
+        unreadable: list[str] = []
         for file_id in file_ids:
             if not self.exists(file_id):
                 continue
@@ -1055,9 +1066,10 @@ class FileStore:
             except (IOError, ValueError):
                 pieces = upgrade.v2_pieces(self, file_id)
                 if pieces is None:
-                    return None
-                live.update(pieces)
-        return live
+                    unreadable.append(file_id)
+                else:
+                    live.update(pieces)
+        return live, unreadable
 
     def clear(self) -> None:
         shutil.rmtree(self.root)

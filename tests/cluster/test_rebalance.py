@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import HashRing, ShardedDocumentStore, ShardedFileStore, antientropy
-from repro.core import ArchitectureRef, BaselineSaveService, ModelManager, ModelSaveInfo
+from repro.core import ArchitectureRef, BaselineSaveService, ModelSaveInfo
 from repro.core.hashing import tensor_hash
 from repro.docstore import DocumentStore
 from repro.filestore import FileStore
@@ -318,14 +318,12 @@ class TestReplicationFsck:
         assert audit["repaired"] == []  # audit-only: nothing written
 
     def test_key_lost_everywhere_is_unrepairable(self, populated):
-        store, service, *_ = populated
+        store, *_ = populated
         digest = sorted(key for key in chunk_placement(store) if not is_file_id(key))[0]
         for member in store.members.values():
             member.chunks.drop(digest)
 
-        # no member stores it, so only a manifest names it: fsck's chunk
-        # step finds it, and the heal of that key can do nothing
-        report = ModelManager(service).fsck()
-        assert "missing_chunk" in {issue.kind for issue in report.unrepaired}
-        outcome = store.sweep(repair=True, keys=[("chunk", digest)])
+        # no member stores it; a stored manifest names it, which keeps it
+        # in the sweep's universe, and the heal of that key can do nothing
+        outcome = store.sweep(repair=True)
         assert {"kind": "chunk", "key": digest} in outcome["unrepairable"]

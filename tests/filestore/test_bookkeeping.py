@@ -9,6 +9,7 @@ another process checkpointed.  Everything here is counted or compared
 against a from-scratch recount — nothing is timed.
 """
 
+import contextlib
 import json
 import os
 import subprocess
@@ -87,6 +88,8 @@ for line in sys.stdin:
         result = files.delete_many(args)
     elif op == "gc":
         result = files.gc_chunks()["chunks_removed"]
+    elif op == "files":
+        result = files.file_ids()
     elif op == "churn":  # saves beside deletes and sweeps, unsynchronised
         ids = []
         for step in range(args):
@@ -101,10 +104,10 @@ for line in sys.stdin:
 
 
 class TestStoreLock:
-    """Saves hold the store's lock shared, a sweep holds it exclusive; a
-    holder enters again at once, and a waiting sweep keeps new saves out."""
+    """Saves hold the store's lock shared, a sweep holds it exclusive, and
+    a holder enters again at once."""
 
-    def test_a_sweep_waits_for_every_save_and_new_saves_wait_for_it(self, tmp_path):
+    def test_a_sweep_waits_for_every_save(self, tmp_path):
         lock = StoreLock(tmp_path / ".lock")
         order, swept = [], threading.Event()
 
@@ -113,37 +116,75 @@ class TestStoreLock:
                 order.append("sweep")
             swept.set()
 
-        def late_save():
-            with lock.hold():
-                order.append("late save")
-
         with lock.hold():  # a save in flight
             with lock.hold():  # a nested save joins it
                 sweeper = threading.Thread(target=sweep)
                 sweeper.start()
-                deadline = time.monotonic() + 10
-                while not lock._waiting and time.monotonic() < deadline:
-                    time.sleep(0.005)  # until the sweep waits
-                late = threading.Thread(target=late_save)
-                late.start()
-                time.sleep(0.1)
+                with StoreLock(tmp_path / ".lock").hold():  # another save
+                    time.sleep(0.1)
                 assert order == [] and not swept.is_set()
             order.append("save")
-        for thread in (sweeper, late):
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-        assert order == ["save", "sweep", "late save"]
+        sweeper.join(timeout=10)
+        assert not sweeper.is_alive()
+        assert order == ["save", "sweep"]
+
+    def test_a_save_waits_for_a_sweep(self, tmp_path):
+        lock = StoreLock(tmp_path / ".lock")
+        order = []
+
+        def save():
+            with lock.hold():
+                order.append("save")
+
+        with lock.hold(exclusive=True):
+            saver = threading.Thread(target=save)
+            saver.start()
+            time.sleep(0.1)
+            order.append("sweep")
+        saver.join(timeout=10)
+        assert not saver.is_alive()
+        assert order == ["sweep", "save"]
 
     def test_a_sweep_reenters_and_a_save_cannot_become_one(self, tmp_path):
         acquired = []
-        lock = StoreLock(tmp_path / ".lock", on_acquire=lambda: acquired.append(True))
+        lock = StoreLock(tmp_path / ".lock", on_acquire=acquired.append)
         with lock.hold(exclusive=True):
             with lock.hold(exclusive=True), lock.hold():
                 pass
         with lock.hold(), pytest.raises(RuntimeError):
             with lock.hold(exclusive=True):
                 pass
-        assert acquired == [True, True]  # once per outermost hold
+        assert acquired == [True, False]  # once per outermost hold
+
+
+@contextlib.contextmanager
+def second_process(root):
+    """A second process over the store at ``root``; yields ``ask(op, args)``,
+    which runs one of :data:`WORKER`'s ops there and returns its result."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.Popen(
+        [sys.executable, "-c", WORKER, str(root)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+
+    def ask(op, args=None):
+        child.stdin.write(json.dumps([op, args]) + "\n")
+        child.stdin.flush()
+        return json.loads(child.stdout.readline())
+
+    try:
+        yield ask
+    finally:
+        child.stdin.close()
+        assert child.wait(timeout=60) == 0
+        child.stdout.close()
+
+
+def assert_fresh_open_recovers(root, acked):
+    fresh = FileStore(root)
+    for file_id, seed in acked:
+        recovered = fresh.recover_state_chunks(file_id, verify=True)
+        for name, array in small_state(seed).items():
+            assert recovered[name].tobytes() == array.tobytes(), (file_id, name)
 
 
 class TestTwoProcesses:
@@ -151,39 +192,37 @@ class TestTwoProcesses:
     deletes and sweeps in another process.  Every acked manifest recovers
     bitwise from a fresh open."""
 
-    def test_saves_beside_deletes_and_gc_recover_bitwise_from_a_fresh_open(self, tmp_path):
+    def test_a_save_after_another_process_swept_its_chunks(self, tmp_path):
         root = tmp_path / "files"
         ours = FileStore(root)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        child = subprocess.Popen(
-            [sys.executable, "-c", WORKER, str(root)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
-
-        def ask(op, args):
-            child.stdin.write(json.dumps([op, args]) + "\n")
-            child.stdin.flush()
-            return json.loads(child.stdout.readline())
-
-        def assert_fresh_open_recovers(acked):
-            fresh = FileStore(root)
-            for file_id, seed in acked:
-                recovered = fresh.recover_state_chunks(file_id, verify=True)
-                for name, array in small_state(seed).items():
-                    assert recovered[name].tobytes() == array.tobytes(), (file_id, name)
-
-        try:
-            # lockstep: the child frees the only manifest naming our chunks,
+        with second_process(root) as ask:
+            # the other process frees the only manifest naming our chunks,
             # then our next save of the same state deduplicates against them
             first = save_state(ours, 1)
             assert ask("delete", [first]) == [first]
-            ask("gc", None)
+            ask("gc")
             second = save_state(ours, 1)
-            assert_fresh_open_recovers([(second, 1)])
-            # unsynchronised: both processes churn at once
+        assert_fresh_open_recovers(root, [(second, 1)])
+
+    def test_a_sweep_marks_what_another_process_saved_since_it_looked(self, tmp_path):
+        root = tmp_path / "files"
+        ours = FileStore(root)
+        first = save_state(ours, 7)
+        with second_process(root) as ask:
+            assert ask("files") == [first]  # it has indexed our chunks
+            second = save_state(ours, 7)  # deduplicates against them
+            assert ask("delete", [first]) == [first]  # the only other name
+            ask("gc")
+        assert_fresh_open_recovers(root, [(second, 7)])
+
+    def test_saves_beside_deletes_and_gc_recover_bitwise_from_a_fresh_open(self, tmp_path):
+        root = tmp_path / "files"
+        ours = FileStore(root)
+        with second_process(root) as ask:
             acked = []
             churn = threading.Thread(target=lambda: acked.extend(ask("churn", 30)))
             churn.start()
-            mine = [(second, 1)]
+            mine = []
             for step in range(30):
                 mine.append((save_state(ours, step % 3), step % 3))
                 if step % 2:
@@ -192,11 +231,7 @@ class TestTwoProcesses:
                     ours.gc_chunks()
             churn.join(timeout=120)
             assert not churn.is_alive()
-            assert_fresh_open_recovers(mine + [tuple(entry) for entry in acked])
-        finally:
-            child.stdin.close()
-            assert child.wait(timeout=60) == 0
-            child.stdout.close()
+        assert_fresh_open_recovers(root, mine + [tuple(entry) for entry in acked])
 
 
 # -- the segment index checkpoint ------------------------------------------------

@@ -8,6 +8,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.hashing import state_dict_hashes
 from repro.filestore import (
     ChunkNotFoundError,
@@ -107,6 +108,25 @@ class TestChunkedStateSave:
         store.delete(id_b)
         store.gc_chunks()
         assert len(store.chunks) == 0  # the manifests' own records with them
+
+    def test_an_unreadable_manifest_skips_the_sweep_and_says_so(self, tmp_path):
+        obs.reset()
+        store = FileStore(tmp_path / "s")
+        state = small_state(seed=4)
+        kept = store.save_state_chunks(state, state_dict_hashes(state))
+        store.put_chunk("f" * 64, b"named by no manifest")
+        broken = store.save_bytes(b"not a manifest", suffix=".manifest")
+        stats = store.gc_chunks()
+        assert stats["unreadable_manifests"] == [broken]
+        assert stats["chunks_removed"] == 0 and store.has_chunk("f" * 64)
+        [event] = obs.events().events(kind="gc.sweep_skipped")
+        assert event.fields["unreadable_manifests"] == [broken]
+        store.delete(broken)
+        stats = store.gc_chunks()
+        assert stats["unreadable_manifests"] == []
+        assert stats["chunks_removed"] == 1 and not store.has_chunk("f" * 64)
+        assert store.recover_state_chunks(kept)["fc.weight"].tobytes() == (
+            state["fc.weight"].tobytes())
 
     def test_manifest_logical_size_vs_physical_total(self, tmp_path):
         store = FileStore(tmp_path / "s")

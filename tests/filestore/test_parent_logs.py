@@ -186,7 +186,7 @@ class TestASingleStore:
             manager.delete_model(model_id)
             del expected[model_id]
         chunks = files.chunks
-        chunks.sweep(files.mark(files.file_ids()))  # every sealed segment part dead
+        chunks.sweep(files.mark(files.file_ids())[0])  # every sealed segment part dead
         records = {digest: bytes(chunks.get(digest)) for digest in chunks.chunk_ids()}
         with chunks._mutex:
             victims = chunks._compaction_victims_locked()
