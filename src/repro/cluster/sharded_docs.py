@@ -32,7 +32,13 @@ from typing import Mapping
 
 from .. import deadline as deadline_mod
 from ..docstore.documents import new_object_id, validate_document
-from ..docstore.engine import DuplicateKeyError, NotFoundError, _sort_key, merge_stats
+from ..docstore.engine import (
+    DuplicateKeyError,
+    NotFoundError,
+    _sort_key,
+    merge_stats,
+    projected_fields,
+)
 from ..docstore.query import matches, resolve_path
 from ..errors import TransientStoreError
 from .hints import KIND_DOC
@@ -217,6 +223,7 @@ class _ShardedCollection:
     def get(self, doc_id: str, projection=None) -> dict:
         """Fetch by id: the highest-stamped record among the reachable
         owners, :class:`NotFoundError` when that is a tombstone."""
+        projection = projected_fields(projection)
         record = self._record(str(doc_id))
         if record.get(DELETED):
             raise NotFoundError(f"no document {doc_id!r} in {self.name!r}")
@@ -364,8 +371,8 @@ class _ShardedCollection:
             raise ValueError(f"limit must be >= 0, got {limit}")
         query = query or {}
         member_projection = hidden = None
+        projection = projected_fields(projection)
         if projection is not None:
-            projection = list(projection)
             hidden = {field.split(".")[0] for field, _direction in sort or ()}
             hidden.difference_update(projection)
             member_projection = [*projection, *sorted(hidden), DELETED]

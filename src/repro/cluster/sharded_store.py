@@ -545,6 +545,12 @@ class ShardedFileStore(ReplicaLedger, FileStore):
 
     # -- management ----------------------------------------------------------
 
+    def close(self) -> None:
+        """Close every member's handles (:meth:`FileStore.close`); the
+        metadata root holds none."""
+        for member in list(self.members.values()):
+            member.close()
+
     def clear(self) -> None:
         for member in self.members.values():
             member.clear()

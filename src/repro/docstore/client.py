@@ -30,7 +30,7 @@ from .. import deadline as deadline_mod, obs
 from ..errors import MMLibError, TransientStoreError
 from ..wire import WireError, encode_line, error_payload, read_frame_blocking
 from .documents import DocumentError
-from .engine import DuplicateKeyError, NotFoundError
+from .engine import DuplicateKeyError, NotFoundError, projected_fields
 
 __all__ = [
     "DocumentStoreClient",
@@ -244,7 +244,8 @@ class DocumentStoreClient:
 
 def _wire(projection):
     """A projection as the JSON the request carries (``None`` stays ``None``)."""
-    return None if projection is None else list(projection)
+    fields = projected_fields(projection)
+    return None if fields is None else list(fields)
 
 
 class RemoteCollection:

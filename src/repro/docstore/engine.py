@@ -22,7 +22,9 @@ operation costs what it touches, not what the collection holds:
   so it survives the process being killed, not the machine losing power;
 * a string equality or ``{"$in": [strings]}`` on a top-level field is
   answered from a hash index built the first time a query uses the field;
-  :func:`~repro.docstore.query.matches` still runs on the candidates;
+  a candidate whose value there is a string is proved by its bucket, so
+  :func:`~repro.docstore.query.matches` runs only on the query's other
+  conditions (DESIGN.md §13);
 * reads return isolated copies; ``projection=`` copies only the named
   top-level fields beside ``_id``.
 
@@ -50,6 +52,7 @@ __all__ = [
     "DuplicateKeyError",
     "NotFoundError",
     "merge_stats",
+    "projected_fields",
 ]
 
 #: The log is rewritten when its dead bytes (superseded puts, delete
@@ -92,12 +95,21 @@ def _stored(document: dict, doc_id: str) -> tuple[dict, bytes]:
     return json.loads(payload), payload
 
 
-def _isolated(document: dict, projection=None) -> dict:
-    """A copy the caller may edit: whole, or ``_id`` + the projected fields."""
+def projected_fields(projection) -> tuple[str, ...] | None:
+    """``projection`` read once: ``None``, or its field names as a tuple
+    (a one-shot iterator would project only the first document)."""
     if projection is None:
-        return json.loads(json.dumps(document))
+        return None
     if isinstance(projection, str):
         raise ValueError("projection must be an iterable of field names, not a string")
+    return tuple(projection)
+
+
+def _isolated(document: dict, projection: tuple[str, ...] | None = None) -> dict:
+    """A copy the caller may edit: whole, or ``_id`` + the projected fields
+    (see :func:`projected_fields`)."""
+    if projection is None:
+        return json.loads(json.dumps(document))
     copy = {"_id": document["_id"]}
     for field in projection:
         if field in document:
@@ -110,10 +122,11 @@ def _isolated(document: dict, projection=None) -> dict:
 
 def _indexable_values(condition) -> list[str] | None:
     """The strings a field must equal one of, for the conditions an index
-    can answer: a string equality or ``{"$in": [strings]}``."""
+    can answer: a string equality or ``{"$in": [strings]}`` (alone: a
+    bucket proves nothing about a second operator)."""
     if isinstance(condition, str):
         return [condition]
-    if isinstance(condition, dict):
+    if isinstance(condition, dict) and len(condition) == 1:
         values = condition.get("$in")
         if isinstance(values, list) and all(isinstance(v, str) for v in values):
             return values
@@ -264,12 +277,13 @@ class Collection:
 
     # -- candidates ----------------------------------------------------------
 
-    def _candidates(self, query: dict) -> list[dict]:
-        """Stored documents that can match ``query``, in insertion order.
+    def _candidates(self, query: dict) -> tuple[list[dict], str | None]:
+        """Stored documents that can match ``query``, in insertion order,
+        and the field whose index (or ``_id``) chose them.
 
         Narrowed through ``_id`` or a field index when a condition allows
-        it (building the index on first use), everything otherwise; the
-        caller still runs ``matches`` on each.  Lock held.
+        it (building the index on first use); every document, and field
+        ``None``, otherwise.  Lock held.
         """
         for field, condition in query.items():
             values = _indexable_values(condition)
@@ -286,14 +300,33 @@ class Collection:
                     self._indexes[field] = index
                 index = self._indexes[field]
                 ids = set().union(*(index.get(value, ()) for value in values))
-            return [self._documents[i] for i in sorted(ids, key=self._order.__getitem__)]
-        return list(self._documents.values())
+            return [self._documents[i] for i in sorted(ids, key=self._order.__getitem__)], field
+        return list(self._documents.values()), None
 
     def _select(self, query: dict):
-        """Iterator over the stored documents matching ``query``."""
+        """Iterator over the stored documents matching ``query``, in
+        insertion order: the one query path of :meth:`find`, :meth:`count`,
+        :meth:`update_one` and :meth:`delete_many`.
+
+        A candidate that holds a string under the indexed field is in the
+        bucket of that very string, which proves the indexed condition:
+        only the rest of the query (the residual) is matched, and nothing
+        when there is none.  A list-valued candidate runs the whole
+        matcher: a list is indexed under each element, which equality
+        matches by membership but ``$in`` does not.
+        """
         with self._lock:
-            candidates = self._candidates(query)
-        return (document for document in candidates if matches(document, query))
+            candidates, field = self._candidates(query)
+        if field is None:
+            return (document for document in candidates if matches(document, query))
+        residual = {key: condition for key, condition in query.items() if key != field}
+
+        def match(document: dict) -> bool:
+            if isinstance(document[field], str):
+                return not residual or matches(document, residual)
+            return matches(document, query)
+
+        return filter(match, candidates)
 
     # -- writes ----------------------------------------------------------------
 
@@ -330,13 +363,12 @@ class Collection:
     def update_one(self, query: dict, changes: dict) -> bool:
         """Set top-level fields on the first match; returns whether one matched."""
         with self._lock:
-            for document in self._candidates(query):
-                if matches(document, query):
-                    updated = dict(document)
-                    updated.update(validate_document(changes))
-                    updated["_id"] = document["_id"]
-                    self._write([(document["_id"], updated, _encode(updated))])
-                    return True
+            for document in self._select(query):
+                updated = dict(document)
+                updated.update(validate_document(changes))
+                updated["_id"] = document["_id"]
+                self._write([(document["_id"], updated, _encode(updated))])
+                return True
         return False
 
     def delete_one(self, doc_id: str) -> bool:
@@ -349,11 +381,7 @@ class Collection:
 
     def delete_many(self, query: dict) -> int:
         with self._lock:
-            to_delete = [
-                self._deletion(document["_id"])
-                for document in self._candidates(query)
-                if matches(document, query)
-            ]
+            to_delete = [self._deletion(document["_id"]) for document in self._select(query)]
             if to_delete:
                 self._write(to_delete)
             return len(to_delete)
@@ -371,7 +399,7 @@ class Collection:
             document = self._documents.get(str(doc_id))
         if document is None:
             raise NotFoundError(f"no document {doc_id!r} in {self.name!r}")
-        return _isolated(document, projection)
+        return _isolated(document, projected_fields(projection))
 
     def get_many(self, doc_ids: list[str], projection=None) -> list[dict]:
         """Fetch many documents by id in one call (one snapshot, one trip).
@@ -380,6 +408,7 @@ class Collection:
         skipped rather than raising, so callers can diff the returned
         ``_id`` set against what they asked for.
         """
+        projection = projected_fields(projection)
         with self._lock:
             found = [self._documents.get(str(doc_id)) for doc_id in doc_ids]
         return [_isolated(doc, projection) for doc in found if doc is not None]
@@ -411,6 +440,7 @@ class Collection:
             raise ValueError(f"skip must be >= 0, got {skip}")
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be >= 0, got {limit}")
+        projection = projected_fields(projection)
         selected = self._select(query or {})
         if sort:
             selected = list(selected)

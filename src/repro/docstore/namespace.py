@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 
-from .engine import merge_stats
+from .engine import merge_stats, projected_fields
 
 __all__ = [
     "NamespacedDocumentStore",
@@ -107,6 +107,7 @@ class _UnionCollection:
     # -- reads -------------------------------------------------------------
 
     def get(self, doc_id: str, projection=None) -> dict:
+        projection = projected_fields(projection)
         for member in self._members.values():
             try:
                 return member.get(doc_id, projection=projection)
@@ -115,16 +116,18 @@ class _UnionCollection:
         raise KeyError(f"no document {doc_id!r} in any tenant's {self.name!r}")
 
     def get_many(self, doc_ids: list[str], projection=None) -> list[dict]:
+        projection = projected_fields(projection)
         found: dict[str, dict] = {}
         for member in self._members.values():
             for document in member.get_many(doc_ids, projection=projection):
                 found.setdefault(document["_id"], document)
         return [found[doc_id] for doc_id in doc_ids if doc_id in found]
 
-    def find(self, query: dict | None = None, **kwargs) -> list[dict]:
+    def find(self, query: dict | None = None, projection=None, **kwargs) -> list[dict]:
+        projection = projected_fields(projection)
         results: list[dict] = []
         for member in self._members.values():
-            results.extend(member.find(query, **kwargs))
+            results.extend(member.find(query, projection=projection, **kwargs))
         return results
 
     def find_one(self, query: dict) -> dict | None:

@@ -1071,6 +1071,13 @@ class FileStore:
                     live.update(pieces)
         return live, unreadable
 
+    def close(self) -> None:
+        """Release the chunk store's file handles (checkpointing its index
+        when it changed, see :meth:`ChunkStore.close`); a later call opens
+        what it needs again."""
+        if self._chunks is not None:
+            self._chunks.close()
+
     def clear(self) -> None:
         shutil.rmtree(self.root)
         self.one_format = self._open_root()

@@ -45,6 +45,8 @@ class TestCostIsWhatAnOperationTouches:
 
     @pytest.mark.parametrize("size", [100, 5000])
     def test_equality_find_matches_only_its_bucket(self, tmp_path, size, monkeypatch):
+        """An exact index hit is proved by its bucket: the matcher sees only
+        what the rest of the query asks, and list-valued candidates."""
         collection = DocumentStore(tmp_path).collection("models")
         fill(collection, size)
         examined = []
@@ -55,15 +57,33 @@ class TestCostIsWhatAnOperationTouches:
 
         monkeypatch.setattr(engine, "matches", spy)
         found = collection.find({"use_case": "uc-3"})
-        assert len(found) == size // 10
-        assert examined == [d["_id"] for d in found]  # the bucket, in insertion order
-        examined.clear()
+        assert [d["_id"] for d in found] == [f"m{i}" for i in range(3, size, 10)]
         assert collection.count({"use_case": {"$in": ["uc-1", "uc-2"]}}) == size // 5
-        assert len(examined) == size // 5
-        examined.clear()
+        assert examined == []
         assert collection.find({"_id": "m7", "n": 7}, projection=()) == [{"_id": "m7"}]
         assert examined == ["m7"]
+        examined.clear()
+        # a list is indexed under each element; $in does not match by
+        # membership, so the list-valued candidate is examined and dropped
+        collection.insert_one({"_id": "listed", "use_case": ["uc-1", "uc-9"], "n": -1})
+        assert collection.count({"use_case": {"$in": ["uc-1", "uc-2"]}}) == size // 5
+        assert examined == ["listed"]
+        examined.clear()
+        assert collection.find({"use_case": "uc-9"}, projection=())[-1] == {"_id": "listed"}
+        assert examined == ["listed"]  # equality does match by membership
+        examined.clear()
+        assert collection.update_one({"use_case": "uc-3"}, {"n": 0})
+        assert collection.delete_many({"_id": {"$in": ["m3", "m13"]}}) == 2
+        assert examined == []
         assert collection.stats()["indexed_fields"] == ["use_case"]
+
+    def test_an_operator_beside_in_is_matched_not_proved(self):
+        """Only a lone ``$in`` (or a string) is answered from its bucket."""
+        collection = DocumentStore().collection("models")
+        fill(collection, 30)
+        assert collection.count({"use_case": {"$in": ["uc-1", "uc-2"], "$ne": "uc-1"}}) == 3
+        assert collection.find({"_id": {"$in": ["m1", "m2"], "$nin": ["m1"]}}) == [
+            {"_id": "m2", "use_case": "uc-2", "n": 2}]
 
     def test_a_pure_insert_log_never_checkpoints(self, tmp_path):
         collection = DocumentStore(tmp_path).collection("models")

@@ -103,6 +103,25 @@ def test_a_string_is_not_a_projection(tmp_path):
         models.get("m00", projection="base_model")
 
 
+def test_a_projection_is_read_once_per_call(collection):
+    """A one-shot iterator projects every document a call returns, not
+    only the first one (or the first member's); a string is refused by
+    every read, whether or not anything matches."""
+    query = {"use_case": "uc-1"}
+    expected = by_id([restrict(document, ("rank",)) for document in collection.find(query)])
+    ids = [document["_id"] for document in expected]
+    assert ids == ["m01", "m04", "m07", "m10"]
+    assert by_id(collection.find(query, projection=iter(["rank"]))) == expected
+    assert by_id(collection.get_many(ids, projection=iter(["rank"]))) == expected
+    assert collection.get("m10", projection=iter(["rank"])) == expected[-1]
+    for read in (lambda: collection.find(query, projection="rank"),
+                 lambda: collection.find({"use_case": "none"}, projection="rank"),
+                 lambda: collection.get_many(ids, projection="rank"),
+                 lambda: collection.get("m10", projection="rank")):
+        with pytest.raises(ValueError):
+            read()
+
+
 class TestShardedReadRepairUsesTheWholeDocument:
     def test_projected_get_repairs_the_replica_with_the_full_document(self, tmp_path):
         stores = SharedStores.cluster_at(tmp_path, shards=3, replicas=2)

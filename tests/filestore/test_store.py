@@ -1,5 +1,8 @@
 """File store: save/recover, integrity, management."""
 
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -169,3 +172,50 @@ class TestASaveBesideAFree:
         assert gc_results[0]["chunks_removed"] == 0  # the save names them all
         assert _bitwise(any_store, file_id, state)
         assert any_store.chunks.has(file_id)
+
+
+DROP_STORES = """
+import gc, sys
+from pathlib import Path
+import numpy as np
+from repro.cluster import ShardedFileStore
+from repro.core.hashing import tensor_hash
+from repro.filestore import FileStore
+
+root, close = Path(sys.argv[1]), sys.argv[2] == "close"
+members = {f"m{index}": FileStore(root / f"m{index}") for index in range(3)}
+for store in (FileStore(root / "files"), ShardedFileStore(root / "meta", members, replicas=2)):
+    state = {"w": np.arange(64, dtype=np.float32)}
+    store.recover_state_chunks(store.save_state_chunks(state, {"w": tensor_hash(state["w"])}))
+    if close:
+        store.close()
+del members, store
+gc.collect()
+"""
+
+
+class TestClose:
+    """A store that saved and read holds segment handles (``wb`` and
+    ``rb``); ``close()`` releases them, a cluster's through its members."""
+
+    @pytest.mark.parametrize("close", [True, False])
+    def test_a_closed_store_leaves_no_descriptor_open(self, tmp_path, close):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", DROP_STORES,
+             str(tmp_path), "close" if close else "drop"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        unclosed = [line for line in done.stderr.splitlines() if "unclosed file" in line]
+        if close:
+            assert unclosed == []
+        else:  # the check sees what a dropped store leaves open
+            assert any(".seg' mode='wb'" in line for line in unclosed), done.stderr
+
+    def test_a_closed_store_opens_again_on_use(self, any_store):
+        state = _state(2)
+        file_id = _save(any_store, state)
+        any_store.close()
+        any_store.close()
+        assert _bitwise(any_store, file_id, state)
+        assert _bitwise(any_store, _save(any_store, _state(3)), _state(3))
