@@ -16,8 +16,8 @@ Exercises the robustness stack end to end, quickly:
 * a scheduled-outage run (``--outage-plan``) drives live traffic into a
   self-healing 4-shard cluster while members are killed and restored at
   fixed op counts: every acked save must recover bitwise afterwards, and
-  the cluster must converge (hints drained, no key of either plane left
-  divergent) through its *online* self-heal loop alone — no offline
+  the cluster must converge (no key left marked degraded, no key of either
+  plane left divergent) through its *online* self-heal loop alone — no offline
   ``fsck --repair``.
 
 Writes ``BENCH_chaos.json`` into ``benchmarks/results/`` (canonical;
@@ -197,14 +197,21 @@ def parse_outage_plan(spec: str) -> dict[int, list[tuple[str, str]]]:
     return schedule
 
 
+def degraded_keys(stores) -> int:
+    """Keys either plane's quorum writes marked degraded and no heal has
+    settled yet."""
+    return sum(len(store.degraded_keys) for store in (stores.files, stores.documents))
+
+
 def outage_scenario(plan: str, seed: int) -> dict:
     """Scheduled member outages under live traffic on a self-healing cluster.
 
     Members die and return at fixed op counts while saves and failover
     reads keep flowing (write quorum 1-of-2, so single-member outages
-    still ack — degraded, leaving hints).  Afterwards the run waits for
-    *online* convergence: the self-heal loop (probe, deliver, scan) must
-    drain every hint and leave no key of either plane divergent, and
+    still ack — degraded, marking the key).  Afterwards the run waits for
+    *online* convergence: the self-heal loop (probe, degraded marks, scan)
+    must clear every degraded mark and leave no key of either plane
+    divergent, and
     every acked save must recover bitwise.  The final fsck is
     audit-only — offline repair doing the healing would be a failure.
     """
@@ -278,7 +285,7 @@ def outage_scenario(plan: str, seed: int) -> dict:
             healing_started = time.time()
             converged = False
             while time.time() - healing_started < 60.0:
-                if stores.hints.total_pending() == 0:
+                if not degraded_keys(stores):
                     audit = SelfHealer(
                         (stores.files, stores.documents)).converge(repair=False)
                     if audit["converged"]:
@@ -312,14 +319,11 @@ def outage_scenario(plan: str, seed: int) -> dict:
         "failed_reads_during_outage": failed_reads,
         "lost_acked_writes": lost,
         "bitwise_recovery": lost == 0 and non_bitwise == 0,
-        "hints": {
-            key: stores.hints.stats[key]
-            for key in ("recorded", "delivered", "stale")
-        },
-        "hints_pending_after": stores.hints.total_pending(),
+        "degraded_after": degraded_keys(stores),
         "anti_entropy": {
             key: healer.stats[key]
-            for key in ("keys_scanned", "repaired", "deferred", "unrepairable")
+            for key in ("marks_healed", "marks_dropped", "keys_scanned", "repaired",
+                        "deferred", "unrepairable", "tick_errors")
         },
         "breaker_trips": sum(
             snap["breaker_trips"] for snap in detector_snapshot.values()

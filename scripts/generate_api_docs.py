@@ -26,7 +26,6 @@ MODULES = [
     "repro.filestore",
     "repro.cluster",
     "repro.cluster.health",
-    "repro.cluster.hints",
     "repro.cluster.antientropy",
     "repro.errors",
     "repro.faults",

@@ -324,7 +324,7 @@ def cmd_fsck(args) -> int:
 
 
 def cmd_heal(args) -> int:
-    """Drain handoff hints and run a full anti-entropy sweep, now."""
+    """Run a full anti-entropy sweep over a cluster, now."""
     manager = _open_manager(args)
     report = manager.heal(repair=not args.no_repair, deep=not args.shallow)
     if not report.get("cluster"):
@@ -333,15 +333,6 @@ def cmd_heal(args) -> int:
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0 if report["converged"] else 1
-    hints = report.get("hints")
-    if hints:
-        print(
-            f"hints: {hints['pending_before']} pending -> "
-            f"{hints['pending_after']} ({hints['delivered']} delivered, "
-            f"{hints['stale']} stale, {hints['failures']} failures)"
-        )
-    else:
-        print("hints: none pending")
     sweep = report["anti_entropy"]
     print(
         f"anti-entropy: {sweep['scanned']} keys scanned, "
@@ -552,7 +543,7 @@ def cmd_stats(args) -> int:
     opened = (args.docs and args.files) or getattr(args, "cluster", None)
     if opened and not args.prometheus:
         # opening the stores folds their per-component views (segment
-        # occupancy, cluster health, pending hints) into the snapshot
+        # occupancy, cluster health) into the snapshot
         manager = _open_manager(args)
         print(json.dumps(manager.stats(), indent=2, sort_keys=True))
         return 0
@@ -560,7 +551,7 @@ def cmd_stats(args) -> int:
     if args.prometheus:
         if opened:
             # opening the deployment primes its gauges (member health,
-            # pending hints, segment occupancy) into the registry
+            # segment occupancy) into the registry
             _open_manager(args).stats()
         sys.stdout.write(registry.to_prometheus())
     else:
@@ -750,8 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     heal_parser = commands.add_parser(
         "heal",
-        help="drain handoff hints and anti-entropy repair a --cluster "
-             "deployment",
+        help="anti-entropy repair a --cluster deployment",
     )
     heal_parser.add_argument(
         "--no-repair", action="store_true",

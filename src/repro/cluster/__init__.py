@@ -11,14 +11,12 @@ Every repair of a replica set is one per-key heal,
 :meth:`~repro.cluster.replica.ReplicaLedger.heal_key`, and every walk over
 the key universe one sweep.  The self-healing layer rides on top: a
 :class:`FailureDetector` scores member health from op outcomes and probes,
-:class:`HintLog` turns degraded quorum writes into durable, replayable
-IOUs, and one :class:`SelfHealer` loop probes, delivers hints and scans
-through that heal.
+and one :class:`SelfHealer` loop probes, heals the keys degraded quorum
+writes marked, and scans, through that heal.
 """
 
 from .antientropy import SelfHealer, repair_chunk
 from .health import FailureDetector
-from .hints import HintLog
 from .ring import HashRing
 from .sharded_docs import ShardedDocumentStore
 from .sharded_store import ShardedFileStore
@@ -28,7 +26,6 @@ __all__ = [
     "ShardedFileStore",
     "ShardedDocumentStore",
     "FailureDetector",
-    "HintLog",
     "SelfHealer",
     "repair_chunk",
 ]

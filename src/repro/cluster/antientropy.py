@@ -4,10 +4,10 @@ Replica sets drift: a quorum write misses an owner, a disk loses a chunk,
 a copy rots at rest, a member joins or leaves the ring.  Every repair of
 a record — a chunk, or a file stored under its file id — is
 :func:`repair_chunk`, the file plane's
-:meth:`~repro.cluster.replica.ReplicaLedger.heal_key`: read repair, hint
-delivery, :class:`SelfHealer`'s scan, ``ModelManager.heal()``/fsck and
-membership changes all call it, so their repair semantics *cannot*
-diverge.  Its source copy comes from
+:meth:`~repro.cluster.replica.ReplicaLedger.heal_key`: read repair, the
+degraded-mark round and scan of :class:`SelfHealer`,
+``ModelManager.heal()``/fsck and membership changes all call it, so their
+repair semantics *cannot* diverge.  Its source copy comes from
 :func:`~repro.cluster.replica.source` and lands through
 :func:`~repro.cluster.replica.place` (never propagate a copy that fails
 digest verification — scan past it to an intact one); a stray is retired
@@ -15,8 +15,8 @@ by :func:`~repro.cluster.replica.drop_strays` once every copy is verified
 and every copy placed is flushed.
 
 :class:`SelfHealer` is the one background loop over both planes: each
-tick it probes the members, delivers the pending hints by healing their
-keys, and heals one batch of the key universe.
+tick it probes the members, heals the keys the quorum writes marked
+degraded, and heals one batch of the key universe.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import threading
 from typing import TYPE_CHECKING
 
 from .. import obs
-from .hints import KIND_DOC
 from .replica import drop_strays, finish, new_result, place, source
 
 if TYPE_CHECKING:
@@ -103,19 +102,21 @@ class SelfHealer:
     """The one self-heal loop of a clustered deployment.
 
     ``stores`` are the sharded stores (file and document plane) sharing one
-    failure detector and hint log.  Each :meth:`tick` — every
-    ``interval_s`` on the loop's thread once :meth:`start` ed — runs the
-    three rounds, each also callable on its own:
+    failure detector.  Each :meth:`tick` — every ``interval_s`` on the
+    loop's thread once :meth:`start` ed — runs the three rounds, each also
+    callable on its own:
 
     * :meth:`probe_once` pings every member, feeding the detector, so an
       idle cluster notices a death and a recovery;
-    * :meth:`deliver_once` replays pending hints by healing their keys;
+    * :meth:`degraded_once` heals the keys each plane's quorum writes
+      marked degraded (``degraded_keys``), the one record of what a
+      replica is owed;
     * :meth:`scan_once` heals the next ``batch_size`` keys of the stores'
-      universe, deep, treating members the detector holds down as
-      unreachable, so a scan during an outage defers rather than
-      mis-repairs.  Keys that did not come back ok/repaired form the
+      universe, deep.  Keys that did not come back ok/repaired form the
       *backlog* (gauge ``mmlib_antientropy_backlog``).
 
+    Both heal rounds treat members the detector holds down as unreachable,
+    so a round during an outage defers rather than mis-repairs.
     :meth:`converge` is the foreground pass ``ModelManager.heal()`` runs.
     """
 
@@ -129,7 +130,6 @@ class SelfHealer:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.stores = {store._plane: store for store in stores}
         self.detector = stores[0].detector
-        self.hints = stores[0].hints
         self.interval_s = float(interval_s)
         self.batch_size = int(batch_size)
         self._lock = threading.RLock()
@@ -139,9 +139,9 @@ class SelfHealer:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self.stats = dict.fromkeys((
-            "ticks", "probes", "probe_failures", "skipped_open", "delivered", "stale",
-            "failures", "skipped_down", "rounds", "cycles", "keys_scanned", "repaired",
-            "deferred", "unrepairable", "strays_dropped"), 0)
+            "ticks", "tick_errors", "probes", "probe_failures", "skipped_open",
+            "marks_healed", "marks_deferred", "marks_dropped", "rounds", "cycles",
+            "keys_scanned", "repaired", "deferred", "unrepairable", "strays_dropped"), 0)
         registry = obs.registry()
         self._obs_backlog = registry.gauge(
             "mmlib_antientropy_backlog",
@@ -153,6 +153,16 @@ class SelfHealer:
 
     def _down(self) -> set[str]:
         return set() if self.detector is None else set(self.detector.down_members())
+
+    def _sweep(self, plane: str, keys, deep: bool, unreachable) -> dict:
+        """One plane's :meth:`~repro.cluster.replica.ReplicaLedger.sweep`
+        over ``keys``, each repair counted and reported as an event."""
+        report = self.stores[plane].sweep(deep=deep, unreachable=unreachable, keys=keys)
+        for entry in report["repaired"]:
+            self._obs_repairs.inc()
+            self._events.emit("antientropy_repair", plane=plane, **entry)
+        self.stats["strays_dropped"] += len(report["strays_dropped"])
+        return report
 
     # -- probing ---------------------------------------------------------------
 
@@ -197,78 +207,34 @@ class SelfHealer:
                     results[name] = True
         return results
 
-    # -- hint delivery ---------------------------------------------------------
+    # -- the degraded marks ------------------------------------------------------
 
-    def _target(self, hint):
-        """The store and ``(kind, key)`` whose heal delivers ``hint``; None
-        for a plane this loop does not heal.  A ``blob`` hint was recorded
-        by an older release for a file, which is a record now."""
-        if hint.get("kind") == KIND_DOC:
-            store, kind = self.stores.get("docs"), hint.get("collection")
-        else:
-            store, kind = self.stores.get("files"), "chunk"
-        return None if store is None or kind is None else (store, kind, hint["key"])
+    def degraded_once(self) -> dict:
+        """Heal every key a quorum write left degraded: one sweep per plane
+        over a snapshot of its ``degraded_keys``.
 
-    def deliver_once(self) -> dict:
-        """One delivery round over every member with pending hints.
-
-        A hint is delivered by healing its key.  It is resolved once the
-        missed member holds the key (delivered), or no longer owns it, or
-        no copy survives (stale).  Otherwise it stays, and the rest of that
-        member's batch waits for the next round; a failure to write the
-        member feeds the detector.  A member the detector holds down is
-        skipped, one fast skip per round.
+        A key healed whole loses its mark (:func:`~repro.cluster.replica.finish`);
+        one owed to a member the detector holds down keeps it, deferred; one
+        whose heal finds no copy anywhere (deleted and swept since) is
+        dropped — a real loss is the scan's and fsck's to report.
         """
-        round_stats = {"delivered": 0, "stale": 0, "failures": 0, "skipped_down": 0}
-        if self.hints is None:
-            return round_stats
-        down = self._down()
+        summary = {"healed": 0, "deferred": 0, "dropped": 0}
         with self._lock:
-            for member in self.hints.members_with_hints():
-                if member in down:
-                    round_stats["skipped_down"] += 1
+            unreachable = self._down()
+            for plane, store in sorted(self.stores.items()):
+                with store._stats_lock:
+                    keys = sorted(store.degraded_keys)
+                if not keys:
                     continue
-                for hint in self.hints.pending(member):
-                    target = self._target(hint)
-                    if target is None:
-                        continue
-                    store, kind, key = target
-                    result = store.heal_key(kind, key, down)
-                    if (member not in store.members or member not in result["owners"]
-                            or result["status"] == "unrepairable"):
-                        delivered = False
-                    elif member in result["repaired_to"] or (
-                            member in result["holders"] and member not in result["missing"]):
-                        delivered = True
-                    else:
-                        round_stats["failures"] += 1
-                        if self.detector is not None and (
-                                member in result["unreachable"]
-                                or (member in result["missing"] and result["holders"])):
-                            self.detector.record_failure(member)
-                        break  # member (or source) still sick: stop this batch
-                    self.hints.resolve(member, hint, stale=not delivered)
-                    round_stats["delivered" if delivered else "stale"] += 1
-                    if delivered and self.detector is not None:
-                        self.detector.record_success(member)
-            for field, count in round_stats.items():
-                self.stats[field] += count
-        if round_stats["delivered"] or round_stats["stale"]:
-            self._events.emit("hints_delivered", **round_stats)
-        return round_stats
-
-    def drain(self, max_rounds: int = 100) -> bool:
-        """Deliver until the log is empty or a round makes no progress;
-        ``True`` when every hint is resolved."""
-        if self.hints is None:
-            return True
-        for _ in range(max_rounds):
-            if self.hints.total_pending() == 0:
-                return True
-            result = self.deliver_once()
-            if result["delivered"] == 0 and result["stale"] == 0:
-                break
-        return self.hints.total_pending() == 0
+                report = self._sweep(plane, keys, False, unreachable)
+                for entry in report["unrepairable"]:
+                    store._clear_degraded(entry["kind"], entry["key"])
+                summary["healed"] += len(keys) - len(report["backlog"])
+                summary["deferred"] += len(report["backlog"]) - len(report["unrepairable"])
+                summary["dropped"] += len(report["unrepairable"])
+            for field, count in summary.items():
+                self.stats[f"marks_{field}"] += count
+        return summary
 
     # -- scanning --------------------------------------------------------------
 
@@ -288,18 +254,13 @@ class SelfHealer:
             summary = {"scanned": 0, "repaired": 0, "deferred": 0, "unrepairable": 0}
             for plane, keys in itertools.groupby(batch, key=lambda item: item[0]):
                 keys = [(kind, key) for _, kind, key in keys]
-                report = self.stores[plane].sweep(
-                    deep=True, unreachable=unreachable, keys=keys)
+                report = self._sweep(plane, keys, True, unreachable)
                 self._backlog.difference_update((plane, kind, key) for kind, key in keys)
                 self._backlog.update(
                     (plane, entry["kind"], entry["key"]) for entry in report["backlog"])
-                for entry in report["repaired"]:
-                    self._obs_repairs.inc()
-                    self._events.emit("antientropy_repair", plane=plane, **entry)
                 summary["scanned"] += report["checked"]
                 for field in ("repaired", "deferred", "unrepairable"):
                     summary[field] += len(report[field])
-                self.stats["strays_dropped"] += len(report["strays_dropped"])
             for field in ("repaired", "deferred", "unrepairable"):
                 self.stats[field] += summary[field]
             self.stats["rounds"] += 1
@@ -315,24 +276,14 @@ class SelfHealer:
     # -- the foreground pass -----------------------------------------------------
 
     def converge(self, repair: bool = True, deep: bool = True) -> dict:
-        """Probe the members held down, drain the hints, then sweep every
-        plane: the operator's "converge now and tell me".  ``repair=False``
-        audits without writing."""
+        """Probe the members held down, then sweep every plane: the
+        operator's "converge now and tell me".  ``repair=False`` audits
+        without writing."""
         with self._lock:
             self.probe_once(now=True)
             report: dict = {"cluster": True}
             if self.detector is not None:
                 report["health"] = self.detector.snapshot()
-            if self.hints is not None:
-                pending_before = self.hints.total_pending()
-                drained = self.drain() if repair else False
-                report["hints"] = {
-                    "pending_before": pending_before,
-                    "pending_after": self.hints.total_pending(),
-                    "drained": drained,
-                    **{field: self.stats[field]
-                       for field in ("delivered", "stale", "failures")},
-                }
             unreachable = self._down()
             sweeps = report["sweeps"] = {
                 plane: store.sweep(repair=repair, deep=deep, unreachable=unreachable)
@@ -342,9 +293,7 @@ class SelfHealer:
                 **{field: sum(len(sweep[field]) for sweep in sweeps.values())
                    for field in ("repaired", "deferred", "unrepairable", "backlog")},
             }
-        report["converged"] = (
-            report.get("hints", {}).get("pending_after", 0) == 0
-            and report["anti_entropy"]["backlog"] == 0)
+        report["converged"] = report["anti_entropy"]["backlog"] == 0
         self._events.emit(
             "heal_pass", repair=repair, converged=report["converged"],
             backlog=report["anti_entropy"]["backlog"])
@@ -353,9 +302,9 @@ class SelfHealer:
     # -- the loop ----------------------------------------------------------------
 
     def tick(self) -> None:
-        """One turn of the loop: probe, deliver, scan."""
+        """One turn of the loop: probe, heal the degraded marks, scan."""
         self.probe_once()
-        self.deliver_once()
+        self.degraded_once()
         self.scan_once()
         self.stats["ticks"] += 1
 
@@ -372,8 +321,9 @@ class SelfHealer:
         while not self._stop.wait(self.interval_s):
             try:
                 self.tick()
-            except Exception:  # pragma: no cover - defensive: keep healing
-                pass
+            except Exception as exc:  # keep healing: the next tick starts over
+                self.stats["tick_errors"] += 1
+                self._events.emit("self_heal_tick_failed", error=type(exc).__name__)
 
     def close(self) -> None:
         self._stop.set()

@@ -6,15 +6,15 @@ Both sharded stores — :class:`~repro.cluster.sharded_store.ShardedFileStore`
 makes live here once:
 
 * **How a write to a key's owners becomes an ack.**  Both stores inherit
-  :class:`ReplicaLedger`: the ring, ``write_quorum``, the failure detector
-  and hint log, ``cluster_stats``/``degraded_keys`` and the per-plane obs
-  counters.  :meth:`ReplicaLedger._quorum_write` is the one loop every
-  replicated write runs; its caller supplies only what one owner does.
+  :class:`ReplicaLedger`: the ring, ``write_quorum``, the failure detector,
+  ``cluster_stats``/``degraded_keys`` and the per-plane obs counters.
+  :meth:`ReplicaLedger._quorum_write` is the one loop every replicated
+  write runs; its caller supplies only what one owner does.
 * **How one key's replica set is healed.**  :meth:`ReplicaLedger.heal_key`
   is the one per-key heal — on the file plane
   :func:`~repro.cluster.antientropy.repair_chunk`, on the document plane
   the versioned read — and :meth:`ReplicaLedger.sweep` the one walk over
-  every key.  Read repair, hint delivery, the self-heal loop, fsck and
+  every key.  Read repair, the self-heal loop's rounds, fsck and
   membership changes all reach replicas through it, so they share one
   outcome (:func:`finish`) and one rule for retiring a stray copy
   (:func:`drop_strays`).
@@ -105,8 +105,10 @@ def classify_failure(exc: Exception) -> str:
 class ReplicaLedger:
     """The member ledger both sharded stores inherit.
 
-    A key's degraded mark and hints are ``(kind, key)``: ``kind`` is
-    ``"chunk"`` for a record, a document's collection on the docs plane.
+    A key's degraded mark is ``(kind, key)``: ``kind`` is ``"chunk"`` for
+    a record, a document's collection on the docs plane.  The marks are the
+    one record of what a replica is owed: the self-heal loop heals the
+    marked keys, and a heal that leaves a key settled clears its mark.
     """
 
     #: ``plane=`` label of the store's counters and events, and the event
@@ -114,7 +116,7 @@ class ReplicaLedger:
     _plane = "files"
     _kind_field = "kind"
 
-    def _init_ledger(self, members, replicas, write_quorum, vnodes, detector, hint_log):
+    def _init_ledger(self, members, replicas, write_quorum, vnodes, detector):
         if not members:
             raise ValueError("a sharded store needs at least one member")
         self.members = dict(members)
@@ -128,7 +130,6 @@ class ReplicaLedger:
             )
         self.write_quorum = int(write_quorum)
         self.detector = detector
-        self.hints = hint_log
         if detector is not None:
             for name in self.members:
                 detector.add_member(name)
@@ -146,7 +147,7 @@ class ReplicaLedger:
         """The replica count actually achievable with current membership."""
         return min(self.ring.replicas, len(self.members))
 
-    # -- failure-detector / hint feeds (all no-ops when not wired) -----------
+    # -- failure-detector feeds (no-ops when not wired) ------------------------
 
     def _allowed(self, name: str) -> bool:
         return self.detector is None or self.detector.allow(name)
@@ -158,10 +159,6 @@ class ReplicaLedger:
     def _down(self, name: str) -> None:
         if self.detector is not None:
             self.detector.record_failure(name)
-
-    def _hint(self, name: str, kind: str, key: str) -> None:
-        if self.hints is not None:
-            self.hints.record(name, kind, key)
 
     # -- stats ---------------------------------------------------------------
 
@@ -192,9 +189,9 @@ class ReplicaLedger:
         whose breaker is open is fast-failed; a failure feeds the detector
         only when :func:`classify_failure` calls the owner unreachable.
         Below ``write_quorum`` acks the write raises the retryable
-        :class:`~repro.errors.QuorumWriteError`; otherwise each missed owner
-        gets one hint and the key is marked degraded, and a write every
-        owner acked clears the mark.
+        :class:`~repro.errors.QuorumWriteError`; otherwise a write that
+        missed an owner marks the key degraded, and a write every owner
+        acked clears the mark.
         """
         acks = 0
         missed: list[str] = []
@@ -225,8 +222,6 @@ class ReplicaLedger:
             ) from last_error
         if missed:
             self._note_degraded(kind, key)
-            for name in missed:
-                self._hint(name, kind, key)
         else:
             self._clear_degraded(kind, key)
         return acks

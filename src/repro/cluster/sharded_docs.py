@@ -15,8 +15,7 @@ also across processes; an unstamped record (an older release's) ranks
 lowest.  A delete replaces each owner's copy with the tombstone ``{_id,
 _v, _deleted: true}`` in the document's own collection.  The versioned
 read (:meth:`_ShardedCollection._read`) is this plane's one per-key heal:
-reads, hint delivery, the self-heal loop, fsck and membership changes all
-go through it and keep the highest stamp, so a replica that missed a
+reads, the self-heal loop, fsck and membership changes all go through it and keep the highest stamp, so a replica that missed a
 delete can never resurrect the document.  Sharded
 reads strip the reserved fields: callers see what the engine returns.
 Members are anything with the engine's ``collection(name)`` API — plain
@@ -41,7 +40,6 @@ from ..docstore.engine import (
 )
 from ..docstore.query import matches, resolve_path
 from ..errors import TransientStoreError
-from .hints import KIND_DOC
 from .replica import (
     REPLICA_FAILURES,
     ReplicaLedger,
@@ -487,7 +485,7 @@ class ShardedDocumentStore(ReplicaLedger):
     wherever MMlib takes one (services, save transactions, fsck): it has
     the same ``collection``/``collection_names``/``drop_collection``/
     ``storage_bytes`` surface, with replication underneath.  The ring,
-    quorum, detector, hints and stats are the
+    quorum, detector, degraded marks and stats are the
     :class:`~repro.cluster.replica.ReplicaLedger` it shares with the file
     store.
     """
@@ -502,9 +500,8 @@ class ShardedDocumentStore(ReplicaLedger):
         write_quorum: int | None = None,
         vnodes: int = DEFAULT_VNODES,
         detector=None,
-        hint_log=None,
     ):
-        self._init_ledger(members, replicas, write_quorum, vnodes, detector, hint_log)
+        self._init_ledger(members, replicas, write_quorum, vnodes, detector)
         self._collections: dict[str, _ShardedCollection] = {}
         self._collections_lock = threading.Lock()
         self._clock_lock = threading.Lock()
@@ -536,12 +533,6 @@ class ShardedDocumentStore(ReplicaLedger):
                 member.drop_collection(PARENT_GRAVES)
             except OSError:
                 continue
-
-    # -- hinted handoff delivery ---------------------------------------------
-
-    def _hint(self, name: str, collection: str, doc_id: str) -> None:
-        if self.hints is not None:
-            self.hints.record(name, KIND_DOC, doc_id, collection=collection)
 
     # -- store surface --------------------------------------------------------
 

@@ -14,16 +14,16 @@ Replication semantics:
   :class:`~repro.errors.QuorumWriteError`.  Chunk and file writes are
   content-addressed or target a fixed id, so the whole quorum write is
   idempotent under the store's shared retry policy.  Writes that reach
-  quorum but not all R owners are tracked as *degraded* and leave a hint
-  per missed owner.  The loop itself is the cluster's one quorum write,
+  quorum but not all R owners mark the key *degraded*, which the self-heal
+  loop heals.  The loop itself is the cluster's one quorum write,
   :meth:`~repro.cluster.replica.ReplicaLedger._quorum_write`, shared with
   the document store; this store supplies only one owner's write.
 * **Reads** try replicas in ring order and fail over past dead or
   corrupt members.  A failover read that found an owner missing the key
   or holding a corrupt copy triggers *read-repair*: the cluster's one
   per-key heal (:meth:`heal_key`, i.e.
-  :func:`~repro.cluster.antientropy.repair_chunk`), which hinted handoff,
-  the self-heal loop and fsck run too, so a corrupt payload is never
+  :func:`~repro.cluster.antientropy.repair_chunk`), which the self-heal
+  loop and fsck run too, so a corrupt payload is never
   propagated.
 * **Membership changes** (:meth:`ShardedFileStore.add_member`,
   :meth:`~ShardedFileStore.remove_member`) change the ring, then run the
@@ -33,7 +33,7 @@ Replication semantics:
   replication step, which find the keys still out of place.
 
 The sharded store itself holds no payload data: its root directory
-carries only cluster-wide metadata (the hint log, the cluster's lock).
+carries only cluster-wide metadata (the cluster's lock, the format marker).
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ class _ShardedChunkView:
         its chunks unsynced.
 
         That is a member the chunk was appended to, or one whose put found
-        the chunk already there but not yet flushed (a read repair, hint,
+        the chunk already there but not yet flushed (a read repair, heal,
         membership change or concurrent save appended it), as is an owner holding
         a chunk the save references without a put (``held``) unflushed.  A member that took
         only file records (a manifest, code) keeps them for its next
@@ -314,7 +314,7 @@ class _ShardedChunkView:
 class ShardedFileStore(ReplicaLedger, FileStore):
     """R-of-N replicated :class:`FileStore` over named member stores.
 
-    ``root`` is the cluster's *metadata* directory (the hint log) —
+    ``root`` is the cluster's *metadata* directory (its lock) —
     payload bytes live only on the members, which
     are plain :class:`FileStore`s or
     :class:`~repro.filestore.network.SimulatedNetworkFileStore`s (each
@@ -339,9 +339,8 @@ class ShardedFileStore(ReplicaLedger, FileStore):
         workers: int = 0,
         chunk_cache=None,
         detector=None,
-        hint_log=None,
     ):
-        self._init_ledger(members, replicas, write_quorum, vnodes, detector, hint_log)
+        self._init_ledger(members, replicas, write_quorum, vnodes, detector)
         self._chunk_meta: dict[str, dict] = {}  # chunk id -> its layer entry
         self._meta_lock = threading.Lock()
         self._unsynced: set[str] = set()  # members holding an unsynced chunk
@@ -463,8 +462,8 @@ class ShardedFileStore(ReplicaLedger, FileStore):
         """Heal the key a failover read found an owner missing or holding
         corrupt: the one heal, deep, so no copy that fails verification is
         replicated.  Owners the read found unreachable are left out —
-        repair writes at a dead member would be wasted; hinted handoff and
-        the self-heal loop own that path."""
+        repair writes at a dead member would be wasted; the self-heal
+        loop's scan owns that path."""
         result = self.heal_key("chunk", digest, down, deep=True)
         for name in result["repaired_to"] + result["corrupt_healed"]:
             self._bump("read_repairs")

@@ -55,12 +55,13 @@ _WALK_FIELDS = (*_FILE_FIELDS, "base_model", "environment_id", "train_info_id")
 #: Logs a parent release kept under a file store's root (a sharded store's
 #: metadata root and each member's) beside its records: the chain
 #: compactor's swap intents, the save intent logs, the rebalancer's move
-#: journals, the segment compaction journal and the chunk refcounts.  None
-#: says what the records do not — fsck sweeps what the catalog does not
-#: reach, its replication step moves what sits off its ring owners, and a
-#: segment no index entry names is dead — so a repair deletes them unread.
-PARENT_LOGS = ("chain-compaction", "journal", "rebalance", "chunks/compaction.json",
-               "chunks/refcounts.json")
+#: journals, the hinted-handoff logs, the segment compaction journal and the
+#: chunk refcounts.  None says what the records do not — fsck sweeps what
+#: the catalog does not reach, its replication step moves what sits off its
+#: ring owners or short of them, and a segment no index entry names is dead
+#: — so a repair deletes them unread.
+PARENT_LOGS = ("chain-compaction", "journal", "rebalance", "hints",
+               "chunks/compaction.json", "chunks/refcounts.json")
 
 
 class DependentModelsError(MMLibError):
@@ -93,7 +94,7 @@ class FsckIssue:
     ``environment_digest``, ``missing_file``, ``missing_chunk``,
     ``corrupt_chunk``, ``corrupt_manifest``, ``retired_level``,
     ``orphan_file``, ``orphan_chunk``,
-    ``under_replicated``, ``pending_hints``, ``orphan_document``).
+    ``under_replicated``, ``orphan_document``).
     """
 
     kind: str
@@ -352,15 +353,6 @@ class ModelManager:
             documents, "detector", None)
         if detector is not None:
             out["health"] = detector.snapshot()
-        hint_log = getattr(files, "hints", None) or getattr(
-            documents, "hints", None)
-        if hint_log is not None:
-            out["hints"] = {
-                "pending": hint_log.pending_counts(),
-                "total_pending": hint_log.total_pending(),
-                "pending_bytes": hint_log.pending_bytes(),
-                **hint_log.stats,
-            }
         # models saved from one environment share its document, so the
         # distinct documents are the distinct environments of the fleet
         try:
@@ -612,10 +604,10 @@ class ModelManager:
         """One foreground self-heal pass over a sharded deployment: the
         replication half of :meth:`fsck` (``mmlib heal``).
 
-        Probes the members the failure detector holds down, drains the
-        hinted-handoff log, then sweeps both planes — records and
-        documents — through the one per-key heal; with ``deep``, every
-        reachable copy is read and verified, not just counted.
+        Probes the members the failure detector holds down, then sweeps
+        both planes — records and documents — through the one per-key
+        heal; with ``deep``, every reachable copy is read and verified,
+        not just counted.
         ``repair=False`` audits without writing.  Returns the
         :meth:`~repro.cluster.SelfHealer.converge` report, or
         ``{"cluster": False}`` on a single-store deployment.  A running
@@ -643,28 +635,25 @@ class ModelManager:
            its tmp segment is grace-swept, and a committed destination
            or victim the index no longer names goes at the next ``gc``);
         2. ``replication`` — on a sharded deployment, :meth:`heal`: the
-           members held down are probed, pending hinted-handoff IOUs
-           drained, and every record (chunk or file) and document swept
-           through the one per-key heal to its full R replicas, from a
-           surviving copy (digest-verified, never propagating corruption;
-           with ``verify_chunks`` every copy is read).  It runs before the
-           steps below read documents, so what their reads would repair
-           unreported is reported here (``under_replicated``);
-        3. ``hints`` — no hinted-handoff IOUs remain pending: hints the
-           heal could not deliver are owed to an unreachable member and
-           reported unrepaired (``pending_hints``);
-        4. ``documents`` — no catalog log was opened with a torn final
+           members held down are probed, and every record (chunk or file)
+           and document swept through the one per-key heal to its full R
+           replicas, from a surviving copy (digest-verified, never
+           propagating corruption; with ``verify_chunks`` every copy is
+           read).  It runs before the steps below read documents, so what
+           their reads would repair unreported is reported here
+           (``under_replicated``);
+        3. ``documents`` — no catalog log was opened with a torn final
            record (a crash mid-append; the engine already dropped it,
            reported here once); the catalog walk (:meth:`_walk`, shared
            with :meth:`garbage_collect`) finds every model document's base
            model, environment/train/wrapper documents, and referenced files,
            and every content-addressed environment document still hashes
            back to its id (audit only);
-        5. ``chunks`` — every reached manifest's chunks exist and (with
+        4. ``chunks`` — every reached manifest's chunks exist and (with
            ``verify_chunks``) hash back to their content digests; a level
            an older release wrote and no open has upgraded is a
            ``retired_level`` (a v2 manifest's pieces stay live);
-        6. ``orphans`` — no stored record is outside the mark (the
+        5. ``orphans`` — no stored record is outside the mark (the
            reached files and the chunks their manifests name): an
            unreached file is an ``orphan_file``, an unreached chunk an
            ``orphan_chunk``.  What a save that failed or died before its
@@ -673,7 +662,7 @@ class ModelManager:
            repair also deletes the logs a parent release kept beside its
            records (:data:`PARENT_LOGS`), which say nothing the records do
            not;
-        7. ``orphan_documents`` — every environment, train and wrapper
+        6. ``orphan_documents`` — every environment, train and wrapper
            document is reached: one a crashed save put, or an environment
            whose last model was deleted, is removed.
 
@@ -749,24 +738,7 @@ class ModelManager:
                     repaired=fixed,
                 )
 
-        # 3. hinted-handoff backlog: a healthy cluster owes nothing; what
-        # the heal above could not deliver targets a member still
-        # unreachable
-        steps.start("hints")
-        hints = healed.get("hints")
-        if hints and hints["pending_before"]:
-            pending_before, remaining = hints["pending_before"], hints["pending_after"]
-            detail = f"{pending_before} handoff hint(s) pending"
-            if repair:
-                detail += (
-                    f" ({pending_before - remaining} drained, "
-                    f"{remaining} still owed)"
-                )
-            report.add(
-                "pending_hints", detail, repaired=repair and remaining == 0
-            )
-
-        # 4. documents -> documents/files cross-checks
+        # 3. documents -> documents/files cross-checks
         steps.start("documents")
         for collection_name in (MODELS, ENVIRONMENTS, TRAIN_INFO, WRAPPERS):
             collection = self.documents.collection(collection_name)
@@ -807,7 +779,7 @@ class ModelManager:
             if not files.exists(file_id):
                 report.add("missing_file", f"{referrer} references missing file {file_id}")
 
-        # 5. manifests -> chunk existence and content digests; the mark is
+        # 4. manifests -> chunk existence and content digests; the mark is
         # the reached files and what their manifests name
         steps.start("chunks")
         marked: set[str] = set()
@@ -862,7 +834,7 @@ class ModelManager:
         report.checked_files = len(files.file_ids())
         report.checked_chunks = sum(1 for key in marked if not is_file_id(key))
 
-        # 6. orphans = stored - marked (keys are ``member:key`` on a
+        # 5. orphans = stored - marked (keys are ``member:key`` on a
         # sharded store)
         steps.start("orphans")
         for key in files.chunks.sweep(marked, repair=repair):
@@ -883,7 +855,7 @@ class ModelManager:
                     else:
                         path.unlink(missing_ok=True)
 
-        # 7. orphan documents (a crashed save's, an environment nobody names)
+        # 6. orphan documents (a crashed save's, an environment nobody names)
         steps.start("orphan_documents")
         for name, collection, doc_id in list(self._unreached_documents(reached)):
             if repair:

@@ -43,9 +43,8 @@ class SharedStores:
     """The storage backends every participant connects to.
 
     Clustered deployments built with ``self_heal=True`` also carry the
-    shared :class:`~repro.cluster.FailureDetector` and
-    :class:`~repro.cluster.HintLog` wired into both sharded stores;
-    :meth:`healers` constructs the matching self-heal loop.
+    shared :class:`~repro.cluster.FailureDetector` wired into both sharded
+    stores; :meth:`healers` constructs the matching self-heal loop.
     """
 
     documents: DocumentStore
@@ -53,7 +52,6 @@ class SharedStores:
     scratch_dir: Path
     retry: RetryPolicy | None = None
     detector: object | None = None
-    hints: object | None = None
 
     @classmethod
     def at(
@@ -139,10 +137,9 @@ class SharedStores:
         touches a member link.
 
         ``self_heal=True`` wires a shared
-        :class:`~repro.cluster.FailureDetector` and durable
-        :class:`~repro.cluster.HintLog` (under ``cluster-meta/hints``)
-        into both sharded stores: quorum writes then breaker-skip members
-        the detector holds down and leave hints for missed replicas.
+        :class:`~repro.cluster.FailureDetector` into both sharded stores:
+        quorum writes then breaker-skip members the detector holds down
+        (the keys they miss are marked degraded either way).
         The self-heal loop is *not* started here — call :meth:`healers`
         and ``start()`` it, or converge in the foreground via
         ``ModelManager.heal()``.
@@ -174,12 +171,11 @@ class SharedStores:
                     retry=retry,
                     pipeline_depth=pipeline_depth,
                 )
-        detector = hints = None
+        detector = None
         if self_heal:
-            from ..cluster import FailureDetector, HintLog
+            from ..cluster import FailureDetector
 
             detector = FailureDetector(members=sorted(file_members))
-            hints = HintLog(workdir / "cluster-meta" / "hints")
         chunk_cache = chunk_cache_bytes if chunk_cache_bytes > 0 else None
         files = ShardedFileStore(
             workdir / "cluster-meta",
@@ -190,28 +186,23 @@ class SharedStores:
             workers=workers,
             chunk_cache=chunk_cache,
             detector=detector,
-            hint_log=hints,
         )
         documents = ShardedDocumentStore(
-            doc_members, replicas=replicas, write_quorum=write_quorum,
-            detector=detector, hint_log=hints,
-        )
+            doc_members, replicas=replicas, write_quorum=write_quorum, detector=detector)
         scratch = workdir / "scratch"
         scratch.mkdir(parents=True, exist_ok=True)
-        return cls(
-            documents=documents, files=files, scratch_dir=scratch,
-            retry=retry, detector=detector, hints=hints,
-        )
+        return cls(documents=documents, files=files, scratch_dir=scratch,
+                   retry=retry, detector=detector)
 
     def healers(self, interval_s: float = 0.25, batch_size: int = 64):
         """The self-heal loop of a clustered deployment: one
         :class:`~repro.cluster.SelfHealer` over both sharded stores that
-        every ``interval_s`` probes each member's ``ping``, delivers the
-        pending hints and heals ``batch_size`` keys.  Not started; call
-        ``start()`` (and ``close()`` when done).  Requires
+        every ``interval_s`` probes each member's ``ping``, heals the keys
+        marked degraded and heals ``batch_size`` keys of the universe.  Not
+        started; call ``start()`` (and ``close()`` when done).  Requires
         ``cluster_at(..., self_heal=True)`` stores.
         """
-        if self.hints is None or self.detector is None:
+        if self.detector is None:
             raise ValueError(
                 "self-heal services need cluster_at(..., self_heal=True) stores"
             )

@@ -129,7 +129,6 @@ class RecordLog:
         self.path = Path(path)
         self.size = 0  # bytes of whole records this object read or wrote
         self.torn_bytes = 0  # what the last read cut off as a torn tail
-        self._base = 0  # ``size`` after the last whole read or rewrite
         self._file = None
         self._older: list[bytes] | None = None  # an older release's records
 
@@ -137,7 +136,7 @@ class RecordLog:
         """Every record of the file, decoded, oldest first; ``sized``:
         ``(record, bytes it takes)`` pairs."""
         self.close()
-        self.size = self._base = 0
+        self.size = 0
         try:
             self._file = self._open(self.path, os.O_RDWR | os.O_APPEND)
         except FileNotFoundError:
@@ -156,7 +155,7 @@ class RecordLog:
         if end < len(data):
             os.ftruncate(fd, end)
         self.torn_bytes = len(data) - end
-        self.size = self._base = end
+        self.size = end
         if older:
             self._older = payloads
         if sized:
@@ -198,12 +197,7 @@ class RecordLog:
             raise
         self.close()
         self._file, self._older = fresh, None
-        self.size = self._base = os.fstat(fresh.fileno()).st_size
-
-    def outgrown(self, floor: int) -> bool:
-        """Time to rewrite: past ``floor`` and twice the size after the last
-        rewrite or whole read (a rewrite costs what was appended since)."""
-        return self.size > max(floor, 2 * self._base)
+        self.size = os.fstat(fresh.fileno()).st_size
 
     def _tmp_path(self) -> Path:
         """One name per log: a crash leaves at most one behind."""
@@ -233,6 +227,6 @@ class RecordLog:
     def remove(self) -> None:
         """Delete the file, and a tmp file a crashed rewrite left."""
         self.close()
-        self.size, self._base, self._older = 0, 0, None
+        self.size, self._older = 0, None
         self.path.unlink(missing_ok=True)
         self._tmp_path().unlink(missing_ok=True)

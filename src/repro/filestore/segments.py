@@ -796,7 +796,7 @@ class ChunkStore:
         """True unless the record under ``digest`` waits for :meth:`flush`.
 
         A cluster's save barrier asks this of a replica whose put found
-        the record already there: a copy that a read repair, hint or
+        the record already there: a copy that a read repair, heal or
         concurrent save appended and nobody has flushed yet still needs
         the barrier.
         """

@@ -203,10 +203,6 @@ def preregister_default_families(reg: Registry | None = None) -> None:
                 "Reads served by a non-primary replica", plane="files")
     reg.counter("mmlib_cluster_read_repairs_total",
                 "Replica copies healed during reads", plane="files")
-    reg.counter("mmlib_hints_recorded_total", "Handoff hints recorded",
-                kind="chunk")
-    reg.counter("mmlib_hints_delivered_total", "Handoff hints resolved",
-                outcome="delivered")
     reg.gauge("mmlib_antientropy_backlog",
               "Keys known divergent and not yet healed")
     reg.counter("mmlib_antientropy_repairs_total",

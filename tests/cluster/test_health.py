@@ -45,7 +45,7 @@ def make_detector(**kwargs) -> tuple[FailureDetector, ManualClock]:
 def probing_loop(detector, probes) -> SelfHealer:
     """The self-heal loop over a store whose members answer ``probes``."""
     members = {name: SimpleNamespace(ping=probe) for name, probe in probes.items()}
-    store = SimpleNamespace(_plane="files", detector=detector, hints=None, members=members)
+    store = SimpleNamespace(_plane="files", detector=detector, members=members)
     return SelfHealer([store])
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cluster import FailureDetector, HintLog, ShardedDocumentStore, ShardedFileStore
+from repro.cluster import FailureDetector, ShardedDocumentStore, ShardedFileStore
 from repro.core import (
     ArchitectureRef,
     BaselineSaveService,
@@ -71,20 +71,18 @@ DIGEST = "ab" * 32
 
 
 def make_policy_store(tmp_path, kind):
-    """Three members, R=3, W=2, fault injectors, detector and hint log."""
+    """Three members, R=3, W=2, fault injectors and a detector."""
     faults = {f"m{index}": FaultInjector(seed=index) for index in range(3)}
     detector = FailureDetector(members=sorted(faults), breaker_cooldown_s=30.0)
-    hints = HintLog(tmp_path / "hints")
     if kind == "record":
         members = {name: FileStore(tmp_path / name, faults=injector)
                    for name, injector in faults.items()}
-        store = ShardedFileStore(tmp_path / "meta", members, replicas=3,
-                                 detector=detector, hint_log=hints)
+        store = ShardedFileStore(tmp_path / "meta", members, replicas=3, detector=detector)
     else:
         members = {name: FaultyDocumentStore(DocumentStore(), injector)
                    for name, injector in faults.items()}
-        store = ShardedDocumentStore(members, replicas=3, detector=detector, hint_log=hints)
-    return store, faults, detector, hints
+        store = ShardedDocumentStore(members, replicas=3, detector=detector)
+    return store, faults, detector
 
 
 def doc_holders(store, test) -> set[str]:
@@ -112,23 +110,21 @@ def record_holders(store, value) -> set[str]:
     return {name for name, member in store.members.items() if member.chunks.has(DIGEST)}
 
 
-DOC_HINT = {"kind": "doc", "key": DOC_ID, "collection": "models"}
-
-#: write kind -> (write(store, value), landed(store, value), degraded key, hint)
+#: write kind -> (write(store, value), landed(store, value), degraded key)
 WRITE_KINDS = {
     "insert": (insert, lambda store, value: doc_holders(store, lambda d: True),
-               ("models", DOC_ID), DOC_HINT),
+               ("models", DOC_ID)),
     "replace": (of_the_document(lambda docs, value: docs.replace_one(DOC_ID, {"v": value})),
                 lambda store, value: doc_holders(store, lambda d: d["v"] == value),
-                ("models", DOC_ID), DOC_HINT),
+                ("models", DOC_ID)),
     "update": (of_the_document(lambda docs, value: docs.update_one({"_id": DOC_ID}, {"v": value})),
                lambda store, value: doc_holders(store, lambda d: d["v"] == value),
-               ("models", DOC_ID), DOC_HINT),
+               ("models", DOC_ID)),
     "delete": (of_the_document(lambda docs, value: docs.delete_one(DOC_ID)),
                lambda store, value: doc_holders(store, lambda d: d.get("_deleted")),
-               ("models", DOC_ID), DOC_HINT),
+               ("models", DOC_ID)),
     "record": (lambda store, value: store.put_chunk(DIGEST, b"payload"), record_holders,
-               ("chunk", DIGEST), {"kind": "chunk", "key": DIGEST}),
+               ("chunk", DIGEST)),
 }
 
 
@@ -239,8 +235,8 @@ class TestQuorumWrites:
     @pytest.mark.parametrize("kind", sorted(WRITE_KINDS))
     def test_every_write_kind_follows_one_quorum_policy(self, tmp_path, kind):
         # R=3, W=2 over three members: every member owns every key
-        store, faults, detector, hints = make_policy_store(tmp_path, kind)
-        write, landed, degraded_key, hint = WRITE_KINDS[kind]
+        store, faults, detector = make_policy_store(tmp_path, kind)
+        write, landed, degraded_key = WRITE_KINDS[kind]
         if kind in ("replace", "update", "delete"):
             insert(store, 1)  # the document to write, on every owner
 
@@ -249,9 +245,7 @@ class TestQuorumWrites:
             detector.record_failure(victim)  # breaker open: fast-failed
         write(store, 2)
         assert landed(store, 2) == set(others)  # acked at W
-        assert degraded_key in store.degraded_keys
-        assert hints.pending_counts() == {victim: 1}
-        assert hint.items() <= hints.pending(victim)[0].items()
+        assert store.degraded_keys == {degraded_key}  # one mark names what it missed
 
         for _ in range(detector.recovery_threshold):
             detector.record_success(victim)
@@ -307,7 +301,7 @@ class TestFlushBarrier:
         assert order == ["m0 synced", "save B acknowledged"]
 
     def test_a_deduplicated_put_is_synced(self, tmp_path):
-        # a read repair (or hint, or rebalance) writes a member's record
+        # a read repair (or heal, or rebalance) writes a member's record
         # without a flush; a save that deduplicates against it must sync it
         store = make_cluster(tmp_path, n=2, replicas=2)
         digest = "ab" * 32

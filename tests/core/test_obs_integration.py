@@ -16,7 +16,7 @@ ARCH = ArchitectureRef.from_factory(
 # replication runs before any step reads a document (its reads would heal
 # a missing replica unreported)
 FSCK_STEPS = (
-    "segments", "replication", "hints", "documents", "chunks",
+    "segments", "replication", "documents", "chunks",
     "orphans", "orphan_documents",
 )
 

@@ -336,6 +336,21 @@ class CollectionAgainstDict(RuleBasedStateMachine):
     def reopen(self):
         self.collection = Collection("c", persist_path=self.path)
 
+    @rule(doc_id=IDS, tag=st.lists(st.one_of(TAGS, st.integers(0, 3)), min_size=1, max_size=3))
+    def a_list_valued_tag_in_an_in_bucket(self, doc_id, tag):
+        """A list is indexed under each element, so a ``$in`` over its
+        elements finds it in the buckets: the hit is not exact."""
+        document = {"_id": doc_id, "tag": tag}
+        if doc_id in self.model:
+            self.collection.replace_one(doc_id, {"tag": tag})
+        else:
+            self.collection.insert_one(document)
+        self.model[doc_id] = document
+        for query in ({"tag": {"$in": tag[:1]}}, {"tag": {"$in": tag}}):
+            expected = self.expected(query)
+            assert self.collection.find(query) == expected
+            assert self.collection.count(query) == len(expected)
+
     @rule(query=QUERIES)
     def queries_agree(self, query):
         expected = self.expected(query)

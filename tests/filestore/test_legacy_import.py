@@ -32,7 +32,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import HintLog, SelfHealer, ShardedFileStore
+from repro.cluster import SelfHealer, ShardedFileStore
 from repro.core import (
     ModelManager,
     ModelSaveInfo,
@@ -641,17 +641,21 @@ class TestAStoreOfFilesPerBlob:
 
 class TestOlderArtefacts:
     def test_a_pending_blob_hint_is_delivered(self, tmp_path):
+        """An older release's ``blob`` hint for a file an owner lost: no
+        hint is read, and the sweep restores what it named."""
         members = {f"m{index}": FileStore(tmp_path / f"m{index}") for index in range(3)}
-        hints = HintLog(tmp_path / "hints")
-        store = ShardedFileStore(tmp_path / "meta", members, replicas=2, hint_log=hints)
+        store = ShardedFileStore(tmp_path / "meta", members, replicas=2)
         file_id = store.save_bytes(b"architecture source", suffix=".py")
         owner = store.ring.owners(file_id)[0]
         members[owner].chunks.drop(file_id)
-        hints.record(owner, "blob", file_id)  # what an older release recorded
+        hints = tmp_path / "meta" / "hints"
+        hints.mkdir()
+        (hints / f"{owner}.jsonl").write_text(json.dumps(
+            {"op": "hint", "kind": "blob", "key": file_id}) + "\n")
 
-        deliverer = SelfHealer([store])
-        assert deliverer.drain() is True
-        assert deliverer.stats["delivered"] == 1
+        report = SelfHealer([store]).converge()
+        assert report["converged"] is True
+        assert report["sweeps"]["files"]["repaired"] == [{"kind": "chunk", "key": file_id}]
         assert members[owner].recover_bytes(file_id) == b"architecture source"
         assert members[owner].chunks.has(file_id)
 

@@ -1,8 +1,8 @@
 """Stores whose logs the parent release wrote open and recover bitwise.
 
 The parent wrote every log in a format of its own: JSON lines (catalog
-collections, the refcount log, hint files, rebalance journals, one file
-per save under ``journal/``) or one JSON document (``index.json``,
+collections, the refcount log, hinted-handoff files, rebalance journals,
+one file per save under ``journal/``) or one JSON document (``index.json``,
 ``compaction.json``, the indented ``chain-compaction/*.json``).
 :func:`to_parent_format` rewrites every log under a root that way, and
 writes the files the parent kept beside what this release keeps without
@@ -10,8 +10,9 @@ one: the chain-compaction intents beside a swap and the save journals
 beside a save (both committed by a document alone), the segment
 compaction journal beside a compaction (committed by its rename), the
 rebalance journals beside a membership change (the placement says what is
-left) and the refcount log beside the records (liveness is what the
-catalog reaches).  Each
+left), the hint files beside a degraded write (the sweep finds what a
+replica is owed) and the refcount log beside the records (liveness is what
+the catalog reaches).  Each
 store here is caught mid-crash first — an open save, a pending chain
 compaction, a pending segment compaction, a pending rebalance, undelivered
 hints — so the parent-format files are exactly what a crashed parent left.
@@ -23,7 +24,7 @@ import json
 
 import pytest
 
-from repro.cluster import HintLog, SelfHealer, ShardedFileStore, antientropy
+from repro.cluster import ShardedFileStore, antientropy
 from repro.core import ModelManager, ParameterUpdateSaveService
 from repro.core.compaction import ChainCompactor
 from repro.core.hashing import state_dict_hashes
@@ -46,14 +47,16 @@ def json_lines(records, **dumps) -> str:
     return "".join(json.dumps(record, **dumps) + "\n" for record in records)
 
 
-def to_parent_format(root, swaps=(), saves=(), compaction=None, moves=None) -> set[str]:
+def to_parent_format(root, swaps=(), saves=(), compaction=None, moves=None,
+                     hints=None) -> set[str]:
     """Rewrite every framed log under ``root`` as the parent wrote it, and
     write each of ``swaps`` (a pending chain compaction: ``model_id``,
     ``old_update_file``, ``manifest_file``, ``code_file``) and of ``saves``
     (an open save's intents) as the parent's intent under
     ``root / "files"``, ``compaction`` (``victims``, ``dest``) as its
-    segment compaction journal there, and ``moves`` (the keys a membership
-    change copied) as its rebalance journal under ``root / "meta"``;
+    segment compaction journal there, ``moves`` (the keys a membership
+    change copied) as its rebalance journal under ``root / "meta"`` and
+    ``hints`` (``{member: keys it missed}``) as its pending hints there;
     returns the kinds of log written."""
     kinds = set()
     for index in sorted(root.rglob("index.json")):  # a count per indexed record
@@ -71,6 +74,13 @@ def to_parent_format(root, swaps=(), saves=(), compaction=None, moves=None) -> s
         (journals / "5f0c1d2e3a4b.jsonl").write_text(
             json_lines({"kind": "chunk", "key": key} for key in moves))
         kinds.add("rebalance")
+    for member, keys in (hints or {}).items():
+        pending = root / "meta" / "hints"
+        pending.mkdir(exist_ok=True)
+        (pending / f"{member}.jsonl").write_text(json_lines(
+            ({"op": "hint", "kind": "chunk", "key": key, "recorded_at": 0.0} for key in keys),
+            sort_keys=True))
+        kinds.add("hints")
     for swap in swaps:
         intents = root / "files" / "chain-compaction"
         intents.mkdir(exist_ok=True)
@@ -89,15 +99,6 @@ def to_parent_format(root, swaps=(), saves=(), compaction=None, moves=None) -> s
         records = records_of(path)
         if path.name == "index.json":
             kind, text = path.name, json.dumps(records[-1], sort_keys=True)
-        elif path.parent.name == "hints":
-            pending = {}
-            for record in records:  # the parent kept pending hints only
-                key = (record["kind"], record["key"], record.get("collection"))
-                if record["op"] == "hint":
-                    pending.setdefault(key, record)
-                else:
-                    pending.pop(key, None)
-            kind, text = "hints", json_lines(pending.values(), sort_keys=True)
         else:
             kind, text = "catalog", json_lines(records, sort_keys=True)
         path.write_text(text)
@@ -233,19 +234,19 @@ class TestACluster:
             faults = {name: FaultInjector(seed=1) for name in names}
             members = {name: FileStore(tmp_path / name, faults=faults[name])
                        for name in names}
-            hints = HintLog(tmp_path / "hints")
             store = ShardedFileStore(
-                tmp_path / "meta", members, replicas=2, write_quorum=1, hint_log=hints)
+                tmp_path / "meta", members, replicas=2, write_quorum=1)
             service = ParameterUpdateSaveService(
                 DocumentStore(tmp_path / "docs"), store, scratch_dir=tmp_path / "s")
-            return store, service, faults, hints
+            return store, service, faults
 
-        store, service, faults, hints = open_cluster(["m0", "m1", "m2"])
+        store, service, faults = open_cluster(["m0", "m1", "m2"])
         faults["m1"].set_down(True)
         ids, states = save_pua_chain(service, depth=2)
         expected = dict(zip(ids, states))
         faults["m1"].set_down(False)
-        assert hints.total_pending() > 0
+        owed = sorted(key for _kind, key in store.degraded_keys)
+        assert owed
         place, failed = antientropy.place, []
 
         def flaky_place(member, digest, *args, **kwargs):
@@ -261,18 +262,18 @@ class TestACluster:
         copied = store.members["m3"].chunks.chunk_ids()
         del store, service
 
-        assert to_parent_format(tmp_path, moves=copied) >= {
+        assert to_parent_format(tmp_path, moves=copied, hints={"m1": owed}) >= {
             "catalog", "refcounts.json", "hints", "rebalance"}
-        store, service, faults, hints = open_cluster(["m0", "m1", "m2", "m3"])
-        assert hints.total_pending() > 0
+        store, service, faults = open_cluster(["m0", "m1", "m2", "m3"])
+        assert not store.degraded_keys  # the hint files are not read
         finished = store.sweep(repair=True)
         assert {entry["key"] for entry in finished["repaired"]} >= set(failed)
         assert finished["unrepairable"] == []
-        assert SelfHealer([store]).drain() is True
         for model_id, state in expected.items():
             assert_recovers(service, model_id, state)
         manager = ModelManager(service)
         report = manager.fsck(verify_chunks=True)
         assert not report.unrepaired, report.summary()
         assert not (tmp_path / "meta" / "rebalance").exists()
+        assert not (tmp_path / "meta" / "hints").exists()
         assert manager.fsck(verify_chunks=True).clean

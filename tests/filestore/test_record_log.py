@@ -158,11 +158,9 @@ def test_replay_sees_appends_and_a_replaced_file(tmp_path):
     assert reader.replay() == []
 
 
-def test_sizes_and_the_rewrite_rule(tmp_path):
-    """``replay(sized=True)`` gives each record's bytes in the file;
-    ``outgrown`` holds once the file is past the floor and twice its size
-    after the last rewrite or whole read."""
-    path = tmp_path / "hints.jsonl"
+def test_replay_sized_gives_each_records_bytes(tmp_path):
+    """``replay(sized=True)`` gives each record's bytes in the file."""
+    path = tmp_path / "models.jsonl"
     log = RecordLog(path)
     payloads = [encode({"key": index}) for index in range(4)]
     log.append(payloads)
@@ -170,16 +168,6 @@ def test_sizes_and_the_rewrite_rule(tmp_path):
     assert [record for record, _size in sized] == [{"key": i} for i in range(4)]
     assert [size for _record, size in sized] == [RECORD_HEADER.size + len(p) for p in payloads]
     assert sum(size for _record, size in sized) == path.stat().st_size == log.size
-    assert log.outgrown(0) and not log.outgrown(log.size)  # never rewritten: base 0
-    log.rewrite(payloads[:1])
-    assert not log.outgrown(0)
-    log.append(payloads[1:2])
-    assert not log.outgrown(0)  # twice the rewritten size, not more
-    log.append(payloads[2:3])
-    assert log.outgrown(0)
-    reader = RecordLog(path)
-    reader.replay()
-    assert not reader.outgrown(0)  # a whole read is the new base
 
 
 def test_a_rewrite_cut_short_leaves_one_tmp_file_the_next_one_reuses(tmp_path):

@@ -451,7 +451,7 @@ class TestObservabilityCommands:
         steps = payload["step_seconds"]
         assert set(steps) == {
             "segments", "documents", "chunks",
-            "orphans", "replication", "hints", "orphan_documents",
+            "orphans", "replication", "orphan_documents",
         }
         assert all(seconds >= 0.0 for seconds in steps.values())
 
