@@ -77,6 +77,8 @@ chaos:
 		tests/filestore/test_bookkeeping_property.py \
 		tests/filestore/test_legacy_import.py::TestRetiredWriteFormats \
 		tests/filestore/test_legacy_import.py::TestUpgradeCrashes \
+		tests/filestore/test_legacy_import.py::TestAStoreTheParentWrote \
+		tests/core/test_full_manifests.py \
 		tests/filestore/test_legacy_import.py::TestUpgradeWithAMemberDown \
 		tests/filestore/test_legacy_import.py::TestAStoreOfFilesPerBlob \
 		tests/filestore/test_record_log.py tests/filestore/test_parent_logs.py \

@@ -4,17 +4,20 @@ Panels: MobileNetV2 and ResNet-152, fully and partially updated, CO-512.
 Expected shapes (Section 4.4):
 
 * BA TTR constant across use cases (independent snapshots);
-* PUA TTR staircases: +1 recovery level per U_3 iteration, resetting to
-  base+1 at U_2; partial updates recover faster than full updates;
+* PUA TTR staircases in the paper: +1 recovery level per U_3 iteration,
+  resetting to base+1 at U_2; partial updates recover faster than full
+  updates;
 * MPA TTR staircases far above both (it replays training).
 
 The PUA staircase is the paper's recursion made visible: recover the base,
-then apply the update, once per level.  The service no longer recurses — it
-resolves the chain, then reads every layer once (DESIGN.md §16) — so its PUA
-TTR is flat in depth *by construction*.  The staircase is therefore asserted
-where it still exists, on the exact ``recovery_depth`` column (chain levels:
-what the paper's steps count), and the wall-clock cost of a level is
-reported beside it as the least-squares slope of PUA TTR over depth.
+then apply the update, once per level.  Here every PUA model is its own
+recovery base — its manifest names every layer, the unchanged ones by its
+base's chunks (DESIGN.md §11, §16) — so a recover reads one document and
+one manifest and PUA TTR is flat in lineage depth *by construction*:
+``recovery_depth`` (the levels a recover resolved) is 0 for every PUA
+model, asserted exactly, and the lineage depth (``ModelManager.lineage``'s
+length minus one, what the paper's steps count) is the table's column,
+with the least-squares slope of PUA TTR over it reported beside it.
 """
 
 import statistics
@@ -57,7 +60,7 @@ def expected_pua_depth(use_case: str) -> int:
 
 
 def ms_per_level(ttr: dict, depths: dict) -> float:
-    """Least-squares slope of TTR over recovery depth, in ms per level."""
+    """Least-squares slope of TTR over lineage depth, in ms per level."""
     return statistics.linear_regression(
         [depths[u] for u in ttr], [ttr[u] * 1e3 for u in ttr]).slope
 
@@ -72,18 +75,19 @@ def _report(bench_workdir):
         panel, depths = measure_panel(bench_workdir, architecture, relation)
         use_cases = [u for u in panel["baseline"] if u != "U_2"]
         report.line(f"({panel_id}) {relation} {architecture}, CO-512")
+        lineage = {u: expected_pua_depth(u) for u in panel["param_update"]}
         report.table(
-            ["use case", "depth"] + list(APPROACHES),
+            ["use case", "lineage depth"] + list(APPROACHES),
             [
-                [u, depths["param_update"][u]]
+                [u, lineage[u]]
                 + [fmt_ms(panel[a][u]) for a in APPROACHES]
                 for u in use_cases
             ],
         )
         pua_depths = depths["param_update"]
         report.line(
-            f"PUA: {ms_per_level(panel['param_update'], pua_depths):+.2f} ms per "
-            f"chain level (depth 0 -> {max(pua_depths.values())})"
+            f"PUA: {ms_per_level(panel['param_update'], lineage):+.2f} ms per "
+            f"lineage level (depth 0 -> {max(lineage.values())})"
         )
         report.line()
 
@@ -91,8 +95,8 @@ def _report(bench_workdir):
         ba_values = [panel["baseline"][u] for u in use_cases]
         assert max(ba_values) < 3 * min(ba_values), "BA TTR must stay ~constant"
         assert set(depths["baseline"].values()) == {0}
-        # the PUA staircase, exactly: +1 level per U_3 iteration, reset at U_2
-        assert pua_depths == {u: expected_pua_depth(u) for u in pua_depths}
+        # no PUA staircase: every PUA model is its own recovery base
+        assert set(pua_depths.values()) == {0}
         # the MPA replays one training per level: its TTR still climbs
         branch1 = [panel["provenance"][f"U_3-1-{n}"] for n in range(1, 5)]
         assert branch1[-1] > branch1[0], "provenance TTR must grow along U_3-1"

@@ -17,9 +17,10 @@ report how many latency payments pipelining avoided.  Both an InfiniBand
 (paper §4.1) and an LTE link (the motivating fleet uplink) are measured.
 
 A chain-depth sweep rides along: PUA tip recovery at depths 1/4/8/16
-with and without :class:`ChainCompactor` at K=4, plus a crash injected
-mid-compaction (one fsck pass must leave the store clean and recovery
-must stay bitwise).
+with and without :class:`ChainCompactor` at K=4 (a PUA model is its own
+recovery base, so the compactor plans nothing there and the sweep is
+flat), plus a crash injected mid-compaction of an MPA replay chain (one
+fsck pass must leave the store clean and recovery must stay bitwise).
 
 Writes ``BENCH_recovery.json`` into ``benchmarks/results/`` (canonical;
 copied to the repo root).  Exit status is non-zero unless pipelined
@@ -189,7 +190,6 @@ def bench_chain_depth(workdir: Path, args) -> dict:
         }
         report = ModelManager(service).compact(max_depth=COMPACTION_K)
         entry["materialized"] = len(report["materialized"])
-        entry["released_bytes"] = report["released_bytes"]
         entry["with_compaction"] = measure(service, stores.files, CELLULAR_LTE, tip)
         scenario["depths"][str(depth)] = entry
     base = scenario["depths"]["1"]["without_compaction"]["simulated_seconds"]
@@ -204,10 +204,11 @@ def bench_chain_depth(workdir: Path, args) -> dict:
     return scenario
 
 
-def bench_crash_mid_compaction(workdir: Path, args) -> dict:
-    """Kill the compactor after the commit point but before cleanup: the
-    superseded delta is left unreferenced, one fsck pass reclaims it, a
-    second is clean, and the tip still recovers bitwise."""
+def bench_crash_mid_compaction(workdir: Path, args, chain) -> dict:
+    """Kill the compactor of an MPA replay chain (the one kind a compaction
+    rewrites) after the commit point but before cleanup: one fsck pass
+    leaves nothing unrepaired, a second is clean, and the tip still
+    recovers bitwise."""
     import numpy as np
 
     from repro.core import ModelManager
@@ -215,11 +216,11 @@ def bench_crash_mid_compaction(workdir: Path, args) -> dict:
     from repro.faults import CrashPoint, FaultInjector
 
     stores = make_stores(workdir / "compaction-crash", "serial", args)
-    service = make_service("param_update", stores)
-    tip = build_pua_chain(service, args.scale, COMPACTION_K + 1)
+    service = make_service("provenance", stores)
+    tip = build_mpa_chain(service, chain)
     expected = service.recover_model(tip).model.state_dict()
     faults = FaultInjector(seed=0)
-    compactor = ChainCompactor(service, max_depth=COMPACTION_K)
+    compactor = ChainCompactor(service, max_depth=1)
     compactor.fault_hook = faults.fail_point
     faults.arm_crash(1, op="compact.cleanup")
     crashed = False
@@ -308,7 +309,7 @@ def main() -> int:
         print(f"== chain depth: TTR with/without compaction (K={COMPACTION_K}) ==")
         chain_depth = bench_chain_depth(workdir, args)
         chain_depth["crash_mid_compaction"] = bench_crash_mid_compaction(
-            workdir, args
+            workdir, args, mpa_chain
         )
         results["scenarios"]["chain_depth"] = chain_depth
         for depth in COMPACTION_DEPTHS:

@@ -350,7 +350,7 @@ def cmd_heal(args) -> int:
 
 
 def cmd_compact(args) -> int:
-    """Bound delta-chain recovery depth by materializing snapshots."""
+    """Bound MPA replay-chain recovery depth by materializing snapshots."""
     manager = _open_manager(args)
     report = manager.compact(max_depth=args.max_depth, dry_run=args.dry_run)
     if args.json:
@@ -364,13 +364,10 @@ def cmd_compact(args) -> int:
             print(f"would materialize {entry['model_id']} (depth {entry['depth']})")
         return 0
     for outcome in report["materialized"]:
-        print(
-            f"materialized {outcome['model_id']} "
-            f"(released {outcome['released_bytes']:,} bytes)"
-        )
+        print(f"materialized {outcome['model_id']}")
     print(
         f"compacted {len(report['materialized'])} model(s) at max depth "
-        f"{report['max_depth']}, released {report['released_bytes']:,} bytes"
+        f"{report['max_depth']}"
     )
     return 0
 
@@ -715,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compact_parser = commands.add_parser(
         "compact",
-        help="bound delta-chain recovery depth by materializing snapshots",
+        help="bound MPA replay-chain recovery depth by materializing snapshots",
     )
     compact_parser.add_argument(
         "--max-depth", type=int, default=None,

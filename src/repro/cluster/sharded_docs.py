@@ -85,20 +85,20 @@ def _drop(collection, doc_id: str, stamp: str) -> bool:
     return bool(collection.delete_many({"_id": doc_id, STAMP: held}))
 
 
-def _land(collection, record: dict) -> bool:
+def _land(collection, record: dict) -> dict | None:
     """Write ``record`` over the member's copy, or beside none; returns
-    whether the member held a copy.  A copy that appeared between the two
-    calls is left alone: it is a concurrent write."""
+    the copy it replaced, ``None`` if the member held none.  A copy that
+    appeared between the two calls is left alone: it is a concurrent
+    write."""
     try:
-        collection.replace_one(record["_id"], record)
-        return True
+        return collection.replace_one(record["_id"], record)
     except NotFoundError:
         pass
     try:
         collection.insert_one(record)
     except DuplicateKeyError:
         pass
-    return False
+    return None
 
 
 class _ShardedCollection:
@@ -170,17 +170,18 @@ class _ShardedCollection:
     def insert_many(self, documents: list[dict]) -> list[str]:
         return [self.insert_one(document) for document in documents]
 
-    def _put(self, record: dict, op: str) -> bool:
+    def _put(self, record: dict, op: str) -> list:
         """Quorum-write ``record`` over each owner's copy (inserting it
-        where an owner has none); returns whether any owner held a copy."""
-        held: list[bool] = []
+        where an owner has none); returns the copies it replaced (``None``
+        for an owner that held none)."""
+        replaced: list = []
 
         def put(member_name: str) -> None:
-            held.append(_land(self._member(member_name), record))
+            replaced.append(_land(self._member(member_name), record))
 
         self._store._quorum_write(
             self.name, record["_id"], self._owners(record["_id"]), put, op)
-        return any(held)
+        return replaced
 
     def replace_one(self, doc_id: str, document: dict) -> None:
         """Replace on every owner (owners missing it get it inserted).
@@ -202,11 +203,13 @@ class _ShardedCollection:
 
     def delete_one(self, doc_id: str) -> bool:
         """Quorum-delete: each owner's copy is replaced by a tombstone.
-        Returns whether any owner held a record of ``doc_id`` — one left by
-        an earlier delete counts while it stands."""
+        Returns whether some owner held a live copy of ``doc_id``, as a
+        single store answers: an id already deleted (its tombstones) or
+        never inserted is ``False``."""
         doc_id = str(doc_id)
         tombstone = {"_id": doc_id, STAMP: self._store._next_stamp(), DELETED: True}
-        return self._put(tombstone, "docs.delete_one")
+        replaced = self._put(tombstone, "docs.delete_one")
+        return any(copy is not None and not copy.get(DELETED) for copy in replaced)
 
     def delete_many(self, query: dict) -> int:
         """Resolve the query cluster-wide, then delete each match by id on

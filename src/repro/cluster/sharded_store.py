@@ -53,6 +53,7 @@ from ..filestore.store import (
     FileStore,
     chunk_intact,
     is_file_id,
+    self_checked,
 )
 from . import antientropy
 from .replica import (
@@ -383,15 +384,15 @@ class ShardedFileStore(ReplicaLedger, FileStore):
         """Re-hash a record payload against its key before propagating it.
 
         Chunk ids are *tensor* hashes, so verification needs the layer
-        entry harvested from manifests; file ids verify directly
-        (:func:`~repro.filestore.chunk_intact`).  Returns ``None`` for a
+        entry harvested from manifests; file ids and spec records verify
+        directly (:func:`~repro.filestore.chunk_intact`).  Returns ``None`` for a
         chunk with no harvested entry — the caller then skips byte-level
         verification but may still repair (the payload came from a
         member's CRC-checked record, the same trust level fsck operates
         at).
         """
         layer = self._chunk_meta.get(digest)
-        if layer is None and not is_file_id(digest):
+        if layer is None and not self_checked(digest):
             return None
         return chunk_intact(digest, data, layer)
 
@@ -515,7 +516,8 @@ class ShardedFileStore(ReplicaLedger, FileStore):
 
     # -- manifest hooks (harvest repair metadata) ----------------------------
 
-    def save_state_chunks(self, state, layer_hashes, suffix=None, workers=None, held=None):
+    def save_state_chunks(self, state, layer_hashes, suffix=None, workers=None, held=None,
+                          stored=frozenset()):
         with self._meta_lock:
             for name, array in state.items():
                 digest = layer_hashes[name]
@@ -523,19 +525,22 @@ class ShardedFileStore(ReplicaLedger, FileStore):
                     "chunk": digest, "dtype": array.dtype.str, "shape": list(array.shape)}
         if held:
             self._harvest_chunk_meta(held.items())
-            # a held chunk is the save's like a deduplicated put's: an owner
-            # whose copy waits for a flush joins this save's barrier
-            waiting = {
-                name
-                for meta in held.values()
-                for name in self.ring.owners(meta["chunk"])
-                if not self.members[name].chunks.synced(meta["chunk"])
-            }
+        # a held or stored chunk is the save's like a deduplicated put's:
+        # an owner whose copy waits for a flush joins this save's barrier
+        named = [meta["chunk"] for meta in (held or {}).values()]
+        named += [layer_hashes[name] for name in stored]
+        waiting = {
+            name
+            for digest in named
+            for name in self.ring.owners(digest)
+            if not self.members[name].chunks.synced(digest)
+        }
+        if waiting:
             with self._stats_lock:
                 self._unsynced |= waiting
         kwargs = {} if suffix is None else {"suffix": suffix}
         return super().save_state_chunks(
-            state, layer_hashes, workers=workers, held=held, **kwargs)
+            state, layer_hashes, workers=workers, held=held, stored=stored, **kwargs)
 
     def read_manifest(self, file_id: str) -> Mapping:
         manifest = super().read_manifest(file_id)

@@ -3,14 +3,13 @@
 The three approaches differ in *how they save* a model; recovery is driven
 entirely by what a model document contains, so the logic lives here once:
 
-* a document with a ``parameters_file`` is a full snapshot — rebuild the
-  architecture and load the parameters (baseline logic);
-* a ``param_update`` document is the tip of a chain of parameter updates
-  over a base model, merged layer-wise with the tip-most update winning
-  (Section 3.2).  The paper recovers the base, then applies the update,
-  level by level; here the chain is *resolved* first — its documents are
-  walked to the nearest recovery base — and then *read* once: one merged
-  layer list, one fetch, one model build (DESIGN.md §16);
+* a document with a ``parameters_file`` is its own recovery base —
+  rebuild the architecture and load the parameters its manifest names.
+  That is every baseline and every ``param_update`` document: a PUA save
+  writes a full manifest whose unchanged layers name its base's chunks
+  (Section 3.2 stores only the changed layers' bytes; the paper then
+  replays the update chain level by level, here a recover reads one
+  document and one manifest at any lineage depth, DESIGN.md §16);
 * a ``provenance`` document recovers its base model first, then reproduces
   the recorded training (Section 3.3).
 
@@ -38,8 +37,7 @@ from .dataset_manager import DatasetManager
 from .environment import (
     EnvironmentInfo,
     check_environment,
-    collect_environment,
-    environment_id,
+    environment_document,
 )
 from .errors import (
     ModelNotFoundError,
@@ -65,12 +63,11 @@ from .train_service import load_train_service
 __all__ = ["AbstractSaveService"]
 
 #: What a recover reads of a model document.  Never ``layer_hashes``: only
-#: an MPA document or one an older release wrote carries it, and the layers
-#: a level holds are named by its manifest.
+#: an MPA document carries it, and a model's layers are named by its
+#: manifest.
 _RECOVER_FIELDS = (
     "approach", "base_model", "use_case", "environment_id", "merkle_root",
-    "parameters_file", "update_file", "architecture",
-    "train_info_id", "provenance",
+    "parameters_file", "architecture", "train_info_id", "provenance", "update_file",
 )
 
 #: What :meth:`AbstractSaveService.layer_table` reads of a model document.
@@ -122,8 +119,8 @@ class AbstractSaveService:
             "mmlib_save_seconds", "save_model wall time", approach=self.approach)
         self._obs_recover_seconds = registry.histogram(
             "mmlib_recover_seconds", "recover_model wall time", approach=self.approach)
-        # high-water mark of replayed chain depth; the serving plane's
-        # idle maintenance compacts when this crosses K, then resets it
+        # high-water mark of replayed MPA levels; the serving plane's idle
+        # maintenance compacts when this crosses K, then resets it
         self._obs_recovery_depth = registry.gauge(
             "mmlib_recovery_depth_max",
             "Deepest delta chain replayed by a recover")
@@ -186,12 +183,13 @@ class AbstractSaveService:
         The document is content-addressed and shared by every model saved
         from this environment, so it is *not* a step of the save: rolling
         back one save must not delete what another save references.  One
-        nobody references is reclaimed by fsck's orphan-document sweep.
+        nobody references is reclaimed by fsck's orphan-document sweep, so
+        every save inserts it again (its id is hashed once per
+        distribution enumeration, :func:`environment_document`).
         Insert-first rather than get-then-insert: a degraded cluster cannot
         prove absence, but its insert is idempotent per replica.
         """
-        document = collect_environment().to_dict()
-        document["_id"] = environment_id(document)
+        document = environment_document()
         try:
             self.documents.collection(ENVIRONMENTS).insert_one(document)
         except DuplicateKeyError:
@@ -238,34 +236,35 @@ class AbstractSaveService:
         file_id = self._save_state(state, hashes, kind="params")
         return file_id, root
 
-    def _save_state(self, state, layer_hashes, kind: str, held=None) -> str:
+    def _save_state(self, state, layer_hashes, kind: str, held=None, stored=()) -> str:
         """Persist a flat state dict as content-addressed per-layer chunks.
 
-        ``layer_hashes`` must hold a digest per entry of ``state`` (extra
-        entries are fine) — the Merkle leaves already computed by the
-        save path, which double as the chunk ids.  ``held`` adds manifest
-        entries whose chunks are already stored (see
+        ``layer_hashes`` holds a digest per layer of the manifest, in its
+        order — the Merkle leaves already computed by the save path, which
+        double as the chunk ids.  ``held`` gives manifest entries whose
+        chunks are already stored, and ``stored`` names layers of
+        ``state`` whose chunks are (see
         :meth:`~repro.filestore.FileStore.save_state_chunks`).
         """
         extra = {"held": held} if held else {}
+        if stored:
+            extra["stored"] = stored
         return self.files.save_state_chunks(
             state, layer_hashes, suffix=f".{kind}.manifest", **extra)
 
-    def _load_state_files(
-        self, file_ids: list[str], verified: dict | None = None, have: frozenset = frozenset()
+    def _load_state_file(
+        self, file_id: str, verified: dict | None = None, have: frozenset = frozenset()
     ) -> OrderedDict:
-        """Inverse of :meth:`_save_state` over a chain's levels, base first.
+        """Inverse of :meth:`_save_state`: one call into the file store.
 
-        One call into the file store, which merges the levels' manifests —
-        a layer is taken from the last level that holds it — before it
-        fetches.  With ``verified``, the store checks every layer against
-        its digest as it fetches it, and each one that passed is recorded
-        there as ``name -> (array, digest)``.  A layer whose digest is in
-        ``have`` is not fetched: it maps to ``None`` in the returned state
-        and to ``(None, digest)`` in ``verified``.
+        With ``verified``, the store checks every layer against its digest
+        as it fetches it, and each one that passed is recorded there as
+        ``name -> (array, digest)``.  A layer whose digest is in ``have``
+        is not fetched: it maps to ``None`` in the returned state and to
+        ``(None, digest)`` in ``verified``.
         """
         digests = None if verified is None else {}
-        state = self.files.recover_state_chunks(file_ids, verified=digests, skip=have)
+        state = self.files.recover_state_chunks(file_id, verified=digests, skip=have)
         if digests:
             verified.update(
                 (name, (state[name], digest)) for name, digest in digests.items())
@@ -299,14 +298,10 @@ class AbstractSaveService:
         """``model_id``'s layer table, name → tensor hash in state-dict
         order; empty for a model saved without a Merkle root.
 
-        The table is stored once.  A model's manifest chain holds it: its
-        recovery base's manifest, overridden by each PUA delta — the
-        recover plan's own walk (:meth:`_walk_chain`) and merge
-        (:meth:`~repro.filestore.FileStore.merge_manifests`).  A walk that
-        ends at a document of another approach starts from that
-        document's table.  Only an MPA document, which has no manifest,
-        stores its table as ``layer_hashes``; so did every document an
-        older release wrote, and those are read as they are.
+        The table is stored once: a model with a manifest (every BA and
+        PUA model) holds it there, and one document read and one manifest
+        read give it, whatever the lineage depth.  Only an MPA document,
+        which has no manifest, stores its table as ``layer_hashes``.
         """
         return self._table_of(self._get_model_document(model_id, projection=_TABLE_FIELDS))
 
@@ -314,11 +309,9 @@ class AbstractSaveService:
     def _has_table(document: dict) -> bool:
         """Whether :meth:`layer_table` of ``document`` is non-empty, decided
         from the document alone (read with ``_TABLE_FIELDS``): it stores a
-        table, or it is a snapshot or PUA level storing a Merkle root."""
+        table, or it names a manifest and stores a Merkle root."""
         return bool(document.get("layer_hashes")) or (
-            document.get("merkle_root") is not None
-            and bool(document.get("parameters_file")
-                     or document.get("approach") == APPROACH_PARAM_UPDATE))
+            document.get("merkle_root") is not None and bool(document.get("parameters_file")))
 
     def _table_of(self, document: dict) -> "OrderedDict[str, str]":
         """:meth:`layer_table` of a document read with ``_TABLE_FIELDS``."""
@@ -327,15 +320,9 @@ class AbstractSaveService:
             return OrderedDict(stored)
         if not self._has_table(document):
             return OrderedDict()
-        files, end = self._walk_chain(document)
-        table = OrderedDict()
-        if not end.get("parameters_file"):  # a base of another approach
-            table = self.layer_table(end["_id"])
-            if not table:
-                return table
-        for name, meta in self.files.merge_manifests(files).items():
-            table[name] = meta["chunk"]
-        return table
+        return OrderedDict(
+            (name, meta["chunk"])
+            for name, meta in self.files.read_manifest(document["parameters_file"])["layers"])
 
     def model_exists(self, model_id: str) -> bool:
         try:
@@ -541,25 +528,30 @@ class AbstractSaveService:
     ) -> tuple["OrderedDict", int, Callable[[], ArchitectureRef]]:
         """Recover one document's parameters: ``(state, depth, architecture)``.
 
-        ``architecture`` reads the architecture when called, so only a
-        caller that builds the model reads its code file.  ``verified``
-        (the top-level call's only) collects the layers the store verified
-        as it fetched them, and ``have`` the digests it need not fetch (see
-        :meth:`_load_state_files`); a base recovered beneath the document
-        contributes none — an MPA replay rewrites its layers.  ``cache`` is
-        consulted and filled for MPA levels only: a training replay is the
-        one per-level cost a recover still pays (DESIGN.md §16)."""
+        A document with a manifest is read as it is: one manifest, one
+        fetch, depth 0.  ``architecture`` reads the architecture when
+        called, so only a caller that builds the model reads its code file.
+        ``verified`` (the top-level call's only) collects the layers the
+        store verified as it fetched them, and ``have`` the digests it need
+        not fetch (see :meth:`_load_state_file`); a base recovered beneath
+        an MPA document contributes none — its replay rewrites the layers.
+        ``cache`` is consulted and filled for MPA levels only: a training
+        replay is the one per-level cost a recover still pays, and the
+        depth counts those levels (DESIGN.md §16)."""
         doc_id = document.get("_id")
         approach = document.get("approach")
         with self._obs_tracer.span(
             "recover.document", doc_id=doc_id, approach=approach or "unknown",
         ):
-            if document.get("parameters_file") or approach == APPROACH_PARAM_UPDATE:
-                files, end = self._walk_chain(document)
-                base = None
-                if not end.get("parameters_file"):  # a base of another approach
-                    base = self._recover_from_document(end, timings, execution_env, cache)
-                return self._recover_chain(files, end, base, timings, verified, have)
+            if document.get("parameters_file"):
+                started = self.clock.perf()
+                state = self._load_state_file(document["parameters_file"], verified, have)
+                timings["load"] += self.clock.perf() - started
+                return state, 0, partial(self._load_architecture, document, timings)
+            if document.get("update_file"):
+                raise RecoveryError(
+                    f"model document {doc_id} is a delta level an older release "
+                    "wrote that the upgrade could not rewrite (fsck reports why)")
             if approach != APPROACH_PROVENANCE:
                 raise RecoveryError(
                     f"model document {doc_id} has neither parameters nor a "
@@ -589,61 +581,6 @@ class AbstractSaveService:
                 f"derived model document {document.get('_id')} lacks a base model ref"
             )
         return self._get_model_document(base_id, projection=_RECOVER_FIELDS)
-
-    def _walk_chain(self, document: dict) -> tuple[list[str], dict]:
-        """Resolve a snapshot or the tip of a PUA chain: ``(files, end)``.
-
-        The walk runs tip → base over projected documents and collects one
-        payload file per level, base first.  It ends at the first recovery
-        base (a ``parameters_file``: a root snapshot or a compacted delta,
-        whose file is the first of ``files``) or, below the tip, at a
-        document of another approach, which the caller recovers as such.
-        """
-        files: list[str] = []  # tip first
-        seen: set[str] = set()
-        current = document
-        while True:
-            doc_id = current["_id"]
-            if doc_id in seen:
-                raise RecoveryError(f"cycle in base-model chain at {doc_id!r}")
-            seen.add(doc_id)
-            if current.get("parameters_file"):
-                files.append(current["parameters_file"])
-                break
-            if current.get("approach") != APPROACH_PARAM_UPDATE:
-                break
-            files.append(current["update_file"])
-            current = self._base_document(current)
-        files.reverse()
-        return files, current
-
-    def _recover_chain(
-        self,
-        files: list[str],
-        end: dict,
-        base: tuple | None,
-        timings: dict,
-        verified: dict | None = None,
-        have: frozenset = frozenset(),
-    ) -> tuple["OrderedDict", int, Callable[[], ArchitectureRef]]:
-        """Read a walked chain (:meth:`_walk_chain`) as one state.
-
-        The levels are read as one merged state — a layer comes from the
-        tip-most level that holds it, so nothing a later level overrides
-        is fetched — over ``base``, the recovered state of a walk that
-        ended at another approach, whose architecture it keeps; else the
-        architecture is ``end``'s.
-        """
-        started = self.clock.perf()
-        state = self._load_state_files(files, verified, have)
-        timings["load"] += self.clock.perf() - started
-        if base is None:
-            return state, len(files) - 1, partial(self._load_architecture, end, timings)
-        merged, depth, architecture = base
-        # both halves are this call's own (the base was recovered for it),
-        # so its layers stay where they are and the levels' override them
-        merged.update(state)
-        return merged, depth + len(files), architecture
 
     def _recover_provenance(
         self,
@@ -707,6 +644,22 @@ class AbstractSaveService:
     # storage accounting
     # ------------------------------------------------------------------
 
+    def _base_chunks(self, document: dict) -> frozenset:
+        """The chunks a PUA model shares with its base: the layers it did
+        not change, which its base's save stored (none for a base that is
+        gone or has no manifest)."""
+        base_id = document.get("base_model")
+        if document.get("approach") != APPROACH_PARAM_UPDATE or not base_id:
+            return frozenset()
+        try:
+            base = self._get_model_document(base_id, projection=("parameters_file",))
+        except ModelNotFoundError:
+            return frozenset()
+        if not base.get("parameters_file"):
+            return frozenset()
+        layers = self.files.read_manifest(base["parameters_file"])["layers"]
+        return frozenset(meta["chunk"] for _name, meta in layers)
+
     def model_save_size(self, model_id: str) -> StorageBreakdown:
         """Bytes consumed by ``model_id`` itself (base models excluded)."""
         document = self._get_model_document(model_id)
@@ -720,9 +673,8 @@ class AbstractSaveService:
         if architecture and architecture.get("code_file_id"):
             files["code"] = self.files.size(architecture["code_file_id"])
         if document.get("parameters_file"):
-            files["parameters"] = self.files.size(document["parameters_file"])
-        if document.get("update_file"):
-            files["parameters"] = self.files.size(document["update_file"])
+            files["parameters"] = self.files.size(
+                document["parameters_file"], shared=self._base_chunks(document))
 
         if document.get("train_info_id"):
             train_document = self.documents.collection(TRAIN_INFO).get(

@@ -94,8 +94,8 @@ class AdaptiveSaveService(AbstractSaveService):
             return 1.0
         try:
             # through the PUA service's tree cache: a hit reads the base's root only
-            base_tree, current_tree = self._services[APPROACH_PARAM_UPDATE]._trees_for(
-                save_info.base_model_id, state_dict_hashes(state))
+            _base, base_tree, current_tree = self._services[
+                APPROACH_PARAM_UPDATE]._trees_for(save_info.base_model_id, state_dict_hashes(state))
             changed = set(current_tree.diff(base_tree).changed_layers)
         except (SaveError, ValueError):
             # no layer hashes on the base, or another architecture:

@@ -1,18 +1,16 @@
-"""Bounded-TTR delta chains: the one chain rewrite.
+"""Bounded-TTR replay chains: the one chain rewrite.
 
-Derived-model approaches (PUA diffs, MPA training replays) keep storage
-small by recording only what changed, but what a recover must resolve
-grows with chain depth — the tip of a 16-deep chain is 17 documents and
-manifests to walk (and, for the MPA, 16 trainings to replay).
-:class:`ChainCompactor` bounds that: every ``max_depth`` levels
-it *materializes* a synthetic full snapshot by recovering the model once
-and publishing the result as the model's new recovery base, in place.
+A BA or PUA model is its own recovery base (its manifest names every
+layer), but an MPA model records how it was trained, not what it holds:
+recovering the tip of a 16-deep MPA chain replays 16 trainings.
+:class:`ChainCompactor` bounds that: every ``max_depth`` levels it
+*materializes* a synthetic full snapshot by recovering the model once and
+publishing the result as the model's new recovery base, in place.
 
 Materializing in place keeps every model id and the ``base_model``
-lineage untouched — a recover's chain walk simply ends at the new base
-(a ``parameters_file`` ends it, whatever the approach), so descendants
-need no rewriting and provenance queries still
-see the full derivation tree.
+lineage untouched — a recover ends at the new base (a ``parameters_file``
+ends it, whatever the approach), so descendants need no rewriting and
+provenance queries still see the full derivation tree.
 :meth:`~repro.core.manager.ModelManager.promote_to_snapshot` runs the same
 rewrite, then severs the lineage in a second document replace as a prelude
 to deleting ancestors.
@@ -20,11 +18,12 @@ to deleting ancestors.
 The swap is committed by its document replace alone: artifacts (a copy of
 the code file, then the snapshot manifest, whose group fsync covers both)
 are written first, the document replace publishes them, and only then is
-the superseded delta payload released.  A crash at any point leaves
-nothing but unreferenced records — the new artifacts before the commit,
-the old delta after it — which garbage collection and fsck reclaim, and
-every model recovers bitwise throughout.  The save transaction's hold
-keeps any sweep out from the first artifact to the replace.
+what they superseded released (the upgrader's swap releases an older
+release's level).  A crash at any point leaves nothing but unreferenced
+records — the new artifacts before the commit, the old level after it —
+which garbage collection and fsck reclaim, and every model recovers
+bitwise throughout.  The save transaction's hold keeps any sweep out from
+the first artifact to the replace.
 """
 
 from __future__ import annotations
@@ -37,12 +36,12 @@ __all__ = ["ChainCompactor", "DEFAULT_MAX_DEPTH"]
 
 #: Materialize a snapshot once a model sits this many levels above its
 #: nearest recovery base (the paper's TTR experiments motivate keeping
-#: replay chains short; 4 keeps worst-case recovery at ~4 delta applies).
+#: replay chains short; 4 keeps worst-case recovery at ~4 replays).
 DEFAULT_MAX_DEPTH = 4
 
 
 class ChainCompactor:
-    """Rewrites deep delta chains into bounded-depth recovery chains.
+    """Rewrites deep MPA replay chains into bounded-depth recovery chains.
 
     ``max_depth`` is K: any model whose distance to its nearest recovery
     base reaches K gets a materialized snapshot.  Set ``fault_hook`` to a
@@ -63,10 +62,7 @@ class ChainCompactor:
         registry = obs.registry()
         self._obs_materialized = registry.counter(
             "mmlib_compaction_materialized_total",
-            "Delta-chain models rewritten into recovery bases")
-        self._obs_released = registry.counter(
-            "mmlib_compaction_released_bytes_total",
-            "Logical bytes of superseded delta payloads released")
+            "Replay-chain models rewritten into recovery bases")
 
     def _fault(self, op: str) -> None:
         if self.fault_hook is not None:
@@ -77,9 +73,9 @@ class ChainCompactor:
     def plan(self) -> list[dict]:
         """Models to materialize, in dependency order (bases first).
 
-        Depth is the distance to the nearest recovery base — a root
-        snapshot, an already-compacted delta, or an ancestor this same
-        plan will materialize (the counter resets at planned nodes, so
+        Depth is the distance to the nearest recovery base — a model with
+        a manifest (every BA and PUA model, an already-compacted MPA
+        level), or an ancestor this same plan will materialize (the counter resets at planned nodes, so
         one pass bounds every chain without cascading rewrites).
         """
         docs = {
@@ -123,16 +119,15 @@ class ChainCompactor:
     def compact_model(self, model_id: str, depth: int | None = None) -> dict:
         """Materialize one model as its chain's new recovery base.
 
-        Returns ``{"model_id", "released_bytes"}``.  The model's document
-        keeps its id, approach, lineage, and Merkle root; it gains
-        ``parameters_file`` + ``architecture`` and loses its delta payload
-        (and any layer table an older release stored: the new manifest
-        holds it).  No-op if the model is already a recovery base.
+        Returns ``{"model_id"}``.  The model's document keeps its id,
+        approach, lineage, and Merkle root (its training record stays: a
+        promote releases it); it gains ``parameters_file`` +
+        ``architecture``.  No-op if the model is already a recovery base.
         """
         models = self.documents.collection(MODELS)
         document = models.get(model_id)
         if document.get("parameters_file"):
-            return {"model_id": model_id, "released_bytes": 0}
+            return {"model_id": model_id}
 
         with self._obs_tracer_span(model_id):
             # replay the chain once; verify=True proves the replayed state
@@ -155,28 +150,18 @@ class ChainCompactor:
                         f"materialized snapshot of {model_id} hashes to {root}, "
                         f"document records {stored_root}; refusing to publish"
                     )
-
-                old_update_file = document.get("update_file")
-                released = 0
-                if old_update_file and self.files.exists(old_update_file):
-                    released = self.files.size(old_update_file)
-
                 document["parameters_file"] = parameters_file
                 document["architecture"] = architecture
                 if stored_root is None:
                     document["merkle_root"] = root
                 document["compacted"] = {"from_depth": depth or recovered.recovery_depth}
-                for field in ("update_file", "updated_layers", "layer_hashes"):
-                    document.pop(field, None)
-                self.swap(model_id, document, release=(
-                    (lambda: self.files.delete(old_update_file)) if old_update_file else None))
+                document.pop("layer_hashes", None)  # the manifest holds the table
+                self.swap(model_id, document)
 
         self._obs_materialized.inc()
-        self._obs_released.inc(released)
         obs.events().emit(
-            "chain_compacted", model_id=model_id,
-            depth=depth or recovered.recovery_depth, released_bytes=released)
-        return {"model_id": model_id, "released_bytes": released}
+            "chain_compacted", model_id=model_id, depth=depth or recovered.recovery_depth)
+        return {"model_id": model_id}
 
     def swap(self, model_id: str, document: dict, release=None) -> None:
         """The one chain rewrite's commit (see the module docstring), shared
@@ -206,13 +191,11 @@ class ChainCompactor:
             "max_depth": self.max_depth,
             "planned": planned,
             "materialized": [],
-            "released_bytes": 0,
             "dry_run": dry_run,
         }
         if dry_run:
             return report
         for entry in planned:
-            outcome = self.compact_model(entry["model_id"], depth=entry["depth"])
-            report["materialized"].append(outcome)
-            report["released_bytes"] += outcome["released_bytes"]
+            report["materialized"].append(
+                self.compact_model(entry["model_id"], depth=entry["depth"]))
         return report

@@ -43,6 +43,7 @@ from .errors import EnvironmentMismatchError
 __all__ = [
     "EnvironmentInfo",
     "collect_environment",
+    "environment_document",
     "check_environment",
     "environment_id",
     "STRICT_FIELDS",
@@ -220,8 +221,14 @@ def _settled(fingerprint: tuple) -> tuple:
 _installed_lock = threading.Lock()
 _installed: tuple | None = None
 
+# The document :func:`environment_document` last built: (the enumeration's
+# libraries it was built from, the fields read fresh, the document).
+_document: tuple | None = None
+
 
 def _installed_distributions() -> tuple[str, dict[str, str]]:
+    """The enumeration's framework version and libraries — the very dict
+    the enumeration keeps, the same object while its fingerprint holds."""
     global _installed
     with _installed_lock:
         # fingerprint first: an install racing the enumeration leaves a
@@ -233,7 +240,23 @@ def _installed_distributions() -> tuple[str, dict[str, str]]:
         else:  # still valid; an entry that left the racy window is no longer scanned
             _installed = (_settled(fingerprint), *_installed[1:])
         _, framework_version, libraries = _installed
-    return framework_version, dict(libraries)  # callers may edit their copy
+    return framework_version, libraries
+
+
+def _fresh_fields() -> dict:
+    """The snapshot fields read on every call (cached by ``platform``)."""
+    uname = platform.uname()
+    return {
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        "python_implementation": platform.python_implementation(),
+        "os_system": uname.system,
+        "os_kernel": uname.release,
+        "architecture": uname.machine,
+        "processor": uname.processor or platform.processor(),
+        "cpu_count": os.cpu_count() or 1,
+        "hostname": uname.node,
+    }
 
 
 def collect_environment() -> EnvironmentInfo:
@@ -253,21 +276,35 @@ def collect_environment() -> EnvironmentInfo:
     remaining fields are read fresh on every call.
     """
     framework_version, libraries = _installed_distributions()
-    uname = platform.uname()
     return EnvironmentInfo(
         framework_version=framework_version,
-        numpy_version=np.__version__,
-        python_version=platform.python_version(),
-        python_implementation=platform.python_implementation(),
-        libraries=libraries,
-        os_system=uname.system,
-        os_kernel=uname.release,
-        architecture=uname.machine,
-        processor=uname.processor or platform.processor(),
-        cpu_count=os.cpu_count() or 1,
-        hostname=uname.node,
+        libraries=dict(libraries),  # the caller's to edit
         collected_at=time.time(),
+        **_fresh_fields(),
     )
+
+
+def environment_document() -> dict:
+    """The current environment as a document: :func:`collect_environment`'s
+    snapshot with its :func:`environment_id` as ``_id``.
+
+    The id is hashed once per distribution enumeration and kept while the
+    enumeration's fingerprint holds and the fields read fresh are the same,
+    so a save over an unchanged environment pays the fingerprint's stats,
+    not a canonical JSON encoding and a sha256.  ``collected_at`` is when
+    the document was built.  Returns a copy.
+    """
+    global _document
+    framework_version, libraries = _installed_distributions()
+    fresh = _fresh_fields()
+    cached = _document
+    if cached is None or cached[0] is not libraries or cached[1] != fresh:
+        document = EnvironmentInfo(
+            framework_version=framework_version, libraries=dict(libraries),
+            collected_at=time.time(), **fresh).to_dict()
+        document["_id"] = environment_id(document)
+        _document = cached = (libraries, fresh, document)
+    return dict(cached[2])
 
 
 def check_environment(

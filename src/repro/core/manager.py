@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .. import obs
 from ..filestore import upgrade
-from ..filestore.store import chunk_intact, is_file_id
+from ..filestore.store import chunk_intact, is_file_id, self_checked
 from .abstract import AbstractSaveService
 from .compaction import DEFAULT_MAX_DEPTH, ChainCompactor
 from .environment import ENVIRONMENT_ID_PREFIX, environment_id
@@ -490,9 +490,10 @@ class ModelManager:
 
         Refuses to delete a model that derived models still depend on
         unless ``force`` is given — deleting such a model would make its
-        descendants unrecoverable.  The chunks its manifests named, and the
-        shared environment document, stay until :meth:`garbage_collect`
-        finds nothing else reaching them.
+        descendants unrecoverable.  The chunks its manifests named, its
+        code file (a PUA model names its base's) and the shared environment
+        document stay until :meth:`garbage_collect` finds nothing else
+        reaching them.
         """
         record = self.get(model_id)
         if record.derived_model_ids and not force:
@@ -503,7 +504,8 @@ class ModelManager:
             )
         document = self.documents.collection(MODELS).get(model_id)
 
-        file_ids = list(self._referenced_files(document))
+        shared = (document.get("architecture") or {}).get("code_file_id")
+        file_ids = [f for f in self._referenced_files(document) if f != shared]
         train_info_id = document.get("train_info_id")
         if train_info_id:
             train_info = self.documents.collection(TRAIN_INFO)
@@ -779,8 +781,9 @@ class ModelManager:
             if not files.exists(file_id):
                 report.add("missing_file", f"{referrer} references missing file {file_id}")
 
-        # 4. manifests -> chunk existence and content digests; the mark is
-        # the reached files and what their manifests name
+        # 4. manifests -> spec record and chunk existence and content
+        # digests; the mark is the reached files and what their manifests
+        # name
         steps.start("chunks")
         marked: set[str] = set()
         verified: set[str] = set()
@@ -795,18 +798,32 @@ class ModelManager:
                     report.add("retired_level", f"{file_id} is a blob an open upgrades")
                 continue
             try:
-                manifest = files.read_manifest(file_id)
+                spec, *digests = files.manifest_keys(file_id)
             except (IOError, ValueError) as exc:
-                pieces = upgrade.v2_pieces(files, file_id)
-                if pieces is None:
+                keys = upgrade.retired_keys(files, file_id)
+                if keys is None:
                     report.add("corrupt_manifest", f"manifest {file_id}: {exc}")
-                else:  # its pieces stay live until an open upgrades it
-                    report.add("retired_level", f"{file_id} is a v2 manifest")
-                    marked.update(pieces)
+                else:  # what it names stays live until an open upgrades it
+                    report.add("retired_level", f"{file_id} is a JSON manifest")
+                    marked.update(keys)
                 continue
-            for name, meta in manifest["layers"]:
+            marked.update((spec, *digests))
+            if not files.has_chunk(spec):
+                report.add("missing_chunk", f"manifest {file_id} names missing "
+                           f"spec record {spec[:12]}…")
+                continue
+            if verify_chunks and spec not in verified:
+                verified.add(spec)
+                if not _stored_intact(files, spec):
+                    report.add("corrupt_chunk", f"spec record {spec[:12]}… (of "
+                               f"{file_id}) does not hash back to its key")
+            try:
+                layers = files.read_manifest(file_id)["layers"]
+            except (IOError, ValueError) as exc:
+                report.add("corrupt_manifest", f"manifest {file_id}: {exc}")
+                continue
+            for name, meta in layers:
                 digest = meta["chunk"]
-                marked.add(digest)
                 if not files.has_chunk(digest):
                     report.add(
                         "missing_chunk",
@@ -817,22 +834,14 @@ class ModelManager:
                 if not verify_chunks or digest in verified:
                     continue
                 verified.add(digest)
-                # read straight from disk: fsck audits what is stored, not
-                # what a faulty link would deliver; a record that fails its
-                # CRC and bytes that fail their digest both count as
-                # corruption here
-                try:
-                    intact = chunk_intact(digest, files.chunks.get(digest), meta)
-                except (OSError, KeyError, ValueError, TypeError):
-                    intact = False
-                if not intact:
+                if not _stored_intact(files, digest, meta):
                     report.add(
                         "corrupt_chunk",
                         f"chunk {digest[:12]}… (layer {name!r} of {file_id}) "
                         "does not hash back to its digest",
                     )
         report.checked_files = len(files.file_ids())
-        report.checked_chunks = sum(1 for key in marked if not is_file_id(key))
+        report.checked_chunks = sum(1 for key in marked if not self_checked(key))
 
         # 5. orphans = stored - marked (keys are ``member:key`` on a
         # sharded store)
@@ -879,3 +888,14 @@ class ModelManager:
                 "mmlib_fsck_repairs_total", "Fsck issues repaired").inc()
             events.emit("fsck_repair", issue=issue.kind, detail=issue.detail)
         return report
+
+
+def _stored_intact(files, key: str, layer=None) -> bool:
+    """Whether record ``key`` as stored hashes back to its key.  Read
+    straight from disk: fsck audits what is stored, not what a faulty link
+    would deliver; a record that fails its CRC and bytes that fail their
+    digest both count as corruption here."""
+    try:
+        return chunk_intact(key, files.chunks.get(key), layer)
+    except (OSError, KeyError, ValueError, TypeError):
+        return False

@@ -1,13 +1,17 @@
 """Parameter update approach (PUA): save only what changed (§3.2).
 
 The first model in a chain is saved exactly like the baseline.  A derived
-model is represented by a reference to its base plus the *parameter
-update*: the layers whose parameters differ from the base.  Changed layers
-are found by comparing per-layer hash Merkle trees — only the base model's
-layer table (its manifests, :meth:`~AbstractSaveService.layer_table`) is
-loaded, never its parameters, so saving stays cheap regardless of chain
-depth.  A derived model's document stores no table of its own: its delta
-manifest names the layers it changed.
+model stores the bytes of the layers whose parameters differ from its
+base's only.  Changed layers are found by comparing per-layer hash Merkle
+trees — only the base model's layer table (its manifest,
+:meth:`~AbstractSaveService.layer_table`) is loaded, never its parameters,
+so saving stays cheap regardless of chain depth.  Its manifest is still a
+full one: every layer by digest, the unchanged ones naming the chunks its
+base's save stored, and its document names that manifest and its base's
+architecture.  So every PUA model is its own recovery base — a recover
+reads one document and one manifest at any lineage depth — while lineage
+stays in ``base_model``.  Over a base with no manifest (an MPA model)
+every layer is stored.
 
 A derived save works on digests: :meth:`ParameterUpdateSaveService.save_layers`
 takes the layer hashes, the arrays of the layers it has, and manifest
@@ -20,7 +24,8 @@ shipped (DESIGN.md §15.1).
 Each service keeps the Merkle trees of the models it saved, by model id, in
 a small LRU.  A derived save whose base tree is there derives its own tree
 from it (:meth:`~repro.core.merkle.MerkleTree.derive`), hashing only the
-paths of the changed layers, and reads only the base's ``merkle_root``.
+paths of the changed layers, and reads only the base's ``merkle_root``,
+``parameters_file`` and ``architecture``.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ from .save_info import ModelSaveInfo
 from .schema import APPROACH_PARAM_UPDATE
 
 __all__ = ["ParameterUpdateSaveService", "extract_parameter_update"]
+
+#: What a derived save reads of its base's document, once: its Merkle root
+#: and layer table (for the tree) and its manifest and architecture (which
+#: the derived model's document and unchanged layers name).
+BASE_FIELDS = ("merkle_root", "parameters_file", "architecture", "layer_hashes")
 
 #: Merkle trees a service keeps: those of the models its latest saves wrote
 #: or derived from.  A derived tree shares all but ~k log2(n) nodes with its
@@ -114,29 +124,29 @@ class ParameterUpdateSaveService(AbstractSaveService):
         return model_id
 
     def _trees_for(self, base_model_id: str, hashes: Mapping[str, str]):
-        """``(base tree, tree over hashes)`` for a save derived from
-        ``base_model_id``.
+        """``(base document, base tree, tree over hashes)`` for a save
+        derived from ``base_model_id``.
 
         The base's cached tree serves if it covers the same layer names and
-        its root is the base document's ``merkle_root``; then only that
-        field is read.  Otherwise the tree is built from the base's
-        :meth:`layer_table` (:class:`SaveError` if it has none: it stores
-        no Merkle root).  Either way the new tree is derived from the
-        base's, sharing its unchanged subtrees.  A missing base raises
-        :class:`~repro.errors.ModelNotFoundError`.
+        its root is the base document's ``merkle_root``.  Otherwise the
+        tree is built from the base's :meth:`layer_table` (:class:`SaveError`
+        if it has none: it stores no Merkle root).  Either way the new tree
+        is derived from the base's, sharing its unchanged subtrees.  A
+        missing base raises :class:`~repro.errors.ModelNotFoundError`.
         """
         names = list(hashes)
+        document = self._get_model_document(base_model_id, projection=BASE_FIELDS)
         with self._trees_lock:
             cached = self._trees.get(base_model_id)
             if cached is not None:
                 self._trees.move_to_end(base_model_id)
-        if cached is not None and cached.layer_names == names and self._get_model_document(
-                base_model_id, projection=("merkle_root",)).get("merkle_root") == cached.root_hash:
+        if (cached is not None and cached.layer_names == names
+                and document.get("merkle_root") == cached.root_hash):
             self._obs_tree_hits.inc()
             base_tree = cached
         else:
             self._obs_tree_misses.inc()
-            base_table = self.layer_table(base_model_id)
+            base_table = self._table_of(document)
             if not base_table:
                 raise SaveError(
                     f"base model {base_model_id} has no layer hashes: "
@@ -144,7 +154,7 @@ class ParameterUpdateSaveService(AbstractSaveService):
                 )
             base_tree = MerkleTree.from_layer_hashes(base_table)
             self._keep_tree(base_model_id, base_tree)
-        return base_tree, base_tree.derive(names, list(hashes.values()))
+        return document, base_tree, base_tree.derive(names, list(hashes.values()))
 
     def _keep_tree(self, model_id: str, tree: MerkleTree) -> None:
         """Cache ``tree`` for ``model_id`` once the running save commits."""
@@ -201,9 +211,10 @@ class ParameterUpdateSaveService(AbstractSaveService):
         store holds — and must hold ``digest`` under that name in its
         :meth:`layer_table`, else ``ValueError``.  The entry (dtype, shape)
         is the one in the source's own manifest, so it is the one the
-        digest covers.  A source that is gone, has no layer table, or holds
-        the layer only through its base cannot vouch for it: those layers
-        are raised together as :class:`~repro.errors.LayersNeededError`.
+        digest covers; one document and one manifest are read per source.
+        A source that is gone or has no manifest and Merkle root cannot
+        vouch for its layers: those layers are raised together as
+        :class:`~repro.errors.LayersNeededError`.
         """
         by_source: dict[str, list[tuple[str, str]]] = {}
         for name, (digest, source) in references.items():
@@ -213,32 +224,26 @@ class ParameterUpdateSaveService(AbstractSaveService):
         for source, layers in by_source.items():
             try:
                 document = self._get_model_document(source, projection=_TABLE_FIELDS)
-                hashes = self._table_of(document)
-            except ModelNotFoundError:  # the source, or a base of its chain
+            except ModelNotFoundError:
                 needed.extend(name for name, _ in layers)
                 continue
-            if not hashes:
+            if document.get("merkle_root") is None or not document.get("parameters_file"):
                 needed.extend(name for name, _ in layers)
                 continue
-            for name, digest in layers:
-                if hashes.get(name) != digest:
-                    raise ValueError(
-                        f"model {source!r} holds no layer {name!r} with digest {digest}")
-            own = document.get("update_file") or document.get("parameters_file")
-            entries = dict(self.files.read_manifest(own)["layers"]) if own else {}
+            entries = dict(self.files.read_manifest(document["parameters_file"])["layers"])
             for name, digest in layers:
                 meta = entries.get(name)
-                if meta is None or meta.get("chunk") != digest:
-                    needed.append(name)
-                else:
-                    held[name] = {
-                        "chunk": digest, "dtype": meta["dtype"], "shape": list(meta["shape"])}
+                if meta is None or meta["chunk"] != digest:
+                    raise ValueError(
+                        f"model {source!r} holds no layer {name!r} with digest {digest}")
+                held[name] = {
+                    "chunk": digest, "dtype": meta["dtype"], "shape": list(meta["shape"])}
         if needed:
             raise LayersNeededError(needed)
         return held
 
     def _save_layers(self, base_model_id, hashes, arrays, held, use_case) -> str:
-        base_tree, current_tree = self._trees_for(base_model_id, hashes)
+        base, base_tree, current_tree = self._trees_for(base_model_id, hashes)
         update, diff = extract_parameter_update(
             arrays, current_tree, base_tree, use_merkle=self.use_merkle
         )
@@ -246,20 +251,31 @@ class ParameterUpdateSaveService(AbstractSaveService):
         if missing:
             raise LayersNeededError(missing)
         self.last_diff = diff
+        listed = {n: held[n] for n in diff.changed_layers if n not in update}
+        changed = set(diff.changed_layers)
+        unchanged = [n for n in hashes if n not in changed]
+        stored = {n for n in unchanged if n in arrays}
+        if base.get("parameters_file"):
+            # an unchanged layer names the chunk its base's save stored
+            if len(stored) < len(unchanged):
+                entries = dict(self.files.read_manifest(base["parameters_file"])["layers"])
+                listed.update((n, entries[n]) for n in unchanged if n not in stored)
+        else:  # a base with no manifest (an MPA model) stored no chunk
+            gone = [n for n in unchanged if n not in stored]
+            if gone:
+                raise LayersNeededError(gone)
+            stored = set()
 
         environment_id = self._save_environment()
         # the per-layer hashes above are the chunk ids — no re-hashing here
-        update_file = self._save_state(
-            update, hashes, kind="update",
-            held={n: held[n] for n in diff.changed_layers if n not in update})
-
+        parameters_file = self._save_state(
+            arrays, hashes, kind="params", held=listed, stored=stored)
         document = {
             "base_model": base_model_id,
             "use_case": use_case,
             "environment_id": environment_id,
-            # no architecture entry: across fully/partially updated versions
-            # it is unchanged and defined by the base-model reference
-            "update_file": update_file,
+            "architecture": base.get("architecture") or self._chain_architecture(base_model_id),
+            "parameters_file": parameters_file,
             "merkle_root": current_tree.root_hash,
         }
         model_id = self._insert_model_document(document)

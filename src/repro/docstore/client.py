@@ -264,8 +264,8 @@ class RemoteCollection:
     def insert_many(self, documents: list[dict]) -> list[str]:
         return self._call("insert_many", documents=documents)
 
-    def replace_one(self, doc_id: str, document: dict) -> None:
-        self._call("replace_one", doc_id=doc_id, document=document)
+    def replace_one(self, doc_id: str, document: dict) -> dict:
+        return self._call("replace_one", doc_id=doc_id, document=document)
 
     def update_one(self, query: dict, changes: dict) -> bool:
         return self._call("update_one", query=query, changes=changes)

@@ -352,13 +352,16 @@ class Collection:
     def insert_many(self, documents: list[dict]) -> list[str]:
         return [self.insert_one(document) for document in documents]
 
-    def replace_one(self, doc_id: str, document: dict) -> None:
-        """Replace the document with ``doc_id`` (must exist)."""
+    def replace_one(self, doc_id: str, document: dict) -> dict:
+        """Replace the document with ``doc_id`` (must exist); returns the
+        document it replaced."""
         document, payload = _stored(document, str(doc_id))
         with self._lock:
-            if document["_id"] not in self._documents:
+            replaced = self._documents.get(document["_id"])
+            if replaced is None:
                 raise NotFoundError(f"no document {doc_id!r} in {self.name!r}")
             self._write([(document["_id"], document, payload)])
+        return replaced
 
     def update_one(self, query: dict, changes: dict) -> bool:
         """Set top-level fields on the first match; returns whether one matched."""

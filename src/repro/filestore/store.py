@@ -21,13 +21,14 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import struct
 import threading
 import uuid
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -51,16 +52,33 @@ __all__ = [
     "ManifestMemo",
     "chunk_intact",
     "is_file_id",
-    "manifest_chunk_digests",
+    "is_spec_key",
 ]
 
 #: File-id suffix that marks a file as a chunked-state manifest.
 MANIFEST_SUFFIX = ".manifest"
 
-#: Format tag inside every whole-layer (v1) manifest payload: the one
-#: manifest format there is (what older releases wrote is upgraded on
-#: open, :mod:`repro.filestore.upgrade`).
-MANIFEST_FORMAT = "mmlib-chunked-state-v1"
+#: The one manifest format there is (v3; what older releases wrote is
+#: upgraded on open, :mod:`repro.filestore.upgrade`): a fixed header — this
+#: tag, the raw sha256 of the manifest's spec record and the layer count —
+#: then one raw 32-byte chunk digest per layer, in state-dict order.
+MANIFEST_TAG = b"MMLIBMF3"
+_MANIFEST_HEAD = struct.Struct("<8s32sI")
+
+#: What :meth:`FileStore.read_manifest` reports as a manifest's ``format``.
+MANIFEST_FORMAT = "mmlib-manifest-v3"
+
+#: Key suffix of a spec record: the names, dtypes and shapes of a layer
+#: layout, keyed by the sha256 of its bytes plus this suffix, written once
+#: per layout and named by every manifest of that layout.
+SPEC_SUFFIX = ".spec"
+
+#: Format tag inside every spec record.
+SPEC_FORMAT = "mmlib-layer-spec-v1"
+
+#: Layouts whose spec record bytes a process keeps encoded (see
+#: :func:`_spec_record`): a save encodes its layout's spec once.
+SPEC_MEMO_ENTRIES = 64
 
 #: Directory (under the store root) holding the content-addressed chunks.
 CHUNK_DIR_NAME = "chunks"
@@ -79,12 +97,6 @@ class FileNotFoundInStoreError(KeyError):
     """Raised when recovering a file id that was never saved (or deleted)."""
 
 
-def manifest_chunk_digests(manifest: Mapping) -> list[str]:
-    """Every chunk digest a manifest names, in layer order (a digest that
-    several layers share appears once per layer)."""
-    return [meta["chunk"] for _name, meta in manifest["layers"]]
-
-
 class ManifestEntry(dict):
     """One layer's manifest entry (``chunk``, ``dtype``, ``shape``),
     read-only: a parsed manifest is shared by every reader of its bytes."""
@@ -98,29 +110,93 @@ class ManifestEntry(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
-def _parse_manifest(file_id: str, data: bytes) -> Mapping:
-    """A manifest record's bytes as a read-only mapping: ``format``, and
-    ``layers`` as a tuple of ``(name, ManifestEntry)`` pairs, each shape a
-    tuple shared by the entries that have it."""
+def is_spec_key(key: str) -> bool:
+    """True iff a record key names a spec record."""
+    return key.endswith(SPEC_SUFFIX)
+
+
+_encoded_specs: dict[tuple, tuple] = {}
+
+
+def _spec_record(layout: tuple) -> tuple[str, bytes, Mapping]:
+    """``(key, bytes, parsed)`` of the spec record of ``layout``, a tuple of
+    ``(name, numpy dtype, shape tuple)``, encoded once per process;
+    ``parsed`` is what :func:`_parse_spec` makes of the bytes."""
+    hit = _encoded_specs.get(layout)
+    if hit is None:
+        layers = tuple((name, np.dtype(dtype).str, shape) for name, dtype, shape in layout)
+        payload = json.dumps(
+            {"format": SPEC_FORMAT,
+             "layers": [[name, dtype, list(shape)] for name, dtype, shape in layers]},
+            separators=(",", ":")).encode()
+        hit = (hashlib.sha256(payload).hexdigest() + SPEC_SUFFIX, payload, _spec_view(layers))
+        if len(_encoded_specs) >= SPEC_MEMO_ENTRIES:
+            _encoded_specs.clear()
+        _encoded_specs[layout] = hit
+    return hit
+
+
+def _parse_spec(key: str, data: bytes) -> Mapping:
+    """A spec record's bytes as ``{"layers": ((name, dtype, shape), ...),
+    "names": ...}``, each shape a tuple shared by the layers that have it."""
     try:
         payload = json.loads(data.decode())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        if payload["format"] != SPEC_FORMAT:
+            raise ValueError(f"format {payload['format']!r}")
+        shapes: dict = {}
+        layers = tuple(
+            (name, dtype, shapes.setdefault(tuple(shape), tuple(shape)))
+            for name, dtype, shape in payload["layers"])
+    except (ValueError, TypeError, KeyError, UnicodeDecodeError) as exc:
         raise StoreCorruptionError(
-            f"file {file_id!r} is corrupt: not a parsable manifest ({exc})"
+            f"spec record {key!r} is corrupt: not a parsable layer spec ({exc})"
         ) from exc
-    fmt = payload.get("format") if isinstance(payload, dict) else None
-    if fmt != MANIFEST_FORMAT:
+    return _spec_view(layers)
+
+
+def _spec_view(layers: tuple) -> Mapping:
+    """A parsed spec record: its ``layers`` and their ``names``."""
+    return MappingProxyType({"layers": layers, "names": tuple(name for name, _, _ in layers)})
+
+
+def _manifest_digests(file_id: str, data) -> tuple[str, list[str]]:
+    """A manifest record's spec key and chunk digests, from its bytes alone."""
+    if len(data) < _MANIFEST_HEAD.size or bytes(data[:8]) != MANIFEST_TAG:
         raise StoreCorruptionError(
             f"file {file_id!r} is not a chunked-state manifest "
-            f"(format {fmt!r}; accepted: {MANIFEST_FORMAT!r})"
-        )
-    shapes: dict = {}  # one tuple per distinct shape
-    layers = []
-    for name, meta in payload["layers"]:
-        shape = tuple(meta["shape"])
-        meta["shape"] = shapes.setdefault(shape, shape)
-        layers.append((name, ManifestEntry(meta)))
-    return MappingProxyType({**payload, "layers": tuple(layers)})
+            f"(accepted: {MANIFEST_FORMAT!r})")
+    _tag, spec, count = _MANIFEST_HEAD.unpack_from(data)
+    body = bytes(data[_MANIFEST_HEAD.size:])
+    if len(body) != 32 * count:
+        raise StoreCorruptionError(
+            f"file {file_id!r} is corrupt: {count} layers, {len(body)} digest bytes")
+    hexed = body.hex()
+    return spec.hex() + SPEC_SUFFIX, [hexed[i:i + 64] for i in range(0, len(hexed), 64)]
+
+
+def _manifest_view(file_id: str, spec_key: str, spec: Mapping, digests: list[str],
+                   entries: dict) -> Mapping:
+    """A parsed manifest, read-only: ``format``, ``spec`` and ``layers`` as
+    a tuple of ``(name, ManifestEntry)`` pairs.  ``entries`` interns the
+    entries by chunk digest (a digest is a tensor hash, so it fixes its
+    dtype and shape): a PUA model's manifest shares all but its changed
+    layers' with its base's, so building it mostly looks up."""
+    layout = spec["layers"]
+    if len(layout) != len(digests):
+        raise StoreCorruptionError(
+            f"manifest {file_id!r} lists {len(digests)} digests; its spec "
+            f"record {spec_key[:12]}… names {len(layout)} layers")
+    if len(entries) > MANIFEST_MEMO_ENTRIES:
+        entries.clear()
+    found = list(map(entries.get, digests))
+    if None in found:
+        for index, entry in enumerate(found):
+            if entry is None:
+                _name, dtype, shape = layout[index]
+                found[index] = entries[digests[index]] = ManifestEntry(
+                    chunk=digests[index], dtype=dtype, shape=shape)
+    return MappingProxyType(
+        {"format": MANIFEST_FORMAT, "spec": spec_key, "layers": tuple(zip(spec["names"], found))})
 
 
 class ManifestMemo:
@@ -161,6 +237,12 @@ class ManifestMemo:
         return len(self._entries)
 
 
+def self_checked(key: str) -> bool:
+    """True iff a record is checked against its key alone (a file or a
+    spec record); a layer chunk needs its manifest entry."""
+    return is_file_id(key) or is_spec_key(key)
+
+
 def is_file_id(key: str) -> bool:
     """True iff a record key is a file id, not a chunk digest.
 
@@ -174,7 +256,8 @@ def chunk_intact(digest: str, data, layer: Mapping | None = None) -> bool:
     """True iff one record payload hashes back to its key.
 
     A file id (:func:`is_file_id`) starts with the sha256 prefix of its
-    payload.  A chunk id is its layer's *tensor* hash (dtype + shape +
+    payload, and a spec record's key (:func:`is_spec_key`) is its whole
+    sha256.  A chunk id is its layer's *tensor* hash (dtype + shape +
     bytes), so a chunk is checked with ``tensor_hash`` over ``layer``, the
     manifest entry it belongs to.  Recovery, fsck and cluster repair all
     verify a record through this one function.
@@ -182,6 +265,8 @@ def chunk_intact(digest: str, data, layer: Mapping | None = None) -> bool:
     if is_file_id(digest):
         prefix = digest.split("-", 1)[0]
         return hashlib.sha256(data).hexdigest()[: len(prefix)] == prefix
+    if is_spec_key(digest):
+        return hashlib.sha256(data).hexdigest() + SPEC_SUFFIX == digest
     # lazy import: repro.core imports this module at package init
     from ..core.hashing import tensor_hash
 
@@ -356,17 +441,20 @@ class FileStore:
 
     State dicts are saved through :meth:`save_state_chunks`: each layer
     becomes one content-addressed chunk (keyed by its precomputed tensor
-    hash), stored raw in the segment store, described by a small JSON (v1)
-    manifest record.  Identical layers across saves are stored once.
-    That is the only format there is: a root an older release wrote —
+    hash), stored raw in the segment store, named by a binary (v3)
+    manifest record — a header, then one raw digest per layer — whose
+    layer names, dtypes and shapes are one spec record per layout.
+    Identical layers across saves are stored once.  That is the only
+    format there is: a root an older release wrote — JSON (v1) manifests,
     v2 manifests of content-defined pieces, framed records, whole
     ``.params`` blobs — is upgraded once, on open, and :attr:`one_format`
     says whether it has been (DESIGN.md §11 "One upgrader").
 
     Liveness is reachability: every stored file record is a root, and
-    :meth:`gc_chunks` marks the chunks each stored manifest names and
-    sweeps the rest, holding :meth:`hold` exclusive from mark to sweep; a
-    save holds it shared from its first write through its commit, so what
+    :meth:`gc_chunks` marks the chunks and the spec record each stored
+    manifest names and sweeps the rest, holding :meth:`hold` exclusive
+    from mark to sweep; a save holds it shared from its first write
+    through its commit, so what
     it wrote or deduplicated against stays until something names it.  A
     save that fails or dies leaves unreachable records for the next gc
     (DESIGN.md §7).
@@ -437,6 +525,8 @@ class FileStore:
         self.chunk_cache = chunk_cache
         self._singleflight = _SingleFlight()
         self._manifests = ManifestMemo()  # parsed manifests by file id
+        self._specs = ManifestMemo()  # parsed spec records by key
+        self._entries: dict[str, ManifestEntry] = {}  # interned, by chunk digest
         self._chunks: ChunkStore | None = None
         self._chunks_lock = threading.Lock()
         self._obs_tracer = obs.tracer()
@@ -572,13 +662,13 @@ class FileStore:
 
         ``data`` is the payload :meth:`_fetch_many` already read for this
         chunk; the first attempt takes it instead of reading the chunk
-        store, a retry reads the store.  A file record (fault points
-        ``file.read``) is checked against its id's digest prefix instead of
-        its record CRC — one check per byte, the stronger one — and a
+        store, a retry reads the store.  A file or spec record (fault
+        points ``file.read``) is checked against its key instead of its
+        record CRC — one check per byte, the stronger one — and a
         mismatch is retried; a chunk is checked by its reader.
         """
         pending = [data] if data is not None else []
-        is_file = is_file_id(digest)
+        is_file = self_checked(digest)
         op = "file.read" if is_file else "chunk.read"
 
         def attempt() -> bytes:
@@ -589,7 +679,7 @@ class FileStore:
                 payload = self.faults.corrupt(op, payload)
             if is_file and not chunk_intact(digest, payload):
                 raise StoreCorruptionError(
-                    f"stored file {digest!r} is corrupt: digest prefix mismatch")
+                    f"stored file {digest!r} is corrupt: content digest mismatch")
             return payload
 
         retry_on = (TransientStoreError, StoreCorruptionError) if is_file else (
@@ -715,48 +805,61 @@ class FileStore:
         suffix: str = ".params" + MANIFEST_SUFFIX,
         workers: int | None = None,
         held: Mapping[str, Mapping] | None = None,
+        stored: Collection[str] = frozenset(),
     ) -> str:
         """Save a flat state dict as per-layer chunks plus a manifest.
 
         ``layer_hashes`` maps each layer name to its already-computed
-        tensor hash (the Merkle leaves) — the chunk ids.  Nothing is
-        re-hashed here, and already-contiguous arrays are written from a
-        ``memoryview`` without copying.  With ``workers`` (default: the
-        store's ``workers`` setting) distinct chunks are written
-        concurrently.  The manifest record is put after the chunks and
-        before the one group fsync that covers them all.  Returns the
-        manifest's file id, which carries the ``.manifest`` suffix so
-        recovery, deletion, and sizing recognize it.  The whole save runs
-        under :meth:`hold` shared, so no sweep falls between a chunk found
-        stored and the manifest that names it.
+        tensor hash (the Merkle leaves) — the chunk ids — in the order the
+        manifest lists them.  A layer in ``held`` is listed by that
+        manifest entry (``chunk``, ``dtype``, ``shape``): its chunk is
+        already stored, so it is not written; one no longer stored when
+        the save takes its hold raises
+        :class:`~repro.errors.LayersNeededError` naming its layers.  Every
+        other layer is its array in ``state``, whose chunk is put unless
+        the layer is in ``stored`` — a layer whose chunk a stored manifest
+        names (a PUA save's unchanged layers, its base's), listed from its
+        array.  Nothing is re-hashed here, and already-contiguous arrays
+        are written from a ``memoryview`` without copying.  With
+        ``workers`` (default: the store's ``workers`` setting) distinct
+        chunks are written concurrently.
 
-        ``held`` maps more layer names to manifest entries (``chunk``,
-        ``dtype``, ``shape``) whose chunks are already stored: they are
-        listed, not written.  One no longer stored when the save takes its
-        hold raises :class:`~repro.errors.LayersNeededError` naming its
-        layers.
+        The layout's spec record is put if absent, then the chunks, then
+        the manifest record, before the one group fsync that covers them
+        all.  Returns the manifest's file id, which carries the
+        ``.manifest`` suffix so recovery, deletion, and sizing recognize
+        it; the parse memo starts out holding the manifest.  The whole save
+        runs under :meth:`hold` shared, so no sweep falls between a chunk
+        found stored and the manifest that names it.
         """
         if not suffix.endswith(MANIFEST_SUFFIX):
             raise ValueError(f"manifest suffix must end with {MANIFEST_SUFFIX!r}")
-        with self._obs_tracer.span("store.save_chunks", layers=len(state)), self.hold():
+        with self._obs_tracer.span("store.save_chunks", layers=len(layer_hashes)), self.hold():
             held = held or {}
             gone = set(self.chunks.missing(meta["chunk"] for meta in held.values()))
             lost = [name for name, meta in held.items() if meta["chunk"] in gone]
             if lost:
                 raise LayersNeededError(lost)
-            entries = []
+            layout = []
             buffers = {}
-            for name, array in state.items():
-                digest = layer_hashes[name]
-                buffers.setdefault(digest, self._layer_buffer(array))
-                entries.append(
-                    [name, {"chunk": digest, "dtype": array.dtype.str, "shape": list(array.shape)}]
-                )
-            entries.extend([name, dict(meta)] for name, meta in held.items())
-            manifest = json.dumps(
-                {"format": MANIFEST_FORMAT, "layers": entries}, sort_keys=True
-            ).encode()
+            for name, digest in layer_hashes.items():
+                meta = held.get(name)
+                if meta is None:
+                    array = state[name]
+                    if name not in stored and digest not in buffers:
+                        buffers[digest] = self._layer_buffer(array)
+                    layout.append((name, array.dtype, array.shape))
+                else:
+                    layout.append((name, np.dtype(meta["dtype"]), tuple(meta["shape"])))
+            spec_key, spec, parsed = _spec_record(tuple(layout))
+            digests = list(layer_hashes.values())
+            body = bytes.fromhex("".join(digests))
+            if len(body) != 32 * len(digests):
+                raise ValueError("every layer hash must be a 64-hex sha256 digest")
+            manifest = _MANIFEST_HEAD.pack(
+                MANIFEST_TAG, bytes.fromhex(spec_key[:64]), len(digests)) + body
             file_id = self._new_file_id(manifest, suffix)
+            self._put_chunk_data(spec_key, spec)
             unique = list(buffers)
             n = self._effective_workers(workers, len(unique))
             if n <= 1:
@@ -769,6 +872,9 @@ class FileStore:
             # group fsync: one durability barrier for the whole batch, the
             # manifest included
             self.chunks.flush()
+            parsed = self._specs.get(spec_key) or self._specs.put(spec_key, parsed)
+            self._manifests.put(
+                file_id, _manifest_view(file_id, spec_key, parsed, digests, self._entries))
             return file_id
 
     @staticmethod
@@ -781,19 +887,16 @@ class FileStore:
 
     def recover_state_chunks(
         self,
-        file_ids: str | Sequence[str],
+        file_id: str,
         verify: bool | None = None,
         verified: dict | None = None,
         skip: frozenset = frozenset(),
     ) -> "OrderedDict[str, np.ndarray | None]":
         """Rebuild the state dict a manifest describes (bitwise identical).
 
-        ``file_ids`` is one manifest id, or the manifests of a delta chain
-        from its recovery base to its tip: the layer list is the base's,
-        each layer read from the last manifest that holds it, so a chunk a
-        later level overrides is never fetched.  Every chunk of the plan
-        is fetched in one :meth:`get_chunks` batch; layer order in the
-        returned dict always matches the manifest.
+        Every chunk the manifest names is fetched in one
+        :meth:`get_chunks` batch; layer order in the returned dict always
+        matches the manifest.
 
         Each rebuilt layer is checked once against its content digest —
         its chunk id, the layer's tensor hash — on the shared hashing
@@ -821,12 +924,8 @@ class FileStore:
         """
         strict = self.verify_reads if verify is None else bool(verify)
         check = strict or verified is not None
-        if isinstance(file_ids, str):
-            file_ids = [file_ids]
-        with self._obs_tracer.span(
-            "store.recover_chunks", file_id=file_ids[-1], manifests=len(file_ids)
-        ) as sp:
-            merged = self.merge_manifests(file_ids)
+        with self._obs_tracer.span("store.recover_chunks", file_id=file_id) as sp:
+            merged = dict(self.read_manifest(file_id)["layers"])
             held = {}
             if skip:
                 held = {
@@ -912,31 +1011,45 @@ class FileStore:
         return array, False
 
     def read_manifest(self, file_id: str) -> Mapping:
-        """Load and validate a manifest file, as a read-only mapping.
+        """Load and validate a manifest file, as a read-only mapping:
+        ``format``, ``spec`` (its spec record's key) and ``layers``.
 
         The record is read and checked against its id's digest prefix on
         every call; only the parse is memoized, by file id once that check
         has passed: a file id is content-prefixed and never rewritten, so
         bytes that pass it are the bytes that were parsed (DESIGN.md §14
-        "Verify once").  So the value is shared: ``layers`` is a tuple of
-        ``(name, entry)`` pairs, each entry a read-only
-        :class:`ManifestEntry`.
+        "Verify once").  The spec record is read, checked against its key
+        and parsed the first time this store meets it, then memoized by
+        key: its key is its whole digest.  So the value is shared:
+        ``layers`` is a tuple of ``(name, entry)`` pairs, each entry a
+        read-only :class:`ManifestEntry`.
         """
         data = self.recover_bytes(file_id)
         manifest = self._manifests.get(file_id)
         if manifest is None:
-            manifest = self._manifests.put(file_id, _parse_manifest(file_id, data))
+            spec_key, digests = _manifest_digests(file_id, data)
+            manifest = self._manifests.put(file_id, _manifest_view(
+                file_id, spec_key, self._spec(file_id, spec_key), digests, self._entries))
         return manifest
 
-    def merge_manifests(self, file_ids: Sequence[str]) -> dict[str, Mapping]:
-        """The layer plan of a chain's manifests, base first: name → entry
-        in the base's layer order, each entry from the last manifest that
-        holds the layer.  A recover fetches this plan, and a model's layer
-        table is its digests."""
-        merged: dict[str, Mapping] = {}
-        for file_id in file_ids:
-            merged.update(self.read_manifest(file_id)["layers"])
-        return merged
+    def _spec(self, file_id: str, key: str) -> Mapping:
+        """The parsed spec record ``key`` that manifest ``file_id`` names."""
+        spec = self._specs.get(key)
+        if spec is None:
+            try:
+                data = bytes(self._charged_read(key))
+            except ChunkNotFoundError:
+                raise StoreCorruptionError(
+                    f"manifest {file_id!r} names missing spec record {key!r}") from None
+            spec = self._specs.put(key, _parse_spec(key, data))
+        return spec
+
+    def manifest_keys(self, file_id: str) -> list[str]:
+        """The records manifest ``file_id`` keeps alive — its spec record's
+        key, then every chunk digest in layer order — from the manifest
+        record alone (its id's prefix checked)."""
+        spec_key, digests = _manifest_digests(file_id, self.recover_bytes(file_id))
+        return [spec_key, *digests]
 
     @staticmethod
     def is_manifest_id(file_id: str) -> bool:
@@ -993,15 +1106,16 @@ class FileStore:
         """
         return self.chunks.drop_many(file_ids)
 
-    def size(self, file_id: str) -> int:
+    def size(self, file_id: str, shared: frozenset = frozenset()) -> int:
         """Logical size in bytes of one stored file.
 
         For a manifest this is the manifest record plus the raw bytes of
         every referenced layer — the bytes a recovery materializes —
         independent of how much of it is deduplicated on disk (see
-        :meth:`total_bytes` for the physical view).  Layer sizes come from
-        the manifest's dtype/shape metadata, whatever the records hold.
-        The file's own part is its record's size.
+        :meth:`total_bytes` for the physical view); a layer whose chunk is
+        in ``shared`` (another model's, say its base's) is not counted.
+        Layer sizes come from the manifest's dtype/shape metadata, whatever
+        the records hold.  The file's own part is its record's size.
         """
         size = self.chunks.size_of(file_id)
         if size is None:
@@ -1009,6 +1123,8 @@ class FileStore:
         if self.is_manifest_id(file_id):
             manifest = self.read_manifest(file_id)
             for _name, meta in manifest["layers"]:
+                if meta["chunk"] in shared:
+                    continue
                 size += int(np.dtype(meta["dtype"]).itemsize) * int(
                     np.prod(meta["shape"], dtype=np.int64)
                 )
@@ -1026,9 +1142,9 @@ class FileStore:
     def gc_chunks(self) -> dict:
         """Mark from every stored file, sweep the rest, compact.
 
-        Every stored file record is a root, and every chunk a stored
-        manifest names is marked (a v2 manifest's pieces until the
-        upgrader rewrites it).  Under :meth:`hold` exclusive the mark is
+        Every stored file record is a root, and every chunk and spec
+        record a stored manifest names is marked (a retired manifest's
+        until the upgrader rewrites it).  Under :meth:`hold` exclusive the mark is
         taken and :meth:`ChunkStore.reap` sweeps the rest and reaps expired
         tmp files; compaction follows once the hold is released, so saves
         wait out the mark and the sweep only.  A stored manifest that
@@ -1048,9 +1164,9 @@ class FileStore:
 
     def mark(self, file_ids: Iterable[str]) -> tuple[set[str], list[str]]:
         """The record keys ``file_ids`` keep alive — each stored one, and
-        every chunk it names if it is a manifest (a v2 manifest's pieces
-        until the upgrader rewrites it) — and the stored manifests that
-        could not be read, whose chunks are unknown."""
+        if it is a manifest its spec record and every chunk it names (a
+        retired manifest's until the upgrader rewrites it) — and the
+        stored manifests that could not be read, whose chunks are unknown."""
         live: set[str] = set()
         unreadable: list[str] = []
         for file_id in file_ids:
@@ -1060,15 +1176,15 @@ class FileStore:
             if not self.is_manifest_id(file_id):
                 continue
             try:
-                live.update(manifest_chunk_digests(self.read_manifest(file_id)))
+                live.update(self.manifest_keys(file_id))
             except FileNotFoundInStoreError:
                 continue  # dropped since it was listed
             except (IOError, ValueError):
-                pieces = upgrade.v2_pieces(self, file_id)
-                if pieces is None:
+                keys = upgrade.retired_keys(self, file_id)
+                if keys is None:
                     unreadable.append(file_id)
                 else:
-                    live.update(pieces)
+                    live.update(keys)
         return live, unreadable
 
     def close(self) -> None:

@@ -1,10 +1,11 @@
 """The one upgrade: what older releases wrote, rewritten once on open.
 
-Older releases also wrote zlib/lz4/escape-framed records, v2 manifests of
-sha256 pieces and monolithic ``.params`` / ``.update`` blobs; this module is
-the only code that reads them (DESIGN.md §11 "One upgrader").  A root that
-holds only the one format carries :data:`FORMAT_MARKER`, so opening it
-costs one ``stat``.
+Older releases wrote JSON (v1) manifests, PUA delta levels that name only
+the layers a model changed, zlib/lz4/escape-framed records, v2 manifests
+of sha256 pieces and monolithic ``.params`` / ``.update`` blobs; this
+module is the only code that reads them (DESIGN.md §11 "One upgrader").
+A root that holds only the one format carries :data:`FORMAT_MARKER`, so
+opening it costs one ``stat``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import obs
-from ..errors import StoreCorruptionError
+from ..errors import MMLibError, StoreCorruptionError
 
 try:
     import fcntl
@@ -32,10 +33,18 @@ try:  # never installed: older releases wrote lz4 frames only where it was
 except ImportError:  # pragma: no cover - depends on the environment
     _lz4 = None
 
-#: The dotfile that says a root holds only the one format.
-FORMAT_MARKER = ".one-format"
+#: The dotfile that says a root holds only the one format: v3 manifests
+#: over raw records, every model its own recovery base.
+FORMAT_MARKER = ".format-v3"
 
-#: The v2 manifest tag: per layer a run of sha256-keyed pieces and a ``hash``.
+#: The marker the release before wrote on a root holding only v1
+#: manifests: it says nothing about v3, so a root holding it is upgraded,
+#: and it goes when the root is marked.
+RETIRED_MARKERS = (".one-format",)
+
+#: The JSON manifest tags: v1 names a chunk per layer, v2 a run of
+#: sha256-keyed pieces per layer plus a ``hash``.
+MANIFEST_FORMAT_V1 = "mmlib-chunked-state-v1"
 MANIFEST_FORMAT_V2 = "mmlib-chunked-state-v2"
 
 #: Suffixes of the monolithic state blobs.
@@ -46,7 +55,7 @@ FRAME_MAGIC = b"MMCZ"
 _FRAME = struct.Struct("<4sBQ")
 CODEC_STORED, CODEC_ZLIB, CODEC_LZ4 = 0, 1, 2  # stored: raw bytes that began MMCZ
 
-_ERRORS = (OSError, KeyError, ValueError, TypeError, AttributeError)
+_ERRORS = (OSError, KeyError, ValueError, TypeError, AttributeError, MMLibError)
 
 
 def fault_hook(op: str) -> None:
@@ -93,12 +102,13 @@ def upgrade(service) -> None:
     from disk again: (1) a framed record is appended again, raw, under its
     key when it passes its CRC and hashes back to the key decoded, not as
     stored — layer chunks once (2) the manifests are read, and a gc sweeps
-    the framed records none names; (3) each blob or v2 level ``service``'s
-    catalog names is saved again as a v1 manifest and swapped in, and a gc
-    sweeps the pieces left unnamed; (4) the members' roots, then the
-    store's, are marked — only if every manifest was read
-    and no retired level is left.  What fails a
-    check stays as it was, for fsck; the next open starts over.
+    the framed records none names; (3) each retired level ``service``'s
+    catalog names — a v1, v2 or blob snapshot, any PUA delta — is saved
+    again as a full v3 manifest and swapped in, bases first, and a gc
+    sweeps what is left unnamed; (4) the members' roots, then the store's,
+    are marked — only if every manifest was read and no retired level is
+    left.  What fails a check stays as it was, for fsck; the next open
+    starts over.
     """
     files = service.files
     members = list(getattr(files, "members", {}).values())
@@ -117,17 +127,20 @@ def upgrade(service) -> None:
         if files.one_format:
             return
         framed = [_reappend(store, store.chunk_ids(), {}) for store in stores]
-        layers, retired, complete = {}, {}, True  # retired: file id -> v2 layers
+        # layers: chunk -> entry; retired: file id -> (format, JSON layers)
+        layers, retired, complete = {}, {}, True
         for file_id in files.file_ids():
             if file_id.endswith(BLOB_SUFFIXES):
-                retired[file_id] = None
+                retired[file_id] = ("blob", None)
             elif files.is_manifest_id(file_id):
                 try:
-                    manifest = json.loads(files.recover_bytes(file_id))
-                    if manifest.get("format") == MANIFEST_FORMAT_V2:
-                        retired[file_id] = manifest["layers"]
+                    level = _retired_manifest(files, file_id)
+                    if level is None:
+                        entries = files.read_manifest(file_id)["layers"]
                     else:
-                        layers.update((m["chunk"], m) for _, m in manifest["layers"])
+                        retired[file_id] = level
+                        entries = level[1] if level[0] == "v1" else ()
+                    layers.update((m["chunk"], m) for _, m in entries)
                 except _ERRORS:
                     complete = False
         for store, keys in zip(stores, framed):
@@ -135,13 +148,14 @@ def upgrade(service) -> None:
         # a framed record no manifest names goes before a level's rewrite
         # can deduplicate against it
         files.gc_chunks()
-        _upgrade_levels(service, retired)
-        if retired:
-            files.gc_chunks()  # the pieces no stored manifest names now
+        if _upgrade_levels(service, retired):
+            files.gc_chunks()  # what no stored manifest names now
         if complete and not retired.keys() & set(files.file_ids()):
             for root in [*(member.root for member in members), files.root]:
                 fault_hook("upgrade.mark")
                 (root / FORMAT_MARKER).touch()
+                for name in RETIRED_MARKERS:
+                    (root / name).unlink(missing_ok=True)
             files.one_format = True
     finally:
         os.close(fd)
@@ -183,61 +197,147 @@ def _reappend(store, keys, layers: dict) -> list[str]:
     return left
 
 
-def v2_pieces(files, file_id: str) -> list[str] | None:
-    """The pieces a v2 manifest references; ``None`` if ``file_id`` is not
-    a readable v2 manifest."""
+def _retired_manifest(files, file_id: str):
+    """``(format, layers)`` of a JSON manifest (``"v1"`` or ``"v2"``),
+    ``None`` for a v3 one; raises for one that reads as neither."""
+    data = files.recover_bytes(file_id)
+    if not data.startswith(b"{"):
+        files.manifest_keys(file_id)  # raises unless it is v3
+        return None
+    manifest = json.loads(data)
+    kind = {MANIFEST_FORMAT_V1: "v1", MANIFEST_FORMAT_V2: "v2"}[manifest.get("format")]
+    return kind, manifest["layers"]
+
+
+def retired_keys(files, file_id: str) -> list[str] | None:
+    """The records a JSON (v1 or v2) manifest keeps alive — a v1 one's
+    chunks, a v2 one's pieces; ``None`` if ``file_id`` is no readable JSON
+    manifest."""
     try:
-        manifest = json.loads(files.recover_bytes(file_id))
-        if manifest.get("format") == MANIFEST_FORMAT_V2:
-            return [digest for _, meta in manifest["layers"] for digest in meta["chunks"]]
+        level = _retired_manifest(files, file_id)
+        if level is not None:
+            kind, layers = level
+            if kind == "v1":
+                return [meta["chunk"] for _, meta in layers]
+            return [digest for _, meta in layers for digest in meta["chunks"]]
     except _ERRORS:
         pass
     return None
 
 
-def _upgrade_levels(service, retired: dict) -> None:
-    """Step 3: a level's layers are checked against the document's
-    ``layer_hashes`` (and a v2 layer's ``hash``), saved through
-    ``service._save_state`` and swapped in: the manifest, one document
-    replace, then the old level's record dropped (its pieces go at the
-    next gc)."""
+def _bases_first(documents: dict) -> list[str]:
+    """The ids of ``documents`` (id -> document) with each base before the
+    models derived from it; a cycle's members come in no set order."""
+    order, placed = [], set()
+    for model_id in sorted(documents):
+        trail = []
+        current = model_id
+        while current in documents and current not in placed and current not in trail:
+            trail.append(current)
+            current = documents[current].get("base_model")
+        for found in reversed(trail):
+            placed.add(found)
+            order.append(found)
+    return order
+
+
+def _level_state(files, file_id: str, level) -> tuple[list, dict, dict, list]:
+    """One retired level's layers: ``(order, arrays, entries, recorded)``
+    — its layer names in order, the layers read into arrays (a blob's, a
+    v2 level's), the manifest entries of those whose chunks are stored (a
+    v1 level's) and the digests the level records for them (a v2 layer's
+    ``hash``)."""
+    kind, layers = level
+    if kind == "blob":
+        from ..nn import serialization
+
+        arrays = serialization.loads(files.recover_bytes(file_id))
+        return list(arrays), arrays, {}, []
+    if kind == "v1":
+        return [name for name, _ in layers], {}, {name: dict(meta) for name, meta in layers}, []
+    fetched = files.get_chunks([d for _, meta in layers for d in meta["chunks"]])
+    arrays = {
+        name: np.frombuffer(
+            bytearray().join(fetched[d] for d in meta["chunks"]),
+            dtype=np.dtype(meta["dtype"])).reshape(meta["shape"])
+        for name, meta in layers}
+    return [name for name, _ in layers], arrays, {}, [
+        {name: meta["hash"] for name, meta in layers}]
+
+
+def _upgrade_levels(service, retired: dict) -> int:
+    """Step 3: every model document of ``service``'s catalog naming a
+    retired level or a PUA delta, bases first, becomes its own recovery
+    base — a full v3 manifest as its ``parameters_file``, and a delta its
+    chain's ``architecture`` — swapped in by one document replace, then
+    the old level's record dropped (its pieces go at the next gc).  A
+    delta's layers are its base's manifest (or an MPA base's replayed
+    state) overridden by its own; every layer is checked against the
+    document's Merkle root and any table it recorded.  Returns the levels
+    rewritten."""
     from ..core.compaction import ChainCompactor  # repro.core imports this package
     from ..core.hashing import state_dict_hashes
+    from ..core.merkle import root_of
     from ..core.schema import MODELS
-    from ..nn import serialization
 
     files, models = service.files, service.documents.collection(MODELS)
     rewriter = ChainCompactor(service)
     rewriter.fault_hook = lambda _op: fault_hook("upgrade.level")
-    for found in models.find(projection=("parameters_file", "update_file")):
-        for field in ("parameters_file", "update_file"):
-            file_id = found.get(field)
-            if file_id not in retired:
-                continue
-            entries = retired[file_id]
-            try:
-                document = models.get(found["_id"])
-                recorded = [dict(document.get("layer_hashes") or ())]
-                if entries is None:
-                    state = serialization.loads(files.recover_bytes(file_id))
-                else:
-                    fetched = files.get_chunks(
-                        [d for _, meta in entries for d in meta["chunks"]])
-                    state = OrderedDict(
-                        (name, np.frombuffer(
-                            bytearray().join(fetched[d] for d in meta["chunks"]),
-                            dtype=np.dtype(meta["dtype"])).reshape(meta["shape"]))
-                        for name, meta in entries)
-                    recorded.append({name: meta["hash"] for name, meta in entries})
-                hashes = state_dict_hashes(state)
-                if any(r.get(name, h) != h for r in recorded for name, h in hashes.items()):
-                    raise ValueError("layer hash mismatch")
-                kind = "params" if field == "parameters_file" else "update"
-                with service._save_transaction():  # no sweep before the swap
-                    document[field] = service._save_state(state, hashes, kind=kind)
-                    rewriter.swap(document["_id"], document,
-                                  release=lambda: files.delete(file_id))
-            except _ERRORS as exc:
-                obs.events().emit("upgrade_skipped", file_id=file_id, reason=str(exc))
-                continue
-            fault_hook("upgrade.level")
+    found = {d["_id"]: d for d in models.find(
+        projection=("base_model", "parameters_file", "update_file"))}
+    rewritten = 0
+    for model_id in _bases_first(found):
+        file_id = found[model_id].get("parameters_file") or found[model_id].get("update_file")
+        if file_id not in retired:
+            continue
+        delta = not found[model_id].get("parameters_file")
+        try:
+            document = models.get(model_id)
+            order, arrays, entries, recorded = _level_state(files, file_id, retired[file_id])
+            if delta:
+                order, arrays, entries = _over_base(service, document, order, arrays, entries)
+            digests = state_dict_hashes(arrays)
+            hashes = OrderedDict(
+                (name, entries[name]["chunk"] if name in entries else digests[name])
+                for name in order)
+            recorded.append(dict(document.get("layer_hashes") or ()))
+            if any(r.get(name, h) != h for r in recorded for name, h in hashes.items()) or (
+                    document.get("merkle_root") not in (None, root_of(list(hashes.values())))):
+                raise ValueError("layer hash mismatch")
+            with service._save_transaction():  # no sweep before the swap
+                document["parameters_file"] = service._save_state(
+                    arrays, hashes, kind="params", held=entries)
+                if delta:
+                    document["architecture"] = service._chain_architecture(model_id)
+                for field in ("update_file", "updated_layers", "layer_hashes"):
+                    document.pop(field, None)
+                rewriter.swap(model_id, document, release=lambda: files.delete(file_id))
+        except _ERRORS as exc:
+            obs.events().emit("upgrade_skipped", file_id=file_id, reason=str(exc))
+            continue
+        rewritten += 1
+        fault_hook("upgrade.level")
+    return rewritten
+
+
+def _over_base(service, document: dict, order: list, arrays: dict, entries: dict):
+    """A delta level's layers over its base's: ``(order, arrays,
+    entries)`` as :func:`_level_state` gives them, in the base's layer
+    order.  A base with a manifest (rewritten already: bases come first)
+    gives its entries, an MPA base its replayed state."""
+    from ..core.schema import MODELS
+
+    base_id = document.get("base_model")
+    base = service.documents.collection(MODELS).get(
+        base_id, projection=("parameters_file",))
+    if base.get("parameters_file"):
+        layers = service.files.read_manifest(base["parameters_file"])["layers"]
+        base_entries, base_arrays = {name: dict(meta) for name, meta in layers}, {}
+    else:
+        base_entries, base_arrays = {}, dict(service.recover_layers(base_id).state)
+    base_order = list(base_entries or base_arrays)
+    merged = base_order + [name for name in order if name not in set(base_order)]
+    own = set(order)
+    arrays = {**{n: a for n, a in base_arrays.items() if n not in own}, **arrays}
+    entries = {**{n: m for n, m in base_entries.items() if n not in own}, **entries}
+    return merged, arrays, entries

@@ -3,7 +3,8 @@
 First step toward the ROADMAP's TTR-driven compaction scheduler: instead
 of a cron-style fixed cadence, the gateway compacts *when the obs plane
 says recovery is getting expensive and the serving plane says it has
-slack*.  The recovery path publishes the deepest chain it has replayed
+slack*.  Only MPA levels replay (a BA or PUA model is its own recovery
+base).  The recovery path publishes the deepest chain it has replayed
 (``mmlib_recovery_depth_max``, set in
 :meth:`repro.core.abstract.AbstractSaveService.recover_model`); when that
 high-water mark crosses the compaction threshold K and no requests are

@@ -394,8 +394,9 @@ class TestManagerSelfHeal:
 
         manager.delete_model(first)
         assert env_holders(env_id) == owners
-        report = manager.fsck()  # the model's chunks wait for the next gc
-        assert {issue.kind for issue in report.issues} == {"orphan_document", "orphan_chunk"}
+        report = manager.fsck()  # its chunks and code file wait for the next gc
+        assert {issue.kind for issue in report.issues} == {
+            "orphan_document", "orphan_chunk", "orphan_file"}
         assert env_holders(env_id) == set()
         assert env_holders(env_id, deleted=True) == owners
 

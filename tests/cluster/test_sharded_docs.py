@@ -427,6 +427,25 @@ class TestMemberCalls:
         assert store.cluster_stats["read_repairs"] == 0
 
 
+class TestDeleteAnswersLikeOneStore:
+    def test_live_deleted_and_never_inserted_ids(self):
+        """A delete is ``True`` only for a live document, on a 3x2 cluster
+        as on a single store."""
+        single = DocumentStore().collection("models")
+        cluster = ShardedDocumentStore(
+            {f"d{index}": DocumentStore() for index in range(3)}, replicas=2
+        ).collection("models")
+        answers = {}
+        for name, collection in (("single", single), ("cluster", cluster)):
+            collection.insert_one({"_id": "m1", "k": 1})
+            answers[name] = [
+                collection.delete_one("m1"),  # live
+                collection.delete_one("m1"),  # already deleted
+                collection.delete_one("never"),  # never inserted
+            ]
+        assert answers["cluster"] == answers["single"] == [True, False, False]
+
+
 class TestParentTombstonesFold:
     """An older release kept deletes in a ``__cluster_tombstones__``
     collection per member; opening the store folds them into tombstone

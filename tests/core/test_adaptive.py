@@ -12,6 +12,7 @@ from repro.core import (
     ModelSaveInfo,
 )
 from repro.core.errors import SaveError
+from repro.core.param_update import BASE_FIELDS
 from repro.core.schema import MODELS
 from tests.conftest import make_tiny_cnn
 
@@ -58,7 +59,7 @@ class TestSnapshotRouting:
         )
         assert service.last_choice.approach == APPROACH_PARAM_UPDATE
         document = mem_doc_store.collection(MODELS).get(derived_id)
-        assert document["update_file"]
+        assert document["approach"] == APPROACH_PARAM_UPDATE and document["parameters_file"]
 
     def test_profiling_reads_only_the_fields_it_needs(self, service, mem_doc_store, monkeypatch):
         """The base document is never copied whole; once the PUA service
@@ -79,7 +80,7 @@ class TestSnapshotRouting:
         assert service.last_choice.approach == APPROACH_PARAM_UPDATE
         projections = [projection for doc_id, projection in reads if doc_id == first_id]
         assert None not in projections
-        assert ("merkle_root",) in projections
+        assert BASE_FIELDS in projections
 
     def test_fully_changed_derived_model_not_forced_to_pua(self, service):
         base = make_tiny_cnn(seed=1)

@@ -110,9 +110,10 @@ def spy_on_recover_state_chunks(files):
     return returned
 
 
-# "cdc": the v2 manifests of pieces the retired content-defined writer left,
-# upgraded when the store is next opened (:func:`opened_again`)
-@pytest.fixture(params=["v1", "v2"], ids=["v1", "cdc"])
+# "v1": today's manifests (the id predates v3); "cdc": the v2 manifests of
+# pieces the retired content-defined writer left, upgraded when the store is
+# next opened (:func:`opened_again`)
+@pytest.fixture(params=["v3", "v2"], ids=["v1", "cdc"])
 def manifest(request):
     return request.param
 
@@ -121,7 +122,7 @@ def opened_again(service):
     """``service`` as the next process opens it: over a store of retired
     v2 pieces, one the upgrade rewrote, with the same cache and workers."""
     files = service.files
-    if files.manifest == "v1":
+    if files.manifest == "v3":
         return service
     return reopened(service, chunk_cache=files.chunk_cache, workers=files.workers)
 
@@ -165,7 +166,9 @@ class TestOwnership:
         assert_state_equals(second, saved)
 
     def test_chain_tip_and_ancestor_share_nothing(self, files):
-        service = older_release(ParameterUpdateSaveService(DocumentStore(), files))
+        service = ParameterUpdateSaveService(DocumentStore(), files)
+        if files.manifest != "v3":
+            older_release(service)
         base = twin_model(seed=4)
         base_saved = copy_state(base)
         base_id = service.save_model(ModelSaveInfo(base, twin_arch()))
@@ -185,24 +188,23 @@ class TestOwnership:
             array[...] = 0
         assert_state_equals(service.recover_model(base_id).model, base_saved)
         again = service.recover_model(tip_id)
-        assert again.verified is True and again.recovery_depth == 1
+        assert again.verified is True and again.recovery_depth == 0
         assert_state_equals(again.model, tip_saved)
 
     def test_recovery_cache_keeps_private_copies(self, files, tmp_path):
         documents = DocumentStore()
         service = ParameterUpdateSaveService(documents, files)
         base_id = service.save_model(ModelSaveInfo(twin_model(seed=5), twin_arch()))
-        mpa_id = save_mpa_level(documents, files, tmp_path, base_id, seed=5)
-        tip_id, tip_saved = save_pua_tip(
-            service, mpa_id, seed=5, layer="0.bias", base_shift=2.0)
+        tip_id = save_mpa_level(documents, files, tmp_path, base_id, seed=5)
+        tip_saved = copy_state(twin_model(seed=5))
+        tip_saved["4.bias"] += 2.0
         service = opened_again(service)
 
         cache = RecoveryCache()
-        service.recover_model(mpa_id, cache=cache)
-        # the tip's walk ends on the cached MPA base: a copy of it, plus the
-        # update; the tip itself is a read, so it is not cached
+        service.recover_model(tip_id, cache=cache)  # replayed, then cached
+        # a hit hands out a copy of the cached state
         first = service.recover_model(tip_id, cache=cache).model
-        assert cache.hits == 1 and set(cache._states) == {mpa_id}
+        assert cache.hits == 1 and set(cache._states) == {tip_id}
         assert_state_equals(first, tip_saved)
         held = [array for state, _, _ in cache._states.values() for array in state.values()]
         assert_no_shared_memory(first.state_dict().values(), held)
@@ -211,6 +213,7 @@ class TestOwnership:
         second = service.recover_model(tip_id, cache=cache)
         assert cache.hits == 2
         assert_state_equals(second.model, tip_saved)
+        held = [array for state, _, _ in cache._states.values() for array in state.values()]
         assert_no_shared_memory(second.model.state_dict().values(), held)
 
 
@@ -244,8 +247,8 @@ class TestAdoption:
         tip_saved = copy_state(tip)
         returned = spy_on_recover_state_chunks(files)
         recovered = service.recover_model(tip_id)
-        assert recovered.verified is True and recovered.recovery_depth == 1
-        [merged] = returned  # both levels' manifests, one call, one state
+        assert recovered.verified is True and recovered.recovery_depth == 0
+        [merged] = returned  # one manifest names both levels' chunks
         state = recovered.model.state_dict()
         assert list(state) == list(merged)
         for key, array in merged.items():
@@ -596,13 +599,16 @@ class TestOneCheckPerByte:
         service.recover_model(mpa_id, cache=cache)
         fetched = spy_on_recover_state_chunks(files)
         checks.start()
+        # the tip stored every layer (its base has no manifest): one fetch,
+        # no replay, the cache untouched
         recovered = service.recover_model(tip_id, cache=cache)
-        assert recovered.verified is True and cache.hits == 1
+        assert recovered.verified is True and cache.hits == 0
         assert_state_equals(recovered.model, tip_saved)
-        [update] = fetched
-        assert list(update) == ["0.bias"]
-        assert recovered.model.state_dict()["0.bias"] is update["0.bias"]
-        assert_each_parameter_hashed_once(checks.hashed, recovered.model)
+        [state] = fetched
+        assert list(state) == list(tip_saved)
+        assert recovered.model.state_dict()["0.bias"] is state["0.bias"]
+        # 0.bias changed, so only 2.weight still shares its twin's chunk
+        assert_each_parameter_hashed_once(checks.hashed, recovered.model, ("2.weight",))
 
     def test_tip_over_an_mpa_base_hashes_only_what_it_did_not_fetch(
         self, tmp_path, checks
@@ -616,9 +622,9 @@ class TestOneCheckPerByte:
 
         checks.start()
         recovered = pua.recover_model(tip_id)
-        assert recovered.verified is True and recovered.recovery_depth == 2
+        assert recovered.verified is True and recovered.recovery_depth == 0
         assert_state_equals(recovered.model, tip_saved)
-        assert_each_parameter_hashed_once(checks.hashed, recovered.model)
+        assert_each_parameter_hashed_once(checks.hashed, recovered.model, ("2.weight",))
 
     def test_a_layer_copied_at_load_is_hashed_again(self, tmp_path, checks):
         files = FileStore(tmp_path / "files")
@@ -698,7 +704,7 @@ class TestOneCheckPerByte:
         files.recover_bytes = lambda file_id: _tally(blobs, recover_bytes(file_id))
         files.reset_accounting()
         recovered = service.recover_model(ids[-1])
-        assert recovered.verified is True and recovered.recovery_depth == 3
+        assert recovered.verified is True and recovered.recovery_depth == 0
         assert_state_equals(recovered.model, saved)
 
         layers = list(saved.values())

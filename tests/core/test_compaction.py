@@ -1,5 +1,6 @@
-"""Chain compaction: bounded recovery depth, a swap committed by its document,
-and promote / squash running the same swap."""
+"""Chain compaction: bounded MPA replay depth, a swap committed by its
+document, and promote / squash running the same swap.  A BA or PUA model is
+its own recovery base, so a compaction never plans one."""
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from repro.core import (
     ModelManager,
     ModelSaveInfo,
     ParameterUpdateSaveService,
+    ProvenanceSaveInfo,
     ProvenanceSaveService,
+    TrainRunSpec,
 )
 from repro.docstore import DocumentStore
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import FileStore
+from repro.nn import rng
 from tests.conftest import make_tiny_cnn
 
 
@@ -31,7 +35,13 @@ def tiny_arch():
 
 
 def save_chain(service, length):
-    """One root snapshot plus ``length`` PUA deltas; returns (ids, states)."""
+    """One root snapshot plus ``length`` MPA levels, each a replay that adds
+    1 to ``5.bias``; returns (ids, states)."""
+    from tests.core.test_recovery_plan import ShiftTrainService
+
+    dataset = service._scratch_dir / "data"
+    dataset.mkdir(parents=True, exist_ok=True)
+    (dataset / "sample.bin").write_bytes(b"replay needs a dataset to unpack")
     model = make_tiny_cnn(seed=1)
     ids = [service.save_model(ModelSaveInfo(model, tiny_arch(), use_case="U_1"))]
     states = {ids[0]: {k: v.copy() for k, v in model.state_dict().items()}}
@@ -40,9 +50,14 @@ def save_chain(service, length):
         state["5.bias"] = state["5.bias"] + 1.0
         model = make_tiny_cnn()
         model.load_state_dict(state)
-        model_id = service.save_model(
-            ModelSaveInfo(model, tiny_arch(), base_model_id=ids[-1])
-        )
+        model_id = service.save_model(ProvenanceSaveInfo(
+            base_model_id=ids[-1],
+            train_service=ShiftTrainService(["5.bias"], 1.0),
+            train_spec=TrainRunSpec(number_epochs=1, number_batches=1, seed=0),
+            rng_state=rng.get_rng_state(),
+            dataset_dir=dataset,
+            expected_model=model,
+        ))
         ids.append(model_id)
         states[model_id] = state
     return ids, states
@@ -59,8 +74,8 @@ def assert_bitwise(service, ids, states):
 
 
 @pytest.fixture
-def setup(mem_doc_store, file_store):
-    service = ParameterUpdateSaveService(mem_doc_store, file_store)
+def setup(mem_doc_store, file_store, tmp_path):
+    service = ProvenanceSaveService(mem_doc_store, file_store, scratch_dir=tmp_path / "s")
     return service, ModelManager(service)
 
 
@@ -113,14 +128,19 @@ class TestPlanAndRun:
         assert_bitwise(service, ids, states)
         assert service.recover_model(ids[-1]).recovery_depth == 1
 
-    def test_released_bytes_reported_and_snapshots_skipped(self, setup):
+    def test_snapshots_and_pua_models_are_skipped(self, setup):
         service, manager = setup
         ids, _ = save_chain(service, 4)
+        before = service.documents.collection("models").get(ids[0])
+        assert ChainCompactor(service).compact_model(ids[0]) == {"model_id": ids[0]}
+        assert service.documents.collection("models").get(ids[0]) == before
+        pua = ParameterUpdateSaveService(service.documents, service.files)
+        tip = ids[0]
+        for _ in range(6):  # a PUA lineage of any depth is never planned
+            model = make_tiny_cnn(seed=len(tip))
+            tip = pua.save_model(ModelSaveInfo(model, tiny_arch(), base_model_id=tip))
         report = manager.compact(max_depth=4)
-        assert report["released_bytes"] > 0
-        compactor = ChainCompactor(service)
-        outcome = compactor.compact_model(ids[0])  # already a snapshot
-        assert outcome["released_bytes"] == 0
+        assert [m["model_id"] for m in report["materialized"]] == [ids[4]]
 
     def test_max_depth_validation(self, setup):
         service, manager = setup
@@ -149,7 +169,7 @@ def open_stores(kind, root):
     else:
         members = {f"m{i}": FileStore(root / f"m{i}") for i in range(6)}
         files = ShardedFileStore(root / "meta", members, replicas=2)
-    service = ParameterUpdateSaveService(DocumentStore(), files)
+    service = ProvenanceSaveService(DocumentStore(), files, scratch_dir=root / "s")
     return service, ModelManager(service)
 
 
@@ -207,8 +227,8 @@ class TestCrashSafety:
                 assert manager.fsck().clean, (point, remedy)
 
     def test_uncommitted_swap_rolls_back(self, setup):
-        """A crash before the document update publishes nothing: the old
-        delta stays, and fsck reclaims the new manifest and code copy."""
+        """A crash before the document update publishes nothing: the level
+        stays a replay, and fsck reclaims the new manifest and code copy."""
         service, manager = setup
         ids, states = save_chain(service, 4)
         files_before = set(service.files.file_ids())
@@ -220,7 +240,7 @@ class TestCrashSafety:
             compactor.run()
         document = service.documents.collection("models").get(ids[4])
         assert not document.get("parameters_file")
-        assert document.get("update_file")
+        assert document.get("train_info_id")
         orphans = set(service.files.file_ids()) - files_before
         assert {file_id.rpartition(".")[2] for file_id in orphans} == {"py", "manifest"}
         report = manager.fsck()
@@ -231,42 +251,42 @@ class TestCrashSafety:
         assert service.recover_model(ids[4]).recovery_depth == 4
 
     def test_committed_swap_rolls_forward(self, setup):
-        """A crash after the document update leaves the old delta behind,
-        unreferenced: fsck drops it and the new base stands."""
+        """A crash after the document update leaves the new base standing;
+        an MPA level releases nothing, so nothing is left behind."""
         service, manager = setup
         ids, states = save_chain(service, 4)
-        old_update = service.documents.collection("models").get(ids[4])["update_file"]
+        files_before = set(service.files.file_ids())
         faults = FaultInjector(seed=0)
         compactor = ChainCompactor(service, max_depth=4)
         compactor.fault_hook = faults.fail_point
         faults.arm_crash(1, op="compact.cleanup")
         with pytest.raises(CrashPoint):
             compactor.run()
-        assert service.files.exists(old_update)
-        report = manager.fsck()
-        assert not report.unrepaired, report.summary()
-        assert not service.files.exists(old_update)
+        document = service.documents.collection("models").get(ids[4])
+        assert document["parameters_file"] and document["train_info_id"]
+        assert set(service.files.file_ids()) > files_before
         assert manager.fsck().clean
         assert_bitwise(service, ids, states)
         assert service.recover_model(ids[4]).recovery_depth == 0
 
-    def test_fsck_without_repair_reports_the_superseded_delta(self, setup):
+    def test_fsck_without_repair_reports_the_unpublished_artifacts(self, setup):
         service, manager = setup
         ids, _ = save_chain(service, 4)
-        old_update = service.documents.collection("models").get(ids[4])["update_file"]
+        files_before = set(service.files.file_ids())
         faults = FaultInjector(seed=0)
         compactor = ChainCompactor(service, max_depth=4)
         compactor.fault_hook = faults.fail_point
-        faults.arm_crash(1, op="compact.cleanup")
+        faults.arm_crash(1, op="compact.commit")
         with pytest.raises(CrashPoint):
             compactor.run()
+        unpublished = set(service.files.file_ids()) - files_before
         report = manager.fsck(repair=False)
-        assert any(
-            issue.kind == "orphan_file" and old_update in issue.detail
-            for issue in report.unrepaired), report.summary()
-        assert service.files.exists(old_update)  # untouched
+        assert unpublished and all(
+            any(issue.kind == "orphan_file" and file_id in issue.detail
+                for issue in report.unrepaired) for file_id in unpublished), report.summary()
+        assert all(service.files.exists(f) for f in unpublished)  # untouched
         manager.fsck(repair=True)
-        assert not service.files.exists(old_update)
+        assert not any(service.files.exists(f) for f in unpublished)
         assert manager.fsck().clean
 
 

@@ -15,8 +15,13 @@ import zipfile
 
 import pytest
 
-from repro.core import environment
+from repro.core import BaselineSaveService, ModelSaveInfo, environment
 from repro.core.environment import collect_environment, environment_id
+from repro.core.schema import ENVIRONMENTS, MODELS
+from repro.docstore import DocumentStore
+from repro.filestore import FileStore
+from tests.conftest import make_tiny_cnn
+from tests.core.test_recovery_plan import tiny_arch
 
 #: Far outside the racy window, and a second, different such time.
 OLD_S = time.time() - 3600
@@ -186,3 +191,36 @@ class TestARacyEntryIsScanned:
         assert collect_environment().libraries == {"foo": "1.0"}
         assert scandirs == []
         assert len(enumerations) == 1
+
+
+class TestTheIdIsHashedOncePerEnumeration:
+    def test_saves_over_an_unchanged_environment_hash_it_once(
+        self, site, tmp_path, monkeypatch
+    ):
+        """N saves insert the environment document each time (fsck may
+        have swept it) but hash its id once; a new dist-info in a
+        ``sys.path`` directory between two saves gives a new id."""
+        hashed = []
+        real_id = environment.environment_id
+        monkeypatch.setattr(
+            environment, "environment_id", lambda fields: hashed.append(1) or real_id(fields))
+        monkeypatch.setattr(environment, "_document", None)
+        documents = DocumentStore()
+        service = BaselineSaveService(documents, FileStore(tmp_path / "files"))
+        inserts = []
+        environments = documents.collection(ENVIRONMENTS)
+        insert = environments.insert_one
+        monkeypatch.setattr(
+            environments, "insert_one", lambda doc: inserts.append(doc["_id"]) or insert(doc))
+        ids = [service.save_model(ModelSaveInfo(make_tiny_cnn(seed=s), tiny_arch()))
+               for s in range(5)]
+        assert len(hashed) == 1 and len(inserts) == 5
+        before = {documents.collection(MODELS).get(i)["environment_id"] for i in ids}
+        assert len(before) == 1
+
+        metadata(site, name="newdist")
+        model_id = service.save_model(ModelSaveInfo(make_tiny_cnn(seed=9), tiny_arch()))
+        after = documents.collection(MODELS).get(model_id)["environment_id"]
+        assert after not in before and len(hashed) == 2
+        assert environments.get(after)["libraries"]["newdist"] == "1.0"
+        assert environment_id(environments.get(after)) == after

@@ -74,12 +74,15 @@ class TestFileCorruption:
             ModelSaveInfo(top, tiny_arch(), base_model_id=middle_id)
         )
         middle_doc = mem_doc_store.collection(MODELS).get(middle_id)
-        file_id = middle_doc["update_file"]
+        file_id = middle_doc["parameters_file"]
         data = bytearray(file_store.chunks.get(file_id))
         data[-1] ^= 0x01
         replace_record(file_store, file_id, bytes(data))
         with pytest.raises(IOError, match="corrupt"):
-            service.recover_model(top_id)
+            service.recover_model(middle_id)
+        # the tip names every layer in its own manifest: it reads nothing
+        # of the middle's
+        assert service.recover_model(top_id).verified is True
 
 
 class TestDocumentTampering:
@@ -96,7 +99,7 @@ class TestDocumentTampering:
 
         doc_a = mem_doc_store.collection(MODELS).get(a_id)
         doc_b = mem_doc_store.collection(MODELS).get(b_id)
-        doc_a["update_file"] = doc_b["update_file"]
+        doc_a["parameters_file"] = doc_b["parameters_file"]
         mem_doc_store.collection(MODELS).replace_one(a_id, doc_a)
         with pytest.raises(VerificationError):
             service.recover_model(a_id)

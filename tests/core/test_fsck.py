@@ -13,7 +13,7 @@ from repro.core import (
 from repro.core.schema import ENVIRONMENTS
 from repro.docstore import DocumentStore
 from repro.filestore import FileStore
-from repro.filestore.store import is_file_id
+from repro.filestore.store import is_file_id, self_checked
 from tests.conftest import make_tiny_cnn
 
 
@@ -41,6 +41,11 @@ def setup(mem_doc_store, file_store):
     model = make_tiny_cnn(seed=1)
     model_id = service.save_model(ModelSaveInfo(model, tiny_arch(), use_case="U_1"))
     return manager, service, file_store, model_id, model
+
+
+def layer_chunk(files):
+    """The first stored layer chunk (not a file or a spec record)."""
+    return next(key for key in files.chunks.chunk_ids() if not self_checked(key))
 
 
 def kinds(report):
@@ -91,7 +96,7 @@ class TestFsckDetectAndRepair:
 
     def test_missing_chunk_is_unrepairable(self, setup):
         manager, service, files, model_id, model = setup
-        digest = files.chunks.chunk_ids()[0]
+        digest = layer_chunk(files)
         destroy_chunk(files, digest)
         report = manager.fsck()
         assert "missing_chunk" in kinds(report)
@@ -99,7 +104,7 @@ class TestFsckDetectAndRepair:
 
     def test_corrupt_chunk_is_detected(self, setup):
         manager, _, files, _, _ = setup
-        digest = files.chunks.chunk_ids()[0]
+        digest = layer_chunk(files)
         flip_chunk_byte(files, digest)
         report = manager.fsck()
         assert "corrupt_chunk" in kinds(report)
@@ -107,7 +112,7 @@ class TestFsckDetectAndRepair:
 
     def test_corrupt_chunk_ignored_without_verify(self, setup):
         manager, _, files, _, _ = setup
-        digest = files.chunks.chunk_ids()[0]
+        digest = layer_chunk(files)
         flip_chunk_byte(files, digest)
         assert manager.fsck(verify_chunks=False).clean
 
@@ -162,8 +167,8 @@ class TestFsckDetectAndRepair:
         manager.delete_model(model_id)  # a delete leaves the document ...
         assert environments.count() == 1
         report = manager.fsck()  # ... for the orphan sweep, legacy or not
-        # (with the model's chunks, which the next gc would take)
-        assert kinds(report) == {"orphan_document", "orphan_chunk"}
+        # (with the model's chunks and code file, which the next gc would take)
+        assert kinds(report) == {"orphan_document", "orphan_chunk", "orphan_file"}
         assert not report.unrepaired
         assert environments.count() == 0
 

@@ -110,7 +110,9 @@ class TestRecoverDelegation:
         manager, ids = setup
         recovered = manager.recover(ids["b"])
         assert recovered.verified is True
-        assert recovered.recovery_depth == 2
+        assert recovered.recovery_depth == 0  # its own manifest
+        assert [r.model_id for r in manager.lineage(ids["b"])][:3] == [
+            ids["b"], ids["a"], ids["root"]]
 
 
 class TestDeletion:
@@ -122,10 +124,10 @@ class TestDeletion:
     def test_leaf_deletion_removes_documents_and_files(self, setup):
         manager, ids = setup
         document = manager.documents.collection("models").get(ids["b"])
-        update_file = document["update_file"]
-        assert manager.files.exists(update_file)
+        manifest = document["parameters_file"]
+        assert manager.files.exists(manifest)
         manager.delete_model(ids["b"])
-        assert not manager.files.exists(update_file)
+        assert not manager.files.exists(manifest)
         with pytest.raises(ModelNotFoundError):
             manager.get(ids["b"])
 
@@ -138,7 +140,8 @@ class TestDeletion:
     def test_environment_documents_cleaned(self, setup):
         """The shared environment document survives every delete; once no
         model references it, fsck's orphan sweep reclaims it (with the
-        deleted model's chunks, which the next gc would take)."""
+        deleted model's chunks and code file, which the next gc would
+        take)."""
         manager, ids = setup
         environments = manager.documents.collection("environments")
         assert environments.count() == 1
@@ -150,7 +153,8 @@ class TestDeletion:
         manager.delete_model(ids["root"])
         assert environments.count() == 1
         report = manager.fsck()
-        assert {issue.kind for issue in report.issues} == {"orphan_document", "orphan_chunk"}
+        assert {issue.kind for issue in report.issues} == {
+            "orphan_document", "orphan_chunk", "orphan_file"}
         assert not report.unrepaired
         assert environments.count() == 0
 
@@ -234,21 +238,26 @@ class TestPromoteAndSquash:
         manager.promote_to_snapshot(ids["root"])
         assert mem_doc_store.collection("models").get(ids["root"]) == first
 
-    def test_promote_removes_update_file(self, setup, mem_doc_store):
+    def test_promote_of_a_pua_model_only_severs_its_lineage(self, setup, mem_doc_store):
+        """A PUA model is its own recovery base already: a promote writes
+        nothing and keeps its manifest, and only its lineage is cut."""
         manager, ids = setup
-        old_update = mem_doc_store.collection("models").get(ids["b"])["update_file"]
+        before = mem_doc_store.collection("models").get(ids["b"])
+        files_before = set(manager.files.file_ids())
         manager.promote_to_snapshot(ids["b"])
-        assert not manager.files.exists(old_update)
+        after = mem_doc_store.collection("models").get(ids["b"])
+        assert after["parameters_file"] == before["parameters_file"]
+        assert after["base_model"] is None and after["promoted_from"] == ids["a"]
+        assert set(manager.files.file_ids()) == files_before
 
     def test_a_failed_promote_releases_nothing(self, setup, mem_doc_store, monkeypatch):
         """A failure at the commit point (the document replace) leaves the
-        old document whole: its update file is still stored, the model
-        recovers bitwise, and fsck reclaims the new manifest and code copy
-        that no document names."""
+        old document whole: its manifest is still stored, the model recovers
+        bitwise, and a PUA model's promote wrote nothing to reclaim."""
         manager, ids = setup
         before = manager.recover(ids["b"]).model.state_dict()
         files_before = set(manager.files.file_ids())
-        old_update = mem_doc_store.collection("models").get(ids["b"])["update_file"]
+        old_manifest = mem_doc_store.collection("models").get(ids["b"])["parameters_file"]
 
         def failed_replace(doc_id, document):
             raise OSError("injected failure at the commit point")
@@ -258,16 +267,12 @@ class TestPromoteAndSquash:
             manager.promote_to_snapshot(ids["b"])
         monkeypatch.undo()
 
-        assert manager.files.exists(old_update)
+        assert manager.files.exists(old_manifest)
+        assert mem_doc_store.collection("models").get(ids["b"])["base_model"] == ids["a"]
         recovered = manager.recover(ids["b"])
         assert recovered.verified is True
         after = recovered.model.state_dict()
         assert all(np.array_equal(before[k], after[k]) for k in before)
-        orphans = set(manager.files.file_ids()) - files_before
-        assert {file_id.rpartition(".")[2] for file_id in orphans} == {"py", "manifest"}
-        report = manager.fsck(repair=True)
-        assert {issue.kind for issue in report.repaired} >= {"orphan_file"}
-        assert not report.unrepaired, report.summary()
         assert set(manager.files.file_ids()) == files_before
         assert manager.fsck().clean
 

@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.core.errors import RecoveryError, SaveError
 from repro.core.hashing import state_dict_hashes
+from repro.core.param_update import BASE_FIELDS
 from repro.core.schema import APPROACH_PARAM_UPDATE, MODELS
 from tests.conftest import make_tiny_cnn
 
@@ -33,8 +34,12 @@ def service(mem_doc_store, file_store):
 
 
 def updated_layers(service, document):
-    """The layers a derived model's delta manifest stores, in state order."""
-    return [name for name, _ in service.files.read_manifest(document["update_file"])["layers"]]
+    """The layers a derived model changed — the entries of its full
+    manifest whose chunk differs from its base's — in state order."""
+    base = service.documents.collection(MODELS).get(document["base_model"])
+    before = dict(service.files.read_manifest(base["parameters_file"])["layers"])
+    return [name for name, meta in service.files.read_manifest(
+        document["parameters_file"])["layers"] if meta["chunk"] != before[name]["chunk"]]
 
 
 def perturb(model, layer_keys):
@@ -93,11 +98,14 @@ class TestSave:
             ModelSaveInfo(derived, tiny_arch(), base_model_id=base_id)
         )
         document = mem_doc_store.collection(MODELS).get(derived_id)
-        assert "parameters_file" not in document
-        assert document["update_file"]
+        base_document = mem_doc_store.collection(MODELS).get(base_id)
+        # its own recovery base: a full manifest, its base's architecture
+        assert document["parameters_file"] and "update_file" not in document
+        assert document["architecture"] == base_document["architecture"]
         assert "updated_layers" not in document and "layer_hashes" not in document
         assert updated_layers(service, document) == ["5.weight"]
         assert document["approach"] == APPROACH_PARAM_UPDATE
+        assert document["base_model"] == base_id
 
     def test_derived_save_reads_only_base_document(self, service, mem_doc_store, file_store):
         """§3.2: saving must not recover the base model's parameters.  It
@@ -159,7 +167,7 @@ class TestRecover:
         )
         recovered = service.recover_model(derived_id)
         assert recovered.verified is True
-        assert recovered.recovery_depth == 1
+        assert recovered.recovery_depth == 0  # its own manifest, no chain
         for key, value in derived.state_dict().items():
             assert np.array_equal(value, recovered.model.state_dict()[key]), key
 
@@ -173,7 +181,8 @@ class TestRecover:
                 ModelSaveInfo(expected, tiny_arch(), base_model_id=model_id)
             )
         recovered = service.recover_model(model_id)
-        assert recovered.recovery_depth == 4
+        assert recovered.recovery_depth == 0
+        assert len(service.base_chain(model_id)) == 5  # lineage stays
         assert np.array_equal(
             recovered.model.state_dict()["5.bias"], expected.state_dict()["5.bias"]
         )
@@ -207,17 +216,20 @@ class TestRecover:
         with pytest.raises(RecoveryError, match="cycle"):
             service.base_chain(b)
 
-    def test_missing_base_ref_fails_cleanly(self, service, mem_doc_store):
+    def test_a_missing_base_document_leaves_recovery_whole(self, service, mem_doc_store):
+        """A derived model is its own recovery base: with its base's
+        document gone it still recovers bitwise."""
         base = make_tiny_cnn(seed=1)
         base_id = service.save_model(ModelSaveInfo(base, tiny_arch()))
+        derived = perturb(base, ["5.bias"])
         derived_id = service.save_model(
-            ModelSaveInfo(perturb(base, ["5.bias"]), tiny_arch(), base_model_id=base_id)
+            ModelSaveInfo(derived, tiny_arch(), base_model_id=base_id)
         )
         mem_doc_store.collection(MODELS).delete_one(base_id)
-        from repro.core import ModelNotFoundError
-
-        with pytest.raises(ModelNotFoundError):
-            service.recover_model(derived_id)
+        recovered = service.recover_model(derived_id)
+        assert recovered.verified is True
+        for key, value in derived.state_dict().items():
+            assert np.array_equal(value, recovered.model.state_dict()[key]), key
 
 
 class TestChainScenario:
@@ -247,7 +259,8 @@ class TestChainScenario:
         # the deepest model recovers exactly
         expected = partial_chain.build_model("U_3-2-2").state_dict()
         recovered = service.recover_model(ids["U_3-2-2"])
-        assert recovered.recovery_depth == 3
+        assert recovered.recovery_depth == 0
+        assert len(service.base_chain(ids["U_3-2-2"])) == 4
         got = recovered.model.state_dict()
         assert all(np.array_equal(expected[k], got[k]) for k in expected)
 
@@ -331,7 +344,7 @@ class TestTreeCache:
         hits = obs.registry().value("mmlib_merkle_tree_cache_total", result="hit")
         service.save_model(
             ModelSaveInfo(perturb(first, ["5.weight"]), tiny_arch(), base_model_id=first_id))
-        assert [r for r in reads if r[0] == first_id] == [(first_id, ("merkle_root",))]
+        assert [r for r in reads if r[0] == first_id] == [(first_id, BASE_FIELDS)]
         assert obs.registry().value("mmlib_merkle_tree_cache_total", result="hit") == hits + 1
 
     def test_a_tree_whose_root_disagrees_is_rebuilt_from_the_document(self, service):

@@ -167,7 +167,7 @@ LEVELS = st.lists(
 @settings(max_examples=30, deadline=None)
 @given(
     levels=LEVELS,
-    manifest=st.sampled_from(["v1", "v2"]),
+    manifest=st.sampled_from(["v3", "v2"]),
     zlib=st.booleans(),
     workers=st.sampled_from([0, 4]),
     chunk_cache=st.sampled_from([None, 1 << 20]),
@@ -181,9 +181,10 @@ def test_property_every_lineage_recovers_bitwise(
     """Lineages mixing BA / PUA / MPA levels, with none, some or all layers
     changed, one monolithic level and compactions: every model recovers
     bitwise and verified, whatever the store is configured as and whichever
-    format (v1 or the retired v2, raw or zlib-framed records) its chunked
-    levels were written in — a retired one upgraded when the store is next
-    opened, the compactions run after that."""
+    format (today's v3 or the retired v2, raw or zlib-framed records, PUA
+    delta levels) its chunked levels were written in — a retired one
+    upgraded when the store is next opened, the compactions run after
+    that."""
     root = tmp_path_factory.mktemp("plan")
     documents = DocumentStore()
     files = RetiredFormatStore(root / "files", manifest=manifest, zlib=zlib,
@@ -287,10 +288,10 @@ class TestCounts:
         loads = count_calls(monkeypatch, Module, "load_state_dict")
         reads = spy_on_chunk_reads(files)
         recovered = assert_recovers(service, ids[-1], states[-1])
-        assert recovered.recovery_depth == 16
+        assert recovered.recovery_depth == 0  # its own manifest names every layer
         assert len(builds) == 1 and len(walks) == 1 and loads == []
-        # one read per layer of the tip, of the tip's own chunks: nothing a
-        # later level overrides is fetched, nothing is fetched twice
+        # one read per layer of the tip, of the tip's own chunks: nothing an
+        # ancestor held alone is fetched, nothing is fetched twice
         assert Counter(reads) == Counter(state_dict_hashes(states[-1]).values())
 
     def test_partial_chain_reads_each_layer_from_its_last_writer(self, tmp_path):
@@ -325,8 +326,8 @@ class TestCounts:
         files._charged_read_many = lambda digests, workers: _tally_many(
             chunk_bytes, charged_read_many(digests, workers))
         recovered = assert_recovers(service, ids[-1], states[-1])
-        assert recovered.recovery_depth == 8
-        # (bytes_received also counts the nine manifests and the code file)
+        assert recovered.recovery_depth == 0
+        # (bytes_received also counts the manifest, its spec and the code file)
         assert sum(chunk_bytes) == model_bytes
 
 
@@ -344,40 +345,43 @@ def _tally_many(sizes, payloads):
 
 
 class TestWalk:
-    def test_missing_base_fails_before_any_chunk_is_read(self, tmp_path):
+    def test_a_missing_base_leaves_the_tip_whole(self, tmp_path):
+        """A PUA model is its own recovery base: with an ancestor's
+        document gone, its recover reads only its own chunks."""
         files = FileStore(tmp_path / "files")
         documents = DocumentStore()
         service = ParameterUpdateSaveService(documents, files)
-        ids, _ = save_pua_chain(service, 3)
+        ids, states = save_pua_chain(service, 3)
         documents.collection(MODELS).delete_one(ids[1])
         reads = spy_on_chunk_reads(files)
+        assert_recovers(service, ids[3], states[3])
+        assert sorted(reads) == sorted(set(state_dict_hashes(states[3]).values()))
         with pytest.raises(ModelNotFoundError):
-            service.recover_model(ids[3])
-        assert reads == []
+            service.base_chain(ids[3])
 
     def test_cycle_in_the_chain_is_a_recovery_error(self, tmp_path):
         documents = DocumentStore()
         service = ParameterUpdateSaveService(documents, FileStore(tmp_path / "files"))
-        ids, _ = save_pua_chain(service, 2)
+        ids, states = save_pua_chain(service, 2)
         models = documents.collection(MODELS)
         root = models.get(ids[0])
-        # the root loses its snapshot and points back at the tip
-        root.pop("parameters_file")
-        root.update(approach="param_update", base_model=ids[2],
-                    update_file=models.get(ids[1])["update_file"])
+        root["base_model"] = ids[2]  # the root points back at the tip
         models.replace_one(ids[0], root)
         with pytest.raises(RecoveryError, match="cycle"):
-            service.recover_model(ids[2])
+            service.base_chain(ids[2])
+        assert_recovers(service, ids[2], states[2])  # no walk to loop in
 
 
-# -- (c) recovery_depth still counts chain levels ---------------------------
+# -- (c) recovery_depth counts the replayed levels -------------------------
 
 
 class TestRecoveryDepth:
     def test_depth_is_the_level_count(self, tmp_path):
-        service = ParameterUpdateSaveService(
-            DocumentStore(), FileStore(tmp_path / "files"))
-        ids, states = save_pua_chain(service, 8)
+        """An MPA level replays its base: its depth is the levels replayed,
+        and a compaction every three levels bounds it.  A PUA model
+        replays nothing: depth 0 at any lineage depth."""
+        service, ids, states = save_mpa_chain(
+            DocumentStore(), FileStore(tmp_path / "files"), tmp_path, 8)
         for depth, model_id in enumerate(ids):
             assert assert_recovers(service, model_id, states[depth]).recovery_depth == depth
 
@@ -385,6 +389,11 @@ class TestRecoveryDepth:
         expected = [0, 1, 2, 0, 1, 2, 0, 1, 2]
         for model_id, state, depth in zip(ids, states, expected):
             assert assert_recovers(service, model_id, state).recovery_depth == depth
+
+        pua = ParameterUpdateSaveService(service.documents, service.files)
+        pua_ids, pua_states = save_pua_chain(pua, 8)
+        for model_id, state in zip(pua_ids, pua_states):
+            assert assert_recovers(pua, model_id, state).recovery_depth == 0
 
     def test_depth_counts_from_a_cached_base(self, tmp_path):
         service, ids, states = save_mpa_chain(
@@ -438,14 +447,15 @@ class TestIntegrityOfThePlan:
         """The tip's last level was written in a retired format: a flipped
         bit in what the plan reads from it, there before the upgrade, still
         fails the recover after it; the levels below still recover."""
-        files = RetiredFormatStore(tmp_path / "files", piece_bytes=64)
+        files = RetiredFormatStore(tmp_path / "files", manifest="v3", piece_bytes=64)
         service = ParameterUpdateSaveService(DocumentStore(), files)
         ids, states = save_pua_chain(service, 1, layers=("5.weight",))
         files.manifest, files.zlib = {
             "v2": ("v2", False), "zlib": ("v1", True), "params": ("params", False)}[retired]
         tip = copy_state(states[-1])
         tip["5.weight"] += 1.0
-        ids.append(service.save_model(
+        older = older_release(ParameterUpdateSaveService(service.documents, files))
+        ids.append(older.save_model(  # a delta level, as older releases saved it
             ModelSaveInfo(model_holding(tip), tiny_arch(), base_model_id=ids[-1])))
 
         update = service.documents.collection(MODELS).get(ids[-1])["update_file"]
@@ -458,9 +468,11 @@ class TestIntegrityOfThePlan:
         service = reopened(service)
         for model_id, state in zip(ids, states):
             assert_recovers(service, model_id, state)
+        # the upgrade's check refused the level, which stays as it was
         for verify in (True, False):
-            with pytest.raises((StoreCorruptionError, VerificationError)):
+            with pytest.raises((StoreCorruptionError, VerificationError, RecoveryError)):
                 service.recover_model(ids[-1], verify=verify)
+        assert not ModelManager(service).fsck(repair=False, verify_chunks=True).clean
 
     def test_poisoned_cache_entry_of_an_update_fails_check_hash(self, tmp_path):
         files = FileStore(tmp_path / "files", chunk_cache=1 << 20)
@@ -498,9 +510,8 @@ class TestRecoverBesideCompaction:
         """A recover that runs, on another thread, while ``compact_model``
         stands at ``op`` sees either side of the commit point — and the
         same bytes."""
-        service = ParameterUpdateSaveService(
-            DocumentStore(), FileStore(tmp_path / "files", workers=2))
-        ids, states = save_pua_chain(service, 5)
+        service, ids, states = save_mpa_chain(
+            DocumentStore(), FileStore(tmp_path / "files", workers=2), tmp_path, 5)
         compactor = ChainCompactor(service, max_depth=4)
         outcomes = []
 
@@ -528,9 +539,8 @@ class TestRecoverBesideCompaction:
 
     @pytest.mark.parametrize("op", COMPACT_OPS)
     def test_recover_after_a_crash_at_each_step_is_bitwise(self, tmp_path, op):
-        service = ParameterUpdateSaveService(
-            DocumentStore(), FileStore(tmp_path / "files"))
-        ids, states = save_pua_chain(service, 5)
+        service, ids, states = save_mpa_chain(
+            DocumentStore(), FileStore(tmp_path / "files"), tmp_path, 5)
         faults = FaultInjector(seed=0)
         compactor = ChainCompactor(service, max_depth=4)
         compactor.fault_hook = faults.fail_point

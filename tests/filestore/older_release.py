@@ -12,13 +12,17 @@ import struct
 from pathlib import Path
 
 from repro.filestore import FileStore
-from repro.filestore.upgrade import CODEC_STORED, FORMAT_MARKER, FRAME_MAGIC
+from repro.filestore.upgrade import CODEC_STORED, FORMAT_MARKER, FRAME_MAGIC, RETIRED_MARKERS
 
 
-def as_older_release(root) -> None:
-    """Take every format marker under ``root`` away."""
+def as_older_release(root, parent_marker: bool = False) -> None:
+    """Take every format marker under ``root`` away; with
+    ``parent_marker``, leave the one the release before this format wrote
+    (``.one-format``) in its place."""
     for marker in Path(root).rglob(FORMAT_MARKER):
         marker.unlink()
+        if parent_marker:
+            (marker.parent / RETIRED_MARKERS[0]).touch()
 
 
 def older_encode(view):

@@ -1,10 +1,12 @@
 """Writers for the formats older releases saved, so tests can build such stores.
 
-A save writes one format: a whole-layer (v1) manifest whose chunks are
-stored raw (escape-framed only when they start with the frame magic).
-Stores written before that can hold three more, and every one of them is
-still read:
+A save writes one format: a binary (v3) manifest naming every layer, whose
+chunks are stored raw.  Stores written before that can hold four more, and
+every one of them is upgraded on open:
 
+* ``"v1"`` manifests: JSON, one ``chunk``/``dtype``/``shape`` entry per
+  layer, and a PUA model a delta level — an ``update_file`` naming only
+  the layers it changed, over its base's;
 * ``"v2"`` manifests: each layer is a run of sha256-addressed pieces plus
   its tensor hash.  The retired writer cut the pieces by content; these
   are fixed-size, since a reader never splits anything;
@@ -22,35 +24,88 @@ import zlib
 
 import numpy as np
 
+from repro.core.merkle import root_of
 from repro.filestore import FileStore, upgrade as codecs
-from repro.filestore.store import MANIFEST_SUFFIX, is_file_id
-from repro.filestore.upgrade import MANIFEST_FORMAT_V2
+from repro.filestore.store import MANIFEST_SUFFIX, self_checked
+from repro.filestore.upgrade import MANIFEST_FORMAT_V1, MANIFEST_FORMAT_V2
 from repro.nn import serialization
 
 
-def older_release(service):
-    """``service``, saving its documents as the releases that wrote the
-    retired formats did: each one with a Merkle root also stores its
-    model's whole layer table as ``layer_hashes``.  A derived save over a
-    retired level reads that table, since no manifest of a retired format
-    is read before an upgrade.  Returns ``service``."""
-    tables = []
-    save_state, insert = service._save_state, service._insert_model_document
+def older_release(service, layer_hashes: bool = True):
+    """``service``, saving as older releases did: JSON (v1) manifests (or
+    what a :class:`RetiredFormatStore` writes), and a PUA model as a delta
+    level — an ``update_file`` naming only the layers it changed, no
+    ``parameters_file``, no ``architecture``.  With ``layer_hashes`` (the
+    releases before the last one to write v1) each document with a Merkle
+    root also stores its model's whole layer table.  Returns ``service``."""
+    files = service.files
+    tables: dict[str, dict] = {}  # model id -> its whole table
+    table: list[dict] = []  # the running save's
+    insert = service._insert_model_document
 
-    def recording(state, layer_hashes, kind, held=None):
-        # every save hands its whole table here, its chunk ids
-        tables[:] = [[[name, digest] for name, digest in layer_hashes.items()]]
-        return save_state(state, layer_hashes, kind, held=held)
+    def save_state(state, hashes, kind, held=None):
+        table[:] = [dict(hashes)]
+        suffix = f".{kind}{MANIFEST_SUFFIX}"
+        if isinstance(files, RetiredFormatStore) and files.manifest != "v3":
+            return files.save_state_chunks(state, hashes, suffix, held=held)
+        return write_v1(files, state, hashes, suffix, held)  # no release wrote v3 levels
 
     def inserting(document):
-        table = tables.pop() if tables else None
-        if table and document.get("merkle_root") and "layer_hashes" not in document:
-            document = {**document, "layer_hashes": table}
-        return insert(document)
+        whole = table.pop() if table else None
+        if whole and layer_hashes and document.get("merkle_root"):
+            document = {**document, "layer_hashes": [[n, d] for n, d in whole.items()]}
+        model_id = insert(document)
+        if whole:
+            tables[model_id] = whole
+        return model_id
 
-    service._save_state = recording
+    def save_layers(base_model_id, hashes, arrays, held, use_case):
+        base = tables.get(base_model_id) or service.layer_table(base_model_id)
+        changed = [name for name, digest in hashes.items() if base.get(name) != digest]
+        update = {name: arrays[name] for name in changed if name in arrays}
+        environment_id = service._save_environment()
+        update_file = save_state(
+            update, {name: hashes[name] for name in changed}, "update",
+            held={name: held[name] for name in changed if name not in update})
+        table[:] = [dict(hashes)]
+        return inserting({
+            "base_model": base_model_id,
+            "use_case": use_case,
+            "environment_id": environment_id,
+            "update_file": update_file,
+            "merkle_root": root_of(list(hashes.values())),
+        })
+
+    service._save_state = save_state
     service._insert_model_document = inserting
+    if hasattr(service, "_save_layers"):
+        service._save_layers = save_layers
     return service
+
+
+def write_v1(files, state, layer_hashes, suffix, held=None) -> str:
+    """A JSON (v1) manifest as older releases wrote it, its chunks put
+    first; a layer in ``held`` is listed by that entry."""
+    held = held or {}
+    entries = []
+    for name, digest in layer_hashes.items():
+        if name in held:
+            meta = held[name]
+        else:
+            array = state[name]
+            files.put_chunk(digest, np.ascontiguousarray(array).tobytes())
+            meta = {"dtype": array.dtype.str, "shape": array.shape}
+        entries.append([name, {"chunk": digest, "dtype": meta["dtype"],
+                               "shape": list(meta["shape"])}])
+    manifest = json.dumps({"format": MANIFEST_FORMAT_V1, "layers": entries}, sort_keys=True)
+    file_id = files.save_bytes(manifest.encode(), suffix=suffix)
+    files.chunks.flush()
+    return file_id
+
+
+def v1_layers(files, file_id: str) -> list:
+    """The ``[name, entry]`` layers of a stored JSON (v1 or v2) manifest."""
+    return json.loads(files.recover_bytes(file_id))["layers"]
 
 
 def zlib_frame(buffer) -> bytes:
@@ -71,31 +126,33 @@ def stored_record(store, digest: str) -> bytes:
 class RetiredFormatStore(FileStore):
     """A :class:`FileStore` whose saves write a retired format.
 
-    ``manifest`` is ``"v1"`` (today's), ``"v2"`` or ``"params"``; with
+    ``manifest`` is ``"v1"``, ``"v2"``, ``"params"`` or ``"v3"`` (today's); with
     ``zlib`` every record a chunked save appends holds a zlib frame.  Both
     are plain attributes, so one store can mix formats save by save.
     """
 
-    def __init__(self, root, manifest: str = "v1", zlib: bool = False,
+    def __init__(self, root, manifest: str = "v3", zlib: bool = False,
                  piece_bytes: int = 1024, **kwargs):
         super().__init__(root, **kwargs)
         self.manifest = manifest
         self.zlib = zlib
         self.piece_bytes = int(piece_bytes)
 
-    def save_state_chunks(self, state, layer_hashes,
-                          suffix=".params" + MANIFEST_SUFFIX, workers=None):
+    def save_state_chunks(self, state, layer_hashes, suffix=".params" + MANIFEST_SUFFIX,
+                          workers=None, held=None, stored=frozenset()):
         if self.manifest == "params":
             return self.save_bytes(
                 serialization.dumps(state), suffix=suffix[: -len(MANIFEST_SUFFIX)])
         if self.manifest == "v2":
             return self._save_v2(state, layer_hashes, suffix)
-        return super().save_state_chunks(state, layer_hashes, suffix, workers)
+        if self.manifest == "v1":
+            return write_v1(self, state, layer_hashes, suffix, held)
+        return super().save_state_chunks(state, layer_hashes, suffix, workers, held, stored)
 
     def _put_chunk_data(self, digest, buffer):
         # older releases framed chunk records, never files (files were not
         # records then)
-        if not self.zlib or is_file_id(digest):
+        if not self.zlib or self_checked(digest):  # no release framed a spec
             return super()._put_chunk_data(digest, buffer)
         self.chunks._encode = zlib_frame
         try:

@@ -18,7 +18,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.hashing import tensor_hash
 from repro.filestore import FileStore
-from repro.filestore.store import manifest_chunk_digests
 from tests.filestore.test_bookkeeping import recount
 
 #: Three layers, each one of three arrays: saves share chunks.
@@ -58,8 +57,7 @@ class ReachabilityAgainstDict(RuleBasedStateMachine):
     @rule()
     def gc(self):
         self.files.gc_chunks()
-        named = {digest for file_id in self.saved
-                 for digest in manifest_chunk_digests(self.files.read_manifest(file_id))}
+        named = {key for file_id in self.saved for key in self.files.manifest_keys(file_id)}
         assert set(self.files.chunks.chunk_ids()) == named | set(self.saved)
 
     @rule(clean=st.booleans())

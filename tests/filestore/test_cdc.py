@@ -80,10 +80,10 @@ class TestV2Manifests:
         documents = DocumentStore()
         writer = v2_store(tmp_path / "files")
         v2_id = self.save(writer, documents, self.state(seed=6), "v2")
-        writer.manifest = "v1"
+        writer.manifest = "v3"
         v1_id = self.save(writer, documents, self.state(seed=5), "v1")
 
-        # the v1 level is kept as it is, the v2 one saved again
+        # today's level is kept as it is, the v2 one saved again
         store = self.upgraded(writer, documents)
         assert self.parameters_file(documents, "v1") == v1_id
         assert self.parameters_file(documents, "v2") != v2_id
@@ -99,7 +99,8 @@ class TestV2Manifests:
         documents, writer = DocumentStore(), v2_store(tmp_path / "files")
         self.save(writer, documents, self.state())
         store = self.upgraded(writer, documents)
-        assert len(store.chunks) == len(self.state()) + 1  # the layers, the manifest
+        # the layers, the manifest and its spec record
+        assert len(store.chunks) == len(self.state()) + 2
         store.delete(self.parameters_file(documents))
         store.gc_chunks()
         assert len(store.chunks) == 0

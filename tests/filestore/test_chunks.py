@@ -17,12 +17,13 @@ from repro.filestore import (
     NetworkModel,
     SimulatedNetworkFileStore,
 )
-from repro.filestore.store import is_file_id
+from repro.filestore.store import self_checked
 
 
 def layer_chunks(store) -> list[str]:
-    """The chunk records a store holds, not the files stored beside them."""
-    return [key for key in store.chunks.chunk_ids() if not is_file_id(key)]
+    """The chunk records a store holds, not the files and spec records
+    stored beside them."""
+    return [key for key in store.chunks.chunk_ids() if not self_checked(key)]
 
 
 def small_state(seed=0, bias=0.0):
@@ -234,7 +235,7 @@ class TestNetworkChunkTransfer:
         store.save_state_chunks(state, hashes)
         resave_cost = store.bytes_sent - sent_first
         assert resave_cost < sent_first / 2
-        assert store.chunks_deduplicated == len(state)
+        assert store.chunks_deduplicated == len(state) + 1  # and the spec record
 
     def test_get_chunk_charges_download(self, tmp_path):
         store = self.link_store(tmp_path)

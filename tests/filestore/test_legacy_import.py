@@ -47,8 +47,8 @@ from repro.docstore import DocumentStore
 from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import ChunkStore, FileStore, upgrade
-from repro.filestore.store import MANIFEST_FORMAT, chunk_intact, is_file_id
-from repro.filestore.upgrade import FORMAT_MARKER, MANIFEST_FORMAT_V2
+from repro.filestore.store import MANIFEST_FORMAT, MANIFEST_TAG, chunk_intact, is_file_id, is_spec_key
+from repro.filestore.upgrade import FORMAT_MARKER, MANIFEST_FORMAT_V1, MANIFEST_FORMAT_V2
 from repro.nn import serialization
 from repro.workloads import generate_dataset
 from repro.workloads.relations import TrainingRun
@@ -67,6 +67,8 @@ from tests.filestore.retired_formats import (
     RetiredFormatStore,
     older_release,
     stored_record,
+    v1_layers,
+    write_v1,
     zlib_frame,
 )
 
@@ -313,19 +315,19 @@ def layer_bytes(states) -> dict:
 
 
 def assert_one_format(files, states) -> None:
-    """Only v1 manifests and raw records: every chunk rests as its layer's
-    bytes, every file as bytes its id vouches for, no blob is left, and
-    the root is marked."""
+    """Only v3 manifests and raw records: every chunk rests as its layer's
+    bytes, every file and spec record as bytes its key vouches for, no
+    blob and no delta level is left, and the root is marked."""
     raw = layer_bytes(states)
     for key in files.chunks.chunk_ids():
         stored = stored_record(files, key)
         if not is_file_id(key):
-            assert stored == raw[key], key
+            assert stored == raw[key] if not is_spec_key(key) else chunk_intact(key, stored), key
             continue
         assert chunk_intact(key, stored), key
-        assert not key.endswith((".params", ".update")), key
+        assert not key.endswith((".params", ".update", ".update.manifest")), key
         if files.is_manifest_id(key):
-            assert json.loads(stored)["format"] == MANIFEST_FORMAT, key
+            assert stored.startswith(MANIFEST_TAG), key
     assert (files.root / FORMAT_MARKER).exists()
 
 
@@ -361,7 +363,7 @@ class TestRetiredWriteFormats:
         Merkle root."""
         states, before = build_retired_store(tmp_path)
         assert set(before["kinds"].values()) == {"raw", "escape", "zlib"}
-        assert before["formats"] == {MANIFEST_FORMAT, MANIFEST_FORMAT_V2}
+        assert before["formats"] == {MANIFEST_FORMAT_V1, MANIFEST_FORMAT_V2}
         assert {".params", ".update"} <= before["suffixes"]
         roots = merkle_roots(DocumentStore(tmp_path / "docs"))
 
@@ -449,7 +451,7 @@ class TestAFrameMagicLayer:
         for filler in fillers:
             manager.delete_model(filler)
         located = files.chunks.locate(digest)
-        assert manager.files.gc_chunks()["segments_compacted"] >= 1
+        manager.garbage_collect()  # the fillers' code files go too
         assert files.chunks.locate(digest) != located
 
         assert stored_record(files, digest) == state["5.bias"].tobytes()
@@ -485,7 +487,7 @@ class TestAFrameMagicLayer:
 # -- the older file-per-blob layout ------------------------------------------
 
 #: every suffix an older release stored as a file in the root
-BLOB_SUFFIXES = {".py", ".params.manifest", ".update.manifest", ".state", ".zip", ".params"}
+BLOB_SUFFIXES = {".py", ".params.manifest", ".state", ".zip", ".params"}
 
 
 def open_deployment(root, cluster: bool) -> SharedStores:
@@ -669,8 +671,8 @@ def build_retired_cluster(root) -> dict:
     every other chunk record zlib-framed and the magic one escape-framed,
     no format marker.  Returns ``{model_id: state}``."""
     stores = open_deployment(root, cluster=True)
-    service = ParameterUpdateSaveService(
-        stores.documents, stores.files, scratch_dir=stores.scratch_dir)
+    service = older_release(ParameterUpdateSaveService(
+        stores.documents, stores.files, scratch_dir=stores.scratch_dir), layer_hashes=False)
     ids, states = save_pua_chain(service, depth=2, layers=("5.bias", "5.weight"))
     tip = copy_state(states[-1])
     tip["5.bias"][0] = MAGIC_FLOAT
@@ -689,7 +691,7 @@ def build_retired_cluster(root) -> dict:
     document = models.get(ids[1])
     old = document["update_file"]
     entries = []
-    for name, meta in files.read_manifest(old)["layers"]:
+    for name, meta in v1_layers(files, old):
         raw = np.ascontiguousarray(states[1][name]).tobytes()
         run = []
         for start in range(0, max(len(raw), 1), 256):
@@ -892,3 +894,87 @@ class TestAStoreThisReleaseWrote:
         assert first["upgrades"] == 1
         assert first["records read"] and first["files read"]
         assert set(self.count_open(monkeypatch, tmp_path).values()) == {0}
+
+
+# -- a store the release before v3 manifests wrote ------------------------
+
+
+def build_parent_deployment(root, cluster: bool) -> dict:
+    """What the release before v3 manifests left: JSON (v1) manifests, PUA
+    delta levels — one chain eight deep whose fourth level its compaction
+    materialized, one five deep never compacted — and every root marked
+    ``.one-format``.  Returns ``{model_id: state}``."""
+    service = open_service(root, cluster)
+    older_release(service, layer_hashes=False)
+    ids, states = save_pua_chain(service, depth=8, layers=("5.bias", "5.weight"))
+    more_ids, more_states = save_pua_chain(service, depth=5, seed=2)
+    files, models = service.files, service.documents.collection(MODELS)
+    # that release's compaction of ids[4]: a full v1 manifest, a code copy,
+    # the delta released
+    document = models.get(ids[4])
+    architecture = dict(models.get(ids[0])["architecture"])
+    architecture["code_file_id"] = files.save_bytes(
+        files.recover_bytes(architecture["code_file_id"]), suffix=".py")
+    old = document.pop("update_file")
+    document.update(
+        parameters_file=write_v1(files, states[4], state_dict_hashes(states[4]),
+                                 ".params.manifest"),
+        architecture=architecture, compacted={"from_depth": 4})
+    models.replace_one(ids[4], document)
+    files.delete(old)
+    for member in member_stores(service):
+        member.chunks.close()
+    as_older_release(root, parent_marker=True)
+    return dict(zip(ids + more_ids, states + more_states))
+
+
+@pytest.mark.parametrize("cluster", [False, True], ids=["single", "cluster-3x2"])
+class TestAStoreTheParentWrote:
+    def test_it_upgrades_to_full_manifests_and_recovers_bitwise(self, tmp_path, cluster):
+        states = build_parent_deployment(tmp_path, cluster)
+        documents = catalog(tmp_path, cluster).collection(MODELS)
+        deltas = [d["_id"] for d in documents.find(projection=("update_file",))
+                  if d.get("update_file")]
+        assert len(deltas) == len(states) - 3  # every level but two roots and one compacted
+        assert list(tmp_path.rglob(".one-format"))
+        roots = merkle_roots(catalog(tmp_path, cluster))
+
+        service = open_service(tmp_path, cluster)
+        assert service.files.one_format
+        for document in service.documents.collection(MODELS).find():
+            assert document["parameters_file"] and document["architecture"]
+            assert "update_file" not in document
+        for model_id, state in states.items():
+            recovered = service.recover_model(model_id)
+            assert recovered.recovery_depth == 0
+            assert_state(recovered.model, state)
+        assert merkle_roots(service.documents) == roots
+        assert not list(tmp_path.rglob(".one-format"))
+        assert ModelManager(service).fsck(verify_chunks=True).clean
+        for files in member_stores(service):
+            assert_one_format(files, states.values())
+
+    def test_a_crash_at_every_upgrade_step_resumes_on_the_next_open(
+        self, tmp_path, cluster, monkeypatch
+    ):
+        seed = tmp_path / "seed"
+        states = build_parent_deployment(seed, cluster)
+        roots = merkle_roots(catalog(seed, cluster))
+        faults = FaultInjector(seed=0)
+        monkeypatch.setattr(upgrade, "fault_hook", faults.fail_point)
+        crashes = 0
+        for at in range(1, 400):
+            root = tmp_path / f"crash-{at}"
+            shutil.copytree(seed, root)
+            faults.arm_crash(at, op="upgrade.")
+            try:
+                open_service(root, cluster)
+            except CrashPoint:
+                crashes += 1
+            else:
+                break  # the upgrade outran the armed crash: every point hit
+            assert_upgraded(root, cluster, states, roots)
+        else:
+            pytest.fail("the upgrade never completed")
+        assert crashes > len(states)
+        assert_upgraded(root, cluster, states, roots)

@@ -94,8 +94,9 @@ class TestParallelSaveRecover:
         state = small_state(seed=3, layers=2)
         state["copy.weight"] = state["layer0.weight"].copy()
         file_id = store.save_state_chunks(state, state_dict_hashes(state))
-        # 3 layers, 2 distinct payloads, and the manifest's own record
-        assert len(store.chunks) == 3
+        # 3 layers, 2 distinct payloads, the manifest's own record and its
+        # spec record
+        assert len(store.chunks) == 4
         assert states_equal(state, store.recover_state_chunks(file_id))
 
     def test_manifest_order_is_preserved(self, tmp_path):

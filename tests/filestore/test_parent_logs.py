@@ -26,7 +26,6 @@ import pytest
 
 from repro.cluster import ShardedFileStore, antientropy
 from repro.core import ModelManager, ParameterUpdateSaveService
-from repro.core.compaction import ChainCompactor
 from repro.core.hashing import state_dict_hashes
 from repro.docstore import DocumentStore
 from repro.faults import CrashPoint, FaultInjector
@@ -123,17 +122,15 @@ class TestASingleStore:
         expected = dict(zip(ids, states))
         manager.delete_model(ids[-1])  # an index checkpoint
         del expected[ids[-1]]
-        compactor, faults = ChainCompactor(service, max_depth=2), FaultInjector(seed=0)
-        compactor.fault_hook = faults.fail_point
-        faults.arm_crash(1, op="compact.commit")  # artifacts written, not committed
-        before = set(files.file_ids())
-        with pytest.raises(CrashPoint):
-            compactor.run()
-        artifacts = {f.rpartition(".")[2]: f for f in set(files.file_ids()) - before}
+        # the artifacts of a chain compaction that died before its commit
+        artifacts = {
+            "py": files.save_bytes(b"def build(): ...  # a copy", suffix=".py"),
+            "manifest": files.save_state_chunks(states[2], state_dict_hashes(states[2])),
+        }
         swap = {
             "model_id": ids[2],
             "old_update_file": service.documents.collection("models").get(
-                ids[2])["update_file"],
+                ids[2])["parameters_file"],
             "manifest_file": artifacts["manifest"],
             "code_file": artifacts["py"],
         }
@@ -187,6 +184,8 @@ class TestASingleStore:
             manager.delete_model(model_id)
             del expected[model_id]
         chunks = files.chunks
+        reached = manager._walk().files  # the deleted models' code files go too
+        files.delete_many([f for f in files.file_ids() if f not in reached])
         chunks.sweep(files.mark(files.file_ids())[0])  # every sealed segment part dead
         records = {digest: bytes(chunks.get(digest)) for digest in chunks.chunk_ids()}
         with chunks._mutex:

@@ -121,7 +121,7 @@ class TestTheRecoverCore:
         files._read_chunk = lambda digest, *read: (
             fetched.append(digest), read_chunk(digest, *read))[1]
         recovered = service.recover_layers(tip_id, have={digests[weight]})
-        assert recovered.verified is True and recovered.recovery_depth == 1
+        assert recovered.verified is True and recovered.recovery_depth == 0
         assert recovered.layers == list(digests.items())
         assert list(recovered.state) == [n for n in tip if n != weight]
         assert_bitwise(recovered.state, {n: a for n, a in tip.items() if n != weight})
@@ -166,7 +166,7 @@ class TestWarmRecovers:
             cold, cold_out, warm, warm_out = run(scenario())
         assert_bitwise(cold.state, root)
         assert_bitwise(warm.state, tip)
-        assert warm.verified is True and warm.recovery_depth == 1
+        assert warm.verified is True and warm.recovery_depth == 0
         assert cold_out >= state_bytes(root)
         assert warm_out <= 0.05 * state_bytes(root)
 

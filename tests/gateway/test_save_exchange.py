@@ -103,7 +103,7 @@ class TestWhatTheClientShips:
                     return sent, await client.recover_model(tip)
             sent, recovered = run(scenario())
         assert sent < 0.1 * state_bytes
-        assert recovered.verified is True and recovered.recovery_depth == 1
+        assert recovered.verified is True and recovered.recovery_depth == 0
         assert_bitwise(recovered.state, again)
         assert not registry.admin_manager().fsck(repair=False).unrepaired
 

@@ -150,7 +150,7 @@ class TestRequestPlane:
                         )
                         ids.append(base)
                     tip = await client.recover_model(ids[-1])
-                    assert tip.recovery_depth == 2
+                    assert tip.recovery_depth == 0  # its own manifest
                     assert tip.base_model_id == ids[-2]
                     assert_states_bitwise_equal(tip.state, states[-1])
             run(scenario())
@@ -725,6 +725,13 @@ class TestDeadlinePlane:
 
 class TestIdleMaintenance:
     def test_deep_chain_recovery_triggers_idle_compaction(self, tmp_path):
+        """A recover through the gateway replays a five-level MPA chain (a
+        PUA model replays nothing): the depth mark arms the trigger, and
+        the idle sweep compacts the chain."""
+        from repro.core import ProvenanceSaveInfo, ProvenanceSaveService, TrainRunSpec
+        from repro.nn import rng
+        from tests.core.test_recovery_plan import ShiftTrainService
+
         registry = make_registry(tmp_path, tenants={"acme": TenantQuota()})
         maintenance = IdleMaintenance(registry, max_depth=3, min_interval_s=0.0)
         # the idle sweep resets the depth mark the moment the server has
@@ -732,20 +739,44 @@ class TestIdleMaintenance:
         sweep_allowed = threading.Event()
         trigger_due = maintenance.due
         maintenance.due = lambda: sweep_allowed.is_set() and trigger_due()
-        states = [mlp_state(step) for step in range(6)]
         gauge = obs.registry().gauge(RECOVERY_DEPTH_GAUGE)
+        tenant = registry.tenant("acme")
+        mpa = ProvenanceSaveService(
+            tenant.service.documents, tenant.service.files, scratch_dir=tmp_path / "s")
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        (dataset / "sample.bin").write_bytes(b"replay needs a dataset to unpack")
+        states = [mlp_state(0)]
         server = GatewayServer(
             registry, maintenance=maintenance, idle_poll_s=0.01
         )
         with server:
-            async def build_and_recover():
+            async def save_root():
                 async with AsyncGatewayClient(*server.address, "acme") as client:
-                    base = None
-                    for state in states:
-                        base = await client.save_model(FACTORY, state=state, base=base)
-                    return base, await client.recover_model(base)
+                    return await client.save_model(FACTORY, state=states[0])
 
-            tip_id, before = run(build_and_recover())
+            tip = tenant.resolve(run(save_root()))
+            for _ in range(5):
+                state = {k: v.copy() for k, v in states[-1].items()}
+                state["2.bias"] = state["2.bias"] + np.float32(1.0)
+                states.append(state)
+                expected = serving_mlp()
+                expected.load_state_dict(state)
+                tip = mpa.save_model(ProvenanceSaveInfo(
+                    base_model_id=tip,
+                    train_service=ShiftTrainService(["2.bias"], 1.0),
+                    train_spec=TrainRunSpec(number_epochs=1, number_batches=1, seed=0),
+                    rng_state=rng.get_rng_state(),
+                    dataset_dir=dataset,
+                    expected_model=expected,
+                ))
+            tip_id = tenant.qualify(tip)
+
+            async def recover():
+                async with AsyncGatewayClient(*server.address, "acme") as client:
+                    return await client.recover_model(tip_id)
+
+            before = run(recover())
             assert before.recovery_depth == 5
             assert gauge.value == 5  # the high-water mark armed the trigger
             assert maintenance.runs == 0
@@ -758,10 +789,6 @@ class TestIdleMaintenance:
             assert maintenance.compacted_models >= 1
             assert gauge.value == 0  # mark reset after a successful sweep
 
-            async def recover_again():
-                async with AsyncGatewayClient(*server.address, "acme") as client:
-                    return await client.recover_model(tip_id)
-
-            after = run(recover_again())
+            after = run(recover())
             assert after.recovery_depth < before.recovery_depth
             assert_states_bitwise_equal(after.state, states[-1])

@@ -275,14 +275,21 @@ class TestVerifyAndSquash:
 
 class TestCompact:
     @pytest.fixture
-    def deep_chain(self, stores):
-        from repro.core import ParameterUpdateSaveService
+    def deep_chain(self, stores, tmp_path):
+        """A snapshot and five MPA levels over it: a replay chain."""
+        from repro.core import ProvenanceSaveInfo, ProvenanceSaveService, TrainRunSpec
+        from repro.nn import rng
+        from tests.core.test_recovery_plan import ShiftTrainService
 
         docs, files = stores
-        service = ParameterUpdateSaveService(DocumentStore(docs), FileStore(files))
+        service = ProvenanceSaveService(
+            DocumentStore(docs), FileStore(files), scratch_dir=tmp_path / "scratch")
         arch = ArchitectureRef.from_factory(
             "tests.test_cli", "build_probe_model", {"num_classes": 10}
         )
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        (dataset / "sample.bin").write_bytes(b"replay needs a dataset to unpack")
         model = make_tiny_cnn(seed=1)
         ids = [service.save_model(ModelSaveInfo(model, arch, use_case="U_1"))]
         for _ in range(5):
@@ -290,9 +297,14 @@ class TestCompact:
             state["5.bias"] = state["5.bias"] + 1.0
             model = make_tiny_cnn()
             model.load_state_dict(state)
-            ids.append(
-                service.save_model(ModelSaveInfo(model, arch, base_model_id=ids[-1]))
-            )
+            ids.append(service.save_model(ProvenanceSaveInfo(
+                base_model_id=ids[-1],
+                train_service=ShiftTrainService(["5.bias"], 1.0),
+                train_spec=TrainRunSpec(number_epochs=1, number_batches=1, seed=0),
+                rng_state=rng.get_rng_state(),
+                dataset_dir=dataset,
+                expected_model=model,
+            )))
         return ids
 
     def test_dry_run_prints_plan(self, stores, deep_chain, capsys):
