@@ -517,7 +517,7 @@ class ShardedFileStore(ReplicaLedger, FileStore):
     # -- manifest hooks (harvest repair metadata) ----------------------------
 
     def save_state_chunks(self, state, layer_hashes, suffix=None, workers=None, held=None,
-                          stored=frozenset()):
+                          stored=frozenset(), root=None):
         with self._meta_lock:
             for name, array in state.items():
                 digest = layer_hashes[name]
@@ -540,7 +540,7 @@ class ShardedFileStore(ReplicaLedger, FileStore):
                 self._unsynced |= waiting
         kwargs = {} if suffix is None else {"suffix": suffix}
         return super().save_state_chunks(
-            state, layer_hashes, workers=workers, held=held, stored=stored, **kwargs)
+            state, layer_hashes, workers=workers, held=held, stored=stored, root=root, **kwargs)
 
     def read_manifest(self, file_id: str) -> Mapping:
         manifest = super().read_manifest(file_id)

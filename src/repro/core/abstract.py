@@ -233,10 +233,12 @@ class AbstractSaveService:
         state = model.state_dict()
         hashes = state_dict_hashes(state)
         root = root_of(list(hashes.values()))
-        file_id = self._save_state(state, hashes, kind="params")
+        file_id = self._save_state(state, hashes, kind="params", root=root)
         return file_id, root
 
-    def _save_state(self, state, layer_hashes, kind: str, held=None, stored=()) -> str:
+    def _save_state(
+        self, state, layer_hashes, kind: str, held=None, stored=(), root=None
+    ) -> str:
         """Persist a flat state dict as content-addressed per-layer chunks.
 
         ``layer_hashes`` holds a digest per layer of the manifest, in its
@@ -244,11 +246,16 @@ class AbstractSaveService:
         double as the chunk ids.  ``held`` gives manifest entries whose
         chunks are already stored, and ``stored`` names layers of
         ``state`` whose chunks are (see
-        :meth:`~repro.filestore.FileStore.save_state_chunks`).
+        :meth:`~repro.filestore.FileStore.save_state_chunks`).  ``root``,
+        the Merkle root over ``layer_hashes`` the save folded, stays with
+        the manifest's parse, so a verified recover compares it instead of
+        folding it again.
         """
         extra = {"held": held} if held else {}
         if stored:
             extra["stored"] = stored
+        if root is not None:
+            extra["root"] = root
         return self.files.save_state_chunks(
             state, layer_hashes, suffix=f".{kind}.manifest", **extra)
 
@@ -259,16 +266,11 @@ class AbstractSaveService:
 
         With ``verified``, the store checks every layer against its digest
         as it fetches it, and each one that passed is recorded there as
-        ``name -> (array, digest)``.  A layer whose digest is in ``have``
-        is not fetched: it maps to ``None`` in the returned state and to
-        ``(None, digest)`` in ``verified``.
+        ``name -> digest``, in layer order.  A layer whose digest is in
+        ``have`` is not fetched: it maps to ``None`` in the returned state
+        and to its digest in ``verified``.
         """
-        digests = None if verified is None else {}
-        state = self.files.recover_state_chunks(file_id, verified=digests, skip=have)
-        if digests:
-            verified.update(
-                (name, (state[name], digest)) for name, digest in digests.items())
-        return state
+        return self.files.recover_state_chunks(file_id, verified=verified, skip=have)
 
     def _insert_model_document(self, document: dict) -> str:
         model_id = new_model_id()
@@ -487,8 +489,7 @@ class AbstractSaveService:
         layers = None
         if fetched is not None:
             started = self.clock.perf()
-            table = _layer_table(state, fetched)
-            actual_root = root_of(list(table.values()))
+            table, actual_root = self._recovered_root(document, state, fetched)
             if actual_root != stored_root:
                 raise VerificationError(
                     f"recovered model {model_id} fails checksum verification: "
@@ -515,6 +516,28 @@ class AbstractSaveService:
             architecture=architecture,
         )
 
+    def _recovered_root(self, document: dict, state: OrderedDict, fetched: dict):
+        """``(layer table, Merkle root)`` of a recovered ``state``, whose
+        layers in ``fetched`` passed the fetch check.
+
+        When every layer did, ``fetched`` is the whole table, and if it is
+        the digest vector of the document's manifest as the store keeps
+        its parse, the root is the one kept beside it
+        (:meth:`~repro.filestore.FileStore.manifest_root`): nothing is
+        folded.  Otherwise — an MPA level's replayed state, a layer the
+        check could not heal, a parse no longer kept — the table is
+        completed by :func:`_layer_table` and the root folded over it.
+        """
+        root = None
+        if len(fetched) == len(state) and document.get("parameters_file"):
+            table = fetched
+            root = self.files.manifest_root(document["parameters_file"], fetched.values())
+        else:
+            table = _layer_table(state, fetched)
+        if root is None:
+            root = root_of(list(table.values()))
+        return table, root
+
     # -- per-document recovery ---------------------------------------------
 
     def _recover_from_document(
@@ -525,6 +548,7 @@ class AbstractSaveService:
         cache: RecoveryCache | None = None,
         verified: dict | None = None,
         have: frozenset = frozenset(),
+        chain: tuple[str, ...] = (),
     ) -> tuple["OrderedDict", int, Callable[[], ArchitectureRef]]:
         """Recover one document's parameters: ``(state, depth, architecture)``.
 
@@ -537,8 +561,13 @@ class AbstractSaveService:
         an MPA document contributes none — its replay rewrites the layers.
         ``cache`` is consulted and filled for MPA levels only: a training
         replay is the one per-level cost a recover still pays, and the
-        depth counts those levels (DESIGN.md §16)."""
+        depth counts those levels (DESIGN.md §16).  ``chain`` holds the ids
+        of the MPA levels above this one: a base chain that comes back to
+        one of them raises :class:`RecoveryError` naming the cycle."""
         doc_id = document.get("_id")
+        if doc_id in chain:
+            raise RecoveryError(
+                "cycle in base-model chain: " + " -> ".join((*chain, doc_id)))
         approach = document.get("approach")
         with self._obs_tracer.span(
             "recover.document", doc_id=doc_id, approach=approach or "unknown",
@@ -562,7 +591,7 @@ class AbstractSaveService:
                 model, depth, architecture = hit
             else:
                 model, depth, architecture = self._recover_provenance(
-                    document, timings, execution_env, cache)
+                    document, timings, execution_env, cache, (*chain, doc_id))
                 if cache is not None:
                     cache.put(doc_id, model, architecture, depth)
             return model.state_dict(), depth, lambda: architecture
@@ -588,11 +617,12 @@ class AbstractSaveService:
         timings: dict,
         execution_env: dict,
         cache: RecoveryCache | None = None,
+        chain: tuple[str, ...] = (),
     ) -> tuple[Module, int, ArchitectureRef]:
         # derived models share their base's architecture (the relations the
         # paper covers keep the architecture fixed)
         state, depth, architecture = self._recover_from_document(
-            self._base_document(document), timings, execution_env, cache
+            self._base_document(document), timings, execution_env, cache, chain=chain
         )
         architecture = architecture()
 
@@ -706,20 +736,17 @@ def _layer_table(state: OrderedDict, verified: dict) -> "OrderedDict[str, str]":
     """Every layer's digest, in state order, from the digests verified at
     fetch.
 
-    A layer the state holds as the very array the store verified — or, as
-    ``None``, a layer the caller holds that was not fetched — contributes
-    that digest.  Every other layer — from an MPA base (replayed or
-    cached) — is hashed here, so each parameter byte is hashed once either
-    way.
+    A layer in ``verified`` — the store checked the very array the state
+    holds, or, as ``None``, a layer the caller holds that was not fetched —
+    contributes that digest.  Every other layer — from an MPA base
+    (replayed or cached), or one the check could not heal — is hashed
+    here, so each parameter byte is hashed once either way.
     """
     table = OrderedDict()
     unverified = OrderedDict()
     for name, array in state.items():
-        fetched = verified.get(name)
-        if fetched is not None and fetched[0] is array:
-            table[name] = fetched[1]
-        else:
-            table[name] = None
+        table[name] = digest = verified.get(name)
+        if digest is None:
             unverified[name] = array
     if unverified:
         table.update(state_dict_hashes(unverified))

@@ -486,14 +486,16 @@ class ModelManager:
         return files
 
     def delete_model(self, model_id: str, force: bool = False) -> None:
-        """Delete one model: its documents and file records.
+        """Delete one model: its document, and nothing else.
 
         Refuses to delete a model that derived models still depend on
         unless ``force`` is given — deleting such a model would make its
-        descendants unrecoverable.  The chunks its manifests named, its
-        code file (a PUA model names its base's) and the shared environment
-        document stay until :meth:`garbage_collect` finds nothing else
-        reaching them.
+        descendants unrecoverable.  The document's delete commits it:
+        what only the model reached — its manifest and the chunks it
+        names, its code file (a PUA model names its base's), its train and
+        wrapper documents and their state files, the shared environment
+        document — stays until :meth:`garbage_collect` finds nothing else
+        reaching it (``mmlib delete`` and the gateway's delete run one).
         """
         record = self.get(model_id)
         if record.derived_model_ids and not force:
@@ -502,21 +504,11 @@ class ModelManager:
                 f"model(s) ({record.derived_model_ids[:3]}…); deleting it would "
                 "break their recovery — pass force=True to delete anyway"
             )
-        document = self.documents.collection(MODELS).get(model_id)
-
-        shared = (document.get("architecture") or {}).get("code_file_id")
-        file_ids = [f for f in self._referenced_files(document) if f != shared]
-        train_info_id = document.get("train_info_id")
-        if train_info_id:
-            train_info = self.documents.collection(TRAIN_INFO)
-            file_ids += self._delete_wrappers(train_info.get(train_info_id))
-            train_info.delete_one(train_info_id)
-        self.files.delete_many(file_ids)
         self.documents.collection(MODELS).delete_one(model_id)
 
     def _delete_wrappers(self, train_document: dict) -> list[str]:
         """Delete a train document's wrapper documents; returns their state
-        files, for the caller to drop with the model's other files."""
+        files, for the caller to drop."""
         wrappers = self.documents.collection(WRAPPERS)
         state_files = []
         for key, value in train_document.items():

@@ -269,7 +269,8 @@ class ParameterUpdateSaveService(AbstractSaveService):
         environment_id = self._save_environment()
         # the per-layer hashes above are the chunk ids — no re-hashing here
         parameters_file = self._save_state(
-            arrays, hashes, kind="params", held=listed, stored=stored)
+            arrays, hashes, kind="params", held=listed, stored=stored,
+            root=current_tree.root_hash)
         document = {
             "base_model": base_model_id,
             "use_case": use_case,

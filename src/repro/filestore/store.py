@@ -18,6 +18,7 @@ generated *file id*.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import shutil
@@ -203,11 +204,14 @@ class ManifestMemo:
     """Parsed manifests by file id, least recently used first out, holding
     at most ``capacity`` units: a manifest weighs its layers plus two for
     its own objects, and one that alone outweighs the capacity is not kept.
-    Shared across threads, so every access holds its lock."""
+    Beside each manifest it keeps the Merkle root over its chunk digests
+    (:meth:`root`).  Shared across threads, so every access holds its lock."""
 
     def __init__(self, capacity: int = MANIFEST_MEMO_ENTRIES):
         self.capacity = int(capacity)
-        self._entries: OrderedDict[str, tuple[Mapping, int]] = OrderedDict()
+        # file id -> [manifest, weight, Merkle root, digest tuple], the
+        # last two None until first asked for (a save seeds the root)
+        self._entries: OrderedDict[str, list] = OrderedDict()
         self._load = 0
         self._lock = threading.Lock()
 
@@ -219,19 +223,41 @@ class ManifestMemo:
             self._entries.move_to_end(file_id)
             return hit[0]
 
-    def put(self, file_id: str, manifest: Mapping) -> Mapping:
-        """Keep ``manifest``, evicting the least recently used; returns it."""
+    def put(self, file_id: str, manifest: Mapping, root: str | None = None) -> Mapping:
+        """Keep ``manifest`` (with ``root``, the Merkle root over its
+        digests if the caller has it), evicting the least recently used;
+        returns it."""
         weight = len(manifest["layers"]) + 2
         if weight > self.capacity:
             return manifest
         with self._lock:
             if file_id not in self._entries:
-                self._entries[file_id] = (manifest, weight)
+                self._entries[file_id] = [manifest, weight, root, None]
                 self._load += weight
                 while self._load > self.capacity:
-                    _file_id, (_manifest, evicted) = self._entries.popitem(last=False)
-                    self._load -= evicted
+                    evicted = self._entries.popitem(last=False)[1]
+                    self._load -= evicted[1]
         return manifest
+
+    def root(self, file_id: str, digests: Iterable[str]) -> str | None:
+        """The Merkle root over ``digests`` if they are manifest
+        ``file_id``'s chunk digests, in layer order: the root it was kept
+        with, else folded now and kept.  ``None`` when the manifest is not
+        kept or its digests are not ``digests``."""
+        with self._lock:
+            hit = self._entries.get(file_id)
+        if hit is None:
+            return None
+        if hit[3] is None:
+            hit[3] = tuple(meta["chunk"] for _name, meta in hit[0]["layers"])
+        if tuple(digests) != hit[3]:
+            return None
+        if hit[2] is None:
+            # lazy import: repro.core imports this module at package init
+            from ..core.merkle import root_of
+
+            hit[2] = root_of(hit[3])
+        return hit[2]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -271,11 +297,16 @@ def chunk_intact(digest: str, data, layer: Mapping | None = None) -> bool:
     from ..core.hashing import tensor_hash
 
     try:
-        array = np.frombuffer(data, dtype=np.dtype(layer["dtype"])).reshape(
-            layer["shape"])
+        array = np.frombuffer(data, dtype=_dtype(layer["dtype"])).reshape(layer["shape"])
     except ValueError:  # payload size disagrees with the manifest
         return False
     return tensor_hash(array) == digest
+
+
+@functools.lru_cache(maxsize=64)
+def _dtype(name: str) -> np.dtype:
+    """The numpy dtype a manifest entry's ``dtype`` string names."""
+    return np.dtype(name)
 
 
 def _layer_array(meta: Mapping, data) -> np.ndarray | None:
@@ -291,7 +322,7 @@ def _layer_array(meta: Mapping, data) -> np.ndarray | None:
     if not isinstance(data, bytearray):
         data = bytearray(data)
     try:
-        return np.frombuffer(data, dtype=np.dtype(meta["dtype"])).reshape(meta["shape"])
+        return np.frombuffer(data, dtype=_dtype(meta["dtype"])).reshape(meta["shape"])
     except ValueError:
         return None
 
@@ -806,6 +837,7 @@ class FileStore:
         workers: int | None = None,
         held: Mapping[str, Mapping] | None = None,
         stored: Collection[str] = frozenset(),
+        root: str | None = None,
     ) -> str:
         """Save a flat state dict as per-layer chunks plus a manifest.
 
@@ -828,7 +860,10 @@ class FileStore:
         the manifest record, before the one group fsync that covers them
         all.  Returns the manifest's file id, which carries the
         ``.manifest`` suffix so recovery, deletion, and sizing recognize
-        it; the parse memo starts out holding the manifest.  The whole save
+        it; the parse memo starts out holding the manifest, and beside it
+        ``root`` — the Merkle root over ``layer_hashes``' values in order,
+        which the caller has already folded — so that :meth:`manifest_root`
+        need not fold it again.  The whole save
         runs under :meth:`hold` shared, so no sweep falls between a chunk
         found stored and the manifest that names it.
         """
@@ -874,7 +909,7 @@ class FileStore:
             self.chunks.flush()
             parsed = self._specs.get(spec_key) or self._specs.put(spec_key, parsed)
             self._manifests.put(
-                file_id, _manifest_view(file_id, spec_key, parsed, digests, self._entries))
+                file_id, _manifest_view(file_id, spec_key, parsed, digests, self._entries), root)
             return file_id
 
     @staticmethod
@@ -916,7 +951,9 @@ class FileStore:
         A layer whose content digest is in ``skip`` — bytes the caller
         already holds — is not fetched: it maps to ``None`` in the returned
         state and to that digest in ``verified``, for the caller's Merkle
-        root to vouch for (DESIGN.md §15.2).
+        root to vouch for (DESIGN.md §15.2).  ``verified`` is filled in
+        layer order, so when it holds every layer it is the manifest's
+        digest vector, whose root :meth:`manifest_root` keeps.
 
         No returned array shares memory with another, with the chunk
         cache, or with a later call's: each is the buffer its chunk was
@@ -925,68 +962,70 @@ class FileStore:
         strict = self.verify_reads if verify is None else bool(verify)
         check = strict or verified is not None
         with self._obs_tracer.span("store.recover_chunks", file_id=file_id) as sp:
-            merged = dict(self.read_manifest(file_id)["layers"])
-            held = {}
+            layers = self.read_manifest(file_id)["layers"]
+            wanted = [meta["chunk"] for _name, meta in layers]
             if skip:
-                held = {
-                    name: meta["chunk"] for name, meta in merged.items()
-                    if meta["chunk"] in skip
-                }
-            plan = [(name, meta) for name, meta in merged.items() if name not in held]
-            sp.set(layers=len(plan), held=len(held))
+                wanted = [digest for digest in wanted if digest not in skip]
+            sp.set(layers=len(wanted), held=len(layers) - len(wanted))
             # the payloads are digest-checked below, so their record CRC
             # may be skipped — unless the cache hands them to others
-            payloads = self.get_chunks(
-                [meta["chunk"] for _, meta in plan],
-                crc=not check or self.chunk_cache is not None)
+            payloads = self.get_chunks(wanted, crc=not check or self.chunk_cache is not None)
             # one fetched buffer may back several layers (identical tensors
             # share a digest): its first reference gets the buffer, every
             # later one a copy of it
-            claimed: set[str] = set()
-            state: "OrderedDict[str, np.ndarray | None]" = OrderedDict.fromkeys(merged)
-            for name, meta in plan:
+            first: dict[str, str] = {}
+            state: "OrderedDict[str, np.ndarray | None]" = OrderedDict()
+            for name, meta in layers:
                 digest = meta["chunk"]
+                if digest in skip:
+                    state[name] = None
+                    continue
                 data = payloads[digest]
-                if digest in claimed:
+                if digest in first:
                     data = bytearray(data)
-                claimed.add(digest)
-                state[name] = _layer_array(meta, data)
+                else:
+                    first[digest] = name
+                array = state[name] = _layer_array(meta, data)
+                if array is None and not check:
+                    self._misfit(name, digest)
             if check:
-                self._check_layers(plan, state, strict, verified)
-            if verified is not None:
-                verified.update(held)
-            for name, meta in plan:
-                if state[name] is None:
-                    self._cache_discard(meta["chunk"])
-                    raise StoreCorruptionError(
-                        f"layer {name!r} is corrupt: its chunk payload does not "
-                        f"fit the manifest entry (chunk {meta['chunk'][:12]})"
-                    )
+                self._check_layers(layers, state, first, skip, strict, verified)
             return state
 
-    def _check_layers(self, plan, state, strict, verified) -> None:
-        """Hash each distinct layer once, in byte-balanced runs on the shared
-        pool; heal the layers that fail, record the ones that pass.
+    def _check_layers(self, layers, state, first, skip, strict, verified) -> None:
+        """Hash each distinct fetched layer once, in byte-balanced runs on
+        the shared pool; heal the layers that fail, record in ``verified``,
+        in layer order, the ones that pass and the ones in ``skip``.
 
-        Layers with the same digest were rebuilt from the same fetched
-        payload — one of them holds the buffer, the rest copies of it — so
-        the first one's hash checks them all.
+        ``first`` maps each fetched digest to the layer rebuilt over its
+        payload; the others with that digest hold copies of it, so its
+        hash checks them all.
         """
         # lazy import: repro.core imports this module at package init
         from ..core.hashing import state_dict_hashes
 
-        first: dict[str, str] = {}
-        for name, meta in plan:
-            if state[name] is not None:
-                first.setdefault(meta["chunk"], name)
-        hashes = state_dict_hashes({name: state[name] for name in first.values()})
-        for name, meta in plan:
+        hashes = state_dict_hashes(
+            {name: state[name] for name in first.values() if state[name] is not None})
+        for name, meta in layers:
             digest = meta["chunk"]
-            intact = hashes.get(first.get(digest)) == digest
-            if not intact:
-                state[name], intact = self._heal_layer(name, meta, state[name], strict)
+            if digest in skip:
+                intact = True
+            else:
+                intact = hashes.get(first[digest]) == digest
+                if not intact:
+                    state[name], intact = self._heal_layer(name, meta, state[name], strict)
+                    if state[name] is None:
+                        self._misfit(name, digest)
             if intact and verified is not None:
                 verified[name] = digest
+
+    def _misfit(self, name: str, digest: str) -> None:
+        """Raise for layer ``name``, whose chunk payload does not fit its
+        manifest entry, first dropping the payload from the cache."""
+        self._cache_discard(digest)
+        raise StoreCorruptionError(
+            f"layer {name!r} is corrupt: its chunk payload does not fit the "
+            f"manifest entry (chunk {digest[:12]})")
 
     def _heal_layer(self, name, meta, array, strict):
         """Re-fetch the chunk of one layer that failed its check.
@@ -1031,6 +1070,16 @@ class FileStore:
             manifest = self._manifests.put(file_id, _manifest_view(
                 file_id, spec_key, self._spec(file_id, spec_key), digests, self._entries))
         return manifest
+
+    def manifest_root(self, file_id: str, digests: Iterable[str]) -> str | None:
+        """The Merkle root over ``digests`` if they are the chunk digests
+        of manifest ``file_id`` as its kept parse holds them, in layer
+        order: the root the save that wrote it passed, else folded once,
+        the first time it is asked for.  ``None`` when the parse is not
+        kept or names other digests.  Reads nothing: the parse is of bytes
+        a :meth:`read_manifest` of ``file_id`` checked, the only bytes that
+        id names."""
+        return self._manifests.root(file_id, digests)
 
     def _spec(self, file_id: str, key: str) -> Mapping:
         """The parsed spec record ``key`` that manifest ``file_id`` names."""

@@ -706,8 +706,9 @@ class Skeleton:
         :meth:`Module.load_state_dict`'s, strict: a key set other than
         ``spec``'s raises ``KeyError`` before anything is built, a shape
         other than the layer's ``ValueError``; each value is cast to the
-        layer's dtype and adopted under ``assign`` if its layout allows,
-        else copied.  ``requires_grad`` is the skeleton's.  The second
+        layer's dtype (an ``ndarray`` of exactly its dtype and shape needs
+        no cast) and adopted under ``assign`` if its layout allows, else
+        copied.  ``requires_grad`` is the skeleton's.  The second
         value maps every layer the model does not hold as ``state``'s own
         array to the array it holds instead.
         """
@@ -734,7 +735,11 @@ class Skeleton:
         copies: OrderedDict[str, np.ndarray] = OrderedDict()
         for index, key, name, placeholder, slot in self._tensors:
             value = state[key]
-            array = _loaded(key, value, placeholder, assign)
+            if (assign and type(value) is np.ndarray and value.dtype == placeholder.dtype
+                    and value.shape == placeholder.shape):
+                array = _adopt_or_copy(value, assign)  # exactly typed: nothing to cast
+            else:
+                array = _loaded(key, value, placeholder, assign)
             if array is not value:
                 copies[key] = array
             if slot is None:

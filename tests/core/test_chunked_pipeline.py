@@ -195,9 +195,9 @@ class TestDedup:
             manager.delete_model(model_id, force=True)
         stats = manager.garbage_collect()
         assert len(file_store.chunks) == 0
-        # the deletes dropped the manifests; each code file waits for gc,
-        # since a PUA model may share its base's
-        assert stats["files_removed"] == len(ids)
+        # a delete drops the model document alone: each manifest and code
+        # file waits for gc
+        assert stats["files_removed"] == 2 * len(ids)
 
 
 class TestNoFileUnderTheRoot:

@@ -8,6 +8,10 @@ stores exactly as it found them (its records and documents are orphans
 fsck's sweep and orphan-document sweep reclaim), one that died after
 it is saved and recovers bitwise, no previously saved model is lost, and
 a subsequent save succeeds.  Single store and 3x2 cluster alike.
+
+A delete commits by the model document's delete alone, so a delete and
+the gc after it, killed at any operation, leave the model either listed
+and recoverable or gone with only orphans for fsck to reclaim.
 """
 
 import numpy as np
@@ -19,15 +23,19 @@ from repro.core import (
     ModelManager,
     ModelSaveInfo,
     ParameterUpdateSaveService,
+    ProvenanceSaveInfo,
     ProvenanceSaveService,
+    TrainRunSpec,
 )
 from repro.core.schema import ENVIRONMENTS, MODELS, TRAIN_INFO, WRAPPERS
 from repro.distsim.environment import SharedStores
 from repro.docstore import DocumentStore
 from repro.faults import CrashPoint, FaultInjector, FaultyDocumentStore
 from repro.filestore import ChunkStore, FileStore
+from repro.nn import rng
 from repro.retry import RetryPolicy
 from tests.conftest import make_tiny_cnn
+from tests.core.test_recovery_plan import ShiftTrainService
 
 
 def build_probe_model(num_classes=10):
@@ -328,6 +336,101 @@ class TestCrashThenRestartFromDisk:
         assert catalog(manager) == {base_id, second_id} | committed
         assert_states_equal(base, service.recover_model(base_id).model)
         assert_states_equal(victim, service.recover_model(second_id).model)
+
+
+class KeptStateTrainService(ShiftTrainService):
+    """A :class:`ShiftTrainService` whose save also keeps a wrapper
+    document with a state file, as an optimizer's wrapper does."""
+
+    def save(self, collections, file_store):
+        state_file = file_store.save_bytes(b"optimizer state", suffix=".state")
+        wrapper = collections.collection(WRAPPERS).insert_one({"state_file_id": state_file})
+        return collections.collection(TRAIN_INFO).insert_one({
+            "service_class": f"{__name__}.KeptStateTrainService",
+            "layers": self.layers, "amount": self.amount, "optimizer_wrapper": wrapper,
+        })
+
+
+def save_victim(service, kind, base_id, dataset):
+    """A leaf model over ``base_id`` to delete: a BA snapshot, a PUA
+    update or an MPA level (a train document, a wrapper and its state
+    file, a dataset file); returns its id and the model it recovers to."""
+    if kind != "MPA":
+        victim = make_tiny_cnn(seed=2)
+        return service.save_model(ModelSaveInfo(
+            victim, tiny_arch(), base_model_id=base_id, use_case="U_2")), victim
+    trained = make_tiny_cnn(seed=1)
+    trained.state_dict()["5.bias"][...] += 1.0
+    model_id = service.save_model(ProvenanceSaveInfo(
+        base_model_id=base_id,
+        train_service=KeptStateTrainService(["5.bias"], 1.0),
+        train_spec=TrainRunSpec(number_epochs=1, number_batches=1, seed=0),
+        rng_state=rng.get_rng_state(),
+        dataset_dir=dataset,
+        expected_model=trained,
+    ))
+    return model_id, trained
+
+
+class TestADeleteCommitsByItsDocument:
+    @pytest.mark.parametrize("kind", ["BA", "PUA", "MPA"])
+    def test_a_delete_and_its_gc_killed_at_every_step(self, kind, tmp_path):
+        """Kill ``delete_model`` + ``garbage_collect`` at every operation
+        and restart the stores from disk: either the model is listed and
+        recovers bitwise (the delete had not committed), or it is gone
+        and fsck repairs nothing but orphans, leaving the stores as they
+        were before the model was saved."""
+        faults = FaultInjector(seed=0)
+        service_cls = {"BA": BaselineSaveService, "PUA": ParameterUpdateSaveService,
+                       "MPA": ProvenanceSaveService}[kind]
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        (dataset / "sample.bin").write_bytes(b"replay needs a dataset to unpack")
+
+        def restart():
+            docs = FaultyDocumentStore(DocumentStore(tmp_path / "docs"), faults)
+            files = FileStore(tmp_path / "files", faults=faults, tmp_grace_s=0.0)
+            service = service_cls(docs, files, scratch_dir=tmp_path / "scratch")
+            return service, ModelManager(service)
+
+        service, manager = restart()
+        base = make_tiny_cnn(seed=1)
+        base_id = service.save_model(ModelSaveInfo(base, tiny_arch(), use_case="U_1"))
+        clean = store_state(manager)
+        crashes = listed = 0
+        for at in range(1, 400):
+            victim_id, victim = save_victim(service, kind, base_id, dataset)
+            faults.arm_crash(at)
+            try:
+                manager.delete_model(victim_id)
+                manager.garbage_collect()
+            except CrashPoint:
+                crashes += 1
+                service, manager = restart()
+                label = f"crash at {at}"
+                if victim_id in catalog(manager):
+                    listed += 1
+                    assert_states_equal(victim, service.recover_model(victim_id).model)
+                    assert manager.fsck(repair=False).clean, label
+                    manager.delete_model(victim_id)
+                    manager.garbage_collect()
+                else:
+                    report = manager.fsck()
+                    assert not report.unrepaired, f"{label}: {report.summary()}"
+                    kinds = {issue.kind for issue in report.issues}
+                    assert kinds <= {"orphan_file", "orphan_chunk", "orphan_document"}, label
+                    assert manager.fsck().clean, f"{label}: second fsck dirty"
+                assert store_state(manager) == clean, label
+                assert_states_equal(base, service.recover_model(base_id).model)
+            else:
+                break
+        else:
+            pytest.fail("delete and gc never completed")
+        faults.crash_at = None
+        assert listed >= 1 and crashes - listed >= 3, (crashes, listed)
+        service, manager = restart()
+        assert manager.fsck().clean
+        assert store_state(manager) == clean
 
 
 @pytest.mark.parametrize("service_cls", [BaselineSaveService, ParameterUpdateSaveService],

@@ -9,7 +9,9 @@ manifest whatever the lineage depth.
 """
 
 import asyncio
+import sys
 import tempfile
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -114,6 +116,132 @@ class TestOneReadPerRecover:
             response = asyncio.run(layers())
         assert dict(response["layers"]) == state_dict_hashes(states[-1])
         assert counts == {"documents": 1, "manifests": 1}
+
+
+def counting_folds(monkeypatch) -> Counter:
+    """Count ``root_of`` calls and ``combine_hashes`` calls (the fold's
+    steps) from now on, wherever the recover path reaches them."""
+    from repro.core import abstract, merkle
+
+    counts = Counter()
+    combine, root_of = merkle.combine_hashes, merkle.root_of
+
+    def counted_combine(left, right):
+        counts["combine_hashes"] += 1
+        return combine(left, right)
+
+    def counted_root_of(leaves):
+        counts["root_of"] += 1
+        return root_of(leaves)
+
+    monkeypatch.setattr(merkle, "combine_hashes", counted_combine)
+    monkeypatch.setattr(merkle, "root_of", counted_root_of)
+    monkeypatch.setattr(abstract, "root_of", counted_root_of)
+    return counts
+
+
+def set_root(documents, model_id, root) -> None:
+    models = documents.collection(MODELS)
+    document = models.get(model_id)
+    document["merkle_root"] = root
+    models.replace_one(model_id, document)
+
+
+class TestOneRootFoldPerManifest:
+    """A manifest's Merkle root is kept with its parse: the save that wrote
+    it seeds it, a store that only reads it folds it once, and a verified
+    recover of a model whose every layer passed the fetch check compares
+    the document's root with it."""
+
+    @pytest.mark.parametrize("cluster", [False, True])
+    def test_verified_recovers_after_a_save_fold_nothing(self, tmp_path, monkeypatch, cluster):
+        stores = open_stores(tmp_path, cluster)
+        service = ParameterUpdateSaveService(stores.documents, stores.files)
+        ids, states = save_pua_chain(service, 3, layers=("5.bias", "5.weight"))
+        counts = counting_folds(monkeypatch)
+        for _ in range(2):
+            for model_id, state in zip(ids, states):
+                recovered = assert_recovers(service, model_id, state)
+                assert set(recovered.timings) == {"load", "recover", "check_env", "check_hash"}
+            layers = service.recover_layers(ids[-1], have={state_dict_hashes(states[-1])["5.bias"]})
+            assert layers.layers == list(state_dict_hashes(states[-1]).items())
+        assert counts == {}
+
+    def test_a_fresh_store_folds_once_per_manifest(self, tmp_path, monkeypatch):
+        documents = DocumentStore()
+        service = ParameterUpdateSaveService(documents, FileStore(tmp_path / "files"))
+        ids, states = save_pua_chain(service, 3)
+        fresh = ParameterUpdateSaveService(documents, FileStore(tmp_path / "files"))
+        counts = counting_folds(monkeypatch)
+        for model_id, state in zip(ids, states):
+            assert_recovers(fresh, model_id, state)
+        assert counts == {"root_of": len(ids), "combine_hashes": len(ids) * (len(states[0]) - 1)}
+        counts.clear()
+        for model_id, state in zip(ids, states):
+            assert_recovers(fresh, model_id, state)
+        assert fresh.recover_layers(ids[-1]).verified is True
+        assert counts == {}
+
+    def test_threads_sharing_a_fresh_store_fold_and_compare_consistently(self, tmp_path):
+        documents = DocumentStore()
+        service = ParameterUpdateSaveService(documents, FileStore(tmp_path / "files"))
+        ids, states = save_pua_chain(service, 3)
+        fresh = ParameterUpdateSaveService(documents, FileStore(tmp_path / "files"))
+        errors = []
+
+        def worker(offset):
+            try:
+                for step in range(12):
+                    index = (offset + step) % len(ids)
+                    assert_recovers(fresh, ids[index], states[index])
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads), errors
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_an_altered_root_fails_verification(self, tmp_path, fresh):
+        documents = DocumentStore()
+        service = ParameterUpdateSaveService(documents, FileStore(tmp_path / "files"))
+        ids, states = save_pua_chain(service, 2)
+        if fresh:
+            service = ParameterUpdateSaveService(documents, FileStore(tmp_path / "files"))
+            assert_recovers(service, ids[-1], states[-1])  # folds and keeps the root
+        other = documents.collection(MODELS).get(ids[0])["merkle_root"]
+        set_root(documents, ids[-1], other)
+        with pytest.raises(VerificationError):
+            service.recover_model(ids[-1])
+        with pytest.raises(VerificationError):
+            service.recover_layers(ids[-1])
+        assert_recovers(service, ids[0], states[0])
+
+    def test_an_mpa_tip_still_hashes_its_replayed_layers(self, tmp_path, monkeypatch):
+        from repro.core import abstract
+        from tests.core.test_recovery_plan import save_mpa_chain
+
+        documents = DocumentStore()
+        service, ids, states = save_mpa_chain(documents, FileStore(tmp_path / "files"), tmp_path, 1)
+        hashed = []
+        hash_state = abstract.state_dict_hashes
+        monkeypatch.setattr(abstract, "state_dict_hashes",
+                            lambda state: hashed.extend(state) or hash_state(state))
+        counts = counting_folds(monkeypatch)
+        assert_recovers(service, ids[1], states[1])
+        assert hashed == list(states[1])  # every replayed layer, once
+        assert counts["root_of"] == 1
+        set_root(documents, ids[1], documents.collection(MODELS).get(ids[0])["merkle_root"])
+        with pytest.raises(VerificationError):
+            service.recover_model(ids[1])
 
 
 class TestTheFormat:

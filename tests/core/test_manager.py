@@ -127,9 +127,11 @@ class TestDeletion:
         manifest = document["parameters_file"]
         assert manager.files.exists(manifest)
         manager.delete_model(ids["b"])
-        assert not manager.files.exists(manifest)
         with pytest.raises(ModelNotFoundError):
             manager.get(ids["b"])
+        assert manager.files.exists(manifest)  # the document's delete commits
+        manager.garbage_collect()
+        assert not manager.files.exists(manifest)
 
     def test_force_deletes_despite_dependents(self, setup):
         manager, ids = setup
@@ -306,6 +308,7 @@ class TestPromoteAndSquash:
         before = file_store.total_bytes()
         assert manager.squash_chain(chain[-1]) == 5
         assert len(manager.list_models()) == 1
+        manager.garbage_collect()
         assert file_store.total_bytes() < before
 
 

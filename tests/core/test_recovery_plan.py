@@ -371,6 +371,18 @@ class TestWalk:
             service.base_chain(ids[2])
         assert_recovers(service, ids[2], states[2])  # no walk to loop in
 
+    def test_a_cycle_of_mpa_levels_is_a_recovery_error(self, tmp_path):
+        documents = DocumentStore()
+        service, ids, _states = save_mpa_chain(
+            documents, FileStore(tmp_path / "files"), tmp_path, 2)
+        models = documents.collection(MODELS)
+        level = models.get(ids[1])
+        level["base_model"] = ids[2]  # two MPA levels, each the other's base
+        models.replace_one(ids[1], level)
+        cycle = f"{ids[2]} -> {ids[1]} -> {ids[2]}"
+        with pytest.raises(RecoveryError, match=f"cycle in base-model chain: {cycle}"):
+            service.recover_model(ids[2])
+
 
 # -- (c) recovery_depth counts the replayed levels -------------------------
 

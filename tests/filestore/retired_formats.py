@@ -43,7 +43,7 @@ def older_release(service, layer_hashes: bool = True):
     table: list[dict] = []  # the running save's
     insert = service._insert_model_document
 
-    def save_state(state, hashes, kind, held=None):
+    def save_state(state, hashes, kind, held=None, root=None):
         table[:] = [dict(hashes)]
         suffix = f".{kind}{MANIFEST_SUFFIX}"
         if isinstance(files, RetiredFormatStore) and files.manifest != "v3":
@@ -139,7 +139,7 @@ class RetiredFormatStore(FileStore):
         self.piece_bytes = int(piece_bytes)
 
     def save_state_chunks(self, state, layer_hashes, suffix=".params" + MANIFEST_SUFFIX,
-                          workers=None, held=None, stored=frozenset()):
+                          workers=None, held=None, stored=frozenset(), root=None):
         if self.manifest == "params":
             return self.save_bytes(
                 serialization.dumps(state), suffix=suffix[: -len(MANIFEST_SUFFIX)])
@@ -147,7 +147,8 @@ class RetiredFormatStore(FileStore):
             return self._save_v2(state, layer_hashes, suffix)
         if self.manifest == "v1":
             return write_v1(self, state, layer_hashes, suffix, held)
-        return super().save_state_chunks(state, layer_hashes, suffix, workers, held, stored)
+        return super().save_state_chunks(
+            state, layer_hashes, suffix, workers, held, stored, root)
 
     def _put_chunk_data(self, digest, buffer):
         # older releases framed chunk records, never files (files were not
