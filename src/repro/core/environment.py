@@ -138,9 +138,10 @@ def _installed_libraries() -> dict[str, str]:
     MetadataPathFinder().invalidate_caches()
     libraries = {}
     for distribution in importlib.metadata.distributions():
-        name = distribution.metadata.get("Name")
+        md = distribution.metadata  # parses METADATA; ``.version`` would again
+        name = md.get("Name")
         if name:
-            libraries[name.lower()] = distribution.version
+            libraries[name.lower()] = md.get("Version")
     return dict(sorted(libraries.items()))
 
 

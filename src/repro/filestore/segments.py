@@ -6,7 +6,15 @@ length, crc)``), LSM-style:
 
 * **Group fsync** — appends are acknowledged immediately and made
   durable by one batched :meth:`ChunkStore.flush` per save, so a
-  thousand-chunk save costs one fsync instead of a thousand.
+  thousand-chunk save costs one fsync instead of a thousand.  Each record
+  is one ``pwritev``, and every :data:`WRITEBACK_BYTES` of a batch's
+  appends the writer asks the kernel to start writing them back
+  (``sync_file_range(SYNC_FILE_RANGE_WRITE)``, which waits for nothing), so
+  the device works while the save still hashes and appends and the fsync
+  waits only for the tail.  The fsync stays the only barrier: a hinted
+  record is unsynced until it, and the hint makes no crash state that
+  the kernel's own writeback could not (the record crc catches a torn
+  tail either way).
 * **Sealed segments carry a footer** — a catalog of their records — so
   reopening a store bulk-loads the index from footers instead of
   rescanning payloads.
@@ -92,6 +100,9 @@ DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
 #: Compaction rewrites sealed segments whose live ratio falls below this.
 COMPACT_THRESHOLD = 0.5
 
+#: Unsynced append bytes after which a writer starts their writeback.
+WRITEBACK_BYTES = 1 << 20
+
 SEGMENT_SUFFIX = ".seg"
 SEGMENT_MAGIC = b"MMSEG1\n\x00"
 SEGMENT_VERSION = 1
@@ -117,6 +128,49 @@ IOV_MAX = _iov_max()
 #: Payload bytes one scatter read may fill: a batched read holds the store's
 #: lock for one such read at a time.
 MAX_RUN_BYTES = 4 << 20
+
+
+_SYNC_FILE_RANGE_WRITE = 2
+_UNRESOLVED = object()
+#: libc's ``sync_file_range``, resolved on first use; ``None`` where the
+#: platform has none (the writeback hint is then skipped).
+_sync_file_range = _UNRESOLVED
+
+
+def _start_writeback(fd: int, offset: int, nbytes: int) -> None:
+    """Ask the kernel to start writing ``nbytes`` at ``offset`` back,
+    without waiting: a hint, so a failure is ignored and durability is
+    still only :func:`os.fsync`'s."""
+    global _sync_file_range
+    if _sync_file_range is _UNRESOLVED:
+        import ctypes  # the main program's symbols: no library search
+
+        try:
+            function = ctypes.CDLL(None, use_errno=True).sync_file_range
+        except (AttributeError, OSError, TypeError):
+            function = None
+        else:
+            function.argtypes = (ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
+                                 ctypes.c_uint)
+            function.restype = ctypes.c_int
+        _sync_file_range = function
+    if _sync_file_range is not None:
+        _sync_file_range(fd, offset, nbytes, _SYNC_FILE_RANGE_WRITE)
+
+
+def _write_record(fileobj, start: int, parts) -> int:
+    """Write ``parts`` back to back at ``start`` in one ``pwritev``; a
+    short write (a filling disk) is finished by :func:`write_all`.
+    Returns the offset past the record."""
+    total = sum(map(len, parts))
+    written = os.pwritev(fileobj.fileno(), parts, start) if hasattr(os, "pwritev") else 0
+    if written < total:
+        fileobj.seek(start + written)
+        for part in parts:
+            if written < len(part):
+                write_all(fileobj, memoryview(part)[written:])
+            written = max(0, written - len(part))
+    return start + total
 
 
 class ChunkNotFoundError(KeyError):
@@ -271,6 +325,7 @@ class ChunkStore:
         self._active_end = 0
         self._dirty = False  # unsynced appends in the active segment
         self._synced_end = 0  # where the active segment's unsynced appends start
+        self._hinted_end = 0  # where its last writeback hint ended
         # index differs from index.json; written out by whatever deletes,
         # seals or closes — never by a save (its appends are rescannable)
         self._index_dirty = False
@@ -724,7 +779,7 @@ class ChunkStore:
                 return False
             self._ensure_active_locked()
             if not self._dirty:
-                self._synced_end = self._active_end
+                self._synced_end = self._hinted_end = self._active_end
             digest_raw = digest.encode("utf-8")
             view = memoryview(buffer)
             if view.ndim != 1 or view.format != "B":
@@ -735,18 +790,17 @@ class ChunkStore:
             eview = encoded if isinstance(encoded, memoryview) else memoryview(encoded)
             crc = zlib.crc32(eview)
             head = record_header(digest_raw, crc, eview.nbytes)
-            fileobj = self._active_file
-            fileobj.seek(self._active_end)  # overwrite any earlier torn tail
-            write_all(fileobj, head)
-            write_all(fileobj, digest_raw)
-            write_all(fileobj, eview)
-            payload_off = self._active_end + len(head) + len(digest_raw)
+            # at the logical end: overwrites any earlier torn tail
+            end = _write_record(self._active_file, self._active_end, (head, digest_raw, eview))
             self._set_entry_locked(
-                digest, (self._active_name, payload_off, eview.nbytes, crc))
+                digest, (self._active_name, end - eview.nbytes, eview.nbytes, crc))
             meta = self._segmeta[self._active_name]
             meta["total"] += eview.nbytes
-            self._active_end = payload_off + eview.nbytes
-            meta["scanned"] = self._active_end
+            self._active_end = meta["scanned"] = end
+            if end - self._hinted_end >= WRITEBACK_BYTES:
+                _start_writeback(self._active_file.fileno(), self._hinted_end,
+                                 end - self._hinted_end)
+                self._hinted_end = end
             self._account_put(raw_nbytes, stored_nbytes=eview.nbytes)
             self._dirty = True
             self._index_dirty = True
@@ -1138,13 +1192,13 @@ class ChunkStore:
             entry[2] for _d, entry in moves)
         tmp_path = self.segments_dir / (dest + ".tmp")
         new_entries: dict[str, tuple[str, int, int, int]] = {}
-        offset = HEADER.size
+        offset = hinted = HEADER.size
         total_live = 0
         # a crash or corruption before the commit point leaves a partial
         # tmp for the grace sweep: the victims are untouched
-        with open(tmp_path, "wb") as out:
+        with open(tmp_path, "wb", buffering=0) as out:
             self._obs_files_created.inc()
-            out.write(HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, self._seq))
+            write_all(out, HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, self._seq))
             for digest, entry in moves:
                 payload = self._read_intact_locked(entry)
                 if payload is None:
@@ -1152,19 +1206,19 @@ class ChunkStore:
                         f"chunk {digest!r} is corrupt: compaction read "
                         f"failed its CRC check")
                 digest_raw = digest.encode("utf-8")
-                out.write(record_header(digest_raw, entry[3], entry[2]))
-                out.write(digest_raw)
-                out.write(payload)
-                payload_off = offset + RECORD_HEADER.size + len(digest_raw)
-                new_entries[digest] = (dest, payload_off, entry[2], entry[3])
-                offset = payload_off + entry[2]
+                offset = _write_record(
+                    out, offset, (record_header(digest_raw, entry[3], entry[2]),
+                                  digest_raw, payload))
+                new_entries[digest] = (dest, offset - entry[2], entry[2], entry[3])
                 total_live += entry[2]
+                if offset - hinted >= WRITEBACK_BYTES:
+                    _start_writeback(out.fileno(), hinted, offset - hinted)
+                    hinted = offset
                 self._obs_moves.inc()
                 self._hook("chunk.compact")
             records = sorted(
                 [d, e[1], e[2], e[3]] for d, e in new_entries.items())
-            out.write(self._pack_footer({"end": offset, "records": records}))
-            out.flush()
+            _write_record(out, offset, (self._pack_footer({"end": offset, "records": records}),))
             os.fsync(out.fileno())
             self._obs_fsyncs.inc()
         self._hook("chunk.compact")

@@ -224,3 +224,43 @@ class TestTheIdIsHashedOncePerEnumeration:
         assert after not in before and len(hashed) == 2
         assert environments.get(after)["libraries"]["newdist"] == "1.0"
         assert environment_id(environments.get(after)) == after
+
+
+def two_parse_reference() -> dict[str, str]:
+    """What the enumeration returned when it parsed ``METADATA`` for the
+    name and again for ``.version``."""
+    libraries = {}
+    for distribution in importlib.metadata.distributions():
+        name = distribution.metadata.get("Name")
+        if name:
+            libraries[name.lower()] = distribution.version
+    return dict(sorted(libraries.items()))
+
+
+class TestOneParsePerDistribution:
+    def test_each_metadata_is_read_once_per_enumeration(self, site, tmp_path, monkeypatch):
+        metadata(site)
+        metadata(site, "bar", "2.0")
+        archive = tmp_path / "dists.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            zf.writestr("baz-3.0.dist-info/METADATA",
+                        "Metadata-Version: 2.1\nName: baz\nVersion: 3.0\n")
+        monkeypatch.setattr(environment.sys, "path", [str(site), str(archive)])
+        reads = []
+        real = importlib.metadata.PathDistribution.read_text
+
+        def counting(distribution, filename):
+            if filename == "METADATA":
+                reads.append(str(distribution._path))
+            return real(distribution, filename)
+
+        monkeypatch.setattr(importlib.metadata.PathDistribution, "read_text", counting)
+        for _ in range(2):
+            reads.clear()
+            assert environment._installed_libraries() == {
+                "bar": "2.0", "baz": "3.0", "foo": "1.0"}
+            assert sorted(reads) == sorted(set(reads)) and len(reads) == 3
+
+    def test_the_result_equals_the_two_parse_reference(self):
+        """Over this interpreter's own distributions."""
+        assert environment._installed_libraries() == two_parse_reference()

@@ -1,6 +1,7 @@
 """Segment-based chunk store: append-only segments, group fsync, compaction."""
 
 import os
+import sys
 import time
 
 import numpy as np
@@ -11,9 +12,10 @@ from repro.core.hashing import state_dict_hashes
 from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import ChunkNotFoundError, ChunkStore, FileStore
+from repro.filestore import segments
 from repro.filestore import upgrade as chunk_codecs
-from repro.filestore.recordlog import RecordLog
-from repro.filestore.segments import SEGMENT_SUFFIX
+from repro.filestore.recordlog import RECORD_HEADER, RecordLog
+from repro.filestore.segments import SEGMENT_SUFFIX, WRITEBACK_BYTES
 
 
 def payload(index: int, size: int = 512) -> bytes:
@@ -439,3 +441,123 @@ class TestFileStoreIntegration:
         [checkpoint] = RecordLog(path).replay()
         assert checkpoint["version"] == 1
         assert len(checkpoint["entries"]) == 13
+
+
+@pytest.fixture
+def hints(monkeypatch):
+    """``(fd, offset, nbytes, flags)`` of every writeback hint issued."""
+    calls = []
+
+    def recording(fd, offset, nbytes, flags):
+        calls.append((fd, offset, nbytes, flags))
+        return 0
+
+    monkeypatch.setattr(segments, "_sync_file_range", recording)
+    return calls
+
+
+def fsyncs() -> float:
+    snapshot = obs.registry().snapshot()
+    return sum(s["value"] for s in snapshot["mmlib_chunk_fsyncs_total"]["series"])
+
+
+def segment_bytes(store) -> list[bytes]:
+    return [path.read_bytes() for path in sorted(store.segments_dir.glob("*" + SEGMENT_SUFFIX))]
+
+
+class TestWritebackHint:
+    """Every :data:`WRITEBACK_BYTES` of a batch's appends start their
+    writeback; the batch's one fsync is still its only barrier."""
+
+    def test_a_large_batch_hints_inside_its_appends_and_fsyncs_once(self, tmp_path, hints):
+        store = ChunkStore(tmp_path / "s")
+        fill(store, 2)
+        [path] = store.segments_dir.glob("*" + SEGMENT_SUFFIX)
+        batch_start = path.stat().st_size
+        before = fsyncs()
+        for index in range(10, 50):  # 40 x 64 KiB = 2.5 MiB
+            store.put(digest_for(index), payload(index, 64 * 1024))
+        batch_end = path.stat().st_size
+        assert batch_end - batch_start >= 2 * WRITEBACK_BYTES
+        assert len(hints) >= 2
+        assert fsyncs() == before  # a hint is no barrier
+        end = batch_start
+        for _fd, offset, nbytes, flags in hints:
+            assert flags == segments._SYNC_FILE_RANGE_WRITE
+            assert offset == end and nbytes >= WRITEBACK_BYTES
+            end = offset + nbytes
+        assert end <= batch_end
+        assert store.flush() == 1
+        assert fsyncs() == before + 1
+
+    def test_a_hinted_record_is_unsynced_until_flushed(self, tmp_path, hints):
+        store = ChunkStore(tmp_path / "s")
+        fill(store, 1)
+        big = digest_for(7)
+        store.put(big, payload(7, 2 * WRITEBACK_BYTES))
+        assert hints
+        assert store.synced(big) is False
+        assert store.synced(digest_for(0)) is True
+        store.flush()
+        assert store.synced(big) is True
+
+    def test_without_the_symbol_the_bytes_and_fsyncs_are_the_same(
+        self, tmp_path, hints, monkeypatch
+    ):
+        def save(root):
+            store = ChunkStore(root)
+            before = fsyncs()
+            for index in range(40):
+                store.put(digest_for(index), payload(index, 64 * 1024))
+            store.flush()
+            return store, fsyncs() - before
+
+        hinted, hinted_fsyncs = save(tmp_path / "hinted")
+        assert hints
+        monkeypatch.setattr(segments, "_sync_file_range", None)
+        unhinted, unhinted_fsyncs = save(tmp_path / "unhinted")
+        assert segment_bytes(hinted) == segment_bytes(unhinted)
+        assert hinted_fsyncs == unhinted_fsyncs == 1
+
+    def test_the_resolved_hint_keeps_every_byte(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(segments, "_sync_file_range", segments._UNRESOLVED)
+        store = ChunkStore(tmp_path / "s")
+        data = fill(store, 40, size=64 * 1024)
+        if sys.platform.startswith("linux"):
+            assert callable(segments._sync_file_range)
+        del store  # crash after the flush
+        reopened = ChunkStore(tmp_path / "s")
+        for digest, blob in data.items():
+            assert reopened.get(digest) == blob
+
+    @pytest.mark.parametrize("cut", [5, RECORD_HEADER.size + 3, RECORD_HEADER.size + 300])
+    def test_a_short_pwritev_still_leaves_one_whole_record(self, tmp_path, monkeypatch, cut):
+        store = ChunkStore(tmp_path / "s", tmp_grace_s=0.0)
+        data = fill(store, 2)
+        real = os.pwritev
+
+        def short(fd, parts, offset):
+            return real(fd, [b"".join(bytes(part) for part in parts)[:cut]], offset)
+
+        monkeypatch.setattr(os, "pwritev", short)
+        assert store.put(digest_for(5), payload(5)) is True
+        data[digest_for(5)] = payload(5)
+        store.flush()
+        monkeypatch.undo()
+        assert store.get(digest_for(5)) == payload(5)
+        del store  # crash: the record is found by the tail rescan
+        reopened = ChunkStore(tmp_path / "s", tmp_grace_s=0.0)
+        for digest, blob in data.items():
+            assert reopened.get(digest) == blob
+        outcome = reopened.audit(repair=True, verify=True)
+        assert outcome["crc_failures"] == [] and outcome["torn_segments"] == []
+
+    def test_compaction_hints_its_destination(self, tmp_path, hints, monkeypatch):
+        monkeypatch.setattr(segments, "WRITEBACK_BYTES", 4096)
+        store, data = TestCompaction().build_fragmented(tmp_path / "s")
+        hints.clear()
+        result = store.compact()
+        assert result["records_moved"] * 512 > 4096
+        assert hints
+        for digest, blob in data.items():
+            assert store.get(digest) == blob
