@@ -6,9 +6,9 @@ length, crc)``), LSM-style:
 
 * **Group fsync** — appends are acknowledged immediately and made
   durable by one batched :meth:`ChunkStore.flush` per save, so a
-  thousand-chunk save costs one fsync instead of a thousand.  Each record
-  is one ``pwritev``, and every :data:`WRITEBACK_BYTES` of a batch's
-  appends the writer asks the kernel to start writing them back
+  thousand-chunk save costs one fsync instead of a thousand.  Every
+  :data:`WRITEBACK_BYTES` of a batch's appends the writer asks the kernel
+  to start writing them back
   (``sync_file_range(SYNC_FILE_RANGE_WRITE)``, which waits for nothing), so
   the device works while the save still hashes and appends and the fsync
   waits only for the tail.  The fsync stays the only barrier: a hinted
@@ -146,7 +146,7 @@ def _start_writeback(fd: int, offset: int, nbytes: int) -> None:
         import ctypes  # the main program's symbols: no library search
 
         try:
-            function = ctypes.CDLL(None, use_errno=True).sync_file_range
+            function = ctypes.CDLL(None).sync_file_range
         except (AttributeError, OSError, TypeError):
             function = None
         else:
@@ -156,21 +156,6 @@ def _start_writeback(fd: int, offset: int, nbytes: int) -> None:
         _sync_file_range = function
     if _sync_file_range is not None:
         _sync_file_range(fd, offset, nbytes, _SYNC_FILE_RANGE_WRITE)
-
-
-def _write_record(fileobj, start: int, parts) -> int:
-    """Write ``parts`` back to back at ``start`` in one ``pwritev``; a
-    short write (a filling disk) is finished by :func:`write_all`.
-    Returns the offset past the record."""
-    total = sum(map(len, parts))
-    written = os.pwritev(fileobj.fileno(), parts, start) if hasattr(os, "pwritev") else 0
-    if written < total:
-        fileobj.seek(start + written)
-        for part in parts:
-            if written < len(part):
-                write_all(fileobj, memoryview(part)[written:])
-            written = max(0, written - len(part))
-    return start + total
 
 
 class ChunkNotFoundError(KeyError):
@@ -790,17 +775,22 @@ class ChunkStore:
             eview = encoded if isinstance(encoded, memoryview) else memoryview(encoded)
             crc = zlib.crc32(eview)
             head = record_header(digest_raw, crc, eview.nbytes)
-            # at the logical end: overwrites any earlier torn tail
-            end = _write_record(self._active_file, self._active_end, (head, digest_raw, eview))
+            fileobj = self._active_file
+            fileobj.seek(self._active_end)  # overwrite any earlier torn tail
+            write_all(fileobj, head)
+            write_all(fileobj, digest_raw)
+            write_all(fileobj, eview)
+            payload_off = self._active_end + len(head) + len(digest_raw)
             self._set_entry_locked(
-                digest, (self._active_name, end - eview.nbytes, eview.nbytes, crc))
+                digest, (self._active_name, payload_off, eview.nbytes, crc))
             meta = self._segmeta[self._active_name]
             meta["total"] += eview.nbytes
-            self._active_end = meta["scanned"] = end
-            if end - self._hinted_end >= WRITEBACK_BYTES:
-                _start_writeback(self._active_file.fileno(), self._hinted_end,
-                                 end - self._hinted_end)
-                self._hinted_end = end
+            self._active_end = payload_off + eview.nbytes
+            meta["scanned"] = self._active_end
+            if self._active_end - self._hinted_end >= WRITEBACK_BYTES:
+                _start_writeback(fileobj.fileno(), self._hinted_end,
+                                 self._active_end - self._hinted_end)
+                self._hinted_end = self._active_end
             self._account_put(raw_nbytes, stored_nbytes=eview.nbytes)
             self._dirty = True
             self._index_dirty = True
@@ -1196,9 +1186,9 @@ class ChunkStore:
         total_live = 0
         # a crash or corruption before the commit point leaves a partial
         # tmp for the grace sweep: the victims are untouched
-        with open(tmp_path, "wb", buffering=0) as out:
+        with open(tmp_path, "wb") as out:
             self._obs_files_created.inc()
-            write_all(out, HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, self._seq))
+            out.write(HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, self._seq))
             for digest, entry in moves:
                 payload = self._read_intact_locked(entry)
                 if payload is None:
@@ -1206,19 +1196,23 @@ class ChunkStore:
                         f"chunk {digest!r} is corrupt: compaction read "
                         f"failed its CRC check")
                 digest_raw = digest.encode("utf-8")
-                offset = _write_record(
-                    out, offset, (record_header(digest_raw, entry[3], entry[2]),
-                                  digest_raw, payload))
-                new_entries[digest] = (dest, offset - entry[2], entry[2], entry[3])
+                out.write(record_header(digest_raw, entry[3], entry[2]))
+                out.write(digest_raw)
+                out.write(payload)
+                payload_off = offset + RECORD_HEADER.size + len(digest_raw)
+                new_entries[digest] = (dest, payload_off, entry[2], entry[3])
+                offset = payload_off + entry[2]
                 total_live += entry[2]
                 if offset - hinted >= WRITEBACK_BYTES:
+                    out.flush()  # the hinted range must be in the file
                     _start_writeback(out.fileno(), hinted, offset - hinted)
                     hinted = offset
                 self._obs_moves.inc()
                 self._hook("chunk.compact")
             records = sorted(
                 [d, e[1], e[2], e[3]] for d, e in new_entries.items())
-            _write_record(out, offset, (self._pack_footer({"end": offset, "records": records}),))
+            out.write(self._pack_footer({"end": offset, "records": records}))
+            out.flush()
             os.fsync(out.fileno())
             self._obs_fsyncs.inc()
         self._hook("chunk.compact")

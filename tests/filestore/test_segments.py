@@ -14,7 +14,7 @@ from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import ChunkNotFoundError, ChunkStore, FileStore
 from repro.filestore import segments
 from repro.filestore import upgrade as chunk_codecs
-from repro.filestore.recordlog import RECORD_HEADER, RecordLog
+from repro.filestore.recordlog import RecordLog
 from repro.filestore.segments import SEGMENT_SUFFIX, WRITEBACK_BYTES
 
 
@@ -445,10 +445,12 @@ class TestFileStoreIntegration:
 
 @pytest.fixture
 def hints(monkeypatch):
-    """``(fd, offset, nbytes, flags)`` of every writeback hint issued."""
+    """``(fd, offset, nbytes, flags)`` of every writeback hint issued; each
+    hinted range is already in the file when its hint is issued."""
     calls = []
 
     def recording(fd, offset, nbytes, flags):
+        assert os.fstat(fd).st_size >= offset + nbytes
         calls.append((fd, offset, nbytes, flags))
         return 0
 
@@ -529,28 +531,6 @@ class TestWritebackHint:
         reopened = ChunkStore(tmp_path / "s")
         for digest, blob in data.items():
             assert reopened.get(digest) == blob
-
-    @pytest.mark.parametrize("cut", [5, RECORD_HEADER.size + 3, RECORD_HEADER.size + 300])
-    def test_a_short_pwritev_still_leaves_one_whole_record(self, tmp_path, monkeypatch, cut):
-        store = ChunkStore(tmp_path / "s", tmp_grace_s=0.0)
-        data = fill(store, 2)
-        real = os.pwritev
-
-        def short(fd, parts, offset):
-            return real(fd, [b"".join(bytes(part) for part in parts)[:cut]], offset)
-
-        monkeypatch.setattr(os, "pwritev", short)
-        assert store.put(digest_for(5), payload(5)) is True
-        data[digest_for(5)] = payload(5)
-        store.flush()
-        monkeypatch.undo()
-        assert store.get(digest_for(5)) == payload(5)
-        del store  # crash: the record is found by the tail rescan
-        reopened = ChunkStore(tmp_path / "s", tmp_grace_s=0.0)
-        for digest, blob in data.items():
-            assert reopened.get(digest) == blob
-        outcome = reopened.audit(repair=True, verify=True)
-        assert outcome["crc_failures"] == [] and outcome["torn_segments"] == []
 
     def test_compaction_hints_its_destination(self, tmp_path, hints, monkeypatch):
         monkeypatch.setattr(segments, "WRITEBACK_BYTES", 4096)
