@@ -476,7 +476,8 @@ class ShardedFileStore(ReplicaLedger, FileStore):
         if failed:
             self._bump("repair_failures", len(failed))
 
-    def _fetch_many(self, digests: list[str], crc: bool) -> dict[str, bytes]:
+    def _fetch_many(self, digests: list[str], crc: bool,
+                    crcs: dict | None = None) -> dict[str, bytes]:
         """Batched fetch, grouped by primary owner for pipelined accounting.
 
         Each group goes through the member's own batched read (one
@@ -484,7 +485,8 @@ class ShardedFileStore(ReplicaLedger, FileStore):
         fails mid-batch falls back to per-digest failover reads.  ``crc``
         is ignored: a member always checks its record CRC, which is what
         classifies a bad replica ``corrupt`` so it is failed over and
-        repaired.
+        repaired.  ``crcs`` receives the CRCs of the batched member reads;
+        a failover read reports none.
         """
         groups: dict[str, list[str]] = {}
         for digest in digests:
@@ -502,8 +504,9 @@ class ShardedFileStore(ReplicaLedger, FileStore):
                     for digest in group:
                         results[digest] = self._read_chunk(digest)
                     continue
+                checked: dict = {}
                 try:
-                    results.update(self.members[name]._charged_read_many(group, True))
+                    results.update(self.members[name]._charged_read_many(group, True, checked))
                 except REPLICA_FAILURES as exc:
                     if classify_failure(exc) == "unreachable":
                         self._down(name)
@@ -512,6 +515,8 @@ class ShardedFileStore(ReplicaLedger, FileStore):
                         results[digest] = self._read_chunk(digest)
                 else:
                     self._up(name)
+                    if crcs is not None:
+                        crcs.update(checked)
         return results
 
     # -- manifest hooks (harvest repair metadata) ----------------------------

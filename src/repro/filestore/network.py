@@ -188,7 +188,7 @@ class SimulatedNetworkFileStore(FileStore):
         self._obs_bytes_received.inc(len(data))
         return data
 
-    def _charged_read_many(self, digests, crc) -> dict:
+    def _charged_read_many(self, digests, crc, crcs=None) -> dict:
         """Download a batch of chunks as one pipelined transfer.
 
         Latency is paid once per window of ``pipeline_depth`` requests in
@@ -196,7 +196,7 @@ class SimulatedNetworkFileStore(FileStore):
         difference between ``len(digests)`` serial round-trips and the
         windows actually paid lands in :attr:`round_trips_saved`.
         """
-        payloads = self._fetch_many(list(digests), crc)
+        payloads = self._fetch_many(list(digests), crc, crcs)
         n = len(payloads)
         if n == 0:
             return payloads

@@ -291,10 +291,9 @@ class ChunkStore:
         #: an import).
         self.fault_hook = None
         # dedup accounting (in-process, like the network store's transfer
-        # accounting): logical bytes offered by callers, bytes skipped
-        # because the digest was already stored, and record payload bytes
-        # physically written
-        self._acct_lock = threading.Lock()
+        # accounting), kept under ``_mutex``: logical bytes offered by
+        # callers, bytes skipped because the digest was already stored, and
+        # record payload bytes physically written
         self.logical_bytes = 0
         self.dedup_bytes = 0
         self.stored_bytes = 0
@@ -363,23 +362,21 @@ class ChunkStore:
         (a writer of an older release's format substitutes its own)."""
         return view
 
-    def _account_put(self, raw_nbytes: int, stored_nbytes: int | None = None) -> None:
-        """Record one put: deduped when ``stored_nbytes`` is ``None``."""
-        with self._acct_lock:
-            self.logical_bytes += raw_nbytes
-            if stored_nbytes is None:
-                self.dedup_bytes += raw_nbytes
-            else:
-                self.stored_bytes += stored_nbytes
+    def _account_put_locked(self, raw_nbytes: int, stored_nbytes: int | None = None) -> None:
+        """Record one put, under ``_mutex``: deduped when ``stored_nbytes``
+        is ``None``."""
+        self.logical_bytes += raw_nbytes
         self._obs_logical.inc(raw_nbytes)
         if stored_nbytes is None:
+            self.dedup_bytes += raw_nbytes
             self._obs_dedup.inc(raw_nbytes)
         else:
+            self.stored_bytes += stored_nbytes
             self._obs_stored.inc(stored_nbytes)
 
     def dedup_stats(self) -> dict:
         """Dedup accounting since this store was opened."""
-        with self._acct_lock:
+        with self._mutex:
             logical = self.logical_bytes
             dedup = self.dedup_bytes
             stored = self.stored_bytes
@@ -501,12 +498,10 @@ class ChunkStore:
                 "scanned": scanned, "total": meta["total"], "sealed": meta["sealed"]}
             if meta["damaged"]:  # a healthy store's checkpoint keeps its format
                 segments[name]["damaged"] = meta["damaged"]
-        payload = {
-            "version": 1,
-            "entries": {d: list(entry) for d, entry in self._index.items()},
-            "segments": segments,
-        }
-        self._checkpoint_log.rewrite([json.dumps(payload, sort_keys=True).encode()])
+        # an entry tuple encodes as the JSON array readers take; no copy of
+        # the index and no key sort (readers take any order)
+        payload = {"version": 1, "entries": self._index, "segments": segments}
+        self._checkpoint_log.rewrite([json.dumps(payload).encode()])
         self._checkpoint_log.close()
         self._checkpoint_stamp = self._checkpoint_stamp_now()
         self._index_dirty = False
@@ -760,7 +755,7 @@ class ChunkStore:
         self._check_digest(digest)
         with self._mutex:
             if digest in self._index:
-                self._account_put(_buffer_nbytes(buffer))
+                self._account_put_locked(_buffer_nbytes(buffer))
                 return False
             self._ensure_active_locked()
             if not self._dirty:
@@ -791,7 +786,7 @@ class ChunkStore:
                 _start_writeback(fileobj.fileno(), self._hinted_end,
                                  self._active_end - self._hinted_end)
                 self._hinted_end = self._active_end
-            self._account_put(raw_nbytes, stored_nbytes=eview.nbytes)
+            self._account_put_locked(raw_nbytes, stored_nbytes=eview.nbytes)
             self._dirty = True
             self._index_dirty = True
             self._obs_appends.inc()
@@ -910,7 +905,8 @@ class ChunkStore:
         """
         return self.get_many([digest])[digest]
 
-    def get_many(self, digests: Iterable[str], crc: bool = True) -> dict:
+    def get_many(self, digests: Iterable[str], crc: bool = True,
+                 crcs: dict | None = None) -> dict:
         """:meth:`get` for a batch: digest -> bytes, in one pass.
 
         Every index entry is looked up under one hold of the lock; the
@@ -929,7 +925,8 @@ class ChunkStore:
         content digest of every returned payload itself, before anything
         else sees it, may pass it (:meth:`FileStore.recover_state_chunks`):
         the digest check is the stronger of the two, and one check per
-        byte is enough.
+        byte is enough.  With ``crc``, a ``crcs`` dict receives digest ->
+        the record CRC each payload matched, once the whole batch has.
         """
         digests = list(dict.fromkeys(digests))
         for digest in digests:
@@ -953,6 +950,8 @@ class ChunkStore:
                 raise StoreCorruptionError(
                     f"chunk {digest!r} is corrupt: segment record failed its "
                     f"CRC check")
+        if crc and crcs is not None:
+            crcs.update((digest, entries[digest][3]) for digest in digests)
         return payloads
 
     def _read_entries(self, entries: Mapping) -> dict[str, bytearray]:

@@ -25,6 +25,7 @@ import shutil
 import struct
 import threading
 import uuid
+import zlib
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -336,6 +337,13 @@ class ChunkCache:
     a chunk once.  Chunks are immutable — content-addressed by digest —
     so cached payloads never go stale; eviction is purely a memory-budget
     decision.
+
+    An entry is *vouched* once a verified recover has checked a payload of
+    its digest against the content digest (:meth:`vouch`): it keeps the
+    CRC-32 of the bytes that passed, and a later hit whose own bytes match
+    that CRC needs no SHA-256 (:meth:`vouched`).  An entry starts
+    unvouched, and its vouch goes with it (eviction, :meth:`discard`,
+    :meth:`clear`).
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CHUNK_CACHE_BYTES):
@@ -343,6 +351,7 @@ class ChunkCache:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
         self.max_bytes = int(max_bytes)
         self._entries: "OrderedDict[str, bytes]" = OrderedDict()
+        self._vouched: dict[str, int] = {}  # digest -> CRC-32 of checked bytes
         self._lock = threading.Lock()
         self.current_bytes = 0
         self.hits = 0
@@ -384,6 +393,7 @@ class ChunkCache:
             self.current_bytes += len(data)
             while self.current_bytes > self.max_bytes:
                 evicted_digest, evicted = self._entries.popitem(last=False)
+                self._vouched.pop(evicted_digest, None)
                 self.current_bytes -= len(evicted)
                 self.evictions += 1
                 evicted_count += 1
@@ -393,9 +403,25 @@ class ChunkCache:
         if evicted_count:
             self._obs_evictions.inc(evicted_count)
 
+    def vouch(self, digest: str, crc: int) -> None:
+        """Vouch for the entry of ``digest``, if one is cached: ``crc`` is the
+        CRC-32 of bytes that just passed its content digest check."""
+        with self._lock:
+            if digest in self._entries:
+                self._vouched[digest] = crc
+
+    def vouched(self, digest: str, data) -> bool:
+        """True iff ``data`` matches the CRC-32 the entry of ``digest`` was
+        vouched with — bytes a content digest check already passed."""
+        # no lock: a vouch is the CRC of the digest's one true content, so
+        # one the entry lost since this read still vouches for those bytes
+        crc = self._vouched.get(digest)
+        return crc is not None and zlib.crc32(data) == crc
+
     def discard(self, digest: str) -> None:
         """Drop one entry (a payload that failed digest verification)."""
         with self._lock:
+            self._vouched.pop(digest, None)
             data = self._entries.pop(digest, None)
             if data is not None:
                 self.current_bytes -= len(data)
@@ -412,6 +438,7 @@ class ChunkCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._vouched.clear()
             self.current_bytes = 0
             self.hits = 0
             self.misses = 0
@@ -516,7 +543,8 @@ class FileStore:
     * ``chunk_cache`` — an in-process hot-chunk LRU (a :class:`ChunkCache`
       or a byte budget), consulted before every chunk read.  Concurrent
       fetches of one digest are coalesced into a single transfer while the
-      cache is attached.
+      cache is attached, and a verified recover hashes a cached payload
+      once, then checks its hits by CRC-32.
 
     Buffer ownership on the read path: the chunk store reads each
     record into a buffer of its own, and :meth:`recover_state_chunks`
@@ -721,11 +749,13 @@ class FileStore:
         """One chunk fetch crossing the link (transfer-accounting hook)."""
         return self._read_chunk(digest)
 
-    def _charged_read_many(self, digests: list[str], crc: bool) -> dict[str, bytes]:
+    def _charged_read_many(self, digests: list[str], crc: bool,
+                           crcs: dict | None = None) -> dict[str, bytes]:
         """One batched fetch crossing the link (transfer-accounting hook)."""
-        return self._fetch_many(digests, crc)
+        return self._fetch_many(digests, crc, crcs)
 
-    def _fetch_many(self, digests: list[str], crc: bool) -> dict[str, bytes]:
+    def _fetch_many(self, digests: list[str], crc: bool,
+                    crcs: dict | None = None) -> dict[str, bytes]:
         """Read a batch of chunks in one pass over the segments.
 
         :meth:`ChunkStore.get_many` reads every record, skipping its CRC
@@ -734,13 +764,19 @@ class FileStore:
         the fault plane sees each chunk exactly as a one-by-one read would.
         A batch the chunk store refuses (a missing or damaged record) is
         left to those per-chunk reads, so the error surfaces where it
-        always did.
+        always did.  ``crcs`` receives the record CRC of each returned
+        payload that is the very buffer the batch checked against it.
         """
+        checked = {} if crcs is not None else None
         try:
-            batch = self.chunks.get_many(digests, crc=crc)
+            batch = self.chunks.get_many(digests, crc=crc, crcs=checked)
         except (ChunkNotFoundError, StoreCorruptionError):
             batch = {}
-        return {digest: self._read_chunk(digest, batch.get(digest)) for digest in digests}
+        payloads = {digest: self._read_chunk(digest, batch.get(digest)) for digest in digests}
+        if checked:
+            crcs.update((digest, value) for digest, value in checked.items()
+                        if payloads[digest] is batch[digest])
+        return payloads
 
     def get_chunk(self, digest: str) -> bytes:
         """Fetch one chunk's payload by digest (hot-chunk cache first)."""
@@ -766,7 +802,8 @@ class FileStore:
             return cached
         return self._charged_read(digest)  # leader failed or entry evicted
 
-    def get_chunks(self, digests: Iterable[str], crc: bool = True) -> dict[str, bytes]:
+    def get_chunks(self, digests: Iterable[str], crc: bool = True,
+                   crcs: dict | None = None) -> dict[str, bytes]:
         """Fetch many chunks as one batch; returns digest -> payload.
 
         Duplicates are fetched once, cached chunks are served from the
@@ -775,7 +812,8 @@ class FileStore:
         callers asking for the same digest share one transfer.
         ``crc=False`` skips the record CRC of the misses; only a caller
         that checks every payload against its content digest may pass it
-        (:meth:`recover_state_chunks`).
+        (:meth:`recover_state_chunks`).  ``crcs`` receives digest -> record
+        CRC for each miss whose returned bytes were checked against it.
         """
         unique = list(dict.fromkeys(digests))
         with self._obs_tracer.span("store.get_chunks", n=len(unique)) as sp:
@@ -791,7 +829,7 @@ class FileStore:
             if not misses:
                 return results
             if self.chunk_cache is None:
-                results.update(self._charged_read_many(misses, crc))
+                results.update(self._charged_read_many(misses, crc, crcs))
                 return results
             leaders: list[str] = []
             waits: list[tuple[str, threading.Event]] = []
@@ -813,7 +851,7 @@ class FileStore:
                     else:
                         results[digest] = landed
                 if to_read:
-                    fetched = self._charged_read_many(to_read, crc)
+                    fetched = self._charged_read_many(to_read, crc, crcs)
                     for digest, data in fetched.items():
                         self._cache_put(digest, data)
                     results.update(fetched)
@@ -945,8 +983,10 @@ class FileStore:
         ``verified``.  A caller that passes ``verified`` without ``verify``
         must therefore refuse every layer missing from it (the service's
         Merkle root does).  A checked fetch skips the record CRC unless a
-        chunk cache will hand the payloads to other readers (DESIGN.md §14
-        "Verify once").
+        chunk cache will hand the payloads to other readers; then a cache
+        hit whose bytes match the CRC-32 its entry was vouched with is not
+        hashed again, and each payload that passes vouches for its entry
+        (DESIGN.md §14 "Verify once").
 
         A layer whose content digest is in ``skip`` — bytes the caller
         already holds — is not fetched: it maps to ``None`` in the returned
@@ -969,7 +1009,9 @@ class FileStore:
             sp.set(layers=len(wanted), held=len(layers) - len(wanted))
             # the payloads are digest-checked below, so their record CRC
             # may be skipped — unless the cache hands them to others
-            payloads = self.get_chunks(wanted, crc=not check or self.chunk_cache is not None)
+            crcs = {} if check and self.chunk_cache is not None else None
+            payloads = self.get_chunks(
+                wanted, crc=not check or self.chunk_cache is not None, crcs=crcs)
             # one fetched buffer may back several layers (identical tensors
             # share a digest): its first reference gets the buffer, every
             # later one a copy of it
@@ -989,26 +1031,37 @@ class FileStore:
                 if array is None and not check:
                     self._misfit(name, digest)
             if check:
-                self._check_layers(layers, state, first, skip, strict, verified)
+                self._check_layers(layers, state, first, skip, strict, verified, crcs)
             return state
 
-    def _check_layers(self, layers, state, first, skip, strict, verified) -> None:
+    def _check_layers(self, layers, state, first, skip, strict, verified, crcs) -> None:
         """Hash each distinct fetched layer once, in byte-balanced runs on
         the shared pool; heal the layers that fail, record in ``verified``,
         in layer order, the ones that pass and the ones in ``skip``.
 
         ``first`` maps each fetched digest to the layer rebuilt over its
         payload; the others with that digest hold copies of it, so its
-        hash checks them all.
+        hash checks them all.  With a chunk cache (``crcs`` is then the
+        record CRCs :meth:`get_chunks` checked) a layer whose bytes match
+        the CRC-32 its digest's cache entry was vouched with is not hashed,
+        and a layer that passes its hash vouches for the entry: with its
+        record CRC when that was checked on these bytes, else with a CRC-32
+        taken here.
         """
         # lazy import: repro.core imports this module at package init
         from ..core.hashing import state_dict_hashes
 
+        cache = self.chunk_cache if crcs is not None else None
+        trusted = set() if cache is None else {
+            digest for digest, name in first.items()
+            if state[name] is not None and digest not in crcs
+            and cache.vouched(digest, state[name])}
         hashes = state_dict_hashes(
-            {name: state[name] for name in first.values() if state[name] is not None})
+            {name: state[name] for digest, name in first.items()
+             if state[name] is not None and digest not in trusted})
         for name, meta in layers:
             digest = meta["chunk"]
-            if digest in skip:
+            if digest in skip or digest in trusted:
                 intact = True
             else:
                 intact = hashes.get(first[digest]) == digest
@@ -1016,6 +1069,9 @@ class FileStore:
                     state[name], intact = self._heal_layer(name, meta, state[name], strict)
                     if state[name] is None:
                         self._misfit(name, digest)
+                elif cache is not None and first[digest] == name:
+                    crc = crcs.get(digest)
+                    cache.vouch(digest, zlib.crc32(state[name]) if crc is None else crc)
             if intact and verified is not None:
                 verified[name] = digest
 
@@ -1032,7 +1088,7 @@ class FileStore:
 
         Returns the layer and whether it now matches its digest.  Each
         failed attempt drops the cached copy (a poisoned entry would return
-        the same bytes).
+        the same bytes); the attempt that passes vouches for the new one.
         """
         digest = meta["chunk"]
         attempts = max(1, self.retry.max_attempts) if self.retry is not None else 1
@@ -1040,6 +1096,8 @@ class FileStore:
             self._cache_discard(digest)
             data = self.get_chunk(digest)
             if chunk_intact(digest, data, meta):
+                if self.chunk_cache is not None:
+                    self.chunk_cache.vouch(digest, zlib.crc32(data))
                 return _layer_array(meta, data), True
         self._cache_discard(digest)
         if strict:

@@ -373,24 +373,27 @@ class GatewayServer(FrameServer):
 
     def _op_find(self, request: dict, tenant) -> Reply:
         use_case = request.get("use_case")
-        if use_case is not None:
-            records = tenant.manager.find_by_use_case(use_case)
-        else:
-            records = tenant.manager.list_models()
+        # one catalog query: the reply names no derived models, so it needs
+        # none of the second query a ModelRecord's derived_model_ids costs
+        documents = sorted(
+            tenant.manager.documents.collection("models").find(
+                None if use_case is None else {"use_case": use_case},
+                projection=("approach", "base_model", "use_case", "saved_at")),
+            key=lambda document: document.get("saved_at", 0.0))
         return Reply({
             "models": [
                 {
-                    "model_id": tenant.qualify(record.model_id),
-                    "approach": record.approach,
+                    "model_id": tenant.qualify(document["_id"]),
+                    "approach": document.get("approach", "unknown"),
                     "base_model_id": (
-                        tenant.qualify(record.base_model_id)
-                        if record.base_model_id
+                        tenant.qualify(document["base_model"])
+                        if document.get("base_model")
                         else None
                     ),
-                    "use_case": record.use_case,
-                    "saved_at": record.saved_at,
+                    "use_case": document.get("use_case"),
+                    "saved_at": document.get("saved_at", 0.0),
                 }
-                for record in records
+                for document in documents
             ]
         })
 

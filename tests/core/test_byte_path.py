@@ -36,6 +36,7 @@ from repro.filestore import (
     SimulatedNetworkFileStore,
     chunk_intact,
     segments,
+    store,
 )
 from repro.nn import init, rng
 from repro.nn.models import MODEL_REGISTRY, create_model
@@ -464,8 +465,9 @@ class TestIntegrity:
 @pytest.fixture
 def checks(monkeypatch):
     """What the integrity checks cover from now on: every array handed to
-    ``tensor_hash`` (``hashed``) and the byte count of every record CRC
-    (``crced``).  ``start()`` forgets what was seen so far."""
+    ``tensor_hash`` (``hashed``) and the byte count of every CRC-32, a
+    record's or a cache entry's (``crced``).  ``start()`` forgets what was
+    seen so far."""
     seen = SimpleNamespace(hashed=[], crced=[])
     tensor_hash = hashing.tensor_hash
     crc32 = zlib.crc32
@@ -485,6 +487,7 @@ def checks(monkeypatch):
     seen.start = start
     monkeypatch.setattr(hashing, "tensor_hash", hash_spy)
     monkeypatch.setattr(segments, "zlib", SimpleNamespace(crc32=crc_spy))
+    monkeypatch.setattr(store, "zlib", SimpleNamespace(crc32=crc_spy))
     return seen
 
 
@@ -745,6 +748,189 @@ class TestOneCheckPerByte:
 def _tally(sizes, data):
     sizes.append(len(data))
     return data
+
+
+@pytest.fixture
+def cached_service(tmp_path):
+    """``make(kind)``: a service over a store with a chunk cache — a plain
+    one, one with ``verify_reads``, or a 3x2 cluster whose cache sits on
+    the ``ShardedFileStore`` (``verify_reads`` on there, as its retry
+    policy turns it on).  The stores are closed after the test."""
+    retry = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
+    made = []
+
+    def make(kind, cache_bytes=1 << 20, approach=ParameterUpdateSaveService):
+        if kind == "3x2":
+            stores = SharedStores.cluster_at(
+                tmp_path / "cluster", shards=3, replicas=2, chunk_cache_bytes=cache_bytes,
+                retry=retry)
+            service = approach(stores.documents, stores.files)
+        else:
+            options = {"verify_reads": True, "retry": retry} if kind == "verify_reads" else {}
+            service = approach(DocumentStore(), FileStore(
+                tmp_path / "files", chunk_cache=cache_bytes, **options))
+        made.append(service.files)
+        return service
+
+    yield make
+    for files in made:
+        files.close()
+
+
+def layer_chunks(service, model_id):
+    """``name -> manifest entry`` of a model's layers."""
+    return dict(service.files.read_manifest(
+        service._get_model_document(model_id)["parameters_file"])["layers"])
+
+
+def chunk_sizes(files, entries):
+    """The byte count of each distinct chunk the manifest entries name."""
+    return [files.chunks.size_of(digest) for digest in {meta["chunk"] for meta in entries}]
+
+
+def poison(cache, digest):
+    """Flip one bit of the cached payload of ``digest``; returns the bytes."""
+    poisoned = bytearray(cache.get(digest))
+    poisoned[len(poisoned) // 2] ^= 0x01
+    with cache._lock:
+        cache._entries[digest] = bytes(poisoned)
+    return bytes(poisoned)
+
+
+class TestVouchedCacheHits:
+    """A payload is digest-checked once per process: a verified recover
+    vouches for the cache entries it checked, and a later hit whose bytes
+    match its entry's CRC-32 is not hashed again (DESIGN.md §14 "Verify
+    once").  Every other hit is hashed as a miss is.  Counted, not timed."""
+
+    @pytest.mark.parametrize("kind", ["single", "3x2"])
+    def test_a_warm_recover_hashes_its_misses_and_crcs_each_vouched_hit_once(
+        self, cached_service, checks, kind
+    ):
+        service = cached_service(kind)
+        files = service.files
+        base = twin_model(seed=31)
+        base_id = service.save_model(ModelSaveInfo(base, twin_arch()))
+        tip_id, tip_saved = save_pua_tip(service, base_id, seed=31, layer="4.weight")
+        assert service.recover_model(base_id).verified is True  # vouches
+        layers = layer_chunks(service, tip_id)
+        fresh = layers["4.weight"]["chunk"]
+        assert fresh not in files.chunk_cache
+
+        checks.start()
+        recovered = service.recover_model(tip_id)
+        assert recovered.verified is True
+        assert_state_equals(recovered.model, tip_saved)
+        state = recovered.model.state_dict()
+        # only the miss is hashed; each payload is CRCed once: a hit against
+        # its vouch, the miss by its record CRC, which is then its vouch
+        assert [times_hashed(checks.hashed, state[name]) for name in state] == [
+            name == "4.weight" for name in state]
+        assert len(checks.hashed) == 1
+        assert sorted(checks.crced) == sorted(chunk_sizes(files, layers.values()))
+
+        checks.start()
+        again = service.recover_model(tip_id)
+        assert again.verified is True
+        assert_state_equals(again.model, tip_saved)
+        assert checks.hashed == []
+        assert sorted(checks.crced) == sorted(chunk_sizes(files, layers.values()))
+        assert_no_shared_memory(
+            again.model.state_dict().values(), recovered.model.state_dict().values(),
+            cached_payloads(files))
+
+    @pytest.mark.parametrize("kind", ["single", "verify_reads", "3x2"])
+    def test_a_vouched_entry_changed_after_vouching_is_hashed(
+        self, cached_service, checks, kind
+    ):
+        service = cached_service(kind, approach=BaselineSaveService)
+        files = service.files
+        model = twin_model(seed=32)
+        saved = copy_state(model)
+        model_id = service.save_model(ModelSaveInfo(model, twin_arch()))
+        assert service.recover_model(model_id).verified is True  # vouches
+        digest = layer_chunks(service, model_id)["4.weight"]["chunk"]
+        poisoned = poison(files.chunk_cache, digest)
+
+        checks.start()
+        if not files.verify_reads:
+            with pytest.raises(VerificationError):
+                service.recover_model(model_id)
+            assert [array.tobytes() for array in checks.hashed].count(poisoned) >= 1
+            assert digest not in files.chunk_cache
+            return
+        recovered = service.recover_model(model_id)
+        assert recovered.verified is True
+        assert_state_equals(recovered.model, saved)
+        # the poisoned hit, then the re-read that healed it (and vouches)
+        assert [array.tobytes() for array in checks.hashed] == [
+            poisoned, saved["4.weight"].tobytes()]
+        assert files.chunk_cache.get(digest) == saved["4.weight"].tobytes()
+        checks.start()
+        assert service.recover_model(model_id).verified is True
+        assert checks.hashed == []
+
+    # a 3x2 cluster has ``verify_reads`` on: its every recover is verified
+    @pytest.mark.parametrize("kind,filled_by", [
+        ("single", "put"), ("single", "get_chunks"), ("single", "unverified_recover"),
+        ("3x2", "put"), ("3x2", "get_chunks"),
+    ])
+    def test_an_entry_no_verified_recover_checked_is_hashed(
+        self, cached_service, checks, filled_by, kind
+    ):
+        service = cached_service(kind, approach=BaselineSaveService)
+        files = service.files
+        model = twin_model(seed=33)
+        model_id = service.save_model(ModelSaveInfo(model, twin_arch()))
+        layers = layer_chunks(service, model_id)
+        if filled_by == "put":
+            for meta in layers.values():
+                files.chunk_cache.put(meta["chunk"], bytes(files.chunks.get(meta["chunk"])))
+        elif filled_by == "get_chunks":
+            files.get_chunks([meta["chunk"] for meta in layers.values()])
+        else:
+            assert service.recover_model(model_id, verify=False).verified is None
+        assert all(meta["chunk"] in files.chunk_cache for meta in layers.values())
+
+        checks.start()
+        recovered = service.recover_model(model_id)
+        assert recovered.verified is True
+        assert_state_equals(recovered.model, copy_state(model))
+        assert_each_parameter_hashed_once(checks.hashed, recovered.model, TWIN_COPIES)
+        # each payload that passed now vouches for its entry: one CRC-32 each
+        assert sorted(checks.crced) == sorted(chunk_sizes(files, layers.values()))
+
+        checks.start()
+        assert service.recover_model(model_id).verified is True
+        assert checks.hashed == []
+
+    @pytest.mark.parametrize("kind", ["single", "3x2"])
+    def test_an_evicted_entry_is_hashed_again_when_fetched_again(
+        self, cached_service, checks, kind
+    ):
+        model = twin_model(seed=34)
+        state_bytes = sum(array.nbytes for array in model.state_dict().values())
+        service = cached_service(kind, state_bytes, approach=BaselineSaveService)
+        files = service.files
+        model_id = service.save_model(ModelSaveInfo(model, twin_arch()))
+        assert service.recover_model(model_id).verified is True  # vouches
+        layers = layer_chunks(service, model_id)
+        cache = files.chunk_cache
+        cache.put("filler", bytes(cache.max_bytes - cache.current_bytes + 1))  # evicts the LRU
+        evicted = {meta["chunk"] for meta in layers.values()} - {
+            meta["chunk"] for meta in layers.values() if meta["chunk"] in cache}
+        assert evicted and cache.evictions == len(evicted) and "filler" in cache
+
+        checks.start()
+        recovered = service.recover_model(model_id)
+        assert recovered.verified is True
+        assert_state_equals(recovered.model, copy_state(model))
+        state = recovered.model.state_dict()
+        hashed = {name for name, array in state.items()
+                  if times_hashed(checks.hashed, array)}
+        assert hashed == {name for name, meta in layers.items()
+                          if meta["chunk"] in evicted and name not in TWIN_COPIES}
+        assert len(checks.hashed) == len(hashed)
 
 
 class TestSkipInitThreads:

@@ -323,8 +323,8 @@ class TestCounts:
         files._charged_read = lambda digest: (
             charged_read(digest) if is_file_id(digest)
             else _tally(chunk_bytes, charged_read(digest)))
-        files._charged_read_many = lambda digests, workers: _tally_many(
-            chunk_bytes, charged_read_many(digests, workers))
+        files._charged_read_many = lambda digests, *args: _tally_many(
+            chunk_bytes, charged_read_many(digests, *args))
         recovered = assert_recovers(service, ids[-1], states[-1])
         assert recovered.recovery_depth == 0
         # (bytes_received also counts the manifest, its spec and the code file)

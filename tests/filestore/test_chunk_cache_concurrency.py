@@ -8,7 +8,9 @@ never exceeds ``max_bytes``.
 """
 
 import random
+import sys
 import threading
+import zlib
 
 from repro.filestore.store import ChunkCache
 
@@ -110,3 +112,57 @@ class TestConcurrentByteAccounting:
         stats = cache.stats()
         assert stats["bytes"] == cache.current_bytes
         assert stats["entries"] == len(cache)
+
+
+class TestConcurrentVouches:
+    """A vouch lives and dies with its entry: under puts, evictions,
+    discards and vouches from many threads, only a resident entry is
+    vouched, and only its own bytes match its vouch."""
+
+    def test_only_resident_entries_stay_vouched(self):
+        cache = ChunkCache(max_bytes=10_000)  # every put evicts
+        digests = list(PAYLOADS)
+        barrier = threading.Barrier(6)
+        failures: list[BaseException] = []
+
+        def vouching(seed):
+            rng = random.Random(seed)
+            barrier.wait()
+            try:
+                for _ in range(400):
+                    digest = rng.choice(digests)
+                    action = rng.random()
+                    if action < 0.4:
+                        cache.put(digest, PAYLOADS[digest])
+                    elif action < 0.7:
+                        cache.vouch(digest, zlib.crc32(PAYLOADS[digest]))
+                    elif action < 0.9:
+                        data = cache.get(digest)
+                        if data is not None:
+                            assert not cache.vouched(digest, b"not " + data)
+                    else:
+                        cache.discard(digest)
+            except BaseException as exc:  # pragma: no cover - only on a breach
+                failures.append(exc)
+                raise
+
+        workers = [threading.Thread(target=vouching, args=(seed,)) for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not failures
+        audit(cache)
+        with cache._lock:
+            assert set(cache._vouched) <= set(cache._entries)
+            resident = list(cache._vouched)
+        for digest in resident:
+            assert cache.vouched(digest, PAYLOADS[digest])
+        cache.clear()
+        assert cache._vouched == {}

@@ -2,6 +2,7 @@
 
 import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -541,3 +542,74 @@ class TestWritebackHint:
         assert hints
         for digest, blob in data.items():
             assert store.get(digest) == blob
+
+
+def chunk_byte_counters() -> dict[str, float]:
+    snapshot = obs.registry().snapshot()
+    return {
+        kind: sum(s["value"] for s in snapshot[f"mmlib_chunks_{kind}_bytes_total"]["series"])
+        for kind in ("logical", "dedup", "stored")
+    }
+
+
+class TestPutAccounting:
+    """Each put is accounted once, under the store's mutex: logical bytes
+    offered, bytes deduplicated, record payload bytes written."""
+
+    def test_a_mixed_batch_is_accounted_exactly(self, tmp_path):
+        store = ChunkStore(tmp_path / "s")
+        before = chunk_byte_counters()
+        puts = [  # (digest, payload, written)
+            (digest_for(0), payload(0, 700), True),
+            (digest_for(1), b"", True),  # zero-length, fresh
+            (digest_for(0), payload(0, 700), False),  # deduplicated
+            (digest_for(2), memoryview(np.arange(64, dtype=np.float32)), True),
+            (digest_for(1), b"", False),  # zero-length, deduplicated
+            (digest_for(2), np.arange(64, dtype=np.float32).tobytes(), False),
+            (digest_for(3), payload(3, 1), True),
+        ]
+        for digest, blob, written in puts:
+            assert store.put(digest, blob) is written
+        store.flush()
+
+        logical = sum(memoryview(blob).nbytes for _, blob, _ in puts)
+        dedup = sum(memoryview(blob).nbytes for _, blob, written in puts if not written)
+        assert (logical, dedup) == (700 + 256 + 1 + 700 + 256, 700 + 256)
+        assert store.dedup_stats() == {
+            "logical_bytes": logical,
+            "dedup_bytes": dedup,
+            "stored_bytes": logical - dedup,
+            "dedup_ratio": round(logical / (logical - dedup), 4),
+        }
+        after = chunk_byte_counters()
+        assert {kind: after[kind] - before[kind] for kind in after} == {
+            "logical": logical, "dedup": dedup, "stored": logical - dedup}
+        store.close()
+
+    def test_concurrent_puts_lose_no_byte(self, tmp_path):
+        store = ChunkStore(tmp_path / "s")
+        blobs = {digest_for(index): payload(index, 64 + index) for index in range(40)}
+        barrier = threading.Barrier(4)
+
+        def putter():
+            barrier.wait()
+            for digest, blob in blobs.items():
+                store.put(digest, blob)
+
+        threads = [threading.Thread(target=putter) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = sum(len(blob) for blob in blobs.values())
+        stats = store.dedup_stats()
+        assert stats["logical_bytes"] == 4 * total
+        assert stats["stored_bytes"] == total
+        assert stats["dedup_bytes"] == 3 * total
+        store.close()

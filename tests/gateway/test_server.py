@@ -196,6 +196,59 @@ class TestRequestPlane:
             run(scenario())
 
 
+class TestFindIsOneQuery:
+    """A gateway ``find`` answers from one catalog query: on a 3x2 cluster,
+    one sharded ``find`` call, whatever the models derive from."""
+
+    def test_one_sharded_find_and_the_reply_a_record_list_gives(
+        self, tmp_path, monkeypatch, request
+    ):
+        from repro.cluster.sharded_docs import _ShardedCollection
+
+        stores = SharedStores.cluster_at(tmp_path / "cluster", shards=3, replicas=2)
+        request.addfinalizer(stores.files.close)
+        registry = TenantRegistry(stores, {"acme": TenantQuota()})
+        manager = registry.tenant("acme").manager
+        finds = []
+        find = _ShardedCollection.find
+
+        def counting_find(self, *args, **kwargs):
+            finds.append(args[0] if args else kwargs.get("query"))
+            return find(self, *args, **kwargs)
+
+        with GatewayServer(registry) as server:
+            async def scenario():
+                async with AsyncGatewayClient(*server.address, "acme") as client:
+                    root = await client.save_model(FACTORY, state=mlp_state(1), use_case="U_1")
+                    await client.save_model(FACTORY, state=mlp_state(2), base=root,
+                                            use_case="U_1")
+                    await client.save_model(FACTORY, state=mlp_state(3), use_case="U_2")
+                    monkeypatch.setattr(_ShardedCollection, "find", counting_find)
+                    return {use_case: await client.find(use_case=use_case)
+                            for use_case in ("U_1", "U_2", None)}
+
+            replies = run(scenario())
+        assert len(finds) == 3  # one per find: no second query for children
+        monkeypatch.setattr(_ShardedCollection, "find", find)
+        tenant = registry.tenant("acme")
+        for use_case, models in replies.items():
+            records = (manager.list_models() if use_case is None
+                       else manager.find_by_use_case(use_case))
+            assert models == [
+                {
+                    "model_id": tenant.qualify(record.model_id),
+                    "approach": record.approach,
+                    "base_model_id": (tenant.qualify(record.base_model_id)
+                                      if record.base_model_id else None),
+                    "use_case": record.use_case,
+                    "saved_at": record.saved_at,
+                }
+                for record in records
+            ]
+        assert [len(replies[key]) for key in ("U_1", "U_2", None)] == [2, 1, 3]
+        assert replies["U_1"][1]["base_model_id"] == replies["U_1"][0]["model_id"]
+
+
 class TestWireFrames:
     def test_base64_save_is_refused_not_acked_with_initial_weights(self, tmp_path):
         registry = make_registry(tmp_path)
