@@ -52,10 +52,12 @@ bench-serving:
 # recovered byte, every corruption still caught; a PUA save's derived
 # Merkle tree equals a fresh one, a stale or planted cached tree is
 # ignored) + the bookkeeping
-# kill/crash-point/two-process tests + the retired write formats (still
-# read bitwise, fsck-clean, corruption caught) + the file-per-blob import
-# (a crash at every step, single store and 3x2 cluster) + one log (the
-# RecordLog property test, stores with parent-format logs) + one replica
+# kill/crash-point/two-process tests + the one import door (the retired
+# write formats, file-per-blob roots and parent-format logs converted by
+# the import bitwise and fsck-clean, corruption caught, the import killed
+# at every step, single store and 3x2 cluster; no retired-format name
+# outside the importer, older roots refused, the marker fsynced) + one log
+# (the RecordLog property test) + one replica
 # core (the quorum policy of every write kind, verified heal sources, the
 # flush barrier, a promote that fails at its commit point) + the gateway
 # save exchange (forged digests, foreign references, collected chunks) +
@@ -76,11 +78,11 @@ chaos:
 		tests/filestore/test_bookkeeping.py::TestTwoProcesses \
 		tests/filestore/test_bookkeeping_property.py \
 		tests/filestore/test_legacy_import.py::TestRetiredWriteFormats \
-		tests/filestore/test_legacy_import.py::TestUpgradeCrashes \
+		tests/filestore/test_legacy_import.py::TestImportCrashes \
 		tests/filestore/test_legacy_import.py::TestAStoreTheParentWrote \
 		tests/core/test_full_manifests.py \
-		tests/filestore/test_legacy_import.py::TestUpgradeWithAMemberDown \
 		tests/filestore/test_legacy_import.py::TestAStoreOfFilesPerBlob \
+		tests/test_one_door.py \
 		tests/filestore/test_record_log.py tests/filestore/test_parent_logs.py \
 		tests/cluster/test_sharded_store.py::TestQuorumWrites::test_every_write_kind_follows_one_quorum_policy \
 		tests/cluster/test_sharded_store.py::TestFlushBarrier \

@@ -36,6 +36,7 @@ MODULES = [
     "repro.wire",
     "repro.core",
     "repro.distsim",
+    "repro.importer",
     "repro.workloads",
     "repro.cli",
 ]

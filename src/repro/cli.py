@@ -18,6 +18,7 @@ file store directories).  Examples::
     mmlib --docs db --files blobs gc
     mmlib --docs db --files blobs fsck
     mmlib --docs db --files blobs compact --max-depth 4 --dry-run
+    mmlib --docs db --files blobs import converted
     mmlib --cluster deploy heal --json
     mmlib --cluster deploy stats --prometheus
     mmlib --cluster deploy --deadline 2.5 recover model-0123… --out m.state
@@ -321,6 +322,28 @@ def cmd_fsck(args) -> int:
         print(f"[{status}] {issue.kind}: {issue.detail}")
     print(report.summary())
     return 1 if report.unrepaired else 0
+
+
+def cmd_import(args) -> int:
+    """Convert a deployment an older release wrote into a new one; the
+    deployment read is left as it was."""
+    from repro.importer import import_deployment
+
+    new = Path(args.new)
+    if getattr(args, "cluster", None):
+        report = import_deployment(new, cluster=args.cluster, replicas=args.replicas)
+        opens = f"--cluster {new}"
+    elif args.docs and args.files:
+        report = import_deployment(new, docs=args.docs, files=args.files)
+        opens = f"--docs {new / 'documents'} --files {new / 'files'}"
+    else:
+        raise CliError("import reads --docs and --files (or --cluster)")
+    print(f"imported {report['models']} model(s) into {new}: "
+          f"{report['levels']} level(s) rewritten, {report['records']} record(s) "
+          f"re-appended raw, {report['files']} file(s) put into segments, "
+          f"{report['logs']} log(s) reframed")
+    print(f"open it with: mmlib {opens} <command>")
+    return 0
 
 
 def cmd_heal(args) -> int:
@@ -694,6 +717,15 @@ def build_parser() -> argparse.ArgumentParser:
              "issues remain)",
     )
     fsck_parser.set_defaults(func=cmd_fsck)
+
+    import_parser = commands.add_parser(
+        "import",
+        help="convert a deployment an older release wrote into NEW (the "
+             "deployment read stays as it was)",
+    )
+    import_parser.add_argument(
+        "new", help="directory for the converted deployment (must not exist)")
+    import_parser.set_defaults(func=cmd_import)
 
     verify_parser = commands.add_parser(
         "verify", help="recover + checksum-verify every model in the catalog"

@@ -57,9 +57,8 @@ STAMP = "_v"
 DELETED = "_deleted"
 STAMP_FIELDS = (DELETED, STAMP)
 
-#: An older release's per-member deletes, ``{"_id": "<collection>/<doc_id>"}``.
-PARENT_GRAVES = "__cluster_tombstones__"
-#: Ranks above an unstamped record and below every clock stamp.
+#: Ranks above an unstamped record and below every clock stamp: an
+#: imported delete (:mod:`repro.importer`).
 FOLDED = "0"
 
 
@@ -510,32 +509,12 @@ class ShardedDocumentStore(ReplicaLedger):
         self._clock_lock = threading.Lock()
         self._tick = 0
         self._writer = uuid.uuid4().hex[:8]
-        self._fold_parent_graves()
 
     def _next_stamp(self) -> str:
         """A stamp later than every one this store made before."""
         with self._clock_lock:
             self._tick = max(self._tick + 1, time.time_ns())
             return f"{self._tick:016x}.{self._writer}"
-
-    def _fold_parent_graves(self) -> None:
-        """Fold :data:`PARENT_GRAVES` entries into :data:`FOLDED` tombstones
-        on the member holding each, over a missing or unstamped copy; a
-        member's old collection is dropped once all its entries landed."""
-        for member in self.members.values():
-            try:  # a member that cannot list its collections holds none
-                if PARENT_GRAVES not in getattr(member, "collection_names", list)():
-                    continue
-                for entry in member.collection(PARENT_GRAVES).find({}, projection=()):
-                    collection_name, _, doc_id = entry["_id"].partition("/")
-                    target = member.collection(collection_name)
-                    held = target.get_many([doc_id], projection=STAMP_FIELDS)
-                    if not held or not _stamp(held[0]):
-                        tombstone = {"_id": doc_id, STAMP: FOLDED, DELETED: True}
-                        _land(target, tombstone)
-                member.drop_collection(PARENT_GRAVES)
-            except OSError:
-                continue
 
     # -- store surface --------------------------------------------------------
 
@@ -588,12 +567,9 @@ class ShardedDocumentStore(ReplicaLedger):
 
     def universe(self) -> set[tuple[str, str]]:
         """Every ``(collection, doc_id)`` a reachable member holds a record
-        of, tombstones included (an older release's deletes folded first)."""
-        self._fold_parent_graves()
+        of, tombstones included."""
         keys: set[tuple[str, str]] = set()
         for name in self.collection_names():
-            if name == PARENT_GRAVES:
-                continue  # a member that could not fold them yet
             for member in self.members.values():
                 try:
                     found = member.collection(name).find({}, projection=())

@@ -46,7 +46,6 @@ from typing import Mapping
 
 from .. import deadline as deadline_mod
 from ..errors import TransientStoreError
-from ..filestore import upgrade
 from ..filestore.segments import StoreLock
 from ..filestore.store import (
     ChunkNotFoundError,
@@ -356,14 +355,6 @@ class ShardedFileStore(ReplicaLedger, FileStore):
             workers=workers,
             chunk_cache=chunk_cache,
         )
-
-    def _open_root(self) -> bool:
-        """An older release left its records on the members, not in
-        ``root``: the metadata root is marked with them, never before."""
-        if all(getattr(member, "one_format", True) for member in self.members.values()):
-            return upgrade.open_root(self.root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        return False
 
     @property
     def chunks(self) -> _ShardedChunkView:

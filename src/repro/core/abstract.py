@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Callable
 
 from .. import obs
-from ..filestore import upgrade
 from ..nn import rng
 from ..docstore.engine import DuplicateKeyError
 from ..retry import RetryingDocumentStore
@@ -67,7 +66,7 @@ __all__ = ["AbstractSaveService"]
 #: manifest.
 _RECOVER_FIELDS = (
     "approach", "base_model", "use_case", "environment_id", "merkle_root",
-    "parameters_file", "architecture", "train_info_id", "provenance", "update_file",
+    "parameters_file", "architecture", "train_info_id", "provenance",
 )
 
 #: What :meth:`AbstractSaveService.layer_table` reads of a model document.
@@ -83,10 +82,6 @@ class AbstractSaveService:
     ``retry`` (a :class:`~repro.retry.RetryPolicy`) makes document
     operations retry transient store failures; pass the same policy to the
     file store so both halves of a save share one backoff budget.
-
-    Opening a service over a file store an older release wrote upgrades
-    it (:func:`~repro.filestore.upgrade.upgrade`); over any other it costs
-    nothing.
     """
 
     #: Set by subclasses; stored in every model document they save.
@@ -132,8 +127,6 @@ class AbstractSaveService:
         else:
             self.dataset_manager = DatasetManager(file_store, codec=dataset_codec)
         self._scratch_dir = Path(scratch_dir) if scratch_dir else None
-        if not getattr(file_store, "one_format", True):
-            upgrade.upgrade(self)
 
     # ------------------------------------------------------------------
     # save
@@ -577,10 +570,6 @@ class AbstractSaveService:
                 state = self._load_state_file(document["parameters_file"], verified, have)
                 timings["load"] += self.clock.perf() - started
                 return state, 0, partial(self._load_architecture, document, timings)
-            if document.get("update_file"):
-                raise RecoveryError(
-                    f"model document {doc_id} is a delta level an older release "
-                    "wrote that the upgrade could not rewrite (fsck reports why)")
             if approach != APPROACH_PROVENANCE:
                 raise RecoveryError(
                     f"model document {doc_id} has neither parameters nor a "

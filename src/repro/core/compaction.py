@@ -17,13 +17,11 @@ to deleting ancestors.
 
 The swap is committed by its document replace alone: artifacts (a copy of
 the code file, then the snapshot manifest, whose group fsync covers both)
-are written first, the document replace publishes them, and only then is
-what they superseded released (the upgrader's swap releases an older
-release's level).  A crash at any point leaves nothing but unreferenced
-records — the new artifacts before the commit, the old level after it —
-which garbage collection and fsck reclaim, and every model recovers
-bitwise throughout.  The save transaction's hold keeps any sweep out from
-the first artifact to the replace.
+are written first, and the document replace publishes them.  A crash at
+any point leaves nothing but unreferenced records — the new artifacts
+before the commit — which garbage collection and fsck reclaim, and every
+model recovers bitwise throughout.  The save transaction's hold keeps any
+sweep out from the first artifact to the replace.
 """
 
 from __future__ import annotations
@@ -156,24 +154,14 @@ class ChainCompactor:
                     document["merkle_root"] = root
                 document["compacted"] = {"from_depth": depth or recovered.recovery_depth}
                 document.pop("layer_hashes", None)  # the manifest holds the table
-                self.swap(model_id, document)
+                self._fault("compact.commit")
+                models.replace_one(model_id, document)  # the commit point
+                self._fault("compact.cleanup")
 
         self._obs_materialized.inc()
         obs.events().emit(
             "chain_compacted", model_id=model_id, depth=depth or recovered.recovery_depth)
         return {"model_id": model_id}
-
-    def swap(self, model_id: str, document: dict, release=None) -> None:
-        """The one chain rewrite's commit (see the module docstring), shared
-        with the upgrader: ``document``'s artifacts are written and flushed,
-        its replace commits, then ``release`` gives up what it superseded.
-        Fault points ``compact.commit`` and ``compact.cleanup`` precede the
-        replace and the release."""
-        self._fault("compact.commit")
-        self.documents.collection(MODELS).replace_one(model_id, document)  # the commit point
-        self._fault("compact.cleanup")
-        if release is not None:
-            release()
 
     def _obs_tracer_span(self, model_id: str):
         return obs.tracer().span("compaction.materialize", model_id=model_id)

@@ -17,13 +17,10 @@ share one definition of live: the catalog walk (:meth:`ModelManager._walk`).
 
 from __future__ import annotations
 
-import shutil
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .. import obs
-from ..filestore import upgrade
 from ..filestore.store import chunk_intact, is_file_id, self_checked
 from .abstract import AbstractSaveService
 from .compaction import DEFAULT_MAX_DEPTH, ChainCompactor
@@ -47,22 +44,10 @@ _RECORD_FIELDS = ("approach", "base_model", "use_case", "saved_at")
 
 
 #: The fields of a model document that name files (``_referenced_files``).
-_FILE_FIELDS = ("architecture", "parameters_file", "update_file", "provenance")
+_FILE_FIELDS = ("architecture", "parameters_file", "provenance")
 
 #: The fields of a model document the catalog walk reads.
 _WALK_FIELDS = (*_FILE_FIELDS, "base_model", "environment_id", "train_info_id")
-
-#: Logs a parent release kept under a file store's root (a sharded store's
-#: metadata root and each member's) beside its records: the chain
-#: compactor's swap intents, the save intent logs, the rebalancer's move
-#: journals, the hinted-handoff logs, the segment compaction journal and the
-#: chunk refcounts.  None says what the records do not — fsck sweeps what
-#: the catalog does not reach, its replication step moves what sits off its
-#: ring owners or short of them, and a segment no index entry names is dead
-#: — so a repair deletes them unread.
-PARENT_LOGS = ("chain-compaction", "journal", "rebalance", "hints",
-               "chunks/compaction.json", "chunks/refcounts.json")
-
 
 class DependentModelsError(MMLibError):
     """Raised when deleting a model that other models are derived from."""
@@ -92,7 +77,7 @@ class FsckIssue:
     ``segment_index``, ``segment_crc``,
     ``catalog_torn_tail``, ``missing_base``, ``missing_document``,
     ``environment_digest``, ``missing_file``, ``missing_chunk``,
-    ``corrupt_chunk``, ``corrupt_manifest``, ``retired_level``,
+    ``corrupt_chunk``, ``corrupt_manifest``,
     ``orphan_file``, ``orphan_chunk``,
     ``under_replicated``, ``orphan_document``).
     """
@@ -477,9 +462,8 @@ class ModelManager:
         architecture = document.get("architecture")
         if architecture and architecture.get("code_file_id"):
             files.add(architecture["code_file_id"])
-        for key in ("parameters_file", "update_file"):
-            if document.get(key):
-                files.add(document[key])
+        if document.get("parameters_file"):
+            files.add(document["parameters_file"])
         provenance = document.get("provenance")
         if provenance and provenance.get("dataset_file_id"):
             files.add(provenance["dataset_file_id"])
@@ -644,18 +628,13 @@ class ModelManager:
            and every content-addressed environment document still hashes
            back to its id (audit only);
         4. ``chunks`` — every reached manifest's chunks exist and (with
-           ``verify_chunks``) hash back to their content digests; a level
-           an older release wrote and no open has upgraded is a
-           ``retired_level`` (a v2 manifest's pieces stay live);
+           ``verify_chunks``) hash back to their content digests;
         5. ``orphans`` — no stored record is outside the mark (the
            reached files and the chunks their manifests name): an
            unreached file is an ``orphan_file``, an unreached chunk an
            ``orphan_chunk``.  What a save that failed or died before its
            model document left is exactly this, as is what a deleted
-           model or a crashed chain rewrite leaves before the next gc; the
-           repair also deletes the logs a parent release kept beside its
-           records (:data:`PARENT_LOGS`), which say nothing the records do
-           not;
+           model or a crashed chain rewrite leaves before the next gc;
         6. ``orphan_documents`` — every environment, train and wrapper
            document is reached: one a crashed save put, or an environment
            whose last model was deleted, is removed.
@@ -784,20 +763,11 @@ class ModelManager:
                 continue
             marked.add(file_id)
             if not files.is_manifest_id(file_id):
-                # only an unmarked store can hold a blob level (§11)
-                if not getattr(files, "one_format", True) and file_id.endswith(
-                        upgrade.BLOB_SUFFIXES):
-                    report.add("retired_level", f"{file_id} is a blob an open upgrades")
                 continue
             try:
                 spec, *digests = files.manifest_keys(file_id)
             except (IOError, ValueError) as exc:
-                keys = upgrade.retired_keys(files, file_id)
-                if keys is None:
-                    report.add("corrupt_manifest", f"manifest {file_id}: {exc}")
-                else:  # what it names stays live until an open upgrades it
-                    report.add("retired_level", f"{file_id} is a JSON manifest")
-                    marked.update(keys)
+                report.add("corrupt_manifest", f"manifest {file_id}: {exc}")
                 continue
             marked.update((spec, *digests))
             if not files.has_chunk(spec):
@@ -845,16 +815,6 @@ class ModelManager:
                 kind, detail = "orphan_chunk", f"unreferenced chunk {key[:12]}…"
             report.add(kind, detail + (" (removed)" if repair else ""),
                        repaired=repair)
-        # what a parent release's logs name, the records already say
-        if repair and hasattr(files, "root"):
-            members = getattr(files, "members", {}).values()
-            for root in (files.root, *(member.root for member in members)):
-                for name in PARENT_LOGS:
-                    path = Path(root) / name
-                    if path.is_dir():
-                        shutil.rmtree(path, ignore_errors=True)
-                    else:
-                        path.unlink(missing_ok=True)
 
         # 6. orphan documents (a crashed save's, an environment nobody names)
         steps.start("orphan_documents")

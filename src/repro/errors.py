@@ -23,6 +23,7 @@ __all__ = [
     "QuorumWriteError",
     "DeadlineExceededError",
     "LayersNeededError",
+    "OlderFormatError",
 ]
 
 
@@ -81,3 +82,15 @@ class LayersNeededError(MMLibError):
     def __init__(self, layers):
         self.layers = list(layers)
         super().__init__(f"the store needs the bytes of layers {self.layers}")
+
+
+class OlderFormatError(MMLibError):
+    """``path`` — a store root or a log — holds a format an older release
+    wrote; the open refused it before writing a byte.  ``mmlib import``
+    converts a copy (DESIGN.md §11 "One import door")."""
+
+    def __init__(self, path):
+        self.path = path
+        super().__init__(
+            f"{path} holds a format an older release wrote; convert the "
+            "deployment with `mmlib import NEW` and open NEW")

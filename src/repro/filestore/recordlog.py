@@ -7,8 +7,8 @@ header with an empty key, then one JSON payload.  One rule, in
 its CRC) is cut off and counted in ``torn_bytes``; a bad record with a
 valid record after it raises :class:`~repro.errors.StoreCorruptionError`,
 the file untouched.  A file that starts with ``{`` was written by an older
-release: one JSON document, or JSON lines under the same rule; its first
-append rewrites it in the framing.
+release: it raises :class:`~repro.errors.OlderFormatError`, the file
+untouched (``mmlib import`` rewrites it in the framing).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import zlib
 from pathlib import Path
 from typing import Iterable
 
-from ..errors import StoreCorruptionError
+from ..errors import OlderFormatError, StoreCorruptionError
 
 __all__ = ["RecordLog", "RECORD_HEADER", "RECORD_MAGIC", "next_whole_record", "read_record",
            "record_header", "record_size", "write_all"]
@@ -85,14 +85,6 @@ def _frame(payloads: Iterable[bytes]) -> bytes:
     return b"".join(record_header(b"", zlib.crc32(p), len(p)) + p for p in payloads)
 
 
-def _parses(line: bytes) -> bool:
-    try:
-        json.loads(line)
-    except ValueError:
-        return False
-    return True
-
-
 def _scan(data: bytes) -> tuple[list[bytes], int, bool]:
     """``(payloads, end, damaged)``: the whole records ``data`` starts with,
     where they end, and whether a valid record follows the bad one there."""
@@ -106,20 +98,6 @@ def _scan(data: bytes) -> tuple[list[bytes], int, bool]:
     return payloads, end, False
 
 
-def _scan_older(data: bytes) -> tuple[list[bytes], int, bool]:
-    """:func:`_scan` for a file an older release wrote."""
-    if _parses(data):
-        return [data.strip()], len(data), False
-    lines, payloads, end = data.split(b"\n"), [], 0
-    for index, line in enumerate(lines):
-        if line.strip():
-            if not _parses(line):
-                return payloads, end, any(map(_parses, filter(bytes.strip, lines[index + 1:])))
-            payloads.append(line.strip())
-        end = min(end + len(line) + 1, len(data))
-    return payloads, end, False
-
-
 class RecordLog:
     """An append-only file of CRC-framed JSON records; each caller
     serialises its own calls.  Reads and appends keep a descriptor on the
@@ -130,7 +108,6 @@ class RecordLog:
         self.size = 0  # bytes of whole records this object read or wrote
         self.torn_bytes = 0  # what the last read cut off as a torn tail
         self._file = None
-        self._older: list[bytes] | None = None  # an older release's records
 
     def replay(self, sized: bool = False) -> list:
         """Every record of the file, decoded, oldest first; ``sized``:
@@ -143,8 +120,10 @@ class RecordLog:
             return []
         fd = self._file.fileno()
         data = os.pread(fd, os.fstat(fd).st_size, 0)
-        older = data[:1] == b"{"
-        payloads, end, damaged = (_scan_older if older else _scan)(data)
+        if data[:1] == b"{":
+            self.close()
+            raise OlderFormatError(self.path)
+        payloads, end, damaged = _scan(data)
         try:
             if damaged:
                 raise ValueError(f"a bad record at byte {end} with records after it")
@@ -156,21 +135,14 @@ class RecordLog:
             os.ftruncate(fd, end)
         self.torn_bytes = len(data) - end
         self.size = end
-        if older:
-            self._older = payloads
         if sized:
             records = list(zip(records, map(record_size, payloads)))
         return records
 
     def append(self, payloads: Iterable[bytes]) -> int:
         """Append one record per payload with one ``os.write``; returns the
-        bytes appended.  A write that fails part-way is cut back off; a
-        file an older release wrote is rewritten in the framing instead."""
-        payloads = list(payloads)
+        bytes appended.  A write that fails part-way is cut back off."""
         data = _frame(payloads)
-        if self._older is not None:
-            self.rewrite([*self._older, *payloads])
-            return len(data)
         if self._file is None:
             self._file = self._open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT)
         start = os.fstat(self._file.fileno()).st_size
@@ -196,7 +168,7 @@ class RecordLog:
             fresh.close()  # a crash before the rename: the old file, whole
             raise
         self.close()
-        self._file, self._older = fresh, None
+        self._file = fresh
         self.size = os.fstat(fresh.fileno()).st_size
 
     def _tmp_path(self) -> Path:
@@ -227,6 +199,6 @@ class RecordLog:
     def remove(self) -> None:
         """Delete the file, and a tmp file a crashed rewrite left."""
         self.close()
-        self.size, self._older = 0, None
+        self.size = 0
         self.path.unlink(missing_ok=True)
         self._tmp_path().unlink(missing_ok=True)

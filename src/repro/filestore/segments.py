@@ -78,7 +78,6 @@ from typing import Iterable, Mapping
 
 from .. import obs
 from ..errors import StoreCorruptionError
-from . import upgrade
 from .recordlog import (
     RECORD_HEADER, RECORD_MAGIC, RecordLog, next_whole_record, read_record, record_header,
     write_all)
@@ -265,10 +264,6 @@ class ChunkStore:
     deleted, and a sweep marks and sweeps what a fresh open would find.
     Every index checkpoint is written under it, so several processes can
     share one store directory (DESIGN.md §17 "Bookkeeping").
-
-    A chunk root written by the older file-per-chunk layout is imported
-    once, on open (:meth:`_import_legacy_chunks`); :meth:`import_files`
-    does the same for the files an older file store kept in its root.
     """
 
     def __init__(
@@ -287,8 +282,7 @@ class ChunkStore:
         self.tmp_grace_s = float(tmp_grace_s)
         self.segment_bytes = int(segment_bytes)
         #: Optional chaos hook with the ``FaultInjector.fail_point``
-        #: signature, consulted by long-running maintenance (compaction,
-        #: an import).
+        #: signature, consulted by long-running maintenance (compaction).
         self.fault_hook = None
         # dedup accounting (in-process, like the network store's transfer
         # accounting), kept under ``_mutex``: logical bytes offered by
@@ -352,27 +346,20 @@ class ChunkStore:
             # an unclean shutdown's tail was rescanned: once, not per open
             with self.lock.hold(), self._mutex:
                 self._write_checkpoint_locked()
-        self._import_legacy_chunks()
 
-    # -- record payloads / dedup accounting -----------------------------------
+    # -- dedup accounting ------------------------------------------------------
 
-    @staticmethod
-    def _encode(view: memoryview):
-        """At-rest payload for one chunk: its bytes as they are, zero-copy
-        (a writer of an older release's format substitutes its own)."""
-        return view
-
-    def _account_put_locked(self, raw_nbytes: int, stored_nbytes: int | None = None) -> None:
-        """Record one put, under ``_mutex``: deduped when ``stored_nbytes``
-        is ``None``."""
-        self.logical_bytes += raw_nbytes
-        self._obs_logical.inc(raw_nbytes)
-        if stored_nbytes is None:
-            self.dedup_bytes += raw_nbytes
-            self._obs_dedup.inc(raw_nbytes)
+    def _account_put_locked(self, nbytes: int, written: bool) -> None:
+        """Record one put of ``nbytes``, under ``_mutex``: written, or
+        deduplicated against a stored record."""
+        self.logical_bytes += nbytes
+        self._obs_logical.inc(nbytes)
+        if written:
+            self.stored_bytes += nbytes
+            self._obs_stored.inc(nbytes)
         else:
-            self.stored_bytes += stored_nbytes
-            self._obs_stored.inc(stored_nbytes)
+            self.dedup_bytes += nbytes
+            self._obs_dedup.inc(nbytes)
 
     def dedup_stats(self) -> dict:
         """Dedup accounting since this store was opened."""
@@ -663,60 +650,6 @@ class ChunkStore:
             except OSError:
                 pass
 
-    def _import_legacy_chunks(self) -> None:
-        """Fold a file-per-chunk chunk root into this store, once, on open.
-
-        Older stores kept each chunk in its own file, ``objects/<digest>``
-        (the raw bytes or a codec frame).  Every such file is decoded and
-        imported (:meth:`import_files`).  A young ``*.tmp`` keeps the
-        directory for the next open.
-        """
-        legacy = self.root / "objects"
-        if legacy.is_dir():
-            self.import_files(legacy, framed=True)
-            with contextlib.suppress(OSError):
-                legacy.rmdir()
-
-    def import_files(self, directory: Path, framed: bool = False) -> None:
-        """Fold every regular file of ``directory`` into the store.
-
-        Each file becomes a record keyed by its name: under the store's
-        lock held exclusive every file is :meth:`put` (decoded first by the
-        upgrader when ``framed``: an older chunk object may hold a codec
-        frame), then one group :meth:`flush` and an index checkpoint make
-        the records durable and findable, and only then are the files
-        unlinked.  Expired ``*.tmp`` tears are reaped and young ones left
-        alone; dotfiles are not records.  Every step is idempotent (a put
-        of a held key is a no-op), so a crash anywhere resumes on the next
-        open, and a second opener waiting on the lock finds the files gone.
-        Fault hook: ``chunk.import`` after each put, after the flush and
-        after each unlink.
-        """
-        with self.lock.hold(exclusive=True):
-            with self._mutex:
-                self._refresh_locked()  # what a process we waited for imported
-            imported = []
-            for path in sorted(directory.iterdir()) if directory.is_dir() else ():
-                if path.name.startswith(".") or not path.is_file():
-                    continue
-                if path.name.endswith(".tmp"):
-                    if self._tmp_expired(path):
-                        path.unlink(missing_ok=True)
-                    continue
-                data = path.read_bytes()
-                self.put(path.name, upgrade.decode(data) if framed else data)
-                imported.append(path)
-                self._hook("chunk.import")
-            if not imported:
-                return
-            self.flush()
-            with self._mutex:
-                self._write_checkpoint_locked()
-            self._hook("chunk.import")
-            for path in imported:
-                path.unlink(missing_ok=True)
-                self._hook("chunk.import")
-
     # -- append path ---------------------------------------------------------
 
     def _next_segment_name(self) -> str:
@@ -755,7 +688,7 @@ class ChunkStore:
         self._check_digest(digest)
         with self._mutex:
             if digest in self._index:
-                self._account_put_locked(_buffer_nbytes(buffer))
+                self._account_put_locked(_buffer_nbytes(buffer), written=False)
                 return False
             self._ensure_active_locked()
             if not self._dirty:
@@ -765,28 +698,25 @@ class ChunkStore:
             if view.ndim != 1 or view.format != "B":
                 view = (view.cast("B") if view.contiguous
                         else memoryview(bytes(view)))
-            raw_nbytes = view.nbytes
-            encoded = self._encode(view)
-            eview = encoded if isinstance(encoded, memoryview) else memoryview(encoded)
-            crc = zlib.crc32(eview)
-            head = record_header(digest_raw, crc, eview.nbytes)
+            crc = zlib.crc32(view)
+            head = record_header(digest_raw, crc, view.nbytes)
             fileobj = self._active_file
             fileobj.seek(self._active_end)  # overwrite any earlier torn tail
             write_all(fileobj, head)
             write_all(fileobj, digest_raw)
-            write_all(fileobj, eview)
+            write_all(fileobj, view)
             payload_off = self._active_end + len(head) + len(digest_raw)
             self._set_entry_locked(
-                digest, (self._active_name, payload_off, eview.nbytes, crc))
+                digest, (self._active_name, payload_off, view.nbytes, crc))
             meta = self._segmeta[self._active_name]
-            meta["total"] += eview.nbytes
-            self._active_end = payload_off + eview.nbytes
+            meta["total"] += view.nbytes
+            self._active_end = payload_off + view.nbytes
             meta["scanned"] = self._active_end
             if self._active_end - self._hinted_end >= WRITEBACK_BYTES:
                 _start_writeback(fileobj.fileno(), self._hinted_end,
                                  self._active_end - self._hinted_end)
                 self._hinted_end = self._active_end
-            self._account_put_locked(raw_nbytes, stored_nbytes=eview.nbytes)
+            self._account_put_locked(view.nbytes, written=True)
             self._dirty = True
             self._index_dirty = True
             self._obs_appends.inc()
@@ -1024,7 +954,7 @@ class ChunkStore:
 
     def _read_intact_locked(self, entry) -> bytearray | None:
         """One record's payload, or ``None`` when it cannot be read or fails
-        its CRC — a record nothing may rewrite (compaction, the upgrader)
+        its CRC — a record nothing may rewrite (compaction, the importer)
         or vouch for (the audit)."""
         data = self._read_run_locked([("", entry, 0)]).get("")
         return data if data is not None and zlib.crc32(data) == entry[3] else None

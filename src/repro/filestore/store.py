@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import shutil
 import struct
 import threading
@@ -35,8 +36,8 @@ from typing import Collection, Iterable, Mapping
 import numpy as np
 
 from .. import obs
-from ..errors import LayersNeededError, StoreCorruptionError, TransientStoreError
-from . import upgrade
+from ..errors import (
+    LayersNeededError, OlderFormatError, StoreCorruptionError, TransientStoreError)
 from .segments import (
     DEFAULT_TMP_GRACE_S,
     ChunkNotFoundError,
@@ -50,18 +51,21 @@ __all__ = [
     "ChunkCache",
     "FileNotFoundInStoreError",
     "ChunkNotFoundError",
+    "FORMAT_MARKER",
     "ManifestEntry",
     "ManifestMemo",
     "chunk_intact",
     "is_file_id",
     "is_spec_key",
+    "mark_root",
+    "open_root",
 ]
 
 #: File-id suffix that marks a file as a chunked-state manifest.
 MANIFEST_SUFFIX = ".manifest"
 
 #: The one manifest format there is (v3; what older releases wrote is
-#: upgraded on open, :mod:`repro.filestore.upgrade`): a fixed header — this
+#: converted by ``mmlib import``, :mod:`repro.importer`): a fixed header — this
 #: tag, the raw sha256 of the manifest's spec record and the layer count —
 #: then one raw 32-byte chunk digest per layer, in state-dict order.
 MANIFEST_TAG = b"MMLIBMF3"
@@ -456,6 +460,40 @@ class ChunkCache:
             }
 
 
+#: The dotfile that says a store root holds the one format there is: v3
+#: manifests over raw records, every model its own recovery base.
+FORMAT_MARKER = ".format-v3"
+
+
+def mark_root(root: Path) -> None:
+    """Mark ``root`` as holding the one format, durably: the marker, then
+    one fsync of the directory that names it."""
+    (root / FORMAT_MARKER).touch()
+    fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def open_root(root: Path) -> None:
+    """Open ``root`` as a store root: a marked one opens (one ``stat``), an
+    absent or empty one is created marked, and anything else raises
+    :class:`~repro.errors.OlderFormatError` with nothing written."""
+    if (root / FORMAT_MARKER).exists():
+        return
+    try:
+        names = os.listdir(root)
+    except FileNotFoundError:
+        root.mkdir(parents=True, exist_ok=True)
+        names = []
+    if FORMAT_MARKER in names:
+        return  # a concurrent opener created it
+    if names:
+        raise OlderFormatError(root)
+    mark_root(root)
+
+
 class _SingleFlight:
     """Collapse concurrent fetches of one key into a single leader fetch.
 
@@ -493,9 +531,8 @@ class FileStore:
     ``<16-hex sha256 prefix>-<uuid12><suffix>``; the prefix gives cheap
     corruption detection on recovery
     without a separate checksum channel.  Nothing is stored as a file
-    under ``root``: a regular file found there on open (a dotfile aside)
-    was left by an older release, and is imported as a record under its
-    name (DESIGN.md §6 "One store for every byte").
+    under ``root`` but the format marker (:func:`open_root`; DESIGN.md §6
+    "One store for every byte").
 
     State dicts are saved through :meth:`save_state_chunks`: each layer
     becomes one content-addressed chunk (keyed by its precomputed tensor
@@ -503,10 +540,9 @@ class FileStore:
     manifest record — a header, then one raw digest per layer — whose
     layer names, dtypes and shapes are one spec record per layout.
     Identical layers across saves are stored once.  That is the only
-    format there is: a root an older release wrote — JSON (v1) manifests,
-    v2 manifests of content-defined pieces, framed records, whole
-    ``.params`` blobs — is upgraded once, on open, and :attr:`one_format`
-    says whether it has been (DESIGN.md §11 "One upgrader").
+    format there is: a root an older release wrote is refused on open
+    (:func:`open_root`) and converted by ``mmlib import`` (DESIGN.md §11
+    "One import door").
 
     Liveness is reachability: every stored file record is a root, and
     :meth:`gc_chunks` marks the chunks and the spec record each stored
@@ -566,10 +602,7 @@ class FileStore:
         chunk_cache: "ChunkCache | int | None" = None,
     ):
         self.root = Path(root)
-        #: True once the root holds only the one format; until then every
-        #: save service opened over this store runs
-        #: :func:`~repro.filestore.upgrade.upgrade`.
-        self.one_format = self._open_root()
+        open_root(self.root)
         self.faults = faults
         self.retry = retry
         self.tmp_grace_s = float(tmp_grace_s)
@@ -592,13 +625,6 @@ class FileStore:
         self._obs_coalesced = obs.registry().counter(
             "mmlib_chunk_cache_coalesced_total",
             "Chunk fetches coalesced by single-flight")
-        # an older release kept each file as its own file in the root
-        if any(path.is_file() and not path.name.startswith(".") for path in self.root.iterdir()):
-            self.chunks.import_files(self.root)
-
-    def _open_root(self) -> bool:
-        """Make the root; True iff it holds only the one format."""
-        return upgrade.open_root(self.root)
 
     @property
     def chunks(self) -> ChunkStore:
@@ -1250,14 +1276,13 @@ class FileStore:
         """Mark from every stored file, sweep the rest, compact.
 
         Every stored file record is a root, and every chunk and spec
-        record a stored manifest names is marked (a retired manifest's
-        until the upgrader rewrites it).  Under :meth:`hold` exclusive the mark is
-        taken and :meth:`ChunkStore.reap` sweeps the rest and reaps expired
-        tmp files; compaction follows once the hold is released, so saves
-        wait out the mark and the sweep only.  A stored manifest that
-        cannot be read leaves what it names unknown: nothing is swept, and
-        its id is under ``unreadable_manifests`` and in a
-        ``gc.sweep_skipped`` event.
+        record a stored manifest names is marked.  Under :meth:`hold`
+        exclusive the mark is taken and :meth:`ChunkStore.reap` sweeps the
+        rest and reaps expired tmp files; compaction follows once the hold
+        is released, so saves wait out the mark and the sweep only.  A
+        stored manifest that cannot be read leaves what it names unknown:
+        nothing is swept, and its id is under ``unreadable_manifests`` and
+        in a ``gc.sweep_skipped`` event.
         """
         with self.hold(exclusive=True):
             live, unreadable = self.mark(self.file_ids())
@@ -1271,9 +1296,9 @@ class FileStore:
 
     def mark(self, file_ids: Iterable[str]) -> tuple[set[str], list[str]]:
         """The record keys ``file_ids`` keep alive — each stored one, and
-        if it is a manifest its spec record and every chunk it names (a
-        retired manifest's until the upgrader rewrites it) — and the
-        stored manifests that could not be read, whose chunks are unknown."""
+        if it is a manifest its spec record and every chunk it names — and
+        the stored manifests that could not be read, whose chunks are
+        unknown."""
         live: set[str] = set()
         unreadable: list[str] = []
         for file_id in file_ids:
@@ -1287,11 +1312,7 @@ class FileStore:
             except FileNotFoundInStoreError:
                 continue  # dropped since it was listed
             except (IOError, ValueError):
-                keys = upgrade.retired_keys(self, file_id)
-                if keys is None:
-                    unreadable.append(file_id)
-                else:
-                    live.update(keys)
+                unreadable.append(file_id)
         return live, unreadable
 
     def close(self) -> None:
@@ -1303,7 +1324,7 @@ class FileStore:
 
     def clear(self) -> None:
         shutil.rmtree(self.root)
-        self.one_format = self._open_root()
+        open_root(self.root)
         self._chunks = None
         if self.chunk_cache is not None:
             self.chunk_cache.clear()

@@ -144,9 +144,7 @@ class TenantRegistry:
         for name in tenants:
             validate_tenant_name(name)
         # Admin view: one manager whose document collections span every
-        # tenant — the only correct scope for fsck/GC on shared files.  It
-        # opens first: over a store an older release wrote, its upgrade
-        # covers every tenant's levels in one pass
+        # tenant — the only correct scope for fsck/GC on shared files
         union = UnionDocumentStore(stores.documents, sorted(tenants))
         admin_service = SERVICE_CLASSES[approach](
             union,

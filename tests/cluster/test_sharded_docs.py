@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import importer
 from repro.cluster import ShardedDocumentStore
 from repro.docstore import DocumentStore, DuplicateKeyError, NotFoundError
 from repro.errors import TransientStoreError
@@ -448,8 +449,7 @@ class TestDeleteAnswersLikeOneStore:
 
 class TestParentTombstonesFold:
     """An older release kept deletes in a ``__cluster_tombstones__``
-    collection per member; opening the store folds them into tombstone
-    records."""
+    collection per member; the import folds them into tombstone records."""
 
     GRAVES = "__cluster_tombstones__"
 
@@ -465,6 +465,7 @@ class TestParentTombstonesFold:
         members[stale].collection("models").insert_one({"_id": "m1", "k": 1})
         members[buried].collection(self.GRAVES).insert_one({"_id": "models/m1"})
 
+        importer._fold_graves(members.values())
         store = ShardedDocumentStore(members, replicas=2)
         collection = store.collection("models")
         assert all(self.GRAVES not in member.collection_names()
@@ -475,15 +476,3 @@ class TestParentTombstonesFold:
         with pytest.raises(NotFoundError):
             collection.get("m1")
         assert collection.find() == [{"_id": "m2", "k": 1}]
-
-    def test_graves_on_an_unreachable_member_wait_for_the_next_open(self):
-        members = {f"d{index}": DownableStore() for index in range(3)}
-        members["d0"]._inner.collection(self.GRAVES).insert_one({"_id": "models/m1"})
-        members["d0"].down = True
-        ShardedDocumentStore(members, replicas=2)
-        assert self.GRAVES in members["d0"]._inner.collection_names()
-
-        members["d0"].down = False
-        ShardedDocumentStore(members, replicas=2)
-        assert self.GRAVES not in members["d0"]._inner.collection_names()
-        assert members["d0"]._inner.collection("models").get("m1")["_deleted"] is True

@@ -25,7 +25,7 @@ from repro.core import (
 from repro.core import hashing
 from repro.docstore import DocumentStore
 from repro.filestore import FileStore, NetworkModel, SimulatedNetworkFileStore
-from repro.filestore.upgrade import FORMAT_MARKER
+from repro.filestore.store import FORMAT_MARKER
 from tests.conftest import make_tiny_cnn
 from tests.filestore.older_release import reopened
 from tests.filestore.retired_formats import RetiredFormatStore
@@ -107,7 +107,7 @@ class TestRoundTrip:
         model_id = service.save_model(
             ModelSaveInfo(model, tiny_arch(), store_checksums=True)
         )
-        if not chunked:  # upgraded when the store is next opened
+        if not chunked:  # imported before this release opens it
             service = reopened(service)
         recovered = service.recover_model(model_id, verify=True)
         assert recovered.verified is True
@@ -140,7 +140,7 @@ class TestRoundTrip:
 
     def test_chunked_and_monolithic_documents_coexist(self, mem_doc_store, tmp_path):
         """Format compatibility: a catalog an older release left mixing both
-        layouts is upgraded to one on open."""
+        layouts is imported as one."""
         legacy = BaselineSaveService(
             mem_doc_store, RetiredFormatStore(tmp_path / "files", manifest="params"))
         model = make_tiny_cnn(seed=9)
@@ -150,11 +150,13 @@ class TestRoundTrip:
         models = mem_doc_store.collection("models")
         assert models.get(id_legacy)["parameters_file"].endswith(".params")
         assert models.get(id_chunked)["parameters_file"].endswith(".params.manifest")
-        # the next service to open the store upgrades the monolithic level
+        # the import rewrites the monolithic level in its copy
         upgraded = reopened(chunked)
-        assert models.get(id_legacy)["parameters_file"].endswith(".params.manifest")
+        imported_models = upgraded.documents.collection("models")
+        assert imported_models.get(id_legacy)["parameters_file"].endswith(".params.manifest")
+        assert models.get(id_legacy)["parameters_file"].endswith(".params")  # only read
         # any service instance recovers either document
-        for service in (upgraded, chunked, legacy):
+        for service in (upgraded, ParameterUpdateSaveService(upgraded.documents, upgraded.files)):
             for model_id in (id_chunked, id_legacy):
                 out = service.recover_model(model_id).model.state_dict()
                 for key, value in model.state_dict().items():

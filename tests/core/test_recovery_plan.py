@@ -35,10 +35,11 @@ from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import FileStore, NetworkModel, SimulatedNetworkFileStore
 from repro.filestore.store import is_file_id
+from repro.importer import ImportFailedError
 from repro.nn import rng
 from repro.nn.modules import Module, Skeleton
 from tests.conftest import make_tiny_cnn
-from tests.filestore.older_release import reopened
+from tests.filestore.older_release import as_older_release, reopened
 from tests.filestore.retired_formats import RetiredFormatStore, older_release
 
 FLOAT_LAYERS = [
@@ -183,7 +184,7 @@ def test_property_every_lineage_recovers_bitwise(
     bitwise and verified, whatever the store is configured as and whichever
     format (today's v3 or the retired v2, raw or zlib-framed records, PUA
     delta levels) its chunked levels were written in — a retired one
-    upgraded when the store is next opened, the compactions run after
+    imported before this release opens it, the compactions run after
     that."""
     root = tmp_path_factory.mktemp("plan")
     documents = DocumentStore()
@@ -457,8 +458,9 @@ class TestIntegrityOfThePlan:
     @pytest.mark.parametrize("retired", ["v2", "zlib", "params"])
     def test_flipped_bit_in_a_retired_format_level_fails_recover(self, tmp_path, retired):
         """The tip's last level was written in a retired format: a flipped
-        bit in what the plan reads from it, there before the upgrade, still
-        fails the recover after it; the levels below still recover."""
+        bit in what the plan reads from it fails the import, which names
+        the level or the record, creates nothing and leaves the store it
+        read as it was."""
         files = RetiredFormatStore(tmp_path / "files", manifest="v3", piece_bytes=64)
         service = ParameterUpdateSaveService(DocumentStore(), files)
         ids, states = save_pua_chain(service, 1, layers=("5.weight",))
@@ -471,20 +473,19 @@ class TestIntegrityOfThePlan:
             ModelSaveInfo(model_holding(tip), tiny_arch(), base_model_id=ids[-1])))
 
         update = service.documents.collection(MODELS).get(ids[-1])["update_file"]
-        if retired == "params":
-            flip_stored_bit(files, update)
-        else:
+        flipped = update
+        if retired != "params":
             [entry] = [meta for name, meta in json.loads(files.recover_bytes(update))["layers"]
                        if name == "5.weight"]
-            flip_stored_bit(files, entry.get("chunk") or entry["chunks"][0])
-        service = reopened(service)
-        for model_id, state in zip(ids, states):
-            assert_recovers(service, model_id, state)
-        # the upgrade's check refused the level, which stays as it was
-        for verify in (True, False):
-            with pytest.raises((StoreCorruptionError, VerificationError, RecoveryError)):
-                service.recover_model(ids[-1], verify=verify)
-        assert not ModelManager(service).fsck(repair=False, verify_chunks=True).clean
+            flipped = entry.get("chunk") or entry["chunks"][0]
+        flip_stored_bit(files, flipped)
+        files.chunks.close()
+        as_older_release(files.root)
+        before = {p: p.read_bytes() for p in files.root.rglob("*") if p.is_file()}
+        with pytest.raises(ImportFailedError, match=f"{update}|{flipped}"):
+            reopened(service)
+        assert {p: p.read_bytes() for p in files.root.rglob("*") if p.is_file()} == before
+        assert not files.root.with_name("files-imported").exists()
 
     def test_poisoned_cache_entry_of_an_update_fails_check_hash(self, tmp_path):
         files = FileStore(tmp_path / "files", chunk_cache=1 << 20)

@@ -11,10 +11,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro import importer
 from repro.docstore import DocumentStore, NotFoundError, engine
 from repro.docstore.engine import CHECKPOINT_DEAD_FLOOR, Collection
 from repro.docstore.query import matches
-from repro.errors import StoreCorruptionError
+from repro.errors import OlderFormatError, StoreCorruptionError
 from repro.filestore.recordlog import record_header
 
 
@@ -139,8 +140,9 @@ class TestCheckpoint:
 
 
 class TestParentFormat:
-    def test_a_file_of_bare_documents_opens_and_accepts_appends(self, tmp_path):
-        """What the whole-file rewrite of earlier versions left on disk."""
+    def test_a_file_of_bare_documents_is_refused_and_imported_framed(self, tmp_path):
+        """What the whole-file rewrite of earlier versions left on disk: no
+        store opens it, and the import frames it, its records first."""
         documents = [
             {"_id": "b", "use_case": "U_1", "nested": {"k": [1, 2.5, None]}},
             {"_id": "a", "use_case": "U_2", "base_model": "b"},
@@ -149,12 +151,16 @@ class TestParentFormat:
         with path.open("w") as handle:
             for document in documents:
                 handle.write(json.dumps(document, sort_keys=True) + "\n")
+        before = path.read_bytes()
+        with pytest.raises(OlderFormatError):
+            DocumentStore(tmp_path)
+        assert path.read_bytes() == before
+        importer._frame_logs(tmp_path)
+        assert path.read_bytes() == line(documents[0]) + line(documents[1])
         collection = DocumentStore(tmp_path).collection("models")
         assert collection.find() == documents  # file order is insertion order
         collection.insert_one({"_id": "c", "base_model": "b"})
         collection.delete_one("a")
-        # the first write rewrote it in the framing, its records first
-        assert path.read_bytes().startswith(line(documents[0]) + line(documents[1]))
         reopened = DocumentStore(tmp_path).collection("models")
         assert [d["_id"] for d in reopened.find()] == ["b", "c"]
 

@@ -2,7 +2,7 @@
 
 A save writes one format: a binary (v3) manifest naming every layer, whose
 chunks are stored raw.  Stores written before that can hold four more, and
-every one of them is upgraded on open:
+every one of them is converted by the import (:mod:`repro.importer`):
 
 * ``"v1"`` manifests: JSON, one ``chunk``/``dtype``/``shape`` entry per
   layer, and a PUA model a delta level — an ``update_file`` naming only
@@ -10,7 +10,8 @@ every one of them is upgraded on open:
 * ``"v2"`` manifests: each layer is a run of sha256-addressed pieces plus
   its tensor hash.  The retired writer cut the pieces by content; these
   are fixed-size, since a reader never splits anything;
-* ``zlib``-framed segment records instead of raw bytes;
+* ``zlib``-framed segment records instead of raw bytes, and escape-framed
+  ones where a record's bytes begin with the frame magic;
 * ``"params"``: the whole state serialized into one ``.params`` /
   ``.update`` blob, with no manifest and no chunks.
 """
@@ -24,11 +25,13 @@ import zlib
 
 import numpy as np
 
+from repro import importer as codecs
 from repro.core.merkle import root_of
-from repro.filestore import FileStore, upgrade as codecs
+from repro.filestore import FileStore
 from repro.filestore.store import MANIFEST_SUFFIX, self_checked
-from repro.filestore.upgrade import MANIFEST_FORMAT_V1, MANIFEST_FORMAT_V2
+from repro.importer import MANIFEST_FORMAT_V1, MANIFEST_FORMAT_V2
 from repro.nn import serialization
+from tests.filestore.older_release import older_encode
 
 
 def older_release(service, layer_hashes: bool = True):
@@ -127,15 +130,18 @@ class RetiredFormatStore(FileStore):
     """A :class:`FileStore` whose saves write a retired format.
 
     ``manifest`` is ``"v1"``, ``"v2"``, ``"params"`` or ``"v3"`` (today's); with
-    ``zlib`` every record a chunked save appends holds a zlib frame.  Both
-    are plain attributes, so one store can mix formats save by save.
+    ``zlib`` every chunk record a save appends holds a zlib frame, and
+    with ``escape`` one whose bytes begin with the frame magic holds an
+    escape frame (:func:`~tests.filestore.older_release.older_encode`).
+    All are plain attributes, so one store can mix formats save by save.
     """
 
     def __init__(self, root, manifest: str = "v3", zlib: bool = False,
-                 piece_bytes: int = 1024, **kwargs):
+                 piece_bytes: int = 1024, escape: bool = False, **kwargs):
         super().__init__(root, **kwargs)
         self.manifest = manifest
         self.zlib = zlib
+        self.escape = escape
         self.piece_bytes = int(piece_bytes)
 
     def save_state_chunks(self, state, layer_hashes, suffix=".params" + MANIFEST_SUFFIX,
@@ -152,14 +158,13 @@ class RetiredFormatStore(FileStore):
 
     def _put_chunk_data(self, digest, buffer):
         # older releases framed chunk records, never files (files were not
-        # records then)
-        if not self.zlib or self_checked(digest):  # no release framed a spec
-            return super()._put_chunk_data(digest, buffer)
-        self.chunks._encode = zlib_frame
-        try:
-            return super()._put_chunk_data(digest, buffer)
-        finally:
-            self.chunks.__dict__.pop("_encode", None)
+        # records then) and never a spec
+        if not self_checked(digest):
+            if self.zlib:
+                buffer = zlib_frame(buffer)
+            elif self.escape:
+                buffer = older_encode(buffer)
+        return super()._put_chunk_data(digest, buffer)
 
     def _save_v2(self, state, layer_hashes, suffix) -> str:
         entries = []

@@ -24,12 +24,13 @@ from repro import obs
 from repro.core import ModelManager, ModelSaveInfo
 from repro.core.hashing import tensor_hash
 from repro.docstore import DocumentStore
+from repro.errors import OlderFormatError
 from repro.filestore import ChunkStore, FileStore
 from repro.filestore.recordlog import RecordLog
 from repro.filestore.segments import StoreLock
 from tests.conftest import make_tiny_cnn
 from tests.core.test_crash_consistency import SERVICES, assert_states_equal, tiny_arch
-from tests.filestore.older_release import as_older_release
+from tests.filestore.older_release import as_older_release, imported
 
 
 def open_stores(tmp_path, service_cls):
@@ -456,13 +457,16 @@ class TestReopenWithoutClose:
 
 class TestAStoreInTheParentsFormat:
     """Test (c): a one-object ``refcounts.json`` and a full ``index.json``
-    open, save, delete, GC and recover with no migration step; the counts
-    are never read, and fsck deletes them."""
+    are refused on open; imported, the store saves, deletes, GCs and
+    recovers; the counts are never read, and the import deleted them."""
 
     @pytest.mark.parametrize("service_cls", SERVICES)
     def test_it_opens_and_carries_on(self, service_cls, layout, tmp_path):
-        def reopen():
-            return open_stores(tmp_path, service_cls)
+        def reopen(root=tmp_path, docs="docs"):
+            files = FileStore(root / "files", tmp_grace_s=0.0)
+            service = service_cls(
+                DocumentStore(root / docs), files, scratch_dir=root / "scratch")
+            return files, service, ModelManager(service)
 
         files, service, manager = reopen()
         models = {}
@@ -481,8 +485,12 @@ class TestAStoreInTheParentsFormat:
                    for meta in index["segments"].values())
         as_older_release(tmp_path)  # the parent wrote no format marker
         del files, service, manager
+        with pytest.raises(OlderFormatError):
+            reopen()
 
-        files, service, manager = reopen()
+        new = imported(tmp_path)
+        root = new / "files" / "chunks"
+        files, service, manager = reopen(new, "documents")
         assert set(files.chunks.chunk_ids()) == set(counts)
         for model_id, model in models.items():
             assert_states_equal(model, service.recover_model(model_id).model)
@@ -495,11 +503,11 @@ class TestAStoreInTheParentsFormat:
         for model_id, model in models.items():
             assert_states_equal(model, service.recover_model(model_id).model)
         assert manager.fsck(verify_chunks=True).clean
-        # nothing reads the parent's refcounts: fsck deleted them
+        # nothing reads the parent's refcounts: the import deleted them
         assert sorted(p.name for p in root.iterdir() if p.is_file()) == [
             ".lock", "index.json"]
 
-        files, service, manager = reopen()
+        files, service, manager = reopen(new, "documents")
         for model_id, model in models.items():
             assert_states_equal(model, service.recover_model(model_id).model)
         assert manager.fsck(verify_chunks=True).clean

@@ -1,10 +1,10 @@
-"""v2 manifests are upgraded on open.
+"""v2 manifests are converted by the import.
 
 Older releases could save a state as content-defined (v2) manifests: each
-layer a run of sha256-addressed pieces.  Saves write whole-layer (v1)
-manifests only, and the first service opened over a store an older release
-left saves every v2 level its catalog names again as a v1 manifest
-(DESIGN.md §11).  These stores are built with the test-side writer.
+layer a run of sha256-addressed pieces.  Saves write whole-layer (v3)
+manifests only, and the import saves every v2 level a catalog names again
+as a v3 manifest (DESIGN.md §11).  These stores are built with the
+test-side writer.
 """
 
 import json
@@ -12,62 +12,51 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import BaselineSaveService, ModelManager
+from repro.core import BaselineSaveService, ModelManager, ModelSaveInfo
 from repro.core.hashing import state_dict_hashes
 from repro.core.schema import MODELS
 from repro.docstore import DocumentStore
-from repro.errors import StoreCorruptionError
-from repro.filestore import FileStore
 from repro.filestore.store import MANIFEST_FORMAT, is_file_id
-from repro.filestore.upgrade import FORMAT_MARKER, MANIFEST_FORMAT_V2
-from tests.filestore.older_release import as_older_release
+from repro.importer import MANIFEST_FORMAT_V2, ImportFailedError
+from tests.conftest import make_tiny_cnn
+from tests.core.test_recovery_plan import copy_state
+from tests.filestore.older_release import as_older_release, imported, tree_hash
 from tests.filestore.retired_formats import RetiredFormatStore
+from tests.filestore.test_codecs import ARCH, WIDE, assert_state, imported_service
 
 PIECE_BYTES = 64 * 1024
 
 
-def v2_store(root, **kwargs):
-    return RetiredFormatStore(root, manifest="v2", piece_bytes=PIECE_BYTES, **kwargs)
-
-
 class TestV2Manifests:
     def state(self, seed=0, shift=0.0):
-        rng = np.random.default_rng(seed)
-        state = {
-            "backbone.weight": rng.standard_normal(120_000).astype(np.float32),
-            "head.weight": rng.standard_normal(5_000).astype(np.float32),
-            "head.bias": np.zeros(10, dtype=np.float32),
-        }
+        state = copy_state(make_tiny_cnn(**WIDE, seed=seed).state_dict())
         if shift:
-            state["head.bias"] = state["head.bias"] + np.float32(shift)
+            state["5.bias"] += np.float32(shift)
         return state
 
-    def save(self, store, documents, state, model_id="m"):
-        """One model document naming ``state`` saved as its parameters."""
-        file_id = store.save_state_chunks(state, state_dict_hashes(state))
-        documents.collection(MODELS).insert_one({"_id": model_id, "parameters_file": file_id})
-        return file_id
-
-    def upgraded(self, writer, documents, **kwargs):
-        """The writer's root as an older release left it, opened by a save
-        service: the upgraded store."""
-        writer.chunks.close()
-        as_older_release(writer.root)
-        files = FileStore(writer.root, **kwargs)
-        BaselineSaveService(documents, files)
-        return files
+    def writer(self, tmp_path):
+        """A v2 writer and a save service over it and a catalog of its own."""
+        writer = RetiredFormatStore(tmp_path / "files", manifest="v2", piece_bytes=PIECE_BYTES)
+        return writer, BaselineSaveService(DocumentStore(tmp_path / "docs"), writer)
 
     @staticmethod
-    def parameters_file(documents, model_id="m"):
-        return documents.collection(MODELS).get(model_id)["parameters_file"]
+    def save(service, state) -> str:
+        model = make_tiny_cnn(**WIDE)
+        model.load_state_dict(state)
+        return service.save_model(ModelSaveInfo(model, ARCH))
+
+    @staticmethod
+    def parameters_file(service, model_id):
+        return service.documents.collection(MODELS).get(model_id)["parameters_file"]
 
     def test_round_trip_is_bitwise(self, tmp_path):
-        state, documents = self.state(), DocumentStore()
-        writer = v2_store(tmp_path / "files")
-        v2_id = self.save(writer, documents, state)
+        state = self.state()
+        writer, older = self.writer(tmp_path)
+        model_id = self.save(older, state)
+        v2_id = self.parameters_file(older, model_id)
         assert json.loads(writer.recover_bytes(v2_id))["format"] == MANIFEST_FORMAT_V2
-        store = self.upgraded(writer, documents)
-        file_id = self.parameters_file(documents)
+        service = imported_service(tmp_path, writer)
+        store, file_id = service.files, self.parameters_file(service, model_id)
         assert file_id != v2_id and not store.exists(v2_id)
         assert store.read_manifest(file_id)["format"] == MANIFEST_FORMAT
         recovered = store.recover_state_chunks(file_id)
@@ -77,32 +66,34 @@ class TestV2Manifests:
             assert np.array_equal(got, want)
 
     def test_mixed_v1_and_v2_manifests_coexist(self, tmp_path):
-        documents = DocumentStore()
-        writer = v2_store(tmp_path / "files")
-        v2_id = self.save(writer, documents, self.state(seed=6), "v2")
+        writer, older = self.writer(tmp_path)
+        v2_model = self.save(older, self.state(seed=6))
+        v2_id = self.parameters_file(older, v2_model)
         writer.manifest = "v3"
-        v1_id = self.save(writer, documents, self.state(seed=5), "v1")
+        v3_model = self.save(older, self.state(seed=5))
+        v3_id = self.parameters_file(older, v3_model)
 
         # today's level is kept as it is, the v2 one saved again
-        store = self.upgraded(writer, documents)
-        assert self.parameters_file(documents, "v1") == v1_id
-        assert self.parameters_file(documents, "v2") != v2_id
-        for model_id, seed in (("v1", 5), ("v2", 6)):
-            recovered = store.recover_state_chunks(self.parameters_file(documents, model_id))
-            want = self.state(seed=seed)
-            for key in want:
-                assert np.array_equal(recovered[key], want[key])
+        service = imported_service(tmp_path, writer)
+        assert self.parameters_file(service, v3_model) == v3_id
+        assert self.parameters_file(service, v2_model) != v2_id
+        for model_id, seed in ((v3_model, 5), (v2_model, 6)):
+            recovered = service.files.recover_state_chunks(self.parameters_file(service, model_id))
+            assert_state(recovered, self.state(seed=seed))
 
     def test_delete_releases_all_chunk_refs(self, tmp_path):
-        """The upgrade releases every piece with its v2 manifest: deleting
-        the manifest it saved leaves nothing after a gc."""
-        documents, writer = DocumentStore(), v2_store(tmp_path / "files")
-        self.save(writer, documents, self.state())
-        store = self.upgraded(writer, documents)
-        # the layers, the manifest and its spec record
-        assert len(store.chunks) == len(self.state()) + 2
-        store.delete(self.parameters_file(documents))
-        store.gc_chunks()
+        """The import releases every piece with its v2 manifest: deleting
+        the model leaves nothing after a gc."""
+        state = self.state()
+        writer, older = self.writer(tmp_path)
+        model_id = self.save(older, state)
+        service = imported_service(tmp_path, writer)
+        store = service.files
+        # the layers, the manifest, its spec record and the code file
+        assert len(store.chunks) == len(set(state_dict_hashes(state).values())) + 3
+        manager = ModelManager(service)
+        manager.delete_model(model_id)
+        manager.garbage_collect()
         assert len(store.chunks) == 0
 
     @staticmethod
@@ -117,32 +108,31 @@ class TestV2Manifests:
 
     def test_corrupt_chunk_detected_on_recovery(self, tmp_path):
         """A piece whose bytes are not its content fails its layer's hash:
-        the level is not saved again, its recover fails, the store stays
-        unmarked, and fsck reports the level and keeps its pieces."""
-        documents = DocumentStore()
-        writer = v2_store(tmp_path / "files")
-        v2_id = self.save(writer, documents, self.state())
+        the import fails naming the level, creates nothing and leaves the
+        store it read as it was."""
+        writer, older = self.writer(tmp_path)
+        model_id = self.save(older, self.state())
+        v2_id = self.parameters_file(older, model_id)
         pieces = [d for _, meta in json.loads(writer.recover_bytes(v2_id))["layers"]
                   for d in meta["chunks"]]
-        self.replace_payload(writer, pieces[0])
-        store = self.upgraded(writer, documents)
-        assert self.parameters_file(documents) == v2_id
-        assert not any(store.chunks.has(d) for d in state_dict_hashes(self.state()).values())
-        with pytest.raises(StoreCorruptionError):
-            store.recover_state_chunks(v2_id, verify=True)
-        assert not store.one_format and not (store.root / FORMAT_MARKER).exists()
-        report = ModelManager(BaselineSaveService(documents, store)).fsck(verify_chunks=True)
-        assert [issue.kind for issue in report.unrepaired] == ["retired_level"]
-        assert all(store.chunks.has(d) for d in set(pieces))
+        self.replace_payload(writer, pieces[-1])
+        writer.chunks.close()
+        as_older_release(writer.root)
+        before = tree_hash(tmp_path)
+        with pytest.raises(ImportFailedError, match=v2_id):
+            imported(tmp_path)
+        assert tree_hash(tmp_path) == before
+        assert not tmp_path.with_name(f"{tmp_path.name}-imported").exists()
+        assert not tmp_path.with_name(f"{tmp_path.name}-imported.importing").exists()
 
     def test_parallel_recovery_matches_serial(self, tmp_path):
-        """A level upgraded through a store that writes with four workers
-        recovers as the serial one does."""
-        state, documents = self.state(seed=9), DocumentStore()
-        writer = v2_store(tmp_path / "files")
-        self.save(writer, documents, state)
-        store = self.upgraded(writer, documents, workers=4)
-        recovered = store.recover_state_chunks(self.parameters_file(documents))
-        for key in state:
-            assert np.array_equal(recovered[key], state[key])
-        assert not any(is_file_id(d) and d.endswith(".params") for d in store.chunks.chunk_ids())
+        """A level converted and then read through a store that writes with
+        four workers recovers as the serial one does."""
+        state = self.state(seed=9)
+        writer, older = self.writer(tmp_path)
+        model_id = self.save(older, state)
+        service = imported_service(tmp_path, writer, workers=4)
+        assert_state(service.files.recover_state_chunks(
+            self.parameters_file(service, model_id)), state)
+        assert not any(is_file_id(d) and d.endswith(".params")
+                       for d in service.files.chunks.chunk_ids())

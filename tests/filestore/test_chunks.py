@@ -17,7 +17,10 @@ from repro.filestore import (
     NetworkModel,
     SimulatedNetworkFileStore,
 )
-from repro.filestore.store import self_checked
+from repro.errors import OlderFormatError
+from repro.filestore.store import FORMAT_MARKER, self_checked
+from repro.importer import import_deployment
+from tests.filestore.older_release import as_older_release
 
 
 def layer_chunks(store) -> list[str]:
@@ -174,18 +177,24 @@ class TestStoreHygiene:
         assert store.file_ids() == [file_id]
         assert store.total_bytes() == len(b"real payload")
 
-    def test_orphaned_tmp_files_cleaned_on_init(self, tmp_path):
+    def test_orphaned_tmp_files_are_refused_then_dropped_by_the_import(self, tmp_path):
+        """A tmp file in an unmarked root is an older release's torn write:
+        no store opens that root or touches the file, and the import, which
+        runs offline, does not carry it over."""
         root = tmp_path / "s"
-        store = FileStore(root)
-        file_id = store.save_bytes(b"keep me")
+        FileStore(root).chunks.close()
         leftover = root / "leftover.update.tmp"
         leftover.write_bytes(b"junk")
-        # age it past the grace window: only *expired* tmp files are reaped
         stale = time.time() - 3600
         os.utime(leftover, (stale, stale))
-        reopened = FileStore(root)
-        assert not leftover.exists()
-        assert reopened.recover_bytes(file_id) == b"keep me"
+        as_older_release(root)
+        with pytest.raises(OlderFormatError):
+            FileStore(root)
+        assert leftover.read_bytes() == b"junk"
+        (tmp_path / "docs").mkdir()
+        import_deployment(tmp_path / "new", docs=tmp_path / "docs", files=root)
+        assert sorted(p.name for p in (tmp_path / "new" / "files").iterdir()) == [
+            FORMAT_MARKER, "chunks"]
 
     def test_fresh_tmp_files_survive_init(self, tmp_path):
         """A young tmp file may belong to a concurrent in-flight save."""

@@ -1,9 +1,9 @@
-"""Chunk payload frames: what older releases stored, decoded once.
+"""Chunk payload frames: what older releases stored, decoded by the import.
 
 A save stores every chunk raw.  Older releases could store zlib (or lz4)
 frames, and escape-framed a chunk whose bytes start with the frame magic;
-those are built here with the test-side writer, and the store they are in
-is upgraded when it is next opened: its records decode, verify and fsck
+those are built here with the test-side writer, and the import converts
+a copy of the store they are in: its records decode, verify and fsck
 exactly like raw ones (DESIGN.md §11).
 """
 
@@ -12,25 +12,55 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core import BaselineSaveService
+from repro import importer as chunk_codecs
+from repro.core import ArchitectureRef, BaselineSaveService, ModelManager, ModelSaveInfo
 from repro.docstore import DocumentStore
 from repro.errors import StoreCorruptionError
 from repro.filestore import ChunkStore, FileStore
-from repro.filestore import upgrade as chunk_codecs
 from repro.filestore.store import is_file_id
 from repro.core.hashing import state_dict_hashes
-from tests.filestore.older_release import as_older_release
+from tests.conftest import make_tiny_cnn
+from tests.core.test_recovery_plan import copy_state
+from tests.filestore.older_release import as_older_release, imported
 from tests.filestore.retired_formats import RetiredFormatStore, zlib_frame
 
+#: a model wide enough that framing shows: a 64-channel tiny CNN whose
+#: 102 400-float head is zero, so it compresses
+WIDE = {"num_classes": 100, "channels": 64}
+ARCH = ArchitectureRef.from_factory("tests.conftest", "make_tiny_cnn", WIDE)
 
-def reopened_store(writer, **kwargs) -> FileStore:
-    """The writer's root as an older release left it, opened again: the
-    save service opened over it (with a catalog of its own) upgrades it."""
+
+def saved_by_older_writer(tmp_path, seed=0, **writer_kwargs):
+    """One model saved by a :class:`RetiredFormatStore` built with
+    ``writer_kwargs``: ``(writer, model id, state)``."""
+    writer = RetiredFormatStore(tmp_path / "files", **writer_kwargs)
+    model = make_tiny_cnn(**WIDE, seed=seed)
+    state = copy_state(model.state_dict())
+    state["5.weight"][...] = 0.0
+    model.load_state_dict(state)
+    service = BaselineSaveService(DocumentStore(tmp_path / "docs"), writer)
+    return writer, service.save_model(ModelSaveInfo(model, ARCH)), state
+
+
+def imported_service(tmp_path, writer, **kwargs) -> BaselineSaveService:
+    """The writer's deployment as an older release left it, imported and
+    opened: its file store built with ``kwargs``."""
     writer.chunks.close()
     as_older_release(writer.root)
-    store = FileStore(writer.root, **kwargs)
-    BaselineSaveService(DocumentStore(), store)
-    return store
+    new = imported(tmp_path)
+    return BaselineSaveService(
+        DocumentStore(new / "documents"), FileStore(new / "files", **kwargs))
+
+
+def raw_bytes(state) -> int:
+    """What the layers of ``state`` take raw: a framed store holds less."""
+    return sum(array.nbytes for array in state.values())
+
+
+def assert_state(recovered, state) -> None:
+    assert list(recovered) == list(state)
+    for key in state:
+        assert np.array_equal(recovered[key], state[key]), key
 
 
 def compressible(nbytes=200_000):
@@ -44,10 +74,12 @@ def incompressible(nbytes=200_000, seed=0):
 
 
 class TestFraming:
-    def test_none_codec_is_passthrough(self):
+    def test_none_codec_is_passthrough(self, tmp_path):
         data = incompressible(1000)
-        view = memoryview(data)
-        assert ChunkStore._encode(view) is view
+        store = ChunkStore(tmp_path / "chunks")
+        store.put("ab" * 32, memoryview(data))
+        path, offset, length = store.locate("ab" * 32)
+        assert path.read_bytes()[offset:offset + length] == data
         assert chunk_codecs.decode(data) is data
 
     def test_zlib_round_trip_shrinks(self):
@@ -69,9 +101,9 @@ class TestFraming:
         assert [d for d in plain.chunks.chunk_ids() if not is_file_id(d)] == [
             d for d in packed.chunks.chunk_ids() if not is_file_id(d)]
         assert plain.chunks.total_bytes() > packed.chunks.total_bytes()
-        for store, file_id in ((plain, id_a), (reopened_store(packed), id_b)):
-            recovered = store.recover_state_chunks(file_id)
-            assert np.array_equal(recovered["w"], state["w"])
+        for store, file_id in ((plain, id_a), (packed, id_b)):
+            assert chunk_codecs.decode(store.chunks.get(hashes["w"])) == state["w"].tobytes()
+        assert plain.recover_state_chunks(id_a)["w"].tobytes() == state["w"].tobytes()
 
 
 class TestCorruption:
@@ -111,68 +143,37 @@ class TestCorruption:
 
 @pytest.mark.parametrize("layout", ["segments"])
 class TestStoreIntegration:
-    def state(self, seed=0):
-        rng = np.random.default_rng(seed)
-        return {
-            "dense.weight": rng.standard_normal(60_000).astype(np.float32),
-            "sparse.weight": np.zeros(80_000, dtype=np.float32),
-        }
-
     def test_round_trip_and_accounting(self, tmp_path, layout):
-        store = RetiredFormatStore(tmp_path / "files", zlib=True)
-        state = self.state()
-        file_id = store.save_state_chunks(state, state_dict_hashes(state))
-        recovered = reopened_store(store).recover_state_chunks(file_id, verify=True)
-        for key in state:
-            assert np.array_equal(recovered[key], state[key])
-        stats = store.chunks.dedup_stats()
+        writer, model_id, state = saved_by_older_writer(tmp_path, zlib=True)
+        stats = writer.chunks.dedup_stats()
         assert set(stats) == {"logical_bytes", "dedup_bytes", "stored_bytes", "dedup_ratio"}
-        assert stats["stored_bytes"] < stats["logical_bytes"]
+        assert stats["stored_bytes"] < raw_bytes(state)
+        service = imported_service(tmp_path, writer)
+        recovered = service.recover_model(model_id, verify=True)
+        assert recovered.verified is True
+        assert_state(recovered.model.state_dict(), state)
 
     def test_plain_store_reads_compressed_chunks(self, tmp_path, layout):
         """Decode is frame-driven: a plain store understands what a zlib
-        writer stored in the same directory, once it is upgraded."""
-        state = self.state(seed=2)
-        writer = RetiredFormatStore(tmp_path / "files", zlib=True)
-        file_id = writer.save_state_chunks(state, state_dict_hashes(state))
-        reader = reopened_store(writer)
-        recovered = reader.recover_state_chunks(file_id, verify=True)
-        for key in state:
-            assert np.array_equal(recovered[key], state[key])
+        writer stored, once it is imported."""
+        writer, model_id, state = saved_by_older_writer(tmp_path, seed=2, zlib=True)
+        service = imported_service(tmp_path, writer)
+        file_id = service.documents.collection("models").get(model_id)["parameters_file"]
+        assert_state(service.files.recover_state_chunks(file_id, verify=True), state)
 
     def test_fsck_clean_on_compressed_store(self, tmp_path, layout):
-        from repro.core import ArchitectureRef, ModelManager, ModelSaveInfo
-        from repro.core.baseline import BaselineSaveService
-        from repro.docstore import DocumentStore
-        from tests.conftest import make_tiny_cnn
-
-        writer = RetiredFormatStore(tmp_path / "files", zlib=True)
-        documents = DocumentStore()
-        arch = ArchitectureRef.from_factory(
-            "tests.conftest", "make_tiny_cnn", {"num_classes": 10}
-        )
-        BaselineSaveService(documents, writer).save_model(ModelSaveInfo(make_tiny_cnn(), arch))
-        service = BaselineSaveService(documents, reopened_store(writer))
+        writer, _model_id, _state = saved_by_older_writer(tmp_path, zlib=True)
+        service = imported_service(tmp_path, writer)
         report = ModelManager(service).fsck(verify_chunks=True)
         assert report.clean, report.summary()
 
     def test_cdc_composes_with_compression(self, tmp_path, layout):
         """v2 pieces in zlib frames: both retired formats at once, both
-        upgraded by the first service that opens the store."""
-        from repro.core.baseline import BaselineSaveService
-        from repro.docstore import DocumentStore
-
-        store = RetiredFormatStore(
-            tmp_path / "files", manifest="v2", zlib=True, piece_bytes=16 * 1024)
-        state = self.state(seed=3)
-        documents = DocumentStore()
-        models = documents.collection("models")
-        models.insert_one({"_id": "m", "parameters_file": store.save_state_chunks(
-            state, state_dict_hashes(state))})
-        files = reopened_store(store)
-        BaselineSaveService(documents, files)
-        recovered = files.recover_state_chunks(models.get("m")["parameters_file"], verify=True)
-        for key in state:
-            assert np.array_equal(recovered[key], state[key])
-        stats = store.chunks.dedup_stats()
-        assert stats["stored_bytes"] < stats["logical_bytes"] - stats["dedup_bytes"]
+        converted by one import."""
+        writer, model_id, state = saved_by_older_writer(
+            tmp_path, seed=3, manifest="v2", zlib=True, piece_bytes=16 * 1024)
+        assert writer.chunks.dedup_stats()["stored_bytes"] < raw_bytes(state)
+        service = imported_service(tmp_path, writer)
+        file_id = service.documents.collection("models").get(model_id)["parameters_file"]
+        assert_state(service.files.recover_state_chunks(file_id, verify=True), state)
+        assert_state(service.recover_model(model_id, verify=True).model.state_dict(), state)

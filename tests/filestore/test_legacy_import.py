@@ -1,54 +1,51 @@
-"""What older releases left on disk stays readable.
+"""What older releases left on disk comes in through one door: the import.
 
-Chunk roots of the older file-per-chunk layout are imported on open.  That
-layout kept each chunk in its own file, ``chunks/objects/<digest>`` (the
-raw bytes or a codec frame), beside a ``refcounts.json`` that nothing
-reads now and fsck deletes.  A chunk root that still holds ``objects/`` is folded into the
-segments once, under the store's lock: put, one group flush and an index
-checkpoint, then the files are unlinked (DESIGN.md §9).
+No store of this release opens a root an older release wrote
+(:class:`~repro.errors.OlderFormatError`); ``mmlib import`` copies the
+deployment, converts the copy and renames it into place once every model
+recovers verified and fsck is clean (DESIGN.md §11 "One import door").
+Each fixture here is such a deployment:
 
-Store roots of the older file-per-blob layout are imported the same way:
-every regular file directly under the root becomes a record under its
-name (DESIGN.md §6 "One store for every byte").  The handoff hints those
-releases wrote name such a file as a ``blob``; they are still honoured.
-The save journals they wrote beside it are deleted by fsck, whose sweep
-reclaims every file a crashed save left.
+* chunk roots of the older file-per-chunk layout, ``chunks/objects/<digest>``
+  (the raw bytes or a codec frame) beside a ``refcounts.json``;
+* store roots of the older file-per-blob layout: every file a regular file
+  directly under the root;
+* the retired write formats — v2 manifests of pieces, zlib- or
+  escape-framed records, monolithic ``.params`` / ``.update`` blobs, JSON
+  (v1) manifests and PUA delta levels (:class:`TestRetiredWriteFormats`,
+  :class:`TestAStoreTheParentWrote`).
 
-Saves write one format, whole-layer (v1) manifests over raw records; a
-store holding one of the three retired write formats — v2 manifests of
-pieces, zlib- or escape-framed records, monolithic ``.params`` /
-``.update`` blobs — is upgraded the first time it is opened, resumably
-(DESIGN.md §11, :class:`TestRetiredWriteFormats`, :class:`TestUpgradeCrashes`).
+Each imports at one store and at 3x2, and a kill at every import step
+leaves the deployment it read as it was and no ``NEW`` (:class:`TestImportCrashes`).
 """
 
 import hashlib
 import json
 import os
 import shutil
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
-from repro.cluster import SelfHealer, ShardedFileStore
+from repro import importer
+from repro.cluster import ShardedFileStore
 from repro.core import (
     ModelManager,
     ModelSaveInfo,
     ParameterUpdateSaveService,
     ProvenanceSaveService,
 )
-from repro.core.errors import VerificationError
 from repro.core.hashing import state_dict_hashes
 from repro.core.schema import MODELS
 from repro.distsim.environment import SharedStores
 from repro.docstore import DocumentStore
-from repro.errors import StoreCorruptionError
+from repro.errors import OlderFormatError
 from repro.faults import CrashPoint, FaultInjector
-from repro.filestore import ChunkStore, FileStore, upgrade
-from repro.filestore.store import MANIFEST_FORMAT, MANIFEST_TAG, chunk_intact, is_file_id, is_spec_key
-from repro.filestore.upgrade import FORMAT_MARKER, MANIFEST_FORMAT_V1, MANIFEST_FORMAT_V2
+from repro.filestore import ChunkStore, FileStore
+from repro.filestore.store import (
+    FORMAT_MARKER, MANIFEST_FORMAT, MANIFEST_TAG, chunk_intact, is_file_id, is_spec_key)
+from repro.importer import MANIFEST_FORMAT_V1, MANIFEST_FORMAT_V2, ImportFailedError
 from repro.nn import serialization
 from repro.workloads import generate_dataset
 from repro.workloads.relations import TrainingRun
@@ -62,7 +59,7 @@ from tests.core.test_recovery_plan import (
     save_pua_chain,
     tiny_arch,
 )
-from tests.filestore.older_release import as_older_release, older_encode
+from tests.filestore.older_release import as_older_release, imported, older_encode, tree_hash
 from tests.filestore.retired_formats import (
     RetiredFormatStore,
     older_release,
@@ -73,10 +70,10 @@ from tests.filestore.retired_formats import (
 )
 
 
-def open_stores(root):
+def open_stores(root, docs="docs"):
     files = FileStore(root / "files", tmp_grace_s=0.0)
     service = ParameterUpdateSaveService(
-        DocumentStore(root / "docs"), files, scratch_dir=root / "scratch")
+        DocumentStore(root / docs), files, scratch_dir=root / "scratch")
     return files, service, ModelManager(service)
 
 
@@ -88,12 +85,16 @@ def write_objects(chunk_root, payloads: dict) -> None:
         (objects / digest).write_bytes(zlib_frame(raw) if index % 2 else raw)
 
 
-def save_models(root) -> tuple[dict, dict]:
-    """A PUA chain, saved and closed: ``({model_id: state}, record keys)``."""
-    files, service, _manager = open_stores(root)
+def save_models(root, cluster: bool = False) -> tuple[dict, dict]:
+    """A PUA chain, saved and closed: ``({model_id: state}, {member root
+    relative to root: its record keys})``."""
+    stores = open_deployment(root, cluster)
+    service = ParameterUpdateSaveService(
+        stores.documents, stores.files, scratch_dir=stores.scratch_dir)
     ids, states = save_pua_chain(service, depth=3, layers=("5.bias", "5.weight"))
-    keys = files.chunks.chunk_ids()
-    files.chunks.close()
+    keys = {files.root.relative_to(root): files.chunks.chunk_ids()
+            for files in member_stores(stores)}
+    stores.files.close()
     return dict(zip(ids, states)), keys
 
 
@@ -101,32 +102,42 @@ def stored_payloads(store) -> dict:
     return {digest: bytes(store.get(digest)) for digest in store.chunk_ids()}
 
 
-def to_file_per_chunk(root) -> dict:
-    """Rewrite the chunk root as the older layout left it: ``objects/``, a
-    folded ``refcounts.json``, no segments, no index."""
-    store = FileStore(root / "files").chunks
-    payloads = stored_payloads(store)
-    counts = dict.fromkeys(payloads, 1)
-    store.close()
-    chunk_root = store.root
-    shutil.rmtree(chunk_root / "segments")
-    (chunk_root / "index.json").unlink(missing_ok=True)
-    write_objects(chunk_root, payloads)
-    (chunk_root / "refcounts.json").write_text(json.dumps(counts, sort_keys=True))
+def to_file_per_chunk(root, cluster: bool = False) -> dict:
+    """Rewrite every chunk root as the older layout left it: ``objects/``,
+    a folded ``refcounts.json``, no segments, no index, no format marker.
+    Returns ``{member root relative to root: {key: payload}}``."""
+    stores = open_deployment(root, cluster)
+    payloads = {}
+    for files in member_stores(stores):
+        store = files.chunks
+        payloads[files.root.relative_to(root)] = held = stored_payloads(store)
+        store.close()
+        shutil.rmtree(store.root / "segments")
+        (store.root / "index.json").unlink(missing_ok=True)
+        write_objects(store.root, held)
+        (store.root / "refcounts.json").write_text(
+            json.dumps(dict.fromkeys(held, 1), sort_keys=True))
+    as_older_release(root)
     return payloads
 
 
-def assert_whole(root, states: dict, keys: list) -> None:
-    """Opened again: every model bitwise, the same records, fsck clean, no
-    ``objects/`` and no ``refcounts.json`` left."""
-    files, service, manager = open_stores(root)
-    for model_id, state in states.items():
-        assert_recovers(service, model_id, state)
-    assert files.chunks.chunk_ids() == keys
+def assert_whole(new, cluster: bool, states: dict, keys: dict):
+    """The imported deployment: fsck clean, every model bitwise, the same
+    records on every member, no ``objects/`` and no ``refcounts.json``.
+    Returns a service and a manager over it."""
+    stores = open_deployment(new, cluster)
+    service = ParameterUpdateSaveService(
+        stores.documents, stores.files, scratch_dir=stores.scratch_dir)
+    manager = ModelManager(service)
     report = manager.fsck(verify_chunks=True)
     assert report.clean, report.summary()
-    assert not (files.chunks.root / "objects").exists()
-    assert not (files.chunks.root / "refcounts.json").exists()
+    for model_id, state in states.items():
+        assert_recovers(service, model_id, state)
+    for files in member_stores(stores):
+        assert files.chunks.chunk_ids() == keys[files.root.relative_to(new)]
+        assert not (files.chunks.root / "objects").exists()
+        assert not (files.chunks.root / "refcounts.json").exists()
+    return service, manager
 
 
 class TestAMixedChunkRoot:
@@ -141,25 +152,30 @@ class TestAMixedChunkRoot:
             assert store.drop(digest)
         store.close()
         write_objects(store.root, payloads)
+        as_older_release(tmp_path)
 
-        assert_whole(tmp_path, states, keys)
-        store = ChunkStore(store.root)
+        new = import_deployment(tmp_path, cluster=False)
+        assert_whole(new, False, states, keys)
+        store = ChunkStore(new / "files" / "chunks")
         assert store.chunk_ids() == sorted(payloads)
         assert store.segment_stats()["chunks"] == len(payloads)
 
 
+@pytest.mark.parametrize("cluster", [False, True], ids=["single", "cluster-3x2"])
 class TestAStoreInTheOlderLayout:
-    def test_it_opens_recovers_with_the_same_counts_and_is_fsck_clean(self, tmp_path):
-        states, keys = save_models(tmp_path)
-        payloads = to_file_per_chunk(tmp_path)
-        objects = tmp_path / "files" / "chunks" / "objects"
-        framed = [p for p in objects.iterdir()
-                  if p.read_bytes()[:4] == upgrade.FRAME_MAGIC]
-        assert 0 < len(framed) < len(payloads)
+    def test_it_opens_recovers_with_the_same_counts_and_is_fsck_clean(self, tmp_path, cluster):
+        states, keys = save_models(tmp_path, cluster)
+        payloads = to_file_per_chunk(tmp_path, cluster)
+        objects = [tmp_path / member / "chunks" / "objects" for member in payloads]
+        framed = [p for directory in objects for p in directory.iterdir()
+                  if p.read_bytes()[:4] == importer.FRAME_MAGIC]
+        assert 0 < len(framed) < sum(map(len, payloads.values()))
+        with pytest.raises(OlderFormatError):
+            open_deployment(tmp_path, cluster)
 
-        assert_whole(tmp_path, states, keys)
-        files, service, manager = open_stores(tmp_path)
-        assert sorted(files.chunks.chunk_ids()) == sorted(payloads)
+        new = import_deployment(tmp_path, cluster)
+        service, manager = assert_whole(new, cluster, states, keys)
+        assert all(directory.is_dir() for directory in objects)  # the import only read them
         # and it carries on: a delete, a gc
         tip = list(states)[-1]
         manager.delete_model(tip)
@@ -170,81 +186,11 @@ class TestAStoreInTheOlderLayout:
         assert manager.fsck(verify_chunks=True).clean
 
 
-class TestACrashMidImport:
-    def test_a_crash_after_any_imported_file_loses_no_chunk(self, tmp_path, monkeypatch):
-        """Kill the import after put k, after the flush, after unlink k:
-        the next open finishes it."""
-        seed = tmp_path / "seed"
-        states, keys = save_models(seed)
-        imported = len(to_file_per_chunk(seed))
-        faults = FaultInjector(seed=0)
-        monkeypatch.setattr(ChunkStore, "_hook", lambda self, op: faults.fail_point(op))
-        crashes = 0
-        for at in range(1, 2 * imported + 3):
-            root = tmp_path / f"crash-{at}"
-            shutil.copytree(seed, root)
-            faults.arm_crash(at, op="chunk.import")
-            try:
-                FileStore(root / "files").chunks
-            except CrashPoint:
-                crashes += 1
-            else:
-                break  # the import outran the armed crash: every point hit
-            assert (root / "files" / "chunks" / "objects").exists(), f"crash at {at}"
-            assert_whole(root, states, keys)
-        else:
-            pytest.fail("the import never completed")
-        assert crashes == 2 * imported + 1  # n puts, the flush, n unlinks
-
-
-WORKER = r"""
-import hashlib, json, sys, time
-from repro.filestore import ChunkStore
-time.sleep(max(0.0, float(sys.argv[2]) - time.time()))
-store = ChunkStore(sys.argv[1])
-print(json.dumps({d: hashlib.sha256(bytes(store.get(d))).hexdigest()
-                  for d in store.chunk_ids()}))
-"""
-
-
-class TestTwoProcesses:
-    def test_both_openers_of_one_legacy_root_see_every_chunk(self, tmp_path):
-        root = tmp_path / "c"
-        root.mkdir()
-        blobs = [bytes([index]) * (20_000 + index) for index in range(40)]
-        payloads = {hashlib.sha256(blob).hexdigest(): blob for blob in blobs}
-        write_objects(root, payloads)
-        counts = {digest: 1 for digest in payloads}
-        (root / "refcounts.json").write_text(json.dumps(counts, sort_keys=True))
-
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        start_at = str(time.time() + 1.0)
-        children = [
-            subprocess.Popen(
-                [sys.executable, "-c", WORKER, str(root), start_at],
-                stdout=subprocess.PIPE, text=True, env=env)
-            for _ in range(2)
-        ]
-        for child in children:
-            out, _ = child.communicate(timeout=60)
-            assert child.returncode == 0
-            assert json.loads(out) == {digest: digest for digest in payloads}
-
-        store = ChunkStore(root)
-        assert not (root / "objects").exists()
-        assert store.chunk_ids() == sorted(counts)
-        stats = store.segment_stats()
-        assert stats["chunks"] == len(payloads)
-        assert stats["dead_bytes"] == 0  # imported once, not once per opener
-        for digest, blob in payloads.items():
-            assert bytes(store.get(digest)) == blob
-
-
 # -- the retired write formats ----------------------------------------------
 
 #: a float32 whose bytes are the frame magic: an older release escape-framed
 #: a record that starts with it, this one stores it raw
-MAGIC_FLOAT = np.frombuffer(upgrade.FRAME_MAGIC, dtype=np.float32)[0]
+MAGIC_FLOAT = np.frombuffer(importer.FRAME_MAGIC, dtype=np.float32)[0]
 
 #: one PUA chain, level by level: (parameter file format, zlib-framed
 #: records, layers the level changes)
@@ -262,14 +208,13 @@ def build_retired_store(root) -> tuple[dict, dict]:
     format marker): ``({model_id: state}, before)``, ``before`` what it
     holds — ``kinds`` and ``locations`` of its records, the ``formats`` of
     its manifests and the ``suffixes`` of its files."""
-    files = RetiredFormatStore(root / "files", piece_bytes=256)
+    files = RetiredFormatStore(root / "files", piece_bytes=256, escape=True)
     service = older_release(ParameterUpdateSaveService(
         DocumentStore(root / "docs"), files, scratch_dir=root / "scratch"))
     state = copy_state(make_tiny_cnn(seed=4).state_dict())
     states = {}
     for level, (manifest, framed, layers) in enumerate(RETIRED_CHAIN):
         files.manifest, files.zlib = manifest, framed
-        files.chunks._encode = older_encode  # each level: the zlib writer drops it
         state = copy_state(state)
         for key in layers:
             state[key] += level
@@ -297,11 +242,11 @@ def record_kinds(files) -> dict:
     kinds = {}
     for digest in files.chunks.chunk_ids():
         head = stored_record(files, digest)[:5]
-        if head[:4] != upgrade.FRAME_MAGIC:
+        if head[:4] != importer.FRAME_MAGIC:
             kinds[digest] = "raw"
         else:
-            kinds[digest] = {upgrade.CODEC_STORED: "escape",
-                             upgrade.CODEC_ZLIB: "zlib"}[head[4]]
+            kinds[digest] = {importer.CODEC_STORED: "escape",
+                             importer.CODEC_ZLIB: "zlib"}[head[4]]
     return kinds
 
 
@@ -358,7 +303,7 @@ def flip_bit_at(location) -> bytes:
 
 class TestRetiredWriteFormats:
     def test_it_recovers_bitwise_verified_or_not_and_is_fsck_clean(self, tmp_path):
-        """One open upgrades the store: only raw records and v1 manifests
+        """One import converts the store: only raw records and v3 manifests
         are left, and every model recovers bitwise under its unchanged
         Merkle root."""
         states, before = build_retired_store(tmp_path)
@@ -366,45 +311,39 @@ class TestRetiredWriteFormats:
         assert before["formats"] == {MANIFEST_FORMAT_V1, MANIFEST_FORMAT_V2}
         assert {".params", ".update"} <= before["suffixes"]
         roots = merkle_roots(DocumentStore(tmp_path / "docs"))
+        old = tree_hash(tmp_path)
 
-        files, service, manager = open_stores(tmp_path)
+        files, service, manager = open_stores(imported(tmp_path), docs="documents")
+        assert tree_hash(tmp_path) == old
         assert_one_format(files, states.values())
-        assert (files.root / FORMAT_MARKER).exists()
+        report = manager.fsck(verify_chunks=True)
+        assert report.clean, report.summary()
         for verify, verified in ((True, True), (False, None)):
             for model_id, state in states.items():
                 recovered = service.recover_model(model_id, verify=verify)
                 assert recovered.verified is verified
+                assert recovered.recovery_depth == 0
                 assert_state(recovered.model, state)
         assert merkle_roots(service.documents) == roots
-        report = manager.fsck(verify_chunks=True)
-        assert report.clean, report.summary()
 
     @pytest.mark.parametrize("kind", ["zlib", "escape"])
     def test_a_flipped_bit_in_a_framed_record_is_caught(self, tmp_path, kind):
-        """The upgrade leaves a framed record that fails its CRC as it was;
-        every model that reads it fails, verified or not, and fsck sees it."""
+        """A framed record that fails its CRC fails the import, which names
+        it, creates nothing and leaves the store it read as it was."""
         states, before = build_retired_store(tmp_path)
         digest = next(d for d, k in sorted(before["kinds"].items()) if k == kind)
-        damaged = flip_bit_at(before["locations"][digest])
+        flip_bit_at(before["locations"][digest])
+        old = tree_hash(tmp_path)
 
-        files, service, manager = open_stores(tmp_path)
-        assert stored_record(files, digest) == damaged
-        failed = 0
-        for verify in (True, False):
-            for model_id, state in states.items():
-                try:
-                    recovered = service.recover_model(model_id, verify=verify)
-                except (StoreCorruptionError, VerificationError):
-                    failed += 1
-                else:  # a model that does not read the record is whole
-                    assert_state(recovered.model, state)
-        assert failed >= 2  # every reader fails, verified or not
-        report = manager.fsck(repair=False, verify_chunks=True)
-        assert "corrupt_chunk" in {issue.kind for issue in report.issues}
+        with pytest.raises(ImportFailedError, match=digest):
+            imported(tmp_path)
+        assert tree_hash(tmp_path) == old
+        assert not tmp_path.with_name(f"{tmp_path.name}-imported").exists()
+        assert not tmp_path.with_name(f"{tmp_path.name}-imported.importing").exists()
 
     def test_the_next_save_writes_only_v1_raw_records(self, tmp_path):
         states, _ = build_retired_store(tmp_path)
-        files, service, _manager = open_stores(tmp_path)
+        files, service, _manager = open_stores(imported(tmp_path), docs="documents")
         chunks_before, files_before = set(files.chunks.chunk_ids()), set(files.file_ids())
 
         tip = list(states)[-1]
@@ -428,7 +367,7 @@ class TestRetiredWriteFormats:
         raw = layer_bytes([state])
         assert fresh and all(stored_record(files, d) == raw[d] for d in fresh)
         bias = state_dict_hashes(state)["5.bias"]
-        assert bias in fresh and stored_record(files, bias)[:4] == upgrade.FRAME_MAGIC
+        assert bias in fresh and stored_record(files, bias)[:4] == importer.FRAME_MAGIC
 
 
 class TestAFrameMagicLayer:
@@ -496,6 +435,12 @@ def open_deployment(root, cluster: bool) -> SharedStores:
     return SharedStores.at(root)
 
 
+def import_deployment(root, cluster: bool):
+    """Import the deployment under ``root`` (laid out as
+    :func:`open_deployment` opens it); returns where it went."""
+    return imported(root, cluster=cluster, docs="documents")
+
+
 def member_stores(stores) -> list:
     files = stores.files
     return list(files.members.values()) if isinstance(files, ShardedFileStore) else [files]
@@ -521,7 +466,7 @@ def save_every_kind(root, cluster: bool) -> dict:
         model_holding(derived), tiny_arch(), base_model_id=base_id))] = derived
 
     run = TrainingRun(
-        dataset_dir=generate_dataset("co512", root / "data", scale=1 / 2048),
+        dataset_dir=generate_dataset("co512", root.parent / f"{root.name}-data", scale=1 / 2048),
         number_epochs=1, number_batches=1, seed=2, image_size=8, num_classes=10,
     )
     trained = model_holding(states[base_id])
@@ -559,7 +504,7 @@ def unimport_files(files) -> list[str]:
 def to_file_per_blob(root, cluster: bool) -> dict:
     """Rewrite every member the way an older release left it
     (:func:`unimport_files`, no format marker), plus an expired and a young
-    ``*.tmp``.  Returns ``{member root: [file ids]}``."""
+    ``*.tmp``.  Returns ``{member root relative to root: [file ids]}``."""
     stores = open_deployment(root, cluster)
     placed = {}
     for files in member_stores(stores):
@@ -568,35 +513,32 @@ def to_file_per_blob(root, cluster: bool) -> dict:
         expired.write_bytes(b"half a file")
         os.utime(expired, (time.time() - 3600,) * 2)
         (files.root / "fedcba9876543210-000000000000.py.tmp").write_bytes(b"in flight")
-        placed[files.root] = ids
+        placed[files.root.relative_to(root)] = ids
     as_older_release(root)
     return placed
 
 
-def assert_imported(root, cluster: bool, states: dict, placed: dict) -> None:
-    """Opened again: every model bitwise, fsck clean, each imported id a
-    stored record — but the ``.params`` file, which the upgrade replaced by
-    a manifest — and nothing left in a root but the young tmp and the
-    format marker."""
-    stores = open_deployment(root, cluster)
+def assert_imported(new, cluster: bool, states: dict, placed: dict) -> None:
+    """The imported deployment: every model bitwise, fsck clean, each
+    imported id a stored record — but the ``.params`` file, which the
+    import replaced by a manifest — and nothing left in a root but the
+    format marker and the chunk store."""
+    stores = open_deployment(new, cluster)
     service = ParameterUpdateSaveService(
         stores.documents, stores.files, scratch_dir=stores.scratch_dir)
-    for model_id, state in states.items():
-        assert_recovers(service, model_id, state)
     report = ModelManager(service).fsck(verify_chunks=True)
     assert report.clean, report.summary()
+    for model_id, state in states.items():
+        assert_recovers(service, model_id, state)
     assert (stores.files.root / FORMAT_MARKER).exists()
     levels = {document["parameters_file"] for document in stores.documents.collection(
         MODELS).find(projection=("parameters_file",)) if document.get("parameters_file")}
     assert all(stores.files.is_manifest_id(level) for level in levels)
     for files in member_stores(stores):
-        relative = files.root.relative_to(root)
-        for file_id in placed[root / relative]:
+        for file_id in placed[files.root.relative_to(new)]:
             wanted = not file_id.endswith(".params")
             assert files.chunks.has(file_id) == wanted, file_id
-        left = sorted(p.name for p in files.root.iterdir()
-                      if p.is_file() and p.name != FORMAT_MARKER)
-        assert left == ["fedcba9876543210-000000000000.py.tmp"], left
+        assert sorted(p.name for p in files.root.iterdir()) == [FORMAT_MARKER, "chunks"]
 
 
 @pytest.mark.parametrize("cluster", [False, True], ids=["single", "cluster-3x2"])
@@ -606,63 +548,85 @@ class TestAStoreOfFilesPerBlob:
         placed = to_file_per_blob(tmp_path, cluster)
         suffixes = {f[f.index("."):] for ids in placed.values() for f in ids}
         assert suffixes == BLOB_SUFFIXES
-        assert_imported(tmp_path, cluster, states, placed)
+        with pytest.raises(OlderFormatError):
+            open_deployment(tmp_path, cluster)
+        assert_imported(import_deployment(tmp_path, cluster), cluster, states, placed)
 
     def test_a_crash_at_every_import_step_loses_no_file(
         self, tmp_path, cluster, monkeypatch
     ):
-        """Kill the import after put k, the flush, unlink k of every
-        member: the next open finishes it."""
+        """Kill the import at every step: the deployment it reads stays as
+        it was, no ``NEW`` appears, and a rerun finishes."""
         seed = tmp_path / "seed"
         states = save_every_kind(seed, cluster)
-        placed = {
-            root.relative_to(seed): ids
-            for root, ids in to_file_per_blob(seed, cluster).items()
-        }
-        steps = sum(2 * len(ids) + 1 for ids in placed.values())
-        faults = FaultInjector(seed=0)
-        monkeypatch.setattr(ChunkStore, "_hook", lambda self, op: faults.fail_point(op))
-        crashes = 0
-        for at in range(1, steps + 2):
-            root = tmp_path / f"crash-{at}"
-            shutil.copytree(seed, root)
-            faults.arm_crash(at, op="chunk.import")
-            try:
-                open_deployment(root, cluster)
-            except CrashPoint:
-                crashes += 1
-            else:
-                break  # the import outran the armed crash: every point hit
-            assert_imported(
-                root, cluster, states,
-                {root / relative: ids for relative, ids in placed.items()})
-        else:
-            pytest.fail("the import never completed")
-        assert crashes == steps
+        placed = to_file_per_blob(seed, cluster)
+        new = kill_the_import_at_every_step(
+            monkeypatch, lambda: import_deployment(seed, cluster), seed)
+        assert_imported(new, cluster, states, placed)
 
 
 class TestOlderArtefacts:
     def test_a_pending_blob_hint_is_delivered(self, tmp_path):
-        """An older release's ``blob`` hint for a file an owner lost: no
-        hint is read, and the sweep restores what it named."""
-        members = {f"m{index}": FileStore(tmp_path / f"m{index}") for index in range(3)}
-        store = ShardedFileStore(tmp_path / "meta", members, replicas=2)
-        file_id = store.save_bytes(b"architecture source", suffix=".py")
-        owner = store.ring.owners(file_id)[0]
-        members[owner].chunks.drop(file_id)
-        hints = tmp_path / "meta" / "hints"
+        """An older release's ``blob`` hint for a file an owner lost: the
+        import deletes the hint unread, and its fsck restores the file."""
+        stores = open_deployment(tmp_path, cluster=True)
+        service = ParameterUpdateSaveService(
+            stores.documents, stores.files, scratch_dir=stores.scratch_dir)
+        ids, states = save_pua_chain(service, depth=1)
+        file_id = stores.documents.collection(MODELS).get(
+            ids[0])["architecture"]["code_file_id"]
+        owners = stores.files.ring.owners(file_id)
+        stores.files.members[owners[0]].chunks.drop(file_id)
+        hints = tmp_path / "cluster-meta" / "hints"
         hints.mkdir()
-        (hints / f"{owner}.jsonl").write_text(json.dumps(
+        (hints / f"{owners[0]}.jsonl").write_text(json.dumps(
             {"op": "hint", "kind": "blob", "key": file_id}) + "\n")
+        for member in member_stores(stores):
+            member.chunks.close()
+        as_older_release(tmp_path)
 
-        report = SelfHealer([store]).converge()
-        assert report["converged"] is True
-        assert report["sweeps"]["files"]["repaired"] == [{"kind": "chunk", "key": file_id}]
-        assert members[owner].recover_bytes(file_id) == b"architecture source"
-        assert members[owner].chunks.has(file_id)
+        new = import_deployment(tmp_path, cluster=True)
+        assert not (new / "cluster-meta" / "hints").exists()
+        stores = open_deployment(new, cluster=True)
+        for owner in owners:
+            assert stores.files.members[owner].chunks.has(file_id)
+        service = ParameterUpdateSaveService(
+            stores.documents, stores.files, scratch_dir=stores.scratch_dir)
+        for model_id, state in zip(ids, states):
+            assert_recovers(service, model_id, state)
 
 
-# -- the upgrade, crashed at every step ---------------------------------------
+# -- the import, killed at every step -----------------------------------------
+
+
+def kill_the_import_at_every_step(monkeypatch, run, old):
+    """Run ``run`` (an import of ``old``) killed after its first, second,
+    ... step until one run outlives the armed kill: each killed run leaves
+    ``old`` byte for byte as it was and no ``NEW``, and the next run starts
+    over.  Returns where the finishing run put ``NEW``."""
+    faults = FaultInjector(seed=0)
+    monkeypatch.setattr(importer, "fault_hook", faults.fail_point)
+    before = tree_hash(old)
+    new = old.with_name(f"{old.name}-imported")
+    crashes = 0
+    for at in range(1, 200):
+        faults.arm_crash(at, op="import.")
+        try:
+            finished = run()
+        except CrashPoint:
+            crashes += 1
+            assert tree_hash(old) == before, f"crash at {at}"
+            assert not new.exists(), f"crash at {at}"
+            assert new.with_name(f"{new.name}.importing").exists()  # what the rerun removes
+        else:
+            break  # the import outran the armed crash: every step was hit
+    else:
+        pytest.fail("the import never completed")
+    monkeypatch.undo()
+    assert crashes >= 5  # the copy, the files, a record pass, a check, the rename
+    assert tree_hash(old) == before
+    assert not new.with_name(f"{new.name}.importing").exists()
+    return finished
 
 
 def build_retired_cluster(root) -> dict:
@@ -714,9 +678,7 @@ def build_retired_cluster(root) -> dict:
                 continue
             raw = bytes(chunks.get(digest))
             chunks.drop(digest)
-            chunks._encode = zlib_frame if index % 2 else older_encode
-            chunks.put(digest, raw)
-            del chunks._encode
+            chunks.put(digest, (zlib_frame if index % 2 else older_encode)(raw))
         chunks.flush()
         chunks.close()
     as_older_release(root)
@@ -726,158 +688,73 @@ def build_retired_cluster(root) -> dict:
 def retired_deployment(root, cluster: bool) -> dict:
     if cluster:
         return build_retired_cluster(root)
-    return build_retired_store(root)[0]
+    stores = open_deployment(root, cluster=False)
+    stores.files.chunks.close()
+    shutil.rmtree(root)
+    states, _ = build_retired_store(root)
+    (root / "docs").rename(root / "documents")
+    return states
 
 
 def catalog(root, cluster: bool):
-    """The deployment's documents, opened without a save service."""
-    if cluster:
-        return open_deployment(root, cluster=True).documents
-    return DocumentStore(root / "docs")
+    """The deployment's documents, read without opening its file stores
+    (an older release's refuse to open)."""
+    from repro.cluster import ShardedDocumentStore
+
+    if not cluster:
+        return DocumentStore(root / "documents")
+    members = {path.name: DocumentStore(path / "documents")
+               for path in sorted(root.glob("shard-*"))}
+    return ShardedDocumentStore(members, replicas=2)
 
 
-def open_service(root, cluster: bool):
-    """A save service over the deployment: opening it upgrades it."""
-    if cluster:
-        stores = open_deployment(root, cluster=True)
-        return ParameterUpdateSaveService(
-            stores.documents, stores.files, scratch_dir=stores.scratch_dir)
-    return open_stores(root)[1]
-
-
-def assert_upgraded(root, cluster: bool, states: dict, roots: dict) -> None:
-    """Opened again, the upgrade finishes: every model bitwise, verified or
-    not, under its Merkle root; one fsck repairs what a crash left (a
-    level it orphaned keeps the root unmarked), a second is clean; the
-    next open marks the root, and only raw records and v1 manifests
-    remain."""
-    service = open_service(root, cluster)
+def assert_upgraded(new, cluster: bool, states: dict, roots: dict) -> None:
+    """The imported deployment: fsck clean on its first run, every model
+    bitwise, verified or not, under its Merkle root and its own recovery
+    base, and only raw records and v3 manifests."""
+    stores = open_deployment(new, cluster)
+    service = ParameterUpdateSaveService(
+        stores.documents, stores.files, scratch_dir=stores.scratch_dir)
+    report = ModelManager(service).fsck(verify_chunks=True)
+    assert report.clean, report.summary()
     for verify, verified in ((True, True), (False, None)):
         for model_id, state in states.items():
             recovered = service.recover_model(model_id, verify=verify)
             assert recovered.verified is verified
+            assert recovered.recovery_depth == 0
             assert_state(recovered.model, state)
     assert merkle_roots(service.documents) == roots
-    manager = ModelManager(service)
-    report = manager.fsck(verify_chunks=True)
-    assert not report.unrepaired, report.summary()
-    report = manager.fsck(verify_chunks=True)
-    assert report.clean, report.summary()
-    service = open_service(root, cluster)
     assert (service.files.root / FORMAT_MARKER).exists()
-    for files in member_stores(service):
+    for files in member_stores(stores):
         assert_one_format(files, states.values())
 
 
 @pytest.mark.parametrize("cluster", [False, True], ids=["single", "cluster-3x2"])
-class TestUpgradeCrashes:
-    def test_a_crash_at_every_upgrade_step_resumes_on_the_next_open(
+class TestImportCrashes:
+    def test_a_crash_at_every_import_step_leaves_the_store_as_it_was(
         self, tmp_path, cluster, monkeypatch
     ):
-        """Kill the upgrade after each re-append, the flush, each level's
-        manifest, replace and release, and before each marker: the next
-        open finishes it and nothing is lost."""
+        """Kill the import after its copy, its files, each re-append pass,
+        each level and its checks, and before its rename: the store it
+        reads is unchanged, no ``NEW`` appears, and a rerun finishes."""
         seed = tmp_path / "seed"
         states = retired_deployment(seed, cluster)
         roots = merkle_roots(catalog(seed, cluster))
-        faults = FaultInjector(seed=0)
-        monkeypatch.setattr(upgrade, "fault_hook", faults.fail_point)
-        crashes = 0
-        for at in range(1, 200):
-            root = tmp_path / f"crash-{at}"
-            shutil.copytree(seed, root)
-            faults.arm_crash(at, op="upgrade.")
-            try:
-                open_service(root, cluster)
-            except CrashPoint:
-                crashes += 1
-            else:
-                break  # the upgrade outran the armed crash: every point hit
-            assert_upgraded(root, cluster, states, roots)
-        else:
-            pytest.fail("the upgrade never completed")
-        assert crashes > len(states)
-        assert_upgraded(root, cluster, states, roots)
-
-
-class TestUpgradeWithAMemberDown:
-    @pytest.mark.parametrize("down", ["shard-0", "shard-1", "shard-2"])
-    def test_the_roots_stay_unmarked_until_every_level_is_upgraded(self, tmp_path, down):
-        """A 3x2 file member down during the first open: the rewrites that
-        need it fail, their levels stay as they were and no root is marked;
-        once the member is back an open finishes the upgrade and nothing is
-        lost.  (The catalog stays up: a document write short of its quorum
-        may land on one replica, a divergence of the catalog's own.)"""
-        states = build_retired_cluster(tmp_path)
-        roots = merkle_roots(catalog(tmp_path, cluster=True))
-        stores = open_deployment(tmp_path, cluster=True)
-        injector = stores.files.members[down].faults = FaultInjector(seed=0)
-        injector.set_down(True)
-        service = ParameterUpdateSaveService(
-            stores.documents, stores.files, scratch_dir=stores.scratch_dir)
-        assert not service.files.one_format
-        assert not list(tmp_path.rglob(FORMAT_MARKER))
-        injector.set_down(False)
-        assert_upgraded(tmp_path, True, states, roots)
-
-
-WORKER_OPEN = r"""
-import hashlib, json, sys, time
-from repro.core import ParameterUpdateSaveService
-from repro.docstore import DocumentStoreClient
-from repro.filestore import FileStore
-host, port, files, start_at = sys.argv[1], int(sys.argv[2]), sys.argv[3], float(sys.argv[4])
-time.sleep(max(0.0, start_at - time.time()))
-with DocumentStoreClient(host, port) as documents:
-    service = ParameterUpdateSaveService(documents, FileStore(files))
-    print(json.dumps({
-        model_id: {name: hashlib.sha256(array.tobytes()).hexdigest()
-                   for name, array in service.recover_model(model_id).model.state_dict().items()}
-        for model_id in service.saved_model_ids()}))
-"""
-
-
-class TestTwoProcessesUpgrade:
-    def test_both_openers_of_one_legacy_root_see_every_model(self, tmp_path):
-        from repro.docstore import DocumentStoreClient, DocumentStoreServer
-
-        states, _ = build_retired_store(tmp_path)
-        expected = {
-            model_id: {name: hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
-                       for name, array in state.items()}
-            for model_id, state in states.items()}
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        with DocumentStoreServer(DocumentStore(tmp_path / "docs"), port=0) as server:
-            start_at = str(time.time() + 1.0)
-            children = [
-                subprocess.Popen(
-                    [sys.executable, "-c", WORKER_OPEN, server.host, str(server.port),
-                     str(tmp_path / "files"), start_at],
-                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
-                for _ in range(2)
-            ]
-            for child in children:
-                out, err = child.communicate(timeout=120)
-                assert child.returncode == 0, err
-                assert json.loads(out) == expected
-            with DocumentStoreClient(server.host, server.port) as documents:
-                service = ParameterUpdateSaveService(documents, FileStore(tmp_path / "files"))
-                assert_one_format(service.files, states.values())
-                report = ModelManager(service).fsck(verify_chunks=True)
-                assert report.clean, report.summary()
+        new = kill_the_import_at_every_step(
+            monkeypatch, lambda: import_deployment(seed, cluster), seed)
+        assert_upgraded(new, cluster, states, roots)
 
 
 class TestAStoreThisReleaseWrote:
     @staticmethod
-    def count_open(monkeypatch, root) -> dict:
+    def count_open(monkeypatch, root, docs="docs") -> dict:
         """What opening the stores, a service and a manager over ``root``,
-        and its chunk store, costs: calls per upgrade step and per read."""
+        and its chunk store, costs: calls per read."""
         calls = {
-            "upgrades": count_calls(monkeypatch, upgrade, "upgrade"),
             "records read": count_calls(monkeypatch, ChunkStore, "_read_run_locked"),
             "files read": count_calls(monkeypatch, FileStore, "recover_bytes"),
         }
-        files, _service, _manager = open_stores(root)
+        files, _service, _manager = open_stores(root, docs)
         files.chunks  # opened too
         monkeypatch.undo()
         return {name: len(made) for name, made in calls.items()}
@@ -889,11 +766,11 @@ class TestAStoreThisReleaseWrote:
         assert set(self.count_open(monkeypatch, tmp_path).values()) == {0}
 
     def test_an_upgraded_store_pays_once(self, tmp_path, monkeypatch):
+        """The import reads what it converts; opening what it wrote reads
+        nothing."""
         build_retired_store(tmp_path)
-        first = self.count_open(monkeypatch, tmp_path)
-        assert first["upgrades"] == 1
-        assert first["records read"] and first["files read"]
-        assert set(self.count_open(monkeypatch, tmp_path).values()) == {0}
+        new = imported(tmp_path)
+        assert set(self.count_open(monkeypatch, new, "documents").values()) == {0}
 
 
 # -- a store the release before v3 manifests wrote ------------------------
@@ -904,8 +781,9 @@ def build_parent_deployment(root, cluster: bool) -> dict:
     delta levels — one chain eight deep whose fourth level its compaction
     materialized, one five deep never compacted — and every root marked
     ``.one-format``.  Returns ``{model_id: state}``."""
-    service = open_service(root, cluster)
-    older_release(service, layer_hashes=False)
+    stores = open_deployment(root, cluster)
+    service = older_release(ParameterUpdateSaveService(
+        stores.documents, stores.files, scratch_dir=stores.scratch_dir), layer_hashes=False)
     ids, states = save_pua_chain(service, depth=8, layers=("5.bias", "5.weight"))
     more_ids, more_states = save_pua_chain(service, depth=5, seed=2)
     files, models = service.files, service.documents.collection(MODELS)
@@ -922,7 +800,7 @@ def build_parent_deployment(root, cluster: bool) -> dict:
         architecture=architecture, compacted={"from_depth": 4})
     models.replace_one(ids[4], document)
     files.delete(old)
-    for member in member_stores(service):
+    for member in member_stores(stores):
         member.chunks.close()
     as_older_release(root, parent_marker=True)
     return dict(zip(ids + more_ids, states + more_states))
@@ -932,49 +810,32 @@ def build_parent_deployment(root, cluster: bool) -> dict:
 class TestAStoreTheParentWrote:
     def test_it_upgrades_to_full_manifests_and_recovers_bitwise(self, tmp_path, cluster):
         states = build_parent_deployment(tmp_path, cluster)
-        documents = catalog(tmp_path, cluster).collection(MODELS)
-        deltas = [d["_id"] for d in documents.find(projection=("update_file",))
-                  if d.get("update_file")]
+        with pytest.raises(OlderFormatError):
+            open_deployment(tmp_path, cluster)
+        documents = catalog(tmp_path, cluster)
+        deltas = [d["_id"] for d in documents.collection(MODELS).find(
+            projection=("update_file",)) if d.get("update_file")]
         assert len(deltas) == len(states) - 3  # every level but two roots and one compacted
         assert list(tmp_path.rglob(".one-format"))
-        roots = merkle_roots(catalog(tmp_path, cluster))
+        roots = merkle_roots(documents)
 
-        service = open_service(tmp_path, cluster)
-        assert service.files.one_format
-        for document in service.documents.collection(MODELS).find():
+        new = import_deployment(tmp_path, cluster)
+        assert list(tmp_path.rglob(".one-format"))  # the import only read it
+        assert not list(new.rglob(".one-format"))
+        assert_upgraded(new, cluster, states, roots)
+        for document in catalog(new, cluster).collection(MODELS).find():
             assert document["parameters_file"] and document["architecture"]
             assert "update_file" not in document
-        for model_id, state in states.items():
-            recovered = service.recover_model(model_id)
-            assert recovered.recovery_depth == 0
-            assert_state(recovered.model, state)
-        assert merkle_roots(service.documents) == roots
-        assert not list(tmp_path.rglob(".one-format"))
-        assert ModelManager(service).fsck(verify_chunks=True).clean
-        for files in member_stores(service):
-            assert_one_format(files, states.values())
 
     def test_a_crash_at_every_upgrade_step_resumes_on_the_next_open(
         self, tmp_path, cluster, monkeypatch
     ):
+        """Kill the import at every step: the parent's store is unchanged,
+        no ``NEW`` appears, and a rerun finishes."""
         seed = tmp_path / "seed"
         states = build_parent_deployment(seed, cluster)
         roots = merkle_roots(catalog(seed, cluster))
-        faults = FaultInjector(seed=0)
-        monkeypatch.setattr(upgrade, "fault_hook", faults.fail_point)
-        crashes = 0
-        for at in range(1, 400):
-            root = tmp_path / f"crash-{at}"
-            shutil.copytree(seed, root)
-            faults.arm_crash(at, op="upgrade.")
-            try:
-                open_service(root, cluster)
-            except CrashPoint:
-                crashes += 1
-            else:
-                break  # the upgrade outran the armed crash: every point hit
-            assert_upgraded(root, cluster, states, roots)
-        else:
-            pytest.fail("the upgrade never completed")
-        assert crashes > len(states)
-        assert_upgraded(root, cluster, states, roots)
+        new = kill_the_import_at_every_step(
+            monkeypatch, lambda: import_deployment(seed, cluster), seed)
+        assert_upgraded(new, cluster, states, roots)
+

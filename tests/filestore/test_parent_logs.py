@@ -16,23 +16,26 @@ the catalog reaches).  Each
 store here is caught mid-crash first — an open save, a pending chain
 compaction, a pending segment compaction, a pending rebalance, undelivered
 hints — so the parent-format files are exactly what a crashed parent left.
-Opened by this release, with no migration step, fsck finishes what the
-crash left and every model recovers bitwise.
+This release refuses to open it; the import reframes its logs, deletes the
+side logs unread and sweeps what the crash left, and every model of the
+imported deployment recovers bitwise.
 """
 
 import json
 
 import pytest
 
-from repro.cluster import ShardedFileStore, antientropy
 from repro.core import ModelManager, ParameterUpdateSaveService
 from repro.core.hashing import state_dict_hashes
+from repro.distsim.environment import SharedStores
 from repro.docstore import DocumentStore
+from repro.errors import OlderFormatError
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import ChunkStore, FileStore
 from repro.filestore.recordlog import RECORD_MAGIC, RecordLog
 from repro.filestore.segments import SEGMENT_SUFFIX
 from tests.core.test_recovery_plan import assert_recovers, copy_state, save_pua_chain
+from tests.filestore.older_release import as_older_release, imported
 
 
 def records_of(path) -> list:
@@ -54,9 +57,10 @@ def to_parent_format(root, swaps=(), saves=(), compaction=None, moves=None,
     (an open save's intents) as the parent's intent under
     ``root / "files"``, ``compaction`` (``victims``, ``dest``) as its
     segment compaction journal there, ``moves`` (the keys a membership
-    change copied) as its rebalance journal under ``root / "meta"`` and
-    ``hints`` (``{member: keys it missed}``) as its pending hints there;
-    returns the kinds of log written."""
+    change copied) as its rebalance journal under ``root / "cluster-meta"``
+    and ``hints`` (``{member: keys it missed}``) as its pending hints
+    there, and takes the format markers away; returns the kinds of log
+    written."""
     kinds = set()
     for index in sorted(root.rglob("index.json")):  # a count per indexed record
         counts = dict.fromkeys(records_of(index)[-1]["entries"], 1)
@@ -68,13 +72,13 @@ def to_parent_format(root, swaps=(), saves=(), compaction=None, moves=None,
         path.write_text(json.dumps(compaction, sort_keys=True))
         kinds.add("compaction.json")
     if moves is not None:
-        journals = root / "meta" / "rebalance"
+        journals = root / "cluster-meta" / "rebalance"
         journals.mkdir()
         (journals / "5f0c1d2e3a4b.jsonl").write_text(
             json_lines({"kind": "chunk", "key": key} for key in moves))
         kinds.add("rebalance")
     for member, keys in (hints or {}).items():
-        pending = root / "meta" / "hints"
+        pending = root / "cluster-meta" / "hints"
         pending.mkdir(exist_ok=True)
         (pending / f"{member}.jsonl").write_text(json_lines(
             ({"op": "hint", "kind": "chunk", "key": key, "recorded_at": 0.0} for key in keys),
@@ -102,16 +106,17 @@ def to_parent_format(root, swaps=(), saves=(), compaction=None, moves=None,
             kind, text = "catalog", json_lines(records, sort_keys=True)
         path.write_text(text)
         kinds.add(kind)
+    as_older_release(root)
     return kinds
 
 
-def open_single(root, segment_bytes=None):
+def open_single(root, segment_bytes=None, docs="docs"):
     files = FileStore(root / "files", tmp_grace_s=0.0)
     if segment_bytes is not None:  # a few tiny models then seal several segments
         files._chunks = ChunkStore(
             files.root / "chunks", segment_bytes=segment_bytes, tmp_grace_s=0.0)
     service = ParameterUpdateSaveService(
-        DocumentStore(root / "docs"), files, scratch_dir=root / "scratch")
+        DocumentStore(root / docs), files, scratch_dir=root / "scratch")
     return files, service, ModelManager(service)
 
 
@@ -153,22 +158,22 @@ class TestASingleStore:
         assert to_parent_format(tmp_path, swaps=[swap], saves=[open_save]) == {
             "catalog", "refcounts.json", "index.json", "chain compaction",
             "save journal"}
-        files, service, manager = open_single(tmp_path)
+        with pytest.raises(OlderFormatError):
+            open_single(tmp_path)
+        new = imported(tmp_path)
+        files, service, manager = open_single(new, docs="documents")
+        assert manager.fsck(verify_chunks=True).clean
         for model_id, state in expected.items():
             assert_recovers(service, model_id, state)
-        report = manager.fsck(verify_chunks=True)
-        assert not report.unrepaired, report.summary()
-        kinds = {issue.kind for issue in report.repaired}
         # the open save's files and the uncommitted swap's manifest and
         # code copy are plain orphans, as is the chunk only the save wrote
-        assert {"orphan_file", "orphan_chunk"} <= kinds
         for file_id in (code, manifest, swap["manifest_file"], swap["code_file"]):
             assert not files.exists(file_id)
         assert not files.chunks.has(digests["5.bias"])
-        assert not (tmp_path / "files" / "chain-compaction").exists()
-        assert not (tmp_path / "files" / "journal").exists()
-        assert not (tmp_path / "files" / "chunks" / "refcounts.json").exists()
-        assert manager.fsck(verify_chunks=True).clean
+        assert not (new / "files" / "chain-compaction").exists()
+        assert not (new / "files" / "journal").exists()
+        assert not (new / "files" / "chunks" / "refcounts.json").exists()
+        assert (tmp_path / "files" / "journal").exists()  # the import only read it
         for model_id, state in expected.items():
             assert_recovers(service, model_id, state)
 
@@ -211,15 +216,14 @@ class TestASingleStore:
         assert to_parent_format(
             tmp_path, compaction={"victims": victims, "dest": dest}) == {
             "catalog", "refcounts.json", "index.json", "compaction.json"}
-        files, service, manager = open_single(tmp_path, segment_bytes=2048)
+        new = imported(tmp_path)
+        files, service, manager = open_single(new, segment_bytes=2048, docs="documents")
         chunks = files.chunks
         assert {d: bytes(chunks.get(d)) for d in chunks.chunk_ids()} == records
         for model_id, state in expected.items():
             assert_recovers(service, model_id, state)
-        report = manager.fsck(verify_chunks=True)
-        assert not report.unrepaired, report.summary()
-        assert not (tmp_path / "files" / "chunks" / "compaction.json").exists()
         assert manager.fsck(verify_chunks=True).clean
+        assert not (new / "files" / "chunks" / "compaction.json").exists()
         chunks.gc()
         on_disk = {path.name for path in chunks.segments_dir.glob(f"*{SEGMENT_SUFFIX}")}
         assert on_disk == {chunks.locate(d)[0].name for d in chunks.chunk_ids()}
@@ -229,51 +233,36 @@ class TestASingleStore:
 
 
 class TestACluster:
-    def test_a_pending_rebalance_and_undelivered_hints_finish(self, tmp_path, monkeypatch):
-        def open_cluster(names):
-            faults = {name: FaultInjector(seed=1) for name in names}
-            members = {name: FileStore(tmp_path / name, faults=faults[name])
-                       for name in names}
-            store = ShardedFileStore(
-                tmp_path / "meta", members, replicas=2, write_quorum=1)
-            service = ParameterUpdateSaveService(
-                DocumentStore(tmp_path / "docs"), store, scratch_dir=tmp_path / "s")
-            return store, service, faults
-
-        store, service, faults = open_cluster(["m0", "m1", "m2"])
-        faults["m1"].set_down(True)
+    def test_a_pending_rebalance_and_undelivered_hints_finish(self, tmp_path):
+        """A 3x2 cluster whose second member missed writes, with the
+        parent's hint files for them and a rebalance journal: the import
+        deletes both unread, and its fsck puts every missed copy in place."""
+        faults = {f"shard-{index}": FaultInjector(seed=1) for index in range(3)}
+        stores = SharedStores.cluster_at(
+            tmp_path, shards=3, replicas=2, write_quorum=1, member_faults=faults)
+        service = ParameterUpdateSaveService(
+            stores.documents, stores.files, scratch_dir=stores.scratch_dir)
+        faults["shard-1"].set_down(True)
         ids, states = save_pua_chain(service, depth=2)
         expected = dict(zip(ids, states))
-        faults["m1"].set_down(False)
-        owed = sorted(key for _kind, key in store.degraded_keys)
+        faults["shard-1"].set_down(False)
+        owed = sorted(key for kind, key in stores.files.degraded_keys if kind == "chunk")
         assert owed
-        place, failed = antientropy.place, []
+        moved = stores.files.members["shard-2"].chunks.chunk_ids()
+        for member in stores.files.members.values():
+            member.chunks.close()
+        del stores, service
 
-        def flaky_place(member, digest, *args, **kwargs):
-            if not failed:
-                failed.append(digest)
-                raise OSError("the membership change died mid-stream")
-            return place(member, digest, *args, **kwargs)
-
-        monkeypatch.setattr(antientropy, "place", flaky_place)
-        moved = store.add_member("m3", FileStore(tmp_path / "m3"))
-        monkeypatch.undo()
-        assert len(moved["backlog"]) == 1 and moved["repaired"]
-        copied = store.members["m3"].chunks.chunk_ids()
-        del store, service
-
-        assert to_parent_format(tmp_path, moves=copied, hints={"m1": owed}) >= {
+        assert to_parent_format(tmp_path, moves=moved, hints={"shard-1": owed}) >= {
             "catalog", "refcounts.json", "hints", "rebalance"}
-        store, service, faults = open_cluster(["m0", "m1", "m2", "m3"])
-        assert not store.degraded_keys  # the hint files are not read
-        finished = store.sweep(repair=True)
-        assert {entry["key"] for entry in finished["repaired"]} >= set(failed)
-        assert finished["unrepairable"] == []
+        new = imported(tmp_path, cluster=True)
+        assert not (new / "cluster-meta" / "rebalance").exists()
+        assert not (new / "cluster-meta" / "hints").exists()
+        stores = SharedStores.cluster_at(new, shards=3, replicas=2)
+        assert not stores.files.degraded_keys  # the hint files are not read
+        assert all(stores.files.members["shard-1"].chunks.has(key) for key in owed)
+        service = ParameterUpdateSaveService(
+            stores.documents, stores.files, scratch_dir=stores.scratch_dir)
         for model_id, state in expected.items():
             assert_recovers(service, model_id, state)
-        manager = ModelManager(service)
-        report = manager.fsck(verify_chunks=True)
-        assert not report.unrepaired, report.summary()
-        assert not (tmp_path / "meta" / "rebalance").exists()
-        assert not (tmp_path / "meta" / "hints").exists()
-        assert manager.fsck(verify_chunks=True).clean
+        assert ModelManager(service).fsck(verify_chunks=True).clean

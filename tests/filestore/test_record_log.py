@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StoreCorruptionError
+from repro import importer
+from repro.errors import OlderFormatError, StoreCorruptionError
 from repro.filestore.recordlog import RECORD_HEADER, RecordLog
 
 JSON = st.recursive(
@@ -108,36 +109,43 @@ def test_a_flipped_top_bit_of_the_last_length_is_a_torn_tail(tmp_path):
 
 
 class TestOlderFiles:
-    """A file an older release wrote: one JSON document, or JSON lines."""
+    """A file an older release wrote: one JSON document, or JSON lines.
+    Replay refuses it and leaves it as it was; the import frames it."""
 
-    def test_a_document_and_json_lines_replay_and_the_first_append_frames_them(
+    def test_a_document_and_json_lines_are_refused_and_the_import_frames_them(
         self, tmp_path
     ):
         document = tmp_path / "index.json"
         document.write_text(json.dumps({"a": [1, 2]}, indent=0))
-        assert RecordLog(document).replay() == [{"a": [1, 2]}]
         lines = tmp_path / "models.jsonl"
         lines.write_text('{"_id": "a"}\n\n{"_id": "b"}\n')
+        for path in (document, lines):
+            before = path.read_bytes()
+            with pytest.raises(OlderFormatError, match="mmlib import"):
+                RecordLog(path).replay()
+            assert path.read_bytes() == before
+        assert importer._frame_logs(tmp_path) == 2
+        assert RecordLog(document).replay() == [{"a": [1, 2]}]
+        assert lines.read_bytes()[:4] == b"MMRC"
         log = RecordLog(lines)
         assert log.replay() == [{"_id": "a"}, {"_id": "b"}]
         log.append([b'{"_id": "c"}'])
-        assert lines.read_bytes()[:4] == b"MMRC"
         assert RecordLog(lines).replay() == [{"_id": "a"}, {"_id": "b"}, {"_id": "c"}]
 
     @pytest.mark.parametrize("tail", [b'{"_id": "hal', b"\x00\x00", b"{\n"])
     def test_the_same_rule_a_torn_line_is_cut_a_bad_line_before_a_good_one_raises(
         self, tmp_path, tail
     ):
-        path = tmp_path / "refcounts.json"
+        path = tmp_path / "refcounts.jsonl"
         path.write_bytes(b'{"a": 1}\n{"b": 2}\n' + tail)
+        importer._frame_logs(tmp_path)
         log = RecordLog(path)
         assert log.replay() == [{"a": 1}, {"b": 2}]
-        assert log.torn_bytes == len(tail)
-        assert path.read_bytes() == b'{"a": 1}\n{"b": 2}\n'
+        assert log.torn_bytes == 0
         damaged = b'{"a": 1}\n' + tail + b'\n{"b": 2}\n'
         path.write_bytes(damaged)
-        with pytest.raises(StoreCorruptionError):
-            RecordLog(path).replay()
+        with pytest.raises(importer.ImportFailedError):
+            importer._frame_logs(tmp_path)
         assert path.read_bytes() == damaged
 
 

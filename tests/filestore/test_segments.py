@@ -14,7 +14,6 @@ from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import ChunkNotFoundError, ChunkStore, FileStore
 from repro.filestore import segments
-from repro.filestore import upgrade as chunk_codecs
 from repro.filestore.recordlog import RecordLog
 from repro.filestore.segments import SEGMENT_SUFFIX, WRITEBACK_BYTES
 
@@ -49,7 +48,7 @@ class TestSegmentBasics:
         assert path.suffix == SEGMENT_SUFFIX
         with open(path, "rb") as fileobj:
             fileobj.seek(offset)
-            assert chunk_codecs.decode(fileobj.read(length)) == payload(0)
+            assert fileobj.read(length) == payload(0)
         with pytest.raises(ChunkNotFoundError):
             store.get("ffffffff" + "cd" * 12)
 

@@ -14,9 +14,11 @@ from repro.docstore import (
     tenant_collection_name,
     validate_tenant_name,
 )
-from repro.filestore.upgrade import FORMAT_MARKER
+from repro.errors import OlderFormatError
+from repro.filestore.store import FORMAT_MARKER
 from repro.gateway import GatewayError, TenantQuota, TenantRegistry
 from repro.gateway.tenancy import qualify_id, split_qualified_id
+from repro.importer import import_deployment
 from repro.nn import serialization
 from tests.conftest import make_tiny_cnn
 from tests.filestore.older_release import as_older_release
@@ -193,18 +195,27 @@ class TestTenantRegistry:
         stats = admin.stats()
         assert stats["tenants"] == {"acme": 1, "globex": 1}
 
-    def test_a_store_an_older_release_left_is_upgraded_for_every_tenant(self, tmp_path):
-        """Each tenant's snapshot a monolithic ``.params`` blob: an open
-        through a catalog that names none of them marks nothing, and the
-        registry's, whose admin catalog spans every tenant, upgrades them
-        all and marks the store."""
-        stores = SharedStores.at(tmp_path / "store")
+    @pytest.mark.parametrize("cluster", [False, True], ids=["single", "cluster-3x2"])
+    def test_a_store_an_older_release_left_is_imported_for_every_tenant(
+        self, tmp_path, cluster
+    ):
+        """Each tenant's snapshot, and a plain catalog's, a monolithic
+        ``.params`` blob: no store opens the deployment, and one import
+        rewrites every catalog's levels and marks the copy."""
+        def open_deployment(root):
+            if cluster:
+                return SharedStores.cluster_at(root, shards=3, replicas=2)
+            return SharedStores.at(root)
+
+        stores = open_deployment(tmp_path / "store")
         registry = TenantRegistry(stores, ["acme", "globex"])
         module, factory, kwargs = FACTORY_REF
         arch = ArchitectureRef.from_factory(module, factory, kwargs)
+        plain = BaselineSaveService(stores.documents, stores.files)
         saved = {}
-        for seed, name in enumerate(("acme", "globex")):
-            service = registry.tenant(name).service
+        for seed, (name, service) in enumerate((
+                ("acme", registry.tenant("acme").service),
+                ("globex", registry.tenant("globex").service), (None, plain))):
             model = make_tiny_cnn(seed=seed)
             model_id = service.save_model(ModelSaveInfo(model=model, architecture=arch))
             models = service.documents.collection("models")
@@ -215,24 +226,25 @@ class TestTenantRegistry:
             models.replace_one(model_id, document)
             stores.files.delete(old)
             saved[name] = (model_id, model.state_dict())
-        stores.files.chunks.close()
+        stores.files.close()
         as_older_release(tmp_path / "store")
+        with pytest.raises(OlderFormatError):
+            open_deployment(tmp_path / "store")
 
-        # the CLI's plain catalog names none of the tenants' levels: its
-        # open upgrades none of them and leaves the store unmarked
-        stores = SharedStores.at(tmp_path / "store")
-        plain = BaselineSaveService(stores.documents, stores.files)
-        assert not plain.files.one_format
-        assert not (stores.files.root / FORMAT_MARKER).exists()
-        stores.files.chunks.close()
-
-        stores = SharedStores.at(tmp_path / "store")
+        if cluster:
+            import_deployment(tmp_path / "new", cluster=tmp_path / "store")
+        else:
+            import_deployment(
+                tmp_path / "new", docs=tmp_path / "store" / "documents",
+                files=tmp_path / "store" / "files")
+        stores = open_deployment(tmp_path / "new")
         registry = TenantRegistry(stores, ["acme", "globex"])
         assert (stores.files.root / FORMAT_MARKER).exists()
         for name, (model_id, state) in saved.items():
-            service = registry.tenant(name).service
+            service = registry.tenant(name).service if name else BaselineSaveService(
+                stores.documents, stores.files)
             document = service.documents.collection("models").get(model_id)
             assert document["parameters_file"].endswith(".params.manifest")
             recovered = service.recover_model(model_id).model.state_dict()
             assert all(np.array_equal(recovered[key], state[key]) for key in state)
-        assert registry.admin_manager().fsck(verify_chunks=True).clean
+        assert not any(f.endswith(".params") for f in stores.files.file_ids())

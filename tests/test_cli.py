@@ -17,6 +17,7 @@ from repro.filestore import FileStore
 from repro.nn import serialization
 from repro.nn.models import create_model
 from tests.conftest import make_tiny_cnn
+from tests.filestore.older_release import as_older_release
 
 
 def build_probe_model(num_classes=10):
@@ -152,6 +153,39 @@ class TestDeleteGc:
         assert run_cli("--docs", docs, "--files", files, "delete", model_id) == 0
         assert run_cli("--docs", docs, "--files", files, "list") == 0
         assert "no models saved" in capsys.readouterr().out.splitlines()[-1]
+
+
+class TestImport:
+    def test_an_older_store_is_refused_and_imported_into_a_new_one(
+        self, stores, saved_model, tmp_path, capsys
+    ):
+        docs, files = stores
+        model_id, model = saved_model
+        FileStore(files).chunks.close()
+        as_older_release(files)
+        assert run_cli("--docs", docs, "--files", files, "list") == 2
+        assert "mmlib import" in capsys.readouterr().err
+
+        new = tmp_path / "new"
+        assert run_cli("--docs", docs, "--files", files, "import", str(new)) == 0
+        out = capsys.readouterr().out
+        assert "imported 1 model(s)" in out and f"--files {new / 'files'}" in out
+        out_file = tmp_path / "out.state"
+        assert run_cli("--docs", str(new / "documents"), "--files", str(new / "files"),
+                       "recover", model_id, "--out", str(out_file)) == 0
+        assert "verified=True" in capsys.readouterr().out
+        recovered = serialization.load(out_file)
+        for key, value in model.state_dict().items():
+            assert np.array_equal(recovered[key], value)
+        # a second import into the same place changes nothing
+        before = sorted(p.relative_to(new) for p in new.rglob("*"))
+        assert run_cli("--docs", docs, "--files", files, "import", str(new)) == 2
+        assert "exists" in capsys.readouterr().err
+        assert sorted(p.relative_to(new) for p in new.rglob("*")) == before
+
+    def test_import_needs_the_stores_it_reads(self, tmp_path, capsys):
+        assert run_cli("import", str(tmp_path / "new")) == 2
+        assert "--docs and --files" in capsys.readouterr().err
 
 
 class TestProbeEnv:
