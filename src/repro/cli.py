@@ -59,34 +59,45 @@ def _split_factory(spec: str):
         raise CliError(f"{module_name!r} has no attribute {attr!r}") from exc
 
 
-def _open_manager(args):
-    from repro.core import ModelManager
-    from repro.core.baseline import BaselineSaveService
+def _open_cluster(args):
+    """The self-healing SharedStores over the ``shard-*`` members under
+    ``--cluster``."""
+    from repro.distsim.environment import SharedStores
+
+    workdir = Path(args.cluster)
+    shards = sorted(p for p in workdir.glob("shard-*") if p.is_dir())
+    if not shards:
+        raise CliError(f"no shard-* member directories under {workdir}")
+    return SharedStores.cluster_at(
+        workdir,
+        shards=len(shards),
+        replicas=getattr(args, "replicas", 2),
+        self_heal=True,
+    )
+
+
+def _open_single(args):
+    """The document and file store of ``--docs`` and ``--files``."""
     from repro.docstore import DocumentStore
     from repro.filestore import FileStore
 
-    cluster = getattr(args, "cluster", None)
-    if cluster:
-        from repro.distsim.environment import SharedStores, make_service
-
-        workdir = Path(cluster)
-        shards = sorted(p for p in workdir.glob("shard-*") if p.is_dir())
-        if not shards:
-            raise CliError(f"no shard-* member directories under {workdir}")
-        stores = SharedStores.cluster_at(
-            workdir,
-            shards=len(shards),
-            replicas=getattr(args, "replicas", 2),
-            self_heal=True,
-        )
-        return ModelManager(make_service("baseline", stores))
     if not args.docs or not args.files:
         raise CliError(
             "this command requires --docs and --files store directories "
             "(or --cluster for a sharded deployment)"
         )
-    service = BaselineSaveService(DocumentStore(args.docs), FileStore(args.files))
-    return ModelManager(service)
+    return DocumentStore(args.docs), FileStore(args.files)
+
+
+def _open_manager(args):
+    from repro.core import ModelManager
+    from repro.core.baseline import BaselineSaveService
+
+    if getattr(args, "cluster", None):
+        from repro.distsim.environment import make_service
+
+        return ModelManager(make_service("baseline", _open_cluster(args)))
+    return ModelManager(BaselineSaveService(*_open_single(args)))
 
 
 def _open_shared_stores(args):
@@ -94,32 +105,12 @@ def _open_shared_stores(args):
     import tempfile
 
     from repro.distsim.environment import SharedStores
-    from repro.docstore import DocumentStore
-    from repro.filestore import FileStore
 
-    cluster = getattr(args, "cluster", None)
-    if cluster:
-        workdir = Path(cluster)
-        shards = sorted(p for p in workdir.glob("shard-*") if p.is_dir())
-        if not shards:
-            raise CliError(f"no shard-* member directories under {workdir}")
-        return SharedStores.cluster_at(
-            workdir,
-            shards=len(shards),
-            replicas=getattr(args, "replicas", 2),
-            self_heal=True,
-        )
-    if not args.docs or not args.files:
-        raise CliError(
-            "this command requires --docs and --files store directories "
-            "(or --cluster for a sharded deployment)"
-        )
+    if getattr(args, "cluster", None):
+        return _open_cluster(args)
+    documents, files = _open_single(args)
     scratch = Path(tempfile.mkdtemp(prefix="mmlib-serve-scratch-"))
-    return SharedStores(
-        documents=DocumentStore(args.docs),
-        files=FileStore(args.files),
-        scratch_dir=scratch,
-    )
+    return SharedStores(documents=documents, files=files, scratch_dir=scratch)
 
 
 def _service_for(args, approach: str):

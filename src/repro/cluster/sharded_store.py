@@ -91,10 +91,10 @@ class _ShardedChunkView:
     """Ring-routed facade over the member stores' :class:`ChunkStore`s.
 
     Quacks like a single ``ChunkStore`` so the inherited ``FileStore``
-    machinery (manifest save, delete, gc's sweep, fsck) works untouched:
-    lookups fail over across a key's owners, mutations fan out to them,
-    and aggregate views union every member.  Its :attr:`lock` is the
-    cluster's own, an ``flock`` in the sharded store's root.
+    machinery (delete, gc's sweep, fsck) works untouched: lookups fail
+    over across a key's owners, drops fan out to them, aggregate views
+    union every member, and writes are the store's quorum writes.  Its
+    :attr:`lock` is the cluster's own, an ``flock`` in the sharded store's root.
     """
 
     def __init__(self, store: "ShardedFileStore"):
@@ -140,12 +140,6 @@ class _ShardedChunkView:
                 lacking[digest] = lacking.get(digest, 0) + 1
         return [digest for digest, count in lacking.items()
                 if count == len(self._store.ring.owners(digest))]
-
-    def put(self, digest: str, buffer) -> bool:
-        wrote = False
-        for name in self._store.ring.owners(digest):
-            wrote = self._store.members[name].chunks.put(digest, buffer) or wrote
-        return wrote
 
     def drop(self, digest: str) -> bool:
         return bool(self.drop_many([digest]))
@@ -325,6 +319,10 @@ class ShardedFileStore(ReplicaLedger, FileStore):
     The hot-chunk cache and single-flight coalescing sit at this layer
     (pass ``chunk_cache`` here, not to members), so a cache hit serves a
     chunk without touching any replica link.
+
+    Its two record-transfer hooks are a quorum write (:meth:`_put_chunk_data`)
+    and a read grouped by primary owner that fails over key by key
+    (:meth:`_fetch_many`), each over the members' own two hooks.
     """
 
     def __init__(
@@ -411,7 +409,10 @@ class ShardedFileStore(ReplicaLedger, FileStore):
 
     # -- failover reads + read-repair ---------------------------------------
 
-    def _read_chunk(self, digest: str) -> bytes:
+    def _failover_read(self, digest: str) -> bytes:
+        """One record from the first of its owners that delivers it, in
+        ring order, each read one member :meth:`_fetch_many` of the key;
+        an owner found missing it or holding it corrupt is read-repaired."""
         missing: list[str] = []
         corrupt: list[str] = []
         down: list[str] = []  # owners skipped or unreachable
@@ -426,7 +427,7 @@ class ShardedFileStore(ReplicaLedger, FileStore):
                     )
                     continue
                 try:
-                    data = self.members[name]._charged_read(digest)
+                    data = self.members[name]._fetch_many([digest], True)[digest]
                 except REPLICA_FAILURES as exc:
                     last_error = exc
                     kind = classify_failure(exc)
@@ -472,12 +473,13 @@ class ShardedFileStore(ReplicaLedger, FileStore):
         """Batched fetch, grouped by primary owner for pipelined accounting.
 
         Each group goes through the member's own batched read (one
-        pipelined transfer on simulated links); a group whose member
-        fails mid-batch falls back to per-digest failover reads.  ``crc``
-        is ignored: a member always checks its record CRC, which is what
-        classifies a bad replica ``corrupt`` so it is failed over and
-        repaired.  ``crcs`` receives the CRCs of the batched member reads;
-        a failover read reports none.
+        pipelined transfer on simulated links), the deadline checked
+        first; a group whose member fails mid-batch falls back to
+        :meth:`_failover_read` per digest.  ``crc`` is ignored: a member
+        always checks its record CRC (a file or spec record's key), which
+        is what classifies a bad replica ``corrupt`` so it is failed over
+        and repaired.  ``crcs`` receives the CRCs of the batched member
+        reads; a failover read reports none.
         """
         groups: dict[str, list[str]] = {}
         for digest in digests:
@@ -488,26 +490,27 @@ class ShardedFileStore(ReplicaLedger, FileStore):
             with self._obs_tracer.span(
                 "cluster.member_fetch", member=name, n=len(group)
             ) as sp:
+                deadline_mod.check("cluster.chunk_read")
+                checked: dict = {}
+                fetched = None
                 if not self._allowed(name):
                     # primary's breaker is open: go straight to failover
                     # reads instead of burning a timeout on the batch
-                    sp.set(failover=True, breaker_open=True)
-                    for digest in group:
-                        results[digest] = self._read_chunk(digest)
-                    continue
-                checked: dict = {}
-                try:
-                    results.update(self.members[name]._charged_read_many(group, True, checked))
-                except REPLICA_FAILURES as exc:
-                    if classify_failure(exc) == "unreachable":
-                        self._down(name)
-                    sp.set(failover=True)
-                    for digest in group:
-                        results[digest] = self._read_chunk(digest)
+                    sp.set(breaker_open=True)
                 else:
-                    self._up(name)
-                    if crcs is not None:
-                        crcs.update(checked)
+                    try:
+                        fetched = self.members[name]._fetch_many(group, True, checked)
+                    except REPLICA_FAILURES as exc:
+                        if classify_failure(exc) == "unreachable":
+                            self._down(name)
+                    else:
+                        self._up(name)
+                if fetched is None:
+                    sp.set(failover=True)
+                    fetched = {digest: self._failover_read(digest) for digest in group}
+                elif crcs is not None:
+                    crcs.update(checked)
+                results.update(fetched)
         return results
 
     # -- manifest hooks (harvest repair metadata) ----------------------------

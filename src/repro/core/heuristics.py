@@ -71,8 +71,10 @@ class CostModel:
         """Cost of saving one derived model and recovering it later.
 
         ``chain_depth`` is the number of derived models between this model
-        and its snapshot root — it drives the PUA's and MPA's recursive
-        recovery costs (the staircase in the paper's Figure 11).
+        and its snapshot root — it drives the MPA's replay cost, one
+        training per level (the MPA staircase of the paper's Figure 11).
+        A PUA recover reads one full manifest at any depth, so it costs
+        what a BA recover does.
         """
         update_bytes = profile.updated_fraction * profile.model_bytes
         mpa_storage = 0.0 if profile.dataset_externally_managed else profile.dataset_bytes
@@ -88,8 +90,7 @@ class CostModel:
                 APPROACH_PARAM_UPDATE,
                 storage_bytes=update_bytes,
                 save_seconds=self._io_time(update_bytes),
-                recover_seconds=self._io_time(profile.model_bytes)
-                + chain_depth * self._io_time(update_bytes),
+                recover_seconds=self._io_time(profile.model_bytes),
             ),
             CostEstimate(
                 APPROACH_PROVENANCE,

@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 from .. import obs
+from .segments import DEFAULT_TMP_GRACE_S, _buffer_nbytes
 from .store import FileStore, is_file_id
 
 __all__ = ["NetworkModel", "SimulatedNetworkFileStore", "INFINIBAND_100G", "CELLULAR_LTE"]
@@ -55,13 +56,16 @@ class SimulatedNetworkFileStore(FileStore):
     is only accumulated in :attr:`simulated_seconds` so large sweeps stay
     fast while still reporting transfer budgets.
 
-    Batched chunk fetches (:meth:`FileStore.get_chunks`) are charged as a
-    *pipelined* transfer: latency is paid once per window of
-    ``pipeline_depth`` in-flight requests while the bandwidth term stays
-    the sum of all payload bytes — bandwidth is shared across concurrent
-    streams, not multiplied by them.  :attr:`round_trips` counts the
-    link-latency round-trips actually paid; :attr:`round_trips_saved`
-    counts the ones pipelining avoided versus a fully serial client.
+    It overrides the two record-transfer hooks of :class:`FileStore` and
+    the existence probe: :meth:`_put_chunk_data` charges every write,
+    :meth:`_fetch_many` every read, :meth:`has_chunk` its digest query.
+    A read is charged as a *pipelined* transfer: latency is paid once per
+    window of ``pipeline_depth`` in-flight requests while the bandwidth
+    term stays the sum of all payload bytes — bandwidth is shared across
+    concurrent streams, not multiplied by them.  :attr:`round_trips`
+    counts the link-latency round-trips actually paid;
+    :attr:`round_trips_saved` counts the ones pipelining avoided versus a
+    fully serial client.
     """
 
     #: Bytes exchanged to ask the server "do you already hold this chunk?"
@@ -81,29 +85,17 @@ class SimulatedNetworkFileStore(FileStore):
         workers: int = 0,
         chunk_cache=None,
     ):
-        kwargs = {
-            "faults": faults,
-            "retry": retry,
-            "verify_reads": verify_reads,
-            "workers": workers,
-            "chunk_cache": chunk_cache,
-        }
-        if tmp_grace_s is not None:
-            kwargs["tmp_grace_s"] = tmp_grace_s
-        super().__init__(root, **kwargs)
+        super().__init__(
+            root, faults=faults, retry=retry,
+            tmp_grace_s=DEFAULT_TMP_GRACE_S if tmp_grace_s is None else tmp_grace_s,
+            verify_reads=verify_reads, workers=workers, chunk_cache=chunk_cache)
         if pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
         self.network = network
         self.sleep = sleep
         self.pipeline_depth = int(pipeline_depth)
         self._accounting_lock = threading.Lock()
-        self.simulated_seconds = 0.0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.chunks_deduplicated = 0
-        self.chunk_bytes_deduplicated = 0
-        self.round_trips = 0
-        self.round_trips_saved = 0
+        self.reset_accounting()
         registry = obs.registry()
         self._obs_round_trips = registry.counter(
             "mmlib_network_round_trips_total", "Simulated network round trips")
@@ -160,7 +152,7 @@ class SimulatedNetworkFileStore(FileStore):
         charged identically to serial ones, and replicated writes from a
         sharded store per member link.
         """
-        nbytes = buffer.nbytes if isinstance(buffer, memoryview) else len(buffer)
+        nbytes = _buffer_nbytes(buffer)
         is_file = is_file_id(digest)
         if not is_file:
             self._send(self.CHUNK_QUERY_BYTES)  # the existence query
@@ -174,29 +166,17 @@ class SimulatedNetworkFileStore(FileStore):
             self._obs_dedup_chunks.inc()
         return wrote
 
-    def _charged_read(self, digest: str) -> bytes:
-        """Download one record, charging its payload against the link.
-
-        Hot-chunk cache hits never reach this hook, so cached recoveries
-        are free — the whole point of sharing the cache with the recovery
-        plane.
-        """
-        data = super()._charged_read(digest)
-        self._charge(len(data))
-        with self._accounting_lock:
-            self.bytes_received += len(data)
-        self._obs_bytes_received.inc(len(data))
-        return data
-
-    def _charged_read_many(self, digests, crc, crcs=None) -> dict:
-        """Download a batch of chunks as one pipelined transfer.
+    def _fetch_many(self, digests, crc, crcs=None) -> dict:
+        """Download a batch of records as one pipelined transfer.
 
         Latency is paid once per window of ``pipeline_depth`` requests in
-        flight; payload bytes all cross the (shared-bandwidth) link.  The
-        difference between ``len(digests)`` serial round-trips and the
-        windows actually paid lands in :attr:`round_trips_saved`.
+        flight, so a one-record read (a manifest, a code file) costs one
+        round trip; payload bytes all cross the (shared-bandwidth) link.
+        The difference between ``len(digests)`` serial round-trips and the
+        windows actually paid lands in :attr:`round_trips_saved`.  Hot-chunk
+        cache hits never reach this hook, so cached recoveries are free.
         """
-        payloads = self._fetch_many(list(digests), crc, crcs)
+        payloads = super()._fetch_many(digests, crc, crcs)
         n = len(payloads)
         if n == 0:
             return payloads

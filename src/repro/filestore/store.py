@@ -582,6 +582,13 @@ class FileStore:
       cache is attached, and a verified recover hashes a cached payload
       once, then checks its hits by CRC-32.
 
+    A subclass changes how records travel through two hooks:
+    :meth:`_put_chunk_data` writes one record and :meth:`_fetch_many`
+    reads a batch.  Every read — a recover's chunks, a manifest, a spec
+    record, a code file, a heal's re-fetch — goes through
+    :meth:`_fetch_many`, and within it every record through
+    :meth:`_read_chunk`, the fault plane and the key check of a file.
+
     Buffer ownership on the read path: the chunk store reads each
     record into a buffer of its own, and :meth:`recover_state_chunks`
     returns arrays over those buffers without copying them; whatever else
@@ -666,15 +673,6 @@ class FileStore:
             return None
         return self.chunk_cache.get(digest)
 
-    def _cache_landed(self, digest: str) -> bytes | None:
-        """What a flight that ended between the caller's cache miss and its
-        ``begin()`` left behind — reading again would cross the link twice."""
-        return self._cache_get(digest) if digest in self.chunk_cache else None
-
-    def _cache_put(self, digest: str, data: bytes) -> None:
-        if self.chunk_cache is not None:
-            self.chunk_cache.put(digest, data)
-
     def _cache_discard(self, digest: str) -> None:
         if self.chunk_cache is not None:
             self.chunk_cache.discard(digest)
@@ -745,9 +743,9 @@ class FileStore:
         """One record through the fault plane: its fault point, its read,
         its in-transit corruption, its own retry.
 
-        ``data`` is the payload :meth:`_fetch_many` already read for this
-        chunk; the first attempt takes it instead of reading the chunk
-        store, a retry reads the store.  A file or spec record (fault
+        ``data`` is what :meth:`_fetch_many` already read for this record,
+        its payload or the error its read raised; the first attempt takes
+        it instead of reading the chunk store, a retry reads the store.  A file or spec record (fault
         points ``file.read``) is checked against its key instead of its
         record CRC — one check per byte, the stronger one — and a
         mismatch is retried; a chunk is checked by its reader.
@@ -760,6 +758,8 @@ class FileStore:
             self._fault(op)
             payload = (pending.pop() if pending
                        else self.chunks.get_many([digest], crc=not is_file)[digest])
+            if isinstance(payload, Exception):
+                raise payload
             if self.faults is not None:
                 payload = self.faults.corrupt(op, payload)
             if is_file and not chunk_intact(digest, payload):
@@ -771,62 +771,34 @@ class FileStore:
             TransientStoreError,)
         return self._call(op, attempt, retry_on=retry_on)
 
-    def _charged_read(self, digest: str) -> bytes:
-        """One chunk fetch crossing the link (transfer-accounting hook)."""
-        return self._read_chunk(digest)
-
-    def _charged_read_many(self, digests: list[str], crc: bool,
-                           crcs: dict | None = None) -> dict[str, bytes]:
-        """One batched fetch crossing the link (transfer-accounting hook)."""
-        return self._fetch_many(digests, crc, crcs)
-
     def _fetch_many(self, digests: list[str], crc: bool,
                     crcs: dict | None = None) -> dict[str, bytes]:
-        """Read a batch of chunks in one pass over the segments.
+        """Read a batch of records in one pass over the segments: the one
+        read a subclass overrides (to charge a link, to route to replicas).
 
         :meth:`ChunkStore.get_many` reads every record, skipping its CRC
-        when ``crc`` is false; each chunk then goes through
+        when ``crc`` is false or every record is a file or spec record
+        (checked against its key instead); each record then goes through
         :meth:`_read_chunk` in plan order with the payload already read, so
-        the fault plane sees each chunk exactly as a one-by-one read would.
+        the fault plane sees each record exactly as a one-by-one read would.
         A batch the chunk store refuses (a missing or damaged record) is
-        left to those per-chunk reads, so the error surfaces where it
-        always did.  ``crcs`` receives the record CRC of each returned
-        payload that is the very buffer the batch checked against it.
+        left to those per-record reads, so the error surfaces where it
+        always did; a one-record batch's error is that record's, raised
+        by its first attempt without a second read.  ``crcs`` receives the
+        record CRC of each returned payload that is the very buffer the
+        batch checked against it.
         """
+        crc = crc and not all(map(self_checked, digests))
         checked = {} if crcs is not None else None
         try:
             batch = self.chunks.get_many(digests, crc=crc, crcs=checked)
-        except (ChunkNotFoundError, StoreCorruptionError):
-            batch = {}
+        except (ChunkNotFoundError, StoreCorruptionError) as exc:
+            batch = {digests[0]: exc} if len(digests) == 1 else {}
         payloads = {digest: self._read_chunk(digest, batch.get(digest)) for digest in digests}
         if checked:
             crcs.update((digest, value) for digest, value in checked.items()
                         if payloads[digest] is batch[digest])
         return payloads
-
-    def get_chunk(self, digest: str) -> bytes:
-        """Fetch one chunk's payload by digest (hot-chunk cache first)."""
-        cached = self._cache_get(digest)
-        if cached is not None:
-            return cached
-        if self.chunk_cache is None:
-            return self._charged_read(digest)
-        leader_event = self._singleflight.begin(digest)
-        if leader_event is None:
-            try:
-                data = self._cache_landed(digest)
-                if data is None:
-                    data = self._charged_read(digest)
-                    self._cache_put(digest, data)
-                return data
-            finally:
-                self._singleflight.done(digest)
-        leader_event.wait()
-        self._obs_coalesced.inc()
-        cached = self._cache_get(digest)
-        if cached is not None:
-            return cached
-        return self._charged_read(digest)  # leader failed or entry evicted
 
     def get_chunks(self, digests: Iterable[str], crc: bool = True,
                    crcs: dict | None = None) -> dict[str, bytes]:
@@ -855,7 +827,7 @@ class FileStore:
             if not misses:
                 return results
             if self.chunk_cache is None:
-                results.update(self._charged_read_many(misses, crc, crcs))
+                results.update(self._fetch_many(misses, crc, crcs))
                 return results
             leaders: list[str] = []
             waits: list[tuple[str, threading.Event]] = []
@@ -871,15 +843,17 @@ class FileStore:
             try:
                 to_read = []
                 for digest in leaders:
-                    landed = self._cache_landed(digest)
+                    # what a flight that ended between this miss and begin()
+                    # left behind: reading again would cross the link twice
+                    landed = self._cache_get(digest) if digest in self.chunk_cache else None
                     if landed is None:
                         to_read.append(digest)
                     else:
                         results[digest] = landed
                 if to_read:
-                    fetched = self._charged_read_many(to_read, crc, crcs)
+                    fetched = self._fetch_many(to_read, crc, crcs)
                     for digest, data in fetched.items():
-                        self._cache_put(digest, data)
+                        self.chunk_cache.put(digest, data)
                     results.update(fetched)
             finally:
                 for digest in leaders:
@@ -887,7 +861,9 @@ class FileStore:
             for digest, event in waits:
                 event.wait()
                 cached = self._cache_get(digest)
-                results[digest] = cached if cached is not None else self._charged_read(digest)
+                if cached is None:  # the leader failed or the entry was evicted
+                    cached = self._fetch_many([digest], True)[digest]
+                results[digest] = cached
             return results
 
     def has_chunk(self, digest: str) -> bool:
@@ -1120,7 +1096,7 @@ class FileStore:
         attempts = max(1, self.retry.max_attempts) if self.retry is not None else 1
         for _ in range(attempts - 1):  # the batch was the first attempt
             self._cache_discard(digest)
-            data = self.get_chunk(digest)
+            data = self.get_chunks([digest])[digest]
             if chunk_intact(digest, data, meta):
                 if self.chunk_cache is not None:
                     self.chunk_cache.vouch(digest, zlib.crc32(data))
@@ -1170,7 +1146,7 @@ class FileStore:
         spec = self._specs.get(key)
         if spec is None:
             try:
-                data = bytes(self._charged_read(key))
+                data = bytes(self._fetch_many([key], crc=False)[key])
             except ChunkNotFoundError:
                 raise StoreCorruptionError(
                     f"manifest {file_id!r} names missing spec record {key!r}") from None
@@ -1199,7 +1175,7 @@ class FileStore:
         heals in-transit corruption from a chaos injector or flaky link.
         """
         try:
-            return bytes(self._charged_read(file_id))
+            return bytes(self._fetch_many([file_id], crc=False)[file_id])
         except ChunkNotFoundError:
             raise FileNotFoundInStoreError(f"no stored file with id {file_id!r}") from None
 

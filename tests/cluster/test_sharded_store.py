@@ -417,7 +417,7 @@ class TestFailoverReads:
         store.members[primary].chunks.drop(digest)
         assert not store.members[primary].chunks.has(digest)
 
-        data = store.get_chunk(digest)
+        data = store.get_chunks([digest])[digest]
         assert data == store.members[secondary].chunks.get(digest)
         assert store.cluster_stats["failover_reads"] >= 1
         assert store.cluster_stats["read_repairs"] >= 1
@@ -441,12 +441,12 @@ class TestFailoverReads:
         docs.members[owner].collection("models").delete_one(doc_id)
 
         with audit_reads():
-            assert store.get_chunk(digest) == store.members[secondary].chunks.get(digest)
+            assert store.get_chunks([digest])[digest] == store.members[secondary].chunks.get(digest)
             assert models.get(doc_id)["_id"] == doc_id
         assert not store.members[primary].chunks.has(digest)
         assert not docs.members[owner].collection("models").count({"_id": doc_id})
         assert store.cluster_stats["read_repairs"] == docs.cluster_stats["read_repairs"] == 0
-        assert models.get(doc_id) and store.get_chunk(digest)  # outside it, reads heal
+        assert models.get(doc_id) and store.get_chunks([digest])[digest]  # outside it, reads heal
         assert store.cluster_stats["read_repairs"] == docs.cluster_stats["read_repairs"] == 1
 
     def test_blob_failover_read_repairs_the_missing_replica(self, tmp_path):
@@ -472,7 +472,7 @@ class TestFailoverReads:
         for member in store.members.values():
             member.chunks.drop(digest)
         with pytest.raises(KeyError):
-            store.get_chunk(digest)
+            store.get_chunks([digest])[digest]
 
     def test_full_recovery_with_one_member_dark(self, tmp_path):
         store = make_cluster(tmp_path, replicas=2)

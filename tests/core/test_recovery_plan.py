@@ -320,25 +320,17 @@ class TestCounts:
             files.chunk_cache.clear()
         files.reset_accounting()
         chunk_bytes = []
-        charged_read, charged_read_many = files._charged_read, files._charged_read_many
-        files._charged_read = lambda digest: (
-            charged_read(digest) if is_file_id(digest)
-            else _tally(chunk_bytes, charged_read(digest)))
-        files._charged_read_many = lambda digests, *args: _tally_many(
-            chunk_bytes, charged_read_many(digests, *args))
+        fetch_many = files._fetch_many
+        files._fetch_many = lambda digests, *args, **kwargs: _tally_many(
+            chunk_bytes, fetch_many(digests, *args, **kwargs))
         recovered = assert_recovers(service, ids[-1], states[-1])
         assert recovered.recovery_depth == 0
         # (bytes_received also counts the manifest, its spec and the code file)
         assert sum(chunk_bytes) == model_bytes
 
 
-def _tally(sizes, data):
-    sizes.append(len(data))
-    return data
-
-
 def _tally_many(sizes, payloads):
-    sizes.extend(len(data) for data in payloads.values())
+    sizes.extend(len(data) for key, data in payloads.items() if not is_file_id(key))
     return payloads
 
 

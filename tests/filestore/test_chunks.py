@@ -250,7 +250,7 @@ class TestNetworkChunkTransfer:
         store = self.link_store(tmp_path)
         store.put_chunk("c9", b"z" * 5000)
         received_before = store.bytes_received
-        store.get_chunk("c9")
+        store.get_chunks(["c9"])["c9"]
         assert store.bytes_received - received_before == 5000
 
     def test_reset_clears_dedup_counters(self, tmp_path):

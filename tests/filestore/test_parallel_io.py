@@ -134,11 +134,11 @@ class TestGetChunks:
         reads = []
 
         class SlowStore(FileStore):
-            def _charged_read(self, digest):
-                reads.append(digest)
+            def _fetch_many(self, digests, crc, crcs=None):
+                reads.extend(digests)
                 fetch_started.set()
                 release_fetch.wait(timeout=5)
-                return super()._charged_read(digest)
+                return super()._fetch_many(digests, crc, crcs)
 
         store = SlowStore(tmp_path / "files", chunk_cache=1 << 20)
         state = small_state(seed=7, layers=1)
@@ -147,11 +147,11 @@ class TestGetChunks:
         digest = next(iter(hashes.values()))
 
         results = []
-        leader = threading.Thread(target=lambda: results.append(store.get_chunk(digest)))
+        leader = threading.Thread(target=lambda: results.append(store.get_chunks([digest])[digest]))
         leader.start()
         assert fetch_started.wait(timeout=5)
         # second reader arrives while the leader's fetch is in flight
-        follower = threading.Thread(target=lambda: results.append(store.get_chunk(digest)))
+        follower = threading.Thread(target=lambda: results.append(store.get_chunks([digest])[digest]))
         follower.start()
         release_fetch.set()
         leader.join(timeout=5)
