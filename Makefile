@@ -52,7 +52,10 @@ bench-serving:
 # recovered byte, every corruption still caught; a PUA save's derived
 # Merkle tree equals a fresh one, a stale or planted cached tree is
 # ignored) + the bookkeeping
-# kill/crash-point/two-process tests + the one import door (the retired
+# kill/crash-point/two-process tests + tombstones (a delete is a tombstone:
+# reopen, compaction, a second process and the import never bring a
+# dropped record back; segment names and log rewrites are fsynced into
+# their directory) + the one import door (the retired
 # write formats, file-per-blob roots and parent-format logs converted by
 # the import bitwise and fsck-clean, corruption caught, the import killed
 # at every step, single store and 3x2 cluster; no retired-format name
@@ -76,6 +79,7 @@ chaos:
 		tests/core/test_param_update.py::TestTreeCache \
 		tests/filestore/test_bookkeeping.py::TestReopenWithoutClose \
 		tests/filestore/test_bookkeeping.py::TestTwoProcesses \
+		tests/filestore/test_bookkeeping.py::TestTombstones \
 		tests/filestore/test_bookkeeping_property.py \
 		tests/filestore/test_legacy_import.py::TestRetiredWriteFormats \
 		tests/filestore/test_legacy_import.py::TestImportCrashes \

@@ -25,8 +25,8 @@ from typing import Iterable
 
 from ..errors import OlderFormatError, StoreCorruptionError
 
-__all__ = ["RecordLog", "RECORD_HEADER", "RECORD_MAGIC", "next_whole_record", "read_record",
-           "record_header", "record_size", "write_all"]
+__all__ = ["RecordLog", "RECORD_HEADER", "RECORD_MAGIC", "fsync_dir", "next_whole_record",
+           "read_record", "record_header", "record_size", "write_all"]
 
 RECORD_MAGIC = b"MMRC"
 _MAGIC = re.compile(re.escape(RECORD_MAGIC))
@@ -79,6 +79,15 @@ def write_all(file, data) -> None:
     view = memoryview(data).cast("B")
     while view:
         view = view[os.write(file.fileno(), view):]
+
+
+def fsync_dir(path) -> None:
+    """Make the names in directory ``path`` durable: one fsync of it."""
+    fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _frame(payloads: Iterable[bytes]) -> bytes:
@@ -155,18 +164,21 @@ class RecordLog:
         return len(data)
 
     def rewrite(self, payloads: Iterable[bytes], before_rename=None) -> None:
-        """Replace the file with one record per payload: a tmp file renamed
-        over it (``before_rename`` runs in between: a crash test's hook)."""
+        """Replace the file with one record per payload, durably: a tmp file
+        fsynced, renamed over it, and the directory fsynced
+        (``before_rename`` runs before the rename: a crash test's hook)."""
         tmp = self._tmp_path()
         fresh = self._open(tmp, os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_TRUNC)
         try:
             write_all(fresh, _frame(payloads))
+            os.fsync(fresh.fileno())
             if before_rename is not None:
                 before_rename()
             tmp.replace(self.path)
         except BaseException:
             fresh.close()  # a crash before the rename: the old file, whole
             raise
+        fsync_dir(self.path.parent)
         self.close()
         self._file = fresh
         self.size = os.fstat(fresh.fileno()).st_size

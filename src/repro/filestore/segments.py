@@ -15,21 +15,17 @@ length, crc)``), LSM-style:
   record is unsynced until it, and the hint makes no crash state that
   the kernel's own writeback could not (the record crc catches a torn
   tail either way).
-* **Sealed segments carry a footer** — a catalog of their records — so
-  reopening a store bulk-loads the index from footers instead of
-  rescanning payloads.
-* **A segment is the log of its own appends** — on open, the bytes past
-  each segment's checkpointed scan offset are rescanned, CRC-checked, so
-  an appended record needs no other bookkeeping to be found again.  The
-  index checkpoint (``index.json``, a one-record
-  :class:`~repro.filestore.recordlog.RecordLog` rewritten whole; a
-  damaged one is ignored and every segment rescanned) is written only
-  where it says what the segments cannot: when a segment is sealed, when
-  a record is deleted (a deliberately deleted record must never be
-  resurrected by a rescan), after a compaction, after an open that had
-  to rescan, and at :meth:`ChunkStore.close`.  A save writes none; a
-  reopen after ``kill -9`` rescans at most the one unsealed tail
-  (DESIGN.md §17 "Bookkeeping").
+* **The segments are the only record of the index** — an open rebuilds
+  it from each sealed segment's footer (a catalog of its records and
+  tombstones) and a CRC-checked scan of each unsealed one, so an appended
+  record needs no other bookkeeping to be found again.  A drop appends a
+  *tombstone*: a record keyed ``"." + digest`` whose payload names the
+  ``[segment, offset]`` of the record it kills, so it never shadows a later
+  put of the same digest, whatever order the segments are read in; one
+  :meth:`~ChunkStore.flush` makes a batch of them durable.  A sealed
+  segment never changes: taking in what other processes did is one listing
+  of ``segments/`` and one ``stat`` per unsealed segment (DESIGN.md §17
+  "Bookkeeping").
 * **Liveness is reachability** — the store counts no references.  A
   record lives while its caller's mark says so: :meth:`ChunkStore.reap`
   sweeps every record outside the mark it is given, under the store's
@@ -41,7 +37,9 @@ length, crc)``), LSM-style:
   leaves a ``.tmp`` the grace sweep reaps; a crash after it leaves each
   moved record twice, both copies identical (records are
   content-addressed), and whichever one the index does not point at is
-  dead, its segment unlinked by the next sweep.
+  dead, its segment unlinked by the next sweep.  A tombstone moves along
+  while the segment it names exists, and no segment is unlinked while a
+  tombstone in it names a segment that stays.
 
 On-disk format (all integers little-endian):
 
@@ -52,7 +50,9 @@ On-disk format (all integers little-endian):
   framing every log shares (:mod:`repro.filestore.recordlog`, whose
   records have an empty key);
 * footer (sealed segments only): ``MMFT`` magic, u32 catalog length,
-  the JSON catalog, then a fixed tail of u64 records-end offset, u32
+  the JSON catalog (``records``: ``[digest, offset, length, crc]``;
+  ``tombstones``: ``[digest, segment, offset]``; ``total``: the payload
+  bytes of every record appended), then a fixed tail of u64 records-end offset, u32
   catalog crc32, and ``MMSE`` end magic — parseable backwards from EOF.
 
 A torn append is detected by the record crc at scan time and never
@@ -65,13 +65,16 @@ record, not the rest of its segment.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
+import itertools
 import json
 import os
 import struct
 import threading
 import time
 import uuid
+import weakref
 import zlib
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -79,7 +82,7 @@ from typing import Iterable, Mapping
 from .. import obs
 from ..errors import StoreCorruptionError
 from .recordlog import (
-    RECORD_HEADER, RECORD_MAGIC, RecordLog, next_whole_record, read_record, record_header,
+    RECORD_HEADER, RECORD_MAGIC, fsync_dir, next_whole_record, read_record, record_header,
     write_all)
 
 try:
@@ -109,6 +112,8 @@ SEGMENT_VERSION = 1
 HEADER = struct.Struct("<8sIQ12x")
 FOOTER_MAGIC = b"MMFT"
 FOOTER_END_MAGIC = b"MMSE"
+#: Footer head: magic, catalog length.
+FOOTER_HEAD = struct.Struct("<4sI")
 #: Footer tail: records-end offset, catalog crc32, end magic.
 FOOTER_TAIL = struct.Struct("<QI4s")
 
@@ -167,39 +172,34 @@ def _buffer_nbytes(buffer) -> int:
     return len(buffer)
 
 
-class _SharedLog(RecordLog):
-    """The index checkpoint, which several processes rewrite: each writes
-    its own tmp file (one a crash left behind is reaped by
-    :meth:`ChunkStore.reap`).  ``created`` counts the files its rewrites
-    create."""
-
-    def __init__(self, path: Path, created):
-        super().__init__(path)
-        self._created = created
-
-    def rewrite(self, payloads, before_rename=None) -> None:
-        self._created.inc()
-        super().rewrite(payloads, before_rename)
-
-    def _tmp_path(self) -> Path:
-        return self.path.with_name(f"{self.path.stem}-{uuid.uuid4().hex[:8]}.tmp")
-
-
-def _parse_seq(name: str) -> int | None:
-    parts = name.split("-")
-    if len(parts) >= 2 and parts[0] == "seg":
+def _seal_at_exit(store_ref) -> None:
+    """Close a store still open when the interpreter exits, so the next
+    open reads its active segment's footer instead of scanning it; one
+    whose lock another thread holds is left as a crash would leave it."""
+    store = store_ref()
+    if store is not None and store._mutex.acquire(blocking=False):
         try:
-            return int(parts[1])
-        except ValueError:
-            return None
-    return None
+            store.close()
+        except (OSError, ValueError):
+            pass  # its directory went first
+        finally:
+            store._mutex.release()
+
+
+def _parse_seq(name: str) -> int:
+    parts = name.split("-")
+    try:
+        return int(parts[1]) if parts[0] == "seg" else 0
+    except (IndexError, ValueError):
+        return 0
 
 
 def _new_meta() -> dict:
     # total/live: payload bytes of every record appended / still indexed;
+    # graves: [digest, segment, offset] of each tombstone it holds;
     # damaged: keys (or ``segment@offset``) of bad records a scan skipped
     return {"scanned": 0, "total": 0, "live": 0, "sealed": False, "bad": False,
-            "damaged": []}
+            "graves": [], "damaged": []}
 
 
 class StoreLock:
@@ -248,8 +248,8 @@ class ChunkStore:
     """Content-addressed chunk storage in append-only segments.
 
     Each distinct digest is stored once, as one CRC-framed record (see the
-    module docstring for the format, the durability model and when the
-    index is checkpointed).  The store counts no references: which
+    module docstring for the format, the durability model and the
+    tombstones a drop appends).  The store counts no references: which
     records live is its caller's mark (a :class:`FileStore` marks every
     file record and the chunks its stored manifests name), :meth:`reap`
     sweeps what is outside it and reaps tmp files, and :meth:`compact`
@@ -261,9 +261,9 @@ class ChunkStore:
     manifest that names what it found.  Each thread that takes it first
     catches up with what other processes did meanwhile (:meth:`catch_up`):
     a save never deduplicates against a record another process's sweep
-    deleted, and a sweep marks and sweeps what a fresh open would find.
-    Every index checkpoint is written under it, so several processes can
-    share one store directory (DESIGN.md §17 "Bookkeeping").
+    deleted, and a sweep marks and sweeps what a fresh open would find, so
+    several processes can share one store directory (DESIGN.md §17
+    "Bookkeeping").
     """
 
     def __init__(
@@ -275,10 +275,10 @@ class ChunkStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.lock = StoreLock(self.root / ".lock", on_acquire=self.catch_up)
-        # every file this store creates: a segment, a compaction output, an
-        # index checkpoint
+        # every file this store creates: a segment, a compaction output
         self._obs_files_created = obs.registry().counter(
-            "mmlib_chunk_files_created_total", "Files the chunk store created")
+            "mmlib_chunk_files_created_total",
+            "Files the chunk store created: segments and compaction outputs")
         self.tmp_grace_s = float(tmp_grace_s)
         self.segment_bytes = int(segment_bytes)
         #: Optional chaos hook with the ``FaultInjector.fail_point``
@@ -293,10 +293,12 @@ class ChunkStore:
         self.stored_bytes = 0
         self.segments_dir = self.root / "segments"
         self.segments_dir.mkdir(parents=True, exist_ok=True)
-        self._checkpoint_log = _SharedLog(self.root / "index.json", self._obs_files_created)
-        self._checkpoint_stamp = None  # index.json as this process last read or wrote it
         self._mutex = threading.RLock()
         self._index: dict[str, tuple[str, int, int, int]] = {}
+        # further copies of an indexed key (another process's, or both sides
+        # of a compaction a crash cut short); one takes over when it dies
+        self._copies: dict[str, list[tuple[str, int, int, int]]] = {}
+        self._killed: dict[str, set[int]] = {}  # segment -> offsets tombstones name
         self._segmeta: dict[str, dict] = {}
         self._active_name: str | None = None
         self._active_file = None
@@ -304,9 +306,6 @@ class ChunkStore:
         self._dirty = False  # unsynced appends in the active segment
         self._synced_end = 0  # where the active segment's unsynced appends start
         self._hinted_end = 0  # where its last writeback hint ended
-        # index differs from index.json; written out by whatever deletes,
-        # seals or closes — never by a save (its appends are rescannable)
-        self._index_dirty = False
         self._read_files: dict[str, object] = {}
         self._seq = 0
         registry = obs.registry()
@@ -339,13 +338,9 @@ class ChunkStore:
             "mmlib_segment_dead_bytes",
             "Dead (compactable) payload bytes across segments")
         with self._mutex:
-            self._load_checkpoint()
             self._refresh_locked()
             self._update_gauges_locked()
-        if self._index_dirty:
-            # an unclean shutdown's tail was rescanned: once, not per open
-            with self.lock.hold(), self._mutex:
-                self._write_checkpoint_locked()
+        atexit.register(_seal_at_exit, weakref.ref(self))
 
     # -- dedup accounting ------------------------------------------------------
 
@@ -388,36 +383,18 @@ class ChunkStore:
         if self.fault_hook is not None:
             self.fault_hook(op)
 
-    def _checkpoint_stamp_now(self):
-        try:
-            stat = self._checkpoint_log.path.stat()
-        except FileNotFoundError:
-            return None
-        return stat.st_ino, stat.st_mtime_ns, stat.st_size
-
     def catch_up(self, exclusive: bool = False) -> None:
         """Take in what other processes did since this one last looked.
 
-        Runs each time a thread takes :attr:`lock`.  When ``index.json``
-        changed, its record is adopted (:meth:`_adopt_checkpoint_locked`):
-        every delete it holds is dropped here too, so a save that starts
-        after another process's sweep never deduplicates against what it
-        swept.  Under an exclusive hold the records other processes appended
-        past it are scanned in as well, so a sweep marks from, and sweeps,
-        what a fresh open would find.
+        Runs each time a thread takes :attr:`lock`, shared or exclusive
+        alike: one listing of ``segments/`` and one ``stat`` of each unsealed
+        segment, whose new records and tombstones are scanned in.  A save
+        that starts after another process's sweep therefore never
+        deduplicates against what it swept, and a sweep marks from, and
+        sweeps, what a fresh open would find.
         """
         with self._mutex:
-            stamp = self._checkpoint_stamp_now()
-            changed = stamp is not None and stamp != self._checkpoint_stamp
-            if changed:
-                data = self._read_checkpoint()
-                self._checkpoint_stamp = stamp
-                if data is not None:
-                    self._adopt_checkpoint_locked(data)
-            if exclusive:
-                self._refresh_locked()
-            if changed or exclusive:
-                self._update_gauges_locked()
+            self._refresh_locked()
 
     # -- open / index maintenance -------------------------------------------
 
@@ -426,117 +403,78 @@ class ChunkStore:
         self._index[digest] = entry
         self._segmeta[entry[0]]["live"] += entry[2]
 
-    def _drop_entry_locked(self, digest: str):
+    def _drop_entry_locked(self, digest: str) -> None:
         entry = self._index.pop(digest, None)
         if entry is not None and entry[0] in self._segmeta:
             self._segmeta[entry[0]]["live"] -= entry[2]
-        return entry
 
-    def _read_checkpoint(self) -> dict | None:
-        """``index.json``'s record, or ``None`` when there is none usable
-        (the segments describe themselves: rescan them all)."""
-        try:
-            records = self._checkpoint_log.replay()
-        except StoreCorruptionError:
-            return None
-        finally:
-            self._checkpoint_log.close()  # only ever rewritten whole
-        data = records[-1] if records else None
-        return data if isinstance(data, dict) and data.get("version") == 1 else None
+    def _found_locked(self, digest: str, entry: tuple[str, int, int, int]) -> int:
+        """Index a record found on disk unless a tombstone names it (1 if
+        indexed); a further copy of an indexed key waits in ``_copies``."""
+        if entry[1] in self._killed.get(entry[0], ()):
+            return 0
+        if digest in self._index:
+            self._copies.setdefault(digest, []).append(entry)
+            return 0
+        self._set_entry_locked(digest, entry)
+        return 1
 
-    def _load_checkpoint(self) -> None:
-        self._checkpoint_stamp = self._checkpoint_stamp_now()
-        data = self._read_checkpoint()
-        if data is not None:
-            self._adopt_checkpoint_locked(data)
+    def _kill_locked(self, digest: str, segment: str, offset: int) -> None:
+        """The record of ``digest`` at ``offset`` of ``segment`` is dead."""
+        self._killed.setdefault(segment, set()).add(offset)
+        self._lose_locked(digest, lambda entry: entry[:2] == (segment, offset))
 
-    def _adopt_checkpoint_locked(self, data: dict) -> None:
-        """Take ``index.json``'s record as the truth below each segment
-        offset it scanned: an entry there that it lacks was deleted, and
-        one it holds is taken where it places it.  Past that offset this
-        index keeps what it found (its own appends, or a further scan);
-        an entry of a segment the record does not list is found again by
-        that segment's scan."""
-        scanned: dict[str, int] = {}
-        for name, meta in data.get("segments", {}).items():
-            ours = self._segmeta.setdefault(name, _new_meta())
-            scanned[name] = int(meta.get("scanned", 0))
-            if scanned[name] > ours["scanned"] and name != self._active_name:
-                ours.update(scanned=scanned[name], total=int(meta.get("total", 0)),
-                            damaged=[str(key) for key in meta.get("damaged", [])])
-            ours["sealed"] = ours["sealed"] or bool(meta.get("sealed", False))
-        entries = data.get("entries", {})
-        for digest, entry in list(self._index.items()):
-            if entry[1] < scanned.get(entry[0], 0) and digest not in entries:
-                self._drop_entry_locked(digest)
-        for digest, entry in entries.items():
-            if not (isinstance(entry, list) and len(entry) == 4 and entry[0] in scanned):
-                continue
-            entry = (str(entry[0]), int(entry[1]), int(entry[2]), int(entry[3]))
-            ours = self._index.get(digest)
-            if ours is None or (ours != entry and ours[1] < scanned.get(ours[0], 0)):
-                self._set_entry_locked(digest, entry)
+    def _lose_locked(self, digest: str, lost) -> None:
+        """Forget the copies of ``digest`` that ``lost(entry)`` says are
+        gone; a further copy takes the indexed one's place."""
+        copies = [entry for entry in self._copies.pop(digest, ()) if not lost(entry)]
+        entry = self._index.get(digest)
+        if entry is not None and lost(entry):
+            self._drop_entry_locked(digest)
+            if copies:
+                self._set_entry_locked(digest, copies.pop(0))
+        if copies:
+            self._copies[digest] = copies
 
-    def _write_checkpoint_locked(self) -> None:
-        segments = {}
-        for name, meta in self._segmeta.items():
-            scanned = self._active_end if name == self._active_name else meta["scanned"]
-            segments[name] = {
-                "scanned": scanned, "total": meta["total"], "sealed": meta["sealed"]}
-            if meta["damaged"]:  # a healthy store's checkpoint keeps its format
-                segments[name]["damaged"] = meta["damaged"]
-        # an entry tuple encodes as the JSON array readers take; no copy of
-        # the index and no key sort (readers take any order)
-        payload = {"version": 1, "entries": self._index, "segments": segments}
-        self._checkpoint_log.rewrite([json.dumps(payload).encode()])
-        self._checkpoint_log.close()
-        self._checkpoint_stamp = self._checkpoint_stamp_now()
-        self._index_dirty = False
+    def _forget_locked(self, names) -> None:
+        """Forget segments gone from disk: their records and copies, and the
+        offsets tombstones named in them."""
+        names = set(names)
+        for name in names:
+            self._segmeta.pop(name, None)
+            self._killed.pop(name, None)
+            self._close_read_file(name)
+        held = itertools.chain(self._index.items(), (
+            (digest, copy) for digest, copies in self._copies.items() for copy in copies))
+        for digest in {digest for digest, entry in held if entry[0] in names}:
+            self._lose_locked(digest, lambda entry: entry[0] in names)
 
     def _refresh_locked(self) -> int:
-        """Absorb on-disk changes beyond each segment's scan offset.
+        """Take in what changed on disk: what was appended to unsealed
+        segments, new segments, and segments gone (compacted or swept away,
+        their records with them).  Returns the index entries added."""
+        on_disk = {name for name in os.listdir(self.segments_dir)
+                   if name.endswith(SEGMENT_SUFFIX)}
+        if on_disk != self._segmeta.keys():
+            gone = self._segmeta.keys() - on_disk - {self._active_name}
+            if gone:
+                self._forget_locked(gone)
+            for name in sorted(on_disk - self._segmeta.keys()):
+                self._seq = max(self._seq, _parse_seq(name))
+                self._segmeta[name] = _new_meta()
+        # a sealed segment never changes, and our own writer's index is complete
+        return sum(self._absorb_segment_locked(name, meta)
+                   for name, meta in self._segmeta.items()
+                   if not (meta["sealed"] or meta["bad"]) and name != self._active_name)
 
-        Returns the number of index entries added.  Deliberately deleted
-        records are *not* resurrected: the checkpoint advances ``scanned``
-        past them, so only genuinely new bytes are examined.  Segments
-        whose files vanished (compacted away) are dropped along with any
-        index entries still pointing at them.
-        """
-        on_disk: dict[str, Path] = {}
-        for path in self.segments_dir.glob(f"*{SEGMENT_SUFFIX}"):
-            on_disk[path.name] = path
-            seq = _parse_seq(path.name)
-            if seq is not None and seq > self._seq:
-                self._seq = seq
-        for name in list(self._segmeta):
-            if name not in on_disk and name != self._active_name:
-                del self._segmeta[name]
-                self._close_read_file(name)
-                self._index_dirty = True
-        for digest, entry in list(self._index.items()):
-            if entry[0] not in self._segmeta:
-                self._drop_entry_locked(digest)
-                self._index_dirty = True
-        added = 0
-        for name in sorted(on_disk):
-            if name == self._active_name:
-                continue  # our own writer: the in-memory index is authoritative
-            meta = self._segmeta.setdefault(name, _new_meta())
-            added += self._absorb_segment_locked(on_disk[name], meta)
-        return added
-
-    def _absorb_segment_locked(self, path: Path, meta: dict) -> int:
-        name = path.name
-        if meta["bad"]:
-            return 0
+    def _absorb_segment_locked(self, name: str, meta: dict) -> int:
+        path = os.path.join(self.segments_dir, name)
         try:
-            size = path.stat().st_size
+            size = os.stat(path).st_size
         except FileNotFoundError:
             return 0
-        if meta["scanned"] >= size:
-            return 0
-        if size < HEADER.size:
-            return 0  # header still being written: nothing to absorb yet
+        if size <= meta["scanned"] or size < HEADER.size:
+            return 0  # nothing new, or its header still being written
         added = 0
         try:
             with open(path, "rb") as fileobj:
@@ -547,23 +485,17 @@ class ChunkStore:
                         return 0
                     meta["scanned"] = HEADER.size
                 catalog = self._read_footer(fileobj, size)
-                if catalog is not None:
-                    # sealed: bulk-load the catalog, skipping already-scanned
-                    # (possibly deleted) record ranges
-                    for digest, off, length, crc in catalog.get("records", []):
-                        start = off - RECORD_HEADER.size - len(str(digest).encode())
-                        if start < meta["scanned"]:
-                            continue
-                        meta["total"] += int(length)
-                        if digest not in self._index:
-                            self._set_entry_locked(
-                                digest, (name, int(off), int(length), int(crc)))
-                            added += 1
-                            self._index_dirty = True
-                    meta["scanned"] = size
-                    meta["sealed"] = True
-                    return added
-                added += self._scan_records_locked(fileobj, name, meta)
+                if catalog is None:
+                    return self._scan_records_locked(fileobj, name, meta)
+                # sealed: the catalog lists what the scan has not reached
+                for digest, off, length, crc in catalog["records"]:
+                    if off - RECORD_HEADER.size - len(str(digest).encode()) >= meta["scanned"]:
+                        meta["total"] += length
+                        added += self._found_locked(digest, (name, off, length, crc))
+                meta.update(graves=catalog.get("tombstones", []), scanned=size, sealed=True,
+                            total=catalog.get("total", meta["total"]))
+                for grave in meta["graves"]:
+                    self._kill_locked(*grave)
         except OSError:
             meta["bad"] = True
         return added
@@ -602,45 +534,38 @@ class ChunkStore:
                 offset += resume
                 fileobj.seek(offset)
                 continue
-            digest_raw, payload, crc = record
-            digest = digest_raw.decode("utf-8", "replace")
-            payload_off = offset + RECORD_HEADER.size + len(digest_raw)
-            meta["total"] += len(payload)
-            if digest not in self._index:
-                self._set_entry_locked(digest, (name, payload_off, len(payload), crc))
-                added += 1
-                self._index_dirty = True
-            offset = payload_off + len(payload)
+            key_raw, data, crc = record
+            key = key_raw.decode("utf-8", "replace")
+            payload_off = offset + RECORD_HEADER.size + len(key_raw)
+            if key.startswith("."):  # a tombstone
+                meta["graves"].append([key[1:], *json.loads(data)])
+                self._kill_locked(*meta["graves"][-1])
+            else:
+                meta["total"] += len(data)
+                added += self._found_locked(key, (name, payload_off, len(data), crc))
+            offset = payload_off + len(data)
         meta["scanned"] = offset
         return added
 
-    def _read_footer(self, fileobj, size: int) -> dict | None:
-        if size < HEADER.size + 8 + FOOTER_TAIL.size:
-            return None
-        fileobj.seek(size - FOOTER_TAIL.size)
-        tail = fileobj.read(FOOTER_TAIL.size)
-        if len(tail) < FOOTER_TAIL.size:
-            return None
-        records_end, crc, end_magic = FOOTER_TAIL.unpack(tail)
-        if end_magic != FOOTER_END_MAGIC:
-            return None
-        if records_end < HEADER.size or records_end + 8 > size:
-            return None
-        fileobj.seek(records_end)
-        head = fileobj.read(8)
-        if len(head) < 8 or head[:4] != FOOTER_MAGIC:
-            return None
-        (length,) = struct.unpack("<I", head[4:])
-        blob = fileobj.read(length)
-        if len(blob) < length or zlib.crc32(blob) != crc:
-            return None
+    @staticmethod
+    def _read_footer(fileobj, size: int) -> dict | None:
+        """The catalog of a segment ``size`` bytes long that ends in an
+        intact footer, else ``None``."""
         try:
-            catalog = json.loads(blob.decode())
-        except (json.JSONDecodeError, UnicodeDecodeError):
+            fileobj.seek(size - FOOTER_TAIL.size)
+            records_end, crc, end_magic = FOOTER_TAIL.unpack(fileobj.read(FOOTER_TAIL.size))
+            if end_magic != FOOTER_END_MAGIC or records_end > size:
+                return None
+            fileobj.seek(records_end)
+            magic, length = FOOTER_HEAD.unpack(fileobj.read(FOOTER_HEAD.size))
+            if magic != FOOTER_MAGIC or size != (
+                    records_end + FOOTER_HEAD.size + length + FOOTER_TAIL.size):
+                return None
+            blob = fileobj.read(length)  # bounded by the file: never a huge allocation
+            catalog = json.loads(blob) if zlib.crc32(blob) == crc else None
+        except (OSError, ValueError, struct.error):
             return None
-        if not isinstance(catalog, dict) or "records" not in catalog:
-            return None
-        return catalog
+        return catalog if isinstance(catalog, dict) and "records" in catalog else None
 
     def _close_read_file(self, name: str) -> None:
         fileobj = self._read_files.pop(name, None)
@@ -664,12 +589,11 @@ class ChunkStore:
         fileobj = open(path, "wb", buffering=0)  # every append lands in the OS
         self._obs_files_created.inc()
         fileobj.write(HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, self._seq))
+        fsync_dir(self.segments_dir)  # its name outlives a crash as its records do
         self._active_name = name
         self._active_file = fileobj
         self._active_end = HEADER.size
-        meta = _new_meta()
-        meta["scanned"] = HEADER.size
-        self._segmeta[name] = meta
+        self._segmeta[name] = dict(_new_meta(), scanned=HEADER.size)
 
     @staticmethod
     def _check_digest(digest: str) -> None:
@@ -690,39 +614,42 @@ class ChunkStore:
             if digest in self._index:
                 self._account_put_locked(_buffer_nbytes(buffer), written=False)
                 return False
-            self._ensure_active_locked()
-            if not self._dirty:
-                self._synced_end = self._hinted_end = self._active_end
-            digest_raw = digest.encode("utf-8")
             view = memoryview(buffer)
             if view.ndim != 1 or view.format != "B":
                 view = (view.cast("B") if view.contiguous
                         else memoryview(bytes(view)))
-            crc = zlib.crc32(view)
-            head = record_header(digest_raw, crc, view.nbytes)
-            fileobj = self._active_file
-            fileobj.seek(self._active_end)  # overwrite any earlier torn tail
-            write_all(fileobj, head)
-            write_all(fileobj, digest_raw)
-            write_all(fileobj, view)
-            payload_off = self._active_end + len(head) + len(digest_raw)
-            self._set_entry_locked(
-                digest, (self._active_name, payload_off, view.nbytes, crc))
-            meta = self._segmeta[self._active_name]
-            meta["total"] += view.nbytes
-            self._active_end = payload_off + view.nbytes
-            meta["scanned"] = self._active_end
-            if self._active_end - self._hinted_end >= WRITEBACK_BYTES:
-                _start_writeback(fileobj.fileno(), self._hinted_end,
-                                 self._active_end - self._hinted_end)
-                self._hinted_end = self._active_end
+            entry = self._append_locked(digest, view)
+            self._set_entry_locked(digest, entry)
+            self._segmeta[entry[0]]["total"] += view.nbytes
             self._account_put_locked(view.nbytes, written=True)
-            self._dirty = True
-            self._index_dirty = True
             self._obs_appends.inc()
             if self._active_end >= self.segment_bytes:
                 self._roll_locked()
         return True
+
+    def _append_locked(self, key: str, view: memoryview) -> tuple[str, int, int, int]:
+        """Append one record to the active segment, unsynced until
+        :meth:`flush`; returns its ``(segment, payload offset, length, crc)``."""
+        self._ensure_active_locked()
+        if not self._dirty:
+            self._synced_end = self._hinted_end = self._active_end
+        key_raw = key.encode("utf-8")
+        crc = zlib.crc32(view)
+        head = record_header(key_raw, crc, view.nbytes)
+        fileobj = self._active_file
+        fileobj.seek(self._active_end)  # overwrite any earlier torn tail
+        write_all(fileobj, head)
+        write_all(fileobj, key_raw)
+        write_all(fileobj, view)
+        payload_off = self._active_end + len(head) + len(key_raw)
+        self._active_end = payload_off + view.nbytes
+        self._segmeta[self._active_name]["scanned"] = self._active_end
+        if self._active_end - self._hinted_end >= WRITEBACK_BYTES:
+            _start_writeback(fileobj.fileno(), self._hinted_end,
+                             self._active_end - self._hinted_end)
+            self._hinted_end = self._active_end
+        self._dirty = True
+        return self._active_name, payload_off, view.nbytes, crc
 
     def write_torn(self, digest: str, buffer) -> Path:
         """Simulate a torn append: half a record lands past the logical end.
@@ -746,20 +673,23 @@ class ChunkStore:
         """One group fsync for every append since the last flush.
 
         A save flushes once before publishing its manifest, so no save is
-        acknowledged before its bytes are on disk.  No checkpoint: the
-        synced records are their own index entries (a reopen rescans
-        them), so a save writes what it appended.
+        acknowledged before its bytes are on disk, and a drop before it
+        returns, so no dropped record comes back.  The synced records are
+        their own index entries: a save writes what it appended.
         """
         with self._mutex:
-            synced = 0
-            if self._dirty and self._active_file is not None:
-                os.fsync(self._active_file.fileno())
-                self._dirty = False
-                synced = 1
-                self._obs_fsyncs.inc()
-                self._obs_batches.inc()
+            synced = self._sync_locked()
             self._update_gauges_locked()
             return synced
+
+    def _sync_locked(self) -> int:
+        if not (self._dirty and self._active_file is not None):
+            return 0
+        os.fsync(self._active_file.fileno())
+        self._dirty = False
+        self._obs_fsyncs.inc()
+        self._obs_batches.inc()
+        return 1
 
     def synced(self, digest: str) -> bool:
         """True unless the record under ``digest`` waits for :meth:`flush`.
@@ -779,41 +709,40 @@ class ChunkStore:
             )
 
     def _roll_locked(self) -> None:
-        name = self._active_name
-        fileobj = self._active_file
-        meta = self._segmeta[name]
-        fileobj.truncate(self._active_end)  # drop torn garbage past the end
-        records = sorted(
-            [d, e[1], e[2], e[3]]
-            for d, e in self._index.items()
-            if e[0] == name
-        )
-        footer = self._pack_footer({"end": self._active_end, "records": records})
-        fileobj.seek(self._active_end)
-        write_all(fileobj, footer)
-        os.fsync(fileobj.fileno())
-        self._obs_fsyncs.inc()
+        self._seal_locked(self._active_name, self._active_file, self._active_end)
         if self._dirty:
             self._obs_batches.inc()
-        fileobj.close()
-        meta["sealed"] = True
-        meta["scanned"] = self._active_end + len(footer)
+        self._active_file.close()
         self._active_name = None
         self._active_file = None
         self._active_end = 0
         self._dirty = False
         self._obs_rolls.inc()
-        self._write_checkpoint_locked()
+
+    def _seal_locked(self, name: str, fileobj, end: int) -> None:
+        """Cut segment ``name`` (open as ``fileobj``) off at ``end``, past
+        its last whole record, and append its footer, fsynced."""
+        meta = self._segmeta[name]
+        fileobj.truncate(end)  # drop torn garbage past the end
+        records = sorted(
+            [d, e[1], e[2], e[3]]
+            for d, e in self._index.items()
+            if e[0] == name
+        )
+        footer = self._pack_footer(end, records, meta)
+        fileobj.seek(end)
+        write_all(fileobj, footer)
+        os.fsync(fileobj.fileno())
+        self._obs_fsyncs.inc()
+        meta["sealed"] = True
+        meta["scanned"] = end + len(footer)
 
     @staticmethod
-    def _pack_footer(catalog: dict) -> bytes:
-        blob = json.dumps(catalog, sort_keys=True).encode()
-        return (
-            FOOTER_MAGIC
-            + struct.pack("<I", len(blob))
-            + blob
-            + FOOTER_TAIL.pack(catalog["end"], zlib.crc32(blob), FOOTER_END_MAGIC)
-        )
+    def _pack_footer(end: int, records: list, meta: dict) -> bytes:
+        blob = json.dumps({"end": end, "records": records, "tombstones": meta["graves"],
+                           "total": meta["total"]}, sort_keys=True).encode()
+        return (FOOTER_HEAD.pack(FOOTER_MAGIC, len(blob)) + blob
+                + FOOTER_TAIL.pack(end, zlib.crc32(blob), FOOTER_END_MAGIC))
 
     # -- read path -----------------------------------------------------------
 
@@ -966,17 +895,6 @@ class ChunkStore:
             entry = self._index.get(digest)
         return None if entry is None else entry[2]
 
-    def locate(self, digest: str) -> tuple[Path, int, int]:
-        """Physical location of one chunk: ``(segment path, offset, length)``.
-
-        Lets tooling (fsck damage drills, debuggers) find the stored bytes.
-        """
-        with self._mutex:
-            entry = self._index.get(digest)
-            if entry is None:
-                raise ChunkNotFoundError(f"no stored chunk with digest {digest!r}")
-            return self.segments_dir / entry[0], entry[1], entry[2]
-
     def drop(self, digest: str) -> bool:
         """Delete one record whatever marks it; True iff it was stored
         (repair and heal primitive: :meth:`drop_many` of one key)."""
@@ -984,15 +902,30 @@ class ChunkStore:
 
     def drop_many(self, digests: Iterable[str]) -> list[str]:
         """Delete the records under ``digests``; returns those that were
-        stored.  One index checkpoint for the batch, so a rescan never
-        resurrects them, written under :attr:`lock` held shared."""
+        stored.  Each copy of one gets a tombstone in the active segment,
+        and one :meth:`flush` makes the batch durable, under :attr:`lock`
+        held shared."""
         with self.lock.hold(), self._mutex:
-            dropped = [digest for digest in dict.fromkeys(digests)
-                       if self._drop_entry_locked(digest) is not None]
-            if dropped:
-                self._write_checkpoint_locked()
-                self._update_gauges_locked()
+            dropped = self._drop_locked(digests)
+            self._sync_locked()
+            self._update_gauges_locked()
         return dropped
+
+    def _drop_locked(self, digests: Iterable[str]) -> list[str]:
+        dropped = [digest for digest in dict.fromkeys(digests) if digest in self._index]
+        for digest in dropped:
+            for entry in [self._index[digest], *self._copies.get(digest, ())]:
+                self._bury_locked(digest, entry)
+        return dropped
+
+    def _bury_locked(self, digest: str, entry: tuple) -> None:
+        """Append a tombstone naming the record of ``digest`` at ``entry``,
+        and kill that record."""
+        name = self._append_locked("." + digest, memoryview(json.dumps(entry[:2]).encode()))[0]
+        self._segmeta[name]["graves"].append([digest, entry[0], entry[1]])
+        self._kill_locked(digest, entry[0], entry[1])
+        if self._active_end >= self.segment_bytes:
+            self._roll_locked()
 
     def sweep(self, live, repair: bool = True) -> list[str]:
         """The stored keys outside ``live``, deleted with ``repair``."""
@@ -1023,9 +956,8 @@ class ChunkStore:
         with self.lock.hold(exclusive=True), self._mutex:
             doomed = [] if live is None else self.sweep(live, repair=False)
             freed = sum(self._index[digest][2] for digest in doomed)
-            removed = len(doomed)
-            for digest in doomed:
-                self._drop_entry_locked(digest)
+            removed = len(self._drop_locked(doomed))
+            self._sync_locked()  # the tombstones, before any segment goes
             for path in [*self.segments_dir.glob("*.tmp"), *self.root.glob("*.tmp")]:
                 if not self._tmp_expired(path):
                     continue
@@ -1036,28 +968,38 @@ class ChunkStore:
                 path.unlink(missing_ok=True)
                 removed += 1
             self._drop_dead_segments_locked()
-            self._write_checkpoint_locked()
             self._update_gauges_locked()
         return {"chunks_removed": removed, "bytes_freed": freed}
 
     def _drop_dead_segments_locked(self) -> None:
         """Unlink segments no index entry references.
 
-        Unsealed segments only fall once they outlive the tmp grace age:
-        a concurrent writer refreshes its segment's mtime with every
-        append, so a young unsealed segment may be someone's live tail.
+        A segment stays while a tombstone in it names a segment that stays,
+        and the segments tombstones name go before those tombstones: a
+        reopen never finds a killed record without what kills it.  Unsealed
+        segments only fall once they outlive the tmp grace age: a concurrent
+        writer refreshes its segment's mtime with every append, so a young
+        unsealed segment may be someone's live tail.
         """
-        live_segments = {entry[0] for entry in self._index.values()}
-        for name, meta in list(self._segmeta.items()):
-            if name == self._active_name or name in live_segments:
-                continue
-            path = self.segments_dir / name
-            if not meta["sealed"] and not self._tmp_expired(path):
-                continue
-            self._close_read_file(name)
-            path.unlink(missing_ok=True)
-            del self._segmeta[name]
-            self._index_dirty = True
+        held = {entry[0] for entry in self._index.values()}
+        dead = {name for name, meta in self._segmeta.items()
+                if name != self._active_name and name not in held
+                and (meta["sealed"] or self._tmp_expired(self.segments_dir / name))}
+
+        def names(name: str, among: set) -> bool:
+            return any(grave[1] in among and grave[1] != name
+                       for grave in self._segmeta[name]["graves"])
+
+        staying = set(self._segmeta) - dead
+        while keep := {name for name in dead if names(name, staying)}:
+            dead -= keep
+            staying |= keep
+        while dead:
+            gone = {name for name in dead if not names(name, dead)} or dead  # or a cycle
+            for name in sorted(gone):
+                (self.segments_dir / name).unlink(missing_ok=True)
+            self._forget_locked(gone)  # and closes their read handles
+            dead -= gone
 
     # -- compaction -----------------------------------------------------------
 
@@ -1079,24 +1021,15 @@ class ChunkStore:
                        if entry[0] in victims and self._read_intact_locked(entry) is None}
             stats["segments_skipped"] = len(skipped)
             if victims <= skipped:
-                if self._index_dirty:
-                    self._write_checkpoint_locked()
                 self._update_gauges_locked()
                 return stats
             return dict(stats, **self._compact_locked(sorted(victims - skipped)))
 
     def _compaction_victims_locked(self) -> list[str]:
-        victims = []
-        for name, meta in sorted(self._segmeta.items()):
-            if name == self._active_name or meta["bad"] or not meta["sealed"]:
-                continue
-            seg_live = meta["live"]
-            seg_total = max(meta["total"], seg_live)
-            if seg_total == 0 or seg_live == 0:
-                continue  # fully dead: _drop_dead_segments handles it
-            if seg_live / seg_total < COMPACT_THRESHOLD:
-                victims.append(name)
-        return victims
+        # a fully dead segment is not one: _drop_dead_segments_locked unlinks it
+        return [name for name, meta in sorted(self._segmeta.items())
+                if meta["sealed"] and not meta["bad"] and name != self._active_name
+                and 0 < meta["live"] < COMPACT_THRESHOLD * meta["total"]]
 
     def _compact_locked(self, victims: list[str]) -> dict:
         self._hook("chunk.compact")
@@ -1109,60 +1042,64 @@ class ChunkStore:
         ]
         dead = sum(self._segmeta[v]["total"] for v in victims) - sum(
             entry[2] for _d, entry in moves)
+        meta = dict(_new_meta(), sealed=True, graves=[
+            grave for name in victims for grave in self._segmeta[name]["graves"]
+            if grave[1] in self._segmeta and grave[1] not in victim_set])
         tmp_path = self.segments_dir / (dest + ".tmp")
         new_entries: dict[str, tuple[str, int, int, int]] = {}
         offset = hinted = HEADER.size
-        total_live = 0
         # a crash or corruption before the commit point leaves a partial
         # tmp for the grace sweep: the victims are untouched
         with open(tmp_path, "wb") as out:
             self._obs_files_created.inc()
             out.write(HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, self._seq))
+
+            def emit(key: str, data, crc: int) -> int:
+                key_raw = key.encode("utf-8")
+                out.write(record_header(key_raw, crc, len(data)))
+                out.write(key_raw)
+                out.write(data)
+                return offset + RECORD_HEADER.size + len(key_raw)
+
             for digest, entry in moves:
                 payload = self._read_intact_locked(entry)
                 if payload is None:
                     raise StoreCorruptionError(
                         f"chunk {digest!r} is corrupt: compaction read "
                         f"failed its CRC check")
-                digest_raw = digest.encode("utf-8")
-                out.write(record_header(digest_raw, entry[3], entry[2]))
-                out.write(digest_raw)
-                out.write(payload)
-                payload_off = offset + RECORD_HEADER.size + len(digest_raw)
+                payload_off = emit(digest, payload, entry[3])
                 new_entries[digest] = (dest, payload_off, entry[2], entry[3])
                 offset = payload_off + entry[2]
-                total_live += entry[2]
+                meta["total"] += entry[2]
                 if offset - hinted >= WRITEBACK_BYTES:
                     out.flush()  # the hinted range must be in the file
                     _start_writeback(out.fileno(), hinted, offset - hinted)
                     hinted = offset
                 self._obs_moves.inc()
                 self._hook("chunk.compact")
+            for digest, segment, off in meta["graves"]:
+                data = json.dumps([segment, off]).encode()
+                offset = emit("." + digest, data, zlib.crc32(data)) + len(data)
             records = sorted(
                 [d, e[1], e[2], e[3]] for d, e in new_entries.items())
-            out.write(self._pack_footer({"end": offset, "records": records}))
+            out.write(self._pack_footer(offset, records, meta))
             out.flush()
             os.fsync(out.fileno())
             self._obs_fsyncs.inc()
         self._hook("chunk.compact")
         tmp_path.replace(self.segments_dir / dest)  # commit point
+        fsync_dir(self.segments_dir)
         self._hook("chunk.compact")
-        size = (self.segments_dir / dest).stat().st_size
-        self._segmeta[dest] = dict(
-            _new_meta(), scanned=size, total=total_live, sealed=True)
+        self._segmeta[dest] = dict(meta, scanned=(self.segments_dir / dest).stat().st_size)
         for digest, entry in new_entries.items():
             self._set_entry_locked(digest, entry)
-        self._index_dirty = True
-        # past the commit point a reopen reads the old checkpoint: a victim
-        # still on disk keeps its entries, one already unlinked has them
-        # indexed again from the destination's footer, and a destination
-        # no entry points at is dead
+        # past the commit point a reopen finds each moved record twice until
+        # its victim is unlinked: either copy is the record
         for name in victims:
-            self._close_read_file(name)
             (self.segments_dir / name).unlink(missing_ok=True)
-            self._segmeta.pop(name, None)
             self._hook("chunk.compact")
-        self._write_checkpoint_locked()
+        self._forget_locked(victims)
+        self._drop_dead_segments_locked()  # what only named the victims
         self._update_gauges_locked()
         return {
             "segments_compacted": len(victims),
@@ -1191,19 +1128,18 @@ class ChunkStore:
         }
         with self._mutex:
             outcome["entries_added"] = self._refresh_locked()
+            sizes: dict[str, int] = {}  # of each segment not bad
             for name, meta in sorted(self._segmeta.items()):
                 outcome["segments_checked"] += 1
                 path = self.segments_dir / name
                 if meta["bad"]:
                     outcome["torn_segments"].append(name)
                     if repair and name != self._active_name:
-                        self._close_read_file(name)
                         path.unlink(missing_ok=True)
-                        del self._segmeta[name]
-                        self._index_dirty = True
+                        self._forget_locked([name])
                     continue
                 try:
-                    size = path.stat().st_size
+                    size = sizes[name] = path.stat().st_size
                 except FileNotFoundError:
                     continue
                 if name == self._active_name:
@@ -1221,19 +1157,10 @@ class ChunkStore:
                             os.truncate(path, meta["scanned"])
             for digest, entry in sorted(self._index.items()):
                 name, off, length, _crc = entry
-                meta = self._segmeta.get(name)
-                out_of_bounds = meta is None or meta["bad"]
-                if not out_of_bounds:
-                    try:
-                        size = (self.segments_dir / name).stat().st_size
-                    except FileNotFoundError:
-                        size = -1
-                    out_of_bounds = off + length > size
-                if out_of_bounds:
+                if off + length > sizes.get(name, -1):
                     outcome["entries_dropped"].append(digest)
                     if repair:
-                        self._drop_entry_locked(digest)
-                        self._index_dirty = True
+                        self._bury_locked(digest, entry)
                     continue
                 if verify and self._read_intact_locked(entry) is None:
                     outcome["crc_failures"].append(digest)
@@ -1247,8 +1174,7 @@ class ChunkStore:
                     if repair:
                         path.unlink(missing_ok=True)
             if repair:
-                if self._index_dirty:
-                    self._write_checkpoint_locked()
+                self._sync_locked()
                 self._update_gauges_locked()
         return outcome
 
@@ -1258,18 +1184,11 @@ class ChunkStore:
         From the per-segment running totals: O(segments), not O(chunks).
         """
         with self._mutex:
-            live = 0
-            total = 0
-            debt = 0
-            for name, meta in self._segmeta.items():
-                seg_live = meta["live"]
-                seg_total = max(meta["total"], seg_live)
-                live += seg_live
-                total += seg_total
-                if name == self._active_name or seg_total == 0:
-                    continue
-                if seg_live / seg_total < COMPACT_THRESHOLD:
-                    debt += seg_total - seg_live
+            live = sum(meta["live"] for meta in self._segmeta.values())
+            total = sum(max(meta["total"], meta["live"]) for meta in self._segmeta.values())
+            debt = sum(meta["total"] - meta["live"] for name, meta in self._segmeta.items()
+                       if name != self._active_name
+                       and meta["live"] < COMPACT_THRESHOLD * meta["total"])
             return {
                 "layout": "segments",
                 "segment_count": len(self._segmeta),
@@ -1302,19 +1221,12 @@ class ChunkStore:
             return len(self._index)
 
     def close(self) -> None:
-        """Seal nothing: release file handles, checkpoint the index (under
-        :attr:`lock` held shared, when it changed)."""
-        with self.lock.hold() if self._index_dirty else contextlib.nullcontext(), self._mutex:
+        """Seal the active segment (its footer, one fsync), so a reopen
+        reads a footer instead of scanning it, and release file handles.
+        A store still open at interpreter exit is closed then; only a
+        crash leaves an unsealed segment for every open to scan."""
+        with self._mutex:
             if self._active_file is not None:
-                if self._dirty:
-                    os.fsync(self._active_file.fileno())
-                    self._obs_fsyncs.inc()
-                    self._dirty = False
-                self._active_file.close()
-                self._active_file = None
-                self._active_name = None
-                self._active_end = 0
+                self._roll_locked()
             for name in list(self._read_files):
                 self._close_read_file(name)
-            if self._index_dirty:
-                self._write_checkpoint_locked()

@@ -38,6 +38,7 @@ import numpy as np
 from .. import obs
 from ..errors import (
     LayersNeededError, OlderFormatError, StoreCorruptionError, TransientStoreError)
+from .recordlog import fsync_dir
 from .segments import (
     DEFAULT_TMP_GRACE_S,
     ChunkNotFoundError,
@@ -461,19 +462,16 @@ class ChunkCache:
 
 
 #: The dotfile that says a store root holds the one format there is: v3
-#: manifests over raw records, every model its own recovery base.
-FORMAT_MARKER = ".format-v3"
+#: manifests over raw records, every model its own recovery base, and a
+#: delete recorded by a tombstone in the segments.
+FORMAT_MARKER = ".format-v4"
 
 
 def mark_root(root: Path) -> None:
     """Mark ``root`` as holding the one format, durably: the marker, then
     one fsync of the directory that names it."""
     (root / FORMAT_MARKER).touch()
-    fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    fsync_dir(root)
 
 
 def open_root(root: Path) -> None:
@@ -1292,9 +1290,9 @@ class FileStore:
         return live, unreadable
 
     def close(self) -> None:
-        """Release the chunk store's file handles (checkpointing its index
-        when it changed, see :meth:`ChunkStore.close`); a later call opens
-        what it needs again."""
+        """Seal the chunk store's active segment and release its file
+        handles (see :meth:`ChunkStore.close`); a later call opens what it
+        needs again."""
         if self._chunks is not None:
             self._chunks.close()
 

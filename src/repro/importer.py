@@ -5,7 +5,8 @@ other (:class:`~repro.errors.OlderFormatError`).  What older releases
 wrote — JSON (v1) manifests and PUA delta levels, v2 manifests of sha256
 pieces, zlib/lz4/escape-framed records, monolithic ``.params`` /
 ``.update`` blobs, files kept loose in a store root, a file-per-chunk
-``objects/`` root, JSON-lines logs, the parent's side logs and a
+``objects/`` root, JSON-lines logs, the parent's side logs, the deletes
+its segment index checkpoint (``chunks/index.json``) held and a
 cluster's per-member deletes — is read here and nowhere else (DESIGN.md
 §11 "One import door").
 
@@ -38,9 +39,10 @@ except ImportError:  # pragma: no cover - depends on the environment
 
 __all__ = ["ImportFailedError", "import_deployment"]
 
-#: The marker the release before v3 manifests wrote on a root holding
-#: only v1 manifests; it says nothing about v3.
-RETIRED_MARKERS = (".one-format",)
+#: The markers older releases wrote on a root: the one before v3 manifests
+#: on a root holding only v1 manifests, and the one before tombstones (its
+#: deletes are in ``chunks/index.json``).  Neither says what this format is.
+RETIRED_MARKERS = (".one-format", ".format-v3")
 
 #: The JSON manifest tags: v1 names a chunk per layer, v2 a run of
 #: sha256-keyed pieces per layer plus a ``hash``.
@@ -254,9 +256,9 @@ def _older_records(path: Path, data: bytes) -> list[bytes]:
 
 def _retire_root(root: Path) -> int:
     """Delete the parent's side logs and markers under the file store root
-    ``root``, put the files an older release kept loose in it and those of
-    a file-per-chunk ``chunks/objects/`` into the segments, delete them,
-    and mark the root; returns how many went in."""
+    ``root``, take over its segments, put the files an older release kept
+    loose in it and those of a file-per-chunk ``chunks/objects/`` into the
+    segments, delete them, and mark the root; returns how many went in."""
     from .filestore.segments import ChunkStore
     from .filestore.store import CHUNK_DIR_NAME, mark_root
 
@@ -267,6 +269,8 @@ def _retire_root(root: Path) -> int:
             shutil.rmtree(path)
         else:
             path.unlink(missing_ok=True)
+    if (root / CHUNK_DIR_NAME / "segments").is_dir():
+        _take_over_segments(root / CHUNK_DIR_NAME)
     objects = root / CHUNK_DIR_NAME / "objects"
     loose = [(path, False) for path in sorted(root.iterdir())
              if path.is_file() and not path.name.startswith(".")]
@@ -291,6 +295,42 @@ def _retire_root(root: Path) -> int:
         shutil.rmtree(objects, ignore_errors=True)
     mark_root(root)
     return moved
+
+
+def _take_over_segments(chunks: Path) -> None:
+    """Give every record the parent's index checkpoint ``chunks/index.json``
+    says was deleted a tombstone, seal each segment it left unsealed (it
+    sealed none at close, and an unsealed one is scanned at every open),
+    and delete the checkpoint.  As the parent read it: below the offset it
+    scanned a segment to, a record it does not place there was deleted; a
+    damaged checkpoint was ignored and every record found again."""
+    from .filestore.recordlog import RecordLog
+    from .filestore.segments import ChunkStore
+
+    log = RecordLog(chunks / "index.json")
+    try:
+        records = log.replay()
+    except StoreCorruptionError:
+        records = []
+    log.remove()
+    checkpoint = records[-1] if records else None
+    if not (isinstance(checkpoint, dict) and checkpoint.get("version") == 1):
+        checkpoint = {}
+    scanned = {name: int(meta.get("scanned", 0))
+               for name, meta in checkpoint.get("segments", {}).items()}
+    placed = {digest: tuple(entry[:2]) for digest, entry in checkpoint.get("entries", {}).items()}
+    store = ChunkStore(chunks)
+    with store._mutex:
+        found = [(digest, entry) for digest, first in store._index.items()
+                 for entry in [first, *store._copies.get(digest, ())]]
+        for digest, entry in found:
+            if entry[1] < scanned.get(entry[0], 0) and placed.get(digest) != entry[:2]:
+                store._bury_locked(digest, entry)
+        for name, meta in sorted(store._segmeta.items()):
+            if name != store._active_name and not (meta["sealed"] or meta["bad"]):
+                with open(store.segments_dir / name, "r+b") as fileobj:
+                    store._seal_locked(name, fileobj, meta["scanned"])
+    store.close()
 
 
 def _fold_graves(members) -> None:
@@ -352,11 +392,10 @@ def _reappend(store) -> int:
                 raw = decode(payload)
             except StoreCorruptionError:
                 continue
-            store._drop_entry_locked(key)
+            store._drop_locked([key])
             store.put(key, raw)
             appended += 1
         store.flush()
-        store._write_checkpoint_locked()
     return appended
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,34 @@ def mem_doc_store():
 @pytest.fixture
 def file_store(tmp_path):
     return FileStore(tmp_path / "files")
+
+
+@pytest.fixture
+def directory_fsyncs(monkeypatch) -> list:
+    """The paths of the directories fsynced through a descriptor opened
+    ``O_DIRECTORY``, as they happen."""
+    directories, synced = {}, []
+    real_open, real_close, real_fsync = os.open, os.close, os.fsync
+
+    def opening(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        if flags & os.O_DIRECTORY:
+            directories[fd] = Path(path)
+        return fd
+
+    def closing(fd):
+        directories.pop(fd, None)
+        return real_close(fd)
+
+    def syncing(fd):
+        if fd in directories:
+            synced.append(directories[fd])
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "open", opening)
+    monkeypatch.setattr(os, "close", closing)
+    monkeypatch.setattr(os, "fsync", syncing)
+    return synced
 
 
 def replace_record(files, key: str, data: bytes) -> None:

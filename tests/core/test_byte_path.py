@@ -41,6 +41,7 @@ from repro.filestore import (
 from repro.nn import init, rng
 from repro.nn.models import MODEL_REGISTRY, create_model
 from repro.retry import RetryPolicy
+from tests.filestore.helpers import locate
 from tests.filestore.older_release import reopened
 from tests.filestore.retired_formats import RetiredFormatStore, older_release
 
@@ -384,7 +385,7 @@ class TestSkipInit:
 
 
 def flip_stored_bit(files, digest):
-    path, offset, length = files.chunks.locate(digest)
+    path, offset, length = locate(files.chunks, digest)
     assert length > 0
     with open(path, "r+b") as handle:
         handle.seek(offset + length // 2)

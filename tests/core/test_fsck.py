@@ -15,6 +15,7 @@ from repro.docstore import DocumentStore
 from repro.filestore import FileStore
 from repro.filestore.store import is_file_id, self_checked
 from tests.conftest import make_tiny_cnn
+from tests.filestore.helpers import locate
 
 
 def build_probe_model(num_classes=10):
@@ -59,7 +60,7 @@ def destroy_chunk(files, digest):
 
 def flip_chunk_byte(files, digest):
     """Bit rot: flip the first stored payload byte in place."""
-    path, offset, length = files.chunks.locate(digest)
+    path, offset, length = locate(files.chunks, digest)
     assert length > 0
     with open(path, "r+b") as fileobj:
         fileobj.seek(offset)

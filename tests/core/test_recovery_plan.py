@@ -39,6 +39,7 @@ from repro.importer import ImportFailedError
 from repro.nn import rng
 from repro.nn.modules import Module, Skeleton
 from tests.conftest import make_tiny_cnn
+from tests.filestore.helpers import locate
 from tests.filestore.older_release import as_older_release, reopened
 from tests.filestore.retired_formats import RetiredFormatStore, older_release
 
@@ -415,7 +416,7 @@ class TestRecoveryDepth:
 
 
 def flip_stored_bit(files, digest):
-    path, offset, length = files.chunks.locate(digest)
+    path, offset, length = locate(files.chunks, digest)
     assert length > 0
     with open(path, "r+b") as handle:
         handle.seek(offset + length // 2)

@@ -31,6 +31,7 @@ from repro.filestore import FileStore
 from repro.filestore.store import MANIFEST_SUFFIX, self_checked
 from repro.importer import MANIFEST_FORMAT_V1, MANIFEST_FORMAT_V2
 from repro.nn import serialization
+from tests.filestore.helpers import locate
 from tests.filestore.older_release import older_encode
 
 
@@ -120,7 +121,7 @@ def zlib_frame(buffer) -> bytes:
 
 def stored_record(store, digest: str) -> bytes:
     """One chunk's record payload exactly as it rests in its segment."""
-    path, offset, length = store.chunks.locate(digest)
+    path, offset, length = locate(store.chunks, digest)
     with open(path, "rb") as handle:
         handle.seek(offset)
         return handle.read(length)

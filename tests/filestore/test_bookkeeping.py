@@ -10,6 +10,7 @@ against a from-scratch recount — nothing is timed.
 """
 
 import contextlib
+import io
 import json
 import os
 import subprocess
@@ -21,16 +22,18 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import ModelManager, ModelSaveInfo
-from repro.core.hashing import tensor_hash
+from repro.cluster import ShardedFileStore
+from repro.core import BaselineSaveService, ModelManager, ModelSaveInfo
+from repro.core.hashing import state_dict_hashes, tensor_hash
 from repro.docstore import DocumentStore
 from repro.errors import OlderFormatError
 from repro.filestore import ChunkStore, FileStore
-from repro.filestore.recordlog import RecordLog
-from repro.filestore.segments import StoreLock
-from tests.conftest import make_tiny_cnn
+from repro.filestore.recordlog import RECORD_HEADER, RecordLog, read_record
+from repro.filestore.segments import HEADER, StoreLock, _parse_seq
+from tests.conftest import make_tiny_cnn, replace_record
 from tests.core.test_crash_consistency import SERVICES, assert_states_equal, tiny_arch
-from tests.filestore.older_release import as_older_release, imported
+from tests.filestore.helpers import locate
+from tests.filestore.older_release import as_v3_release, imported
 
 
 def open_stores(tmp_path, service_cls):
@@ -381,10 +384,12 @@ class TestASaveCostsWhatItTouches:
             assert [name for name, _ in scanned if name in sealed] == []
             assert len(scanned) == 1 and scanned[0][1] <= 64 * 1024
             assert len(reopened) == 3000
-            # ... once: the open checkpointed what it found
-            del reopened, scanned[:]
+            # ... and the next open scans that one tail again, nothing more:
+            # no open writes anything down
+            tail, scanned[:] = scanned[:], []
+            del reopened
             assert len(ChunkStore(tmp_path / "s", segment_bytes=64 * 1024)) == 3000
-            assert scanned == []
+            assert scanned == tail
         finally:
             ChunkStore._scan_records_locked = scan
 
@@ -456,9 +461,12 @@ class TestReopenWithoutClose:
 
 
 class TestAStoreInTheParentsFormat:
-    """Test (c): a one-object ``refcounts.json`` and a full ``index.json``
-    are refused on open; imported, the store saves, deletes, GCs and
-    recovers; the counts are never read, and the import deleted them."""
+    """Test (c): a store the release before tombstones (v3) left — its
+    deletes only in ``index.json``, the records they killed still in the
+    segments, a heal's bad copy before the good one — and a one-object
+    ``refcounts.json`` are refused on open; imported, no deleted record
+    comes back, the store saves, deletes, GCs and recovers; the counts are
+    never read, and the import deleted both files."""
 
     @pytest.mark.parametrize("service_cls", SERVICES)
     def test_it_opens_and_carries_on(self, service_cls, layout, tmp_path):
@@ -473,17 +481,30 @@ class TestAStoreInTheParentsFormat:
         for seed in (1, 2, 3):
             model = make_tiny_cnn(seed=seed)
             models[service.save_model(ModelSaveInfo(model, tiny_arch()))] = model
+        doomed = next(iter(models))
+        manager.delete_model(doomed)
+        del models[doomed]
+        before = set(files.chunks.chunk_ids())
+        manager.garbage_collect()
+        swept = before - set(files.chunks.chunk_ids())
+        assert swept
+        # a heal: a bad copy under a digest no record holds yet, dropped,
+        # then the good one put by the save
+        model = make_tiny_cnn(seed=4)
+        healed = max(state_dict_hashes(model.state_dict()).values())
+        files.chunks.put(healed, b"a bad copy")
+        files.chunks.drop(healed)
+        models[service.save_model(ModelSaveInfo(model, tiny_arch()))] = model
         counts = dict.fromkeys(files.chunks.chunk_ids(), 1)
-        files.chunks.close()  # the parent checkpointed on every flush
+        files.chunks.close()
         root = files.chunks.root
         (root / "refcounts.json").write_text(json.dumps(counts, sort_keys=True))
+        as_v3_release(tmp_path)
         [index] = RecordLog(root / "index.json").replay()
-        (root / "index.json").write_text(json.dumps(index, sort_keys=True))
         assert set(index) == {"version", "entries", "segments"}
         assert set(index["entries"]) == set(counts)
         assert all(set(meta) == {"scanned", "total", "sealed"}
                    for meta in index["segments"].values())
-        as_older_release(tmp_path)  # the parent wrote no format marker
         del files, service, manager
         with pytest.raises(OlderFormatError):
             reopen()
@@ -491,10 +512,10 @@ class TestAStoreInTheParentsFormat:
         new = imported(tmp_path)
         root = new / "files" / "chunks"
         files, service, manager = reopen(new, "documents")
-        assert set(files.chunks.chunk_ids()) == set(counts)
+        assert set(files.chunks.chunk_ids()) == set(counts)  # none of ``swept``
         for model_id, model in models.items():
             assert_states_equal(model, service.recover_model(model_id).model)
-        model = make_tiny_cnn(seed=4)
+        model = make_tiny_cnn(seed=5)
         models[service.save_model(ModelSaveInfo(model, tiny_arch()))] = model
         doomed = next(iter(models))
         manager.delete_model(doomed)
@@ -503,11 +524,198 @@ class TestAStoreInTheParentsFormat:
         for model_id, model in models.items():
             assert_states_equal(model, service.recover_model(model_id).model)
         assert manager.fsck(verify_chunks=True).clean
-        # nothing reads the parent's refcounts: the import deleted them
-        assert sorted(p.name for p in root.iterdir() if p.is_file()) == [
-            ".lock", "index.json"]
+        # nothing reads the parent's refcounts or checkpoint: the import
+        # deleted them
+        assert sorted(p.name for p in root.iterdir() if p.is_file()) == [".lock"]
 
         files, service, manager = reopen(new, "documents")
         for model_id, model in models.items():
             assert_states_equal(model, service.recover_model(model_id).model)
         assert manager.fsck(verify_chunks=True).clean
+
+
+# -- tombstones --------------------------------------------------------------------
+
+
+def tombstone_bytes(segments_dir) -> int:
+    """Bytes the tombstone records in every segment under ``segments_dir``
+    take, framing included."""
+    total = 0
+    for path in segments_dir.iterdir():
+        stream = io.BytesIO(path.read_bytes())
+        stream.seek(HEADER.size)
+        while (record := read_record(stream.read)) is not None:
+            if record[0].startswith(b"."):
+                total += RECORD_HEADER.size + len(record[0]) + len(record[1])
+    return total
+
+
+def segment_names(store) -> set[str]:
+    return {path.name for path in store.segments_dir.iterdir()}
+
+
+class TestTombstones:
+    """A drop is a tombstone naming the ``[segment, offset]`` of the record
+    it kills, in the segments, durable once ``drop_many`` returns: the
+    segments are the only record of what was deleted."""
+
+    def test_a_dropped_record_stays_dropped(self, tmp_path):
+        """(a): after a clean reopen, a ``kill -9`` reopen and compaction."""
+        def store():
+            return ChunkStore(tmp_path / "s", segment_bytes=2048, tmp_grace_s=0.0)
+
+        first = store()
+        for index in range(12):
+            first.put(digest_for(index), payload(index, 400))
+        first.flush()
+        assert first.drop(digest_for(0))
+        first.close()
+        assert not store().has(digest_for(0))  # a clean reopen
+
+        second = store()
+        assert second.drop_many([digest_for(1), digest_for(2)]) == [
+            digest_for(1), digest_for(2)]
+        del second  # kill -9: no close, no flush beyond the drop's own
+        third = store()
+        assert not any(third.has(digest_for(i)) for i in range(3))
+        third.drop_many([digest_for(i) for i in range(3, 12) if i % 3])
+        assert third.gc()["segments_compacted"] >= 1
+        kept = [digest_for(i) for i in range(3, 12) if i % 3 == 0]
+        assert third.chunk_ids() == kept
+        del third
+        assert store().chunk_ids() == kept
+        for digest in kept:
+            assert store().get(digest) == payload(int(digest[:8]), 400)
+
+    def test_a_dropped_record_stays_dropped_after_the_import(self, tmp_path):
+        """(a): a record the v3 release dropped, and one this release
+        swept, stay gone once the import of a v3 root is reopened."""
+        def open_service():
+            files = FileStore(tmp_path / "files", tmp_grace_s=0.0)
+            return files, BaselineSaveService(
+                DocumentStore(tmp_path / "docs"), files, scratch_dir=tmp_path / "scratch")
+
+        files, service = open_service()
+        models = [service.save_model(ModelSaveInfo(make_tiny_cnn(seed=seed), tiny_arch()))
+                  for seed in (1, 2)]
+        files.chunks.close()  # sealed: its footer lists what the sweep kills
+        files, service = open_service()
+        ModelManager(service).delete_model(models[0])
+        before = set(files.chunks.chunk_ids())
+        ModelManager(service).garbage_collect()
+        swept = before - set(files.chunks.chunk_ids())
+        assert swept
+        files.chunks.close()
+        as_v3_release(tmp_path)
+        new = imported(tmp_path)
+        reopened = FileStore(new / "files")
+        assert not any(reopened.chunks.has(digest) for digest in swept)
+        assert reopened.recover_state_chunks(
+            service.documents.collection("models").get(models[1])["parameters_file"],
+            verify=True)
+
+    def test_a_put_after_a_drop_survives_a_reopen(self, tmp_path):
+        """(b): the tombstone names the dropped record, not its digest."""
+        store = ChunkStore(tmp_path / "s")
+        store.put(digest_for(0), payload(0))
+        store.drop(digest_for(0))
+        store.put(digest_for(0), payload(0))
+        store.flush()
+        assert ChunkStore(tmp_path / "s").get(digest_for(0)) == payload(0)  # kill -9
+        store.close()
+        assert ChunkStore(tmp_path / "s").get(digest_for(0)) == payload(0)
+
+    def test_a_put_after_a_drop_survives_a_compaction_that_outranks_it(self, tmp_path):
+        """(b): another store carries the tombstone into a compaction output
+        with a higher sequence than the segment the put went to."""
+        root = tmp_path / "s"
+        dropped, keep = digest_for(0), digest_for(1)
+        first = ChunkStore(root)
+        first.put(dropped, payload(0, 100))
+        first.put(keep, payload(1, 300))  # keeps this segment live
+        first.close()
+        second = ChunkStore(root)
+        second.drop(dropped)  # its tombstone, in a segment with two records
+        second.put(digest_for(2), payload(2, 600))
+        second.put(digest_for(3), payload(3, 100))
+        second.close()
+        writer = ChunkStore(root)
+        writer.put(dropped, payload(0, 100))  # the put after the drop
+        writer.flush()
+        compactor = ChunkStore(root)
+        compactor.drop(digest_for(2))
+        assert compactor.compact()["segments_compacted"] == 1
+        [output] = [name for name, meta in compactor._segmeta.items()
+                    if meta["graves"] and name not in (*writer._segmeta, compactor._active_name)]
+        assert _parse_seq(output) > _parse_seq(writer._active_name)
+        assert compactor._segmeta[output]["graves"][0][0] == dropped
+        for reader in (writer, compactor, ChunkStore(root)):
+            reader.catch_up()
+            assert reader.get(dropped) == payload(0, 100)
+            assert reader.get(keep) == payload(1, 300)
+
+    def test_a_heal_keeps_the_healed_copy(self, tmp_path):
+        """(c): a 2-member cluster heals a member's bad copy (drop, then the
+        good one put); a reopen serves the healed copy."""
+        members = {f"m{index}": FileStore(tmp_path / f"m{index}") for index in range(2)}
+        cluster = ShardedFileStore(tmp_path / "meta", members, replicas=2)
+        service = BaselineSaveService(DocumentStore(), cluster)
+        model = make_tiny_cnn(seed=1)
+        model_id = service.save_model(ModelSaveInfo(model, tiny_arch()))
+        digest = max(state_dict_hashes(model.state_dict()).values())
+        intact = bytes(members["m0"].chunks.get(digest))
+        replace_record(members["m0"], digest, bytes([intact[0] ^ 0xFF]) + intact[1:])
+        cluster.read_manifest(service.documents.collection("models").get(
+            model_id)["parameters_file"])  # what a deep heal checks copies against
+        assert ModelManager(service).heal()["converged"]
+        healed = locate(members["m0"].chunks, digest)
+        assert bytes(members["m0"].chunks.get(digest)) == intact
+        for closed in (False, True):  # kill -9, then a clean close
+            if closed:
+                members["m0"].close()
+            reopened = FileStore(tmp_path / "m0").chunks
+            assert locate(reopened, digest) == healed
+            assert bytes(reopened.get(digest)) == intact
+
+    def test_a_segment_of_tombstones_stays_while_one_it_names_does(self, tmp_path):
+        """(d)"""
+        def store():
+            return ChunkStore(tmp_path / "s", tmp_grace_s=0.0)
+
+        first = store()
+        first.put(digest_for(0), payload(0))
+        first.put(digest_for(1), payload(1))
+        first.close()
+        [target] = segment_names(first)
+        dropper = store()
+        dropper.drop(digest_for(0))  # a segment for its tombstone alone
+        dropper.close()
+        [graves] = segment_names(first) - {target}
+        sweeper = store()
+        sweeper.reap({digest_for(1)})  # sweeps nothing: the target stays live
+        assert segment_names(first) == {target, graves}
+        assert store().chunk_ids() == [digest_for(1)]
+        sweeper.reap(set())  # the target dies: both go
+        assert target not in segment_names(first) and graves not in segment_names(first)
+        assert store().chunk_ids() == []
+        sweeper.close()  # its own tombstone now names nothing on disk
+        store().reap(set())
+        assert segment_names(first) == set()
+
+    def test_tombstone_bytes_stay_bounded_over_gc_cycles(self, tmp_path):
+        """(e): each cycle puts a batch and sweeps the last one, then
+        compacts.  A tombstone lives while the segment it names does, so the
+        tombstones on disk never exceed those of the last two cycles."""
+        store = ChunkStore(tmp_path / "s", segment_bytes=4096, tmp_grace_s=0.0)
+        batch, on_disk = 8, []
+        for cycle in range(20):
+            live = [digest_for(cycle * batch + index) for index in range(batch)]
+            for index, digest in enumerate(live):
+                store.put(digest, payload(cycle * batch + index, 300))
+            store.flush()
+            store.gc(set(live))
+            on_disk.append(tombstone_bytes(store.segments_dir))
+        one = RECORD_HEADER.size + 1 + len(digest_for(0)) + len(json.dumps(
+            [store._active_name, 10 ** 6]))
+        assert max(on_disk) <= 2 * batch * one
+        assert store.chunk_ids() == sorted(live)

@@ -21,6 +21,7 @@ from repro.filestore.store import is_file_id
 from repro.core.hashing import state_dict_hashes
 from tests.conftest import make_tiny_cnn
 from tests.core.test_recovery_plan import copy_state
+from tests.filestore.helpers import locate
 from tests.filestore.older_release import as_older_release, imported
 from tests.filestore.retired_formats import RetiredFormatStore, zlib_frame
 
@@ -78,7 +79,7 @@ class TestFraming:
         data = incompressible(1000)
         store = ChunkStore(tmp_path / "chunks")
         store.put("ab" * 32, memoryview(data))
-        path, offset, length = store.locate("ab" * 32)
+        path, offset, length = locate(store, "ab" * 32)
         assert path.read_bytes()[offset:offset + length] == data
         assert chunk_codecs.decode(data) is data
 

@@ -15,6 +15,7 @@ from repro.errors import MMLibError, StoreCorruptionError, TransientStoreError
 from repro.faults import CrashPoint, FaultInjector, FaultyDocumentStore
 from repro.filestore import FileStore, NetworkModel, SimulatedNetworkFileStore
 from repro.retry import RetryPolicy
+from tests.filestore.helpers import locate
 
 from .test_chunks import small_state
 
@@ -157,7 +158,7 @@ class TestRetryAbsorbsTransients:
             assert logical_end < size
         # ...which the retry overwrote in place: the segment ends where the
         # converged record does, and the chunk is intact
-        path, offset, length = chunks.locate(digest)
+        path, offset, length = locate(chunks, digest)
         assert path.stat().st_size == offset + length == chunks._active_end
         assert bytes(chunks.get(digest)) == payload.tobytes()
 

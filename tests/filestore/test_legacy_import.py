@@ -45,7 +45,8 @@ from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import ChunkStore, FileStore
 from repro.filestore.store import (
     FORMAT_MARKER, MANIFEST_FORMAT, MANIFEST_TAG, chunk_intact, is_file_id, is_spec_key)
-from repro.importer import MANIFEST_FORMAT_V1, MANIFEST_FORMAT_V2, ImportFailedError
+from repro.importer import (
+    MANIFEST_FORMAT_V1, MANIFEST_FORMAT_V2, RETIRED_MARKERS, ImportFailedError)
 from repro.nn import serialization
 from repro.workloads import generate_dataset
 from repro.workloads.relations import TrainingRun
@@ -59,6 +60,7 @@ from tests.core.test_recovery_plan import (
     save_pua_chain,
     tiny_arch,
 )
+from tests.filestore.helpers import locate
 from tests.filestore.older_release import as_older_release, imported, older_encode, tree_hash
 from tests.filestore.retired_formats import (
     RetiredFormatStore,
@@ -226,7 +228,7 @@ def build_retired_store(root) -> tuple[dict, dict]:
     stored = files.file_ids()
     before = {
         "kinds": record_kinds(files),
-        "locations": {d: files.chunks.locate(d) for d in files.chunks.chunk_ids()},
+        "locations": {d: locate(files.chunks, d) for d in files.chunks.chunk_ids()},
         "formats": {json.loads(files.recover_bytes(f))["format"]
                     for f in stored if files.is_manifest_id(f)},
         "suffixes": {f[f.index("."):] for f in stored},
@@ -389,9 +391,9 @@ class TestAFrameMagicLayer:
         files.chunks.put("ff" * 32, b"seals the segment")
         for filler in fillers:
             manager.delete_model(filler)
-        located = files.chunks.locate(digest)
+        located = locate(files.chunks, digest)
         manager.garbage_collect()  # the fillers' code files go too
-        assert files.chunks.locate(digest) != located
+        assert locate(files.chunks, digest) != located
 
         assert stored_record(files, digest) == state["5.bias"].tobytes()
         for verify, verified in ((True, True), (False, None)):
@@ -802,7 +804,7 @@ def build_parent_deployment(root, cluster: bool) -> dict:
     files.delete(old)
     for member in member_stores(stores):
         member.chunks.close()
-    as_older_release(root, parent_marker=True)
+    as_older_release(root, marker=RETIRED_MARKERS[0])
     return dict(zip(ids + more_ids, states + more_states))
 
 

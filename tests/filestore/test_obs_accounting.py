@@ -111,7 +111,8 @@ class TestNetworkMirrors:
 
 class TestFilesCreated:
     """``mmlib_chunk_files_created_total`` counts every file the chunk store
-    creates: a segment, a compaction output, an index checkpoint."""
+    creates: a segment and a compaction output; a roll and a drop create
+    none."""
 
     @staticmethod
     def created() -> float:
@@ -122,7 +123,7 @@ class TestFilesCreated:
         store.put(digest, b"x" * nbytes)
         store.flush()
 
-    def test_segments_checkpoints_and_compaction_outputs_are_counted(self, tmp_path):
+    def test_segments_and_compaction_outputs_are_counted(self, tmp_path):
         from repro.filestore import ChunkStore
 
         store = ChunkStore(tmp_path / "chunks", segment_bytes=4096)
@@ -134,12 +135,9 @@ class TestFilesCreated:
         self.save(store, "c" * 64, nbytes=5000)  # fills the segment: the next rolls
         self.save(store, "d" * 64)
         assert len(list((tmp_path / "chunks" / "segments").iterdir())) == 2
-        assert self.created() == 3  # the second segment, the index checkpoint at the roll
-        before = self.created()
-        store.drop("c" * 64)  # an index checkpoint
-        assert self.created() == before + 1
-        before = self.created()
+        assert self.created() == 2  # the second segment: a roll writes no other file
+        store.drop("c" * 64)  # a tombstone in the active segment
+        assert self.created() == 2
         assert store.gc()["segments_compacted"] == 1
-        # its output segment and an index checkpoint, at least
-        assert self.created() >= before + 2
+        assert self.created() == 3  # its output segment
         store.close()

@@ -10,6 +10,8 @@ any byte, or flip any one bit of it, and replay —
 """
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -194,3 +196,19 @@ def test_a_rewrite_cut_short_leaves_one_tmp_file_the_next_one_reuses(tmp_path):
         log.rewrite([b"4"], before_rename=lambda: (_ for _ in ()).throw(KeyboardInterrupt))
     log.remove()  # the tmp goes with the file
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_rewrite_syncs_its_file_before_the_rename_and_the_directory_after(
+    tmp_path, directory_fsyncs, monkeypatch
+):
+    events = []
+    spied, rename = os.fsync, Path.replace
+    monkeypatch.setattr(os, "fsync", lambda fd: (events.append("fsync"), spied(fd))[1])
+    monkeypatch.setattr(Path, "replace",
+                        lambda self, target: (events.append("rename"), rename(self, target))[1])
+    log = RecordLog(tmp_path / "log")
+    log.rewrite([b"{}"])
+    assert events == ["fsync", "rename", "fsync"]
+    assert directory_fsyncs == [tmp_path]
+    assert log.replay() == [{}]
+

@@ -14,8 +14,8 @@ from repro.errors import StoreCorruptionError
 from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import ChunkNotFoundError, ChunkStore, FileStore
 from repro.filestore import segments
-from repro.filestore.recordlog import RecordLog
 from repro.filestore.segments import SEGMENT_SUFFIX, WRITEBACK_BYTES
+from tests.filestore.helpers import locate
 
 
 def payload(index: int, size: int = 512) -> bytes:
@@ -44,7 +44,7 @@ class TestSegmentBasics:
             # size_of is the at-rest size: a raw record is the payload
             assert store.size_of(digest) == len(blob)
         assert store.put(digest_for(0), payload(0)) is False  # dedup
-        path, offset, length = store.locate(digest_for(0))
+        path, offset, length = locate(store, digest_for(0))
         assert path.suffix == SEGMENT_SUFFIX
         with open(path, "rb") as fileobj:
             fileobj.seek(offset)
@@ -78,21 +78,28 @@ class TestSegmentBasics:
         for digest, blob in data.items():
             assert store.get(digest) == blob
 
-    def test_reopen_loads_index_from_checkpoint(self, tmp_path):
+    def test_reopen_after_close_reads_footers_only(self, tmp_path, monkeypatch):
+        """``close`` seals the active segment: a reopen scans no record."""
         store = ChunkStore(tmp_path / "s", segment_bytes=2048)
         data = fill(store, 12)
         store.close()
+        scans = []
+        monkeypatch.setattr(ChunkStore, "_scan_records_locked",
+                            lambda self, fileobj, name, meta: scans.append(name))
         reopened = ChunkStore(tmp_path / "s", segment_bytes=2048)
+        assert scans == []
+        assert all(meta["sealed"] for meta in reopened._segmeta.values())
         for digest, blob in data.items():
             assert reopened.get(digest) == blob
 
-    def test_reopen_rebuilds_index_without_checkpoint(self, tmp_path):
-        """A crash between append and checkpoint: the scan recovers it all."""
+    def test_reopen_after_a_kill_scans_the_unsealed_tail(self, tmp_path):
+        """No close: the footers and a scan of the tail find it all."""
         store = ChunkStore(tmp_path / "s", segment_bytes=2048)
-        data = fill(store, 12)
-        store.close()
-        (tmp_path / "s" / "index.json").unlink()
+        data = fill(store, 13)
+        assert not store._segmeta[store._active_name]["sealed"]
+        del store
         reopened = ChunkStore(tmp_path / "s", segment_bytes=2048)
+        assert sorted(reopened.chunk_ids()) == sorted(data)
         for digest, blob in data.items():
             assert reopened.get(digest) == blob
 
@@ -137,7 +144,7 @@ class TestTornAppends:
     def test_audit_flags_bit_rot_with_verify(self, tmp_path):
         store = ChunkStore(tmp_path / "s")
         fill(store, 3)
-        path, offset, _length = store.locate(digest_for(1))
+        path, offset, _length = locate(store, digest_for(1))
         with open(path, "r+b") as fileobj:
             fileobj.seek(offset)
             byte = fileobj.read(1)
@@ -160,7 +167,7 @@ class TestDamagedLengthField:
         """Four records; the first's length field gets ``bit`` flipped."""
         store = ChunkStore(root, tmp_grace_s=0.0)
         data = fill(store, 4)
-        path, offset, _length = store.locate(digest_for(0))
+        path, offset, _length = locate(store, digest_for(0))
         del store  # crash: no checkpoint, so the reopen scans the segment
         length_field = offset - len(digest_for(0)) - 8
         with open(path, "r+b") as fileobj:
@@ -210,7 +217,7 @@ class TestDamagedLengthField:
         for digest, blob in data.items():
             writer.put(digest, blob)
         writer.flush()
-        path, offset, length = writer.locate(digest_for(2))
+        path, offset, length = locate(writer, digest_for(2))
         seen = offset + length  # the fstat saw one of the four appends
         segment = os.stat(path).st_ino
         real_fstat = os.fstat
@@ -275,7 +282,7 @@ class TestCompaction:
         for digest in released:
             del data[digest]
         bad = digest_for(14)
-        path, offset, length = store.locate(bad)
+        path, offset, length = locate(store, bad)
         with open(path, "r+b") as fileobj:
             fileobj.seek(offset + length // 2)
             byte = fileobj.read(1)
@@ -285,7 +292,7 @@ class TestCompaction:
         stats = store.gc()
         assert stats["segments_skipped"] == 1
         assert stats["segments_compacted"] == 1
-        assert path.exists() and store.locate(bad) == (path, offset, length)
+        assert path.exists() and locate(store, bad) == (path, offset, length)
         with pytest.raises(StoreCorruptionError):
             store.get(bad)
         for digest, blob in data.items():
@@ -425,22 +432,23 @@ class TestFileStoreIntegration:
         assert stats["segment_count"] >= 1
         assert set(stats["members"]) == set(members)
 
-    def test_checkpoint_is_valid_json(self, tmp_path):
-        """Written when a segment is sealed and at close — not by a save."""
-        path = tmp_path / "s" / "index.json"
-        store = ChunkStore(tmp_path / "s", segment_bytes=2048)
+    def test_a_footer_catalogs_records_and_tombstones(self, tmp_path):
+        """A sealed segment says all a reopen needs; nothing else is written."""
+        store = ChunkStore(tmp_path / "s")
         store.put(digest_for(99), payload(99))
-        store.flush()
-        assert not path.exists()
-        fill(store, 12)  # rolls
-        [checkpoint] = RecordLog(path).replay()
-        assert checkpoint["version"] == 1
-        sealed = [n for n, m in checkpoint["segments"].items() if m["sealed"]]
-        assert sealed and {e[0] for e in checkpoint["entries"].values()} <= set(sealed)
+        store.put(digest_for(98), payload(98))
+        store.drop(digest_for(98))
+        name = store._active_name
         store.close()
-        [checkpoint] = RecordLog(path).replay()
-        assert checkpoint["version"] == 1
-        assert len(checkpoint["entries"]) == 13
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [".lock", "segments"]
+        with open(tmp_path / "s" / "segments" / name, "rb") as fileobj:
+            catalog = store._read_footer(fileobj, os.fstat(fileobj.fileno()).st_size)
+        assert [record[0] for record in catalog["records"]] == [digest_for(99)]
+        [(digest, segment, offset)] = catalog["tombstones"]
+        assert (digest, segment) == (digest_for(98), name)
+        assert catalog["total"] == 2 * len(payload(0))
+        reopened = ChunkStore(tmp_path / "s")
+        assert reopened.chunk_ids() == [digest_for(99)]
 
 
 @pytest.fixture
@@ -612,3 +620,33 @@ class TestPutAccounting:
         assert stats["stored_bytes"] == total
         assert stats["dedup_bytes"] == 3 * total
         store.close()
+
+
+class TestDirectoryEntriesAreDurable:
+    """A segment's name outlives a crash as its records do: one fsync of
+    ``segments/`` when a segment is created — for records or for a drop's
+    tombstones — and one after a compaction's rename.
+    ``mmlib_chunk_fsyncs_total`` counts the file barriers only."""
+
+    def test_one_directory_fsync_per_segment_created_or_renamed(
+        self, tmp_path, directory_fsyncs, monkeypatch
+    ):
+        every = []
+        counted = os.fsync  # the spy's, which records directories
+        monkeypatch.setattr(os, "fsync", lambda fd: (every.append(fd), counted(fd))[1])
+        obs.reset()
+        try:
+            store = ChunkStore(tmp_path / "s", segment_bytes=2048, tmp_grace_s=0.0)
+            fill(store, 4)  # creates one segment, appends to it, rolls it
+            store.close()
+            assert directory_fsyncs == [store.segments_dir]
+            other = ChunkStore(tmp_path / "s", segment_bytes=2048, tmp_grace_s=0.0)
+            other.drop(digest_for(1))  # a segment for its tombstone
+            other.drop_many([digest_for(2), digest_for(3)])  # appended to it
+            assert directory_fsyncs == [store.segments_dir] * 2
+            assert other.gc()["segments_compacted"] == 1  # renamed into place
+            assert directory_fsyncs == [store.segments_dir] * 3
+            files = obs.registry().value("mmlib_chunk_fsyncs_total")
+            assert files == len(every) - len(directory_fsyncs) > 0
+        finally:
+            obs.reset()

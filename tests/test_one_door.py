@@ -9,7 +9,6 @@ written.
 
 import ast
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -27,7 +26,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 RETIRED_NAMES = (
     "FRAME_MAGIC", "MANIFEST_FORMAT_V1", "MANIFEST_FORMAT_V2", "BLOB_SUFFIXES",
     "PARENT_LOGS", "PARENT_GRAVES", ".one-format", "_scan_older", "retired_keys",
-    "one_format", "import_files",
+    "one_format", "import_files", ".format-v3", "index.json",
 )
 
 
@@ -98,33 +97,6 @@ class TestAnOlderRootIsRefused:
         assert tree_hash(tmp_path) == before
 
 
-@pytest.fixture
-def directory_fsyncs(monkeypatch) -> list:
-    """The fsyncs of a descriptor opened ``O_DIRECTORY``, as they happen."""
-    directories, synced = set(), []
-    real_open, real_close, real_fsync = os.open, os.close, os.fsync
-
-    def opening(path, flags, *args, **kwargs):
-        fd = real_open(path, flags, *args, **kwargs)
-        if flags & os.O_DIRECTORY:
-            directories.add(fd)
-        return fd
-
-    def closing(fd):
-        directories.discard(fd)
-        return real_close(fd)
-
-    def syncing(fd):
-        if fd in directories:
-            synced.append(fd)
-        return real_fsync(fd)
-
-    monkeypatch.setattr(os, "open", opening)
-    monkeypatch.setattr(os, "close", closing)
-    monkeypatch.setattr(os, "fsync", syncing)
-    return synced
-
-
 class TestTheMarkerIsDurable:
     @pytest.mark.parametrize("cluster", [False, True], ids=["single", "cluster-3x2"])
     def test_one_directory_barrier_per_created_root_and_none_on_reopen(
@@ -140,8 +112,12 @@ class TestTheMarkerIsDurable:
                  stores.files.root]
         assert len(directory_fsyncs) == len(roots) == (4 if cluster else 1)
         assert all((root / FORMAT_MARKER).exists() for root in roots)
-        stores.files.save_bytes(b"a record", suffix=".py")
+        for data in (b"a record", b"another record", b"a third record"):
+            stores.files.save_bytes(data, suffix=".py")
         stores.files.chunks.flush()
-        assert len(directory_fsyncs) == len(roots)  # a save adds none
+        # saves add one per segment they created: the directory naming it
+        segments = [path for root in roots for path in root.rglob("*.seg")]
+        assert segments
+        assert sorted(directory_fsyncs[len(roots):]) == sorted(p.parent for p in segments)
         open_deployment()
-        assert len(directory_fsyncs) == len(roots)
+        assert len(directory_fsyncs) == len(roots) + len(segments)
