@@ -55,7 +55,9 @@ bench-serving:
 # kill/crash-point/two-process tests + tombstones (a delete is a tombstone:
 # reopen, compaction, a second process and the import never bring a
 # dropped record back; segment names and log rewrites are fsynced into
-# their directory) + the one import door (the retired
+# their directory; a writer holds its segment, so no other process seals
+# or unlinks it, and one a dead writer left is sealed by the next open)
+# + the one import door (the retired
 # write formats, file-per-blob roots and parent-format logs converted by
 # the import bitwise and fsck-clean, corruption caught, the import killed
 # at every step, single store and 3x2 cluster; no retired-format name
@@ -80,6 +82,8 @@ chaos:
 		tests/filestore/test_bookkeeping.py::TestReopenWithoutClose \
 		tests/filestore/test_bookkeeping.py::TestTwoProcesses \
 		tests/filestore/test_bookkeeping.py::TestTombstones \
+		tests/filestore/test_bookkeeping.py::TestAWriterHoldsItsSegment \
+		tests/filestore/test_bookkeeping.py::TestASaveCostsWhatItTouches \
 		tests/filestore/test_bookkeeping_property.py \
 		tests/filestore/test_legacy_import.py::TestRetiredWriteFormats \
 		tests/filestore/test_legacy_import.py::TestImportCrashes \

@@ -59,6 +59,16 @@ def _split_factory(spec: str):
         raise CliError(f"{module_name!r} has no attribute {attr!r}") from exc
 
 
+#: File stores a command opened; :func:`main` closes each when it ends, so
+#: the next process reads sealed footers instead of scanning its segments.
+_OPENED: list = []
+
+
+def _opened(files):
+    _OPENED.append(files)
+    return files
+
+
 def _open_cluster(args):
     """The self-healing SharedStores over the ``shard-*`` members under
     ``--cluster``."""
@@ -68,12 +78,14 @@ def _open_cluster(args):
     shards = sorted(p for p in workdir.glob("shard-*") if p.is_dir())
     if not shards:
         raise CliError(f"no shard-* member directories under {workdir}")
-    return SharedStores.cluster_at(
+    stores = SharedStores.cluster_at(
         workdir,
         shards=len(shards),
         replicas=getattr(args, "replicas", 2),
         self_heal=True,
     )
+    _opened(stores.files)
+    return stores
 
 
 def _open_single(args):
@@ -86,7 +98,7 @@ def _open_single(args):
             "this command requires --docs and --files store directories "
             "(or --cluster for a sharded deployment)"
         )
-    return DocumentStore(args.docs), FileStore(args.files)
+    return DocumentStore(args.docs), _opened(FileStore(args.files))
 
 
 def _open_manager(args):
@@ -131,7 +143,7 @@ def _service_for(args, approach: str):
     }
     if approach not in services:
         raise CliError(f"unknown approach {approach!r}; options: {sorted(services)}")
-    return services[approach](DocumentStore(args.docs), FileStore(args.files))
+    return services[approach](DocumentStore(args.docs), _opened(FileStore(args.files)))
 
 
 # ---------------------------------------------------------------------------
@@ -890,14 +902,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.deadline is not None:
-            if args.deadline <= 0:
-                raise CliError("--deadline must be positive")
-            from repro import deadline
+        try:
+            if args.deadline is not None:
+                if args.deadline <= 0:
+                    raise CliError("--deadline must be positive")
+                from repro import deadline
 
-            with deadline.scope(args.deadline):
-                return args.func(args)
-        return args.func(args)
+                with deadline.scope(args.deadline):
+                    return args.func(args)
+            return args.func(args)
+        finally:
+            while _OPENED:
+                _OPENED.pop().close()
     except Exception as exc:  # CLI boundary: print, don't traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,9 @@ length, crc)``), LSM-style:
   :meth:`~ChunkStore.flush` makes a batch of them durable.  A sealed
   segment never changes: taking in what other processes did is one listing
   of ``segments/`` and one ``stat`` per unsealed segment (DESIGN.md §17
-  "Bookkeeping").
+  "Bookkeeping").  A writer holds an ``flock`` on its unsealed segment;
+  once no one holds it, its writer is gone, and an open or a sweep seals
+  it, so what a crash left is scanned once.
 * **Liveness is reachability** — the store counts no references.  A
   record lives while its caller's mark says so: :meth:`ChunkStore.reap`
   sweeps every record outside the mark it is given, under the store's
@@ -65,7 +67,6 @@ record, not the rest of its segment.
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import itertools
 import json
@@ -172,20 +173,6 @@ def _buffer_nbytes(buffer) -> int:
     return len(buffer)
 
 
-def _seal_at_exit(store_ref) -> None:
-    """Close a store still open when the interpreter exits, so the next
-    open reads its active segment's footer instead of scanning it; one
-    whose lock another thread holds is left as a crash would leave it."""
-    store = store_ref()
-    if store is not None and store._mutex.acquire(blocking=False):
-        try:
-            store.close()
-        except (OSError, ValueError):
-            pass  # its directory went first
-        finally:
-            store._mutex.release()
-
-
 def _parse_seq(name: str) -> int:
     parts = name.split("-")
     try:
@@ -274,7 +261,11 @@ class ChunkStore:
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.lock = StoreLock(self.root / ".lock", on_acquire=self.catch_up)
+        # through a weak reference: a store dropped unclosed lets go of its
+        # active segment at once, as a killed process does
+        store = weakref.ref(self)
+        self.lock = StoreLock(self.root / ".lock",
+                              on_acquire=lambda exclusive: store().catch_up(exclusive))
         # every file this store creates: a segment, a compaction output
         self._obs_files_created = obs.registry().counter(
             "mmlib_chunk_files_created_total",
@@ -339,8 +330,8 @@ class ChunkStore:
             "Dead (compactable) payload bytes across segments")
         with self._mutex:
             self._refresh_locked()
+            self._seal_orphans_locked()
             self._update_gauges_locked()
-        atexit.register(_seal_at_exit, weakref.ref(self))
 
     # -- dedup accounting ------------------------------------------------------
 
@@ -436,6 +427,11 @@ class ChunkStore:
         if copies:
             self._copies[digest] = copies
 
+    def _held_locked(self):
+        """``(digest, entry)`` of every record found: indexed, or a copy."""
+        return itertools.chain(self._index.items(), (
+            (digest, copy) for digest, copies in self._copies.items() for copy in copies))
+
     def _forget_locked(self, names) -> None:
         """Forget segments gone from disk: their records and copies, and the
         offsets tombstones named in them."""
@@ -444,9 +440,7 @@ class ChunkStore:
             self._segmeta.pop(name, None)
             self._killed.pop(name, None)
             self._close_read_file(name)
-        held = itertools.chain(self._index.items(), (
-            (digest, copy) for digest, copies in self._copies.items() for copy in copies))
-        for digest in {digest for digest, entry in held if entry[0] in names}:
+        for digest in {digest for digest, entry in self._held_locked() if entry[0] in names}:
             self._lose_locked(digest, lambda entry: entry[0] in names)
 
     def _refresh_locked(self) -> int:
@@ -567,6 +561,52 @@ class ChunkStore:
             return None
         return catalog if isinstance(catalog, dict) and "records" in catalog else None
 
+    def _orphan(self, name: str):
+        """Segment ``name`` open for writing under its writer's ``flock``,
+        taken because its writer is gone (without ``flock``: once it outlived
+        the tmp grace age); ``None`` while a writer holds it."""
+        path = self.segments_dir / name
+        try:
+            fileobj = open(path, "r+b", buffering=0)
+        except FileNotFoundError:
+            return None
+        try:
+            if fcntl is not None:
+                fcntl.flock(fileobj.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            elif not self._tmp_expired(path):
+                raise BlockingIOError(name)
+        except OSError:
+            fileobj.close()
+            return None
+        return fileobj
+
+    def _seal_orphans_locked(self, repair: bool = False) -> list[str]:
+        """Seal each unsealed segment whose writer is gone, so no later open
+        scans it again.  Returns those with garbage past their last whole
+        record: only ``repair`` cuts it off and seals them.  A segment with
+        a damaged record is cut but stays unsealed, for :meth:`audit` to
+        report while it lasts."""
+        torn = []
+        for name, meta in sorted(self._segmeta.items()):
+            if meta["sealed"] or meta["bad"] or name == self._active_name:
+                continue
+            fileobj = self._orphan(name)
+            if fileobj is None:
+                continue
+            with fileobj:
+                self._absorb_segment_locked(name, meta)  # its last appends, or a seal
+                if meta["sealed"] or meta["bad"] or meta["scanned"] < HEADER.size:
+                    continue
+                if os.fstat(fileobj.fileno()).st_size > meta["scanned"]:
+                    torn.append(name)
+                    if not repair:
+                        continue
+                if meta["damaged"]:
+                    fileobj.truncate(meta["scanned"])
+                else:
+                    self._seal_locked(name, fileobj, meta["scanned"])
+        return torn
+
     def _close_read_file(self, name: str) -> None:
         fileobj = self._read_files.pop(name, None)
         if fileobj is not None:
@@ -587,6 +627,8 @@ class ChunkStore:
         name = self._next_segment_name()
         path = self.segments_dir / name
         fileobj = open(path, "wb", buffering=0)  # every append lands in the OS
+        if fcntl is not None:  # held until it is sealed: no one seals or unlinks it
+            fcntl.flock(fileobj.fileno(), fcntl.LOCK_EX)
         self._obs_files_created.inc()
         fileobj.write(HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, self._seq))
         fsync_dir(self.segments_dir)  # its name outlives a crash as its records do
@@ -724,11 +766,7 @@ class ChunkStore:
         its last whole record, and append its footer, fsynced."""
         meta = self._segmeta[name]
         fileobj.truncate(end)  # drop torn garbage past the end
-        records = sorted(
-            [d, e[1], e[2], e[3]]
-            for d, e in self._index.items()
-            if e[0] == name
-        )
+        records = sorted([d, *e[1:]] for d, e in self._held_locked() if e[0] == name)
         footer = self._pack_footer(end, records, meta)
         fileobj.seek(end)
         write_all(fileobj, footer)
@@ -958,6 +996,7 @@ class ChunkStore:
             freed = sum(self._index[digest][2] for digest in doomed)
             removed = len(self._drop_locked(doomed))
             self._sync_locked()  # the tombstones, before any segment goes
+            self._seal_orphans_locked()
             for path in [*self.segments_dir.glob("*.tmp"), *self.root.glob("*.tmp")]:
                 if not self._tmp_expired(path):
                     continue
@@ -976,15 +1015,25 @@ class ChunkStore:
 
         A segment stays while a tombstone in it names a segment that stays,
         and the segments tombstones name go before those tombstones: a
-        reopen never finds a killed record without what kills it.  Unsealed
-        segments only fall once they outlive the tmp grace age: a concurrent
-        writer refreshes its segment's mtime with every append, so a young
-        unsealed segment may be someone's live tail.
+        reopen never finds a killed record without what kills it.  An
+        unsealed segment falls only once its writer is gone (see
+        :meth:`_orphan`) and it has outlived the tmp grace age, which covers
+        a writer between creating its segment and locking it: an idle
+        writer's segment, tombstones only, is still where its next put goes.
         """
         held = {entry[0] for entry in self._index.values()}
+
+        def orphaned(name: str) -> bool:
+            if not self._tmp_expired(self.segments_dir / name):
+                return False
+            fileobj = self._orphan(name)
+            if fileobj is not None:
+                fileobj.close()
+            return fileobj is not None
+
         dead = {name for name, meta in self._segmeta.items()
                 if name != self._active_name and name not in held
-                and (meta["sealed"] or self._tmp_expired(self.segments_dir / name))}
+                and (meta["sealed"] or orphaned(name))}
 
         def names(name: str, among: set) -> bool:
             return any(grave[1] in among and grave[1] != name
@@ -1042,9 +1091,10 @@ class ChunkStore:
         ]
         dead = sum(self._segmeta[v]["total"] for v in victims) - sum(
             entry[2] for _d, entry in moves)
+        # a tombstone naming a victim moves too: the victims go in any order
         meta = dict(_new_meta(), sealed=True, graves=[
             grave for name in victims for grave in self._segmeta[name]["graves"]
-            if grave[1] in self._segmeta and grave[1] not in victim_set])
+            if grave[1] in self._segmeta])
         tmp_path = self.segments_dir / (dest + ".tmp")
         new_entries: dict[str, tuple[str, int, int, int]] = {}
         offset = hinted = HEADER.size
@@ -1128,6 +1178,7 @@ class ChunkStore:
         }
         with self._mutex:
             outcome["entries_added"] = self._refresh_locked()
+            torn = set(self._seal_orphans_locked(repair))
             sizes: dict[str, int] = {}  # of each segment not bad
             for name, meta in sorted(self._segmeta.items()):
                 outcome["segments_checked"] += 1
@@ -1148,13 +1199,8 @@ class ChunkStore:
                         outcome["torn_segments"].append(name)
                         if repair:
                             self._active_file.truncate(logical)
-                elif not meta["sealed"] and size > meta["scanned"]:
-                    # trailing garbage from a dead writer; a *live* writer
-                    # keeps its mtime fresh, so respect the grace age
-                    if self._tmp_expired(path):
-                        outcome["torn_segments"].append(name)
-                        if repair:
-                            os.truncate(path, meta["scanned"])
+                elif name in torn:  # trailing garbage a dead writer left
+                    outcome["torn_segments"].append(name)
             for digest, entry in sorted(self._index.items()):
                 name, off, length, _crc = entry
                 if off + length > sizes.get(name, -1):
@@ -1223,8 +1269,8 @@ class ChunkStore:
     def close(self) -> None:
         """Seal the active segment (its footer, one fsync), so a reopen
         reads a footer instead of scanning it, and release file handles.
-        A store still open at interpreter exit is closed then; only a
-        crash leaves an unsealed segment for every open to scan."""
+        A segment its writer left unsealed (a crash, or no close) is
+        scanned by the next open, which seals it once no one holds it."""
         with self._mutex:
             if self._active_file is not None:
                 self._roll_locked()

@@ -113,8 +113,11 @@ class GatewayServer(FrameServer):
             self._idle_task = self._loop.create_task(self._idle_loop())
 
     def stop(self) -> None:
+        """Drain, stop serving, then close the file store it served: its
+        active segments sealed, a later call reopens what it needs."""
         self._draining = True
         super().stop()
+        self.registry.stores.files.close()
 
     def serve_forever(self, duration_s: float | None = None) -> None:
         """Blocking serve (for ``mmlib serve``); Ctrl-C or timeout stops."""

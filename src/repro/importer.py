@@ -299,9 +299,9 @@ def _retire_root(root: Path) -> int:
 
 def _take_over_segments(chunks: Path) -> None:
     """Give every record the parent's index checkpoint ``chunks/index.json``
-    says was deleted a tombstone, seal each segment it left unsealed (it
-    sealed none at close, and an unsealed one is scanned at every open),
-    and delete the checkpoint.  As the parent read it: below the offset it
+    says was deleted a tombstone, and delete the checkpoint (the open seals
+    each segment the parent left unsealed, as it seals any whose writer is
+    gone).  As the parent read it: below the offset it
     scanned a segment to, a record it does not place there was deleted; a
     damaged checkpoint was ignored and every record found again."""
     from .filestore.recordlog import RecordLog
@@ -326,10 +326,6 @@ def _take_over_segments(chunks: Path) -> None:
         for digest, entry in found:
             if entry[1] < scanned.get(entry[0], 0) and placed.get(digest) != entry[:2]:
                 store._bury_locked(digest, entry)
-        for name, meta in sorted(store._segmeta.items()):
-            if name != store._active_name and not (meta["sealed"] or meta["bad"]):
-                with open(store.segments_dir / name, "r+b") as fileobj:
-                    store._seal_locked(name, fileobj, meta["scanned"])
     store.close()
 
 

@@ -1,11 +1,11 @@
-"""Chunk-store bookkeeping: the segment index checkpoint and the lock
-several processes share.
+"""Chunk-store bookkeeping: tombstones, the segment a writer holds, and
+the lock several processes share.
 
 A save's bookkeeping costs what the save touches (DESIGN.md §17): it
 writes no bookkeeping file at all, appended records are their own index
 entries until something seals or deletes, and the gauges come from running
-totals.  A process that takes the store's lock first absorbs the deletes
-another process checkpointed.  Everything here is counted or compared
+totals.  A process that takes the store's lock first absorbs the records
+and tombstones other processes appended.  Everything here is counted or compared
 against a from-scratch recount — nothing is timed.
 """
 
@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -27,6 +28,7 @@ from repro.core import BaselineSaveService, ModelManager, ModelSaveInfo
 from repro.core.hashing import state_dict_hashes, tensor_hash
 from repro.docstore import DocumentStore
 from repro.errors import OlderFormatError
+from repro.faults import CrashPoint, FaultInjector
 from repro.filestore import ChunkStore, FileStore
 from repro.filestore.recordlog import RECORD_HEADER, RecordLog, read_record
 from repro.filestore.segments import HEADER, StoreLock, _parse_seq
@@ -384,12 +386,10 @@ class TestASaveCostsWhatItTouches:
             assert [name for name, _ in scanned if name in sealed] == []
             assert len(scanned) == 1 and scanned[0][1] <= 64 * 1024
             assert len(reopened) == 3000
-            # ... and the next open scans that one tail again, nothing more:
-            # no open writes anything down
-            tail, scanned[:] = scanned[:], []
-            del reopened
+            # ... once: the open sealed what its dead writer left
+            del reopened, scanned[:]
             assert len(ChunkStore(tmp_path / "s", segment_bytes=64 * 1024)) == 3000
-            assert scanned == tail
+            assert scanned == []
         finally:
             ChunkStore._scan_records_locked = scan
 
@@ -719,3 +719,95 @@ class TestTombstones:
             [store._active_name, 10 ** 6]))
         assert max(on_disk) <= 2 * batch * one
         assert store.chunk_ids() == sorted(live)
+
+    def test_a_compaction_cut_short_never_brings_back_what_a_victim_killed(self, tmp_path):
+        """One victim holds tombstones naming records of the other (a lower
+        sequence than the segment it kills in); a crash at every compaction
+        point, then a reopen, finds none of those records again."""
+        root = tmp_path / "s"
+        killer = ChunkStore(root, segment_bytes=1 << 20)
+        killer.put(digest_for(0), payload(0, 300))  # killer's segment comes first
+        other = ChunkStore(root, segment_bytes=1 << 20)
+        for index in range(10, 16):
+            other.put(digest_for(index), payload(index, 300))
+        other.close()
+        killer.catch_up()
+        killed = [digest_for(index) for index in range(10, 14)]
+        killer.drop_many(killed)
+        for index in range(1, 6):
+            killer.put(digest_for(index), payload(index, 300))
+        killer.drop_many([digest_for(index) for index in range(1, 5)])
+        killer.close()
+        [first, second] = sorted(segment_names(killer))
+        assert any(grave[1] == second for grave in ChunkStore(root)._segmeta[first]["graves"])
+        kept = {digest_for(index) for index in (0, 5, 14, 15)}
+        crashes = 0
+        for at in range(1, 60):
+            copy = tmp_path / f"crash-{at}"
+            shutil.copytree(root, copy)
+            store = ChunkStore(copy, tmp_grace_s=0.0)
+            faults = FaultInjector(seed=0)
+            store.fault_hook = faults.fail_point
+            faults.arm_crash(at, op="chunk.compact")
+            try:
+                store.compact()
+            except CrashPoint:
+                crashes += 1
+            else:
+                assert store.segment_stats()["chunks"] == len(kept)
+                break
+            del store  # crash: no close
+            reopened = ChunkStore(copy, tmp_grace_s=0.0)
+            assert set(reopened.chunk_ids()) == kept, f"crash at {at}"
+            reopened.audit(repair=True)
+            reopened.gc()
+            del reopened
+            reopened = ChunkStore(copy, tmp_grace_s=0.0)
+            assert set(reopened.chunk_ids()) == kept, f"crash at {at}"
+            for digest in kept:
+                assert reopened.get(digest) == payload(int(digest[:8]), 300), f"crash at {at}"
+        else:
+            pytest.fail("compaction never completed")
+        assert crashes >= 5, f"only {crashes} distinct crash points hit"
+
+
+class TestAWriterHoldsItsSegment:
+    """A writer holds an ``flock`` on its unsealed segment until it seals
+    it: no other process seals or unlinks a segment someone still writes,
+    and one whose writer is gone is sealed, so it is scanned once."""
+
+    def test_an_idle_writers_segment_of_tombstones_outlives_another_sweep(self, tmp_path):
+        """A writer whose segment holds only tombstones, naming a segment
+        another process's sweep unlinks, idles past the grace age; its next
+        acknowledged put is still found by a fresh open."""
+        root = tmp_path / "s"
+        seed = ChunkStore(root, tmp_grace_s=0.0)
+        seed.put(digest_for(0), payload(0))
+        seed.close()
+        writer = ChunkStore(root, tmp_grace_s=0.0)
+        assert writer.drop(digest_for(0))  # its segment: that tombstone alone
+        ChunkStore(root, tmp_grace_s=0.0).reap(set())
+        assert writer._active_name in segment_names(writer)
+        writer.put(digest_for(1), payload(1))
+        writer.flush()
+        assert ChunkStore(root).get(digest_for(1)) == payload(1)
+
+    def test_a_sweep_seals_what_a_dead_writer_left_and_not_what_a_live_one_holds(
+        self, tmp_path
+    ):
+        root = tmp_path / "s"
+        live, dead, sweeper = (ChunkStore(root) for _ in range(3))
+        for index, writer in enumerate((live, dead)):
+            writer.put(digest_for(index), payload(index))
+            writer.flush()
+        live_name, dead_name = live._active_name, dead._active_name
+        del writer
+        del dead  # kill -9: no close
+        sweeper.reap()
+        assert {name for name, meta in sweeper._segmeta.items() if meta["sealed"]} == {
+            dead_name}
+        live.put(digest_for(2), payload(2))
+        live.flush()
+        reopened = ChunkStore(root)
+        assert not reopened._segmeta[live_name]["sealed"]
+        assert reopened.chunk_ids() == [digest_for(index) for index in range(3)]

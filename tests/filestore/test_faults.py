@@ -13,7 +13,7 @@ import pytest
 from repro.core.hashing import state_dict_hashes, tensor_hash
 from repro.errors import MMLibError, StoreCorruptionError, TransientStoreError
 from repro.faults import CrashPoint, FaultInjector, FaultyDocumentStore
-from repro.filestore import FileStore, NetworkModel, SimulatedNetworkFileStore
+from repro.filestore import ChunkStore, FileStore, NetworkModel, SimulatedNetworkFileStore
 from repro.retry import RetryPolicy
 from tests.filestore.helpers import locate
 
@@ -166,12 +166,15 @@ class TestRetryAbsorbsTransients:
         # on reopen, and the audit cuts it off
         other = np.arange(64, 128, dtype=np.float32)
         write_torn(tensor_hash(other), other.data)
-        del store, chunks
+        del store, chunks, write_torn  # the process dies: nothing holds its segment
         reopened = FileStore(tmp_path / "s", tmp_grace_s=0.0).chunks
         assert not reopened.has(tensor_hash(other))
         assert bytes(reopened.get(digest)) == payload.tobytes()
         assert reopened.audit(repair=True)["torn_segments"] == [path.name]
-        assert path.stat().st_size == offset + length
+        # ... and seals the segment its dead writer left right after the record
+        with open(path, "rb") as fileobj:
+            catalog = ChunkStore._read_footer(fileobj, path.stat().st_size)
+        assert catalog["end"] == offset + length
 
     def test_corrupt_chunk_read_heals_via_refetch(self, tmp_path):
         faults = FaultInjector(seed=5, corrupt_rate=1.0, max_consecutive_failures=None)

@@ -22,6 +22,7 @@ from hypothesis.extra import numpy as hnp
 from repro import deadline, obs
 from repro.distsim.environment import SharedStores
 from repro.faults import FaultInjector
+from repro.filestore import ChunkStore
 from repro.gateway import (
     AsyncGatewayClient,
     GatewayConnectionError,
@@ -135,6 +136,21 @@ class TestRequestPlane:
                     await client.delete_model(model_id, force=True)
                     assert await client.find() == []
             run(scenario())
+
+    def test_a_stopped_gateway_leaves_its_segments_sealed(self, tmp_path):
+        """Stopping closes the stores it served: the next process reads
+        their footers instead of scanning them."""
+        registry = make_registry(tmp_path)
+        with GatewayServer(registry) as server:
+            async def scenario():
+                async with AsyncGatewayClient(*server.address, "acme") as client:
+                    await client.save_model(FACTORY, state=mlp_state(step=1))
+            run(scenario())
+        segments = list((tmp_path / "store").glob("**/segments/*.seg"))
+        assert segments
+        for path in segments:
+            with open(path, "rb") as fileobj:
+                assert ChunkStore._read_footer(fileobj, path.stat().st_size) is not None, path
 
     def test_delta_chain_roundtrips_through_gateway(self, tmp_path):
         registry = make_registry(tmp_path)

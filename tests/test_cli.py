@@ -13,7 +13,7 @@ import repro
 from repro import cli
 from repro.core import ArchitectureRef, BaselineSaveService, ModelSaveInfo
 from repro.docstore import DocumentStore
-from repro.filestore import FileStore
+from repro.filestore import ChunkStore, FileStore
 from repro.nn import serialization
 from repro.nn.models import create_model
 from tests.conftest import make_tiny_cnn
@@ -120,6 +120,18 @@ class TestSaveRecover:
             cwd=repo, env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert not (Path(files) / "journal").exists()
+
+    def test_a_command_seals_the_segments_it_wrote(self, stores):
+        """Each command closes the stores it opened: the next process reads
+        their footers instead of scanning them."""
+        docs, files = stores
+        assert run_cli("--docs", docs, "--files", files, "save",
+                       "--factory", FACTORY, "--use-case", "U_1") == 0
+        segments = list((Path(files) / "chunks" / "segments").glob("*.seg"))
+        assert segments
+        for path in segments:
+            with open(path, "rb") as fileobj:
+                assert ChunkStore._read_footer(fileobj, path.stat().st_size) is not None, path
 
     def test_save_with_unknown_approach_errors(self, stores, capsys):
         docs, files = stores
